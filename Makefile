@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race bench bench-json fuzz experiments
+.PHONY: all build vet lint lint-fast test race bench fuzz experiments
 
 all: build vet lint test
 
@@ -30,19 +30,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
-
-# Regenerate BENCH_PR10.json: E2 publish, the E9 end-to-end query
-# fault-free, under 1% deterministic message loss (the overhead of the
-# retry machinery) and under ConcurrentDelivery (the host-side cost of
-# per-message handler goroutines), the E16 Zipf-storm pair (static vs.
-# adaptive hot-key replication, with hot-node share and tail VTime as
-# domain metrics), the flight-recorder-armed E9 twin, and the
-# binary-vs-gob codec pairs measured in the same run. The test fails if
-# the binary codec stops beating the gob baseline on allocs/op, the
-# adaptive index stops beating the static one, or armed flight recording
-# exceeds its bounded-overhead guard.
-bench-json:
-	BENCH_JSON=$(CURDIR)/BENCH_PR10.json $(GO) test -run '^TestWriteBenchJSON$$' -count=1 -v .
 
 # Short coverage-guided fuzz pass over the text front ends and the wire
 # codec; CI runs the same targets as a smoke stage. Crashers land in

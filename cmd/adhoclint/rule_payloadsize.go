@@ -42,7 +42,7 @@ func checkPayloadSizes(prog *Program, enabled map[string]bool) []Diagnostic {
 			return // e.g. simnet.Bytes: nothing to cross-check
 		}
 		// trace.TraceContext is zero-width wire metadata by contract (see
-		// trace_knowledge.go): its own SizeBytes returns 0 on purpose, and
+		// observability_knowledge.go): its own SizeBytes returns 0 on purpose, and
 		// payload structs need not count TraceContext-typed fields.
 		if isTraceContext(named, prog.modPath) {
 			return

@@ -149,7 +149,7 @@ func (v *vtimeChecker) computeTouches() {
 					return false
 				}
 				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil && !v.traceNeutral(callee) && v.touches[callee] {
+					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil && !observabilityNeutral(callee, v.prog.modPath) && v.touches[callee] {
 						reached = true
 					}
 				}
@@ -179,23 +179,13 @@ func (v *vtimeChecker) nodeTouchesFabric(p *Package, node ast.Node) bool {
 			found = true
 			return false
 		}
-		if callee, _ := staticCallee(p.Info, call); callee != nil && !v.traceNeutral(callee) && v.touches[callee] {
+		if callee, _ := staticCallee(p.Info, call); callee != nil && !observabilityNeutral(callee, v.prog.modPath) && v.touches[callee] {
 			found = true
 			return false
 		}
 		return true
 	})
 	return found
-}
-
-// traceNeutral reports whether callee belongs to an observability leaf
-// package (trace or flight), whose functions — Recorder.Record and
-// Recorder.Emit above all — are fabric-neutral by contract (see
-// trace_knowledge.go and flight_knowledge.go): recording a span or an
-// event moves no modeled bytes or VTime, so the fabric-reach closure
-// stops there.
-func (v *vtimeChecker) traceNeutral(callee *types.Func) bool {
-	return observabilityNeutral(callee, v.prog.modPath)
 }
 
 // checkGoFanout flags `go` statements that transitively reach fabric
@@ -211,7 +201,7 @@ func (v *vtimeChecker) checkGoFanout(p *Package, fn *ast.FuncDecl) {
 		case *ast.FuncLit:
 			bad = v.nodeTouchesFabric(p, fun.Body)
 		default:
-			if callee, _ := staticCallee(p.Info, g.Call); callee != nil && !v.traceNeutral(callee) {
+			if callee, _ := staticCallee(p.Info, g.Call); callee != nil && !observabilityNeutral(callee, v.prog.modPath) {
 				bad = v.touches[callee]
 			}
 		}

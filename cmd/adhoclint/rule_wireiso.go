@@ -325,7 +325,7 @@ func (c *wireChecker) typeRefFreeUncached(t types.Type) bool {
 }
 
 // typeImmutable reports whether t carries the wireimmutable directive.
-// trace.TraceContext carries it implicitly (see trace_knowledge.go): wire
+// trace.TraceContext carries it implicitly (see observability_knowledge.go): wire
 // contexts are derived with Child, never written through, and the
 // immutable-write check enforces exactly that.
 func (c *wireChecker) typeImmutable(t types.Type) bool {

@@ -51,7 +51,7 @@ func (n *Node) HandleCall(at simnet.VTime, method string, req simnet.Payload) (s
 
 // recordAll emits one flight event per name on the hot path. Flight
 // callees are fabric-neutral and hot-path-safe by contract
-// (flight_knowledge.go): the allocation walk does not descend into Emit,
+// (observability_knowledge.go): the allocation walk does not descend into Emit,
 // and the all-value-type Event literal costs nothing — no findings here.
 func (n *Node) recordAll(r Req) {
 	for _, name := range r.Names {

@@ -6,7 +6,7 @@ import (
 )
 
 // RecordAsync fans out over Recorder calls only: Record is fabric-neutral
-// by contract (see trace_knowledge.go), so the vtime rule stays silent —
+// by contract (see observability_knowledge.go), so the vtime rule stays silent —
 // no charged time escapes the critical path.
 func RecordAsync(rec trace.Recorder, spans []trace.Span) {
 	for _, s := range spans {

@@ -9,7 +9,7 @@ import (
 const MethodTraced = "iso.traced"
 
 // TracedReq couples rows with a TraceContext. The context is implicitly
-// wire-immutable (see trace_knowledge.go), so carrying it in any payload
+// wire-immutable (see observability_knowledge.go), so carrying it in any payload
 // position is always wire-safe.
 type TracedReq struct {
 	Rows []Row

@@ -45,7 +45,7 @@ func (t Table) Clone() Table {
 
 // EventsResp ships recent flight-recorder events. flight.Event is
 // reference-free by contract (strings and integers only — see
-// flight_knowledge.go), so events are wire-safe in any payload position;
+// observability_knowledge.go), so events are wire-safe in any payload position;
 // only the slice holding them must be fresh.
 type EventsResp struct{ Events []flight.Event }
 

@@ -14,7 +14,7 @@ import (
 //   - gob-fallback payloads are pinned at their current allocation counts
 //     with headroom, so a regression that drags a hot type back onto the
 //     reflection path (or makes the fallback sharply worse) fails here
-//     before it shows up in the committed bench JSON (BENCH_PR9.json).
+//     before it shows up in the benchmark's codec.* rows (bench/).
 const (
 	// maxBinaryEncodeAllocs: the destination buffer (1 alloc,
 	// presized from SizeBytes) plus at most one growth step when a

@@ -33,8 +33,14 @@ func buildSystem(t testing.TB, nIndex int, data map[string][]rdf.Triple) (*overl
 // serialPublish selects the legacy serial path, false the parallel one.
 func buildSystemPublish(t testing.TB, nIndex int, data map[string][]rdf.Triple, serialPublish bool) (*overlay.System, simnet.VTime) {
 	t.Helper()
-	s := overlay.NewSystem(overlay.Config{Bits: 16, Replication: 2, SerialPublish: serialPublish,
+	return buildSystemConfig(t, nIndex, data, overlay.Config{Bits: 16, Replication: 2, SerialPublish: serialPublish,
 		Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
+}
+
+// buildSystemConfig is buildSystem over an explicit overlay configuration.
+func buildSystemConfig(t testing.TB, nIndex int, data map[string][]rdf.Triple, cfg overlay.Config) (*overlay.System, simnet.VTime) {
+	t.Helper()
+	s := overlay.NewSystem(cfg)
 	now := simnet.VTime(0)
 	for i := 0; i < nIndex; i++ {
 		_, done, err := s.AddIndexNode(simnet.Addr(fmt.Sprintf("idx-%02d", i)), now)

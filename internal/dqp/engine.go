@@ -57,7 +57,7 @@ type Result struct {
 }
 
 // qctx threads per-query execution state: the engine-side accounting that
-// is not derivable from network metrics.
+// is not derivable from the traffic the fabric attributes to the query.
 type qctx struct {
 	initiator simnet.Addr
 	// dataset carries the query's FROM graph IRIs (nil = the union of all
@@ -74,19 +74,21 @@ type qctx struct {
 	drops         int
 	cacheHits     int
 	replicaHits   int
-	// rec is the span recorder (nil = tracing disabled, checked once in
-	// Run); tc is the query's root trace context and seq the serial child
-	// allocator — only ever incremented outside Parallel branches, so
-	// derived span identifiers stay deterministic.
+	// rec is the span recorder (nil = tracing disabled, read once in
+	// newQctx); tc is the query's root trace context — always allocated,
+	// it is what the fabric attributes the query's traffic by — and seq the
+	// serial child allocator, only ever incremented outside Parallel
+	// branches, so derived span identifiers stay deterministic.
 	rec trace.Recorder
 	tc  trace.TraceContext
 	seq uint64
-	// flt is the flight recorder (nil = disabled, checked once in Run);
+	// flt is the flight recorder (nil = disabled, read once in newQctx);
 	// query stage transitions land in the initiator's event ring.
 	flt *flight.Recorder
 }
 
 // stage flight-records one query stage transition at the initiator.
+//adhoclint:faultpath(benign, observation only; the stage events of a failed query are the record of that failure)
 func (c *qctx) stage(name string, start, end simnet.VTime) {
 	if c.flt == nil {
 		return
@@ -169,34 +171,79 @@ func (e *Engine) Query(initiator simnet.Addr, query string, at simnet.VTime) (*R
 
 // Run executes an already-parsed query.
 func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*Result, Stats, simnet.VTime, error) {
-	if q.Form == sparql.FormDescribe && q.Where == nil {
-		return e.runBareDescribe(initiator, q, at)
+	var op algebra.Op
+	if q.Form != sparql.FormDescribe || q.Where != nil {
+		var err error
+		if op, err = algebra.Translate(q); err != nil {
+			return nil, Stats{}, at, err
+		}
+		// Global query optimization (Fig. 3): algebraic rewrites at the
+		// initiator. Join reordering by location-table frequencies happens
+		// at plan time inside exec, where the postings are available.
+		op = optimize.Optimize(op, optimize.Options{
+			PushFilters: e.opts.PushFilters,
+			ReorderBGP:  false,
+		})
 	}
-	op, err := algebra.Translate(q)
+	ctx := e.newQctx(initiator, q)
+	var (
+		out  *Result
+		done simnet.VTime
+		err  error
+	)
+	if op == nil {
+		out, done, err = e.runBareDescribe(ctx, q, at)
+	} else {
+		out, done, err = e.runPlan(ctx, q, op, at)
+	}
+	traffic := e.sys.Net().UntrackQuery(ctx.tc.Query)
 	if err != nil {
-		return nil, Stats{}, at, err
+		return nil, Stats{}, done, err
 	}
-	// Global query optimization (Fig. 3): algebraic rewrites at the
-	// initiator. Join reordering by location-table frequencies happens at
-	// plan time inside exec, where the postings are available.
-	op = optimize.Optimize(op, optimize.Options{
-		PushFilters: e.opts.PushFilters,
-		ReorderBGP:  false,
-	})
+	return out, ctx.stats(traffic, len(out.Solutions), at, done), done, nil
+}
 
-	before := e.sys.Net().Metrics()
-	ctx := &qctx{initiator: initiator, dataset: q.From, fromNamed: q.FromNamed,
-		existenceOnly: q.Form == sparql.FormAsk, targets: map[simnet.Addr]bool{}}
-	if rec := e.sys.Net().Recorder(); rec != nil {
-		ctx.rec = rec
-		ctx.tc = trace.Root(e.sys.NextTraceID())
+// newQctx opens the execution context of one query. The root trace context
+// is allocated whether or not a recorder is attached — it is zero-width on
+// the wire — because it is also what attributes the query's traffic: the
+// fabric charges every leg carrying it to the accumulator registered here.
+func (e *Engine) newQctx(initiator simnet.Addr, q *sparql.Query) *qctx {
+	net := e.sys.Net()
+	ctx := &qctx{
+		initiator: initiator, dataset: q.From, fromNamed: q.FromNamed,
+		existenceOnly: q.Form == sparql.FormAsk, targets: map[simnet.Addr]bool{},
+		rec: net.Recorder(), flt: net.FlightRecorder(),
+		tc: trace.Root(e.sys.NextTraceID()),
 	}
-	ctx.flt = e.sys.Net().FlightRecorder()
+	net.TrackQuery(ctx.tc.Query)
+	return ctx
+}
 
+// stats assembles the query's cost summary from the traffic the fabric
+// attributed to it and the engine-side counters.
+func (c *qctx) stats(traffic simnet.QueryTraffic, solutions int, at, done simnet.VTime) Stats {
+	return Stats{
+		Messages:         traffic.Messages,
+		Bytes:            traffic.Bytes,
+		PerMethod:        traffic.PerMethod,
+		ResponseTime:     time.Duration(done - at),
+		LookupHops:       c.hops,
+		Subqueries:       c.subq,
+		TargetsContacted: len(c.targets),
+		StaleDrops:       c.drops,
+		CacheHits:        c.cacheHits,
+		ReplicaHits:      c.replicaHits,
+		Solutions:        solutions,
+	}
+}
+
+// runPlan executes an optimized algebra plan and post-processes its
+// solutions into the query form's result.
+func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VTime) (*Result, simnet.VTime, error) {
 	res, done, err := e.exec(ctx, op, at)
 	ctx.stage("exec", at, done)
 	if err != nil {
-		return nil, Stats{}, done, err
+		return nil, done, err
 	}
 	// Post-processing happens at the initiator: ship the final solutions
 	// home first (Fig. 3 "Post-Processing").
@@ -204,7 +251,7 @@ func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*
 	res, done, err = e.shipTo(ctx, res, ctx.initiator, methodResult, done)
 	ctx.stage("ship-result", shipped, done)
 	if err != nil {
-		return nil, Stats{}, done, err
+		return nil, done, err
 	}
 
 	out := &Result{Plan: op.String(), Solutions: res.sols}
@@ -220,59 +267,26 @@ func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*
 		var ts []rdf.Triple
 		ts, done, err = e.describe(ctx, q, res.sols, done)
 		if err != nil {
-			return nil, Stats{}, done, err
+			return nil, done, err
 		}
 		out.Triples = ts
 	}
-	ctx.opSpan(ctx.tc, "dqp.query", string(initiator),
+	ctx.opSpan(ctx.tc, "dqp.query", string(ctx.initiator),
 		e.opts.Strategy.String()+"/"+e.opts.Conjunction.String(), at, done)
 	ctx.stage("post-process", done, done)
-
-	delta := e.sys.Net().Metrics().Sub(before)
-	stats := Stats{
-		Messages:         delta.Messages,
-		Bytes:            delta.Bytes,
-		PerMethod:        delta.PerMethod,
-		ResponseTime:     time.Duration(done - at),
-		LookupHops:       ctx.hops,
-		Subqueries:       ctx.subq,
-		TargetsContacted: len(ctx.targets),
-		StaleDrops:       ctx.drops,
-		CacheHits:        ctx.cacheHits,
-		ReplicaHits:      ctx.replicaHits,
-		Solutions:        len(out.Solutions),
-	}
-	return out, stats, done, nil
+	return out, done, nil
 }
 
 // runBareDescribe handles DESCRIBE with no WHERE clause: the describe
 // terms are resolved directly.
-func (e *Engine) runBareDescribe(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*Result, Stats, simnet.VTime, error) {
-	before := e.sys.Net().Metrics()
-	ctx := &qctx{initiator: initiator, targets: map[simnet.Addr]bool{}}
-	if rec := e.sys.Net().Recorder(); rec != nil {
-		ctx.rec = rec
-		ctx.tc = trace.Root(e.sys.NextTraceID())
-	}
+func (e *Engine) runBareDescribe(ctx *qctx, q *sparql.Query, at simnet.VTime) (*Result, simnet.VTime, error) {
 	ts, done, err := e.describe(ctx, q, nil, at)
+	ctx.stage("describe", at, done)
 	if err != nil {
-		return nil, Stats{}, done, err
+		return nil, done, err
 	}
-	ctx.opSpan(ctx.tc, "dqp.query", string(initiator), "describe", at, done)
-	delta := e.sys.Net().Metrics().Sub(before)
-	stats := Stats{
-		Messages:         delta.Messages,
-		Bytes:            delta.Bytes,
-		PerMethod:        delta.PerMethod,
-		ResponseTime:     time.Duration(done - at),
-		LookupHops:       ctx.hops,
-		Subqueries:       ctx.subq,
-		TargetsContacted: len(ctx.targets),
-		StaleDrops:       ctx.drops,
-		CacheHits:        ctx.cacheHits,
-		ReplicaHits:      ctx.replicaHits,
-	}
-	return &Result{Triples: ts, Plan: "Describe"}, stats, done, nil
+	ctx.opSpan(ctx.tc, "dqp.query", string(ctx.initiator), "describe", at, done)
+	return &Result{Triples: ts, Plan: "Describe"}, done, nil
 }
 
 // describe fetches all triples whose subject is one of the describe terms

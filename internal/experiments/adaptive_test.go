@@ -257,6 +257,30 @@ func TestE16SameSeedTranscripts(t *testing.T) {
 	}
 }
 
+// TestE16AdaptiveBeatsStatic guards the extension's two measured claims on
+// the published (seed 0) storm: with hot-key replication on, the busiest
+// index node's byte share and the tail response time must both be strictly
+// below the static index's. Both figures are virtual, so the comparison is
+// exact and repeats on every run.
+func TestE16AdaptiveBeatsStatic(t *testing.T) {
+	static, err := E16ZipfStormSummary(Params{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := E16ZipfStormSummary(Params{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adaptive.HotShare >= static.HotShare {
+		t.Errorf("adaptive hot-node share %.3f is not below static %.3f — hot-key replication no longer spreads the load",
+			adaptive.HotShare, static.HotShare)
+	}
+	if adaptive.TailMs >= static.TailMs {
+		t.Errorf("adaptive tail %.2f vms is not below static %.2f vms — the replica fast path no longer pays off",
+			adaptive.TailMs, static.TailMs)
+	}
+}
+
 // TestE9AllConfigsAdaptive runs the full 12-configuration E9 strategy
 // matrix with Adaptive on: every configuration must still return the
 // centralized-oracle solution multiset. This is the oracle half of the

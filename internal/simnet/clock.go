@@ -26,11 +26,3 @@ func (c *Clock) Advance(t VTime) VTime {
 	}
 	return c.now
 }
-
-// Elapse advances the clock by a duration and returns the resulting time.
-func (c *Clock) Elapse(d VTime) VTime {
-	if d > 0 {
-		c.now += d
-	}
-	return c.now
-}

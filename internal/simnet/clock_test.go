@@ -18,13 +18,3 @@ func TestClockAdvanceMonotonic(t *testing.T) {
 		t.Errorf("Advance(now) changed the clock: %v", got)
 	}
 }
-
-func TestClockElapse(t *testing.T) {
-	c := NewClock(0)
-	if got := c.Elapse(40); got != 40 {
-		t.Errorf("Elapse(40) = %v, want 40", got)
-	}
-	if got := c.Elapse(-10); got != 40 {
-		t.Errorf("Elapse(-10) moved the clock: %v", got)
-	}
-}

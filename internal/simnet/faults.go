@@ -133,18 +133,10 @@ func hashString(s string) uint64 {
 // SetFaults installs (or, with nil, removes) a fault-injection plan. The
 // plan applies to every subsequent Call/Send/Transfer; installing it does
 // not disturb metrics or membership.
-func (n *Network) SetFaults(plan *FaultPlan) {
-	n.faultMu.Lock()
-	n.faults = plan
-	n.faultMu.Unlock()
-}
+func (n *Network) SetFaults(plan *FaultPlan) { n.setHooks(func(h *hooks) { h.faults = plan }) }
 
 // Faults returns the installed fault plan (nil = fault-free).
-func (n *Network) Faults() *FaultPlan {
-	n.faultMu.RLock()
-	defer n.faultMu.RUnlock()
-	return n.faults
-}
+func (n *Network) Faults() *FaultPlan { return n.hooks.Load().faults }
 
 // DefaultAttempts is the standard retry budget for lost messages: the
 // first try plus two re-sends. At the 1–5% loss rates the experiments

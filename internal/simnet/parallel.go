@@ -57,14 +57,3 @@ func Parallel[T any](n, bound int, branch func(i int) (T, VTime, error)) ([]Resu
 	}
 	return out, done
 }
-
-// FirstErr returns the first branch error in branch order (deterministic
-// regardless of which branch failed first in wall-clock time), or nil.
-func FirstErr[T any](results []Result[T]) error {
-	for i := range results {
-		if results[i].Err != nil {
-			return results[i].Err
-		}
-	}
-	return nil
-}

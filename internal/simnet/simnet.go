@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adhocshare/internal/flight"
@@ -141,25 +142,9 @@ type Network struct {
 	// must never serialize behind the membership lock.
 	metrics metrics
 
-	// recMu guards rec, the optional span recorder. Nil means tracing is
-	// disabled; the fabric reads it once per operation and skips all span
-	// construction on the disabled path.
-	recMu sync.RWMutex
-	rec   trace.Recorder
-
-	// fltMu guards flt, the optional flight recorder. Nil means the
-	// recorder is disabled; the fabric reads it once per operation and the
-	// disabled path does no work and allocates nothing (flight events are
-	// value structs, so even the armed path adds no per-message heap
-	// traffic once rings reach capacity).
-	fltMu sync.RWMutex
-	flt   *flight.Recorder
-
-	// faultMu guards faults, the optional deterministic fault-injection
-	// plan (nil = fault-free). Like the recorder it sits outside mu: loss
-	// draws are pure hashes and never block membership changes.
-	faultMu sync.RWMutex
-	faults  *FaultPlan
+	// hooks is the current snapshot of the optional attachments; like
+	// metrics it sits outside mu.
+	hooks atomic.Pointer[hooks]
 
 	mu     sync.RWMutex
 	nodes  map[Addr]Handler
@@ -172,12 +157,41 @@ type Network struct {
 	linkFactor map[Addr]float64
 }
 
+type cell struct{ dir, method string }
+
 type metrics struct {
-	mu        sync.Mutex
-	messages  int64
-	bytes     int64
-	perMethod map[string]*MethodStats
-	perDir    map[string]map[string]*MethodStats
+	mu       sync.Mutex
+	messages int64
+	bytes    int64
+	// cells holds one counter per (direction, method); Metrics folds them
+	// into the snapshot's per-method and per-direction views.
+	cells map[cell]*MethodStats
+	// queries holds the per-trace accumulators registered by TrackQuery,
+	// keyed by TraceContext.Query.
+	queries map[uint64]*QueryTraffic
+}
+
+// hooks is one immutable snapshot of the fabric's optional attachments:
+// span recorder, flight recorder and fault plan (nil = disabled). Setters
+// publish a fresh copy and every operation loads the pointer once, so a
+// leg sees one consistent set, the all-nil path allocates nothing, and
+// neither observation nor loss draws block behind a membership change.
+type hooks struct {
+	rec    trace.Recorder
+	flt    *flight.Recorder
+	faults *FaultPlan
+}
+
+// setHooks publishes a copy of the current snapshot with edit applied.
+func (n *Network) setHooks(edit func(*hooks)) {
+	for {
+		old := n.hooks.Load()
+		next := *old
+		edit(&next)
+		if n.hooks.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
 
 // MethodStats aggregates traffic for one RPC method.
@@ -202,68 +216,45 @@ type Snapshot struct {
 	PerDirection map[string]map[string]MethodStats
 }
 
-// Sub returns the delta s − earlier, for scoping counters to one query.
+// Sub returns the delta s − earlier, for scoping counters to one window;
+// cells without traffic in it are omitted.
 func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 	out := Snapshot{
 		Messages:     s.Messages - earlier.Messages,
 		Bytes:        s.Bytes - earlier.Bytes,
-		PerMethod:    map[string]MethodStats{},
+		PerMethod:    subMethods(s.PerMethod, earlier.PerMethod),
 		PerDirection: map[string]map[string]MethodStats{},
 	}
-	for k, v := range s.PerMethod {
-		d := MethodStats{
-			Messages: v.Messages - earlier.PerMethod[k].Messages,
-			Bytes:    v.Bytes - earlier.PerMethod[k].Bytes,
-		}
-		if d.Messages != 0 || d.Bytes != 0 {
-			out.PerMethod[k] = d
-		}
-	}
 	for dir, methods := range s.PerDirection {
-		for k, v := range methods {
-			d := MethodStats{
-				Messages: v.Messages - earlier.PerDirection[dir][k].Messages,
-				Bytes:    v.Bytes - earlier.PerDirection[dir][k].Bytes,
-			}
-			if d.Messages != 0 || d.Bytes != 0 {
-				if out.PerDirection[dir] == nil {
-					out.PerDirection[dir] = map[string]MethodStats{}
-				}
-				out.PerDirection[dir][k] = d
-			}
+		if d := subMethods(methods, earlier.PerDirection[dir]); len(d) > 0 {
+			out.PerDirection[dir] = d
 		}
 	}
 	return out
 }
 
-// Methods lists the method names present in the snapshot, sorted.
-func (s Snapshot) Methods() []string {
-	out := make([]string, 0, len(s.PerMethod))
-	for k := range s.PerMethod {
-		out = append(out, k)
+func subMethods(s, earlier map[string]MethodStats) map[string]MethodStats {
+	out := map[string]MethodStats{}
+	for k, v := range s {
+		d := MethodStats{Messages: v.Messages - earlier[k].Messages, Bytes: v.Bytes - earlier[k].Bytes}
+		if d != (MethodStats{}) {
+			out[k] = d
+		}
 	}
-	sort.Strings(out)
-	return out
-}
-
-// Directions lists the direction keys present in the snapshot, sorted.
-func (s Snapshot) Directions() []string {
-	out := make([]string, 0, len(s.PerDirection))
-	for k := range s.PerDirection {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 
 // New creates a network with the given cost model.
 func New(cfg Config) *Network {
-	return &Network{
+	n := &Network{
 		cfg:        cfg.withDefaults(),
+		metrics:    metrics{cells: map[cell]*MethodStats{}, queries: map[uint64]*QueryTraffic{}},
 		nodes:      map[Addr]Handler{},
 		failed:     map[Addr]bool{},
 		linkFactor: map[Addr]float64{},
 	}
+	n.hooks.Store(&hooks{})
+	return n
 }
 
 // Config returns the effective cost-model configuration.
@@ -272,53 +263,21 @@ func (n *Network) Config() Config { return n.cfg }
 // SetRecorder attaches (or, with nil, detaches) a span recorder. Tracing
 // is strictly observational: it never changes accounted messages, bytes,
 // or virtual times, and the disabled path allocates nothing.
-func (n *Network) SetRecorder(r trace.Recorder) {
-	n.recMu.Lock()
-	n.rec = r
-	n.recMu.Unlock()
-}
+func (n *Network) SetRecorder(r trace.Recorder) { n.setHooks(func(h *hooks) { h.rec = r }) }
 
 // Recorder returns the currently attached span recorder (nil = disabled).
-func (n *Network) Recorder() trace.Recorder {
-	n.recMu.RLock()
-	defer n.recMu.RUnlock()
-	return n.rec
-}
+func (n *Network) Recorder() trace.Recorder { return n.hooks.Load().rec }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight recorder.
 // Like tracing it is strictly observational: it never changes accounted
 // messages, bytes, or virtual times. Exactly one event is emitted per
 // accounted message leg — a delivery, a recorded loss, or an unreachable
 // mark — which is the basis of the traffic-conservation monitor.
-func (n *Network) SetFlightRecorder(r *flight.Recorder) {
-	n.fltMu.Lock()
-	n.flt = r
-	n.fltMu.Unlock()
-}
+func (n *Network) SetFlightRecorder(r *flight.Recorder) { n.setHooks(func(h *hooks) { h.flt = r }) }
 
 // FlightRecorder returns the currently attached flight recorder (nil =
 // disabled).
-func (n *Network) FlightRecorder() *flight.Recorder {
-	n.fltMu.RLock()
-	defer n.fltMu.RUnlock()
-	return n.flt
-}
-
-// flightMsg emits the flight event for one message leg. The event lands
-// in the sender's ring; kind is the leg's outcome (deliver, lost,
-// unreachable).
-func flightMsg(flt *flight.Recorder, kind string, tc trace.TraceContext, method string, from, to Addr, start, end VTime, note string) {
-	flt.Emit(flight.Event{
-		Node:   string(from),
-		Kind:   kind,
-		VT:     int64(start),
-		End:    int64(end),
-		Peer:   string(to),
-		Method: method,
-		Query:  tc.Query,
-		Note:   note,
-	})
-}
+func (n *Network) FlightRecorder() *flight.Recorder { return n.hooks.Load().flt }
 
 // Register attaches a handler at the given address, replacing any previous
 // registration and clearing a failure mark.
@@ -420,108 +379,50 @@ func (n *Network) transferDelay(from, to Addr, size int) time.Duration {
 	return time.Duration(float64(base) * n.PathFactor(from, to))
 }
 
+// lookup resolves a destination's handler and failure mark.
+func (n *Network) lookup(to Addr) (h Handler, down bool, err error) {
+	n.mu.RLock()
+	h, ok := n.nodes[to]
+	down = n.failed[to]
+	n.mu.RUnlock()
+	if !ok {
+		return nil, false, fmt.Errorf("%w: %s", ErrUnknownNode, to)
+	}
+	return h, down, nil
+}
+
 // Call performs a synchronous simulated RPC. The request leaves `from` at
 // virtual time `at`; the returned VTime is when the response arrives back
 // at `from`. Traffic is accounted in both directions. A call from a node
 // to itself is free and does not count as network traffic.
 func (n *Network) Call(from, to Addr, method string, req Payload, at VTime) (Payload, VTime, error) {
-	n.mu.RLock()
-	h, ok := n.nodes[to]
-	failed := n.failed[to]
-	n.mu.RUnlock()
-
+	h, down, err := n.lookup(to)
+	if err != nil {
+		return nil, at, err
+	}
 	if from == to {
-		if !ok {
-			return nil, at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-		}
 		return h.HandleCall(at, method, req)
 	}
-	if !ok {
-		return nil, at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	rec := n.Recorder()
-	flt := n.FlightRecorder()
-	faults := n.Faults()
-	reqSize := payloadSize(req)
-	n.account(method, DirRequest, reqSize)
-	if failed || faults.crashed(to, at) {
-		// The request is sent (and counted) but never answered.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return nil, lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if faults.drop(from, to, method, DirRequest, at, reqSize) {
-		// Request leg lost: the handler never runs, and the caller only
-		// learns by timing out.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return nil, lost, fmt.Errorf("%w: %s %s", ErrMessageLost, method, to)
-	}
-	arrive := at.Add(n.transferDelay(from, to, reqSize))
-	if faults.crashed(to, arrive) {
-		// The node crashed while the request was in flight.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "in-flight crash")
-		}
-		return nil, lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, arrive, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, from, to, at, arrive, "")
-	}
-	resp, done, err := n.deliver(h, from, to, method, req, arrive)
+	hk, tc := n.hooks.Load(), trace.CtxOf(req)
+	arrive, err := n.transmit(hk, leg{from: from, to: to, method: method, dir: DirRequest,
+		size: payloadSize(req), start: at, tc: tc}, down)
 	if err != nil {
-		// Error responses travel back as a small control message, exempt
-		// from loss draws: dropping a 16-byte error ack would only mask
-		// the application error behind ErrReplyLost without creating any
-		// new caller obligation.
-		n.account(method, DirResponse, 0)
-		back := done.Add(n.transferDelay(to, from, 16))
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req).Child(trace.ResponseSeq), method, to, from, 0, done, back, "error")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, to, from, done, back, "error")
-		}
+		return nil, arrive, err
+	}
+	resp, done, herr := n.deliver(h, from, to, method, req, arrive)
+	reply := leg{from: to, to: from, method: method, dir: DirResponse,
+		size: payloadSize(resp), start: done, tc: tc.Child(trace.ResponseSeq)}
+	if herr != nil {
+		reply.size, reply.note = 0, noteErrorReply
+	}
+	// A lost reply leaves the handler's side effects standing while the
+	// caller times out: retried mutating handlers must be idempotent.
+	back, err := n.transmit(hk, reply, false)
+	if herr != nil {
+		err = herr
+	}
+	if err != nil {
 		return nil, back, err
-	}
-	respSize := payloadSize(resp)
-	n.account(method, DirResponse, respSize)
-	if faults.drop(to, from, method, DirResponse, done, respSize) {
-		// Reply leg lost: the handler DID run — its side effects stand —
-		// but the caller times out. Retrying re-executes the handler, so
-		// retried mutating handlers must be idempotent (faultpath rule).
-		lost := done.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req).Child(trace.ResponseSeq), method, to, from, respSize, done, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(req), method, to, from, done, lost, "reply")
-		}
-		return nil, lost, fmt.Errorf("%w: %s %s", ErrReplyLost, method, to)
-	}
-	back := done.Add(n.transferDelay(to, from, respSize))
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(req).Child(trace.ResponseSeq), method, to, from, respSize, done, back, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, to, from, done, back, "")
 	}
 	return resp, back, nil
 }
@@ -531,64 +432,18 @@ func (n *Network) Call(from, to Addr, method string, req Payload, at VTime) (Pay
 // handler is invoked with the method and payload; its response payload is
 // discarded.
 func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTime, error) {
-	n.mu.RLock()
-	h, ok := n.nodes[to]
-	failed := n.failed[to]
-	n.mu.RUnlock()
+	h, down, err := n.lookup(to)
+	if err != nil {
+		return at, err
+	}
 	if from == to {
-		if !ok {
-			return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-		}
 		_, done, err := h.HandleCall(at, method, req)
 		return done, err
 	}
-	if !ok {
-		return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	rec := n.Recorder()
-	flt := n.FlightRecorder()
-	faults := n.Faults()
-	size := payloadSize(req)
-	n.account(method, DirOneWay, size)
-	if failed || faults.crashed(to, at) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if faults.drop(from, to, method, DirOneWay, at, size) {
-		// A one-way message carries no acknowledgement: the sender's clock
-		// advances only by the wire cost it paid, and the loss error is
-		// advisory (fire-and-forget senders ignore it by declaration).
-		lost := at.Add(n.transferDelay(from, to, size))
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s %s", ErrMessageLost, method, to)
-	}
-	arrive := at.Add(n.transferDelay(from, to, size))
-	if faults.crashed(to, arrive) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "in-flight crash")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, arrive, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, from, to, at, arrive, "")
+	arrive, err := n.transmit(n.hooks.Load(), leg{from: from, to: to, method: method, dir: DirOneWay,
+		size: payloadSize(req), start: at, tc: trace.CtxOf(req)}, down)
+	if err != nil {
+		return arrive, err
 	}
 	_, done, err := n.deliver(h, from, to, method, req, arrive)
 	return done, err
@@ -602,64 +457,12 @@ func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTi
 // failed nodes are accounted (the data was sent) and report ErrUnreachable
 // after the failure timeout; transfers to unknown nodes fail immediately.
 func (n *Network) Transfer(from, to Addr, method string, payload Payload, at VTime) (VTime, error) {
-	n.mu.RLock()
-	_, ok := n.nodes[to]
-	failed := n.failed[to]
-	n.mu.RUnlock()
-	if from == to {
-		if !ok {
-			return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-		}
-		return at, nil
+	_, down, err := n.lookup(to)
+	if err != nil || from == to {
+		return at, err
 	}
-	if !ok {
-		return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	rec := n.Recorder()
-	flt := n.FlightRecorder()
-	faults := n.Faults()
-	size := payloadSize(payload)
-	n.account(method, DirTransfer, size)
-	if failed || faults.crashed(to, at) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(payload), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if faults.drop(from, to, method, DirTransfer, at, size) {
-		// The data never arrives; the sender learns by missing the
-		// application-level follow-up and times out.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(payload), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s %s", ErrMessageLost, method, to)
-	}
-	arrive := at.Add(n.transferDelay(from, to, size))
-	if faults.crashed(to, arrive) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(payload), method, from, to, at, lost, "in-flight crash")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, arrive, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(payload), method, from, to, at, arrive, "")
-	}
-	return arrive, nil
+	return n.transmit(n.hooks.Load(), leg{from: from, to: to, method: method, dir: DirTransfer,
+		size: payloadSize(payload), start: at, tc: trace.CtxOf(payload)}, down)
 }
 
 func payloadSize(p Payload) int {
@@ -669,56 +472,163 @@ func payloadSize(p Payload) int {
 	return p.SizeBytes()
 }
 
-// recordMsg emits one message span. The span's identity comes from the
-// payload's TraceContext (zero context → the untraced query-0 lane), its
-// interval from the charged virtual times, never from wall clocks.
-func (n *Network) recordMsg(rec trace.Recorder, tc trace.TraceContext, method string, from, to Addr, size int, start, end VTime, note string) {
-	rec.Record(trace.Span{
-		Query:  tc.Query,
-		ID:     tc.Span,
-		Parent: tc.Parent,
-		Kind:   trace.KindMessage,
-		Name:   method,
-		From:   string(from),
-		To:     string(to),
-		Start:  int64(start),
-		End:    int64(end),
-		Bytes:  size,
-		Note:   note,
-	})
+// leg is one message leg: a payload put on the wire between two distinct
+// registered nodes, and the only event the fabric produces. A Call is a
+// request and a response leg, a Send or a Transfer one leg; the counters,
+// the per-query accumulators, the span recorder and the flight recorder
+// are all sinks of the one stream transmit emits.
+type leg struct {
+	from, to   Addr
+	method     string
+	dir        string // DirRequest, DirResponse, DirOneWay or DirTransfer
+	size       int    // accounted payload bytes
+	start, end VTime  // departure; arrival, or when the sender gives up
+	// outcome is the leg's fate as a flight kind (KindDeliver, KindLost,
+	// KindUnreachable); note qualifies it: noteErrorReply, "reply" on a
+	// lost response, "in-flight crash".
+	outcome, note string
+	tc            trace.TraceContext // zero = the untraced query-0 lane
 }
 
-func (n *Network) account(method, dir string, size int) {
-	m := &n.metrics
+// noteErrorReply marks the response leg of a handler error: a small
+// control message accounted at size 0, delayed as errorReplyWire bytes and
+// exempt from loss draws — dropping an error ack would only mask the
+// application error behind ErrReplyLost without creating any new caller
+// obligation.
+const (
+	noteErrorReply = "error"
+	errorReplyWire = 16
+)
+
+// transmit puts one leg on the wire and returns when it ends: the one
+// place a leg meets its fate, is charged and is observed. l arrives with
+// coordinates and start set; down reports a destination marked failed.
+// Forward legs (request, one-way, transfer) find a failed or crashed
+// destination unreachable, at departure or on arrival; response legs
+// return to a caller that is still there. An unanswered leg costs its
+// sender FailTimeout — except a lost one-way message, which carries no
+// acknowledgement: its sender pays only the wire delay, and the loss
+// error is advisory.
+//
+//adhoclint:faultpath(benign, a leg put on the wire stays charged and observed whether or not the operation it belongs to completes)
+func (n *Network) transmit(hk *hooks, l leg, down bool) (_ VTime, err error) {
+	forward, wire := l.dir != DirResponse, l.size
+	if l.note == noteErrorReply {
+		wire = errorReplyWire
+	}
+	switch timeout := l.start.Add(n.cfg.FailTimeout); {
+	case forward && (down || hk.faults.crashed(l.to, l.start)):
+		l.outcome, l.end = flight.KindUnreachable, timeout
+	case l.note != noteErrorReply && hk.faults.drop(l.from, l.to, l.method, l.dir, l.start, l.size):
+		l.outcome, l.end = flight.KindLost, timeout
+		if l.dir == DirOneWay {
+			l.end = l.start.Add(n.transferDelay(l.from, l.to, wire))
+		}
+		if forward {
+			err = fmt.Errorf("%w: %s %s", ErrMessageLost, l.method, l.to)
+		} else {
+			l.note = "reply"
+			err = fmt.Errorf("%w: %s %s", ErrReplyLost, l.method, l.from)
+		}
+	default:
+		l.outcome, l.end = flight.KindDeliver, l.start.Add(n.transferDelay(l.from, l.to, wire))
+		if forward && hk.faults.crashed(l.to, l.end) {
+			l.outcome, l.end, l.note = flight.KindUnreachable, timeout, "in-flight crash"
+		}
+	}
+	if l.outcome == flight.KindUnreachable {
+		err = fmt.Errorf("%w: %s", ErrUnreachable, l.to)
+	}
+
+	n.metrics.charge(&l)
+	if hk.rec != nil {
+		note := l.note
+		if l.outcome != flight.KindDeliver {
+			note = l.outcome
+		}
+		hk.rec.Record(trace.Span{
+			Query:  l.tc.Query,
+			ID:     l.tc.Span,
+			Parent: l.tc.Parent,
+			Kind:   trace.KindMessage,
+			Name:   l.method,
+			From:   string(l.from),
+			To:     string(l.to),
+			Start:  int64(l.start),
+			End:    int64(l.end),
+			Bytes:  l.size,
+			Note:   note,
+		})
+	}
+	if hk.flt != nil {
+		hk.flt.Emit(flight.Event{
+			Node:   string(l.from),
+			Kind:   l.outcome,
+			VT:     int64(l.start),
+			End:    int64(l.end),
+			Peer:   string(l.to),
+			Method: l.method,
+			Query:  l.tc.Query,
+			Note:   l.note,
+		})
+	}
+	return l.end, err
+}
+
+// charge adds one leg to the always-on counters and to the accumulator of
+// the trace it belongs to, if one is registered.
+func (m *metrics) charge(l *leg) {
+	size := int64(l.size)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.messages++
-	m.bytes += int64(size)
-	if m.perMethod == nil {
-		m.perMethod = map[string]*MethodStats{}
+	m.bytes += size
+	c := m.cells[cell{l.dir, l.method}]
+	if c == nil {
+		c = &MethodStats{}
+		m.cells[cell{l.dir, l.method}] = c
 	}
-	st, ok := m.perMethod[method]
-	if !ok {
-		st = &MethodStats{}
-		m.perMethod[method] = st
+	c.Messages++
+	c.Bytes += size
+	if q := m.queries[l.tc.Query]; q != nil {
+		q.Messages++
+		q.Bytes += size
+		qs := q.PerMethod[l.method]
+		qs.Messages++
+		qs.Bytes += size
+		q.PerMethod[l.method] = qs
 	}
-	st.Messages++
-	st.Bytes += int64(size)
-	if m.perDir == nil {
-		m.perDir = map[string]map[string]*MethodStats{}
+}
+
+// QueryTraffic is the traffic charged to one trace: every accounted leg
+// whose TraceContext carries the trace's query identifier, however many
+// other operations share the fabric meanwhile.
+type QueryTraffic struct {
+	Messages  int64
+	Bytes     int64
+	PerMethod map[string]MethodStats
+}
+
+// TrackQuery starts attributing legs to the given trace identifier.
+func (n *Network) TrackQuery(query uint64) {
+	m := &n.metrics
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.queries[query] = &QueryTraffic{PerMethod: map[string]MethodStats{}}
+}
+
+// UntrackQuery stops attributing legs to the trace and returns what it was
+// charged (zero if it was never tracked).
+func (n *Network) UntrackQuery(query uint64) QueryTraffic {
+	m := &n.metrics
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.queries[query]
+	if q == nil {
+		return QueryTraffic{}
 	}
-	dm, ok := m.perDir[dir]
-	if !ok {
-		dm = map[string]*MethodStats{}
-		m.perDir[dir] = dm
-	}
-	ds, ok := dm[method]
-	if !ok {
-		ds = &MethodStats{}
-		dm[method] = ds
-	}
-	ds.Messages++
-	ds.Bytes += int64(size)
+	delete(m.queries, query)
+	return *q
 }
 
 // Metrics returns a snapshot of the traffic counters.
@@ -729,29 +639,26 @@ func (n *Network) Metrics() Snapshot {
 	out := Snapshot{
 		Messages:     m.messages,
 		Bytes:        m.bytes,
-		PerMethod:    make(map[string]MethodStats, len(m.perMethod)),
-		PerDirection: make(map[string]map[string]MethodStats, len(m.perDir)),
+		PerMethod:    make(map[string]MethodStats, len(m.cells)),
+		PerDirection: make(map[string]map[string]MethodStats, 4),
 	}
-	for k, v := range m.perMethod {
-		out.PerMethod[k] = *v
-	}
-	for dir, methods := range m.perDir {
-		dm := make(map[string]MethodStats, len(methods))
-		for k, v := range methods {
-			dm[k] = *v
+	for k, c := range m.cells {
+		pm := out.PerMethod[k.method]
+		pm.Messages += c.Messages
+		pm.Bytes += c.Bytes
+		out.PerMethod[k.method] = pm
+		if out.PerDirection[k.dir] == nil {
+			out.PerDirection[k.dir] = map[string]MethodStats{}
 		}
-		out.PerDirection[dir] = dm
+		out.PerDirection[k.dir][k.method] = *c
 	}
 	return out
 }
 
-// ResetMetrics zeroes all counters, including the per-direction maps.
+// ResetMetrics zeroes all counters, including the per-direction cells.
 func (n *Network) ResetMetrics() {
 	m := &n.metrics
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.messages = 0
-	m.bytes = 0
-	m.perMethod = map[string]*MethodStats{}
-	m.perDir = map[string]map[string]*MethodStats{}
+	m.messages, m.bytes, m.cells = 0, 0, map[cell]*MethodStats{}
 }

@@ -185,8 +185,8 @@ func TestMetricsPerMethodAndReset(t *testing.T) {
 	if m.PerMethod["alpha"].Messages != 2 || m.PerMethod["alpha"].Bytes != 15 {
 		t.Errorf("alpha stats = %+v", m.PerMethod["alpha"])
 	}
-	if got := m.Methods(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Errorf("methods = %v", got)
+	if len(m.PerMethod) != 2 || m.PerMethod["beta"].Messages != 2 {
+		t.Errorf("methods = %+v", m.PerMethod)
 	}
 	n.ResetMetrics()
 	if m := n.Metrics(); m.Messages != 0 || len(m.PerMethod) != 0 {
@@ -207,6 +207,39 @@ func TestSnapshotSub(t *testing.T) {
 	}
 	if delta.PerMethod["m"].Bytes != 4 {
 		t.Errorf("per-method delta = %+v", delta.PerMethod["m"])
+	}
+}
+
+func TestSnapshotSubPerDirection(t *testing.T) {
+	n := newTestNet()
+	n.Register("a", &echoNode{})
+	n.Register("b", &echoNode{respSize: 1})
+	n.Call("a", "b", "m", Bytes(2), 0)
+	before := n.Metrics()
+	n.Call("a", "b", "m", Bytes(3), 0)
+	n.Send("a", "b", "s", Bytes(4), 0)
+	delta := n.Metrics().Sub(before)
+	if got := delta.PerDirection[DirRequest]["m"]; got.Messages != 1 || got.Bytes != 3 {
+		t.Errorf("req delta = %+v", got)
+	}
+	if got := delta.PerDirection[DirOneWay]["s"]; got.Messages != 1 || got.Bytes != 4 {
+		t.Errorf("send delta = %+v", got)
+	}
+	// Unchanged cells are omitted, not emitted as zeros.
+	if _, ok := delta.PerDirection[DirTransfer]; ok {
+		t.Error("delta contains a direction with no traffic")
+	}
+}
+
+func TestResetMetricsClearsDirections(t *testing.T) {
+	n := newTestNet()
+	n.Register("a", &echoNode{})
+	n.Register("b", &echoNode{})
+	n.Call("a", "b", "m", Bytes(1), 0)
+	n.ResetMetrics()
+	m := n.Metrics()
+	if m.Messages != 0 || len(m.PerMethod) != 0 || len(m.PerDirection) != 0 {
+		t.Errorf("reset left counters behind: %+v", m)
 	}
 }
 
