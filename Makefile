@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race bench fuzz experiments
+.PHONY: all build vet lint test race bench fuzz experiments loc
 
 all: build vet lint test
 
@@ -10,17 +10,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: concurrency and determinism
-# conventions (see DESIGN.md "Concurrency & determinism conventions").
+# Project-specific static analysis (DESIGN.md §7); `adhoclint -list` prints
+# the rules, `-rules a,b` runs a subset.
 lint:
 	$(GO) run ./cmd/adhoclint ./...
-
-# Per-package rules only: skips the whole-program analyses (lock-order,
-# lock-blocking's interprocedural half, rpc-protocol, payload-size,
-# wireiso, vtime, alloc, codec, faultpath, racefree), which load the full
-# module. Quick pre-commit check; CI and `make lint` always run everything.
-lint-fast:
-	$(GO) run ./cmd/adhoclint -rules guarded-field,determinism,goroutine-hygiene,discarded-error ./...
 
 test:
 	$(GO) test ./...
@@ -43,3 +36,11 @@ fuzz:
 # Regenerate the EXPERIMENTS.md table set (seed 0 = published tables).
 experiments:
 	$(GO) run ./cmd/benchmark
+
+# The tracked size metric, ROADMAP aim 2: production Go (non-test,
+# non-testdata; bench/ is its own module and not counted), of which
+# cmd/adhoclint, and tests.
+loc:
+	@echo "production Go:          $$(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "of which cmd/adhoclint: $$(ls cmd/adhoclint/*.go | grep -v _test | xargs cat | wc -l)"
+	@echo "tests:                  $$(find . -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/*' | xargs cat | wc -l)"

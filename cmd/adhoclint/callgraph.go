@@ -3,15 +3,15 @@ package main
 import (
 	"fmt"
 	"go/ast"
-	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 )
 
 // callSite is one statically resolved call inside a function body.
 type callSite struct {
 	callee *types.Func
-	pos    token.Pos
+	call   *ast.CallExpr
 	// recv is the rendered receiver chain of a method call ("n",
 	// "s.table"), or "" for plain function calls and unrenderable
 	// receivers. The lock-order rule compares it against the held mutex's
@@ -20,38 +20,56 @@ type callSite struct {
 	// inGo marks calls that are the direct operand of a `go` statement:
 	// they run outside the caller's critical sections.
 	inGo bool
+	// fabric is set when the call is a Network.Call/Send/Transfer.
+	fabric *fabricCall
 }
 
-// funcNode is one analyzed function in the call graph.
+// funcNode is one production function declaration of a loaded package,
+// with the statically resolvable calls of its body in source order.
+// Interface-method calls (including simnet's Handler.HandleCall dispatch)
+// are deliberately not resolved: following them would smear every
+// handler's behavior onto every fabric call site.
 type funcNode struct {
-	obj   *types.Func
-	decl  *ast.FuncDecl
-	pkg   *Package
-	calls []callSite
+	obj      *types.Func
+	decl     *ast.FuncDecl
+	pkg      *Package
+	analyzed bool // declared in a package diagnostics are reported on
+	calls    []callSite
 }
 
-// callGraph indexes every function declared in the analyzed packages and
-// the statically resolvable calls between them. Interface-method calls
-// (including simnet's Handler.HandleCall dispatch) are deliberately not
-// resolved: following them would smear every handler's behavior onto every
-// fabric call site.
-type callGraph struct {
-	funcs map[*types.Func]*funcNode
+// funcIndex is the function-declaration index and static call graph over
+// the loaded packages. Test files are not indexed: they are not
+// type-checked, and every whole-program fact needs types.
+type funcIndex struct {
+	byObj  map[*types.Func]*funcNode
+	sorted []*funcNode // by declaration position
 }
 
-func buildCallGraph(prog *Program) *callGraph {
-	g := &callGraph{funcs: map[*types.Func]*funcNode{}}
-	prog.eachFuncDecl(func(p *Package, decl *ast.FuncDecl, obj *types.Func) {
-		g.funcs[obj] = &funcNode{obj: obj, decl: decl, pkg: p}
-	})
-	for _, node := range g.funcs {
-		node.calls = collectCalls(node.pkg, node.decl)
+// Funcs returns (building on first use) the function index. Rules that
+// reason about what a package's own code does — the lock rules, racefree,
+// the wireiso obligations — restrict themselves to analyzed nodes; the
+// reachability facts follow calls into dependencies too.
+func (prog *Program) Funcs() *funcIndex {
+	if prog.funcs != nil {
+		return prog.funcs
 	}
-	return g
+	ix := &funcIndex{byObj: map[*types.Func]*funcNode{}}
+	for _, p := range prog.Loaded() {
+		eachFuncDecl(p.Files, func(fn *ast.FuncDecl) {
+			if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
+				n := &funcNode{obj: obj, decl: fn, pkg: p, analyzed: prog.Analyzed(p), calls: prog.collectCalls(p, fn)}
+				ix.byObj[obj] = n
+				ix.sorted = append(ix.sorted, n)
+			}
+		})
+	}
+	sort.Slice(ix.sorted, func(i, j int) bool { return ix.sorted[i].decl.Pos() < ix.sorted[j].decl.Pos() })
+	prog.funcs = ix
+	return ix
 }
 
 // collectCalls finds the statically resolvable calls in one body.
-func collectCalls(p *Package, fn *ast.FuncDecl) []callSite {
+func (prog *Program) collectCalls(p *Package, fn *ast.FuncDecl) []callSite {
 	var calls []callSite
 	goCalls := map[*ast.CallExpr]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -68,9 +86,10 @@ func collectCalls(p *Package, fn *ast.FuncDecl) []callSite {
 		}
 		calls = append(calls, callSite{
 			callee: callee,
-			pos:    call.Pos(),
+			call:   call,
 			recv:   recv,
 			inGo:   goCalls[call],
+			fabric: prog.fabricCallAt(p, call),
 		})
 		return true
 	})

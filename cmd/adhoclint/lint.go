@@ -19,94 +19,48 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Rule, d.Msg)
 }
 
-// ruleNames lists every rule in reporting order.
-var ruleNames = []string{
-	ruleGuarded, ruleLockBlocking, ruleLockOrder, ruleRPCProto, rulePayloadSize,
-	ruleDeterminism, ruleGoroutine, ruleDiscardedError, ruleWireIso, ruleVTime,
-	ruleAlloc, ruleCodec, ruleFaultPath, ruleRaceFree,
+// rule is one entry of the rule table: the driver, -list, -rules
+// validation and the SARIF metadata all read the set of rules from here.
+// A rule's run function returns bare diagnostics; the driver stamps them
+// with the rule's name.
+type rule struct {
+	name, doc string
+	run       func(*Program) []Diagnostic
 }
 
-const (
-	ruleGuarded        = "guarded-field"
-	ruleLockBlocking   = "lock-blocking"
-	ruleLockOrder      = "lock-order"
-	ruleRPCProto       = "rpc-protocol"
-	rulePayloadSize    = "payload-size"
-	ruleDeterminism    = "determinism"
-	ruleGoroutine      = "goroutine-hygiene"
-	ruleDiscardedError = "discarded-error"
-	ruleWireIso        = "wireiso"
-	ruleVTime          = "vtime"
-	ruleAlloc          = "alloc"
-	ruleCodec          = "codec"
-	ruleFaultPath      = "faultpath"
-	ruleRaceFree       = "racefree"
-)
-
-// ruleDocs gives each rule its one-line description, shown by -list and
-// embedded in the SARIF rule metadata.
-var ruleDocs = map[string]string{
-	ruleGuarded:        "fields declared after a struct's `mu` must only be touched while that mu is held",
-	ruleLockBlocking:   "no blocking operation (channel op, simnet fabric call, sleep, wait) while a mutex is held, directly or through calls",
-	ruleLockOrder:      "mutex acquisition order must be cycle-free across the program; no re-acquisition of a held mutex",
-	ruleRPCProto:       "Method* constants, HandleCall dispatch switches and Network.Call/Send/Transfer sites must agree on methods and payload types",
-	rulePayloadSize:    "every SizeBytes method must account for every field of its receiver struct (or carry an explaining ignore directive)",
-	ruleDeterminism:    "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code",
-	ruleGoroutine:      "`go func` literals must be tied to a WaitGroup, done-channel or context",
-	ruleDiscardedError: "no `_ =` discards of error values outside tests",
-	ruleWireIso:        "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable",
-	ruleVTime:          "concurrency in internal/ must flow through the simnet timing model: no goroutine fan-out over fabric calls outside simnet.Parallel, no fabricated or dropped VTime in handlers, no order-dependent Parallel bodies",
-	ruleAlloc:          "no avoidable per-message heap allocation (fmt.Sprintf, string accumulation, unsized container growth, interface boxing, closures in loops) in functions reachable from HandleCall dispatch or fabric calls; cold helpers carry //adhoclint:hotexempt",
-	ruleCodec:          "every RPC wire type must be gob-registered and either carry a field-complete EncodeBinary/DecodeBinary pair wired into the codec dispatch or an explaining //adhoclint:gobfallback directive",
-	ruleFaultPath:      "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent, Retry closures depart at the attempt time",
-	ruleRaceFree:       "concurrently-invocable node entry points (HandleCall handlers and exported methods of the same node type) must not conflict on a node field without a common mutex class; exempt with //adhoclint:racefree(reason)",
+// rules lists every rule in reporting order.
+var rules = []rule{
+	{"guarded-field", "fields declared after a struct's `mu` must only be touched while that mu is held", checkGuardedFields},
+	{"lock-blocking", "no blocking operation (channel op, simnet fabric call, sleep, wait) while a mutex is held, directly or through calls", checkLockBlocking},
+	{"lock-order", "mutex acquisition order must be cycle-free across the program; no re-acquisition of a held mutex", checkLockOrder},
+	{"rpc-protocol", "Method* constants, HandleCall dispatch switches and Network.Call/Send/Transfer sites must agree on methods and payload types", checkRPCProtocol},
+	{"payload-size", "every SizeBytes method must account for every field of its receiver struct (or carry an explaining ignore directive)", checkPayloadSizes},
+	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code", checkDeterminism},
+	{"goroutine-hygiene", "`go func` literals must be tied to a WaitGroup, done-channel or context", checkGoroutines},
+	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
+	{"wireiso", "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable", checkWireIsolation},
+	{"vtime", "concurrency in internal/ must flow through the simnet timing model: no goroutine fan-out over fabric calls outside simnet.Parallel, no fabricated or dropped VTime in handlers, no order-dependent Parallel bodies", checkVTime},
+	{"alloc", "no avoidable per-message heap allocation (fmt.Sprintf, string accumulation, unsized container growth, interface boxing, closures in loops) in functions reachable from HandleCall dispatch or fabric calls; cold helpers carry //adhoclint:hotexempt", checkAlloc},
+	{"codec", "every RPC wire type must be gob-registered and either carry a field-complete EncodeBinary/DecodeBinary pair wired into the codec dispatch or an explaining //adhoclint:gobfallback directive", checkCodec},
+	{"faultpath", "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent, Retry closures depart at the attempt time", checkFaultPath},
+	{"racefree", "concurrently-invocable node entry points (HandleCall handlers and exported methods of the same node type) must not conflict on a node field without a common mutex class; exempt with //adhoclint:racefree(reason)", checkRaceFree},
 }
 
-// LintPackage runs every enabled rule over one package and returns the
-// findings sorted by position, with //adhoclint:ignore directives applied.
-func LintPackage(p *Package, enabled map[string]bool) []Diagnostic {
-	on := func(rule string) bool { return enabled == nil || enabled[rule] }
+// lint runs every enabled rule (nil = all) over the program and returns
+// the findings sorted by position, with //adhoclint:ignore directives
+// applied.
+func lint(prog *Program, enabled map[string]bool) []Diagnostic {
 	var diags []Diagnostic
-	if on(ruleGuarded) {
-		diags = append(diags, checkGuardedFields(p)...)
+	for _, r := range rules {
+		if enabled != nil && !enabled[r.name] {
+			continue
+		}
+		for _, d := range r.run(prog) {
+			d.Rule = r.name
+			diags = append(diags, d)
+		}
 	}
-	if on(ruleLockBlocking) {
-		diags = append(diags, checkLockBlocking(p)...)
-	}
-	if on(ruleDeterminism) {
-		diags = append(diags, checkDeterminism(p)...)
-	}
-	if on(ruleGoroutine) {
-		diags = append(diags, checkGoroutines(p)...)
-	}
-	if on(ruleDiscardedError) {
-		diags = append(diags, checkDiscardedErrors(p)...)
-	}
-	diags = filterIgnored(p, diags)
-	sortDiagnostics(diags)
-	return diags
-}
-
-// LintProgram runs the whole-program rules (lock-order, the
-// interprocedural half of lock-blocking, rpc-protocol, payload-size,
-// wireiso, vtime, alloc, codec) over the analyzed packages together, with
-// ignore directives from every analyzed package applied.
-func LintProgram(prog *Program, enabled map[string]bool) []Diagnostic {
-	var diags []Diagnostic
-	diags = append(diags, checkProgramLocks(prog, enabled)...)
-	diags = append(diags, checkRPCProtocol(prog, enabled)...)
-	diags = append(diags, checkPayloadSizes(prog, enabled)...)
-	diags = append(diags, checkWireIsolation(prog, enabled)...)
-	diags = append(diags, checkVTime(prog, enabled)...)
-	diags = append(diags, checkAlloc(prog, enabled)...)
-	diags = append(diags, checkCodec(prog, enabled)...)
-	diags = append(diags, checkFaultPath(prog, enabled)...)
-	diags = append(diags, checkRaceFree(prog, enabled)...)
-	ignores := map[ignoreKey][]string{}
-	for _, p := range prog.Pkgs {
-		collectIgnores(p, ignores)
-	}
-	diags = applyIgnores(ignores, diags)
+	diags = prog.Directives().applyIgnores(diags)
 	sortDiagnostics(diags)
 	return diags
 }
@@ -126,129 +80,15 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// diagAt builds a diagnostic at a token position.
-func diagAt(p *Package, pos token.Pos, rule, msg string) Diagnostic {
-	return Diagnostic{Pos: p.Fset.Position(pos), Rule: rule, Msg: msg}
-}
-
-// ignoreKey identifies one source line.
-type ignoreKey struct {
-	file string
-	line int
-}
-
-// filterIgnored drops diagnostics suppressed by an "//adhoclint:ignore
-// [rule,...] reason" comment on the same line or the line directly above.
-// A directive with no rule list suppresses every rule on that line.
-func filterIgnored(p *Package, diags []Diagnostic) []Diagnostic {
-	ignores := map[ignoreKey][]string{}
-	collectIgnores(p, ignores)
-	return applyIgnores(ignores, diags)
-}
-
-// collectIgnores records the package's ignore directives into the map.
-func collectIgnores(p *Package, ignores map[ignoreKey][]string) {
-	for _, f := range p.AllFiles() {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				rest, ok := strings.CutPrefix(text, "adhoclint:ignore")
-				if !ok {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				ignores[ignoreKey{pos.Filename, pos.Line}] = parseIgnoreRules(rest)
-			}
-		}
-	}
-}
-
-func applyIgnores(ignores map[ignoreKey][]string, diags []Diagnostic) []Diagnostic {
-	if len(ignores) == 0 {
-		return diags
-	}
-	var kept []Diagnostic
-	for _, d := range diags {
-		if ignoreMatches(ignores, d, 0) || ignoreMatches(ignores, d, -1) {
-			continue
-		}
-		kept = append(kept, d)
-	}
-	return kept
-}
-
-func ignoreMatches(ignores map[ignoreKey][]string, d Diagnostic, off int) bool {
-	rules, ok := ignores[ignoreKey{d.Pos.Filename, d.Pos.Line + off}]
-	if !ok {
-		return false
-	}
-	if len(rules) == 0 {
-		return true
-	}
-	for _, r := range rules {
-		if r == d.Rule {
-			return true
-		}
-	}
-	return false
-}
-
-// parseIgnoreRules parses the rule list of an ignore directive: a
-// comma-separated sequence of rule names, each optionally followed by a
-// parenthesized reason — "wireiso(rows copied by caller), vtime". Free
-// text that is not a rule name ends the list; a directive whose list
-// comes out empty suppresses every rule on its line.
-func parseIgnoreRules(rest string) []string {
-	rules := []string{}
-	i := 0
-	for {
-		for i < len(rest) && (rest[i] == ' ' || rest[i] == '\t') {
-			i++
-		}
-		start := i
-		for i < len(rest) && isIgnoreIdentChar(rest[i]) {
-			i++
-		}
-		name := rest[start:i]
-		if !isRuleName(name) {
-			break
-		}
-		rules = append(rules, name)
-		if i < len(rest) && rest[i] == '(' {
-			depth := 0
-			for ; i < len(rest); i++ {
-				if rest[i] == '(' {
-					depth++
-				}
-				if rest[i] == ')' {
-					depth--
-					if depth == 0 {
-						i++
-						break
-					}
-				}
-			}
-		}
-		for i < len(rest) && (rest[i] == ' ' || rest[i] == '\t') {
-			i++
-		}
-		if i >= len(rest) || rest[i] != ',' {
-			break
-		}
-		i++
-	}
-	return rules
-}
-
-func isIgnoreIdentChar(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-		c >= '0' && c <= '9' || c == '-' || c == '_'
+// diagAt builds a diagnostic at a token position; the driver fills in the
+// rule name.
+func diagAt(p *Package, pos token.Pos, msg string) Diagnostic {
+	return Diagnostic{Pos: p.Fset.Position(pos), Msg: msg}
 }
 
 func isRuleName(s string) bool {
-	for _, r := range ruleNames {
-		if r == s {
+	for _, r := range rules {
+		if r.name == s {
 			return true
 		}
 	}
@@ -266,6 +106,17 @@ func internalPackage(p *Package) bool {
 // tree — included in the faultpath and vtime whole-program scopes.
 func cmdPackage(p *Package, modPath string) bool {
 	return strings.HasPrefix(p.ImportPath, modPath+"/cmd/")
+}
+
+// eachFuncDecl visits every function declaration with a body.
+func eachFuncDecl(files []*ast.File, visit func(fn *ast.FuncDecl)) {
+	for _, f := range files {
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				visit(fn)
+			}
+		}
+	}
 }
 
 // recvName returns the receiver identifier of a method declaration, or ""

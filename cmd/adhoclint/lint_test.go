@@ -16,33 +16,12 @@ import (
 
 var wantRe = regexp.MustCompile(`want "([^"]*)"`)
 
-func rules(names ...string) map[string]bool {
+func only(names ...string) map[string]bool {
 	m := map[string]bool{}
 	for _, n := range names {
 		m[n] = true
 	}
 	return m
-}
-
-// loadFixture parses and type-checks one testdata package under a
-// synthetic import path (so the determinism rule's internal/ scoping can
-// be exercised without moving fixtures into the real tree).
-func loadFixture(t *testing.T, name, importPath string) *Package {
-	t.Helper()
-	modRoot, modPath, err := findModule(".")
-	if err != nil {
-		t.Fatalf("findModule: %v", err)
-	}
-	l := newLoader(modRoot, modPath)
-	dir := filepath.Join("testdata", "src", name)
-	got, err := l.load(dir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	if len(got.pkg.TypeErrs) > 0 {
-		t.Fatalf("fixture %s has type errors: %v", name, got.pkg.TypeErrs)
-	}
-	return got.pkg
 }
 
 // collectWants maps "file:line" to the expected message fragments there.
@@ -62,15 +41,11 @@ func collectWants(p *Package) map[string][]string {
 	return wants
 }
 
-func checkFixture(t *testing.T, name, importPath string, enabled map[string]bool) {
-	t.Helper()
-	p := loadFixture(t, name, importPath)
-	matchWants(t, collectWants(p), LintPackage(p, enabled))
-}
-
-// loadFixtureProgram wraps one fixture package in a Program so the
-// whole-program rules can run over it (dependencies resolved through the
-// loader are visible to the rules but not reported on).
+// loadFixtureProgram parses and type-checks one testdata package under a
+// synthetic import path (so the internal/ scoping of the rules can be
+// exercised without moving fixtures into the real tree) and wraps it in a
+// Program; dependencies resolved through the loader are visible to the
+// rules but not reported on.
 func loadFixtureProgram(t *testing.T, name, importPath string) *Program {
 	t.Helper()
 	modRoot, modPath, err := findModule(".")
@@ -88,10 +63,16 @@ func loadFixtureProgram(t *testing.T, name, importPath string) *Program {
 	return newProgram(l, []*Package{got.pkg})
 }
 
-func checkProgramFixture(t *testing.T, name, importPath string, enabled map[string]bool) {
+// lintFixture runs the enabled rules (nil = all) over one fixture package.
+func lintFixture(t *testing.T, name, importPath string, enabled map[string]bool) []Diagnostic {
+	t.Helper()
+	return lint(loadFixtureProgram(t, name, importPath), enabled)
+}
+
+func checkFixture(t *testing.T, name, importPath string, enabled map[string]bool) {
 	t.Helper()
 	prog := loadFixtureProgram(t, name, importPath)
-	matchWants(t, collectWants(prog.Pkgs[0]), LintProgram(prog, enabled))
+	matchWants(t, collectWants(prog.Pkgs[0]), lint(prog, enabled))
 }
 
 // matchWants pairs each diagnostic with one want fragment on its line.
@@ -121,35 +102,34 @@ func matchWants(t *testing.T, wants map[string][]string, diags []Diagnostic) {
 }
 
 func TestGuardedFieldRule(t *testing.T) {
-	checkFixture(t, "guarded", "adhocshare/fixture/guarded", rules(ruleGuarded))
+	checkFixture(t, "guarded", "adhocshare/fixture/guarded", only("guarded-field"))
 }
 
 // The locked fixture deliberately breaks the guarded-field convention
 // (channel fields sit after mu but are used unlocked once released), so
 // only the lock-blocking rule runs over it.
 func TestLockBlockingRule(t *testing.T) {
-	checkFixture(t, "locked", "adhocshare/fixture/locked", rules(ruleLockBlocking))
+	checkFixture(t, "locked", "adhocshare/fixture/locked", only("lock-blocking"))
 }
 
 func TestDeterminismRule(t *testing.T) {
-	checkFixture(t, "determinism", "adhocshare/internal/fixture/determinism", rules(ruleDeterminism))
+	checkFixture(t, "determinism", "adhocshare/internal/fixture/determinism", only("determinism"))
 }
 
 // The determinism rule only covers internal/ packages: the same fixture
 // loaded under a non-internal path must be silent.
 func TestDeterminismRuleSkipsNonInternal(t *testing.T) {
-	p := loadFixture(t, "determinism", "adhocshare/fixture/determinism")
-	if diags := LintPackage(p, rules(ruleDeterminism)); len(diags) != 0 {
+	if diags := lintFixture(t, "determinism", "adhocshare/fixture/determinism", only("determinism")); len(diags) != 0 {
 		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
 	}
 }
 
 func TestGoroutineRule(t *testing.T) {
-	checkFixture(t, "goroutines", "adhocshare/fixture/goroutines", rules(ruleGoroutine))
+	checkFixture(t, "goroutines", "adhocshare/fixture/goroutines", only("goroutine-hygiene"))
 }
 
 func TestDiscardedErrorRule(t *testing.T) {
-	checkFixture(t, "discarderr", "adhocshare/fixture/discarderr", rules(ruleDiscardedError))
+	checkFixture(t, "discarderr", "adhocshare/fixture/discarderr", only("discarded-error"))
 }
 
 // The clean fixture follows every convention (including one violation
@@ -157,8 +137,7 @@ func TestDiscardedErrorRule(t *testing.T) {
 // all rules enabled — loaded under an internal path so the determinism
 // rule is in scope and the directive is what silences it.
 func TestCleanFixtureAllRules(t *testing.T) {
-	p := loadFixture(t, "clean", "adhocshare/internal/fixture/clean")
-	if diags := LintPackage(p, nil); len(diags) != 0 {
+	if diags := lintFixture(t, "clean", "adhocshare/internal/fixture/clean", nil); len(diags) != 0 {
 		for _, d := range diags {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
@@ -166,15 +145,14 @@ func TestCleanFixtureAllRules(t *testing.T) {
 }
 
 func TestLockOrderRule(t *testing.T) {
-	checkProgramFixture(t, "lockorder", "adhocshare/fixture/lockorder", rules(ruleLockOrder, ruleLockBlocking))
+	checkFixture(t, "lockorder", "adhocshare/fixture/lockorder", only("lock-order", "lock-blocking"))
 }
 
 // The lock-order cycle diagnostic must carry witness call chains for both
 // edges, including the transitive one through touchA.
 func TestLockOrderCycleWitness(t *testing.T) {
-	prog := loadFixtureProgram(t, "lockorder", "adhocshare/fixture/lockorder")
 	var cycle *Diagnostic
-	for _, d := range LintProgram(prog, rules(ruleLockOrder)) {
+	for _, d := range lintFixture(t, "lockorder", "adhocshare/fixture/lockorder", only("lock-order")) {
 		if strings.Contains(d.Msg, "lock-order cycle") {
 			d := d
 			cycle = &d
@@ -195,23 +173,22 @@ func TestLockOrderCycleWitness(t *testing.T) {
 }
 
 func TestRPCProtocolRule(t *testing.T) {
-	checkProgramFixture(t, "rpcproto", "adhocshare/fixture/rpcproto", rules(ruleRPCProto))
+	checkFixture(t, "rpcproto", "adhocshare/fixture/rpcproto", only("rpc-protocol"))
 }
 
 func TestPayloadSizeRule(t *testing.T) {
-	checkProgramFixture(t, "payloadsize", "adhocshare/fixture/payloadsize", rules(rulePayloadSize))
+	checkFixture(t, "payloadsize", "adhocshare/fixture/payloadsize", only("payload-size"))
 }
 
 func TestWireIsoRule(t *testing.T) {
-	checkProgramFixture(t, "wireiso", "adhocshare/fixture/wireiso", rules(ruleWireIso))
+	checkFixture(t, "wireiso", "adhocshare/fixture/wireiso", only("wireiso"))
 }
 
 // Wire-isolation diagnostics must carry a witness flow chain naming the
 // payload field, the aliased owner, and — for interprocedural findings —
 // the helper the argument flows through.
 func TestWireIsoWitnessChain(t *testing.T) {
-	prog := loadFixtureProgram(t, "wireiso", "adhocshare/fixture/wireiso")
-	diags := LintProgram(prog, rules(ruleWireIso))
+	diags := lintFixture(t, "wireiso", "adhocshare/fixture/wireiso", only("wireiso"))
 	var alias, oblig *Diagnostic
 	for _, d := range diags {
 		d := d
@@ -247,42 +224,41 @@ func TestWireIsoWitnessChain(t *testing.T) {
 // The vtime fixture must sit under internal/: the rule only covers the
 // simulated node implementations.
 func TestVTimeRule(t *testing.T) {
-	checkProgramFixture(t, "vtime", "adhocshare/internal/fixture/vtime", rules(ruleVTime))
+	checkFixture(t, "vtime", "adhocshare/internal/fixture/vtime", only("vtime"))
 }
 
 // The vtime rule loaded under a non-internal path must be silent.
 func TestVTimeRuleSkipsNonInternal(t *testing.T) {
-	prog := loadFixtureProgram(t, "vtime", "adhocshare/fixture/vtime")
-	if diags := LintProgram(prog, rules(ruleVTime)); len(diags) != 0 {
+	if diags := lintFixture(t, "vtime", "adhocshare/fixture/vtime", only("vtime")); len(diags) != 0 {
 		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
 	}
 }
 
-// Both v3 whole-program rules must be clean on the production tree: every
-// payload that aliased node state is now deep-copied or documented
-// immutable, and all fabric fan-out flows through simnet.Parallel.
-func TestWireRulesCleanOnRealTree(t *testing.T) {
+// Every rule of the table must be clean on the production tree: each
+// convention the linter enforces either holds or carries a reasoned
+// directive (the dynamic corroborators — the -race matrix, the invariant
+// monitors, the fuzz targets — are listed per rule in DESIGN.md §7).
+func TestAllRulesCleanOnRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping whole-module load in -short mode")
 	}
 	var buf strings.Builder
-	n, err := run([]string{"./..."}, rules(ruleWireIso, ruleVTime, ruleAlloc, ruleCodec, ruleFaultPath), "", &buf)
+	n, err := run([]string{"./..."}, nil, "", &buf)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if n != 0 {
-		t.Errorf("expected zero wireiso/vtime/alloc/codec/faultpath findings on the real tree, got %d:\n%s", n, buf.String())
+		t.Errorf("expected zero findings on the real tree, got %d:\n%s", n, buf.String())
 	}
 }
 
 func TestAllocRule(t *testing.T) {
-	checkProgramFixture(t, "alloc", "adhocshare/internal/fixture/alloc", rules(ruleAlloc))
+	checkFixture(t, "alloc", "adhocshare/internal/fixture/alloc", only("alloc"))
 }
 
 // The alloc rule loaded under a non-internal path must be silent.
 func TestAllocRuleSkipsNonInternal(t *testing.T) {
-	prog := loadFixtureProgram(t, "alloc", "adhocshare/fixture/alloc")
-	if diags := LintProgram(prog, rules(ruleAlloc)); len(diags) != 0 {
+	if diags := lintFixture(t, "alloc", "adhocshare/fixture/alloc", only("alloc")); len(diags) != 0 {
 		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
 	}
 }
@@ -290,8 +266,7 @@ func TestAllocRuleSkipsNonInternal(t *testing.T) {
 // Every alloc finding names why its function is hot: a chain from the
 // HandleCall entry point, or the fabric call the function reaches.
 func TestAllocWitnessChains(t *testing.T) {
-	prog := loadFixtureProgram(t, "alloc", "adhocshare/internal/fixture/alloc")
-	diags := LintProgram(prog, rules(ruleAlloc))
+	diags := lintFixture(t, "alloc", "adhocshare/internal/fixture/alloc", only("alloc"))
 	byFrag := func(frag string) *Diagnostic {
 		for _, d := range diags {
 			if strings.Contains(d.Msg, frag) {
@@ -341,18 +316,17 @@ func diagDump(diags []Diagnostic) string {
 }
 
 func TestCodecRule(t *testing.T) {
-	checkProgramFixture(t, "codec", "adhocshare/internal/fixture/codec", rules(ruleCodec))
+	checkFixture(t, "codec", "adhocshare/internal/fixture/codec", only("codec"))
 }
 
 func TestFaultPathRule(t *testing.T) {
-	checkProgramFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", rules(ruleFaultPath))
+	checkFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", only("faultpath"))
 }
 
 // The faultpath rule covers internal/ and cmd/ packages only; the same
 // fixture loaded outside both trees must stay silent.
 func TestFaultPathSkipsOutOfScope(t *testing.T) {
-	prog := loadFixtureProgram(t, "faultpath", "adhocshare/fixture/faultpath")
-	if diags := LintProgram(prog, rules(ruleFaultPath)); len(diags) != 0 {
+	if diags := lintFixture(t, "faultpath", "adhocshare/fixture/faultpath", only("faultpath")); len(diags) != 0 {
 		t.Errorf("out-of-scope package should be exempt, got %d diagnostics:\n%s", len(diags), diagDump(diags))
 	}
 }
@@ -361,8 +335,7 @@ func TestFaultPathSkipsOutOfScope(t *testing.T) {
 // the call chain carrying the mutation, and the retried-handler finding
 // names the Retry site's enclosing function.
 func TestFaultPathWitnessChains(t *testing.T) {
-	prog := loadFixtureProgram(t, "faultpath", "adhocshare/internal/fixture/faultpath")
-	diags := LintProgram(prog, rules(ruleFaultPath))
+	diags := lintFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", only("faultpath"))
 	cases := []struct{ finding, witness string }{
 		{"via faultpath.(*Node).registerVia", "faultpath.(*Node).registerVia → faultpath.(*Node).register"},
 		{`MethodPut ("fp.put") is retried from`, "faultpath.(*Node).StoreAll"},
@@ -409,7 +382,7 @@ func TestParseRules(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseRules: %v", err)
 	}
-	if !m[ruleDeterminism] || !m[ruleDiscardedError] || len(m) != 2 {
+	if !m["determinism"] || !m["discarded-error"] || len(m) != 2 {
 		t.Errorf("parseRules picked wrong rules: %v", m)
 	}
 	if _, err := parseRules("no-such-rule"); err == nil {

@@ -1,57 +1,9 @@
 // Command adhoclint is the project's static-analysis suite. It enforces
-// the concurrency, protocol and determinism conventions of the overlay/DQP
-// core (documented in DESIGN.md "Concurrency & determinism conventions"):
-//
-//	guarded-field      fields declared after a struct's `mu sync.Mutex`
-//	                   must only be touched while that mu is held
-//	lock-blocking      no channel operations, simnet fabric calls
-//	                   (Call/Send/Transfer), sleeps or waits while a mutex
-//	                   is held — directly or through any call chain
-//	lock-order         mutex acquisition order must be cycle-free across
-//	                   the whole program (cycles are potential deadlocks,
-//	                   reported with witness call chains); no re-acquiring
-//	                   a mutex the caller already holds
-//	rpc-protocol       Method* constants, HandleCall dispatch switches and
-//	                   Network.Call/Send/Transfer sites must agree on
-//	                   method strings and payload types
-//	payload-size       every SizeBytes method must account for every field
-//	                   of its receiver struct
-//	determinism        no wall-clock (time.Now, time.Sleep, ...) or global
-//	                   math/rand in internal/ non-test code
-//	goroutine-hygiene  `go func` literals must be tied to a WaitGroup,
-//	                   done-channel or context
-//	discarded-error    no `_ =` discards of error values outside tests
-//	wireiso            RPC payloads must own their memory: every value
-//	                   sent over the fabric must be fresh, deep-copied,
-//	                   wire-derived or //adhoclint:wireimmutable — never
-//	                   an alias of mutable node state
-//	vtime              concurrency in internal/ must flow through the
-//	                   simnet timing model: no goroutine fan-out over
-//	                   fabric calls outside simnet.Parallel, no dropped
-//	                   or fabricated VTime, no completion-order-dependent
-//	                   Parallel bodies
-//	alloc              no avoidable per-message heap allocation
-//	                   (fmt.Sprintf, string accumulation, unsized
-//	                   container growth, interface boxing, closures in
-//	                   loops) in the fabric hot set — the functions
-//	                   reachable from HandleCall dispatch or performing
-//	                   fabric calls; deliberately cold helpers carry
-//	                   //adhoclint:hotexempt
-//	codec              every RPC wire type must be gob-registered and
-//	                   either carry a field-complete EncodeBinary/
-//	                   DecodeBinary pair wired into the codec dispatch or
-//	                   an explaining //adhoclint:gobfallback directive
-//	faultpath          every fabric interaction declares its failure
-//	                   disposition: discarded errors carry
-//	                   //adhoclint:faultpath(fire-and-forget, reason),
-//	                   simnet.Parallel fan-outs declare abort-all or
-//	                   collect-partial, state mutated before a fallible
-//	                   send needs a compensation path (compensated) or a
-//	                   failure-benign declaration (benign), methods
-//	                   retried via simnet.Retry whose handlers mutate
-//	                   node state deduplicate and declare idempotent on
-//	                   their Method* constants, and Retry closures depart
-//	                   fabric calls at the attempt-time parameter
+// the concurrency, protocol, determinism, wire-isolation, timing,
+// allocation, codec and fault-disposition conventions of the overlay/DQP
+// core (documented in DESIGN.md §7); `adhoclint -list` prints the rules
+// with their one-line descriptions, straight from the rule table in
+// lint.go.
 //
 // Usage:
 //
@@ -86,7 +38,7 @@ func main() {
 	formatFlag := flag.String("format", "text", "output format: text or sarif")
 	listFlag := flag.Bool("list", false, "print the rules with their descriptions and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: adhoclint [-rules r1,r2] [-format text|sarif] [-list] [packages]\n\nrules: %s\n", strings.Join(ruleNames, ", "))
+		fmt.Fprintf(os.Stderr, "usage: adhoclint [-rules r1,r2] [-format text|sarif] [-list] [packages]\n\nrules: %s\n", strings.Join(ruleNames(), ", "))
 	}
 	flag.Parse()
 
@@ -121,9 +73,17 @@ func main() {
 // printRules writes every rule with its one-line description — the -list
 // output, pinned by a golden test.
 func printRules(w io.Writer) {
-	for _, name := range ruleNames {
-		fmt.Fprintf(w, "%-18s %s\n", name, ruleDocs[name])
+	for _, r := range rules {
+		fmt.Fprintf(w, "%-18s %s\n", r.name, r.doc)
 	}
+}
+
+func ruleNames() []string {
+	names := make([]string, len(rules))
+	for i, r := range rules {
+		names[i] = r.name
+	}
+	return names
 }
 
 func parseRules(csv string) (map[string]bool, error) {
@@ -134,16 +94,15 @@ func parseRules(csv string) (map[string]bool, error) {
 	for _, r := range strings.Split(csv, ",") {
 		r = strings.TrimSpace(r)
 		if !isRuleName(r) {
-			return nil, fmt.Errorf("unknown rule %q (have: %s)", r, strings.Join(ruleNames, ", "))
+			return nil, fmt.Errorf("unknown rule %q (have: %s)", r, strings.Join(ruleNames(), ", "))
 		}
 		enabled[r] = true
 	}
 	return enabled, nil
 }
 
-// run lints the packages selected by the argument patterns — each package
-// on its own, then all of them together for the whole-program rules — and
-// writes diagnostics to w, returning how many were reported.
+// run lints the packages selected by the argument patterns as one program
+// and writes diagnostics to w, returning how many were reported.
 func run(args []string, enabled map[string]bool, format string, w io.Writer) (int, error) {
 	cwd, err := os.Getwd()
 	if err != nil {
@@ -182,7 +141,6 @@ func run(args []string, enabled map[string]bool, format string, w io.Writer) (in
 
 	l := newLoader(modRoot, modPath)
 	var pkgs []*Package
-	var diags []Diagnostic
 	for _, dir := range dirs {
 		rel, rerr := filepath.Rel(modRoot, dir)
 		if rerr != nil || strings.HasPrefix(rel, "..") {
@@ -204,9 +162,8 @@ func run(args []string, enabled map[string]bool, format string, w io.Writer) (in
 			fmt.Fprintf(os.Stderr, "adhoclint: type-check %s: %v\n", importPath, terr)
 		}
 		pkgs = append(pkgs, pkg)
-		diags = append(diags, LintPackage(pkg, enabled)...)
 	}
-	diags = append(diags, LintProgram(newProgram(l, pkgs), enabled)...)
+	diags := lint(newProgram(l, pkgs), enabled)
 
 	// report module-relative paths to keep output stable across checkouts
 	for i := range diags {
@@ -214,7 +171,6 @@ func run(args []string, enabled map[string]bool, format string, w io.Writer) (in
 			diags[i].Pos.Filename = rel
 		}
 	}
-	sortDiagnostics(diags)
 
 	if format == "sarif" {
 		if err := writeSARIF(w, diags); err != nil {

@@ -6,45 +6,53 @@ import (
 	"sort"
 )
 
-// Program is the whole-program view the interprocedural rules (lock-order,
-// rpc-protocol, payload-size and the interprocedural half of lock-blocking)
-// analyze: every package selected on the command line, loaded and
-// type-checked against one shared FileSet. Packages that were pulled in
-// only as dependencies contribute type information (via the loader cache)
-// but are not themselves analyzed or reported on.
+// Program is the whole-program view every rule analyzes: the packages
+// selected on the command line, loaded and type-checked against one shared
+// FileSet, plus one lazily built, cached layer of facts about them (see
+// facts.go, callgraph.go, regions.go and directives.go). Packages that
+// were pulled in only as dependencies contribute type information and
+// facts but are not themselves reported on.
 type Program struct {
-	Pkgs    []*Package
-	loader  *loader
-	modPath string
+	Pkgs       []*Package
+	loader     *loader
+	modPath    string
+	simnetPath string
 
-	graph *callGraph // built lazily by CallGraph
+	// The fact layer: each field is built on first use by the accessor of
+	// the same name and shared by every rule that reads it.
+	loaded       []*Package
+	analyzed     map[*Package]bool
+	payload      *types.Interface // simnet.Payload; nil when internal/simnet is never imported
+	funcs        *funcIndex
+	reach        [2]*fabricReach // [0]: no exemptions, [1]: hotexempt barriers
+	hotExempt    map[*types.Func]bool
+	handlers     []*handler
+	methodConsts []*methodConst
+	fabricCalls  []*fabricCall
+	directives   *directiveIndex
+	locks        map[*ast.FuncDecl]*lockFacts
+	lockFinds    *lockFindings
 }
 
 // newProgram assembles a program over the analyzed packages. The loader
 // must be the one that loaded them (its cache resolves cross-package
 // types).
 func newProgram(l *loader, pkgs []*Package) *Program {
-	return &Program{Pkgs: pkgs, loader: l, modPath: l.modPath}
+	prog := &Program{Pkgs: pkgs, loader: l, modPath: l.modPath, simnetPath: l.modPath + "/internal/simnet"}
+	if simnet := l.typesFor(prog.simnetPath); simnet != nil {
+		if obj := simnet.Scope().Lookup("Payload"); obj != nil {
+			prog.payload, _ = obj.Type().Underlying().(*types.Interface)
+		}
+	}
+	return prog
 }
 
-// simnetTypes returns the checked internal/simnet package, or nil when the
-// analyzed program never imports it. The rpc-protocol rule anchors its
-// Payload/Network lookups here.
-func (prog *Program) simnetTypes() *types.Package {
-	return prog.loader.typesFor(prog.modPath + "/internal/simnet")
-}
-
-// loadedPackages returns every successfully checked module package the
-// loader has seen — the analyzed packages plus their module-internal
-// dependencies — sorted by import path. The rpc-protocol rule collects its
-// protocol facts (method constants, dispatch switches, fabric call sites)
-// over this wider set so that linting one package still sees the handlers
-// and constants declared elsewhere; diagnostics are only attached to
-// analyzed packages.
-func (prog *Program) loadedPackages() []*Package {
+// allPackages returns every package the loader has parsed, sorted by
+// import path, whether or not it type-checked.
+func (prog *Program) allPackages() []*Package {
 	paths := make([]string, 0, len(prog.loader.cache))
 	for path, got := range prog.loader.cache {
-		if got.pkg != nil && got.pkg.Info != nil {
+		if got.pkg != nil {
 			paths = append(paths, path)
 		}
 	}
@@ -56,44 +64,42 @@ func (prog *Program) loadedPackages() []*Package {
 	return out
 }
 
-// analyzedSet indexes the packages diagnostics may be reported on.
-func (prog *Program) analyzedSet() map[*Package]bool {
-	set := make(map[*Package]bool, len(prog.Pkgs))
-	for _, p := range prog.Pkgs {
-		set[p] = true
-	}
-	return set
-}
-
-// CallGraph returns (building on first use) the static call graph over the
-// analyzed packages.
-func (prog *Program) CallGraph() *callGraph {
-	if prog.graph == nil {
-		prog.graph = buildCallGraph(prog)
-	}
-	return prog.graph
-}
-
-// eachFuncDecl visits every function declaration of the analyzed
-// production files together with its types object. Test files are skipped:
-// they are not type-checked, and the whole-program rules all need types.
-func (prog *Program) eachFuncDecl(visit func(p *Package, decl *ast.FuncDecl, obj *types.Func)) {
-	for _, p := range prog.Pkgs {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := p.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				visit(p, fn, obj)
+// Loaded returns every successfully checked module package the loader has
+// seen — the analyzed packages plus their module-internal dependencies —
+// sorted by import path. Facts are collected over this wider set so that
+// linting one package still sees the handlers, constants and directives
+// declared elsewhere; diagnostics are only attached to analyzed packages.
+func (prog *Program) Loaded() []*Package {
+	if prog.loaded == nil {
+		for _, p := range prog.allPackages() {
+			if p.Info != nil {
+				prog.loaded = append(prog.loaded, p)
 			}
 		}
 	}
+	return prog.loaded
+}
+
+// Analyzed reports whether diagnostics may be reported on the package.
+func (prog *Program) Analyzed(p *Package) bool {
+	if prog.analyzed == nil {
+		prog.analyzed = make(map[*Package]bool, len(prog.Pkgs))
+		for _, p := range prog.Pkgs {
+			prog.analyzed[p] = true
+		}
+	}
+	return prog.analyzed[p]
+}
+
+// scopedOutside reports whether the package is under internal/ or cmd/
+// but not one of the excluded import paths (given relative to the module)
+// — the shape of the vtime, alloc and faultpath scopes. The linter itself
+// is always excluded.
+func (prog *Program) scopedOutside(p *Package, excluded ...string) bool {
+	for _, rel := range append(excluded, "cmd/adhoclint") {
+		if p.ImportPath == prog.modPath+"/"+rel {
+			return false
+		}
+	}
+	return internalPackage(p) || cmdPackage(p, prog.modPath)
 }

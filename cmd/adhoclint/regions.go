@@ -3,49 +3,44 @@ package main
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
+	"strings"
 )
 
-// muRegion is a span of a function body during which a mutex named "mu" is
-// held, according to the project's locking convention. Owner is the source
-// rendering of the mutex expression ("s.mu", "c.mu", "mu", ...).
+// lockClass identifies a mutex by declaration site rather than instance:
+// "«pkgpath».«Type».«field»" for a struct field reached through a typed
+// owner, "«pkgpath».«name»" for a package-level mutex. Function-local
+// mutexes have no class and contribute no interprocedural facts.
+type lockClass string
+
+// muRegion is a span of a function body during which a mutex is held.
+// Owner is the source rendering of the mutex expression ("s.mu", "c.mu",
+// "n.hotMu", ...).
 type muRegion struct {
 	owner      string
 	start, end token.Pos
-	expr       ast.Expr // the mutex expression of the opening Lock/RLock
-	write      bool     // opened by Lock (vs RLock)
+	write      bool      // opened by Lock (vs RLock)
+	class      lockClass // "" for locals and in files without type information
+	// conv marks a mutex named "mu", the project's locking convention: the
+	// guarded-field, lock-blocking and lock-order rules reason about these
+	// only. typed marks an expression of type sync.Mutex/RWMutex whatever
+	// its name — what the racefree rule counts as a lock. Test files carry
+	// no type information, so there only conv is ever set.
+	conv, typed bool
 }
 
 func (r muRegion) contains(p token.Pos) bool { return r.start <= p && p <= r.end }
 
 // muEvent is one Lock/Unlock call found in a body.
 type muEvent struct {
-	pos      token.Pos
-	owner    string
-	lock     bool // Lock or RLock (vs Unlock or RUnlock)
-	write    bool // Lock or Unlock (vs RLock or RUnlock)
-	deferred bool
-	block    ast.Node // innermost enclosing block-like node
-	expr     ast.Expr // the mutex expression itself ("s.mu", "mu", ...)
-}
-
-// muOwner reports whether expr is a mutex named by the "mu" convention and
-// returns its rendered owner name: the ident "mu" itself or a selector
-// chain ending in ".mu" rooted at an ident.
-func muOwner(expr ast.Expr) (string, bool) {
-	switch e := expr.(type) {
-	case *ast.Ident:
-		if e.Name == "mu" {
-			return "mu", true
-		}
-	case *ast.SelectorExpr:
-		if e.Sel.Name != "mu" {
-			return "", false
-		}
-		if base, ok := exprChain(e.X); ok {
-			return base + ".mu", true
-		}
-	}
-	return "", false
+	pos         token.Pos
+	owner       string
+	lock        bool // Lock or RLock (vs Unlock or RUnlock)
+	write       bool // Lock or Unlock (vs RLock or RUnlock)
+	deferred    bool
+	block       ast.Node // innermost enclosing block-like node
+	class       lockClass
+	conv, typed bool
 }
 
 // exprChain renders a selector chain of plain identifiers ("s", "n.table").
@@ -63,14 +58,11 @@ func exprChain(expr ast.Expr) (string, bool) {
 	return "", false
 }
 
-// muEvents collects every Lock/RLock/Unlock/RUnlock call on a
-// convention-named mutex in the function body, with the enclosing
-// block-like node and defer context of each.
-func muEvents(fn *ast.FuncDecl) []muEvent {
-	if fn.Body == nil {
-		return nil
-	}
-	var events []muEvent
+// muEvents collects every Lock/RLock/Unlock/RUnlock call on a mutex in
+// the function body — convention-named or mutex-typed — with the
+// enclosing block-like node and defer context of each.
+func muEvents(p *Package, fn *ast.FuncDecl) []*muEvent {
+	var events []*muEvent
 	var stack []ast.Node
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if n == nil {
@@ -90,106 +82,128 @@ func muEvents(fn *ast.FuncDecl) []muEvent {
 		if name != "Lock" && name != "RLock" && name != "Unlock" && name != "RUnlock" {
 			return true
 		}
-		owner, ok := muOwner(sel.X)
+		owner, ok := exprChain(sel.X)
 		if !ok {
 			return true
 		}
-		var blk ast.Node
-		deferred := false
+		e := &muEvent{
+			pos:   call.Pos(),
+			owner: owner,
+			lock:  name == "Lock" || name == "RLock",
+			write: name == "Lock" || name == "Unlock",
+			conv:  owner == "mu" || strings.HasSuffix(owner, ".mu"),
+		}
+		if p.Info != nil {
+			e.typed = isMutexType(p.Info.Types[sel.X].Type)
+			e.class = mutexClass(p.Info, sel.X)
+		}
+		if !e.conv && !e.typed {
+			return true
+		}
 		for i := len(stack) - 2; i >= 0; i-- {
 			if d, isDefer := stack[i].(*ast.DeferStmt); isDefer && d.Call == call {
-				deferred = true
+				e.deferred = true
 			}
-			if blk == nil {
+			if e.block == nil {
 				switch stack[i].(type) {
 				case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-					blk = stack[i]
+					e.block = stack[i]
 				}
 			}
 		}
-		events = append(events, muEvent{
-			pos:      call.Pos(),
-			owner:    owner,
-			lock:     name == "Lock" || name == "RLock",
-			write:    name == "Lock" || name == "Unlock",
-			deferred: deferred,
-			block:    blk,
-			expr:     sel.X,
-		})
+		events = append(events, e)
 		return true
 	})
 	return events
 }
 
-// muRegions derives held-lock spans from the events of one function body.
+// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly
+// behind a pointer).
+func isMutexType(t types.Type) bool {
+	return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
+}
+
+// mutexClass classifies the mutex denoted by a Lock receiver expression.
+func mutexClass(info *types.Info, muExpr ast.Expr) lockClass {
+	switch e := muExpr.(type) {
+	case *ast.Ident: // package-level or local
+		if v, ok := info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+			return lockClass(v.Pkg().Path() + "." + v.Name())
+		}
+	case *ast.SelectorExpr: // "«base».«field»": classify by the base's type
+		t := info.Types[e.X].Type
+		if ptr, isPtr := t.(*types.Pointer); isPtr {
+			t = ptr.Elem()
+		}
+		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
+			return lockClass(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name)
+		}
+	}
+	return ""
+}
+
+// lockFacts are the lock events and held-lock spans of one function body.
+type lockFacts struct {
+	events  []*muEvent
+	regions []muRegion
+}
+
+// LockFacts returns (deriving on first use) the lock events and held-lock
+// spans of one function body.
 //
-// The heuristic mirrors how the codebase writes critical sections: a Lock
-// opens a region that ends at the first non-deferred Unlock of the same
-// mutex in the same block; if the Unlock is deferred, the region runs to
-// the end of the function; with neither (early-return unlocks inside
+// The region heuristic mirrors how the codebase writes critical sections:
+// a Lock opens a region that ends at the first non-deferred Unlock of the
+// same mutex in the same block; if the Unlock is deferred, the region runs
+// to the end of the function; with neither (early-return unlocks inside
 // nested branches only), the region runs to the end of the Lock's own
 // block — erring on the side of "still locked", which keeps the
 // guarded-field rule permissive and the blocking rule conservative.
-func muRegions(fn *ast.FuncDecl) []muRegion {
-	return regionsFromEvents(fn, muEvents(fn))
-}
-
-// regionsFromEvents derives the held spans from an explicit event list, so
-// analyses with a wider mutex recognizer (the racefree rule accepts any
-// sync.Mutex/RWMutex-typed field, not just the convention name "mu") share
-// the same region heuristic.
-func regionsFromEvents(fn *ast.FuncDecl, events []muEvent) []muRegion {
-	if len(events) == 0 {
-		return nil
+func (prog *Program) LockFacts(p *Package, fn *ast.FuncDecl) *lockFacts {
+	if lf, ok := prog.locks[fn]; ok {
+		return lf
 	}
-	var regions []muRegion
-	for _, e := range events {
+	lf := &lockFacts{events: muEvents(p, fn)}
+	for _, e := range lf.events {
 		if !e.lock || e.deferred {
 			continue
 		}
-		end := token.NoPos
-		for _, u := range events {
-			if u.lock || u.pos <= e.pos || u.owner != e.owner || u.deferred {
+		end, deferred := token.NoPos, false
+		for _, u := range lf.events {
+			if u.lock || u.pos <= e.pos || u.owner != e.owner {
 				continue
 			}
-			if u.block == e.block {
+			if u.deferred {
+				deferred = true
+			} else if u.block == e.block {
 				end = u.pos
 				break
 			}
 		}
-		if end == token.NoPos {
-			if hasDeferredUnlock(events, e) {
-				end = fn.Body.End()
-			} else if e.block != nil {
-				end = e.block.End()
-			} else {
-				end = fn.Body.End()
-			}
+		switch {
+		case end != token.NoPos:
+		case deferred || e.block == nil:
+			end = fn.Body.End()
+		default:
+			end = e.block.End()
 		}
-		regions = append(regions, muRegion{owner: e.owner, start: e.pos, end: end, expr: e.expr, write: e.write})
+		lf.regions = append(lf.regions, muRegion{
+			owner: e.owner, start: e.pos, end: end, write: e.write, class: e.class, conv: e.conv, typed: e.typed,
+		})
 	}
-	return regions
+	if prog.locks == nil {
+		prog.locks = map[*ast.FuncDecl]*lockFacts{}
+	}
+	prog.locks[fn] = lf
+	return lf
 }
 
-func hasDeferredUnlock(events []muEvent, lock muEvent) bool {
-	for _, u := range events {
-		if !u.lock && u.deferred && u.owner == lock.owner && u.pos > lock.pos {
-			return true
+// convHeld returns the first convention-named region containing pos,
+// optionally restricted to one owner.
+func (lf *lockFacts) convHeld(pos token.Pos, owner string) (muRegion, bool) {
+	for _, r := range lf.regions {
+		if r.conv && (owner == "" || r.owner == owner) && r.contains(pos) {
+			return r, true
 		}
 	}
-	return false
-}
-
-// insideAny reports whether pos falls in any region (optionally restricted
-// to one owner) and returns the owner of the innermost match.
-func insideAny(regions []muRegion, pos token.Pos, owner string) (string, bool) {
-	for _, r := range regions {
-		if owner != "" && r.owner != owner {
-			continue
-		}
-		if r.contains(pos) {
-			return r.owner, true
-		}
-	}
-	return "", false
+	return muRegion{}, false
 }

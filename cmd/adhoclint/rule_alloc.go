@@ -41,67 +41,32 @@ import (
 // internal/experiments (drivers whose allocations are once per run, not
 // per message, even though they issue fabric calls).
 
-// hotExemptDirective marks a function declaration as deliberately cold.
-const hotExemptDirective = "adhoclint:hotexempt"
-
 // checkAlloc runs the alloc rule over the program.
-func checkAlloc(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[ruleAlloc] {
-		return nil
-	}
+func checkAlloc(prog *Program) []Diagnostic {
 	a := &allocChecker{
 		prog:        prog,
-		simnetPath:  prog.modPath + "/internal/simnet",
-		analyzed:    prog.analyzedSet(),
-		decls:       map[*types.Func]*wireDecl{},
-		exempt:      map[*types.Func]bool{},
-		touches:     map[*types.Func]bool{},
-		directCall:  map[*types.Func]*fabricCall{},
-		fabricVia:   map[*types.Func]*types.Func{},
-		entries:     map[*types.Func]bool{},
+		exempt:      prog.HotExempt(),
+		fabric:      prog.FabricReach(true),
 		reachParent: map[*types.Func]*types.Func{},
 		reached:     map[*types.Func]bool{},
 		witnesses:   map[*types.Func]string{},
 	}
-	a.collectDecls()
-	a.computeFabric()
 	a.computeHandlerReach()
-	for _, p := range prog.Pkgs {
-		if p.Info == nil || !a.inScope(p) {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := p.Info.Defs[fn.Name].(*types.Func)
-				if !ok || a.exempt[obj] || !a.hot(obj) {
-					continue
-				}
-				a.checkFunc(p, fn, obj)
-			}
+	for _, n := range prog.Funcs().sorted {
+		if n.analyzed && a.inScope(n.pkg) && !a.exempt[n.obj] && (a.fabric.touches[n.obj] || a.reached[n.obj]) {
+			a.checkFunc(n.pkg, n.decl, n.obj)
 		}
 	}
-	sortDiagnostics(a.diags)
 	return a.diags
 }
 
 type allocChecker struct {
-	prog       *Program
-	simnetPath string
-	analyzed   map[*Package]bool
-	decls      map[*types.Func]*wireDecl
-	exempt     map[*types.Func]bool
+	prog   *Program
+	exempt map[*types.Func]bool // //adhoclint:hotexempt declarations
+	fabric *fabricReach         // the downward half of the witness chain
 
-	touches    map[*types.Func]bool        // transitively performs a fabric call
-	directCall map[*types.Func]*fabricCall // first direct fabric call in the body
-	fabricVia  map[*types.Func]*types.Func // callee that carried the touches mark
-
-	entries     map[*types.Func]bool        // HandleCall dispatch entry points
-	reachParent map[*types.Func]*types.Func // BFS tree edge back toward the entry
-	reached     map[*types.Func]bool        // reachable from some entry
+	reachParent map[*types.Func]*types.Func // BFS tree edge back toward the entry; nil for entries
+	reached     map[*types.Func]bool        // reachable from some HandleCall entry
 
 	witnesses map[*types.Func]string
 	diags     []Diagnostic
@@ -110,95 +75,8 @@ type allocChecker struct {
 // inScope limits reporting to internal/ packages outside internal/simnet
 // and the internal/experiments drivers.
 func (a *allocChecker) inScope(p *Package) bool {
-	return internalPackage(p) && p.ImportPath != a.simnetPath &&
+	return internalPackage(p) && p.ImportPath != a.prog.simnetPath &&
 		p.ImportPath != a.prog.modPath+"/internal/experiments"
-}
-
-// hot reports whether the function belongs to the fabric hot set.
-func (a *allocChecker) hot(obj *types.Func) bool {
-	return a.touches[obj] || a.reached[obj]
-}
-
-// collectDecls indexes every production function declaration of the loaded
-// packages and records the //adhoclint:hotexempt directives.
-func (a *allocChecker) collectDecls() {
-	for _, p := range a.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			marked := map[int]bool{}
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-					if strings.HasPrefix(text, hotExemptDirective) {
-						marked[p.Fset.Position(cm.Pos()).Line] = true
-					}
-				}
-			}
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := p.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				a.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				line := p.Fset.Position(fn.Pos()).Line
-				if marked[line] || marked[line-1] {
-					a.exempt[obj] = true
-				}
-			}
-		}
-	}
-}
-
-// computeFabric closes "performs a fabric call" over static calls,
-// recording for every hot function either its first direct fabric call or
-// the callee through which the mark arrived — the downward half of the
-// witness chain. Exempt functions neither carry nor propagate the mark.
-func (a *allocChecker) computeFabric() {
-	for obj, d := range a.decls {
-		if a.exempt[obj] {
-			continue
-		}
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			if a.directCall[obj] != nil {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fc := fabricCallAt(d.pkg, call, a.simnetPath); fc != nil {
-					a.directCall[obj] = fc
-					a.touches[obj] = true
-				}
-			}
-			return true
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range a.decls {
-			if a.touches[obj] || a.exempt[obj] {
-				continue
-			}
-			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-				if a.touches[obj] {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil &&
-						!a.exempt[callee] && !observabilityNeutral(callee, a.prog.modPath) && a.touches[callee] {
-						a.touches[obj] = true
-						a.fabricVia[obj] = callee
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-	}
 }
 
 // computeHandlerReach walks the static call graph breadth-first from every
@@ -206,40 +84,27 @@ func (a *allocChecker) computeFabric() {
 // the upward half of the witness chain. Exempt functions are reachability
 // barriers; trace- and flight-package callees are fabric-neutral by contract.
 func (a *allocChecker) computeHandlerReach() {
-	var queue []*types.Func
-	for obj, d := range a.decls {
-		if a.exempt[obj] || obj.Name() != "HandleCall" {
-			continue
+	funcs := a.prog.Funcs().byObj
+	var queue []*funcNode
+	for _, h := range a.prog.Handlers() {
+		if h.shaped && !a.exempt[h.node.obj] {
+			a.reached[h.node.obj] = true
+			queue = append(queue, h.node)
 		}
-		if !handlerShape(d.pkg, d.decl, a.simnetPath, nil) {
-			continue
-		}
-		a.entries[obj] = true
-		a.reached[obj] = true
-		queue = append(queue, obj)
 	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		d := a.decls[cur]
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, c := range cur.calls {
+			callee := funcs[c.callee]
+			if callee == nil || a.reached[c.callee] || a.exempt[c.callee] ||
+				observabilityNeutral(c.callee, a.prog.modPath) {
+				continue
 			}
-			callee, _ := staticCallee(d.pkg.Info, call)
-			if callee == nil || a.reached[callee] || a.exempt[callee] ||
-				observabilityNeutral(callee, a.prog.modPath) {
-				return true
-			}
-			if _, hasDecl := a.decls[callee]; !hasDecl {
-				return true
-			}
-			a.reached[callee] = true
-			a.reachParent[callee] = cur
+			a.reached[c.callee] = true
+			a.reachParent[c.callee] = cur.obj
 			queue = append(queue, callee)
-			return true
-		})
+		}
 	}
 }
 
@@ -257,10 +122,10 @@ func (a *allocChecker) witness(obj *types.Func) string {
 const witnessMaxHops = 6
 
 func (a *allocChecker) buildWitness(obj *types.Func) string {
-	if a.entries[obj] {
-		return "HandleCall dispatch entry point"
-	}
 	if a.reached[obj] {
+		if a.reachParent[obj] == nil {
+			return "HandleCall dispatch entry point"
+		}
 		var chain []string
 		for cur := obj; cur != nil; cur = a.reachParent[cur] {
 			chain = append(chain, funcDisplay(cur))
@@ -275,19 +140,19 @@ func (a *allocChecker) buildWitness(obj *types.Func) string {
 		}
 		return "reached from " + strings.Join(chain, " → ")
 	}
-	if fc := a.directCall[obj]; fc != nil {
+	if fc := a.fabric.direct[obj]; fc != nil {
 		return fmt.Sprintf("performs fabric %s of %q", fc.kind, fc.value)
 	}
 	var chain []string
 	cur := obj
 	for {
 		chain = append(chain, funcDisplay(cur))
-		next, ok := a.fabricVia[cur]
+		next, ok := a.fabric.via[cur]
 		if !ok {
 			break
 		}
 		cur = next
-		if fc := a.directCall[cur]; fc != nil {
+		if fc := a.fabric.direct[cur]; fc != nil {
 			chain = append(chain, funcDisplay(cur))
 			return fmt.Sprintf("reaches fabric %s of %q via %s",
 				fc.kind, fc.value, strings.Join(chain, " → "))
@@ -302,11 +167,7 @@ func (a *allocChecker) buildWitness(obj *types.Func) string {
 
 // report emits one finding with the hot-path witness appended.
 func (a *allocChecker) report(p *Package, pos token.Pos, obj *types.Func, msg string) {
-	if !a.analyzed[p] {
-		return
-	}
-	a.diags = append(a.diags, diagAt(p, pos, ruleAlloc,
-		fmt.Sprintf("%s (hot path: %s)", msg, a.witness(obj))))
+	a.diags = append(a.diags, diagAt(p, pos, fmt.Sprintf("%s (hot path: %s)", msg, a.witness(obj))))
 }
 
 // checkFunc runs the per-function allocation checks over one hot function.
@@ -321,7 +182,7 @@ func (a *allocChecker) checkFunc(p *Package, fn *ast.FuncDecl, obj *types.Func) 
 
 // loopInfo is one for/range loop body extent.
 type loopInfo struct {
-	node  ast.Stmt   // *ast.ForStmt or *ast.RangeStmt
+	node  ast.Stmt // *ast.ForStmt or *ast.RangeStmt
 	body  *ast.BlockStmt
 	outer bool // not nested inside another loop of the same function
 }
@@ -438,9 +299,9 @@ func (a *allocChecker) checkStringConcat(p *Package, fn *ast.FuncDecl, obj *type
 type declSizing int
 
 const (
-	sizedDecl   declSizing = iota // capacity/size hint present
-	noCapSlice                    // var s []T, s := []T{}, make([]T, 0)
-	noHintMap                     // m := map[K]V{}, make(map[K]V)
+	sizedDecl  declSizing = iota // capacity/size hint present
+	noCapSlice                   // var s []T, s := []T{}, make([]T, 0)
+	noHintMap                    // m := map[K]V{}, make(map[K]V)
 )
 
 // checkLoopGrowth flags append-growth and map population in outermost
@@ -629,9 +490,7 @@ func (a *allocChecker) checkLoopClosures(p *Package, fn *ast.FuncDecl, obj *type
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Parallel" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != a.simnetPath {
+		if callee, _ := staticCallee(p.Info, call); !a.prog.isSimnetFunc(callee, "Parallel") {
 			return true
 		}
 		for _, arg := range call.Args {

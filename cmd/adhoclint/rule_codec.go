@@ -33,9 +33,6 @@ import (
 // the program actually containing a codec package, so unrelated trees and
 // fixtures without one stay quiet.
 
-// gobFallbackDirective documents a wire type that deliberately rides gob.
-const gobFallbackDirective = "adhoclint:gobfallback"
-
 // Names of the codec package's dispatch functions a binary type must
 // appear in.
 const (
@@ -44,39 +41,26 @@ const (
 )
 
 // checkCodec runs the codec rule over the program.
-func checkCodec(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[ruleCodec] {
-		return nil
-	}
-	c := &codecChecker{
-		prog:       prog,
-		simnetPath: prog.modPath + "/internal/simnet",
-		analyzed:   prog.analyzedSet(),
-	}
+func checkCodec(prog *Program) []Diagnostic {
+	c := &codecChecker{prog: prog}
 	c.collectWireTypes()
 	c.collectCodecPackages()
 	if len(c.codecPkgs) == 0 {
 		return nil
 	}
-	c.collectFallbackDirectives()
 	c.checkTypes()
-	sortDiagnostics(c.diags)
 	return c.diags
 }
 
 type codecChecker struct {
-	prog       *Program
-	simnetPath string
-	analyzed   map[*Package]bool
+	prog *Program
 
 	wire      []*types.Named // deduplicated, sorted by display name
 	codecPkgs []*Package     // packages declaring EncodePayload
 
-	registered map[*types.Named]bool   // gob.Register'd in a codec package
-	inTag      map[*types.Named]bool   // mentioned in binaryTag
-	inDecode   map[*types.Named]bool   // mentioned in decodeBinary
-	fallback   map[*types.Named]string // gobfallback directive reason ("" = bare)
-	hasDir     map[*types.Named]bool
+	registered map[*types.Named]bool // gob.Register'd in a codec package
+	inTag      map[*types.Named]bool // mentioned in binaryTag
+	inDecode   map[*types.Named]bool // mentioned in decodeBinary
 
 	diags []Diagnostic
 }
@@ -84,7 +68,6 @@ type codecChecker struct {
 // collectWireTypes builds the wire-type inventory from the same handler
 // and call-site facts the rpc-protocol rule uses.
 func (c *codecChecker) collectWireTypes() {
-	loaded := c.prog.loadedPackages()
 	seen := map[*types.Named]bool{}
 	add := func(t types.Type) {
 		named := moduleNamed(t, c.prog.modPath)
@@ -93,13 +76,18 @@ func (c *codecChecker) collectWireTypes() {
 			c.wire = append(c.wire, named)
 		}
 	}
-	for _, hc := range collectHandlerCases(loaded, c.simnetPath) {
-		for _, t := range hc.reqTypes {
-			add(t)
+	for _, h := range c.prog.Handlers() {
+		for _, dc := range h.cases {
+			if len(dc.values) == 0 {
+				continue
+			}
+			for _, t := range dc.reqTypes {
+				add(t)
+			}
+			add(dc.respType)
 		}
-		add(hc.respType)
 	}
-	for _, fc := range collectFabricCalls(loaded, c.simnetPath) {
+	for _, fc := range c.prog.FabricCalls() {
 		add(fc.reqType)
 		add(fc.respAssert)
 	}
@@ -139,7 +127,7 @@ func (c *codecChecker) collectCodecPackages() {
 	for _, n := range c.wire {
 		wireSet[n] = true
 	}
-	for _, p := range c.prog.loadedPackages() {
+	for _, p := range c.prog.Loaded() {
 		if p.Types == nil || p.Types.Scope().Lookup("EncodePayload") == nil {
 			continue
 		}
@@ -189,96 +177,28 @@ func (c *codecChecker) collectCodecPackages() {
 	}
 }
 
-// collectFallbackDirectives finds //adhoclint:gobfallback directives on
-// wire-type declarations across the loaded packages, wireimmutable-style:
-// the directive sits on the TypeSpec line or the line above it.
-func (c *codecChecker) collectFallbackDirectives() {
-	c.fallback = map[*types.Named]string{}
-	c.hasDir = map[*types.Named]bool{}
-	byObj := map[types.Object]*types.Named{}
-	for _, n := range c.wire {
-		byObj[n.Obj()] = n
-	}
-	for _, p := range c.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			marked := map[int]string{}
-			lines := map[int]bool{}
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-					if !strings.HasPrefix(text, gobFallbackDirective) {
-						continue
-					}
-					line := p.Fset.Position(cm.Pos()).Line
-					lines[line] = true
-					marked[line] = strings.TrimSpace(strings.TrimPrefix(text, gobFallbackDirective))
-				}
-			}
-			if len(lines) == 0 {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				spec, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				line := p.Fset.Position(spec.Name.Pos()).Line
-				at := line
-				if !lines[at] {
-					at = line - 1
-				}
-				if !lines[at] {
-					return true
-				}
-				if named, ok := byObj[p.Info.Defs[spec.Name]]; ok {
-					c.hasDir[named] = true
-					c.fallback[named] = marked[at]
-				}
-				return true
-			})
-		}
-	}
-}
-
 // checkTypes applies the per-type codec requirements.
 func (c *codecChecker) checkTypes() {
-	decls := map[*types.Func]*wireDecl{}
-	for _, p := range c.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					decls[obj] = &wireDecl{pkg: p, decl: fn}
-				}
-			}
-		}
-	}
 	for _, named := range c.wire {
 		p := c.pkgOf(named)
-		if p == nil || !c.analyzed[p] {
+		if p == nil || !c.prog.Analyzed(p) {
 			continue
 		}
 		pos := named.Obj().Pos()
 		name := typeDisplay(named)
+		// The //adhoclint:gobfallback <reason> directive sits on the type
+		// declaration's line or the line above it.
+		fallback := c.prog.Directives().at(p, pos, "gobfallback")
 
 		if !c.registered[named] {
-			c.diags = append(c.diags, diagAt(p, pos, ruleCodec, fmt.Sprintf(
+			c.diags = append(c.diags, diagAt(p, pos, fmt.Sprintf(
 				"wire type %s is not gob-registered in the payload codec; DecodePayload cannot carry it behind the Payload interface", name)))
 		}
 		if st, ok := named.Underlying().(*types.Struct); ok {
 			for i := 0; i < st.NumFields(); i++ {
 				f := st.Field(i)
 				if !f.Exported() {
-					c.diags = append(c.diags, diagAt(p, f.Pos(), ruleCodec, fmt.Sprintf(
+					c.diags = append(c.diags, diagAt(p, f.Pos(), fmt.Sprintf(
 						"wire type %s has unexported field %s, which gob silently drops; export it or move it off the wire", name, f.Name())))
 				}
 			}
@@ -286,46 +206,46 @@ func (c *codecChecker) checkTypes() {
 
 		enc, dec := methodByName(named, "EncodeBinary"), methodByName(named, "DecodeBinary")
 		if enc == nil {
-			if !c.hasDir[named] {
-				c.diags = append(c.diags, diagAt(p, pos, ruleCodec, fmt.Sprintf(
+			if fallback == nil {
+				c.diags = append(c.diags, diagAt(p, pos, fmt.Sprintf(
 					"wire type %s rides gob reflection; give it an EncodeBinary/DecodeBinary pair or document why not with //adhoclint:gobfallback <reason>", name)))
-			} else if c.fallback[named] == "" {
-				c.diags = append(c.diags, diagAt(p, pos, ruleCodec, fmt.Sprintf(
+			} else if fallback.bare() {
+				c.diags = append(c.diags, diagAt(p, pos, fmt.Sprintf(
 					"wire type %s has a bare //adhoclint:gobfallback directive; state the reason it stays on reflection", name)))
 			}
 			continue
 		}
-		if c.hasDir[named] {
-			c.diags = append(c.diags, diagAt(p, pos, ruleCodec, fmt.Sprintf(
+		if fallback != nil {
+			c.diags = append(c.diags, diagAt(p, pos, fmt.Sprintf(
 				"wire type %s has both a binary codec and a //adhoclint:gobfallback directive; drop one", name)))
 		}
 		encOK, decOK := encodeBinaryShape(enc), false
 		if !encOK {
-			c.diags = append(c.diags, diagAt(p, enc.Pos(), ruleCodec, fmt.Sprintf(
+			c.diags = append(c.diags, diagAt(p, enc.Pos(), fmt.Sprintf(
 				"%s.EncodeBinary must have signature EncodeBinary(dst []byte) []byte", name)))
 		}
 		if dec == nil {
-			c.diags = append(c.diags, diagAt(p, pos, ruleCodec, fmt.Sprintf(
+			c.diags = append(c.diags, diagAt(p, pos, fmt.Sprintf(
 				"wire type %s has EncodeBinary but no DecodeBinary; the codec cannot reverse it", name)))
 		} else if decOK = decodeBinaryShape(dec); !decOK {
-			c.diags = append(c.diags, diagAt(p, dec.Pos(), ruleCodec, fmt.Sprintf(
+			c.diags = append(c.diags, diagAt(p, dec.Pos(), fmt.Sprintf(
 				"%s.DecodeBinary must have signature DecodeBinary(b []byte) ([]byte, error)", name)))
 		}
 		if !c.inTag[named] {
-			c.diags = append(c.diags, diagAt(p, pos, ruleCodec, fmt.Sprintf(
+			c.diags = append(c.diags, diagAt(p, pos, fmt.Sprintf(
 				"wire type %s has a binary codec but no case in the codec package's %s dispatch; it would silently ride gob", name, binaryTagFunc)))
 		}
 		if !c.inDecode[named] {
-			c.diags = append(c.diags, diagAt(p, pos, ruleCodec, fmt.Sprintf(
+			c.diags = append(c.diags, diagAt(p, pos, fmt.Sprintf(
 				"wire type %s has a binary codec but no case in the codec package's %s dispatch; its frames would be undecodable", name, decodeBinaryFunc)))
 		}
 		// Field coverage only makes sense for well-shaped codec methods.
 		if st, ok := named.Underlying().(*types.Struct); ok {
 			if encOK {
-				c.checkFieldCoverage(p, named, st, enc, decls)
+				c.checkFieldCoverage(named, st, enc)
 			}
 			if decOK {
-				c.checkFieldCoverage(p, named, st, dec, decls)
+				c.checkFieldCoverage(named, st, dec)
 			}
 		}
 	}
@@ -335,8 +255,8 @@ func (c *codecChecker) checkTypes() {
 // direct field of the wire struct, payload-size-style. The TraceContext
 // field gets no exemption here: it costs zero modeled bytes but must still
 // cross the wire for causality.
-func (c *codecChecker) checkFieldCoverage(p *Package, named *types.Named, st *types.Struct, m *types.Func, decls map[*types.Func]*wireDecl) {
-	d, ok := decls[m]
+func (c *codecChecker) checkFieldCoverage(named *types.Named, st *types.Struct, m *types.Func) {
+	d, ok := c.prog.Funcs().byObj[m]
 	if !ok {
 		return
 	}
@@ -348,7 +268,7 @@ func (c *codecChecker) checkFieldCoverage(p *Package, named *types.Named, st *ty
 		}
 	}
 	if len(missing) > 0 {
-		c.diags = append(c.diags, diagAt(d.pkg, d.decl.Pos(), ruleCodec, fmt.Sprintf(
+		c.diags = append(c.diags, diagAt(d.pkg, d.decl.Pos(), fmt.Sprintf(
 			"%s.%s does not mention field%s %s of %s; the binary wire form would drop %s",
 			typeDisplay(named), m.Name(), plural(missing), strings.Join(missing, ", "),
 			typeDisplay(named), pronoun(len(missing)))))
@@ -364,7 +284,7 @@ func pronoun(n int) string {
 
 // pkgOf maps a named type back to its loaded Package.
 func (c *codecChecker) pkgOf(named *types.Named) *Package {
-	for _, p := range c.prog.loadedPackages() {
+	for _, p := range c.prog.Loaded() {
 		if p.Types == named.Obj().Pkg() {
 			return p
 		}
@@ -409,8 +329,4 @@ func isByteSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && b.Kind() == types.Byte
-}
-
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
 }

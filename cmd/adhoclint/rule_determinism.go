@@ -30,42 +30,44 @@ var bannedRandFuncs = map[string]bool{
 
 // checkDeterminism forbids wall-clock and global-randomness calls in
 // non-test code under internal/.
-func checkDeterminism(p *Package) []Diagnostic {
-	if !internalPackage(p) {
-		return nil
-	}
+func checkDeterminism(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, f := range p.Files {
-		timeName, timeOK := importName(f, "time")
-		randName, randOK := importName(f, "math/rand")
-		if !timeOK && !randOK {
+	for _, p := range prog.Pkgs {
+		if !internalPackage(p) {
 			continue
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
+		for _, f := range p.Files {
+			timeName, timeOK := importName(f, "time")
+			randName, randOK := importName(f, "math/rand")
+			if !timeOK && !randOK {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				pkg, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				switch {
+				case timeOK && pkg.Name == timeName && bannedTimeFuncs[sel.Sel.Name]:
+					diags = append(diags, diagAt(p, call.Pos(),
+						fmt.Sprintf("time.%s in internal package %s: use the simnet virtual clock (simnet.VTime / simnet.Clock) so runs stay reproducible",
+							sel.Sel.Name, p.ImportPath)))
+				case randOK && pkg.Name == randName && bannedRandFuncs[sel.Sel.Name]:
+					diags = append(diags, diagAt(p, call.Pos(),
+						fmt.Sprintf("global math/rand.%s in internal package %s: use an injected seeded *rand.Rand",
+							sel.Sel.Name, p.ImportPath)))
+				}
 				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			switch {
-			case timeOK && pkg.Name == timeName && bannedTimeFuncs[sel.Sel.Name]:
-				diags = append(diags, diagAt(p, call.Pos(), ruleDeterminism,
-					fmt.Sprintf("time.%s in internal package %s: use the simnet virtual clock (simnet.VTime / simnet.Clock) so runs stay reproducible",
-						sel.Sel.Name, p.ImportPath)))
-			case randOK && pkg.Name == randName && bannedRandFuncs[sel.Sel.Name]:
-				diags = append(diags, diagAt(p, call.Pos(), ruleDeterminism,
-					fmt.Sprintf("global math/rand.%s in internal package %s: use an injected seeded *rand.Rand",
-						sel.Sel.Name, p.ImportPath)))
-			}
-			return true
-		})
+			})
+		}
 	}
 	return diags
 }

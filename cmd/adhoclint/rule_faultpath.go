@@ -51,9 +51,6 @@ import (
 // itself), internal/experiments (drivers own the whole simulated world; an
 // aborted run leaves no surviving state to compensate) and cmd/adhoclint.
 
-// faultPathPrefix is the directive spelling, sans the comment markers.
-const faultPathPrefix = "adhoclint:faultpath"
-
 // The faultpath dispositions.
 const (
 	dispFireAndForget  = "fire-and-forget"
@@ -68,116 +65,44 @@ var faultDispositions = []string{
 	dispFireAndForget, dispAbortAll, dispCollectPartial, dispIdempotent, dispCompensated, dispBenign,
 }
 
-// faultDirective is one parsed //adhoclint:faultpath(...) comment.
-type faultDirective struct {
-	disposition string
-	reason      string
-	pkg         *Package
-	pos         token.Pos
-}
-
-// collectFaultDirectives indexes every faultpath directive of the given
-// packages by the file:line it sits on. A malformed directive (no
-// parenthesized disposition) is recorded with an empty disposition so the
-// validator can complain about it.
-func collectFaultDirectives(pkgs []*Package) map[ignoreKey]*faultDirective {
-	out := map[ignoreKey]*faultDirective{}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					rest, ok := strings.CutPrefix(text, faultPathPrefix)
-					if !ok {
-						continue
-					}
-					d := parseFaultDirective(rest)
-					d.pkg = p
-					d.pos = c.Pos()
-					pos := p.Fset.Position(c.Pos())
-					out[ignoreKey{pos.Filename, pos.Line}] = d
-				}
-			}
-		}
-	}
-	return out
-}
-
-// parseFaultDirective parses "(disposition, reason)"; the reason may
-// itself contain commas and parentheses.
-func parseFaultDirective(rest string) *faultDirective {
-	rest = strings.TrimSpace(rest)
-	if !strings.HasPrefix(rest, "(") {
-		return &faultDirective{}
-	}
-	body := rest[1:]
-	if i := strings.LastIndex(body, ")"); i >= 0 {
-		body = body[:i]
-	}
-	disp, reason, _ := strings.Cut(body, ",")
-	return &faultDirective{
-		disposition: strings.TrimSpace(disp),
-		reason:      strings.TrimSpace(reason),
-	}
+// faultArgs splits the "(disposition, reason)" arguments of a faultpath
+// directive; the reason may itself contain commas.
+func faultArgs(d *directive) (disposition, reason string) {
+	disposition, reason, _ = strings.Cut(d.args, ",")
+	return strings.TrimSpace(disposition), strings.TrimSpace(reason)
 }
 
 // checkFaultPath runs the faultpath rule over the program.
-func checkFaultPath(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[ruleFaultPath] {
-		return nil
-	}
+func checkFaultPath(prog *Program) []Diagnostic {
 	c := &faultpathChecker{
-		prog:       prog,
-		simnetPath: prog.modPath + "/internal/simnet",
-		analyzed:   prog.analyzedSet(),
-		decls:      map[*types.Func]*wireDecl{},
-		touches:    map[*types.Func]bool{},
-		mutates:    map[*types.Func]*mutInfo{},
-		retried:    map[string][]*retrySite{},
+		prog:    prog,
+		touches: prog.FabricReach(false).touches,
+		mutates: map[*types.Func]*mutInfo{},
+		retried: map[string][]*retrySite{},
 	}
-	if simnet := prog.simnetTypes(); simnet != nil {
-		if obj := simnet.Scope().Lookup("Payload"); obj != nil {
-			c.payload, _ = obj.Type().Underlying().(*types.Interface)
-		}
-	}
-	c.collectDecls()
-	c.computeTouches()
 	c.computeMutates()
-	c.directives = collectFaultDirectives(c.prog.loadedPackages())
 	c.validateDirectives()
 	for _, p := range prog.Pkgs {
 		if p.Info == nil || !c.inScope(p) {
 			continue
 		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				c.checkDiscardedErrors(p, fn)
-				c.checkMutateBeforeSend(p, fn)
-				c.checkParallelSites(p, fn)
-				c.checkRetrySites(p, fn)
-			}
-		}
+		eachFuncDecl(p.Files, func(fn *ast.FuncDecl) {
+			c.checkDiscardedErrors(p, fn)
+			c.checkMutateBeforeSend(p, fn)
+			c.checkParallelSites(p, fn)
+			c.checkRetrySites(p, fn)
+		})
 	}
 	c.checkRetriedHandlers()
-	sortDiagnostics(c.diags)
 	return c.diags
 }
 
 type faultpathChecker struct {
-	prog       *Program
-	simnetPath string
-	analyzed   map[*Package]bool
-	payload    *types.Interface
-	decls      map[*types.Func]*wireDecl
-	touches    map[*types.Func]bool // transitively performs a fabric call
-	mutates    map[*types.Func]*mutInfo
-	directives map[ignoreKey]*faultDirective
-	retried    map[string][]*retrySite // method wire string → Retry sites
-	diags      []Diagnostic
+	prog    *Program
+	touches map[*types.Func]bool // transitively performs a fabric call
+	mutates map[*types.Func]*mutInfo
+	retried map[string][]*retrySite // method wire string → Retry sites
+	diags   []Diagnostic
 }
 
 // mutInfo records how a function mutates caller-visible state: a direct
@@ -197,77 +122,7 @@ type retrySite struct {
 // inScope limits the rule to internal/ and cmd/ packages, excluding the
 // fault model itself, the experiment drivers and the linter.
 func (c *faultpathChecker) inScope(p *Package) bool {
-	mod := c.prog.modPath
-	switch p.ImportPath {
-	case mod + "/internal/simnet", mod + "/internal/experiments", mod + "/cmd/adhoclint":
-		return false
-	}
-	return internalPackage(p) || cmdPackage(p, mod)
-}
-
-func (c *faultpathChecker) collectDecls() {
-	for _, p := range c.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					c.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				}
-			}
-		}
-	}
-}
-
-// computeTouches closes "performs a fabric call" over static calls — the
-// same fixpoint the vtime rule runs, rebuilt here so the rules stay
-// independently testable.
-func (c *faultpathChecker) computeTouches() {
-	for obj, d := range c.decls {
-		direct := false
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			if direct {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fabricCallAt(d.pkg, call, c.simnetPath) != nil {
-					direct = true
-				}
-			}
-			return true
-		})
-		c.touches[obj] = direct
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range c.decls {
-			if c.touches[obj] {
-				continue
-			}
-			reached := false
-			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-				if reached {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil &&
-						!observabilityNeutral(callee, c.prog.modPath) && c.touches[callee] {
-						reached = true
-					}
-				}
-				return true
-			})
-			if reached {
-				c.touches[obj] = true
-				changed = true
-			}
-		}
-	}
+	return c.prog.scopedOutside(p, "internal/simnet", "internal/experiments")
 }
 
 // computeMutates closes "mutates caller-visible state" over static calls.
@@ -276,15 +131,12 @@ func (c *faultpathChecker) computeTouches() {
 func (c *faultpathChecker) computeMutates() {
 	for changed := true; changed; {
 		changed = false
-		for obj, d := range c.decls {
-			if c.mutates[obj] != nil {
-				continue
-			}
-			if fd := c.funcDirective(d.pkg, d.decl); fd != nil && fd.disposition == dispBenign {
+		for _, d := range c.prog.Funcs().sorted {
+			if c.mutates[d.obj] != nil || c.funcDisposition(d.pkg, d.decl) == dispBenign {
 				continue
 			}
 			if m := c.firstMutation(d.pkg, d.decl.Body, c.declTaint(d.pkg, d.decl)); m != nil {
-				c.mutates[obj] = m
+				c.mutates[d.obj] = m
 				changed = true
 			}
 		}
@@ -376,50 +228,37 @@ func (c *faultpathChecker) firstMutation(p *Package, body ast.Node, taint map[ty
 		obj := exprRootObj(p.Info, e)
 		return obj != nil && taint[obj]
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				switch unparen(lhs).(type) {
-				case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-					if rootTainted(lhs) {
-						record(&mutInfo{pos: lhs.Pos()})
-					}
-				}
-			}
-		case *ast.IncDecStmt:
-			switch unparen(n.X).(type) {
+	eachWrite(body, func(lhs ast.Expr, kind writeKind, at ast.Node, _ ast.Expr) {
+		switch kind {
+		case writeAssign, writeIncDec:
+			switch unparen(lhs).(type) {
 			case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-				if rootTainted(n.X) {
-					record(&mutInfo{pos: n.X.Pos()})
+				if rootTainted(lhs) {
+					record(&mutInfo{pos: lhs.Pos()})
 				}
 			}
-		case *ast.CallExpr:
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
-				if rootTainted(n.Args[0]) {
-					record(&mutInfo{pos: n.Pos()})
-				}
-				return true
+		case writeDelete:
+			if rootTainted(lhs) {
+				record(&mutInfo{pos: at.Pos()})
 			}
-			callee, _ := staticCallee(p.Info, n)
-			if callee == nil || c.mutates[callee] == nil {
-				return true
-			}
-			hit := false
-			if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && rootTainted(sel.X) {
-				hit = true
-			}
-			for _, arg := range n.Args {
-				if hit {
-					break
-				}
-				if rootTainted(arg) {
-					hit = true
-				}
-			}
-			if hit {
-				record(&mutInfo{pos: n.Pos(), via: callee})
-			}
+		}
+	})
+	ast.Inspect(body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee, _ := staticCallee(p.Info, call)
+		if callee == nil || c.mutates[callee] == nil {
+			return true
+		}
+		sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
+		hit := isSel && rootTainted(sel.X)
+		for _, arg := range call.Args {
+			hit = hit || rootTainted(arg)
+		}
+		if hit {
+			record(&mutInfo{pos: call.Pos(), via: callee})
 		}
 		return true
 	})
@@ -444,34 +283,25 @@ func (c *faultpathChecker) mutChain(m *mutInfo) string {
 	return " (via " + strings.Join(chain, " → ") + ")"
 }
 
-// directiveAt returns the faultpath directive on the position's line or
-// the line directly above, if any.
-func (c *faultpathChecker) directiveAt(p *Package, pos token.Pos) *faultDirective {
-	position := p.Fset.Position(pos)
-	if d, ok := c.directives[ignoreKey{position.Filename, position.Line}]; ok {
-		return d
+// dispositionAt returns the disposition declared by the faultpath
+// directive on the position's line or the line directly above ("" when
+// there is none) and whether a directive is present at all.
+func (c *faultpathChecker) dispositionAt(p *Package, pos token.Pos) (string, bool) {
+	if d := c.prog.Directives().at(p, pos, "faultpath"); d != nil {
+		disposition, _ := faultArgs(d)
+		return disposition, true
 	}
-	if d, ok := c.directives[ignoreKey{position.Filename, position.Line - 1}]; ok {
-		return d
-	}
-	return nil
+	return "", false
 }
 
-// funcDirective returns the faultpath directive attached to a function
+// funcDisposition returns the disposition declared on a function
 // declaration: in its doc comment, or on the line above the declaration.
-func (c *faultpathChecker) funcDirective(p *Package, fn *ast.FuncDecl) *faultDirective {
-	if fn.Doc != nil {
-		for _, cm := range fn.Doc.List {
-			text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-			if rest, ok := strings.CutPrefix(text, faultPathPrefix); ok {
-				d := parseFaultDirective(rest)
-				d.pkg = p
-				d.pos = cm.Pos()
-				return d
-			}
-		}
+func (c *faultpathChecker) funcDisposition(p *Package, fn *ast.FuncDecl) string {
+	disposition, _ := c.dispositionAt(p, fn.Pos())
+	if d := c.prog.Directives().inDoc(p, fn.Doc, "faultpath"); d != nil {
+		disposition, _ = faultArgs(d)
 	}
-	return c.directiveAt(p, fn.Pos())
+	return disposition
 }
 
 // validateDirectives reports malformed directives of the analyzed,
@@ -479,25 +309,26 @@ func (c *faultpathChecker) funcDirective(p *Package, fn *ast.FuncDecl) *faultDir
 // is self-explanatory; every other disposition states a claim the code
 // cannot show and must say why it holds.
 func (c *faultpathChecker) validateDirectives() {
-	for _, d := range c.directives {
-		if !c.analyzed[d.pkg] || !c.inScope(d.pkg) {
+	for _, d := range c.prog.Directives().named("faultpath") {
+		if !c.inScope(d.pkg) {
 			continue
 		}
+		disposition, reason := faultArgs(d)
 		known := false
 		for _, disp := range faultDispositions {
-			if d.disposition == disp {
+			if disposition == disp {
 				known = true
 			}
 		}
 		if !known {
 			c.report(d.pkg, d.pos, fmt.Sprintf(
 				"unknown faultpath disposition %q (have: %s)",
-				d.disposition, strings.Join(faultDispositions, ", ")))
+				disposition, strings.Join(faultDispositions, ", ")))
 			continue
 		}
-		if d.reason == "" && d.disposition != dispAbortAll {
+		if reason == "" && disposition != dispAbortAll {
 			c.report(d.pkg, d.pos, fmt.Sprintf(
-				"faultpath(%s) requires a reason explaining why the disposition is sound", d.disposition))
+				"faultpath(%s) requires a reason explaining why the disposition is sound", disposition))
 		}
 	}
 }
@@ -517,48 +348,38 @@ func (c *faultpathChecker) checkDiscardedErrors(p *Package, fn *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			fc := fabricCallAt(p, rhs, c.simnetPath)
+			fc := c.prog.fabricCallAt(p, rhs)
 			if fc == nil {
 				return true
 			}
 			handled[rhs] = true
-			errPos := 1 // Send/Transfer: (VTime, error)
-			if fc.kind == "Call" {
-				errPos = 2 // (Payload, VTime, error)
-			}
-			if errPos >= len(n.Lhs) || !isBlankIdent(n.Lhs[errPos]) {
+			if fc.errPos() >= len(n.Lhs) || !isBlank(n.Lhs[fc.errPos()]) {
 				return true
 			}
 			call = rhs
 		case *ast.ExprStmt:
 			rhs, ok := n.X.(*ast.CallExpr)
-			if !ok || handled[rhs] || fabricCallAt(p, rhs, c.simnetPath) == nil {
+			if !ok || handled[rhs] || c.prog.fabricCallAt(p, rhs) == nil {
 				return true
 			}
 			call = rhs
 		default:
 			return true
 		}
-		fc := fabricCallAt(p, call, c.simnetPath)
-		d := c.directiveAt(p, call.Pos())
+		fc := c.prog.fabricCallAt(p, call)
+		disp, declared := c.dispositionAt(p, call.Pos())
 		switch {
-		case d == nil:
+		case !declared:
 			c.report(p, call.Pos(), fmt.Sprintf(
 				"the error of %s of %q is discarded with no declared fault disposition; handle it or annotate //adhoclint:faultpath(fire-and-forget, reason)",
 				fc.kind, fc.value))
-		case d.disposition != dispFireAndForget:
+		case disp != dispFireAndForget:
 			c.report(p, call.Pos(), fmt.Sprintf(
 				"faultpath(%s) does not cover a discarded error; a deliberately unacknowledged %s needs faultpath(fire-and-forget, reason)",
-				d.disposition, fc.kind))
+				disp, fc.kind))
 		}
 		return true
 	})
-}
-
-// isBlankIdent reports whether the expression is the blank identifier.
-func isBlankIdent(e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
 }
 
 // checkMutateBeforeSend flags functions that mutate caller-visible state
@@ -567,14 +388,10 @@ func isBlankIdent(e ast.Expr) bool {
 // mutation is the operation itself, and the retried-handler check governs
 // their re-delivery semantics.
 func (c *faultpathChecker) checkMutateBeforeSend(p *Package, fn *ast.FuncDecl) {
-	if fn.Name.Name == "HandleCall" || handlerShape(p, fn, c.simnetPath, c.payload) {
+	if fn.Name.Name == "HandleCall" || c.prog.handlerShape(p, fn, true) || !returnsError(p, fn) {
 		return
 	}
-	if !returnsError(p, fn) {
-		return
-	}
-	if d := c.funcDirective(p, fn); d != nil &&
-		(d.disposition == dispCompensated || d.disposition == dispBenign) {
+	if disp := c.funcDisposition(p, fn); disp == dispCompensated || disp == dispBenign {
 		return
 	}
 	mut := c.firstMutation(p, fn.Body, c.declTaint(p, fn))
@@ -596,8 +413,7 @@ func returnsError(p *Package, fn *ast.FuncDecl) bool {
 	if res == nil || len(res.List) == 0 {
 		return false
 	}
-	t := p.Info.Types[res.List[len(res.List)-1].Type].Type
-	return t != nil && types.Identical(t, types.Universe.Lookup("error").Type())
+	return isErrorType(p.Info.Types[res.List[len(res.List)-1].Type].Type)
 }
 
 // firstFallibleAfter finds the earliest fabric call, simnet.Retry, or
@@ -617,10 +433,10 @@ func (c *faultpathChecker) firstFallibleAfter(p *Package, fn *ast.FuncDecl, pos 
 			return true
 		}
 		call, ok := asg.Rhs[0].(*ast.CallExpr)
-		if !ok || call.Pos() <= pos || isBlankIdent(asg.Lhs[len(asg.Lhs)-1]) {
+		if !ok || call.Pos() <= pos || isBlank(asg.Lhs[len(asg.Lhs)-1]) {
 			return true
 		}
-		if fc := fabricCallAt(p, call, c.simnetPath); fc != nil {
+		if fc := c.prog.fabricCallAt(p, call); fc != nil {
 			record(call.Pos(), fmt.Sprintf("%s of %q", fc.kind, fc.value))
 			return true
 		}
@@ -628,7 +444,7 @@ func (c *faultpathChecker) firstFallibleAfter(p *Package, fn *ast.FuncDecl, pos 
 		if callee == nil {
 			return true
 		}
-		if callee.Name() == "Retry" && callee.Pkg() != nil && callee.Pkg().Path() == c.simnetPath {
+		if c.prog.isSimnetFunc(callee, "Retry") {
 			record(call.Pos(), "simnet.Retry")
 			return true
 		}
@@ -646,8 +462,7 @@ func calleeReturnsError(f *types.Func) bool {
 	if !ok || sig.Results().Len() == 0 {
 		return false
 	}
-	return types.Identical(sig.Results().At(sig.Results().Len()-1).Type(),
-		types.Universe.Lookup("error").Type())
+	return isErrorType(sig.Results().At(sig.Results().Len() - 1).Type())
 }
 
 // checkParallelSites requires every simnet.Parallel fan-out to declare
@@ -658,19 +473,17 @@ func (c *faultpathChecker) checkParallelSites(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Parallel" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != c.simnetPath {
+		if callee, _ := staticCallee(p.Info, call); !c.prog.isSimnetFunc(callee, "Parallel") {
 			return true
 		}
-		d := c.directiveAt(p, call.Pos())
+		disp, declared := c.dispositionAt(p, call.Pos())
 		switch {
-		case d == nil:
+		case !declared:
 			c.report(p, call.Pos(),
 				"simnet.Parallel fan-out must declare its failure semantics: annotate //adhoclint:faultpath(abort-all) or //adhoclint:faultpath(collect-partial, reason)")
-		case d.disposition != dispAbortAll && d.disposition != dispCollectPartial:
+		case disp != dispAbortAll && disp != dispCollectPartial:
 			c.report(p, call.Pos(), fmt.Sprintf(
-				"faultpath(%s) does not apply to a Parallel fan-out; declare abort-all or collect-partial", d.disposition))
+				"faultpath(%s) does not apply to a Parallel fan-out; declare abort-all or collect-partial", disp))
 		}
 		return true
 	})
@@ -687,10 +500,7 @@ func (c *faultpathChecker) checkRetrySites(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Retry" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != c.simnetPath ||
-			len(call.Args) != 3 {
+		if callee, _ := staticCallee(p.Info, call); !c.prog.isSimnetFunc(callee, "Retry") || len(call.Args) != 3 {
 			return true
 		}
 		lit := resolveOpLiteral(p, fn, call.Args[2])
@@ -700,7 +510,7 @@ func (c *faultpathChecker) checkRetrySites(p *Package, fn *ast.FuncDecl) {
 		var atParam types.Object
 		if len(lit.Type.Params.List) > 0 {
 			field := lit.Type.Params.List[0]
-			if isNamedType(p.Info.Types[field.Type].Type, c.simnetPath, "VTime") && len(field.Names) > 0 {
+			if c.prog.isSimnetType(p.Info.Types[field.Type].Type, "VTime") && len(field.Names) > 0 {
 				atParam = p.Info.Defs[field.Names[0]]
 			}
 		}
@@ -709,7 +519,7 @@ func (c *faultpathChecker) checkRetrySites(p *Package, fn *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			fc := fabricCallAt(p, inner, c.simnetPath)
+			fc := c.prog.fabricCallAt(p, inner)
 			if fc == nil {
 				return true
 			}
@@ -782,14 +592,13 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 	if len(c.retried) == 0 {
 		return
 	}
-	loaded := c.prog.loadedPackages()
 	constsByValue := map[string]*methodConst{}
-	for _, mc := range collectMethodConsts(loaded) {
+	for _, mc := range c.prog.MethodConsts() {
 		if _, ok := constsByValue[mc.value]; !ok {
 			constsByValue[mc.value] = mc
 		}
 	}
-	caseMuts := c.handlerCaseMutations(loaded)
+	caseMuts := c.handlerCaseMutations()
 
 	values := make([]string, 0, len(c.retried))
 	for v := range c.retried {
@@ -797,13 +606,13 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 	}
 	sort.Strings(values)
 	for _, value := range values {
-		mut, ok := caseMuts[value]
-		if !ok || mut == nil {
+		mut := caseMuts[value]
+		if mut == nil {
 			continue // handler unknown or read-only
 		}
 		mc := constsByValue[value]
 		if mc != nil {
-			if d := c.directiveAt(mc.pkg, mc.pos); d != nil && d.disposition == dispIdempotent {
+			if disp, _ := c.dispositionAt(mc.pkg, mc.pos); disp == dispIdempotent {
 				continue
 			}
 		}
@@ -822,7 +631,7 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 			"%s (%q) is retried from %s but its handler mutates node state%s; deduplicate re-deliveries and annotate the constant //adhoclint:faultpath(idempotent, reason)",
 			name, value, from, c.mutChain(mut))
 		switch {
-		case mc != nil && c.analyzed[mc.pkg] && c.inScope(mc.pkg):
+		case mc != nil && c.prog.Analyzed(mc.pkg) && c.inScope(mc.pkg):
 			c.report(mc.pkg, mc.pos, msg)
 		default:
 			c.report(site.pkg, site.pos, msg)
@@ -833,53 +642,16 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 // handlerCaseMutations maps each dispatched method wire string to the
 // mutation its handler case performs (nil for read-only cases). A method
 // dispatched by several handlers keeps the first mutation found.
-func (c *faultpathChecker) handlerCaseMutations(loaded []*Package) map[string]*mutInfo {
+func (c *faultpathChecker) handlerCaseMutations() map[string]*mutInfo {
 	out := map[string]*mutInfo{}
-	for _, p := range loaded {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "HandleCall" || fn.Body == nil {
-					continue
+	for _, h := range c.prog.Handlers() {
+		for _, dc := range h.cases {
+			body := &ast.BlockStmt{List: dc.clause.Body}
+			mut := c.firstMutation(h.node.pkg, body, c.declTaint(h.node.pkg, h.node.decl))
+			for _, v := range dc.values {
+				if out[v.value] == nil {
+					out[v.value] = mut
 				}
-				methodObj, _ := handleCallParams(p, fn)
-				if methodObj == nil {
-					continue
-				}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					sw, ok := n.(*ast.SwitchStmt)
-					if !ok {
-						return true
-					}
-					tag, ok := sw.Tag.(*ast.Ident)
-					if !ok || p.Info.Uses[tag] != methodObj {
-						return true
-					}
-					for _, stmt := range sw.Body.List {
-						cc, ok := stmt.(*ast.CaseClause)
-						if !ok || cc.List == nil {
-							continue
-						}
-						body := &ast.BlockStmt{List: cc.Body}
-						mut := c.firstMutation(p, body, c.declTaint(p, fn))
-						for _, expr := range cc.List {
-							tv := p.Info.Types[expr]
-							if tv.Value == nil {
-								continue
-							}
-							value := strings.Trim(tv.Value.String(), `"`)
-							if _, seen := out[value]; !seen {
-								out[value] = mut
-							} else if out[value] == nil && mut != nil {
-								out[value] = mut
-							}
-						}
-					}
-					return true
-				})
 			}
 		}
 	}
@@ -887,8 +659,7 @@ func (c *faultpathChecker) handlerCaseMutations(loaded []*Package) map[string]*m
 }
 
 func (c *faultpathChecker) report(p *Package, pos token.Pos, msg string) {
-	if !c.analyzed[p] {
-		return
+	if c.prog.Analyzed(p) {
+		c.diags = append(c.diags, diagAt(p, pos, msg))
 	}
-	c.diags = append(c.diags, diagAt(p, pos, ruleFaultPath, msg))
 }

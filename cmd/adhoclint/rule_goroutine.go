@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 )
@@ -11,24 +10,26 @@ import (
 // a done/result channel it sends on or receives from, or a context it
 // watches. Fire-and-forget goroutines leak under churn and defeat the
 // leak assertions in the test suites.
-func checkGoroutines(p *Package) []Diagnostic {
+func checkGoroutines(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, f := range p.AllFiles() {
-		ast.Inspect(f, func(n ast.Node) bool {
-			g, ok := n.(*ast.GoStmt)
-			if !ok {
+	for _, p := range prog.Pkgs {
+		for _, f := range p.AllFiles() {
+			ast.Inspect(f, func(n ast.Node) bool {
+				g, ok := n.(*ast.GoStmt)
+				if !ok {
+					return true
+				}
+				lit, ok := g.Call.Fun.(*ast.FuncLit)
+				if !ok {
+					return true // `go method()` — ownership lives at the callee
+				}
+				if !goroutineIsTied(lit) {
+					diags = append(diags, diagAt(p, g.Pos(),
+						"go func literal has no visible lifecycle: tie it to a sync.WaitGroup (defer wg.Done()), a done-channel, or a context"))
+				}
 				return true
-			}
-			lit, ok := g.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true // `go method()` — ownership lives at the callee
-			}
-			if !goroutineIsTied(lit) {
-				diags = append(diags, diagAt(p, g.Pos(), ruleGoroutine,
-					fmt.Sprintf("go func literal has no visible lifecycle: tie it to a sync.WaitGroup (defer wg.Done()), a done-channel, or a context")))
-			}
-			return true
-		})
+			})
+		}
 	}
 	return diags
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"strings"
 )
 
 // guardedStruct describes one struct that owns a mutex named "mu": per the
@@ -68,28 +69,21 @@ func isSyncMutexType(t ast.Expr) bool {
 // through the receiver must sit inside a held-lock region of the
 // receiver's mu. Methods whose name ends in "Locked" are assumed to be
 // called with the lock already held and are skipped.
-func checkGuardedFields(p *Package) []Diagnostic {
+func checkGuardedFields(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	for _, group := range [][]*ast.File{p.Files, p.TestFiles} {
-		structs := collectGuardedStructs(group)
-		if len(structs) == 0 {
-			continue
-		}
-		for _, f := range group {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
+	for _, p := range prog.Pkgs {
+		for _, group := range [][]*ast.File{p.Files, p.TestFiles} {
+			structs := collectGuardedStructs(group)
+			if len(structs) == 0 {
+				continue
+			}
+			eachFuncDecl(group, func(fn *ast.FuncDecl) {
 				gs, ok := structs[recvTypeName(fn)]
-				if !ok {
-					continue
-				}
 				recv := recvName(fn)
-				if recv == "" || hasSuffixLocked(fn.Name.Name) {
-					continue
+				if !ok || recv == "" || strings.HasSuffix(fn.Name.Name, "Locked") {
+					return
 				}
-				regions := muRegions(fn)
+				locks := prog.LockFacts(p, fn)
 				owner := recv + ".mu"
 				ast.Inspect(fn.Body, func(n ast.Node) bool {
 					sel, ok := n.(*ast.SelectorExpr)
@@ -100,22 +94,15 @@ func checkGuardedFields(p *Package) []Diagnostic {
 					if !ok || base.Name != recv || !gs.fields[sel.Sel.Name] {
 						return true
 					}
-					if _, held := insideAny(regions, sel.Pos(), owner); !held {
-						diags = append(diags, Diagnostic{
-							Pos:  p.Fset.Position(sel.Pos()),
-							Rule: ruleGuarded,
-							Msg: fmt.Sprintf("%s.%s is guarded by %s (declared after it) but accessed in %s without holding the lock",
-								recv, sel.Sel.Name, owner, fn.Name.Name),
-						})
+					if _, held := locks.convHeld(sel.Pos(), owner); !held {
+						diags = append(diags, diagAt(p, sel.Pos(),
+							fmt.Sprintf("%s.%s is guarded by %s (declared after it) but accessed in %s without holding the lock",
+								recv, sel.Sel.Name, owner, fn.Name.Name)))
 					}
 					return true
 				})
-			}
+			})
 		}
 	}
 	return diags
-}
-
-func hasSuffixLocked(name string) bool {
-	return len(name) >= 6 && name[len(name)-6:] == "Locked"
 }

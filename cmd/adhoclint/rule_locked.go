@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 )
 
 // blockingCalls are selector method names that move simulated messages (the
@@ -17,57 +18,53 @@ var blockingCalls = map[string]string{
 	"Wait":     "blocking wait",
 }
 
-// checkLockBlocking flags channel operations and simnet fabric calls made
-// while any convention-named mutex is held.
-func checkLockBlocking(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	for _, f := range p.AllFiles() {
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
+// blockingOp describes the potentially blocking operation a node performs
+// itself — a channel operation, a select, or a call whose selector name is
+// one of the blocking fabric/clock operations — or returns "".
+func blockingOp(n ast.Node) string {
+	switch n := n.(type) {
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.UnaryExpr:
+		if n.Op == token.ARROW {
+			return "channel receive"
+		}
+	case *ast.SelectStmt:
+		return "select"
+	case *ast.CallExpr:
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+			if kind, blocking := blockingCalls[sel.Sel.Name]; blocking {
+				return fmt.Sprintf("%s (.%s)", kind, sel.Sel.Name)
 			}
-			regions := muRegions(fn)
-			if len(regions) == 0 {
-				continue
-			}
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SendStmt:
-					if owner, held := insideAny(regions, n.Pos(), ""); held {
-						diags = append(diags, diagAt(p, n.Pos(), ruleLockBlocking,
-							fmt.Sprintf("channel send while %s is held in %s", owner, fn.Name.Name)))
-					}
-				case *ast.UnaryExpr:
-					if n.Op.String() == "<-" {
-						if owner, held := insideAny(regions, n.Pos(), ""); held {
-							diags = append(diags, diagAt(p, n.Pos(), ruleLockBlocking,
-								fmt.Sprintf("channel receive while %s is held in %s", owner, fn.Name.Name)))
-						}
-					}
-				case *ast.SelectStmt:
-					if owner, held := insideAny(regions, n.Pos(), ""); held {
-						diags = append(diags, diagAt(p, n.Pos(), ruleLockBlocking,
-							fmt.Sprintf("select while %s is held in %s", owner, fn.Name.Name)))
-						return false // one finding per select, not one per case
-					}
-				case *ast.CallExpr:
-					sel, ok := n.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					kind, blocking := blockingCalls[sel.Sel.Name]
-					if !blocking {
-						return true
-					}
-					if owner, held := insideAny(regions, n.Pos(), ""); held {
-						diags = append(diags, diagAt(p, n.Pos(), ruleLockBlocking,
-							fmt.Sprintf("%s (.%s) while %s is held in %s", kind, sel.Sel.Name, owner, fn.Name.Name)))
-					}
-				}
-				return true
-			})
 		}
 	}
-	return diags
+	return ""
+}
+
+// checkLockBlocking flags channel operations and simnet fabric calls made
+// while any convention-named mutex is held — directly, or (in
+// type-checked production code) beneath a call made under the lock.
+func checkLockBlocking(prog *Program) []Diagnostic {
+	var diags []Diagnostic
+	for _, p := range prog.Pkgs {
+		eachFuncDecl(p.AllFiles(), func(fn *ast.FuncDecl) {
+			locks := prog.LockFacts(p, fn)
+			if len(locks.regions) == 0 {
+				return
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				what := blockingOp(n)
+				if what == "" {
+					return true
+				}
+				r, held := locks.convHeld(n.Pos(), "")
+				if held {
+					diags = append(diags, diagAt(p, n.Pos(), fmt.Sprintf("%s while %s is held in %s", what, r.owner, fn.Name.Name)))
+				}
+				_, isSelect := n.(*ast.SelectStmt)
+				return !(held && isSelect) // one finding per select, not one per case
+			})
+		})
+	}
+	return append(diags, prog.LockFindings().blocking...)
 }

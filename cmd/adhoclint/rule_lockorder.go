@@ -23,40 +23,6 @@ import (
 // transitively performs a blocking operation (simnet fabric call, channel
 // operation, sleep or wait), with the call chain to the blocking site.
 
-// lockClass identifies a mutex by declaration site rather than instance:
-// "«pkgpath».«Type».mu" for a struct field reached through a typed owner,
-// "«pkgpath».mu" for a package-level mutex. Function-local mutexes have no
-// class and contribute no interprocedural facts.
-type lockClass string
-
-// mutexClass classifies the mutex denoted by muExpr (the expression the
-// convention rules already recognize: "mu" or "«chain».mu").
-func mutexClass(p *Package, muExpr ast.Expr) lockClass {
-	if p.Info == nil {
-		return ""
-	}
-	switch e := muExpr.(type) {
-	case *ast.Ident: // plain "mu": package-level or local
-		if v, ok := p.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil &&
-			v.Parent() == v.Pkg().Scope() {
-			return lockClass(v.Pkg().Path() + ".mu")
-		}
-	case *ast.SelectorExpr: // "«base».mu": classify by the base's type
-		tv, ok := p.Info.Types[e.X]
-		if !ok {
-			return ""
-		}
-		t := tv.Type
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			return lockClass(named.Obj().Pkg().Path() + "." + named.Obj().Name() + ".mu")
-		}
-	}
-	return ""
-}
-
 // acqStep records how a function (transitively) acquires a mutex class:
 // directly at pos (via == nil), or by calling via at pos.
 type acqStep struct {
@@ -76,8 +42,7 @@ type blkStep struct {
 // lockSummary is the per-function fact set the fixpoint computes.
 type lockSummary struct {
 	node     *funcNode
-	events   []muEvent
-	regions  []muRegion
+	locks    *lockFacts
 	recvName string
 	// acquires maps every mutex class the function may lock — directly or
 	// through calls — to one witness step.
@@ -89,26 +54,28 @@ type lockSummary struct {
 	recvMu *acqStep
 }
 
-// buildLockSummaries computes direct lock/block facts per function and
+// lockSummaries computes direct lock/block facts per analyzed function and
 // closes them over the call graph.
-func buildLockSummaries(prog *Program) map[*types.Func]*lockSummary {
-	cg := prog.CallGraph()
-	sums := make(map[*types.Func]*lockSummary, len(cg.funcs))
-	for obj, node := range cg.funcs {
+func lockSummaries(prog *Program) map[*types.Func]*lockSummary {
+	sums := map[*types.Func]*lockSummary{}
+	var order []*lockSummary
+	for _, node := range prog.Funcs().sorted {
+		if !node.analyzed {
+			continue
+		}
 		s := &lockSummary{
 			node:     node,
-			events:   muEvents(node.decl),
-			regions:  muRegions(node.decl),
+			locks:    prog.LockFacts(node.pkg, node.decl),
 			recvName: recvName(node.decl),
 			acquires: map[lockClass]acqStep{},
 		}
-		for _, e := range s.events {
-			if !e.lock {
+		for _, e := range s.locks.events {
+			if !e.lock || !e.conv {
 				continue
 			}
-			if c := mutexClass(node.pkg, e.expr); c != "" {
-				if old, ok := s.acquires[c]; !ok || (e.write && !old.write) {
-					s.acquires[c] = acqStep{pos: e.pos, write: e.write}
+			if e.class != "" {
+				if old, ok := s.acquires[e.class]; !ok || (e.write && !old.write) {
+					s.acquires[e.class] = acqStep{pos: e.pos, write: e.write}
 				}
 			}
 			if s.recvName != "" && e.owner == s.recvName+".mu" {
@@ -118,11 +85,12 @@ func buildLockSummaries(prog *Program) map[*types.Func]*lockSummary {
 			}
 		}
 		s.block = directBlock(node.decl)
-		sums[obj] = s
+		sums[node.obj] = s
+		order = append(order, s)
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, s := range sums {
+		for _, s := range order {
 			for _, c := range s.node.calls {
 				if c.inGo {
 					continue
@@ -133,16 +101,16 @@ func buildLockSummaries(prog *Program) map[*types.Func]*lockSummary {
 				}
 				for cl, step := range g.acquires {
 					if _, have := s.acquires[cl]; !have {
-						s.acquires[cl] = acqStep{via: c.callee, pos: c.pos, write: step.write}
+						s.acquires[cl] = acqStep{via: c.callee, pos: c.call.Pos(), write: step.write}
 						changed = true
 					}
 				}
 				if s.block == nil && g.block != nil {
-					s.block = &blkStep{via: c.callee, pos: c.pos, desc: g.block.desc}
+					s.block = &blkStep{via: c.callee, pos: c.call.Pos(), desc: g.block.desc}
 					changed = true
 				}
 				if s.recvMu == nil && s.recvName != "" && c.recv == s.recvName && g.recvMu != nil {
-					s.recvMu = &acqStep{via: c.callee, pos: c.pos, write: g.recvMu.write}
+					s.recvMu = &acqStep{via: c.callee, pos: c.call.Pos(), write: g.recvMu.write}
 					changed = true
 				}
 			}
@@ -158,26 +126,11 @@ func buildLockSummaries(prog *Program) map[*types.Func]*lockSummary {
 func directBlock(fn *ast.FuncDecl) *blkStep {
 	var b *blkStep
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if b != nil {
+		if _, isGo := n.(*ast.GoStmt); isGo || b != nil {
 			return false
 		}
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			return false
-		case *ast.SendStmt:
-			b = &blkStep{pos: n.Pos(), desc: "channel send"}
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				b = &blkStep{pos: n.Pos(), desc: "channel receive"}
-			}
-		case *ast.SelectStmt:
-			b = &blkStep{pos: n.Pos(), desc: "select"}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if kind, blocking := blockingCalls[sel.Sel.Name]; blocking {
-					b = &blkStep{pos: n.Pos(), desc: fmt.Sprintf("%s (.%s)", kind, sel.Sel.Name)}
-				}
-			}
+		if desc := blockingOp(n); desc != "" {
+			b = &blkStep{pos: n.Pos(), desc: desc}
 		}
 		return true
 	})
@@ -194,22 +147,23 @@ type lockEdge struct {
 	via      *types.Func // callee through which `to` is reached
 }
 
-// checkProgramLocks runs the whole-program lock analyses, emitting
-// lock-order and (interprocedural) lock-blocking diagnostics.
-func checkProgramLocks(prog *Program, enabled map[string]bool) []Diagnostic {
-	on := func(rule string) bool { return enabled == nil || enabled[rule] }
-	if !on(ruleLockOrder) && !on(ruleLockBlocking) {
-		return nil
-	}
-	sums := buildLockSummaries(prog)
+// lockFindings are the diagnostics of the one whole-program lock walk,
+// split by the rule they belong to.
+type lockFindings struct {
+	order    []Diagnostic // lock-order
+	blocking []Diagnostic // the interprocedural half of lock-blocking
+}
 
-	objs := make([]*types.Func, 0, len(sums))
-	for obj := range sums {
-		objs = append(objs, obj)
+func checkLockOrder(prog *Program) []Diagnostic { return prog.LockFindings().order }
+
+// LockFindings runs (on first use) the whole-program lock analysis.
+func (prog *Program) LockFindings() *lockFindings {
+	if prog.lockFinds != nil {
+		return prog.lockFinds
 	}
-	sort.Slice(objs, func(i, j int) bool {
-		return sums[objs[i]].node.decl.Pos() < sums[objs[j]].node.decl.Pos()
-	})
+	out := &lockFindings{}
+	prog.lockFinds = out
+	sums := lockSummaries(prog)
 
 	edges := map[[2]lockClass]*lockEdge{}
 	addEdge := func(e *lockEdge) {
@@ -219,55 +173,59 @@ func checkProgramLocks(prog *Program, enabled map[string]bool) []Diagnostic {
 		}
 	}
 
-	var diags []Diagnostic
-	for _, obj := range objs {
-		s := sums[obj]
-		p := s.node.pkg
-		fnName := s.node.decl.Name.Name
-		for _, r := range s.regions {
-			from := mutexClass(p, r.expr)
-			for _, e := range s.events {
-				if !e.lock || e.pos == r.start || !r.contains(e.pos) {
+	for _, node := range prog.Funcs().sorted {
+		s := sums[node.obj]
+		if s == nil {
+			continue
+		}
+		p, obj := node.pkg, node.obj
+		fnName := node.decl.Name.Name
+		for _, r := range s.locks.regions {
+			if !r.conv {
+				continue
+			}
+			from := r.class
+			for _, e := range s.locks.events {
+				if !e.lock || !e.conv || e.pos == r.start || !r.contains(e.pos) {
 					continue
 				}
 				if e.owner == r.owner {
 					// Same mutex re-locked while held: deadlock unless both
 					// sides are read locks.
-					if on(ruleLockOrder) && (r.write || e.write) {
-						diags = append(diags, diagAt(p, e.pos, ruleLockOrder,
+					if r.write || e.write {
+						out.order = append(out.order, diagAt(p, e.pos,
 							fmt.Sprintf("%s acquired again in %s while already held (self-deadlock)", e.owner, fnName)))
 					}
 					continue
 				}
-				to := mutexClass(p, e.expr)
-				if from == "" || to == "" || from == to {
+				if from == "" || e.class == "" || from == e.class {
 					continue
 				}
-				addEdge(&lockEdge{from: from, to: to, fn: obj, pkg: p, pos: e.pos})
+				addEdge(&lockEdge{from: from, to: e.class, fn: obj, pkg: p, pos: e.pos})
 			}
-			for _, c := range s.node.calls {
-				if c.inGo || !r.contains(c.pos) {
+			for _, c := range node.calls {
+				if c.inGo || !r.contains(c.call.Pos()) {
 					continue
 				}
 				g, ok := sums[c.callee]
 				if !ok {
 					continue
 				}
-				if on(ruleLockBlocking) && g.block != nil {
-					// The intraprocedural rule already flags calls whose own
+				if g.block != nil {
+					// The intraprocedural check already flags calls whose own
 					// selector name is blocking; only report callees that
 					// block somewhere beneath the call.
 					if _, direct := blockingCalls[c.callee.Name()]; !direct {
 						chain, bpos := blockChain(sums, c.callee)
-						diags = append(diags, diagAt(p, c.pos, ruleLockBlocking,
+						out.blocking = append(out.blocking, diagAt(p, c.call.Pos(),
 							fmt.Sprintf("call to %s may block (%s%s) while %s is held in %s",
 								chain, g.blockDesc(sums), posSuffix(p, bpos), r.owner, fnName)))
 					}
 				}
-				if on(ruleLockOrder) && g.recvMu != nil && c.recv != "" &&
+				if g.recvMu != nil && c.recv != "" &&
 					c.recv == ownerBase(r.owner) && (r.write || g.recvMu.write) {
 					chain, lpos := recvMuChain(sums, c.callee)
-					diags = append(diags, diagAt(p, c.pos, ruleLockOrder,
+					out.order = append(out.order, diagAt(p, c.call.Pos(),
 						fmt.Sprintf("%s holds %s and calls %s, which locks it again%s (recursive acquisition deadlock)",
 							fnName, r.owner, chain, posSuffix(p, lpos))))
 				}
@@ -281,16 +239,14 @@ func checkProgramLocks(prog *Program, enabled map[string]bool) []Diagnostic {
 						if cl == from {
 							continue // same class via a call: instance identity unknown
 						}
-						addEdge(&lockEdge{from: from, to: cl, fn: obj, pkg: p, pos: c.pos, via: c.callee})
+						addEdge(&lockEdge{from: from, to: cl, fn: obj, pkg: p, pos: c.call.Pos(), via: c.callee})
 					}
 				}
 			}
 		}
 	}
-	if on(ruleLockOrder) {
-		diags = append(diags, lockCycleDiags(sums, edges)...)
-	}
-	return diags
+	out.order = append(out.order, lockCycleDiags(sums, edges)...)
+	return out
 }
 
 // blockDesc returns the human description of the function's (transitive)
@@ -425,7 +381,7 @@ func lockCycleDiags(sums map[*types.Func]*lockSummary, edges map[[2]lockClass]*l
 		if first == nil {
 			continue
 		}
-		diags = append(diags, diagAt(first.pkg, first.pos, ruleLockOrder,
+		diags = append(diags, diagAt(first.pkg, first.pos,
 			fmt.Sprintf("lock-order cycle (potential deadlock): %s — %s",
 				strings.Join(names, " → "), strings.Join(witnesses, "; "))))
 	}

@@ -16,38 +16,27 @@ import (
 // //adhoclint:ignore payload-size comment carrying the reason.
 
 // checkPayloadSizes audits every SizeBytes method of the analyzed packages.
-func checkPayloadSizes(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[rulePayloadSize] {
-		return nil
-	}
+func checkPayloadSizes(prog *Program) []Diagnostic {
 	var diags []Diagnostic
-	prog.eachFuncDecl(func(p *Package, decl *ast.FuncDecl, obj *types.Func) {
-		if decl.Name.Name != "SizeBytes" || decl.Recv == nil {
-			return
+	for _, n := range prog.Funcs().sorted {
+		if !n.analyzed || n.decl.Name.Name != "SizeBytes" {
+			continue
 		}
-		sig, ok := obj.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			return
-		}
-		recv := sig.Recv().Type()
-		if ptr, isPtr := recv.(*types.Pointer); isPtr {
-			recv = ptr.Elem()
-		}
-		named, ok := recv.(*types.Named)
-		if !ok {
-			return
+		named := receiverNamed(n.obj)
+		if named == nil {
+			continue
 		}
 		st, ok := named.Underlying().(*types.Struct)
 		if !ok {
-			return // e.g. simnet.Bytes: nothing to cross-check
+			continue // e.g. simnet.Bytes: nothing to cross-check
 		}
 		// trace.TraceContext is zero-width wire metadata by contract (see
 		// observability_knowledge.go): its own SizeBytes returns 0 on purpose, and
 		// payload structs need not count TraceContext-typed fields.
 		if isTraceContext(named, prog.modPath) {
-			return
+			continue
 		}
-		mentioned := fieldMentions(decl)
+		mentioned := fieldMentions(n.decl)
 		var missing []string
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
@@ -57,11 +46,11 @@ func checkPayloadSizes(prog *Program, enabled map[string]bool) []Diagnostic {
 			missing = append(missing, f.Name())
 		}
 		if len(missing) > 0 {
-			diags = append(diags, diagAt(p, decl.Pos(), rulePayloadSize,
+			diags = append(diags, diagAt(n.pkg, n.decl.Pos(),
 				fmt.Sprintf("SizeBytes of %s does not account for field%s %s",
 					named.Obj().Name(), plural(missing), strings.Join(missing, ", "))))
 		}
-	})
+	}
 	return diags
 }
 

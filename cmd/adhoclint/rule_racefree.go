@@ -46,12 +46,6 @@ import (
 //     node serves traffic). The rule name also participates in the
 //     standard //adhoclint:ignore grammar.
 
-const raceFreePrefix = "adhoclint:racefree"
-
-// raceDebug, when set by a test, observes the checker state after the
-// analysis runs.
-var raceDebug func(*raceChecker, []*raceNodeType)
-
 // raceKey identifies one access-fact class: a field of a named struct and
 // the access kind.
 type raceKey struct {
@@ -76,7 +70,6 @@ type raceSummary struct {
 	node    *funcNode
 	recv    string
 	regions []muRegion
-	classes []lockClass // lock class per region ("" = unclassifiable)
 	aliases map[string]string
 	facts   map[raceKey]*raceFact
 }
@@ -85,28 +78,20 @@ type raceSummary struct {
 // mapped to whether the hold is exclusive (Lock vs RLock).
 func (s *raceSummary) heldAt(pos token.Pos) map[lockClass]bool {
 	var held map[lockClass]bool
-	for i, r := range s.regions {
-		if s.classes[i] == "" || !r.contains(pos) {
+	for _, r := range s.regions {
+		if !r.typed || r.class == "" || !r.contains(pos) {
 			continue
 		}
 		if held == nil {
 			held = map[lockClass]bool{}
 		}
 		if r.write {
-			held[s.classes[i]] = true
-		} else if _, ok := held[s.classes[i]]; !ok {
-			held[s.classes[i]] = false
+			held[r.class] = true
+		} else if _, ok := held[r.class]; !ok {
+			held[r.class] = false
 		}
 	}
 	return held
-}
-
-// raceDirective is one parsed //adhoclint:racefree(reason) comment.
-type raceDirective struct {
-	reason string
-	pkg    *Package
-	pos    token.Pos
-	used   bool
 }
 
 // raceNodeType is one handler-owning struct with its concurrently
@@ -126,108 +111,51 @@ type raceSide struct {
 }
 
 type raceChecker struct {
-	prog       *Program
-	simnetPath string
-	analyzed   map[*Package]bool
-	objs       []*types.Func // call-graph functions, sorted by position
-	sums       map[*types.Func]*raceSummary
+	prog *Program
+	objs []*funcNode // analyzed functions, sorted by position
+	sums map[*types.Func]*raceSummary
 	// fieldOwner maps every named struct field object of the loaded
 	// packages to its owner key; fieldMutex marks mutex-typed fields.
 	fieldOwner map[*types.Var]string
 	fieldMutex map[*types.Var]bool
 	exemptFld  map[string]bool // "«owner».«field»" exempted by directive
-	directives map[ignoreKey]*raceDirective
 	reported   map[string]bool // "«pos»|«owner».«field»" already diagnosed
 	diags      []Diagnostic
 }
 
 // checkRaceFree runs the racefree rule over the program.
-func checkRaceFree(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[ruleRaceFree] {
-		return nil
-	}
+func checkRaceFree(prog *Program) []Diagnostic {
 	c := &raceChecker{
 		prog:       prog,
-		simnetPath: prog.modPath + "/internal/simnet",
-		analyzed:   prog.analyzedSet(),
 		sums:       map[*types.Func]*raceSummary{},
 		fieldOwner: map[*types.Var]string{},
 		fieldMutex: map[*types.Var]bool{},
 		exemptFld:  map[string]bool{},
-		directives: map[ignoreKey]*raceDirective{},
 		reported:   map[string]bool{},
 	}
-	cg := prog.CallGraph()
-	for obj := range cg.funcs {
-		c.objs = append(c.objs, obj)
+	for _, n := range prog.Funcs().sorted {
+		if n.analyzed {
+			c.objs = append(c.objs, n)
+		}
 	}
-	sort.Slice(c.objs, func(i, j int) bool {
-		return cg.funcs[c.objs[i]].decl.Pos() < cg.funcs[c.objs[j]].decl.Pos()
-	})
-	c.collectDirectives()
 	c.indexStructFields()
-	nodeTypes := c.findNodeTypes(cg)
+	nodeTypes := c.findNodeTypes()
 	if len(nodeTypes) > 0 {
-		c.buildSummaries(cg)
+		c.buildSummaries()
 		c.propagate()
-		c.collectRoots(cg, nodeTypes)
+		c.collectRoots(nodeTypes)
 		for _, nt := range nodeTypes {
 			c.reportConflicts(nt)
 		}
-	}
-	if raceDebug != nil {
-		raceDebug(c, nodeTypes)
 	}
 	c.directiveHygiene()
 	return c.diags
 }
 
-// collectDirectives indexes every racefree directive of the analyzed
-// packages by file:line.
-func (c *raceChecker) collectDirectives() {
-	for _, p := range c.prog.Pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-					rest, ok := strings.CutPrefix(text, raceFreePrefix)
-					if !ok {
-						continue
-					}
-					d := &raceDirective{reason: parseRaceReason(rest), pkg: p, pos: cm.Pos()}
-					pos := p.Fset.Position(cm.Pos())
-					c.directives[ignoreKey{pos.Filename, pos.Line}] = d
-				}
-			}
-		}
-	}
-}
-
-// parseRaceReason extracts the parenthesized reason of a directive; the
-// reason may itself contain commas and parentheses.
-func parseRaceReason(rest string) string {
-	rest = strings.TrimSpace(rest)
-	if !strings.HasPrefix(rest, "(") {
-		return ""
-	}
-	body := rest[1:]
-	if i := strings.LastIndex(body, ")"); i >= 0 {
-		body = body[:i]
-	}
-	return strings.TrimSpace(body)
-}
-
-// directiveAt returns the directive attached to a declaration position —
-// on the same line or the line directly above — marking it used.
-func (c *raceChecker) directiveAt(p *Package, pos token.Pos) *raceDirective {
-	position := p.Fset.Position(pos)
-	for off := 0; off >= -1; off-- {
-		if d, ok := c.directives[ignoreKey{position.Filename, position.Line + off}]; ok {
-			d.used = true
-			return d
-		}
-	}
-	return nil
+// exempted reports whether a racefree directive is attached to a
+// declaration position — on the same line or the line directly above.
+func (c *raceChecker) exempted(p *Package, pos token.Pos) bool {
+	return c.prog.Directives().at(p, pos, "racefree") != nil
 }
 
 // indexStructFields maps every named struct field object of the loaded
@@ -236,10 +164,7 @@ func (c *raceChecker) directiveAt(p *Package, pos token.Pos) *raceDirective {
 // not indexed: accesses to promoted state resolve to the declaring
 // struct's own fields anyway.
 func (c *raceChecker) indexStructFields() {
-	for _, p := range c.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
+	for _, p := range c.prog.Loaded() {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
 				ts, ok := n.(*ast.TypeSpec)
@@ -265,7 +190,7 @@ func (c *raceChecker) indexStructFields() {
 						if isMutexType(v.Type()) {
 							c.fieldMutex[v] = true
 						}
-						if c.directiveAt(p, name.Pos()) != nil {
+						if c.exempted(p, name.Pos()) {
 							c.exemptFld[owner+"."+name.Name] = true
 						}
 					}
@@ -274,21 +199,6 @@ func (c *raceChecker) indexStructFields() {
 			})
 		}
 	}
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly
-// behind a pointer).
-func isMutexType(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // receiverNamed resolves a method's receiver to its named type.
@@ -307,17 +217,13 @@ func receiverNamed(obj *types.Func) *types.Named {
 
 // findNodeTypes discovers the struct types served by a handler-shaped
 // HandleCall method, sorted by key.
-func (c *raceChecker) findNodeTypes(cg *callGraph) []*raceNodeType {
+func (c *raceChecker) findNodeTypes() []*raceNodeType {
 	byKey := map[string]*raceNodeType{}
-	for _, obj := range c.objs {
-		node := cg.funcs[obj]
-		if obj.Name() != "HandleCall" || node.decl.Recv == nil {
+	for _, h := range c.prog.Handlers() {
+		if !h.node.analyzed || !h.shaped {
 			continue
 		}
-		if !handlerShape(node.pkg, node.decl, c.simnetPath, nil) {
-			continue
-		}
-		named := receiverNamed(obj)
+		named := receiverNamed(h.node.obj)
 		if named == nil || named.Obj().Pkg() == nil {
 			continue
 		}
@@ -346,28 +252,20 @@ func (c *raceChecker) findNodeTypes(cg *callGraph) []*raceNodeType {
 }
 
 // buildSummaries computes the direct access facts of every method.
-func (c *raceChecker) buildSummaries(cg *callGraph) {
-	for _, obj := range c.objs {
-		node := cg.funcs[obj]
+func (c *raceChecker) buildSummaries() {
+	for _, node := range c.objs {
 		recv := recvName(node.decl)
 		if recv == "" {
 			continue
 		}
-		events := typedMuEvents(node.pkg, node.decl)
-		regions := regionsFromEvents(node.decl, events)
-		classes := make([]lockClass, len(regions))
-		for i, r := range regions {
-			classes[i] = raceLockClass(node.pkg, r.expr)
-		}
 		s := &raceSummary{
 			node:    node,
 			recv:    recv,
-			regions: regions,
-			classes: classes,
+			regions: c.prog.LockFacts(node.pkg, node.decl).regions,
 			aliases: collectAliases(recv, node.decl.Body),
 			facts:   map[raceKey]*raceFact{},
 		}
-		c.sums[obj] = s
+		c.sums[node.obj] = s
 		c.collectDirectFacts(s)
 	}
 }
@@ -404,101 +302,8 @@ func (c *raceChecker) collectDirectFacts(s *raceSummary) {
 	})
 }
 
-// typedMuEvents collects every Lock/RLock/Unlock/RUnlock call on a
-// mutex-typed expression, regardless of its field name — the racefree
-// generalization of the convention-named muEvents.
-func typedMuEvents(p *Package, fn *ast.FuncDecl) []muEvent {
-	if fn.Body == nil || p.Info == nil {
-		return nil
-	}
-	var events []muEvent
-	var stack []ast.Node
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		name := sel.Sel.Name
-		if name != "Lock" && name != "RLock" && name != "Unlock" && name != "RUnlock" {
-			return true
-		}
-		owner, ok := exprChain(sel.X)
-		if !ok {
-			return true
-		}
-		tv, ok := p.Info.Types[sel.X]
-		if !ok || !isMutexType(tv.Type) {
-			return true
-		}
-		var blk ast.Node
-		deferred := false
-		for i := len(stack) - 2; i >= 0; i-- {
-			if d, isDefer := stack[i].(*ast.DeferStmt); isDefer && d.Call == call {
-				deferred = true
-			}
-			if blk == nil {
-				switch stack[i].(type) {
-				case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-					blk = stack[i]
-				}
-			}
-		}
-		events = append(events, muEvent{
-			pos:      call.Pos(),
-			owner:    owner,
-			lock:     name == "Lock" || name == "RLock",
-			write:    name == "Lock" || name == "Unlock",
-			deferred: deferred,
-			block:    blk,
-			expr:     sel.X,
-		})
-		return true
-	})
-	return events
-}
-
-// raceLockClass classifies a mutex expression by declaration site, like
-// mutexClass but for any field name: "«pkgpath».«Type».«field»" for struct
-// fields, "«pkgpath».«name»" for package-level mutexes, "" for locals.
-func raceLockClass(p *Package, muExpr ast.Expr) lockClass {
-	if p.Info == nil {
-		return ""
-	}
-	switch e := muExpr.(type) {
-	case *ast.Ident:
-		if v, ok := p.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil &&
-			v.Parent() == v.Pkg().Scope() {
-			return lockClass(v.Pkg().Path() + "." + v.Name())
-		}
-	case *ast.SelectorExpr:
-		tv, ok := p.Info.Types[e.X]
-		if !ok {
-			return ""
-		}
-		t := tv.Type
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			return lockClass(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name)
-		}
-	}
-	return ""
-}
-
 // collectWriteTargets marks the outermost selector of every written
-// lvalue: assignment and inc/dec targets, indexed and dereferenced
-// variants thereof, delete arguments, and address-taken expressions
-// (conservatively writes — the pointer may escape to a mutator).
+// lvalue (see eachWrite), looking through indexing and dereferences.
 func collectWriteTargets(body *ast.BlockStmt) map[ast.Node]bool {
 	writes := map[ast.Node]bool{}
 	mark := func(e ast.Expr) {
@@ -518,25 +323,7 @@ func collectWriteTargets(body *ast.BlockStmt) map[ast.Node]bool {
 			}
 		}
 	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				mark(lhs)
-			}
-		case *ast.IncDecStmt:
-			mark(n.X)
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				mark(n.X)
-			}
-		case *ast.CallExpr:
-			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
-				mark(n.Args[0])
-			}
-		}
-		return true
-	})
+	eachWrite(body, func(lhs ast.Expr, _ writeKind, _ ast.Node, _ ast.Expr) { mark(lhs) })
 	return writes
 }
 
@@ -671,12 +458,12 @@ func equalHeld(a, b map[lockClass]bool) bool {
 func (c *raceChecker) propagate() {
 	for changed := true; changed; {
 		changed = false
-		for _, obj := range c.objs {
-			s := c.sums[obj]
+		for _, n := range c.objs {
+			s := c.sums[n.obj]
 			if s == nil {
 				continue
 			}
-			for _, call := range s.node.calls {
+			for _, call := range n.calls {
 				if call.inGo || call.recv == "" {
 					continue
 				}
@@ -687,13 +474,13 @@ func (c *raceChecker) propagate() {
 				if g == nil || len(g.facts) == 0 {
 					continue
 				}
-				heldHere := s.heldAt(call.pos)
+				heldHere := s.heldAt(call.call.Pos())
 				for _, k := range sortedRaceKeys(g.facts) {
 					f := g.facts[k]
 					nf := &raceFact{
 						held: unionHeld(f.held, heldHere),
 						via:  call.callee,
-						pos:  call.pos,
+						pos:  call.call.Pos(),
 						pkg:  s.node.pkg,
 					}
 					if mergeRaceFact(s.facts, k, nf) {
@@ -724,14 +511,14 @@ func sortedRaceKeys(m map[raceKey]*raceFact) []raceKey {
 
 // collectRoots gathers each node type's entry points: HandleCall plus the
 // exported methods, minus directive-exempted declarations.
-func (c *raceChecker) collectRoots(cg *callGraph, nodeTypes []*raceNodeType) {
+func (c *raceChecker) collectRoots(nodeTypes []*raceNodeType) {
 	byKey := map[string]*raceNodeType{}
 	for _, nt := range nodeTypes {
 		byKey[nt.key] = nt
 	}
-	for _, obj := range c.objs {
-		s := c.sums[obj]
-		if s == nil {
+	for _, n := range c.objs {
+		obj := n.obj
+		if c.sums[obj] == nil {
 			continue
 		}
 		named := receiverNamed(obj)
@@ -745,7 +532,7 @@ func (c *raceChecker) collectRoots(cg *callGraph, nodeTypes []*raceNodeType) {
 		if obj.Name() != "HandleCall" && !obj.Exported() {
 			continue
 		}
-		if c.directiveAt(s.node.pkg, s.node.decl.Pos()) != nil {
+		if c.exempted(n.pkg, n.decl.Pos()) {
 			continue
 		}
 		nt.roots = append(nt.roots, obj)
@@ -835,7 +622,7 @@ func raceProtected(w *raceFact, s *raceSide) bool {
 // reportPair renders one two-sided conflict.
 func (c *raceChecker) reportPair(nt *raceNodeType, w, o *raceSide) {
 	wChain, wPos, wPkg := c.raceChain(w)
-	if wPkg == nil || !c.analyzed[wPkg] {
+	if wPkg == nil || !c.prog.Analyzed(wPkg) {
 		return
 	}
 	field := shortClass(lockClass(w.key.owner + "." + w.key.field))
@@ -860,7 +647,7 @@ func (c *raceChecker) reportPair(nt *raceNodeType, w, o *raceSide) {
 			raceSideDesc(kind, oChain, oPos, oPkg, o.fact),
 			nt.display)
 	}
-	c.diags = append(c.diags, diagAt(wPkg, wPos, ruleRaceFree, msg))
+	c.diags = append(c.diags, diagAt(wPkg, wPos, msg))
 }
 
 // raceChain walks the witness steps of a side's fact down to the direct
@@ -921,19 +708,14 @@ func heldDesc(held map[lockClass]bool) string {
 // directiveHygiene reports racefree directives that carry no reason or
 // attach to nothing.
 func (c *raceChecker) directiveHygiene() {
-	ds := make([]*raceDirective, 0, len(c.directives))
-	for _, d := range c.directives {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].pos < ds[j].pos })
-	for _, d := range ds {
-		if d.reason == "" {
-			c.diags = append(c.diags, diagAt(d.pkg, d.pos, ruleRaceFree,
+	for _, d := range c.prog.Directives().named("racefree") {
+		switch {
+		case !c.prog.Analyzed(d.pkg):
+		case d.args == "":
+			c.diags = append(c.diags, diagAt(d.pkg, d.pos,
 				"racefree directive needs a parenthesized reason: //adhoclint:racefree(reason)"))
-			continue
-		}
-		if !d.used {
-			c.diags = append(c.diags, diagAt(d.pkg, d.pos, ruleRaceFree,
+		case !d.used:
+			c.diags = append(c.diags, diagAt(d.pkg, d.pos,
 				"misplaced racefree directive: it attaches to a struct field or a node entry-point declaration (same line or the line above)"))
 		}
 	}

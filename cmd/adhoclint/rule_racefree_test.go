@@ -6,15 +6,14 @@ import (
 )
 
 func TestRaceFreeRule(t *testing.T) {
-	checkProgramFixture(t, "racefree", "adhocshare/fixture/racefree", rules(ruleRaceFree))
+	checkFixture(t, "racefree", "adhocshare/fixture/racefree", only("racefree"))
 }
 
 // Every racefree finding carries a two-sided witness: the write chain with
 // its held locks, the conflicting access with its held locks, and the
 // escape-hatch hint.
 func TestRaceFreeWitnessChains(t *testing.T) {
-	prog := loadFixtureProgram(t, "racefree", "adhocshare/fixture/racefree")
-	diags := LintProgram(prog, rules(ruleRaceFree))
+	diags := lintFixture(t, "racefree", "adhocshare/fixture/racefree", only("racefree"))
 	byFrag := func(frag string) *Diagnostic {
 		for _, d := range diags {
 			if strings.Contains(d.Msg, frag) {
@@ -69,9 +68,8 @@ func TestRaceFreeWitnessChains(t *testing.T) {
 // yield exactly three findings (plus the two directive-hygiene ones),
 // never one per conflicting pair.
 func TestRaceFreeOneFindingPerField(t *testing.T) {
-	prog := loadFixtureProgram(t, "racefree", "adhocshare/fixture/racefree")
 	perField := map[string]int{}
-	for _, d := range LintProgram(prog, rules(ruleRaceFree)) {
+	for _, d := range lintFixture(t, "racefree", "adhocshare/fixture/racefree", only("racefree")) {
 		for _, f := range []string{"Node.count", "Node.hits", "Node.gauge"} {
 			if strings.Contains(d.Msg, "racefree."+f+":") {
 				perField[f]++
@@ -85,31 +83,12 @@ func TestRaceFreeOneFindingPerField(t *testing.T) {
 	}
 }
 
-// The racefree rule must be clean on the production tree: every node field
-// either shares a mutex class across its entry points or carries a
-// documented racefree exemption (the dynamic corroborator is the
-// ConcurrentDelivery -race matrix in internal/experiments).
-func TestRaceFreeCleanOnRealTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping whole-module load in -short mode")
-	}
-	var buf strings.Builder
-	n, err := run([]string{"./..."}, rules(ruleRaceFree), "", &buf)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if n != 0 {
-		t.Errorf("expected zero racefree findings on the real tree, got %d:\n%s", n, buf.String())
-	}
-}
-
 // Regression for the pre-fix finding on the real tree: a node whose
 // adaptive-state pointer is installed by a setup method with a plain store
 // while HandleCall reads it — the exact shape overlay.IndexNode.hot had
 // before hotRef/hotMu — must be flagged.
 func TestRaceFreeCatchesLatePointerInstall(t *testing.T) {
-	prog := loadFixtureProgram(t, "racefree_hotinstall", "adhocshare/fixture/racefree_hotinstall")
-	diags := LintProgram(prog, rules(ruleRaceFree))
+	diags := lintFixture(t, "racefree_hotinstall", "adhocshare/fixture/racefree_hotinstall", only("racefree"))
 	if len(diags) != 1 {
 		t.Fatalf("want exactly one finding, got %d: %v", len(diags), diags)
 	}

@@ -39,47 +39,22 @@ type methodConst struct {
 	pos   token.Pos
 }
 
-// handlerCase is one `case MethodX:` of a HandleCall dispatch switch.
-type handlerCase struct {
-	value    string
-	pkg      *Package
-	pos      token.Pos
-	fn       string       // display name of the enclosing handler
-	reqTypes []types.Type // types asserted from the request parameter
-	respType types.Type   // sole concrete response type, nil when opaque
-}
-
-// fabricCall is one Network.Call/Send/Transfer site.
-type fabricCall struct {
-	kind       string // "Call", "Send" or "Transfer"
-	value      string // method wire string ("" when not constant)
-	literal    bool   // method passed as a raw string literal
-	pkg        *Package
-	pos        token.Pos
-	reqType    types.Type // static payload type, nil when opaque/interface
-	respAssert types.Type // type the caller asserts the response to
-}
-
 // checkRPCProtocol runs the whole-program protocol cross-check.
-func checkRPCProtocol(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[ruleRPCProto] {
-		return nil
-	}
-	simnetPath := prog.modPath + "/internal/simnet"
-	loaded := prog.loadedPackages()
-	analyzed := prog.analyzedSet()
-
-	consts := collectMethodConsts(loaded)
-	cases := collectHandlerCases(loaded, simnetPath)
-	calls := collectFabricCalls(loaded, simnetPath)
+func checkRPCProtocol(prog *Program) []Diagnostic {
+	consts := prog.MethodConsts()
+	calls := prog.FabricCalls()
 
 	known := map[string]bool{}
 	for _, c := range consts {
 		known[c.value] = true
 	}
-	casesByValue := map[string][]*handlerCase{}
-	for _, c := range cases {
-		casesByValue[c.value] = append(casesByValue[c.value], c)
+	casesByValue := map[string][]*dispatchCase{}
+	for _, h := range prog.Handlers() {
+		for i := range h.cases {
+			for _, v := range h.cases[i].values {
+				casesByValue[v.value] = append(casesByValue[v.value], &h.cases[i])
+			}
+		}
 	}
 	invoked := map[string]bool{} // reached a handler via Call or Send
 	for _, c := range calls {
@@ -93,32 +68,44 @@ func checkRPCProtocol(prog *Program, enabled map[string]bool) []Diagnostic {
 	seenValue := map[string]*methodConst{}
 	for _, c := range consts {
 		if prev, dup := seenValue[c.value]; dup {
-			if analyzed[c.pkg] {
-				diags = append(diags, diagAt(c.pkg, c.pos, ruleRPCProto,
+			if prog.Analyzed(c.pkg) {
+				diags = append(diags, diagAt(c.pkg, c.pos,
 					fmt.Sprintf("%s duplicates wire string %q already used by %s", c.name, c.value, prev.name)))
 			}
 			continue
 		}
 		seenValue[c.value] = c
-		if analyzed[c.pkg] && invoked[c.value] && len(casesByValue[c.value]) == 0 {
-			diags = append(diags, diagAt(c.pkg, c.pos, ruleRPCProto,
+		if prog.Analyzed(c.pkg) && invoked[c.value] && len(casesByValue[c.value]) == 0 {
+			diags = append(diags, diagAt(c.pkg, c.pos,
 				fmt.Sprintf("%s (%q) is invoked via Call/Send but no HandleCall dispatches it", c.name, c.value)))
 		}
 	}
 
-	for _, c := range cases {
-		if analyzed[c.pkg] && !known[c.value] {
-			diags = append(diags, diagAt(c.pkg, c.pos, ruleRPCProto,
-				fmt.Sprintf("%s dispatches %q, which matches no Method* constant", c.fn, c.value)))
+	for _, h := range prog.Handlers() {
+		p := h.node.pkg
+		if !prog.Analyzed(p) {
+			continue
+		}
+		display := "HandleCall"
+		if tn := recvTypeName(h.node.decl); tn != "" {
+			display = fmt.Sprintf("%s.(*%s).HandleCall", p.Types.Name(), tn)
+		}
+		for _, dc := range h.cases {
+			for _, v := range dc.values {
+				if !known[v.value] {
+					diags = append(diags, diagAt(p, v.pos,
+						fmt.Sprintf("%s dispatches %q, which matches no Method* constant", display, v.value)))
+				}
+			}
 		}
 	}
 
 	for _, c := range calls {
-		if !analyzed[c.pkg] {
+		if !prog.Analyzed(c.pkg) {
 			continue
 		}
 		if c.literal {
-			diags = append(diags, diagAt(c.pkg, c.pos, ruleRPCProto,
+			diags = append(diags, diagAt(c.pkg, c.pos,
 				fmt.Sprintf("method passed to %s as string literal %q; define a Method* constant", c.kind, c.value)))
 		}
 		if c.kind == "Transfer" || c.value == "" {
@@ -127,29 +114,32 @@ func checkRPCProtocol(prog *Program, enabled map[string]bool) []Diagnostic {
 		handlers := casesByValue[c.value]
 		if c.reqType != nil {
 			if want := handlerReqTypes(handlers); len(want) > 0 && !containsIdentical(want, c.reqType) {
-				diags = append(diags, diagAt(c.pkg, c.pos, ruleRPCProto,
+				diags = append(diags, diagAt(c.pkg, c.pos,
 					fmt.Sprintf("%s of %q sends %s but its handler asserts %s",
 						c.kind, c.value, typeDisplay(c.reqType), typeListDisplay(want))))
 			}
 		}
 		if c.respAssert != nil {
 			if want := handlerRespType(handlers); want != nil && !types.Identical(want, c.respAssert) {
-				diags = append(diags, diagAt(c.pkg, c.pos, ruleRPCProto,
+				diags = append(diags, diagAt(c.pkg, c.pos,
 					fmt.Sprintf("response of %q is asserted to %s but its handler returns %s",
 						c.value, typeDisplay(c.respAssert), typeDisplay(want))))
 			}
 		}
 	}
 
-	diags = append(diags, checkPayloadImpls(prog, loaded, analyzed)...)
-	return diags
+	return append(diags, checkPayloadImpls(prog)...)
 }
 
-// collectMethodConsts finds every string constant whose name starts with
-// "Method"/"method" in the production files of the loaded packages.
-func collectMethodConsts(loaded []*Package) []*methodConst {
-	var out []*methodConst
-	for _, p := range loaded {
+// MethodConsts returns (collecting on first use) every string constant
+// whose name starts with "Method"/"method" in the production files of the
+// loaded packages.
+func (prog *Program) MethodConsts() []*methodConst {
+	if prog.methodConsts != nil {
+		return prog.methodConsts
+	}
+	out := []*methodConst{}
+	for _, p := range prog.Loaded() {
 		for _, f := range p.Files {
 			for _, decl := range f.Decls {
 				gd, ok := decl.(*ast.GenDecl)
@@ -180,147 +170,27 @@ func collectMethodConsts(loaded []*Package) []*methodConst {
 			}
 		}
 	}
+	prog.methodConsts = out
 	return out
 }
 
-// collectHandlerCases finds every `switch method` case inside HandleCall
-// implementations, recording the request types asserted and the response
-// type returned in each case body.
-func collectHandlerCases(loaded []*Package, simnetPath string) []*handlerCase {
-	var out []*handlerCase
-	for _, p := range loaded {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "HandleCall" || fn.Body == nil {
-					continue
-				}
-				methodObj, reqObj := handleCallParams(p, fn)
-				if methodObj == nil {
-					continue
-				}
-				display := fn.Name.Name
-				if tn := recvTypeName(fn); tn != "" {
-					display = fmt.Sprintf("%s.(*%s).HandleCall", p.Types.Name(), tn)
-				}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					sw, ok := n.(*ast.SwitchStmt)
-					if !ok {
-						return true
-					}
-					tag, ok := sw.Tag.(*ast.Ident)
-					if !ok || p.Info.Uses[tag] != methodObj {
-						return true
-					}
-					for _, stmt := range sw.Body.List {
-						cc, ok := stmt.(*ast.CaseClause)
-						if !ok || cc.List == nil {
-							continue
-						}
-						for _, expr := range cc.List {
-							tv := p.Info.Types[expr]
-							if tv.Value == nil || tv.Value.Kind() != constant.String {
-								continue
-							}
-							hc := &handlerCase{
-								value: constant.StringVal(tv.Value),
-								pkg:   p,
-								pos:   expr.Pos(),
-								fn:    display,
-							}
-							hc.reqTypes, hc.respType = caseBodyFacts(p, cc.Body, reqObj)
-							out = append(out, hc)
-						}
-					}
-					return true
-				})
-			}
+// FabricCalls returns (collecting on first use) every Network.Call/Send/
+// Transfer site of the loaded packages, with the response assertion (when
+// the Call result is later type-asserted through the variable it was
+// assigned to).
+func (prog *Program) FabricCalls() []*fabricCall {
+	if prog.fabricCalls == nil {
+		prog.fabricCalls = []*fabricCall{}
+		for _, p := range prog.Loaded() {
+			eachFuncDecl(p.Files, func(fn *ast.FuncDecl) {
+				prog.fabricCalls = append(prog.fabricCalls, prog.fabricCallsIn(p, fn)...)
+			})
 		}
 	}
-	return out
+	return prog.fabricCalls
 }
 
-// handleCallParams returns the objects of the method and request parameters
-// of a Handler-shaped HandleCall declaration (nil, nil otherwise).
-func handleCallParams(p *Package, fn *ast.FuncDecl) (methodObj, reqObj types.Object) {
-	var idents []*ast.Ident
-	for _, field := range fn.Type.Params.List {
-		for _, name := range field.Names {
-			idents = append(idents, name)
-		}
-	}
-	if len(idents) != 3 {
-		return nil, nil
-	}
-	// Handler shape: (at VTime, method string, req Payload).
-	return p.Info.Defs[idents[1]], p.Info.Defs[idents[2]]
-}
-
-// caseBodyFacts extracts the request assertions and the response type of
-// one dispatch-case body. The response type is the sole concrete type of
-// the first return value across the case's three-value returns; a case
-// that delegates (single-expression return) or returns interface-typed
-// values is opaque (nil).
-func caseBodyFacts(p *Package, body []ast.Stmt, reqObj types.Object) (reqTypes []types.Type, respType types.Type) {
-	var respTypes []types.Type
-	opaque := false
-	for _, stmt := range body {
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeAssertExpr:
-				if id, ok := unparen(n.X).(*ast.Ident); ok && reqObj != nil && p.Info.Uses[id] == reqObj {
-					if t := p.Info.Types[n.Type].Type; t != nil {
-						reqTypes = append(reqTypes, t)
-					}
-				}
-			case *ast.ReturnStmt:
-				if len(n.Results) != 3 {
-					if len(n.Results) > 0 {
-						opaque = true // delegation: `return n.other(...)`
-					}
-					return true
-				}
-				tv := p.Info.Types[n.Results[0]]
-				if tv.Type == nil || tv.IsNil() {
-					return true
-				}
-				if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
-					opaque = true
-					return true
-				}
-				if !containsIdentical(respTypes, tv.Type) {
-					respTypes = append(respTypes, tv.Type)
-				}
-			}
-			return true
-		})
-	}
-	if opaque || len(respTypes) != 1 {
-		return reqTypes, nil
-	}
-	return reqTypes, respTypes[0]
-}
-
-// collectFabricCalls finds every Network.Call/Send/Transfer site, with the
-// response assertion (when the Call result is later type-asserted through
-// the variable it was assigned to).
-func collectFabricCalls(loaded []*Package, simnetPath string) []*fabricCall {
-	var out []*fabricCall
-	for _, p := range loaded {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				out = append(out, fabricCallsIn(p, fn, simnetPath)...)
-			}
-		}
-	}
-	return out
-}
-
-func fabricCallsIn(p *Package, fn *ast.FuncDecl, simnetPath string) []*fabricCall {
+func (prog *Program) fabricCallsIn(p *Package, fn *ast.FuncDecl) []*fabricCall {
 	var out []*fabricCall
 	respVars := map[types.Object]*fabricCall{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -335,21 +205,19 @@ func fabricCallsIn(p *Package, fn *ast.FuncDecl, simnetPath string) []*fabricCal
 			if !ok {
 				return true
 			}
-			fc := fabricCallAt(p, call, simnetPath)
+			fc := prog.fabricCallAt(p, call)
 			if fc == nil {
 				return true
 			}
 			out = append(out, fc)
 			if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name != "_" && fc.kind == "Call" {
-				if obj := p.Info.Defs[id]; obj != nil {
-					respVars[obj] = fc
-				} else if obj := p.Info.Uses[id]; obj != nil {
+				if obj := defOrUse(p.Info, id); obj != nil {
 					respVars[obj] = fc
 				}
 			}
 			return true
 		case *ast.CallExpr:
-			if fc := fabricCallAt(p, n, simnetPath); fc != nil {
+			if fc := prog.fabricCallAt(p, n); fc != nil {
 				out = append(out, fc)
 			}
 			return true
@@ -379,52 +247,9 @@ func fabricCallsIn(p *Package, fn *ast.FuncDecl, simnetPath string) []*fabricCal
 	return dedup
 }
 
-// fabricCallAt recognizes a Network.Call/Send/Transfer call expression.
-func fabricCallAt(p *Package, call *ast.CallExpr, simnetPath string) *fabricCall {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	kind := sel.Sel.Name
-	if kind != "Call" && kind != "Send" && kind != "Transfer" {
-		return nil
-	}
-	if !isNamedType(p.Info.Types[sel.X].Type, simnetPath, "Network") || len(call.Args) < 4 {
-		return nil
-	}
-	fc := &fabricCall{kind: kind, pkg: p, pos: call.Pos()}
-	methodArg := call.Args[2]
-	if tv := p.Info.Types[methodArg]; tv.Value != nil && tv.Value.Kind() == constant.String {
-		fc.value = constant.StringVal(tv.Value)
-	}
-	if _, isLit := unparen(methodArg).(*ast.BasicLit); isLit {
-		fc.literal = true
-	}
-	if t := p.Info.Types[call.Args[3]].Type; t != nil {
-		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			fc.reqType = t
-		}
-	}
-	return fc
-}
-
-// isNamedType reports whether t (possibly behind a pointer) is the named
-// type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() != nil &&
-		named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
-}
-
 // handlerReqTypes unions the request types asserted by the cases of one
 // method.
-func handlerReqTypes(cases []*handlerCase) []types.Type {
+func handlerReqTypes(cases []*dispatchCase) []types.Type {
 	var out []types.Type
 	for _, c := range cases {
 		for _, t := range c.reqTypes {
@@ -438,7 +263,7 @@ func handlerReqTypes(cases []*handlerCase) []types.Type {
 
 // handlerRespType returns the sole concrete response type across the cases
 // of one method, or nil when cases disagree or are opaque.
-func handlerRespType(cases []*handlerCase) types.Type {
+func handlerRespType(cases []*dispatchCase) types.Type {
 	var resp types.Type
 	for _, c := range cases {
 		if c.respType == nil {
@@ -480,23 +305,13 @@ func typeListDisplay(ts []types.Type) string {
 // neither implement simnet.Payload nor occur (transitively) as a field or
 // element type of a struct that does: such a struct cannot go on the wire
 // and is either dead or missing its SizeBytes.
-func checkPayloadImpls(prog *Program, loaded []*Package, analyzed map[*Package]bool) []Diagnostic {
-	simnet := prog.simnetTypes()
-	if simnet == nil {
+func checkPayloadImpls(prog *Program) []Diagnostic {
+	if prog.payload == nil {
 		return nil
 	}
-	obj := simnet.Scope().Lookup("Payload")
-	if obj == nil {
-		return nil
-	}
-	iface, ok := obj.Type().Underlying().(*types.Interface)
-	if !ok {
-		return nil
-	}
-
 	var diags []Diagnostic
-	for _, p := range loaded {
-		if !analyzed[p] {
+	for _, p := range prog.Loaded() {
+		if !prog.Analyzed(p) {
 			continue
 		}
 		type structDecl struct {
@@ -527,7 +342,7 @@ func checkPayloadImpls(prog *Program, loaded []*Package, analyzed map[*Package]b
 						continue
 					}
 					declared = append(declared, structDecl{ts.Name, tn.Type()})
-					if implementsPayload(tn.Type(), iface) {
+					if prog.implementsPayload(tn.Type()) {
 						payloads = append(payloads, tn.Type())
 					}
 				}
@@ -541,18 +356,14 @@ func checkPayloadImpls(prog *Program, loaded []*Package, analyzed map[*Package]b
 			markComponents(t, components, map[types.Type]bool{})
 		}
 		for _, d := range declared {
-			if implementsPayload(d.typ, iface) || components[d.typ] {
+			if prog.implementsPayload(d.typ) || components[d.typ] {
 				continue
 			}
-			diags = append(diags, diagAt(p, d.name.Pos(), ruleRPCProto,
+			diags = append(diags, diagAt(p, d.name.Pos(),
 				fmt.Sprintf("%s is declared in messages.go but neither implements simnet.Payload nor occurs inside a payload struct", d.name.Name)))
 		}
 	}
 	return diags
-}
-
-func implementsPayload(t types.Type, iface *types.Interface) bool {
-	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }
 
 // markComponents records every named type reachable through the fields,

@@ -35,132 +35,44 @@ import (
 // critical path by design, so its charged time has no accounting to join.
 
 // checkVTime runs the vtime rule over the program.
-func checkVTime(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[ruleVTime] {
-		return nil
-	}
-	v := &vtimeChecker{
-		prog:       prog,
-		simnetPath: prog.modPath + "/internal/simnet",
-		analyzed:   prog.analyzedSet(),
-		touches:    map[*types.Func]bool{},
-		decls:      map[*types.Func]*wireDecl{},
-	}
-	v.collectDecls()
-	v.computeTouches()
-	v.faultDirectives = collectFaultDirectives(prog.loadedPackages())
+func checkVTime(prog *Program) []Diagnostic {
+	v := &vtimeChecker{prog: prog, touches: prog.FabricReach(false).touches}
 	for _, p := range prog.Pkgs {
-		if p.Info == nil || !v.inScope(p) {
+		// The rule covers internal/ and cmd/ outside internal/simnet and
+		// the linter itself.
+		if p.Info == nil || !prog.scopedOutside(p, "internal/simnet") {
 			continue
 		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				v.checkGoFanout(p, fn)
-				v.checkHandlerVTime(p, fn)
-				v.checkDroppedVTime(p, fn)
-				v.checkParallelBodies(p, fn)
-			}
-		}
+		eachFuncDecl(p.Files, func(fn *ast.FuncDecl) {
+			v.checkGoFanout(p, fn)
+			v.checkHandlerVTime(p, fn)
+			v.checkDroppedVTime(p, fn)
+			v.checkParallelBodies(p, fn)
+		})
 	}
-	sortDiagnostics(v.diags)
 	return v.diags
 }
 
 type vtimeChecker struct {
-	prog            *Program
-	simnetPath      string
-	analyzed        map[*Package]bool
-	decls           map[*types.Func]*wireDecl
-	touches         map[*types.Func]bool // transitively performs a fabric call
-	faultDirectives map[ignoreKey]*faultDirective
-	diags           []Diagnostic
-}
-
-// inScope limits the rule to internal/ and cmd/ packages outside
-// internal/simnet and the linter itself.
-func (v *vtimeChecker) inScope(p *Package) bool {
-	if p.ImportPath == v.simnetPath || p.ImportPath == v.prog.modPath+"/cmd/adhoclint" {
-		return false
-	}
-	return internalPackage(p) || cmdPackage(p, v.prog.modPath)
+	prog    *Program
+	touches map[*types.Func]bool // transitively performs a fabric call
+	diags   []Diagnostic
 }
 
 // fireAndForgetAt reports whether the position carries a
 // faultpath(fire-and-forget) declaration on its line or the line above.
 func (v *vtimeChecker) fireAndForgetAt(p *Package, pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	for off := 0; off >= -1; off-- {
-		if d, ok := v.faultDirectives[ignoreKey{position.Filename, position.Line + off}]; ok {
-			return d.disposition == dispFireAndForget
-		}
+	if d := v.prog.Directives().at(p, pos, "faultpath"); d != nil {
+		disposition, _ := faultArgs(d)
+		return disposition == dispFireAndForget
 	}
 	return false
 }
 
-func (v *vtimeChecker) collectDecls() {
-	for _, p := range v.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					v.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				}
-			}
-		}
-	}
-}
-
-// computeTouches closes "performs a fabric call" over static calls.
-func (v *vtimeChecker) computeTouches() {
-	for obj, d := range v.decls {
-		direct := false
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			if direct {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fabricCallAt(d.pkg, call, v.simnetPath) != nil {
-					direct = true
-				}
-			}
-			return true
-		})
-		v.touches[obj] = direct
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range v.decls {
-			if v.touches[obj] {
-				continue
-			}
-			reached := false
-			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-				if reached {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil && !observabilityNeutral(callee, v.prog.modPath) && v.touches[callee] {
-						reached = true
-					}
-				}
-				return true
-			})
-			if reached {
-				v.touches[obj] = true
-				changed = true
-			}
-		}
-	}
+// touchesFabric reports whether a statically resolved callee transitively
+// performs a fabric call.
+func (v *vtimeChecker) touchesFabric(callee *types.Func) bool {
+	return callee != nil && !observabilityNeutral(callee, v.prog.modPath) && v.touches[callee]
 }
 
 // nodeTouchesFabric reports whether the subtree contains a fabric call,
@@ -175,15 +87,9 @@ func (v *vtimeChecker) nodeTouchesFabric(p *Package, node ast.Node) bool {
 		if !ok {
 			return true
 		}
-		if fabricCallAt(p, call, v.simnetPath) != nil {
-			found = true
-			return false
-		}
-		if callee, _ := staticCallee(p.Info, call); callee != nil && !observabilityNeutral(callee, v.prog.modPath) && v.touches[callee] {
-			found = true
-			return false
-		}
-		return true
+		callee, _ := staticCallee(p.Info, call)
+		found = v.prog.fabricCallAt(p, call) != nil || v.touchesFabric(callee)
+		return !found
 	})
 	return found
 }
@@ -201,9 +107,8 @@ func (v *vtimeChecker) checkGoFanout(p *Package, fn *ast.FuncDecl) {
 		case *ast.FuncLit:
 			bad = v.nodeTouchesFabric(p, fun.Body)
 		default:
-			if callee, _ := staticCallee(p.Info, g.Call); callee != nil && !observabilityNeutral(callee, v.prog.modPath) {
-				bad = v.touches[callee]
-			}
+			callee, _ := staticCallee(p.Info, g.Call)
+			bad = v.touchesFabric(callee)
 		}
 		if bad {
 			v.report(p, g.Pos(),
@@ -217,12 +122,12 @@ func (v *vtimeChecker) checkGoFanout(p *Package, fn *ast.FuncDecl) {
 // derived from the charged time (the VTime parameters or the done-values
 // of the handler's own fabric calls).
 func (v *vtimeChecker) checkHandlerVTime(p *Package, fn *ast.FuncDecl) {
-	if !handlerShape(p, fn, v.simnetPath, nil) {
+	if !v.prog.handlerShape(p, fn, false) {
 		return
 	}
 	taint := map[types.Object]bool{}
 	for _, field := range fn.Type.Params.List {
-		if !isNamedType(p.Info.Types[field.Type].Type, v.simnetPath, "VTime") {
+		if !v.prog.isSimnetType(p.Info.Types[field.Type].Type, "VTime") {
 			continue
 		}
 		for _, name := range field.Names {
@@ -262,12 +167,8 @@ func (v *vtimeChecker) checkHandlerVTime(p *Package, fn *ast.FuncDecl) {
 			}
 			if len(asg.Rhs) == 1 && len(asg.Lhs) > 1 {
 				if call, ok := asg.Rhs[0].(*ast.CallExpr); ok {
-					if fc := fabricCallAt(p, call, v.simnetPath); fc != nil {
-						donePos := 0 // Send/Transfer: (VTime, error)
-						if fc.kind == "Call" {
-							donePos = 1 // (Payload, VTime, error)
-						}
-						mark(asg.Lhs[donePos])
+					if fc := v.prog.fabricCallAt(p, call); fc != nil {
+						mark(asg.Lhs[fc.donePos()])
 						return true
 					}
 				}
@@ -319,19 +220,15 @@ func (v *vtimeChecker) checkDroppedVTime(p *Package, fn *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			fc := fabricCallAt(p, call, v.simnetPath)
+			fc := v.prog.fabricCallAt(p, call)
 			if fc == nil {
 				return true
 			}
 			reported[call] = true
-			donePos := 0
-			if fc.kind == "Call" {
-				donePos = 1
-			}
-			if donePos >= len(n.Lhs) {
+			if fc.donePos() >= len(n.Lhs) {
 				return true
 			}
-			if id, ok := n.Lhs[donePos].(*ast.Ident); ok && id.Name == "_" &&
+			if id, ok := n.Lhs[fc.donePos()].(*ast.Ident); ok && id.Name == "_" &&
 				!v.fireAndForgetAt(p, call.Pos()) {
 				v.report(p, call.Pos(), fmt.Sprintf(
 					"the VTime charged by %s of %q is discarded; thread it into the caller's accounting",
@@ -339,7 +236,7 @@ func (v *vtimeChecker) checkDroppedVTime(p *Package, fn *ast.FuncDecl) {
 			}
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok && !reported[call] {
-				if fc := fabricCallAt(p, call, v.simnetPath); fc != nil && !v.fireAndForgetAt(p, call.Pos()) {
+				if fc := v.prog.fabricCallAt(p, call); fc != nil && !v.fireAndForgetAt(p, call.Pos()) {
 					v.report(p, call.Pos(), fmt.Sprintf(
 						"the result of %s of %q (including its charged VTime) is discarded; thread it into the caller's accounting",
 						fc.kind, fc.value))
@@ -359,10 +256,7 @@ func (v *vtimeChecker) checkParallelBodies(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Parallel" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != v.simnetPath ||
-			len(call.Args) == 0 {
+		if callee, _ := staticCallee(p.Info, call); !v.prog.isSimnetFunc(callee, "Parallel") || len(call.Args) == 0 {
 			return true
 		}
 		lit, ok := unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
@@ -444,24 +338,17 @@ func (v *vtimeChecker) checkBranchLit(p *Package, lit *ast.FuncLit) {
 			}
 		}
 	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, lhs := range n.Lhs {
-				flagLvalue(lhs)
-			}
-		case *ast.IncDecStmt:
-			flagLvalue(n.X)
+	eachWrite(lit.Body, func(lhs ast.Expr, kind writeKind, _ ast.Node, _ ast.Expr) {
+		if kind == writeAssign || kind == writeIncDec {
+			flagLvalue(lhs)
 		}
-		return true
 	})
 }
 
 func (v *vtimeChecker) report(p *Package, pos token.Pos, msg string) {
-	if !v.analyzed[p] {
-		return
+	if v.prog.Analyzed(p) {
+		v.diags = append(v.diags, diagAt(p, pos, msg))
 	}
-	v.diags = append(v.diags, diagAt(p, pos, ruleVTime, msg))
 }
 
 // funcDisplayOf renders a declaration for diagnostics, falling back to

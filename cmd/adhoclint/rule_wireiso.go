@@ -49,10 +49,6 @@ import (
 //
 // Suppress a finding with //adhoclint:ignore wireiso(reason).
 
-// wireImmutableDirective marks a type as immutable-after-construction by
-// convention; see DESIGN.md §7.
-const wireImmutableDirective = "adhoclint:wireimmutable"
-
 // copyVerbs are method names treated as deep copies.
 var copyVerbs = map[string]bool{"Clone": true, "DeepCopy": true, "Copy": true}
 
@@ -82,24 +78,12 @@ func staleState(why ...string) *wireState {
 // chain renders the witness flow chain of a stale state.
 func (s *wireState) chain() string { return strings.Join(s.why, " → ") }
 
-// wireDecl locates one production function declaration.
-type wireDecl struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-}
-
 // wireChecker holds the whole-program state of the rule.
 type wireChecker struct {
-	prog     *Program
-	loaded   []*Package
-	analyzed map[*Package]bool
-
-	simnetPath string
-	payload    *types.Interface // simnet.Payload, nil when absent
+	prog *Program
 
 	refFree         map[types.Type]bool          // per-type copy-summary cache
 	immutable       map[types.Object]bool        // wireimmutable type names
-	decls           map[*types.Func]*wireDecl    // production decls, loaded packages
 	summaries       map[*types.Func][]*wireState // per-result return freshness
 	inFlight        map[*types.Func]bool         // recursion guard (optimistic)
 	freshFns        map[*types.Func]bool         // constructor summaries (all results fresh)
@@ -127,18 +111,11 @@ type obligKey struct {
 }
 
 // checkWireIsolation runs the wireiso rule over the program.
-func checkWireIsolation(prog *Program, enabled map[string]bool) []Diagnostic {
-	if enabled != nil && !enabled[ruleWireIso] {
-		return nil
-	}
+func checkWireIsolation(prog *Program) []Diagnostic {
 	c := &wireChecker{
 		prog:            prog,
-		loaded:          prog.loadedPackages(),
-		analyzed:        prog.analyzedSet(),
-		simnetPath:      prog.modPath + "/internal/simnet",
 		refFree:         map[types.Type]bool{},
 		immutable:       map[types.Object]bool{},
-		decls:           map[*types.Func]*wireDecl{},
 		summaries:       map[*types.Func][]*wireState{},
 		inFlight:        map[*types.Func]bool{},
 		freshFns:        map[*types.Func]bool{},
@@ -147,115 +124,37 @@ func checkWireIsolation(prog *Program, enabled map[string]bool) []Diagnostic {
 		fns:             map[*types.Func]*wireFn{},
 		obligSeen:       map[obligKey]bool{},
 	}
-	if simnet := prog.simnetTypes(); simnet != nil {
-		if obj := simnet.Scope().Lookup("Payload"); obj != nil {
-			c.payload, _ = obj.Type().Underlying().(*types.Interface)
-		}
-	}
-	c.collectDirectives()
-	c.collectDecls()
-	c.collectFieldElemWrites()
-
-	for _, p := range c.loaded {
-		if !c.analyzed[p] || p.Info == nil {
-			continue
-		}
-		if p.ImportPath == c.simnetPath {
-			continue // the fabric itself relays opaque payloads by design
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				c.checkFunc(p, fn)
-			}
+	c.collectTypeFacts()
+	for _, p := range prog.Loaded() {
+		// The fabric itself relays opaque payloads by design.
+		if prog.Analyzed(p) && p.ImportPath != prog.simnetPath {
+			eachFuncDecl(p.Files, func(fn *ast.FuncDecl) { c.checkFunc(p, fn) })
 		}
 	}
 	c.resolveObligations()
 	return c.diags
 }
 
-// collectDirectives records every //adhoclint:wireimmutable-annotated
-// type name across the loaded packages.
-func (c *wireChecker) collectDirectives() {
-	for _, p := range c.loaded {
-		if p.Info == nil {
-			continue
-		}
+// collectTypeFacts records, across the loaded packages, every
+// //adhoclint:wireimmutable-annotated type name and every element write
+// through a struct field (t.rows[k] = v). A slice- or map-typed field with
+// *no* such write and reference-free elements is provably immutable after
+// send.
+func (c *wireChecker) collectTypeFacts() {
+	for _, p := range c.prog.Loaded() {
 		for _, f := range p.Files {
-			marked := map[int]bool{}
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-					if strings.HasPrefix(text, wireImmutableDirective) {
-						marked[p.Fset.Position(cm.Pos()).Line] = true
-					}
-				}
-			}
-			if len(marked) == 0 {
-				continue
-			}
 			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				line := p.Fset.Position(ts.Name.Pos()).Line
-				if marked[line] || marked[line-1] {
+				if ts, ok := n.(*ast.TypeSpec); ok && c.prog.Directives().at(p, ts.Name.Pos(), "wireimmutable") != nil {
 					if obj := p.Info.Defs[ts.Name]; obj != nil {
 						c.immutable[obj] = true
 					}
 				}
 				return true
 			})
-		}
-	}
-}
-
-// collectDecls indexes every production function declaration of the
-// loaded packages, so summaries can follow calls across packages.
-func (c *wireChecker) collectDecls() {
-	for _, p := range c.loaded {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
+			eachWrite(f, func(lhs ast.Expr, kind writeKind, _ ast.Node, _ ast.Expr) {
+				if obj := c.fieldOfElemWrite(p, lhs); obj != nil && kind == writeAssign {
+					c.fieldElemWrites[obj] = append(c.fieldElemWrites[obj], lhs.Pos())
 				}
-				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					c.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				}
-			}
-		}
-	}
-}
-
-// collectFieldElemWrites records, program-wide, every element write
-// through a struct field (t.rows[k] = v, sort.Slice(t.rows, ...)). A
-// slice- or map-typed field with *no* such write and reference-free
-// elements is provably immutable after send.
-func (c *wireChecker) collectFieldElemWrites() {
-	for _, p := range c.loaded {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				asg, ok := n.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				for _, lhs := range asg.Lhs {
-					if obj := c.fieldOfElemWrite(p, lhs); obj != nil {
-						c.fieldElemWrites[obj] = append(c.fieldElemWrites[obj], lhs.Pos())
-					}
-				}
-				return true
 			})
 		}
 	}
@@ -392,13 +291,9 @@ func (c *wireChecker) fnFor(p *Package, decl *ast.FuncDecl) *wireFn {
 	}
 	// Payload-typed parameters of a Handler-shaped function are the wire
 	// request: they were checked for safety when their sender built them.
-	if handlerShape(p, decl, c.simnetPath, c.payload) {
+	if c.prog.handlerShape(p, decl, true) {
 		for _, po := range f.params {
-			if po == nil {
-				continue
-			}
-			if isNamedType(po.Type(), c.simnetPath, "Payload") ||
-				c.payload != nil && implementsPayload(po.Type(), c.payload) {
+			if po != nil && (c.prog.isSimnetType(po.Type(), "Payload") || c.prog.implementsPayload(po.Type())) {
 				f.wire[po] = true
 			}
 		}
@@ -456,7 +351,7 @@ func (f *wireFn) recordAssign(asg *ast.AssignStmt) {
 	// variable of a fabric Call is wire-derived.
 	if len(asg.Rhs) == 1 && len(asg.Lhs) > 1 {
 		if call, ok := asg.Rhs[0].(*ast.CallExpr); ok {
-			if fc := fabricCallAt(f.pkg, call, f.c.simnetPath); fc != nil && fc.kind == "Call" {
+			if fc := f.c.prog.fabricCallAt(f.pkg, call); fc != nil && fc.kind == "Call" {
 				if id, ok := asg.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 					if obj := defOrUse(info, id); obj != nil {
 						f.wire[obj] = true
@@ -568,37 +463,6 @@ func (f *wireFn) wireDerivedExpr(e ast.Expr) bool {
 		return f.wireDerivedExpr(e.X)
 	}
 	return false
-}
-
-// defOrUse resolves an identifier to its object whether it defines or
-// uses it.
-func defOrUse(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
-}
-
-// exprRootObj walks selectors/indexes to the root identifier's object.
-func exprRootObj(info *types.Info, e ast.Expr) types.Object {
-	for {
-		switch x := unparen(e).(type) {
-		case *ast.Ident:
-			return defOrUse(info, x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.TypeAssertExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // exprType is the static type of an expression.
@@ -931,8 +795,8 @@ func (c *wireChecker) freshSummary(callee *types.Func) bool {
 	if got, ok := c.freshFns[callee]; ok {
 		return got
 	}
-	d, ok := c.decls[callee]
-	if !ok || d.decl.Body == nil {
+	d, ok := c.prog.Funcs().byObj[callee]
+	if !ok {
 		return false
 	}
 	if c.freshBusy[callee] {
@@ -977,7 +841,7 @@ func (c *wireChecker) summary(callee *types.Func) []*wireState {
 	if c.inFlight[callee] {
 		return nil // optimistic on recursion
 	}
-	d, ok := c.decls[callee]
+	d, ok := c.prog.Funcs().byObj[callee]
 	if !ok {
 		// No source (stdlib, interface method): classify by result types.
 		sig, _ := callee.Type().(*types.Signature)
@@ -1039,45 +903,6 @@ func (c *wireChecker) summary(callee *types.Func) []*wireState {
 	return out
 }
 
-// handlerShape reports whether fn has the simnet Handler result shape —
-// HandleCall itself or a dispatch helper. With a non-nil payload
-// interface the first result must additionally be a payload (lots of
-// ordinary API functions return (T, VTime, error) to thread virtual
-// time; only payload-returning ones put their result on the wire).
-func handlerShape(p *Package, fn *ast.FuncDecl, simnetPath string, payload *types.Interface) bool {
-	res := fn.Type.Results
-	if res == nil || len(res.List) != 3 {
-		return false
-	}
-	if countNames(res.List) > 3 {
-		return false
-	}
-	t1 := p.Info.Types[res.List[1].Type].Type
-	if !isNamedType(t1, simnetPath, "VTime") {
-		return false
-	}
-	if payload == nil {
-		return true
-	}
-	t0 := p.Info.Types[res.List[0].Type].Type
-	if t0 == nil {
-		return false
-	}
-	return isNamedType(t0, simnetPath, "Payload") || implementsPayload(t0, payload)
-}
-
-func countNames(fields []*ast.Field) int {
-	n := 0
-	for _, f := range fields {
-		if len(f.Names) == 0 {
-			n++
-		} else {
-			n += len(f.Names)
-		}
-	}
-	return n
-}
-
 // checkFunc runs the send-site, response, mutation-after-send and
 // request-capture checks over one analyzed declaration.
 func (c *wireChecker) checkFunc(p *Package, decl *ast.FuncDecl) {
@@ -1102,7 +927,7 @@ func (c *wireChecker) checkSends(f *wireFn) {
 		if !ok {
 			return true
 		}
-		fc := fabricCallAt(f.pkg, call, c.simnetPath)
+		fc := c.prog.fabricCallAt(f.pkg, call)
 		if fc == nil {
 			return true
 		}
@@ -1278,7 +1103,7 @@ func (c *wireChecker) checkWireValue(f *wireFn, e ast.Expr, desc string, pos tok
 // checkResponses validates the first result of every Handler-shaped
 // return.
 func (c *wireChecker) checkResponses(f *wireFn) {
-	if !handlerShape(f.pkg, f.decl, c.simnetPath, c.payload) {
+	if !c.prog.handlerShape(f.pkg, f.decl, true) {
 		return
 	}
 	ast.Inspect(f.decl.Body, func(n ast.Node) bool {
@@ -1380,7 +1205,7 @@ func (f *wireFn) freshForWrite(e ast.Expr, busy map[types.Object]bool) bool {
 // checkRequestCapture flags a handler storing a request-derived reference
 // directly into receiver state.
 func (c *wireChecker) checkRequestCapture(f *wireFn) {
-	if !handlerShape(f.pkg, f.decl, c.simnetPath, c.payload) {
+	if !c.prog.handlerShape(f.pkg, f.decl, true) {
 		return
 	}
 	recv := recvObj(f.pkg, f.decl)
@@ -1414,27 +1239,21 @@ func recvObj(p *Package, fn *ast.FuncDecl) types.Object {
 // each caller of a payload-forwarding function must feed it a wire-safe
 // argument.
 func (c *wireChecker) resolveObligations() {
-	graph := c.prog.CallGraph()
 	for i := 0; i < len(c.obligations); i++ {
 		ob := c.obligations[i]
-		for _, node := range graph.funcs {
+		for _, node := range c.prog.Funcs().sorted {
 			for _, site := range node.calls {
-				if site.callee != ob.fn {
-					continue
-				}
-				call := callExprAt(node, site.pos)
-				if call == nil || ob.param >= len(call.Args) {
+				call := site.call
+				if !node.analyzed || site.callee != ob.fn || ob.param >= len(call.Args) {
 					continue
 				}
 				f := c.fnFor(node.pkg, node.decl)
 				s := f.eval(call.Args[ob.param], true)
 				switch s.kind {
 				case wireStale:
-					if c.analyzed[node.pkg] {
-						c.report(node.pkg, site.pos, fmt.Sprintf(
-							"argument %s flows to the wire through %s (as %s), and may alias mutable node state (flow: %s); deep-copy before passing",
-							renderExpr(call.Args[ob.param]), funcDisplay(ob.fn), ob.desc, s.chain()))
-					}
+					c.report(node.pkg, call.Pos(), fmt.Sprintf(
+						"argument %s flows to the wire through %s (as %s), and may alias mutable node state (flow: %s); deep-copy before passing",
+						renderExpr(call.Args[ob.param]), funcDisplay(ob.fn), ob.desc, s.chain()))
 				case wireParam:
 					if f.obj == nil {
 						continue
@@ -1452,28 +1271,10 @@ func (c *wireChecker) resolveObligations() {
 	}
 }
 
-// callExprAt recovers the call expression at a recorded call-site
-// position.
-func callExprAt(node *funcNode, pos token.Pos) *ast.CallExpr {
-	var out *ast.CallExpr
-	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-		if out != nil {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && call.Pos() == pos {
-			out = call
-			return false
-		}
-		return true
-	})
-	return out
-}
-
 func (c *wireChecker) report(p *Package, pos token.Pos, msg string) {
-	if !c.analyzed[p] {
-		return
+	if c.prog.Analyzed(p) {
+		c.diags = append(c.diags, diagAt(p, pos, msg))
 	}
-	c.diags = append(c.diags, diagAt(p, pos, ruleWireIso, msg))
 }
 
 // renderExpr prints an expression compactly for diagnostics.

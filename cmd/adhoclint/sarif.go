@@ -72,11 +72,11 @@ type sarifRegion struct {
 func buildSARIF(diags []Diagnostic) sarifLog {
 	driver := sarifDriver{Name: "adhoclint", Rules: []sarifRule{}}
 	ruleIndex := map[string]int{}
-	for i, name := range ruleNames {
-		ruleIndex[name] = i
+	for i, r := range rules {
+		ruleIndex[r.name] = i
 		driver.Rules = append(driver.Rules, sarifRule{
-			ID:               name,
-			ShortDescription: sarifMessage{Text: ruleDocs[name]},
+			ID:               r.name,
+			ShortDescription: sarifMessage{Text: r.doc},
 		})
 	}
 	run := sarifRun{Tool: sarifTool{Driver: driver}, Results: []sarifResult{}}

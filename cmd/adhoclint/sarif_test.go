@@ -191,15 +191,15 @@ func validateSARIF(t *testing.T, data []byte) []string {
 func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		{Pos: token.Position{Filename: "internal/overlay/messages.go", Line: 36, Column: 1},
-			Rule: rulePayloadSize, Msg: "SizeBytes of PutReq does not account for field Freq"},
+			Rule: "payload-size", Msg: "SizeBytes of PutReq does not account for field Freq"},
 		{Pos: token.Position{Filename: "internal/chord/node.go", Line: 120, Column: 2},
-			Rule: ruleLockOrder, Msg: "lock-order cycle (potential deadlock): a → b → a"},
+			Rule: "lock-order", Msg: "lock-order cycle (potential deadlock): a → b → a"},
 		{Pos: token.Position{Filename: "internal/overlay/table.go", Line: 131, Column: 3},
-			Rule: ruleWireIso, Msg: "response of overlay.(*IndexNode).HandleCall sends overlay.RangeResp.Rows, which may alias mutable node state; deep-copy on send"},
+			Rule: "wireiso", Msg: "response of overlay.(*IndexNode).HandleCall sends overlay.RangeResp.Rows, which may alias mutable node state; deep-copy on send"},
 		{Pos: token.Position{Filename: "internal/rdfpeers/range.go", Line: 77, Column: 2},
-			Rule: ruleVTime, Msg: "payload of Transfer is sorted in place after send"},
+			Rule: "vtime", Msg: "payload of Transfer is sorted in place after send"},
 		{Pos: token.Position{Filename: "internal/overlay/system.go", Line: 512, Column: 2},
-			Rule: ruleFaultPath, Msg: "simnet.Parallel fan-out must declare its failure semantics: annotate //adhoclint:faultpath(abort-all) or //adhoclint:faultpath(collect-partial, reason)"},
+			Rule: "faultpath", Msg: "simnet.Parallel fan-out must declare its failure semantics: annotate //adhoclint:faultpath(abort-all) or //adhoclint:faultpath(collect-partial, reason)"},
 	}
 }
 

@@ -221,3 +221,19 @@ func (n *Node) IncAll(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
 	})
 	return done, err
 }
+
+// Meter keeps its counters in a struct field it updates through a pointer.
+type Meter struct {
+	net   *simnet.Network
+	addr  simnet.Addr
+	stats struct{ messages int }
+}
+
+// Charge hides the receiver write behind m := &recv.field: the alias
+// still roots at the receiver, so the mutation counts.
+func (t *Meter) Charge(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
+	m := &t.stats
+	m.messages++
+	_, done, err := t.net.Call(t.addr, to, MethodGet, Msg{}, at) // want "caller-visible state is mutated at line 236"
+	return done, err
+}

@@ -13,17 +13,20 @@
 // Determinism under concurrent delivery: with
 // simnet.Config.ConcurrentDelivery the *insertion order* of events is a
 // goroutine race, but the event multiset of a seeded run is fixed. Each
-// node's ring therefore keeps its events sorted in a canonical total
-// order and, at capacity, evicts the canonically smallest (earliest)
-// event — so the retained contents depend only on the multiset, never on
-// scheduling, and same-seed runs produce byte-identical logs even at
-// capacity. Per-kind counters are never evicted, which is what keeps the
-// traffic-conservation monitor exact however small the rings are.
+// node's ring (a boundedlog.Log) therefore retains the canonically
+// largest events of a total order and, at capacity, evicts the
+// canonically smallest (earliest) one — so the retained contents depend
+// only on the multiset, never on scheduling, and same-seed runs produce
+// byte-identical logs even at capacity. Per-kind counters are never
+// evicted, which is what keeps the traffic-conservation monitor exact
+// however small the rings are.
 package flight
 
 import (
 	"sort"
 	"sync"
+
+	"adhocshare/internal/boundedlog"
 )
 
 // Event kinds. Message-leg kinds (Deliver, Lost, Unreachable) pair one to
@@ -129,11 +132,6 @@ func SortEvents(events []Event) {
 // a non-positive size.
 const DefaultRingSize = 256
 
-// ring is one node's bounded event log, kept sorted in canonical order.
-type ring struct {
-	events []Event // sorted ascending by Less; cap is size+1
-}
-
 // Recorder is the flight recorder: per-node bounded rings plus unbounded
 // per-kind counters. A nil *Recorder is the disabled recorder — every
 // method is nil-safe and the disabled path performs no work and no
@@ -144,7 +142,7 @@ type Recorder struct {
 	size int
 
 	mu     sync.Mutex
-	rings  map[string]*ring
+	rings  map[string]*boundedlog.Log[Event] // one bounded event log per node
 	counts map[string]int64
 	total  int64
 }
@@ -157,7 +155,7 @@ func NewRecorder(size int) *Recorder {
 	}
 	return &Recorder{
 		size:   size,
-		rings:  map[string]*ring{},
+		rings:  map[string]*boundedlog.Log[Event]{},
 		counts: map[string]int64{},
 	}
 }
@@ -174,9 +172,9 @@ func (r *Recorder) Size() int {
 }
 
 // Emit records one event: the per-kind counter always advances, and the
-// event is inserted into its node's ring at its canonical position,
-// evicting the canonically earliest event once the ring is full. After a
-// node's ring reaches capacity, emission is allocation-free.
+// event is added to its node's ring, evicting the canonically earliest
+// event once the ring is full. After a node's first event, emission is
+// allocation-free.
 func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
@@ -186,17 +184,10 @@ func (r *Recorder) Emit(e Event) {
 	r.total++
 	rg, ok := r.rings[e.Node]
 	if !ok {
-		rg = &ring{events: make([]Event, 0, r.size+1)}
+		rg = boundedlog.New(r.size, Less)
 		r.rings[e.Node] = rg
 	}
-	idx := sort.Search(len(rg.events), func(i int) bool { return Less(e, rg.events[i]) })
-	rg.events = append(rg.events, Event{})
-	copy(rg.events[idx+1:], rg.events[idx:])
-	rg.events[idx] = e
-	if len(rg.events) > r.size {
-		copy(rg.events, rg.events[1:])
-		rg.events = rg.events[:r.size]
-	}
+	rg.Add(e)
 	r.mu.Unlock()
 }
 
@@ -222,12 +213,13 @@ func (r *Recorder) NodeEvents(node string) []Event {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	rg, ok := r.rings[node]
-	if !ok {
-		return nil
+	var out []Event
+	if rg, ok := r.rings[node]; ok {
+		out = append(out, rg.Items()...)
 	}
-	return append([]Event(nil), rg.events...)
+	r.mu.Unlock()
+	SortEvents(out)
+	return out
 }
 
 // LastN returns the last (canonically latest) n retained events of one
@@ -249,7 +241,7 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	var out []Event
 	for _, rg := range r.rings {
-		out = append(out, rg.events...)
+		out = append(out, rg.Items()...)
 	}
 	r.mu.Unlock()
 	SortEvents(out)
@@ -297,7 +289,7 @@ func (r *Recorder) Reset() {
 		return
 	}
 	r.mu.Lock()
-	r.rings = map[string]*ring{}
+	r.rings = map[string]*boundedlog.Log[Event]{}
 	r.counts = map[string]int64{}
 	r.total = 0
 	r.mu.Unlock()

@@ -152,7 +152,10 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: handover payload %T", req)
 		}
-		n.Table.Merge(r.Rows)
+		// The leaver's snapshot is authoritative for every row it carries,
+		// and under Replication ≥ 2 this node already holds replica copies
+		// of the leaver's primary rows: overwrite, never sum.
+		n.Table.Replace(r.Rows)
 		return simnet.Bytes(1), at, nil
 	case MethodDropNode:
 		r, ok := req.(DropNodeReq)

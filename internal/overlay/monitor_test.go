@@ -181,3 +181,47 @@ func TestMonitorsSurviveChurnWithoutFalsePositives(t *testing.T) {
 		t.Fatal("no epoch-bump events recorded")
 	}
 }
+
+// A graceful leave hands the leaver's whole table to its successor, which
+// under Replication 2 already holds replica copies of the leaver's primary
+// rows: the handover must overwrite those copies, not sum into them, or
+// every leave doubles frequencies and a later Retract can no longer bring
+// a posting to zero.
+func TestGracefulLeaveHandoverDoesNotDoubleCount(t *testing.T) {
+	s := NewSystem(Config{Bits: 16, Replication: 2,
+		Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
+	now := simnet.VTime(0)
+	for i := 0; i < 5; i++ {
+		_, done, err := s.AddIndexNode(simnet.Addr(fmt.Sprintf("idx-%02d", i)), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	now = s.Converge(now)
+	_, now, err := s.AddStorageNode("D1", now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var triples []rdf.Triple
+	for i := 0; i < 40; i++ {
+		triples = append(triples, rdf.Triple{S: ex(fmt.Sprintf("s%d", i)), P: fp("knows"), O: ex(fmt.Sprintf("o%d", i%7))})
+	}
+	if now, err = s.Publish("D1", triples, now); err != nil {
+		t.Fatal(err)
+	}
+	for _, leaver := range []int{1, 3} {
+		if now, err = s.RemoveIndexGraceful(simnet.Addr(fmt.Sprintf("idx-%02d", leaver)), now); err != nil {
+			t.Fatal(err)
+		}
+		if vs := Arm(s, 64).CheckCoverage(); len(vs) != 0 {
+			t.Fatalf("coverage violations after idx-%02d left gracefully (first of %d): %v", leaver, len(vs), vs[0])
+		}
+	}
+	if _, err = s.Retract("D1", triples, now); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.TotalPostings(); got != 0 {
+		t.Errorf("retracting everything left %d postings behind", got)
+	}
+}

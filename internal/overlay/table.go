@@ -193,8 +193,9 @@ func (t *LocationTable) Merge(rows map[chord.ID][]Posting) {
 }
 
 // Replace overwrites whole rows with the primary's authoritative content.
-// An empty (or nil) row deletes the key. Used for replica synchronization,
-// which must be idempotent and must propagate retractions.
+// An empty (or nil) row deletes the key. Used for replica synchronization
+// and graceful-leave handover, which must be idempotent (the receiver may
+// already hold a copy of the row) and must propagate retractions.
 func (t *LocationTable) Replace(rows map[chord.ID][]Posting) {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -5,9 +5,9 @@
 // of regression evidence instead of noise.
 //
 // The package is a leaf: it deliberately imports nothing from the rest of
-// the repository (times are int64 nanoseconds, node addresses are plain
-// strings), so simnet itself can record message spans without an import
-// cycle. Causality crosses the wire as a TraceContext carried inside RPC
+// the repository but the boundedlog container (times are int64
+// nanoseconds, node addresses are plain strings), so simnet itself can
+// record message spans without an import cycle. Causality crosses the wire as a TraceContext carried inside RPC
 // payloads; contexts contribute zero bytes to the modeled payload size
 // (tracing must not perturb the cost model) and child span identifiers
 // are *derived* — a deterministic hash of the parent span and a caller
@@ -18,6 +18,8 @@ package trace
 import (
 	"sort"
 	"sync"
+
+	"adhocshare/internal/boundedlog"
 )
 
 // TraceContext identifies one span within one query (or system operation)
@@ -134,21 +136,16 @@ type Recorder interface {
 // retained contents of a seeded run are byte-identical under any
 // goroutine interleaving — including simnet.Config.ConcurrentDelivery.
 type Buffer struct {
-	mu    sync.Mutex
-	spans []Span
-	// limit > 0 enables ring mode: spans are kept sorted canonically and
-	// the smallest is evicted when the limit would be exceeded.
-	limit int
+	mu  sync.Mutex
+	log *boundedlog.Log[Span] // unbounded until SetLimit
 }
 
 // NewBuffer creates an empty, unbounded span buffer.
-func NewBuffer() *Buffer { return &Buffer{} }
+func NewBuffer() *Buffer { return NewRingBuffer(0) }
 
 // NewRingBuffer creates a span buffer capped at limit spans (ring mode).
 func NewRingBuffer(limit int) *Buffer {
-	b := &Buffer{}
-	b.SetLimit(limit)
-	return b
+	return &Buffer{log: boundedlog.New(limit, spanLess)}
 }
 
 // SetLimit caps the buffer at limit spans (≤ 0 removes the cap). Already
@@ -156,48 +153,22 @@ func NewRingBuffer(limit int) *Buffer {
 // first.
 func (b *Buffer) SetLimit(limit int) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.limit = limit
-	if limit <= 0 {
-		return
-	}
-	sortSpansLocked(b.spans)
-	if len(b.spans) > limit {
-		keep := make([]Span, limit, limit+1)
-		copy(keep, b.spans[len(b.spans)-limit:])
-		b.spans = keep
-	} else if cap(b.spans) < limit+1 {
-		grown := make([]Span, len(b.spans), limit+1)
-		copy(grown, b.spans)
-		b.spans = grown
-	}
+	b.log.SetLimit(limit)
+	b.mu.Unlock()
 }
 
 // Limit returns the ring-mode capacity (0 = unbounded).
 func (b *Buffer) Limit() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.limit
+	return b.log.Limit()
 }
 
-// Record implements Recorder. In ring mode the span is inserted at its
-// canonical position and the canonically smallest span is evicted once
-// the buffer is full, so recording is allocation-free at capacity.
+// Record implements Recorder. In ring mode the canonically smallest span
+// is evicted once the buffer is full, and recording allocates nothing.
 func (b *Buffer) Record(s Span) {
 	b.mu.Lock()
-	if b.limit <= 0 {
-		b.spans = append(b.spans, s)
-		b.mu.Unlock()
-		return
-	}
-	idx := sort.Search(len(b.spans), func(i int) bool { return spanLess(s, b.spans[i]) })
-	b.spans = append(b.spans, Span{})
-	copy(b.spans[idx+1:], b.spans[idx:])
-	b.spans[idx] = s
-	if len(b.spans) > b.limit {
-		copy(b.spans, b.spans[1:])
-		b.spans = b.spans[:b.limit]
-	}
+	b.log.Add(s)
 	b.mu.Unlock()
 }
 
@@ -205,13 +176,13 @@ func (b *Buffer) Record(s Span) {
 func (b *Buffer) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.spans)
+	return b.log.Len()
 }
 
 // Reset discards all recorded spans.
 func (b *Buffer) Reset() {
 	b.mu.Lock()
-	b.spans = nil
+	b.log.Reset()
 	b.mu.Unlock()
 }
 
@@ -221,7 +192,7 @@ func (b *Buffer) Reset() {
 // always return byte-identical sequences.
 func (b *Buffer) Spans() []Span {
 	b.mu.Lock()
-	out := append([]Span(nil), b.spans...)
+	out := append([]Span(nil), b.log.Items()...)
 	b.mu.Unlock()
 	SortSpans(out)
 	return out
@@ -242,7 +213,7 @@ func (b *Buffer) QuerySpans(query uint64) []Span {
 func (b *Buffer) Queries() []uint64 {
 	seen := map[uint64]bool{}
 	b.mu.Lock()
-	for _, s := range b.spans {
+	for _, s := range b.log.Items() {
 		if s.Query != 0 {
 			seen[s.Query] = true
 		}
@@ -261,9 +232,6 @@ func (b *Buffer) Queries() []uint64 {
 func SortSpans(spans []Span) {
 	sort.Slice(spans, func(i, j int) bool { return spanLess(spans[i], spans[j]) })
 }
-
-// sortSpansLocked is SortSpans for internal use under the buffer lock.
-func sortSpansLocked(spans []Span) { SortSpans(spans) }
 
 // spanLess is the canonical total order over spans: every field
 // participates, so equal span multisets sort byte-identically.
