@@ -1,14 +1,20 @@
 GO ?= go
 
-.PHONY: all build vet lint test race bench fuzz experiments loc
+.PHONY: all build vet fmt-check lint test race bench fuzz experiments loc
 
-all: build vet lint test
+all: build vet fmt-check lint test
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt over every Go file outside testdata (the lint fixtures' `want` line
+# numbers must not shift); any file it lists fails the target.
+fmt-check:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Project-specific static analysis (DESIGN.md §7); `adhoclint -list` prints
 # the rules, `-rules a,b` runs a subset.

@@ -62,6 +62,7 @@ func (c *lookupCache) put(key chord.ID, row cachedRow) {
 // dropNode removes a storage node from every cached row (stale-node
 // invalidation); rows that become empty are removed so the next query
 // re-resolves them.
+//
 //adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves fewer advisory entries to revalidate)
 func (c *lookupCache) dropNode(node simnet.Addr) {
 	c.mu.Lock()
@@ -86,6 +87,7 @@ func (c *lookupCache) dropNode(node simnet.Addr) {
 }
 
 // dropIndex removes rows owned by a departed index node.
+//
 //adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves fewer advisory entries to revalidate)
 func (c *lookupCache) dropIndex(addr simnet.Addr) {
 	c.mu.Lock()

@@ -88,6 +88,7 @@ type qctx struct {
 }
 
 // stage flight-records one query stage transition at the initiator.
+//
 //adhoclint:faultpath(benign, observation only; the stage events of a failed query are the record of that failure)
 func (c *qctx) stage(name string, start, end simnet.VTime) {
 	if c.flt == nil {
@@ -106,6 +107,7 @@ func (c *qctx) stage(name string, start, end simnet.VTime) {
 // nextTC derives the next serial child context of a parent span. It must
 // not be called inside simnet.Parallel branches (derive from the branch
 // index there instead).
+//
 //adhoclint:faultpath(benign, trace-span counter; a span identifier wasted by a failed operation is unobservable)
 func (c *qctx) nextTC(parent trace.TraceContext) trace.TraceContext {
 	c.seq++
@@ -113,6 +115,7 @@ func (c *qctx) nextTC(parent trace.TraceContext) trace.TraceContext {
 }
 
 // countSubquery records one answered sub-query against a provider.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countSubquery(target simnet.Addr) {
 	c.subq++
@@ -120,12 +123,14 @@ func (c *qctx) countSubquery(target simnet.Addr) {
 }
 
 // countDrop records one stale-posting cleanup triggered by this query.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countDrop() {
 	c.drops++
 }
 
 // countLookup records one location-table lookup's routing cost.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countLookup(hops int, hit bool) {
 	c.hops += hops
@@ -135,6 +140,7 @@ func (c *qctx) countLookup(hops int, hit bool) {
 }
 
 // countReplicaHit records one lookup served by a hot-key replica holder.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countReplicaHit() {
 	c.replicaHits++

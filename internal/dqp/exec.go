@@ -219,7 +219,7 @@ func (e *Engine) pickQoSSite(ctx *qctx, l, r siteSet) simnet.Addr {
 	// product of lRows×rRows rows, each the concatenation of one row from
 	// each side.
 	var resBytes float64
-	if haveSharedVars(l.sols, r.sols) {
+	if len(eval.SharedVars(l.sols, r.sols, 1)) > 0 {
 		resBytes = lBytes
 		if rBytes < resBytes {
 			resBytes = rBytes
@@ -258,24 +258,6 @@ func (e *Engine) pickQoSSite(ctx *qctx, l, r siteSet) simnet.Addr {
 		return ctx.initiator
 	}
 	return best
-}
-
-// haveSharedVars reports whether any variable occurs on both sides.
-func haveSharedVars(a, b eval.Solutions) bool {
-	inA := map[string]bool{}
-	for _, m := range a {
-		for v := range m {
-			inA[v] = true
-		}
-	}
-	for _, m := range b {
-		for v := range m {
-			if inA[v] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // shipTo moves a solution multiset to the destination site as one transfer
@@ -633,7 +615,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 		}
 		now = done
 	}
-	var acc eval.Solutions
+	var acc eval.Dedup
 	finish := now
 	// One call closure reused across targets (and retry attempts) keeps the
 	// fan-out loop allocation-free; the captured request is re-pointed per
@@ -667,9 +649,9 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			continue
 		}
 		ctx.countSubquery(p.Node)
-		acc = eval.Union(acc, resp.(overlay.SolutionsResp).Sols)
+		acc.Add(resp.(overlay.SolutionsResp).Sols)
 		finish = simnet.MaxTime(finish, done)
-		if plan.stopOnFirst && len(acc) > 0 {
+		if plan.stopOnFirst && len(acc.Solutions()) > 0 {
 			// existence settled: remaining targets are not contacted (the
 			// sequential early exit trades the parallel fan-out's latency
 			// for fewer messages)
@@ -680,10 +662,9 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 	// The query dataset is the *set* union of all providers' triples
 	// (Sect. IV-A): identical triples held by several providers must yield
 	// one solution. For a single pattern a solution mapping determines the
-	// matched triple, so mapping-level deduplication realizes the set
+	// matched triple, so mapping-level deduplication (acc) realizes the set
 	// semantics exactly.
-	acc = eval.Distinct(acc)
-	return siteSet{sols: acc, site: assembly}, finish, nil
+	return siteSet{sols: acc.Solutions(), site: assembly}, finish, nil
 }
 
 // execPatternChain: the sub-query and accumulated solutions forward
@@ -718,7 +699,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 		linkTC = dispatchTC
 	}
 
-	var acc eval.Solutions
+	var acc eval.Dedup
 	reached := prev
 	for i, target := range seq {
 		hopTC := linkTC.Child(uint64(i + 1))
@@ -726,7 +707,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			Patterns: patterns,
 			Filter:   filter,
 			Seeds:    seeds.sols,
-			Acc:      acc,
+			Acc:      acc.Solutions(),
 			Seq:      addrsOf(seq[i+1:]),
 			Dataset:  ctx.dataset,
 			TC:       hopTC,
@@ -750,15 +731,15 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 		// In-network aggregation with set-union semantics: merging at each
 		// hop removes solutions duplicated across providers before they
 		// travel further (the dedup counterpart of execPatternBasic).
-		acc = eval.Distinct(eval.Union(acc, st.LocalMatchScope(patterns, filter, seeds.sols, ctx.dataset, ctx.fromNamed, scope)))
+		acc.Add(st.LocalMatchScope(patterns, filter, seeds.sols, ctx.dataset, ctx.fromNamed, scope))
 		prev = target.Node
 		reached = target.Node
 		linkTC = hopTC
-		if plan.stopOnFirst && len(acc) > 0 {
+		if plan.stopOnFirst && len(acc.Solutions()) > 0 {
 			break
 		}
 	}
-	return siteSet{sols: acc, site: reached}, now, nil
+	return siteSet{sols: acc.Solutions(), site: reached}, now, nil
 }
 
 // orderTargets produces the chain sequence: address order (deterministic)
@@ -859,6 +840,7 @@ func splitFilter(f sparql.Expression) []sparql.Expression {
 // shippableFilter selects the not-yet-shipped conjuncts whose variables
 // are covered by bound and combines them into one expression; selected
 // conjuncts are marked shipped.
+//
 //adhoclint:faultpath(benign, marks query-scoped scratch; an error discards the whole query context)
 func shippableFilter(conjuncts []sparql.Expression, shipped []bool, bound map[string]bool) sparql.Expression {
 	var out sparql.Expression

@@ -107,6 +107,7 @@ func (n *IndexNode) EnableAdaptive(p AdaptiveParams) {
 
 // noteLookup bumps the key's decayed counter at virtual time `at` and
 // reports whether the key is (still) past the hot threshold.
+//
 //adhoclint:faultpath(benign, advisory popularity counter; an extra bump from a retried lookup only hastens an already-converging promotion)
 func (h *hotState) noteLookup(key chord.ID, at simnet.VTime) bool {
 	h.mu.Lock()

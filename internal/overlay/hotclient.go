@@ -69,6 +69,7 @@ type LookupRow struct {
 // epoch: candidates are filtered to live nodes, ordered by path factor
 // from the initiator (address as the deterministic tiebreak), and the
 // minimal-factor group is rotated by a per-hint counter.
+//
 //adhoclint:faultpath(benign, hint-cache bookkeeping; a rotation bump or dropped hint from a failed attempt only changes which replica is tried next, never correctness)
 func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64) (simnet.Addr, simnet.Addr, bool) {
 	c.mu.Lock()
@@ -111,6 +112,7 @@ func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64)
 
 // dropHint forgets a key's advertisement (after a miss, error, or epoch
 // change).
+//
 //adhoclint:faultpath(benign, deleting a hint only forces the next lookup through the home successor)
 func (c *LookupClient) dropHint(key chord.ID) {
 	c.mu.Lock()
@@ -121,6 +123,7 @@ func (c *LookupClient) dropHint(key chord.ID) {
 // storeHint records a fresh advertisement. The candidate list is home
 // first, then the advertised replicas, deduplicated — so a fallback pick
 // is always available and the slice never aliases the response payload.
+//
 //adhoclint:faultpath(benign, hint caching; hints are advisory and epoch-checked before use)
 func (c *LookupClient) storeHint(key chord.ID, home simnet.Addr, replicas []simnet.Addr, epoch uint64) {
 	cands := make([]simnet.Addr, 0, len(replicas)+1)

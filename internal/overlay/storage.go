@@ -62,6 +62,7 @@ func (s *StorageNode) AttachedTo() simnet.Addr { return s.attached }
 
 // NamedGraph returns (creating on demand) the provider's named graph for
 // the given IRI and invalidates memoized dataset views.
+//
 //adhoclint:faultpath(benign, creates an empty graph on demand and resets memoized views; re-running yields identical state)
 func (s *StorageNode) NamedGraph(iri string) *rdf.Graph {
 	s.mu.Lock()
@@ -124,6 +125,7 @@ func (s *StorageNode) OwnerCacheLen() int {
 
 // DropOwnerCache clears the successor-owner cache; the overlay calls it
 // when the node re-attaches to a different index node.
+//
 //adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves a cold cache the next lookup refills)
 func (s *StorageNode) DropOwnerCache() {
 	s.mu.Lock()
@@ -154,6 +156,7 @@ func (s *StorageNode) TotalTriples() int {
 // provider: with no FROM graphs (nil), the union of everything the
 // provider shares (the paper's Sect. IV-A default); otherwise the merge of
 // the listed named graphs. Merged views are memoized until the next write.
+//
 //adhoclint:faultpath(benign, memoized view fill; recomputation writes the same merged graph)
 func (s *StorageNode) datasetGraph(dataset []string) *rdf.Graph {
 	s.mu.Lock()

@@ -117,6 +117,7 @@ func (s *System) Net() *simnet.Network { return s.net }
 // NextTraceID allocates the identifier of a new trace (a query or a system
 // operation). IDs come from a per-deployment counter, not a clock, so a
 // seeded run always numbers its traces identically.
+//
 //adhoclint:faultpath(benign, monotone trace-ID allocator; an identifier wasted by a failed operation is unobservable)
 func (s *System) NextTraceID() uint64 {
 	s.mu.Lock()
@@ -149,6 +150,7 @@ func (s *System) traceOp(name string, node simnet.Addr) (trace.TraceContext, fun
 }
 
 // nextPubSeq allocates one PutBatch shipment sequence number.
+//
 //adhoclint:faultpath(benign, sequence allocator; PutBatch dedup needs only monotonicity, so numbers wasted by failed shipments are harmless)
 func (s *System) nextPubSeq() uint64 {
 	s.mu.Lock()
@@ -171,6 +173,7 @@ func (s *System) AddIndexNode(addr simnet.Addr, at simnet.VTime) (*IndexNode, si
 // (used to reconstruct the paper's Fig. 1 topology). The node is entered
 // into the deployment before the ring join so concurrent reads see it; a
 // failed join removes and deregisters it again before the error surfaces.
+//
 //adhoclint:faultpath(compensated, a failed join deletes the node from the deployment and deregisters its handler, restoring the pre-call state)
 func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTime) (*IndexNode, simnet.VTime, error) {
 	s.mu.Lock()
@@ -422,6 +425,7 @@ func (s *System) installPostings(node *StorageNode, freq map[chord.ID]int, tc tr
 // reattachIfNeeded re-homes a storage node whose attachment index node is
 // no longer alive: in the ad-hoc setting, a storage node simply attaches
 // to another ring member (Sect. III-A).
+//
 //adhoclint:faultpath(benign, deterministic re-homing repair; re-running converges to the same attachment and a failed caller leaves the node validly re-homed)
 func (s *System) reattachIfNeeded(node *StorageNode) error {
 	if s.net.Alive(node.attached) {
@@ -684,6 +688,7 @@ func (s *System) ResolveKeyTraced(from simnet.Addr, key chord.ID, tc trace.Trace
 // entryFor returns the ring entry point for a node address: itself for an
 // index node, the attachment point for a storage node, or any live index
 // node otherwise (external query initiators).
+//
 //adhoclint:faultpath(benign, deterministic re-homing repair; re-running converges to the same attachment and a failed caller leaves the node validly re-homed)
 func (s *System) entryFor(from simnet.Addr) simnet.Addr {
 	s.mu.RLock()
@@ -858,6 +863,7 @@ func (s *System) RecoverNode(addr simnet.Addr) {
 // table handed to the successor, ring pointers rewired, node deregistered
 // (Sect. III-D). The node leaves the deployment map before the handoff so
 // no new traffic routes to it; a failed handoff reinstates it.
+//
 //adhoclint:faultpath(compensated, a failed departure handoff reinstates the node in the deployment, so it keeps serving its key range)
 func (s *System) RemoveIndexGraceful(addr simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
 	s.mu.Lock()

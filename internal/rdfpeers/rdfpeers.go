@@ -28,8 +28,8 @@ import (
 // RPC method names ("rdfpeers." prefix for traffic attribution).
 const (
 	//adhoclint:faultpath(idempotent, triples live in a set-semantics graph; re-adding the same triple is a no-op)
-	MethodStore = "rdfpeers.store"
-	MethodMatch = "rdfpeers.match"
+	MethodStore     = "rdfpeers.store"
+	MethodMatch     = "rdfpeers.match"
 	MethodIntersect = "rdfpeers.intersect"
 	// MethodResult labels the transfer shipping final results back to the
 	// query initiator; it is transfer-only and dispatched by no handler.
@@ -37,6 +37,7 @@ const (
 )
 
 // StoreReq ships one triple for storage at a ring node.
+//
 //adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type StoreReq struct {
 	Triple rdf.Triple
@@ -50,6 +51,7 @@ func (r StoreReq) SizeBytes() int { return r.Triple.SizeBytes() + r.TC.SizeBytes
 func (r StoreReq) TraceCtx() trace.TraceContext { return r.TC }
 
 // MatchReq asks a ring node to match a pattern against its local store.
+//
 //adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type MatchReq struct {
 	Pattern rdf.Triple
@@ -63,6 +65,7 @@ func (r MatchReq) SizeBytes() int { return r.Pattern.SizeBytes() + r.TC.SizeByte
 func (r MatchReq) TraceCtx() trace.TraceContext { return r.TC }
 
 // SolutionsResp returns solution mappings.
+//
 //adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type SolutionsResp struct {
 	Sols eval.Solutions
@@ -73,6 +76,7 @@ func (r SolutionsResp) SizeBytes() int { return r.Sols.SizeBytes() }
 
 // IntersectReq ships candidate subjects to the node responsible for the
 // next pattern, which intersects them with its local matches.
+//
 //adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type IntersectReq struct {
 	Pattern    rdf.Triple
@@ -93,6 +97,7 @@ func (r IntersectReq) SizeBytes() int {
 }
 
 // TermsResp returns a candidate subject set.
+//
 //adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type TermsResp struct {
 	Terms []rdf.Term
@@ -197,6 +202,7 @@ type System struct {
 
 // traceOp opens a trace for one RDFPeers operation when a recorder is
 // attached to the network; see overlay.System.traceOp.
+//
 //adhoclint:faultpath(benign, trace-ID allocator; an identifier wasted by a failed operation is unobservable)
 func (s *System) traceOp(name string, node simnet.Addr) (trace.TraceContext, func(start, end simnet.VTime)) {
 	rec := s.net.Recorder()
@@ -236,6 +242,7 @@ func (s *System) Net() *simnet.Network { return s.net }
 
 // AddNode joins a ring member. The node is registered and entered into the
 // membership before the ring join; a failed join removes both again.
+//
 //adhoclint:faultpath(compensated, a failed join deletes the node from the membership and deregisters its handler, restoring the pre-call state)
 func (s *System) AddNode(addr simnet.Addr, at simnet.VTime) (*Node, simnet.VTime, error) {
 	if _, dup := s.nodes[addr]; dup {
@@ -398,7 +405,7 @@ func (s *System) QueryPattern(from simnet.Addr, pat rdf.Triple, at simnet.VTime)
 			addrs = append(addrs, a)
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		var acc eval.Solutions
+		var acc eval.Dedup
 		now := at
 		finish := at
 		// One match closure reused across targets keeps the flood loop
@@ -415,13 +422,13 @@ func (s *System) QueryPattern(from simnet.Addr, pat rdf.Triple, at simnet.VTime)
 			if err != nil {
 				continue
 			}
-			acc = eval.Union(acc, resp.(SolutionsResp).Sols)
+			acc.Add(resp.(SolutionsResp).Sols)
 			finish = simnet.MaxTime(finish, done)
 		}
 		if finishOp != nil {
 			finishOp(at, finish)
 		}
-		return eval.Distinct(acc), finish, nil
+		return acc.Solutions(), finish, nil
 	}
 	owner, _, now, err := s.resolveTraced(from, key, tc.Child(1), at)
 	if err != nil {

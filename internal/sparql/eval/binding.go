@@ -86,8 +86,9 @@ func (b Binding) Equal(c Binding) bool {
 	return true
 }
 
-// Key returns a canonical string for the mapping, used for DISTINCT and
-// set-based deduplication.
+// Key returns a canonical string for the mapping: the display and test
+// form (sorting for output, multiset comparison in tests). It is not the
+// dedup key — evaluation locates rows by hash and compares them with Equal.
 func (b Binding) Key() string {
 	if len(b) == 0 {
 		return ""
@@ -146,8 +147,9 @@ func (b Binding) String() string {
 //
 // Like Binding, a Solutions value is immutable after construction: the
 // algebra operations return fresh slices (sub-slicing in Slice is fine —
-// the elements are never overwritten), so partial solution sets can ship
-// between nodes without deep-copying.
+// the elements are never overwritten; Dedup is append-only — it writes
+// only past the prefixes it has handed out), so partial solution sets can
+// ship between nodes without deep-copying.
 //
 //adhoclint:wireimmutable algebra ops return fresh slices, elements never overwritten
 type Solutions []Binding
@@ -170,99 +172,21 @@ func (s Solutions) Clone() Solutions {
 	return out
 }
 
-// Join computes Ω1 ⋈ Ω2: the merge of every compatible pair.
+// Join computes Ω1 ⋈ Ω2: the merge of every compatible pair, in nested-loop
+// order (a outer, b inner).
 func Join(a, b Solutions) Solutions {
 	if len(a) == 0 || len(b) == 0 {
 		return nil
 	}
-	// Hash join on the shared variables when there are any; otherwise a
-	// cross product.
-	shared := sharedVars(a, b)
-	if len(shared) == 0 {
-		out := make(Solutions, 0, len(a)*len(b))
-		for _, x := range a {
-			for _, y := range b {
-				// With disjoint domains every pair is compatible, but a
-				// variable may still be bound in only some mappings of a
-				// side, so check anyway.
-				if x.Compatible(y) {
-					out = append(out, x.Merge(y))
-				}
-			}
-		}
-		return out
-	}
-	// Build hash table over b keyed by shared-variable values. Mappings in
-	// which some shared variable is unbound go to a catch-all bucket that
-	// must be probed pairwise.
-	table := make(map[string]Solutions)
-	var loose Solutions
-	for _, y := range b {
-		k, ok := joinKey(y, shared)
-		if !ok {
-			loose = append(loose, y)
-			continue
-		}
-		table[k] = append(table[k], y)
-	}
+	ix := newJoinIndex(a, b)
 	var out Solutions
+	var hits []int
 	for _, x := range a {
-		k, ok := joinKey(x, shared)
-		if ok {
-			for _, y := range table[k] {
-				if x.Compatible(y) {
-					out = append(out, x.Merge(y))
-				}
-			}
-		} else {
-			// x leaves shared variables unbound: probe everything.
-			for _, y := range b {
-				if x.Compatible(y) {
-					out = append(out, x.Merge(y))
-				}
-			}
-			continue
-		}
-		for _, y := range loose {
-			if x.Compatible(y) {
-				out = append(out, x.Merge(y))
-			}
+		hits = ix.compatible(x, hits)
+		for _, i := range hits {
+			out = append(out, x.Merge(b[i]))
 		}
 	}
-	return out
-}
-
-func joinKey(b Binding, vars []string) (string, bool) {
-	var sb strings.Builder
-	for _, v := range vars {
-		t, ok := b[v]
-		if !ok {
-			return "", false
-		}
-		sb.WriteString(t.String())
-		sb.WriteByte('|')
-	}
-	return sb.String(), true
-}
-
-func sharedVars(a, b Solutions) []string {
-	inA := map[string]bool{}
-	for _, x := range a {
-		for v := range x {
-			inA[v] = true
-		}
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, y := range b {
-		for v := range y {
-			if inA[v] && !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -276,16 +200,11 @@ func Union(a, b Solutions) Solutions {
 
 // Diff computes Ω1 ∖ Ω2: mappings of Ω1 compatible with no mapping of Ω2.
 func Diff(a, b Solutions) Solutions {
+	ix := newJoinIndex(a, b)
 	var out Solutions
+	var hits []int
 	for _, x := range a {
-		ok := true
-		for _, y := range b {
-			if x.Compatible(y) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if hits = ix.compatible(x, hits); len(hits) == 0 {
 			out = append(out, x)
 		}
 	}
@@ -293,31 +212,22 @@ func Diff(a, b Solutions) Solutions {
 }
 
 // LeftJoin computes Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2), the semantics of
-// OPTIONAL (Sect. IV-E). The optional filter condition, when present, is
-// applied by the caller via LeftJoinFilter.
-func LeftJoin(a, b Solutions) Solutions {
-	return Union(Join(a, b), Diff(a, b))
-}
+// OPTIONAL (Sect. IV-E), in that order: every merge, then the unmatched
+// mappings of Ω1.
+func LeftJoin(a, b Solutions) Solutions { return LeftJoinFilter(a, b, nil) }
 
 // Distinct removes duplicate mappings, preserving first occurrences.
 func Distinct(s Solutions) Solutions {
-	seen := make(map[string]bool, len(s))
-	var out Solutions
-	for _, b := range s {
-		k := b.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, b)
-		}
-	}
-	return out
+	var d Dedup
+	d.Add(s)
+	return d.Solutions()
 }
 
 // Reduced removes adjacent duplicate mappings.
 func Reduced(s Solutions) Solutions {
 	var out Solutions
 	for i, b := range s {
-		if i > 0 && b.Key() == s[i-1].Key() {
+		if i > 0 && b.Equal(s[i-1]) {
 			continue
 		}
 		out = append(out, b)

@@ -160,28 +160,31 @@ func evalGraph(o *algebra.Graph, ds *Dataset) (Solutions, error) {
 
 // LeftJoinFilter implements LeftJoin(Ω1, Ω2, expr) per the SPARQL algebra:
 // compatible merges that satisfy expr, plus Ω1 mappings with no compatible
-// (and satisfying) counterpart.
+// (and satisfying) counterpart. With a condition an unmatched mapping stays
+// at its own position; without one (plain LeftJoin) they follow the merges.
 func LeftJoinFilter(a, b Solutions, expr sparql.Expression) Solutions {
-	if expr == nil {
-		return LeftJoin(a, b)
-	}
-	var out Solutions
+	ix := newJoinIndex(a, b)
+	var out, unmatched Solutions
+	var hits []int
 	for _, x := range a {
 		matched := false
-		for _, y := range b {
-			if x.Compatible(y) {
-				m := x.Merge(y)
-				if Satisfies(expr, m) {
-					out = append(out, m)
-					matched = true
-				}
+		hits = ix.compatible(x, hits)
+		for _, i := range hits {
+			if m := x.Merge(b[i]); expr == nil || Satisfies(expr, m) {
+				out = append(out, m)
+				matched = true
 			}
 		}
-		if !matched {
+		if matched {
+			continue
+		}
+		if expr == nil {
+			unmatched = append(unmatched, x)
+		} else {
 			out = append(out, x)
 		}
 	}
-	return out
+	return append(out, unmatched...)
 }
 
 // FilterSolutions keeps mappings satisfying the condition.
@@ -263,21 +266,36 @@ func Substitute(pat rdf.Triple, b Binding) rdf.Triple {
 // extend augments binding b with the variable assignments implied by
 // matching the (partially substituted) pattern against triple t. It
 // reports false when the same variable would be assigned two different
-// terms (e.g. pattern ?x p ?x against s p o with s != o).
+// terms (e.g. pattern ?x p ?x against s p o with s != o), which it decides
+// before allocating the extended mapping.
 func extend(b Binding, pat rdf.Triple, t rdf.Triple) (Binding, bool) {
-	nb := b.Clone()
-	assign := func(p, v rdf.Term) bool {
+	ps := [3]rdf.Term{pat.S, pat.P, pat.O}
+	vs := [3]rdf.Term{t.S, t.P, t.O}
+	fresh := 0
+	for i, p := range ps {
 		if !p.IsVar() {
-			return true
+			continue
 		}
-		if old, ok := nb[p.Value]; ok {
-			return old == v
+		old, bound := b[p.Value]
+		for j := 0; j < i && !bound; j++ { // an earlier position of the same variable
+			if ps[j].IsVar() && ps[j].Value == p.Value {
+				old, bound = vs[j], true
+			}
 		}
-		nb[p.Value] = v
-		return true
+		if !bound {
+			fresh++
+		} else if old != vs[i] {
+			return nil, false
+		}
 	}
-	if !assign(pat.S, t.S) || !assign(pat.P, t.P) || !assign(pat.O, t.O) {
-		return nil, false
+	nb := make(Binding, len(b)+fresh)
+	for k, v := range b {
+		nb[k] = v
+	}
+	for i, p := range ps {
+		if p.IsVar() {
+			nb[p.Value] = vs[i]
+		}
 	}
 	return nb, true
 }

@@ -1,0 +1,254 @@
+package eval
+
+import (
+	"math/rand"
+	"testing"
+
+	"adhocshare/internal/rdf"
+	"adhocshare/internal/sparql"
+)
+
+// hashTerms differ pairwise but share lexical forms: the same Value as IRI,
+// blank node and literal, and literals apart only in Lang or Datatype.
+var hashTerms = []rdf.Term{
+	rdf.NewIRI("a"), rdf.NewLiteral("a"), rdf.NewBlank("a"),
+	rdf.NewLangLiteral("a", "en"), rdf.NewLangLiteral("a", "de"),
+	rdf.NewTypedLiteral("a", rdf.XSDString), rdf.NewTypedLiteral("a", rdf.XSDInteger),
+	rdf.NewIRI("b"), rdf.NewLiteral(""),
+}
+
+// randomRows draws n mappings over vars; each variable is left unbound a
+// quarter of the time, so shared variables go missing on both join sides.
+func randomRows(r *rand.Rand, n int, vars ...string) Solutions {
+	out := make(Solutions, n)
+	for i := range out {
+		b := NewBinding()
+		for _, v := range vars {
+			if r.Intn(4) > 0 {
+				b[v] = hashTerms[r.Intn(len(hashTerms))]
+			}
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// The reference definitions: nested loops over Equal and Compatible.
+
+func refDistinct(s Solutions) Solutions {
+	var out Solutions
+next:
+	for _, b := range s {
+		for _, o := range out {
+			if b.Equal(o) {
+				continue next
+			}
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+func refJoin(a, b Solutions) Solutions {
+	var out Solutions
+	for _, x := range a {
+		for _, y := range b {
+			if x.Compatible(y) {
+				out = append(out, x.Merge(y))
+			}
+		}
+	}
+	return out
+}
+
+func refDiff(a, b Solutions) Solutions {
+	var out Solutions
+next:
+	for _, x := range a {
+		for _, y := range b {
+			if x.Compatible(y) {
+				continue next
+			}
+		}
+		out = append(out, x)
+	}
+	return out
+}
+
+func refLeftJoinFilter(a, b Solutions, expr sparql.Expression) Solutions {
+	var out Solutions
+	for _, x := range a {
+		matched := false
+		for _, y := range b {
+			if m := x.Merge(y); x.Compatible(y) && Satisfies(expr, m) {
+				out = append(out, m)
+				matched = true
+			}
+		}
+		if !matched {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// sameSequence holds got to want row by row: order is part of the contract.
+func sameSequence(t *testing.T, what string, got, want Solutions) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d\n got %v\nwant %v", what, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: row %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// eachHashMode runs f with the real hash and with every hash forced to
+// zero, where all rows share one chain and Equal/Compatible decide alone.
+func eachHashMode(t *testing.T, f func(t *testing.T)) {
+	t.Run("hashed", f)
+	t.Run("colliding", func(t *testing.T) {
+		hashMask = 0
+		defer func() { hashMask = ^uint64(0) }()
+		f(t)
+	})
+}
+
+func TestHashKeyedOperatorsMatchNestedLoops(t *testing.T) {
+	cond := &sparql.ExprCmp{Op: sparql.CmpEq,
+		Left: &sparql.ExprVar{Name: "z"}, Right: &sparql.ExprTerm{Term: hashTerms[0]}}
+	shapes := []struct {
+		name   string
+		av, bv []string
+	}{
+		{"shared-xy", []string{"x", "y", "u"}, []string{"x", "y", "z"}},
+		{"shared-y", []string{"x", "y"}, []string{"y", "z"}},
+		{"disjoint", []string{"x"}, []string{"z"}},
+		{"same-vars", []string{"x", "z"}, []string{"x", "z"}},
+	}
+	eachHashMode(t, func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			for _, sh := range shapes {
+				a := randomRows(r, r.Intn(14), sh.av...)
+				b := randomRows(r, r.Intn(14), sh.bv...)
+				sameSequence(t, sh.name+" Distinct", Distinct(a), refDistinct(a))
+				sameSequence(t, sh.name+" Join", Join(a, b), refJoin(a, b))
+				sameSequence(t, sh.name+" Diff", Diff(a, b), refDiff(a, b))
+				sameSequence(t, sh.name+" LeftJoin", LeftJoin(a, b), Union(refJoin(a, b), refDiff(a, b)))
+				sameSequence(t, sh.name+" LeftJoinFilter", LeftJoinFilter(a, b, cond), refLeftJoinFilter(a, b, cond))
+			}
+		}
+	})
+}
+
+func TestHashKeyedOperatorsTable(t *testing.T) {
+	lit := func(v string, val rdf.Term) Binding { return Binding{v: val} }
+	cases := []struct {
+		name string
+		a, b Solutions
+	}{
+		{"both empty", nil, nil},
+		{"empty build side", Solutions{bnd("x", "1")}, nil},
+		{"unbound shared var on the probe side",
+			Solutions{bnd("y", "7"), bnd("x", "1", "y", "7")},
+			Solutions{bnd("x", "1"), bnd("x", "2")}},
+		{"unbound shared var between keyed build rows",
+			Solutions{bnd("x", "1", "y", "7")},
+			Solutions{bnd("x", "1", "z", "a"), bnd("z", "b"), bnd("x", "1", "z", "c"), bnd("x", "2")}},
+		{"lang and datatype tell literals apart",
+			Solutions{lit("x", rdf.NewLangLiteral("a", "en")), lit("x", rdf.NewLiteral("a")), lit("x", rdf.NewLangLiteral("a", "en"))},
+			Solutions{lit("x", rdf.NewLangLiteral("a", "de")), lit("x", rdf.NewTypedLiteral("a", rdf.XSDString)), lit("x", rdf.NewLiteral("a"))}},
+		{"IRI and literal with one Value",
+			Solutions{lit("x", rdf.NewIRI("a")), lit("x", rdf.NewLiteral("a"))},
+			Solutions{lit("x", rdf.NewLiteral("a")), lit("x", rdf.NewBlank("a"))}},
+		{"same term under different variables",
+			Solutions{bnd("x", "1"), bnd("y", "1"), bnd("x", "1")},
+			Solutions{bnd("y", "1"), bnd("x", "1")}},
+	}
+	eachHashMode(t, func(t *testing.T) {
+		for _, c := range cases {
+			both := Union(c.a, c.b)
+			sameSequence(t, c.name+": Distinct", Distinct(both), refDistinct(both))
+			sameSequence(t, c.name+": Join", Join(c.a, c.b), refJoin(c.a, c.b))
+			sameSequence(t, c.name+": Diff", Diff(c.a, c.b), refDiff(c.a, c.b))
+			sameSequence(t, c.name+": LeftJoin", LeftJoin(c.a, c.b), Union(refJoin(c.a, c.b), refDiff(c.a, c.b)))
+		}
+	})
+}
+
+func TestDedupAddEqualsDistinctOfUnion(t *testing.T) {
+	eachHashMode(t, func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			var d Dedup
+			var all, shipped Solutions
+			for k := r.Intn(6); k >= 0; k-- {
+				batch := randomRows(r, r.Intn(10), "x", "y")
+				d.Add(batch)
+				all = Union(all, batch)
+				// A prefix handed out earlier is never written again: the
+				// next snapshot starts with the very same rows.
+				now := d.Solutions()
+				sameSequence(t, "shipped prefix", now[:len(shipped)], shipped)
+				if cap(now) != len(now) {
+					t.Fatalf("Solutions() leaves %d slots a receiver's append could write into", cap(now)-len(now))
+				}
+				shipped = now
+			}
+			sameSequence(t, "Add over batches", d.Solutions(), Distinct(all))
+		}
+	})
+}
+
+func TestSharedVars(t *testing.T) {
+	a := Solutions{bnd("x", "1"), bnd("y", "1", "z", "1")}
+	b := Solutions{bnd("z", "2", "w", "2"), bnd("y", "2"), bnd("z", "3")}
+	if got := SharedVars(a, b, 0); len(got) != 2 || got[0] != "y" || got[1] != "z" {
+		t.Errorf("SharedVars = %v, want [y z]", got)
+	}
+	if got := SharedVars(a, b, 1); len(got) != 1 {
+		t.Errorf("SharedVars limit 1 = %v, want one variable", got)
+	}
+	if got := SharedVars(a, Solutions{bnd("w", "1")}, 1); len(got) != 0 {
+		t.Errorf("SharedVars of disjoint sides = %v", got)
+	}
+}
+
+// TestDistinctDoesNotPrintRows: at the parent every row cost a sort, a
+// strings.Builder and a string per term — over 10,000 allocations here.
+func TestDistinctDoesNotPrintRows(t *testing.T) {
+	rows := make(Solutions, 1000)
+	for i := range rows {
+		rows[i] = Binding{"s": rdf.NewInteger(int64(i)), "p": term("p"), "o": rdf.NewLiteral("v")}
+	}
+	if n := testing.AllocsPerRun(5, func() { Distinct(rows) }); n >= 100 {
+		t.Errorf("Distinct over 1000 distinct rows allocates %.0f times, want < 100", n)
+	}
+}
+
+func TestExtendDecidesBeforeAllocating(t *testing.T) {
+	x, y := rdf.NewVar("x"), rdf.NewVar("y")
+	pat := rdf.Triple{S: x, P: term("p"), O: x}
+	loop := rdf.Triple{S: term("n"), P: term("p"), O: term("n")}
+	edge := rdf.Triple{S: term("m"), P: term("p"), O: term("q")}
+	seed := bnd("k", "0")
+	if nb, ok := extend(seed, pat, loop); !ok || !nb.Equal(bnd("k", "0", "x", "n")) {
+		t.Errorf("?x p ?x against a self-loop = %v, %v", nb, ok)
+	}
+	if nb, ok := extend(bnd("x", "m"), rdf.Triple{S: x, P: term("p"), O: y}, edge); !ok || !nb.Equal(bnd("x", "m", "y", "q")) {
+		t.Errorf("bound ?x agreeing with the triple = %v, %v", nb, ok)
+	}
+	if _, ok := extend(bnd("x", "n"), rdf.Triple{S: x, P: term("p"), O: y}, edge); ok {
+		t.Error("bound ?x disagreeing with the triple must not extend")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		if _, ok := extend(seed, pat, edge); ok {
+			t.Error("?x p ?x must not match m p q")
+		}
+	}); n != 0 {
+		t.Errorf("an inconsistent match allocates %.0f times, want 0", n)
+	}
+}

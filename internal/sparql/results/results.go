@@ -179,7 +179,15 @@ func WriteTSV(w io.Writer, vars []string, sols eval.Solutions) error {
 // SortSolutions orders solutions deterministically by their canonical
 // keys — handy before serializing when no ORDER BY was given.
 func SortSolutions(sols eval.Solutions) eval.Solutions {
-	out := sols.Clone()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	keys := make([]string, len(sols))
+	order := make([]int, len(sols))
+	for i, b := range sols {
+		keys[i], order[i] = b.Key(), i
+	}
+	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+	out := make(eval.Solutions, len(sols))
+	for i, j := range order {
+		out[i] = sols[j].Clone()
+	}
 	return out
 }
