@@ -1,23 +1,22 @@
 package adhocshare
 
-// One benchmark per experiment of the DESIGN.md index (E1–E12) — each
-// regenerates its table via the experiments harness and reports the
-// domain metrics (messages, KiB, virtual response time) alongside Go's
-// time/op — plus micro-benchmarks for the hot paths of the substrate
-// (parsing, algebra evaluation, joins, DHT lookups, index publication).
+// Micro-benchmarks for the hot paths: distributed queries on one small
+// deployment, reporting the domain metrics (messages, KiB, virtual
+// response time) alongside Go's time/op, and the substrate (parsing,
+// algebra evaluation, joins, DHT lookups, index publication). They are the
+// `-bench X -cpuprofile/-memprofile` entry points; the repository's
+// benchmark, with set-up timed apart from steady state, is bench/.
 //
 // Run: go test -bench=. -benchmem
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
 
 	"adhocshare/internal/chord"
 	"adhocshare/internal/dqp"
-	"adhocshare/internal/experiments"
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
@@ -27,49 +26,6 @@ import (
 	"adhocshare/internal/sparql/optimize"
 	"adhocshare/internal/workload"
 )
-
-// benchExperiment runs one harness experiment per iteration.
-func benchExperiment(b *testing.B, run func(experiments.Params) (*experiments.Table, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tab, err := run(experiments.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-func BenchmarkE1_Fig1Lookup(b *testing.B)        { benchExperiment(b, experiments.E1Fig1) }
-func BenchmarkE2_IndexConstruction(b *testing.B) { benchExperiment(b, experiments.E2IndexConstruction) }
-func BenchmarkE3_LookupHops(b *testing.B)        { benchExperiment(b, experiments.E3LookupHops) }
-func BenchmarkE4_PrimitiveStrategies(b *testing.B) {
-	benchExperiment(b, experiments.E4PrimitiveStrategies)
-}
-func BenchmarkE5_Conjunction(b *testing.B)   { benchExperiment(b, experiments.E5Conjunction) }
-func BenchmarkE6_Optional(b *testing.B)      { benchExperiment(b, experiments.E6Optional) }
-func BenchmarkE7_Union(b *testing.B)         { benchExperiment(b, experiments.E7Union) }
-func BenchmarkE8_FilterPushing(b *testing.B) { benchExperiment(b, experiments.E8FilterPushing) }
-func BenchmarkE9_Fig4EndToEnd(b *testing.B)  { benchExperiment(b, experiments.E9Fig4EndToEnd) }
-
-// BenchmarkE9_FlightRecorder is E9 with the flight recorder and invariant
-// monitors armed (128-event rings); the delta against the plain E9 run is
-// the always-on recording overhead.
-func BenchmarkE9_FlightRecorder(b *testing.B) {
-	benchExperiment(b, func(p experiments.Params) (*experiments.Table, error) {
-		p.Flight = 128
-		return experiments.E9Fig4EndToEnd(p)
-	})
-}
-func BenchmarkE10_VsRDFPeers(b *testing.B)   { benchExperiment(b, experiments.E10VsRDFPeers) }
-func BenchmarkE11_Churn(b *testing.B)        { benchExperiment(b, experiments.E11Churn) }
-func BenchmarkE12_JoinSite(b *testing.B)     { benchExperiment(b, experiments.E12JoinSite) }
-func BenchmarkE13_QoSJoinSite(b *testing.B)  { benchExperiment(b, experiments.E13QoSJoinSite) }
-func BenchmarkE14_LookupCache(b *testing.B)  { benchExperiment(b, experiments.E14LookupCache) }
-func BenchmarkE15_RangeQueries(b *testing.B) { benchExperiment(b, experiments.E15RangeQueries) }
-func BenchmarkE16_ZipfStorm(b *testing.B)    { benchExperiment(b, experiments.E16ZipfStorm) }
 
 // ---- distributed query micro-benchmarks with domain metrics ----
 
@@ -290,16 +246,6 @@ func BenchmarkNTriplesParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rdf.ParseNTriples(strings.NewReader(doc)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunAllExperiments regenerates the full EXPERIMENTS.md table set
-// in one go (the `benchmark` command's workload).
-func BenchmarkRunAllExperiments(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := experiments.RunAll(io.Discard, experiments.Params{}); err != nil {
 			b.Fatal(err)
 		}
 	}

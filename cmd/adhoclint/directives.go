@@ -9,7 +9,7 @@ import (
 
 // A directive is one //adhoclint:name(args) rest comment. Every rule that
 // reads directives — ignore, wireimmutable, racefree, faultpath,
-// hotexempt, gobfallback — reads them from the one index built here.
+// hotexempt — reads them from the one index built here.
 type directive struct {
 	name string // "ignore", "faultpath", ...
 	args string // parenthesized argument text, "" when absent

@@ -315,10 +315,6 @@ func diagDump(diags []Diagnostic) string {
 	return sb.String()
 }
 
-func TestCodecRule(t *testing.T) {
-	checkFixture(t, "codec", "adhocshare/internal/fixture/codec", only("codec"))
-}
-
 func TestFaultPathRule(t *testing.T) {
 	checkFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", only("faultpath"))
 }

@@ -1,6 +1,6 @@
 // Command adhoclint is the project's static-analysis suite. It enforces
 // the concurrency, protocol, determinism, wire-isolation, timing,
-// allocation, codec and fault-disposition conventions of the overlay/DQP
+// allocation and fault-disposition conventions of the overlay/DQP
 // core (documented in DESIGN.md §7); `adhoclint -list` prints the rules
 // with their one-line descriptions, straight from the rule table in
 // lint.go.

@@ -25,8 +25,8 @@ import (
 //     when the map was made without a size hint — the loop's trip count
 //     is right there to presize with;
 //   - boxing a concrete value into an empty interface parameter (fmt,
-//     errors, sort and encoding/gob callees excepted: their boxing is
-//     inherent to the API and once per call);
+//     errors and sort callees excepted: their boxing is inherent to the
+//     API and once per call);
 //   - closures allocated inside loops (one heap closure per iteration;
 //     the branch literal handed directly to simnet.Parallel is the
 //     sanctioned fan-out pattern and exempt).
@@ -435,12 +435,12 @@ func declaredBefore(obj types.Object, loop ast.Node) bool {
 }
 
 // checkBoxing flags concrete values boxed into empty-interface parameters.
-// fmt, errors, sort and encoding/gob callees are exempt — boxing there is
-// inherent to the API and happens once per call, and the fmt cases are
-// covered by the formatting check — as are //adhoclint:hotexempt callees:
-// arguments handed to a deliberately cold helper are the cold path's cost.
+// fmt, errors and sort callees are exempt — boxing there is inherent to
+// the API and happens once per call, and the fmt cases are covered by the
+// formatting check — as are //adhoclint:hotexempt callees: arguments
+// handed to a deliberately cold helper are the cold path's cost.
 func (a *allocChecker) checkBoxing(p *Package, fn *ast.FuncDecl, obj *types.Func) {
-	exemptPkgs := map[string]bool{"fmt": true, "errors": true, "sort": true, "encoding/gob": true}
+	exemptPkgs := map[string]bool{"fmt": true, "errors": true, "sort": true}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {

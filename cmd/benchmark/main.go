@@ -13,7 +13,7 @@
 //
 // With -cpuprofile or -memprofile the run writes pprof profiles of the
 // harness itself — the data behind the hot-path work in the adhoclint
-// alloc rule and the binary wire codec:
+// alloc rule:
 //
 //	benchmark -run E9 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out

@@ -2,6 +2,7 @@ package dqp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"adhocshare/internal/flight"
@@ -296,7 +297,9 @@ func (e *Engine) runBareDescribe(ctx *qctx, q *sparql.Query, at simnet.VTime) (*
 }
 
 // describe fetches all triples whose subject is one of the describe terms
-// (constants, or variable bindings from the WHERE clause).
+// (constants, or variable bindings from the WHERE clause), one sequential
+// sub-query per resource in rdf.Compare order: span IDs, start times and
+// loss draws follow the visiting order, so it must not be a map's.
 func (e *Engine) describe(ctx *qctx, q *sparql.Query, sols eval.Solutions, at simnet.VTime) ([]rdf.Triple, simnet.VTime, error) {
 	resources := map[rdf.Term]bool{}
 	for _, t := range q.DescribeTerms {
@@ -319,10 +322,15 @@ func (e *Engine) describe(ctx *qctx, q *sparql.Query, sols eval.Solutions, at si
 			}
 		}
 	}
+	ordered := make([]rdf.Term, 0, len(resources))
+	for r := range resources {
+		ordered = append(ordered, r)
+	}
+	slices.SortFunc(ordered, rdf.Compare)
 	seen := map[rdf.Triple]bool{}
 	var out []rdf.Triple
 	now := at
-	for r := range resources {
+	for _, r := range ordered {
 		pat := rdf.Triple{S: r, P: rdf.NewVar("p"), O: rdf.NewVar("o")}
 		res, done, err := e.execBGP(ctx, []rdf.Triple{pat}, nil, rdf.Term{}, now)
 		now = done

@@ -435,7 +435,8 @@ func (e *Engine) planPatterns(ctx *qctx, patterns []rdf.Triple, at simnet.VTime)
 
 // execBGP evaluates a basic graph pattern distributedly. filter, when
 // non-nil, is decomposed into conjuncts and each conjunct ships with the
-// earliest sub-query whose variables cover it; leftovers apply at the end.
+// earliest sub-query whose variables cover it; the whole filter applies
+// once more at the end.
 func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
 	if len(patterns) == 0 {
 		return siteSet{sols: eval.Solutions{eval.NewBinding()}, site: ctx.initiator}, at, nil
@@ -462,10 +463,11 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	if err != nil {
 		return siteSet{}, now, err
 	}
-	// Apply any filter conjuncts that could not be pushed (e.g. referring
-	// to variables bound only across patterns evaluated in parallel).
-	if rem := unshippedConjuncts(plans, conjuncts); rem != nil {
-		out.sols = eval.FilterSolutions(out.sols, rem)
+	// Conjuncts referring to variables bound only across patterns
+	// evaluated in parallel were never shipped; which ones is not known
+	// here, so the whole filter applies — idempotent for the shipped ones.
+	if filter != nil {
+		out.sols = eval.FilterSolutions(out.sols, filter)
 	}
 	return out, now, nil
 }
@@ -859,26 +861,6 @@ func shippableFilter(conjuncts []sparql.Expression, shipped []bool, bound map[st
 			continue
 		}
 		shipped[i] = true
-		if out == nil {
-			out = c
-		} else {
-			out = &sparql.ExprAnd{Left: out, Right: c}
-		}
-	}
-	return out
-}
-
-// unshippedConjuncts rebuilds the residual filter from conjuncts that were
-// never shipped with a sub-query. The executor cannot know the shipped
-// slice here, so it conservatively re-applies the whole filter when any
-// conjunct mentions variables from more than one pattern — re-applying a
-// filter is idempotent and therefore always safe.
-func unshippedConjuncts(plans []patternPlan, conjuncts []sparql.Expression) sparql.Expression {
-	if len(conjuncts) == 0 {
-		return nil
-	}
-	var out sparql.Expression
-	for _, c := range conjuncts {
 		if out == nil {
 			out = c
 		} else {

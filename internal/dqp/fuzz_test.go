@@ -1,33 +1,28 @@
 package dqp
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
+
+	"adhocshare/internal/simnet"
 )
 
-// FuzzCodecRoundTrip cross-checks the hand-rolled binary wire codec
-// against the registered gob baseline on fuzzer-mutated inputs:
-//
-//  1. DecodePayload must never panic — malformed input only errors;
-//  2. any payload that decodes must survive a binary re-encode/decode
-//     round trip unchanged;
-//  3. the same payload pushed through the gob baseline must decode back
-//     to the same value (the two codecs agree on the value space);
-//  4. binary encoding must be deterministic: re-encoding the round-
-//     tripped value yields byte-identical output.
-//
-// Seeds come from methodSamples — both wire forms of every RPC method of
-// the four vocabularies — plus the committed adversarial corpus under
-// testdata/fuzz/FuzzCodecRoundTrip (truncated frames, bad tags, corrupt
-// gob streams, non-minimal varints).
+// FuzzCodecRoundTrip holds the gob probe's DecodePayload to two
+// properties on its seed corpus: malformed input errors instead of
+// panicking, and a payload that decodes survives a re-encode unchanged.
+// Seeds are both payloads of every RPC method in methodSamples, each whole
+// and cut in half, plus the committed byte strings under
+// testdata/fuzz/FuzzCodecRoundTrip. It runs as a plain test only — `make
+// fuzz` would be fuzzing encoding/gob — and goes with gobprobe.go.
 func FuzzCodecRoundTrip(f *testing.F) {
-	for _, s := range samplePayloads() {
-		if data, err := EncodePayload(s.p); err == nil {
+	for _, c := range methodSamples() {
+		for _, p := range []simnet.Payload{c.req, c.resp} {
+			data, err := EncodePayload(p)
+			if err != nil {
+				f.Fatalf("%s: encode: %v", c.method, err)
+			}
 			f.Add(data)
-		}
-		if data, err := EncodePayloadGob(s.p); err == nil {
-			f.Add(data)
+			f.Add(data[:len(data)/2])
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -35,38 +30,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			return // malformed input: rejected, not crashed
 		}
-		bin, err := EncodePayload(p)
+		again, err := EncodePayload(p)
 		if err != nil {
 			t.Fatalf("re-encode of decoded payload %#v: %v", p, err)
 		}
-		p2, err := DecodePayload(bin)
+		p2, err := DecodePayload(again)
 		if err != nil {
 			t.Fatalf("decode of re-encoded payload %#v: %v", p, err)
 		}
 		if !reflect.DeepEqual(p, p2) {
-			t.Fatalf("binary round trip changed the payload:\n was: %#v\n got: %#v", p, p2)
-		}
-		gobData, err := EncodePayloadGob(p)
-		if err != nil {
-			t.Fatalf("gob re-encode of decoded payload %#v: %v", p, err)
-		}
-		p3, err := DecodePayload(gobData)
-		if err != nil {
-			t.Fatalf("decode of gob re-encoded payload %#v: %v", p, err)
-		}
-		if !reflect.DeepEqual(p, p3) {
-			t.Fatalf("gob cross-check changed the payload:\n was: %#v\n got: %#v", p, p3)
-		}
-		// Determinism matters only on the binary path: gob's map
-		// serialization order is unspecified.
-		if _, binary := binaryTag(p); binary {
-			bin2, err := EncodePayload(p2)
-			if err != nil {
-				t.Fatalf("second re-encode of %#v: %v", p2, err)
-			}
-			if !bytes.Equal(bin, bin2) {
-				t.Fatalf("binary encoding is not deterministic for %#v:\n first:  %x\n second: %x", p, bin, bin2)
-			}
+			t.Fatalf("round trip changed the payload:\n was: %#v\n got: %#v", p, p2)
 		}
 	})
 }

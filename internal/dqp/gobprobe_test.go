@@ -28,9 +28,8 @@ func roundTrip(t *testing.T, label string, p simnet.Payload) {
 }
 
 // TestMethodPayloadsRoundTrip drives every Method* constant of the four
-// RPC vocabularies through the wire codec with the representative
-// payloads of methodSamples (shared with the alloc guards and the codec
-// fuzz seeds).
+// RPC vocabularies through the gob probe with the representative payloads
+// of methodSamples: every payload is a plain serializable value.
 func TestMethodPayloadsRoundTrip(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range methodSamples() {

@@ -24,8 +24,6 @@ const (
 // solutions being joined in-network, the accumulated matches so far, and
 // the remaining target sequence (Sect. IV-C optimization: "information on
 // a sequence of target nodes that the query should be forwarded through").
-//
-//adhoclint:gobfallback Filter is a sparql.Expression interface value; gob's registered concrete types carry it
 type chainPayload struct {
 	Patterns []rdf.Triple
 	Filter   sparql.Expression

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
 	"adhocshare/internal/rdf"
+	"adhocshare/internal/trace"
 )
 
 // overlapData holds every triple at two providers, so each chain hop and
@@ -84,5 +86,31 @@ func TestOverlappingProvidersSequenceAndStats(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("solution sequences or Stats moved; run with UPDATE_GOLDEN=1 after reviewing the diff.\ngot:\n%s", got.Bytes())
+	}
+}
+
+// TestDescribeSameSeedTranscript builds the same deployment twenty times
+// and requires the span transcript of a DESCRIBE over several resources to
+// be identical each time: one sequential sub-query runs per resource, so
+// their order decides every span ID and start time.
+func TestDescribeSameSeedTranscript(t *testing.T) {
+	const q = `PREFIX foaf: <http://xmlns.com/foaf/0.1/> DESCRIBE ?x WHERE { ?x foaf:knows <http://example.org/carol> . }`
+	var first []trace.Span
+	for run := 0; run < 20; run++ {
+		sys, now := buildSystem(t, 4, paperData())
+		buf := trace.NewBuffer()
+		sys.Net().SetRecorder(buf)
+		res, _, _, err := NewEngine(sys, DefaultOptions()).Query("D1", q, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Triples) == 0 {
+			t.Fatal("DESCRIBE returned no triples")
+		}
+		if spans := buf.Spans(); run == 0 {
+			first = spans
+		} else if !reflect.DeepEqual(spans, first) {
+			t.Fatalf("run %d: span transcript differs from the first run's", run)
+		}
 	}
 }

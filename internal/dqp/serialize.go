@@ -1,129 +1,11 @@
 package dqp
 
 import (
-	"bytes"
-	"encoding/gob"
 	"io"
 
-	"adhocshare/internal/chord"
-	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
-	"adhocshare/internal/rdfpeers"
-	"adhocshare/internal/simnet"
-	"adhocshare/internal/sparql"
 	"adhocshare/internal/sparql/results"
 )
-
-// Every concrete payload type of the four RPC vocabularies (chord,
-// overlay, dqp, rdfpeers) is gob-registered up front, so the reflection
-// fallback can encode a payload behind the simnet.Payload interface and
-// decode it back to its concrete type on the receiving side. Expression
-// implementations are registered too: MatchReq and chainPayload carry a
-// pushed-down FILTER as a sparql.Expression interface value. The hot
-// payload families additionally carry hand-rolled binary codecs (see
-// binary.go); gob remains the registered baseline for cross-checking and
-// for the interface-bearing payloads.
-func init() {
-	gob.Register(simnet.Bytes(0))
-	gob.Register(chainPayload{})
-
-	gob.Register(overlay.PutReq{})
-	gob.Register(overlay.PutBatchReq{})
-	gob.Register(overlay.LookupReq{})
-	gob.Register(overlay.PostingsResp{})
-	gob.Register(overlay.TransferReq{})
-	gob.Register(overlay.TableRows{})
-	gob.Register(overlay.DropNodeReq{})
-	gob.Register(overlay.MatchReq{})
-	gob.Register(overlay.SolutionsResp{})
-	gob.Register(overlay.CountReq{})
-	gob.Register(overlay.CountResp{})
-	gob.Register(overlay.TriplesResp{})
-	gob.Register(overlay.HotReplicaReq{})
-	gob.Register(overlay.HotLookupReq{})
-	gob.Register(overlay.HotPostingsResp{})
-
-	gob.Register(chord.Ref{})
-	gob.Register(chord.FindReq{})
-	gob.Register(chord.FindResp{})
-	gob.Register(chord.BatchFindReq{})
-	gob.Register(chord.BatchFindResp{})
-	gob.Register(chord.RefList{})
-
-	gob.Register(rdfpeers.StoreReq{})
-	gob.Register(rdfpeers.MatchReq{})
-	gob.Register(rdfpeers.SolutionsResp{})
-	gob.Register(rdfpeers.IntersectReq{})
-	gob.Register(rdfpeers.TermsResp{})
-	gob.Register(rdfpeers.RangeReq{})
-	gob.Register(rdfpeers.RangeResp{})
-	gob.Register(rdfpeers.TriplesPayload{})
-
-	gob.Register(&sparql.ExprVar{})
-	gob.Register(&sparql.ExprTerm{})
-	gob.Register(&sparql.ExprOr{})
-	gob.Register(&sparql.ExprAnd{})
-	gob.Register(&sparql.ExprNot{})
-	gob.Register(&sparql.ExprNeg{})
-	gob.Register(&sparql.ExprCmp{})
-	gob.Register(&sparql.ExprArith{})
-	gob.Register(&sparql.ExprCall{})
-}
-
-// EncodePayload serializes an RPC payload for the wire. The concrete type
-// travels with the data (a one-byte format tag plus, for the gob
-// fallback, gob's own type preamble), so DecodePayload needs no
-// out-of-band hint. Hot payload families take the reflection-free binary
-// path; everything else falls back to gob.
-func EncodePayload(p simnet.Payload) ([]byte, error) {
-	if tag, ok := binaryTag(p); ok {
-		// SizeBytes is a capacity hint, and on adversarial values (a
-		// decoded simnet.Bytes is an arbitrary int) it can be negative
-		// or absurd — clamp rather than let make panic or over-commit.
-		hint := p.SizeBytes()
-		if hint < 0 {
-			hint = 0
-		} else if hint > maxEncodeHint {
-			hint = maxEncodeHint
-		}
-		dst := make([]byte, 1, 16+hint)
-		dst[0] = tag
-		return p.(binaryEncoder).EncodeBinary(dst), nil
-	}
-	return EncodePayloadGob(p)
-}
-
-// maxEncodeHint caps the presized encode buffer; larger payloads grow by
-// append instead of trusting a corrupt SizeBytes.
-const maxEncodeHint = 1 << 20
-
-// EncodePayloadGob serializes a payload through the reflection-driven gob
-// baseline, bypassing the binary fast path. It exists for the fallback
-// itself and for the benchmarks, AllocsPerRun guards and fuzz harness
-// that cross-check the two codecs; DecodePayload understands its output.
-func EncodePayloadGob(p simnet.Payload) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(tagGob)
-	if err := gob.NewEncoder(&buf).Encode(&p); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePayload reverses EncodePayload (and EncodePayloadGob).
-func DecodePayload(data []byte) (simnet.Payload, error) {
-	if len(data) == 0 {
-		return nil, io.ErrUnexpectedEOF
-	}
-	if data[0] != tagGob {
-		return decodeBinary(data[0], data[1:])
-	}
-	var p simnet.Payload
-	if err := gob.NewDecoder(bytes.NewReader(data[1:])).Decode(&p); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
 
 // WriteJSON serializes the result in the W3C SPARQL 1.1 Query Results JSON
 // format (boolean form for ASK results).

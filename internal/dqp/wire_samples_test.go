@@ -12,9 +12,7 @@ import (
 )
 
 // methodSample is one wire method with representative non-empty request
-// and response payloads. The round-trip test, the AllocsPerRun guards and
-// the codec fuzz seeds all draw from the same table, so every registered
-// payload type is exercised by every harness.
+// and response payloads, the table TestMethodPayloadsRoundTrip walks.
 type methodSample struct {
 	method    string
 	req, resp simnet.Payload
@@ -65,8 +63,7 @@ func methodSamples() []methodSample {
 			overlay.PostingsResp{Postings: []overlay.Posting{{Node: "n2", Freq: 5}},
 				Replicas: []simnet.Addr{"n3", "n4"}, Epoch: 3}},
 		// Adaptive hot-key replication: the epoch-stamped coherence push
-		// and the replica fast-path read (the invalidation-sensitive
-		// messages the codec fuzz seeds must cover).
+		// and the replica fast-path read.
 		{overlay.MethodHotReplica, overlay.HotReplicaReq{
 			Key: 4, Home: "n2", Epoch: 3,
 			Postings: []overlay.Posting{{Node: "n2", Freq: 5}},
@@ -126,27 +123,4 @@ func methodSamples() []methodSample {
 		{rdfpeers.MethodResult, rdfpeers.TermsResp{Terms: []rdf.Term{rdf.NewIRI("urn:s")}},
 			rdfpeers.TriplesPayload{Triples: []rdf.Triple{triple}}},
 	}
-}
-
-// samplePayloads flattens the method table into one payload per entry,
-// labelled "<method> request"/"<method> response".
-func samplePayloads() []struct {
-	label string
-	p     simnet.Payload
-} {
-	var out []struct {
-		label string
-		p     simnet.Payload
-	}
-	for _, c := range methodSamples() {
-		out = append(out, struct {
-			label string
-			p     simnet.Payload
-		}{c.method + " request", c.req})
-		out = append(out, struct {
-			label string
-			p     simnet.Payload
-		}{c.method + " response", c.resp})
-	}
-	return out
 }

@@ -207,8 +207,6 @@ func (r TransferReq) SizeBytes() int { return r.From.SizeBytes() + r.To.SizeByte
 
 // TableRows carries location-table content (transfer, handover, replica
 // sync).
-//
-//adhoclint:gobfallback maintenance-only map payload (transfer/handover/replica), never on a query hot path
 type TableRows struct {
 	Rows map[chord.ID][]Posting
 }
@@ -247,8 +245,6 @@ func (r DropNodeReq) TraceCtx() trace.TraceContext { return r.TC }
 // in-network aggregation of Sect. IV-C). Filter, when non-nil, is applied
 // to the local matches before they are returned — the shipped form of the
 // pushed-down FILTER of Sect. IV-G.
-//
-//adhoclint:gobfallback Filter is a sparql.Expression interface value; gob's registered concrete types carry it
 type MatchReq struct {
 	Patterns []rdf.Triple
 	Filter   sparql.Expression

@@ -181,16 +181,7 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 		s.mu.Unlock()
 		return nil, at, fmt.Errorf("overlay: index node %s already exists", addr)
 	}
-	// The bootstrap choice must be deterministic (smallest live address):
-	// it decides where the join's find_successor walk starts, so a
-	// map-order pick would make join latency — and with it every VTime
-	// downstream of the join — vary between same-seed runs.
-	var bootstrap simnet.Addr
-	for a := range s.index {
-		if s.net.Alive(a) && (bootstrap == "" || a < bootstrap) {
-			bootstrap = a
-		}
-	}
+	bootstrap := s.liveIndexLocked()
 	n := NewIndexNode(s.net, addr, id, chord.Config{Bits: s.cfg.Bits, SuccListSize: s.cfg.SuccListSize}, s.cfg.Replication)
 	if s.cfg.Adaptive {
 		n.EnableAdaptive(AdaptiveParams{
@@ -275,37 +266,11 @@ func (s *System) AddStorageNode(addr simnet.Addr, at simnet.VTime) (*StorageNode
 //
 //adhoclint:faultpath(compensated, a failed installation un-adds the new triples so graph and index stay consistent; postings already installed elsewhere are over-approximating hints that local matching filters and Republish repairs)
 func (s *System) Publish(storage simnet.Addr, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
-	s.mu.RLock()
-	node, ok := s.storage[storage]
-	s.mu.RUnlock()
-	if !ok {
-		return at, fmt.Errorf("overlay: unknown storage node %s", storage)
-	}
-	// Count new triples per key (duplicates in the graph are not re-indexed).
-	freq := map[chord.ID]int{}
-	added := make([]rdf.Triple, 0, len(triples))
-	for _, t := range triples {
-		if !node.Graph.Add(t) {
-			continue
-		}
-		added = append(added, t)
-		for _, key := range TripleKeys(t, s.cfg.Bits) {
-			freq[key]++
-		}
-	}
-	node.InvalidateViews()
-	tc, finish := s.traceOp("overlay.publish", storage)
-	done, err := s.installPostings(node, freq, tc, at)
-	if finish != nil {
-		finish(at, done)
-	}
+	node, err := s.storageNode(storage)
 	if err != nil {
-		for _, t := range added {
-			node.Graph.Remove(t)
-		}
-		node.InvalidateViews()
+		return at, err
 	}
-	return done, err
+	return s.editShared(node, node.Graph, false, "overlay.publish", triples, at)
 }
 
 // PublishGraph adds triples to one of the storage node's *named* graphs
@@ -315,37 +280,11 @@ func (s *System) Publish(storage simnet.Addr, triples []rdf.Triple, at simnet.VT
 //
 //adhoclint:faultpath(compensated, a failed installation un-adds the new triples from the named graph; leftover remote postings are over-approximating hints)
 func (s *System) PublishGraph(storage simnet.Addr, graphIRI string, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
-	s.mu.RLock()
-	node, ok := s.storage[storage]
-	s.mu.RUnlock()
-	if !ok {
-		return at, fmt.Errorf("overlay: unknown storage node %s", storage)
-	}
-	g := node.NamedGraph(graphIRI)
-	freq := map[chord.ID]int{}
-	added := make([]rdf.Triple, 0, len(triples))
-	for _, t := range triples {
-		if !g.Add(t) {
-			continue
-		}
-		added = append(added, t)
-		for _, key := range TripleKeys(t, s.cfg.Bits) {
-			freq[key]++
-		}
-	}
-	node.InvalidateViews()
-	tc, finish := s.traceOp("overlay.publish_graph", storage)
-	done, err := s.installPostings(node, freq, tc, at)
-	if finish != nil {
-		finish(at, done)
-	}
+	node, err := s.storageNode(storage)
 	if err != nil {
-		for _, t := range added {
-			g.Remove(t)
-		}
-		node.InvalidateViews()
+		return at, err
 	}
-	return done, err
+	return s.editShared(node, node.NamedGraph(graphIRI), false, "overlay.publish_graph", triples, at)
 }
 
 // Retract removes triples from the storage node and decrements the index
@@ -353,36 +292,66 @@ func (s *System) PublishGraph(storage simnet.Addr, graphIRI string, triples []rd
 //
 //adhoclint:faultpath(compensated, a failed decrement re-adds the removed triples; Republish repairs any owner whose decrement had already applied)
 func (s *System) Retract(storage simnet.Addr, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
-	s.mu.RLock()
-	node, ok := s.storage[storage]
-	s.mu.RUnlock()
+	node, err := s.storageNode(storage)
+	if err != nil {
+		return at, err
+	}
+	return s.editShared(node, node.Graph, true, "overlay.retract", triples, at)
+}
+
+// storageNode returns a storage node by address, or the error every
+// publication entry point reports for an unknown one.
+func (s *System) storageNode(addr simnet.Addr) (*StorageNode, error) {
+	node, ok := s.Storage(addr)
 	if !ok {
-		return at, fmt.Errorf("overlay: unknown storage node %s", storage)
+		return nil, fmt.Errorf("overlay: unknown storage node %s", addr)
+	}
+	return node, nil
+}
+
+// editShared is the one body of Publish, PublishGraph and Retract: it adds
+// the triples to g (one of node's graphs) or removes them, and ships the
+// frequency deltas of the triples that changed g — a triple already
+// present, or already absent, is not re-indexed — as the op span named op.
+//
+//adhoclint:faultpath(compensated, a failed installation applies the inverse edit to every triple that changed the graph)
+func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op string, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
+	delta := 1
+	if remove {
+		delta = -1
 	}
 	freq := map[chord.ID]int{}
-	removed := make([]rdf.Triple, 0, len(triples))
+	changed := make([]rdf.Triple, 0, len(triples))
 	for _, t := range triples {
-		if !node.Graph.Remove(t) {
+		if !editGraph(g, t, remove) {
 			continue
 		}
-		removed = append(removed, t)
+		changed = append(changed, t)
 		for _, key := range TripleKeys(t, s.cfg.Bits) {
-			freq[key]--
+			freq[key] += delta
 		}
 	}
 	node.InvalidateViews()
-	tc, finish := s.traceOp("overlay.retract", storage)
+	tc, finish := s.traceOp(op, node.addr)
 	done, err := s.installPostings(node, freq, tc, at)
 	if finish != nil {
 		finish(at, done)
 	}
 	if err != nil {
-		for _, t := range removed {
-			node.Graph.Add(t)
+		for _, t := range changed {
+			editGraph(g, t, !remove)
 		}
 		node.InvalidateViews()
 	}
 	return done, err
+}
+
+// editGraph removes t from g or adds it, and reports whether g changed.
+func editGraph(g *rdf.Graph, t rdf.Triple, remove bool) bool {
+	if remove {
+		return g.Remove(t)
+	}
+	return g.Add(t)
 }
 
 // Republish reinstalls the index postings for everything the storage node
@@ -390,11 +359,9 @@ func (s *System) Retract(storage simnet.Addr, triples []rdf.Triple, at simnet.VT
 // step for a provider whose postings were dropped while it was crashed
 // (Sect. III-D). Repeating it is harmless.
 func (s *System) Republish(storage simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
-	s.mu.RLock()
-	node, ok := s.storage[storage]
-	s.mu.RUnlock()
-	if !ok {
-		return at, fmt.Errorf("overlay: unknown storage node %s", storage)
+	node, err := s.storageNode(storage)
+	if err != nil {
+		return at, err
 	}
 	freq := map[chord.ID]int{}
 	count := func(g *rdf.Graph) {
@@ -700,46 +667,36 @@ func (s *System) entryFor(from simnet.Addr) simnet.Addr {
 		if s.net.Alive(st.attached) {
 			return st.attached
 		}
-		// the attachment point died: re-home to any live ring member
-		addrs := make([]simnet.Addr, 0, len(s.index))
-		for a := range s.index {
-			addrs = append(addrs, a)
+		// the attachment point died: re-home to a live ring member
+		entry := s.liveIndexLocked()
+		if entry != "" {
+			st.attached = entry
+			st.DropOwnerCache()
 		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		for _, a := range addrs {
-			if s.net.Alive(a) {
-				st.attached = a
-				st.DropOwnerCache()
-				return a
-			}
-		}
-		return ""
+		return entry
 	}
-	// External initiators enter at the smallest live index address — any
-	// live member works, but the pick must not depend on map order.
-	var entry simnet.Addr
-	for a := range s.index {
-		if s.net.Alive(a) && (entry == "" || a < entry) {
-			entry = a
-		}
-	}
-	return entry
+	// External initiators enter at a live ring member too.
+	return s.liveIndexLocked()
 }
 
 func (s *System) anyIndexAddr() simnet.Addr {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	addrs := make([]simnet.Addr, 0, len(s.index))
+	return s.liveIndexLocked()
+}
+
+// liveIndexLocked returns the smallest live index address ("" when none is
+// alive); the caller holds s.mu. Any live member would do as a ring entry
+// point, but the pick decides where a routing walk starts — and with it
+// every VTime downstream — so it must not depend on map order.
+func (s *System) liveIndexLocked() simnet.Addr {
+	var pick simnet.Addr
 	for a := range s.index {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		if s.net.Alive(a) {
-			return a
+		if s.net.Alive(a) && (pick == "" || a < pick) {
+			pick = a
 		}
 	}
-	return ""
+	return pick
 }
 
 // IndexNodes returns the index nodes sorted by ring identifier.

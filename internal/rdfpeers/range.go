@@ -164,8 +164,6 @@ func (s *System) arcOwners(startKey, endKey chord.ID, first simnet.Addr) []simne
 
 // RangeReq asks a ring node for its locally stored numeric triples with
 // the given predicate and object in [Lo, Hi].
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type RangeReq struct {
 	Predicate rdf.Term
 	Lo, Hi    float64
@@ -180,8 +178,6 @@ func (r RangeReq) SizeBytes() int {
 func boundWidth(float64) int { return 8 }
 
 // RangeResp carries matching triples.
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type RangeResp struct {
 	Triples []rdf.Triple
 }
@@ -196,8 +192,6 @@ func (r RangeResp) SizeBytes() int {
 }
 
 // TriplesPayload is a plain triple batch payload.
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type TriplesPayload struct {
 	Triples []rdf.Triple
 }

@@ -37,8 +37,6 @@ const (
 )
 
 // StoreReq ships one triple for storage at a ring node.
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type StoreReq struct {
 	Triple rdf.Triple
 	TC     trace.TraceContext
@@ -51,8 +49,6 @@ func (r StoreReq) SizeBytes() int { return r.Triple.SizeBytes() + r.TC.SizeBytes
 func (r StoreReq) TraceCtx() trace.TraceContext { return r.TC }
 
 // MatchReq asks a ring node to match a pattern against its local store.
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type MatchReq struct {
 	Pattern rdf.Triple
 	TC      trace.TraceContext
@@ -65,8 +61,6 @@ func (r MatchReq) SizeBytes() int { return r.Pattern.SizeBytes() + r.TC.SizeByte
 func (r MatchReq) TraceCtx() trace.TraceContext { return r.TC }
 
 // SolutionsResp returns solution mappings.
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type SolutionsResp struct {
 	Sols eval.Solutions
 }
@@ -76,8 +70,6 @@ func (r SolutionsResp) SizeBytes() int { return r.Sols.SizeBytes() }
 
 // IntersectReq ships candidate subjects to the node responsible for the
 // next pattern, which intersects them with its local matches.
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type IntersectReq struct {
 	Pattern    rdf.Triple
 	Candidates []rdf.Term
@@ -97,8 +89,6 @@ func (r IntersectReq) SizeBytes() int {
 }
 
 // TermsResp returns a candidate subject set.
-//
-//adhoclint:gobfallback RDFPeers comparison baseline; its traffic is measured, not optimized
 type TermsResp struct {
 	Terms []rdf.Term
 }
