@@ -20,14 +20,10 @@ import (
 //     parameter or the done-values of their own fabric calls — not
 //     fabricate a constant;
 //   - the VTime result of a fabric call must not be discarded (assigned
-//     to `_` or dropped with the whole result);
-//   - simnet.Parallel branch bodies must not write captured state except
-//     through elements indexed by the branch parameter: any other shared
-//     write makes the result depend on completion order, which the
-//     deterministic scheduler does not define.
+//     to `_` or dropped with the whole result).
 //
 // The rule applies to internal/ and cmd/ packages except internal/simnet
-// itself (whose Parallel implementation is the one sanctioned use of raw
+// itself (whose ConcurrentDelivery mode is the one sanctioned use of raw
 // goroutines) and cmd/adhoclint. Suppress a finding with
 // //adhoclint:ignore vtime(reason). A fabric call declared
 // //adhoclint:faultpath(fire-and-forget, reason) is exempt from the
@@ -47,7 +43,6 @@ func checkVTime(prog *Program) []Diagnostic {
 			v.checkGoFanout(p, fn)
 			v.checkHandlerVTime(p, fn)
 			v.checkDroppedVTime(p, fn)
-			v.checkParallelBodies(p, fn)
 		})
 	}
 	return v.diags
@@ -244,104 +239,6 @@ func (v *vtimeChecker) checkDroppedVTime(p *Package, fn *ast.FuncDecl) {
 			}
 		}
 		return true
-	})
-}
-
-// checkParallelBodies flags simnet.Parallel branch literals that write
-// captured state other than through elements indexed by the branch
-// parameter: such writes make the outcome depend on completion order.
-func (v *vtimeChecker) checkParallelBodies(p *Package, fn *ast.FuncDecl) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if callee, _ := staticCallee(p.Info, call); !v.prog.isSimnetFunc(callee, "Parallel") || len(call.Args) == 0 {
-			return true
-		}
-		lit, ok := unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
-		if !ok {
-			return true
-		}
-		v.checkBranchLit(p, lit)
-		return true
-	})
-}
-
-func (v *vtimeChecker) checkBranchLit(p *Package, lit *ast.FuncLit) {
-	// Objects declared inside the branch (parameters included) are private
-	// to it; everything else is captured.
-	local := map[types.Object]bool{}
-	for _, field := range lit.Type.Params.List {
-		for _, name := range field.Names {
-			if obj := p.Info.Defs[name]; obj != nil {
-				local[obj] = true
-			}
-		}
-	}
-	var branchParam types.Object
-	if len(lit.Type.Params.List) > 0 && len(lit.Type.Params.List[0].Names) > 0 {
-		branchParam = p.Info.Defs[lit.Type.Params.List[0].Names[0]]
-	}
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := p.Info.Defs[id]; obj != nil {
-				local[obj] = true
-			}
-		}
-		return true
-	})
-	usesBranchParam := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && branchParam != nil && defOrUse(p.Info, id) == branchParam {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	flagLvalue := func(lhs ast.Expr) {
-		switch l := unparen(lhs).(type) {
-		case *ast.Ident:
-			if l.Name == "_" {
-				return
-			}
-			obj := defOrUse(p.Info, l)
-			if _, isVar := obj.(*types.Var); isVar && !local[obj] {
-				v.report(p, l.Pos(), fmt.Sprintf(
-					"simnet.Parallel branch writes captured %q; return results through the branch (or index by the branch parameter) so completion order cannot affect them", l.Name))
-			}
-		case *ast.IndexExpr:
-			root := exprRootObj(p.Info, l.X)
-			if root == nil || local[root] || usesBranchParam(l.Index) {
-				return
-			}
-			if _, isVar := root.(*types.Var); isVar {
-				v.report(p, l.Pos(), fmt.Sprintf(
-					"simnet.Parallel branch writes captured %q at an index not derived from the branch parameter; completion order can affect the result", root.Name()))
-			}
-		case *ast.SelectorExpr, *ast.StarExpr:
-			var x ast.Expr
-			if sel, ok := l.(*ast.SelectorExpr); ok {
-				x = sel.X
-			} else {
-				x = l.(*ast.StarExpr).X
-			}
-			root := exprRootObj(p.Info, x)
-			if root == nil || local[root] {
-				return
-			}
-			if _, isVar := root.(*types.Var); isVar {
-				v.report(p, l.Pos(), fmt.Sprintf(
-					"simnet.Parallel branch writes captured %q; return results through the branch so completion order cannot affect them", root.Name()))
-			}
-		}
-	}
-	eachWrite(lit.Body, func(lhs ast.Expr, kind writeKind, _ ast.Node, _ ast.Expr) {
-		if kind == writeAssign || kind == writeIncDec {
-			flagLvalue(lhs)
-		}
 	})
 }
 

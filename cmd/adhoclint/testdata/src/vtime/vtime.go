@@ -1,6 +1,6 @@
 // Package vtime exercises the vtime-accounting rule: concurrency must
 // flow through simnet.Parallel, handlers must thread the charged VTime,
-// and Parallel branch bodies must not depend on completion order.
+// and the VTime a fabric call charges must not be dropped.
 package vtime
 
 import (
@@ -72,12 +72,12 @@ func (n *Node) FanOutParallel(peers []simnet.Addr, at simnet.VTime) simnet.VTime
 	return done
 }
 
-// CollectBad accumulates into captured state: the total depends on
-// completion order the deterministic scheduler does not define.
+// CollectBad accumulates into captured state: clean — branches run in
+// index order on the caller's goroutine, so the total is defined.
 func (n *Node) CollectBad(peers []simnet.Addr, at simnet.VTime) int {
 	total := 0
 	res, _ := simnet.Parallel(len(peers), 2, func(i int) (int, simnet.VTime, error) {
-		total += i // want "writes captured"
+		total += i
 		return 0, at, nil
 	})
 	_ = res

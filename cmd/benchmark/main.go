@@ -35,7 +35,7 @@ func main() {
 	seed := flag.Int64("seed", 0, "master seed XORed into every experiment stream (0 = the published tables)")
 	faultRate := flag.Float64("faultrate", 0, "per-message-leg loss probability injected after deployment setup (0 = fault-free)")
 	adaptive := flag.Bool("adaptive", false, "enable workload-adaptive hot-key replication in every deployment the experiments build")
-	concurrent := flag.Bool("concurrent", false, "run every remote handler on its own goroutine (simnet ConcurrentDelivery); tables stay byte-identical to a serial run")
+	concurrent := flag.Bool("concurrent", false, "run every remote handler on its own goroutine, one at a time (simnet ConcurrentDelivery); tables stay byte-identical to a serial run")
 	asJSON := flag.Bool("json", false, "emit one JSON document instead of plain-text tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile taken after the run to this file")

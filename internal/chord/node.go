@@ -326,9 +326,9 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 		if r.Err != nil {
 			// The group's next hop failed even after in-place retries:
 			// evict it if it is actually gone (not merely lossy) and
-			// resolve the group's targets one by one (serially, after the
-			// parallel join, so routing-table repair stays deterministic),
-			// starting from the failed branch's timeout.
+			// resolve the group's targets one by one (after the fan-out,
+			// so no branch routes on a half-repaired table), starting
+			// from the failed branch's timeout.
 			if flt := n.net.FlightRecorder(); flt != nil {
 				flt.Emit(flight.Event{Node: string(n.addr), Kind: flight.KindRetry,
 					VT: int64(r.Done), End: int64(r.Done), Peer: string(order[g]),

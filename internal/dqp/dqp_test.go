@@ -240,6 +240,46 @@ func TestDistributedMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestAskMatchesOracle: ASK may stop at the first solution only where no
+// operator above the pattern can still discard it. Each query here has a
+// FILTER, join or OPTIONAL that drops the row a provider happens to return
+// first; the answer must be the oracle's under every option set.
+func TestAskMatchesOracle(t *testing.T) {
+	const prefix = "PREFIX foaf: <http://xmlns.com/foaf/0.1/>\n"
+	queries := map[string]string{
+		"filter-above-pattern":   `ASK { ?x foaf:name ?n FILTER regex(?n, "Erin") }`,
+		"filter-unshippable":     `ASK { ?x foaf:name ?n FILTER (bound(?z) || regex(?n, "Erin")) }`,
+		"join-of-groups":         `ASK { { ?x foaf:name ?n } { ?x foaf:nick ?k } }`,
+		"optional-then-filter":   `ASK { { ?x foaf:name ?n } OPTIONAL { ?x foaf:nick ?k } FILTER bound(?k) }`,
+		"control-single-pattern": `ASK { ?x foaf:nick "Shrek" }`,
+		"control-no-match":       `ASK { ?x foaf:name ?n FILTER regex(?n, "Zed") }`,
+	}
+	data := paperData()
+	sys, now := buildSystem(t, 5, data)
+	combos := append(allOptionCombos(), BaselineOptions(), DefaultOptions())
+	for name, query := range queries {
+		want := len(oracle(t, data, prefix+query)) > 0
+		if want == (name == "control-no-match") {
+			t.Fatalf("%s: oracle answers %v", name, want)
+		}
+		for _, opts := range combos {
+			e := NewEngine(sys, opts)
+			for _, initiator := range []simnet.Addr{"D1", "D4"} {
+				res, _, done, err := e.Query(initiator, prefix+query, now)
+				now = done
+				if err != nil {
+					t.Fatalf("%s %+v: %v", name, opts, err)
+				}
+				if res.Ask != want {
+					t.Errorf("%s from %s with %v/%v/%v push=%v: ASK = %v, oracle %v",
+						name, initiator, opts.Strategy, opts.Conjunction, opts.JoinSite,
+						opts.PushFilters, res.Ask, want)
+				}
+			}
+		}
+	}
+}
+
 func TestOrderByPreservedDistributed(t *testing.T) {
 	data := paperData()
 	sys, now := buildSystem(t, 4, data)

@@ -66,8 +66,9 @@ type qctx struct {
 	// to GRAPH patterns.
 	dataset   []string
 	fromNamed []string
-	// existenceOnly marks ASK queries: a single complete solution
-	// suffices, so single-pattern executions may stop early.
+	// existenceOnly marks ASK queries whose plan cannot discard a
+	// solution of its basic graph pattern (firstSolutionSettles): a
+	// single-pattern execution may stop at the first one.
 	existenceOnly bool
 	hops          int
 	subq          int
@@ -78,8 +79,9 @@ type qctx struct {
 	// rec is the span recorder (nil = tracing disabled, read once in
 	// newQctx); tc is the query's root trace context — always allocated,
 	// it is what the fabric attributes the query's traffic by — and seq the
-	// serial child allocator, only ever incremented outside Parallel
-	// branches, so derived span identifiers stay deterministic.
+	// serial child allocator, never incremented inside Parallel branches:
+	// those derive from the branch index, and the trace goldens pin the
+	// resulting span identifiers.
 	rec trace.Recorder
 	tc  trace.TraceContext
 	seq uint64
@@ -105,9 +107,9 @@ func (c *qctx) stage(name string, start, end simnet.VTime) {
 	})
 }
 
-// nextTC derives the next serial child context of a parent span. It must
-// not be called inside simnet.Parallel branches (derive from the branch
-// index there instead).
+// nextTC derives the next serial child context of a parent span. Inside
+// simnet.Parallel branches derive from the branch index instead: calling
+// nextTC there would renumber every later span and move the trace goldens.
 //
 //adhoclint:faultpath(benign, trace-span counter; a span identifier wasted by a failed operation is unobservable)
 func (c *qctx) nextTC(parent trace.TraceContext) trace.TraceContext {
@@ -193,6 +195,7 @@ func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*
 		})
 	}
 	ctx := e.newQctx(initiator, q)
+	ctx.existenceOnly = q.Form == sparql.FormAsk && e.firstSolutionSettles(op)
 	var (
 		out  *Result
 		done simnet.VTime
@@ -210,6 +213,28 @@ func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*
 	return out, ctx.stats(traffic, len(out.Solutions), at, done), done, nil
 }
 
+// firstSolutionSettles reports whether one solution of the plan's basic
+// graph pattern proves the plan non-empty: the BGP is the root under
+// modifiers that keep a non-empty sequence non-empty, alone or under a
+// filter that ships whole with its sub-queries. Anything else between the
+// BGP and the root (a join, an OPTIONAL's filter, a filter applied where
+// the solutions land) may discard the row a provider returns first.
+func (e *Engine) firstSolutionSettles(op algebra.Op) bool {
+	for {
+		switch o := op.(type) {
+		case *algebra.Project, *algebra.Distinct, *algebra.Reduced, *algebra.OrderBy:
+			op = o.Children()[0]
+		case *algebra.Filter:
+			bgp, ok := o.Input.(*algebra.BGP)
+			return ok && e.opts.PushFilters && optimize.Covers(bgp.Vars(), o.Expr.Vars())
+		case *algebra.BGP:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
 // newQctx opens the execution context of one query. The root trace context
 // is allocated whether or not a recorder is attached — it is zero-width on
 // the wire — because it is also what attributes the query's traffic: the
@@ -218,8 +243,8 @@ func (e *Engine) newQctx(initiator simnet.Addr, q *sparql.Query) *qctx {
 	net := e.sys.Net()
 	ctx := &qctx{
 		initiator: initiator, dataset: q.From, fromNamed: q.FromNamed,
-		existenceOnly: q.Form == sparql.FormAsk, targets: map[simnet.Addr]bool{},
-		rec: net.Recorder(), flt: net.FlightRecorder(),
+		targets: map[simnet.Addr]bool{},
+		rec:     net.Recorder(), flt: net.FlightRecorder(),
 		tc: trace.Root(e.sys.NextTraceID()),
 	}
 	net.TrackQuery(ctx.tc.Query)

@@ -303,8 +303,8 @@ type patternPlan struct {
 	index    simnet.Addr
 	postings []overlay.Posting
 	flood    bool
-	// stopOnFirst marks ASK executions of single-pattern BGPs: one
-	// solution proves existence, so the fan-out/chain may stop early.
+	// stopOnFirst marks the single pattern of an existence-only query:
+	// one solution proves existence, so the fan-out/chain may stop early.
 	stopOnFirst bool
 }
 
@@ -360,8 +360,8 @@ func (e *Engine) planPatterns(ctx *qctx, patterns []rdf.Triple, at simnet.VTime)
 		}
 	}
 	// The lookup fan-out gets its own op span; each branch derives its
-	// message contexts from the branch index, so span identifiers stay
-	// deterministic under concurrent execution.
+	// message contexts from the branch index — the span identifiers the
+	// trace goldens pin.
 	planTC := ctx.nextTC(ctx.tc)
 	// rowResult is one resolved location-table row; hops only counts ring
 	// forwarding actually performed (zero on an initiator-cache hit, which

@@ -30,10 +30,11 @@ import (
 // default keeps the paper's static two-level index.
 //
 // Concurrent turns on simnet.Config.ConcurrentDelivery for the deployment
-// fabric: every remote handler runs on its own goroutine with a
-// deterministic commit order. All simulated quantities — VTimes, traffic,
-// tables — are byte-identical to a serial run with the same Params; the
-// mode exists so `-race` runs observe true handler concurrency.
+// fabric: every remote handler runs on its own goroutine, which the
+// dispatching call waits for. All simulated quantities — VTimes, traffic,
+// tables — are byte-identical to a serial run with the same Params. The
+// experiments drive a deployment from one goroutine, so no two handlers
+// overlap; the mode checks that nothing depends on the handler's goroutine.
 //
 // Flight, when nonzero, arms the flight recorder and the live invariant
 // monitors on the deployments an experiment builds, with Flight events

@@ -10,9 +10,9 @@
 // allocates nothing), and recording never changes accounted messages,
 // bytes or VTimes.
 //
-// Determinism under concurrent delivery: with
-// simnet.Config.ConcurrentDelivery the *insertion order* of events is a
-// goroutine race, but the event multiset of a seeded run is fixed. Each
+// Determinism under overlapping clients: when several client goroutines
+// drive one deployment the *insertion order* of events is a goroutine
+// race, but the event multiset of a seeded run is fixed. Each
 // node's ring (a boundedlog.Log) therefore retains the canonically
 // largest events of a total order and, at capacity, evicts the
 // canonically smallest (earliest) one — so the retained contents depend

@@ -30,8 +30,8 @@ type IndexNode struct {
 	lastSeq map[simnet.Addr]uint64
 
 	// hotMu guards hot: EnableAdaptive installs the detector with a plain
-	// pointer store, and under concurrent delivery a handler may already
-	// be serving a lookup on another goroutine. Readers take the pointer
+	// pointer store, and a handler may already be serving another
+	// client's lookup on another goroutine. Readers take the pointer
 	// through hotRef; hotState's own fields are guarded by its leaf mu.
 	hotMu sync.Mutex
 	// hot is the workload-adaptive hot-key state (nil unless

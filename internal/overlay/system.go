@@ -472,7 +472,7 @@ func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq 
 	return now, nil
 }
 
-// installPostingsParallel is the concurrent pipeline: owners for all keys
+// installPostingsParallel is the batched pipeline: owners for all keys
 // not already in the storage node's successor-owner cache are resolved by
 // one batched FindSuccessor (the ring fans the batch out along shared
 // route prefixes), then every per-owner PutBatch ships in parallel. The
@@ -524,19 +524,14 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 		}
 	}
 	ownerList := sortedOwners(batches)
-	// Sequence numbers are allocated before the fan-out in sorted-owner
-	// order, so their assignment does not depend on goroutine scheduling.
-	seqs := make([]uint64, len(ownerList))
-	for i := range ownerList {
-		seqs[i] = s.nextPubSeq()
-	}
 	//adhoclint:faultpath(abort-all, every owner shipment must land; unreachable owners get one successor-fallback round below and any remaining failure aborts the publication, which the callers compensate)
 	results, done := simnet.Parallel(len(ownerList), 0, func(i int) (simnet.Payload, simnet.VTime, error) {
-		// Branch-index-derived contexts (seq 0 is the batch resolve above)
-		// keep span identifiers deterministic under concurrent fan-out.
+		// Branches run in sorted-owner order, so sequence numbers follow
+		// it; the trace child is the branch index (seq 0 is the batch
+		// resolve above).
 		owner := ownerList[i]
 		req := PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
-			Seq: seqs[i], TC: tc.Child(uint64(i + 1))}
+			Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}
 		return simnet.Retry(simnet.DefaultAttempts, starts[owner],
 			func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
 				return s.net.Call(node.addr, owner, MethodPutBatch, req, at)

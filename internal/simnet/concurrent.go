@@ -6,18 +6,18 @@ import "runtime"
 // would use.
 //
 // The serial fabric invokes every destination handler inline on the
-// calling goroutine, so the only handler concurrency the race detector
-// ever observes is the one simnet.Parallel fan-outs create. With
-// Config.ConcurrentDelivery on, each remote delivery instead runs its
-// handler on a fresh goroutine — the shape a TCP/QUIC backend will have
-// (ROADMAP item 3) — and the dispatching operation commits the handler's
-// result when it returns, in dispatch order. Virtual times, accounted
-// traffic and every table derived from them are byte-identical to serial
-// delivery; what changes is the host-level schedule: handlers of messages
-// that are concurrently in flight execute on independent goroutines, with
-// a small deterministic yield jitter derived from the message coordinates
-// so `-race` runs explore shifted interleavings without perturbing any
-// simulated quantity.
+// calling goroutine. With Config.ConcurrentDelivery on, each remote
+// delivery instead runs its handler on a fresh goroutine — the shape a
+// TCP/QUIC backend will have — behind a small deterministic yield jitter
+// derived from the message coordinates, and the dispatching operation
+// waits for it and commits its result. Virtual times, accounted traffic
+// and every table derived from them are byte-identical to serial delivery.
+//
+// One client goroutine has one message in flight at a time (simnet.Parallel
+// runs its branches in index order), so for it the mode only moves each
+// handler to another goroutine. Handlers overlap when several client
+// goroutines drive one deployment, and there the jitter makes `-race` runs
+// explore shifted interleavings without perturbing any simulated quantity.
 
 // deliveryResult carries one handler completion back to the dispatching
 // fabric operation.

@@ -62,9 +62,8 @@ func TestConcurrentDeliveryMatchesSerial(t *testing.T) {
 	}
 }
 
-// Parallel fan-outs are where concurrent delivery actually overlaps
-// handler executions; the branch results and join time must still match
-// the serial fabric.
+// A Parallel fan-out over a concurrent-delivery fabric: the branch results
+// and join time must match the serial fabric.
 func TestConcurrentDeliveryParallelMatchesSerial(t *testing.T) {
 	targets := []Addr{"p", "q", "r", "s"}
 	run := func(n *Network) ([]Result[Payload], VTime) {

@@ -54,13 +54,13 @@ func (w CrashWindow) covers(t VTime) bool {
 // FaultPlan is a deterministic fault-injection schedule. The zero value
 // (or a nil plan) injects nothing.
 //
-// Loss decisions are NOT drawn from a shared RNG stream: concurrent
-// fan-out (simnet.Parallel) makes draw order scheduler-dependent, which
-// would break same-seed reproducibility. Instead each message leg hashes
+// Loss decisions are NOT drawn from a shared RNG stream: several client
+// goroutines may drive one deployment, which makes draw order
+// scheduler-dependent, and a leg replayed at the same virtual time must
+// meet the same fate. Instead each message leg hashes
 // (Seed, from, to, method, direction, departure VTime, size) to a uniform
 // value in [0,1) and is dropped when that value falls below LossRate.
-// The same leg at the same virtual time always meets the same fate; a
-// retry departs later, so it gets an independent draw and can succeed.
+// A retry departs later, so it gets an independent draw and can succeed.
 type FaultPlan struct {
 	// Seed salts every loss draw. Different seeds give independent loss
 	// patterns at the same rate.

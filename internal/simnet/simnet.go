@@ -101,14 +101,15 @@ type Config struct {
 	FailTimeout time.Duration
 	// ConcurrentDelivery executes each remote handler invocation on its
 	// own goroutine (the per-message server goroutine a real transport
-	// would use) instead of inline on the caller's, with a deterministic
-	// commit order: the dispatching Call/Send still returns the handler's
-	// result synchronously, so virtual times, accounted traffic and
-	// location tables are byte-identical to serial delivery. Concurrently
-	// in-flight messages (simnet.Parallel fan-outs) get genuinely
-	// overlapping handler goroutines plus a seeded scheduling jitter —
-	// the mode the `-race` CI job runs to corroborate the adhoclint
-	// racefree analysis. See concurrent.go.
+	// would use) instead of inline on the caller's, behind a seeded
+	// scheduling jitter. The dispatching Call/Send still waits for the
+	// handler and returns its result, so virtual times, accounted traffic
+	// and location tables are byte-identical to serial delivery. With one
+	// client goroutine this changes only which goroutine a handler runs
+	// on; handlers overlap only when several client goroutines drive the
+	// deployment, and then the jitter perturbs their interleaving for the
+	// `-race` runs that corroborate the adhoclint racefree analysis. See
+	// concurrent.go.
 	ConcurrentDelivery bool
 }
 

@@ -140,22 +140,64 @@ func TestNestedCallsAccumulateTime(t *testing.T) {
 	}
 }
 
+// Parallel's contract: results by branch index, and a completion time
+// that is the max over the branches, a failed branch's timeout included.
 func TestParallelFanOutTakesMax(t *testing.T) {
-	n := New(Config{BaseLatency: time.Millisecond, Bandwidth: 1000})
+	n := New(Config{BaseLatency: time.Millisecond, Bandwidth: 1000, FailTimeout: 5 * time.Second})
 	n.Register("a", &echoNode{})
 	n.Register("fast", &echoNode{respSize: 0})
 	n.Register("slow", &echoNode{respSize: 2000}) // 2s response transfer
+	n.Register("dead", &echoNode{})
+	n.Fail("dead")
 
-	_, d1, err := n.Call("a", "fast", "x", Bytes(0), 0)
-	if err != nil {
-		t.Fatal(err)
+	fanOut := func(dests ...Addr) ([]Result[Payload], VTime) {
+		return Parallel(len(dests), 0, func(i int) (Payload, VTime, error) {
+			return n.Call("a", dests[i], "x", Bytes(0), 0)
+		})
 	}
-	_, d2, err := n.Call("a", "slow", "x", Bytes(0), 0)
-	if err != nil {
-		t.Fatal(err)
+	res, done := fanOut("fast", "slow")
+	if res[0].Err != nil || res[1].Err != nil {
+		t.Fatalf("branch errors: %v, %v", res[0].Err, res[1].Err)
 	}
-	if MaxTime(d1, d2) != d2 {
-		t.Errorf("max = %v, want slow branch %v", MaxTime(d1, d2), d2)
+	if res[0].Value != Bytes(0) || res[1].Value != Bytes(2000) {
+		t.Errorf("values = %v, %v; want the fast and the slow response, by branch", res[0].Value, res[1].Value)
+	}
+	if want := VTime(2*time.Millisecond + 2*time.Second); res[1].Done != want || done != want {
+		t.Errorf("slow branch done %v, fan-out done %v, want both %v", res[1].Done, done, want)
+	}
+	if res[0].Done >= res[1].Done {
+		t.Errorf("fast branch done %v, not before slow %v", res[0].Done, res[1].Done)
+	}
+
+	res, done = fanOut("dead", "fast", "slow")
+	if !errors.Is(res[0].Err, ErrUnreachable) || res[1].Err != nil || res[2].Err != nil {
+		t.Fatalf("branch errors: %v, %v, %v; want only branch 0 unreachable", res[0].Err, res[1].Err, res[2].Err)
+	}
+	if want := VTime(5 * time.Second); res[0].Done != want || done != want {
+		t.Errorf("failed branch done %v, fan-out done %v, want both FailTimeout %v", res[0].Done, done, want)
+	}
+
+	if res, done := fanOut(); res == nil || len(res) != 0 || done != 0 {
+		t.Errorf("empty fan-out = %v, %v; want an empty slice and VTime 0", res, done)
+	}
+}
+
+// Branches run on the caller's goroutine in index order, so a branch may
+// write captured state without synchronisation.
+func TestParallelRunsBranchesInIndexOrder(t *testing.T) {
+	const n = 64
+	var order []int
+	Parallel(n, 0, func(i int) (struct{}, VTime, error) {
+		order = append(order, i)
+		return struct{}{}, 0, nil
+	})
+	if len(order) != n {
+		t.Fatalf("%d branches ran, want %d", len(order), n)
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("branch %d ran at position %d", got, i)
+		}
 	}
 }
 

@@ -175,8 +175,8 @@ func tryPush(op algebra.Op, cond sparql.Expression) (algebra.Op, bool) {
 		// Push into whichever side covers the variables; both if both do
 		// (legal since Join is intersection-like on shared vars, and the
 		// filter is idempotent).
-		lOK := covers(o.Left.Vars(), need)
-		rOK := covers(o.Right.Vars(), need)
+		lOK := Covers(o.Left.Vars(), need)
+		rOK := Covers(o.Right.Vars(), need)
 		if lOK && rOK {
 			l, _ := pushOrWrap(o.Left, cond)
 			r, _ := pushOrWrap(o.Right, cond)
@@ -194,7 +194,7 @@ func tryPush(op algebra.Op, cond sparql.Expression) (algebra.Op, bool) {
 	case *algebra.LeftJoin:
 		// Only the mandatory (left) side preserves semantics: pushing into
 		// the optional side would turn "no match" into "match rejected".
-		if covers(o.Left.Vars(), need) {
+		if Covers(o.Left.Vars(), need) {
 			l, _ := pushOrWrap(o.Left, cond)
 			return &algebra.LeftJoin{Left: l, Right: o.Right, Expr: o.Expr}, true
 		}
@@ -204,7 +204,7 @@ func tryPush(op algebra.Op, cond sparql.Expression) (algebra.Op, bool) {
 		// variables. A branch not covering them would change semantics
 		// (the filter could still pass via unbound-variable errors), so
 		// require both.
-		if covers(o.Left.Vars(), need) && covers(o.Right.Vars(), need) {
+		if Covers(o.Left.Vars(), need) && Covers(o.Right.Vars(), need) {
 			l, _ := pushOrWrap(o.Left, cond)
 			r, _ := pushOrWrap(o.Right, cond)
 			return &algebra.Union{Left: l, Right: r}, true
@@ -249,7 +249,9 @@ func splitConjuncts(e sparql.Expression) []sparql.Expression {
 	return []sparql.Expression{e}
 }
 
-func covers(have, need []string) bool {
+// Covers reports whether every variable in need is among have — whether a
+// filter over need can be evaluated on solutions that bind have.
+func Covers(have, need []string) bool {
 	if len(need) == 0 {
 		return true
 	}

@@ -122,8 +122,8 @@ type Recorder interface {
 }
 
 // Buffer is the standard Recorder: it accumulates spans in memory and
-// exposes them in a canonical order. Safe for concurrent use (simnet
-// Parallel branches record concurrently).
+// exposes them in a canonical order. Safe for concurrent use (several
+// client goroutines may drive one deployment).
 //
 // By default the buffer grows without bound — the right behaviour for
 // bounded experiments, but a silent memory leak under long storm runs.
