@@ -138,6 +138,24 @@ func BenchmarkGraphMatch(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphAddRemove is the write side: one op loads a 500-person
+// graph triple by triple and retracts it again in the same order.
+func BenchmarkGraphAddRemove(b *testing.B) {
+	d := workload.Generate(workload.Config{Persons: 500, Providers: 1, Seed: 2})
+	ts := d.UnionGraph().Triples()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := rdf.NewGraph()
+		for _, t := range ts {
+			g.Add(t)
+		}
+		for _, t := range ts {
+			g.Remove(t)
+		}
+	}
+	b.ReportMetric(float64(len(ts)), "triples/op")
+}
+
 func BenchmarkLocalEvalFig4(b *testing.B) {
 	d := workload.Generate(workload.Config{Persons: 300, Providers: 1, KnowsNothingFraction: 0.4, Seed: 2})
 	g := d.UnionGraph()

@@ -19,8 +19,12 @@ type ID uint64
 
 // HashID maps an arbitrary string onto the identifier circle of the given
 // bit width using SHA-1, as Chord prescribes.
-func HashID(s string, bits uint) ID {
-	sum := sha1.Sum([]byte(s))
+func HashID(s string, bits uint) ID { return HashBytes([]byte(s), bits) }
+
+// HashBytes is HashID over a byte slice, for callers that assemble the
+// hash input in a buffer of their own.
+func HashBytes(b []byte, bits uint) ID {
+	sum := sha1.Sum(b)
 	v := binary.BigEndian.Uint64(sum[:8])
 	return ID(v).truncate(bits)
 }

@@ -368,16 +368,23 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 
 // routeCandidates lists possible next hops for the target in preference
 // order: the closest preceding finger first, then successor-list entries.
+// Every routing step calls it, so duplicates are dropped by scanning the
+// result — a node has about log2(ring size) distinct fingers — instead of
+// through a set allocated per call.
 func (n *Node) routeCandidates(target ID) []Ref {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	var out []Ref
-	seen := map[simnet.Addr]bool{n.addr: true}
+	out := make([]Ref, 0, 8)
 	add := func(r Ref) {
-		if !r.IsZero() && !seen[r.Addr] {
-			seen[r.Addr] = true
-			out = append(out, r)
+		if r.IsZero() || r.Addr == n.addr {
+			return
 		}
+		for _, have := range out {
+			if have.Addr == r.Addr {
+				return
+			}
+		}
+		out = append(out, r)
 	}
 	for i := len(n.fingers) - 1; i >= 0; i-- {
 		f := n.fingers[i]

@@ -10,14 +10,16 @@ import (
 	"testing"
 
 	"adhocshare/internal/rdf"
+	"adhocshare/internal/sparql/eval"
 	"adhocshare/internal/trace"
 )
 
 // overlapData holds every triple at two providers, so each chain hop and
 // each basic fan-out response carries rows the accumulator already holds.
-// A provider has exactly one triple per predicate: local matches then come
-// back one row at a time and the solution sequence does not depend on the
-// graph store's map iteration order.
+// A provider has exactly one triple per predicate, so every local match
+// comes back as a single row and the golden's sequences are decided by
+// provider order alone; the order of many rows from one provider's graph is
+// TestLimitWithoutOrderIsSameSeedReproducible's subject.
 func overlapData() map[string][]rdf.Triple {
 	knows := func(s, o string) rdf.Triple { return rdf.Triple{S: ex(s), P: fp("knows"), O: ex(o)} }
 	name := func(s string) rdf.Triple { return rdf.Triple{S: ex(s), P: fp("name"), O: rdf.NewLangLiteral(s, "en")} }
@@ -111,6 +113,40 @@ func TestDescribeSameSeedTranscript(t *testing.T) {
 			first = spans
 		} else if !reflect.DeepEqual(spans, first) {
 			t.Fatalf("run %d: span transcript differs from the first run's", run)
+		}
+	}
+}
+
+// TestLimitWithoutOrderIsSameSeedReproducible builds the same deployment
+// ten times and requires a LIMIT query without ORDER BY — whose rows are
+// whichever come first — to answer with the same row sequence each time.
+// Every provider holds thirty matches of the one pattern, so the sequence
+// is decided by the order the storage nodes' graphs stream them in.
+func TestLimitWithoutOrderIsSameSeedReproducible(t *testing.T) {
+	const q = `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT ?x ?y WHERE { ?x foaf:knows ?y } LIMIT 3`
+	data := map[string][]rdf.Triple{}
+	for p := 1; p <= 4; p++ {
+		name := fmt.Sprintf("D%d", p)
+		for i := 0; i < 30; i++ {
+			data[name] = append(data[name], rdf.Triple{S: ex(fmt.Sprintf("p%d-%d", p, i)), P: fp("knows"), O: ex(fmt.Sprintf("p%d-%d", p, (i+1)%30))})
+		}
+	}
+	for name, opts := range map[string]Options{"default": DefaultOptions(), "baseline": BaselineOptions()} {
+		var first eval.Solutions
+		for run := 0; run < 10; run++ {
+			sys, now := buildSystem(t, 5, data)
+			res, _, _, err := NewEngine(sys, opts).Query("D1", q, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Solutions) != 3 {
+				t.Fatalf("%s options: LIMIT 3 returned %d rows", name, len(res.Solutions))
+			}
+			if run == 0 {
+				first = res.Solutions
+			} else if !reflect.DeepEqual(res.Solutions, first) {
+				t.Fatalf("%s options, deployment %d: rows %v, the first deployment answered %v", name, run, res.Solutions, first)
+			}
 		}
 	}
 }

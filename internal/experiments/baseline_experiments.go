@@ -153,9 +153,9 @@ SELECT ?s WHERE { ?s foaf:knows %s . ?s ns:knowsNothingAbout %s . }`, o1, o2)
 
 // conjObjects finds a pair (o1, o2) such that some subject both knows o1
 // and knowsNothingAbout o2, guaranteeing a nonempty conjunctive answer.
-// Graph iteration order is map order, so the full candidate set is scanned
-// and the smallest pair under rdf.Compare is chosen — taking the first
-// match would make the E10 query rows differ from run to run.
+// The full candidate set is scanned and the smallest pair under rdf.Compare
+// is chosen, so the E10 query rows depend on the dataset alone and not on
+// the order the union graph was loaded in.
 func conjObjects(d *workload.Dataset) (rdf.Term, rdf.Term, error) {
 	g := d.UnionGraph()
 	knows := rdf.NewIRI(workload.FOAF + "knows")

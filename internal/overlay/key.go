@@ -51,14 +51,19 @@ func (k KeyKind) String() string {
 	}
 }
 
-// hashTerm gives each key kind its own hash domain so ⟨s⟩ and ⟨o⟩ of the
-// same term do not collide.
+// hashKey gives each key kind its own hash domain so ⟨s⟩ and ⟨o⟩ of the
+// same term do not collide: the hashed bytes are the kind's name, NUL, a's
+// N-Triples form and, for the pair kinds, NUL and b's. They are assembled
+// in a stack buffer (six keys per published triple made the concatenated
+// strings the publish path's largest allocation site); terms too long for
+// it spill to the heap.
 func hashKey(kind KeyKind, a, b rdf.Term, bits uint) chord.ID {
-	s := kind.String() + "\x00" + a.String()
+	var stack [192]byte
+	buf := a.AppendTo(append(append(stack[:0], kind.String()...), 0))
 	if kind >= KeySP {
-		s += "\x00" + b.String()
+		buf = b.AppendTo(append(buf, 0))
 	}
-	return chord.HashID(s, bits)
+	return chord.HashBytes(buf, bits)
 }
 
 // TripleKeys returns the six index keys of a concrete triple, indexed by

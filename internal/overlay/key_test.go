@@ -1,0 +1,77 @@
+package overlay
+
+import (
+	"crypto/sha1"
+	"encoding/binary"
+	"strings"
+	"testing"
+
+	"adhocshare/internal/chord"
+	"adhocshare/internal/rdf"
+)
+
+// keyTerms covers every term kind and every literal shape the N-Triples
+// form escapes or passes through, plus one pair long enough to outgrow
+// hashKey's stack buffer.
+var keyTerms = []rdf.Term{
+	rdf.NewIRI("http://example.org/alice"),
+	rdf.NewIRI(""),
+	rdf.NewBlank("b0"),
+	rdf.NewLiteral("plain"),
+	rdf.NewLiteral(""),
+	rdf.NewLangLiteral("chat", "fr"),
+	rdf.NewTypedLiteral("42", rdf.XSDInteger),
+	rdf.NewLiteral(`say "hi"`),
+	rdf.NewLiteral(`back\slash`),
+	rdf.NewLiteral("line\nbreak\ttab\rreturn"),
+	rdf.NewLiteral("naïve — 日本語"),
+	rdf.NewLangLiteral("quoted \"日本\"\n", "ja"),
+	rdf.NewLiteral("bad utf8 \xff then \"quote\""),
+	rdf.NewLiteral("bad utf8 \xff alone"),
+	rdf.NewIRI("http://example.org/" + strings.Repeat("long/", 60)),
+	rdf.NewVar("x"),
+	{},
+}
+
+// TestHashKeyBytesDidNotMove pins every index key to the formula the keys
+// were first published under — SHA-1 over kind, NUL, a.String() and, for
+// the pair kinds, NUL, b.String(), the first eight bytes big-endian,
+// truncated to the ring width — so assembling the input in a buffer moves
+// no posting, and pins Term.AppendTo to Term.String for every kind.
+func TestHashKeyBytesDidNotMove(t *testing.T) {
+	for _, a := range keyTerms {
+		if got := string(a.AppendTo(nil)); got != a.String() {
+			t.Errorf("AppendTo(nil) = %q, String() = %q", got, a.String())
+		}
+		if got := string(a.AppendTo([]byte("x\x00"))); got != "x\x00"+a.String() {
+			t.Errorf("AppendTo after a prefix = %q, want the prefix and %q", got, a.String())
+		}
+		for _, b := range keyTerms {
+			for kind := KeyS; kind < numKeyKinds; kind++ {
+				s := kind.String() + "\x00" + a.String()
+				if kind >= KeySP {
+					s += "\x00" + b.String()
+				}
+				sum := sha1.Sum([]byte(s))
+				for _, bits := range []uint{16, 24, 64} {
+					want := chord.ID(binary.BigEndian.Uint64(sum[:8]))
+					if bits < 64 {
+						want &= 1<<bits - 1
+					}
+					if got := hashKey(kind, a, b, bits); got != want {
+						t.Fatalf("hashKey(%v, %v, %v, %d) = %v, want %v", kind, a, b, bits, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTripleKeysDoNotAllocate keeps the six hash inputs of an ordinary
+// triple on the stack.
+func TestTripleKeysDoNotAllocate(t *testing.T) {
+	tr := rdf.Triple{S: keyTerms[0], P: rdf.NewIRI("http://xmlns.com/foaf/0.1/name"), O: keyTerms[11]}
+	if n := testing.AllocsPerRun(100, func() { TripleKeys(tr, 24) }); n != 0 {
+		t.Errorf("TripleKeys allocates %.0f times per triple, want 0", n)
+	}
+}

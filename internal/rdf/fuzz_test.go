@@ -82,3 +82,29 @@ f:s f:p [ f:q "x\n\"y\"" ; f:r -7 ] .`)
 		}
 	})
 }
+
+// FuzzGraphOps reads the input as an edit sequence — one byte per op, the
+// high bit choosing removal, the rest a triple over modelPool — and holds
+// the graph to the map reference of TestGraphAgainstReferenceModel after
+// every op, then drains it and requires an empty dictionary.
+func FuzzGraphOps(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0x80, 0x81, 0x82})
+	f.Add([]byte{5, 5, 0x85, 0x85, 5, 30, 31, 0x9e, 124, 0xfc})
+	f.Add([]byte("every kind shares one Value"))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 64 {
+			ops = ops[:64]
+		}
+		g, ref := NewGraph(), map[Triple]bool{}
+		for _, op := range ops {
+			modelStep(t, g, ref, modelTriple(int(op&0x7f)), op&0x80 != 0)
+			checkModel(t, g, ref)
+		}
+		for tr := range ref {
+			modelStep(t, g, ref, tr, true)
+		}
+		if len(g.ids) != 0 || len(g.free) != len(g.terms) {
+			t.Fatalf("drained graph interns %d terms, %d of %d IDs free", len(g.ids), len(g.free), len(g.terms))
+		}
+	})
+}

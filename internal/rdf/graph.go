@@ -1,124 +1,156 @@
 package rdf
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
-// Graph is an in-memory RDF triple store with three complete indexes
-// (SPO, POS, OSP) so that any triple pattern can be matched by scanning the
-// smallest applicable index slice. It is safe for concurrent use.
+// Graph is an in-memory RDF triple store. Every term is interned once in a
+// per-graph dictionary (Term ↔ uint32 ID) and every triple is held as ID
+// pairs in three sorted lists — spo[s] ordered by (p,o), pos[p] by (o,s),
+// osp[o] by (s,p) — so any triple pattern is answered from one contiguous,
+// binary-searched run of the list of one bound term. It is safe for
+// concurrent use.
+//
+// Order contract: matches stream in ascending ID order of the scanned list,
+// and IDs are handed out in first-use order (subject, predicate, object of
+// each added triple; an ID whose last triple was removed is released and
+// the most recently released ID is reused first). Match order is therefore
+// a function of the graph's edit history alone: two graphs built by the
+// same sequence of Add and Remove calls stream identical sequences. IDs
+// never leave the graph — no payload, size, key or message carries one.
 //
 // Storage nodes in the overlay each own one Graph — the paper's premise is
-// that providers keep and serve their own data locally (Sect. I, III).
+// that providers keep and serve their own data locally (Sect. III).
 type Graph struct {
-	mu   sync.RWMutex
-	spo  index3
-	pos  index3
-	osp  index3
-	size int
+	mu    sync.RWMutex
+	ids   map[Term]uint32
+	terms []Term       // by ID; the zero Term at a released ID
+	refs  []uint32     // by ID: how many triple positions name the term
+	free  []uint32     // released IDs
+	lists [3][][]entry // by index order, then by the ID in its first position
+	size  int
 }
 
-type index3 map[Term]map[Term]map[Term]struct{}
+// The three index orders.
+const (
+	spo = iota // lists[spo][s] holds (p,o)
+	pos        // lists[pos][p] holds (o,s)
+	osp        // lists[osp][o] holds (s,p)
+)
 
-func (ix index3) add(a, b, c Term) bool {
-	m1, ok := ix[a]
-	if !ok {
-		m1 = make(map[Term]map[Term]struct{})
-		ix[a] = m1
-	}
-	m2, ok := m1[b]
-	if !ok {
-		m2 = make(map[Term]struct{})
-		m1[b] = m2
-	}
-	if _, dup := m2[c]; dup {
-		return false
-	}
-	m2[c] = struct{}{}
-	return true
-}
+// rot[ix+j] is the triple position (subject 0, predicate 1, object 2) in
+// position j of index order ix.
+var rot = [5]int{0, 1, 2, 0, 1}
 
-func (ix index3) remove(a, b, c Term) bool {
-	m1, ok := ix[a]
-	if !ok {
-		return false
-	}
-	m2, ok := m1[b]
-	if !ok {
-		return false
-	}
-	if _, ok := m2[c]; !ok {
-		return false
-	}
-	delete(m2, c)
-	if len(m2) == 0 {
-		delete(m1, b)
-		if len(m1) == 0 {
-			delete(ix, a)
-		}
-	}
-	return true
-}
+// entry is one triple in the list of its first ID: the second ID in the
+// high half and the third in the low half, so integer order is (second,
+// third) order.
+type entry uint64
+
+func mkEntry(a, b uint32) entry { return entry(a)<<32 | entry(b) }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{
-		spo: make(index3),
-		pos: make(index3),
-		osp: make(index3),
-	}
+	return &Graph{ids: make(map[Term]uint32)}
 }
 
 // Add inserts a concrete triple. It reports whether the triple was new.
 // Adding a non-concrete triple (a pattern) is a no-op returning false.
 func (g *Graph) Add(t Triple) bool {
-	if !t.IsConcrete() {
-		return false
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if !g.spo.add(t.S, t.P, t.O) {
-		return false
-	}
-	g.pos.add(t.P, t.O, t.S)
-	g.osp.add(t.O, t.S, t.P)
-	g.size++
-	return true
+	return g.addLocked(t)
 }
 
 // AddAll inserts every triple of ts, returning the number actually added.
 func (g *Graph) AddAll(ts []Triple) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	n := 0
 	for _, t := range ts {
-		if g.Add(t) {
+		if g.addLocked(t) {
 			n++
 		}
 	}
 	return n
 }
 
-// Remove deletes a triple, reporting whether it was present.
-func (g *Graph) Remove(t Triple) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.spo.remove(t.S, t.P, t.O) {
+func (g *Graph) addLocked(t Triple) bool {
+	if !t.IsConcrete() {
 		return false
 	}
-	g.pos.remove(t.P, t.O, t.S)
-	g.osp.remove(t.O, t.S, t.P)
+	// A stored triple's terms all have IDs, so a duplicate interns nothing.
+	k := [3]uint32{g.internLocked(t.S), g.internLocked(t.P), g.internLocked(t.O)}
+	for ix := range g.lists {
+		l, e := &g.lists[ix][k[ix]], mkEntry(k[rot[ix+1]], k[rot[ix+2]])
+		i, dup := slices.BinarySearch(*l, e)
+		if dup {
+			return false // found in the first list, before anything was written
+		}
+		*l = slices.Insert(*l, i, e)
+		g.refs[k[ix]]++
+	}
+	g.size++
+	return true
+}
+
+// internLocked returns t's ID, giving a term the graph does not hold the
+// most recently released ID or, when none is free, the next unused one.
+func (g *Graph) internLocked(t Term) uint32 {
+	if id, ok := g.ids[t]; ok {
+		return id
+	}
+	var id uint32
+	if n := len(g.free); n > 0 {
+		id, g.free = g.free[n-1], g.free[:n-1]
+		g.terms[id] = t
+	} else {
+		id = uint32(len(g.terms))
+		g.terms = append(g.terms, t)
+		g.refs = append(g.refs, 0)
+		for ix := range g.lists {
+			g.lists[ix] = append(g.lists[ix], nil)
+		}
+	}
+	g.ids[t] = id
+	return id
+}
+
+// Remove deletes a triple, reporting whether it was present. A term whose
+// last triple goes leaves the dictionary and its ID becomes reusable.
+func (g *Graph) Remove(t Triple) bool {
+	if !t.IsConcrete() {
+		return false
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	_, s, run := g.runLocked(&t, BoundS|BoundP|BoundO)
+	if len(run) == 0 {
+		return false
+	}
+	k := [3]uint32{s, uint32(run[0] >> 32), uint32(run[0])}
+	for ix := range g.lists {
+		l := &g.lists[ix][k[ix]]
+		if len(*l) == 1 {
+			*l = nil // drop the backing array with the last entry
+		} else {
+			i, _ := slices.BinarySearch(*l, mkEntry(k[rot[ix+1]], k[rot[ix+2]]))
+			*l = slices.Delete(*l, i, i+1)
+		}
+		if g.refs[k[ix]]--; g.refs[k[ix]] == 0 {
+			delete(g.ids, g.terms[k[ix]])
+			g.terms[k[ix]] = Term{}
+			g.free = append(g.free, k[ix])
+		}
+	}
 	g.size--
 	return true
 }
 
 // Has reports whether the concrete triple is stored.
 func (g *Graph) Has(t Triple) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	if m1, ok := g.spo[t.S]; ok {
-		if m2, ok := m1[t.P]; ok {
-			_, ok := m2[t.O]
-			return ok
-		}
-	}
-	return false
+	return t.IsConcrete() && g.CountMatch(t) == 1
 }
 
 // Size returns the number of stored triples.
@@ -128,24 +160,23 @@ func (g *Graph) Size() int {
 	return g.size
 }
 
-// Triples returns a snapshot of all stored triples in unspecified order.
+// Triples returns a snapshot of all stored triples: subjects in ascending
+// ID order (IDs in first-use order, see Graph), each subject's triples in
+// ascending (predicate, object) ID order.
 func (g *Graph) Triples() []Triple {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make([]Triple, 0, g.size)
-	for s, m1 := range g.spo {
-		for p, m2 := range m1 {
-			for o := range m2 {
-				out = append(out, Triple{s, p, o})
-			}
-		}
-	}
+	g.forEachLocked(&Triple{}, func(t Triple) bool {
+		out = append(out, t)
+		return true
+	})
 	return out
 }
 
-// Match returns all stored triples matching the pattern. Variable positions
-// match anything; concrete positions must be equal. The best index for the
-// pattern's bound mask is consulted so the scan touches only candidates.
+// Match returns all stored triples matching the pattern, in ForEachMatch
+// order. Variable positions match anything; concrete positions must be
+// equal.
 func (g *Graph) Match(pat Triple) []Triple {
 	var out []Triple
 	g.ForEachMatch(pat, func(t Triple) bool {
@@ -158,113 +189,122 @@ func (g *Graph) Match(pat Triple) []Triple {
 // CountMatch returns the number of stored triples matching the pattern
 // without materializing them. It backs the location-table frequency counts.
 func (g *Graph) CountMatch(pat Triple) int {
-	n := 0
-	g.ForEachMatch(pat, func(Triple) bool {
-		n++
-		return true
-	})
-	return n
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	m := pat.Mask()
+	if m == 0 {
+		return g.size
+	}
+	_, _, run := g.runLocked(&pat, m)
+	return len(run)
 }
 
-// ForEachMatch streams matches to fn; fn returns false to stop early.
+// ForEachMatch streams matches to fn under the graph's read lock; fn
+// returns false to stop early. Matches arrive in ascending ID order of the
+// list scanned for the pattern's bound mask (IDs in first-use order, see
+// Graph): (p,o) order for a bound subject, (o,s) for a bound predicate
+// without subject, (s,p) for a bound object without predicate, and Triples
+// order when nothing is bound.
 func (g *Graph) ForEachMatch(pat Triple, fn func(Triple) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	sB, pB, oB := pat.S.IsConcrete(), pat.P.IsConcrete(), pat.O.IsConcrete()
-	switch {
-	case sB && pB && oB:
-		if m1, ok := g.spo[pat.S]; ok {
-			if m2, ok := m1[pat.P]; ok {
-				if _, ok := m2[pat.O]; ok {
-					fn(pat)
-				}
-			}
-		}
-	case sB && pB:
-		if m1, ok := g.spo[pat.S]; ok {
-			for o := range m1[pat.P] {
-				if !fn(Triple{pat.S, pat.P, o}) {
-					return
-				}
-			}
-		}
-	case pB && oB:
-		if m1, ok := g.pos[pat.P]; ok {
-			for s := range m1[pat.O] {
-				if !fn(Triple{s, pat.P, pat.O}) {
-					return
-				}
-			}
-		}
-	case sB && oB:
-		if m1, ok := g.osp[pat.O]; ok {
-			for p := range m1[pat.S] {
-				if !fn(Triple{pat.S, p, pat.O}) {
-					return
-				}
-			}
-		}
-	case sB:
-		if m1, ok := g.spo[pat.S]; ok {
-			for p, m2 := range m1 {
-				for o := range m2 {
-					if !fn(Triple{pat.S, p, o}) {
-						return
-					}
-				}
-			}
-		}
-	case pB:
-		if m1, ok := g.pos[pat.P]; ok {
-			for o, m2 := range m1 {
-				for s := range m2 {
-					if !fn(Triple{s, pat.P, o}) {
-						return
-					}
-				}
-			}
-		}
-	case oB:
-		if m1, ok := g.osp[pat.O]; ok {
-			for s, m2 := range m1 {
-				for p := range m2 {
-					if !fn(Triple{s, p, pat.O}) {
-						return
-					}
-				}
-			}
-		}
-	default: // full scan
-		for s, m1 := range g.spo {
-			for p, m2 := range m1 {
-				for o := range m2 {
-					if !fn(Triple{s, p, o}) {
-						return
-					}
-				}
-			}
+	g.forEachLocked(&pat, fn)
+}
+
+func (g *Graph) forEachLocked(pat *Triple, fn func(Triple) bool) {
+	if m := pat.Mask(); m != 0 {
+		ix, first, run := g.runLocked(pat, m)
+		g.emitLocked(ix, first, run, fn)
+		return
+	}
+	for s, run := range g.lists[spo] {
+		if !g.emitLocked(spo, uint32(s), run, fn) {
+			return
 		}
 	}
 }
 
-// Subjects returns the distinct subjects in the graph.
-func (g *Graph) Subjects() []Term {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	out := make([]Term, 0, len(g.spo))
-	for s := range g.spo {
-		out = append(out, s)
-	}
-	return out
+// scanOrder is the index order that answers each bound mask: the one whose
+// leading positions are the bound ones.
+var scanOrder = [8]int{
+	BoundS: spo, BoundS | BoundP: spo, BoundS | BoundP | BoundO: spo,
+	BoundP: pos, BoundP | BoundO: pos,
+	BoundO: osp, BoundO | BoundS: osp,
 }
 
-// Predicates returns the distinct predicates in the graph.
-func (g *Graph) Predicates() []Term {
+// runLocked resolves a pattern with bound mask m != 0 to its scan order,
+// the ID of the term in the order's first position, and the contiguous run
+// of that term's list holding exactly the pattern's matches: the whole
+// list, the entries sharing a bound second ID, or the one entry of a fully
+// bound pattern. A bound term the dictionary does not hold ends the search
+// before any list is touched. (pat is a pointer only to spare the hot path
+// copies of a 168-byte Triple.)
+func (g *Graph) runLocked(pat *Triple, m BoundMask) (ix int, first uint32, run []entry) {
+	ix = scanOrder[m]
+	k := [3]*Term{&pat.S, &pat.P, &pat.O}
+	second, third := rot[ix+1], rot[ix+2]
+	first, ok := g.ids[*k[ix]]
+	if !ok {
+		return ix, 0, nil
+	}
+	run = g.lists[ix][first]
+	if m&(1<<second) == 0 {
+		return ix, first, run
+	}
+	a, ok := g.ids[*k[second]]
+	if !ok {
+		return ix, first, nil
+	}
+	lo := mkEntry(a, 0) // the run is [lo, hi)
+	hi := lo + 1<<32
+	if m&(1<<third) != 0 {
+		b, ok := g.ids[*k[third]]
+		if !ok {
+			return ix, first, nil
+		}
+		lo = mkEntry(a, b)
+		hi = lo + 1
+	}
+	i, _ := slices.BinarySearch(run, lo)
+	j, _ := slices.BinarySearch(run[i:], hi)
+	return ix, first, run[i : i+j]
+}
+
+// emitLocked hands fn the triples of one run of lists[ix][first] and
+// reports whether fn asked for more.
+func (g *Graph) emitLocked(ix int, first uint32, run []entry, fn func(Triple) bool) bool {
+	if len(run) == 0 {
+		return true
+	}
+	var t Triple
+	k := [3]*Term{&t.S, &t.P, &t.O}
+	y, z := k[rot[ix+1]], k[rot[ix+2]]
+	*k[ix] = g.terms[first]
+	for _, e := range run {
+		*y, *z = g.terms[e>>32], g.terms[uint32(e)]
+		if !fn(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// Subjects returns the distinct subjects in the graph in ascending ID
+// order.
+func (g *Graph) Subjects() []Term { return g.firstsOf(spo) }
+
+// Predicates returns the distinct predicates in the graph in ascending ID
+// order.
+func (g *Graph) Predicates() []Term { return g.firstsOf(pos) }
+
+func (g *Graph) firstsOf(ix int) []Term {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	out := make([]Term, 0, len(g.pos))
-	for p := range g.pos {
-		out = append(out, p)
+	var out []Term
+	for id, l := range g.lists[ix] {
+		if len(l) > 0 {
+			out = append(out, g.terms[id])
+		}
 	}
 	return out
 }

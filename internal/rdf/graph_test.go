@@ -3,6 +3,8 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -275,5 +277,230 @@ func TestSortTriplesDeterministic(t *testing.T) {
 		if Compare(ts[i-1].S, ts[i].S) > 0 {
 			t.Fatalf("not sorted at %d: %v > %v", i, ts[i-1], ts[i])
 		}
+	}
+}
+
+// modelPool is the term pool of the reference-model tests: one term of
+// every concrete kind, all sharing one Value, so a dictionary that keyed on
+// less than the whole Term would conflate them.
+var modelPool = []Term{
+	NewIRI("v"), NewBlank("v"), NewLiteral("v"), NewLangLiteral("v", "en"), NewTypedLiteral("v", XSDString),
+}
+
+// modelTriple decodes n into a triple over modelPool; every position takes
+// every pool term (the store does not police RDF's position rules).
+func modelTriple(n int) Triple {
+	k := len(modelPool)
+	return Triple{modelPool[n%k], modelPool[n/k%k], modelPool[n/k/k%k]}
+}
+
+// modelStep applies one op to the graph and to the map[Triple]bool
+// reference — a removal when remove is set, else an add — and requires the
+// graph to report what the reference says: duplicate adds and removals of
+// absent triples return false and change nothing.
+func modelStep(t *testing.T, g *Graph, ref map[Triple]bool, tr Triple, remove bool) {
+	t.Helper()
+	if remove {
+		if got := g.Remove(tr); got != ref[tr] {
+			t.Fatalf("Remove(%v) = %v, reference holds it: %v", tr, got, ref[tr])
+		}
+		delete(ref, tr)
+	} else {
+		if got := g.Add(tr); got == ref[tr] {
+			t.Fatalf("Add(%v) = %v, reference holds it: %v", tr, got, ref[tr])
+		}
+		ref[tr] = true
+	}
+}
+
+// checkModel holds Size, Has and — for every pattern over the pool plus a
+// variable, which covers all eight bound masks — Match, CountMatch and an
+// early-stopped ForEachMatch to the reference.
+func checkModel(t *testing.T, g *Graph, ref map[Triple]bool) {
+	t.Helper()
+	if g.Size() != len(ref) {
+		t.Fatalf("Size = %d, reference holds %d", g.Size(), len(ref))
+	}
+	k := len(modelPool)
+	for n := 0; n < k*k*k; n++ {
+		if tr := modelTriple(n); g.Has(tr) != ref[tr] {
+			t.Fatalf("Has(%v) = %v, reference: %v", tr, g.Has(tr), ref[tr])
+		}
+	}
+	slots := append([]Term{NewVar("x")}, modelPool...)
+	for _, s := range slots {
+		for _, p := range slots {
+			for _, o := range slots {
+				pat := Triple{s, p, o}
+				want := 0
+				for tr := range ref {
+					if matches(pat, tr) {
+						want++
+					}
+				}
+				got := g.Match(pat)
+				seen := map[Triple]bool{}
+				for _, tr := range got {
+					if !ref[tr] || !matches(pat, tr) || seen[tr] {
+						t.Fatalf("Match(%v) returned %v: stored %v, matching %v, repeated %v", pat, tr, ref[tr], matches(pat, tr), seen[tr])
+					}
+					seen[tr] = true
+				}
+				if len(got) != want || g.CountMatch(pat) != want {
+					t.Fatalf("Match(%v) returned %d, CountMatch %d, reference %d", pat, len(got), g.CountMatch(pat), want)
+				}
+				stop, visited := (want+1)/2, 0
+				g.ForEachMatch(pat, func(Triple) bool {
+					visited++
+					return visited < stop
+				})
+				if visited != stop {
+					t.Fatalf("ForEachMatch(%v) stopped at %d visited %d of %d", pat, stop, visited, want)
+				}
+			}
+		}
+	}
+}
+
+// TestGraphAgainstReferenceModel drives seeded random add / remove
+// sequences — the small pool makes duplicate adds and removals of absent
+// triples as common as effective ones — and checks the whole read API
+// against the reference after every step.
+func TestGraphAgainstReferenceModel(t *testing.T) {
+	k := len(modelPool)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g, ref := NewGraph(), map[Triple]bool{}
+		for step := 0; step < 150; step++ {
+			// Removals dominate every third stretch so the graph also drains.
+			remove := rng.Intn(3) < 1+step/50%2
+			modelStep(t, g, ref, modelTriple(rng.Intn(k*k*k)), remove)
+			checkModel(t, g, ref)
+		}
+	}
+}
+
+// orderEdits is a seeded add/remove sequence over a pool large enough that
+// every list holds several entries and IDs are released and reused.
+func orderEdits(g *Graph) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 400; i++ {
+		tr := Triple{iri(fmt.Sprintf("s%d", rng.Intn(8))), iri(fmt.Sprintf("p%d", rng.Intn(3))), NewInteger(int64(rng.Intn(8)))}
+		if rng.Intn(3) == 0 {
+			g.Remove(tr)
+		} else {
+			g.Add(tr)
+		}
+	}
+}
+
+// TestGraphMatchOrderIsAFunctionOfEditHistory pins the order contract: two
+// graphs built by the same edit sequence stream identical sequences for all
+// eight masks and from Triples, Subjects and Predicates, and repeated calls
+// on one graph agree. (The nested-map store this replaced failed both
+// halves: Go randomises map iteration per call.)
+func TestGraphMatchOrderIsAFunctionOfEditHistory(t *testing.T) {
+	a, b := NewGraph(), NewGraph()
+	orderEdits(a)
+	orderEdits(b)
+	if a.Size() < 40 {
+		t.Fatalf("edit sequence left %d triples, want a graph worth ordering", a.Size())
+	}
+	s, p, o, v := iri("s3"), iri("p1"), NewInteger(5), NewVar("v")
+	reads := map[string]func(*Graph) any{
+		"Triples":    func(g *Graph) any { return g.Triples() },
+		"Subjects":   func(g *Graph) any { return g.Subjects() },
+		"Predicates": func(g *Graph) any { return g.Predicates() },
+	}
+	for _, pat := range []Triple{{s, p, o}, {s, p, v}, {v, p, o}, {s, v, o}, {s, v, v}, {v, p, v}, {v, v, o}, {v, v, v}} {
+		pat := pat
+		reads["Match "+pat.Mask().String()] = func(g *Graph) any { return g.Match(pat) }
+	}
+	for name, read := range reads {
+		first := read(a)
+		if again := read(a); !reflect.DeepEqual(first, again) {
+			t.Errorf("%s: two calls on one unchanged graph differ", name)
+		}
+		if other := read(b); !reflect.DeepEqual(first, other) {
+			t.Errorf("%s: two graphs with the same edit history differ", name)
+		}
+	}
+}
+
+// TestGraphDictionaryDrains removes everything that was added, in another
+// order, and requires the dictionary to drain with the triples: no term is
+// left interned, every ID is free, the next add reuses one, and a pattern
+// naming a term the graph no longer knows matches nothing.
+func TestGraphDictionaryDrains(t *testing.T) {
+	g := NewGraph()
+	var ts []Triple
+	for i := 0; i < 500; i++ {
+		ts = append(ts, Triple{iri(fmt.Sprintf("s%d", i%50)), iri(fmt.Sprintf("p%d", i%7)), NewInteger(int64(i))})
+	}
+	if g.AddAll(ts) != len(ts) {
+		t.Fatal("AddAll did not add every triple")
+	}
+	slots := len(g.terms)
+	rand.New(rand.NewSource(3)).Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	for _, tr := range ts {
+		if !g.Remove(tr) {
+			t.Fatalf("Remove(%v) = false", tr)
+		}
+	}
+	if g.Size() != 0 || len(g.Triples()) != 0 || len(g.Subjects()) != 0 || len(g.Predicates()) != 0 {
+		t.Errorf("drained graph still reports content: size %d", g.Size())
+	}
+	if len(g.ids) != 0 || len(g.free) != slots {
+		t.Errorf("drained dictionary holds %d terms and %d of %d IDs are free", len(g.ids), len(g.free), slots)
+	}
+	for id, term := range g.terms {
+		if !term.IsZero() || g.refs[id] != 0 || g.lists[spo][id] != nil || g.lists[pos][id] != nil || g.lists[osp][id] != nil {
+			t.Fatalf("released ID %d still holds %v, %d refs or a list", id, term, g.refs[id])
+		}
+	}
+	for _, pat := range []Triple{{ts[0].S, NewVar("p"), NewVar("o")}, {NewVar("s"), ts[0].P, ts[0].O}, ts[0]} {
+		if got := g.Match(pat); got != nil || g.CountMatch(pat) != 0 {
+			t.Errorf("Match(%v) on a drained graph = %v", pat, got)
+		}
+	}
+	if !g.Add(ts[0]) || len(g.terms) != slots || len(g.free) != slots-3 {
+		t.Errorf("add after drain: %d ID slots (had %d), %d free", len(g.terms), slots, len(g.free))
+	}
+}
+
+// TestGraphHeapPerTriple holds the store to ROADMAP's 400 B per triple on
+// a FOAF-shaped graph (the nested Term-keyed maps cost about 1,580 B, the
+// dictionary and sorted ID lists about 110 B). The triples stay alive in
+// the test, so the strings they share with the graph are not counted.
+func TestGraphHeapPerTriple(t *testing.T) {
+	var ts []Triple
+	person := func(i int) Term { return iri(fmt.Sprintf("person/%d", i)) }
+	for i := 0; i < 2500; i++ {
+		ts = append(ts,
+			Triple{person(i), iri("type"), iri("Person")},
+			Triple{person(i), iri("name"), NewLiteral(fmt.Sprintf("Person %d", i))},
+			Triple{person(i), iri("age"), NewInteger(int64(18 + i%60))})
+		for k := 1; k <= 6; k++ {
+			ts = append(ts, Triple{person(i), iri("knows"), person((i + k*k*37) % 2500)})
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	g := NewGraph()
+	if g.AddAll(ts) != len(ts) {
+		t.Fatal("synthetic triples are not distinct")
+	}
+	perTriple := float64(int64(heap()-before)) / float64(len(ts))
+	runtime.KeepAlive(g)
+	runtime.KeepAlive(ts)
+	t.Logf("%d triples, %.1f heap bytes per triple", len(ts), perTriple)
+	if perTriple > 400 {
+		t.Errorf("graph holds %.1f heap bytes per triple, want <= 400", perTriple)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates the lexical space a Term belongs to.
@@ -159,6 +160,30 @@ func (t Term) String() string {
 	}
 }
 
+// AppendTo appends the bytes of String to buf and returns the extended
+// slice, allocating only when buf has to grow — for callers that hash or
+// frame many terms and can do without the intermediate strings.
+func (t Term) AppendTo(buf []byte) []byte {
+	switch t.Kind {
+	case KindIRI:
+		return append(append(append(buf, '<'), t.Value...), '>')
+	case KindLiteral:
+		buf = append(appendEscaped(append(buf, '"'), t.Value), '"')
+		if t.Lang != "" {
+			buf = append(append(buf, '@'), t.Lang...)
+		} else if t.Datatype != "" {
+			buf = append(append(append(buf, "^^<"...), t.Datatype...), '>')
+		}
+		return buf
+	case KindBlank:
+		return append(append(buf, "_:"...), t.Value...)
+	case KindVar:
+		return append(append(buf, '?'), t.Value...)
+	default:
+		return append(buf, "<invalid>"...)
+	}
+}
+
 // SizeBytes estimates the wire size of the term for the network cost model:
 // the lexical components plus the kind tag.
 func (t Term) SizeBytes() int {
@@ -168,28 +193,38 @@ func (t Term) SizeBytes() int {
 // kindWidth is the fixed wire width of a term's kind tag.
 func kindWidth(Kind) int { return 2 }
 
+// escapedChars are the characters an N-Triples literal writes as escapes.
+const escapedChars = "\"\\\n\r\t"
+
 func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
+	if !strings.ContainsAny(s, escapedChars) {
 		return s
 	}
-	var sb strings.Builder
+	return string(appendEscaped(nil, s))
+}
+
+// appendEscaped appends the literal lexical form s with N-Triples escapes.
+func appendEscaped(buf []byte, s string) []byte {
+	if !strings.ContainsAny(s, escapedChars) {
+		return append(buf, s...)
+	}
 	for _, r := range s {
 		switch r {
 		case '"':
-			sb.WriteString(`\"`)
+			buf = append(buf, `\"`...)
 		case '\\':
-			sb.WriteString(`\\`)
+			buf = append(buf, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			buf = append(buf, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			buf = append(buf, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			buf = append(buf, `\t`...)
 		default:
-			sb.WriteRune(r)
+			buf = utf8.AppendRune(buf, r)
 		}
 	}
-	return sb.String()
+	return buf
 }
 
 // Compare imposes a total order over terms, used by ORDER BY and by
