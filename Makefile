@@ -32,14 +32,16 @@ race:
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
-# Short coverage-guided fuzz pass over the text front ends and the graph
-# store's edit sequences; CI runs the same targets as a smoke stage. Crashers land in testdata/fuzz/ and then
-# run as regression seeds under plain `make test`.
+# Short coverage-guided fuzz pass over the text front ends, the graph
+# store's edit sequences and the keyed sub-query; CI runs the same targets
+# as a smoke stage. Crashers land in testdata/fuzz/ and then run as
+# regression seeds under plain `make test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/sparql
 	$(GO) test -run '^$$' -fuzz FuzzReadTurtle -fuzztime $(FUZZTIME) ./internal/rdf
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime $(FUZZTIME) ./internal/rdf
+	$(GO) test -run '^$$' -fuzz FuzzKeyedMatch -fuzztime $(FUZZTIME) ./internal/dqp
 
 # Regenerate the EXPERIMENTS.md table set (seed 0 = published tables).
 experiments:

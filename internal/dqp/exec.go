@@ -2,6 +2,7 @@ package dqp
 
 import (
 	"errors"
+	"slices"
 	"sort"
 
 	"adhocshare/internal/chord"
@@ -473,23 +474,30 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 }
 
 // execPipeline runs the sequential conjunction of Sect. IV-D basic
-// processing: the accumulated solutions flow into each pattern's execution
-// as seeds (a distributed semi-join).
+// processing as a distributed semi-join: each pattern is asked only for
+// the distinct values the accumulated solutions give the variables it
+// shares with them, and its matches are joined with the full solutions at
+// the site that assembles them (execPattern). A filter conjunct ships with
+// the first pattern that covers it alone; one that also needs a variable of
+// an earlier pattern applies after that join.
 func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
 	cur := siteSet{sols: eval.Solutions{eval.NewBinding()}, site: ctx.initiator}
 	now := at
 	bound := map[string]bool{}
 	shipped := make([]bool, len(conjuncts))
 	for i := range plans {
+		own := map[string]bool{}
 		for _, v := range plans[i].pattern.Vars() {
-			bound[v] = true
+			own[v], bound[v] = true, true
 		}
-		f := shippableFilter(conjuncts, shipped, bound)
+		push := shippableFilter(conjuncts, shipped, own)
+		after := shippableFilter(conjuncts, shipped, bound)
 		var err error
-		cur, now, err = e.execPattern(ctx, plans[i], cur, f, scope, "", now)
+		cur, now, err = e.execPattern(ctx, plans[i], cur, push, scope, "", now)
 		if err != nil {
 			return siteSet{}, now, err
 		}
+		cur.sols = eval.FilterSolutions(cur.sols, after)
 		if len(cur.sols) == 0 {
 			// Empty intermediate result: the conjunction is empty
 			// (short-circuit; no further sub-queries needed).
@@ -563,14 +571,22 @@ func sharedTarget(a, b patternPlan) simnet.Addr {
 }
 
 // execPattern evaluates one triple pattern over its target storage nodes
-// according to the per-pattern strategy. seeds are the partial solutions
-// joined in-network; preferEnd forces the chain to end at the given target
-// when present (overlap-aware assembly).
+// according to the per-pattern strategy and joins the matches with seeds,
+// the partial solutions so far. What ships is keys, the distinct projection
+// of the seeds onto the variables the pattern (or a GRAPH variable) shares
+// with them; what comes back binds the pattern's variables only. Three
+// cases follow from the seeds, none from a setting: the unit seed gives
+// the unit key and the replies are the result; seeds sharing no variable
+// with the pattern give the unit key too and the result is the cross
+// product; seeds binding only variables the pattern mentions are their own
+// keys, so the replies are the extended rows and no join runs. preferEnd
+// forces a chain to end at the given target when present (overlap-aware
+// assembly).
 func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds siteSet, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, at simnet.VTime) (siteSet, simnet.VTime, error) {
-	targets := plan.postings
-	if len(targets) == 0 {
+	if len(plan.postings) == 0 || len(seeds.sols) == 0 {
 		return siteSet{sols: nil, site: seeds.site}, at, nil
 	}
+	keys, rowsKeys := projectKeys(plan.pattern, scope, seeds.sols)
 	// Every pattern execution is one op span; the strategy implementations
 	// hang their message spans off patTC, so the three strategies render as
 	// the three Fig. 5 flow shapes (star, chain, frequency-ordered chain).
@@ -582,11 +598,11 @@ func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds siteSet, filter 
 	)
 	switch e.opts.Strategy {
 	case StrategyBasic:
-		out, done, err = e.execPatternBasic(ctx, plan, seeds, filter, scope, patTC, at)
+		out, done, err = e.execPatternBasic(ctx, plan, seeds, keys, rowsKeys, filter, scope, patTC, at)
 	case StrategyFreqChain:
-		out, done, err = e.execPatternChain(ctx, plan, seeds, filter, scope, preferEnd, true, patTC, at)
+		out, done, err = e.execPatternChain(ctx, plan, seeds, keys, rowsKeys, filter, scope, preferEnd, true, patTC, at)
 	default:
-		out, done, err = e.execPatternChain(ctx, plan, seeds, filter, scope, preferEnd, false, patTC, at)
+		out, done, err = e.execPatternChain(ctx, plan, seeds, keys, rowsKeys, filter, scope, preferEnd, false, patTC, at)
 	}
 	if err == nil && ctx.rec != nil {
 		ctx.opSpan(patTC, "dqp.pattern", string(ctx.initiator),
@@ -595,29 +611,68 @@ func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds siteSet, filter 
 	return out, done, err
 }
 
-// execPatternBasic: the sub-query (with seeds) ships to the pattern's
-// index node, which fans it out to every target in parallel; each target
-// returns its matches and the index node assembles the union (Sect. IV-C
-// basic). High parallelism, duplicated seed shipping, responses all travel
-// back — low response time, high transmission overhead.
-func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
+// projectKeys returns what a pattern is asked for: the distinct projection
+// of the non-empty seeds onto the variables the pattern, or a GRAPH
+// variable, shares with them. Within one BGP every partial solution binds
+// the same variables, so the first decides which those are. rowsKeys
+// reports that the seeds bind nothing else, so the replies are the extended
+// rows already.
+func projectKeys(pat rdf.Triple, scope rdf.Term, seeds eval.Solutions) (keys eval.Table, rowsKeys bool) {
+	var vars []string
+	for _, v := range pat.Vars() {
+		if seeds[0].Bound(v) {
+			vars = append(vars, v)
+		}
+	}
+	if scope.IsVar() && seeds[0].Bound(scope.Value) && !slices.Contains(vars, scope.Value) {
+		vars = append(vars, scope.Value)
+	}
+	return eval.KeyTable(seeds, vars), len(vars) == len(seeds[0])
+}
+
+// matchBound is the number of rows the targets can return between them
+// when that is known: under the unit key every posting's frequency counts
+// the triples its node matches.
+func matchBound(plan patternPlan, keys eval.Table) int {
+	if len(keys.Vars) > 0 {
+		return 0
+	}
+	return plan.totalFreq()
+}
+
+// assemble turns a pattern's accumulated replies into its result at the
+// site that holds both them and the seeds.
+func assemble(acc *eval.Matches, seeds eval.Solutions, rowsKeys bool) eval.Solutions {
+	if rowsKeys {
+		return acc.Solutions()
+	}
+	return acc.Join(seeds)
+}
+
+// execPatternBasic: the sub-query ships with the partial solutions to the
+// pattern's index node, which projects the keys, fans them out to every
+// target in parallel, and joins the union of the replies with the rows it
+// was handed (Sect. IV-C basic). High parallelism and every reply travels
+// back, but only keys go out and only the pattern's own matches come in:
+// low response time, and under the pipeline the fewest bytes as well.
+func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
 	assembly := plan.index
 	if assembly == "" { // flooding: assemble at the seeds' current site
 		assembly = seeds.site
 	}
-	base := overlay.MatchReq{Patterns: []rdf.Triple{plan.pattern}, Filter: filter, Seeds: seeds.sols,
+	base := overlay.MatchReq{Pattern: plan.pattern, Filter: filter, Keys: keys,
 		Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope}
 	now := at
 	if seeds.site != assembly {
-		dispatch := base
-		dispatch.TC = patTC.Child(0)
+		dispatch := dispatchPayload{Sub: base, Rows: seeds.sols}
+		dispatch.Sub.TC = patTC.Child(0)
 		done, err := e.transferRetry(seeds.site, assembly, methodDispatch, dispatch, now)
 		if err != nil {
 			return siteSet{}, done, err
 		}
 		now = done
 	}
-	var acc eval.Dedup
+	acc := eval.NewMatches(keys, matchBound(plan, keys))
 	finish := now
 	// One call closure reused across targets (and retry attempts) keeps the
 	// fan-out loop allocation-free; the captured request is re-pointed per
@@ -651,9 +706,9 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			continue
 		}
 		ctx.countSubquery(p.Node)
-		acc.Add(resp.(overlay.SolutionsResp).Sols)
+		acc.Add(resp.(eval.Table))
 		finish = simnet.MaxTime(finish, done)
-		if plan.stopOnFirst && len(acc.Solutions()) > 0 {
+		if plan.stopOnFirst && acc.Len() > 0 {
 			// existence settled: remaining targets are not contacted (the
 			// sequential early exit trades the parallel fan-out's latency
 			// for fewer messages)
@@ -661,26 +716,22 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			break
 		}
 	}
-	// The query dataset is the *set* union of all providers' triples
-	// (Sect. IV-A): identical triples held by several providers must yield
-	// one solution. For a single pattern a solution mapping determines the
-	// matched triple, so mapping-level deduplication (acc) realizes the set
-	// semantics exactly.
-	return siteSet{sols: acc.Solutions(), site: assembly}, finish, nil
+	return siteSet{sols: assemble(acc, seeds.sols, rowsKeys), site: assembly}, finish, nil
 }
 
-// execPatternChain: the sub-query and accumulated solutions forward
-// through the target list; each node merges its local matches and passes
-// the result on; the final node keeps the result (it becomes the new
-// site). byFreq orders targets by increasing Table I frequency so the
+// execPatternChain: the sub-query, its keys and the matches accumulated so
+// far forward through the target list; each node adds its local matches and
+// passes the set on; the final node keeps it and becomes the new site. When
+// the keys are not the partial solutions themselves, those travel once,
+// from where they are to that final node, and are joined with the matches
+// there. byFreq orders targets by increasing Table I frequency so the
 // largest contribution never travels (Sect. IV-C further optimization).
-func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, byFreq bool, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
+func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, rowsKeys bool, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, byFreq bool, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
 	seq := orderTargets(plan.postings, preferEnd, byFreq)
-	patterns := []rdf.Triple{plan.pattern}
 
-	// The query (with seeds) first travels to the index node, which knows
-	// the sequence and forwards to its head (Sect. IV-C: "forwards the
-	// query ... to the node at the top of the sequence list").
+	// The sub-query first travels to the index node, which knows the
+	// sequence and forwards to its head (Sect. IV-C: "forwards the query
+	// ... to the node at the top of the sequence list").
 	now := at
 	prev := seeds.site
 	// linkTC is the context of the previous hop's message: every hop
@@ -690,7 +741,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 	if plan.index != "" && prev != plan.index {
 		dispatchTC := patTC.Child(0)
 		done, err := e.transferRetry(prev, plan.index, methodDispatch,
-			overlay.MatchReq{Patterns: patterns, Filter: filter, Seeds: seeds.sols,
+			overlay.MatchReq{Pattern: plan.pattern, Filter: filter, Keys: keys,
 				Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope,
 				TC: dispatchTC}, now)
 		if err != nil {
@@ -701,18 +752,18 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 		linkTC = dispatchTC
 	}
 
-	var acc eval.Dedup
+	acc := eval.NewMatches(keys, matchBound(plan, keys))
 	reached := prev
 	for i, target := range seq {
 		hopTC := linkTC.Child(uint64(i + 1))
 		payload := chainPayload{
-			Patterns: patterns,
-			Filter:   filter,
-			Seeds:    seeds.sols,
-			Acc:      acc.Solutions(),
-			Seq:      addrsOf(seq[i+1:]),
-			Dataset:  ctx.dataset,
-			TC:       hopTC,
+			Pattern: plan.pattern,
+			Filter:  filter,
+			Keys:    keys,
+			Acc:     acc.Set(),
+			Seq:     addrsOf(seq[i+1:]),
+			Dataset: ctx.dataset,
+			TC:      hopTC,
 		}
 		done, err := e.transferRetry(prev, target.Node, overlay.MethodChainHop, payload, now)
 		now = done
@@ -731,17 +782,23 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 		}
 		ctx.countSubquery(target.Node)
 		// In-network aggregation with set-union semantics: merging at each
-		// hop removes solutions duplicated across providers before they
+		// hop removes matches duplicated across providers before they
 		// travel further (the dedup counterpart of execPatternBasic).
-		acc.Add(st.LocalMatchScope(patterns, filter, seeds.sols, ctx.dataset, ctx.fromNamed, scope))
+		acc.Add(st.MatchKeys(plan.pattern, filter, keys, ctx.dataset, ctx.fromNamed, scope))
 		prev = target.Node
 		reached = target.Node
 		linkTC = hopTC
-		if plan.stopOnFirst && len(acc.Solutions()) > 0 {
+		if plan.stopOnFirst && acc.Len() > 0 {
 			break
 		}
 	}
-	return siteSet{sols: acc.Solutions(), site: reached}, now, nil
+	if !rowsKeys && acc.Len() > 0 {
+		var err error
+		if seeds, now, err = e.shipTo(ctx, seeds, reached, methodShip, now); err != nil {
+			return siteSet{}, now, err
+		}
+	}
+	return siteSet{sols: assemble(acc, seeds.sols, rowsKeys), site: reached}, now, nil
 }
 
 // orderTargets produces the chain sequence: address order (deterministic)

@@ -9,6 +9,7 @@ import (
 	"adhocshare/internal/rdfpeers"
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
+	"adhocshare/internal/sparql/eval"
 )
 
 // The gob probe. Nothing in this repository serializes a message: the
@@ -22,7 +23,7 @@ import (
 // item 1) deletes it together with those rows.
 func init() {
 	for _, v := range []any{
-		simnet.Bytes(0), chainPayload{},
+		simnet.Bytes(0), chainPayload{}, dispatchPayload{}, eval.Table{},
 
 		overlay.PutReq{}, overlay.PutBatchReq{}, overlay.LookupReq{},
 		overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},

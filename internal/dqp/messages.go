@@ -1,6 +1,7 @@
 package dqp
 
 import (
+	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
@@ -19,18 +20,35 @@ const (
 	methodResult   = "dqp.result"
 )
 
+// dispatchPayload hands a pattern's sub-query to the index node that fans
+// it out and assembles the replies (basic strategy), together with the
+// partial solutions the replies are joined with there. The index node
+// projects the keys itself, so on this leg the rows travel in their place.
+type dispatchPayload struct {
+	Sub  overlay.MatchReq
+	Rows eval.Solutions
+}
+
+// TraceCtx implements trace.Carrier.
+func (d dispatchPayload) TraceCtx() trace.TraceContext { return d.Sub.TC }
+
+// SizeBytes implements simnet.Payload.
+func (d dispatchPayload) SizeBytes() int {
+	return d.Sub.SizeBytes() - d.Sub.Keys.SizeBytes() + d.Rows.SizeBytes()
+}
+
 // chainPayload is the message forwarded along a chain of target storage
-// nodes: the sub-query (patterns plus pushed filter), the seed partial
-// solutions being joined in-network, the accumulated matches so far, and
-// the remaining target sequence (Sect. IV-C optimization: "information on
-// a sequence of target nodes that the query should be forwarded through").
+// nodes: the sub-query (pattern plus pushed filter), the keys it is asked
+// for, the distinct matches accumulated so far, and the remaining target
+// sequence (Sect. IV-C optimization: "information on a sequence of target
+// nodes that the query should be forwarded through").
 type chainPayload struct {
-	Patterns []rdf.Triple
-	Filter   sparql.Expression
-	Seeds    eval.Solutions
-	Acc      eval.Solutions
-	Seq      []simnet.Addr
-	Dataset  []string
+	Pattern rdf.Triple
+	Filter  sparql.Expression
+	Keys    eval.Table
+	Acc     eval.MatchSet
+	Seq     []simnet.Addr
+	Dataset []string
 	// TC carries trace causality: each hop derives the next hop's context
 	// from its own, so a traced chain renders as a linked list of message
 	// spans (the Fig. 5 chained flow).
@@ -42,14 +60,11 @@ func (c chainPayload) TraceCtx() trace.TraceContext { return c.TC }
 
 // SizeBytes implements simnet.Payload.
 func (c chainPayload) SizeBytes() int {
-	n := 8 + c.TC.SizeBytes()
-	for _, p := range c.Patterns {
-		n += p.SizeBytes()
-	}
+	n := 8 + c.TC.SizeBytes() + c.Pattern.SizeBytes()
 	if c.Filter != nil {
 		n += len(c.Filter.String())
 	}
-	n += c.Seeds.SizeBytes()
+	n += c.Keys.SizeBytes()
 	n += c.Acc.SizeBytes()
 	for _, a := range c.Seq {
 		n += len(a)

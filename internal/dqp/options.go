@@ -15,11 +15,14 @@
 //     increasing location-table frequency order with the final, largest
 //     node returning directly to the initiator — "further optimization").
 //
-//   - Conjunction selects how multi-pattern BGPs combine: Pipeline ships
-//     the accumulated partial solutions from pattern to pattern
-//     (Sect. IV-D basic, a distributed semi-join), ParallelJoin evaluates
-//     patterns independently and joins at an assembly site, preferring a
-//     storage node shared by both target sets (Sect. IV-D optimization).
+//   - Conjunction selects how multi-pattern BGPs combine: Pipeline feeds
+//     each pattern the partial solutions of the ones before it
+//     (Sect. IV-D basic) as a distributed semi-join — only the distinct
+//     values of the shared variables travel to the pattern's targets, only
+//     the pattern's own matches travel back, and the join with the full
+//     rows runs where those already are; ParallelJoin evaluates patterns
+//     independently and joins at an assembly site, preferring a storage
+//     node shared by both target sets (Sect. IV-D optimization).
 //
 //   - JoinSite selects where a binary merge happens when the operand sites
 //     differ: MoveSmall ships the smaller multiset to the larger's site,
@@ -36,11 +39,13 @@ type Strategy int
 const (
 	// StrategyBasic fans the sub-query out to all target storage nodes in
 	// parallel and unions the replies at the pattern's index node: lowest
-	// response time, highest transmission overhead.
+	// response time, and every reply travels back. The requests carry keys,
+	// not rows, so under the pipeline it is also the conjunction shipping
+	// the fewest bytes (EXPERIMENTS.md E9).
 	StrategyBasic Strategy = iota
-	// StrategyChain forwards the sub-query along the target list, each
-	// node merging its local matches into the accumulated solutions:
-	// in-network aggregation trading response time for traffic.
+	// StrategyChain forwards the sub-query and its keys along the target
+	// list, each node merging its local matches into the accumulated set:
+	// in-network aggregation trading response time for message count.
 	StrategyChain
 	// StrategyFreqChain is StrategyChain with targets ordered by
 	// increasing location-table frequency, so the node with the most
@@ -78,9 +83,10 @@ type Conjunction int
 
 // Conjunction modes.
 const (
-	// ConjPipeline evaluates patterns sequentially, shipping the partial
-	// solutions into each pattern's execution as seeds (distributed
-	// semi-join).
+	// ConjPipeline evaluates patterns sequentially as a distributed
+	// semi-join: a pattern is asked for the distinct projection of the
+	// partial solutions onto the variables it shares with them, and its
+	// matches are joined with the full solutions at the assembly site.
 	ConjPipeline Conjunction = iota
 	// ConjParallelJoin evaluates each pattern over its own target set
 	// independently (in parallel) and joins at an assembly site, chosen by

@@ -10,8 +10,9 @@ import (
 )
 
 // TestRandomizedDistributedOracleEquivalence generates random small
-// datasets, random BGP queries (with random bound/unbound positions and
-// optional numeric filters) and random execution options, and checks that
+// datasets and random BGP queries (with random bound/unbound positions and
+// optional numeric filters), runs each under every strategy and both
+// conjunctions with the remaining options drawn at random, and checks that
 // the distributed execution always matches the centralized oracle. This
 // is the system-level property backing every per-feature test.
 func TestRandomizedDistributedOracleEquivalence(t *testing.T) {
@@ -28,15 +29,19 @@ func TestRandomizedDistributedOracleEquivalence(t *testing.T) {
 				query := randomQuery(rng)
 				want := oracle(t, data, query)
 				opts := randomOptions(rng)
-				e := NewEngine(sys, opts)
-				res, _, done, err := e.Query("P0", query, now)
-				now = done
-				if err != nil {
-					t.Fatalf("query %s with %+v: %v", query, opts, err)
-				}
-				if !sameMultiset(res.Solutions, want) {
-					t.Errorf("mismatch for %s\nopts: %+v\ngot:  %v\nwant: %v",
-						query, opts, res.Solutions, want)
+				for _, opts.Strategy = range []Strategy{StrategyBasic, StrategyChain, StrategyFreqChain} {
+					for _, opts.Conjunction = range []Conjunction{ConjPipeline, ConjParallelJoin} {
+						e := NewEngine(sys, opts)
+						res, _, done, err := e.Query("P0", query, now)
+						now = done
+						if err != nil {
+							t.Fatalf("query %s with %+v: %v", query, opts, err)
+						}
+						if !sameMultiset(res.Solutions, want) {
+							t.Errorf("mismatch for %s\nopts: %+v\ngot:  %v\nwant: %v",
+								query, opts, res.Solutions, want)
+						}
+					}
 				}
 			}
 		})
@@ -77,8 +82,10 @@ func randomDataset(rng *rand.Rand) map[string][]rdf.Triple {
 	return data
 }
 
-// randomQuery builds a 1-3 pattern BGP with random constant positions,
-// optionally a numeric filter, optionally DISTINCT.
+// randomQuery builds a 1-4 pattern BGP with random constant positions,
+// optionally a numeric filter, optionally DISTINCT. One pattern in eight
+// repeats a variable (?a foaf:knows ?a) and one in eight starts a component
+// of its own (?e foaf:likes ?f, sharing nothing: a cross product).
 func randomQuery(rng *rand.Rand) string {
 	var sb strings.Builder
 	sb.WriteString("PREFIX foaf: <http://xmlns.com/foaf/0.1/>\nSELECT ")
@@ -86,10 +93,19 @@ func randomQuery(rng *rand.Rand) string {
 		sb.WriteString("DISTINCT ")
 	}
 	sb.WriteString("* WHERE {\n")
-	nPats := 1 + rng.Intn(3)
+	nPats := 1 + rng.Intn(4)
 	vars := []string{"a", "b", "c", "d"}
 	withAge := false
 	for i := 0; i < nPats; i++ {
+		switch rng.Intn(8) {
+		case 0:
+			v := vars[rng.Intn(2)]
+			fmt.Fprintf(&sb, "  ?%s foaf:knows ?%s .\n", v, v)
+			continue
+		case 1:
+			sb.WriteString("  ?e foaf:likes ?f .\n")
+			continue
+		}
 		// subject: shared variable or constant
 		var s string
 		if rng.Intn(3) == 0 {

@@ -40,10 +40,13 @@ func methodSamples() []methodSample {
 	rows := overlay.TableRows{Rows: map[chord.ID][]overlay.Posting{
 		7: {{Node: "n3", Freq: 2}},
 	}}
+	keys := eval.Table{Vars: []string{"s"}, Terms: []rdf.Term{rdf.NewIRI("urn:s")}, N: 1}
+	matches := eval.Table{Vars: []string{"s", "o"},
+		Terms: []rdf.Term{rdf.NewIRI("urn:s"), rdf.NewLangLiteral("hi", "en")}, N: 1}
 	matchReq := overlay.MatchReq{
-		Patterns:  []rdf.Triple{pattern},
+		Pattern:   pattern,
 		Filter:    filter,
-		Seeds:     sols,
+		Keys:      keys,
 		Dataset:   []string{"urn:g1"},
 		Graph:     rdf.NewIRI("urn:g1"),
 		FromNamed: []string{"urn:g2"},
@@ -78,14 +81,14 @@ func methodSamples() []methodSample {
 		{overlay.MethodReplica, rows, ack},
 
 		// Overlay storage-node methods.
-		{overlay.MethodMatch, matchReq, overlay.SolutionsResp{Sols: sols}},
+		{overlay.MethodMatch, matchReq, matches},
 		{overlay.MethodChainHop, chainPayload{
-			Patterns: []rdf.Triple{pattern},
-			Filter:   filter,
-			Seeds:    sols,
-			Acc:      sols,
-			Seq:      []simnet.Addr{"n5", "n6"},
-			Dataset:  []string{"urn:g1"},
+			Pattern: pattern,
+			Filter:  filter,
+			Keys:    keys,
+			Acc:     eval.MatchSet{Vars: matches.Vars, Rows: [][]rdf.Term{matches.Row(0)}, TermBytes: 21},
+			Seq:     []simnet.Addr{"n5", "n6"},
+			Dataset: []string{"urn:g1"},
 		}, ack},
 		{overlay.MethodCount, overlay.CountReq{Pattern: pattern}, overlay.CountResp{N: 11}},
 		{overlay.MethodDump, overlay.CountReq{Pattern: pattern},
@@ -104,7 +107,7 @@ func methodSamples() []methodSample {
 		{chord.MethodSetSuccessor, ref, ack},
 
 		// DQP transfers (all transfer-only; the receiver acks the bytes).
-		{methodDispatch, matchReq, ack},
+		{methodDispatch, dispatchPayload{Sub: matchReq, Rows: sols}, ack},
 		{methodShip, overlay.SolutionsResp{Sols: sols}, ack},
 		{methodResult, overlay.SolutionsResp{Sols: sols}, ack},
 

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -204,6 +206,52 @@ func TestE9AllConfigsAgree(t *testing.T) {
 		if tab.Rows[i][sols] != tab.Rows[0][sols] {
 			t.Errorf("config %v returns %s solutions, first returned %s",
 				tab.Rows[i][:4], tab.Rows[i][sols], tab.Rows[0][sols])
+		}
+	}
+}
+
+// TestE9Shapes: the note naming E9's winners is read off the table. The
+// configuration it names per column holds that column's minimum, at seed 0
+// and at one other seed; and under the semi-join the byte minimum is a
+// basic/pipeline row, which no chain undercuts.
+func TestE9Shapes(t *testing.T) {
+	named := regexp.MustCompile(`(ship-KiB|resp-ms|msgs) for (\S+)/(\S+)/push=(\S+) \(([0-9.]+)\)`)
+	for _, seed := range []int64{0, 7} {
+		tab, err := E9Fig4EndToEnd(Params{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var note string
+		for _, n := range tab.Notes {
+			if strings.HasPrefix(n, "lowest ") {
+				note = n
+			}
+		}
+		winners := named.FindAllStringSubmatch(note, -1)
+		if len(winners) != 3 {
+			t.Fatalf("seed %d: note names %d winners, want 3: %q", seed, len(winners), note)
+		}
+		for _, w := range winners {
+			col := colIndex(t, tab, w[1])
+			lowest, at := math.Inf(1), -1
+			for i, row := range tab.Rows {
+				if v := cell(t, tab, i, col); v < lowest {
+					lowest = v
+				}
+				if row[0] == w[2] && row[1] == w[3] && row[2] == w[4] {
+					at = i
+				}
+			}
+			if at < 0 {
+				t.Fatalf("seed %d: note names %s/%s/push=%s, which is no row", seed, w[2], w[3], w[4])
+			}
+			if got := cell(t, tab, at, col); got != lowest || tab.Rows[at][col] != w[5] {
+				t.Errorf("seed %d: note gives %s to %s/%s/push=%s at %s; that row reads %s and the column minimum is %v",
+					seed, w[1], w[2], w[3], w[4], w[5], tab.Rows[at][col], lowest)
+			}
+		}
+		if w := winners[0]; w[1] != "ship-KiB" || w[2] != "basic" || w[3] != "pipeline" {
+			t.Errorf("seed %d: fewest bytes go to %s/%s, want basic/pipeline (keys out, own matches back)", seed, w[2], w[3])
 		}
 	}
 }

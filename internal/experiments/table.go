@@ -10,7 +10,10 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"adhocshare/internal/simnet"
@@ -66,6 +69,19 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.Rows = append(t.Rows, row)
+}
+
+// lowest returns the position of a numeric column and the first row holding
+// its minimum. The table must have that column and at least one row.
+func (t *Table) lowest(col string) (c, row int) {
+	c = slices.Index(t.Headers, col)
+	best := math.Inf(1)
+	for i, r := range t.Rows {
+		if v, err := strconv.ParseFloat(r[c], 64); err == nil && v < best {
+			best, row = v, i
+		}
+	}
+	return c, row
 }
 
 // Fprint renders the table as aligned plain text.

@@ -240,19 +240,22 @@ func (r DropNodeReq) SizeBytes() int {
 // TraceCtx implements trace.Carrier.
 func (r DropNodeReq) TraceCtx() trace.TraceContext { return r.TC }
 
-// MatchReq asks a storage node to match a pattern conjunction against its
-// local repository, joined with the accumulated partial solutions (the
-// in-network aggregation of Sect. IV-C). Filter, when non-nil, is applied
-// to the local matches before they are returned — the shipped form of the
-// pushed-down FILTER of Sect. IV-G.
+// MatchReq asks a storage node for its matches of one triple pattern, once
+// per key: Keys is the distinct projection of the partial solutions onto
+// the variables the pattern shares with them (the unit key when there are
+// none), and the reply is an eval.Table over the pattern's variables that
+// the sender joins with the full rows it kept — the semi-join form of the
+// in-network aggregation of Sect. IV-C. Filter, when non-nil, mentions only
+// variables of the reply and is applied before it is returned — the shipped
+// form of the pushed-down FILTER of Sect. IV-G.
 type MatchReq struct {
-	Patterns []rdf.Triple
-	Filter   sparql.Expression
-	Seeds    eval.Solutions
+	Pattern rdf.Triple
+	Filter  sparql.Expression
+	Keys    eval.Table
 	// Dataset lists the FROM graph IRIs scoping the query's default graph
 	// (nil = the union of everything each provider shares, Sect. IV-A).
 	Dataset []string
-	// Graph scopes the patterns to a named graph: an IRI term selects it,
+	// Graph scopes the pattern to a named graph: an IRI term selects it,
 	// a variable term iterates the provider's named graphs binding the
 	// variable; the zero Term means the (dataset-scoped) default graph.
 	Graph rdf.Term
@@ -269,14 +272,11 @@ func (r MatchReq) TraceCtx() trace.TraceContext { return r.TC }
 
 // SizeBytes implements simnet.Payload.
 func (r MatchReq) SizeBytes() int {
-	n := 8 + r.TC.SizeBytes()
-	for _, p := range r.Patterns {
-		n += p.SizeBytes()
-	}
+	n := 8 + r.TC.SizeBytes() + r.Pattern.SizeBytes()
 	if r.Filter != nil {
 		n += len(r.Filter.String())
 	}
-	n += r.Seeds.SizeBytes()
+	n += r.Keys.SizeBytes()
 	for _, g := range r.Dataset {
 		n += len(g)
 	}
@@ -289,7 +289,8 @@ func (r MatchReq) SizeBytes() int {
 	return n
 }
 
-// SolutionsResp carries a solution multiset between nodes.
+// SolutionsResp carries a solution multiset between sites (dqp.ship,
+// dqp.result).
 type SolutionsResp struct {
 	Sols eval.Solutions
 	TC   trace.TraceContext

@@ -9,6 +9,7 @@ import (
 	"adhocshare/internal/chord"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
+	"adhocshare/internal/sparql/eval"
 )
 
 const foaf = "http://xmlns.com/foaf/0.1/"
@@ -300,14 +301,14 @@ func TestStorageNodeMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := MatchReq{Patterns: []rdf.Triple{{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")}}}
+	req := MatchReq{Pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")},
+		Keys: eval.Table{N: 1}} // the unit key
 	resp, _, err := s.Net().Call("idx-00", "D1", MethodMatch, req, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols := resp.(SolutionsResp).Sols
-	if len(sols) != 2 {
-		t.Errorf("match returned %d solutions, want 2", len(sols))
+	if rows := resp.(eval.Table); rows.N != 2 || len(rows.Vars) != 2 {
+		t.Errorf("match returned %d rows over %v, want 2 over [x y]", rows.N, rows.Vars)
 	}
 }
 
@@ -679,7 +680,8 @@ func TestPayloadSizes(t *testing.T) {
 		TransferReq{From: 1, To: 2},
 		TableRows{Rows: map[chord.ID][]Posting{1: {{Node: "D1", Freq: 1}}}},
 		DropNodeReq{Node: "D1"},
-		MatchReq{Patterns: []rdf.Triple{{S: ex("a"), P: fp("p"), O: ex("b")}}},
+		MatchReq{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}},
+		eval.Table{},
 		SolutionsResp{},
 		CountReq{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}},
 		CountResp{N: 1},

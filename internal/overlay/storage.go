@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -171,22 +172,19 @@ func (s *StorageNode) datasetGraph(dataset []string) *rdf.Graph {
 	}
 	s.mu.Unlock()
 
+	// A graph's match order follows its edit history, so the merge adds the
+	// named graphs in sorted order, never in the map's.
 	merged := rdf.NewGraph()
 	if len(dataset) == 0 {
 		merged.AddAll(s.Graph.Triples())
+		dataset = s.GraphNames()
+	}
+	for _, iri := range dataset {
 		s.mu.Lock()
-		for _, g := range s.named {
-			merged.AddAll(g.Triples())
-		}
+		g, ok := s.named[iri]
 		s.mu.Unlock()
-	} else {
-		for _, iri := range dataset {
-			s.mu.Lock()
-			g, ok := s.named[iri]
-			s.mu.Unlock()
-			if ok {
-				merged.AddAll(g.Triples())
-			}
+		if ok {
+			merged.AddAll(g.Triples())
 		}
 	}
 	s.mu.Lock()
@@ -203,10 +201,10 @@ func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payl
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: match payload %T", req)
 		}
-		return SolutionsResp{Sols: s.LocalMatchScope(r.Patterns, r.Filter, r.Seeds, r.Dataset, r.FromNamed, r.Graph)}, at, nil
+		return s.MatchKeys(r.Pattern, r.Filter, r.Keys, r.Dataset, r.FromNamed, r.Graph), at, nil
 	case MethodChainHop:
 		// Pure data arrival in a forwarding chain; the local evaluation is
-		// performed via LocalMatch by the chain driver. Acknowledge only.
+		// performed via MatchKeys by the chain driver. Acknowledge only.
 		return simnet.Bytes(1), at, nil
 	case MethodCount:
 		r, ok := req.(CountReq)
@@ -226,79 +224,177 @@ func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payl
 }
 
 // LocalMatch evaluates a pattern conjunction against the provider's full
-// shared dataset (default plus named graphs).
+// shared dataset (default plus named graphs), extending each seed by the
+// local matches and applying the optional filter; a nil seed set means the
+// unit seed. The query engine does not come through here — sub-queries are
+// keyed, see MatchKeys — it is the benchmark harness's probe of one
+// provider's local evaluation (bench/replay.go).
 func (s *StorageNode) LocalMatch(patterns []rdf.Triple, filter sparql.Expression, seeds eval.Solutions) eval.Solutions {
-	return s.LocalMatchDataset(patterns, filter, seeds, nil)
-}
-
-// LocalMatchDataset evaluates a pattern conjunction against the dataset
-// selected by the query's FROM clause: each seed partial solution is
-// extended by the local matches (in-network aggregation), then the
-// optional pushed-down filter is applied. A nil seed set means the unit
-// seed.
-func (s *StorageNode) LocalMatchDataset(patterns []rdf.Triple, filter sparql.Expression, seeds eval.Solutions, dataset []string) eval.Solutions {
 	if seeds == nil {
 		seeds = eval.Solutions{eval.NewBinding()}
 	}
-	sols := eval.EvalBGP(s.datasetGraph(dataset), patterns, seeds)
-	if filter != nil {
-		sols = eval.FilterSolutions(sols, filter)
-	}
-	return sols
+	return eval.FilterSolutions(eval.EvalBGP(s.datasetGraph(nil), patterns, seeds), filter)
 }
 
-// LocalMatchScope additionally honours a GRAPH scope: a zero graph term
-// matches the dataset-scoped default graph; an IRI term matches that named
-// graph only; a variable term iterates the named graphs available to GRAPH
-// patterns (fromNamed when given, none when a FROM clause restricted the
-// dataset, otherwise every named graph the provider shares) and binds the
-// variable to each graph's IRI.
-func (s *StorageNode) LocalMatchScope(patterns []rdf.Triple, filter sparql.Expression, seeds eval.Solutions, dataset, fromNamed []string, graph rdf.Term) eval.Solutions {
+// scopedGraph is one graph a sub-query runs over; name is the graph's IRI
+// when a GRAPH variable ranges over it, the zero Term otherwise.
+type scopedGraph struct {
+	g    *rdf.Graph
+	name rdf.Term
+}
+
+// scopedGraphs resolves a sub-query's scope at this provider. A zero graph
+// term selects the dataset-scoped default graph; an IRI term that named
+// graph only; a variable term every named graph available to GRAPH patterns
+// (fromNamed when given, none when a FROM clause restricted the dataset,
+// otherwise every named graph the provider shares), in sorted order.
+func (s *StorageNode) scopedGraphs(dataset, fromNamed []string, graph rdf.Term) []scopedGraph {
 	if graph.IsZero() {
-		return s.LocalMatchDataset(patterns, filter, seeds, dataset)
-	}
-	if seeds == nil {
-		seeds = eval.Solutions{eval.NewBinding()}
+		return []scopedGraph{{g: s.datasetGraph(dataset)}}
 	}
 	names := s.graphsForGraphPatterns(dataset, fromNamed)
-	var out eval.Solutions
 	if !graph.IsVar() {
-		if !containsString(names, graph.Value) {
+		if !slices.Contains(names, graph.Value) {
 			return nil
 		}
-		s.mu.Lock()
-		g := s.named[graph.Value]
-		s.mu.Unlock()
+		names = []string{graph.Value}
+	}
+	out := make([]scopedGraph, 0, len(names))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, iri := range names {
+		g := s.named[iri]
 		if g == nil {
-			return nil
+			continue
 		}
-		out = eval.EvalBGP(g, patterns, seeds)
-	} else {
-		varName := graph.Value
-		for _, iri := range names {
-			s.mu.Lock()
-			g := s.named[iri]
-			s.mu.Unlock()
-			if g == nil {
-				continue
-			}
-			gTerm := rdf.NewIRI(iri)
-			for _, b := range eval.EvalBGP(g, patterns, seeds) {
-				if old, bound := b[varName]; bound {
-					if old != gTerm {
-						continue
-					}
-					out = append(out, b)
-					continue
-				}
-				nb := b.Clone()
-				nb[varName] = gTerm
-				out = append(out, nb)
+		sg := scopedGraph{g: g}
+		if graph.IsVar() {
+			sg.name = rdf.NewIRI(iri)
+		}
+		out = append(out, sg)
+	}
+	return out
+}
+
+// MatchKeys is the keyed sub-query evaluation behind store.match and the
+// chain hop: for every key row it substitutes the key into the pattern and
+// returns the local matches as a table over the pattern's variables in
+// subject, predicate, object order, followed by a GRAPH variable the
+// pattern does not mention. keys bind a subset of those variables; rows
+// come graph by graph, key by key, in the graph's match order. filter, when
+// non-nil, may mention only variables of the reply and is applied before
+// the rows are returned (the pushed-down FILTER of Sect. IV-G).
+func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys eval.Table, dataset, fromNamed []string, graph rdf.Term) eval.Table {
+	out := eval.Table{Vars: pat.Vars()}
+	pos := [3]*rdf.Term{&pat.S, &pat.P, &pat.O}
+	// from[c] is the triple position column c is read from, -1 for a GRAPH
+	// variable outside the pattern; sub[i] is the key column substituted
+	// into position i, -1 for none.
+	var from []int
+	for _, v := range out.Vars {
+		for i, p := range pos {
+			if p.IsVar() && p.Value == v {
+				from = append(from, i)
+				break
 			}
 		}
 	}
+	gKey := -1 // key column of the GRAPH variable
+	if graph.IsVar() {
+		gKey = slices.Index(keys.Vars, graph.Value)
+		if !slices.Contains(out.Vars, graph.Value) {
+			out.Vars = append(out.Vars, graph.Value)
+			from = append(from, -1)
+		}
+	}
+	sub := [3]int{-1, -1, -1}
+	for i, p := range pos {
+		if p.IsVar() {
+			sub[i] = slices.Index(keys.Vars, p.Value)
+		}
+	}
+	graphs := s.scopedGraphs(dataset, fromNamed, graph)
+
+	// bind substitutes key row k, and the graph's name for a GRAPH variable
+	// the pattern mentions, into the pattern; false when the key names
+	// another graph.
+	bind := func(sg scopedGraph, k int) (rdf.Triple, bool) {
+		key := keys.Row(k)
+		if gKey >= 0 && key[gKey] != sg.name {
+			return rdf.Triple{}, false
+		}
+		b := pat
+		for i, p := range [3]*rdf.Term{&b.S, &b.P, &b.O} {
+			switch {
+			case sub[i] >= 0:
+				*p = key[sub[i]]
+			case graph.IsVar() && p.IsVar() && p.Value == graph.Value:
+				*p = sg.name
+			}
+		}
+		return b, true
+	}
+
+	// Size the reply before filling it: a count is a binary search, a
+	// reply grown by append is copied a dozen times over.
+	n := 0
+	for _, sg := range graphs {
+		for k := 0; k < keys.N; k++ {
+			if b, ok := bind(sg, k); ok {
+				n += sg.g.CountMatch(b)
+			}
+		}
+	}
+	if n == 0 {
+		return out
+	}
+	out.Terms = make([]rdf.Term, 0, n*len(out.Vars))
+
+	var (
+		bound   rdf.Triple
+		name    rdf.Term
+		scratch eval.Binding // one mapping reused for every filtered row
+	)
 	if filter != nil {
-		out = eval.FilterSolutions(out, filter)
+		scratch = make(eval.Binding, len(out.Vars))
+	}
+	collect := func(t rdf.Triple) bool {
+		// a variable left in two positions must match one term
+		if bound.S.IsVar() && (bound.S == bound.P && t.S != t.P || bound.S == bound.O && t.S != t.O) ||
+			bound.P.IsVar() && bound.P == bound.O && t.P != t.O {
+			return true
+		}
+		mark := len(out.Terms)
+		for c, i := range from {
+			term := name
+			switch i {
+			case 0:
+				term = t.S
+			case 1:
+				term = t.P
+			case 2:
+				term = t.O
+			}
+			out.Terms = append(out.Terms, term)
+			if filter != nil {
+				scratch[out.Vars[c]] = term
+			}
+		}
+		if filter != nil && !eval.Satisfies(filter, scratch) {
+			out.Terms = out.Terms[:mark]
+			return true
+		}
+		out.N++
+		return true
+	}
+	for _, sg := range graphs {
+		name = sg.name
+		for k := 0; k < keys.N; k++ {
+			var ok bool
+			if bound, ok = bind(sg, k); ok {
+				sg.g.ForEachMatch(bound, collect)
+			}
+		}
 	}
 	return out
 }
@@ -314,13 +410,4 @@ func (s *StorageNode) graphsForGraphPatterns(dataset, fromNamed []string) []stri
 		return nil
 	}
 	return s.GraphNames()
-}
-
-func containsString(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

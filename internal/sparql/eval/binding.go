@@ -9,6 +9,7 @@
 package eval
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -118,8 +119,20 @@ func (b Binding) SizeBytes() int {
 	return n
 }
 
-// Project returns a mapping restricted to the given variables.
+// Project returns a mapping restricted to the given variables: the
+// receiver itself when it binds nothing else (mappings are immutable, so
+// sharing one is safe), a fresh mapping otherwise.
 func (b Binding) Project(vars []string) Binding {
+	keep := true
+	for k := range b {
+		if !slices.Contains(vars, k) {
+			keep = false
+			break
+		}
+	}
+	if keep {
+		return b
+	}
 	out := make(Binding, len(vars))
 	for _, v := range vars {
 		if t, ok := b[v]; ok {

@@ -1,0 +1,190 @@
+package eval
+
+import (
+	"math/rand"
+	"testing"
+
+	"adhocshare/internal/rdf"
+)
+
+// fullRows draws n mappings binding every one of vars.
+func fullRows(r *rand.Rand, n int, vars ...string) Solutions {
+	out := make(Solutions, n)
+	for i := range out {
+		b := NewBinding()
+		for _, v := range vars {
+			b[v] = hashTerms[r.Intn(len(hashTerms))]
+		}
+		out[i] = b
+	}
+	return out
+}
+
+// tableOf lays rows out flat over vars.
+func tableOf(rows Solutions, vars ...string) Table {
+	t := Table{Vars: vars, N: len(rows)}
+	for _, b := range rows {
+		for _, v := range vars {
+			t.Terms = append(t.Terms, b[v])
+		}
+	}
+	return t
+}
+
+// TestTableChargesLikeSolutions: the flat wire forms cost what the row maps
+// they replace cost, byte for byte — every unit-seed number in the
+// repository rests on it.
+func TestTableChargesLikeSolutions(t *testing.T) {
+	if got := (Table{N: 1}).SizeBytes(); got != 6 || got != (Solutions{NewBinding()}).SizeBytes() {
+		t.Errorf("unit key costs %d bytes, want 6", got)
+	}
+	if got := (Table{}).SizeBytes(); got != Solutions(nil).SizeBytes() {
+		t.Errorf("empty table costs %d bytes, want %d", got, Solutions(nil).SizeBytes())
+	}
+	if got := NewMatches(Table{}, 0).Set().SizeBytes(); got != Solutions(nil).SizeBytes() {
+		t.Errorf("empty match set costs %d bytes, want %d", got, Solutions(nil).SizeBytes())
+	}
+	schemas := [][]string{{}, {"x"}, {"person", "n"}, {"a", "bb", "ccc", "dddd"}}
+	for seed := int64(0); seed < 50; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		vars := schemas[r.Intn(len(schemas))]
+		rows := Distinct(fullRows(r, r.Intn(20), vars...))
+		tab := tableOf(rows, vars...)
+		if got, want := tab.SizeBytes(), rows.SizeBytes(); got != want {
+			t.Fatalf("seed %d: table over %v costs %d bytes, the same rows as Solutions %d", seed, vars, got, want)
+		}
+		m := NewMatches(Table{}, 0)
+		m.Add(tab)
+		m.Add(tab) // the second copy is dropped, and indexes the first
+		if got, want := m.Set().SizeBytes(), rows.SizeBytes(); got != want {
+			t.Fatalf("seed %d: match set over %v costs %d bytes, the same rows as Solutions %d", seed, vars, got, want)
+		}
+	}
+}
+
+func TestKeyTableIsTheDistinctProjection(t *testing.T) {
+	eachHashMode(t, func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			seeds := fullRows(r, r.Intn(30), "x", "y", "z")
+			for _, vars := range [][]string{{"x"}, {"z", "x"}, {"x", "y", "z"}} {
+				keys := KeyTable(seeds, vars)
+				want := refDistinct(Project(seeds, vars))
+				if keys.N != len(want) {
+					t.Fatalf("seed %d: %d keys over %v, want %d", seed, keys.N, vars, len(want))
+				}
+				for i, b := range want {
+					for c, v := range vars {
+						if keys.Row(i)[c] != b[v] {
+							t.Fatalf("seed %d: key %d over %v is %v, want %v", seed, i, vars, keys.Row(i), b)
+						}
+					}
+				}
+			}
+		}
+	})
+	if keys := KeyTable(Solutions{bnd("x", "1"), bnd("x", "2")}, nil); keys.N != 1 || len(keys.Vars) != 0 {
+		t.Errorf("projection onto no variables = %+v, want the unit key", keys)
+	}
+}
+
+// TestMatchesJoinEqualsJoinOfDistinct: accumulating reply tables and
+// joining them with the seeds is Join(seeds, Distinct(replies)) — seed-major,
+// a seed's rows in arrival order — whatever the keys share with the schema,
+// and a set handed out earlier is never written again.
+func TestMatchesJoinEqualsJoinOfDistinct(t *testing.T) {
+	shapes := []struct {
+		name               string
+		seedVars, keyVars  []string
+		replyVars          []string
+		repliesAreTheirOwn bool
+	}{
+		{"one shared", []string{"x", "u"}, []string{"x"}, []string{"x", "n"}, false},
+		{"two shared, schema order differs", []string{"x", "y", "u"}, []string{"y", "x"}, []string{"x", "n", "y"}, false},
+		{"none shared", []string{"u"}, nil, []string{"x", "n"}, false},
+		{"rows are keys", []string{"x"}, []string{"x"}, []string{"x", "n"}, true},
+	}
+	eachHashMode(t, func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			for _, sh := range shapes {
+				seeds := Distinct(fullRows(r, 1+r.Intn(10), sh.seedVars...))
+				m := NewMatches(KeyTable(seeds, sh.keyVars), r.Intn(3)*8)
+				var all, shipped Solutions
+				for k := r.Intn(5); k >= 0; k-- {
+					reply := Distinct(fullRows(r, r.Intn(8), sh.replyVars...))
+					m.Add(tableOf(reply, sh.replyVars...))
+					all = Union(all, reply)
+					now := m.Set()
+					if cap(now.Rows) != len(now.Rows) {
+						t.Fatalf("Set() leaves %d slots a receiver's append could write into", cap(now.Rows)-len(now.Rows))
+					}
+					for i, b := range shipped {
+						for c, v := range now.Vars {
+							if now.Rows[i][c] != b[v] {
+								t.Fatalf("%s: row %d of a set handed out earlier changed", sh.name, i)
+							}
+						}
+					}
+					shipped = m.Solutions()
+				}
+				distinct := Distinct(all)
+				if m.Len() != len(distinct) || m.Set().SizeBytes() != distinct.SizeBytes() {
+					t.Fatalf("%s: holds %d rows / %d bytes, want %d / %d", sh.name,
+						m.Len(), m.Set().SizeBytes(), len(distinct), distinct.SizeBytes())
+				}
+				sameSequence(t, sh.name+" Solutions", m.Solutions(), distinct)
+				if !sh.repliesAreTheirOwn {
+					sameSequence(t, sh.name+" Join", m.Join(seeds), refJoin(seeds, distinct))
+				}
+			}
+		}
+	})
+}
+
+// TestMatchesZeroWidthRows: a fully ground pattern answers with rows that
+// bind nothing; several providers holding the triple still make one row.
+func TestMatchesZeroWidthRows(t *testing.T) {
+	m := NewMatches(Table{N: 1}, 0)
+	m.Add(Table{N: 1})
+	m.Add(Table{})
+	m.Add(Table{N: 1})
+	if m.Len() != 1 {
+		t.Fatalf("holds %d rows, want 1", m.Len())
+	}
+	sameSequence(t, "ground pattern", m.Solutions(), Solutions{NewBinding()})
+	seeds := Solutions{bnd("u", "1"), bnd("u", "2")}
+	sameSequence(t, "ground pattern under seeds", m.Join(seeds), seeds)
+}
+
+// TestProjectSharesRowsItKeepsWhole: a mapping that binds only projected
+// variables is returned as it is, one that binds more is copied, and the
+// shared one is never written.
+func TestProjectSharesRowsItKeepsWhole(t *testing.T) {
+	whole := bnd("x", "1", "y", "2")
+	before := whole.Clone()
+	for _, vars := range [][]string{{"x", "y"}, {"y", "x", "z"}, {"x", "x", "y"}} {
+		got := whole.Project(vars)
+		got2 := Project(Solutions{whole}, vars)[0]
+		if len(got) != 2 || !got.Equal(whole) || !got2.Equal(whole) {
+			t.Errorf("Project(%v) = %v, want %v", vars, got, whole)
+		}
+		if n := testing.AllocsPerRun(10, func() { whole.Project(vars) }); n != 0 {
+			t.Errorf("Project(%v) of a row binding nothing else allocates %.0f times, want 0", vars, n)
+		}
+	}
+	if got := whole.Project([]string{"x", "x"}); !got.Equal(bnd("x", "1")) {
+		t.Errorf("Project([x x]) = %v, want {x}", got)
+	}
+	narrow := whole.Project([]string{"y"})
+	narrow["y"] = rdf.NewLiteral("written")
+	if !whole.Equal(before) {
+		t.Errorf("writing a narrowed copy changed its source: %v", whole)
+	}
+	// A modifier stack over shared rows leaves them as they were.
+	rows := Solutions{whole, bnd("x", "1", "y", "2"), bnd("x", "3", "y", "4")}
+	out := Slice(Distinct(Project(rows, []string{"x", "y"})), 0, 2)
+	if len(out) != 2 || !whole.Equal(before) {
+		t.Errorf("modifiers over shared rows: %v, source %v", out, whole)
+	}
+}
