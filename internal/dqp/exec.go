@@ -4,6 +4,7 @@ import (
 	"errors"
 	"slices"
 	"sort"
+	"strconv"
 
 	"adhocshare/internal/chord"
 	"adhocshare/internal/overlay"
@@ -572,21 +573,28 @@ func sharedTarget(a, b patternPlan) simnet.Addr {
 
 // execPattern evaluates one triple pattern over its target storage nodes
 // according to the per-pattern strategy and joins the matches with seeds,
-// the partial solutions so far. What ships is keys, the distinct projection
-// of the seeds onto the variables the pattern (or a GRAPH variable) shares
-// with them; what comes back binds the pattern's variables only. Three
-// cases follow from the seeds, none from a setting: the unit seed gives
-// the unit key and the replies are the result; seeds sharing no variable
-// with the pattern give the unit key too and the result is the cross
-// product; seeds binding only variables the pattern mentions are their own
-// keys, so the replies are the extended rows and no join runs. preferEnd
-// forces a chain to end at the given target when present (overlap-aware
-// assembly).
+// the partial solutions so far. What a target is asked for is keys, the
+// distinct projection of the seeds onto the variables the pattern (or a
+// GRAPH variable) shares with them; what comes back binds the pattern's
+// variables only. Three cases follow from the seeds, none from a setting:
+// the unit seed gives the unit key and the replies are the result; seeds
+// sharing no variable with the pattern give the unit key too and the result
+// is the cross product; seeds binding only variables the pattern mentions
+// are their own keys, so the replies are the extended rows and no join runs.
+// A fourth follows from the location table: a target whose keys would
+// outweigh the rows they can spare it from returning is sent the unit key
+// in their place (unitKeyed), and the join with the seeds does the
+// excluding. preferEnd forces a chain to end at the given target when
+// present (overlap-aware assembly).
 func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds siteSet, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, at simnet.VTime) (siteSet, simnet.VTime, error) {
 	if len(plan.postings) == 0 || len(seeds.sols) == 0 {
 		return siteSet{sols: nil, site: seeds.site}, at, nil
 	}
-	keys, rowsKeys := projectKeys(plan.pattern, scope, seeds.sols)
+	chain := e.opts.Strategy != StrategyBasic
+	if chain {
+		plan.postings = orderTargets(plan.postings, preferEnd, e.opts.Strategy == StrategyFreqChain)
+	}
+	keys, unit, rowsKeys := projectKeys(plan, scope, seeds.sols, chain)
 	// Every pattern execution is one op span; the strategy implementations
 	// hang their message spans off patTC, so the three strategies render as
 	// the three Fig. 5 flow shapes (star, chain, frequency-ordered chain).
@@ -596,30 +604,41 @@ func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds siteSet, filter 
 		done simnet.VTime
 		err  error
 	)
-	switch e.opts.Strategy {
-	case StrategyBasic:
-		out, done, err = e.execPatternBasic(ctx, plan, seeds, keys, rowsKeys, filter, scope, patTC, at)
-	case StrategyFreqChain:
-		out, done, err = e.execPatternChain(ctx, plan, seeds, keys, rowsKeys, filter, scope, preferEnd, true, patTC, at)
-	default:
-		out, done, err = e.execPatternChain(ctx, plan, seeds, keys, rowsKeys, filter, scope, preferEnd, false, patTC, at)
+	if chain {
+		out, done, err = e.execPatternChain(ctx, plan, seeds, keys, unit, rowsKeys, filter, scope, patTC, at)
+	} else {
+		out, done, err = e.execPatternBasic(ctx, plan, seeds, keys, unit, rowsKeys, filter, scope, patTC, at)
 	}
 	if err == nil && ctx.rec != nil {
+		// the label says how many of the targets unitKeyed sent the keys to
+		sentKeys := ""
+		if len(keys.Vars) > 0 {
+			n := 0
+			for _, u := range unit {
+				if !u {
+					n++
+				}
+			}
+			sentKeys = " keys " + strconv.Itoa(n) + "/" + strconv.Itoa(len(unit))
+		}
 		ctx.opSpan(patTC, "dqp.pattern", string(ctx.initiator),
-			e.opts.Strategy.String()+" "+plan.pattern.String(), at, done)
+			e.opts.Strategy.String()+" "+plan.pattern.String()+sentKeys, at, done)
 	}
 	return out, done, err
 }
 
-// projectKeys returns what a pattern is asked for: the distinct projection
-// of the non-empty seeds onto the variables the pattern, or a GRAPH
-// variable, shares with them. Within one BGP every partial solution binds
-// the same variables, so the first decides which those are. rowsKeys
-// reports that the seeds bind nothing else, so the replies are the extended
-// rows already.
-func projectKeys(pat rdf.Triple, scope rdf.Term, seeds eval.Solutions) (keys eval.Table, rowsKeys bool) {
+// projectKeys returns what a pattern's targets are asked for: keys, the
+// distinct projection of the non-empty seeds onto the variables the
+// pattern, or a GRAPH variable, shares with them, and per target whether it
+// is sent the unit key in their place (unitKeyed). Within one BGP every
+// partial solution binds the same variables, so the first decides which
+// those are. rowsKeys reports that the replies are the extended rows
+// already: the seeds bind nothing else and every target is sent the keys. A
+// target sent the unit key returns rows no seed agrees with as well, and
+// only the join drops those.
+func projectKeys(plan patternPlan, scope rdf.Term, seeds eval.Solutions, chain bool) (keys eval.Table, unit unitMask, rowsKeys bool) {
 	var vars []string
-	for _, v := range pat.Vars() {
+	for _, v := range plan.pattern.Vars() {
 		if seeds[0].Bound(v) {
 			vars = append(vars, v)
 		}
@@ -627,17 +646,70 @@ func projectKeys(pat rdf.Triple, scope rdf.Term, seeds eval.Solutions) (keys eva
 	if scope.IsVar() && seeds[0].Bound(scope.Value) && !slices.Contains(vars, scope.Value) {
 		vars = append(vars, scope.Value)
 	}
-	return eval.KeyTable(seeds, vars), len(vars) == len(seeds[0])
+	keys = eval.KeyTable(seeds, vars)
+	unit = unitKeyed(keys, plan, chain)
+	return keys, unit, len(vars) == len(seeds[0]) && !slices.Contains(unit, true)
 }
 
-// matchBound is the number of rows the targets can return between them
-// when that is known: under the unit key every posting's frequency counts
-// the triples its node matches.
-func matchBound(plan patternPlan, keys eval.Table) int {
-	if len(keys.Vars) > 0 {
-		return 0
+// unitMask marks, by position in a plan's postings, the targets sent the
+// unit key in place of the keys; nil marks none.
+type unitMask []bool
+
+func (m unitMask) has(i int) bool { return i < len(m) && m[i] }
+
+// unitKeyed is the semi-join profitability test: it marks the targets of the
+// plan that are sent the unit key in place of keys. Keys
+// travel only where they are smaller than the rows they could spare,
+//
+//	keys.SizeBytes() < Freq × estimated reply row
+//
+// Freq being the Table I count of triples the target matches under the unit
+// key and the row estimate the pattern's variables bound to terms as large
+// as the keys' are on average. The test is conservative — it holds the
+// certain cost of the keys against the most they can save, as if they
+// excluded every row — and it decides bytes only: whatever a target was
+// sent, the join with the seeds gives the answer, so a stale or surplus
+// frequency costs traffic, never a row. Under the basic strategy the choice
+// is per target. A chain carries its keys on every hop, so there it is per
+// pattern, the plan's postings being the hop sequence: what len(seq) copies
+// of the keys cost against what the unit-key accumulation costs, each
+// target's rows once per hop after it.
+func unitKeyed(keys eval.Table, plan patternPlan, chain bool) unitMask {
+	if len(keys.Vars) == 0 {
+		return nil // nothing to replace: the keys are the unit key
 	}
-	return plan.totalFreq()
+	unit := make(unitMask, len(plan.postings))
+	cost, row := keys.SizeBytes(), keys.RowEstimate(plan.pattern.Vars())
+	if !chain {
+		for i, p := range plan.postings {
+			unit[i] = cost >= p.Freq*row
+		}
+		return unit
+	}
+	spared := 0
+	for j, p := range plan.postings {
+		spared += p.Freq * row * (len(plan.postings) - 1 - j)
+	}
+	if len(plan.postings)*cost >= spared {
+		for i := range unit {
+			unit[i] = true
+		}
+	}
+	return unit
+}
+
+// matchBound is the number of rows the targets can return between them as
+// far as that is known: under the unit key — the keys themselves when they
+// have no variables — a posting's frequency counts the triples its node
+// matches.
+func matchBound(plan patternPlan, keys eval.Table, unit unitMask) int {
+	n := 0
+	for i, p := range plan.postings {
+		if unit.has(i) || len(keys.Vars) == 0 {
+			n += p.Freq
+		}
+	}
+	return n
 }
 
 // assemble turns a pattern's accumulated replies into its result at the
@@ -651,11 +723,12 @@ func assemble(acc *eval.Matches, seeds eval.Solutions, rowsKeys bool) eval.Solut
 
 // execPatternBasic: the sub-query ships with the partial solutions to the
 // pattern's index node, which projects the keys, fans them out to every
-// target in parallel, and joins the union of the replies with the rows it
-// was handed (Sect. IV-C basic). High parallelism and every reply travels
-// back, but only keys go out and only the pattern's own matches come in:
-// low response time, and under the pipeline the fewest bytes as well.
-func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
+// target in parallel — the unit key to the targets unitKeyed names — and
+// joins the union of the replies with the rows it was handed (Sect. IV-C
+// basic). High parallelism and every reply travels back, but keys go out
+// only where they pay and only the pattern's own matches come in: low
+// response time, and under the pipeline the fewest bytes as well.
+func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
 	assembly := plan.index
 	if assembly == "" { // flooding: assemble at the seeds' current site
 		assembly = seeds.site
@@ -672,7 +745,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, ke
 		}
 		now = done
 	}
-	acc := eval.NewMatches(keys, matchBound(plan, keys))
+	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
 	finish := now
 	// One call closure reused across targets (and retry attempts) keeps the
 	// fan-out loop allocation-free; the captured request is re-pointed per
@@ -689,6 +762,9 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, ke
 		target = p.Node
 		r := base
 		r.TC = patTC.Child(uint64(fi + 1))
+		if unit.has(fi) {
+			r.Keys = eval.Table{N: 1}
+		}
 		req = r
 		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, match)
 		if err != nil {
@@ -720,14 +796,18 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, ke
 }
 
 // execPatternChain: the sub-query, its keys and the matches accumulated so
-// far forward through the target list; each node adds its local matches and
-// passes the set on; the final node keeps it and becomes the new site. When
-// the keys are not the partial solutions themselves, those travel once,
-// from where they are to that final node, and are joined with the matches
-// there. byFreq orders targets by increasing Table I frequency so the
-// largest contribution never travels (Sect. IV-C further optimization).
-func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, rowsKeys bool, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, byFreq bool, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
-	seq := orderTargets(plan.postings, preferEnd, byFreq)
+// far forward through the plan's postings, which execPattern has put in hop
+// order; each node adds its local matches and passes the set on; the final
+// node keeps it and becomes the new site. The keys ride every hop, so
+// unitKeyed replaces them for all targets or none. When the replies are not
+// the result already, the partial solutions travel once, from where they
+// are to that final node, and are joined with the matches there.
+func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
+	seq := plan.postings
+	sent := keys
+	if unit.has(0) {
+		sent = eval.Table{N: 1}
+	}
 
 	// The sub-query first travels to the index node, which knows the
 	// sequence and forwards to its head (Sect. IV-C: "forwards the query
@@ -741,7 +821,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 	if plan.index != "" && prev != plan.index {
 		dispatchTC := patTC.Child(0)
 		done, err := e.transferRetry(prev, plan.index, methodDispatch,
-			overlay.MatchReq{Pattern: plan.pattern, Filter: filter, Keys: keys,
+			overlay.MatchReq{Pattern: plan.pattern, Filter: filter, Keys: sent,
 				Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope,
 				TC: dispatchTC}, now)
 		if err != nil {
@@ -752,14 +832,14 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 		linkTC = dispatchTC
 	}
 
-	acc := eval.NewMatches(keys, matchBound(plan, keys))
+	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
 	reached := prev
 	for i, target := range seq {
 		hopTC := linkTC.Child(uint64(i + 1))
 		payload := chainPayload{
 			Pattern: plan.pattern,
 			Filter:  filter,
-			Keys:    keys,
+			Keys:    sent,
 			Acc:     acc.Set(),
 			Seq:     addrsOf(seq[i+1:]),
 			Dataset: ctx.dataset,
@@ -784,7 +864,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 		// In-network aggregation with set-union semantics: merging at each
 		// hop removes matches duplicated across providers before they
 		// travel further (the dedup counterpart of execPatternBasic).
-		acc.Add(st.MatchKeys(plan.pattern, filter, keys, ctx.dataset, ctx.fromNamed, scope))
+		acc.Add(st.MatchKeys(plan.pattern, filter, sent, ctx.dataset, ctx.fromNamed, scope))
 		prev = target.Node
 		reached = target.Node
 		linkTC = hopTC

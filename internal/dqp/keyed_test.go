@@ -20,9 +20,13 @@ import (
 // optional pushed filter over the asked pattern's variables and an optional
 // GRAPH scope. The engine's side — project the keys, ask every provider,
 // accumulate, join — must return what one evaluator over the union of all
-// providers returns for EvalBGP(union, pattern, seeds). (The fuzz target
-// keeps this file out of internal/overlay, whose TestMain counts the fuzz
-// coordinator's goroutine as a leak.)
+// providers returns for EvalBGP(union, pattern, seeds) — whichever providers
+// were sent the keys and whichever the unit key in their place: unit is that
+// choice as a mask, and the case must hold with every provider keyed, with
+// none, and under the mask, for the basic strategy's per-target choice and
+// the chains' per-pattern one. (The fuzz target keeps this file out of
+// internal/overlay, whose TestMain counts the fuzz coordinator's goroutine
+// as a leak.)
 
 // Graph names double as node IRIs, so a GRAPH variable can occur in a
 // pattern and match.
@@ -47,11 +51,12 @@ type keyedCase struct {
 	pat       rdf.Triple
 	filter    sparql.Expression
 	scope     rdf.Term
+	unit      uint8 // bit i = provider i gets the unit key
 }
 
 func (c keyedCase) String() string {
-	return fmt.Sprintf("%d providers, %d triples, seeds from %v, pattern %v, filter %v, scope %v",
-		c.providers, len(c.triples), c.seedPat, c.pat, c.filter, c.scope)
+	return fmt.Sprintf("%d providers, %d triples, seeds from %v, pattern %v, filter %v, scope %v, unit-key mask %04b",
+		c.providers, len(c.triples), c.seedPat, c.pat, c.filter, c.scope, c.unit)
 }
 
 // deploy builds the providers of a case; no index ring is needed to answer
@@ -124,11 +129,39 @@ func (c keyedCase) reference(pats []rdf.Triple, seeds eval.Solutions) eval.Solut
 }
 
 // run is the engine's side of one pattern execution over the providers.
-func (c keyedCase) run(nodes []*overlay.StorageNode, seeds eval.Solutions) eval.Solutions {
-	keys, rowsKeys := projectKeys(c.pat, c.scope, seeds)
-	acc := eval.NewMatches(keys, 0)
-	for _, n := range nodes {
-		acc.Add(n.MatchKeys(c.pat, c.filter, keys, nil, nil, c.scope))
+// The mask reaches the engine's own rule the way the choice reaches it in a
+// deployment, through the location-table frequencies: a provider the table
+// says matches nothing cannot be worth the keys, one it says matches a
+// thousand triples is worth any keys a case can produce. Neither count is
+// true, and the answer may not depend on that.
+func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Solutions, mask uint8, chain bool) eval.Solutions {
+	t.Helper()
+	plan := patternPlan{pattern: c.pat}
+	for i, n := range nodes {
+		p := overlay.Posting{Node: n.Addr(), Freq: 1 << 10}
+		if mask&(1<<i) != 0 {
+			p.Freq = 0
+		}
+		plan.postings = append(plan.postings, p)
+	}
+	keys, unit, rowsKeys := projectKeys(plan, c.scope, seeds, chain)
+	for i := range nodes {
+		switch {
+		case len(keys.Vars) == 0 && unit.has(i):
+			t.Fatalf("%v: the keys are the unit key, yet provider %d has them replaced", c, i)
+		case chain && unit.has(i) != unit.has(0):
+			t.Fatalf("%v: a chain's keys ride every hop, yet its providers are split %v", c, unit)
+		case !chain && len(keys.Vars) > 0 && unit.has(i) != (mask&(1<<i) != 0):
+			t.Fatalf("%v: provider %d is listed with %d matches, unit key %v", c, i, plan.postings[i].Freq, unit.has(i))
+		}
+	}
+	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
+	for i, n := range nodes {
+		sent := keys
+		if unit.has(i) {
+			sent = eval.Table{N: 1}
+		}
+		acc.Add(n.MatchKeys(c.pat, c.filter, sent, nil, nil, c.scope))
 	}
 	return assemble(acc, seeds, rowsKeys)
 }
@@ -143,8 +176,18 @@ func sortedKeys(s eval.Solutions) []string {
 }
 
 // check holds one case to its reference as a multiset and to itself as a
-// sequence across two fresh deployments.
+// sequence across two fresh deployments, under every choice of who gets the
+// keys: all providers, none, the case's mask; per target and per pattern.
 func (c keyedCase) check(t *testing.T) {
+	t.Helper()
+	for _, mask := range []uint8{0, 0xff, c.unit} {
+		c.unit = mask
+		c.checkMask(t, false)
+		c.checkMask(t, true)
+	}
+}
+
+func (c keyedCase) checkMask(t *testing.T, chain bool) {
 	t.Helper()
 	seeds := eval.Solutions{eval.NewBinding()}
 	if c.seedPat != (rdf.Triple{}) {
@@ -154,17 +197,17 @@ func (c keyedCase) check(t *testing.T) {
 		return // the conjunction is empty already; the engine asks nothing
 	}
 	want := eval.FilterSolutions(c.reference([]rdf.Triple{c.pat}, seeds), c.filter)
-	got := c.run(c.deploy(), seeds)
+	got := c.run(t, c.deploy(), seeds, c.unit, chain)
 	gotKeys, wantKeys := sortedKeys(got), sortedKeys(want)
 	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("%v:\n got %d rows %v\nwant %d rows %v", c, len(got), got, len(want), want)
+		t.Fatalf("%v, chain %v:\n got %d rows %v\nwant %d rows %v", c, chain, len(got), got, len(want), want)
 	}
 	for i := range gotKeys {
 		if gotKeys[i] != wantKeys[i] {
-			t.Fatalf("%v:\n got %v\nwant %v", c, got, want)
+			t.Fatalf("%v, chain %v:\n got %v\nwant %v", c, chain, got, want)
 		}
 	}
-	again := c.run(c.deploy(), seeds)
+	again := c.run(t, c.deploy(), seeds, c.unit, chain)
 	if len(again) != len(got) {
 		t.Fatalf("%v: a second deployment returns %d rows, the first %d", c, len(again), len(got))
 	}
@@ -230,11 +273,58 @@ func TestKeyedMatchEqualsSeededMatch(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			for seed := int64(0); seed < 25; seed++ {
 				rng := rand.New(rand.NewSource(seed))
-				c := keyedCase{providers: 1 + rng.Intn(4), seedPat: sh.seedPat, pat: sh.pat, filter: sh.filter, scope: sh.scope}
+				c := keyedCase{providers: 1 + rng.Intn(4), seedPat: sh.seedPat, pat: sh.pat, filter: sh.filter, scope: sh.scope,
+					unit: uint8(rng.Intn(16))}
 				c.triples = randomKeyedTriples(rng, c.providers)
 				c.check(t)
 			}
 		})
+	}
+}
+
+// The rule itself, at its threshold: a target is sent the keys exactly when
+// they are smaller than its listed matches times the estimated reply row,
+// and a chain exactly when a copy per hop is smaller than the rows the unit
+// key would carry, each target's once per hop after it.
+func TestUnitKeyedAtTheThreshold(t *testing.T) {
+	var seeds eval.Solutions
+	for i := 0; i < 12; i++ {
+		seeds = append(seeds, eval.Binding{"x": ex(fmt.Sprintf("person%02d", i)), "w": ex("elsewhere")})
+	}
+	plan := patternPlan{pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")}}
+	keys := eval.KeyTable(seeds, []string{"x"})
+	cost, row := keys.SizeBytes(), keys.RowEstimate(plan.pattern.Vars())
+	if want := 2 + len("x") + len("y") + 2*ex("person00").SizeBytes(); row != want {
+		t.Fatalf("a reply row over ?x ?y is estimated at %d B, want %d", row, want)
+	}
+	even := cost / row // the most matches the keys do not pay for
+	plan.postings = []overlay.Posting{{Node: "D0", Freq: even}, {Node: "D1", Freq: even + 1}, {Node: "D2", Freq: 0}}
+	if unit := unitKeyed(keys, plan, false); !slices.Equal(unit, unitMask{true, false, true}) {
+		t.Errorf("keys of %d B, rows of %d B, frequencies %d, %d and 0: unit key sent %v", cost, row, even, even+1, unit)
+	}
+	if _, unit, rowsKeys := projectKeys(plan, rdf.Term{}, seeds, false); rowsKeys || !slices.Equal(unit, unitMask{true, false, true}) {
+		t.Errorf("seeds binding ?w too: unit key sent %v, replies taken for the result %v", unit, rowsKeys)
+	}
+	// Three hops carry three copies of the keys; under the unit key D0's
+	// rows ride two hops, D1's one, D2's none.
+	for _, c := range []struct {
+		freqs []int
+		unit  bool
+	}{
+		{[]int{0, 3*even + 3, 1 << 20}, false},
+		{[]int{0, 3 * even, 1 << 20}, true},
+		{[]int{even + 1, even + 1, 0}, false},
+		{[]int{even, even, 0}, true},
+	} {
+		for i, f := range c.freqs {
+			plan.postings[i].Freq = f
+		}
+		if unit := unitKeyed(keys, plan, true); !slices.Equal(unit, unitMask{c.unit, c.unit, c.unit}) {
+			t.Errorf("chain over frequencies %v, keys of %d B, rows of %d B: unit key sent %v, want %v", c.freqs, cost, row, unit, c.unit)
+		}
+	}
+	if unit := unitKeyed(eval.Table{N: 1}, plan, false); slices.Contains(unit, true) {
+		t.Errorf("the unit key has nothing to be replaced by, yet: %v", unit)
 	}
 }
 
@@ -288,13 +378,17 @@ func decodeKeyedCase(data []byte) keyedCase {
 			graph:   next() % 3,
 		})
 	}
+	c.unit = uint8(next())
 	return c
 }
 
 // FuzzKeyedMatch holds the keyed sub-query to the reference of
 // TestKeyedMatchEqualsSeededMatch on cases read off the input: providers,
 // the two patterns with any mix of variables and constants per position,
-// scope, filter, then the triples with their holders.
+// scope, filter, the triples with their holders, then the unit-key mask.
+// The corpus under testdata/fuzz/FuzzKeyedMatch puts a split mask on the
+// assemblies that differ: seeds that are their own keys, a GRAPH-variable
+// key column, ?x p ?x, rows held by several providers.
 func FuzzKeyedMatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 1, 2, 2, 3, 4, 0, 0, 6, 0, 1, 2, 3, 0, 1, 3, 3, 5, 1, 2, 3, 1, 1, 2, 0, 4, 7, 2})

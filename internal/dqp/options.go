@@ -17,12 +17,14 @@
 //
 //   - Conjunction selects how multi-pattern BGPs combine: Pipeline feeds
 //     each pattern the partial solutions of the ones before it
-//     (Sect. IV-D basic) as a distributed semi-join — only the distinct
-//     values of the shared variables travel to the pattern's targets, only
-//     the pattern's own matches travel back, and the join with the full
-//     rows runs where those already are; ParallelJoin evaluates patterns
-//     independently and joins at an assembly site, preferring a storage
-//     node shared by both target sets (Sect. IV-D optimization).
+//     (Sect. IV-D basic) as a distributed semi-join — the distinct values
+//     of the shared variables travel to those of the pattern's targets
+//     where, by the location table's frequencies, they are smaller than
+//     the rows they can spare, only the pattern's own matches travel back,
+//     and the join with the full rows runs where those already are;
+//     ParallelJoin evaluates patterns independently and joins at an
+//     assembly site, preferring a storage node shared by both target sets
+//     (Sect. IV-D optimization).
 //
 //   - JoinSite selects where a binary merge happens when the operand sites
 //     differ: MoveSmall ships the smaller multiset to the larger's site,
@@ -40,12 +42,16 @@ const (
 	// StrategyBasic fans the sub-query out to all target storage nodes in
 	// parallel and unions the replies at the pattern's index node: lowest
 	// response time, and every reply travels back. The requests carry keys,
-	// not rows, so under the pipeline it is also the conjunction shipping
-	// the fewest bytes (EXPERIMENTS.md E9).
+	// not rows, and carry them target by target only where the keys are
+	// smaller than the rows they can spare (unitKeyed), so under the
+	// pipeline it is also the conjunction shipping the fewest bytes
+	// (EXPERIMENTS.md E9).
 	StrategyBasic Strategy = iota
-	// StrategyChain forwards the sub-query and its keys along the target
-	// list, each node merging its local matches into the accumulated set:
-	// in-network aggregation trading response time for message count.
+	// StrategyChain forwards the sub-query along the target list, each node
+	// merging its local matches into the accumulated set: in-network
+	// aggregation trading response time for message count. The keys ride
+	// every hop, so they go along only when that costs less than carrying
+	// the rows they exclude.
 	StrategyChain
 	// StrategyFreqChain is StrategyChain with targets ordered by
 	// increasing location-table frequency, so the node with the most
@@ -85,8 +91,10 @@ type Conjunction int
 const (
 	// ConjPipeline evaluates patterns sequentially as a distributed
 	// semi-join: a pattern is asked for the distinct projection of the
-	// partial solutions onto the variables it shares with them, and its
-	// matches are joined with the full solutions at the assembly site.
+	// partial solutions onto the variables it shares with them — at the
+	// targets where that projection is smaller than the rows it can spare,
+	// for everything it matches at the others — and its matches are joined
+	// with the full solutions at the assembly site.
 	ConjPipeline Conjunction = iota
 	// ConjParallelJoin evaluates each pattern over its own target set
 	// independently (in parallel) and joins at an assembly site, chosen by

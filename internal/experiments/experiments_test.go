@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,23 +127,65 @@ func TestE4Shapes(t *testing.T) {
 	}
 }
 
-func TestE5Shapes(t *testing.T) {
-	tab, err := E5Conjunction(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sols := colIndex(t, tab, "sols")
-	ship := colIndex(t, tab, "ship-KiB")
-	// per query block of 4 rows, all must agree on solutions
-	for i := 0; i+3 < len(tab.Rows); i += 4 {
-		for j := 1; j < 4; j++ {
-			if tab.Rows[i][sols] != tab.Rows[i+j][sols] {
-				t.Errorf("query %s: solution counts differ across configs", tab.Rows[i][0])
-			}
+// namesMinimum holds one winner a table's note names to the table: among
+// the rows [from, to), the row whose leading cells are key must exist, read
+// reads in column col, and hold that column's minimum over the range.
+func namesMinimum(t *testing.T, tab *Table, where string, from, to int, col, reads string, key []string) {
+	t.Helper()
+	c := colIndex(t, tab, col)
+	lowest, at := math.Inf(1), -1
+	for r := from; r < to; r++ {
+		lowest = math.Min(lowest, cell(t, tab, r, c))
+		if slices.Equal(tab.Rows[r][:len(key)], key) {
+			at = r
 		}
-		// pipeline+reorder (row i+1) ships no more than pipeline without (row i)
-		if cell(t, tab, i+1, ship) > cell(t, tab, i, ship)+0.01 {
-			t.Errorf("query %s: reorder increased pipeline shipping", tab.Rows[i][0])
+	}
+	if at < 0 {
+		t.Fatalf("%s: the note names %v, which is no row", where, key)
+	}
+	if got := cell(t, tab, at, c); got != lowest || tab.Rows[at][c] != reads {
+		t.Errorf("%s: the note gives %s to %v at %s; that row reads %s and the minimum is %v",
+			where, col, key, reads, tab.Rows[at][c], lowest)
+	}
+}
+
+func TestE5Shapes(t *testing.T) {
+	named := regexp.MustCompile(`(ship-KiB|resp-ms) for (\S+)/reorder=(\S+) \(([0-9.]+)\)`)
+	for _, seed := range []int64{0, 7} {
+		tab, err := E5Conjunction(Params{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols := colIndex(t, tab, "sols")
+		ship := colIndex(t, tab, "ship-KiB")
+		// per query block of 4 rows, all must agree on solutions
+		for i := 0; i+3 < len(tab.Rows); i += 4 {
+			query := tab.Rows[i][0]
+			for j := 1; j < 4; j++ {
+				if tab.Rows[i][sols] != tab.Rows[i+j][sols] {
+					t.Errorf("seed %d, query %s: solution counts differ across configs", seed, query)
+				}
+			}
+			// pipeline+reorder (row i+1) ships no more than pipeline without (row i)
+			if cell(t, tab, i+1, ship) > cell(t, tab, i, ship)+0.01 {
+				t.Errorf("seed %d, query %s: reorder increased pipeline shipping", seed, query)
+			}
+			// the query's note names a winner per cost column: that row must
+			// hold the block's minimum and read what the note says
+			var note string
+			for _, n := range tab.Notes {
+				if strings.HasPrefix(n, query+": lowest ") {
+					note = n
+				}
+			}
+			winners := named.FindAllStringSubmatch(note, -1)
+			if len(winners) != 2 {
+				t.Fatalf("seed %d, query %s: note names %d winners, want 2: %q", seed, query, len(winners), note)
+			}
+			for _, w := range winners {
+				namesMinimum(t, tab, fmt.Sprintf("seed %d, query %s", seed, query), i, i+4, w[1], w[4],
+					[]string{query, w[2], w[3]})
+			}
 		}
 	}
 }
@@ -232,26 +276,25 @@ func TestE9Shapes(t *testing.T) {
 			t.Fatalf("seed %d: note names %d winners, want 3: %q", seed, len(winners), note)
 		}
 		for _, w := range winners {
-			col := colIndex(t, tab, w[1])
-			lowest, at := math.Inf(1), -1
-			for i, row := range tab.Rows {
-				if v := cell(t, tab, i, col); v < lowest {
-					lowest = v
-				}
-				if row[0] == w[2] && row[1] == w[3] && row[2] == w[4] {
-					at = i
-				}
-			}
-			if at < 0 {
-				t.Fatalf("seed %d: note names %s/%s/push=%s, which is no row", seed, w[2], w[3], w[4])
-			}
-			if got := cell(t, tab, at, col); got != lowest || tab.Rows[at][col] != w[5] {
-				t.Errorf("seed %d: note gives %s to %s/%s/push=%s at %s; that row reads %s and the column minimum is %v",
-					seed, w[1], w[2], w[3], w[4], w[5], tab.Rows[at][col], lowest)
-			}
+			namesMinimum(t, tab, fmt.Sprintf("seed %d", seed), 0, len(tab.Rows), w[1], w[5], w[2:5])
 		}
 		if w := winners[0]; w[1] != "ship-KiB" || w[2] != "basic" || w[3] != "pipeline" {
 			t.Errorf("seed %d: fewest bytes go to %s/%s, want basic/pipeline (keys out, own matches back)", seed, w[2], w[3])
+		}
+		// Keys travel only where they pay, so under basic the pipeline never
+		// ships more than parallel-join with the same push/reorder setting:
+		// at worst every target gets the unit key and the two coincide.
+		ship := colIndex(t, tab, "ship-KiB")
+		for i, row := range tab.Rows {
+			if row[0] != "basic" || row[1] != "pipeline" {
+				continue
+			}
+			for j, other := range tab.Rows {
+				if other[0] == "basic" && other[1] == "parallel-join" && other[2] == row[2] && other[3] == row[3] &&
+					cell(t, tab, i, ship) > cell(t, tab, j, ship) {
+					t.Errorf("seed %d: basic/pipeline/push=%s ships %s KiB, parallel-join %s", seed, row[2], row[ship], other[ship])
+				}
+			}
 		}
 	}
 }

@@ -71,13 +71,14 @@ func (t *Table) AddRow(cells ...any) {
 	t.Rows = append(t.Rows, row)
 }
 
-// lowest returns the position of a numeric column and the first row holding
-// its minimum. The table must have that column and at least one row.
-func (t *Table) lowest(col string) (c, row int) {
+// lowest returns the position of a numeric column and the first of the rows
+// [from, to) holding its minimum there. The table must have that column and
+// the range at least one row.
+func (t *Table) lowest(col string, from, to int) (c, row int) {
 	c = slices.Index(t.Headers, col)
 	best := math.Inf(1)
-	for i, r := range t.Rows {
-		if v, err := strconv.ParseFloat(r[c], 64); err == nil && v < best {
+	for i := from; i < to; i++ {
+		if v, err := strconv.ParseFloat(t.Rows[i][c], 64); err == nil && v < best {
 			best, row = v, i
 		}
 	}

@@ -243,7 +243,8 @@ func (r DropNodeReq) TraceCtx() trace.TraceContext { return r.TC }
 // MatchReq asks a storage node for its matches of one triple pattern, once
 // per key: Keys is the distinct projection of the partial solutions onto
 // the variables the pattern shares with them (the unit key when there are
-// none), and the reply is an eval.Table over the pattern's variables that
+// none, or when the sender found the keys larger than the rows they could
+// spare this node), and the reply is an eval.Table over the pattern's variables that
 // the sender joins with the full rows it kept — the semi-join form of the
 // in-network aggregation of Sect. IV-C. Filter, when non-nil, mentions only
 // variables of the reply and is applied before it is returned — the shipped

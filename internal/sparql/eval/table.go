@@ -48,6 +48,17 @@ func rowOverhead(vars []string) int {
 	return n
 }
 
+// RowEstimate is the wire size of one row over vars whose terms are as
+// large as t's are on average — what a reply row to the keys t is expected
+// to cost. t must have terms.
+func (t Table) RowEstimate(vars []string) int {
+	terms := 0
+	for _, term := range t.Terms {
+		terms += term.SizeBytes()
+	}
+	return rowOverhead(vars) + len(vars)*terms/len(t.Terms)
+}
+
 // KeyTable returns the distinct projection of seeds onto vars, first
 // occurrences in seed order. Every seed must bind every variable of vars
 // (within one BGP all partial solutions bind the same variables). Without
@@ -132,10 +143,12 @@ type Matches struct {
 	next      []int32          // row → previous row with the same hash
 }
 
-// NewMatches returns an empty accumulator for replies to the given keys.
-// sizeHint is the number of rows to make room for when the caller knows a
-// bound (the location table's frequencies give one for the unit key), zero
-// otherwise.
+// NewMatches returns an empty accumulator for the replies of a pattern whose
+// join columns are the variables of keys — whether a target was sent those
+// keys or the unit key in their place, its reply joins and de-duplicates on
+// the same columns. sizeHint is the number of rows to make room for when
+// the caller knows a bound (the location table's frequencies give one for
+// the unit key), zero otherwise.
 func NewMatches(keys Table, sizeHint int) *Matches {
 	return &Matches{keys: keys.Vars, sizeHint: sizeHint}
 }
