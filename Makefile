@@ -33,15 +33,16 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .
 
 # Short coverage-guided fuzz pass over the text front ends, the graph
-# store's edit sequences and the keyed sub-query; CI runs the same targets
-# as a smoke stage. Crashers land in testdata/fuzz/ and then run as
-# regression seeds under plain `make test`.
+# store's edit sequences, the keyed sub-query and the flat joins; CI runs
+# the same targets as a smoke stage. Crashers land in testdata/fuzz/ and
+# then run as regression seeds under plain `make test`.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseQuery -fuzztime $(FUZZTIME) ./internal/sparql
 	$(GO) test -run '^$$' -fuzz FuzzReadTurtle -fuzztime $(FUZZTIME) ./internal/rdf
 	$(GO) test -run '^$$' -fuzz FuzzGraphOps -fuzztime $(FUZZTIME) ./internal/rdf
 	$(GO) test -run '^$$' -fuzz FuzzKeyedMatch -fuzztime $(FUZZTIME) ./internal/dqp
+	$(GO) test -run '^$$' -fuzz FuzzFlatJoin -fuzztime $(FUZZTIME) ./internal/sparql/eval
 
 # Regenerate the EXPERIMENTS.md table set (seed 0 = published tables).
 experiments:

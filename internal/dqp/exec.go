@@ -18,10 +18,38 @@ import (
 )
 
 // siteSet is a solution multiset together with the node it currently
-// resides on — the unit of data the executor moves between sites.
+// resides on — the unit of data the executor moves between sites above a
+// basic graph pattern.
 type siteSet struct {
 	sols eval.Solutions
 	site simnet.Addr
+}
+
+// flatSet is siteSet's form inside execBGP: there every partial solution
+// binds the same variables, so the rows are one eval.Table.
+type flatSet struct {
+	rows eval.Table
+	site simnet.Addr
+}
+
+// operand is one side of a binary merge as the join-site policies read it.
+type operand struct {
+	site        simnet.Addr
+	bytes, rows int
+}
+
+func (s siteSet) operand() operand {
+	return operand{site: s.site, bytes: s.sols.SizeBytes(), rows: len(s.sols)}
+}
+
+func (s flatSet) operand() operand {
+	return operand{site: s.site, bytes: s.rows.SizeBytes(), rows: s.rows.N}
+}
+
+// unitSeed is what a BGP starts from: the unit key's one empty row, at the
+// initiator.
+func (c *qctx) unitSeed() flatSet {
+	return flatSet{rows: eval.Table{N: 1}, site: c.initiator}
 }
 
 // exec evaluates an algebra operator distributedly and returns the
@@ -153,41 +181,53 @@ func (e *Engine) execBranches(ctx *qctx, left, right algebra.Op, at simnet.VTime
 // applies the merge function there. Operand order is preserved (merge
 // functions may be asymmetric, e.g. left join).
 func (e *Engine) mergeAt(ctx *qctx, l, r siteSet, at simnet.VTime, merge func(a, b eval.Solutions) eval.Solutions) (siteSet, simnet.VTime, error) {
-	site, err := e.pickJoinSite(ctx, l, r)
+	site := l.site
+	if l.site != r.site {
+		site = e.pickJoinSite(ctx, l.operand(), r.operand(), func() bool {
+			return len(eval.SharedVars(l.sols, r.sols, 1)) > 0
+		})
+	}
+	l, now, err := e.shipTo(ctx, l, site, methodShip, at)
 	if err != nil {
-		return siteSet{}, at, err
+		return siteSet{}, now, err
 	}
-	now := at
-	if l.site != site {
-		shipped, done, err := e.shipTo(ctx, l, site, methodShip, now)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		l = shipped
-		now = done
-	}
-	if r.site != site {
-		shipped, done, err := e.shipTo(ctx, r, site, methodShip, now)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		r = shipped
-		now = done
+	r, now, err = e.shipTo(ctx, r, site, methodShip, now)
+	if err != nil {
+		return siteSet{}, now, err
 	}
 	return siteSet{sols: merge(l.sols, r.sols), site: site}, now, nil
 }
 
-// pickJoinSite implements the join-site selection strategies of Sect. II.
-// A shared site always wins (the overlap optimization of Sect. IV-D).
-func (e *Engine) pickJoinSite(ctx *qctx, l, r siteSet) (simnet.Addr, error) {
-	if l.site == r.site {
-		return l.site, nil
+// joinAt is mergeAt for two of a BGP's partial results: both reach the join
+// site as Tables and eval.JoinTables joins them there.
+func (e *Engine) joinAt(ctx *qctx, l, r flatSet, at simnet.VTime) (flatSet, simnet.VTime, error) {
+	site := l.site
+	if l.site != r.site {
+		site = e.pickJoinSite(ctx, l.operand(), r.operand(), func() bool {
+			return l.rows.N > 0 && r.rows.N > 0 &&
+				slices.ContainsFunc(l.rows.Vars, func(v string) bool { return slices.Contains(r.rows.Vars, v) })
+		})
 	}
+	l, now, err := e.shipRows(ctx, l, site, at)
+	if err != nil {
+		return flatSet{}, now, err
+	}
+	r, now, err = e.shipRows(ctx, r, site, now)
+	if err != nil {
+		return flatSet{}, now, err
+	}
+	return flatSet{rows: eval.JoinTables(l.rows, r.rows), site: site}, now, nil
+}
+
+// pickJoinSite implements the join-site selection strategies of Sect. II
+// for operands on different sites. shared reports whether the operands bind
+// a common variable; only the QoS policy's result estimate asks.
+func (e *Engine) pickJoinSite(ctx *qctx, l, r operand, shared func() bool) simnet.Addr {
 	switch e.opts.JoinSite {
 	case JoinSiteQuerySite:
-		return ctx.initiator, nil
+		return ctx.initiator
 	case JoinSiteQoS:
-		return e.pickQoSSite(ctx, l, r), nil
+		return e.pickQoSSite(ctx, l, r, shared())
 	case JoinSiteThirdSite:
 		// The paper's third-site strategy consults QoS monitors; with
 		// uniform simulated links we pick the first live index node that
@@ -195,15 +235,15 @@ func (e *Engine) pickJoinSite(ctx *qctx, l, r siteSet) (simnet.Addr, error) {
 		for _, n := range e.sys.IndexNodes() {
 			a := n.Addr()
 			if a != l.site && a != r.site && e.sys.Net().Alive(a) {
-				return a, nil
+				return a
 			}
 		}
-		return ctx.initiator, nil
+		return ctx.initiator
 	default: // JoinSiteMoveSmall
-		if l.sols.SizeBytes() <= r.sols.SizeBytes() {
-			return r.site, nil
+		if l.bytes <= r.bytes {
+			return r.site
 		}
-		return l.site, nil
+		return l.site
 	}
 }
 
@@ -212,22 +252,22 @@ func (e *Engine) pickJoinSite(ctx *qctx, l, r siteSet) (simnet.Addr, error) {
 // (the paper's third-site reference). The score is the virtual cost of
 // moving both operands to the candidate plus the estimated result's trip
 // to the initiator, all scaled by the measured link factors.
-func (e *Engine) pickQoSSite(ctx *qctx, l, r siteSet) simnet.Addr {
+func (e *Engine) pickQoSSite(ctx *qctx, l, r operand, shared bool) simnet.Addr {
 	net := e.sys.Net()
-	lBytes := float64(l.sols.SizeBytes())
-	rBytes := float64(r.sols.SizeBytes())
+	lBytes := float64(l.bytes)
+	rBytes := float64(r.bytes)
 	// Result-size estimate: with shared variables the join is assumed
 	// containing (≈ the smaller operand); without any, it is a cross
 	// product of lRows×rRows rows, each the concatenation of one row from
 	// each side.
 	var resBytes float64
-	if len(eval.SharedVars(l.sols, r.sols, 1)) > 0 {
+	if shared {
 		resBytes = lBytes
 		if rBytes < resBytes {
 			resBytes = rBytes
 		}
 	} else {
-		resBytes = float64(len(r.sols))*lBytes + float64(len(l.sols))*rBytes
+		resBytes = float64(r.rows)*lBytes + float64(l.rows)*rBytes
 	}
 	candidates := []simnet.Addr{l.site, r.site, ctx.initiator}
 	for _, n := range e.sys.IndexNodes() {
@@ -278,6 +318,20 @@ func (e *Engine) shipTo(ctx *qctx, s siteSet, dest simnet.Addr, method string, a
 	}
 	s.site = dest
 	return s, done, nil
+}
+
+// shipRows is shipTo for a BGP's partial solutions: one dqp.ship transfer
+// carrying the Table, charged what the same rows cost as mappings.
+func (e *Engine) shipRows(ctx *qctx, s flatSet, dest simnet.Addr, at simnet.VTime) (flatSet, simnet.VTime, error) {
+	if s.site == dest {
+		return s, at, nil
+	}
+	done, err := e.transferRetry(s.site, dest, methodShip,
+		rowsPayload{Rows: s.rows, TC: ctx.nextTC(ctx.tc)}, at)
+	if err != nil {
+		return flatSet{}, done, err
+	}
+	return flatSet{rows: s.rows, site: dest}, done, nil
 }
 
 // transferRetry is Transfer wrapped in the standard loss-retry loop; a
@@ -438,7 +492,8 @@ func (e *Engine) planPatterns(ctx *qctx, patterns []rdf.Triple, at simnet.VTime)
 // execBGP evaluates a basic graph pattern distributedly. filter, when
 // non-nil, is decomposed into conjuncts and each conjunct ships with the
 // earliest sub-query whose variables cover it; the whole filter applies
-// once more at the end.
+// once more at the end. Inside the BGP the partial solutions are flat rows;
+// the rows that pass the filter become mappings as it returns (solutionsOf).
 func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
 	if len(patterns) == 0 {
 		return siteSet{sols: eval.Solutions{eval.NewBinding()}, site: ctx.initiator}, at, nil
@@ -451,13 +506,23 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 		plans = reorderPlans(plans)
 	}
 	conjuncts := splitFilter(filter)
-
-	if ctx.existenceOnly && len(plans) == 1 {
-		// ASK over one pattern: the first matching solution settles it.
-		plans[0].stopOnFirst = true
+	if len(plans) == 1 {
+		// One pattern — every primitive query, the inner side of most
+		// OPTIONALs and UNIONs — is the bypass: its matches are the result
+		// and become mappings with no Table in between. ASK over one
+		// pattern: the first matching solution settles it.
+		plans[0].stopOnFirst = ctx.existenceOnly
+		push := shippableFilter(conjuncts, make([]bool, len(conjuncts)), varSet(plans[0].pattern))
+		m, done, err := e.execPattern(ctx, plans[0], ctx.unitSeed(), push, scope, "", now)
+		if err != nil {
+			return siteSet{}, done, err
+		}
+		set := m.acc.Set()
+		row := func(i int) []rdf.Term { return set.Rows[i] }
+		return siteSet{sols: solutionsOf(set.Vars, len(set.Rows), row, filter), site: m.site}, done, nil
 	}
-	var out siteSet
-	if e.opts.Conjunction == ConjParallelJoin && len(plans) > 1 {
+	var out flatSet
+	if e.opts.Conjunction == ConjParallelJoin {
 		out, now, err = e.execParallelJoin(ctx, plans, conjuncts, scope, now)
 	} else {
 		out, now, err = e.execPipeline(ctx, plans, conjuncts, scope, now)
@@ -468,10 +533,71 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	// Conjuncts referring to variables bound only across patterns
 	// evaluated in parallel were never shipped; which ones is not known
 	// here, so the whole filter applies — idempotent for the shipped ones.
-	if filter != nil {
-		out.sols = eval.FilterSolutions(out.sols, filter)
+	return siteSet{sols: solutionsOf(out.rows.Vars, out.rows.N, out.rows.Row, filter), site: out.site}, now, nil
+}
+
+// solutionsOf is where a BGP's rows become mappings, and the one place in
+// dqp that builds them: n rows over vars, row(i) the terms of row i, those
+// failing filter dropped first, so a dropped row never becomes a map.
+func solutionsOf(vars []string, n int, row func(int) []rdf.Term, filter sparql.Expression) eval.Solutions {
+	keep := rowFilter(vars, filter)
+	out := make(eval.Solutions, 0, n)
+	for i := 0; i < n; i++ {
+		r := row(i)
+		if keep != nil && !keep(r) {
+			continue
+		}
+		b := make(eval.Binding, len(vars))
+		for c, v := range vars {
+			b[v] = r[c]
+		}
+		out = append(out, b)
 	}
-	return out, now, nil
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// rowFilter returns the test of expr on a row over vars, evaluated through
+// one reused scratch mapping as StorageNode.MatchKeys evaluates a pushed
+// filter; nil when expr is.
+func rowFilter(vars []string, expr sparql.Expression) func([]rdf.Term) bool {
+	if expr == nil {
+		return nil
+	}
+	scratch := make(eval.Binding, len(vars))
+	return func(row []rdf.Term) bool {
+		for c, v := range vars {
+			scratch[v] = row[c]
+		}
+		return eval.Satisfies(expr, scratch)
+	}
+}
+
+// filterRows keeps the rows of t that satisfy expr.
+func filterRows(t eval.Table, expr sparql.Expression) eval.Table {
+	keep := rowFilter(t.Vars, expr)
+	if keep == nil {
+		return t
+	}
+	out := eval.Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms))}
+	for i := 0; i < t.N; i++ {
+		if row := t.Row(i); keep(row) {
+			out.Terms = append(out.Terms, row...)
+			out.N++
+		}
+	}
+	return out
+}
+
+// varSet is the set of variables a pattern mentions.
+func varSet(pat rdf.Triple) map[string]bool {
+	vars := map[string]bool{}
+	for _, v := range pat.Vars() {
+		vars[v] = true
+	}
+	return vars
 }
 
 // execPipeline runs the sequential conjunction of Sect. IV-D basic
@@ -481,25 +607,26 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 // the site that assembles them (execPattern). A filter conjunct ships with
 // the first pattern that covers it alone; one that also needs a variable of
 // an earlier pattern applies after that join.
-func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
-	cur := siteSet{sols: eval.Solutions{eval.NewBinding()}, site: ctx.initiator}
+func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
+	cur := ctx.unitSeed()
 	now := at
 	bound := map[string]bool{}
 	shipped := make([]bool, len(conjuncts))
 	for i := range plans {
-		own := map[string]bool{}
-		for _, v := range plans[i].pattern.Vars() {
-			own[v], bound[v] = true, true
+		own := varSet(plans[i].pattern)
+		for v := range own {
+			bound[v] = true
 		}
 		push := shippableFilter(conjuncts, shipped, own)
 		after := shippableFilter(conjuncts, shipped, bound)
-		var err error
-		cur, now, err = e.execPattern(ctx, plans[i], cur, push, scope, "", now)
+		m, done, err := e.execPattern(ctx, plans[i], cur, push, scope, "", now)
 		if err != nil {
-			return siteSet{}, now, err
+			return flatSet{}, done, err
 		}
-		cur.sols = eval.FilterSolutions(cur.sols, after)
-		if len(cur.sols) == 0 {
+		now = done
+		cur = m.result()
+		cur.rows = filterRows(cur.rows, after)
+		if cur.rows.N == 0 {
 			// Empty intermediate result: the conjunction is empty
 			// (short-circuit; no further sub-queries needed).
 			return cur, now, nil
@@ -509,42 +636,36 @@ func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql
 }
 
 // execParallelJoin runs the optimized conjunction of Sect. IV-D: every
-// pattern is evaluated over its own target set in parallel, chains are
-// ordered to end at a storage node shared with the neighbouring pattern
-// when one exists, and the per-pattern results are joined left to right at
-// assembly sites.
-func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
-	results := make([]siteSet, len(plans))
+// pattern is evaluated over its own target set in parallel from the unit
+// seed, chains are ordered to end at a storage node shared with the
+// neighbouring pattern when one exists, and the per-pattern results are
+// joined left to right at assembly sites.
+func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
+	results := make([]flatSet, len(plans))
 	times := make([]simnet.VTime, len(plans))
 	shipped := make([]bool, len(conjuncts))
 	for i := range plans {
 		// Per-pattern filters: conjuncts covered by this pattern alone.
-		vars := map[string]bool{}
-		for _, v := range plans[i].pattern.Vars() {
-			vars[v] = true
-		}
-		f := shippableFilter(conjuncts, shipped, vars)
+		f := shippableFilter(conjuncts, shipped, varSet(plans[i].pattern))
 		// Prefer ending this pattern's chain at a node shared with the
 		// previous pattern's target set, so the join needs no shipping.
 		prefer := simnet.Addr("")
 		if i > 0 {
 			prefer = sharedTarget(plans[i-1], plans[i])
 		}
-		seed := siteSet{sols: eval.Solutions{eval.NewBinding()}, site: ctx.initiator}
-		res, done, err := e.execPattern(ctx, plans[i], seed, f, scope, prefer, at)
+		m, done, err := e.execPattern(ctx, plans[i], ctx.unitSeed(), f, scope, prefer, at)
 		if err != nil {
-			return siteSet{}, done, err
+			return flatSet{}, done, err
 		}
-		results[i] = res
+		results[i] = m.result()
 		times[i] = done
 	}
 	cur, now := results[0], times[0]
-	join := func(a, b eval.Solutions) eval.Solutions { return eval.Join(a, b) }
 	for i := 1; i < len(plans); i++ {
 		var err error
-		cur, now, err = e.mergeAt(ctx, cur, results[i], simnet.MaxTime(now, times[i]), join)
+		cur, now, err = e.joinAt(ctx, cur, results[i], simnet.MaxTime(now, times[i]))
 		if err != nil {
-			return siteSet{}, now, err
+			return flatSet{}, now, err
 		}
 	}
 	return cur, now, nil
@@ -572,35 +693,35 @@ func sharedTarget(a, b patternPlan) simnet.Addr {
 }
 
 // execPattern evaluates one triple pattern over its target storage nodes
-// according to the per-pattern strategy and joins the matches with seeds,
-// the partial solutions so far. What a target is asked for is keys, the
-// distinct projection of the seeds onto the variables the pattern (or a
-// GRAPH variable) shares with them; what comes back binds the pattern's
-// variables only. Three cases follow from the seeds, none from a setting:
-// the unit seed gives the unit key and the replies are the result; seeds
-// sharing no variable with the pattern give the unit key too and the result
-// is the cross product; seeds binding only variables the pattern mentions
-// are their own keys, so the replies are the extended rows and no join runs.
-// A fourth follows from the location table: a target whose keys would
-// outweigh the rows they can spare it from returning is sent the unit key
-// in their place (unitKeyed), and the join with the seeds does the
-// excluding. preferEnd forces a chain to end at the given target when
-// present (overlap-aware assembly).
-func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds siteSet, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, at simnet.VTime) (siteSet, simnet.VTime, error) {
-	if len(plan.postings) == 0 || len(seeds.sols) == 0 {
-		return siteSet{sols: nil, site: seeds.site}, at, nil
+// according to the per-pattern strategy and accumulates the matches where
+// they can be joined with seeds, the partial solutions so far. What a target
+// is asked for is keys, the distinct projection of the seeds onto the
+// variables the pattern (or a GRAPH variable) shares with them; what comes
+// back binds the pattern's variables only. Three cases follow from the
+// seeds, none from a setting: the unit seed gives the unit key and the
+// replies are the result; seeds sharing no variable with the pattern give
+// the unit key too and the result is the cross product; seeds binding only
+// variables the pattern mentions are their own keys, so the replies are the
+// extended rows and no join runs. A fourth follows from the location table:
+// a target whose keys would outweigh the rows they can spare it from
+// returning is sent the unit key in their place (unitKeyed), and the join
+// with the seeds does the excluding. preferEnd forces a chain to end at the
+// given target when present (overlap-aware assembly).
+func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds flatSet, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, at simnet.VTime) (patternMatches, simnet.VTime, error) {
+	if len(plan.postings) == 0 || seeds.rows.N == 0 {
+		return patternMatches{acc: eval.NewMatches(eval.Table{}, 0), rowsKeys: true, site: seeds.site}, at, nil
 	}
 	chain := e.opts.Strategy != StrategyBasic
 	if chain {
 		plan.postings = orderTargets(plan.postings, preferEnd, e.opts.Strategy == StrategyFreqChain)
 	}
-	keys, unit, rowsKeys := projectKeys(plan, scope, seeds.sols, chain)
+	keys, unit, rowsKeys := projectKeys(plan, scope, seeds.rows, chain)
 	// Every pattern execution is one op span; the strategy implementations
 	// hang their message spans off patTC, so the three strategies render as
 	// the three Fig. 5 flow shapes (star, chain, frequency-ordered chain).
 	patTC := ctx.nextTC(ctx.tc)
 	var (
-		out  siteSet
+		out  patternMatches
 		done simnet.VTime
 		err  error
 	)
@@ -628,27 +749,25 @@ func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds siteSet, filter 
 }
 
 // projectKeys returns what a pattern's targets are asked for: keys, the
-// distinct projection of the non-empty seeds onto the variables the
-// pattern, or a GRAPH variable, shares with them, and per target whether it
-// is sent the unit key in their place (unitKeyed). Within one BGP every
-// partial solution binds the same variables, so the first decides which
-// those are. rowsKeys reports that the replies are the extended rows
-// already: the seeds bind nothing else and every target is sent the keys. A
-// target sent the unit key returns rows no seed agrees with as well, and
-// only the join drops those.
-func projectKeys(plan patternPlan, scope rdf.Term, seeds eval.Solutions, chain bool) (keys eval.Table, unit unitMask, rowsKeys bool) {
+// distinct projection of the seeds onto the variables of their schema the
+// pattern, or a GRAPH variable, shares, and per target whether it is sent
+// the unit key in their place (unitKeyed). rowsKeys reports that the
+// replies are the extended rows already: the seeds bind nothing else and
+// every target is sent the keys. A target sent the unit key returns rows no
+// seed agrees with as well, and only the join drops those.
+func projectKeys(plan patternPlan, scope rdf.Term, seeds eval.Table, chain bool) (keys eval.Table, unit unitMask, rowsKeys bool) {
 	var vars []string
 	for _, v := range plan.pattern.Vars() {
-		if seeds[0].Bound(v) {
+		if slices.Contains(seeds.Vars, v) {
 			vars = append(vars, v)
 		}
 	}
-	if scope.IsVar() && seeds[0].Bound(scope.Value) && !slices.Contains(vars, scope.Value) {
+	if scope.IsVar() && slices.Contains(seeds.Vars, scope.Value) && !slices.Contains(vars, scope.Value) {
 		vars = append(vars, scope.Value)
 	}
 	keys = eval.KeyTable(seeds, vars)
 	unit = unitKeyed(keys, plan, chain)
-	return keys, unit, len(vars) == len(seeds[0]) && !slices.Contains(unit, true)
+	return keys, unit, len(vars) == len(seeds.Vars) && !slices.Contains(unit, true)
 }
 
 // unitMask marks, by position in a plan's postings, the targets sent the
@@ -712,13 +831,23 @@ func matchBound(plan patternPlan, keys eval.Table, unit unitMask) int {
 	return n
 }
 
-// assemble turns a pattern's accumulated replies into its result at the
-// site that holds both them and the seeds.
-func assemble(acc *eval.Matches, seeds eval.Solutions, rowsKeys bool) eval.Solutions {
-	if rowsKeys {
-		return acc.Solutions()
+// patternMatches is one pattern's accumulated replies at site, the node
+// that holds them together with seeds, the partial solutions they join
+// with; rowsKeys as projectKeys reports it.
+type patternMatches struct {
+	acc      *eval.Matches
+	seeds    eval.Table
+	rowsKeys bool
+	site     simnet.Addr
+}
+
+// result is the pattern's result: the replies themselves when they are the
+// extended rows already, their join with the seeds otherwise.
+func (p patternMatches) result() flatSet {
+	if p.rowsKeys {
+		return flatSet{rows: p.acc.Table(), site: p.site}
 	}
-	return acc.Join(seeds)
+	return flatSet{rows: p.acc.Join(p.seeds), site: p.site}
 }
 
 // execPatternBasic: the sub-query ships with the partial solutions to the
@@ -728,7 +857,7 @@ func assemble(acc *eval.Matches, seeds eval.Solutions, rowsKeys bool) eval.Solut
 // basic). High parallelism and every reply travels back, but keys go out
 // only where they pay and only the pattern's own matches come in: low
 // response time, and under the pipeline the fewest bytes as well.
-func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
+func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (patternMatches, simnet.VTime, error) {
 	assembly := plan.index
 	if assembly == "" { // flooding: assemble at the seeds' current site
 		assembly = seeds.site
@@ -737,11 +866,11 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, ke
 		Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope}
 	now := at
 	if seeds.site != assembly {
-		dispatch := dispatchPayload{Sub: base, Rows: seeds.sols}
+		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows}
 		dispatch.Sub.TC = patTC.Child(0)
 		done, err := e.transferRetry(seeds.site, assembly, methodDispatch, dispatch, now)
 		if err != nil {
-			return siteSet{}, done, err
+			return patternMatches{}, done, err
 		}
 		now = done
 	}
@@ -772,7 +901,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, ke
 				// The target is alive but the link stayed lossy past the
 				// retry budget: dropping its contribution would silently
 				// truncate the result, so the query fails explicitly.
-				return siteSet{}, done, &PartialFailureError{
+				return patternMatches{}, done, &PartialFailureError{
 					Method: overlay.MethodMatch, Missing: []simnet.Addr{p.Node}, Err: err}
 			}
 			// Unreachable target: its triples left the dataset; drop the
@@ -792,7 +921,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, ke
 			break
 		}
 	}
-	return siteSet{sols: assemble(acc, seeds.sols, rowsKeys), site: assembly}, finish, nil
+	return patternMatches{acc: acc, seeds: seeds.rows, rowsKeys: rowsKeys, site: assembly}, finish, nil
 }
 
 // execPatternChain: the sub-query, its keys and the matches accumulated so
@@ -802,7 +931,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, ke
 // unitKeyed replaces them for all targets or none. When the replies are not
 // the result already, the partial solutions travel once, from where they
 // are to that final node, and are joined with the matches there.
-func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (siteSet, simnet.VTime, error) {
+func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (patternMatches, simnet.VTime, error) {
 	seq := plan.postings
 	sent := keys
 	if unit.has(0) {
@@ -825,7 +954,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 				Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope,
 				TC: dispatchTC}, now)
 		if err != nil {
-			return siteSet{}, done, err
+			return patternMatches{}, done, err
 		}
 		now = done
 		prev = plan.index
@@ -837,13 +966,15 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 	for i, target := range seq {
 		hopTC := linkTC.Child(uint64(i + 1))
 		payload := chainPayload{
-			Pattern: plan.pattern,
-			Filter:  filter,
-			Keys:    sent,
-			Acc:     acc.Set(),
-			Seq:     addrsOf(seq[i+1:]),
-			Dataset: ctx.dataset,
-			TC:      hopTC,
+			Pattern:   plan.pattern,
+			Filter:    filter,
+			Keys:      sent,
+			Acc:       acc.Set(),
+			Seq:       addrsOf(seq[i+1:]),
+			Dataset:   ctx.dataset,
+			Graph:     scope,
+			FromNamed: ctx.fromNamed,
+			TC:        hopTC,
 		}
 		done, err := e.transferRetry(prev, target.Node, overlay.MethodChainHop, payload, now)
 		now = done
@@ -854,7 +985,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 			}
 			// A hop still lost after retries already surfaced as a typed
 			// partial failure; any other error aborts the chain outright.
-			return siteSet{}, now, err
+			return patternMatches{}, now, err
 		}
 		st, ok := e.sys.Storage(target.Node)
 		if !ok {
@@ -864,7 +995,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 		// In-network aggregation with set-union semantics: merging at each
 		// hop removes matches duplicated across providers before they
 		// travel further (the dedup counterpart of execPatternBasic).
-		acc.Add(st.MatchKeys(plan.pattern, filter, sent, ctx.dataset, ctx.fromNamed, scope))
+		acc.Add(st.MatchKeys(payload.Pattern, payload.Filter, payload.Keys, payload.Dataset, payload.FromNamed, payload.Graph))
 		prev = target.Node
 		reached = target.Node
 		linkTC = hopTC
@@ -874,11 +1005,11 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, ke
 	}
 	if !rowsKeys && acc.Len() > 0 {
 		var err error
-		if seeds, now, err = e.shipTo(ctx, seeds, reached, methodShip, now); err != nil {
-			return siteSet{}, now, err
+		if seeds, now, err = e.shipRows(ctx, seeds, reached, now); err != nil {
+			return patternMatches{}, now, err
 		}
 	}
-	return siteSet{sols: assemble(acc, seeds.sols, rowsKeys), site: reached}, now, nil
+	return patternMatches{acc: acc, seeds: seeds.rows, rowsKeys: rowsKeys, site: reached}, now, nil
 }
 
 // orderTargets produces the chain sequence: address order (deterministic)

@@ -1,0 +1,72 @@
+package dqp
+
+import (
+	"fmt"
+	"testing"
+
+	"adhocshare/internal/rdf"
+)
+
+// TestBGPBuildsMappingsOnlyForItsResult: inside a BGP the partial solutions
+// are flat rows, and only the rows the BGP returns become mappings. The
+// first pattern matches 600 triples over two providers, the join with the
+// second keeps 6, so a query that allocated per row of the first pattern —
+// at the parent a mapping of two objects each — would allocate over 1,200
+// objects; the whole query, parse to result, must stay below 600. Join
+// reordering is off so that the large pattern runs first.
+func TestBGPBuildsMappingsOnlyForItsResult(t *testing.T) {
+	const rows, kept = 600, 6
+	data := map[string][]rdf.Triple{}
+	for i := 0; i < rows; i++ {
+		d := fmt.Sprintf("D%d", 1+i%2)
+		data[d] = append(data[d], rdf.Triple{S: ex(fmt.Sprintf("p%d", i)), P: fp("knows"), O: ex(fmt.Sprintf("q%d", i))})
+	}
+	for i := 0; i < kept; i++ {
+		data["D3"] = append(data["D3"], rdf.Triple{S: ex(fmt.Sprintf("q%d", i*97)), P: fp("name"), O: rdf.NewLiteral(fmt.Sprint("Q", i))})
+	}
+	const q = `PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT * WHERE { ?x foaf:knows ?y . ?y foaf:name ?n . }`
+	for _, st := range []Strategy{StrategyBasic, StrategyChain, StrategyFreqChain} {
+		for _, cj := range []Conjunction{ConjPipeline, ConjParallelJoin} {
+			sys, now := buildSystem(t, 4, data)
+			e := NewEngine(sys, Options{Strategy: st, Conjunction: cj, JoinSite: JoinSiteMoveSmall})
+			run := func() {
+				res, _, done, err := e.Query("D1", q, now)
+				if err != nil {
+					t.Fatalf("%v/%v: %v", st, cj, err)
+				}
+				if len(res.Solutions) != kept {
+					t.Fatalf("%v/%v: %d rows, want %d", st, cj, len(res.Solutions), kept)
+				}
+				now = done
+			}
+			if n := testing.AllocsPerRun(5, run); n >= rows {
+				t.Errorf("%v/%v: a query joining %d rows down to %d allocates %.0f objects, want < %d", st, cj, rows, kept, n, rows)
+			}
+		}
+	}
+}
+
+// TestChainHopChargesItsMatchRequest: a chain hop carries the sub-query a
+// store.match request carries, GRAPH scope and FROM NAMED graphs included,
+// so with nothing accumulated and nowhere left to go it costs that request
+// plus the empty set's 4-byte header.
+func TestChainHopChargesItsMatchRequest(t *testing.T) {
+	var sample methodSample
+	for _, s := range methodSamples() {
+		if s.method == methodDispatch {
+			sample = s
+		}
+	}
+	full := sample.req.(dispatchPayload).Sub
+	for _, graph := range []rdf.Term{{}, rdf.NewIRI("urn:g1"), rdf.NewVar("g")} {
+		for _, fromNamed := range [][]string{nil, {"urn:g2", "urn:g3"}} {
+			req := full
+			req.Graph, req.FromNamed = graph, fromNamed
+			hop := chainPayload{Pattern: req.Pattern, Filter: req.Filter, Keys: req.Keys,
+				Dataset: req.Dataset, Graph: req.Graph, FromNamed: req.FromNamed, TC: req.TC}
+			if got, want := hop.SizeBytes(), req.SizeBytes()+4; got != want {
+				t.Errorf("GRAPH %v, FROM NAMED %v: hop charged %d B, its match request %d B + 4", graph, fromNamed, got, want-4)
+			}
+		}
+	}
+}

@@ -23,7 +23,7 @@ import (
 // item 1) deletes it together with those rows.
 func init() {
 	for _, v := range []any{
-		simnet.Bytes(0), chainPayload{}, dispatchPayload{}, eval.Table{},
+		simnet.Bytes(0), chainPayload{}, dispatchPayload{}, rowsPayload{}, eval.Table{},
 
 		overlay.PutReq{}, overlay.PutBatchReq{}, overlay.LookupReq{},
 		overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},

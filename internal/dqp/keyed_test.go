@@ -134,7 +134,7 @@ func (c keyedCase) reference(pats []rdf.Triple, seeds eval.Solutions) eval.Solut
 // says matches nothing cannot be worth the keys, one it says matches a
 // thousand triples is worth any keys a case can produce. Neither count is
 // true, and the answer may not depend on that.
-func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Solutions, mask uint8, chain bool) eval.Solutions {
+func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Table, mask uint8, chain bool) eval.Solutions {
 	t.Helper()
 	plan := patternPlan{pattern: c.pat}
 	for i, n := range nodes {
@@ -163,7 +163,24 @@ func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.So
 		}
 		acc.Add(n.MatchKeys(c.pat, c.filter, sent, nil, nil, c.scope))
 	}
-	return assemble(acc, seeds, rowsKeys)
+	res := patternMatches{acc: acc, seeds: seeds, rowsKeys: rowsKeys}.result().rows
+	return solutionsOf(res.Vars, res.N, res.Row, nil)
+}
+
+// flat lays mappings binding the same variables out as a table.
+func flat(rows eval.Solutions) eval.Table {
+	var t eval.Table
+	for v := range rows[0] {
+		t.Vars = append(t.Vars, v)
+	}
+	sort.Strings(t.Vars)
+	for _, b := range rows {
+		for _, v := range t.Vars {
+			t.Terms = append(t.Terms, b[v])
+		}
+	}
+	t.N = len(rows)
+	return t
 }
 
 func sortedKeys(s eval.Solutions) []string {
@@ -197,7 +214,7 @@ func (c keyedCase) checkMask(t *testing.T, chain bool) {
 		return // the conjunction is empty already; the engine asks nothing
 	}
 	want := eval.FilterSolutions(c.reference([]rdf.Triple{c.pat}, seeds), c.filter)
-	got := c.run(t, c.deploy(), seeds, c.unit, chain)
+	got := c.run(t, c.deploy(), flat(seeds), c.unit, chain)
 	gotKeys, wantKeys := sortedKeys(got), sortedKeys(want)
 	if len(gotKeys) != len(wantKeys) {
 		t.Fatalf("%v, chain %v:\n got %d rows %v\nwant %d rows %v", c, chain, len(got), got, len(want), want)
@@ -207,7 +224,7 @@ func (c keyedCase) checkMask(t *testing.T, chain bool) {
 			t.Fatalf("%v, chain %v:\n got %v\nwant %v", c, chain, got, want)
 		}
 	}
-	again := c.run(t, c.deploy(), seeds, c.unit, chain)
+	again := c.run(t, c.deploy(), flat(seeds), c.unit, chain)
 	if len(again) != len(got) {
 		t.Fatalf("%v: a second deployment returns %d rows, the first %d", c, len(again), len(got))
 	}
@@ -292,7 +309,7 @@ func TestUnitKeyedAtTheThreshold(t *testing.T) {
 		seeds = append(seeds, eval.Binding{"x": ex(fmt.Sprintf("person%02d", i)), "w": ex("elsewhere")})
 	}
 	plan := patternPlan{pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")}}
-	keys := eval.KeyTable(seeds, []string{"x"})
+	keys := eval.KeyTable(flat(seeds), []string{"x"})
 	cost, row := keys.SizeBytes(), keys.RowEstimate(plan.pattern.Vars())
 	if want := 2 + len("x") + len("y") + 2*ex("person00").SizeBytes(); row != want {
 		t.Fatalf("a reply row over ?x ?y is estimated at %d B, want %d", row, want)
@@ -302,7 +319,7 @@ func TestUnitKeyedAtTheThreshold(t *testing.T) {
 	if unit := unitKeyed(keys, plan, false); !slices.Equal(unit, unitMask{true, false, true}) {
 		t.Errorf("keys of %d B, rows of %d B, frequencies %d, %d and 0: unit key sent %v", cost, row, even, even+1, unit)
 	}
-	if _, unit, rowsKeys := projectKeys(plan, rdf.Term{}, seeds, false); rowsKeys || !slices.Equal(unit, unitMask{true, false, true}) {
+	if _, unit, rowsKeys := projectKeys(plan, rdf.Term{}, flat(seeds), false); rowsKeys || !slices.Equal(unit, unitMask{true, false, true}) {
 		t.Errorf("seeds binding ?w too: unit key sent %v, replies taken for the result %v", unit, rowsKeys)
 	}
 	// Three hops carry three copies of the keys; under the unit key D0's

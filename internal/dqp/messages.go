@@ -26,7 +26,7 @@ const (
 // projects the keys itself, so on this leg the rows travel in their place.
 type dispatchPayload struct {
 	Sub  overlay.MatchReq
-	Rows eval.Solutions
+	Rows eval.Table
 }
 
 // TraceCtx implements trace.Carrier.
@@ -38,10 +38,11 @@ func (d dispatchPayload) SizeBytes() int {
 }
 
 // chainPayload is the message forwarded along a chain of target storage
-// nodes: the sub-query (pattern plus pushed filter), the keys it is asked
-// for, the distinct matches accumulated so far, and the remaining target
-// sequence (Sect. IV-C optimization: "information on a sequence of target
-// nodes that the query should be forwarded through").
+// nodes: the sub-query (pattern plus pushed filter and the dataset scope a
+// store.match request carries), the keys it is asked for, the distinct
+// matches accumulated so far, and the remaining target sequence (Sect. IV-C
+// optimization: "information on a sequence of target nodes that the query
+// should be forwarded through"). Each hop is evaluated from these fields.
 type chainPayload struct {
 	Pattern rdf.Triple
 	Filter  sparql.Expression
@@ -49,6 +50,10 @@ type chainPayload struct {
 	Acc     eval.MatchSet
 	Seq     []simnet.Addr
 	Dataset []string
+	// Graph and FromNamed are overlay.MatchReq's: the GRAPH scope and the
+	// FROM NAMED graphs available to it.
+	Graph     rdf.Term
+	FromNamed []string
 	// TC carries trace causality: each hop derives the next hop's context
 	// from its own, so a traced chain renders as a linked list of message
 	// spans (the Fig. 5 chained flow).
@@ -72,5 +77,26 @@ func (c chainPayload) SizeBytes() int {
 	for _, g := range c.Dataset {
 		n += len(g)
 	}
+	if !c.Graph.IsZero() {
+		n += c.Graph.SizeBytes()
+	}
+	for _, g := range c.FromNamed {
+		n += len(g)
+	}
 	return n
 }
+
+// rowsPayload carries a BGP's partial solutions between sites (dqp.ship
+// inside a BGP: a chain's seeds to its last node, a parallel join's
+// operands to the join site) — overlay.SolutionsResp's flat counterpart,
+// charged what the same rows cost as mappings.
+type rowsPayload struct {
+	Rows eval.Table
+	TC   trace.TraceContext
+}
+
+// TraceCtx implements trace.Carrier.
+func (r rowsPayload) TraceCtx() trace.TraceContext { return r.TC }
+
+// SizeBytes implements simnet.Payload.
+func (r rowsPayload) SizeBytes() int { return r.Rows.SizeBytes() + r.TC.SizeBytes() }

@@ -3,14 +3,13 @@ package dqp
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/sparql/eval"
+	"adhocshare/internal/testutil"
 	"adhocshare/internal/trace"
 )
 
@@ -75,20 +74,7 @@ func TestOverlappingProvidersSequenceAndStats(t *testing.T) {
 			}
 		}
 	}
-	path := filepath.Join("testdata", "overlap_sequence.golden")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with UPDATE_GOLDEN=1 to create): %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("solution sequences or Stats moved; run with UPDATE_GOLDEN=1 after reviewing the diff.\ngot:\n%s", got.Bytes())
-	}
+	testutil.CheckGolden(t, "overlap_sequence.golden", got.Bytes())
 }
 
 // TestDescribeSameSeedTranscript builds the same deployment twenty times

@@ -83,12 +83,14 @@ func methodSamples() []methodSample {
 		// Overlay storage-node methods.
 		{overlay.MethodMatch, matchReq, matches},
 		{overlay.MethodChainHop, chainPayload{
-			Pattern: pattern,
-			Filter:  filter,
-			Keys:    keys,
-			Acc:     eval.MatchSet{Vars: matches.Vars, Rows: [][]rdf.Term{matches.Row(0)}, TermBytes: 21},
-			Seq:     []simnet.Addr{"n5", "n6"},
-			Dataset: []string{"urn:g1"},
+			Pattern:   pattern,
+			Filter:    filter,
+			Keys:      keys,
+			Acc:       eval.MatchSet{Vars: matches.Vars, Rows: [][]rdf.Term{matches.Row(0)}, TermBytes: 21},
+			Seq:       []simnet.Addr{"n5", "n6"},
+			Dataset:   []string{"urn:g1"},
+			Graph:     rdf.NewIRI("urn:g1"),
+			FromNamed: []string{"urn:g2"},
 		}, ack},
 		{overlay.MethodCount, overlay.CountReq{Pattern: pattern}, overlay.CountResp{N: 11}},
 		{overlay.MethodDump, overlay.CountReq{Pattern: pattern},
@@ -107,8 +109,10 @@ func methodSamples() []methodSample {
 		{chord.MethodSetSuccessor, ref, ack},
 
 		// DQP transfers (all transfer-only; the receiver acks the bytes).
-		{methodDispatch, dispatchPayload{Sub: matchReq, Rows: sols}, ack},
-		{methodShip, overlay.SolutionsResp{Sols: sols}, ack},
+		// dqp.ship carries a Table inside a BGP and mappings above it, as
+		// dqp.result does.
+		{methodDispatch, dispatchPayload{Sub: matchReq, Rows: matches}, ack},
+		{methodShip, rowsPayload{Rows: matches}, ack},
 		{methodResult, overlay.SolutionsResp{Sols: sols}, ack},
 
 		// RDFPeers baseline.

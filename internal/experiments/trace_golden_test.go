@@ -2,38 +2,14 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"adhocshare/internal/dqp"
+	"adhocshare/internal/testutil"
 	"adhocshare/internal/trace"
 	"adhocshare/internal/workload"
 )
-
-// checkGolden compares got against testdata/<name>; UPDATE_GOLDEN=1
-// regenerates the file instead.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden %s (run with UPDATE_GOLDEN=1 to create): %v", path, err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s does not match the golden file; run with UPDATE_GOLDEN=1 after reviewing the diff.\ngot:\n%s", name, got)
-	}
-}
 
 var traceStrategies = []dqp.Strategy{dqp.StrategyBasic, dqp.StrategyChain, dqp.StrategyFreqChain}
 
@@ -49,7 +25,7 @@ func TestTraceFig4TreeGolden(t *testing.T) {
 		if err := trace.WriteTree(&buf, spans); err != nil {
 			t.Fatalf("%v: WriteTree: %v", s, err)
 		}
-		checkGolden(t, "e9_fig4_"+s.String()+".tree", buf.Bytes())
+		testutil.CheckGolden(t, "e9_fig4_"+s.String()+".tree", buf.Bytes())
 	}
 }
 
@@ -64,7 +40,7 @@ func TestTraceFig4ChromeGolden(t *testing.T) {
 	if err := trace.WriteChrome(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "e9_fig4_basic.chrome.json", buf.Bytes())
+	testutil.CheckGolden(t, "e9_fig4_basic.chrome.json", buf.Bytes())
 }
 
 // TestTraceFig4Deterministic: the same seed yields byte-identical spans

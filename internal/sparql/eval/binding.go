@@ -1,6 +1,6 @@
 // Package eval implements local evaluation of SPARQL algebra expressions
-// over an rdf.Graph: solution mappings, the compatible-mapping join/union/
-// difference operations of Pérez et al. (Sect. IV-A of the paper), filter
+// over an rdf.Graph: solution mappings, the compatible-mapping join, union
+// and left join of Pérez et al. (Sect. IV-A of the paper), filter
 // expression evaluation with effective boolean values, and the solution
 // sequence modifiers.
 //
@@ -208,19 +208,6 @@ func Union(a, b Solutions) Solutions {
 	out := make(Solutions, 0, len(a)+len(b))
 	out = append(out, a...)
 	out = append(out, b...)
-	return out
-}
-
-// Diff computes Ω1 ∖ Ω2: mappings of Ω1 compatible with no mapping of Ω2.
-func Diff(a, b Solutions) Solutions {
-	ix := newJoinIndex(a, b)
-	var out Solutions
-	var hits []int
-	for _, x := range a {
-		if hits = ix.compatible(x, hits); len(hits) == 0 {
-			out = append(out, x)
-		}
-	}
 	return out
 }
 

@@ -123,15 +123,6 @@ func TestJoinEmpty(t *testing.T) {
 	}
 }
 
-func TestDiff(t *testing.T) {
-	o1 := Solutions{bnd("x", "a", "y", "1"), bnd("x", "b", "y", "2")}
-	o2 := Solutions{bnd("y", "1")}
-	d := Diff(o1, o2)
-	if len(d) != 1 || d[0]["x"] != term("b") {
-		t.Errorf("diff = %v", d)
-	}
-}
-
 func TestLeftJoinSemantics(t *testing.T) {
 	// (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2)
 	o1 := Solutions{bnd("x", "a", "y", "1"), bnd("x", "b", "y", "2")}
@@ -226,8 +217,8 @@ func TestJoinCommutativeProperty(t *testing.T) {
 	}
 }
 
-// Property: union is associative and Diff(a,b) ⊆ a.
-func TestUnionDiffProperties(t *testing.T) {
+// Property: union is associative.
+func TestUnionIsAssociative(t *testing.T) {
 	a := Solutions{bnd("x", "1"), bnd("x", "2")}
 	b := Solutions{bnd("x", "2"), bnd("y", "3")}
 	c := Solutions{bnd("z", "4")}
@@ -235,17 +226,6 @@ func TestUnionDiffProperties(t *testing.T) {
 	r := Union(a, Union(b, c))
 	if !multisetEqual(l, r) {
 		t.Error("union not associative")
-	}
-	for _, m := range Diff(a, b) {
-		found := false
-		for _, x := range a {
-			if m.Equal(x) {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("Diff produced mapping not in a")
-		}
 	}
 }
 

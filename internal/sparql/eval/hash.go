@@ -96,7 +96,7 @@ scan:
 	return out
 }
 
-// joinIndex is the build side of Join, Diff and LeftJoin*: the rows of one
+// joinIndex is the build side of Join and LeftJoin*: the rows of one
 // operand chained by the hash of the terms they bind to the variables shared
 // with the other. Chains and loose hold row indexes in input order (1-based
 // in head/next so that zero ends a chain), which is what keeps every

@@ -61,8 +61,10 @@ func refJoin(a, b Solutions) Solutions {
 	return out
 }
 
-func refDiff(a, b Solutions) Solutions {
-	var out Solutions
+// refLeftJoin is every merge, then the mappings of a compatible with no
+// mapping of b.
+func refLeftJoin(a, b Solutions) Solutions {
+	out := refJoin(a, b)
 next:
 	for _, x := range a {
 		for _, y := range b {
@@ -136,8 +138,7 @@ func TestHashKeyedOperatorsMatchNestedLoops(t *testing.T) {
 				b := randomRows(r, r.Intn(14), sh.bv...)
 				sameSequence(t, sh.name+" Distinct", Distinct(a), refDistinct(a))
 				sameSequence(t, sh.name+" Join", Join(a, b), refJoin(a, b))
-				sameSequence(t, sh.name+" Diff", Diff(a, b), refDiff(a, b))
-				sameSequence(t, sh.name+" LeftJoin", LeftJoin(a, b), Union(refJoin(a, b), refDiff(a, b)))
+				sameSequence(t, sh.name+" LeftJoin", LeftJoin(a, b), refLeftJoin(a, b))
 				sameSequence(t, sh.name+" LeftJoinFilter", LeftJoinFilter(a, b, cond), refLeftJoinFilter(a, b, cond))
 			}
 		}
@@ -173,8 +174,7 @@ func TestHashKeyedOperatorsTable(t *testing.T) {
 			both := Union(c.a, c.b)
 			sameSequence(t, c.name+": Distinct", Distinct(both), refDistinct(both))
 			sameSequence(t, c.name+": Join", Join(c.a, c.b), refJoin(c.a, c.b))
-			sameSequence(t, c.name+": Diff", Diff(c.a, c.b), refDiff(c.a, c.b))
-			sameSequence(t, c.name+": LeftJoin", LeftJoin(c.a, c.b), Union(refJoin(c.a, c.b), refDiff(c.a, c.b)))
+			sameSequence(t, c.name+": LeftJoin", LeftJoin(c.a, c.b), refLeftJoin(c.a, c.b))
 		}
 	})
 }

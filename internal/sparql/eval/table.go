@@ -6,17 +6,19 @@ import (
 	"adhocshare/internal/rdf"
 )
 
-// Table is the flat form solutions take on the sub-query wire: one
+// Table is the flat form solutions take inside a basic graph pattern: one
 // variable schema and N rows of len(Vars) terms each, row-major in one
 // slice, every cell bound. A sub-query ships its keys as a Table and gets
-// its matches back as one; everywhere else a row is a Binding. A table
-// without variables still has rows: the unit key is "no variables, one
-// row".
+// its matches back as one, and a BGP's partial solutions stay one from the
+// first reply to the BGP's result. Above the BGP a row is a Binding: an
+// OPTIONAL or a UNION leaves variables unbound, which a Table cannot say. A
+// table without variables still has rows: the unit key is "no variables,
+// one row".
 //
 // SizeBytes charges exactly what Solutions.SizeBytes charges for the same
 // rows, so a unit or whole-row key costs what the seeds it replaces cost.
 //
-//adhoclint:wireimmutable built once by KeyTable or a storage node's keyed match, never written afterwards
+//adhoclint:wireimmutable built once — by KeyTable, a join, Matches.Table or a storage node's keyed match — never written afterwards
 type Table struct {
 	Vars  []string
 	Terms []rdf.Term
@@ -59,24 +61,32 @@ func (t Table) RowEstimate(vars []string) int {
 	return rowOverhead(vars) + len(vars)*terms/len(t.Terms)
 }
 
-// KeyTable returns the distinct projection of seeds onto vars, first
-// occurrences in seed order. Every seed must bind every variable of vars
-// (within one BGP all partial solutions bind the same variables). Without
-// variables the projection is the unit key.
-func KeyTable(seeds Solutions, vars []string) Table {
+// KeyTable returns the distinct projection of seeds onto vars, a subset of
+// their schema, first occurrences in seed order. Without variables the
+// projection is the unit key.
+func KeyTable(seeds Table, vars []string) Table {
 	if len(vars) == 0 {
 		return Table{N: 1}
 	}
+	cols := make([]int, len(vars))
+	for k, v := range vars {
+		cols[k] = slices.Index(seeds.Vars, v)
+	}
 	// Pass one finds the distinct rows, pass two copies them into a table
 	// of exactly that size.
-	head := make(map[uint64]int32, len(seeds)) // key hash → last distinct seed with it (1-based)
-	next := make([]int32, len(seeds))          // seed → previous distinct seed with the same hash
-	distinct := make([]int32, 0, len(seeds))
-	for i, b := range seeds {
-		h, _ := keyHash(b, vars)
+	head := make(map[uint64]int32, seeds.N) // key hash → last distinct seed with it (1-based)
+	next := make([]int32, seeds.N)          // seed → previous distinct seed with the same hash
+	distinct := make([]int32, 0, seeds.N)
+	for i := 0; i < seeds.N; i++ {
+		row := seeds.Row(i)
+		h := hashInit
+		for _, c := range cols {
+			h = hashTerm(h, row[c])
+		}
+		h &= hashMask
 		first := head[h]
 		c := first
-		for c != 0 && !sameKey(b, seeds[c-1], vars) {
+		for c != 0 && !sameCols(row, seeds.Row(int(c-1)), cols, cols) {
 			c = next[c-1]
 		}
 		if c != 0 {
@@ -88,16 +98,18 @@ func KeyTable(seeds Solutions, vars []string) Table {
 	}
 	terms := make([]rdf.Term, 0, len(distinct)*len(vars))
 	for _, i := range distinct {
-		for _, v := range vars {
-			terms = append(terms, seeds[i][v])
+		row := seeds.Row(int(i))
+		for _, c := range cols {
+			terms = append(terms, row[c])
 		}
 	}
 	return Table{Vars: vars, Terms: terms, N: len(distinct)}
 }
 
-func sameKey(a, b Binding, vars []string) bool {
-	for _, v := range vars {
-		if a[v] != b[v] {
+// sameCols reports whether a's columns ac hold b's columns bc, pairwise.
+func sameCols(a, b []rdf.Term, ac, bc []int) bool {
+	for k, c := range ac {
+		if a[c] != b[bc[k]] {
 			return false
 		}
 	}
@@ -230,36 +242,51 @@ func (m *Matches) insert(row []rdf.Term) {
 	m.head[h] = int32(len(m.rows))
 }
 
-// Solutions returns every row held as a mapping, in arrival order: the
-// result when the keys were the partial solutions themselves (the unit
+// Table returns every row held, in arrival order, copied into one table:
+// the result when the keys were the partial solutions themselves (the unit
 // key, or a pattern mentioning every variable bound so far).
-func (m *Matches) Solutions() Solutions {
+func (m *Matches) Table() Table {
 	if m.Len() == 0 {
-		return nil
+		return Table{}
 	}
-	out := make(Solutions, len(m.rows))
-	for i, row := range m.rows {
-		b := make(Binding, len(row))
-		for c, v := range m.vars {
-			b[v] = row[c]
-		}
-		out[i] = b
+	terms := make([]rdf.Term, 0, len(m.rows)*len(m.vars))
+	for _, row := range m.rows {
+		terms = append(terms, row...)
 	}
-	return out
+	return Table{Vars: m.vars, Terms: terms, N: len(m.rows)}
 }
 
-// Join extends every seed by the rows whose key columns it agrees with —
-// every row when no variable is shared — seeds in their order, a seed's
-// rows in arrival order.
-func (m *Matches) Join(seeds Solutions) Solutions {
-	if m.Len() == 0 || len(seeds) == 0 {
-		return nil
+// Join extends every seed row by the rows whose key columns it agrees with
+// — every row when no variable is shared — seeds in their order, a seed's
+// rows in arrival order. The key variables must be exactly those the seeds
+// and the rows share. The result's schema is the seeds' variables followed
+// by the rows' others, and its rows are copied into one arena sized before
+// it is filled.
+func (m *Matches) Join(seeds Table) Table {
+	if m.Len() == 0 || seeds.N == 0 {
+		return Table{}
+	}
+	vars := slices.Clip(seeds.Vars)
+	var add []int // the columns a row adds to its seed
+	for c, v := range m.vars {
+		if !slices.Contains(m.keys, v) {
+			vars = append(vars, v)
+			add = append(add, c)
+		}
+	}
+	out := Table{Vars: vars}
+	extend := func(x, row []rdf.Term) {
+		out.Terms = append(out.Terms, x...)
+		for _, c := range add {
+			out.Terms = append(out.Terms, row[c])
+		}
 	}
 	if len(m.keys) == 0 {
-		out := make(Solutions, 0, len(seeds)*m.Len())
-		for _, x := range seeds {
+		out.N = seeds.N * len(m.rows)
+		out.Terms = make([]rdf.Term, 0, out.N*len(vars))
+		for i := 0; i < seeds.N; i++ {
 			for _, row := range m.rows {
-				out = append(out, m.extend(x, row))
+				extend(seeds.Row(i), row)
 			}
 		}
 		return out
@@ -267,44 +294,55 @@ func (m *Matches) Join(seeds Solutions) Solutions {
 	if m.head == nil {
 		m.index(0)
 	}
-	out := make(Solutions, 0, len(seeds))
-	var hits []int32
-	for _, x := range seeds {
+	probe := make([]int, len(m.cols)) // the seed column of each key column
+	for k, c := range m.cols {
+		probe[k] = slices.Index(seeds.Vars, m.vars[c])
+	}
+	// Pass one lists every seed's rows, pass two copies them out.
+	hits := make([]int32, 0, max(seeds.N, len(m.rows)))
+	ends := make([]int, seeds.N)
+	for i := range ends {
+		x := seeds.Row(i)
 		h := hashInit
-		for _, c := range m.cols { // as hash folds a row
-			h = hashTerm(h, x[m.vars[c]])
+		for _, c := range probe { // as hash folds a row
+			h = hashTerm(h, x[c])
 		}
-		hits = hits[:0]
+		from := len(hits)
 		for c := m.head[h&hashMask]; c != 0; c = m.next[c-1] {
-			if m.agrees(x, m.rows[c-1]) {
+			if sameCols(x, m.rows[c-1], probe, m.cols) {
 				hits = append(hits, c-1)
 			}
 		}
-		for i := len(hits) - 1; i >= 0; i-- { // chains run newest first
-			out = append(out, m.extend(x, m.rows[hits[i]]))
+		slices.Reverse(hits[from:]) // chains run newest first
+		ends[i] = len(hits)
+	}
+	out.N = len(hits)
+	out.Terms = make([]rdf.Term, 0, out.N*len(vars))
+	from := 0
+	for i, end := range ends {
+		for _, r := range hits[from:end] {
+			extend(seeds.Row(i), m.rows[r])
 		}
+		from = end
 	}
 	return out
 }
 
-// agrees reports whether x binds the key variables to row's key columns.
-func (m *Matches) agrees(x Binding, row []rdf.Term) bool {
-	for _, c := range m.cols {
-		if x[m.vars[c]] != row[c] {
-			return false
+// JoinTables returns a ⋈ b for tables whose every cell is bound: each row of
+// a extended by every row of b that agrees with it on the variables the two
+// share — every row of b when they share none — a's rows outer, b's inner in
+// b's order, which is Join's sequence over the same rows written as
+// mappings. b is indexed the way Matches indexes its replies, on the shared
+// variables, and its rows are not de-duplicated.
+func JoinTables(a, b Table) Table {
+	m := &Matches{vars: b.Vars, rows: make([][]rdf.Term, b.N)}
+	for i := range m.rows {
+		m.rows[i] = b.Row(i)
+	}
+	for _, v := range b.Vars {
+		if slices.Contains(a.Vars, v) {
+			m.keys = append(m.keys, v)
 		}
 	}
-	return true
-}
-
-// extend returns x extended by the columns of row it does not bind yet.
-func (m *Matches) extend(x Binding, row []rdf.Term) Binding {
-	b := make(Binding, len(x)+len(row)-len(m.keys))
-	for k, v := range x {
-		b[k] = v
-	}
-	for c, v := range m.vars {
-		b[v] = row[c]
-	}
-	return b
+	return m.Join(a)
 }

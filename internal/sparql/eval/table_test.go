@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"adhocshare/internal/rdf"
@@ -29,6 +30,23 @@ func tableOf(rows Solutions, vars ...string) Table {
 		}
 	}
 	return t
+}
+
+// rowsOf writes a table's rows as mappings, the form the reference
+// operators take.
+func rowsOf(t Table) Solutions {
+	if t.N == 0 {
+		return nil
+	}
+	out := make(Solutions, t.N)
+	for i := range out {
+		b := NewBinding()
+		for c, v := range t.Vars {
+			b[v] = t.Row(i)[c]
+		}
+		out[i] = b
+	}
+	return out
 }
 
 // TestTableChargesLikeSolutions: the flat wire forms cost what the row maps
@@ -68,7 +86,7 @@ func TestKeyTableIsTheDistinctProjection(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			seeds := fullRows(r, r.Intn(30), "x", "y", "z")
 			for _, vars := range [][]string{{"x"}, {"z", "x"}, {"x", "y", "z"}} {
-				keys := KeyTable(seeds, vars)
+				keys := KeyTable(tableOf(seeds, "x", "y", "z"), vars)
 				want := refDistinct(Project(seeds, vars))
 				if keys.N != len(want) {
 					t.Fatalf("seed %d: %d keys over %v, want %d", seed, keys.N, vars, len(want))
@@ -83,13 +101,13 @@ func TestKeyTableIsTheDistinctProjection(t *testing.T) {
 			}
 		}
 	})
-	if keys := KeyTable(Solutions{bnd("x", "1"), bnd("x", "2")}, nil); keys.N != 1 || len(keys.Vars) != 0 {
+	if keys := KeyTable(tableOf(Solutions{bnd("x", "1"), bnd("x", "2")}, "x"), nil); keys.N != 1 || len(keys.Vars) != 0 {
 		t.Errorf("projection onto no variables = %+v, want the unit key", keys)
 	}
 }
 
 // TestMatchesJoinEqualsJoinOfDistinct: accumulating reply tables and
-// joining them with the seeds is Join(seeds, Distinct(replies)) — seed-major,
+// joining them with the seed table is Join(seeds, Distinct(replies)) — seed-major,
 // a seed's rows in arrival order — whatever the keys share with the schema,
 // and a set handed out earlier is never written again.
 func TestMatchesJoinEqualsJoinOfDistinct(t *testing.T) {
@@ -109,7 +127,8 @@ func TestMatchesJoinEqualsJoinOfDistinct(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for _, sh := range shapes {
 				seeds := Distinct(fullRows(r, 1+r.Intn(10), sh.seedVars...))
-				m := NewMatches(KeyTable(seeds, sh.keyVars), r.Intn(3)*8)
+				seedRows := tableOf(seeds, sh.seedVars...)
+				m := NewMatches(KeyTable(seedRows, sh.keyVars), r.Intn(3)*8)
 				var all, shipped Solutions
 				for k := r.Intn(5); k >= 0; k-- {
 					reply := Distinct(fullRows(r, r.Intn(8), sh.replyVars...))
@@ -126,16 +145,16 @@ func TestMatchesJoinEqualsJoinOfDistinct(t *testing.T) {
 							}
 						}
 					}
-					shipped = m.Solutions()
+					shipped = rowsOf(m.Table())
 				}
 				distinct := Distinct(all)
 				if m.Len() != len(distinct) || m.Set().SizeBytes() != distinct.SizeBytes() {
 					t.Fatalf("%s: holds %d rows / %d bytes, want %d / %d", sh.name,
 						m.Len(), m.Set().SizeBytes(), len(distinct), distinct.SizeBytes())
 				}
-				sameSequence(t, sh.name+" Solutions", m.Solutions(), distinct)
+				sameSequence(t, sh.name+" Table", rowsOf(m.Table()), distinct)
 				if !sh.repliesAreTheirOwn {
-					sameSequence(t, sh.name+" Join", m.Join(seeds), refJoin(seeds, distinct))
+					sameSequence(t, sh.name+" Join", rowsOf(m.Join(seedRows)), refJoin(seeds, distinct))
 				}
 			}
 		}
@@ -152,9 +171,9 @@ func TestMatchesZeroWidthRows(t *testing.T) {
 	if m.Len() != 1 {
 		t.Fatalf("holds %d rows, want 1", m.Len())
 	}
-	sameSequence(t, "ground pattern", m.Solutions(), Solutions{NewBinding()})
+	sameSequence(t, "ground pattern", rowsOf(m.Table()), Solutions{NewBinding()})
 	seeds := Solutions{bnd("u", "1"), bnd("u", "2")}
-	sameSequence(t, "ground pattern under seeds", m.Join(seeds), seeds)
+	sameSequence(t, "ground pattern under seeds", rowsOf(m.Join(tableOf(seeds, "u"))), seeds)
 }
 
 // TestProjectSharesRowsItKeepsWhole: a mapping that binds only projected
@@ -187,4 +206,92 @@ func TestProjectSharesRowsItKeepsWhole(t *testing.T) {
 	if len(out) != 2 || !whole.Equal(before) {
 		t.Errorf("modifiers over shared rows: %v, source %v", out, whole)
 	}
+}
+
+// flatShapes are the schemas FuzzFlatJoin joins, a's then b's: the unit
+// table against a reply; no shared variable (a cross product); every column
+// shared, in another order; the one column a pattern repeating its variable
+// (?x p ?x) answers with, against seeds binding it and another; a reply
+// ending in a GRAPH variable the seeds bind too.
+var flatShapes = [][2][]string{
+	{nil, {"x", "y"}},
+	{{"u", "v"}, {"x", "y"}},
+	{{"x", "y"}, {"y", "x"}},
+	{{"x", "y"}, {"x"}},
+	{{"x", "g"}, {"x", "n", "g"}},
+}
+
+// decodeFlatJoin reads a shape and the two tables' rows off fuzz input;
+// exhausted input reads as zeros. Terms come from hashTerms, so rows repeat
+// and one term can sit under two variables.
+func decodeFlatJoin(data []byte) (a, b Table) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		v := data[0]
+		data = data[1:]
+		return int(v)
+	}
+	shape := flatShapes[next()%len(flatShapes)]
+	fill := func(vars []string, n int) Table {
+		t := Table{Vars: vars, N: n, Terms: make([]rdf.Term, n*len(vars))}
+		for i := range t.Terms {
+			t.Terms[i] = hashTerms[next()%len(hashTerms)]
+		}
+		return t
+	}
+	an := 1 // the unit table has one row
+	if len(shape[0]) > 0 {
+		an = next() % 8
+	}
+	a = fill(shape[0], an)
+	return a, fill(shape[1], next()%10)
+}
+
+// checkFlatJoin holds both flat joins to Join and to the nested-loop
+// reference on the same rows written as mappings: JoinTables(a, b) row for
+// row, and Matches.Join(a) over b's rows added in two replies — across which
+// the accumulator de-duplicates — against the join with Distinct(b).
+func checkFlatJoin(t *testing.T, a, b Table) {
+	t.Helper()
+	as, bs := rowsOf(a), rowsOf(b)
+	want := refJoin(as, bs)
+	sameSequence(t, "Join", Join(as, bs), want)
+	got := JoinTables(a, b)
+	sameSequence(t, "JoinTables", rowsOf(got), want)
+	if got.N > 0 && len(got.Terms) != got.N*len(got.Vars) {
+		t.Fatalf("JoinTables: %d terms for %d rows over %v", len(got.Terms), got.N, got.Vars)
+	}
+	for i, v := range got.Vars {
+		if slices.Contains(got.Vars[i+1:], v) {
+			t.Fatalf("JoinTables: schema %v names ?%s twice", got.Vars, v)
+		}
+	}
+	var shared []string
+	for _, v := range b.Vars {
+		if slices.Contains(a.Vars, v) {
+			shared = append(shared, v)
+		}
+	}
+	// A reply never repeats a row itself; the second may repeat the first's.
+	m := NewMatches(Table{Vars: shared}, 0)
+	half := b.N / 2
+	m.Add(tableOf(refDistinct(bs[:half]), b.Vars...))
+	m.Add(tableOf(refDistinct(bs[half:]), b.Vars...))
+	sameSequence(t, "Matches.Join", rowsOf(m.Join(a)), refJoin(as, refDistinct(bs)))
+}
+
+// FuzzFlatJoin: the flat joins return Join's sequence. The corpus under
+// testdata/fuzz/FuzzFlatJoin holds one input per shape of flatShapes, and
+// one whose b is a single row eight times over (JoinTables keeps every copy).
+func FuzzFlatJoin(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := decodeFlatJoin(data)
+		checkFlatJoin(t, a, b)
+		hashMask = 0 // every lookup collides: the comparisons alone decide
+		defer func() { hashMask = ^uint64(0) }()
+		checkFlatJoin(t, a, b)
+	})
 }
