@@ -79,7 +79,9 @@ type Strategy = dqp.Strategy
 
 // Per-pattern strategies.
 const (
-	// StrategyBasic is the parallel fan-out with union at the index node.
+	// StrategyBasic is the parallel fan-out: from the index node, which
+	// unions the replies, under the pipeline; from the initiator, one wave
+	// per BGP, under parallel-join.
 	StrategyBasic = dqp.StrategyBasic
 	// StrategyChain forwards through the target list with in-network
 	// aggregation.
@@ -118,13 +120,16 @@ const (
 )
 
 // QueryOptions configures query execution; the zero value is the paper's
-// basic processing. Use DefaultQueryOptions for the fully optimized
-// configuration.
+// basic processing. Use DefaultQueryOptions for the configuration the
+// measurements pick.
 type QueryOptions = dqp.Options
 
-// DefaultQueryOptions returns the fully optimized configuration
-// (freq-chain, overlap-aware parallel joins, move-small, filter pushing,
-// join reordering).
+// DefaultQueryOptions returns the default configuration: basic patterns
+// under parallel joins, each BGP one wave of one sub-query per provider
+// from the initiator, with move-small placement, filter pushing and join
+// reordering — no worse than BaselineQueryOptions on bytes, response time
+// and messages across the benchmark's query classes (see
+// dqp.DefaultOptions).
 func DefaultQueryOptions() QueryOptions { return dqp.DefaultOptions() }
 
 // BaselineQueryOptions returns the unoptimized basic processing.

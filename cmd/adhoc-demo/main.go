@@ -88,7 +88,7 @@ func main() {
 		opts dqp.Options
 	}{
 		{"basic     ", dqp.BaselineOptions()},
-		{"optimized ", dqp.DefaultOptions()},
+		{"default   ", dqp.DefaultOptions()},
 	}
 	for name, q := range queries {
 		fmt.Printf("--- %s ---\n%s\n", name, q)
@@ -103,7 +103,7 @@ func main() {
 				float64(stats.ShippedSolutionBytes())/1024,
 				float64(stats.ResponseTime)/float64(time.Millisecond))
 		}
-		// show up to three solutions from the optimized run
+		// show up to three solutions from the default run
 		e := dqp.NewEngine(sys, dqp.DefaultOptions())
 		res, _, done, err := e.Query(simnet.Addr(*initiator), q, now)
 		check(err)

@@ -59,8 +59,11 @@ func main() {
 		{"freq-chain, pipeline, +pushing +reordering", adhocshare.QueryOptions{
 			Strategy: adhocshare.StrategyFreqChain, Conjunction: adhocshare.ConjPipeline,
 			PushFilters: true, ReorderJoins: true}},
-		{"freq-chain, parallel-join, fully optimized", adhocshare.DefaultQueryOptions()},
-		{"fully optimized but query-site joins", adhocshare.QueryOptions{
+		{"basic wave, parallel-join, +push +reorder (default)", adhocshare.DefaultQueryOptions()},
+		{"freq-chain, parallel-join (the paper's full opt.)", adhocshare.QueryOptions{
+			Strategy: adhocshare.StrategyFreqChain, Conjunction: adhocshare.ConjParallelJoin,
+			PushFilters: true, ReorderJoins: true}},
+		{"freq-chain, parallel-join, query-site joins", adhocshare.QueryOptions{
 			Strategy: adhocshare.StrategyFreqChain, Conjunction: adhocshare.ConjParallelJoin,
 			JoinSite: adhocshare.JoinSiteQuerySite, PushFilters: true, ReorderJoins: true}},
 	}

@@ -22,7 +22,7 @@ type Engine struct {
 	sys   *overlay.System
 	opts  Options
 	cache *lookupCache
-	// hot is the lookup entry point: the legacy resolve-then-read path on
+	// hot is the lookup entry point: the paper's resolve-then-read path on
 	// a static system, the replica-preferring adaptive path when
 	// overlay.Config.Adaptive is on (it learns hot-replica advertisements
 	// per engine, mirroring the per-initiator lookup cache).

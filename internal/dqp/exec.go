@@ -438,7 +438,7 @@ func (e *Engine) planPatterns(ctx *qctx, patterns []rdf.Triple, at simnet.VTime)
 				return rowResult{index: row.index, postings: append([]overlay.Posting(nil), row.postings...), hit: true}, at, nil
 			}
 		}
-		// The lookup client sends the exact legacy resolve-then-read
+		// The lookup client sends the paper's exact resolve-then-read
 		// sequence on a static system (zero epoch, same trace contexts);
 		// on an adaptive system it may serve the row from a hot-key
 		// replica instead. row.Index stays the key's home successor
@@ -507,19 +507,22 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	}
 	conjuncts := splitFilter(filter)
 	if len(plans) == 1 {
+		// ASK over one pattern: the first matching solution settles it.
+		plans[0].stopOnFirst = ctx.existenceOnly
+	}
+	if e.opts.Strategy == StrategyBasic && e.opts.Conjunction == ConjParallelJoin {
+		return e.execWave(ctx, plans, conjuncts, filter, scope, now)
+	}
+	if len(plans) == 1 {
 		// One pattern — every primitive query, the inner side of most
 		// OPTIONALs and UNIONs — is the bypass: its matches are the result
-		// and become mappings with no Table in between. ASK over one
-		// pattern: the first matching solution settles it.
-		plans[0].stopOnFirst = ctx.existenceOnly
+		// and become mappings with no Table in between.
 		push := shippableFilter(conjuncts, make([]bool, len(conjuncts)), varSet(plans[0].pattern))
 		m, done, err := e.execPattern(ctx, plans[0], ctx.unitSeed(), push, scope, "", now)
 		if err != nil {
 			return siteSet{}, done, err
 		}
-		set := m.acc.Set()
-		row := func(i int) []rdf.Term { return set.Rows[i] }
-		return siteSet{sols: solutionsOf(set.Vars, len(set.Rows), row, filter), site: m.site}, done, nil
+		return siteSet{sols: matchSolutions(m.acc, filter), site: m.site}, done, nil
 	}
 	var out flatSet
 	if e.opts.Conjunction == ConjParallelJoin {
@@ -557,6 +560,13 @@ func solutionsOf(vars []string, n int, row func(int) []rdf.Term, filter sparql.E
 		return nil
 	}
 	return out
+}
+
+// matchSolutions is solutionsOf over one pattern's accumulated matches,
+// read in place: a one-pattern BGP's result needs no Table in between.
+func matchSolutions(m *eval.Matches, filter sparql.Expression) eval.Solutions {
+	set := m.Set()
+	return solutionsOf(set.Vars, len(set.Rows), func(i int) []rdf.Term { return set.Rows[i] }, filter)
 }
 
 // rowFilter returns the test of expr on a row over vars, evaluated through
@@ -635,11 +645,12 @@ func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql
 	return cur, now, nil
 }
 
-// execParallelJoin runs the optimized conjunction of Sect. IV-D: every
-// pattern is evaluated over its own target set in parallel from the unit
-// seed, chains are ordered to end at a storage node shared with the
-// neighbouring pattern when one exists, and the per-pattern results are
-// joined left to right at assembly sites.
+// execParallelJoin runs the optimized conjunction of Sect. IV-D under the
+// chain strategies (basic runs it as execWave): every pattern is evaluated
+// over its own target set in parallel from the unit seed, chains are ordered
+// to end at a storage node shared with the neighbouring pattern when one
+// exists, and the per-pattern results are joined left to right at assembly
+// sites.
 func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	results := make([]flatSet, len(plans))
 	times := make([]simnet.VTime, len(plans))
@@ -669,6 +680,160 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 		}
 	}
 	return cur, now, nil
+}
+
+// execWave runs the parallel-join conjunction under the basic strategy as
+// one wave from the initiator, which holds every pattern's location-table
+// row once planning is done. Every pattern leaves at once from the unit
+// seed with the filter conjuncts it covers alone; each target is sent one
+// store.match carrying a unit for every pattern that lists it and answers
+// with one table per unit; the pattern results are joined left to right
+// where the replies land, at the initiator (Sect. IV-C basic fan-out,
+// Sect. IV-D parallel evaluation). A pattern no provider lists empties the
+// conjunction, so then nothing is sent. ASK over one pattern is the one
+// exception to "at once": the first match settles it, so the targets are
+// asked one after another, each when the one before answered empty.
+func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
+	for _, p := range plans {
+		if len(p.postings) == 0 {
+			return siteSet{site: ctx.initiator}, at, nil
+		}
+	}
+	// pats[i] is plan i's unit, its op span, its replies by posting and when
+	// the last of them was in.
+	type wavePattern struct {
+		unit    overlay.MatchUnit
+		tc      trace.TraceContext
+		replies []eval.Table
+		end     simnet.VTime
+	}
+	pats := make([]wavePattern, len(plans))
+	shipped := make([]bool, len(conjuncts))
+	n := 0
+	for i, p := range plans {
+		pats[i] = wavePattern{
+			unit: overlay.MatchUnit{Pattern: p.pattern, Keys: eval.Table{N: 1},
+				Filter: shippableFilter(conjuncts, shipped, varSet(p.pattern))},
+			tc: ctx.nextTC(ctx.tc), replies: make([]eval.Table, len(p.postings)), end: at,
+		}
+		n += len(p.postings)
+	}
+	targets := waveTargets(plans)
+	// The requests' units, target after target, filled before any is sent.
+	units := make([]overlay.MatchUnit, 0, n)
+	for _, t := range targets {
+		for _, u := range t.units {
+			units = append(units, pats[u.plan].unit)
+		}
+	}
+	sequential := len(plans) == 1 && plans[0].stopOnFirst
+	start, done := at, at
+	// One call closure reused across targets (and retry attempts); the
+	// captured request is re-pointed per target.
+	var (
+		target simnet.Addr
+		req    overlay.MatchReq
+	)
+	match := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
+		return e.sys.Net().Call(ctx.initiator, target, overlay.MethodMatch, req, at)
+	}
+	for _, t := range targets {
+		sent := units[:len(t.units):len(t.units)]
+		units = units[len(t.units):]
+		// The request is a message span of its first unit's pattern, as a
+		// one-pattern fan-out's requests are; sequence 0 is left unused.
+		first := t.units[0]
+		target = t.node
+		req = overlay.MatchReq{Units: sent, Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope,
+			TC: pats[first.plan].tc.Child(uint64(first.posting + 1))}
+		resp, end, err := simnet.Retry(simnet.DefaultAttempts, start, match)
+		done = simnet.MaxTime(done, end)
+		for _, u := range t.units {
+			pats[u.plan].end = simnet.MaxTime(pats[u.plan].end, end)
+		}
+		if sequential {
+			start = end
+		}
+		if err != nil {
+			if simnet.IsLost(err) {
+				// The target is alive but the link stayed lossy past the
+				// retry budget: dropping its contribution would silently
+				// truncate the result, so the query fails explicitly.
+				return siteSet{}, end, &PartialFailureError{
+					Method: overlay.MethodMatch, Missing: []simnet.Addr{t.node}, Err: err}
+			}
+			// Unreachable target: its triples left the dataset; every
+			// pattern listing it drops the stale posting, and the answer is
+			// over the remaining providers.
+			for k, u := range t.units {
+				e.dropStale(ctx, plans[u.plan], t.node, ctx.initiator, req.TC.Child(uint64(k+1)), end)
+			}
+			continue
+		}
+		tables := resp.(overlay.MatchResp).Tables
+		for k, u := range t.units {
+			ctx.countSubquery(t.node)
+			pats[u.plan].replies[u.posting] = tables[k]
+		}
+		if sequential && tables[0].N > 0 {
+			break // existence settled: the remaining targets are not asked
+		}
+	}
+	// Each pattern's replies are accumulated in its postings order, so its
+	// rows come in the order a fan-out of its own would give them; the
+	// pattern results are joined left to right.
+	var rows eval.Table
+	for i, p := range plans {
+		acc := eval.NewMatches(pats[i].unit.Keys, p.totalFreq())
+		for _, t := range pats[i].replies {
+			acc.Add(t)
+		}
+		if ctx.rec != nil {
+			ctx.opSpan(pats[i].tc, "dqp.pattern", string(ctx.initiator),
+				e.opts.Strategy.String()+" "+p.pattern.String(), at, pats[i].end)
+		}
+		switch {
+		case len(plans) == 1:
+			return siteSet{sols: matchSolutions(acc, filter), site: ctx.initiator}, done, nil
+		case i == 0:
+			rows = acc.Table()
+		default:
+			rows = eval.JoinTables(rows, acc.Table())
+		}
+	}
+	// Conjuncts referring to variables of several patterns were never
+	// shipped; the whole filter applies, idempotent for the shipped ones.
+	return siteSet{sols: solutionsOf(rows.Vars, rows.N, rows.Row, filter), site: ctx.initiator}, done, nil
+}
+
+// waveUnit is one (pattern, target) pair of a wave: the plan and the
+// target's position in the plan's postings.
+type waveUnit struct{ plan, posting int }
+
+// waveTarget is one store.match of a wave: a target and the units it is
+// asked for, in plan order.
+type waveTarget struct {
+	node  simnet.Addr
+	units []waveUnit
+}
+
+// waveTargets groups the plans' postings by target, targets in the order
+// the plans first list them.
+func waveTargets(plans []patternPlan) []waveTarget {
+	out := make([]waveTarget, 0, len(plans[0].postings))
+	at := make(map[simnet.Addr]int, len(plans[0].postings))
+	for i, p := range plans {
+		for fi, q := range p.postings {
+			k, ok := at[q.Node]
+			if !ok {
+				k = len(out)
+				at[q.Node] = k
+				out = append(out, waveTarget{node: q.Node})
+			}
+			out[k].units = append(out[k].units, waveUnit{plan: i, posting: fi})
+		}
+	}
+	return out
 }
 
 // sharedTarget returns a storage node present in both plans' target sets
@@ -850,20 +1015,20 @@ func (p patternMatches) result() flatSet {
 	return flatSet{rows: p.acc.Join(p.seeds), site: p.site}
 }
 
-// execPatternBasic: the sub-query ships with the partial solutions to the
-// pattern's index node, which projects the keys, fans them out to every
-// target in parallel — the unit key to the targets unitKeyed names — and
-// joins the union of the replies with the rows it was handed (Sect. IV-C
-// basic). High parallelism and every reply travels back, but keys go out
-// only where they pay and only the pattern's own matches come in: low
-// response time, and under the pipeline the fewest bytes as well.
+// execPatternBasic, the pipeline's basic step: the sub-query ships with the
+// partial solutions to the pattern's index node, which projects the keys,
+// fans them out to every target in parallel — the unit key to the targets
+// unitKeyed names — and joins the union of the replies with the rows it was
+// handed (Sect. IV-C basic). High parallelism and every reply travels back,
+// but keys go out only where they pay and only the pattern's own matches
+// come in: low response time and the fewest bytes of any pipeline.
 func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (patternMatches, simnet.VTime, error) {
 	assembly := plan.index
 	if assembly == "" { // flooding: assemble at the seeds' current site
 		assembly = seeds.site
 	}
-	base := overlay.MatchReq{Pattern: plan.pattern, Filter: filter, Keys: keys,
-		Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope}
+	keyed := []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: keys}}
+	base := overlay.MatchReq{Units: keyed, Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope}
 	now := at
 	if seeds.site != assembly {
 		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows}
@@ -873,6 +1038,10 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 			return patternMatches{}, done, err
 		}
 		now = done
+	}
+	unitKey := keyed
+	if unit != nil {
+		unitKey = []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: eval.Table{N: 1}}}
 	}
 	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
 	finish := now
@@ -892,10 +1061,16 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 		r := base
 		r.TC = patTC.Child(uint64(fi + 1))
 		if unit.has(fi) {
-			r.Keys = eval.Table{N: 1}
+			r.Units = unitKey
 		}
 		req = r
 		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, match)
+		finish = simnet.MaxTime(finish, done)
+		if plan.stopOnFirst {
+			// ASK over one pattern asks one target at a time, each when the
+			// one before answered empty: fewer messages, sequential latency
+			now = done
+		}
 		if err != nil {
 			if simnet.IsLost(err) {
 				// The target is alive but the link stayed lossy past the
@@ -906,19 +1081,13 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 			}
 			// Unreachable target: its triples left the dataset; drop the
 			// stale postings and answer over the remaining providers.
-			finish = simnet.MaxTime(finish, done)
-			e.dropStale(ctx, plan, p.Node, assembly, req.TC, done)
+			e.dropStale(ctx, plan, p.Node, assembly, req.TC.Child(1), done)
 			continue
 		}
 		ctx.countSubquery(p.Node)
-		acc.Add(resp.(eval.Table))
-		finish = simnet.MaxTime(finish, done)
+		acc.Add(resp.(overlay.MatchResp).Tables[0])
 		if plan.stopOnFirst && acc.Len() > 0 {
-			// existence settled: remaining targets are not contacted (the
-			// sequential early exit trades the parallel fan-out's latency
-			// for fewer messages)
-			finish = done
-			break
+			break // existence settled: the remaining targets are not asked
 		}
 	}
 	return patternMatches{acc: acc, seeds: seeds.rows, rowsKeys: rowsKeys, site: assembly}, finish, nil
@@ -950,7 +1119,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	if plan.index != "" && prev != plan.index {
 		dispatchTC := patTC.Child(0)
 		done, err := e.transferRetry(prev, plan.index, methodDispatch,
-			overlay.MatchReq{Pattern: plan.pattern, Filter: filter, Keys: sent,
+			overlay.MatchReq{Units: []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: sent}},
 				Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope,
 				TC: dispatchTC}, now)
 		if err != nil {
@@ -980,7 +1149,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, ke
 		now = done
 		if err != nil {
 			if errors.Is(err, simnet.ErrUnreachable) {
-				e.dropStale(ctx, plan, target.Node, prev, hopTC, now)
+				e.dropStale(ctx, plan, target.Node, prev, hopTC.Child(1), now)
 				continue // forward from the same node to the next target
 			}
 			// A hop still lost after retries already surfaced as a typed
@@ -1051,7 +1220,7 @@ func addrsOf(ps []overlay.Posting) []simnet.Addr {
 // postings and forwards the retraction to its replica successors. The
 // notification is fire-and-forget — the query never waits for cleanup —
 // but it travels over the fabric, so retraction traffic is accounted and
-// visible as Stats.RetractionBytes.
+// visible as Stats.RetractionBytes. tc is the notification's own context.
 func (e *Engine) dropStale(ctx *qctx, plan patternPlan, node, observer simnet.Addr, tc trace.TraceContext, at simnet.VTime) {
 	ctx.countDrop()
 	e.cache.dropNode(node)
@@ -1060,7 +1229,7 @@ func (e *Engine) dropStale(ctx *qctx, plan patternPlan, node, observer simnet.Ad
 	}
 	//adhoclint:faultpath(fire-and-forget, the timeout cleanup notification is accounted traffic but never extends the query's critical path; a lost notification is repaired by the next observer or by DropStorageEverywhere)
 	e.sys.Net().Send(observer, plan.index, overlay.MethodDropNode,
-		overlay.DropNodeReq{Node: node, Propagate: true, TC: tc.Child(1)}, at)
+		overlay.DropNodeReq{Node: node, Propagate: true, TC: tc}, at)
 }
 
 // reorderPlans orders patterns by the location-table frequency statistics:

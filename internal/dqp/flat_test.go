@@ -62,7 +62,8 @@ func TestChainHopChargesItsMatchRequest(t *testing.T) {
 		for _, fromNamed := range [][]string{nil, {"urn:g2", "urn:g3"}} {
 			req := full
 			req.Graph, req.FromNamed = graph, fromNamed
-			hop := chainPayload{Pattern: req.Pattern, Filter: req.Filter, Keys: req.Keys,
+			u := req.Units[0]
+			hop := chainPayload{Pattern: u.Pattern, Filter: u.Filter, Keys: u.Keys,
 				Dataset: req.Dataset, Graph: req.Graph, FromNamed: req.FromNamed, TC: req.TC}
 			if got, want := hop.SizeBytes(), req.SizeBytes()+4; got != want {
 				t.Errorf("GRAPH %v, FROM NAMED %v: hop charged %d B, its match request %d B + 4", graph, fromNamed, got, want-4)

@@ -27,7 +27,7 @@ func init() {
 
 		overlay.PutReq{}, overlay.PutBatchReq{}, overlay.LookupReq{},
 		overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
-		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.SolutionsResp{},
+		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.SolutionsResp{},
 		overlay.CountReq{}, overlay.CountResp{}, overlay.TriplesResp{},
 		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},
 
@@ -38,7 +38,7 @@ func init() {
 		rdfpeers.IntersectReq{}, rdfpeers.TermsResp{}, rdfpeers.RangeReq{},
 		rdfpeers.RangeResp{}, rdfpeers.TriplesPayload{},
 
-		// MatchReq and chainPayload carry a pushed-down FILTER as a
+		// MatchUnit and chainPayload carry a pushed-down FILTER as a
 		// sparql.Expression interface value.
 		&sparql.ExprVar{}, &sparql.ExprTerm{}, &sparql.ExprOr{},
 		&sparql.ExprAnd{}, &sparql.ExprNot{}, &sparql.ExprNeg{},

@@ -1,6 +1,7 @@
 package dqp
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -33,10 +34,11 @@ func roundTrip(t *testing.T, label string, p simnet.Payload) {
 func TestMethodPayloadsRoundTrip(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range methodSamples() {
-		if seen[c.method] {
-			t.Errorf("method %q appears twice in the table", c.method)
+		sample := fmt.Sprintf("%s %#v", c.method, c.req)
+		if seen[sample] {
+			t.Errorf("method %q: the same sample appears twice in the table", c.method)
 		}
-		seen[c.method] = true
+		seen[sample] = true
 		roundTrip(t, c.method+" request", c.req)
 		roundTrip(t, c.method+" response", c.resp)
 	}

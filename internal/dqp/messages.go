@@ -34,7 +34,11 @@ func (d dispatchPayload) TraceCtx() trace.TraceContext { return d.Sub.TC }
 
 // SizeBytes implements simnet.Payload.
 func (d dispatchPayload) SizeBytes() int {
-	return d.Sub.SizeBytes() - d.Sub.Keys.SizeBytes() + d.Rows.SizeBytes()
+	n := d.Sub.SizeBytes() + d.Rows.SizeBytes()
+	for _, u := range d.Sub.Units {
+		n -= u.Keys.SizeBytes()
+	}
+	return n
 }
 
 // chainPayload is the message forwarded along a chain of target storage

@@ -8,12 +8,15 @@
 // discusses:
 //
 //   - Strategy selects how one triple pattern's target storage nodes are
-//     processed: Basic (parallel fan-out with union at the index node,
-//     Sect. IV-C "basic query processing"), Chain (the query and
-//     accumulated solutions forwarded through the target list — in-network
-//     aggregation, first optimization), and FreqChain (targets visited in
-//     increasing location-table frequency order with the final, largest
-//     node returning directly to the initiator — "further optimization").
+//     processed: Basic (parallel fan-out, Sect. IV-C "basic query
+//     processing" — under the pipeline from the pattern's index node, which
+//     unions the replies; under parallel-join from the initiator, every
+//     pattern of a BGP in one wave of one request per provider), Chain
+//     (the query and accumulated solutions forwarded through the target
+//     list — in-network aggregation, first optimization), and FreqChain
+//     (targets visited in increasing location-table frequency order with
+//     the final, largest node returning directly to the initiator —
+//     "further optimization").
 //
 //   - Conjunction selects how multi-pattern BGPs combine: Pipeline feeds
 //     each pattern the partial solutions of the ones before it
@@ -23,8 +26,8 @@
 //     the rows they can spare, only the pattern's own matches travel back,
 //     and the join with the full rows runs where those already are;
 //     ParallelJoin evaluates patterns independently and joins at an
-//     assembly site, preferring a storage node shared by both target sets
-//     (Sect. IV-D optimization).
+//     assembly site — for the chains preferring a storage node shared by
+//     both target sets, for basic the initiator (Sect. IV-D optimization).
 //
 //   - JoinSite selects where a binary merge happens when the operand sites
 //     differ: MoveSmall ships the smaller multiset to the larger's site,
@@ -40,12 +43,14 @@ type Strategy int
 // Per-pattern strategies.
 const (
 	// StrategyBasic fans the sub-query out to all target storage nodes in
-	// parallel and unions the replies at the pattern's index node: lowest
-	// response time, and every reply travels back. The requests carry keys,
-	// not rows, and carry them target by target only where the keys are
-	// smaller than the rows they can spare (unitKeyed), so under the
-	// pipeline it is also the conjunction shipping the fewest bytes
-	// (EXPERIMENTS.md E9).
+	// parallel: lowest response time, and every reply travels back. Under
+	// the pipeline the fan-out and the union of the replies happen at the
+	// pattern's index node, and the requests carry keys, not rows, target by
+	// target only where the keys are smaller than the rows they can spare
+	// (unitKeyed), so reordered it ships the fewest bytes (EXPERIMENTS.md
+	// E9). Under parallel-join a BGP's patterns leave the initiator in one
+	// wave, one request per provider for all the patterns listing it, and
+	// are joined there: the fewest messages (EXPERIMENTS.md finding 6).
 	StrategyBasic Strategy = iota
 	// StrategyChain forwards the sub-query along the target list, each node
 	// merging its local matches into the accumulated set: in-network
@@ -97,8 +102,9 @@ const (
 	// with the full solutions at the assembly site.
 	ConjPipeline Conjunction = iota
 	// ConjParallelJoin evaluates each pattern over its own target set
-	// independently (in parallel) and joins at an assembly site, chosen by
-	// target-set overlap when possible.
+	// independently (in parallel) and joins at an assembly site: for the
+	// chains one chosen by target-set overlap when possible, for basic the
+	// initiator, where its wave's replies land.
 	ConjParallelJoin
 )
 
@@ -169,12 +175,22 @@ type Options struct {
 	CacheLookups bool
 }
 
-// DefaultOptions matches the paper's fully optimized configuration:
-// frequency-ordered chains, overlap-aware parallel joins, move-small
-// placement, filter pushing and join reordering.
+// DefaultOptions is the configuration the measurements pick, not the one
+// the paper calls fully optimized: basic patterns under parallel-join — each
+// BGP one wave of store.match requests from the initiator, one per provider
+// — with move-small placement, filter pushing and join reordering. The rule:
+// the default is no worse than BaselineOptions on bytes, virtual response
+// time and messages for every query class at join_mix scale
+// (TestDefaultNoWorseThanBaselineAtJoinMixScale), and no E9 configuration
+// beats it on all three columns at once (E9 at seed 0: 87.08 KiB, 36
+// messages, 26.70 ms). The paper's freq-chain default failed the first
+// condition on every class, shipping 4.4–7.5× the baseline's bytes: a chain
+// carries its accumulated rows once per remaining hop, and its hops are
+// sequential (EXPERIMENTS.md finding 1). The chains stay available as the
+// paper describes them.
 func DefaultOptions() Options {
 	return Options{
-		Strategy:     StrategyFreqChain,
+		Strategy:     StrategyBasic,
 		Conjunction:  ConjParallelJoin,
 		JoinSite:     JoinSiteMoveSmall,
 		PushFilters:  true,

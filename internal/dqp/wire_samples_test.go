@@ -44,13 +44,21 @@ func methodSamples() []methodSample {
 	matches := eval.Table{Vars: []string{"s", "o"},
 		Terms: []rdf.Term{rdf.NewIRI("urn:s"), rdf.NewLangLiteral("hi", "en")}, N: 1}
 	matchReq := overlay.MatchReq{
-		Pattern:   pattern,
-		Filter:    filter,
-		Keys:      keys,
+		Units:     []overlay.MatchUnit{{Pattern: pattern, Filter: filter, Keys: keys}},
 		Dataset:   []string{"urn:g1"},
 		Graph:     rdf.NewIRI("urn:g1"),
 		FromNamed: []string{"urn:g2"},
 	}
+	// A wave's request: three patterns of one BGP for one target, each under
+	// the unit key, answered with one table per unit.
+	waveReq := matchReq
+	waveReq.Units = []overlay.MatchUnit{
+		{Pattern: pattern, Filter: filter, Keys: eval.Table{N: 1}},
+		{Pattern: rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("urn:q"), rdf.NewIRI("urn:s")), Keys: eval.Table{N: 1}},
+		{Pattern: rdf.NewTriple(rdf.NewVar("o"), rdf.NewIRI("urn:p"), rdf.NewVar("t")), Keys: eval.Table{N: 1}},
+	}
+	waveResp := overlay.MatchResp{Tables: []eval.Table{matches,
+		{Vars: []string{"s"}, Terms: []rdf.Term{rdf.NewIRI("urn:s")}, N: 1}, {Vars: []string{"o", "t"}}}}
 	ref := chord.Ref{ID: 42, Addr: "c2"}
 	ack := simnet.Bytes(1)
 
@@ -81,7 +89,8 @@ func methodSamples() []methodSample {
 		{overlay.MethodReplica, rows, ack},
 
 		// Overlay storage-node methods.
-		{overlay.MethodMatch, matchReq, matches},
+		{overlay.MethodMatch, matchReq, overlay.MatchResp{Tables: []eval.Table{matches}}},
+		{overlay.MethodMatch, waveReq, waveResp},
 		{overlay.MethodChainHop, chainPayload{
 			Pattern:   pattern,
 			Filter:    filter,

@@ -9,33 +9,40 @@ import (
 	"adhocshare/internal/workload"
 )
 
-// TestSubQueryRequestsStayBelowRepliesAtJoinMixScale runs the benchmark's
-// five query classes under the baseline options (basic fan-out, pipeline)
-// on a deployment of join_mix's size — 1000 persons over 20 providers
-// behind 16 index nodes, an order of magnitude past the experiment tables —
-// and holds each query to the claim the key rule makes: a target is sent
-// keys only where they are smaller than the rows they can spare, so what
-// the store.match requests of a query carry never outweighs what its replies
+// joinMixScale builds a deployment of join_mix's size — 1000 persons over 20
+// providers behind 16 index nodes, an order of magnitude past the
+// experiment tables — and returns it with the benchmark's five query
+// classes and the dataset.
+func joinMixScale(t *testing.T, seed int64) (*deployment, *workload.Dataset, []struct{ name, q string }) {
+	t.Helper()
+	d := workload.Generate(workload.Config{
+		Persons: 1000, Providers: 20, AvgKnows: 4, ZipfS: 1.3,
+		KnowsNothingFraction: 0.3, Seed: seed,
+	})
+	dep, err := buildDeployment(Params{}, 16, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dep, d, []struct{ name, q string }{
+		{"conj", workload.QueryConjunction()},
+		{"optional", workload.QueryOptional("Smith")},
+		{"union", workload.QueryUnion(d.PopularPerson)},
+		{"filter", workload.QueryFilter("Smith")},
+		{"fig4", workload.QueryFig4("Smith")},
+	}
+}
+
+// TestSubQueryRequestsStayBelowRepliesAtJoinMixScale runs the five classes
+// under the baseline options (basic fan-out, pipeline) at join_mix scale and
+// holds each query to the claim the key rule makes: a target is sent keys
+// only where they are smaller than the rows they can spare, so what the
+// store.match requests of a query carry never outweighs what its replies
 // bring back. The answers are held to the centralized oracle.
 func TestSubQueryRequestsStayBelowRepliesAtJoinMixScale(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
-		d := workload.Generate(workload.Config{
-			Persons: 1000, Providers: 20, AvgKnows: 4, ZipfS: 1.3,
-			KnowsNothingFraction: 0.3, Seed: seed,
-		})
-		dep, err := buildDeployment(Params{}, 16, d)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dep, d, classes := joinMixScale(t, seed)
 		union := d.UnionGraph()
 		providers := d.Providers()
-		classes := []struct{ name, q string }{
-			{"conj", workload.QueryConjunction()},
-			{"optional", workload.QueryOptional("Smith")},
-			{"union", workload.QueryUnion(d.PopularPerson)},
-			{"filter", workload.QueryFilter("Smith")},
-			{"fig4", workload.QueryFig4("Smith")},
-		}
 		for i, c := range classes {
 			before := dep.sys.Net().Metrics()
 			res, _, err := dep.runQuery(dqp.BaselineOptions(), providers[i%len(providers)], c.q)
@@ -55,6 +62,41 @@ func TestSubQueryRequestsStayBelowRepliesAtJoinMixScale(t *testing.T) {
 			}
 			if solKey(res.Solutions) != solKey(want) {
 				t.Errorf("seed %d, %s: %d solutions, the centralized oracle has %d", seed, c.name, len(res.Solutions), len(want))
+			}
+		}
+	}
+}
+
+// TestDefaultNoWorseThanBaselineAtJoinMixScale is the rule DefaultOptions is
+// chosen by: on every one of join_mix's five classes, at join_mix scale and
+// with the initiators the benchmark sweep uses, the default ships no more
+// bytes, takes no more virtual time and sends no more messages than the
+// baseline, and both answer what the centralized oracle answers. The paper's
+// freq-chain default failed it on every class by bytes and time.
+func TestDefaultNoWorseThanBaselineAtJoinMixScale(t *testing.T) {
+	for _, seed := range []int64{1, 7} {
+		dep, d, classes := joinMixScale(t, seed)
+		union := d.UnionGraph()
+		providers := d.Providers()
+		for i, c := range classes {
+			want := solKey(centralOracle(t, union, c.q))
+			var stats [2]dqp.Stats
+			for k, opts := range []dqp.Options{dqp.DefaultOptions(), dqp.BaselineOptions()} {
+				res, s, err := dep.runQuery(opts, providers[i%len(providers)], c.q)
+				if err != nil {
+					t.Fatalf("seed %d, %s, %+v: %v", seed, c.name, opts, err)
+				}
+				if solKey(res.Solutions) != want {
+					t.Errorf("seed %d, %s, %+v: the answer differs from the centralized oracle's", seed, c.name, opts)
+				}
+				stats[k] = s
+			}
+			def, base := stats[0], stats[1]
+			t.Logf("seed %d, %-8s default %8s KiB %8s ms %4d msgs | baseline %8s KiB %8s ms %4d msgs", seed, c.name,
+				kb(def.Bytes), ms(def.ResponseTime), def.Messages, kb(base.Bytes), ms(base.ResponseTime), base.Messages)
+			if def.Bytes > base.Bytes || def.ResponseTime > base.ResponseTime || def.Messages > base.Messages {
+				t.Errorf("seed %d, %s: the default costs %d B / %v / %d msgs, the baseline %d B / %v / %d msgs",
+					seed, c.name, def.Bytes, def.ResponseTime, def.Messages, base.Bytes, base.ResponseTime, base.Messages)
 			}
 		}
 	}

@@ -3,7 +3,7 @@ package overlay
 // Workload-adaptive hot-key replication (initiator side).
 //
 // LookupClient is the one lookup entry point for query engines. On a
-// static system (Config.Adaptive off) it sends exactly the legacy
+// static system (Config.Adaptive off) it sends exactly the paper's
 // resolve-then-lookup message sequence with a zero epoch, byte-identical
 // to the pre-adaptive wire format. On an adaptive system it stamps each
 // lookup with the current stabilization epoch, remembers the replica

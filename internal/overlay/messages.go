@@ -240,19 +240,15 @@ func (r DropNodeReq) SizeBytes() int {
 // TraceCtx implements trace.Carrier.
 func (r DropNodeReq) TraceCtx() trace.TraceContext { return r.TC }
 
-// MatchReq asks a storage node for its matches of one triple pattern, once
-// per key: Keys is the distinct projection of the partial solutions onto
-// the variables the pattern shares with them (the unit key when there are
-// none, or when the sender found the keys larger than the rows they could
-// spare this node), and the reply is an eval.Table over the pattern's variables that
-// the sender joins with the full rows it kept — the semi-join form of the
-// in-network aggregation of Sect. IV-C. Filter, when non-nil, mentions only
-// variables of the reply and is applied before it is returned — the shipped
-// form of the pushed-down FILTER of Sect. IV-G.
+// MatchReq asks a storage node for its matches of one or more triple
+// patterns of one BGP, one unit per pattern, all under one dataset scope.
+// The reply is a MatchResp with one table per unit, in unit order. A
+// pattern evaluated on its own is a request of one unit; a BGP whose
+// patterns leave the initiator together sends each target one request
+// carrying a unit for every pattern that lists it (Sect. IV-C basic: the
+// patterns are evaluated in parallel).
 type MatchReq struct {
-	Pattern rdf.Triple
-	Filter  sparql.Expression
-	Keys    eval.Table
+	Units []MatchUnit
 	// Dataset lists the FROM graph IRIs scoping the query's default graph
 	// (nil = the union of everything each provider shares, Sect. IV-A).
 	Dataset []string
@@ -271,21 +267,62 @@ type MatchReq struct {
 // TraceCtx implements trace.Carrier.
 func (r MatchReq) TraceCtx() trace.TraceContext { return r.TC }
 
-// SizeBytes implements simnet.Payload.
+// SizeBytes implements simnet.Payload. Every unit is charged what it would
+// cost as a request of its own, scope included: batching saves messages and
+// hop latency, never bytes.
 func (r MatchReq) SizeBytes() int {
-	n := 8 + r.TC.SizeBytes() + r.Pattern.SizeBytes()
-	if r.Filter != nil {
-		n += len(r.Filter.String())
-	}
-	n += r.Keys.SizeBytes()
+	scope := 0
 	for _, g := range r.Dataset {
-		n += len(g)
+		scope += len(g)
 	}
 	if !r.Graph.IsZero() {
-		n += r.Graph.SizeBytes()
+		scope += r.Graph.SizeBytes()
 	}
 	for _, g := range r.FromNamed {
-		n += len(g)
+		scope += len(g)
+	}
+	n := r.TC.SizeBytes()
+	for _, u := range r.Units {
+		n += 8 + u.SizeBytes() + scope
+	}
+	return n
+}
+
+// MatchUnit is one pattern of a MatchReq, asked once per key: Keys is the
+// distinct projection of the partial solutions onto the variables the
+// pattern shares with them (the unit key when there are none, or when the
+// sender found the keys larger than the rows they could spare this node),
+// and its reply is an eval.Table over the pattern's variables that the
+// sender joins with the full rows it kept — the semi-join form of the
+// in-network aggregation of Sect. IV-C. Filter, when non-nil, mentions only
+// variables of the reply and is applied before it is returned — the shipped
+// form of the pushed-down FILTER of Sect. IV-G.
+type MatchUnit struct {
+	Pattern rdf.Triple
+	Filter  sparql.Expression
+	Keys    eval.Table
+}
+
+// SizeBytes is the unit's wire size without the request's scope.
+func (u MatchUnit) SizeBytes() int {
+	n := u.Pattern.SizeBytes() + u.Keys.SizeBytes()
+	if u.Filter != nil {
+		n += len(u.Filter.String())
+	}
+	return n
+}
+
+// MatchResp answers a MatchReq: Tables[i] holds the matches of Units[i].
+type MatchResp struct {
+	Tables []eval.Table
+}
+
+// SizeBytes implements simnet.Payload: each table is charged as the reply
+// of a request of its own unit would be.
+func (r MatchResp) SizeBytes() int {
+	n := 0
+	for _, t := range r.Tables {
+		n += t.SizeBytes()
 	}
 	return n
 }

@@ -301,14 +301,24 @@ func TestStorageNodeMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := MatchReq{Pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")},
-		Keys: eval.Table{N: 1}} // the unit key
+	// two units under the unit key: one table back per unit, in unit order
+	req := MatchReq{Units: []MatchUnit{
+		{Pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")}, Keys: eval.Table{N: 1}},
+		{Pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("name"), O: rdf.NewVar("n")}, Keys: eval.Table{N: 1}},
+	}}
 	resp, _, err := s.Net().Call("idx-00", "D1", MethodMatch, req, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows := resp.(eval.Table); rows.N != 2 || len(rows.Vars) != 2 {
-		t.Errorf("match returned %d rows over %v, want 2 over [x y]", rows.N, rows.Vars)
+	tables := resp.(MatchResp).Tables
+	if len(tables) != 2 {
+		t.Fatalf("match returned %d tables for 2 units", len(tables))
+	}
+	if rows := tables[0]; rows.N != 2 || len(rows.Vars) != 2 {
+		t.Errorf("knows unit returned %d rows over %v, want 2 over [x y]", rows.N, rows.Vars)
+	}
+	if rows := tables[1]; rows.N != 1 || rows.Vars[1] != "n" {
+		t.Errorf("name unit returned %d rows over %v, want 1 over [x n]", rows.N, rows.Vars)
 	}
 }
 
@@ -680,8 +690,8 @@ func TestPayloadSizes(t *testing.T) {
 		TransferReq{From: 1, To: 2},
 		TableRows{Rows: map[chord.ID][]Posting{1: {{Node: "D1", Freq: 1}}}},
 		DropNodeReq{Node: "D1"},
-		MatchReq{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}},
-		eval.Table{},
+		MatchReq{Units: []MatchUnit{{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}}}},
+		MatchResp{Tables: []eval.Table{{}}},
 		SolutionsResp{},
 		CountReq{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}},
 		CountResp{N: 1},

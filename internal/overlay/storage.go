@@ -201,7 +201,11 @@ func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payl
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: match payload %T", req)
 		}
-		return s.MatchKeys(r.Pattern, r.Filter, r.Keys, r.Dataset, r.FromNamed, r.Graph), at, nil
+		out := MatchResp{Tables: make([]eval.Table, len(r.Units))}
+		for i, u := range r.Units {
+			out.Tables[i] = s.MatchKeys(u.Pattern, u.Filter, u.Keys, r.Dataset, r.FromNamed, r.Graph)
+		}
+		return out, at, nil
 	case MethodChainHop:
 		// Pure data arrival in a forwarding chain; the local evaluation is
 		// performed via MatchKeys by the chain driver. Acknowledge only.

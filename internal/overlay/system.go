@@ -24,7 +24,7 @@ type Config struct {
 	// Replication is the number of copies of each location-table posting
 	// (default 2: primary plus one successor replica).
 	Replication int
-	// SerialPublish selects the legacy publication pipeline: per-key
+	// SerialPublish selects the paper's publication pipeline: per-key
 	// FindSuccessor resolution and one PutBatch shipment at a time. The
 	// default (false) resolves all keys with one batched FindSuccessor and
 	// ships the per-owner batches in parallel; the serial path is retained
@@ -428,9 +428,10 @@ func (s *System) installPostingsMode(node *StorageNode, freq map[chord.ID]int, a
 	return s.installPostingsParallel(node, keys, freq, absolute, tc, at)
 }
 
-// installPostingsSerial is the legacy pipeline: keys resolved one blocking
-// FindSuccessor at a time, then one PutBatch per owner, each waiting for
-// the previous — the ingest critical path grows linearly with key count.
+// installPostingsSerial is the paper's serial pipeline, E2's comparison arm:
+// keys resolved one blocking FindSuccessor at a time, then one PutBatch per
+// owner, each waiting for the previous — the ingest critical path grows
+// linearly with key count.
 func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
 	batches := map[simnet.Addr][]KeyFreq{}
 	now := at

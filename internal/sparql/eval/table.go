@@ -31,7 +31,8 @@ func (t Table) Row(i int) []rdf.Term {
 	return t.Terms[i*w : (i+1)*w : (i+1)*w]
 }
 
-// SizeBytes implements simnet.Payload: a store.match reply is a bare Table.
+// SizeBytes is the wire size of the rows: a store.match reply carries one
+// Table per unit it answers, each charged this.
 func (t Table) SizeBytes() int {
 	n := 4 + t.N*rowOverhead(t.Vars)
 	for _, term := range t.Terms {
