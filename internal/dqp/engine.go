@@ -278,26 +278,27 @@ func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VT
 		return nil, done, err
 	}
 	// Post-processing happens at the initiator: ship the final solutions
-	// home first (Fig. 3 "Post-Processing").
+	// home first (Fig. 3 "Post-Processing"). Only there do the rows become
+	// mappings, once.
 	shipped := done
-	res, done, err = e.shipTo(ctx, res, ctx.initiator, methodResult, done)
+	res, done, err = e.ship(ctx, res, ctx.initiator, methodResult, done)
 	ctx.stage("ship-result", shipped, done)
 	if err != nil {
 		return nil, done, err
 	}
 
-	out := &Result{Plan: op.String(), Solutions: res.sols}
+	out := &Result{Plan: op.String(), Solutions: solutionsOf(res)}
 	switch q.Form {
 	case sparql.FormSelect:
 		out.Vars = op.Vars()
 	case sparql.FormAsk:
 		out.IsAsk = true
-		out.Ask = len(res.sols) > 0
+		out.Ask = len(out.Solutions) > 0
 	case sparql.FormConstruct:
-		out.Triples = eval.Construct(q.Template, res.sols)
+		out.Triples = eval.Construct(q.Template, res.flat().rows)
 	case sparql.FormDescribe:
 		var ts []rdf.Triple
-		ts, done, err = e.describe(ctx, q, res.sols, done)
+		ts, done, err = e.describe(ctx, q, res.flat().rows, done)
 		if err != nil {
 			return nil, done, err
 		}
@@ -312,7 +313,7 @@ func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VT
 // runBareDescribe handles DESCRIBE with no WHERE clause: the describe
 // terms are resolved directly.
 func (e *Engine) runBareDescribe(ctx *qctx, q *sparql.Query, at simnet.VTime) (*Result, simnet.VTime, error) {
-	ts, done, err := e.describe(ctx, q, nil, at)
+	ts, done, err := e.describe(ctx, q, eval.Table{}, at)
 	ctx.stage("describe", at, done)
 	if err != nil {
 		return nil, done, err
@@ -322,28 +323,28 @@ func (e *Engine) runBareDescribe(ctx *qctx, q *sparql.Query, at simnet.VTime) (*
 }
 
 // describe fetches all triples whose subject is one of the describe terms
-// (constants, or variable bindings from the WHERE clause), one sequential
-// sub-query per resource in rdf.Compare order: span IDs, start times and
-// loss draws follow the visiting order, so it must not be a map's.
-func (e *Engine) describe(ctx *qctx, q *sparql.Query, sols eval.Solutions, at simnet.VTime) ([]rdf.Triple, simnet.VTime, error) {
+// (constants, or variable bindings from the WHERE clause's rows), one
+// sequential sub-query per resource in rdf.Compare order: span IDs, start
+// times and loss draws follow the visiting order, so it must not be a map's.
+func (e *Engine) describe(ctx *qctx, q *sparql.Query, rows eval.Table, at simnet.VTime) ([]rdf.Triple, simnet.VTime, error) {
 	resources := map[rdf.Term]bool{}
 	for _, t := range q.DescribeTerms {
-		if t.IsVar() {
-			for _, b := range sols {
-				if v, ok := b[t.Value]; ok {
+		if !t.IsVar() {
+			resources[t] = true
+			continue
+		}
+		if c := slices.Index(rows.Vars, t.Value); c >= 0 {
+			for i := 0; i < rows.N; i++ {
+				if v := rows.Row(i)[c]; !v.IsZero() {
 					resources[v] = true
 				}
 			}
-		} else {
-			resources[t] = true
 		}
 	}
 	if q.Star {
-		for _, b := range sols {
-			for _, v := range b {
-				if v.Kind == rdf.KindIRI {
-					resources[v] = true
-				}
+		for _, v := range rows.Terms {
+			if v.Kind == rdf.KindIRI {
+				resources[v] = true
 			}
 		}
 	}
@@ -362,13 +363,15 @@ func (e *Engine) describe(ctx *qctx, q *sparql.Query, sols eval.Solutions, at si
 		if err != nil {
 			return nil, now, err
 		}
-		res, done, err = e.shipTo(ctx, res, ctx.initiator, methodResult, now)
+		res, done, err = e.ship(ctx, res, ctx.initiator, methodResult, now)
 		now = done
 		if err != nil {
 			return nil, now, err
 		}
-		for _, b := range res.sols {
-			t := rdf.Triple{S: r, P: b["p"], O: b["o"]}
+		props := res.flat().rows
+		p, o := slices.Index(props.Vars, "p"), slices.Index(props.Vars, "o")
+		for i := 0; i < props.N; i++ {
+			t := rdf.Triple{S: r, P: props.Row(i)[p], O: props.Row(i)[o]}
 			if t.IsConcrete() && !seen[t] {
 				seen[t] = true
 				out = append(out, t)

@@ -17,29 +17,37 @@ import (
 	"adhocshare/internal/trace"
 )
 
-// siteSet is a solution multiset together with the node it currently
-// resides on — the unit of data the executor moves between sites above a
-// basic graph pattern.
-type siteSet struct {
-	sols eval.Solutions
-	site simnet.Addr
+// flatSet is a solution table together with the node it currently resides
+// on — the unit of data the executor moves between sites. A one-pattern
+// BGP's result leaves its rows where its accumulator holds them (matches)
+// until an operator needs them as one table, so a point query's matches
+// become result mappings with no copy in between.
+type flatSet struct {
+	rows    eval.Table
+	matches eval.MatchSet
+	site    simnet.Addr
 }
 
-// flatSet is siteSet's form inside execBGP: there every partial solution
-// binds the same variables, so the rows are one eval.Table.
-type flatSet struct {
-	rows eval.Table
-	site simnet.Addr
+// flat returns s with its rows in one table.
+func (s flatSet) flat() flatSet {
+	if s.matches.Rows != nil {
+		s.rows, s.matches = s.matches.Table(), eval.MatchSet{}
+	}
+	return s
+}
+
+// vars is the schema of s's rows.
+func (s flatSet) vars() []string {
+	if s.matches.Rows != nil {
+		return s.matches.Vars
+	}
+	return s.rows.Vars
 }
 
 // operand is one side of a binary merge as the join-site policies read it.
 type operand struct {
 	site        simnet.Addr
 	bytes, rows int
-}
-
-func (s siteSet) operand() operand {
-	return operand{site: s.site, bytes: s.sols.SizeBytes(), rows: len(s.sols)}
 }
 
 func (s flatSet) operand() operand {
@@ -54,7 +62,7 @@ func (c *qctx) unitSeed() flatSet {
 
 // exec evaluates an algebra operator distributedly and returns the
 // resulting solutions, their site and the virtual completion time.
-func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (siteSet, simnet.VTime, error) {
+func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	switch o := op.(type) {
 	case *algebra.BGP:
 		return e.execBGP(ctx, o.Patterns, nil, rdf.Term{}, at)
@@ -70,7 +78,7 @@ func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (siteSet, simne
 				return e.execBGP(ctx, bgp.Patterns, inner.Expr, o.Name, at)
 			}
 		}
-		return siteSet{}, at, errUnsupported(op)
+		return flatSet{}, at, errUnsupported(op)
 	case *algebra.Filter:
 		// A filter directly above a BGP ships with the sub-queries and
 		// runs at the storage nodes (Sect. IV-G filter pushing); otherwise
@@ -78,145 +86,95 @@ func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (siteSet, simne
 		if bgp, ok := o.Input.(*algebra.BGP); ok && e.opts.PushFilters {
 			return e.execBGP(ctx, bgp.Patterns, o.Expr, rdf.Term{}, at)
 		}
-		in, done, err := e.exec(ctx, o.Input, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		in.sols = eval.FilterSolutions(in.sols, o.Expr)
-		return in, done, nil
+		return e.execUnary(ctx, o.Input, false, at, func(t eval.Table) eval.Table { return t.Filter(o.Expr) })
 	case *algebra.Join:
-		l, r, done, err := e.execBranches(ctx, o.Left, o.Right, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		return e.mergeAt(ctx, l, r, done, func(a, b eval.Solutions) eval.Solutions {
-			return eval.Join(a, b)
-		})
+		return e.execMerge(ctx, o.Left, o.Right, at, eval.JoinTables)
 	case *algebra.LeftJoin:
-		l, r, done, err := e.execBranches(ctx, o.Left, o.Right, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
 		// OPTIONAL: the move-small placement of Sect. IV-E — but the left
-		// operand is the semantic anchor, so the merge function is not
-		// symmetric; mergeAt keeps operand order.
-		return e.mergeAt(ctx, l, r, done, func(a, b eval.Solutions) eval.Solutions {
-			return eval.LeftJoinFilter(a, b, o.Expr)
+		// operand is the semantic anchor, so the merge is not symmetric;
+		// merge keeps operand order.
+		return e.execMerge(ctx, o.Left, o.Right, at, func(a, b eval.Table) eval.Table {
+			return eval.LeftJoinTables(a, b, o.Expr)
 		})
 	case *algebra.Union:
-		l, r, done, err := e.execBranches(ctx, o.Left, o.Right, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		return e.mergeAt(ctx, l, r, done, func(a, b eval.Solutions) eval.Solutions {
-			return eval.Union(a, b)
-		})
+		return e.execMerge(ctx, o.Left, o.Right, at, eval.UnionTables)
 	case *algebra.Project:
 		in, done, err := e.exec(ctx, o.Input, at)
 		if err != nil {
-			return siteSet{}, done, err
+			return flatSet{}, done, err
 		}
-		in.sols = eval.Project(in.sols, o.Names)
+		// Keeping every column is the identity: a one-pattern BGP's matches
+		// stay where they are.
+		if slices.ContainsFunc(in.vars(), func(v string) bool { return !slices.Contains(o.Names, v) }) {
+			in = in.flat()
+			in.rows = in.rows.Project(o.Names)
+		}
 		return in, done, nil
 	case *algebra.Distinct:
-		in, done, err := e.exec(ctx, o.Input, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		in.sols = eval.Distinct(in.sols)
-		return in, done, nil
+		return e.execUnary(ctx, o.Input, false, at, eval.Table.Distinct)
 	case *algebra.Reduced:
-		in, done, err := e.exec(ctx, o.Input, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		in.sols = eval.Reduced(in.sols)
-		return in, done, nil
+		return e.execUnary(ctx, o.Input, false, at, eval.Table.Reduced)
 	case *algebra.OrderBy:
 		// Sorting is a solution-sequence modifier applied during
-		// post-processing at the initiator (Fig. 3).
-		in, done, err := e.exec(ctx, o.Input, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		in, done, err = e.shipTo(ctx, in, ctx.initiator, methodShip, done)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		in.sols = eval.Order(in.sols, o.Conds)
-		return in, done, nil
+		// post-processing at the initiator (Fig. 3), as is slicing.
+		return e.execUnary(ctx, o.Input, true, at, func(t eval.Table) eval.Table { return t.Order(o.Conds) })
 	case *algebra.Slice:
-		in, done, err := e.exec(ctx, o.Input, at)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		in, done, err = e.shipTo(ctx, in, ctx.initiator, methodShip, done)
-		if err != nil {
-			return siteSet{}, done, err
-		}
-		in.sols = eval.Slice(in.sols, o.Offset, o.Limit)
-		return in, done, nil
+		return e.execUnary(ctx, o.Input, true, at, func(t eval.Table) eval.Table { return t.Slice(o.Offset, o.Limit) })
 	default:
-		return siteSet{}, at, errUnsupported(op)
+		return flatSet{}, at, errUnsupported(op)
 	}
 }
 
-// execBranches evaluates two operands starting at the same virtual time —
-// the branches proceed in parallel on disjoint nodes, so the combined
-// completion is each branch's own completion (the merge step takes the
-// max).
-func (e *Engine) execBranches(ctx *qctx, left, right algebra.Op, at simnet.VTime) (l, r siteSet, done simnet.VTime, err error) {
+// execUnary evaluates input and applies f to its solutions where they
+// reside, or, home set, at the initiator.
+func (e *Engine) execUnary(ctx *qctx, input algebra.Op, home bool, at simnet.VTime, f func(eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
+	in, done, err := e.exec(ctx, input, at)
+	if err == nil && home {
+		in, done, err = e.ship(ctx, in, ctx.initiator, methodShip, done)
+	}
+	if err != nil {
+		return flatSet{}, done, err
+	}
+	in = in.flat()
+	in.rows = f(in.rows)
+	return in, done, nil
+}
+
+// execMerge evaluates two operands starting at the same virtual time — the
+// branches proceed in parallel on disjoint nodes, so each completes at its
+// own time and the merge starts at the later one — and merges them.
+func (e *Engine) execMerge(ctx *qctx, left, right algebra.Op, at simnet.VTime, op func(a, b eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
 	l, lDone, err := e.exec(ctx, left, at)
 	if err != nil {
-		return siteSet{}, siteSet{}, lDone, err
+		return flatSet{}, lDone, err
 	}
 	r, rDone, err := e.exec(ctx, right, at)
 	if err != nil {
-		return siteSet{}, siteSet{}, rDone, err
+		return flatSet{}, rDone, err
 	}
-	return l, r, simnet.MaxTime(lDone, rDone), nil
+	return e.merge(ctx, l.flat(), r.flat(), simnet.MaxTime(lDone, rDone), op)
 }
 
-// mergeAt brings both operands to one site per the join-site policy and
-// applies the merge function there. Operand order is preserved (merge
-// functions may be asymmetric, e.g. left join).
-func (e *Engine) mergeAt(ctx *qctx, l, r siteSet, at simnet.VTime, merge func(a, b eval.Solutions) eval.Solutions) (siteSet, simnet.VTime, error) {
+// merge brings both operands to one site per the join-site policy and
+// applies op there — a join, a left join or a union above a BGP, a join of
+// two partial results inside one. Operand order is preserved (op may be
+// asymmetric, e.g. a left join).
+func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op func(a, b eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
 	site := l.site
 	if l.site != r.site {
 		site = e.pickJoinSite(ctx, l.operand(), r.operand(), func() bool {
-			return len(eval.SharedVars(l.sols, r.sols, 1)) > 0
+			return slices.ContainsFunc(l.rows.Vars, func(v string) bool { return l.rows.Binds(v) && r.rows.Binds(v) })
 		})
 	}
-	l, now, err := e.shipTo(ctx, l, site, methodShip, at)
-	if err != nil {
-		return siteSet{}, now, err
-	}
-	r, now, err = e.shipTo(ctx, r, site, methodShip, now)
-	if err != nil {
-		return siteSet{}, now, err
-	}
-	return siteSet{sols: merge(l.sols, r.sols), site: site}, now, nil
-}
-
-// joinAt is mergeAt for two of a BGP's partial results: both reach the join
-// site as Tables and eval.JoinTables joins them there.
-func (e *Engine) joinAt(ctx *qctx, l, r flatSet, at simnet.VTime) (flatSet, simnet.VTime, error) {
-	site := l.site
-	if l.site != r.site {
-		site = e.pickJoinSite(ctx, l.operand(), r.operand(), func() bool {
-			return l.rows.N > 0 && r.rows.N > 0 &&
-				slices.ContainsFunc(l.rows.Vars, func(v string) bool { return slices.Contains(r.rows.Vars, v) })
-		})
-	}
-	l, now, err := e.shipRows(ctx, l, site, at)
+	l, now, err := e.ship(ctx, l, site, methodShip, at)
 	if err != nil {
 		return flatSet{}, now, err
 	}
-	r, now, err = e.shipRows(ctx, r, site, now)
+	r, now, err = e.ship(ctx, r, site, methodShip, now)
 	if err != nil {
 		return flatSet{}, now, err
 	}
-	return flatSet{rows: eval.JoinTables(l.rows, r.rows), site: site}, now, nil
+	return flatSet{rows: op(l.rows, r.rows), site: site}, now, nil
 }
 
 // pickJoinSite implements the join-site selection strategies of Sect. II
@@ -302,36 +260,23 @@ func (e *Engine) pickQoSSite(ctx *qctx, l, r operand, shared bool) simnet.Addr {
 	return best
 }
 
-// shipTo moves a solution multiset to the destination site as one transfer
-// message. Shipping to the current site is free. A transfer that stays lost
-// after retries strands the intermediate result, so it surfaces as a
-// partial-failure error instead of an incomplete answer.
-func (e *Engine) shipTo(ctx *qctx, s siteSet, dest simnet.Addr, method string, at simnet.VTime) (siteSet, simnet.VTime, error) {
+// ship moves a solution table to the destination site as one transfer
+// message, charged what the same rows cost as mappings. Shipping to the
+// current site is free. A transfer that stays lost after retries strands
+// the intermediate result, so it surfaces as a partial-failure error instead
+// of an incomplete answer.
+func (e *Engine) ship(ctx *qctx, s flatSet, dest simnet.Addr, method string, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	if s.site == dest || s.site == "" {
 		s.site = dest
 		return s, at, nil
 	}
-	done, err := e.transferRetry(s.site, dest, method,
-		overlay.SolutionsResp{Sols: s.sols, TC: ctx.nextTC(ctx.tc)}, at)
-	if err != nil {
-		return siteSet{}, done, err
-	}
-	s.site = dest
-	return s, done, nil
-}
-
-// shipRows is shipTo for a BGP's partial solutions: one dqp.ship transfer
-// carrying the Table, charged what the same rows cost as mappings.
-func (e *Engine) shipRows(ctx *qctx, s flatSet, dest simnet.Addr, at simnet.VTime) (flatSet, simnet.VTime, error) {
-	if s.site == dest {
-		return s, at, nil
-	}
-	done, err := e.transferRetry(s.site, dest, methodShip,
-		rowsPayload{Rows: s.rows, TC: ctx.nextTC(ctx.tc)}, at)
+	s = s.flat()
+	done, err := e.transferRetry(s.site, dest, method, rowsPayload{Rows: s.rows, TC: ctx.nextTC(ctx.tc)}, at)
 	if err != nil {
 		return flatSet{}, done, err
 	}
-	return flatSet{rows: s.rows, site: dest}, done, nil
+	s.site = dest
+	return s, done, nil
 }
 
 // transferRetry is Transfer wrapped in the standard loss-retry loop; a
@@ -492,15 +437,14 @@ func (e *Engine) planPatterns(ctx *qctx, patterns []rdf.Triple, at simnet.VTime)
 // execBGP evaluates a basic graph pattern distributedly. filter, when
 // non-nil, is decomposed into conjuncts and each conjunct ships with the
 // earliest sub-query whose variables cover it; the whole filter applies
-// once more at the end. Inside the BGP the partial solutions are flat rows;
-// the rows that pass the filter become mappings as it returns (solutionsOf).
-func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
+// once more at the end. The partial solutions are flat rows throughout.
+func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	if len(patterns) == 0 {
-		return siteSet{sols: eval.Solutions{eval.NewBinding()}, site: ctx.initiator}, at, nil
+		return ctx.unitSeed(), at, nil
 	}
 	plans, now, err := e.planPatterns(ctx, patterns, at)
 	if err != nil {
-		return siteSet{}, now, err
+		return flatSet{}, now, err
 	}
 	if e.opts.ReorderJoins && len(plans) > 1 {
 		plans = reorderPlans(plans)
@@ -515,14 +459,13 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	}
 	if len(plans) == 1 {
 		// One pattern — every primitive query, the inner side of most
-		// OPTIONALs and UNIONs — is the bypass: its matches are the result
-		// and become mappings with no Table in between.
+		// OPTIONALs and UNIONs — is the bypass: its matches are the result.
 		push := shippableFilter(conjuncts, make([]bool, len(conjuncts)), varSet(plans[0].pattern))
 		m, done, err := e.execPattern(ctx, plans[0], ctx.unitSeed(), push, scope, "", now)
 		if err != nil {
-			return siteSet{}, done, err
+			return flatSet{}, done, err
 		}
-		return siteSet{sols: matchSolutions(m.acc, filter), site: m.site}, done, nil
+		return matchResult(m.acc, filter, m.site), done, nil
 	}
 	var out flatSet
 	if e.opts.Conjunction == ConjParallelJoin {
@@ -531,72 +474,52 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 		out, now, err = e.execPipeline(ctx, plans, conjuncts, scope, now)
 	}
 	if err != nil {
-		return siteSet{}, now, err
+		return flatSet{}, now, err
 	}
 	// Conjuncts referring to variables bound only across patterns
 	// evaluated in parallel were never shipped; which ones is not known
 	// here, so the whole filter applies — idempotent for the shipped ones.
-	return siteSet{sols: solutionsOf(out.rows.Vars, out.rows.N, out.rows.Row, filter), site: out.site}, now, nil
+	out.rows = out.rows.Filter(filter)
+	return out, now, nil
 }
 
-// solutionsOf is where a BGP's rows become mappings, and the one place in
-// dqp that builds them: n rows over vars, row(i) the terms of row i, those
-// failing filter dropped first, so a dropped row never becomes a map.
-func solutionsOf(vars []string, n int, row func(int) []rdf.Term, filter sparql.Expression) eval.Solutions {
-	keep := rowFilter(vars, filter)
-	out := make(eval.Solutions, 0, n)
-	for i := 0; i < n; i++ {
-		r := row(i)
-		if keep != nil && !keep(r) {
-			continue
+// matchResult is a one-pattern BGP's result at site: its matches in place,
+// or under a filter the table of those that pass it — every conjunct not
+// shipped with the pattern included.
+func matchResult(acc *eval.Matches, filter sparql.Expression, site simnet.Addr) flatSet {
+	if filter != nil {
+		return flatSet{rows: acc.Table().Filter(filter), site: site}
+	}
+	return flatSet{matches: acc.Set(), site: site}
+}
+
+// solutionsOf is where a query's result rows become mappings, and the one
+// place in dqp that builds them: runPlan calls it once, on the rows it
+// returns. A mapping binds its row's bound cells only; a one-pattern BGP's
+// matches are read in place.
+func solutionsOf(s flatSet) eval.Solutions {
+	vars, n := s.rows.Vars, s.rows.N
+	if s.matches.Rows != nil {
+		vars, n = s.matches.Vars, len(s.matches.Rows)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(eval.Solutions, n)
+	for i := range out {
+		var row []rdf.Term
+		if s.matches.Rows != nil {
+			row = s.matches.Rows[i]
+		} else {
+			row = s.rows.Row(i)
 		}
 		b := make(eval.Binding, len(vars))
 		for c, v := range vars {
-			b[v] = r[c]
+			if !row[c].IsZero() {
+				b[v] = row[c]
+			}
 		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// matchSolutions is solutionsOf over one pattern's accumulated matches,
-// read in place: a one-pattern BGP's result needs no Table in between.
-func matchSolutions(m *eval.Matches, filter sparql.Expression) eval.Solutions {
-	set := m.Set()
-	return solutionsOf(set.Vars, len(set.Rows), func(i int) []rdf.Term { return set.Rows[i] }, filter)
-}
-
-// rowFilter returns the test of expr on a row over vars, evaluated through
-// one reused scratch mapping as StorageNode.MatchKeys evaluates a pushed
-// filter; nil when expr is.
-func rowFilter(vars []string, expr sparql.Expression) func([]rdf.Term) bool {
-	if expr == nil {
-		return nil
-	}
-	scratch := make(eval.Binding, len(vars))
-	return func(row []rdf.Term) bool {
-		for c, v := range vars {
-			scratch[v] = row[c]
-		}
-		return eval.Satisfies(expr, scratch)
-	}
-}
-
-// filterRows keeps the rows of t that satisfy expr.
-func filterRows(t eval.Table, expr sparql.Expression) eval.Table {
-	keep := rowFilter(t.Vars, expr)
-	if keep == nil {
-		return t
-	}
-	out := eval.Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms))}
-	for i := 0; i < t.N; i++ {
-		if row := t.Row(i); keep(row) {
-			out.Terms = append(out.Terms, row...)
-			out.N++
-		}
+		out[i] = b
 	}
 	return out
 }
@@ -635,7 +558,7 @@ func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql
 		}
 		now = done
 		cur = m.result()
-		cur.rows = filterRows(cur.rows, after)
+		cur.rows = cur.rows.Filter(after)
 		if cur.rows.N == 0 {
 			// Empty intermediate result: the conjunction is empty
 			// (short-circuit; no further sub-queries needed).
@@ -674,7 +597,7 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 	cur, now := results[0], times[0]
 	for i := 1; i < len(plans); i++ {
 		var err error
-		cur, now, err = e.joinAt(ctx, cur, results[i], simnet.MaxTime(now, times[i]))
+		cur, now, err = e.merge(ctx, cur, results[i], simnet.MaxTime(now, times[i]), eval.JoinTables)
 		if err != nil {
 			return flatSet{}, now, err
 		}
@@ -693,10 +616,10 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 // conjunction, so then nothing is sent. ASK over one pattern is the one
 // exception to "at once": the first match settles it, so the targets are
 // asked one after another, each when the one before answered empty.
-func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (siteSet, simnet.VTime, error) {
+func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	for _, p := range plans {
 		if len(p.postings) == 0 {
-			return siteSet{site: ctx.initiator}, at, nil
+			return flatSet{site: ctx.initiator}, at, nil
 		}
 	}
 	// pats[i] is plan i's unit, its op span, its replies by posting and when
@@ -759,7 +682,7 @@ func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Exp
 				// The target is alive but the link stayed lossy past the
 				// retry budget: dropping its contribution would silently
 				// truncate the result, so the query fails explicitly.
-				return siteSet{}, end, &PartialFailureError{
+				return flatSet{}, end, &PartialFailureError{
 					Method: overlay.MethodMatch, Missing: []simnet.Addr{t.node}, Err: err}
 			}
 			// Unreachable target: its triples left the dataset; every
@@ -794,7 +717,7 @@ func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Exp
 		}
 		switch {
 		case len(plans) == 1:
-			return siteSet{sols: matchSolutions(acc, filter), site: ctx.initiator}, done, nil
+			return matchResult(acc, filter, ctx.initiator), done, nil
 		case i == 0:
 			rows = acc.Table()
 		default:
@@ -803,7 +726,7 @@ func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Exp
 	}
 	// Conjuncts referring to variables of several patterns were never
 	// shipped; the whole filter applies, idempotent for the shipped ones.
-	return siteSet{sols: solutionsOf(rows.Vars, rows.N, rows.Row, filter), site: ctx.initiator}, done, nil
+	return flatSet{rows: rows.Filter(filter), site: ctx.initiator}, done, nil
 }
 
 // waveUnit is one (pattern, target) pair of a wave: the plan and the
@@ -1174,7 +1097,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	}
 	if !rowsKeys && acc.Len() > 0 {
 		var err error
-		if seeds, now, err = e.shipRows(ctx, seeds, reached, now); err != nil {
+		if seeds, now, err = e.ship(ctx, seeds, reached, methodShip, now); err != nil {
 			return patternMatches{}, now, err
 		}
 	}

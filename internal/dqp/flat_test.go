@@ -46,6 +46,49 @@ func TestBGPBuildsMappingsOnlyForItsResult(t *testing.T) {
 	}
 }
 
+// TestQueryBuildsMappingsOnlyForItsResult: above the BGP the solutions stay
+// flat rows too, so only the query's result rows become mappings. An
+// OPTIONAL whose right side matches 600 triples keeps the 6 rows of its left
+// side, and a FILTER(bound(?n)) above a UNION of those 600 and the 6 keeps
+// the 6; a query that built a mapping per row of an operand — at the parent
+// two objects each — would allocate over 1,200 objects. Each whole query,
+// parse to result, must stay below 600.
+func TestQueryBuildsMappingsOnlyForItsResult(t *testing.T) {
+	const rows, kept = 600, 6
+	data := map[string][]rdf.Triple{}
+	for i := 0; i < rows; i++ {
+		d := fmt.Sprintf("D%d", 1+i%2)
+		data[d] = append(data[d], rdf.Triple{S: ex(fmt.Sprintf("p%d", i)), P: fp("knows"), O: ex(fmt.Sprintf("q%d", i))})
+	}
+	for i := 0; i < kept; i++ {
+		data["D3"] = append(data["D3"], rdf.Triple{S: ex(fmt.Sprintf("q%d", i*97)), P: fp("name"), O: rdf.NewLiteral(fmt.Sprint("Q", i))})
+	}
+	for _, q := range []string{
+		`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT * WHERE { ?y foaf:name ?n . OPTIONAL { ?x foaf:knows ?y } }`,
+		`PREFIX foaf: <http://xmlns.com/foaf/0.1/> SELECT * WHERE { { ?x foaf:knows ?y } UNION { ?y foaf:name ?n } FILTER(bound(?n)) }`,
+	} {
+		for _, st := range []Strategy{StrategyBasic, StrategyChain, StrategyFreqChain} {
+			for _, cj := range []Conjunction{ConjPipeline, ConjParallelJoin} {
+				sys, now := buildSystem(t, 4, data)
+				e := NewEngine(sys, Options{Strategy: st, Conjunction: cj, JoinSite: JoinSiteMoveSmall})
+				run := func() {
+					res, _, done, err := e.Query("D1", q, now)
+					if err != nil {
+						t.Fatalf("%s %v/%v: %v", q, st, cj, err)
+					}
+					if len(res.Solutions) != kept {
+						t.Fatalf("%s %v/%v: %d rows, want %d", q, st, cj, len(res.Solutions), kept)
+					}
+					now = done
+				}
+				if n := testing.AllocsPerRun(5, run); n >= rows {
+					t.Errorf("%s %v/%v: a query keeping %d rows of a %d-row operand allocates %.0f objects, want < %d", q, st, cj, kept, rows, n, rows)
+				}
+			}
+		}
+	}
+}
+
 // TestChainHopChargesItsMatchRequest: a chain hop carries the sub-query a
 // store.match request carries, GRAPH scope and FROM NAMED graphs included,
 // so with nothing accumulated and nowhere left to go it costs that request

@@ -163,8 +163,7 @@ func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Ta
 		}
 		acc.Add(n.MatchKeys(c.pat, c.filter, sent, nil, nil, c.scope))
 	}
-	res := patternMatches{acc: acc, seeds: seeds, rowsKeys: rowsKeys}.result().rows
-	return solutionsOf(res.Vars, res.N, res.Row, nil)
+	return solutionsOf(patternMatches{acc: acc, seeds: seeds, rowsKeys: rowsKeys}.result())
 }
 
 // flat lays mappings binding the same variables out as a table.

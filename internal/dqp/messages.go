@@ -90,10 +90,11 @@ func (c chainPayload) SizeBytes() int {
 	return n
 }
 
-// rowsPayload carries a BGP's partial solutions between sites (dqp.ship
-// inside a BGP: a chain's seeds to its last node, a parallel join's
-// operands to the join site) — overlay.SolutionsResp's flat counterpart,
-// charged what the same rows cost as mappings.
+// rowsPayload carries solutions between sites, the one payload that moves
+// them: dqp.ship for a chain's seeds to its last node, a merge's operands to
+// the merge site and rows on their way to ORDER BY or LIMIT at the
+// initiator, dqp.result for the query's result. It is charged what the same
+// rows cost as mappings.
 type rowsPayload struct {
 	Rows eval.Table
 	TC   trace.TraceContext

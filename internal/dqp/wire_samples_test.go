@@ -118,11 +118,12 @@ func methodSamples() []methodSample {
 		{chord.MethodSetSuccessor, ref, ack},
 
 		// DQP transfers (all transfer-only; the receiver acks the bytes).
-		// dqp.ship carries a Table inside a BGP and mappings above it, as
-		// dqp.result does.
+		// dqp.ship and dqp.result carry a Table, its OPTIONAL variables
+		// unbound in some rows.
 		{methodDispatch, dispatchPayload{Sub: matchReq, Rows: matches}, ack},
 		{methodShip, rowsPayload{Rows: matches}, ack},
-		{methodResult, overlay.SolutionsResp{Sols: sols}, ack},
+		{methodResult, rowsPayload{Rows: eval.Table{Vars: []string{"s", "o"},
+			Terms: []rdf.Term{rdf.NewIRI("urn:s"), {}, rdf.NewIRI("urn:t"), rdf.NewLiteral("o")}, N: 2}}, ack},
 
 		// RDFPeers baseline.
 		{rdfpeers.MethodStore, rdfpeers.StoreReq{Triple: triple}, ack},

@@ -8,8 +8,10 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"adhocshare/internal/simnet"
+	"adhocshare/internal/workload"
 )
 
 // cell parses a table cell as float.
@@ -190,28 +192,88 @@ func TestE5Shapes(t *testing.T) {
 	}
 }
 
+// TestE6Shapes: the policies agree on solutions, and placement follows
+// EXPERIMENTS.md finding 2 — move-small wins bytes when the OPTIONAL's
+// result is small (the selective case), query-site when it is larger than
+// its operands and has to travel home anyway (the broad case) — at seed 0
+// and one other seed. At seed 7 the larger operand of both cases already
+// sits at the initiator, so move-small's site is query-site's and the two
+// rows are equal, which the non-strict direction admits.
 func TestE6Shapes(t *testing.T) {
-	tab, err := E6Optional(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sols := colIndex(t, tab, "sols")
-	for i := 0; i+2 < len(tab.Rows); i += 3 {
-		if tab.Rows[i][sols] != tab.Rows[i+1][sols] || tab.Rows[i][sols] != tab.Rows[i+2][sols] {
-			t.Errorf("case %s: policies disagree on solutions", tab.Rows[i][0])
+	for _, seed := range []int64{0, 7} {
+		tab, err := E6Optional(Params{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols := colIndex(t, tab, "sols")
+		ship := colIndex(t, tab, "ship-KiB")
+		for i := 0; i+2 < len(tab.Rows); i += 3 {
+			if tab.Rows[i][sols] != tab.Rows[i+1][sols] || tab.Rows[i][sols] != tab.Rows[i+2][sols] {
+				t.Errorf("seed %d, case %s: policies disagree on solutions", seed, tab.Rows[i][0])
+			}
+			moveSmall, querySite := cell(t, tab, i, ship), cell(t, tab, i+1, ship)
+			switch tab.Rows[i][0] {
+			case "selective":
+				if moveSmall > querySite {
+					t.Errorf("seed %d, selective: move-small ships %v KiB, query-site %v", seed, moveSmall, querySite)
+				}
+			case "broad":
+				if querySite > moveSmall {
+					t.Errorf("seed %d, broad: query-site ships %v KiB, move-small %v", seed, querySite, moveSmall)
+				}
+			default:
+				t.Fatalf("seed %d: unexpected case %q", seed, tab.Rows[i][0])
+			}
+			if seed == 0 && moveSmall == querySite {
+				t.Errorf("seed 0, case %s: move-small and query-site ship the same %v KiB; finding 2 quotes them apart", tab.Rows[i][0], moveSmall)
+			}
 		}
 	}
 }
 
+// TestE7Shapes: the strategies agree on solutions, and a UNION responds no
+// sooner than its slower branch run alone with the same options on the same
+// deployment — the branches run side by side, and the merge can only add —
+// at seed 0 and one other seed.
 func TestE7Shapes(t *testing.T) {
-	tab, err := E7Union(Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sols := colIndex(t, tab, "sols")
-	for i := 1; i < len(tab.Rows); i++ {
-		if tab.Rows[i][sols] != tab.Rows[0][sols] {
-			t.Errorf("union strategies disagree: %v vs %v", tab.Rows[i], tab.Rows[0])
+	for _, seed := range []int64{0, 7} {
+		p := Params{Seed: seed}
+		tab, err := E7Union(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sols := colIndex(t, tab, "sols")
+		resp := colIndex(t, tab, "resp-ms")
+		for i := 1; i < len(tab.Rows); i++ {
+			if tab.Rows[i][sols] != tab.Rows[0][sols] {
+				t.Errorf("seed %d: union strategies disagree: %v vs %v", seed, tab.Rows[i], tab.Rows[0])
+			}
+		}
+		// A branch alone is the query with the other branch cut out, every
+		// variable selected: the projection names the other branch's too.
+		d := e7Dataset(p)
+		q := regexp.MustCompile(`SELECT [^{]*WHERE`).ReplaceAllString(workload.QueryUnion(d.PopularPerson), "SELECT * WHERE")
+		left, right, ok := strings.Cut(q, "UNION")
+		if !ok {
+			t.Fatalf("E7's query has no UNION: %s", q)
+		}
+		branches := []string{left + "}", q[:strings.Index(q, "{")+1] + right}
+		for i, s := range e7Strategies {
+			slowest := 0.0
+			for _, b := range branches {
+				dep, err := buildDeployment(p, 8, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, stats, err := dep.runQuery(s.opts, "D00", b)
+				if err != nil {
+					t.Fatalf("seed %d, %s, branch %s: %v", seed, s.name, b, err)
+				}
+				slowest = math.Max(slowest, float64(stats.ResponseTime)/float64(time.Millisecond))
+			}
+			if union := cell(t, tab, i, resp); union < math.Round(slowest*100)/100 {
+				t.Errorf("seed %d, %s: the union responds in %v ms, its slower branch alone in %.2f", seed, s.name, union, slowest)
+			}
 		}
 	}
 }
@@ -405,6 +467,54 @@ func TestE12JoinSiteShapes(t *testing.T) {
 						seed, tab.Rows[i][0], tab.Headers[col], tab.Rows[querySite][col], tab.Rows[thirdSite][col])
 				}
 			}
+		}
+	}
+}
+
+// TestE17Shapes: for each strategy the critical path accounts for the
+// whole response — its stages' crit-ms sum to the response time the note
+// gives — and the stage with the largest crit-share is subquery: basic is
+// bound by its sub-query fan-out, the chains by their store-to-store hops.
+// At seed 0 and one other seed.
+func TestE17Shapes(t *testing.T) {
+	responded := regexp.MustCompile(`^(\S+): response ([0-9.]+) ms, critical path ([0-9.]+) ms`)
+	for _, seed := range []int64{0, 7} {
+		tab, err := E17StageProfiles(Params{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		crit := colIndex(t, tab, "crit-ms")
+		share := colIndex(t, tab, "crit-share")
+		strategies := 0
+		for _, n := range tab.Notes {
+			m := responded.FindStringSubmatch(n)
+			if m == nil {
+				continue
+			}
+			strategies++
+			strategy := m[1]
+			if m[2] != m[3] {
+				t.Errorf("seed %d, %s: response %s ms, critical path %s ms", seed, strategy, m[2], m[3])
+			}
+			sum, top, topShare := 0.0, "", -1.0
+			for i, row := range tab.Rows {
+				if row[0] != strategy {
+					continue
+				}
+				sum += cell(t, tab, i, crit)
+				if v := cell(t, tab, i, share); v > topShare {
+					top, topShare = row[1], v
+				}
+			}
+			if resp, _ := strconv.ParseFloat(m[2], 64); math.Abs(sum-resp) > 0.01*float64(len(tab.Rows)) {
+				t.Errorf("seed %d, %s: stages' crit-ms sum to %.2f, the response is %v ms", seed, strategy, sum, resp)
+			}
+			if top != "subquery" {
+				t.Errorf("seed %d, %s: the largest crit-share is %s's (%.2f), want subquery's", seed, strategy, top, topShare)
+			}
+		}
+		if strategies != 3 {
+			t.Errorf("seed %d: notes give the response of %d strategies, want 3", seed, strategies)
 		}
 	}
 }

@@ -183,19 +183,9 @@ func E7Union(p Params) (*Table, error) {
 		Caption: "UNION (Fig. 8): parallel branches and union placement",
 		Headers: []string{"strategy", "sols", "ship-KiB", "total-KiB", "msgs", "resp-ms"},
 	}
-	d := workload.Generate(workload.Config{
-		Persons: 250, Providers: 10, AvgKnows: 4, ZipfS: 1.3,
-		KnowsNothingFraction: 0.3, Seed: p.seed(55),
-	})
+	d := e7Dataset(p)
 	q := workload.QueryUnion(d.PopularPerson)
-	for _, s := range []struct {
-		name string
-		opts dqp.Options
-	}{
-		{"basic/query-site", dqp.Options{Strategy: dqp.StrategyBasic, JoinSite: dqp.JoinSiteQuerySite}},
-		{"chain/move-small", dqp.Options{Strategy: dqp.StrategyChain, JoinSite: dqp.JoinSiteMoveSmall}},
-		{"freq-chain/move-small", dqp.Options{Strategy: dqp.StrategyFreqChain, JoinSite: dqp.JoinSiteMoveSmall, PushFilters: true, ReorderJoins: true}},
-	} {
+	for _, s := range e7Strategies {
 		dep, err := buildDeployment(p, 8, d)
 		if err != nil {
 			return nil, err
@@ -211,6 +201,24 @@ func E7Union(p Params) (*Table, error) {
 		"branches evaluate concurrently (response time ≈ slower branch + merge shipping)",
 		"move-small places the union at the larger branch's site; identical result sets across strategies")
 	return t, nil
+}
+
+// e7Dataset is E7's workload.
+func e7Dataset(p Params) *workload.Dataset {
+	return workload.Generate(workload.Config{
+		Persons: 250, Providers: 10, AvgKnows: 4, ZipfS: 1.3,
+		KnowsNothingFraction: 0.3, Seed: p.seed(55),
+	})
+}
+
+// e7Strategies are E7's rows.
+var e7Strategies = []struct {
+	name string
+	opts dqp.Options
+}{
+	{"basic/query-site", dqp.Options{Strategy: dqp.StrategyBasic, JoinSite: dqp.JoinSiteQuerySite}},
+	{"chain/move-small", dqp.Options{Strategy: dqp.StrategyChain, JoinSite: dqp.JoinSiteMoveSmall}},
+	{"freq-chain/move-small", dqp.Options{Strategy: dqp.StrategyFreqChain, JoinSite: dqp.JoinSiteMoveSmall, PushFilters: true, ReorderJoins: true}},
 }
 
 // E8FilterPushing reproduces Sect. IV-G: pushing the regex filter to the

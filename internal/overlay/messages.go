@@ -327,8 +327,10 @@ func (r MatchResp) SizeBytes() int {
 	return n
 }
 
-// SolutionsResp carries a solution multiset between sites (dqp.ship,
-// dqp.result).
+// SolutionsResp is a solution multiset as mappings in a message. No engine
+// message carries one any more — dqp ships eval.Tables — and it stays for
+// the benchmark's simnet.call_ns.large row and the gob probe until the
+// benchmark moves off it.
 type SolutionsResp struct {
 	Sols eval.Solutions
 	TC   trace.TraceContext

@@ -176,15 +176,6 @@ func (s Solutions) SizeBytes() int {
 	return n
 }
 
-// Clone deep-copies the multiset.
-func (s Solutions) Clone() Solutions {
-	out := make(Solutions, len(s))
-	for i, b := range s {
-		out[i] = b.Clone()
-	}
-	return out
-}
-
 // Join computes Ω1 ⋈ Ω2: the merge of every compatible pair, in nested-loop
 // order (a outer, b inner).
 func Join(a, b Solutions) Solutions {
@@ -210,11 +201,6 @@ func Union(a, b Solutions) Solutions {
 	out = append(out, b...)
 	return out
 }
-
-// LeftJoin computes Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2), the semantics of
-// OPTIONAL (Sect. IV-E), in that order: every merge, then the unmatched
-// mappings of Ω1.
-func LeftJoin(a, b Solutions) Solutions { return LeftJoinFilter(a, b, nil) }
 
 // Distinct removes duplicate mappings, preserving first occurrences.
 func Distinct(s Solutions) Solutions {

@@ -127,7 +127,7 @@ func TestLeftJoinSemantics(t *testing.T) {
 	// (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2)
 	o1 := Solutions{bnd("x", "a", "y", "1"), bnd("x", "b", "y", "2")}
 	o2 := Solutions{bnd("y", "1", "z", "n")}
-	lj := LeftJoin(o1, o2)
+	lj := LeftJoinFilter(o1, o2, nil)
 	if len(lj) != 2 {
 		t.Fatalf("leftjoin size = %d, want 2", len(lj))
 	}

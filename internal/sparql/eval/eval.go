@@ -158,10 +158,11 @@ func evalGraph(o *algebra.Graph, ds *Dataset) (Solutions, error) {
 	return out, nil
 }
 
-// LeftJoinFilter implements LeftJoin(Ω1, Ω2, expr) per the SPARQL algebra:
-// compatible merges that satisfy expr, plus Ω1 mappings with no compatible
-// (and satisfying) counterpart. With a condition an unmatched mapping stays
-// at its own position; without one (plain LeftJoin) they follow the merges.
+// LeftJoinFilter implements LeftJoin(Ω1, Ω2, expr) per the SPARQL algebra,
+// the semantics of OPTIONAL (Sect. IV-E): compatible merges that satisfy
+// expr, plus Ω1 mappings with no compatible (and satisfying) counterpart.
+// With a condition an unmatched mapping stays at its own position; without
+// one, Ω1 ⟕ Ω2 = (Ω1 ⋈ Ω2) ∪ (Ω1 ∖ Ω2), they follow the merges.
 func LeftJoinFilter(a, b Solutions, expr sparql.Expression) Solutions {
 	ix := newJoinIndex(a, b)
 	var out, unmatched Solutions
@@ -302,25 +303,45 @@ func extend(b Binding, pat rdf.Triple, t rdf.Triple) (Binding, bool) {
 
 // Order sorts the solution sequence by the ORDER BY conditions. Unbound
 // variables and evaluation errors sort first, matching the SPARQL ordering
-// extension for unbound values.
+// extension for unbound values. Ties keep their input order. Solutions are
+// immutable, so the result shares s's mappings.
 func Order(s Solutions, conds []sparql.OrderCond) Solutions {
-	out := s.Clone()
-	sort.SliceStable(out, func(i, j int) bool {
-		for _, c := range conds {
-			vi, erri := EvalExpr(c.Expr, out[i])
-			vj, errj := EvalExpr(c.Expr, out[j])
+	out := make(Solutions, len(s))
+	for k, i := range orderRows(conds, len(s), func(i int) Binding { return s[i] }) {
+		out[k] = s[i]
+	}
+	return out
+}
+
+// orderRows returns the row numbers 0..n-1 in ORDER BY order. row(i) is row
+// i's mapping, which need not outlive the call: each row's keys are
+// evaluated once, not at every comparison.
+func orderRows(conds []sparql.OrderCond, n int, row func(int) Binding) []int {
+	w := len(conds)
+	vals, failed := make([]rdf.Term, n*w), make([]bool, n*w)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+		b := row(i)
+		for c, cond := range conds {
+			v, err := EvalExpr(cond.Expr, b)
+			vals[i*w+c], failed[i*w+c] = v.Term, err != nil
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		i, j := order[a]*w, order[b]*w
+		for c, cond := range conds {
 			var cmp int
 			switch {
-			case erri != nil && errj != nil:
-				cmp = 0
-			case erri != nil:
+			case failed[i+c] && failed[j+c]:
+			case failed[i+c]:
 				cmp = -1
-			case errj != nil:
+			case failed[j+c]:
 				cmp = 1
 			default:
-				cmp = rdf.Compare(vi.Term, vj.Term)
+				cmp = rdf.Compare(vals[i+c], vals[j+c])
 			}
-			if c.Desc {
+			if cond.Desc {
 				cmp = -cmp
 			}
 			if cmp != 0 {
@@ -329,23 +350,25 @@ func Order(s Solutions, conds []sparql.OrderCond) Solutions {
 		}
 		return false
 	})
-	return out
+	return order
 }
 
-// Construct instantiates a CONSTRUCT template against the solutions and
+// Construct instantiates a CONSTRUCT template against the rows of t and
 // returns the resulting (deduplicated) triples; template triples with
 // unbound variables are skipped per the SPARQL semantics.
-func Construct(template []rdf.Triple, s Solutions) []rdf.Triple {
+func Construct(template []rdf.Triple, t Table) []rdf.Triple {
 	seen := map[rdf.Triple]bool{}
 	var out []rdf.Triple
-	for _, b := range s {
+	as := scratchRow(t.Vars)
+	for i := 0; i < t.N; i++ {
+		b := as(t.Row(i))
 		for _, pat := range template {
-			t := Substitute(pat, b)
-			if !t.IsConcrete() || seen[t] {
+			tr := Substitute(pat, b)
+			if !tr.IsConcrete() || seen[tr] {
 				continue
 			}
-			seen[t] = true
-			out = append(out, t)
+			seen[tr] = true
+			out = append(out, tr)
 		}
 	}
 	return out

@@ -201,6 +201,49 @@ SELECT ?x ?g WHERE { ?x foaf:grp ?g . } ORDER BY ?g DESC(?x)`)
 	}
 }
 
+// TestEvalOrderTiesUnboundAndErrors pins ORDER BY's sequence where keys tie,
+// are unbound or fail to evaluate — both of which sort first, ascending —
+// for the mappings and for the same rows as a table.
+func TestEvalOrderTiesUnboundAndErrors(t *testing.T) {
+	row := func(x, y rdf.Term) Binding {
+		b := NewBinding()
+		for v, term := range map[string]rdf.Term{"x": x, "y": y} {
+			if !term.IsZero() {
+				b[v] = term
+			}
+		}
+		return b
+	}
+	one, two, str := rdf.NewInteger(1), rdf.NewInteger(2), rdf.NewLiteral("str")
+	rows := Solutions{
+		row(two, rdf.NewLiteral("b")),
+		row(one, rdf.Term{}),
+		row(str, rdf.NewLiteral("a")),
+		row(one, rdf.NewLiteral("c")),
+		row(rdf.Term{}, rdf.NewLiteral("a")),
+		row(two, rdf.NewLiteral("a")),
+	}
+	x, y := &sparql.ExprVar{Name: "x"}, &sparql.ExprVar{Name: "y"}
+	cases := []struct {
+		conds []sparql.OrderCond
+		want  []int // input positions, in output order
+	}{
+		// ?x unbound first; DESC(?y) puts the unbound ?y of a tie last
+		{[]sparql.OrderCond{{Expr: x}, {Expr: y, Desc: true}}, []int{4, 3, 1, 0, 5, 2}},
+		// "str" + 1 and an unbound ?x both fail: tied first, in input order
+		{[]sparql.OrderCond{{Expr: &sparql.ExprArith{Op: sparql.ArithAdd, Left: x, Right: &sparql.ExprTerm{Term: one}}}},
+			[]int{2, 4, 1, 3, 0, 5}},
+	}
+	for _, c := range cases {
+		want := make(Solutions, len(c.want))
+		for k, i := range c.want {
+			want[k] = rows[i]
+		}
+		sameSequence(t, "Order", Order(rows, c.conds), want)
+		sameSequence(t, "Table.Order", rowsOf(tableOf(rows, "x", "y").Order(c.conds)), want)
+	}
+}
+
 func TestEvalLimitOffset(t *testing.T) {
 	s := run(t, fig7Graph(), `PREFIX foaf: <http://xmlns.com/foaf/0.1/>
 SELECT ?x ?n WHERE { ?x foaf:name ?n . } ORDER BY ?n LIMIT 1 OFFSET 1`)
@@ -282,7 +325,9 @@ CONSTRUCT { ?y ns:knownBy ?x . } WHERE { ?x foaf:knows ?y . }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := Construct(q.Template, s)
+	// one template variable left unbound in every row: no triple from it
+	q.Template = append(q.Template, rdf.Triple{S: rdf.NewVar("y"), P: p("knows"), O: rdf.NewVar("z")})
+	ts := Construct(q.Template, tableOf(s, "x", "y", "z"))
 	if len(ts) != 4 {
 		t.Fatalf("constructed %d triples, want 4", len(ts))
 	}

@@ -70,9 +70,8 @@ func keyHash(b Binding, vars []string) (uint64, bool) {
 }
 
 // SharedVars returns the sorted variables bound in some mapping of a and in
-// some mapping of b. With limit > 0 the scan stops after finding that many
-// (an existence test passes 1).
-func SharedVars(a, b Solutions, limit int) []string {
+// some mapping of b.
+func SharedVars(a, b Solutions) []string {
 	inA := map[string]bool{}
 	for _, x := range a {
 		for v := range x {
@@ -80,15 +79,11 @@ func SharedVars(a, b Solutions, limit int) []string {
 		}
 	}
 	var out []string
-scan:
 	for _, y := range b {
 		for v := range y {
 			if inA[v] {
 				inA[v] = false // report each once
 				out = append(out, v)
-				if len(out) == limit {
-					break scan
-				}
 			}
 		}
 	}
@@ -112,7 +107,7 @@ type joinIndex struct {
 // newJoinIndex indexes b for probing with the rows of a. Without shared
 // variables every row lands in one chain and a probe walks all of b.
 func newJoinIndex(a, b Solutions) *joinIndex {
-	ix := &joinIndex{rows: b, shared: SharedVars(a, b, 0),
+	ix := &joinIndex{rows: b, shared: SharedVars(a, b),
 		head: make(map[uint64]int32, len(b)), next: make([]int32, len(b))}
 	for i := len(b) - 1; i >= 0; i-- { // backwards, so prepending yields input order
 		h, ok := keyHash(b[i], ix.shared)

@@ -138,7 +138,7 @@ func TestHashKeyedOperatorsMatchNestedLoops(t *testing.T) {
 				b := randomRows(r, r.Intn(14), sh.bv...)
 				sameSequence(t, sh.name+" Distinct", Distinct(a), refDistinct(a))
 				sameSequence(t, sh.name+" Join", Join(a, b), refJoin(a, b))
-				sameSequence(t, sh.name+" LeftJoin", LeftJoin(a, b), refLeftJoin(a, b))
+				sameSequence(t, sh.name+" LeftJoin", LeftJoinFilter(a, b, nil), refLeftJoin(a, b))
 				sameSequence(t, sh.name+" LeftJoinFilter", LeftJoinFilter(a, b, cond), refLeftJoinFilter(a, b, cond))
 			}
 		}
@@ -174,7 +174,7 @@ func TestHashKeyedOperatorsTable(t *testing.T) {
 			both := Union(c.a, c.b)
 			sameSequence(t, c.name+": Distinct", Distinct(both), refDistinct(both))
 			sameSequence(t, c.name+": Join", Join(c.a, c.b), refJoin(c.a, c.b))
-			sameSequence(t, c.name+": LeftJoin", LeftJoin(c.a, c.b), refLeftJoin(c.a, c.b))
+			sameSequence(t, c.name+": LeftJoin", LeftJoinFilter(c.a, c.b, nil), refLeftJoin(c.a, c.b))
 		}
 	})
 }
@@ -206,13 +206,10 @@ func TestDedupAddEqualsDistinctOfUnion(t *testing.T) {
 func TestSharedVars(t *testing.T) {
 	a := Solutions{bnd("x", "1"), bnd("y", "1", "z", "1")}
 	b := Solutions{bnd("z", "2", "w", "2"), bnd("y", "2"), bnd("z", "3")}
-	if got := SharedVars(a, b, 0); len(got) != 2 || got[0] != "y" || got[1] != "z" {
+	if got := SharedVars(a, b); len(got) != 2 || got[0] != "y" || got[1] != "z" {
 		t.Errorf("SharedVars = %v, want [y z]", got)
 	}
-	if got := SharedVars(a, b, 1); len(got) != 1 {
-		t.Errorf("SharedVars limit 1 = %v, want one variable", got)
-	}
-	if got := SharedVars(a, Solutions{bnd("w", "1")}, 1); len(got) != 0 {
+	if got := SharedVars(a, Solutions{bnd("w", "1")}); len(got) != 0 {
 		t.Errorf("SharedVars of disjoint sides = %v", got)
 	}
 }

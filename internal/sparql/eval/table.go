@@ -4,21 +4,22 @@ import (
 	"slices"
 
 	"adhocshare/internal/rdf"
+	"adhocshare/internal/sparql"
 )
 
-// Table is the flat form solutions take inside a basic graph pattern: one
-// variable schema and N rows of len(Vars) terms each, row-major in one
-// slice, every cell bound. A sub-query ships its keys as a Table and gets
-// its matches back as one, and a BGP's partial solutions stay one from the
-// first reply to the BGP's result. Above the BGP a row is a Binding: an
-// OPTIONAL or a UNION leaves variables unbound, which a Table cannot say. A
-// table without variables still has rows: the unit key is "no variables,
-// one row".
+// Table is the form a solution multiset takes in the distributed engine:
+// one variable schema and N rows of len(Vars) terms each, row-major in one
+// slice. A cell holding the zero rdf.Term is unbound — OPTIONAL and UNION
+// leave variables unbound — and a row stands for the mapping of its bound
+// cells. A sub-query ships its keys as a Table and gets its matches back as
+// one, bound in every cell; a query's solutions stay one from the first
+// reply to its result, and only the result's rows become Bindings. A table
+// without variables still has rows: the unit key is "no variables, one row".
 //
 // SizeBytes charges exactly what Solutions.SizeBytes charges for the same
 // rows, so a unit or whole-row key costs what the seeds it replaces cost.
 //
-//adhoclint:wireimmutable built once — by KeyTable, a join, Matches.Table or a storage node's keyed match — never written afterwards
+//adhoclint:wireimmutable built once — by KeyTable, a table operator, Matches.Table or a storage node's keyed match — never written afterwards
 type Table struct {
 	Vars  []string
 	Terms []rdf.Term
@@ -32,13 +33,30 @@ func (t Table) Row(i int) []rdf.Term {
 }
 
 // SizeBytes is the wire size of the rows: a store.match reply carries one
-// Table per unit it answers, each charged this.
+// Table per unit it answers, each charged this. A row costs its header and,
+// per bound cell, the variable's name and the term — an unbound one nothing.
 func (t Table) SizeBytes() int {
-	n := 4 + t.N*rowOverhead(t.Vars)
+	n, c := 4+2*t.N, 0
 	for _, term := range t.Terms {
-		n += term.SizeBytes()
+		if !term.IsZero() {
+			n += len(t.Vars[c]) + term.SizeBytes()
+		}
+		if c++; c == len(t.Vars) {
+			c = 0
+		}
 	}
 	return n
+}
+
+// Binds reports whether some row binds v.
+func (t Table) Binds(v string) bool {
+	c := slices.Index(t.Vars, v)
+	for i := 0; c >= 0 && i < t.N; i++ {
+		if !t.Row(i)[c].IsZero() {
+			return true
+		}
+	}
+	return false
 }
 
 // rowOverhead is what one row costs beyond its terms: the row header and
@@ -117,6 +135,26 @@ func sameCols(a, b []rdf.Term, ac, bc []int) bool {
 	return true
 }
 
+// compatible is sameCols where an unbound cell agrees with any term.
+func compatible(a, b []rdf.Term, ac, bc []int) bool {
+	for k, c := range ac {
+		if s, t := a[c], b[bc[k]]; s != t && !s.IsZero() && !t.IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// unbound reports whether row leaves one of the columns cols unbound.
+func unbound(row []rdf.Term, cols []int) bool {
+	for _, c := range cols {
+		if row[c].IsZero() {
+			return true
+		}
+	}
+	return false
+}
+
 // MatchSet is the wire form of the matches accumulated for one pattern:
 // distinct rows over one schema, in arrival order, each aliasing the reply
 // table that carried it. TermBytes is the running sum of the rows' term
@@ -144,7 +182,9 @@ func (s MatchSet) SizeBytes() int {
 // first non-empty one is held as it comes. One hash index serves the
 // de-duplication and the join; it is keyed on the key columns, on the whole
 // row when there are none, and is not built before a second non-empty reply
-// or a join needs it.
+// or a join needs it. A reply binds every cell; only a table JoinTables or
+// LeftJoinTables indexes can leave a key column unbound, and such a row is
+// kept off the chains, in loose, the way joinIndex keeps one.
 type Matches struct {
 	vars      []string     // the replies' schema
 	rows      [][]rdf.Term // distinct rows in arrival order
@@ -154,6 +194,7 @@ type Matches struct {
 	cols      []int            // their columns in vars; every column when keys is empty
 	head      map[uint64]int32 // key hash → last row added with it (1-based)
 	next      []int32          // row → previous row with the same hash
+	loose     []int32          // rows leaving a key column unbound, in arrival order
 }
 
 // NewMatches returns an empty accumulator for the replies of a pattern whose
@@ -215,6 +256,10 @@ func (m *Matches) index(extra int) {
 	m.head = make(map[uint64]int32, room)
 	m.next = make([]int32, len(m.rows), room)
 	for i, row := range m.rows {
+		if unbound(row, m.cols) {
+			m.loose = append(m.loose, int32(i))
+			continue
+		}
 		h := m.hash(row)
 		m.next[i] = m.head[h]
 		m.head[h] = int32(i + 1)
@@ -246,15 +291,18 @@ func (m *Matches) insert(row []rdf.Term) {
 // Table returns every row held, in arrival order, copied into one table:
 // the result when the keys were the partial solutions themselves (the unit
 // key, or a pattern mentioning every variable bound so far).
-func (m *Matches) Table() Table {
-	if m.Len() == 0 {
+func (m *Matches) Table() Table { return m.Set().Table() }
+
+// Table copies the rows into one table.
+func (s MatchSet) Table() Table {
+	if len(s.Rows) == 0 {
 		return Table{}
 	}
-	terms := make([]rdf.Term, 0, len(m.rows)*len(m.vars))
-	for _, row := range m.rows {
+	terms := make([]rdf.Term, 0, len(s.Rows)*len(s.Vars))
+	for _, row := range s.Rows {
 		terms = append(terms, row...)
 	}
-	return Table{Vars: m.vars, Terms: terms, N: len(m.rows)}
+	return Table{Vars: s.Vars, Terms: terms, N: len(s.Rows)}
 }
 
 // Join extends every seed row by the rows whose key columns it agrees with
@@ -263,8 +311,40 @@ func (m *Matches) Table() Table {
 // and the rows share. The result's schema is the seeds' variables followed
 // by the rows' others, and its rows are copied into one arena sized before
 // it is filled.
-func (m *Matches) Join(seeds Table) Table {
-	if m.Len() == 0 || seeds.N == 0 {
+func (m *Matches) Join(seeds Table) Table { return m.join(seeds, nil, false) }
+
+// JoinTables returns a ⋈ b in Join's sequence: each row of a extended by
+// every row of b that agrees with it wherever both bind a shared variable,
+// in b's order. b is indexed as Matches indexes its replies, on the shared
+// variables, and its rows are not de-duplicated.
+func JoinTables(a, b Table) Table { return over(a, b).join(a, nil, false) }
+
+// LeftJoinTables returns LeftJoin(a, b, expr) in LeftJoinFilter's sequence:
+// JoinTables' extensions that satisfy expr (all of them when it is nil), a
+// row of a no extension is kept for left with b's other variables unbound —
+// after every extension when expr is nil, in its own place otherwise.
+func LeftJoinTables(a, b Table, expr sparql.Expression) Table { return over(a, b).join(a, expr, true) }
+
+// over indexes b on the variables it shares with a.
+func over(a, b Table) *Matches {
+	m := &Matches{vars: b.Vars, rows: make([][]rdf.Term, b.N)}
+	for i := range m.rows {
+		m.rows[i] = b.Row(i)
+	}
+	for _, v := range b.Vars {
+		if slices.Contains(a.Vars, v) {
+			m.keys = append(m.keys, v)
+		}
+	}
+	return m
+}
+
+// join is the one Table join kernel, behind Join, JoinTables and
+// LeftJoinTables: pass one lists every seed's rows, pass two copies the
+// extensions out, dropping those failing expr; with left, a seed left
+// without an extension is kept as LeftJoinTables says.
+func (m *Matches) join(seeds Table, expr sparql.Expression, left bool) Table {
+	if seeds.N == 0 || m.Len() == 0 && !left {
 		return Table{}
 	}
 	vars := slices.Clip(seeds.Vars)
@@ -275,75 +355,102 @@ func (m *Matches) Join(seeds Table) Table {
 			add = append(add, c)
 		}
 	}
-	out := Table{Vars: vars}
-	extend := func(x, row []rdf.Term) {
+	hits, ends, probe := m.hits(seeds)
+	size := len(hits)
+	if left {
+		size += seeds.N
+	}
+	out := Table{Vars: vars, Terms: make([]rdf.Term, 0, size*len(vars))}
+	keep := rowFilter(vars, expr)
+	pad := func(x []rdf.Term) {
 		out.Terms = append(out.Terms, x...)
-		for _, c := range add {
-			out.Terms = append(out.Terms, row[c])
+		for range add {
+			out.Terms = append(out.Terms, rdf.Term{})
 		}
+		out.N++
 	}
-	if len(m.keys) == 0 {
-		out.N = seeds.N * len(m.rows)
-		out.Terms = make([]rdf.Term, 0, out.N*len(vars))
-		for i := 0; i < seeds.N; i++ {
-			for _, row := range m.rows {
-				extend(seeds.Row(i), row)
-			}
-		}
-		return out
-	}
-	if m.head == nil {
-		m.index(0)
-	}
-	probe := make([]int, len(m.cols)) // the seed column of each key column
-	for k, c := range m.cols {
-		probe[k] = slices.Index(seeds.Vars, m.vars[c])
-	}
-	// Pass one lists every seed's rows, pass two copies them out.
-	hits := make([]int32, 0, max(seeds.N, len(m.rows)))
-	ends := make([]int, seeds.N)
-	for i := range ends {
-		x := seeds.Row(i)
-		h := hashInit
-		for _, c := range probe { // as hash folds a row
-			h = hashTerm(h, x[c])
-		}
-		from := len(hits)
-		for c := m.head[h&hashMask]; c != 0; c = m.next[c-1] {
-			if sameCols(x, m.rows[c-1], probe, m.cols) {
-				hits = append(hits, c-1)
-			}
-		}
-		slices.Reverse(hits[from:]) // chains run newest first
-		ends[i] = len(hits)
-	}
-	out.N = len(hits)
-	out.Terms = make([]rdf.Term, 0, out.N*len(vars))
+	var unmatched []int
 	from := 0
 	for i, end := range ends {
+		x, matched := seeds.Row(i), false
 		for _, r := range hits[from:end] {
-			extend(seeds.Row(i), m.rows[r])
+			at, row := len(out.Terms), m.rows[r]
+			out.Terms = append(out.Terms, x...)
+			for _, c := range add {
+				out.Terms = append(out.Terms, row[c])
+			}
+			for k, c := range probe {
+				if x[c].IsZero() {
+					out.Terms[at+c] = row[m.cols[k]]
+				}
+			}
+			if keep != nil && !keep(out.Terms[at:]) {
+				out.Terms = out.Terms[:at]
+				continue
+			}
+			out.N++
+			matched = true
 		}
 		from = end
+		switch {
+		case !left || matched:
+		case expr == nil:
+			unmatched = append(unmatched, i)
+		default:
+			pad(x)
+		}
+	}
+	for _, i := range unmatched {
+		pad(seeds.Row(i))
 	}
 	return out
 }
 
-// JoinTables returns a ⋈ b for tables whose every cell is bound: each row of
-// a extended by every row of b that agrees with it on the variables the two
-// share — every row of b when they share none — a's rows outer, b's inner in
-// b's order, which is Join's sequence over the same rows written as
-// mappings. b is indexed the way Matches indexes its replies, on the shared
-// variables, and its rows are not de-duplicated.
-func JoinTables(a, b Table) Table {
-	m := &Matches{vars: b.Vars, rows: make([][]rdf.Term, b.N)}
-	for i := range m.rows {
-		m.rows[i] = b.Row(i)
-	}
-	for _, v := range b.Vars {
-		if slices.Contains(a.Vars, v) {
-			m.keys = append(m.keys, v)
+// hits lists the rows compatible with each seed, in arrival order: seed i's
+// are hits[ends[i-1]:ends[i]]. probe is the seed column of each key column.
+func (m *Matches) hits(seeds Table) (hits []int32, ends, probe []int) {
+	var cols []int // no key columns: every row matches every seed
+	if len(m.keys) > 0 {
+		if m.head == nil {
+			m.index(0)
 		}
+		cols = m.cols
 	}
-	return m.Join(a)
+	probe = make([]int, len(cols))
+	for k, c := range cols {
+		probe[k] = slices.Index(seeds.Vars, m.vars[c])
+	}
+	hits = make([]int32, 0, max(seeds.N, len(m.rows)))
+	ends = make([]int, seeds.N)
+	for i := range ends {
+		x, from := seeds.Row(i), len(hits)
+		if len(cols) == 0 || unbound(x, probe) { // any row may match: scan them all
+			for r, row := range m.rows {
+				if compatible(x, row, probe, cols) {
+					hits = append(hits, int32(r))
+				}
+			}
+		} else {
+			h := hashInit
+			for _, c := range probe { // as hash folds a row
+				h = hashTerm(h, x[c])
+			}
+			for c := m.head[h&hashMask]; c != 0; c = m.next[c-1] {
+				if sameCols(x, m.rows[c-1], probe, cols) {
+					hits = append(hits, c-1)
+				}
+			}
+			slices.Reverse(hits[from:]) // chains run newest first
+			for _, r := range m.loose {
+				if compatible(x, m.rows[r], probe, cols) {
+					hits = append(hits, r)
+				}
+			}
+			if len(m.loose) > 0 {
+				slices.Sort(hits[from:])
+			}
+		}
+		ends[i] = len(hits)
+	}
+	return hits, ends, probe
 }

@@ -3,9 +3,11 @@ package eval
 import (
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"adhocshare/internal/rdf"
+	"adhocshare/internal/sparql"
 )
 
 // fullRows draws n mappings binding every one of vars.
@@ -21,7 +23,8 @@ func fullRows(r *rand.Rand, n int, vars ...string) Solutions {
 	return out
 }
 
-// tableOf lays rows out flat over vars.
+// tableOf lays rows out flat over vars; a variable a mapping leaves unbound
+// is an unbound cell.
 func tableOf(rows Solutions, vars ...string) Table {
 	t := Table{Vars: vars, N: len(rows)}
 	for _, b := range rows {
@@ -33,7 +36,7 @@ func tableOf(rows Solutions, vars ...string) Table {
 }
 
 // rowsOf writes a table's rows as mappings, the form the reference
-// operators take.
+// operators take: an unbound cell is a variable the mapping leaves out.
 func rowsOf(t Table) Solutions {
 	if t.N == 0 {
 		return nil
@@ -42,7 +45,9 @@ func rowsOf(t Table) Solutions {
 	for i := range out {
 		b := NewBinding()
 		for c, v := range t.Vars {
-			b[v] = t.Row(i)[c]
+			if term := t.Row(i)[c]; !term.IsZero() {
+				b[v] = term
+			}
 		}
 		out[i] = b
 	}
@@ -208,23 +213,54 @@ func TestProjectSharesRowsItKeepsWhole(t *testing.T) {
 	}
 }
 
-// flatShapes are the schemas FuzzFlatJoin joins, a's then b's: the unit
-// table against a reply; no shared variable (a cross product); every column
+// flatOp is the operator a flatShape applies.
+type flatOp int
+
+const (
+	flatJoin flatOp = iota
+	flatLeftJoin
+	flatUnion
+)
+
+// flatShape is one case of FuzzFlatJoin: a's schema, b's, the operator
+// with its condition, and whether a cell may be unbound.
+type flatShape struct {
+	a, b    []string
+	op      flatOp
+	cond    sparql.Expression
+	unbound bool
+}
+
+// flatShapes are FuzzFlatJoin's cases. Joins of bound rows: the unit table
+// against a reply; no shared variable (a cross product); every column
 // shared, in another order; the one column a pattern repeating its variable
 // (?x p ?x) answers with, against seeds binding it and another; a reply
-// ending in a GRAPH variable the seeds bind too.
-var flatShapes = [][2][]string{
-	{nil, {"x", "y"}},
-	{{"u", "v"}, {"x", "y"}},
-	{{"x", "y"}, {"y", "x"}},
-	{{"x", "y"}, {"x"}},
-	{{"x", "g"}, {"x", "n", "g"}},
+// ending in a GRAPH variable the seeds bind too. Then, with unbound cells: a
+// join on two variables either side may leave unbound; OPTIONAL without a
+// condition; OPTIONAL under bound() of a left variable; OPTIONAL under a
+// condition over both sides, !bound() in it; a union of two schemas.
+var flatShapes = []flatShape{
+	{a: nil, b: []string{"x", "y"}},
+	{a: []string{"u", "v"}, b: []string{"x", "y"}},
+	{a: []string{"x", "y"}, b: []string{"y", "x"}},
+	{a: []string{"x", "y"}, b: []string{"x"}},
+	{a: []string{"x", "g"}, b: []string{"x", "n", "g"}},
+	{a: []string{"x", "y"}, b: []string{"y", "x", "z"}, unbound: true},
+	{a: []string{"x", "y"}, b: []string{"y", "z"}, op: flatLeftJoin, unbound: true},
+	{a: []string{"x", "y"}, b: []string{"x", "z"}, op: flatLeftJoin, unbound: true,
+		cond: &sparql.ExprCall{Name: "BOUND", Args: []sparql.Expression{&sparql.ExprVar{Name: "y"}}}},
+	{a: []string{"x", "y"}, b: []string{"y", "z"}, op: flatLeftJoin, unbound: true,
+		cond: &sparql.ExprOr{
+			Left:  &sparql.ExprNot{X: &sparql.ExprCall{Name: "BOUND", Args: []sparql.Expression{&sparql.ExprVar{Name: "x"}}}},
+			Right: &sparql.ExprCmp{Op: sparql.CmpNeq, Left: &sparql.ExprVar{Name: "z"}, Right: &sparql.ExprVar{Name: "x"}}}},
+	{a: []string{"x", "y"}, b: []string{"y", "z"}, op: flatUnion, unbound: true},
 }
 
 // decodeFlatJoin reads a shape and the two tables' rows off fuzz input;
 // exhausted input reads as zeros. Terms come from hashTerms, so rows repeat
-// and one term can sit under two variables.
-func decodeFlatJoin(data []byte) (a, b Table) {
+// and one term can sit under two variables; where the shape allows it, one
+// more index reads as an unbound cell.
+func decodeFlatJoin(data []byte) (sh flatShape, a, b Table) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -233,40 +269,66 @@ func decodeFlatJoin(data []byte) (a, b Table) {
 		data = data[1:]
 		return int(v)
 	}
-	shape := flatShapes[next()%len(flatShapes)]
+	sh = flatShapes[next()%len(flatShapes)]
+	cells := len(hashTerms)
+	if sh.unbound {
+		cells++
+	}
 	fill := func(vars []string, n int) Table {
 		t := Table{Vars: vars, N: n, Terms: make([]rdf.Term, n*len(vars))}
 		for i := range t.Terms {
-			t.Terms[i] = hashTerms[next()%len(hashTerms)]
+			if k := next() % cells; k < len(hashTerms) {
+				t.Terms[i] = hashTerms[k]
+			}
 		}
 		return t
 	}
 	an := 1 // the unit table has one row
-	if len(shape[0]) > 0 {
+	if len(sh.a) > 0 {
 		an = next() % 8
 	}
-	a = fill(shape[0], an)
-	return a, fill(shape[1], next()%10)
+	a = fill(sh.a, an)
+	return sh, a, fill(sh.b, next()%10)
 }
 
-// checkFlatJoin holds both flat joins to Join and to the nested-loop
-// reference on the same rows written as mappings: JoinTables(a, b) row for
-// row, and Matches.Join(a) over b's rows added in two replies — across which
-// the accumulator de-duplicates — against the join with Distinct(b).
-func checkFlatJoin(t *testing.T, a, b Table) {
+// checkFlatJoin holds the Table operator of a shape to its Solutions
+// counterpart and to the nested-loop reference on the same rows written as
+// mappings, row for row, and its result's SizeBytes to theirs. A join of
+// bound rows also holds Matches.Join(a) over b's rows added in two replies —
+// across which the accumulator de-duplicates — against the join with
+// Distinct(b).
+func checkFlatJoin(t *testing.T, sh flatShape, a, b Table) {
 	t.Helper()
 	as, bs := rowsOf(a), rowsOf(b)
-	want := refJoin(as, bs)
-	sameSequence(t, "Join", Join(as, bs), want)
-	got := JoinTables(a, b)
-	sameSequence(t, "JoinTables", rowsOf(got), want)
+	var got Table
+	var want Solutions
+	switch sh.op {
+	case flatJoin:
+		got, want = JoinTables(a, b), refJoin(as, bs)
+		sameSequence(t, "Join", Join(as, bs), want)
+	case flatLeftJoin:
+		got, want = LeftJoinTables(a, b, sh.cond), refLeftJoin(as, bs)
+		if sh.cond != nil {
+			want = refLeftJoinFilter(as, bs, sh.cond)
+		}
+		sameSequence(t, "LeftJoinFilter", LeftJoinFilter(as, bs, sh.cond), want)
+	case flatUnion:
+		got, want = UnionTables(a, b), Union(as, bs)
+	}
+	sameSequence(t, "table operator", rowsOf(got), want)
+	if got.SizeBytes() != want.SizeBytes() {
+		t.Fatalf("the table costs %d bytes, the same rows as Solutions %d", got.SizeBytes(), want.SizeBytes())
+	}
 	if got.N > 0 && len(got.Terms) != got.N*len(got.Vars) {
-		t.Fatalf("JoinTables: %d terms for %d rows over %v", len(got.Terms), got.N, got.Vars)
+		t.Fatalf("%d terms for %d rows over %v", len(got.Terms), got.N, got.Vars)
 	}
 	for i, v := range got.Vars {
 		if slices.Contains(got.Vars[i+1:], v) {
-			t.Fatalf("JoinTables: schema %v names ?%s twice", got.Vars, v)
+			t.Fatalf("schema %v names ?%s twice", got.Vars, v)
 		}
+	}
+	if sh.op != flatJoin || sh.unbound {
+		return // a reply binds every cell
 	}
 	var shared []string
 	for _, v := range b.Vars {
@@ -282,16 +344,117 @@ func checkFlatJoin(t *testing.T, a, b Table) {
 	sameSequence(t, "Matches.Join", rowsOf(m.Join(a)), refJoin(as, refDistinct(bs)))
 }
 
-// FuzzFlatJoin: the flat joins return Join's sequence. The corpus under
-// testdata/fuzz/FuzzFlatJoin holds one input per shape of flatShapes, and
-// one whose b is a single row eight times over (JoinTables keeps every copy).
+// FuzzFlatJoin: the binary Table operators return their Solutions
+// counterparts' sequences. The corpus under testdata/fuzz/FuzzFlatJoin holds
+// one input per shape of flatShapes, and one whose b is a single row eight
+// times over (JoinTables keeps every copy).
 func FuzzFlatJoin(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b := decodeFlatJoin(data)
-		checkFlatJoin(t, a, b)
+		sh, a, b := decodeFlatJoin(data)
+		checkFlatJoin(t, sh, a, b)
 		hashMask = 0 // every lookup collides: the comparisons alone decide
 		defer func() { hashMask = ^uint64(0) }()
-		checkFlatJoin(t, a, b)
+		checkFlatJoin(t, sh, a, b)
+	})
+}
+
+// refOrder is ORDER BY as it was before the keys were evaluated once per
+// row: a stable sort evaluating both rows' keys at every comparison.
+func refOrder(s Solutions, conds []sparql.OrderCond) Solutions {
+	out := append(Solutions(nil), s...)
+	sort.SliceStable(out, func(i, j int) bool {
+		for _, c := range conds {
+			vi, erri := EvalExpr(c.Expr, out[i])
+			vj, errj := EvalExpr(c.Expr, out[j])
+			var cmp int
+			switch {
+			case erri != nil && errj != nil:
+			case erri != nil:
+				cmp = -1
+			case errj != nil:
+				cmp = 1
+			default:
+				cmp = rdf.Compare(vi.Term, vj.Term)
+			}
+			if c.Desc {
+				cmp = -cmp
+			}
+			if cmp != 0 {
+				return cmp < 0
+			}
+		}
+		return false
+	})
+	return out
+}
+
+// TestTableOperatorsMatchSolutionOperators: every operator the engine
+// applies above a BGP returns, over tables with unbound cells, the sequence
+// its Solutions counterpart returns over the same rows written as mappings,
+// and a table that costs what those mappings cost.
+func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
+	x, y, z := &sparql.ExprVar{Name: "x"}, &sparql.ExprVar{Name: "y"}, &sparql.ExprVar{Name: "z"}
+	bound := func(v *sparql.ExprVar) sparql.Expression {
+		return &sparql.ExprCall{Name: "BOUND", Args: []sparql.Expression{v}}
+	}
+	filters := []sparql.Expression{
+		bound(y),
+		&sparql.ExprNot{X: bound(z)},
+		&sparql.ExprCmp{Op: sparql.CmpEq, Left: x, Right: &sparql.ExprTerm{Term: hashTerms[0]}},
+	}
+	orders := [][]sparql.OrderCond{
+		{{Expr: x}},
+		{{Expr: y, Desc: true}, {Expr: x}},
+		// an error on every row: all tie, and the input order stands
+		{{Expr: &sparql.ExprArith{Op: sparql.ArithAdd, Left: x, Right: y}}},
+	}
+	shapes := [][2][]string{
+		{{"x", "y", "u"}, {"x", "y", "z"}},
+		{{"x", "y"}, {"y", "z"}},
+		{{"x"}, {"z"}},
+		{{"x", "z"}, {"x", "z"}},
+	}
+	check := func(t *testing.T, what string, got Table, want Solutions) {
+		t.Helper()
+		sameSequence(t, what, rowsOf(got), want)
+		if got.SizeBytes() != want.SizeBytes() {
+			t.Fatalf("%s: the table costs %d bytes, the same rows as Solutions %d", what, got.SizeBytes(), want.SizeBytes())
+		}
+	}
+	eachHashMode(t, func(t *testing.T) {
+		for seed := int64(0); seed < 40; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			var rows Solutions // some rows twice in a row, for Distinct and Reduced
+			for _, b := range randomRows(r, r.Intn(14), "x", "y", "z") {
+				rows = append(rows, b)
+				if r.Intn(3) == 0 {
+					rows = append(rows, b)
+				}
+			}
+			tab := tableOf(rows, "x", "y", "z")
+			for _, f := range filters {
+				check(t, "Filter "+f.String(), tab.Filter(f), FilterSolutions(rows, f))
+			}
+			check(t, "Project", tab.Project([]string{"z", "x", "w"}), Project(rows, []string{"z", "x", "w"}))
+			check(t, "Distinct", tab.Distinct(), Distinct(rows))
+			check(t, "Reduced", tab.Reduced(), Reduced(rows))
+			for _, c := range orders {
+				sameSequence(t, "Order", Order(rows, c), refOrder(rows, c))
+				check(t, "Table Order", tab.Order(c), Order(rows, c))
+			}
+			offset, limit := r.Intn(len(rows)+2)-1, r.Intn(len(rows)+2)-1
+			check(t, "Slice", tab.Slice(offset, limit), Slice(rows, offset, limit))
+			for _, sh := range shapes {
+				a, b := randomRows(r, r.Intn(10), sh[0]...), randomRows(r, r.Intn(10), sh[1]...)
+				at, bt := tableOf(a, sh[0]...), tableOf(b, sh[1]...)
+				check(t, "JoinTables", JoinTables(at, bt), Join(a, b))
+				check(t, "LeftJoinTables", LeftJoinTables(at, bt, nil), LeftJoinFilter(a, b, nil))
+				for _, f := range filters {
+					check(t, "LeftJoinTables "+f.String(), LeftJoinTables(at, bt, f), LeftJoinFilter(a, b, f))
+				}
+				check(t, "UnionTables", UnionTables(at, bt), Union(a, b))
+			}
+		}
 	})
 }

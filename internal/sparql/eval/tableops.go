@@ -1,0 +1,149 @@
+package eval
+
+import (
+	"slices"
+
+	"adhocshare/internal/rdf"
+	"adhocshare/internal/sparql"
+)
+
+// The operators the distributed engine applies above a basic graph pattern.
+// Each returns, over the same rows written as mappings, its Solutions
+// counterpart's sequence; a result may share the input's terms.
+
+// UnionTables returns a ∪ b: a's rows, then b's, over a's variables followed
+// by b's others; a row leaves the other side's variables unbound.
+func UnionTables(a, b Table) Table {
+	vars := slices.Clip(a.Vars)
+	for _, v := range b.Vars {
+		if !slices.Contains(vars, v) {
+			vars = append(vars, v)
+		}
+	}
+	out := Table{Vars: vars, Terms: make([]rdf.Term, (a.N+b.N)*len(vars)), N: a.N + b.N}
+	from := 0
+	for _, t := range [2]Table{a, b} {
+		for c, v := range t.Vars {
+			k := slices.Index(vars, v)
+			for i := 0; i < t.N; i++ {
+				out.Terms[(from+i)*len(vars)+k] = t.Row(i)[c]
+			}
+		}
+		from += t.N
+	}
+	return out
+}
+
+// Filter keeps the rows that satisfy expr: t itself when every row does.
+func (t Table) Filter(expr sparql.Expression) Table {
+	keep := rowFilter(t.Vars, expr)
+	if keep == nil {
+		return t
+	}
+	kept := make([]bool, t.N)
+	n := 0
+	for i := range kept {
+		if kept[i] = keep(t.Row(i)); kept[i] {
+			n++
+		}
+	}
+	if n == t.N {
+		return t
+	}
+	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, n*len(t.Vars)), N: n}
+	for i, k := range kept {
+		if k {
+			out.Terms = append(out.Terms, t.Row(i)...)
+		}
+	}
+	return out
+}
+
+// Project restricts every row to the columns of vars.
+func (t Table) Project(vars []string) Table {
+	var cols []int
+	for c, v := range t.Vars {
+		if slices.Contains(vars, v) {
+			cols = append(cols, c)
+		}
+	}
+	out := Table{Vars: make([]string, len(cols)), Terms: make([]rdf.Term, 0, t.N*len(cols)), N: t.N}
+	for k, c := range cols {
+		out.Vars[k] = t.Vars[c]
+	}
+	for i := 0; i < t.N; i++ {
+		row := t.Row(i)
+		for _, c := range cols {
+			out.Terms = append(out.Terms, row[c])
+		}
+	}
+	return out
+}
+
+// Distinct removes duplicate rows, preserving first occurrences.
+func (t Table) Distinct() Table {
+	if t.N == 0 {
+		return t
+	}
+	return KeyTable(t, t.Vars)
+}
+
+// Reduced removes adjacent duplicate rows.
+func (t Table) Reduced() Table {
+	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms))}
+	for i := 0; i < t.N; i++ {
+		if i > 0 && slices.Equal(t.Row(i), t.Row(i-1)) {
+			continue
+		}
+		out.Terms = append(out.Terms, t.Row(i)...)
+		out.N++
+	}
+	return out
+}
+
+// Order sorts the rows by the ORDER BY conditions as Order sorts mappings,
+// each row's keys evaluated once.
+func (t Table) Order(conds []sparql.OrderCond) Table {
+	as := scratchRow(t.Vars)
+	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms)), N: t.N}
+	for _, i := range orderRows(conds, t.N, func(i int) Binding { return as(t.Row(i)) }) {
+		out.Terms = append(out.Terms, t.Row(i)...)
+	}
+	return out
+}
+
+// Slice applies OFFSET and LIMIT (-1 meaning unset).
+func (t Table) Slice(offset, limit int) Table {
+	from, to := min(max(offset, 0), t.N), t.N
+	if limit >= 0 {
+		to = min(from+limit, t.N)
+	}
+	w := len(t.Vars)
+	return Table{Vars: t.Vars, Terms: t.Terms[from*w : to*w : to*w], N: to - from}
+}
+
+// rowFilter returns the test of expr on a row over vars; nil when expr is.
+func rowFilter(vars []string, expr sparql.Expression) func([]rdf.Term) bool {
+	if expr == nil {
+		return nil
+	}
+	as := scratchRow(vars)
+	return func(row []rdf.Term) bool { return Satisfies(expr, as(row)) }
+}
+
+// scratchRow returns a function writing a row over vars into one reused
+// mapping, which it returns: an unbound cell leaves its variable absent,
+// never present as the zero term, or bound() would call it bound.
+func scratchRow(vars []string) func([]rdf.Term) Binding {
+	b := make(Binding, len(vars))
+	return func(row []rdf.Term) Binding {
+		for c, v := range vars {
+			if row[c].IsZero() {
+				delete(b, v)
+			} else {
+				b[v] = row[c]
+			}
+		}
+		return b
+	}
+}
