@@ -125,7 +125,7 @@ const (
 type QueryOptions = dqp.Options
 
 // DefaultQueryOptions returns the default configuration: basic patterns
-// under parallel joins, each BGP one wave of one sub-query per provider
+// under parallel joins, each query one wave of one sub-query per provider
 // from the initiator, with move-small placement, filter pushing and join
 // reordering — no worse than BaselineQueryOptions on bytes, response time
 // and messages across the benchmark's query classes (see

@@ -86,19 +86,6 @@ func (c *lookupCache) dropNode(node simnet.Addr) {
 	}
 }
 
-// dropIndex removes rows owned by a departed index node.
-//
-//adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves fewer advisory entries to revalidate)
-func (c *lookupCache) dropIndex(addr simnet.Addr) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for key, row := range c.rows {
-		if row.index == addr {
-			delete(c.rows, key)
-		}
-	}
-}
-
 // Len returns the number of cached rows.
 func (c *lookupCache) Len() int {
 	c.mu.Lock()

@@ -847,11 +847,6 @@ func TestLookupCacheEviction(t *testing.T) {
 	if _, ok := c.get(1); ok {
 		t.Error("oldest entry not evicted")
 	}
-	// dropIndex removes rows by owner
-	c.dropIndex("b")
-	if _, ok := c.get(2); ok {
-		t.Error("dropIndex failed")
-	}
 }
 
 func TestDatasetFROMScoping(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"adhocshare/internal/chord"
 	"adhocshare/internal/flight"
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
@@ -76,6 +77,13 @@ type qctx struct {
 	drops         int
 	cacheHits     int
 	replicaHits   int
+	// rows holds the query's planned location-table rows by index key, from
+	// its planning round on (planKeys); waved holds the results of the BGPs
+	// the query's wave ran (waveAll), for exec to find.
+	rows  []resolvedRow
+	waved map[*algebra.BGP]bgpResult
+	// rowBuf is rows' first backing array, room for a typical query's keys.
+	rowBuf [1]resolvedRow
 	// rec is the span recorder (nil = tracing disabled, read once in
 	// newQctx); tc is the query's root trace context — always allocated,
 	// it is what the fabric attributes the query's traffic by — and seq the
@@ -139,6 +147,57 @@ func (c *qctx) countLookup(hops int, hit bool) {
 	c.hops += hops
 	if hit {
 		c.cacheHits++
+	}
+}
+
+// resolvedRow is one index key's planned resolution: the responsible index
+// node, its location-table row and when the row reached the initiator.
+type resolvedRow struct {
+	key      chord.ID
+	index    simnet.Addr
+	postings []overlay.Posting
+	ready    simnet.VTime
+}
+
+// unplanned reports whether the query holds no row for key yet.
+func (c *qctx) unplanned(key chord.ID) bool {
+	return !slices.ContainsFunc(c.rows, func(r resolvedRow) bool { return r.key == key })
+}
+
+// row returns the query's planned row for key.
+func (c *qctx) row(key chord.ID) resolvedRow {
+	i := slices.IndexFunc(c.rows, func(r resolvedRow) bool { return r.key == key })
+	return c.rows[i]
+}
+
+// keepRow records a key's planned row for the rest of the query.
+//
+//adhoclint:faultpath(benign, query-scoped planning state; discarded with the context when the query fails)
+func (c *qctx) keepRow(row resolvedRow) {
+	c.rows = append(c.rows, row)
+}
+
+// keepWave records the results of the BGPs the query's wave ran, results[i]
+// being calls[i]'s.
+//
+//adhoclint:faultpath(benign, query-scoped results; discarded with the context when the query fails)
+func (c *qctx) keepWave(calls []bgpCall, results []bgpResult) {
+	c.waved = make(map[*algebra.BGP]bgpResult, len(calls))
+	for i, call := range calls {
+		c.waved[call.bgp] = results[i]
+	}
+}
+
+// dropPostings removes node from every planned row index holds: a stale
+// provider the query found dead and told index about is not asked again by
+// a later BGP of the query, as a fresh lookup there would not list it.
+//
+//adhoclint:faultpath(benign, query-scoped planning state; discarded with the context when the query fails)
+func (c *qctx) dropPostings(index, node simnet.Addr) {
+	for i, row := range c.rows {
+		if row.index == index {
+			c.rows[i].postings = slices.DeleteFunc(slices.Clone(row.postings), func(p overlay.Posting) bool { return p.Node == node })
+		}
 	}
 }
 
@@ -210,7 +269,23 @@ func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*
 	if err != nil {
 		return nil, Stats{}, done, err
 	}
+	ctx.countLookup(e.batchForwards(initiator, traffic), false)
 	return out, ctx.stats(traffic, len(out.Solutions), at, done), done, nil
+}
+
+// batchForwards is the number of ring forwards the query's batched key
+// resolution made — a query forms at most one batch, in its planning round,
+// as a DESCRIBE's resources resolve one at a time — read off the query's
+// find_successor_batch traffic: a call is a request and a reply leg, and the
+// initiator's own call to its ring entry point is not a forward (an index
+// node is its own entry point and makes none). A route prefix several keys
+// share is one forward; a forward re-sent after a loss counts again.
+func (e *Engine) batchForwards(initiator simnet.Addr, traffic simnet.QueryTraffic) int {
+	calls := int(traffic.PerMethod[chord.MethodFindSuccessorBatch].Messages / 2)
+	if _, own := e.sys.Index(initiator); calls > 0 && !own {
+		calls--
+	}
+	return calls
 }
 
 // firstSolutionSettles reports whether one solution of the plan's basic
@@ -247,6 +322,7 @@ func (e *Engine) newQctx(initiator simnet.Addr, q *sparql.Query) *qctx {
 		rec:     net.Recorder(), flt: net.FlightRecorder(),
 		tc: trace.Root(e.sys.NextTraceID()),
 	}
+	ctx.rows = ctx.rowBuf[:0]
 	net.TrackQuery(ctx.tc.Query)
 	return ctx
 }
@@ -272,7 +348,7 @@ func (c *qctx) stats(traffic simnet.QueryTraffic, solutions int, at, done simnet
 // runPlan executes an optimized algebra plan and post-processes its
 // solutions into the query form's result.
 func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VTime) (*Result, simnet.VTime, error) {
-	res, done, err := e.exec(ctx, op, at)
+	res, done, err := e.execQuery(ctx, op, at)
 	ctx.stage("exec", at, done)
 	if err != nil {
 		return nil, done, err

@@ -63,29 +63,18 @@ func (c *qctx) unitSeed() flatSet {
 // exec evaluates an algebra operator distributedly and returns the
 // resulting solutions, their site and the virtual completion time.
 func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simnet.VTime, error) {
-	switch o := op.(type) {
-	case *algebra.BGP:
-		return e.execBGP(ctx, o.Patterns, nil, rdf.Term{}, at)
-	case *algebra.Graph:
-		// GRAPH scope: the inner BGP (optionally with a pushed filter)
-		// ships with the graph name; providers match against their named
-		// graphs (Sect. IV-A named-graph matching).
-		switch inner := o.Input.(type) {
-		case *algebra.BGP:
-			return e.execBGP(ctx, inner.Patterns, nil, o.Name, at)
-		case *algebra.Filter:
-			if bgp, ok := inner.Input.(*algebra.BGP); ok {
-				return e.execBGP(ctx, bgp.Patterns, inner.Expr, o.Name, at)
-			}
+	if c, ok := e.asBGP(op); ok {
+		if r, ok := ctx.waved[c.bgp]; ok {
+			return r.set, simnet.MaxTime(at, r.done), nil // the query's wave ran it
 		}
+		return e.execBGP(ctx, c.bgp.Patterns, c.filter, c.scope, at)
+	}
+	switch o := op.(type) {
+	case *algebra.Graph:
 		return flatSet{}, at, errUnsupported(op)
 	case *algebra.Filter:
-		// A filter directly above a BGP ships with the sub-queries and
-		// runs at the storage nodes (Sect. IV-G filter pushing); otherwise
-		// it is applied where its input's solutions reside.
-		if bgp, ok := o.Input.(*algebra.BGP); ok && e.opts.PushFilters {
-			return e.execBGP(ctx, bgp.Patterns, o.Expr, rdf.Term{}, at)
-		}
+		// A filter asBGP does not ship with its BGP's sub-queries is applied
+		// where its input's solutions reside.
 		return e.execUnary(ctx, o.Input, false, at, func(t eval.Table) eval.Table { return t.Filter(o.Expr) })
 	case *algebra.Join:
 		return e.execMerge(ctx, o.Left, o.Right, at, eval.JoinTables)
@@ -123,6 +112,110 @@ func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simne
 	default:
 		return flatSet{}, at, errUnsupported(op)
 	}
+}
+
+// bgpCall is a BGP as exec hands it to execBGP: with the filter that ships
+// with its sub-queries and its GRAPH scope.
+type bgpCall struct {
+	bgp    *algebra.BGP
+	filter sparql.Expression
+	scope  rdf.Term
+}
+
+// asBGP reports whether exec evaluates op as one BGP, and with what. A
+// filter directly above a BGP ships with the sub-queries and runs at the
+// storage nodes (Sect. IV-G filter pushing). Under GRAPH the inner BGP,
+// optionally with a filter, which then always ships, goes out with the
+// graph name and providers match against their named graphs (Sect. IV-A
+// named-graph matching).
+func (e *Engine) asBGP(op algebra.Op) (bgpCall, bool) {
+	switch o := op.(type) {
+	case *algebra.BGP:
+		return bgpCall{bgp: o}, true
+	case *algebra.Filter:
+		if bgp, ok := o.Input.(*algebra.BGP); ok && e.opts.PushFilters {
+			return bgpCall{bgp: bgp, filter: o.Expr}, true
+		}
+	case *algebra.Graph:
+		switch inner := o.Input.(type) {
+		case *algebra.BGP:
+			return bgpCall{bgp: inner, scope: o.Name}, true
+		case *algebra.Filter:
+			if bgp, ok := inner.Input.(*algebra.BGP); ok {
+				return bgpCall{bgp: bgp, filter: inner.Expr, scope: o.Name}, true
+			}
+		}
+	}
+	return bgpCall{}, false
+}
+
+// bgpCalls appends the non-empty BGPs exec reaches in op to out, in the
+// order it reaches them.
+func (e *Engine) bgpCalls(op algebra.Op, out []bgpCall) []bgpCall {
+	if c, ok := e.asBGP(op); ok {
+		if len(c.bgp.Patterns) > 0 {
+			out = append(out, c)
+		}
+		return out
+	}
+	if _, ok := op.(*algebra.Graph); ok {
+		return out // exec refuses it
+	}
+	for _, in := range op.Children() {
+		out = e.bgpCalls(in, out)
+	}
+	return out
+}
+
+// execQuery evaluates a query's plan. Every BGP exec reaches starts at the
+// query's start time, so the BGPs of a query with several are all planned
+// in one round first (planKeys), and under basic/parallel-join they leave
+// together as one wave (waveAll); exec then finds their results where the
+// wave left them, at the initiator. A query with one BGP is planned by it.
+func (e *Engine) execQuery(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simnet.VTime, error) {
+	var buf [4]bgpCall
+	if calls := e.bgpCalls(op, buf[:0]); len(calls) > 1 {
+		bits := e.sys.Config().Bits
+		var keys []chord.ID
+		for _, c := range calls {
+			for _, pat := range c.bgp.Patterns {
+				if key, _, ok := overlay.PatternKey(pat, bits); ok && !slices.Contains(keys, key) {
+					keys = append(keys, key)
+				}
+			}
+		}
+		if done, err := e.planKeys(ctx, keys, at); err != nil {
+			return flatSet{}, done, err
+		}
+		if e.opts.Strategy == StrategyBasic && e.opts.Conjunction == ConjParallelJoin {
+			if done, err := e.waveAll(ctx, calls, at); err != nil {
+				return flatSet{}, done, err
+			}
+		}
+	}
+	return e.exec(ctx, op, at)
+}
+
+// waveAll runs the BGPs of calls as one wave from the initiator once all of
+// them are planned (execWave) and leaves their results in ctx.waved.
+func (e *Engine) waveAll(ctx *qctx, calls []bgpCall, at simnet.VTime) (simnet.VTime, error) {
+	bgps := make([]bgpPlan, len(calls))
+	start := at
+	for i, c := range calls {
+		b, ready, err := e.planBGP(ctx, c.bgp.Patterns, c.filter, c.scope, at)
+		if err != nil {
+			return ready, err
+		}
+		bgps[i] = b
+		start = simnet.MaxTime(start, ready)
+	}
+	results := make([]bgpResult, len(bgps))
+	done, err := e.execWave(ctx, bgps, results, start)
+	if err != nil {
+		return done, err
+	}
+	ctx.keepWave(calls, results)
+	return done, nil
 }
 
 // execUnary evaluates input and applies f to its solutions where they
@@ -327,20 +420,86 @@ func (p patternPlan) targetAddrs() []simnet.Addr {
 	return out
 }
 
-// planPatterns resolves every pattern of a BGP through the two-level
-// index: hash the bound attribute combination, route to the responsible
-// index node (level one), read the location-table row (level two). The
-// lookups for the distinct keys run concurrently from the initiator —
-// patterns sharing a key (same bound attribute combination) share one
-// lookup — and complete at the max of the branch times; their cost is
-// part of the query cost.
+// planKeys resolves the keys ctx holds no row for yet, in one planning
+// round from the initiator through the two-level index — route to the
+// responsible index node (level one), read the location-table row (level
+// two) — and keeps the rows in ctx for every BGP of the query. A key the
+// lookup cache holds under a live index node is ready at once; the others
+// go to the lookup client together (overlay.LookupClient.LookupBatch): a
+// lone key is one find_successor and one index.lookup, several are one
+// find_successor_batch and one index.lookup per owner. A key's row is ready
+// when its read is in; the round's cost is part of the query cost.
+func (e *Engine) planKeys(ctx *qctx, keys []chord.ID, at simnet.VTime) (simnet.VTime, error) {
+	if !slices.ContainsFunc(keys, ctx.unplanned) {
+		return at, nil
+	}
+	// The round gets its own op span; the lookup client derives its message
+	// contexts from it — the span identifiers the trace goldens pin.
+	planTC := ctx.nextTC(ctx.tc)
+	remote, filtered := keys, false // the keys to look up, keys itself until one is not
+	for i, key := range keys {
+		skip := !ctx.unplanned(key)
+		if !skip && e.opts.CacheLookups {
+			if row, ok := e.cache.get(key); ok && e.sys.Net().Alive(row.index) {
+				ctx.keepRow(resolvedRow{key: key, index: row.index, postings: row.postings, ready: at})
+				ctx.countLookup(0, true)
+				skip = true
+			}
+		}
+		switch {
+		case skip && !filtered:
+			remote, filtered = slices.Clone(keys[:i]), true
+		case !skip && filtered:
+			remote = append(remote, key)
+		}
+	}
+	done := at
+	if len(remote) > 0 {
+		rows, end, err := e.hot.LookupBatch(ctx.initiator, remote, planTC, at)
+		done = simnet.MaxTime(at, end)
+		if err != nil {
+			return done, lookupFailure(err)
+		}
+		for i, key := range remote {
+			r := rows[i]
+			ctx.keepRow(resolvedRow{key: key, index: r.Index, postings: r.Postings, ready: r.Done})
+			ctx.countLookup(r.Hops, false)
+			if r.ReplicaHit {
+				ctx.countReplicaHit()
+			}
+			if e.opts.CacheLookups {
+				e.cache.put(key, cachedRow{index: r.Index, postings: append([]overlay.Posting(nil), r.Postings...)})
+			}
+		}
+	}
+	ctx.opSpan(planTC, "dqp.plan", string(ctx.initiator), "", at, done)
+	return done, nil
+}
+
+// lookupFailure types a failed planning round: a step still lost after its
+// retries is a partial failure naming the step's method and, for a read,
+// the index node asked.
+func lookupFailure(err error) error {
+	var le *overlay.LookupError
+	if !errors.As(err, &le) || !simnet.IsLost(le.Err) {
+		return err
+	}
+	pf := &PartialFailureError{Method: le.Method, Err: le.Err}
+	if le.Owner != "" {
+		pf.Missing = []simnet.Addr{le.Owner}
+	}
+	return pf
+}
+
+// planPatterns plans every pattern of a BGP: its index key, the responsible
+// index node and the location-table row, from the query's planning round
+// (planKeys resolves any key it did not cover — a DESCRIBE's, whose
+// resources come from rows). An all-variable pattern has no key and floods
+// every storage node. The plans are ready when the last of their rows is.
 func (e *Engine) planPatterns(ctx *qctx, patterns []rdf.Triple, at simnet.VTime) ([]patternPlan, simnet.VTime, error) {
 	plans := make([]patternPlan, len(patterns))
 	bits := e.sys.Config().Bits
-	keyOf := make([]chord.ID, len(patterns))
-	hasKey := make([]bool, len(patterns))
-	var lookups []chord.ID // distinct keys, in first-occurrence order
-	seen := map[chord.ID]bool{}
+	var keys []chord.ID
 	for i, pat := range patterns {
 		plans[i] = patternPlan{pattern: pat}
 		key, _, ok := overlay.PatternKey(pat, bits)
@@ -353,85 +512,59 @@ func (e *Engine) planPatterns(ctx *qctx, patterns []rdf.Triple, at simnet.VTime)
 			}
 			continue
 		}
-		plans[i].hasKey = true
-		keyOf[i], hasKey[i] = key, true
-		if !seen[key] {
-			seen[key] = true
-			lookups = append(lookups, key)
+		plans[i].hasKey, plans[i].key = true, key
+		if !slices.Contains(keys, key) {
+			keys = append(keys, key)
 		}
 	}
-	// The lookup fan-out gets its own op span; each branch derives its
-	// message contexts from the branch index — the span identifiers the
-	// trace goldens pin.
-	planTC := ctx.nextTC(ctx.tc)
-	// rowResult is one resolved location-table row; hops only counts ring
-	// forwarding actually performed (zero on an initiator-cache hit, which
-	// hit reports so the engine can count it after the join — replica
-	// likewise for lookups served by a hot-key replica holder).
-	type rowResult struct {
-		index    simnet.Addr
-		postings []overlay.Posting
-		hops     int
-		hit      bool
-		replica  bool
+	if done, err := e.planKeys(ctx, keys, at); err != nil {
+		return nil, done, err
 	}
-	//adhoclint:faultpath(abort-all, a failed lookup leaves a pattern without its target set, so the whole query plan is unusable; the first branch error aborts planning)
-	results, done := simnet.Parallel(len(lookups), 0, func(li int) (rowResult, simnet.VTime, error) {
-		key := lookups[li]
-		if e.opts.CacheLookups {
-			if row, ok := e.cache.get(key); ok && e.sys.Net().Alive(row.index) {
-				return rowResult{index: row.index, postings: append([]overlay.Posting(nil), row.postings...), hit: true}, at, nil
-			}
-		}
-		// The lookup client sends the paper's exact resolve-then-read
-		// sequence on a static system (zero epoch, same trace contexts);
-		// on an adaptive system it may serve the row from a hot-key
-		// replica instead. row.Index stays the key's home successor
-		// either way, so join-site planning is unaffected.
-		row, lookupDone, err := e.hot.Lookup(ctx.initiator, key,
-			planTC.Child(uint64(2*li)), planTC.Child(uint64(2*li+1)), at)
-		if err != nil {
-			if simnet.IsLost(err) {
-				if row.Index == "" {
-					err = &PartialFailureError{Method: chord.MethodFindSuccessor, Err: err}
-				} else {
-					err = &PartialFailureError{Method: overlay.MethodLookup, Missing: []simnet.Addr{row.Index}, Err: err}
-				}
-			}
-			return rowResult{}, lookupDone, err
-		}
-		if e.opts.CacheLookups {
-			e.cache.put(key, cachedRow{
-				index:    row.Index,
-				postings: append([]overlay.Posting(nil), row.Postings...),
-			})
-		}
-		return rowResult{index: row.Index, postings: row.Postings, hops: row.Hops, replica: row.ReplicaHit}, lookupDone, nil
-	})
-	rows := make(map[chord.ID]rowResult, len(lookups))
-	for li, r := range results {
-		if r.Err != nil {
-			return nil, simnet.MaxTime(at, done), r.Err
-		}
-		rows[lookups[li]] = r.Value
-		ctx.countLookup(r.Value.hops, r.Value.hit)
-		if r.Value.replica {
-			ctx.countReplicaHit()
-		}
-	}
-	if len(lookups) > 0 {
-		ctx.opSpan(planTC, "dqp.plan", string(ctx.initiator), "", at, simnet.MaxTime(at, done))
-	}
+	now := at
 	for i := range plans {
-		if !hasKey[i] {
+		if !plans[i].hasKey {
 			continue
 		}
-		row := rows[keyOf[i]]
-		plans[i].key = keyOf[i]
+		row := ctx.row(plans[i].key)
 		plans[i].index = row.index
 		plans[i].postings = append([]overlay.Posting(nil), row.postings...)
+		now = simnet.MaxTime(now, row.ready)
 	}
-	return plans, simnet.MaxTime(at, done), nil
+	return plans, now, nil
+}
+
+// bgpPlan is a BGP ready to run: its pattern plans in execution order, the
+// conjuncts of the filter that ships with it, that filter, and its GRAPH
+// scope.
+type bgpPlan struct {
+	plans     []patternPlan
+	conjuncts []sparql.Expression
+	filter    sparql.Expression
+	scope     rdf.Term
+}
+
+// bgpResult is a BGP's result and when it was complete.
+type bgpResult struct {
+	set  flatSet
+	done simnet.VTime
+}
+
+// planBGP plans a BGP's patterns and puts them in execution order: by the
+// location-table frequencies when ReorderJoins is set. The lone pattern of
+// an existence-only query may stop at the first matching solution.
+func (e *Engine) planBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (bgpPlan, simnet.VTime, error) {
+	plans, now, err := e.planPatterns(ctx, patterns, at)
+	if err != nil {
+		return bgpPlan{}, now, err
+	}
+	if e.opts.ReorderJoins && len(plans) > 1 {
+		plans = reorderPlans(plans)
+	}
+	if len(plans) == 1 {
+		// ASK over one pattern: the first matching solution settles it.
+		plans[0].stopOnFirst = ctx.existenceOnly
+	}
+	return bgpPlan{plans: plans, conjuncts: splitFilter(filter), filter: filter, scope: scope}, now, nil
 }
 
 // execBGP evaluates a basic graph pattern distributedly. filter, when
@@ -442,21 +575,18 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	if len(patterns) == 0 {
 		return ctx.unitSeed(), at, nil
 	}
-	plans, now, err := e.planPatterns(ctx, patterns, at)
+	b, now, err := e.planBGP(ctx, patterns, filter, scope, at)
 	if err != nil {
 		return flatSet{}, now, err
 	}
-	if e.opts.ReorderJoins && len(plans) > 1 {
-		plans = reorderPlans(plans)
-	}
-	conjuncts := splitFilter(filter)
-	if len(plans) == 1 {
-		// ASK over one pattern: the first matching solution settles it.
-		plans[0].stopOnFirst = ctx.existenceOnly
-	}
 	if e.opts.Strategy == StrategyBasic && e.opts.Conjunction == ConjParallelJoin {
-		return e.execWave(ctx, plans, conjuncts, filter, scope, now)
+		var res [1]bgpResult
+		if done, err := e.execWave(ctx, []bgpPlan{b}, res[:], now); err != nil {
+			return flatSet{}, done, err
+		}
+		return res[0].set, simnet.MaxTime(now, res[0].done), nil
 	}
+	plans, conjuncts := b.plans, b.conjuncts
 	if len(plans) == 1 {
 		// One pattern — every primitive query, the inner side of most
 		// OPTIONALs and UNIONs — is the bypass: its matches are the result.
@@ -607,39 +737,62 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 
 // execWave runs the parallel-join conjunction under the basic strategy as
 // one wave from the initiator, which holds every pattern's location-table
-// row once planning is done. Every pattern leaves at once from the unit
-// seed with the filter conjuncts it covers alone; each target is sent one
-// store.match carrying a unit for every pattern that lists it and answers
-// with one table per unit; the pattern results are joined left to right
-// where the replies land, at the initiator (Sect. IV-C basic fan-out,
-// Sect. IV-D parallel evaluation). A pattern no provider lists empties the
-// conjunction, so then nothing is sent. ASK over one pattern is the one
-// exception to "at once": the first match settles it, so the targets are
-// asked one after another, each when the one before answered empty.
-func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
-	for _, p := range plans {
-		if len(p.postings) == 0 {
-			return flatSet{site: ctx.initiator}, at, nil
-		}
-	}
-	// pats[i] is plan i's unit, its op span, its replies by posting and when
-	// the last of them was in.
+// row once planning is done, for one BGP or for all the BGPs of a query
+// (waveAll). Every pattern leaves at once from the unit seed with the filter
+// conjuncts it covers alone; each target is sent one store.match carrying a
+// unit for every pattern, of every BGP, that lists it and answers with one
+// table per unit; each BGP's pattern results are joined left to right where
+// the replies land, at the initiator (Sect. IV-C basic fan-out, Sect. IV-D
+// parallel evaluation). A BGP with a pattern no provider lists is empty and
+// sends nothing. ASK over one pattern is the one exception to "at once":
+// the first match settles it, so the targets are asked one after another,
+// each when the one before answered empty. out[i] receives bgps[i]'s result,
+// complete when the last reply carrying one of its units is in.
+//
+//adhoclint:faultpath(benign, out holds the caller's result slots, dropped when the wave fails)
+func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.VTime) (simnet.VTime, error) {
+	// plans is every pattern of the wave, BGP after BGP, and pats[i] is
+	// plans[i]'s BGP, unit, op span, replies by posting and when the last of
+	// them was in. A BGP with a pattern no provider lists is left out.
 	type wavePattern struct {
+		bgp     int
 		unit    overlay.MatchUnit
 		tc      trace.TraceContext
 		replies []eval.Table
 		end     simnet.VTime
 	}
-	pats := make([]wavePattern, len(plans))
-	shipped := make([]bool, len(conjuncts))
-	n := 0
-	for i, p := range plans {
-		pats[i] = wavePattern{
-			unit: overlay.MatchUnit{Pattern: p.pattern, Keys: eval.Table{N: 1},
-				Filter: shippableFilter(conjuncts, shipped, varSet(p.pattern))},
-			tc: ctx.nextTC(ctx.tc), replies: make([]eval.Table, len(p.postings)), end: at,
+	unlisted := func(p patternPlan) bool { return len(p.postings) == 0 }
+	plans := bgps[0].plans
+	if len(bgps) > 1 || slices.ContainsFunc(plans, unlisted) {
+		plans = nil
+		for _, w := range bgps {
+			if !slices.ContainsFunc(w.plans, unlisted) {
+				plans = append(plans, w.plans...)
+			}
 		}
-		n += len(p.postings)
+	}
+	if len(plans) == 0 {
+		for b := range bgps {
+			out[b] = bgpResult{set: flatSet{site: ctx.initiator}, done: at}
+		}
+		return at, nil
+	}
+	pats := make([]wavePattern, 0, len(plans))
+	n := 0
+	for b, w := range bgps {
+		out[b] = bgpResult{set: flatSet{site: ctx.initiator}, done: at}
+		if slices.ContainsFunc(w.plans, unlisted) {
+			continue
+		}
+		shipped := make([]bool, len(w.conjuncts))
+		for _, p := range w.plans {
+			pats = append(pats, wavePattern{bgp: b,
+				unit: overlay.MatchUnit{Pattern: p.pattern, Keys: eval.Table{N: 1}, Graph: w.scope,
+					Filter: shippableFilter(w.conjuncts, shipped, varSet(p.pattern))},
+				tc: ctx.nextTC(ctx.tc), replies: make([]eval.Table, len(p.postings)), end: at,
+			})
+			n += len(p.postings)
+		}
 	}
 	targets := waveTargets(plans)
 	// The requests' units, target after target, filled before any is sent.
@@ -667,7 +820,7 @@ func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Exp
 		// one-pattern fan-out's requests are; sequence 0 is left unused.
 		first := t.units[0]
 		target = t.node
-		req = overlay.MatchReq{Units: sent, Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope,
+		req = overlay.MatchReq{Units: sent, Dataset: ctx.dataset, FromNamed: ctx.fromNamed,
 			TC: pats[first.plan].tc.Child(uint64(first.posting + 1))}
 		resp, end, err := simnet.Retry(simnet.DefaultAttempts, start, match)
 		done = simnet.MaxTime(done, end)
@@ -682,7 +835,7 @@ func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Exp
 				// The target is alive but the link stayed lossy past the
 				// retry budget: dropping its contribution would silently
 				// truncate the result, so the query fails explicitly.
-				return flatSet{}, end, &PartialFailureError{
+				return end, &PartialFailureError{
 					Method: overlay.MethodMatch, Missing: []simnet.Addr{t.node}, Err: err}
 			}
 			// Unreachable target: its triples left the dataset; every
@@ -703,30 +856,41 @@ func (e *Engine) execWave(ctx *qctx, plans []patternPlan, conjuncts []sparql.Exp
 		}
 	}
 	// Each pattern's replies are accumulated in its postings order, so its
-	// rows come in the order a fan-out of its own would give them; the
+	// rows come in the order a fan-out of its own would give them; a BGP's
 	// pattern results are joined left to right.
-	var rows eval.Table
-	for i, p := range plans {
-		acc := eval.NewMatches(pats[i].unit.Keys, p.totalFreq())
-		for _, t := range pats[i].replies {
-			acc.Add(t)
+	for i := 0; i < len(pats); {
+		b := pats[i].bgp
+		w := bgps[b]
+		var rows eval.Table
+		for k := range w.plans {
+			p := &pats[i+k]
+			acc := eval.NewMatches(p.unit.Keys, plans[i+k].totalFreq())
+			for _, t := range p.replies {
+				acc.Add(t)
+			}
+			if ctx.rec != nil {
+				ctx.opSpan(p.tc, "dqp.pattern", string(ctx.initiator),
+					e.opts.Strategy.String()+" "+plans[i+k].pattern.String(), at, p.end)
+			}
+			out[b].done = simnet.MaxTime(out[b].done, p.end)
+			switch {
+			case len(w.plans) == 1:
+				out[b].set = matchResult(acc, w.filter, ctx.initiator)
+			case k == 0:
+				rows = acc.Table()
+			default:
+				rows = eval.JoinTables(rows, acc.Table())
+			}
 		}
-		if ctx.rec != nil {
-			ctx.opSpan(pats[i].tc, "dqp.pattern", string(ctx.initiator),
-				e.opts.Strategy.String()+" "+p.pattern.String(), at, pats[i].end)
+		if len(w.plans) > 1 {
+			// Conjuncts referring to variables of several patterns were never
+			// shipped; the whole filter applies, idempotent for the shipped
+			// ones.
+			out[b].set = flatSet{rows: rows.Filter(w.filter), site: ctx.initiator}
 		}
-		switch {
-		case len(plans) == 1:
-			return matchResult(acc, filter, ctx.initiator), done, nil
-		case i == 0:
-			rows = acc.Table()
-		default:
-			rows = eval.JoinTables(rows, acc.Table())
-		}
+		i += len(w.plans)
 	}
-	// Conjuncts referring to variables of several patterns were never
-	// shipped; the whole filter applies, idempotent for the shipped ones.
-	return flatSet{rows: rows.Filter(filter), site: ctx.initiator}, done, nil
+	return done, nil
 }
 
 // waveUnit is one (pattern, target) pair of a wave: the plan and the
@@ -950,8 +1114,8 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	if assembly == "" { // flooding: assemble at the seeds' current site
 		assembly = seeds.site
 	}
-	keyed := []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: keys}}
-	base := overlay.MatchReq{Units: keyed, Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope}
+	keyed := []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: keys, Graph: scope}}
+	base := overlay.MatchReq{Units: keyed, Dataset: ctx.dataset, FromNamed: ctx.fromNamed}
 	now := at
 	if seeds.site != assembly {
 		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows}
@@ -964,7 +1128,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	}
 	unitKey := keyed
 	if unit != nil {
-		unitKey = []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: eval.Table{N: 1}}}
+		unitKey = []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: eval.Table{N: 1}, Graph: scope}}
 	}
 	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
 	finish := now
@@ -1042,9 +1206,8 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	if plan.index != "" && prev != plan.index {
 		dispatchTC := patTC.Child(0)
 		done, err := e.transferRetry(prev, plan.index, methodDispatch,
-			overlay.MatchReq{Units: []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: sent}},
-				Dataset: ctx.dataset, FromNamed: ctx.fromNamed, Graph: scope,
-				TC: dispatchTC}, now)
+			overlay.MatchReq{Units: []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: sent, Graph: scope}},
+				Dataset: ctx.dataset, FromNamed: ctx.fromNamed, TC: dispatchTC}, now)
 		if err != nil {
 			return patternMatches{}, done, err
 		}
@@ -1150,6 +1313,7 @@ func (e *Engine) dropStale(ctx *qctx, plan patternPlan, node, observer simnet.Ad
 	if plan.index == "" {
 		return
 	}
+	ctx.dropPostings(plan.index, node)
 	//adhoclint:faultpath(fire-and-forget, the timeout cleanup notification is accounted traffic but never extends the query's critical path; a lost notification is repaired by the next observer or by DropStorageEverywhere)
 	e.sys.Net().Send(observer, plan.index, overlay.MethodDropNode,
 		overlay.DropNodeReq{Node: node, Propagate: true, TC: tc}, at)

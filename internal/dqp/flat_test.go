@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
 )
 
@@ -104,10 +105,11 @@ func TestChainHopChargesItsMatchRequest(t *testing.T) {
 	for _, graph := range []rdf.Term{{}, rdf.NewIRI("urn:g1"), rdf.NewVar("g")} {
 		for _, fromNamed := range [][]string{nil, {"urn:g2", "urn:g3"}} {
 			req := full
-			req.Graph, req.FromNamed = graph, fromNamed
 			u := req.Units[0]
+			u.Graph = graph
+			req.Units, req.FromNamed = []overlay.MatchUnit{u}, fromNamed
 			hop := chainPayload{Pattern: u.Pattern, Filter: u.Filter, Keys: u.Keys,
-				Dataset: req.Dataset, Graph: req.Graph, FromNamed: req.FromNamed, TC: req.TC}
+				Dataset: req.Dataset, Graph: u.Graph, FromNamed: req.FromNamed, TC: req.TC}
 			if got, want := hop.SizeBytes(), req.SizeBytes()+4; got != want {
 				t.Errorf("GRAPH %v, FROM NAMED %v: hop charged %d B, its match request %d B + 4", graph, fromNamed, got, want-4)
 			}

@@ -26,7 +26,7 @@ func init() {
 		simnet.Bytes(0), chainPayload{}, dispatchPayload{}, rowsPayload{}, eval.Table{},
 
 		overlay.PutReq{}, overlay.PutBatchReq{}, overlay.LookupReq{},
-		overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
+		overlay.LookupResp{}, overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
 		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.SolutionsResp{},
 		overlay.CountReq{}, overlay.CountResp{}, overlay.TriplesResp{},
 		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},

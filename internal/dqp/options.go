@@ -11,7 +11,7 @@
 //     processed: Basic (parallel fan-out, Sect. IV-C "basic query
 //     processing" — under the pipeline from the pattern's index node, which
 //     unions the replies; under parallel-join from the initiator, every
-//     pattern of a BGP in one wave of one request per provider), Chain
+//     pattern of a query in one wave of one request per provider), Chain
 //     (the query and accumulated solutions forwarded through the target
 //     list — in-network aggregation, first optimization), and FreqChain
 //     (targets visited in increasing location-table frequency order with
@@ -48,9 +48,10 @@ const (
 	// pattern's index node, and the requests carry keys, not rows, target by
 	// target only where the keys are smaller than the rows they can spare
 	// (unitKeyed), so reordered it ships the fewest bytes (EXPERIMENTS.md
-	// E9). Under parallel-join a BGP's patterns leave the initiator in one
-	// wave, one request per provider for all the patterns listing it, and
-	// are joined there: the fewest messages (EXPERIMENTS.md finding 6).
+	// E9). Under parallel-join the patterns of a query's BGPs leave the
+	// initiator in one wave, one request per provider for all the patterns
+	// listing it, and each BGP's are joined there: the fewest messages
+	// (EXPERIMENTS.md finding 6).
 	StrategyBasic Strategy = iota
 	// StrategyChain forwards the sub-query along the target list, each node
 	// merging its local matches into the accumulated set: in-network
@@ -177,13 +178,14 @@ type Options struct {
 
 // DefaultOptions is the configuration the measurements pick, not the one
 // the paper calls fully optimized: basic patterns under parallel-join — each
-// BGP one wave of store.match requests from the initiator, one per provider
-// — with move-small placement, filter pushing and join reordering. The rule:
-// the default is no worse than BaselineOptions on bytes, virtual response
-// time and messages for every query class at join_mix scale
+// query one wave of store.match requests from the initiator, one per
+// provider — with move-small placement, filter pushing and join reordering.
+// The rule: the default is no worse than BaselineOptions on bytes, virtual
+// response time and messages for every query class at join_mix scale
 // (TestDefaultNoWorseThanBaselineAtJoinMixScale), and no E9 configuration
-// beats it on all three columns at once (E9 at seed 0: 87.08 KiB, 36
-// messages, 26.70 ms). The paper's freq-chain default failed the first
+// beats it on all three columns at once (E9 at seed 0: 87.08 KiB, 24
+// messages, 26.95 ms; at join_mix scale
+// TestDefaultNotDominatedInE9MatrixAtJoinMixScale). The paper's freq-chain default failed the first
 // condition on every class, shipping 4.4–7.5× the baseline's bytes: a chain
 // carries its accumulated rows once per remaining hop, and its hops are
 // sequential (EXPERIMENTS.md finding 1). The chains stay available as the

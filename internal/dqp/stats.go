@@ -20,8 +20,12 @@ type Stats struct {
 	PerMethod map[string]simnet.MethodStats
 	// ResponseTime is the virtual end-to-end latency.
 	ResponseTime time.Duration
-	// LookupHops is the total number of Chord forwarding hops across all
-	// index lookups of the query.
+	// LookupHops is the number of Chord forwards the query's index
+	// resolution made: a key resolved on its own counts its FindSuccessor
+	// hops, and the query's batched resolution (one find_successor_batch
+	// for several keys) the forwards the ring actually made for it, a route
+	// prefix several keys share counted once. Keys served by the lookup
+	// cache or a hot replica count none.
 	LookupHops int
 	// Subqueries counts sub-query executions at storage nodes.
 	Subqueries int

@@ -3,12 +3,18 @@ package dqp
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"adhocshare/internal/chord"
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
+	"adhocshare/internal/sparql"
+	"adhocshare/internal/sparql/algebra"
+	"adhocshare/internal/sparql/eval"
+	"adhocshare/internal/sparql/optimize"
 	"adhocshare/internal/trace"
 )
 
@@ -84,7 +90,7 @@ func TestWaveSendsOneMatchPerTarget(t *testing.T) {
 		t.Errorf("%d store.match legs, want a request and a reply for each of %d targets", len(legs), len(targets))
 	}
 	for m := range methods {
-		if m != overlay.MethodMatch && m != overlay.MethodLookup && m != "chord.find_successor" {
+		if m != overlay.MethodMatch && m != overlay.MethodLookup && m != chord.MethodFindSuccessorBatch {
 			t.Errorf("the wave sent %s", m)
 		}
 	}
@@ -127,29 +133,80 @@ SELECT ?x ?y ?z WHERE { ?x foaf:name ?name . ?x foaf:knows ?z . ?x ns:knowsNothi
 	}
 }
 
-// TestWaveLossyLinkIsTypedPartialFailure: a store.match leg still lost after
-// the retries names its target in a PartialFailureError instead of leaving a
-// pattern short. Planning is served from the lookup cache, so only the
-// wave's legs meet the loss.
+// TestWaveLossyLinkIsTypedPartialFailure: a leg still lost after the retries
+// is a PartialFailureError naming its step instead of a short answer. With
+// planning served from the lookup cache only the wave's store.match legs
+// meet the loss, and the error names the target; without the cache the
+// query's first step, the planning round's one find_successor_batch for its
+// several keys, meets it first. A crashed index node that owned one of those
+// keys is routed around by the batch's per-target fallback (find_successor
+// from the hop that found it dead), and the answer is still the oracle's.
 func TestWaveLossyLinkIsTypedPartialFailure(t *testing.T) {
-	sys, now := buildSystem(t, 5, paperData())
-	opts := DefaultOptions()
-	opts.CacheLookups = true
-	e := NewEngine(sys, opts)
 	q := paperQueries["fig6-conjunction"]
-	_, _, now, err := e.Query("D1", q, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Net().SetFaults(&simnet.FaultPlan{Seed: 1, LossRate: 0.999})
-	_, _, _, err = e.Query("D1", q, now)
-	var pf *PartialFailureError
-	if !errors.As(err, &pf) {
-		t.Fatalf("err = %v, want a PartialFailureError", err)
-	}
-	if pf.Method != overlay.MethodMatch || len(pf.Missing) != 1 || pf.Missing[0] == "D1" {
-		t.Errorf("partial failure %v: want store.match missing one provider other than the initiator", pf)
-	}
+	t.Run("match", func(t *testing.T) {
+		sys, now := buildSystem(t, 5, paperData())
+		opts := DefaultOptions()
+		opts.CacheLookups = true
+		e := NewEngine(sys, opts)
+		_, _, now, err := e.Query("D1", q, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Net().SetFaults(&simnet.FaultPlan{Seed: 1, LossRate: 0.999})
+		_, _, _, err = e.Query("D1", q, now)
+		var pf *PartialFailureError
+		if !errors.As(err, &pf) {
+			t.Fatalf("err = %v, want a PartialFailureError", err)
+		}
+		if pf.Method != overlay.MethodMatch || len(pf.Missing) != 1 || pf.Missing[0] == "D1" {
+			t.Errorf("partial failure %v: want store.match missing one provider other than the initiator", pf)
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		sys, now := buildSystem(t, 5, paperData())
+		sys.Net().SetFaults(&simnet.FaultPlan{Seed: 1, LossRate: 0.999})
+		_, _, _, err := NewEngine(sys, DefaultOptions()).Query("D1", q, now)
+		var pf *PartialFailureError
+		if !errors.As(err, &pf) {
+			t.Fatalf("err = %v, want a PartialFailureError", err)
+		}
+		if pf.Method != chord.MethodFindSuccessorBatch || len(pf.Missing) != 0 {
+			t.Errorf("partial failure %v: want %s, no site named", pf, chord.MethodFindSuccessorBatch)
+		}
+	})
+	t.Run("crashed-owner", func(t *testing.T) {
+		const victim = "idx-02"
+		q := paperQueries["fig4-full"]
+		sys, now := buildSystem(t, 6, paperData())
+		owned := false
+		for _, p := range []rdf.Triple{
+			{S: rdf.NewVar("x"), P: fp("name"), O: rdf.NewVar("n")},
+			{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("z")},
+			{S: rdf.NewVar("x"), P: rdf.NewIRI("http://example.org/ns#knowsNothingAbout"), O: rdf.NewVar("y")},
+		} {
+			key, _, _ := overlay.PatternKey(p, sys.Config().Bits)
+			owner, _, _, err := sys.ResolveKey("D1", key, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			owned = owned || owner == victim
+		}
+		if !owned {
+			t.Fatalf("%s owns none of the query's keys; the fixture no longer covers a crashed owner", victim)
+		}
+		sys.FailNode(victim)
+		now = sys.StabilizeRound(now)
+		res, stats, _, err := NewEngine(sys, DefaultOptions()).Query("D1", q, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracle(t, paperData(), q); !sameMultiset(res.Solutions, want) {
+			t.Errorf("with %s crashed: %v, the oracle %v", victim, res.Solutions, want)
+		}
+		if stats.PerMethod[chord.MethodFindSuccessorBatch].Messages == 0 || stats.PerMethod[chord.MethodFindSuccessor].Messages == 0 {
+			t.Errorf("traffic %v: want the batch and its per-target fallback", stats.PerMethod)
+		}
+	})
 }
 
 // TestAskEarlyExitIsSequential: ASK over one pattern stops at the first
@@ -190,4 +247,121 @@ func TestAskEarlyExitIsSequential(t *testing.T) {
 			t.Errorf("%s: no dqp.pattern span recorded", name)
 		}
 	}
+}
+
+// TestQueryWaveIsItsBGPsAlone: under basic/parallel-join a query's BGPs
+// leave the initiator as one wave. Over randomQuery's queries (OPTIONAL,
+// UNION, group joins, filters) the wave's store.match bytes are the sum of
+// what each BGP sends when run alone from the same initiator, its messages
+// are one request and one reply per distinct remote target of those runs,
+// and the answer is the oracle's.
+func TestQueryWaveIsItsBGPsAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("randomized property test")
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := randomDataset(rng)
+		sys, now := buildSystem(t, 3+rng.Intn(4), data)
+		for i := 0; i < 12; i++ {
+			query := randomQuery(rng)
+			opts := DefaultOptions()
+			opts.PushFilters, opts.ReorderJoins = rng.Intn(2) == 0, rng.Intn(2) == 0
+			now = checkQueryWave(t, NewEngine(sys, opts), "P0", query, oracle(t, data, query), now)
+		}
+	}
+}
+
+// TestQueryWaveAcrossGraphScopes: two BGPs under different GRAPH names share
+// a provider, which gets one store.match carrying a unit of each scope.
+func TestQueryWaveAcrossGraphScopes(t *testing.T) {
+	const g1, g2 = "http://example.org/graphs/g1", "http://example.org/graphs/g2"
+	sys, now := buildSystem(t, 4, map[string][]rdf.Triple{"D1": nil, "D2": nil,
+		"D3": {{S: ex("dave"), P: fp("name"), O: rdf.NewLiteral("Dave")}}})
+	for _, pub := range []struct {
+		node  simnet.Addr
+		graph string
+		t     rdf.Triple
+	}{
+		{"D1", g1, rdf.Triple{S: ex("alice"), P: fp("knows"), O: ex("bob")}},
+		{"D1", g2, rdf.Triple{S: ex("bob"), P: fp("knows"), O: ex("carol")}},
+		{"D2", g2, rdf.Triple{S: ex("carol"), P: fp("knows"), O: ex("alice")}},
+	} {
+		var err error
+		if now, err = sys.PublishGraph(pub.node, pub.graph, []rdf.Triple{pub.t}, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := fmt.Sprintf(`PREFIX foaf: <http://xmlns.com/foaf/0.1/>
+SELECT * WHERE { { GRAPH <%s> { ?x foaf:knows ?y . } } UNION { GRAPH <%s> { ?x foaf:knows ?y . FILTER(?y != <http://example.org/alice>) } } }`, g1, g2)
+	want := eval.Solutions{
+		{"x": ex("alice"), "y": ex("bob")},
+		{"x": ex("bob"), "y": ex("carol")},
+	}
+	checkQueryWave(t, NewEngine(sys, DefaultOptions()), "D3", query, want, now)
+}
+
+// checkQueryWave runs query from initiator, and each of its BGPs alone, and
+// checks the wave against the runs alone and the answer against want.
+func checkQueryWave(t *testing.T, e *Engine, initiator simnet.Addr, query string, want eval.Solutions, now simnet.VTime) simnet.VTime {
+	t.Helper()
+	res, stats, now, err := e.Query(initiator, query, now)
+	if err != nil {
+		t.Fatalf("%s: %v", query, err)
+	}
+	if !sameMultiset(res.Solutions, want) {
+		t.Errorf("%s\ngot:  %v\nwant: %v", query, res.Solutions, want)
+	}
+	q, err := sparql.Parse(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op, err := algebra.Translate(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	op = optimize.Optimize(op, optimize.Options{PushFilters: e.opts.PushFilters})
+	var bytes int64
+	targets := map[string]bool{}
+	for _, bgp := range bgpOps(e, op, nil) {
+		buf := trace.NewBuffer()
+		e.sys.Net().SetRecorder(buf)
+		ctx := e.newQctx(initiator, q)
+		_, done, err := e.runPlan(ctx, q, bgp, now)
+		traffic := e.sys.Net().UntrackQuery(ctx.tc.Query)
+		e.sys.Net().SetRecorder(nil)
+		if err != nil {
+			t.Fatalf("%s alone: %v", bgp, err)
+		}
+		now = done
+		bytes += traffic.PerMethod[overlay.MethodMatch].Bytes
+		for _, s := range buf.Spans() {
+			if s.Kind == trace.KindMessage && s.Name == overlay.MethodMatch && s.From == string(initiator) {
+				targets[s.To] = true
+			}
+		}
+	}
+	got := stats.PerMethod[overlay.MethodMatch]
+	if got.Bytes != bytes {
+		t.Errorf("%s: store.match %d B, its BGPs alone %d B", query, got.Bytes, bytes)
+	}
+	if got.Messages != int64(2*len(targets)) {
+		t.Errorf("%s: %d store.match messages, want a request and a reply for each of %d remote targets", query, got.Messages, len(targets))
+	}
+	return now
+}
+
+// bgpOps appends the operators of op that run as one BGP, with the filter
+// and GRAPH scope that ship with it.
+func bgpOps(e *Engine, op algebra.Op, out []algebra.Op) []algebra.Op {
+	if c, ok := e.asBGP(op); ok {
+		if len(c.bgp.Patterns) > 0 {
+			out = append(out, op)
+		}
+		return out
+	}
+	for _, in := range op.Children() {
+		out = bgpOps(e, in, out)
+	}
+	return out
 }

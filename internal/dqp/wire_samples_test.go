@@ -44,18 +44,18 @@ func methodSamples() []methodSample {
 	matches := eval.Table{Vars: []string{"s", "o"},
 		Terms: []rdf.Term{rdf.NewIRI("urn:s"), rdf.NewLangLiteral("hi", "en")}, N: 1}
 	matchReq := overlay.MatchReq{
-		Units:     []overlay.MatchUnit{{Pattern: pattern, Filter: filter, Keys: keys}},
+		Units:     []overlay.MatchUnit{{Pattern: pattern, Filter: filter, Keys: keys, Graph: rdf.NewIRI("urn:g1")}},
 		Dataset:   []string{"urn:g1"},
-		Graph:     rdf.NewIRI("urn:g1"),
 		FromNamed: []string{"urn:g2"},
 	}
-	// A wave's request: three patterns of one BGP for one target, each under
-	// the unit key, answered with one table per unit.
+	// A wave's request: three patterns of a query's BGPs for one target,
+	// under two GRAPH scopes, each under the unit key, answered with one
+	// table per unit.
 	waveReq := matchReq
 	waveReq.Units = []overlay.MatchUnit{
-		{Pattern: pattern, Filter: filter, Keys: eval.Table{N: 1}},
-		{Pattern: rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("urn:q"), rdf.NewIRI("urn:s")), Keys: eval.Table{N: 1}},
-		{Pattern: rdf.NewTriple(rdf.NewVar("o"), rdf.NewIRI("urn:p"), rdf.NewVar("t")), Keys: eval.Table{N: 1}},
+		{Pattern: pattern, Filter: filter, Keys: eval.Table{N: 1}, Graph: rdf.NewIRI("urn:g1")},
+		{Pattern: rdf.NewTriple(rdf.NewVar("s"), rdf.NewIRI("urn:q"), rdf.NewIRI("urn:s")), Keys: eval.Table{N: 1}, Graph: rdf.NewIRI("urn:g1")},
+		{Pattern: rdf.NewTriple(rdf.NewVar("o"), rdf.NewIRI("urn:p"), rdf.NewVar("t")), Keys: eval.Table{N: 1}, Graph: rdf.NewVar("g")},
 	}
 	waveResp := overlay.MatchResp{Tables: []eval.Table{matches,
 		{Vars: []string{"s"}, Terms: []rdf.Term{rdf.NewIRI("urn:s")}, N: 1}, {Vars: []string{"o", "t"}}}}
@@ -70,9 +70,14 @@ func methodSamples() []methodSample {
 			Entries:  []overlay.KeyFreq{{Key: 4, Freq: 2}},
 			Absolute: true,
 		}, ack},
-		{overlay.MethodLookup, overlay.LookupReq{Key: 4, Epoch: 3},
+		{overlay.MethodLookup, overlay.LookupReq{Keys: []chord.ID{4}, Epoch: 3},
 			overlay.PostingsResp{Postings: []overlay.Posting{{Node: "n2", Freq: 5}},
 				Replicas: []simnet.Addr{"n3", "n4"}, Epoch: 3}},
+		{overlay.MethodLookup, overlay.LookupReq{Keys: []chord.ID{4, 7}, Epoch: 3},
+			overlay.LookupResp{Rows: []overlay.PostingsResp{
+				{Postings: []overlay.Posting{{Node: "n2", Freq: 5}}, Replicas: []simnet.Addr{"n3", "n4"}, Epoch: 3},
+				{Postings: []overlay.Posting{{Node: "n5", Freq: 1}}},
+			}}},
 		// Adaptive hot-key replication: the epoch-stamped coherence push
 		// and the replica fast-path read.
 		{overlay.MethodHotReplica, overlay.HotReplicaReq{

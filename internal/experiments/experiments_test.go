@@ -378,21 +378,27 @@ func TestE9Shapes(t *testing.T) {
 // e9WaveTraffic pins the wave's traffic at seed 0: under
 // basic/parallel-join each of the nine providers besides the initiator gets
 // one store.match request and sends one reply, whatever the number of
-// patterns, and nothing else but planning leaves the initiator.
+// patterns, and nothing else but one planning round leaves the initiator —
+// fewer than the 36 messages a round per key cost.
 func e9WaveTraffic(t *testing.T, tab *Table) {
 	const scope = "basic/parallel-join/push=true"
 	var methods []string
+	var msgs int64
 	for _, r := range tab.Traffic {
 		if r.Scope != scope {
 			continue
 		}
 		methods = append(methods, r.Method)
+		msgs += r.Messages
 		if r.Method == "store.match" && (r.Messages != 18 || r.Bytes != 89174) {
 			t.Errorf("%s: store.match %d msgs / %d B, want 18 / 89174", scope, r.Messages, r.Bytes)
 		}
 	}
-	if want := []string{"chord.find_successor", "index.lookup", "store.match"}; !slices.Equal(methods, want) {
+	if want := []string{"chord.find_successor_batch", "index.lookup", "store.match"}; !slices.Equal(methods, want) {
 		t.Errorf("%s: methods %v, want %v", scope, methods, want)
+	}
+	if msgs >= 36 {
+		t.Errorf("%s: %d messages, want fewer than 36", scope, msgs)
 	}
 }
 

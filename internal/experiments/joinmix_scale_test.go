@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"adhocshare/internal/dqp"
@@ -97,6 +99,67 @@ func TestDefaultNoWorseThanBaselineAtJoinMixScale(t *testing.T) {
 			if def.Bytes > base.Bytes || def.ResponseTime > base.ResponseTime || def.Messages > base.Messages {
 				t.Errorf("seed %d, %s: the default costs %d B / %v / %d msgs, the baseline %d B / %v / %d msgs",
 					seed, c.name, def.Bytes, def.ResponseTime, def.Messages, base.Bytes, base.ResponseTime, base.Messages)
+			}
+		}
+	}
+}
+
+// TestDefaultNotDominatedInE9MatrixAtJoinMixScale runs each of join_mix's
+// five classes under every configuration of the E9 matrix at join_mix scale
+// and logs, per class and seed, the configuration that ships the fewest
+// bytes, the one that answers soonest and the one that sends the fewest
+// messages (the table in EXPERIMENTS.md "Deviations and honest findings").
+// It asserts only that no configuration beats the default on all three at
+// once.
+func TestDefaultNotDominatedInE9MatrixAtJoinMixScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the E9 matrix at join_mix scale")
+	}
+	def := dqp.DefaultOptions()
+	label := func(o dqp.Options) string {
+		return fmt.Sprintf("%v/%v/push=%v", o.Strategy, o.Conjunction, o.PushFilters)
+	}
+	for _, seed := range []int64{1, 7} {
+		dep, d, classes := joinMixScale(t, seed)
+		providers := d.Providers()
+		for i, c := range classes {
+			var defStats dqp.Stats
+			stats := map[string]dqp.Stats{}
+			for _, opts := range e9Configs() {
+				_, s, err := dep.runQuery(opts, providers[i%len(providers)], c.q)
+				if err != nil {
+					t.Fatalf("seed %d, %s, %s: %v", seed, c.name, label(opts), err)
+				}
+				stats[label(opts)] = s
+				if opts == def {
+					defStats = s
+				}
+			}
+			// argmin lists every configuration whose cost is the least.
+			argmin := func(cost func(dqp.Stats) int64) string {
+				var best []string
+				for _, opts := range e9Configs() {
+					l := label(opts)
+					if len(best) > 0 && cost(stats[l]) > cost(stats[best[0]]) {
+						continue
+					}
+					if len(best) > 0 && cost(stats[l]) < cost(stats[best[0]]) {
+						best = best[:0]
+					}
+					best = append(best, l)
+				}
+				return strings.Join(best, ", ")
+			}
+			t.Logf("| %d | %s | %s KiB / %s ms / %d | %s | %s | %s |", seed, c.name,
+				kb(defStats.Bytes), ms(defStats.ResponseTime), defStats.Messages,
+				argmin(func(s dqp.Stats) int64 { return s.Bytes }),
+				argmin(func(s dqp.Stats) int64 { return int64(s.ResponseTime) }),
+				argmin(func(s dqp.Stats) int64 { return s.Messages }))
+			for l, s := range stats {
+				if s.Bytes < defStats.Bytes && s.ResponseTime < defStats.ResponseTime && s.Messages < defStats.Messages {
+					t.Errorf("seed %d, %s: %s beats the default on all three: %d B / %v / %d msgs against %d B / %v / %d msgs",
+						seed, c.name, l, s.Bytes, s.ResponseTime, s.Messages, defStats.Bytes, defStats.ResponseTime, defStats.Messages)
+				}
 			}
 		}
 	}

@@ -121,9 +121,13 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: lookup payload %T", req)
 		}
-		resp := PostingsResp{Postings: n.Table.Get(r.Key)}
-		if h := n.hotRef(); h != nil && r.Epoch != 0 {
-			resp.Replicas, resp.Epoch = n.adaptiveTail(h, r.Key, resp.Postings, r.Epoch, r.TC, at)
+		// One key is answered with its row, several with a row per key.
+		if len(r.Keys) == 1 {
+			return n.lookupRow(r, 0, r.TC, at), at, nil
+		}
+		resp := LookupResp{Rows: make([]PostingsResp, len(r.Keys))}
+		for k := range r.Keys {
+			resp.Rows[k] = n.lookupRow(r, k, r.TC.Child(uint64(k+1)), at)
 		}
 		return resp, at, nil
 	case MethodHotReplica:
@@ -194,6 +198,17 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 	default:
 		return nil, at, fmt.Errorf("overlay: index node %s: unknown method %s", n.addr, method)
 	}
+}
+
+// lookupRow reads the row of r's k-th key; an adaptive request (non-zero
+// epoch) also counts the lookup and may advertise hot replicas, their
+// pushes traced under tc.
+func (n *IndexNode) lookupRow(r LookupReq, k int, tc trace.TraceContext, at simnet.VTime) PostingsResp {
+	resp := PostingsResp{Postings: n.Table.Get(r.Keys[k])}
+	if h := n.hotRef(); h != nil && r.Epoch != 0 {
+		resp.Replicas, resp.Epoch = n.adaptiveTail(h, r.Keys[k], resp.Postings, r.Epoch, tc, at)
+	}
+	return resp
 }
 
 // seenSeq records seq as applied for publisher node and reports whether it

@@ -88,28 +88,51 @@ func (r PutBatchReq) SizeBytes() int {
 	return len(r.Node) + 12*len(r.Entries) + boolWidth(r.Absolute) + seqWidth(r.Seq) + r.TC.SizeBytes()
 }
 
-// LookupReq reads the location-table row for a key. Epoch, when non-zero,
-// is the initiator's stabilization epoch and opts the request into the
-// adaptive hot-key machinery: the home node counts the lookup and may
-// advertise epoch-stamped replicas in the response. Static initiators send
-// zero and the request is byte-identical to the pre-adaptive wire format.
+// LookupReq reads the location-table rows of one or more keys held by the
+// receiving index node. Epoch, when non-zero, is the initiator's
+// stabilization epoch and opts the request into the adaptive hot-key
+// machinery: the home node counts each key's lookup and may advertise
+// epoch-stamped replicas in its row. Static initiators send zero and a
+// one-key request is byte-identical to the pre-adaptive wire format.
+//
+//adhoclint:wireimmutable Keys is built per request by its sender and never written afterwards
 type LookupReq struct {
-	Key   chord.ID
+	Keys  []chord.ID
 	Epoch uint64
 	TC    trace.TraceContext
 }
 
-// SizeBytes implements simnet.Payload.
+// SizeBytes implements simnet.Payload. Every key is charged what a request
+// of its own would cost: batching saves messages, never bytes.
 func (r LookupReq) SizeBytes() int {
-	n := r.Key.SizeBytes() + r.TC.SizeBytes()
-	if r.Epoch != 0 {
-		n += seqWidth(r.Epoch)
+	n := r.TC.SizeBytes()
+	for _, k := range r.Keys {
+		n += k.SizeBytes()
+		if r.Epoch != 0 {
+			n += seqWidth(r.Epoch)
+		}
 	}
 	return n
 }
 
 // TraceCtx implements trace.Carrier.
 func (r LookupReq) TraceCtx() trace.TraceContext { return r.TC }
+
+// LookupResp answers a LookupReq of several keys: Rows[i] is the row of
+// Keys[i]. A one-key request is answered with the row, a PostingsResp.
+type LookupResp struct {
+	Rows []PostingsResp
+}
+
+// SizeBytes implements simnet.Payload: each row is charged as the reply to
+// a request of its own key would be.
+func (r LookupResp) SizeBytes() int {
+	n := 0
+	for _, row := range r.Rows {
+		n += row.SizeBytes()
+	}
+	return n
+}
 
 // PostingsResp carries a location-table row. Replicas/Epoch are the
 // adaptive hot-key advertisement: the addresses holding an epoch-stamped
@@ -241,21 +264,17 @@ func (r DropNodeReq) SizeBytes() int {
 func (r DropNodeReq) TraceCtx() trace.TraceContext { return r.TC }
 
 // MatchReq asks a storage node for its matches of one or more triple
-// patterns of one BGP, one unit per pattern, all under one dataset scope.
-// The reply is a MatchResp with one table per unit, in unit order. A
-// pattern evaluated on its own is a request of one unit; a BGP whose
-// patterns leave the initiator together sends each target one request
-// carrying a unit for every pattern that lists it (Sect. IV-C basic: the
-// patterns are evaluated in parallel).
+// patterns, one unit per pattern, all under one dataset scope. The reply is
+// a MatchResp with one table per unit, in unit order. A pattern evaluated on
+// its own is a request of one unit; the BGPs of a query whose patterns leave
+// the initiator together send each target one request carrying a unit for
+// every pattern that lists it (Sect. IV-C basic: the patterns are evaluated
+// in parallel).
 type MatchReq struct {
 	Units []MatchUnit
 	// Dataset lists the FROM graph IRIs scoping the query's default graph
 	// (nil = the union of everything each provider shares, Sect. IV-A).
 	Dataset []string
-	// Graph scopes the pattern to a named graph: an IRI term selects it,
-	// a variable term iterates the provider's named graphs binding the
-	// variable; the zero Term means the (dataset-scoped) default graph.
-	Graph rdf.Term
 	// FromNamed lists the FROM NAMED graph IRIs available to GRAPH
 	// patterns (nil with a non-nil Dataset = none; nil with nil Dataset =
 	// every named graph the provider shares).
@@ -275,9 +294,6 @@ func (r MatchReq) SizeBytes() int {
 	for _, g := range r.Dataset {
 		scope += len(g)
 	}
-	if !r.Graph.IsZero() {
-		scope += r.Graph.SizeBytes()
-	}
 	for _, g := range r.FromNamed {
 		scope += len(g)
 	}
@@ -296,18 +312,25 @@ func (r MatchReq) SizeBytes() int {
 // sender joins with the full rows it kept — the semi-join form of the
 // in-network aggregation of Sect. IV-C. Filter, when non-nil, mentions only
 // variables of the reply and is applied before it is returned — the shipped
-// form of the pushed-down FILTER of Sect. IV-G.
+// form of the pushed-down FILTER of Sect. IV-G. Graph scopes the pattern to
+// a named graph: an IRI term selects it, a variable term iterates the
+// provider's named graphs binding the variable; the zero Term means the
+// (dataset-scoped) default graph.
 type MatchUnit struct {
 	Pattern rdf.Triple
 	Filter  sparql.Expression
 	Keys    eval.Table
+	Graph   rdf.Term
 }
 
-// SizeBytes is the unit's wire size without the request's scope.
+// SizeBytes is the unit's wire size without the request's dataset scope.
 func (u MatchUnit) SizeBytes() int {
 	n := u.Pattern.SizeBytes() + u.Keys.SizeBytes()
 	if u.Filter != nil {
 		n += len(u.Filter.String())
+	}
+	if !u.Graph.IsZero() {
+		n += u.Graph.SizeBytes()
 	}
 	return n
 }

@@ -281,7 +281,7 @@ func TestMultipleStorageNodesShareKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _, err := s.Net().Call("D1", owner, MethodLookup, LookupReq{Key: key}, now)
+	resp, _, err := s.Net().Call("D1", owner, MethodLookup, LookupReq{Keys: []chord.ID{key}}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -685,8 +685,9 @@ func TestPayloadSizes(t *testing.T) {
 	payloads := []simnet.Payload{
 		PutReq{Key: 1, Node: "D1", Freq: 2},
 		PutBatchReq{Node: "D1", Entries: []KeyFreq{{Key: 1, Freq: 1}}},
-		LookupReq{Key: 9},
+		LookupReq{Keys: []chord.ID{9}},
 		PostingsResp{Postings: []Posting{{Node: "D1", Freq: 3}}},
+		LookupResp{Rows: []PostingsResp{{Postings: []Posting{{Node: "D1", Freq: 3}}}, {}}},
 		TransferReq{From: 1, To: 2},
 		TableRows{Rows: map[chord.ID][]Posting{1: {{Node: "D1", Freq: 1}}}},
 		DropNodeReq{Node: "D1"},

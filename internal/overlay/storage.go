@@ -203,7 +203,7 @@ func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payl
 		}
 		out := MatchResp{Tables: make([]eval.Table, len(r.Units))}
 		for i, u := range r.Units {
-			out.Tables[i] = s.MatchKeys(u.Pattern, u.Filter, u.Keys, r.Dataset, r.FromNamed, r.Graph)
+			out.Tables[i] = s.MatchKeys(u.Pattern, u.Filter, u.Keys, r.Dataset, r.FromNamed, u.Graph)
 		}
 		return out, at, nil
 	case MethodChainHop:

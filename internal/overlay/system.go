@@ -3,6 +3,7 @@ package overlay
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -646,6 +647,33 @@ func (s *System) ResolveKeyTraced(from simnet.Addr, key chord.ID, tc trace.Trace
 	}
 	fr := resp.(chord.FindResp)
 	return fr.Node.Addr, fr.Hops, done, nil
+}
+
+// ResolveKeys routes several keys to their responsible index nodes with one
+// find_successor_batch sent from `from` to its ring entry point, tc being
+// the batch request's context; owners[i] owns keys[i]. The ring forwards
+// one sub-batch per next hop, so a route prefix the keys share is walked
+// once, and a next hop that is down falls back to routing its keys one by
+// one.
+func (s *System) ResolveKeys(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) ([]simnet.Addr, simnet.VTime, error) {
+	entry := s.entryFor(from)
+	if entry == "" {
+		return nil, at, fmt.Errorf("overlay: node %s has no ring entry point", from)
+	}
+	req := chord.BatchFindReq{Targets: slices.Clone(keys), TC: tc}
+	resp, done, err := simnet.Retry(simnet.DefaultAttempts, at,
+		func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
+			return s.net.Call(from, entry, chord.MethodFindSuccessorBatch, req, at)
+		})
+	if err != nil {
+		return nil, done, err
+	}
+	nodes := resp.(chord.BatchFindResp).Nodes
+	owners := make([]simnet.Addr, len(nodes))
+	for i, ref := range nodes {
+		owners[i] = ref.Addr
+	}
+	return owners, done, nil
 }
 
 // entryFor returns the ring entry point for a node address: itself for an
