@@ -107,10 +107,10 @@ type fabricReach struct {
 
 // FabricReach returns (building on first use) the fabric-reach closure.
 // With hotExempt set, functions carrying //adhoclint:hotexempt neither
-// carry nor propagate the mark — the alloc rule's hot set; the other
-// consumers (vtime, faultpath) want the plain closure. Callees in the two
-// observability leaves never propagate: observation is fabric-neutral by
-// contract (observability_knowledge.go).
+// carry nor propagate the mark — the alloc rule's hot set; the faultpath
+// rule wants the plain closure. Callees in the two observability leaves
+// never propagate: observation is fabric-neutral by contract
+// (observability_knowledge.go).
 func (prog *Program) FabricReach(hotExempt bool) *fabricReach {
 	slot := 0
 	var exempt map[*types.Func]bool

@@ -35,11 +35,10 @@ var rules = []rule{
 	{"lock-order", "mutex acquisition order must be cycle-free across the program; no re-acquisition of a held mutex", checkLockOrder},
 	{"rpc-protocol", "Method* constants, HandleCall dispatch switches and Network.Call/Send/Transfer sites must agree on methods and payload types", checkRPCProtocol},
 	{"payload-size", "every SizeBytes method must account for every field of its receiver struct (or carry an explaining ignore directive)", checkPayloadSizes},
-	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code", checkDeterminism},
-	{"goroutine-hygiene", "`go func` literals must be tied to a WaitGroup, done-channel or context", checkGoroutines},
+	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code, and no `go` statement in internal/ or cmd/ non-test code", checkDeterminism},
 	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
 	{"wireiso", "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable", checkWireIsolation},
-	{"vtime", "concurrency in internal/ must flow through the simnet timing model: no goroutine fan-out over fabric calls outside simnet.Parallel, no fabricated or dropped VTime in handlers", checkVTime},
+	{"vtime", "code in internal/ and cmd/ must thread the simnet timing model: no fabricated VTime returned from handlers, no dropped VTime of a fabric call", checkVTime},
 	{"alloc", "no avoidable per-message heap allocation (fmt.Sprintf, string accumulation, unsized container growth, interface boxing, closures in loops) in functions reachable from HandleCall dispatch or fabric calls; cold helpers carry //adhoclint:hotexempt", checkAlloc},
 	{"faultpath", "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent, Retry closures depart at the attempt time", checkFaultPath},
 	{"racefree", "concurrently-invocable node entry points (HandleCall handlers and exported methods of the same node type) must not conflict on a node field without a common mutex class; exempt with //adhoclint:racefree(reason)", checkRaceFree},
@@ -95,14 +94,15 @@ func isRuleName(s string) bool {
 }
 
 // internalPackage reports whether the package lives under internal/ —
-// the scope of the determinism rule.
+// the scope of the determinism rule's clock and randomness checks.
 func internalPackage(p *Package) bool {
 	return strings.Contains(p.ImportPath, "/internal/") ||
 		strings.HasSuffix(p.ImportPath, "/internal")
 }
 
 // cmdPackage reports whether the package lives under the module's cmd/
-// tree — included in the faultpath and vtime whole-program scopes.
+// tree — included in the determinism rule's `go` check and the faultpath
+// and vtime whole-program scopes.
 func cmdPackage(p *Package, modPath string) bool {
 	return strings.HasPrefix(p.ImportPath, modPath+"/cmd/")
 }

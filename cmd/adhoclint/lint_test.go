@@ -116,16 +116,26 @@ func TestDeterminismRule(t *testing.T) {
 	checkFixture(t, "determinism", "adhocshare/internal/fixture/determinism", only("determinism"))
 }
 
-// The determinism rule only covers internal/ packages: the same fixture
-// loaded under a non-internal path must be silent.
+// The determinism rule covers internal/ packages and, for `go` statements,
+// cmd/ packages: the same fixture loaded under neither tree must be silent.
 func TestDeterminismRuleSkipsNonInternal(t *testing.T) {
 	if diags := lintFixture(t, "determinism", "adhocshare/fixture/determinism", only("determinism")); len(diags) != 0 {
 		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
 	}
 }
 
-func TestGoroutineRule(t *testing.T) {
-	checkFixture(t, "goroutines", "adhocshare/fixture/goroutines", only("goroutine-hygiene"))
+// Under cmd/ the determinism rule reports only the fixture's `go`
+// statements: a main package may read the wall clock.
+func TestDeterminismRuleGoStatementsUnderCmd(t *testing.T) {
+	diags := lintFixture(t, "determinism", "adhocshare/cmd/fixture/determinism", only("determinism"))
+	if len(diags) != 4 {
+		t.Errorf("want the fixture's 4 go statements, got %d:\n%s", len(diags), diagDump(diags))
+	}
+	for _, d := range diags {
+		if !strings.Contains(d.Msg, "go statement in") {
+			t.Errorf("clock or randomness finding outside internal/: %s", d)
+		}
+	}
 }
 
 func TestDiscardedErrorRule(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 
 // Package is one analyzed package: parsed syntax for every file plus type
 // information for the non-test files. Test files are carried along so the
-// purely syntactic rules (guarded-field, lock-blocking, goroutine-hygiene)
-// cover them too; the type-dependent rules only look at production files.
+// purely syntactic rules (guarded-field, lock-blocking) cover them too;
+// the type-dependent rules only look at production files.
 type Package struct {
 	ImportPath string
 	Dir        string

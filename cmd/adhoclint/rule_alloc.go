@@ -12,9 +12,9 @@ import (
 // allocations on the fabric hot set: the functions transitively reachable
 // from every HandleCall dispatch entry point, plus the functions that
 // transitively perform simnet Call/Send/Transfer themselves (the
-// touches-fabric fixpoint the vtime rule pioneered). Work in that set runs
-// once per RPC message, so a stray allocation there multiplies by the
-// message count of every experiment. Inside hot functions the rule flags:
+// touches-fabric fixpoint). Work in that set runs once per RPC message,
+// so a stray allocation there multiplies by the message count of every
+// experiment. Inside hot functions the rule flags:
 //
 //   - fmt.Sprintf / Sprint / Sprintln — reflection-driven formatting that
 //     allocates a fresh string per message;

@@ -28,21 +28,30 @@ var bannedRandFuncs = map[string]bool{
 	"Seed": true, "Read": true,
 }
 
-// checkDeterminism forbids wall-clock and global-randomness calls in
-// non-test code under internal/.
+// checkDeterminism forbids the sources of nondeterminism in non-test code:
+// wall-clock and global-randomness calls under internal/, and `go`
+// statements under internal/ and cmd/. Production code runs on its
+// caller's goroutine (simnet.Parallel runs its branches in index order),
+// so a goroutine there could only reorder work off the virtual clock;
+// goroutines belong to tests that drive a deployment from several clients.
 func checkDeterminism(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range prog.Pkgs {
-		if !internalPackage(p) {
+		internal := internalPackage(p)
+		if !internal && !cmdPackage(p, prog.modPath) {
 			continue
 		}
 		for _, f := range p.Files {
 			timeName, timeOK := importName(f, "time")
 			randName, randOK := importName(f, "math/rand")
-			if !timeOK && !randOK {
-				continue
-			}
+			timeOK, randOK = timeOK && internal, randOK && internal
 			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					diags = append(diags, diagAt(p, g.Pos(),
+						fmt.Sprintf("go statement in %s: production code runs on its caller's goroutine — fan out with simnet.Parallel; only tests start goroutines",
+							p.ImportPath)))
+					return true
+				}
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true

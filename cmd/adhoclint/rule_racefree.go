@@ -9,13 +9,12 @@ import (
 	"strings"
 )
 
-// The racefree analysis proves (or refutes) handler race-readiness: once a
-// real transport delivers messages concurrently (simnet's
-// ConcurrentDelivery mode, ROADMAP item 3), every RPC handler reachable
-// from a HandleCall dispatch switch and every public API method on the
-// same node type may run at the same time on one node. For each such entry
-// point the rule computes — interprocedurally, reusing the call graph and
-// the lock-region machinery behind the lock-order rule plus the
+// The racefree analysis proves (or refutes) handler race-readiness: several
+// client goroutines may drive one deployment, so every RPC handler
+// reachable from a HandleCall dispatch switch and every public API method
+// on the same node type may run at the same time on one node. For each
+// such entry point the rule computes — interprocedurally, reusing the call
+// graph and the lock-region machinery behind the lock-order rule plus the
 // guarded-field convention — the set of node fields read and written and
 // the mutex classes held at each access, and reports every pair of
 // concurrently-invocable entry points that conflict on a field (at least
@@ -33,7 +32,8 @@ import (
 //     simple local aliases "h := n.hot; h.g"), and propagated through
 //     receiver-rooted method calls; helpers that receive the node as a
 //     plain argument are not followed, and neither are calls spawned in
-//     goroutine statements (the vtime rule polices those separately).
+//     goroutine statements (the determinism rule admits none outside
+//     tests).
 //   - Any sync.Mutex/RWMutex-typed field counts as a lock, not only the
 //     convention name "mu". Mutex identity is class-level
 //     ("pkg.Type.field"), so two instances of one class are conservatively

@@ -11,10 +11,6 @@ import (
 // critical-path timing model. Virtual time only stays meaningful if every
 // fabric interaction threads the charged VTime:
 //
-//   - fan-out must go through simnet.Parallel, which accounts branch time
-//     as the max over branches: a raw `go` statement (with or without a
-//     WaitGroup) that transitively reaches a fabric call runs off the
-//     books;
 //   - handler-shaped functions (payload, VTime, error) must derive the
 //     VTime they return from the charged time they received — the `at`
 //     parameter or the done-values of their own fabric calls — not
@@ -22,17 +18,20 @@ import (
 //   - the VTime result of a fabric call must not be discarded (assigned
 //     to `_` or dropped with the whole result).
 //
+// Fan-out needs no check here: the determinism rule admits no `go`
+// statement, so concurrency can only flow through simnet.Parallel.
+//
 // The rule applies to internal/ and cmd/ packages except internal/simnet
-// itself (whose ConcurrentDelivery mode is the one sanctioned use of raw
-// goroutines) and cmd/adhoclint. Suppress a finding with
-// //adhoclint:ignore vtime(reason). A fabric call declared
-// //adhoclint:faultpath(fire-and-forget, reason) is exempt from the
-// dropped-VTime check: a declared fire-and-forget notification is off the
-// critical path by design, so its charged time has no accounting to join.
+// itself (which implements the fabric the rule models) and cmd/adhoclint.
+// Suppress a finding with //adhoclint:ignore vtime(reason). A fabric call
+// declared //adhoclint:faultpath(fire-and-forget, reason) is exempt from
+// the dropped-VTime check: a declared fire-and-forget notification is off
+// the critical path by design, so its charged time has no accounting to
+// join.
 
 // checkVTime runs the vtime rule over the program.
 func checkVTime(prog *Program) []Diagnostic {
-	v := &vtimeChecker{prog: prog, touches: prog.FabricReach(false).touches}
+	v := &vtimeChecker{prog: prog}
 	for _, p := range prog.Pkgs {
 		// The rule covers internal/ and cmd/ outside internal/simnet and
 		// the linter itself.
@@ -40,7 +39,6 @@ func checkVTime(prog *Program) []Diagnostic {
 			continue
 		}
 		eachFuncDecl(p.Files, func(fn *ast.FuncDecl) {
-			v.checkGoFanout(p, fn)
 			v.checkHandlerVTime(p, fn)
 			v.checkDroppedVTime(p, fn)
 		})
@@ -49,9 +47,8 @@ func checkVTime(prog *Program) []Diagnostic {
 }
 
 type vtimeChecker struct {
-	prog    *Program
-	touches map[*types.Func]bool // transitively performs a fabric call
-	diags   []Diagnostic
+	prog  *Program
+	diags []Diagnostic
 }
 
 // fireAndForgetAt reports whether the position carries a
@@ -62,55 +59,6 @@ func (v *vtimeChecker) fireAndForgetAt(p *Package, pos token.Pos) bool {
 		return disposition == dispFireAndForget
 	}
 	return false
-}
-
-// touchesFabric reports whether a statically resolved callee transitively
-// performs a fabric call.
-func (v *vtimeChecker) touchesFabric(callee *types.Func) bool {
-	return callee != nil && !observabilityNeutral(callee, v.prog.modPath) && v.touches[callee]
-}
-
-// nodeTouchesFabric reports whether the subtree contains a fabric call,
-// directly or through a statically resolved callee.
-func (v *vtimeChecker) nodeTouchesFabric(p *Package, node ast.Node) bool {
-	found := false
-	ast.Inspect(node, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee, _ := staticCallee(p.Info, call)
-		found = v.prog.fabricCallAt(p, call) != nil || v.touchesFabric(callee)
-		return !found
-	})
-	return found
-}
-
-// checkGoFanout flags `go` statements that transitively reach fabric
-// calls: their branch time never joins the caller's critical path.
-func (v *vtimeChecker) checkGoFanout(p *Package, fn *ast.FuncDecl) {
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		g, ok := n.(*ast.GoStmt)
-		if !ok {
-			return true
-		}
-		bad := false
-		switch fun := unparen(g.Call.Fun).(type) {
-		case *ast.FuncLit:
-			bad = v.nodeTouchesFabric(p, fun.Body)
-		default:
-			callee, _ := staticCallee(p.Info, g.Call)
-			bad = v.touchesFabric(callee)
-		}
-		if bad {
-			v.report(p, g.Pos(),
-				"goroutine fans out over simnet fabric calls; its branch time escapes the critical-path accounting — use simnet.Parallel")
-		}
-		return true
-	})
 }
 
 // checkHandlerVTime flags handler-shaped returns whose VTime is not

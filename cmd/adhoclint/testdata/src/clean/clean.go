@@ -49,16 +49,10 @@ func pace() {
 	time.Sleep(time.Millisecond) //adhoclint:ignore determinism deliberate wall-clock pacing to prove the directive works
 }
 
-func fanOut(work []string, s *store) {
-	var wg sync.WaitGroup
+func fill(work []string, s *store) {
 	for i, w := range work {
-		wg.Add(1)
-		go func(i int, w string) {
-			defer wg.Done()
-			s.Put(w, i)
-		}(i, w)
+		s.Put(w, i)
 	}
-	wg.Wait()
 }
 
 func checkAll(s *store, keys []string) error {
@@ -73,6 +67,6 @@ func checkAll(s *store, keys []string) error {
 func use() error {
 	s := newStore(1)
 	pace()
-	fanOut([]string{"a", "b"}, s)
+	fill([]string{"a", "b"}, s)
 	return checkAll(s, []string{"a", "b"})
 }

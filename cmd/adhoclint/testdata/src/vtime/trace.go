@@ -5,16 +5,6 @@ import (
 	"adhocshare/internal/trace"
 )
 
-// RecordAsync fans out over Recorder calls only: Record is fabric-neutral
-// by contract (see observability_knowledge.go), so the vtime rule stays silent —
-// no charged time escapes the critical path.
-func RecordAsync(rec trace.Recorder, spans []trace.Span) {
-	for _, s := range spans {
-		s := s
-		go rec.Record(s)
-	}
-}
-
 // TracedFanOut derives child contexts from the branch index and records
 // spans inside the branches: clean — Record moves no modeled time, and
 // captured writes are ordered by the branch index.

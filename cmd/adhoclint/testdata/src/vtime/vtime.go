@@ -1,13 +1,9 @@
-// Package vtime exercises the vtime-accounting rule: concurrency must
-// flow through simnet.Parallel, handlers must thread the charged VTime,
-// and the VTime a fabric call charges must not be dropped.
+// Package vtime exercises the vtime-accounting rule: handlers must thread
+// the charged VTime, and the VTime a fabric call charges must not be
+// dropped.
 package vtime
 
-import (
-	"sync"
-
-	"adhocshare/internal/simnet"
-)
+import "adhocshare/internal/simnet"
 
 // MethodPing is the package's only wire method.
 const MethodPing = "vt.ping"
@@ -23,43 +19,11 @@ type Node struct {
 	addr simnet.Addr
 }
 
-// FanOutRaw spawns goroutines over fabric calls: their branch time never
-// joins the caller's critical path.
-func (n *Node) FanOutRaw(peers []simnet.Addr, at simnet.VTime) {
-	var wg sync.WaitGroup
+// PingAll drops every charged VTime: its calls run off the books.
+func (n *Node) PingAll(peers []simnet.Addr, at simnet.VTime) {
 	for _, p := range peers {
-		p := p
-		wg.Add(1)
-		go func() { // want "use simnet.Parallel"
-			defer wg.Done()
-			_, _, _ = n.net.Call(n.addr, p, MethodPing, Ping{}, at) // want "is discarded"
-		}()
+		_, _, _ = n.net.Call(n.addr, p, MethodPing, Ping{}, at) // want "is discarded"
 	}
-	wg.Wait()
-}
-
-// pingOne performs one fabric call.
-func (n *Node) pingOne(to simnet.Addr, at simnet.VTime) simnet.VTime {
-	_, done, err := n.net.Call(n.addr, to, MethodPing, Ping{}, at)
-	if err != nil {
-		return at
-	}
-	return done
-}
-
-// FanOutIndirect reaches the fabric through a helper: still flagged.
-func (n *Node) FanOutIndirect(peers []simnet.Addr, at simnet.VTime) {
-	for _, p := range peers {
-		p := p
-		go n.pingOne(p, at) // want "use simnet.Parallel"
-	}
-}
-
-// LogAsync is allowed: the goroutine never touches the fabric.
-func (n *Node) LogAsync(msgs chan string) {
-	go func() {
-		msgs <- "done"
-	}()
 }
 
 // FanOutParallel uses the sanctioned combinator: clean.

@@ -35,7 +35,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "master seed XORed into every experiment stream (0 = the published tables)")
 	faultRate := flag.Float64("faultrate", 0, "per-message-leg loss probability injected after deployment setup (0 = fault-free)")
 	adaptive := flag.Bool("adaptive", false, "enable workload-adaptive hot-key replication in every deployment the experiments build")
-	concurrent := flag.Bool("concurrent", false, "run every remote handler on its own goroutine, one at a time (simnet ConcurrentDelivery); tables stay byte-identical to a serial run")
 	asJSON := flag.Bool("json", false, "emit one JSON document instead of plain-text tables")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof allocation profile taken after the run to this file")
@@ -46,7 +45,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchmark:", err)
 		os.Exit(1)
 	}
-	err = runHarness(*run, *list, *asJSON, experiments.Params{Seed: *seed, FaultRate: *faultRate, Adaptive: *adaptive, Concurrent: *concurrent})
+	err = runHarness(*run, *list, *asJSON, experiments.Params{Seed: *seed, FaultRate: *faultRate, Adaptive: *adaptive})
 	// Flush the profiles even on a failed run: a crash-adjacent profile is
 	// still worth reading, and os.Exit skips deferred writers.
 	if perr := stopProfiles(); perr != nil {

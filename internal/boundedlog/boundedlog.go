@@ -4,7 +4,8 @@
 // Add evicts the smallest retained value (possibly the one just added), so
 // the retained contents depend only on the multiset of values added, never
 // on the order they arrived in — the property that keeps same-seed
-// transcripts byte-identical under concurrent delivery.
+// transcripts byte-identical when several client goroutines drive one
+// deployment.
 //
 // The retained values sit in a binary min-heap, so eviction is O(log n)
 // and moves no more than one root-to-leaf path; readers that want the

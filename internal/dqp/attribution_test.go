@@ -3,12 +3,14 @@ package dqp
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/simnet"
+	"adhocshare/internal/trace"
 )
 
 // trafficOf projects the fabric-attributed part of a query's Stats.
@@ -60,12 +62,14 @@ func TestStatsEqualCounterDeltaWhenSerial(t *testing.T) {
 	}
 }
 
-// TestOverlappingQueriesAreNotCrossCharged runs two initiators' query
-// streams from two goroutines against one deployment and requires every
-// query to report exactly the Stats it reports when its stream runs alone
-// on a fresh same-seed deployment. Attribution by a diff of the global
-// counters cannot pass this: whatever the other stream sends meanwhile
-// lands in the diff.
+// TestOverlappingQueriesAreNotCrossCharged runs four initiators' query
+// streams from four goroutines against one traced deployment and requires
+// every query to report exactly the Stats it reports when its stream runs
+// alone on a fresh same-seed deployment. Attribution by a diff of the
+// global counters cannot pass this: whatever the other streams send
+// meanwhile lands in the diff. The Gosched between rounds and the armed
+// registry and ring buffer keep handlers and recorders overlapping under
+// -race; tracing is zero-width, so it moves no Stats.
 func TestOverlappingQueriesAreNotCrossCharged(t *testing.T) {
 	const rounds = 12
 	streams := []struct {
@@ -74,74 +78,78 @@ func TestOverlappingQueriesAreNotCrossCharged(t *testing.T) {
 		opts      Options
 	}{
 		{"D1", paperQueries["fig4-full"], DefaultOptions()},
+		{"D2", paperQueries["fig8-union"], DefaultOptions()},
 		{"D3", paperQueries["fig7-optional"], BaselineOptions()},
+		{"D4", paperQueries["fig9-filter-optional"], BaselineOptions()},
 	}
-	for _, concurrent := range []bool{false, true} {
-		t.Run(fmt.Sprintf("ConcurrentDelivery=%v", concurrent), func(t *testing.T) {
-			build := func() (*overlay.System, simnet.VTime) {
-				return buildSystemConfig(t, 5, paperData(), overlay.Config{Bits: 16, Replication: 2,
-					Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20, ConcurrentDelivery: concurrent}})
-			}
-			// run executes one stream: the same query, rounds times, each
-			// round starting where the previous one completed.
-			run := func(sys *overlay.System, now simnet.VTime, si int) ([]Stats, error) {
-				st := streams[si]
-				e := NewEngine(sys, st.opts)
-				var out []Stats
-				for r := 0; r < rounds; r++ {
-					_, stats, done, err := e.Query(st.initiator, st.query, now)
-					if err != nil {
-						return nil, fmt.Errorf("stream %d round %d: %w", si, r, err)
-					}
-					out, now = append(out, stats), done
+	// The subtest names the delivery the fabric runs: serial, in send
+	// order — the only delivery simnet has.
+	t.Run("ConcurrentDelivery=false", func(t *testing.T) {
+		build := func() (*overlay.System, simnet.VTime) {
+			return buildSystemConfig(t, 5, paperData(), overlay.Config{Bits: 16, Replication: 2,
+				Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
+		}
+		// run executes one stream: the same query, rounds times, each
+		// round starting where the previous one completed.
+		run := func(sys *overlay.System, now simnet.VTime, si int) ([]Stats, error) {
+			st := streams[si]
+			e := NewEngine(sys, st.opts)
+			var out []Stats
+			for r := 0; r < rounds; r++ {
+				_, stats, done, err := e.Query(st.initiator, st.query, now)
+				if err != nil {
+					return nil, fmt.Errorf("stream %d round %d: %w", si, r, err)
 				}
-				return out, nil
+				out, now = append(out, stats), done
+				runtime.Gosched()
 			}
+			return out, nil
+		}
 
-			alone := make([][]Stats, len(streams))
-			for si := range streams {
-				sys, now := build()
-				var err error
-				if alone[si], err = run(sys, now, si); err != nil {
-					t.Fatal(err)
-				}
-			}
-
+		alone := make([][]Stats, len(streams))
+		for si := range streams {
 			sys, now := build()
-			before := sys.Net().Metrics()
-			together := make([][]Stats, len(streams))
-			errs := make([]error, len(streams))
-			var wg sync.WaitGroup
-			for si := range streams {
-				wg.Add(1)
-				go func(si int) {
-					defer wg.Done()
-					together[si], errs[si] = run(sys, now, si)
-				}(si)
+			var err error
+			if alone[si], err = run(sys, now, si); err != nil {
+				t.Fatal(err)
 			}
-			wg.Wait()
-			var sum simnet.QueryTraffic
-			for si := range streams {
-				if errs[si] != nil {
-					t.Fatal(errs[si])
+		}
+
+		sys, now := build()
+		sys.Net().SetRecorder(trace.Tee(trace.NewRegistry(), trace.NewRingBuffer(64)))
+		before := sys.Net().Metrics()
+		together := make([][]Stats, len(streams))
+		errs := make([]error, len(streams))
+		var wg sync.WaitGroup
+		for si := range streams {
+			wg.Add(1)
+			go func(si int) {
+				defer wg.Done()
+				together[si], errs[si] = run(sys, now, si)
+			}(si)
+		}
+		wg.Wait()
+		var sum simnet.QueryTraffic
+		for si := range streams {
+			if errs[si] != nil {
+				t.Fatal(errs[si])
+			}
+			for r := range together[si] {
+				got, want := together[si][r], alone[si][r]
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("stream %d round %d cross-charged:\noverlapped %+v\nalone      %+v", si, r, got, want)
 				}
-				for r := range together[si] {
-					got, want := together[si][r], alone[si][r]
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("stream %d round %d cross-charged:\noverlapped %+v\nalone      %+v", si, r, got, want)
-					}
-					sum.Messages += got.Messages
-					sum.Bytes += got.Bytes
-				}
+				sum.Messages += got.Messages
+				sum.Bytes += got.Bytes
 			}
-			// Nothing is lost either: the queries' shares add up to what
-			// the fabric counted.
-			if delta := sys.Net().Metrics().Sub(before); sum.Messages != delta.Messages || sum.Bytes != delta.Bytes {
-				t.Errorf("attributed %d msgs / %d bytes, fabric counted %d / %d",
-					sum.Messages, sum.Bytes, delta.Messages, delta.Bytes)
-			}
-		})
-	}
+		}
+		// Nothing is lost either: the queries' shares add up to what
+		// the fabric counted.
+		if delta := sys.Net().Metrics().Sub(before); sum.Messages != delta.Messages || sum.Bytes != delta.Bytes {
+			t.Errorf("attributed %d msgs / %d bytes, fabric counted %d / %d",
+				sum.Messages, sum.Bytes, delta.Messages, delta.Bytes)
+		}
+	})
 }
 
 // TestBareDescribeStagesAndSolutions: a DESCRIBE without WHERE goes through

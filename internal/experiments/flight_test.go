@@ -17,9 +17,8 @@ import (
 
 // The armed-monitor smoke surface of CI: the full experiment matrices must
 // run violation-free with the flight recorder and every invariant monitor
-// armed, same-seed event logs must be byte-identical (serially and under
-// ConcurrentDelivery), and a failing run leaves an incident report behind
-// when INCIDENT_DIR is set.
+// armed, same-seed event logs must be byte-identical, and a failing run
+// leaves an incident report behind when INCIDENT_DIR is set.
 
 // saveIncident writes an incident report artifact when INCIDENT_DIR is
 // set (the CI upload path); it is called only on assertion failure.
@@ -131,9 +130,7 @@ func TestFlightQueryCleanWithIncidentArtifact(t *testing.T) {
 }
 
 // TestFlightEventLogSameSeedByteIdentical pins the tentpole determinism
-// claim: identical Params reproduce identical retained event logs, and
-// ConcurrentDelivery — true per-handler goroutines — retains the exact
-// same events as a serial run.
+// claim: identical Params reproduce identical retained event logs.
 func TestFlightEventLogSameSeedByteIdentical(t *testing.T) {
 	run := func(p Params) []flight.Event {
 		ft, err := TraceQueryFlight(p, dqp.StrategyChain, "D00", workload.QueryFig4("Smith"))
@@ -143,28 +140,21 @@ func TestFlightEventLogSameSeedByteIdentical(t *testing.T) {
 		return ft.Events
 	}
 	// Small ring (64 events) so eviction is exercised, not just recording.
-	serial := run(Params{Seed: 7, Flight: 64})
+	first := run(Params{Seed: 7, Flight: 64})
 	again := run(Params{Seed: 7, Flight: 64})
-	if !reflect.DeepEqual(serial, again) {
-		t.Error("same-seed serial event logs differ")
-	}
-	concurrent := run(Params{Seed: 7, Flight: 64, Concurrent: true})
-	if !reflect.DeepEqual(serial, concurrent) {
-		t.Errorf("concurrent-delivery event log differs from serial:\nserial %d events, concurrent %d",
-			len(serial), len(concurrent))
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("same-seed event logs differ: %d vs %d events", len(first), len(again))
 	}
 }
 
-// TestSnapshotsDeterministicUnderConcurrentDelivery attaches a metrics
-// Registry and a ring-mode span Buffer to the fabric and compares their
-// snapshots between a serial and a ConcurrentDelivery run of the same
-// seeded query: both must be byte-identical (the test runs under -race in
-// CI, so the registry and ring-buffer locking is exercised by true
-// concurrency, not just asserted).
-func TestSnapshotsDeterministicUnderConcurrentDelivery(t *testing.T) {
-	run := func(concurrent bool) (trace.MetricsSnapshot, []trace.Span) {
-		p := Params{Seed: 3, Concurrent: concurrent}
-		dep, err := fig4Deployment(p)
+// TestSnapshotsSameSeedByteIdentical attaches a metrics Registry and a
+// ring-mode span Buffer to the fabric and compares their snapshots between
+// two runs of the same seeded query: both must be byte-identical, and the
+// ring must have evicted down to its capacity. Locking under real overlap
+// is exercised by TestOverlappingQueriesAreNotCrossCharged.
+func TestSnapshotsSameSeedByteIdentical(t *testing.T) {
+	run := func() (trace.MetricsSnapshot, []trace.Span) {
+		dep, err := fig4Deployment(Params{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,16 +166,15 @@ func TestSnapshotsDeterministicUnderConcurrentDelivery(t *testing.T) {
 		}
 		return reg.Snapshot(), ring.Spans()
 	}
-	serialSnap, serialSpans := run(false)
-	concSnap, concSpans := run(true)
-	if !reflect.DeepEqual(serialSnap, concSnap) {
-		t.Error("Registry snapshot differs between serial and concurrent delivery")
+	firstSnap, firstSpans := run()
+	againSnap, againSpans := run()
+	if !reflect.DeepEqual(firstSnap, againSnap) {
+		t.Error("same-seed Registry snapshots differ")
 	}
-	if !reflect.DeepEqual(serialSpans, concSpans) {
-		t.Errorf("ring-buffer spans differ between serial and concurrent delivery (%d vs %d)",
-			len(serialSpans), len(concSpans))
+	if !reflect.DeepEqual(firstSpans, againSpans) {
+		t.Errorf("same-seed ring-buffer spans differ (%d vs %d)", len(firstSpans), len(againSpans))
 	}
-	if len(serialSpans) != 48 {
-		t.Errorf("ring buffer not at capacity: %d spans, want 48", len(serialSpans))
+	if len(firstSpans) != 48 {
+		t.Errorf("ring buffer not at capacity: %d spans, want 48", len(firstSpans))
 	}
 }

@@ -82,11 +82,12 @@ func ringOwner(idx []*overlay.IndexNode, key chord.ID) chord.ID {
 // E2IndexConstruction measures two-level index construction (Fig. 2 /
 // Table I): messages, bytes and postings as functions of dataset size and
 // ring size. Six keys per triple are published; batched per index node.
-// Each configuration is built twice — once with the legacy serial
-// publication pipeline and once with the parallel one (batched key
-// resolution + concurrent per-owner shipping) — so the table shows the
-// publication critical path of both; msgs/KiB/postings columns report the
-// parallel (production) pipeline.
+// Each configuration is built twice — once with the paper's per-key
+// publication pipeline (overlay.Config.SerialPublish, this experiment's
+// comparison arm) and once with the default parallel one (batched key
+// resolution, per-owner batches shipped under simnet.Parallel) — so the
+// table shows the publication critical path of both; msgs/KiB/postings
+// columns report the parallel (default) pipeline.
 func E2IndexConstruction(p Params) (*Table, error) {
 	t := &Table{
 		ID:      "E2",

@@ -29,25 +29,17 @@ import (
 // (overlay.Config.Adaptive) for the deployments an experiment builds; the
 // default keeps the paper's static two-level index.
 //
-// Concurrent turns on simnet.Config.ConcurrentDelivery for the deployment
-// fabric: every remote handler runs on its own goroutine, which the
-// dispatching call waits for. All simulated quantities — VTimes, traffic,
-// tables — are byte-identical to a serial run with the same Params. The
-// experiments drive a deployment from one goroutine, so no two handlers
-// overlap; the mode checks that nothing depends on the handler's goroutine.
-//
 // Flight, when nonzero, arms the flight recorder and the live invariant
 // monitors on the deployments an experiment builds, with Flight events
 // retained per node. Recording is strictly observational — tables,
 // traffic and VTimes are byte-identical with the knob off — and same-seed
 // runs retain byte-identical event logs.
 type Params struct {
-	Seed       int64
-	Clock      *simnet.Clock
-	FaultRate  float64
-	Adaptive   bool
-	Concurrent bool
-	Flight     int
+	Seed      int64
+	Clock     *simnet.Clock
+	FaultRate float64
+	Adaptive  bool
+	Flight    int
 }
 
 // clock returns the injected clock, or a fresh one at virtual time zero.

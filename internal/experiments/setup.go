@@ -43,9 +43,7 @@ const faultSeedBase = 0xFA17
 // the fabric afterwards, so the measured operations (and only those) run
 // under message loss.
 func buildDeployment(p Params, nIndex int, d *workload.Dataset) (*deployment, error) {
-	net := netConfig()
-	net.ConcurrentDelivery = p.Concurrent
-	sys := overlay.NewSystem(overlay.Config{Bits: 24, Replication: 2, Adaptive: p.Adaptive, Net: net})
+	sys := overlay.NewSystem(overlay.Config{Bits: 24, Replication: 2, Adaptive: p.Adaptive, Net: netConfig()})
 	dep := &deployment{sys: sys, clock: p.clock()}
 	for i := 0; i < nIndex; i++ {
 		_, done, err := sys.AddIndexNode(simnet.Addr(fmt.Sprintf("idx-%02d", i)), dep.clock.Now())

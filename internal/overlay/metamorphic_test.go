@@ -397,100 +397,3 @@ func TestMetamorphicAdaptiveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestMetamorphicConcurrentDeliveryEquivalence pins the byte-identity
-// contract of simnet's concurrent-delivery mode over the same seeded
-// mutation/lookup interleavings: running every handler on its own
-// goroutine (with the adaptive hot path on, the state the racefree rule
-// had to guard) must change no lookup answer, no completion VTime, no
-// final location table and no traffic count relative to serial delivery.
-// Under `go test -race` this doubles as the dynamic corroborator of the
-// static racefree analysis.
-func TestMetamorphicConcurrentDeliveryEquivalence(t *testing.T) {
-	pool := metaVocab()
-	providers := []simnet.Addr{"P0", "P1", "P2"}
-	graphs := []string{"urn:g1", "urn:g2"}
-
-	var keys []chord.ID
-	seen := map[chord.ID]bool{}
-	for _, tr := range pool {
-		key, _, ok := PatternKey(rdf.Triple{P: tr.P, O: tr.O}, 16)
-		if ok && !seen[key] {
-			seen[key] = true
-			keys = append(keys, key)
-		}
-	}
-	if len(keys) < 2 {
-		t.Fatalf("vocabulary yielded %d distinct pattern keys, want >= 2", len(keys))
-	}
-
-	deliveryCfg := func(concurrent bool) Config {
-		return Config{Bits: 16, Replication: 2, Adaptive: true,
-			HotThreshold: 3, HotReplicas: 2,
-			Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20,
-				ConcurrentDelivery: concurrent}}
-	}
-
-	trial := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ops := drawMetaOps(rng, providers, graphs, pool)
-		zipf := rand.NewZipf(rand.New(rand.NewSource(seed^0x5eed)), 1.6, 1, uint64(len(keys)-1))
-
-		serialSys, nowS := newMetaSystemCfg(t, deliveryCfg(false), providers)
-		concSys, nowC := newMetaSystemCfg(t, deliveryCfg(true), providers)
-		serialClient := NewLookupClient(serialSys)
-		concClient := NewLookupClient(concSys)
-
-		for oi, op := range ops {
-			nowS = applyMetaOps(t, serialSys, []metaOp{op}, nowS)
-			nowC = applyMetaOps(t, concSys, []metaOp{op}, nowC)
-			if nowS != nowC {
-				t.Errorf("seed %d op %d: mutation completion diverged: serial %v, concurrent %v",
-					seed, oi, nowS, nowC)
-				return false
-			}
-			for q := 0; q < metaBurst; q++ {
-				key := keys[int(zipf.Uint64())]
-				rowS, doneS, err := serialClient.Lookup("P0", key,
-					trace.TraceContext{}, trace.TraceContext{}, nowS)
-				if err != nil {
-					t.Fatalf("seed %d op %d query %d: serial lookup: %v", seed, oi, q, err)
-				}
-				nowS = doneS
-				rowC, doneC, err := concClient.Lookup("P0", key,
-					trace.TraceContext{}, trace.TraceContext{}, nowC)
-				if err != nil {
-					t.Fatalf("seed %d op %d query %d: concurrent lookup: %v", seed, oi, q, err)
-				}
-				nowC = doneC
-				if doneS != doneC {
-					t.Errorf("seed %d op %d query %d key %v: lookup VTime diverged: serial %v, concurrent %v",
-						seed, oi, q, key, doneS, doneC)
-					return false
-				}
-				if s, c := renderPostings(rowS.Postings), renderPostings(rowC.Postings); s != c {
-					t.Errorf("seed %d op %d query %d key %v: answers diverged\nserial:     %s\nconcurrent: %s",
-						seed, oi, q, key, s, c)
-					return false
-				}
-			}
-		}
-
-		if s, c := indexState(serialSys), indexState(concSys); s != c {
-			t.Errorf("seed %d: final location tables diverged\nserial:\n%s\nconcurrent:\n%s", seed, s, c)
-			return false
-		}
-		sm := fmt.Sprintf("%+v", serialSys.Net().Metrics())
-		cm := fmt.Sprintf("%+v", concSys.Net().Metrics())
-		if sm != cm {
-			t.Errorf("seed %d: traffic diverged\nserial:     %s\nconcurrent: %s", seed, sm, cm)
-			return false
-		}
-		return true
-	}
-
-	cfg := &quick.Config{MaxCount: 8, Rand: rand.New(rand.NewSource(47))}
-	if err := quick.Check(trial, cfg); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -99,18 +99,6 @@ type Config struct {
 	// FailTimeout is the virtual time wasted discovering that a failed node
 	// does not answer (default 500ms).
 	FailTimeout time.Duration
-	// ConcurrentDelivery executes each remote handler invocation on its
-	// own goroutine (the per-message server goroutine a real transport
-	// would use) instead of inline on the caller's, behind a seeded
-	// scheduling jitter. The dispatching Call/Send still waits for the
-	// handler and returns its result, so virtual times, accounted traffic
-	// and location tables are byte-identical to serial delivery. With one
-	// client goroutine this changes only which goroutine a handler runs
-	// on; handlers overlap only when several client goroutines drive the
-	// deployment, and then the jitter perturbs their interleaving for the
-	// `-race` runs that corroborate the adhoclint racefree analysis. See
-	// concurrent.go.
-	ConcurrentDelivery bool
 }
 
 func (c Config) withDefaults() Config {
@@ -410,7 +398,7 @@ func (n *Network) Call(from, to Addr, method string, req Payload, at VTime) (Pay
 	if err != nil {
 		return nil, arrive, err
 	}
-	resp, done, herr := n.deliver(h, from, to, method, req, arrive)
+	resp, done, herr := h.HandleCall(arrive, method, req)
 	reply := leg{from: to, to: from, method: method, dir: DirResponse,
 		size: payloadSize(resp), start: done, tc: tc.Child(trace.ResponseSeq)}
 	if herr != nil {
@@ -446,7 +434,7 @@ func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTi
 	if err != nil {
 		return arrive, err
 	}
-	_, done, err := n.deliver(h, from, to, method, req, arrive)
+	_, done, err := h.HandleCall(arrive, method, req)
 	return done, err
 }
 

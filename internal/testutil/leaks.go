@@ -14,11 +14,11 @@ type Runner interface {
 }
 
 // VerifyNoLeaks runs a package's test suite and fails the run when
-// goroutines outlive it. The concurrent subsystems (overlay, simnet,
-// chord) run entirely in-process, so after their tests return every
-// goroutine they started must be gone; a straggler is a real leak under
-// churn. A short retry window absorbs goroutines that are mid-exit when
-// Run returns (the testing package's own workers unwinding).
+// goroutines outlive it. The subsystems (overlay, simnet, chord, dqp, rdf)
+// run entirely in-process, so after their tests return every goroutine
+// they started must be gone; a straggler is a real leak under churn. A
+// short retry window absorbs goroutines that are mid-exit when Run returns
+// (the testing package's own workers unwinding).
 //
 // Use from TestMain:
 //

@@ -134,7 +134,7 @@ type Recorder interface {
 // query-0 spans go first), so ring mode retains the most recent traces.
 // Eviction is by the canonical order, never insertion order, so the
 // retained contents of a seeded run are byte-identical under any
-// goroutine interleaving — including simnet.Config.ConcurrentDelivery.
+// interleaving of the client goroutines.
 type Buffer struct {
 	mu  sync.Mutex
 	log *boundedlog.Log[Span] // unbounded until SetLimit
