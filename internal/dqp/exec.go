@@ -21,7 +21,8 @@ import (
 // on — the unit of data the executor moves between sites. A one-pattern
 // BGP's result leaves its rows where its accumulator holds them (matches)
 // until an operator needs them as one table, so a point query's matches
-// become result mappings with no copy in between.
+// become result mappings with no copy in between, and the right operand of
+// a join, left join or union at their site is read where it lies.
 type flatSet struct {
 	rows    eval.Table
 	matches eval.MatchSet
@@ -77,16 +78,17 @@ func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simne
 		// where its input's solutions reside.
 		return e.execUnary(ctx, o.Input, false, at, func(t eval.Table) eval.Table { return t.Filter(o.Expr) })
 	case *algebra.Join:
-		return e.execMerge(ctx, o.Left, o.Right, at, eval.JoinTables)
+		return e.execMerge(ctx, o.Left, o.Right, at, joinOp)
 	case *algebra.LeftJoin:
 		// OPTIONAL: the move-small placement of Sect. IV-E — but the left
 		// operand is the semantic anchor, so the merge is not symmetric;
 		// merge keeps operand order.
-		return e.execMerge(ctx, o.Left, o.Right, at, func(a, b eval.Table) eval.Table {
-			return eval.LeftJoinTables(a, b, o.Expr)
+		return e.execMerge(ctx, o.Left, o.Right, at, binaryOp{
+			tables:  func(a, b eval.Table) eval.Table { return eval.LeftJoinTables(a, b, o.Expr) },
+			matches: func(b eval.MatchSet, a eval.Table) eval.Table { return b.LeftJoin(a, o.Expr) },
 		})
 	case *algebra.Union:
-		return e.execMerge(ctx, o.Left, o.Right, at, eval.UnionTables)
+		return e.execMerge(ctx, o.Left, o.Right, at, binaryOp{tables: eval.UnionTables, matches: eval.MatchSet.Union})
 	case *algebra.Project:
 		in, done, err := e.exec(ctx, o.Input, at)
 		if err != nil {
@@ -233,10 +235,19 @@ func (e *Engine) execUnary(ctx *qctx, input algebra.Op, home bool, at simnet.VTi
 	return in, done, nil
 }
 
+// binaryOp is an operator merge applies: over two tables, and over a table
+// and a one-pattern BGP's matches read where they lie, with the same result.
+type binaryOp struct {
+	tables  func(a, b eval.Table) eval.Table
+	matches func(b eval.MatchSet, a eval.Table) eval.Table
+}
+
+var joinOp = binaryOp{tables: eval.JoinTables, matches: eval.MatchSet.Join}
+
 // execMerge evaluates two operands starting at the same virtual time — the
 // branches proceed in parallel on disjoint nodes, so each completes at its
 // own time and the merge starts at the later one — and merges them.
-func (e *Engine) execMerge(ctx *qctx, left, right algebra.Op, at simnet.VTime, op func(a, b eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
+func (e *Engine) execMerge(ctx *qctx, left, right algebra.Op, at simnet.VTime, op binaryOp) (flatSet, simnet.VTime, error) {
 	l, lDone, err := e.exec(ctx, left, at)
 	if err != nil {
 		return flatSet{}, lDone, err
@@ -245,16 +256,18 @@ func (e *Engine) execMerge(ctx *qctx, left, right algebra.Op, at simnet.VTime, o
 	if err != nil {
 		return flatSet{}, rDone, err
 	}
-	return e.merge(ctx, l.flat(), r.flat(), simnet.MaxTime(lDone, rDone), op)
+	return e.merge(ctx, l.flat(), r, simnet.MaxTime(lDone, rDone), op)
 }
 
 // merge brings both operands to one site per the join-site policy and
 // applies op there — a join, a left join or a union above a BGP, a join of
 // two partial results inside one. Operand order is preserved (op may be
-// asymmetric, e.g. a left join).
-func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op func(a, b eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
+// asymmetric, e.g. a left join). l is one table; r may be a one-pattern
+// BGP's matches, which op reads in place when they are already at the site.
+func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op binaryOp) (flatSet, simnet.VTime, error) {
 	site := l.site
 	if l.site != r.site {
+		r = r.flat()
 		site = e.pickJoinSite(ctx, l.operand(), r.operand(), func() bool {
 			return slices.ContainsFunc(l.rows.Vars, func(v string) bool { return l.rows.Binds(v) && r.rows.Binds(v) })
 		})
@@ -267,7 +280,10 @@ func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op func(a, b ev
 	if err != nil {
 		return flatSet{}, now, err
 	}
-	return flatSet{rows: op(l.rows, r.rows), site: site}, now, nil
+	if r.matches.Rows != nil {
+		return flatSet{rows: op.matches(r.matches, l.rows), site: site}, now, nil
+	}
+	return flatSet{rows: op.tables(l.rows, r.rows), site: site}, now, nil
 }
 
 // pickJoinSite implements the join-site selection strategies of Sect. II
@@ -614,11 +630,11 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 }
 
 // matchResult is a one-pattern BGP's result at site: its matches in place,
-// or under a filter the table of those that pass it — every conjunct not
-// shipped with the pattern included.
+// or under a filter a table of those that pass it — every conjunct not
+// shipped with the pattern included — copied from where they lie.
 func matchResult(acc *eval.Matches, filter sparql.Expression, site simnet.Addr) flatSet {
 	if filter != nil {
-		return flatSet{rows: acc.Table().Filter(filter), site: site}
+		return flatSet{rows: acc.Set().Filter(filter), site: site}
 	}
 	return flatSet{matches: acc.Set(), site: site}
 }
@@ -727,7 +743,7 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 	cur, now := results[0], times[0]
 	for i := 1; i < len(plans); i++ {
 		var err error
-		cur, now, err = e.merge(ctx, cur, results[i], simnet.MaxTime(now, times[i]), eval.JoinTables)
+		cur, now, err = e.merge(ctx, cur, results[i], simnet.MaxTime(now, times[i]), joinOp)
 		if err != nil {
 			return flatSet{}, now, err
 		}
@@ -857,7 +873,8 @@ func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.
 	}
 	// Each pattern's replies are accumulated in its postings order, so its
 	// rows come in the order a fan-out of its own would give them; a BGP's
-	// pattern results are joined left to right.
+	// pattern results are joined left to right, each later pattern's matches
+	// where its accumulator holds them.
 	for i := 0; i < len(pats); {
 		b := pats[i].bgp
 		w := bgps[b]
@@ -879,7 +896,7 @@ func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.
 			case k == 0:
 				rows = acc.Table()
 			default:
-				rows = eval.JoinTables(rows, acc.Table())
+				rows = acc.Set().Join(rows)
 			}
 		}
 		if len(w.plans) > 1 {

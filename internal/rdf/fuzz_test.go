@@ -34,7 +34,7 @@ func ntSerializable(ts []Triple) bool {
 					return false
 				}
 			case KindLiteral:
-				if !iriOK(term.Datatype) || !labelOK(term.Lang) && term.Lang != "" {
+				if !iriOK(term.Datatype()) || !labelOK(term.Lang()) && term.Lang() != "" {
 					return false
 				}
 			}

@@ -67,16 +67,23 @@ const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 // The interpretation of the fields depends on Kind:
 //
 //	KindIRI:     Value is the IRI string.
-//	KindLiteral: Value is the lexical form, Lang the optional language tag,
-//	             Datatype the optional datatype IRI ("" means a plain/
-//	             xsd:string literal).
+//	KindLiteral: Value is the lexical form. A literal carries a language
+//	             tag or a datatype IRI, never both, so one Suffix holds
+//	             either: the tag when Tagged is set, the datatype otherwise
+//	             ("" means a plain/xsd:string literal). Read them through
+//	             Lang and Datatype.
 //	KindBlank:   Value is the blank-node label (without the "_:" prefix).
 //	KindVar:     Value is the variable name (without the "?" sigil).
+//
+// A Term is 40 bytes on 64-bit platforms — the kind and the flag share a
+// word, then two string headers — and solution rows are slices of them, so
+// its size is the width of every cell the engine copies. The fields stay
+// exported because encoding/gob drops unexported ones.
 type Term struct {
-	Kind     Kind
-	Value    string
-	Lang     string
-	Datatype string
+	Kind   Kind
+	Tagged bool
+	Value  string
+	Suffix string
 }
 
 // NewIRI returns an IRI term.
@@ -85,27 +92,45 @@ func NewIRI(iri string) Term { return Term{Kind: KindIRI, Value: iri} }
 // NewLiteral returns a plain literal term.
 func NewLiteral(lex string) Term { return Term{Kind: KindLiteral, Value: lex} }
 
-// NewLangLiteral returns a language-tagged literal term.
+// NewLangLiteral returns a language-tagged literal term; an empty tag gives
+// the plain literal.
 func NewLangLiteral(lex, lang string) Term {
-	return Term{Kind: KindLiteral, Value: lex, Lang: lang}
+	return Term{Kind: KindLiteral, Tagged: lang != "", Value: lex, Suffix: lang}
 }
 
 // NewTypedLiteral returns a literal term with an explicit datatype IRI.
 func NewTypedLiteral(lex, datatype string) Term {
-	return Term{Kind: KindLiteral, Value: lex, Datatype: datatype}
+	return Term{Kind: KindLiteral, Value: lex, Suffix: datatype}
 }
 
 // NewInteger returns an xsd:integer literal.
 func NewInteger(v int64) Term {
-	return Term{Kind: KindLiteral, Value: strconv.FormatInt(v, 10), Datatype: XSDInteger}
+	return Term{Kind: KindLiteral, Value: strconv.FormatInt(v, 10), Suffix: XSDInteger}
 }
 
 // NewBoolean returns an xsd:boolean literal.
 func NewBoolean(v bool) Term {
 	if v {
-		return Term{Kind: KindLiteral, Value: "true", Datatype: XSDBoolean}
+		return Term{Kind: KindLiteral, Value: "true", Suffix: XSDBoolean}
 	}
-	return Term{Kind: KindLiteral, Value: "false", Datatype: XSDBoolean}
+	return Term{Kind: KindLiteral, Value: "false", Suffix: XSDBoolean}
+}
+
+// Lang returns a literal's language tag, "" when it has none.
+func (t Term) Lang() string {
+	if t.Tagged {
+		return t.Suffix
+	}
+	return ""
+}
+
+// Datatype returns a literal's datatype IRI, "" for a plain or
+// language-tagged literal.
+func (t Term) Datatype() string {
+	if t.Tagged {
+		return ""
+	}
+	return t.Suffix
 }
 
 // NewBlank returns a blank-node term with the given label.
@@ -142,12 +167,12 @@ func (t Term) String() string {
 		sb.WriteByte('"')
 		sb.WriteString(escapeLiteral(t.Value))
 		sb.WriteByte('"')
-		if t.Lang != "" {
+		if t.Tagged {
 			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
-		} else if t.Datatype != "" {
+			sb.WriteString(t.Suffix)
+		} else if t.Suffix != "" {
 			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
+			sb.WriteString(t.Suffix)
 			sb.WriteByte('>')
 		}
 		return sb.String()
@@ -169,10 +194,10 @@ func (t Term) AppendTo(buf []byte) []byte {
 		return append(append(append(buf, '<'), t.Value...), '>')
 	case KindLiteral:
 		buf = append(appendEscaped(append(buf, '"'), t.Value), '"')
-		if t.Lang != "" {
-			buf = append(append(buf, '@'), t.Lang...)
-		} else if t.Datatype != "" {
-			buf = append(append(append(buf, "^^<"...), t.Datatype...), '>')
+		if t.Tagged {
+			buf = append(append(buf, '@'), t.Suffix...)
+		} else if t.Suffix != "" {
+			buf = append(append(append(buf, "^^<"...), t.Suffix...), '>')
 		}
 		return buf
 	case KindBlank:
@@ -187,11 +212,12 @@ func (t Term) AppendTo(buf []byte) []byte {
 // SizeBytes estimates the wire size of the term for the network cost model:
 // the lexical components plus the kind tag.
 func (t Term) SizeBytes() int {
-	return kindWidth(t.Kind) + len(t.Value) + len(t.Lang) + len(t.Datatype)
+	return kindWidth(t.Kind, t.Tagged) + len(t.Value) + len(t.Suffix)
 }
 
-// kindWidth is the fixed wire width of a term's kind tag.
-func kindWidth(Kind) int { return 2 }
+// kindWidth is the fixed wire width of a term's kind tag, which carries the
+// tagged flag with it.
+func kindWidth(Kind, bool) int { return 2 }
 
 // escapedChars are the characters an N-Triples literal writes as escapes.
 const escapedChars = "\"\\\n\r\t"
@@ -256,10 +282,10 @@ func Compare(a, b Term) int {
 	if c := strings.Compare(a.Value, b.Value); c != 0 {
 		return c
 	}
-	if c := strings.Compare(a.Lang, b.Lang); c != 0 {
+	if c := strings.Compare(a.Lang(), b.Lang()); c != 0 {
 		return c
 	}
-	return strings.Compare(a.Datatype, b.Datatype)
+	return strings.Compare(a.Datatype(), b.Datatype())
 }
 
 func orderRank(t Term) int {
@@ -284,7 +310,7 @@ func NumericValue(t Term) (float64, bool) {
 	if t.Kind != KindLiteral {
 		return 0, false
 	}
-	switch t.Datatype {
+	switch t.Datatype() {
 	case "", XSDInteger, XSDDecimal, XSDDouble:
 		return parseFloat(t.Value)
 	default:

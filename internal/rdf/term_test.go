@@ -3,6 +3,7 @@ package rdf
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTermConstructors(t *testing.T) {
@@ -49,6 +50,31 @@ func TestTermPredicates(t *testing.T) {
 	}
 	if NewIRI("a").IsZero() {
 		t.Error("IRI should not be zero")
+	}
+}
+
+// TestTermLayout: a term is a 40-byte cell — its kind and tagged flag in one
+// word, then two strings — and one Suffix field reads as a language tag or
+// a datatype, never both. The old four-field layout, held as a reference
+// model, is TestTermAgreesWithFourFieldReference in internal/sparql/eval,
+// where the row hash can be reached too.
+func TestTermLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Term{}); got != 40 {
+		t.Errorf("unsafe.Sizeof(Term{}) = %d, want 40", got)
+	}
+	if NewLangLiteral("x", "") != NewLiteral("x") || NewLangLiteral("x", "").String() != `"x"` {
+		t.Errorf("a literal with an empty tag is %#v, want the plain literal %#v", NewLangLiteral("x", ""), NewLiteral("x"))
+	}
+	tag, typed := NewLangLiteral("x", "en"), NewTypedLiteral("x", "en")
+	if tag == typed {
+		t.Error("a tag and a datatype with the same string must be different terms")
+	}
+	if tag.Lang() != "en" || tag.Datatype() != "" || typed.Lang() != "" || typed.Datatype() != "en" {
+		t.Errorf("tag reads (%q, %q), datatype reads (%q, %q); want (en, \"\") and (\"\", en)",
+			tag.Lang(), tag.Datatype(), typed.Lang(), typed.Datatype())
+	}
+	if tag.String() != `"x"@en` || typed.String() != `"x"^^<en>` || tag.SizeBytes() != typed.SizeBytes() {
+		t.Errorf("tag %s (%d bytes), datatype %s (%d bytes)", tag, tag.SizeBytes(), typed, typed.SizeBytes())
 	}
 }
 

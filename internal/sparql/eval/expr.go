@@ -115,7 +115,7 @@ func EBV(t rdf.Term) (bool, error) {
 	if t.Kind != rdf.KindLiteral {
 		return false, exprErrf("no effective boolean value for %v", t)
 	}
-	if t.Datatype == rdf.XSDBoolean {
+	if t.Datatype() == rdf.XSDBoolean {
 		switch t.Value {
 		case "true", "1":
 			return true, nil
@@ -125,10 +125,10 @@ func EBV(t rdf.Term) (bool, error) {
 			return false, exprErrf("malformed boolean %q", t.Value)
 		}
 	}
-	if n, ok := rdf.NumericValue(t); ok && t.Datatype != "" {
+	if n, ok := rdf.NumericValue(t); ok && t.Datatype() != "" {
 		return n != 0, nil
 	}
-	if t.Datatype == "" || t.Datatype == rdf.XSDString {
+	if dt := t.Datatype(); dt == "" || dt == rdf.XSDString {
 		return t.Value != "", nil
 	}
 	return false, exprErrf("no effective boolean value for %v", t)
@@ -204,10 +204,10 @@ func compareTerms(a, c rdf.Term) (int, bool, error) {
 		}
 	}
 	if a.Kind == rdf.KindLiteral && c.Kind == rdf.KindLiteral {
-		if isStringish(a) && isStringish(c) && a.Lang == c.Lang {
+		if isStringish(a) && isStringish(c) && a.Lang() == c.Lang() {
 			return strings.Compare(a.Value, c.Value), false, nil
 		}
-		if a.Datatype == c.Datatype && a.Lang == c.Lang {
+		if a.Datatype() == c.Datatype() && a.Lang() == c.Lang() {
 			// same (unknown) datatype: lexical ordering, covers dateTime
 			return strings.Compare(a.Value, c.Value), false, nil
 		}
@@ -227,7 +227,7 @@ func compareTerms(a, c rdf.Term) (int, bool, error) {
 }
 
 func isStringish(t rdf.Term) bool {
-	return t.Kind == rdf.KindLiteral && (t.Datatype == "" || t.Datatype == rdf.XSDString)
+	return t.Kind == rdf.KindLiteral && (t.Datatype() == "" || t.Datatype() == rdf.XSDString)
 }
 
 func evalArith(x *sparql.ExprArith, b Binding) (Value, error) {
@@ -305,7 +305,7 @@ func evalCall(x *sparql.ExprCall, b Binding) (Value, error) {
 		if t.Term.Kind != rdf.KindLiteral {
 			return Value{}, exprErrf("LANG of non-literal")
 		}
-		return Value{Term: rdf.NewLiteral(t.Term.Lang)}, nil
+		return Value{Term: rdf.NewLiteral(t.Term.Lang())}, nil
 	case "DATATYPE":
 		t, err := EvalExpr(x.Args[0], b)
 		if err != nil {
@@ -314,8 +314,8 @@ func evalCall(x *sparql.ExprCall, b Binding) (Value, error) {
 		if t.Term.Kind != rdf.KindLiteral {
 			return Value{}, exprErrf("DATATYPE of non-literal")
 		}
-		dt := t.Term.Datatype
-		if dt == "" && t.Term.Lang == "" {
+		dt := t.Term.Datatype()
+		if dt == "" && t.Term.Lang() == "" {
 			dt = rdf.XSDString
 		}
 		return Value{Term: rdf.NewIRI(dt)}, nil
@@ -356,7 +356,7 @@ func evalRegex(x *sparql.ExprCall, b Binding) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if !isStringish(t.Term) && t.Term.Lang == "" && t.Term.Kind != rdf.KindLiteral {
+	if !isStringish(t.Term) && t.Term.Lang() == "" && t.Term.Kind != rdf.KindLiteral {
 		return Value{}, exprErrf("REGEX on non-string %v", t.Term)
 	}
 	p, err := EvalExpr(x.Args[1], b)

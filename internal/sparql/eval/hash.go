@@ -42,7 +42,7 @@ func hashString(h uint64, s string) uint64 {
 }
 
 func hashTerm(h uint64, t rdf.Term) uint64 {
-	return hashString(hashString(hashString(mix(h, uint64(t.Kind)), t.Value), t.Lang), t.Datatype)
+	return hashString(hashString(hashString(mix(h, uint64(t.Kind)), t.Value), t.Lang()), t.Datatype())
 }
 
 // rowHash hashes a whole mapping. The (variable, term) pairs are folded by

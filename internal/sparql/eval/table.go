@@ -185,6 +185,12 @@ func (s MatchSet) SizeBytes() int {
 // or a join needs it. A reply binds every cell; only a table JoinTables or
 // LeftJoinTables indexes can leave a key column unbound, and such a row is
 // kept off the chains, in loose, the way joinIndex keeps one.
+//
+// Set hands the rows out where they lie, and a MatchSet is an operand as it
+// is: its Join, LeftJoin and Union index and read its rows in place, keyed on
+// the variables they share with the other operand as JoinTables keys them,
+// through the one join kernel, and its Filter copies only the rows it keeps —
+// each the sequence and the size of the same operator over Table().
 type Matches struct {
 	vars      []string     // the replies' schema
 	rows      [][]rdf.Term // distinct rows in arrival order
@@ -210,8 +216,9 @@ func NewMatches(keys Table, sizeHint int) *Matches {
 // Len is the number of distinct rows held.
 func (m *Matches) Len() int { return len(m.rows) }
 
-// Set returns the rows so far. Add only appends past what was returned
-// earlier, so a set already handed to the fabric stays as it was.
+// Set returns the rows so far, and no schema before the first row arrives,
+// as Table returns. Add only appends past what was returned earlier, so a
+// set already handed to the fabric stays as it was.
 func (m *Matches) Set() MatchSet {
 	return MatchSet{Vars: m.vars, Rows: m.rows[:len(m.rows):len(m.rows)], TermBytes: m.termBytes}
 }
@@ -290,7 +297,8 @@ func (m *Matches) insert(row []rdf.Term) {
 
 // Table returns every row held, in arrival order, copied into one table:
 // the result when the keys were the partial solutions themselves (the unit
-// key, or a pattern mentioning every variable bound so far).
+// key, or a pattern mentioning every variable bound so far). An operator
+// that only reads the rows takes them where they lie instead, from Set.
 func (m *Matches) Table() Table { return m.Set().Table() }
 
 // Table copies the rows into one table.
@@ -305,6 +313,9 @@ func (s MatchSet) Table() Table {
 	return Table{Vars: s.Vars, Terms: terms, N: len(s.Rows)}
 }
 
+// row is Table.Row over s, for the operators that read rows through one.
+func (s MatchSet) row(i int) []rdf.Term { return s.Rows[i] }
+
 // Join extends every seed row by the rows whose key columns it agrees with
 // — every row when no variable is shared — seeds in their order, a seed's
 // rows in arrival order. The key variables must be exactly those the seeds
@@ -317,21 +328,39 @@ func (m *Matches) Join(seeds Table) Table { return m.join(seeds, nil, false) }
 // every row of b that agrees with it wherever both bind a shared variable,
 // in b's order. b is indexed as Matches indexes its replies, on the shared
 // variables, and its rows are not de-duplicated.
-func JoinTables(a, b Table) Table { return over(a, b).join(a, nil, false) }
+func JoinTables(a, b Table) Table { return over(a, b.Vars, b.views()).join(a, nil, false) }
 
 // LeftJoinTables returns LeftJoin(a, b, expr) in LeftJoinFilter's sequence:
 // JoinTables' extensions that satisfy expr (all of them when it is nil), a
 // row of a no extension is kept for left with b's other variables unbound —
 // after every extension when expr is nil, in its own place otherwise.
-func LeftJoinTables(a, b Table, expr sparql.Expression) Table { return over(a, b).join(a, expr, true) }
+func LeftJoinTables(a, b Table, expr sparql.Expression) Table {
+	return over(a, b.Vars, b.views()).join(a, expr, true)
+}
 
-// over indexes b on the variables it shares with a.
-func over(a, b Table) *Matches {
-	m := &Matches{vars: b.Vars, rows: make([][]rdf.Term, b.N)}
-	for i := range m.rows {
-		m.rows[i] = b.Row(i)
+// Join returns JoinTables(a, s.Table()) without the copy: s's rows are
+// indexed and read where they lie.
+func (s MatchSet) Join(a Table) Table { return over(a, s.Vars, s.Rows).join(a, nil, false) }
+
+// LeftJoin returns LeftJoinTables(a, s.Table(), expr) without the copy.
+func (s MatchSet) LeftJoin(a Table, expr sparql.Expression) Table {
+	return over(a, s.Vars, s.Rows).join(a, expr, true)
+}
+
+// views returns t's rows as slices aliasing it, the form Matches holds.
+func (t Table) views() [][]rdf.Term {
+	rows := make([][]rdf.Term, t.N)
+	for i := range rows {
+		rows[i] = t.Row(i)
 	}
-	for _, v := range b.Vars {
+	return rows
+}
+
+// over indexes rows over vars on the variables they share with a — JoinTables'
+// choice of key variables, whichever form the rows come in.
+func over(a Table, vars []string, rows [][]rdf.Term) *Matches {
+	m := &Matches{vars: vars, rows: rows}
+	for _, v := range vars {
 		if slices.Contains(a.Vars, v) {
 			m.keys = append(m.keys, v)
 		}
@@ -339,8 +368,8 @@ func over(a, b Table) *Matches {
 	return m
 }
 
-// join is the one Table join kernel, behind Join, JoinTables and
-// LeftJoinTables: pass one lists every seed's rows, pass two copies the
+// join is the one Table join kernel, behind both Joins, JoinTables and both
+// left joins: pass one lists every seed's rows, pass two copies the
 // extensions out, dropping those failing expr; with left, a seed left
 // without an extension is kept as LeftJoinTables says.
 func (m *Matches) join(seeds Table, expr sparql.Expression, left bool) Table {

@@ -213,6 +213,31 @@ func TestProjectSharesRowsItKeepsWhole(t *testing.T) {
 	}
 }
 
+// sameTable holds got to want as tables: schema, row sequence and size. An
+// empty result keeps its schema, so the schema is compared whatever N is.
+func sameTable(t *testing.T, what string, got, want Table) {
+	t.Helper()
+	if !slices.Equal(got.Vars, want.Vars) || got.N != want.N || !slices.Equal(got.Terms, want.Terms) {
+		t.Fatalf("%s: %d rows over %v\n %v\nwant %d over %v\n %v", what, got.N, got.Vars, got.Terms, want.N, want.Vars, want.Terms)
+	}
+	if got.SizeBytes() != want.SizeBytes() {
+		t.Fatalf("%s: costs %d bytes, want %d", what, got.SizeBytes(), want.SizeBytes())
+	}
+}
+
+// heldAsOneReply is an accumulator holding t's rows as they come, the way it
+// holds a first reply. One without rows has no schema either, so its set
+// copies out as Table{} and is read in place as one.
+func heldAsOneReply(t *testing.T, tab Table) *Matches {
+	t.Helper()
+	m := NewMatches(Table{}, 0)
+	m.Add(tab)
+	if tab.N == 0 && (m.Set().Vars != nil || m.Table().N != 0 || m.Table().Vars != nil) {
+		t.Fatalf("a match set of no rows is %+v and copies out as %+v, want no schema and Table{}", m.Set(), m.Table())
+	}
+	return m
+}
+
 // flatOp is the operator a flatShape applies.
 type flatOp int
 
@@ -220,6 +245,7 @@ const (
 	flatJoin flatOp = iota
 	flatLeftJoin
 	flatUnion
+	flatFilter // b's rows under cond; a is not read
 )
 
 // flatShape is one case of FuzzFlatJoin: a's schema, b's, the operator
@@ -238,7 +264,8 @@ type flatShape struct {
 // ending in a GRAPH variable the seeds bind too. Then, with unbound cells: a
 // join on two variables either side may leave unbound; OPTIONAL without a
 // condition; OPTIONAL under bound() of a left variable; OPTIONAL under a
-// condition over both sides, !bound() in it; a union of two schemas.
+// condition over both sides, !bound() in it; a union of two schemas. Last,
+// a filter over bound rows, which keeps some and drops others.
 var flatShapes = []flatShape{
 	{a: nil, b: []string{"x", "y"}},
 	{a: []string{"u", "v"}, b: []string{"x", "y"}},
@@ -254,6 +281,8 @@ var flatShapes = []flatShape{
 			Left:  &sparql.ExprNot{X: &sparql.ExprCall{Name: "BOUND", Args: []sparql.Expression{&sparql.ExprVar{Name: "x"}}}},
 			Right: &sparql.ExprCmp{Op: sparql.CmpNeq, Left: &sparql.ExprVar{Name: "z"}, Right: &sparql.ExprVar{Name: "x"}}}},
 	{a: []string{"x", "y"}, b: []string{"y", "z"}, op: flatUnion, unbound: true},
+	{b: []string{"x", "y"}, op: flatFilter,
+		cond: &sparql.ExprCmp{Op: sparql.CmpNeq, Left: &sparql.ExprVar{Name: "x"}, Right: &sparql.ExprVar{Name: "y"}}},
 }
 
 // decodeFlatJoin reads a shape and the two tables' rows off fuzz input;
@@ -293,27 +322,37 @@ func decodeFlatJoin(data []byte) (sh flatShape, a, b Table) {
 
 // checkFlatJoin holds the Table operator of a shape to its Solutions
 // counterpart and to the nested-loop reference on the same rows written as
-// mappings, row for row, and its result's SizeBytes to theirs. A join of
-// bound rows also holds Matches.Join(a) over b's rows added in two replies —
+// mappings, row for row, and its result's SizeBytes to theirs. With b's rows
+// held by an accumulator, the operator reading them where they lie must
+// return the table the operator over their copy returns. A join of bound
+// rows also holds Matches.Join(a) over b's rows added in two replies —
 // across which the accumulator de-duplicates — against the join with
-// Distinct(b).
+// Distinct(b), and the in-place join over those rows against the join with
+// their copy.
 func checkFlatJoin(t *testing.T, sh flatShape, a, b Table) {
 	t.Helper()
 	as, bs := rowsOf(a), rowsOf(b)
+	held := heldAsOneReply(t, b)
 	var got Table
 	var want Solutions
 	switch sh.op {
 	case flatJoin:
 		got, want = JoinTables(a, b), refJoin(as, bs)
 		sameSequence(t, "Join", Join(as, bs), want)
+		sameTable(t, "MatchSet.Join", held.Set().Join(a), JoinTables(a, held.Table()))
 	case flatLeftJoin:
 		got, want = LeftJoinTables(a, b, sh.cond), refLeftJoin(as, bs)
 		if sh.cond != nil {
 			want = refLeftJoinFilter(as, bs, sh.cond)
 		}
 		sameSequence(t, "LeftJoinFilter", LeftJoinFilter(as, bs, sh.cond), want)
+		sameTable(t, "MatchSet.LeftJoin", held.Set().LeftJoin(a, sh.cond), LeftJoinTables(a, held.Table(), sh.cond))
 	case flatUnion:
 		got, want = UnionTables(a, b), Union(as, bs)
+		sameTable(t, "MatchSet.Union", held.Set().Union(a), UnionTables(a, held.Table()))
+	case flatFilter:
+		got, want = b.Filter(sh.cond), FilterSolutions(bs, sh.cond)
+		sameTable(t, "MatchSet.Filter", held.Set().Filter(sh.cond), held.Table().Filter(sh.cond))
 	}
 	sameSequence(t, "table operator", rowsOf(got), want)
 	if got.SizeBytes() != want.SizeBytes() {
@@ -342,12 +381,15 @@ func checkFlatJoin(t *testing.T, sh flatShape, a, b Table) {
 	m.Add(tableOf(refDistinct(bs[:half]), b.Vars...))
 	m.Add(tableOf(refDistinct(bs[half:]), b.Vars...))
 	sameSequence(t, "Matches.Join", rowsOf(m.Join(a)), refJoin(as, refDistinct(bs)))
+	sameTable(t, "MatchSet.Join over two replies", m.Set().Join(a), JoinTables(a, m.Table()))
 }
 
 // FuzzFlatJoin: the binary Table operators return their Solutions
-// counterparts' sequences. The corpus under testdata/fuzz/FuzzFlatJoin holds
-// one input per shape of flatShapes, and one whose b is a single row eight
-// times over (JoinTables keeps every copy).
+// counterparts' sequences, and so do their in-place forms over a MatchSet.
+// The corpus under testdata/fuzz/FuzzFlatJoin holds one input per shape of
+// flatShapes, one whose b is a single row eight times over (JoinTables keeps
+// every copy), and one whose b comes as two replies the accumulator merges,
+// so the in-place join reads rows out of two tables.
 func FuzzFlatJoin(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -392,7 +434,10 @@ func refOrder(s Solutions, conds []sparql.OrderCond) Solutions {
 // TestTableOperatorsMatchSolutionOperators: every operator the engine
 // applies above a BGP returns, over tables with unbound cells, the sequence
 // its Solutions counterpart returns over the same rows written as mappings,
-// and a table that costs what those mappings cost.
+// and a table that costs what those mappings cost. The in-place forms over
+// a MatchSet — the join, left join and union with it as the right operand,
+// and the filter copying only the rows it keeps — return the table their
+// Table operator returns over its copy.
 func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
 	x, y, z := &sparql.ExprVar{Name: "x"}, &sparql.ExprVar{Name: "y"}, &sparql.ExprVar{Name: "z"}
 	bound := func(v *sparql.ExprVar) sparql.Expression {
@@ -433,8 +478,10 @@ func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
 				}
 			}
 			tab := tableOf(rows, "x", "y", "z")
+			held := heldAsOneReply(t, tab)
 			for _, f := range filters {
 				check(t, "Filter "+f.String(), tab.Filter(f), FilterSolutions(rows, f))
+				sameTable(t, "MatchSet.Filter "+f.String(), held.Set().Filter(f), held.Table().Filter(f))
 			}
 			check(t, "Project", tab.Project([]string{"z", "x", "w"}), Project(rows, []string{"z", "x", "w"}))
 			check(t, "Distinct", tab.Distinct(), Distinct(rows))
@@ -454,6 +501,13 @@ func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
 					check(t, "LeftJoinTables "+f.String(), LeftJoinTables(at, bt, f), LeftJoinFilter(a, b, f))
 				}
 				check(t, "UnionTables", UnionTables(at, bt), Union(a, b))
+				// The right operand where an accumulator holds it.
+				held := heldAsOneReply(t, bt).Set()
+				sameTable(t, "MatchSet.Join", held.Join(at), JoinTables(at, held.Table()))
+				for _, f := range append(filters, nil) {
+					sameTable(t, "MatchSet.LeftJoin", held.LeftJoin(at, f), LeftJoinTables(at, held.Table(), f))
+				}
+				sameTable(t, "MatchSet.Union", held.Union(at), UnionTables(at, held.Table()))
 			}
 		}
 	})

@@ -13,50 +13,76 @@ import (
 
 // UnionTables returns a ∪ b: a's rows, then b's, over a's variables followed
 // by b's others; a row leaves the other side's variables unbound.
-func UnionTables(a, b Table) Table {
-	vars := slices.Clip(a.Vars)
-	for _, v := range b.Vars {
-		if !slices.Contains(vars, v) {
-			vars = append(vars, v)
+func UnionTables(a, b Table) Table { return union(a, b.Vars, b.N, b.Row) }
+
+// Union returns UnionTables(a, s.Table()) without the copy.
+func (s MatchSet) Union(a Table) Table { return union(a, s.Vars, len(s.Rows), s.row) }
+
+// union returns a ∪ b, b being the bn rows over bVars that bRow(i) reads.
+func union(a Table, bVars []string, bn int, bRow func(int) []rdf.Term) Table {
+	all := slices.Clip(a.Vars)
+	for _, v := range bVars {
+		if !slices.Contains(all, v) {
+			all = append(all, v)
 		}
 	}
-	out := Table{Vars: vars, Terms: make([]rdf.Term, (a.N+b.N)*len(vars)), N: a.N + b.N}
-	from := 0
-	for _, t := range [2]Table{a, b} {
-		for c, v := range t.Vars {
-			k := slices.Index(vars, v)
-			for i := 0; i < t.N; i++ {
-				out.Terms[(from+i)*len(vars)+k] = t.Row(i)[c]
+	w := len(all)
+	out := Table{Vars: all, Terms: make([]rdf.Term, (a.N+bn)*w), N: a.N + bn}
+	place := func(from int, vars []string, n int, row func(int) []rdf.Term) {
+		for c, v := range vars {
+			k := slices.Index(all, v)
+			for i := 0; i < n; i++ {
+				out.Terms[(from+i)*w+k] = row(i)[c]
 			}
 		}
-		from += t.N
 	}
+	place(0, a.Vars, a.N, a.Row)
+	place(a.N, bVars, bn, bRow)
 	return out
 }
 
 // Filter keeps the rows that satisfy expr: t itself when every row does.
 func (t Table) Filter(expr sparql.Expression) Table {
-	keep := rowFilter(t.Vars, expr)
-	if keep == nil {
-		return t
-	}
-	kept := make([]bool, t.N)
-	n := 0
-	for i := range kept {
-		if kept[i] = keep(t.Row(i)); kept[i] {
-			n++
+	if keep := rowFilter(t.Vars, expr); keep != nil {
+		if out, all := kept(t.Vars, t.N, t.Row, keep); !all {
+			return out
 		}
 	}
-	if n == t.N {
-		return t
-	}
-	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, n*len(t.Vars)), N: n}
-	for i, k := range kept {
-		if k {
-			out.Terms = append(out.Terms, t.Row(i)...)
+	return t
+}
+
+// Filter returns s.Table().Filter(expr), copying only the rows that
+// satisfy expr.
+func (s MatchSet) Filter(expr sparql.Expression) Table {
+	if keep := rowFilter(s.Vars, expr); keep != nil {
+		if out, all := kept(s.Vars, len(s.Rows), s.row, keep); !all {
+			return out
 		}
 	}
-	return out
+	return s.Table()
+}
+
+// kept copies the rows among n that satisfy keep, row(i) reading row i, into
+// one table over vars sized before it is filled; all reports that every row
+// does, and then nothing is copied.
+func kept(vars []string, n int, row func(int) []rdf.Term, keep func([]rdf.Term) bool) (out Table, all bool) {
+	pass := make([]bool, n)
+	k := 0
+	for i := range pass {
+		if pass[i] = keep(row(i)); pass[i] {
+			k++
+		}
+	}
+	if k == n {
+		return Table{}, true
+	}
+	out = Table{Vars: vars, Terms: make([]rdf.Term, 0, k*len(vars)), N: k}
+	for i, ok := range pass {
+		if ok {
+			out.Terms = append(out.Terms, row(i)...)
+		}
+	}
+	return out, false
 }
 
 // Project restricts every row to the columns of vars.

@@ -44,7 +44,7 @@ func termToJSON(t rdf.Term) (jsonTerm, error) {
 	case rdf.KindBlank:
 		return jsonTerm{Type: "bnode", Value: t.Value}, nil
 	case rdf.KindLiteral:
-		return jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang, Datatype: t.Datatype}, nil
+		return jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang(), Datatype: t.Datatype()}, nil
 	default:
 		return jsonTerm{}, fmt.Errorf("results: cannot serialize term %v", t)
 	}
