@@ -25,7 +25,8 @@ import (
 //     returns are themselves wire-safe (summaries are computed
 //     interprocedurally and memoized per function — the per-type/
 //     per-function copy-summary cache);
-//   - deep-copied: the result of a Clone/DeepCopy/Copy method;
+//   - deep-copied: the result of a Clone/DeepCopy/Copy method, or of an
+//     Append*(dst []E, ...) []E with no body to summarize onto a fresh dst;
 //   - wire-derived: a request a handler received, or a response a caller
 //     got back — such values were checked for safety at their original
 //     send, so forwarding them is ownership transfer, not aliasing;
@@ -677,6 +678,9 @@ func (f *wireFn) evalCall(call *ast.CallExpr, index int) *wireState {
 		}
 		return staleState(fmt.Sprintf("result of dynamic call %s", renderExpr(call)))
 	}
+	if f.c.appendConvention(callee) {
+		return f.eval(call.Args[0], false)
+	}
 	sum := f.c.summary(callee)
 	if index >= len(sum) {
 		return safeState()
@@ -830,6 +834,19 @@ func (c *wireChecker) freshSummary(callee *types.Func) bool {
 	fresh = fresh && sawReturn
 	c.freshFns[callee] = fresh
 	return fresh
+}
+
+// appendConvention reports whether callee has no body to summarize (a
+// generic instantiation, a dependency) but follows the append convention,
+// func AppendX(dst []E, ...) []E with a wire-safe E: its result copies
+// values onto dst, so it is as fresh as dst.
+func (c *wireChecker) appendConvention(callee *types.Func) bool {
+	sig := callee.Type().(*types.Signature)
+	if _, hasBody := c.prog.Funcs().byObj[callee]; hasBody || !strings.HasPrefix(callee.Name(), "Append") || sig.Params().Len() == 0 || sig.Results().Len() != 1 {
+		return false
+	}
+	sl, ok := sig.Results().At(0).Type().Underlying().(*types.Slice)
+	return ok && types.Identical(sig.Params().At(0).Type(), sig.Results().At(0).Type()) && c.wireSafeType(sl.Elem())
 }
 
 // summary computes the per-result wire-safety of a function's returns,

@@ -145,3 +145,21 @@ func (n *Node) AddEntry(k string, v int) {
 func (n *Node) AddEntryInPlace(k string, v int) {
 	n.tbl[k] = v // want "documented-immutable"
 }
+
+// Log is generic: the rule summarizes no instantiated method's body, and
+// takes an Append* method's result to be as fresh as the base it extends.
+type Log[E any] struct{ items []E }
+
+// AppendAll appends the log's values to dst.
+func (l *Log[E]) AppendAll(dst []E) []E { return append(dst, l.items...) }
+
+// SendAppended appends onto a fresh base (clean), then onto live rows.
+func (n *Node) SendAppended(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
+	l := &Log[Row]{items: []Row{{K: 1}}}
+	_, done, err := n.net.Call(n.addr, to, MethodPut, RowsResp{Rows: l.AppendAll(nil)}, at)
+	if err != nil {
+		return done, err
+	}
+	_, done, err = n.net.Call(n.addr, to, MethodPut, RowsResp{Rows: l.AppendAll(n.rows)}, done) // want "field rows"
+	return done, err
+}

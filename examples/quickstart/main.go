@@ -72,5 +72,9 @@ ORDER BY ?n`
 	}
 	fmt.Printf("\ncost: %d messages, %d bytes, %v virtual response time\n",
 		stats.Messages, stats.Bytes, stats.ResponseTime)
-	fmt.Printf("plan: %s\n", res.Plan)
+	plan, err := sys.Explain(query)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("plan: %s\n", plan)
 }

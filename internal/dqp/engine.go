@@ -54,8 +54,6 @@ type Result struct {
 	Ask   bool
 	// Triples carries CONSTRUCT/DESCRIBE output.
 	Triples []rdf.Triple
-	// Plan is the optimized algebra plan, for explain output.
-	Plan string
 }
 
 // qctx threads per-query execution state: the engine-side accounting that
@@ -363,7 +361,7 @@ func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VT
 		return nil, done, err
 	}
 
-	out := &Result{Plan: op.String(), Solutions: solutionsOf(res)}
+	out := &Result{Solutions: solutionsOf(res)}
 	switch q.Form {
 	case sparql.FormSelect:
 		out.Vars = op.Vars()
@@ -395,7 +393,7 @@ func (e *Engine) runBareDescribe(ctx *qctx, q *sparql.Query, at simnet.VTime) (*
 		return nil, done, err
 	}
 	ctx.opSpan(ctx.tc, "dqp.query", string(ctx.initiator), "describe", at, done)
-	return &Result{Triples: ts, Plan: "Describe"}, done, nil
+	return &Result{Triples: ts}, done, nil
 }
 
 // describe fetches all triples whose subject is one of the describe terms

@@ -98,7 +98,7 @@ type Event struct {
 // Less is the canonical total order over events: virtual time first,
 // then every remaining field, so equal event multisets sort
 // byte-identically whatever order they were emitted in.
-func Less(a, b Event) bool {
+func Less(a, b *Event) bool {
 	if a.VT != b.VT {
 		return a.VT < b.VT
 	}
@@ -125,7 +125,7 @@ func Less(a, b Event) bool {
 
 // SortEvents orders events canonically in place.
 func SortEvents(events []Event) {
-	sort.Slice(events, func(i, j int) bool { return Less(events[i], events[j]) })
+	sort.Slice(events, func(i, j int) bool { return Less(&events[i], &events[j]) })
 }
 
 // DefaultRingSize is the per-node event capacity used when callers pass
@@ -213,13 +213,11 @@ func (r *Recorder) NodeEvents(node string) []Event {
 		return nil
 	}
 	r.mu.Lock()
-	var out []Event
+	defer r.mu.Unlock()
 	if rg, ok := r.rings[node]; ok {
-		out = append(out, rg.Items()...)
+		return rg.AppendSorted(nil)
 	}
-	r.mu.Unlock()
-	SortEvents(out)
-	return out
+	return nil
 }
 
 // LastN returns the last (canonically latest) n retained events of one
@@ -241,7 +239,7 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	var out []Event
 	for _, rg := range r.rings {
-		out = append(out, rg.Items()...)
+		out = rg.AppendSorted(out)
 	}
 	r.mu.Unlock()
 	SortEvents(out)

@@ -141,6 +141,23 @@ func TestCheckMonotonic(t *testing.T) {
 	}
 }
 
+// Emission order is not an invariant: overlapping clients emit one node's
+// events out of VT order, and the ring reads them back in canonical
+// order. Only an inverted interval is a violation.
+func TestCheckMonotonicIgnoresEmissionOrder(t *testing.T) {
+	r := NewRecorder(8)
+	for _, vt := range []int64{30, 10, 50, 20} {
+		r.Emit(Event{Node: "a", Kind: KindDeliver, VT: vt, End: vt + 5})
+	}
+	if vs := r.CheckMonotonic(); len(vs) != 0 {
+		t.Fatalf("out-of-VT-order emits reported violations: %v", vs)
+	}
+	r.Emit(Event{Node: "a", Kind: KindDeliver, VT: 15, End: 12})
+	if vs := r.CheckMonotonic(); len(vs) != 1 || vs[0].VT != 15 {
+		t.Fatalf("inverted interval among out-of-order emits not caught: %v", vs)
+	}
+}
+
 func TestIncidentReportDeterministic(t *testing.T) {
 	build := func() string {
 		r := NewRecorder(8)

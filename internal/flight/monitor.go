@@ -49,15 +49,15 @@ func SortViolations(vs []Violation) {
 }
 
 // CheckMonotonic verifies per-node VTime sanity over the retained
-// events: every event's interval is well formed (0 ≤ VT ≤ End) and each
-// node's event sequence never moves backwards in virtual time.
+// events: every event's interval is well formed (0 ≤ VT ≤ End). It does
+// not check the order events were emitted in — a node's ring holds them
+// in canonical order, VT first, whatever order they arrived in.
 func (r *Recorder) CheckMonotonic() []Violation {
 	if r == nil {
 		return nil
 	}
 	var out []Violation
 	for _, node := range r.Nodes() {
-		prev := int64(-1)
 		for _, e := range r.NodeEvents(node) {
 			if e.VT < 0 || e.End < e.VT {
 				out = append(out, Violation{
@@ -66,18 +66,7 @@ func (r *Recorder) CheckMonotonic() []Violation {
 					VT:      e.VT,
 					Detail:  fmt.Sprintf("event %s %s has inverted interval [%d,%d]", e.Kind, e.Method, e.VT, e.End),
 				})
-				continue
 			}
-			if e.VT < prev {
-				out = append(out, Violation{
-					Monitor: MonitorMonotonic,
-					Nodes:   []string{node},
-					VT:      e.VT,
-					Detail:  fmt.Sprintf("event %s %s at vt=%d behind node watermark %d", e.Kind, e.Method, e.VT, prev),
-				})
-				continue
-			}
-			prev = e.VT
 		}
 	}
 	return out

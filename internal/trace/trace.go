@@ -192,50 +192,39 @@ func (b *Buffer) Reset() {
 // always return byte-identical sequences.
 func (b *Buffer) Spans() []Span {
 	b.mu.Lock()
-	out := append([]Span(nil), b.log.Items()...)
-	b.mu.Unlock()
-	SortSpans(out)
-	return out
+	defer b.mu.Unlock()
+	return b.log.AppendSorted(nil)
 }
 
-// QuerySpans returns the canonical spans of one trace.
+// QuerySpans returns the canonical spans of one trace: the canonical
+// order sorts by Query first, so they are one contiguous range.
 func (b *Buffer) QuerySpans(query uint64) []Span {
-	var out []Span
-	for _, s := range b.Spans() {
-		if s.Query == query {
-			out = append(out, s)
-		}
-	}
-	return out
+	spans := b.Spans()
+	lo := sort.Search(len(spans), func(i int) bool { return spans[i].Query >= query })
+	hi := sort.Search(len(spans), func(i int) bool { return spans[i].Query > query })
+	return spans[lo:hi:hi]
 }
 
 // Queries lists the distinct non-zero trace identifiers present, sorted.
 func (b *Buffer) Queries() []uint64 {
-	seen := map[uint64]bool{}
-	b.mu.Lock()
-	for _, s := range b.log.Items() {
-		if s.Query != 0 {
-			seen[s.Query] = true
+	out := []uint64{}
+	for _, s := range b.Spans() {
+		if s.Query != 0 && (len(out) == 0 || out[len(out)-1] != s.Query) {
+			out = append(out, s.Query)
 		}
 	}
-	b.mu.Unlock()
-	out := make([]uint64, 0, len(seen))
-	for q := range seen {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // SortSpans orders spans canonically (total order over every field, so
 // equal span multisets sort byte-identically).
 func SortSpans(spans []Span) {
-	sort.Slice(spans, func(i, j int) bool { return spanLess(spans[i], spans[j]) })
+	sort.Slice(spans, func(i, j int) bool { return spanLess(&spans[i], &spans[j]) })
 }
 
 // spanLess is the canonical total order over spans: every field
 // participates, so equal span multisets sort byte-identically.
-func spanLess(a, b Span) bool {
+func spanLess(a, b *Span) bool {
 	if a.Query != b.Query {
 		return a.Query < b.Query
 	}
