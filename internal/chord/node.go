@@ -73,6 +73,11 @@ func (n *Node) Ref() Ref { return Ref{ID: n.id, Addr: n.addr} }
 func (n *Node) Successor() Ref {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
+	return n.successorLocked()
+}
+
+// successorLocked is Successor for a caller holding mu.
+func (n *Node) successorLocked() Ref {
 	if len(n.succ) == 0 {
 		return n.Ref()
 	}
@@ -240,7 +245,11 @@ func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simn
 	forward := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
 		return n.net.Call(n.addr, hopAddr, MethodFindSuccessor, hopReq, at)
 	}
-	for ci, next := range n.routeCandidates(req.Target) {
+	n.mu.RLock()
+	cands := []Ref{n.nextHopLocked(req.Target)} // one routing decision; the rest once it fails
+	n.mu.RUnlock()
+	for ci := 0; ci < len(cands) && !cands[ci].IsZero(); ci++ {
+		next := cands[ci]
 		// Each forwarding hop derives a child trace context from the request
 		// it received, so a traced lookup renders as a chain of message
 		// spans (candidate index keeps retry attempts distinct). A hop whose
@@ -264,6 +273,10 @@ func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simn
 				VT: int64(now), End: int64(now), Peer: string(next.Addr),
 				Method: MethodFindSuccessor, Query: req.TC.Query})
 		}
+		if ci == 0 {
+			// Read before the eviction below: the list this hop headed.
+			cands = n.routeCandidates(req.Target)
+		}
 		if !simnet.IsLost(err) {
 			n.evict(next.Addr, now)
 		}
@@ -282,24 +295,9 @@ func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simn
 func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (BatchFindResp, simnet.VTime, error) {
 	nodes := make([]Ref, len(req.Targets))
 	hops := req.Hops
-	groups := map[simnet.Addr][]int{}
-	var order []simnet.Addr // group order follows first occurrence in the (caller-sorted) targets
-	for i, raw := range req.Targets {
-		target := raw.truncate(n.cfg.Bits)
-		succ := n.Successor()
-		if succ.Addr == n.addr || betweenRightIncl(target, n.id, succ.ID) {
-			nodes[i] = succ
-			continue
-		}
-		cands := n.routeCandidates(target)
-		if len(cands) == 0 {
-			return BatchFindResp{}, at, fmt.Errorf("%w: target %v from %v", ErrLookupFailed, target, n.id)
-		}
-		next := cands[0].Addr
-		if _, ok := groups[next]; !ok {
-			order = append(order, next)
-		}
-		groups[next] = append(groups[next], i)
+	order, groups, err := n.routeBatch(req.Targets, nodes)
+	if err != nil {
+		return BatchFindResp{}, at, err
 	}
 	if len(order) == 0 {
 		return BatchFindResp{Nodes: nodes, Hops: hops}, at, nil
@@ -366,17 +364,44 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 	return BatchFindResp{Nodes: nodes, Hops: hops}, simnet.MaxTime(at, done), nil
 }
 
+// routeBatch is the routing decision for every target of a batch, taken
+// under one read lock: a target the successor owns is answered in nodes,
+// any other is grouped by its next hop. Group order follows first
+// occurrence in the (caller-sorted) targets. Only the groups allocate.
+func (n *Node) routeBatch(targets []ID, nodes []Ref) (order []simnet.Addr, groups map[simnet.Addr][]int, err error) {
+	groups = map[simnet.Addr][]int{}
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	succ := n.successorLocked()
+	for i, raw := range targets {
+		target := raw.truncate(n.cfg.Bits)
+		if succ.Addr == n.addr || betweenRightIncl(target, n.id, succ.ID) {
+			nodes[i] = succ
+			continue
+		}
+		next := n.nextHopLocked(target).Addr
+		if next == "" {
+			return nil, nil, fmt.Errorf("%w: target %v from %v", ErrLookupFailed, target, n.id)
+		}
+		if _, ok := groups[next]; !ok {
+			order = append(order, next)
+		}
+		groups[next] = append(groups[next], i)
+	}
+	return order, groups, nil
+}
+
 // routeCandidates lists possible next hops for the target in preference
 // order: the closest preceding finger first, then successor-list entries.
-// Every routing step calls it, so duplicates are dropped by scanning the
-// result — a node has about log2(ring size) distinct fingers — instead of
-// through a set allocated per call.
+// Only a failed hop needs more than its head (nextHopLocked), so
+// duplicates are dropped by scanning the result — a node has about
+// log2(ring size) distinct fingers — instead of through a set.
 func (n *Node) routeCandidates(target ID) []Ref {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	out := make([]Ref, 0, 8)
-	add := func(r Ref) {
-		if r.IsZero() || r.Addr == n.addr {
+	add := func(r Ref, finger bool) {
+		if !n.candidate(r, finger, target) {
 			return
 		}
 		for _, have := range out {
@@ -387,15 +412,34 @@ func (n *Node) routeCandidates(target ID) []Ref {
 		out = append(out, r)
 	}
 	for i := len(n.fingers) - 1; i >= 0; i-- {
-		f := n.fingers[i]
-		if !f.IsZero() && between(f.ID, n.id, target) {
-			add(f)
+		add(n.fingers[i], true)
+	}
+	for _, s := range n.succ {
+		add(s, false)
+	}
+	return out
+}
+
+// nextHopLocked is routeCandidates(target)[0], zero when there is none,
+// without building the list, for a caller holding mu.
+func (n *Node) nextHopLocked(target ID) Ref {
+	for i := len(n.fingers) - 1; i >= 0; i-- {
+		if f := n.fingers[i]; n.candidate(f, true, target) {
+			return f
 		}
 	}
 	for _, s := range n.succ {
-		add(s)
+		if n.candidate(s, false, target) {
+			return s
+		}
 	}
-	return out
+	return Ref{}
+}
+
+// candidate is the test routeCandidates and nextHopLocked share: r is set,
+// is not this node and, if a finger, lies in (n.id, target).
+func (n *Node) candidate(r Ref, finger bool, target ID) bool {
+	return (!finger || between(r.ID, n.id, target)) && !r.IsZero() && r.Addr != n.addr
 }
 
 // evict removes a failed address from the finger table and successor list

@@ -79,6 +79,34 @@ func TripleKeys(t rdf.Triple, bits uint) [numKeyKinds]chord.ID {
 	}
 }
 
+// keyMemo holds the ⟨s⟩, ⟨p⟩ and ⟨o⟩ keys of one edit's terms: a batch
+// repeats its predicates and subjects, so each is hashed once per edit.
+type keyMemo struct {
+	bits  uint
+	unary map[unaryTerm]chord.ID
+}
+
+type unaryTerm struct {
+	kind KeyKind
+	term rdf.Term
+}
+
+// tripleKeys is TripleKeys(t, m.bits), its unary keys read through m.
+func (m keyMemo) tripleKeys(t rdf.Triple) [numKeyKinds]chord.ID {
+	keys := [numKeyKinds]chord.ID{KeySP: hashKey(KeySP, t.S, t.P, m.bits),
+		KeyPO: hashKey(KeyPO, t.P, t.O, m.bits), KeySO: hashKey(KeySO, t.S, t.O, m.bits)}
+	for kind, term := range [...]rdf.Term{KeyS: t.S, KeyP: t.P, KeyO: t.O} {
+		u := unaryTerm{KeyKind(kind), term}
+		id, ok := m.unary[u]
+		if !ok {
+			id = hashKey(u.kind, term, rdf.Term{}, m.bits)
+			m.unary[u] = id
+		}
+		keys[kind] = id
+	}
+	return keys
+}
+
 // PatternKey selects the most specific index key usable for a triple
 // pattern, following the paper's lookup rule (hash the bound attribute or
 // attribute pair). For a fully bound pattern the ⟨s,p⟩ key is used (any

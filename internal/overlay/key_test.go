@@ -75,3 +75,21 @@ func TestTripleKeysDoNotAllocate(t *testing.T) {
 		t.Errorf("TripleKeys allocates %.0f times per triple, want 0", n)
 	}
 }
+
+// TestKeyMemoMatchesTripleKeys holds the per-edit memo to TripleKeys over
+// every triple of keyTerms, each seen twice so half the reads hit.
+func TestKeyMemoMatchesTripleKeys(t *testing.T) {
+	memo := keyMemo{24, map[unaryTerm]chord.ID{}}
+	for pass := 0; pass < 2; pass++ {
+		for _, s := range keyTerms {
+			for _, p := range keyTerms {
+				for _, o := range keyTerms {
+					tr := rdf.Triple{S: s, P: p, O: o}
+					if got, want := memo.tripleKeys(tr), TripleKeys(tr, 24); got != want {
+						t.Fatalf("memo keys of %v = %v, TripleKeys %v", tr, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -323,12 +323,13 @@ func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op str
 	}
 	freq := map[chord.ID]int{}
 	changed := make([]rdf.Triple, 0, len(triples))
+	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}}
 	for _, t := range triples {
 		if !editGraph(g, t, remove) {
 			continue
 		}
 		changed = append(changed, t)
-		for _, key := range TripleKeys(t, s.cfg.Bits) {
+		for _, key := range keys.tripleKeys(t) {
 			freq[key] += delta
 		}
 	}
@@ -365,9 +366,10 @@ func (s *System) Republish(storage simnet.Addr, at simnet.VTime) (simnet.VTime, 
 		return at, err
 	}
 	freq := map[chord.ID]int{}
+	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}}
 	count := func(g *rdf.Graph) {
 		for _, t := range g.Triples() {
-			for _, key := range TripleKeys(t, s.cfg.Bits) {
+			for _, key := range keys.tripleKeys(t) {
 				freq[key]++
 			}
 		}
@@ -422,7 +424,7 @@ func (s *System) installPostingsMode(node *StorageNode, freq map[chord.ID]int, a
 	for k := range freq {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	if s.cfg.SerialPublish {
 		return s.installPostingsSerial(node, keys, freq, absolute, tc, at)
 	}

@@ -1,7 +1,8 @@
 package overlay
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"adhocshare/internal/chord"
@@ -20,7 +21,8 @@ type Posting struct {
 func (p Posting) SizeBytes() int { return len(p.Node) + intWidth(p.Freq) }
 
 // LocationTable is the per-index-node key → postings map of Fig. 2 /
-// Table I. It is safe for concurrent use.
+// Table I. Every row is kept sorted by Node on write, so reads copy rows
+// without sorting. It is safe for concurrent use.
 type LocationTable struct {
 	mu   sync.RWMutex
 	rows map[chord.ID][]Posting
@@ -35,64 +37,55 @@ func NewLocationTable() *LocationTable {
 // posting as needed. A posting whose frequency drops to zero or below is
 // removed.
 func (t *LocationTable) Add(key chord.ID, node simnet.Addr, delta int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	row := t.rows[key]
-	for i := range row {
-		if row[i].Node == node {
-			row[i].Freq += delta
-			if row[i].Freq <= 0 {
-				row = append(row[:i], row[i+1:]...)
-				if len(row) == 0 {
-					delete(t.rows, key)
-					return
-				}
-			}
-			t.rows[key] = row
-			return
-		}
-	}
-	if delta > 0 {
-		t.rows[key] = append(row, Posting{Node: node, Freq: delta})
-	}
+	t.update(key, node, delta, true)
 }
 
 // Set makes the frequency of (key, node) exactly freq (removing the
 // posting when freq ≤ 0) — the idempotent form of Add.
 func (t *LocationTable) Set(key chord.ID, node simnet.Addr, freq int) {
+	t.update(key, node, freq, false)
+}
+
+// update is Add when add is set, else Set. A new posting is inserted
+// where the row's order puts it.
+func (t *LocationTable) update(key chord.ID, node simnet.Addr, v int, add bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	row := t.rows[key]
-	for i := range row {
-		if row[i].Node == node {
-			if freq <= 0 {
-				row = append(row[:i], row[i+1:]...)
-				if len(row) == 0 {
-					delete(t.rows, key)
-				} else {
-					t.rows[key] = row
-				}
-				return
-			}
-			row[i].Freq = freq
-			t.rows[key] = row
-			return
-		}
+	i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode)
+	if found && add {
+		v += row[i].Freq
 	}
-	if freq > 0 {
-		t.rows[key] = append(row, Posting{Node: node, Freq: freq})
+	switch {
+	case v > 0 && found:
+		row[i].Freq = v
+	case v > 0:
+		t.rows[key] = slices.Insert(row, i, Posting{Node: node, Freq: v})
+	case found:
+		t.removeLocked(key, row, i)
 	}
 }
 
+// removeLocked deletes row[i], and the row once it is empty, keeping the
+// rest of the row in order.
+func (t *LocationTable) removeLocked(key chord.ID, row []Posting, i int) {
+	if len(row) == 1 {
+		delete(t.rows, key)
+	} else {
+		t.rows[key] = slices.Delete(row, i, i+1)
+	}
+}
+
+// byNode orders a row's postings by storage-node address.
+func byNode(a, b Posting) int { return strings.Compare(string(a.Node), string(b.Node)) }
+
 // Get returns a copy of the postings for a key, sorted by node address for
-// determinism.
+// determinism. Rows are kept in that order on write, so the copy is all the
+// work.
 func (t *LocationTable) Get(key chord.ID) []Posting {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row := t.rows[key]
-	out := append([]Posting(nil), row...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
+	return slices.Clone(t.rows[key])
 }
 
 // DropNode removes every posting that references the given storage node —
@@ -103,34 +96,12 @@ func (t *LocationTable) DropNode(node simnet.Addr) int {
 	defer t.mu.Unlock()
 	touched := 0
 	for key, row := range t.rows {
-		var keep []Posting
-		for _, p := range row {
-			if p.Node != node {
-				keep = append(keep, p)
-			}
-		}
-		if len(keep) != len(row) {
+		if i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode); found {
 			touched++
-			if len(keep) == 0 {
-				delete(t.rows, key)
-			} else {
-				t.rows[key] = keep
-			}
+			t.removeLocked(key, row, i)
 		}
 	}
 	return touched
-}
-
-// Keys returns all keys present, sorted.
-func (t *LocationTable) Keys() []chord.ID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]chord.ID, 0, len(t.rows))
-	for k := range t.rows {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Len returns the number of rows.
@@ -195,7 +166,8 @@ func (t *LocationTable) Merge(rows map[chord.ID][]Posting) {
 // Replace overwrites whole rows with the primary's authoritative content.
 // An empty (or nil) row deletes the key. Used for replica synchronization
 // and graceful-leave handover, which must be idempotent (the receiver may
-// already hold a copy of the row) and must propagate retractions.
+// already hold a copy of the row) and must propagate retractions. Each
+// row is stored as a sorted copy, whatever order the sender used.
 func (t *LocationTable) Replace(rows map[chord.ID][]Posting) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -204,7 +176,9 @@ func (t *LocationTable) Replace(rows map[chord.ID][]Posting) {
 			delete(t.rows, key)
 			continue
 		}
-		t.rows[key] = append([]Posting(nil), row...)
+		row = slices.Clone(row)
+		slices.SortFunc(row, byNode)
+		t.rows[key] = row
 	}
 }
 
