@@ -17,9 +17,6 @@ type callSite struct {
 	// receivers. The lock-order rule compares it against the held mutex's
 	// owner to recognize same-object recursive acquisition.
 	recv string
-	// inGo marks calls that are the direct operand of a `go` statement:
-	// they run outside the caller's critical sections.
-	inGo bool
 	// fabric is set when the call is a Network.Call/Send/Transfer.
 	fabric *fabricCall
 }
@@ -71,11 +68,7 @@ func (prog *Program) Funcs() *funcIndex {
 // collectCalls finds the statically resolvable calls in one body.
 func (prog *Program) collectCalls(p *Package, fn *ast.FuncDecl) []callSite {
 	var calls []callSite
-	goCalls := map[*ast.CallExpr]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			goCalls[g.Call] = true
-		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -88,7 +81,6 @@ func (prog *Program) collectCalls(p *Package, fn *ast.FuncDecl) []callSite {
 			callee: callee,
 			call:   call,
 			recv:   recv,
-			inGo:   goCalls[call],
 			fabric: prog.fabricCallAt(p, call),
 		})
 		return true

@@ -180,7 +180,7 @@ func (ix *directiveIndex) ignored(d Diagnostic, off int) bool {
 
 // ignoreRules parses the rule list of an ignore directive: a
 // comma-separated sequence of rule names, each optionally followed by a
-// parenthesized reason — "wireiso(rows copied by caller), vtime". Free
+// parenthesized reason — "wireiso(rows copied by caller), alloc". Free
 // text that is not a rule name ends the list; a directive whose list
 // comes out empty suppresses every rule on its line.
 func ignoreRules(rest string) []string {

@@ -24,16 +24,14 @@ type fabricCall struct {
 	respAssert types.Type // type the caller asserts the response to (rpc-protocol fills it in)
 }
 
-// donePos and errPos index the charged VTime and the error among the
-// call's results: Call returns (Payload, VTime, error), Send and Transfer
-// (VTime, error).
-func (fc *fabricCall) donePos() int {
+// errPos indexes the error among the call's results: Call returns
+// (Payload, VTime, error), Send and Transfer (VTime, error).
+func (fc *fabricCall) errPos() int {
 	if fc.kind == "Call" {
-		return 1
+		return 2
 	}
-	return 0
+	return 1
 }
-func (fc *fabricCall) errPos() int { return fc.donePos() + 1 }
 
 // fabricCallAt recognizes a Network.Call/Send/Transfer call expression.
 func (prog *Program) fabricCallAt(p *Package, call *ast.CallExpr) *fabricCall {

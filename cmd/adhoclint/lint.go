@@ -38,7 +38,6 @@ var rules = []rule{
 	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code, and no `go` statement in internal/ or cmd/ non-test code", checkDeterminism},
 	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
 	{"wireiso", "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable", checkWireIsolation},
-	{"vtime", "code in internal/ and cmd/ must thread the simnet timing model: no fabricated VTime returned from handlers, no dropped VTime of a fabric call", checkVTime},
 	{"alloc", "no avoidable per-message heap allocation (fmt.Sprintf, string accumulation, unsized container growth, interface boxing, closures in loops) in functions reachable from HandleCall dispatch or fabric calls; cold helpers carry //adhoclint:hotexempt", checkAlloc},
 	{"faultpath", "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent, Retry closures depart at the attempt time", checkFaultPath},
 	{"racefree", "concurrently-invocable node entry points (HandleCall handlers and exported methods of the same node type) must not conflict on a node field without a common mutex class; exempt with //adhoclint:racefree(reason)", checkRaceFree},
@@ -102,7 +101,7 @@ func internalPackage(p *Package) bool {
 
 // cmdPackage reports whether the package lives under the module's cmd/
 // tree — included in the determinism rule's `go` check and the faultpath
-// and vtime whole-program scopes.
+// scope.
 func cmdPackage(p *Package, modPath string) bool {
 	return strings.HasPrefix(p.ImportPath, modPath+"/cmd/")
 }

@@ -231,19 +231,6 @@ func TestWireIsoWitnessChain(t *testing.T) {
 	}
 }
 
-// The vtime fixture must sit under internal/: the rule only covers the
-// simulated node implementations.
-func TestVTimeRule(t *testing.T) {
-	checkFixture(t, "vtime", "adhocshare/internal/fixture/vtime", only("vtime"))
-}
-
-// The vtime rule loaded under a non-internal path must be silent.
-func TestVTimeRuleSkipsNonInternal(t *testing.T) {
-	if diags := lintFixture(t, "vtime", "adhocshare/fixture/vtime", only("vtime")); len(diags) != 0 {
-		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
-	}
-}
-
 // Every rule of the table must be clean on the production tree: each
 // convention the linter enforces either holds or carries a reasoned
 // directive (the dynamic corroborators — the -race matrix, the invariant

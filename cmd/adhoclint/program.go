@@ -90,16 +90,3 @@ func (prog *Program) Analyzed(p *Package) bool {
 	}
 	return prog.analyzed[p]
 }
-
-// scopedOutside reports whether the package is under internal/ or cmd/
-// but not one of the excluded import paths (given relative to the module)
-// — the shape of the vtime, alloc and faultpath scopes. The linter itself
-// is always excluded.
-func (prog *Program) scopedOutside(p *Package, excluded ...string) bool {
-	for _, rel := range append(excluded, "cmd/adhoclint") {
-		if p.ImportPath == prog.modPath+"/"+rel {
-			return false
-		}
-	}
-	return internalPackage(p) || cmdPackage(p, prog.modPath)
-}

@@ -122,7 +122,12 @@ type retrySite struct {
 // inScope limits the rule to internal/ and cmd/ packages, excluding the
 // fault model itself, the experiment drivers and the linter.
 func (c *faultpathChecker) inScope(p *Package) bool {
-	return c.prog.scopedOutside(p, "internal/simnet", "internal/experiments")
+	for _, rel := range []string{"internal/simnet", "internal/experiments", "cmd/adhoclint"} {
+		if p.ImportPath == c.prog.modPath+"/"+rel {
+			return false
+		}
+	}
+	return internalPackage(p) || cmdPackage(p, c.prog.modPath)
 }
 
 // computeMutates closes "mutates caller-visible state" over static calls.

@@ -92,9 +92,6 @@ func lockSummaries(prog *Program) map[*types.Func]*lockSummary {
 		changed = false
 		for _, s := range order {
 			for _, c := range s.node.calls {
-				if c.inGo {
-					continue
-				}
 				g, ok := sums[c.callee]
 				if !ok {
 					continue
@@ -121,12 +118,11 @@ func lockSummaries(prog *Program) map[*types.Func]*lockSummary {
 
 // directBlock finds the first potentially blocking operation lexically in
 // the body: a channel operation, a select, or a call whose selector name
-// is one of the blocking fabric/clock operations. Goroutine bodies are
-// excluded — they do not block the caller.
+// is one of the blocking fabric/clock operations.
 func directBlock(fn *ast.FuncDecl) *blkStep {
 	var b *blkStep
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if _, isGo := n.(*ast.GoStmt); isGo || b != nil {
+		if b != nil {
 			return false
 		}
 		if desc := blockingOp(n); desc != "" {
@@ -204,7 +200,7 @@ func (prog *Program) LockFindings() *lockFindings {
 				addEdge(&lockEdge{from: from, to: e.class, fn: obj, pkg: p, pos: e.pos})
 			}
 			for _, c := range node.calls {
-				if c.inGo || !r.contains(c.call.Pos()) {
+				if !r.contains(c.call.Pos()) {
 					continue
 				}
 				g, ok := sums[c.callee]

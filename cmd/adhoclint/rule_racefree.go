@@ -464,7 +464,7 @@ func (c *raceChecker) propagate() {
 				continue
 			}
 			for _, call := range n.calls {
-				if call.inGo || call.recv == "" {
+				if call.recv == "" {
 					continue
 				}
 				if rootSegment(resolveAlias(s.aliases, call.recv)) != s.recv {

@@ -197,7 +197,7 @@ func sampleDiags() []Diagnostic {
 		{Pos: token.Position{Filename: "internal/overlay/table.go", Line: 131, Column: 3},
 			Rule: "wireiso", Msg: "response of overlay.(*IndexNode).HandleCall sends overlay.RangeResp.Rows, which may alias mutable node state; deep-copy on send"},
 		{Pos: token.Position{Filename: "internal/rdfpeers/range.go", Line: 77, Column: 2},
-			Rule: "vtime", Msg: "payload of Transfer is sorted in place after send"},
+			Rule: "wireiso", Msg: "payload of Transfer is sorted in place after send"},
 		{Pos: token.Position{Filename: "internal/overlay/system.go", Line: 512, Column: 2},
 			Rule: "faultpath", Msg: "simnet.Parallel fan-out must declare its failure semantics: annotate //adhoclint:faultpath(abort-all) or //adhoclint:faultpath(collect-partial, reason)"},
 	}

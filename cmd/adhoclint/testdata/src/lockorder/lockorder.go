@@ -61,13 +61,6 @@ func (s *S) push() {
 	s.net.Call(s.n)
 }
 
-// Async is clean: the goroutine body runs outside the critical section.
-func (s *S) Async() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	go s.push()
-}
-
 // Report re-acquires the held mutex through a same-receiver call.
 func (s *S) Report() int {
 	s.mu.Lock()

@@ -26,15 +26,7 @@ func np(s string) rdf.Term { return rdf.NewIRI(exns + s) }
 // pipeline.
 func buildSystem(t testing.TB, nIndex int, data map[string][]rdf.Triple) (*overlay.System, simnet.VTime) {
 	t.Helper()
-	return buildSystemPublish(t, nIndex, data, false)
-}
-
-// buildSystemPublish is buildSystem with an explicit publication pipeline:
-// serialPublish selects the paper's serial path (E2's comparison arm),
-// false the parallel one.
-func buildSystemPublish(t testing.TB, nIndex int, data map[string][]rdf.Triple, serialPublish bool) (*overlay.System, simnet.VTime) {
-	t.Helper()
-	return buildSystemConfig(t, nIndex, data, overlay.Config{Bits: 16, Replication: 2, SerialPublish: serialPublish,
+	return buildSystemConfig(t, nIndex, data, overlay.Config{Bits: 16, Replication: 2,
 		Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
 }
 
@@ -609,6 +601,42 @@ func TestExplain(t *testing.T) {
 	}
 	if plan == "" {
 		t.Error("empty plan")
+	}
+}
+
+// Explain prints the plan Run executes. Under ReorderJoins the BGP keeps
+// its query order: the frequency reorder happens at plan time inside exec,
+// not in the algebra. A bare DESCRIBE, which Run answers, explains too.
+func TestExplainShowsThePlanRunExecutes(t *testing.T) {
+	data := paperData()
+	sys, now := buildSystem(t, 3, data)
+	opts := DefaultOptions()
+	opts.ReorderJoins = true
+	e := NewEngine(sys, opts)
+	plan, err := e.Explain(`PREFIX foaf: <http://xmlns.com/foaf/0.1/>
+SELECT ?x ?n WHERE { ?x foaf:name ?n . ?x foaf:knows <http://example.org/carol> . }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name, knows := strings.Index(plan, foaf+"name"), strings.Index(plan, foaf+"knows")
+	if name < 0 || knows < 0 || name > knows {
+		t.Errorf("plan does not keep the query's pattern order: %s", plan)
+	}
+
+	describe := `DESCRIBE <http://example.org/alice>`
+	res, _, _, err := e.Query("D1", describe, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Triples) != 3 {
+		t.Errorf("DESCRIBE answered %d triples, want 3: %v", len(res.Triples), res.Triples)
+	}
+	plan, err = e.Explain(describe)
+	if err != nil {
+		t.Fatalf("Explain of a bare DESCRIBE: %v", err)
+	}
+	if want := "Describe(" + ex("alice").String() + ")"; plan != want {
+		t.Errorf("bare DESCRIBE plan = %q, want %q", plan, want)
 	}
 }
 

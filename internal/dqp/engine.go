@@ -3,6 +3,7 @@ package dqp
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"time"
 
 	"adhocshare/internal/chord"
@@ -237,26 +238,15 @@ func (e *Engine) Query(initiator simnet.Addr, query string, at simnet.VTime) (*R
 
 // Run executes an already-parsed query.
 func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*Result, Stats, simnet.VTime, error) {
-	var op algebra.Op
-	if q.Form != sparql.FormDescribe || q.Where != nil {
-		var err error
-		if op, err = algebra.Translate(q); err != nil {
-			return nil, Stats{}, at, err
-		}
-		// Global query optimization (Fig. 3): algebraic rewrites at the
-		// initiator. Join reordering by location-table frequencies happens
-		// at plan time inside exec, where the postings are available.
-		op = optimize.Optimize(op, optimize.Options{
-			PushFilters: e.opts.PushFilters,
-			ReorderBGP:  false,
-		})
+	op, err := e.plan(q)
+	if err != nil {
+		return nil, Stats{}, at, err
 	}
 	ctx := e.newQctx(initiator, q)
 	ctx.existenceOnly = q.Form == sparql.FormAsk && e.firstSolutionSettles(op)
 	var (
 		out  *Result
 		done simnet.VTime
-		err  error
 	)
 	if op == nil {
 		out, done, err = e.runBareDescribe(ctx, q, at)
@@ -456,21 +446,41 @@ func (e *Engine) describe(ctx *qctx, q *sparql.Query, rows eval.Table, at simnet
 	return out, now, nil
 }
 
-// Explain returns the optimized algebra plan for a query without running
-// it.
+// plan builds the algebra Run executes: the translated query under the
+// initiator's algebraic rewrites (Fig. 3, global query optimization). Join
+// reordering by location-table frequencies happens at plan time inside
+// exec, where the postings are available, so patterns keep their query
+// order here. A DESCRIBE without a WHERE clause has no algebra (nil op):
+// its terms are resolved directly.
+func (e *Engine) plan(q *sparql.Query) (algebra.Op, error) {
+	if q.Form == sparql.FormDescribe && q.Where == nil {
+		return nil, nil
+	}
+	op, err := algebra.Translate(q)
+	if err != nil {
+		return nil, err
+	}
+	return optimize.Optimize(op, optimize.Options{PushFilters: e.opts.PushFilters}), nil
+}
+
+// Explain returns the algebra plan Run executes for a query, without
+// running it; a DESCRIBE without a WHERE clause prints as Describe(terms).
 func (e *Engine) Explain(query string) (string, error) {
 	q, err := sparql.Parse(query)
 	if err != nil {
 		return "", err
 	}
-	op, err := algebra.Translate(q)
+	op, err := e.plan(q)
 	if err != nil {
 		return "", err
 	}
-	op = optimize.Optimize(op, optimize.Options{
-		PushFilters: e.opts.PushFilters,
-		ReorderBGP:  e.opts.ReorderJoins,
-	})
+	if op == nil {
+		terms := make([]string, len(q.DescribeTerms))
+		for i, t := range q.DescribeTerms {
+			terms[i] = t.String()
+		}
+		return "Describe(" + strings.Join(terms, ",") + ")", nil
+	}
 	return op.String(), nil
 }
 

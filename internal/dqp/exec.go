@@ -580,7 +580,7 @@ func (e *Engine) planBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 		// ASK over one pattern: the first matching solution settles it.
 		plans[0].stopOnFirst = ctx.existenceOnly
 	}
-	return bgpPlan{plans: plans, conjuncts: splitFilter(filter), filter: filter, scope: scope}, now, nil
+	return bgpPlan{plans: plans, conjuncts: optimize.SplitConjuncts(filter), filter: filter, scope: scope}, now, nil
 }
 
 // execBGP evaluates a basic graph pattern distributedly. filter, when
@@ -1367,17 +1367,6 @@ func (e planEstimator) EstimatePattern(p rdf.Triple) int {
 		return plan.totalFreq()
 	}
 	return optimize.HeuristicEstimator{}.EstimatePattern(p)
-}
-
-// splitFilter flattens a conjunctive filter into its conjuncts.
-func splitFilter(f sparql.Expression) []sparql.Expression {
-	if f == nil {
-		return nil
-	}
-	if and, ok := f.(*sparql.ExprAnd); ok {
-		return append(splitFilter(and.Left), splitFilter(and.Right)...)
-	}
-	return []sparql.Expression{f}
 }
 
 // shippableFilter selects the not-yet-shipped conjuncts whose variables

@@ -26,50 +26,43 @@ func e9Configs() []Options {
 
 // TestDifferentialOracleE9Matrix evaluates every E9 strategy configuration
 // against the centralized single-store oracle (eval.Eval over the union of
-// all providers' triples) on seeded random workloads — and does so for
-// both publication pipelines, so the parallel publish path (batched key
-// resolution, concurrent per-owner shipping, successor-owner cache) is
-// differentially verified to index exactly what the serial path indexes:
-// every configuration must return the oracle's solution multiset.
+// all providers' triples) on seeded random workloads, published through
+// the default parallel pipeline: every configuration must return the
+// oracle's solution multiset. That the parallel publish path indexes
+// exactly what the serial one does is overlay's TestMetamorphicIndexRebuild.
 func TestDifferentialOracleE9Matrix(t *testing.T) {
 	configs := e9Configs()
-	for _, serialPublish := range []bool{false, true} {
-		name := "parallel-publish"
-		if serialPublish {
-			name = "serial-publish"
-		}
-		t.Run(name, func(t *testing.T) {
-			for seed := int64(0); seed < 3; seed++ {
-				seed := seed
-				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(300 + seed))
-					data := randomDataset(rng)
-					sys, now := buildSystemPublish(t, 3+int(seed), data, serialPublish)
-					for q := 0; q < 3; q++ {
-						query := randomQuery(rng)
-						want := oracle(t, data, query)
-						for _, opts := range configs {
-							e := NewEngine(sys, opts)
-							res, _, done, err := e.Query("P0", query, now)
-							now = done
-							if err != nil {
-								t.Fatalf("query %s with %+v: %v", query, opts, err)
-							}
-							if !sameMultiset(res.Solutions, want) {
-								t.Errorf("oracle mismatch for %s\nopts: %+v\ngot:  %v\nwant: %v",
-									query, opts, res.Solutions, want)
-							}
+	t.Run("parallel-publish", func(t *testing.T) {
+		for seed := int64(0); seed < 3; seed++ {
+			seed := seed
+			t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(300 + seed))
+				data := randomDataset(rng)
+				sys, now := buildSystem(t, 3+int(seed), data)
+				for q := 0; q < 3; q++ {
+					query := randomQuery(rng)
+					want := oracle(t, data, query)
+					for _, opts := range configs {
+						e := NewEngine(sys, opts)
+						res, _, done, err := e.Query("P0", query, now)
+						now = done
+						if err != nil {
+							t.Fatalf("query %s with %+v: %v", query, opts, err)
+						}
+						if !sameMultiset(res.Solutions, want) {
+							t.Errorf("oracle mismatch for %s\nopts: %+v\ngot:  %v\nwant: %v",
+								query, opts, res.Solutions, want)
 						}
 					}
-				})
-			}
-		})
-	}
+				}
+			})
+		}
+	})
 }
 
 // TestDifferentialOraclePaperQuery pins the matrix to the paper's running
 // example: deterministic data, a conjunctive query with a shared join
-// variable, all E9 configurations, both publish paths.
+// variable, all E9 configurations.
 func TestDifferentialOraclePaperQuery(t *testing.T) {
 	query := `PREFIX foaf: <http://xmlns.com/foaf/0.1/>
 SELECT ?x ?n WHERE { ?x foaf:knows <http://example.org/carol> . ?x foaf:name ?n . }`
@@ -78,19 +71,16 @@ SELECT ?x ?n WHERE { ?x foaf:knows <http://example.org/carol> . ?x foaf:name ?n 
 	if len(want) == 0 {
 		t.Fatal("oracle returned no solutions; the fixture is broken")
 	}
-	for _, serialPublish := range []bool{false, true} {
-		sys, now := buildSystemPublish(t, 4, data, serialPublish)
-		for _, opts := range e9Configs() {
-			e := NewEngine(sys, opts)
-			res, _, done, err := e.Query("D1", query, now)
-			now = done
-			if err != nil {
-				t.Fatalf("serialPublish=%v opts=%+v: %v", serialPublish, opts, err)
-			}
-			if !sameMultiset(res.Solutions, want) {
-				t.Errorf("serialPublish=%v opts=%+v: got %v, want %v",
-					serialPublish, opts, res.Solutions, want)
-			}
+	sys, now := buildSystem(t, 4, data)
+	for _, opts := range e9Configs() {
+		e := NewEngine(sys, opts)
+		res, _, done, err := e.Query("D1", query, now)
+		now = done
+		if err != nil {
+			t.Fatalf("opts=%+v: %v", opts, err)
+		}
+		if !sameMultiset(res.Solutions, want) {
+			t.Errorf("opts=%+v: got %v, want %v", opts, res.Solutions, want)
 		}
 	}
 }

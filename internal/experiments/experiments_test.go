@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"adhocshare/internal/simnet"
 	"adhocshare/internal/workload"
 )
 
@@ -538,18 +537,6 @@ func TestSameSeedSameTables(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("same seed produced different E2 tables:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// An injected clock threads through a deployment: the run starts at the
-// clock's position and leaves the clock advanced.
-func TestInjectedClockAdvances(t *testing.T) {
-	clock := simnet.NewClock(1000)
-	if _, err := E1Fig1(Params{Clock: clock}); err != nil {
-		t.Fatal(err)
-	}
-	if clock.Now() <= 1000 {
-		t.Errorf("clock did not advance past its start: %v", clock.Now())
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // reports ring structure and lookup behaviour for every key of the space.
 func E1Fig1(p Params) (*Table, error) {
 	sys := overlay.NewSystem(overlay.Config{Bits: 4, Replication: 1, Net: netConfig()})
-	clock := p.clock()
+	clock := simnet.NewClock(0)
 	for _, id := range []chord.ID{1, 4, 7, 12, 15} {
 		_, done, err := sys.AddIndexNodeWithID(simnet.Addr(fmt.Sprintf("N%d", id)), id, clock.Now())
 		if err != nil {
@@ -141,7 +141,7 @@ type e2Result struct {
 // triples, measuring the publication phase only.
 func e2Build(p Params, nIndex int, d *workload.Dataset, serialPublish bool) (e2Result, error) {
 	sys := overlay.NewSystem(overlay.Config{Bits: 24, Replication: 1, SerialPublish: serialPublish, Net: netConfig()})
-	clock := p.clock()
+	clock := simnet.NewClock(0)
 	for i := 0; i < nIndex; i++ {
 		_, done, err := sys.AddIndexNode(simnet.Addr(fmt.Sprintf("idx-%02d", i)), clock.Now())
 		if err != nil {
@@ -197,7 +197,7 @@ func E3LookupHops(p Params) (*Table, error) {
 			seen[id] = true
 			refs = append(refs, chord.Ref{ID: id, Addr: addr})
 		}
-		clock := p.clock()
+		clock := simnet.NewClock(0)
 		nodes, built, err := chord.BuildRing(net, refs, chord.Config{Bits: 24}, clock.Now())
 		if err != nil {
 			return nil, err

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"math/rand"
-
-	"adhocshare/internal/simnet"
-)
+import "math/rand"
 
 // Params carries the reproducibility knobs of one experiment run. Every
 // experiment draws its randomness and virtual time exclusively from here,
@@ -15,9 +11,6 @@ import (
 // other value yields a complete, equally deterministic re-run over a
 // different dataset draw.
 //
-// Clock supplies the virtual clock a deployment advances; nil starts a
-// fresh clock at the simulation epoch.
-//
 // FaultRate, when nonzero, installs a deterministic fault-injection plan
 // (simnet.FaultPlan) on the deployment fabric after the overlay has
 // converged and published: every subsequent message leg is dropped with
@@ -25,6 +18,7 @@ import (
 // run's seed. Setup stays fault-free so every rate sees the identical
 // deployment; only the measured operations run under loss, and the same
 // (Seed, FaultRate) pair always reproduces the same losses.
+//
 // Adaptive turns on workload-adaptive hot-key replication
 // (overlay.Config.Adaptive) for the deployments an experiment builds; the
 // default keeps the paper's static two-level index.
@@ -36,18 +30,9 @@ import (
 // runs retain byte-identical event logs.
 type Params struct {
 	Seed      int64
-	Clock     *simnet.Clock
 	FaultRate float64
 	Adaptive  bool
 	Flight    int
-}
-
-// clock returns the injected clock, or a fresh one at virtual time zero.
-func (p Params) clock() *simnet.Clock {
-	if p.Clock != nil {
-		return p.Clock
-	}
-	return simnet.NewClock(0)
 }
 
 // seed derives the effective seed of one named stream: the stream's fixed

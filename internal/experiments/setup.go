@@ -44,7 +44,7 @@ const faultSeedBase = 0xFA17
 // under message loss.
 func buildDeployment(p Params, nIndex int, d *workload.Dataset) (*deployment, error) {
 	sys := overlay.NewSystem(overlay.Config{Bits: 24, Replication: 2, Adaptive: p.Adaptive, Net: netConfig()})
-	dep := &deployment{sys: sys, clock: p.clock()}
+	dep := &deployment{sys: sys, clock: simnet.NewClock(0)}
 	for i := 0; i < nIndex; i++ {
 		_, done, err := sys.AddIndexNode(simnet.Addr(fmt.Sprintf("idx-%02d", i)), dep.clock.Now())
 		if err != nil {

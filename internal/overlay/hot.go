@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"time"
 
 	"adhocshare/internal/chord"
 	"adhocshare/internal/flight"
@@ -33,20 +34,18 @@ import (
 	"adhocshare/internal/trace"
 )
 
-// AdaptiveParams tunes the hot-key detector of one index node. Zero
-// fields keep the node's previous value (System fills defaults from
-// Config.withDefaults).
-type AdaptiveParams struct {
-	// Threshold is the decayed lookup count at which a key turns hot.
-	Threshold int
-	// HalfLife is the virtual-time window after which counts halve.
-	HalfLife simnet.VTime
-	// Replicas is the number of ring successors receiving hot copies.
-	Replicas int
-}
+// The hot-key detector's constants.
+const (
+	// hotThreshold is the decayed lookup count at which a key turns hot.
+	hotThreshold = 4
+	// hotHalfLife is the virtual-time window after which counts halve.
+	hotHalfLife = simnet.VTime(2 * time.Second)
+	// hotReplicas is the number of ring successors receiving hot copies.
+	hotReplicas = 2
+)
 
 // hotCounter is one key's decayed lookup counter. last anchors the decay
-// window; counts halve once per whole HalfLife elapsed since it.
+// window; counts halve once per whole hotHalfLife elapsed since it.
 type hotCounter struct {
 	count int
 	last  simnet.VTime
@@ -70,10 +69,6 @@ type heldReplica struct {
 // every field below it; it is never held across fabric calls — callers
 // decide under the lock, release it, then send.
 type hotState struct {
-	threshold int
-	halfLife  simnet.VTime
-	replicas  int
-
 	mu       sync.Mutex
 	counters map[chord.ID]hotCounter
 	entries  map[chord.ID]hotEntry
@@ -82,23 +77,11 @@ type hotState struct {
 
 // EnableAdaptive turns on the node's hot-key detector. Call before the
 // node serves traffic; System does so when Config.Adaptive is set.
-func (n *IndexNode) EnableAdaptive(p AdaptiveParams) {
-	if p.Threshold <= 0 {
-		p.Threshold = 4
-	}
-	if p.HalfLife <= 0 {
-		p.HalfLife = simnet.VTime(2_000_000_000)
-	}
-	if p.Replicas <= 0 {
-		p.Replicas = 2
-	}
+func (n *IndexNode) EnableAdaptive() {
 	st := &hotState{
-		threshold: p.Threshold,
-		halfLife:  p.HalfLife,
-		replicas:  p.Replicas,
-		counters:  make(map[chord.ID]hotCounter),
-		entries:   make(map[chord.ID]hotEntry),
-		held:      make(map[chord.ID]heldReplica),
+		counters: make(map[chord.ID]hotCounter),
+		entries:  make(map[chord.ID]hotEntry),
+		held:     make(map[chord.ID]heldReplica),
 	}
 	n.hotMu.Lock()
 	n.hot = st
@@ -114,14 +97,14 @@ func (h *hotState) noteLookup(key chord.ID, at simnet.VTime) bool {
 	defer h.mu.Unlock()
 	c := h.counters[key]
 	if c.count > 0 && at > c.last {
-		steps := int64(at-c.last) / int64(h.halfLife)
+		steps := int64(at-c.last) / int64(hotHalfLife)
 		if steps > 0 {
 			if steps > 62 {
 				c.count = 0
 			} else {
 				c.count >>= uint(steps)
 			}
-			c.last += simnet.VTime(steps * int64(h.halfLife))
+			c.last += simnet.VTime(steps * int64(hotHalfLife))
 		}
 	}
 	if c.count == 0 {
@@ -129,7 +112,7 @@ func (h *hotState) noteLookup(key chord.ID, at simnet.VTime) bool {
 	}
 	c.count++
 	h.counters[key] = c
-	return c.count >= h.threshold
+	return c.count >= hotThreshold
 }
 
 // adaptiveTail runs after the table read of an adaptive (epoch-stamped)
@@ -150,7 +133,7 @@ func (n *IndexNode) adaptiveTail(h *hotState, key chord.ID, postings []Posting, 
 	if ok && entry.epoch == epoch {
 		return append([]simnet.Addr(nil), entry.replicas...), epoch
 	}
-	targets := n.hotTargets(h)
+	targets := n.hotTargets()
 	if len(targets) == 0 {
 		return nil, 0
 	}
@@ -172,14 +155,14 @@ func (n *IndexNode) adaptiveTail(h *hotState, key chord.ID, postings []Posting, 
 	return append([]simnet.Addr(nil), targets...), epoch
 }
 
-// hotTargets picks up to `replicas` live ring successors (excluding the
+// hotTargets picks up to hotReplicas live ring successors (excluding the
 // node itself) as holders for hot copies — the same walk replicate() uses
 // for durability copies, so hot placement follows ring locality.
-func (n *IndexNode) hotTargets(h *hotState) []simnet.Addr {
+func (n *IndexNode) hotTargets() []simnet.Addr {
 	list := n.Chord.SuccessorList()
-	targets := make([]simnet.Addr, 0, h.replicas)
+	targets := make([]simnet.Addr, 0, hotReplicas)
 	for _, succ := range list {
-		if len(targets) >= h.replicas {
+		if len(targets) >= hotReplicas {
 			break
 		}
 		if succ.Addr == n.addr || !n.net.Alive(succ.Addr) {

@@ -313,7 +313,8 @@ func renderPostings(ps []Posting) string {
 // turning Config.Adaptive on must not change a single query answer nor the
 // final location tables — hot-key replicas are a cache, never a second
 // source of truth — and on the skewed workload the adaptive system must
-// not cost more fabric traffic than the static one.
+// not cost more fabric traffic than the static one. The trials must reach
+// the replica path, or the check would compare static with static.
 func TestMetamorphicAdaptiveEquivalence(t *testing.T) {
 	pool := metaVocab()
 	providers := []simnet.Addr{"P0", "P1", "P2"}
@@ -337,10 +338,10 @@ func TestMetamorphicAdaptiveEquivalence(t *testing.T) {
 
 	adaptiveCfg := func(adaptive bool) Config {
 		return Config{Bits: 16, Replication: 2, Adaptive: adaptive,
-			HotThreshold: 3, HotReplicas: 2,
 			Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}}
 	}
 
+	replicaHits := 0
 	trial := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ops := drawMetaOps(rng, providers, graphs, pool)
@@ -368,6 +369,9 @@ func TestMetamorphicAdaptiveEquivalence(t *testing.T) {
 					t.Fatalf("seed %d op %d query %d: adaptive lookup: %v", seed, oi, q, err)
 				}
 				nowA = doneA
+				if rowA.ReplicaHit {
+					replicaHits++
+				}
 				if s, a := renderPostings(rowS.Postings), renderPostings(rowA.Postings); s != a {
 					t.Errorf("seed %d op %d query %d key %v: answers diverged (replica hit %v)\nstatic:   %s\nadaptive: %s",
 						seed, oi, q, key, rowA.ReplicaHit, s, a)
@@ -396,4 +400,8 @@ func TestMetamorphicAdaptiveEquivalence(t *testing.T) {
 	if err := quick.Check(trial, cfg); err != nil {
 		t.Fatal(err)
 	}
+	if replicaHits == 0 {
+		t.Fatal("no adaptive lookup was served by a hot replica: the trials never reached the replica path")
+	}
+	t.Logf("%d adaptive lookups served by a hot replica", replicaHits)
 }

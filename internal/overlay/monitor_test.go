@@ -16,6 +16,7 @@ import (
 	"adhocshare/internal/flight"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
+	"adhocshare/internal/trace"
 )
 
 // newMonitoredSystem builds a small adaptive deployment with monitors
@@ -23,7 +24,7 @@ import (
 // traffic too.
 func newMonitoredSystem(t *testing.T, nIndex, nStorage int) (*System, *Monitors, simnet.VTime) {
 	t.Helper()
-	s := NewSystem(Config{Bits: 16, Replication: 2, Adaptive: true, HotThreshold: 2,
+	s := NewSystem(Config{Bits: 16, Replication: 2, Adaptive: true,
 		Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
 	now := simnet.VTime(0)
 	for i := 0; i < nIndex; i++ {
@@ -52,6 +53,36 @@ func newMonitoredSystem(t *testing.T, nIndex, nStorage int) (*System, *Monitors,
 		now = done
 	}
 	return s, mon, now
+}
+
+// promoteHotKey looks up one published key from D00 until the detector
+// promotes it (hotThreshold lookups) and one more lookup is served by a
+// hot replica. It fails the test unless a holder then keeps a copy.
+func promoteHotKey(t *testing.T, s *System, now simnet.VTime) simnet.VTime {
+	t.Helper()
+	tr := rdf.Triple{S: ex("alice0"), P: fp("name"), O: rdf.NewLiteral("Alice Smith")}
+	key := TripleKeys(tr, s.Config().Bits)[KeyP]
+	client := NewLookupClient(s)
+	var row LookupRow
+	for i := 0; i <= hotThreshold; i++ {
+		var err error
+		row, now, err = client.Lookup("D00", key, trace.TraceContext{}, trace.TraceContext{}, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !row.ReplicaHit {
+		t.Fatalf("lookup %d of key %v was not served by a hot replica", hotThreshold+1, key)
+	}
+	for _, n := range s.IndexNodes() {
+		for _, held := range n.HeldHotReplicas() {
+			if held.Key == key {
+				return now
+			}
+		}
+	}
+	t.Fatalf("key %v was promoted but no index node holds a copy", key)
+	return now
 }
 
 func TestMonitorsCleanDeployment(t *testing.T) {
@@ -118,6 +149,10 @@ func TestMonitorCoverageFiresOnDroppedRow(t *testing.T) {
 
 func TestMonitorReplicaEpochFiresOnFutureEpoch(t *testing.T) {
 	s, mon, now := newMonitoredSystem(t, 4, 1)
+	now = promoteHotKey(t, s, now)
+	if vs := mon.CheckReplicaEpochs(); len(vs) != 0 {
+		t.Fatalf("replica-epoch monitor false positive on a promoted key: %v", vs)
+	}
 	holder := s.IndexNodes()[2]
 	home := s.IndexNodes()[0]
 	// Deliver a hot-replica push stamped 3 epochs ahead of the deployment.
@@ -152,6 +187,7 @@ func TestMonitorConservationFiresOnForgedDelivery(t *testing.T) {
 
 func TestMonitorsSurviveChurnWithoutFalsePositives(t *testing.T) {
 	s, mon, now := newMonitoredSystem(t, 5, 2)
+	now = promoteHotKey(t, s, now)
 	// Operator churn: fail a node, stabilize the ring around it, recover
 	// it, stabilize again. Ring/coverage/epoch monitors must track the
 	// repaired state without false positives.
@@ -170,6 +206,9 @@ func TestMonitorsSurviveChurnWithoutFalsePositives(t *testing.T) {
 	}
 	if vs := mon.CheckEvents(); len(vs) != 0 {
 		t.Fatalf("event monitors false positive under churn: %v", vs)
+	}
+	if vs := mon.CheckReplicaEpochs(); len(vs) != 0 {
+		t.Fatalf("replica-epoch monitor false positive under churn: %v", vs)
 	}
 	if mon.Recorder().Count(flight.KindFail) != 1 || mon.Recorder().Count(flight.KindRecover) != 1 {
 		t.Fatalf("fail/recover events not recorded: %v", mon.Recorder().Counts())

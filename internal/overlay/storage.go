@@ -116,14 +116,6 @@ func (s *StorageNode) RememberOwners(epoch uint64, owners map[chord.ID]simnet.Ad
 	}
 }
 
-// OwnerCacheLen reports how many key → owner entries are cached (tests and
-// the E2 notes).
-func (s *StorageNode) OwnerCacheLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ownerCache)
-}
-
 // DropOwnerCache clears the successor-owner cache; the overlay calls it
 // when the node re-attaches to a different index node.
 //

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"adhocshare/internal/chord"
 	"adhocshare/internal/flight"
@@ -20,8 +19,6 @@ import (
 type Config struct {
 	// Bits is the identifier-circle width (default 32; Fig. 1 uses 4).
 	Bits uint
-	// SuccListSize is the Chord successor-list length (default 4).
-	SuccListSize int
 	// Replication is the number of copies of each location-table posting
 	// (default 2: primary plus one successor replica).
 	Replication int
@@ -36,17 +33,9 @@ type Config struct {
 	// push epoch-stamped copies of hot rows to ring successors, which
 	// adaptive initiators (LookupClient) then read in place of the home
 	// successor. The static path stays byte-identical with the knob off.
+	// The detector's threshold, half-life and replica count are the
+	// constants of hot.go.
 	Adaptive bool
-	// HotThreshold is the decayed per-key lookup count at which a key is
-	// promoted to hot (default 4).
-	HotThreshold int
-	// HotHalfLife is the virtual-time window after which a key's lookup
-	// count halves (default 2s of VTime). Decay is computed in whole
-	// windows from integer VTimes, so it is deterministic.
-	HotHalfLife simnet.VTime
-	// HotReplicas is the number of ring successors that receive a copy of
-	// a hot key's row (default 2).
-	HotReplicas int
 	// Net is the simulated network cost model.
 	Net simnet.Config
 }
@@ -55,20 +44,8 @@ func (c Config) withDefaults() Config {
 	if c.Bits == 0 || c.Bits > 64 {
 		c.Bits = 32
 	}
-	if c.SuccListSize <= 0 {
-		c.SuccListSize = 4
-	}
 	if c.Replication <= 0 {
 		c.Replication = 2
-	}
-	if c.HotThreshold <= 0 {
-		c.HotThreshold = 4
-	}
-	if c.HotHalfLife <= 0 {
-		c.HotHalfLife = simnet.VTime(2 * time.Second)
-	}
-	if c.HotReplicas <= 0 {
-		c.HotReplicas = 2
 	}
 	return c
 }
@@ -183,13 +160,9 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 		return nil, at, fmt.Errorf("overlay: index node %s already exists", addr)
 	}
 	bootstrap := s.liveIndexLocked()
-	n := NewIndexNode(s.net, addr, id, chord.Config{Bits: s.cfg.Bits, SuccListSize: s.cfg.SuccListSize}, s.cfg.Replication)
+	n := NewIndexNode(s.net, addr, id, chord.Config{Bits: s.cfg.Bits}, s.cfg.Replication)
 	if s.cfg.Adaptive {
-		n.EnableAdaptive(AdaptiveParams{
-			Threshold: s.cfg.HotThreshold,
-			HalfLife:  s.cfg.HotHalfLife,
-			Replicas:  s.cfg.HotReplicas,
-		})
+		n.EnableAdaptive()
 	}
 	s.index[addr] = n
 	s.mu.Unlock()

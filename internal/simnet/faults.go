@@ -135,9 +135,6 @@ func hashString(s string) uint64 {
 // not disturb metrics or membership.
 func (n *Network) SetFaults(plan *FaultPlan) { n.setHooks(func(h *hooks) { h.faults = plan }) }
 
-// Faults returns the installed fault plan (nil = fault-free).
-func (n *Network) Faults() *FaultPlan { return n.hooks.Load().faults }
-
 // DefaultAttempts is the standard retry budget for lost messages: the
 // first try plus two re-sends. At the 1–5% loss rates the experiments
 // inject, three independent draws make an unrecovered loss vanishingly

@@ -132,7 +132,7 @@ func pushFilters(op algebra.Op) algebra.Op {
 	switch o := op.(type) {
 	case *algebra.Filter:
 		input := pushFilters(o.Input)
-		conjuncts := splitConjuncts(o.Expr)
+		conjuncts := SplitConjuncts(o.Expr)
 		var remaining []sparql.Expression
 		for _, c := range conjuncts {
 			pushed, ok := tryPush(input, c)
@@ -241,10 +241,14 @@ func wrapFilters(op algebra.Op, conds []sparql.Expression) algebra.Op {
 	return &algebra.Filter{Expr: expr, Input: op}
 }
 
-// splitConjuncts flattens nested ExprAnd trees into a conjunct list.
-func splitConjuncts(e sparql.Expression) []sparql.Expression {
+// SplitConjuncts flattens nested ExprAnd trees into a conjunct list; a nil
+// expression has no conjuncts.
+func SplitConjuncts(e sparql.Expression) []sparql.Expression {
+	if e == nil {
+		return nil
+	}
 	if and, ok := e.(*sparql.ExprAnd); ok {
-		return append(splitConjuncts(and.Left), splitConjuncts(and.Right)...)
+		return append(SplitConjuncts(and.Left), SplitConjuncts(and.Right)...)
 	}
 	return []sparql.Expression{e}
 }
