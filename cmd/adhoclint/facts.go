@@ -5,6 +5,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // This file holds the shared facts about the simulated fabric that several
@@ -13,9 +14,12 @@ import (
 // look like, and what counts as a write through an lvalue. Each fact has
 // exactly one implementation here; the rules are consumers.
 
-// fabricCall is one Network.Call/Send/Transfer site.
+// fabricCall is one Network.Call/Send/Transfer site, or a retried
+// Network.CallRetry/TransferRetry site, which is a Call or a Transfer
+// re-sent on loss.
 type fabricCall struct {
 	kind       string // "Call", "Send" or "Transfer"
+	retried    bool   // CallRetry or TransferRetry
 	value      string // method wire string ("" when not constant)
 	literal    bool   // method passed as a raw string literal
 	pkg        *Package
@@ -33,20 +37,21 @@ func (fc *fabricCall) errPos() int {
 	return 1
 }
 
-// fabricCallAt recognizes a Network.Call/Send/Transfer call expression.
+// fabricCallAt recognizes a Network.Call/Send/Transfer/CallRetry/
+// TransferRetry call expression.
 func (prog *Program) fabricCallAt(p *Package, call *ast.CallExpr) *fabricCall {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return nil
 	}
-	kind := sel.Sel.Name
-	if kind != "Call" && kind != "Send" && kind != "Transfer" {
+	kind, retried := strings.CutSuffix(sel.Sel.Name, "Retry")
+	if kind != "Call" && kind != "Transfer" && (kind != "Send" || retried) {
 		return nil
 	}
 	if !prog.isSimnetType(p.Info.Types[sel.X].Type, "Network") || len(call.Args) < 4 {
 		return nil
 	}
-	fc := &fabricCall{kind: kind, pkg: p, pos: call.Pos()}
+	fc := &fabricCall{kind: kind, retried: retried, pkg: p, pos: call.Pos()}
 	methodArg := call.Args[2]
 	if tv := p.Info.Types[methodArg]; tv.Value != nil && tv.Value.Kind() == constant.String {
 		fc.value = constant.StringVal(tv.Value)
@@ -63,7 +68,7 @@ func (prog *Program) fabricCallAt(p *Package, call *ast.CallExpr) *fabricCall {
 }
 
 // isSimnetFunc reports whether callee is the named package-level function
-// of internal/simnet (Parallel, Retry).
+// of internal/simnet (Parallel).
 func (prog *Program) isSimnetFunc(callee *types.Func, name string) bool {
 	return callee != nil && callee.Name() == name &&
 		callee.Pkg() != nil && callee.Pkg().Path() == prog.simnetPath

@@ -39,7 +39,7 @@ var rules = []rule{
 	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
 	{"wireiso", "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable", checkWireIsolation},
 	{"alloc", "no avoidable per-message heap allocation (fmt.Sprintf, string accumulation, unsized container growth, interface boxing, closures in loops) in functions reachable from HandleCall dispatch or fabric calls; cold helpers carry //adhoclint:hotexempt", checkAlloc},
-	{"faultpath", "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent, Retry closures depart at the attempt time", checkFaultPath},
+	{"faultpath", "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent", checkFaultPath},
 	{"racefree", "concurrently-invocable node entry points (HandleCall handlers and exported methods of the same node type) must not conflict on a node field without a common mutex class; exempt with //adhoclint:racefree(reason)", checkRaceFree},
 }
 

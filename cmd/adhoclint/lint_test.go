@@ -326,7 +326,7 @@ func TestFaultPathSkipsOutOfScope(t *testing.T) {
 
 // Faultpath findings carry witnesses: the mutate-before-send finding names
 // the call chain carrying the mutation, and the retried-handler finding
-// names the Retry site's enclosing function.
+// names the enclosing function of its CallRetry site.
 func TestFaultPathWitnessChains(t *testing.T) {
 	diags := lintFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", only("faultpath"))
 	cases := []struct{ finding, witness string }{

@@ -29,14 +29,12 @@ import (
 //   - every simnet.Parallel fan-out must declare whether one failed branch
 //     aborts the whole operation (abort-all) or the survivors' results are
 //     kept (collect-partial, with the repair story as the reason);
-//   - a method invoked inside simnet.Retry is re-delivered after lost
+//   - a method sent with Network.CallRetry is re-delivered after lost
 //     replies, so its handler must be read-only — or deduplicate
 //     re-deliveries and carry //adhoclint:faultpath(idempotent, reason) on
-//     its Method* constant;
-//   - the operation closure handed to simnet.Retry receives the attempt
-//     time as its parameter; its fabric calls must depart at that time, or
-//     the FailTimeout charged to failed attempts never reaches the
-//     critical path.
+//     its Method* constant. (CallRetry departs each attempt at the previous
+//     one's end itself, so a retry cannot drop FailTimeout from the
+//     critical path.)
 //
 // A function whose writes are harmless when the surrounding operation
 // fails — monotone counters and ID allocators, cache fills and
@@ -90,7 +88,7 @@ func checkFaultPath(prog *Program) []Diagnostic {
 			c.checkDiscardedErrors(p, fn)
 			c.checkMutateBeforeSend(p, fn)
 			c.checkParallelSites(p, fn)
-			c.checkRetrySites(p, fn)
+			c.recordRetrySites(p, fn)
 		})
 	}
 	c.checkRetriedHandlers()
@@ -101,7 +99,7 @@ type faultpathChecker struct {
 	prog    *Program
 	touches map[*types.Func]bool // transitively performs a fabric call
 	mutates map[*types.Func]*mutInfo
-	retried map[string][]*retrySite // method wire string → Retry sites
+	retried map[string][]*retrySite // method wire string → CallRetry sites
 	diags   []Diagnostic
 }
 
@@ -112,7 +110,7 @@ type mutInfo struct {
 	via *types.Func // nil when the write is direct
 }
 
-// retrySite is one simnet.Retry call whose closure invokes a method.
+// retrySite is one CallRetry of a method.
 type retrySite struct {
 	pkg  *Package
 	pos  token.Pos
@@ -421,9 +419,9 @@ func returnsError(p *Package, fn *ast.FuncDecl) bool {
 	return isErrorType(p.Info.Types[res.List[len(res.List)-1].Type].Type)
 }
 
-// firstFallibleAfter finds the earliest fabric call, simnet.Retry, or
-// call into a fabric-touching module function after pos whose error the
-// caller captures (and can therefore propagate).
+// firstFallibleAfter finds the earliest fabric call, or call into a
+// fabric-touching module function, after pos whose error the caller
+// captures (and can therefore propagate).
 func (c *faultpathChecker) firstFallibleAfter(p *Package, fn *ast.FuncDecl, pos token.Pos) (token.Pos, string) {
 	best := token.NoPos
 	desc := ""
@@ -446,14 +444,7 @@ func (c *faultpathChecker) firstFallibleAfter(p *Package, fn *ast.FuncDecl, pos 
 			return true
 		}
 		callee, _ := staticCallee(p.Info, call)
-		if callee == nil {
-			return true
-		}
-		if c.prog.isSimnetFunc(callee, "Retry") {
-			record(call.Pos(), "simnet.Retry")
-			return true
-		}
-		if c.touches[callee] && calleeReturnsError(callee) {
+		if callee != nil && c.touches[callee] && calleeReturnsError(callee) {
 			record(call.Pos(), "call to "+funcDisplay(callee))
 		}
 		return true
@@ -494,99 +485,20 @@ func (c *faultpathChecker) checkParallelSites(p *Package, fn *ast.FuncDecl) {
 	})
 }
 
-// checkRetrySites resolves every simnet.Retry call: the closure must
-// depart its fabric calls at the attempt-time parameter (so FailTimeout
-// accumulates), and the methods it invokes are recorded for the
-// idempotence cross-check.
-func (c *faultpathChecker) checkRetrySites(p *Package, fn *ast.FuncDecl) {
+// recordRetrySites records every CallRetry of a constant method for the
+// idempotence cross-check. (A retried Transfer runs no handler.)
+func (c *faultpathChecker) recordRetrySites(p *Package, fn *ast.FuncDecl) {
 	encl, _ := p.Info.Defs[fn.Name].(*types.Func)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if callee, _ := staticCallee(p.Info, call); !c.prog.isSimnetFunc(callee, "Retry") || len(call.Args) != 3 {
-			return true
+		if fc := c.prog.fabricCallAt(p, call); fc != nil && fc.retried && fc.kind == "Call" && fc.value != "" {
+			c.retried[fc.value] = append(c.retried[fc.value], &retrySite{pkg: p, pos: call.Pos(), encl: encl})
 		}
-		lit := resolveOpLiteral(p, fn, call.Args[2])
-		if lit == nil {
-			return true
-		}
-		var atParam types.Object
-		if len(lit.Type.Params.List) > 0 {
-			field := lit.Type.Params.List[0]
-			if c.prog.isSimnetType(p.Info.Types[field.Type].Type, "VTime") && len(field.Names) > 0 {
-				atParam = p.Info.Defs[field.Names[0]]
-			}
-		}
-		ast.Inspect(lit.Body, func(m ast.Node) bool {
-			inner, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fc := c.prog.fabricCallAt(p, inner)
-			if fc == nil {
-				return true
-			}
-			if fc.value != "" && fc.kind != "Transfer" {
-				c.retried[fc.value] = append(c.retried[fc.value],
-					&retrySite{pkg: p, pos: call.Pos(), encl: encl})
-			}
-			if atParam != nil && len(inner.Args) >= 5 && !referencesObj(p, inner.Args[4], atParam) {
-				c.report(p, inner.Pos(), fmt.Sprintf(
-					"fabric call inside a simnet.Retry closure ignores the closure's attempt-time parameter %q; failed attempts would not accumulate FailTimeout on the critical path",
-					atParam.Name()))
-			}
-			return true
-		})
 		return true
 	})
-}
-
-// resolveOpLiteral finds the function literal behind a Retry operation
-// argument: the literal itself, or the hoisted closure a local identifier
-// was assigned (the allocation-free loop pattern).
-func resolveOpLiteral(p *Package, fn *ast.FuncDecl, arg ast.Expr) *ast.FuncLit {
-	switch a := unparen(arg).(type) {
-	case *ast.FuncLit:
-		return a
-	case *ast.Ident:
-		obj := defOrUse(p.Info, a)
-		if obj == nil {
-			return nil
-		}
-		var lit *ast.FuncLit
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			asg, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return true
-			}
-			for i, lhs := range asg.Lhs {
-				id, ok := unparen(lhs).(*ast.Ident)
-				if !ok || defOrUse(p.Info, id) != obj || i >= len(asg.Rhs) {
-					continue
-				}
-				if l, ok := unparen(asg.Rhs[i]).(*ast.FuncLit); ok {
-					lit = l
-				}
-			}
-			return true
-		})
-		return lit
-	}
-	return nil
-}
-
-// referencesObj reports whether the expression mentions the object.
-func referencesObj(p *Package, e ast.Expr, obj types.Object) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && defOrUse(p.Info, id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // checkRetriedHandlers cross-checks every retried method against its
@@ -624,7 +536,7 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 		sites := c.retried[value]
 		sort.Slice(sites, func(i, j int) bool { return sites[i].pos < sites[j].pos })
 		site := sites[0]
-		from := "a simnet.Retry site"
+		from := "a CallRetry site"
 		if site.encl != nil {
 			from = funcDisplay(site.encl)
 		}

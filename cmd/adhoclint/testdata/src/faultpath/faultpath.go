@@ -1,9 +1,8 @@
 // Package faultpath exercises the fault-soundness rule: discarded fabric
 // errors need a declared fire-and-forget disposition, mutate-then-send
 // paths need a compensation declaration, Parallel fan-outs declare
-// abort-all or collect-partial, retried methods with mutating handlers
-// declare idempotent on their constants, and Retry closures must depart
-// at the attempt-time parameter.
+// abort-all or collect-partial, and methods retried through CallRetry
+// with mutating handlers declare idempotent on their constants.
 package faultpath
 
 import (
@@ -176,35 +175,19 @@ func (n *Node) FanOutMisdeclared(peers []simnet.Addr, at simnet.VTime) simnet.VT
 	return done
 }
 
-// RetryStaleTime pins the departure to the outer time, so failed attempts
-// never charge their FailTimeout to the critical path.
-func (n *Node) RetryStaleTime(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
-	_, done, err := simnet.Retry(3, at, func(t simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return n.net.Call(n.addr, to, MethodGet, Msg{}, at) // want "ignores the closure's attempt-time parameter"
-	})
+// RetryGet retries the read-only get: clean.
+func (n *Node) RetryGet(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
+	_, done, err := n.net.CallRetry(n.addr, to, MethodGet, Msg{}, at)
 	return done, err
 }
 
-// RetryGood threads the attempt time: clean.
-func (n *Node) RetryGood(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
-	_, done, err := simnet.Retry(3, at, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return n.net.Call(n.addr, to, MethodGet, Msg{}, at)
-	})
-	return done, err
-}
-
-// StoreAll retries the mutating put against each peer through a hoisted
-// closure: MethodPut's handler re-applies blindly, so the rule demands an
-// idempotent declaration on the constant (reported there).
+// StoreAll retries the mutating put against each peer: MethodPut's handler
+// re-applies blindly, so the rule demands an idempotent declaration on the
+// constant (reported there).
 func (n *Node) StoreAll(peers []simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
 	now := at
-	var to simnet.Addr
-	put := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return n.net.Call(n.addr, to, MethodPut, Msg{Key: "k", N: 1}, at)
-	}
 	for _, p := range peers {
-		to = p
-		_, done, err := simnet.Retry(3, now, put)
+		_, done, err := n.net.CallRetry(n.addr, p, MethodPut, Msg{Key: "k", N: 1}, now)
 		now = done
 		if err != nil {
 			return now, err
@@ -216,9 +199,7 @@ func (n *Node) StoreAll(peers []simnet.Addr, at simnet.VTime) (simnet.VTime, err
 // IncAll retries the deduplicating increment: the constant's idempotent
 // declaration covers it.
 func (n *Node) IncAll(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
-	_, done, err := simnet.Retry(3, at, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return n.net.Call(n.addr, to, MethodInc, IncReq{Seq: 1}, at)
-	})
+	_, done, err := n.net.CallRetry(n.addr, to, MethodInc, IncReq{Seq: 1}, at)
 	return done, err
 }
 
@@ -234,6 +215,6 @@ type Meter struct {
 func (t *Meter) Charge(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
 	m := &t.stats
 	m.messages++
-	_, done, err := t.net.Call(t.addr, to, MethodGet, Msg{}, at) // want "caller-visible state is mutated at line 236"
+	_, done, err := t.net.Call(t.addr, to, MethodGet, Msg{}, at) // want "caller-visible state is mutated at line 217"
 	return done, err
 }

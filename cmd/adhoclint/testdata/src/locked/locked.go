@@ -6,8 +6,9 @@ import "sync"
 
 type fabric struct{}
 
-func (fabric) Call(x int) int     { return x }
-func (fabric) Transfer(x int) int { return x }
+func (fabric) Call(x int) int      { return x }
+func (fabric) CallRetry(x int) int { return x }
+func (fabric) Transfer(x int) int  { return x }
 
 type node struct {
 	mu  sync.Mutex
@@ -40,6 +41,12 @@ func (n *node) BadCall(v int) {
 	n.mu.Lock()
 	n.net.Call(v) // want "simnet RPC"
 	n.mu.Unlock()
+}
+
+func (n *node) BadCallRetry(v int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.net.CallRetry(v) // want "simnet RPC"
 }
 
 func (n *node) BadTransfer(v int) {

@@ -53,6 +53,16 @@ func (n *Node) FetchWrongResp(to simnet.Addr, at simnet.VTime) int {
 	return resp.(ShipChunk).N
 }
 
+// FetchRetriedWrongResp asserts a retried call's response to a type the
+// handler never returns.
+func (n *Node) FetchRetriedWrongResp(to simnet.Addr, at simnet.VTime) int {
+	resp, _, err := n.net.CallRetry(n.addr, to, MethodGet, GetReq{Key: 3}, at) // want "asserted to rpcproto.ShipChunk but its handler returns rpcproto.GetResp"
+	if err != nil {
+		return 0
+	}
+	return resp.(ShipChunk).N
+}
+
 // Nudge invokes the orphaned method.
 func (n *Node) Nudge(to simnet.Addr, at simnet.VTime) {
 	if _, err := n.net.Send(n.addr, to, MethodOrphan, OrphanReq{N: 1}, at); err != nil {

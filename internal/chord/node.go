@@ -116,10 +116,7 @@ var ErrLookupFailed = errors.New("chord: lookup failed")
 // Join inserts the node into the ring known to exist via the bootstrap
 // address. It returns the virtual completion time.
 func (n *Node) Join(bootstrap simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
-	resp, done, err := simnet.Retry(simnet.DefaultAttempts, at, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return n.net.Call(n.addr, bootstrap, MethodFindSuccessor,
-			FindReq{Target: n.id}, at)
-	})
+	resp, done, err := n.net.CallRetry(n.addr, bootstrap, MethodFindSuccessor, FindReq{Target: n.id}, at)
 	if err != nil {
 		return done, fmt.Errorf("chord: join via %s: %w", bootstrap, err)
 	}
@@ -237,14 +234,6 @@ func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simn
 		return FindResp{Node: succ, Hops: req.Hops}, at, nil
 	}
 	now := at
-	// One forwarding closure reused across candidates (and retry attempts)
-	// keeps the routing loop allocation-free; the captured hop state is
-	// re-pointed per candidate.
-	var hopAddr simnet.Addr
-	var hopReq FindReq
-	forward := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return n.net.Call(n.addr, hopAddr, MethodFindSuccessor, hopReq, at)
-	}
 	n.mu.RLock()
 	cands := []Ref{n.nextHopLocked(req.Target)} // one routing decision; the rest once it fails
 	n.mu.RUnlock()
@@ -256,9 +245,8 @@ func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simn
 		// message is lost in transit is re-sent in place (find_successor is
 		// read-only, so re-execution is safe); only then does routing fall
 		// back to the next candidate.
-		hopAddr = next.Addr
-		hopReq = FindReq{Target: req.Target, Hops: req.Hops + 1, TC: req.TC.Child(uint64(ci))}
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, forward)
+		resp, done, err := n.net.CallRetry(n.addr, next.Addr, MethodFindSuccessor,
+			FindReq{Target: req.Target, Hops: req.Hops + 1, TC: req.TC.Child(uint64(ci))}, now)
 		if err == nil {
 			return resp.(FindResp), done, nil
 		}
@@ -310,10 +298,8 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 		for j, i := range idxs {
 			sub[j] = req.Targets[i].truncate(n.cfg.Bits)
 		}
-		resp, gdone, err := simnet.Retry(simnet.DefaultAttempts, at, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return n.net.Call(n.addr, next, MethodFindSuccessorBatch,
-				BatchFindReq{Targets: sub, Hops: req.Hops + 1, TC: req.TC.Child(uint64(g))}, at)
-		})
+		resp, gdone, err := n.net.CallRetry(n.addr, next, MethodFindSuccessorBatch,
+			BatchFindReq{Targets: sub, Hops: req.Hops + 1, TC: req.TC.Child(uint64(g))}, at)
 		if err != nil {
 			return BatchFindResp{}, gdone, err
 		}
@@ -503,9 +489,7 @@ func (n *Node) Stabilize(at simnet.VTime) simnet.VTime {
 		}
 	}
 	if succ.Addr != n.addr {
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return n.net.Call(n.addr, succ.Addr, MethodGetPredecessor, simnet.Bytes(1), at)
-		})
+		resp, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodGetPredecessor, simnet.Bytes(1), now)
 		now = done
 		if err != nil {
 			if !simnet.IsLost(err) {
@@ -522,9 +506,7 @@ func (n *Node) Stabilize(at simnet.VTime) simnet.VTime {
 	if succ.Addr != n.addr {
 		// notify is an absolute pointer update, so re-execution after a
 		// lost reply converges to the same state (idempotent).
-		_, done, err := simnet.Retry(simnet.DefaultAttempts, now, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return n.net.Call(n.addr, succ.Addr, MethodNotify, n.Ref(), at)
-		})
+		_, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodNotify, n.Ref(), now)
 		now = done
 		if err != nil && !simnet.IsLost(err) {
 			n.evict(succ.Addr, now)
@@ -533,9 +515,7 @@ func (n *Node) Stabilize(at simnet.VTime) simnet.VTime {
 	// Refresh the successor list from the (possibly new) successor.
 	succ = n.Successor()
 	if succ.Addr != n.addr {
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return n.net.Call(n.addr, succ.Addr, MethodGetSuccList, simnet.Bytes(1), at)
-		})
+		resp, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodGetSuccList, simnet.Bytes(1), now)
 		now = done
 		if err == nil {
 			list := resp.(RefList).Refs
@@ -609,9 +589,7 @@ func (n *Node) CheckPredecessor(at simnet.VTime) simnet.VTime {
 	if pred.IsZero() {
 		return at
 	}
-	_, done, err := simnet.Retry(simnet.DefaultAttempts, at, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return n.net.Call(n.addr, pred.Addr, MethodPing, simnet.Bytes(1), at)
-	})
+	_, done, err := n.net.CallRetry(n.addr, pred.Addr, MethodPing, simnet.Bytes(1), at)
 	if err != nil && !simnet.IsLost(err) {
 		// A lossy link is not a dead predecessor: only clear the pointer
 		// when the node is genuinely unreachable.
@@ -632,9 +610,7 @@ func (n *Node) Leave(at simnet.VTime) simnet.VTime {
 	if succ.Addr != n.addr && !pred.IsZero() {
 		// Pointer rewires are absolute sets — idempotent under re-execution
 		// after a lost reply.
-		_, done, err := simnet.Retry(simnet.DefaultAttempts, now, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return n.net.Call(n.addr, pred.Addr, MethodSetSuccessor, succ, at)
-		})
+		_, done, err := n.net.CallRetry(n.addr, pred.Addr, MethodSetSuccessor, succ, now)
 		now = done
 		if err != nil && !simnet.IsLost(err) {
 			// Unreachable neighbour: drop it from our tables; its side of
@@ -643,9 +619,7 @@ func (n *Node) Leave(at simnet.VTime) simnet.VTime {
 		}
 	}
 	if !pred.IsZero() && succ.Addr != n.addr {
-		_, done, err := simnet.Retry(simnet.DefaultAttempts, now, func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return n.net.Call(n.addr, succ.Addr, MethodSetPredecessor, pred, at)
-		})
+		_, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodSetPredecessor, pred, now)
 		now = done
 		if err != nil && !simnet.IsLost(err) {
 			n.evict(succ.Addr, now)

@@ -38,9 +38,6 @@ func NewEngine(sys *overlay.System, opts Options) *Engine {
 	return &Engine{sys: sys, opts: opts, cache: newLookupCache(0), hot: overlay.NewLookupClient(sys)}
 }
 
-// CachedLookups reports the number of memoized index resolutions.
-func (e *Engine) CachedLookups() int { return e.cache.Len() }
-
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
 

@@ -388,15 +388,11 @@ func (e *Engine) ship(ctx *qctx, s flatSet, dest simnet.Addr, method string, at 
 	return s, done, nil
 }
 
-// transferRetry is Transfer wrapped in the standard loss-retry loop; a
-// transfer still lost after the budget surfaces as a partial-failure error
-// (other errors pass through for the caller to classify).
+// transferRetry is a retried Transfer whose loss past the retry budget
+// surfaces as a partial-failure error (other errors pass through for the
+// caller to classify).
 func (e *Engine) transferRetry(from, to simnet.Addr, method string, payload simnet.Payload, at simnet.VTime) (simnet.VTime, error) {
-	_, done, err := simnet.Retry(simnet.DefaultAttempts, at,
-		func(at simnet.VTime) (struct{}, simnet.VTime, error) {
-			done, err := e.sys.Net().Transfer(from, to, method, payload, at)
-			return struct{}{}, done, err
-		})
+	done, err := e.sys.Net().TransferRetry(from, to, method, payload, at)
 	if err != nil && simnet.IsLost(err) {
 		err = &PartialFailureError{Method: method, Missing: []simnet.Addr{to}, Err: err}
 	}
@@ -820,25 +816,15 @@ func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.
 	}
 	sequential := len(plans) == 1 && plans[0].stopOnFirst
 	start, done := at, at
-	// One call closure reused across targets (and retry attempts); the
-	// captured request is re-pointed per target.
-	var (
-		target simnet.Addr
-		req    overlay.MatchReq
-	)
-	match := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return e.sys.Net().Call(ctx.initiator, target, overlay.MethodMatch, req, at)
-	}
 	for _, t := range targets {
 		sent := units[:len(t.units):len(t.units)]
 		units = units[len(t.units):]
 		// The request is a message span of its first unit's pattern, as a
 		// one-pattern fan-out's requests are; sequence 0 is left unused.
 		first := t.units[0]
-		target = t.node
-		req = overlay.MatchReq{Units: sent, Dataset: ctx.dataset, FromNamed: ctx.fromNamed,
+		req := overlay.MatchReq{Units: sent, Dataset: ctx.dataset, FromNamed: ctx.fromNamed,
 			TC: pats[first.plan].tc.Child(uint64(first.posting + 1))}
-		resp, end, err := simnet.Retry(simnet.DefaultAttempts, start, match)
+		resp, end, err := e.sys.Net().CallRetry(ctx.initiator, t.node, overlay.MethodMatch, req, start)
 		done = simnet.MaxTime(done, end)
 		for _, u := range t.units {
 			pats[u.plan].end = simnet.MaxTime(pats[u.plan].end, end)
@@ -1149,26 +1135,16 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	}
 	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
 	finish := now
-	// One call closure reused across targets (and retry attempts) keeps the
-	// fan-out loop allocation-free; the captured request is re-pointed per
-	// target.
-	var target simnet.Addr
-	var req overlay.MatchReq
-	match := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return e.sys.Net().Call(assembly, target, overlay.MethodMatch, req, at)
-	}
 	for fi, p := range plan.postings {
 		// Star topology: every fan-out request is a fresh copy of the
 		// sub-query and a sibling child of the pattern span (sequence 0 is
 		// the dispatch above).
-		target = p.Node
-		r := base
-		r.TC = patTC.Child(uint64(fi + 1))
+		req := base
+		req.TC = patTC.Child(uint64(fi + 1))
 		if unit.has(fi) {
-			r.Units = unitKey
+			req.Units = unitKey
 		}
-		req = r
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, match)
+		resp, done, err := e.sys.Net().CallRetry(assembly, p.Node, overlay.MethodMatch, req, now)
 		finish = simnet.MaxTime(finish, done)
 		if plan.stopOnFirst {
 			// ASK over one pattern asks one target at a time, each when the

@@ -10,8 +10,9 @@ import (
 // FuzzCodecRoundTrip holds the gob probe's DecodePayload to two
 // properties on its seed corpus: malformed input errors instead of
 // panicking, and a payload that decodes survives a re-encode unchanged.
-// Seeds are both payloads of every RPC method in methodSamples, each whole
-// and cut in half, plus the committed byte strings under
+// Seeds are both payloads of every RPC method in methodSamples, each whole,
+// cut in half and cut one byte short (a final field that ends mid-value),
+// plus the committed byte strings under
 // testdata/fuzz/FuzzCodecRoundTrip. It runs as a plain test only — `make
 // fuzz` would be fuzzing encoding/gob — and goes with gobprobe.go.
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -23,6 +24,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			f.Add(data)
 			f.Add(data[:len(data)/2])
+			f.Add(data[:len(data)-1])
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

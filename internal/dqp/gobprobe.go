@@ -25,10 +25,9 @@ func init() {
 	for _, v := range []any{
 		simnet.Bytes(0), chainPayload{}, dispatchPayload{}, rowsPayload{}, eval.Table{},
 
-		overlay.PutReq{}, overlay.PutBatchReq{}, overlay.LookupReq{},
+		overlay.PutBatchReq{}, overlay.LookupReq{},
 		overlay.LookupResp{}, overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
 		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.SolutionsResp{},
-		overlay.CountReq{}, overlay.CountResp{}, overlay.TriplesResp{},
 		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},
 
 		chord.Ref{}, chord.FindReq{}, chord.FindResp{},

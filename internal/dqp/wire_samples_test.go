@@ -64,7 +64,6 @@ func methodSamples() []methodSample {
 
 	return []methodSample{
 		// Overlay index-node methods.
-		{overlay.MethodPut, overlay.PutReq{Key: 9, Node: "n1", Freq: 3}, ack},
 		{overlay.MethodPutBatch, overlay.PutBatchReq{
 			Node:     "n1",
 			Entries:  []overlay.KeyFreq{{Key: 4, Freq: 2}},
@@ -106,9 +105,6 @@ func methodSamples() []methodSample {
 			Graph:     rdf.NewIRI("urn:g1"),
 			FromNamed: []string{"urn:g2"},
 		}, ack},
-		{overlay.MethodCount, overlay.CountReq{Pattern: pattern}, overlay.CountResp{N: 11}},
-		{overlay.MethodDump, overlay.CountReq{Pattern: pattern},
-			overlay.TriplesResp{Triples: []rdf.Triple{triple}}},
 
 		// Chord ring maintenance.
 		{chord.MethodFindSuccessor, chord.FindReq{Target: 5, Hops: 1},

@@ -149,7 +149,7 @@ func runE9Sweep(t *testing.T, p Params, d *workload.Dataset, want eval.Solutions
 }
 
 // TestE9AllConfigsUnderLoss runs every E9 configuration at a 1% per-leg
-// loss rate: retries (simnet.Retry + the chord successor fallback) must
+// loss rate: retries (Network.CallRetry + the chord successor fallback) must
 // deliver the oracle-identical result, or the query must fail with the
 // typed partial-failure error. The full sweep then re-runs under the same
 // seed and must reproduce byte-for-byte — the property that makes a loss

@@ -160,9 +160,6 @@ func NewRecorder(size int) *Recorder {
 	}
 }
 
-// Enabled reports whether the recorder records anything (false for nil).
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Size returns the per-node ring capacity (0 for nil).
 func (r *Recorder) Size() int {
 	if r == nil {

@@ -265,11 +265,8 @@ func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64,
 	now := at
 	if epoch != 0 {
 		if target, home, ok := c.pickReplica(from, key[0], epoch); ok {
-			hotReq := HotLookupReq{Key: key[0], Epoch: epoch, TC: readTC.Child(1)}
-			hotCall := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-				return c.sys.Net().Call(from, target, MethodHotLookup, hotReq, at)
-			}
-			resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, hotCall)
+			resp, done, err := c.sys.Net().CallRetry(from, target, MethodHotLookup,
+				HotLookupReq{Key: key[0], Epoch: epoch, TC: readTC.Child(1)}, now)
 			now = done
 			if err == nil {
 				if hr, ok := resp.(HotPostingsResp); ok && hr.Hit {
@@ -312,11 +309,11 @@ func (c *LookupClient) lookupBatch(from simnet.Addr, keys []chord.ID, idx []int,
 	}
 	var order []simnet.Addr
 	held := map[simnet.Addr][]int{} // owner → positions in keys
-	for j, owner := range owners {
-		if _, ok := held[owner]; !ok {
-			order = append(order, owner)
+	for j, ref := range owners {
+		if _, ok := held[ref.Addr]; !ok {
+			order = append(order, ref.Addr)
 		}
-		held[owner] = append(held[owner], idx[j])
+		held[ref.Addr] = append(held[ref.Addr], idx[j])
 	}
 	//adhoclint:faultpath(abort-all, an owner's keys without their rows leave patterns without target sets; the first failed read fails the whole lookup)
 	results, readDone := simnet.Parallel(len(order), 0, func(o int) (struct{}, simnet.VTime, error) {
@@ -344,10 +341,7 @@ func (c *LookupClient) lookupBatch(from simnet.Addr, keys []chord.ID, idx []int,
 // to out and records the replica advertisements that come back.
 func (c *LookupClient) read(from, owner simnet.Addr, keys []chord.ID, epoch uint64, tc trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
 	req := LookupReq{Keys: keys, Epoch: epoch, TC: tc}
-	call := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return c.sys.Net().Call(from, owner, MethodLookup, req, at)
-	}
-	resp, done, err := simnet.Retry(simnet.DefaultAttempts, at, call)
+	resp, done, err := c.sys.Net().CallRetry(from, owner, MethodLookup, req, at)
 	if err != nil {
 		return done, &LookupError{Method: MethodLookup, Owner: owner, Err: err}
 	}

@@ -78,15 +78,6 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		return n.Chord.HandleCall(at, method, req)
 	}
 	switch method {
-	case MethodPut:
-		r, ok := req.(PutReq)
-		if !ok {
-			return nil, at, fmt.Errorf("overlay: put payload %T", req)
-		}
-		n.Table.Add(r.Key, r.Node, r.Freq)
-		resp, now, err := n.replicate(at, map[chord.ID][]Posting{r.Key: n.Table.Get(r.Key)})
-		n.refreshHot([]chord.ID{r.Key}, trace.TraceContext{}, now)
-		return resp, now, err
 	case MethodReplica:
 		r, ok := req.(TableRows)
 		if !ok {
@@ -171,13 +162,6 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		now := at
 		if r.Propagate && n.replication > 1 {
 			sent := 0
-			// One forwarding closure reused across successors keeps the
-			// propagation loop allocation-free.
-			var fwdTo simnet.Addr
-			var fwdReq DropNodeReq
-			forward := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-				return n.net.Call(n.addr, fwdTo, MethodDropNode, fwdReq, at)
-			}
 			for _, succ := range n.Chord.SuccessorList() {
 				if sent >= n.replication-1 {
 					break
@@ -185,9 +169,8 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 				if succ.Addr == n.addr {
 					continue
 				}
-				fwdTo = succ.Addr
-				fwdReq = DropNodeReq{Node: r.Node, TC: r.TC.Child(uint64(sent + 1))}
-				_, done, err := simnet.Retry(simnet.DefaultAttempts, now, forward)
+				_, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodDropNode,
+					DropNodeReq{Node: r.Node, TC: r.TC.Child(uint64(sent + 1))}, now)
 				now = done
 				if err == nil {
 					sent++
@@ -232,12 +215,6 @@ func (n *IndexNode) replicate(at simnet.VTime, rows map[chord.ID][]Posting) (sim
 	now := at
 	if n.replication > 1 {
 		sent := 0
-		// One sync closure reused across successors keeps the replication
-		// loop allocation-free.
-		var syncTo simnet.Addr
-		sync := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return n.net.Call(n.addr, syncTo, MethodReplica, TableRows{Rows: rows}, at)
-		}
 		for _, succ := range n.Chord.SuccessorList() {
 			if sent >= n.replication-1 {
 				break
@@ -245,8 +222,7 @@ func (n *IndexNode) replicate(at simnet.VTime, rows map[chord.ID][]Posting) (sim
 			if succ.Addr == n.addr {
 				continue
 			}
-			syncTo = succ.Addr
-			_, done, err := simnet.Retry(simnet.DefaultAttempts, now, sync)
+			_, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodReplica, TableRows{Rows: rows}, now)
 			now = done
 			if err == nil {
 				sent++

@@ -17,7 +17,6 @@ import (
 // index.transfer is deliberately NOT retried: its handler extracts rows
 // destructively, so a reply-loss retry would observe an empty interval.
 const (
-	MethodPut = "index.put"
 	//adhoclint:faultpath(idempotent, re-deliveries are suppressed by the per-publisher shipment sequence number, so relative frequency deltas apply exactly once)
 	MethodPutBatch = "index.put_batch"
 	//adhoclint:faultpath(idempotent, the read is side-effect-free and the adaptive tail only bumps an advisory decayed counter and re-pushes absolute hot-replica rows, so re-execution converges to the same state)
@@ -35,8 +34,6 @@ const (
 
 	MethodMatch    = "store.match"
 	MethodChainHop = "store.chain"
-	MethodCount    = "store.count"
-	MethodDump     = "store.dump"
 )
 
 // intWidth is the wire width of an int field (frequency, count).
@@ -44,16 +41,6 @@ func intWidth(int) int { return 4 }
 
 // boolWidth is the wire width of a boolean flag.
 func boolWidth(bool) int { return 1 }
-
-// PutReq installs (or retracts, with negative Freq) one posting.
-type PutReq struct {
-	Key  chord.ID
-	Node simnet.Addr
-	Freq int
-}
-
-// SizeBytes implements simnet.Payload.
-func (r PutReq) SizeBytes() int { return r.Key.SizeBytes() + len(r.Node) + intWidth(r.Freq) }
 
 // PutBatchReq installs several postings for one storage node in a single
 // message — publication batches all keys routed to the same index node.
@@ -364,34 +351,3 @@ func (r SolutionsResp) SizeBytes() int { return r.Sols.SizeBytes() + r.TC.SizeBy
 
 // TraceCtx implements trace.Carrier.
 func (r SolutionsResp) TraceCtx() trace.TraceContext { return r.TC }
-
-// CountReq asks a storage node how many triples match a pattern.
-type CountReq struct {
-	Pattern rdf.Triple
-}
-
-// SizeBytes implements simnet.Payload.
-func (r CountReq) SizeBytes() int { return r.Pattern.SizeBytes() }
-
-// CountResp carries a match count.
-type CountResp struct {
-	N int
-}
-
-// SizeBytes implements simnet.Payload.
-func (r CountResp) SizeBytes() int { return intWidth(r.N) }
-
-// TriplesResp carries raw triples (used by DESCRIBE and by the RDFPeers
-// ingest comparison).
-type TriplesResp struct {
-	Triples []rdf.Triple
-}
-
-// SizeBytes implements simnet.Payload.
-func (r TriplesResp) SizeBytes() int {
-	n := 4
-	for _, t := range r.Triples {
-		n += t.SizeBytes()
-	}
-	return n
-}

@@ -10,6 +10,7 @@ import (
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql/eval"
+	"adhocshare/internal/trace"
 )
 
 const foaf = "http://xmlns.com/foaf/0.1/"
@@ -568,6 +569,54 @@ func TestConcurrentPublishAndLookup(t *testing.T) {
 	}
 }
 
+// TestConcurrentRehomeOnFailedAttachment: a storage node whose attachment
+// point died is re-homed by whichever of a publisher and a querier on it
+// resolves first. Run under -race: the attachment is read and re-homed only
+// under the storage node's lock, and both clients enter the ring at the one
+// live node it ends up attached to.
+func TestConcurrentRehomeOnFailedAttachment(t *testing.T) {
+	s, now := newTestSystem(t, 6)
+	st, now, err := s.AddStorageNode("D1", now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = s.Publish("D1", aliceTriples(), now); err != nil {
+		t.Fatal(err)
+	}
+	dead := st.AttachedTo()
+	s.FailNode(dead)
+	now = s.Converge(now)
+
+	key, _, _ := PatternKey(rdf.Triple{S: ex("alice"), P: fp("knows"), O: rdf.NewVar("o")}, s.Config().Bits)
+	client := NewLookupClient(s)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			ts := []rdf.Triple{{S: ex(fmt.Sprintf("p%d", i)), P: fp("knows"), O: ex("bob")}}
+			if _, err := s.Publish("D1", ts, now); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			row, _, err := client.Lookup("D1", key, trace.TraceContext{}, trace.TraceContext{}, now)
+			if err != nil {
+				t.Error(err)
+			} else if len(row.Postings) != 1 || row.Postings[0].Node != "D1" {
+				t.Errorf("lookup row = %v, want D1's posting", row.Postings)
+			}
+		}
+	}()
+	wg.Wait()
+	if a := st.AttachedTo(); a == dead || !s.Net().Alive(a) {
+		t.Errorf("D1 attached to %s after re-homing away from dead %s", a, dead)
+	}
+}
+
 func TestPostingDistributionAcrossIndexNodes(t *testing.T) {
 	// With hashed keys, no single index node should hold everything.
 	s, now := newTestSystem(t, 8)
@@ -633,46 +682,6 @@ func TestStorageNodeUnknownMethod(t *testing.T) {
 	}
 }
 
-func TestStorageCount(t *testing.T) {
-	s, now := newTestSystem(t, 3)
-	_, now, err := s.AddStorageNode("D1", now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err = s.Publish("D1", aliceTriples(), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := s.Net().Call("idx-00", "D1", MethodCount,
-		CountReq{Pattern: rdf.Triple{S: ex("alice"), P: rdf.NewVar("p"), O: rdf.NewVar("o")}}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.(CountResp).N != 3 {
-		t.Errorf("count = %d, want 3", resp.(CountResp).N)
-	}
-}
-
-func TestStorageDump(t *testing.T) {
-	s, now := newTestSystem(t, 3)
-	_, now, err := s.AddStorageNode("D1", now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	now, err = s.Publish("D1", aliceTriples(), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := s.Net().Call("idx-00", "D1", MethodDump,
-		CountReq{Pattern: rdf.Triple{S: ex("alice"), P: fp("knows"), O: rdf.NewVar("o")}}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(resp.(TriplesResp).Triples); got != 2 {
-		t.Errorf("dump = %d triples, want 2", got)
-	}
-}
-
 func TestAddStorageWithoutIndexFails(t *testing.T) {
 	s := NewSystem(Config{Bits: 16, Net: simnet.Config{BaseLatency: time.Millisecond}})
 	if _, _, err := s.AddStorageNode("D1", 0); err == nil {
@@ -683,7 +692,6 @@ func TestAddStorageWithoutIndexFails(t *testing.T) {
 func TestPayloadSizes(t *testing.T) {
 	// every message type reports a positive wire size
 	payloads := []simnet.Payload{
-		PutReq{Key: 1, Node: "D1", Freq: 2},
 		PutBatchReq{Node: "D1", Entries: []KeyFreq{{Key: 1, Freq: 1}}},
 		LookupReq{Keys: []chord.ID{9}},
 		PostingsResp{Postings: []Posting{{Node: "D1", Freq: 3}}},
@@ -694,9 +702,6 @@ func TestPayloadSizes(t *testing.T) {
 		MatchReq{Units: []MatchUnit{{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}}}},
 		MatchResp{Tables: []eval.Table{{}}},
 		SolutionsResp{},
-		CountReq{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}},
-		CountResp{N: 1},
-		TriplesResp{Triples: aliceTriples()},
 	}
 	for _, p := range payloads {
 		if p.SizeBytes() <= 0 {

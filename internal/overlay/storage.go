@@ -27,13 +27,13 @@ type StorageNode struct {
 	// Graph is the provider's default graph.
 	Graph *rdf.Graph
 
-	net      *simnet.Network
-	addr     simnet.Addr
-	attached simnet.Addr // the index node this storage node hangs off
+	net  *simnet.Network
+	addr simnet.Addr
 
-	mu    sync.Mutex
-	named map[string]*rdf.Graph // named graphs by IRI
-	views map[string]*rdf.Graph // memoized dataset merges, reset on writes
+	mu       sync.Mutex
+	attached simnet.Addr           // the index node this storage node hangs off
+	named    map[string]*rdf.Graph // named graphs by IRI
+	views    map[string]*rdf.Graph // memoized dataset merges, reset on writes
 	// ownerCache memoizes key → successor owner learned while publishing —
 	// the storage-side sibling of the dqp initiator cache (E14). Entries
 	// are valid only for ownerEpoch; see System.Epoch for the rule.
@@ -59,7 +59,32 @@ func NewStorageNode(net *simnet.Network, addr simnet.Addr, attached simnet.Addr)
 func (s *StorageNode) Addr() simnet.Addr { return s.addr }
 
 // AttachedTo returns the index node this storage node attaches to.
-func (s *StorageNode) AttachedTo() simnet.Addr { return s.attached }
+func (s *StorageNode) AttachedTo() simnet.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.attached
+}
+
+// rehome re-attaches the storage node to next once its attachment point is
+// no longer alive — in the ad-hoc setting a storage node simply attaches to
+// another ring member (Sect. III-A) — and drops the owner cache, which
+// reflects the dead node's view of the ring. It returns the node's entry
+// point: the attachment another client already re-homed it to, else next
+// ("" when there is no live ring member, the attachment left as it was).
+//
+//adhoclint:faultpath(benign, deterministic re-homing repair; re-running converges to the same attachment and a failed caller leaves the node validly re-homed)
+func (s *StorageNode) rehome(next simnet.Addr) simnet.Addr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.net.Alive(s.attached) {
+		return s.attached
+	}
+	if next != "" {
+		s.attached = next
+		s.ownerCache = nil
+	}
+	return next
+}
 
 // NamedGraph returns (creating on demand) the provider's named graph for
 // the given IRI and invalidates memoized dataset views.
@@ -117,7 +142,7 @@ func (s *StorageNode) RememberOwners(epoch uint64, owners map[chord.ID]simnet.Ad
 }
 
 // DropOwnerCache clears the successor-owner cache; the overlay calls it
-// when the node re-attaches to a different index node.
+// before re-resolving the keys of owners that died.
 //
 //adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves a cold cache the next lookup refills)
 func (s *StorageNode) DropOwnerCache() {
@@ -202,18 +227,6 @@ func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payl
 		// Pure data arrival in a forwarding chain; the local evaluation is
 		// performed via MatchKeys by the chain driver. Acknowledge only.
 		return simnet.Bytes(1), at, nil
-	case MethodCount:
-		r, ok := req.(CountReq)
-		if !ok {
-			return nil, at, fmt.Errorf("overlay: count payload %T", req)
-		}
-		return CountResp{N: s.datasetGraph(nil).CountMatch(r.Pattern)}, at, nil
-	case MethodDump:
-		r, ok := req.(CountReq) // reuse: dump triples matching a pattern
-		if !ok {
-			return nil, at, fmt.Errorf("overlay: dump payload %T", req)
-		}
-		return TriplesResp{Triples: s.datasetGraph(nil).Match(r.Pattern)}, at, nil
 	default:
 		return nil, at, fmt.Errorf("overlay: storage node %s: unknown method %s", s.addr, method)
 	}

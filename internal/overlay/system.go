@@ -205,23 +205,10 @@ func (s *System) evictIndexNode(addr simnet.Addr) {
 // rule works; this one is deterministic). The node starts empty — call
 // Publish to share triples.
 func (s *System) AddStorageNode(addr simnet.Addr, at simnet.VTime) (*StorageNode, simnet.VTime, error) {
-	s.mu.RLock()
-	nIndex := len(s.index)
-	s.mu.RUnlock()
-	if nIndex == 0 {
-		return nil, at, fmt.Errorf("overlay: no index nodes to attach to")
-	}
-	entry := s.anyIndexAddr()
-	resp, done, err := simnet.Retry(simnet.DefaultAttempts, at,
-		func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return s.net.Call(addr, entry, chord.MethodFindSuccessor,
-				chord.FindReq{Target: chord.HashID(string(addr), s.cfg.Bits)}, at)
-		})
-	now := done
+	attach, _, now, err := s.ResolveKey(addr, chord.HashID(string(addr), s.cfg.Bits), at)
 	if err != nil {
 		return nil, now, fmt.Errorf("overlay: attach lookup: %w", err)
 	}
-	attach := resp.(chord.FindResp).Node.Addr
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -365,30 +352,7 @@ func (s *System) installPostings(node *StorageNode, freq map[chord.ID]int, tc tr
 	return s.installPostingsMode(node, freq, false, tc, at)
 }
 
-// reattachIfNeeded re-homes a storage node whose attachment index node is
-// no longer alive: in the ad-hoc setting, a storage node simply attaches
-// to another ring member (Sect. III-A).
-//
-//adhoclint:faultpath(benign, deterministic re-homing repair; re-running converges to the same attachment and a failed caller leaves the node validly re-homed)
-func (s *System) reattachIfNeeded(node *StorageNode) error {
-	if s.net.Alive(node.attached) {
-		return nil
-	}
-	next := s.anyIndexAddr()
-	if next == "" {
-		return fmt.Errorf("overlay: no live index node to re-attach %s", node.addr)
-	}
-	node.attached = next
-	// A new attachment point means routing starts from a different ring
-	// position; cached owners may reflect the dead node's view.
-	node.DropOwnerCache()
-	return nil
-}
-
 func (s *System) installPostingsMode(node *StorageNode, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
-	if err := s.reattachIfNeeded(node); err != nil {
-		return at, err
-	}
 	if len(freq) == 0 {
 		return at, nil
 	}
@@ -411,36 +375,20 @@ func (s *System) installPostingsMode(node *StorageNode, freq map[chord.ID]int, a
 func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
 	batches := map[simnet.Addr][]KeyFreq{}
 	now := at
-	// One closure per fabric method, reused across iterations (and retry
-	// attempts), keeps the serial pipeline allocation-free; the captured
-	// request state is re-pointed per iteration.
-	var findReq chord.FindReq
-	resolve := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return s.net.Call(node.addr, node.attached, chord.MethodFindSuccessor, findReq, at)
-	}
 	for ki, key := range keys {
-		findReq = chord.FindReq{Target: key, TC: tc.Child(uint64(ki))}
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, resolve)
+		owner, _, done, err := s.ResolveKeyTraced(node.addr, key, tc.Child(uint64(ki)), now)
 		now = done
 		if err != nil {
 			return now, fmt.Errorf("overlay: resolve key %v: %w", key, err)
 		}
-		owner := resp.(chord.FindResp).Node.Addr
 		batches[owner] = append(batches[owner], KeyFreq{Key: key, Freq: freq[key]})
 	}
-	owners := sortedOwners(batches)
-	var shipTo simnet.Addr
-	var shipReq PutBatchReq
-	ship := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return s.net.Call(node.addr, shipTo, MethodPutBatch, shipReq, at)
-	}
-	for oi, owner := range owners {
+	for oi, owner := range sortedOwners(batches) {
 		// Trace children for shipments start past the key indexes so resolve
 		// and ship spans never collide.
-		shipTo = owner
-		shipReq = PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
-			Seq: s.nextPubSeq(), TC: tc.Child(uint64(len(keys) + oi))}
-		_, done, err := simnet.Retry(simnet.DefaultAttempts, now, ship)
+		_, done, err := s.net.CallRetry(node.addr, owner, MethodPutBatch,
+			PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
+				Seq: s.nextPubSeq(), TC: tc.Child(uint64(len(keys) + oi))}, now)
 		now = done
 		if err != nil {
 			return now, fmt.Errorf("overlay: install postings at %s: %w", owner, err)
@@ -470,17 +418,13 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 	}
 	resolveDone := at
 	if len(unresolved) > 0 {
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, at,
-			func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-				return s.net.Call(node.addr, node.attached, chord.MethodFindSuccessorBatch,
-					chord.BatchFindReq{Targets: unresolved, TC: tc.Child(0)}, at)
-			})
+		found, done, err := s.ResolveKeys(node.addr, unresolved, tc.Child(0), at)
 		if err != nil {
 			return done, fmt.Errorf("overlay: resolve %d keys: %w", len(unresolved), err)
 		}
 		learned := make(map[chord.ID]simnet.Addr, len(unresolved))
 		for i, key := range unresolved {
-			owner := resp.(chord.BatchFindResp).Nodes[i].Addr
+			owner := found[i].Addr
 			owners[key] = owner
 			viaRing[key] = true
 			learned[key] = owner
@@ -507,12 +451,9 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 		// it; the trace child is the branch index (seq 0 is the batch
 		// resolve above).
 		owner := ownerList[i]
-		req := PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
-			Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}
-		return simnet.Retry(simnet.DefaultAttempts, starts[owner],
-			func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-				return s.net.Call(node.addr, owner, MethodPutBatch, req, at)
-			})
+		return s.net.CallRetry(node.addr, owner, MethodPutBatch,
+			PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
+				Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}, starts[owner])
 	})
 	done = simnet.MaxTime(at, resolveDone, done)
 	// Owners that died between resolution and shipment get one fallback
@@ -552,34 +493,19 @@ func (s *System) reshipPostings(node *StorageNode, batches map[simnet.Addr][]Key
 	for i, e := range entries {
 		targets[i] = e.Key
 	}
-	if err := s.reattachIfNeeded(node); err != nil {
-		return at, err
-	}
-	resp, now, err := simnet.Retry(simnet.DefaultAttempts, at,
-		func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return s.net.Call(node.addr, node.attached, chord.MethodFindSuccessorBatch,
-				chord.BatchFindReq{Targets: targets, TC: tc.Child(tcBase)}, at)
-		})
+	owners, now, err := s.ResolveKeys(node.addr, targets, tc.Child(tcBase), at)
 	if err != nil {
 		return now, fmt.Errorf("overlay: re-resolve %d keys: %w", len(targets), err)
 	}
 	regrouped := map[simnet.Addr][]KeyFreq{}
 	for i, e := range entries {
-		owner := resp.(chord.BatchFindResp).Nodes[i].Addr
+		owner := owners[i].Addr
 		regrouped[owner] = append(regrouped[owner], e)
 	}
-	// One ship closure reused across owners keeps the fallback loop
-	// allocation-free.
-	var shipTo simnet.Addr
-	var shipReq PutBatchReq
-	ship := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return s.net.Call(node.addr, shipTo, MethodPutBatch, shipReq, at)
-	}
 	for oi, owner := range sortedOwners(regrouped) {
-		shipTo = owner
-		shipReq = PutBatchReq{Node: node.addr, Entries: regrouped[owner], Absolute: absolute,
-			Seq: s.nextPubSeq(), TC: tc.Child(tcBase + 1 + uint64(oi))}
-		_, done, err := simnet.Retry(simnet.DefaultAttempts, now, ship)
+		_, done, err := s.net.CallRetry(node.addr, owner, MethodPutBatch,
+			PutBatchReq{Node: node.addr, Entries: regrouped[owner], Absolute: absolute,
+				Seq: s.nextPubSeq(), TC: tc.Child(tcBase + 1 + uint64(oi))}, now)
 		now = done
 		if err != nil {
 			return now, fmt.Errorf("overlay: install postings at %s: %w", owner, err)
@@ -612,11 +538,7 @@ func (s *System) ResolveKeyTraced(from simnet.Addr, key chord.ID, tc trace.Trace
 	if entry == "" {
 		return "", 0, at, fmt.Errorf("overlay: node %s has no ring entry point", from)
 	}
-	resp, done, err := simnet.Retry(simnet.DefaultAttempts, at,
-		func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return s.net.Call(from, entry, chord.MethodFindSuccessor,
-				chord.FindReq{Target: key, TC: tc}, at)
-		})
+	resp, done, err := s.net.CallRetry(from, entry, chord.MethodFindSuccessor, chord.FindReq{Target: key, TC: tc}, at)
 	if err != nil {
 		return "", 0, done, err
 	}
@@ -629,53 +551,41 @@ func (s *System) ResolveKeyTraced(from simnet.Addr, key chord.ID, tc trace.Trace
 // the batch request's context; owners[i] owns keys[i]. The ring forwards
 // one sub-batch per next hop, so a route prefix the keys share is walked
 // once, and a next hop that is down falls back to routing its keys one by
-// one.
-func (s *System) ResolveKeys(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) ([]simnet.Addr, simnet.VTime, error) {
+// one. keys goes on the wire as it is: the caller must not write it
+// afterwards.
+func (s *System) ResolveKeys(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) (owners []chord.Ref, done simnet.VTime, err error) {
 	entry := s.entryFor(from)
 	if entry == "" {
 		return nil, at, fmt.Errorf("overlay: node %s has no ring entry point", from)
 	}
-	req := chord.BatchFindReq{Targets: slices.Clone(keys), TC: tc}
-	resp, done, err := simnet.Retry(simnet.DefaultAttempts, at,
-		func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return s.net.Call(from, entry, chord.MethodFindSuccessorBatch, req, at)
-		})
+	resp, done, err := s.net.CallRetry(from, entry, chord.MethodFindSuccessorBatch,
+		chord.BatchFindReq{Targets: keys, TC: tc}, at)
 	if err != nil {
 		return nil, done, err
 	}
-	nodes := resp.(chord.BatchFindResp).Nodes
-	owners := make([]simnet.Addr, len(nodes))
-	for i, ref := range nodes {
-		owners[i] = ref.Addr
-	}
-	return owners, done, nil
+	return resp.(chord.BatchFindResp).Nodes, done, nil
 }
 
 // entryFor returns the ring entry point for a node address: itself for an
-// index node, the attachment point for a storage node, or any live index
-// node otherwise (external query initiators).
-//
-//adhoclint:faultpath(benign, deterministic re-homing repair; re-running converges to the same attachment and a failed caller leaves the node validly re-homed)
+// index node, the attachment point for a storage node — re-homed to a live
+// ring member once it died — or any live index node otherwise (external
+// query initiators, a storage node's attach lookup). Every resolution,
+// publication's included, enters the ring here.
 func (s *System) entryFor(from simnet.Addr) simnet.Addr {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if _, ok := s.index[from]; ok {
+	_, isIndex := s.index[from]
+	st := s.storage[from]
+	s.mu.RUnlock()
+	switch {
+	case isIndex:
 		return from
+	case st == nil:
+		return s.anyIndexAddr()
 	}
-	if st, ok := s.storage[from]; ok {
-		if s.net.Alive(st.attached) {
-			return st.attached
-		}
-		// the attachment point died: re-home to a live ring member
-		entry := s.liveIndexLocked()
-		if entry != "" {
-			st.attached = entry
-			st.DropOwnerCache()
-		}
-		return entry
+	if a := st.AttachedTo(); s.net.Alive(a) {
+		return a
 	}
-	// External initiators enter at a live ring member too.
-	return s.liveIndexLocked()
+	return st.rehome(s.anyIndexAddr())
 }
 
 func (s *System) anyIndexAddr() simnet.Addr {
@@ -862,11 +772,7 @@ func (s *System) DropStorageEverywhere(addr simnet.Addr, at simnet.VTime) simnet
 	// Best-effort: an index node that became unreachable cleans up lazily.
 	//adhoclint:faultpath(collect-partial, drop notifications are cleanup hints; an index node the broadcast misses drops the postings lazily on its own query timeout or on republish)
 	_, done := simnet.Parallel(len(targets), 0, func(i int) (simnet.Payload, simnet.VTime, error) {
-		return simnet.Retry(simnet.DefaultAttempts, at,
-			func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-				return s.net.Call(origin, targets[i], MethodDropNode,
-					DropNodeReq{Node: addr}, at)
-			})
+		return s.net.CallRetry(origin, targets[i], MethodDropNode, DropNodeReq{Node: addr}, at)
 	})
 	s.mu.Lock()
 	delete(s.storage, addr)

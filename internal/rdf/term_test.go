@@ -200,11 +200,11 @@ func TestTripleVars(t *testing.T) {
 
 func TestTriplePredicates(t *testing.T) {
 	conc := Triple{NewIRI("s"), NewIRI("p"), NewLiteral("o")}
-	if !conc.IsConcrete() || conc.IsPattern() {
+	if !conc.IsConcrete() {
 		t.Error("concrete triple misclassified")
 	}
 	pat := Triple{NewVar("s"), NewIRI("p"), NewLiteral("o")}
-	if pat.IsConcrete() || !pat.IsPattern() {
+	if pat.IsConcrete() {
 		t.Error("pattern misclassified")
 	}
 }

@@ -27,11 +27,6 @@ func (t Triple) IsConcrete() bool {
 	return t.S.IsConcrete() && t.P.IsConcrete() && t.O.IsConcrete()
 }
 
-// IsPattern reports whether at least one position is a variable.
-func (t Triple) IsPattern() bool {
-	return t.S.IsVar() || t.P.IsVar() || t.O.IsVar()
-}
-
 // Vars returns the distinct variable names occurring in the pattern, in
 // subject, predicate, object order.
 func (t Triple) Vars() []string {

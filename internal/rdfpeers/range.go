@@ -83,16 +83,9 @@ func (s *System) QueryRange(from simnet.Addr, p rdf.Term, lo, hi float64, at sim
 	var out []rdf.Triple
 	visited := 0
 	prev := from
-	// One hop closure reused across arc nodes keeps the chain loop
-	// allocation-free.
 	req := RangeReq{Predicate: p, Lo: lo, Hi: hi}
-	var hopTo simnet.Addr
-	hop := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return s.net.Call(prev, hopTo, MethodRange, req, at)
-	}
 	for _, cur := range arc {
-		hopTo = cur
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, hop)
+		resp, done, err := s.net.CallRetry(prev, cur, MethodRange, req, now)
 		now = done
 		if err != nil {
 			continue // skip unreachable arc nodes
@@ -112,11 +105,7 @@ func (s *System) QueryRange(from simnet.Addr, p rdf.Term, lo, hi float64, at sim
 	// on the wire (the transfer cost itself is order-independent).
 	rdf.SortTriples(out)
 	// results travel back to the initiator
-	_, done, err := simnet.Retry(simnet.DefaultAttempts, now,
-		func(at simnet.VTime) (struct{}, simnet.VTime, error) {
-			done, err := s.net.Transfer(prev, from, MethodResult, TriplesPayload{Triples: out}, at)
-			return struct{}{}, done, err
-		})
+	done, err := s.net.TransferRetry(prev, from, MethodResult, TriplesPayload{Triples: out}, now)
 	if err != nil {
 		return nil, visited, done, err
 	}

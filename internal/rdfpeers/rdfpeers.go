@@ -300,22 +300,13 @@ func (s *System) Store(from simnet.Addr, t rdf.Triple, at simnet.VTime) (simnet.
 		keys = append(keys, k)
 	}
 	tc, finish := s.traceOp("rdfpeers.store_op", from)
-	// One store closure reused across keys keeps the ingest loop
-	// allocation-free.
-	var storeTo simnet.Addr
-	var storeReq StoreReq
-	store := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return s.net.Call(from, storeTo, MethodStore, storeReq, at)
-	}
 	for ki, key := range keys {
 		owner, _, done, err := s.resolveTraced(from, key, tc.Child(uint64(2*ki)), now)
 		now = done
 		if err != nil {
 			return now, err
 		}
-		storeTo = owner
-		storeReq = StoreReq{Triple: t, TC: tc.Child(uint64(2*ki + 1))}
-		_, done, err = simnet.Retry(simnet.DefaultAttempts, now, store)
+		_, done, err = s.net.CallRetry(from, owner, MethodStore, StoreReq{Triple: t, TC: tc.Child(uint64(2*ki + 1))}, now)
 		now = done
 		if err != nil {
 			return now, err
@@ -352,11 +343,7 @@ func (s *System) resolveTraced(from simnet.Addr, key chord.ID, tc trace.TraceCon
 			break
 		}
 	}
-	resp, done, err := simnet.Retry(simnet.DefaultAttempts, at,
-		func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return s.net.Call(from, entry, chord.MethodFindSuccessor,
-				chord.FindReq{Target: key, TC: tc}, at)
-		})
+	resp, done, err := s.net.CallRetry(from, entry, chord.MethodFindSuccessor, chord.FindReq{Target: key, TC: tc}, at)
 	if err != nil {
 		return "", 0, done, err
 	}
@@ -398,17 +385,8 @@ func (s *System) QueryPattern(from simnet.Addr, pat rdf.Triple, at simnet.VTime)
 		var acc eval.Dedup
 		now := at
 		finish := at
-		// One match closure reused across targets keeps the flood loop
-		// allocation-free.
-		var floodTo simnet.Addr
-		var floodReq MatchReq
-		match := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return s.net.Call(from, floodTo, MethodMatch, floodReq, at)
-		}
 		for fi, a := range addrs {
-			floodTo = a
-			floodReq = MatchReq{Pattern: pat, TC: tc.Child(uint64(fi))}
-			resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, match)
+			resp, done, err := s.net.CallRetry(from, a, MethodMatch, MatchReq{Pattern: pat, TC: tc.Child(uint64(fi))}, now)
 			if err != nil {
 				continue
 			}
@@ -424,11 +402,7 @@ func (s *System) QueryPattern(from simnet.Addr, pat rdf.Triple, at simnet.VTime)
 	if err != nil {
 		return nil, now, err
 	}
-	resp, now, err := simnet.Retry(simnet.DefaultAttempts, now,
-		func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-			return s.net.Call(from, owner, MethodMatch,
-				MatchReq{Pattern: pat, TC: tc.Child(0)}, at)
-		})
+	resp, now, err := s.net.CallRetry(from, owner, MethodMatch, MatchReq{Pattern: pat, TC: tc.Child(0)}, now)
 	if err != nil {
 		return nil, now, err
 	}
@@ -457,14 +431,8 @@ func (s *System) QueryConjunctive(from simnet.Addr, subjectVar string, patterns 
 	now := at
 	prev := from
 	// Hop contexts chain: each intersection hop derives from the previous
-	// one, mirroring the recursive MAQ forwarding. One hop closure reused
-	// across patterns keeps the loop allocation-free.
+	// one, mirroring the recursive MAQ forwarding.
 	linkTC := tc
-	var hopTo simnet.Addr
-	var hopReq IntersectReq
-	hop := func(at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
-		return s.net.Call(prev, hopTo, MethodIntersect, hopReq, at)
-	}
 	for i, pat := range patterns {
 		key, _ := s.patternKey(pat) // object is bound → object key
 		owner, _, done, err := s.resolveTraced(prev, key, linkTC.Child(0), now)
@@ -473,13 +441,12 @@ func (s *System) QueryConjunctive(from simnet.Addr, subjectVar string, patterns 
 			return nil, now, err
 		}
 		hopTC := linkTC.Child(1)
-		hopTo = owner
 		cands := candidates
 		if i == 0 {
 			cands = nil
 		}
-		hopReq = IntersectReq{Pattern: pat, Candidates: cands, TC: hopTC}
-		resp, done, err := simnet.Retry(simnet.DefaultAttempts, now, hop)
+		resp, done, err := s.net.CallRetry(prev, owner, MethodIntersect,
+			IntersectReq{Pattern: pat, Candidates: cands, TC: hopTC}, now)
 		now = done
 		if err != nil {
 			return nil, now, err
@@ -492,11 +459,7 @@ func (s *System) QueryConjunctive(from simnet.Addr, subjectVar string, patterns 
 		linkTC = hopTC
 	}
 	// ship the final candidates back to the initiator
-	_, done, err := simnet.Retry(simnet.DefaultAttempts, now,
-		func(at simnet.VTime) (struct{}, simnet.VTime, error) {
-			done, err := s.net.Transfer(prev, from, MethodResult, TermsResp{Terms: candidates}, at)
-			return struct{}{}, done, err
-		})
+	done, err := s.net.TransferRetry(prev, from, MethodResult, TermsResp{Terms: candidates}, now)
 	if err != nil {
 		return nil, done, err
 	}

@@ -29,12 +29,6 @@ func IsLost(err error) bool {
 	return errors.Is(err, ErrMessageLost) || errors.Is(err, ErrReplyLost)
 }
 
-// HandlerRan reports whether the failed operation's destination handler
-// executed despite the error — true exactly for reply-leg loss. Callers
-// retrying a mutating method on such an error rely on the handler being
-// idempotent.
-func HandlerRan(err error) bool { return errors.Is(err, ErrReplyLost) }
-
 // CrashWindow schedules a crash in virtual time: the node is unreachable
 // for any message whose delivery falls inside [From, Until). Until = 0
 // means the node never recovers. Because the window is keyed to VTime,
@@ -135,36 +129,46 @@ func hashString(s string) uint64 {
 // not disturb metrics or membership.
 func (n *Network) SetFaults(plan *FaultPlan) { n.setHooks(func(h *hooks) { h.faults = plan }) }
 
-// DefaultAttempts is the standard retry budget for lost messages: the
-// first try plus two re-sends. At the 1–5% loss rates the experiments
-// inject, three independent draws make an unrecovered loss vanishingly
-// rare while bounding the FailTimeout a pathological link can accumulate.
-const DefaultAttempts = 3
+// retryAttempts is the retry budget for lost messages: the first try plus
+// two re-sends. At the 1–5% loss rates the experiments inject, three
+// independent draws make an unrecovered loss vanishingly rare while
+// bounding the FailTimeout a pathological link can accumulate.
+const retryAttempts = 3
 
-// Retry runs op up to attempts times, re-trying while it fails with a
-// fault-injected loss (IsLost). Each attempt starts at the previous
-// attempt's completion time, so the FailTimeout charged for discovering a
-// loss accumulates on the caller's critical path — the property the
-// adhoclint faultpath rule verifies at every retry site. Non-loss errors
-// (ErrUnreachable, ErrUnknownNode, application errors) return immediately:
+// CallRetry is Call re-sent while it fails with a fault-injected loss
+// (IsLost), up to retryAttempts times. Each attempt departs at the previous
+// attempt's end, so the FailTimeout charged for discovering a loss
+// accumulates on the caller's critical path. Non-loss errors
+// (ErrUnreachable, ErrUnknownNode, application errors) return at once:
 // they need a fallback target or a caller decision, not a re-send.
 //
-// Callers retrying a mutating method must ensure the handler is idempotent
-// (reply-leg loss means it already ran once).
-func Retry[T any](attempts int, at VTime, op func(at VTime) (T, VTime, error)) (T, VTime, error) {
-	if attempts < 1 {
-		attempts = 1
-	}
+// A lost reply means the handler already ran, so a method retried here must
+// be idempotent — the adhoclint faultpath rule cross-checks every site.
+func (n *Network) CallRetry(from, to Addr, method string, req Payload, at VTime) (Payload, VTime, error) {
 	var (
-		v   T
-		err error
+		resp Payload
+		err  error
 	)
-	now := at
-	for i := 0; i < attempts; i++ {
-		v, now, err = op(now)
-		if err == nil || !IsLost(err) {
-			return v, now, err
+	for i := 0; i < retryAttempts; i++ {
+		if resp, at, err = n.Call(from, to, method, req, at); err == nil || !IsLost(err) {
+			return resp, at, err
 		}
 	}
-	return v, now, fmt.Errorf("%w (after %d attempts)", err, attempts)
+	return resp, at, retryExhausted(err)
+}
+
+// TransferRetry is Transfer re-sent on loss under CallRetry's policy.
+func (n *Network) TransferRetry(from, to Addr, method string, payload Payload, at VTime) (VTime, error) {
+	var err error
+	for i := 0; i < retryAttempts; i++ {
+		if at, err = n.Transfer(from, to, method, payload, at); err == nil || !IsLost(err) {
+			return at, err
+		}
+	}
+	return at, retryExhausted(err)
+}
+
+// retryExhausted wraps the last loss of a spent retry budget.
+func retryExhausted(err error) error {
+	return fmt.Errorf("%w (after %d attempts)", err, retryAttempts)
 }

@@ -133,9 +133,7 @@ func TestRetryAccumulatesTimeoutAndSucceeds(t *testing.T) {
 		t.Fatal("no lose-then-deliver departure time found")
 	}
 
-	resp, done, err := Retry(DefaultAttempts, start, func(at VTime) (Payload, VTime, error) {
-		return n.Call("a", "b", "ping", Bytes(1000), at)
-	})
+	resp, done, err := n.CallRetry("a", "b", "ping", Bytes(1000), start)
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
@@ -158,34 +156,116 @@ func TestRetryExhaustionAndNonLossErrors(t *testing.T) {
 	n.Register("b", &echoNode{})
 	n.SetFaults(&FaultPlan{Seed: 5, LossRate: 1})
 
-	_, done, err := Retry(3, 0, func(at VTime) (Payload, VTime, error) {
-		return n.Call("a", "b", "m", Bytes(10), at)
-	})
+	_, done, err := n.CallRetry("a", "b", "m", Bytes(10), 0)
 	if !errors.Is(err, ErrMessageLost) {
 		t.Fatalf("err = %v, want wrapped ErrMessageLost", err)
 	}
 	if want := VTime(30 * time.Millisecond); done != want {
 		t.Errorf("done = %v, want 3 accumulated timeouts = %v", done, want)
 	}
+	// The spent budget wraps the last attempt's loss, text unchanged.
+	_, _, last := n.Call("a", "b", "m", Bytes(10), VTime(20*time.Millisecond))
+	if want := last.Error() + " (after 3 attempts)"; err.Error() != want {
+		t.Errorf("exhausted err = %q, want %q", err, want)
+	}
 
-	// Non-loss errors return immediately, with no retry burned.
-	attempts := 0
+	// Non-loss errors return after one attempt, with no retry burned.
+	n.SetFaults(nil)
 	sentinel := fmt.Errorf("application rejected")
-	_, _, err = Retry(3, 0, func(at VTime) (Payload, VTime, error) {
+	attempts := 0
+	n.Register("c", HandlerFunc(func(at VTime, _ string, _ Payload) (Payload, VTime, error) {
 		attempts++
 		return nil, at, sentinel
-	})
-	if !errors.Is(err, sentinel) || attempts != 1 {
-		t.Errorf("non-loss error retried: attempts=%d err=%v", attempts, err)
+	}))
+	if _, _, err := n.CallRetry("a", "c", "m", Bytes(10), 0); !errors.Is(err, sentinel) || attempts != 1 {
+		t.Errorf("application error retried: attempts=%d err=%v", attempts, err)
 	}
-	n.SetFaults(nil)
-	n.Fail("b")
-	attempts = 0
-	_, _, err = Retry(3, 0, func(at VTime) (Payload, VTime, error) {
-		attempts++
-		return n.Call("a", "b", "m", Bytes(10), at)
-	})
-	if !errors.Is(err, ErrUnreachable) || attempts != 1 {
-		t.Errorf("unreachable retried in place: attempts=%d err=%v", attempts, err)
+	e := &echoNode{}
+	n.Register("d", e)
+	n.Fail("d")
+	if _, done, err := n.CallRetry("a", "d", "m", Bytes(10), 0); !errors.Is(err, ErrUnreachable) || done != VTime(10*time.Millisecond) {
+		t.Errorf("unreachable retried in place: done=%v err=%v", done, err)
+	}
+	if done, err := n.TransferRetry("a", "d", "m", Bytes(10), 0); !errors.Is(err, ErrUnreachable) || done != VTime(10*time.Millisecond) {
+		t.Errorf("unreachable transfer retried in place: done=%v err=%v", done, err)
+	}
+	if e.calls != 0 {
+		t.Errorf("failed node's handler ran %d times", e.calls)
+	}
+}
+
+// TestRetryAttemptsChain: under total loss every attempt departs at the end
+// of the one before, so a retried call or transfer ends where three plain
+// ones chained by hand end, with the third one's error wrapped.
+func TestRetryAttemptsChain(t *testing.T) {
+	n := newTestNet()
+	n.Register("a", &echoNode{})
+	n.Register("b", &echoNode{})
+	n.SetFaults(&FaultPlan{Seed: 3, LossRate: 1})
+	start := VTime(time.Second)
+
+	var (
+		at  = start
+		err error
+	)
+	for i := 0; i < 3; i++ {
+		_, at, err = n.Call("a", "b", "m", Bytes(10), at)
+	}
+	_, done, rerr := n.CallRetry("a", "b", "m", Bytes(10), start)
+	if done != at || rerr == nil || rerr.Error() != err.Error()+" (after 3 attempts)" {
+		t.Errorf("CallRetry = (%v, %v), want (%v, %v (after 3 attempts))", done, rerr, at, err)
+	}
+
+	at = start
+	for i := 0; i < 3; i++ {
+		at, err = n.Transfer("a", "b", "m", Bytes(10), at)
+	}
+	done, rerr = n.TransferRetry("a", "b", "m", Bytes(10), start)
+	if done != at || rerr == nil || rerr.Error() != err.Error()+" (after 3 attempts)" {
+		t.Errorf("TransferRetry = (%v, %v), want (%v, %v (after 3 attempts))", done, rerr, at, err)
+	}
+	if !errors.Is(rerr, ErrMessageLost) {
+		t.Errorf("TransferRetry err = %v, want wrapped ErrMessageLost", rerr)
+	}
+}
+
+// TestRetryRerunsHandlerAfterLostReply: a lost reply means the handler
+// already ran; the re-send runs it again — why every retried method must
+// be idempotent.
+func TestRetryRerunsHandlerAfterLostReply(t *testing.T) {
+	plan := &FaultPlan{Seed: 9, LossRate: 0.3}
+	deploy := func() (*Network, *echoNode) {
+		n := newTestNet()
+		e := &echoNode{respSize: 50}
+		n.Register("a", &echoNode{})
+		n.Register("b", e)
+		n.SetFaults(plan)
+		return n, e
+	}
+	// Find a departure whose first attempt loses only the reply and whose
+	// second attempt, departing at the first's end, is delivered.
+	probe, _ := deploy()
+	var start, want VTime
+	for ms := 0; ms < 100000 && want == 0; ms++ {
+		at := VTime(time.Duration(ms) * time.Millisecond)
+		_, end, err := probe.Call("a", "b", "m", Bytes(100), at)
+		if !errors.Is(err, ErrReplyLost) {
+			continue
+		}
+		if _, done, err := probe.Call("a", "b", "m", Bytes(100), end); err == nil {
+			start, want = at, done
+		}
+	}
+	if want == 0 {
+		t.Fatal("no reply-lost-then-delivered departure found")
+	}
+
+	n, e := deploy()
+	resp, done, err := n.CallRetry("a", "b", "m", Bytes(100), start)
+	if err != nil || resp.(Bytes) != 50 || done != want {
+		t.Fatalf("CallRetry = (%v, %v, %v), want (50, %v, nil)", resp, done, err, want)
+	}
+	if e.calls != 2 {
+		t.Errorf("handler ran %d times, want 2 (the lost reply's run and the re-send's)", e.calls)
 	}
 }

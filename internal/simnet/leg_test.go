@@ -257,8 +257,8 @@ func TestLegTable(t *testing.T) {
 				if got.handlerN != c.handlerN {
 					t.Errorf("handler ran %d times, want %d", got.handlerN, c.handlerN)
 				}
-				if HandlerRan(got.err) != (sc == legReplyLost) || IsLost(got.err) != (sc == legReplyLost || sc == legRequestLost) {
-					t.Errorf("HandlerRan/IsLost misclassify %v", got.err)
+				if errors.Is(got.err, ErrReplyLost) != (sc == legReplyLost) || IsLost(got.err) != (sc == legReplyLost || sc == legRequestLost) {
+					t.Errorf("ErrReplyLost/IsLost misclassify %v", got.err)
 				}
 
 				// Sink 1 and 2: the counters and the per-query accumulator.

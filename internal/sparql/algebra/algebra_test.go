@@ -150,7 +150,7 @@ func TestTranslateErrors(t *testing.T) {
 func TestTranslateBareOptionalAndFilter(t *testing.T) {
 	// translatePattern handles degenerate standalone nodes
 	opt := &sparql.Optional{Pattern: &sparql.BGP{Patterns: []rdf.Triple{pat(v("x"), iri("p"), v("y"))}}}
-	op, err := TranslatePattern(opt)
+	op, err := translatePattern(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTranslateBareOptionalAndFilter(t *testing.T) {
 		t.Errorf("bare optional = %T", op)
 	}
 	fl := &sparql.Filter{Expr: &sparql.ExprVar{Name: "x"}}
-	op, err = TranslatePattern(fl)
+	op, err = translatePattern(fl)
 	if err != nil {
 		t.Fatal(err)
 	}

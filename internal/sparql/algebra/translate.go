@@ -72,13 +72,7 @@ func templateVars(q *sparql.Query) []string {
 	return out
 }
 
-// TranslatePattern converts a single graph-pattern AST node to algebra.
-// It is exported for tests and for the distributed planner, which works on
-// pattern fragments.
-func TranslatePattern(gp sparql.GraphPattern) (Op, error) {
-	return translatePattern(gp)
-}
-
+// translatePattern converts a single graph-pattern AST node to algebra.
 func translatePattern(gp sparql.GraphPattern) (Op, error) {
 	switch p := gp.(type) {
 	case *sparql.BGP:

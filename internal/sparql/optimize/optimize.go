@@ -369,21 +369,3 @@ func sharesVar(p rdf.Triple, bound map[string]bool) bool {
 	}
 	return false
 }
-
-// EstimateCost returns a rough total-work estimate for an operator tree —
-// the sum of pattern estimates — used by tests and the explain tool to
-// compare plans.
-func EstimateCost(op algebra.Op, est CardinalityEstimator) int {
-	if est == nil {
-		est = HeuristicEstimator{}
-	}
-	total := 0
-	algebra.Walk(op, func(o algebra.Op) {
-		if b, ok := o.(*algebra.BGP); ok {
-			for _, p := range b.Patterns {
-				total += est.EstimatePattern(p)
-			}
-		}
-	})
-	return total
-}

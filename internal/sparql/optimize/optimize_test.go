@@ -277,18 +277,6 @@ SELECT ?x WHERE { ?x f:a ?y . ?y f:b f:c . FILTER(?y != f:c) }`)
 	}
 }
 
-func TestEstimateCost(t *testing.T) {
-	op := mustOp(t, `PREFIX f: <http://f/> SELECT ?x WHERE { ?x f:p ?y . ?y ?q ?z . }`)
-	c := EstimateCost(op, nil)
-	if c <= 0 {
-		t.Error("cost must be positive")
-	}
-	cheap := mustOp(t, `PREFIX f: <http://f/> SELECT ?x WHERE { ?x f:p f:o . }`)
-	if EstimateCost(cheap, nil) >= c {
-		t.Error("more selective plan should cost less")
-	}
-}
-
 func TestOptimizeExplainString(t *testing.T) {
 	op := mustOp(t, `PREFIX foaf: <http://xmlns.com/foaf/0.1/>
 PREFIX ns: <http://example.org/ns#>

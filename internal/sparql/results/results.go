@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"adhocshare/internal/rdf"
@@ -174,20 +173,4 @@ func WriteTSV(w io.Writer, vars []string, sols eval.Solutions) error {
 		}
 	}
 	return nil
-}
-
-// SortSolutions orders solutions deterministically by their canonical
-// keys — handy before serializing when no ORDER BY was given.
-func SortSolutions(sols eval.Solutions) eval.Solutions {
-	keys := make([]string, len(sols))
-	order := make([]int, len(sols))
-	for i, b := range sols {
-		keys[i], order[i] = b.Key(), i
-	}
-	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
-	out := make(eval.Solutions, len(sols))
-	for i, j := range order {
-		out[i] = sols[j].Clone()
-	}
-	return out
 }

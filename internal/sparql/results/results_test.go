@@ -135,14 +135,3 @@ func TestTSV(t *testing.T) {
 		t.Errorf("lang literal = %q", lines[2])
 	}
 }
-
-func TestSortSolutionsDeterministic(t *testing.T) {
-	_, sols := sampleSolutions()
-	a := SortSolutions(sols)
-	b := SortSolutions(eval.Solutions{sols[2], sols[0], sols[1]})
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Fatalf("sort not canonical at %d", i)
-		}
-	}
-}

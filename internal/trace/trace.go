@@ -41,9 +41,6 @@ type TraceContext struct {
 // never changes message bytes, VTimes or routing decisions.
 func (TraceContext) SizeBytes() int { return 0 }
 
-// Valid reports whether the context belongs to an active trace.
-func (tc TraceContext) Valid() bool { return tc.Query != 0 }
-
 // ResponseSeq is the child sequence number reserved for the response leg
 // of a call; callers deriving request children must use smaller values.
 const ResponseSeq = ^uint64(0)
@@ -194,15 +191,6 @@ func (b *Buffer) Spans() []Span {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.log.AppendSorted(nil)
-}
-
-// QuerySpans returns the canonical spans of one trace: the canonical
-// order sorts by Query first, so they are one contiguous range.
-func (b *Buffer) QuerySpans(query uint64) []Span {
-	spans := b.Spans()
-	lo := sort.Search(len(spans), func(i int) bool { return spans[i].Query >= query })
-	hi := sort.Search(len(spans), func(i int) bool { return spans[i].Query > query })
-	return spans[lo:hi:hi]
 }
 
 // Queries lists the distinct non-zero trace identifiers present, sorted.
