@@ -282,8 +282,14 @@ func (e *Engine) batchForwards(initiator simnet.Addr, traffic simnet.QueryTraffi
 func (e *Engine) firstSolutionSettles(op algebra.Op) bool {
 	for {
 		switch o := op.(type) {
-		case *algebra.Project, *algebra.Distinct, *algebra.Reduced, *algebra.OrderBy:
-			op = o.Children()[0]
+		case *algebra.Project:
+			op = o.Input
+		case *algebra.Distinct:
+			op = o.Input
+		case *algebra.Reduced:
+			op = o.Input
+		case *algebra.OrderBy:
+			op = o.Input
 		case *algebra.Filter:
 			bgp, ok := o.Input.(*algebra.BGP)
 			return ok && e.opts.PushFilters && optimize.Covers(bgp.Vars(), o.Expr.Vars())

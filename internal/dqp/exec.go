@@ -152,7 +152,8 @@ func (e *Engine) asBGP(op algebra.Op) (bgpCall, bool) {
 }
 
 // bgpCalls appends the non-empty BGPs exec reaches in op to out, in the
-// order it reaches them.
+// order it reaches them. It follows the operators' fields, not Children,
+// which allocates its result.
 func (e *Engine) bgpCalls(op algebra.Op, out []bgpCall) []bgpCall {
 	if c, ok := e.asBGP(op); ok {
 		if len(c.bgp.Patterns) > 0 {
@@ -160,13 +161,27 @@ func (e *Engine) bgpCalls(op algebra.Op, out []bgpCall) []bgpCall {
 		}
 		return out
 	}
-	if _, ok := op.(*algebra.Graph); ok {
-		return out // exec refuses it
+	switch o := op.(type) {
+	case *algebra.Join:
+		return e.bgpCalls(o.Right, e.bgpCalls(o.Left, out))
+	case *algebra.LeftJoin:
+		return e.bgpCalls(o.Right, e.bgpCalls(o.Left, out))
+	case *algebra.Union:
+		return e.bgpCalls(o.Right, e.bgpCalls(o.Left, out))
+	case *algebra.Filter:
+		return e.bgpCalls(o.Input, out)
+	case *algebra.Project:
+		return e.bgpCalls(o.Input, out)
+	case *algebra.Distinct:
+		return e.bgpCalls(o.Input, out)
+	case *algebra.Reduced:
+		return e.bgpCalls(o.Input, out)
+	case *algebra.OrderBy:
+		return e.bgpCalls(o.Input, out)
+	case *algebra.Slice:
+		return e.bgpCalls(o.Input, out)
 	}
-	for _, in := range op.Children() {
-		out = e.bgpCalls(in, out)
-	}
-	return out
+	return out // a GRAPH exec refuses
 }
 
 // execQuery evaluates a query's plan. Every BGP exec reaches starts at the

@@ -7,6 +7,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"adhocshare/internal/rdf"
@@ -157,10 +158,8 @@ func (o *Slice) Vars() []string    { return o.Input.Vars() }
 
 func dedup(gen func(emit func(string))) []string {
 	var out []string
-	seen := map[string]bool{}
 	gen(func(v string) {
-		if !seen[v] {
-			seen[v] = true
+		if !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	})

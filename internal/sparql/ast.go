@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"adhocshare/internal/rdf"
@@ -166,8 +167,10 @@ func (g *GraphPat) String() string {
 func (b *BGP) Vars() []string {
 	return dedupVars(func(emit func(string)) {
 		for _, t := range b.Patterns {
-			for _, v := range t.Vars() {
-				emit(v)
+			for _, x := range [...]rdf.Term{t.S, t.P, t.O} {
+				if x.IsVar() {
+					emit(x.Value)
+				}
 			}
 		}
 	})
@@ -211,10 +214,8 @@ func (g *GraphPat) Vars() []string {
 
 func dedupVars(gen func(emit func(string))) []string {
 	var out []string
-	seen := map[string]bool{}
 	gen(func(v string) {
-		if !seen[v] {
-			seen[v] = true
+		if !slices.Contains(out, v) {
 			out = append(out, v)
 		}
 	})

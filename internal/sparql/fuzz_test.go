@@ -1,20 +1,32 @@
 package sparql
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// FuzzParseQuery checks the parser never panics, and that the canonical
-// serialization is a fixed point: any query the parser accepts must
-// re-render to text the parser accepts again, and the second rendering
-// must be byte-identical to the first. This is the property the engine
-// relies on when shipping sub-queries between nodes as plain text.
+// parseSeeds is FuzzParseQuery's seed corpus: every query form and
+// pattern shape, escapes and a negative number.
+func parseSeeds() []string {
+	return slices.Concat(roundTripQueries, []string{
+		`SELECT * WHERE { ?s ?p ?o . }`,
+		`BASE <http://b/> ASK { <s> <p> "x\n\"y\""@en . }`,
+		`SELECT ?x WHERE { ?x <p> 3.14 . FILTER(!bound(?x) || ?x < -2) }`,
+	})
+}
+
+// FuzzParseQuery checks the parser never panics, that the lexer agrees
+// with its reference model (checkLexerAgainstReference), and that the
+// canonical serialization is a fixed point: any query the parser accepts
+// must re-render to text the parser accepts again, and the second
+// rendering must be byte-identical to the first. This is the property the
+// engine relies on when shipping sub-queries between nodes as plain text.
 func FuzzParseQuery(f *testing.F) {
-	for _, src := range roundTripQueries {
+	for _, src := range parseSeeds() {
 		f.Add(src)
 	}
-	f.Add(`SELECT * WHERE { ?s ?p ?o . }`)
-	f.Add(`BASE <http://b/> ASK { <s> <p> "x\n\"y\""@en . }`)
-	f.Add(`SELECT ?x WHERE { ?x <p> 3.14 . FILTER(!bound(?x) || ?x < -2) }`)
 	f.Fuzz(func(t *testing.T, src string) {
+		checkLexerAgainstReference(t, src)
 		q1, err := Parse(src)
 		if err != nil {
 			return

@@ -8,6 +8,7 @@ package sparql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -48,19 +49,20 @@ const (
 	tokHatHat            // ^^
 )
 
+var tokenNames = [...]string{
+	tokEOF: "end of input", tokIdent: "identifier", tokIRIRef: "IRI",
+	tokPName: "prefixed name", tokVar: "variable", tokString: "string",
+	tokNumber: "number", tokLangTag: "language tag", tokLBrace: "'{'",
+	tokRBrace: "'}'", tokLParen: "'('", tokRParen: "')'", tokDot: "'.'",
+	tokSemi: "';'", tokComma: "','", tokEq: "'='", tokNeq: "'!='",
+	tokLt: "'<'", tokGt: "'>'", tokLe: "'<='", tokGe: "'>='",
+	tokAndAnd: "'&&'", tokOrOr: "'||'", tokBang: "'!'", tokPlus: "'+'",
+	tokMinus: "'-'", tokStar: "'*'", tokSlash: "'/'", tokHatHat: "'^^'",
+}
+
 func (k tokenKind) String() string {
-	names := map[tokenKind]string{
-		tokEOF: "end of input", tokIdent: "identifier", tokIRIRef: "IRI",
-		tokPName: "prefixed name", tokVar: "variable", tokString: "string",
-		tokNumber: "number", tokLangTag: "language tag", tokLBrace: "'{'",
-		tokRBrace: "'}'", tokLParen: "'('", tokRParen: "')'", tokDot: "'.'",
-		tokSemi: "';'", tokComma: "','", tokEq: "'='", tokNeq: "'!='",
-		tokLt: "'<'", tokGt: "'>'", tokLe: "'<='", tokGe: "'>='",
-		tokAndAnd: "'&&'", tokOrOr: "'||'", tokBang: "'!'", tokPlus: "'+'",
-		tokMinus: "'-'", tokStar: "'*'", tokSlash: "'/'", tokHatHat: "'^^'",
-	}
-	if s, ok := names[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(tokenNames) {
+		return tokenNames[k]
 	}
 	return fmt.Sprintf("token(%d)", int(k))
 }
@@ -142,10 +144,23 @@ func (l *lexer) skipSpaceAndComments() {
 	}
 }
 
+// punct maps each punctuation byte to the token it lexes as on its own;
+// '&', '|' and '^' occur only doubled, and orEq is the token a byte lexes
+// as when '=' follows it.
+var (
+	punct = [256]tokenKind{
+		'{': tokLBrace, '}': tokRBrace, '(': tokLParen, ')': tokRParen,
+		';': tokSemi, ',': tokComma, '.': tokDot, '*': tokStar, '/': tokSlash,
+		'+': tokPlus, '-': tokMinus, '=': tokEq, '!': tokBang, '<': tokLt,
+		'>': tokGt, '&': tokAndAnd, '|': tokOrOr, '^': tokHatHat,
+	}
+	orEq = [256]tokenKind{'!': tokNeq, '<': tokLe, '>': tokGe}
+)
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
-	startLine, startCol := l.line, l.col
+	start, startLine, startCol := l.pos, l.line, l.col
 	mk := func(k tokenKind, text string) token {
 		return token{kind: k, text: text, line: startLine, col: startCol}
 	}
@@ -153,103 +168,35 @@ func (l *lexer) next() (token, error) {
 		return mk(tokEOF, ""), nil
 	}
 	c := l.peekByte()
-	switch c {
-	case '{':
-		l.advance()
-		return mk(tokLBrace, "{"), nil
-	case '}':
-		l.advance()
-		return mk(tokRBrace, "}"), nil
-	case '(':
-		l.advance()
-		return mk(tokLParen, "("), nil
-	case ')':
-		l.advance()
-		return mk(tokRParen, ")"), nil
-	case ';':
-		l.advance()
-		return mk(tokSemi, ";"), nil
-	case ',':
-		l.advance()
-		return mk(tokComma, ","), nil
-	case '*':
-		l.advance()
-		return mk(tokStar, "*"), nil
-	case '/':
-		l.advance()
-		return mk(tokSlash, "/"), nil
-	case '+':
-		l.advance()
-		return mk(tokPlus, "+"), nil
-	case '-':
-		l.advance()
-		return mk(tokMinus, "-"), nil
-	case '=':
-		l.advance()
-		return mk(tokEq, "="), nil
-	case '!':
-		l.advance()
-		if l.peekByte() == '=' {
-			l.advance()
-			return mk(tokNeq, "!="), nil
-		}
-		return mk(tokBang, "!"), nil
-	case '&':
-		l.advance()
-		if l.peekByte() != '&' {
-			return token{}, l.errf("expected '&&'")
-		}
-		l.advance()
-		return mk(tokAndAnd, "&&"), nil
-	case '|':
-		l.advance()
-		if l.peekByte() != '|' {
-			return token{}, l.errf("expected '||'")
-		}
-		l.advance()
-		return mk(tokOrOr, "||"), nil
-	case '^':
-		l.advance()
-		if l.peekByte() != '^' {
-			return token{}, l.errf("expected '^^'")
-		}
-		l.advance()
-		return mk(tokHatHat, "^^"), nil
-	case '<':
+	switch {
+	case c == '<' && l.looksLikeIRIRef():
 		// '<' begins an IRI ref if followed by IRI characters and a closing
 		// '>' on the same token, otherwise it is the less-than operator.
-		if l.looksLikeIRIRef() {
-			return l.lexIRIRef(mk)
-		}
-		l.advance()
-		if l.peekByte() == '=' {
-			l.advance()
-			return mk(tokLe, "<="), nil
-		}
-		return mk(tokLt, "<"), nil
-	case '>':
-		l.advance()
-		if l.peekByte() == '=' {
-			l.advance()
-			return mk(tokGe, ">="), nil
-		}
-		return mk(tokGt, ">"), nil
-	case '?', '$':
-		return l.lexVar(mk)
-	case '"', '\'':
-		return l.lexString(mk)
-	case '@':
-		return l.lexLangTag(mk)
-	case '.':
-		// distinguish '.' terminator from a decimal number like ".5"
-		if d := l.peekByteAt(1); d >= '0' && d <= '9' {
-			return l.lexNumber(mk)
-		}
-		l.advance()
-		return mk(tokDot, "."), nil
-	}
-	if c >= '0' && c <= '9' {
+		return l.lexIRIRef(mk)
+	case c >= '0' && c <= '9', c == '.' && l.peekByteAt(1) >= '0' && l.peekByteAt(1) <= '9':
+		// a '.' before a digit begins a decimal like ".5", not a terminator
 		return l.lexNumber(mk)
+	case c == '&' || c == '|' || c == '^':
+		l.advance()
+		if l.peekByte() != c {
+			return token{}, l.errf("expected '%c%c'", c, c)
+		}
+		l.advance()
+		return mk(punct[c], l.in[start:l.pos]), nil
+	case punct[c] != 0:
+		k := punct[c]
+		l.advance()
+		if orEq[c] != 0 && l.peekByte() == '=' {
+			k = orEq[c]
+			l.advance()
+		}
+		return mk(k, l.in[start:l.pos]), nil
+	case c == '?' || c == '$':
+		return l.lexVar(mk)
+	case c == '"' || c == '\'':
+		return l.lexString(mk)
+	case c == '@':
+		return l.lexLangTag(mk)
 	}
 	// Decode a full rune: a raw byte like 0xe6 casts to a letter rune but is
 	// not valid UTF-8 on its own, and must not reach lexWord, which would
@@ -275,118 +222,130 @@ func (l *lexer) looksLikeIRIRef() bool {
 	return false
 }
 
+// The lex* scanners return their text as a slice of the query string: a
+// token, and every AST and plan string taken from it, is a view of the
+// query text, never a copy. Only a string literal with an escape builds
+// its text.
+
 func (l *lexer) lexIRIRef(mk func(tokenKind, string) token) (token, error) {
 	l.advance() // '<'
-	var sb strings.Builder
+	start := l.pos
 	for l.pos < len(l.in) {
-		c := l.advance()
-		if c == '>' {
-			return mk(tokIRIRef, sb.String()), nil
+		if l.advance() == '>' {
+			return mk(tokIRIRef, l.in[start:l.pos-1]), nil
 		}
-		sb.WriteByte(c)
 	}
 	return token{}, l.errf("unterminated IRI reference")
 }
 
+// skip advances over the next n bytes.
+func (l *lexer) skip(n int) {
+	for ; n > 0; n-- {
+		l.advance()
+	}
+}
+
 func (l *lexer) lexVar(mk func(tokenKind, string) token) (token, error) {
 	l.advance() // '?' or '$'
-	var sb strings.Builder
+	start := l.pos
 	for l.pos < len(l.in) {
 		r, sz := utf8.DecodeRuneInString(l.in[l.pos:])
 		if !isVarNameChar(r) {
 			break
 		}
-		sb.WriteRune(r)
-		for i := 0; i < sz; i++ {
-			l.advance()
-		}
+		l.skip(sz)
 	}
-	if sb.Len() == 0 {
+	if l.pos == start {
 		return token{}, l.errf("empty variable name")
 	}
-	return mk(tokVar, sb.String()), nil
+	return mk(tokVar, l.in[start:l.pos]), nil
 }
 
 func (l *lexer) lexString(mk func(tokenKind, string) token) (token, error) {
 	quote := l.advance()
-	var sb strings.Builder
+	start := l.pos
+	var sb strings.Builder // the resolved text, once an escape is seen
+	run := start           // start of the text not yet copied into sb
 	for l.pos < len(l.in) {
 		c := l.advance()
 		if c == quote {
+			if run == start {
+				return mk(tokString, l.in[start:l.pos-1]), nil
+			}
+			sb.WriteString(l.in[run : l.pos-1])
 			return mk(tokString, sb.String()), nil
 		}
 		if c == '\n' {
 			return token{}, l.errf("newline in string literal")
 		}
-		if c == '\\' {
-			if l.pos >= len(l.in) {
-				break
-			}
-			switch e := l.advance(); e {
-			case 'n':
-				sb.WriteByte('\n')
-			case 'r':
-				sb.WriteByte('\r')
-			case 't':
-				sb.WriteByte('\t')
-			case '\\':
-				sb.WriteByte('\\')
-			case '\'':
-				sb.WriteByte('\'')
-			case '"':
-				sb.WriteByte('"')
-			case 'u', 'U':
-				width := 4
-				if e == 'U' {
-					width = 8
-				}
-				if l.pos+width > len(l.in) {
-					return token{}, l.errf("truncated unicode escape")
-				}
-				var r rune
-				if _, err := fmt.Sscanf(l.in[l.pos:l.pos+width], "%x", &r); err != nil {
-					return token{}, l.errf("invalid unicode escape")
-				}
-				for i := 0; i < width; i++ {
-					l.advance()
-				}
-				sb.WriteRune(r)
-			default:
-				return token{}, l.errf("unknown escape \\%c", e)
-			}
+		if c != '\\' {
 			continue
 		}
-		sb.WriteByte(c)
+		sb.WriteString(l.in[run : l.pos-1])
+		if l.pos >= len(l.in) {
+			break
+		}
+		switch e := l.advance(); e {
+		case 'n':
+			sb.WriteByte('\n')
+		case 'r':
+			sb.WriteByte('\r')
+		case 't':
+			sb.WriteByte('\t')
+		case '\\':
+			sb.WriteByte('\\')
+		case '\'':
+			sb.WriteByte('\'')
+		case '"':
+			sb.WriteByte('"')
+		case 'u', 'U':
+			width := 4
+			if e == 'U' {
+				width = 8
+			}
+			if l.pos+width > len(l.in) {
+				return token{}, l.errf("truncated unicode escape")
+			}
+			// Exactly width hex digits naming a Unicode scalar value: no
+			// sign, no short form, no surrogate, nothing above U+10FFFF.
+			v, err := strconv.ParseUint(l.in[l.pos:l.pos+width], 16, 32)
+			if err != nil || !utf8.ValidRune(rune(v)) {
+				return token{}, l.errf("invalid unicode escape")
+			}
+			l.skip(width)
+			sb.WriteRune(rune(v))
+		default:
+			return token{}, l.errf("unknown escape \\%c", e)
+		}
+		run = l.pos
 	}
 	return token{}, l.errf("unterminated string literal")
 }
 
 func (l *lexer) lexLangTag(mk func(tokenKind, string) token) (token, error) {
 	l.advance() // '@'
-	var sb strings.Builder
+	start := l.pos
 	for l.pos < len(l.in) {
 		c := l.peekByte()
 		if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c == '-' {
-			sb.WriteByte(c)
 			l.advance()
 			continue
 		}
 		break
 	}
-	if sb.Len() == 0 {
+	if l.pos == start {
 		return token{}, l.errf("empty language tag")
 	}
-	return mk(tokLangTag, sb.String()), nil
+	return mk(tokLangTag, l.in[start:l.pos]), nil
 }
 
 func (l *lexer) lexNumber(mk func(tokenKind, string) token) (token, error) {
-	var sb strings.Builder
+	start := l.pos
 	seenDot, seenExp := false, false
 	for l.pos < len(l.in) {
 		c := l.peekByte()
 		switch {
 		case c >= '0' && c <= '9':
-			sb.WriteByte(c)
 			l.advance()
 		case c == '.' && !seenDot && !seenExp:
 			// only part of the number if followed by a digit
@@ -394,14 +353,11 @@ func (l *lexer) lexNumber(mk func(tokenKind, string) token) (token, error) {
 				goto done
 			}
 			seenDot = true
-			sb.WriteByte(c)
 			l.advance()
 		case (c == 'e' || c == 'E') && !seenExp:
 			seenExp = true
-			sb.WriteByte(c)
 			l.advance()
 			if s := l.peekByte(); s == '+' || s == '-' {
-				sb.WriteByte(s)
 				l.advance()
 			}
 		default:
@@ -409,43 +365,34 @@ func (l *lexer) lexNumber(mk func(tokenKind, string) token) (token, error) {
 		}
 	}
 done:
-	if sb.Len() == 0 {
+	if l.pos == start {
 		return token{}, l.errf("malformed number")
 	}
-	return mk(tokNumber, sb.String()), nil
+	return mk(tokNumber, l.in[start:l.pos]), nil
 }
 
 // lexWord scans a bare identifier (keyword or boolean) or a prefixed name.
 func (l *lexer) lexWord(mk func(tokenKind, string) token) (token, error) {
-	var sb strings.Builder
+	start := l.pos
 	hasColon := false
 	for l.pos < len(l.in) {
 		r, sz := utf8.DecodeRuneInString(l.in[l.pos:])
 		if r == ':' {
 			hasColon = true
-			sb.WriteRune(r)
-			for i := 0; i < sz; i++ {
-				l.advance()
-			}
-			continue
-		}
-		if !isPNChar(r) {
+		} else if !isPNChar(r) {
 			break
 		}
-		sb.WriteRune(r)
-		for i := 0; i < sz; i++ {
-			l.advance()
-		}
+		l.skip(sz)
 	}
-	if sb.Len() == 0 {
+	if l.pos == start {
 		// Never emit an empty token: consuming no input here would make the
 		// parser spin on the same position.
 		return token{}, l.errf("unexpected character %q", l.in[l.pos])
 	}
 	if hasColon {
-		return mk(tokPName, sb.String()), nil
+		return mk(tokPName, l.in[start:l.pos]), nil
 	}
-	return mk(tokIdent, sb.String()), nil
+	return mk(tokIdent, l.in[start:l.pos]), nil
 }
 
 func isPNCharsBase(r rune) bool {

@@ -16,6 +16,7 @@
 package optimize
 
 import (
+	"slices"
 	"sort"
 
 	"adhocshare/internal/rdf"
@@ -81,89 +82,88 @@ func DefaultOptions() Options {
 }
 
 // Optimize rewrites the algebra expression according to opts. The input
-// tree is not modified.
+// tree is not modified: a pass builds a new node only where it rewrites,
+// and a subtree it leaves alone comes back as the same pointer, so the
+// result shares every unrewritten subtree with the input.
 func Optimize(op algebra.Op, opts Options) algebra.Op {
 	if opts.Estimator == nil {
 		opts.Estimator = HeuristicEstimator{}
 	}
-	out := clone(op)
 	if opts.PushFilters {
-		out = pushFilters(out)
+		op = pushFilters(op)
 	}
 	if opts.ReorderBGP {
-		out = reorderBGPs(out, opts.Estimator)
+		op = reorderBGPs(op, opts.Estimator)
 	}
-	return out
+	return op
 }
 
-// clone deep-copies an operator tree.
-func clone(op algebra.Op) algebra.Op {
+// withChildren applies f to op's direct sub-operators and returns op
+// itself when f changed none of them, else a copy of op over the new ones.
+func withChildren(op algebra.Op, f func(algebra.Op) algebra.Op) algebra.Op {
 	switch o := op.(type) {
-	case *algebra.BGP:
-		return &algebra.BGP{Patterns: append([]rdf.Triple(nil), o.Patterns...)}
 	case *algebra.Join:
-		return &algebra.Join{Left: clone(o.Left), Right: clone(o.Right)}
+		if l, r := f(o.Left), f(o.Right); l != o.Left || r != o.Right {
+			return &algebra.Join{Left: l, Right: r}
+		}
 	case *algebra.LeftJoin:
-		return &algebra.LeftJoin{Left: clone(o.Left), Right: clone(o.Right), Expr: o.Expr}
+		if l, r := f(o.Left), f(o.Right); l != o.Left || r != o.Right {
+			return &algebra.LeftJoin{Left: l, Right: r, Expr: o.Expr}
+		}
 	case *algebra.Union:
-		return &algebra.Union{Left: clone(o.Left), Right: clone(o.Right)}
+		if l, r := f(o.Left), f(o.Right); l != o.Left || r != o.Right {
+			return &algebra.Union{Left: l, Right: r}
+		}
 	case *algebra.Filter:
-		return &algebra.Filter{Expr: o.Expr, Input: clone(o.Input)}
+		if in := f(o.Input); in != o.Input {
+			return &algebra.Filter{Expr: o.Expr, Input: in}
+		}
 	case *algebra.Graph:
-		return &algebra.Graph{Name: o.Name, Input: clone(o.Input)}
+		if in := f(o.Input); in != o.Input {
+			return &algebra.Graph{Name: o.Name, Input: in}
+		}
 	case *algebra.Project:
-		return &algebra.Project{Names: append([]string(nil), o.Names...), Input: clone(o.Input)}
+		if in := f(o.Input); in != o.Input {
+			return &algebra.Project{Names: o.Names, Input: in}
+		}
 	case *algebra.Distinct:
-		return &algebra.Distinct{Input: clone(o.Input)}
+		if in := f(o.Input); in != o.Input {
+			return &algebra.Distinct{Input: in}
+		}
 	case *algebra.Reduced:
-		return &algebra.Reduced{Input: clone(o.Input)}
+		if in := f(o.Input); in != o.Input {
+			return &algebra.Reduced{Input: in}
+		}
 	case *algebra.OrderBy:
-		return &algebra.OrderBy{Conds: append([]sparql.OrderCond(nil), o.Conds...), Input: clone(o.Input)}
+		if in := f(o.Input); in != o.Input {
+			return &algebra.OrderBy{Conds: o.Conds, Input: in}
+		}
 	case *algebra.Slice:
-		return &algebra.Slice{Offset: o.Offset, Limit: o.Limit, Input: clone(o.Input)}
-	default:
-		return op
+		if in := f(o.Input); in != o.Input {
+			return &algebra.Slice{Offset: o.Offset, Limit: o.Limit, Input: in}
+		}
 	}
+	return op
 }
 
 // pushFilters decomposes conjunctive filters and pushes each conjunct as
 // deep as its variable scope allows.
 func pushFilters(op algebra.Op) algebra.Op {
-	switch o := op.(type) {
-	case *algebra.Filter:
-		input := pushFilters(o.Input)
-		conjuncts := SplitConjuncts(o.Expr)
-		var remaining []sparql.Expression
-		for _, c := range conjuncts {
-			pushed, ok := tryPush(input, c)
-			if ok {
-				input = pushed
-			} else {
-				remaining = append(remaining, c)
-			}
-		}
-		return wrapFilters(input, remaining)
-	case *algebra.Join:
-		return &algebra.Join{Left: pushFilters(o.Left), Right: pushFilters(o.Right)}
-	case *algebra.LeftJoin:
-		return &algebra.LeftJoin{Left: pushFilters(o.Left), Right: pushFilters(o.Right), Expr: o.Expr}
-	case *algebra.Union:
-		return &algebra.Union{Left: pushFilters(o.Left), Right: pushFilters(o.Right)}
-	case *algebra.Graph:
-		return &algebra.Graph{Name: o.Name, Input: pushFilters(o.Input)}
-	case *algebra.Project:
-		return &algebra.Project{Names: o.Names, Input: pushFilters(o.Input)}
-	case *algebra.Distinct:
-		return &algebra.Distinct{Input: pushFilters(o.Input)}
-	case *algebra.Reduced:
-		return &algebra.Reduced{Input: pushFilters(o.Input)}
-	case *algebra.OrderBy:
-		return &algebra.OrderBy{Conds: o.Conds, Input: pushFilters(o.Input)}
-	case *algebra.Slice:
-		return &algebra.Slice{Offset: o.Offset, Limit: o.Limit, Input: pushFilters(o.Input)}
-	default:
-		return op
+	o, ok := op.(*algebra.Filter)
+	if !ok {
+		return withChildren(op, pushFilters)
 	}
+	input := pushFilters(o.Input)
+	var remaining []sparql.Expression
+	for _, c := range SplitConjuncts(o.Expr) {
+		pushed, ok := tryPush(input, c)
+		if ok {
+			input = pushed
+		} else {
+			remaining = append(remaining, c)
+		}
+	}
+	return wrapFilters(input, remaining)
 }
 
 // tryPush attempts to push one filter conjunct below op. It reports false
@@ -271,34 +271,17 @@ func Covers(have, need []string) bool {
 	return true
 }
 
-// reorderBGPs applies ReorderPatterns to every BGP in the tree.
+// reorderBGPs applies ReorderPatterns to every BGP in the tree; a BGP
+// already in the chosen order comes back as it is.
 func reorderBGPs(op algebra.Op, est CardinalityEstimator) algebra.Op {
-	switch o := op.(type) {
-	case *algebra.BGP:
-		return &algebra.BGP{Patterns: ReorderPatterns(o.Patterns, est)}
-	case *algebra.Join:
-		return &algebra.Join{Left: reorderBGPs(o.Left, est), Right: reorderBGPs(o.Right, est)}
-	case *algebra.LeftJoin:
-		return &algebra.LeftJoin{Left: reorderBGPs(o.Left, est), Right: reorderBGPs(o.Right, est), Expr: o.Expr}
-	case *algebra.Union:
-		return &algebra.Union{Left: reorderBGPs(o.Left, est), Right: reorderBGPs(o.Right, est)}
-	case *algebra.Graph:
-		return &algebra.Graph{Name: o.Name, Input: reorderBGPs(o.Input, est)}
-	case *algebra.Filter:
-		return &algebra.Filter{Expr: o.Expr, Input: reorderBGPs(o.Input, est)}
-	case *algebra.Project:
-		return &algebra.Project{Names: o.Names, Input: reorderBGPs(o.Input, est)}
-	case *algebra.Distinct:
-		return &algebra.Distinct{Input: reorderBGPs(o.Input, est)}
-	case *algebra.Reduced:
-		return &algebra.Reduced{Input: reorderBGPs(o.Input, est)}
-	case *algebra.OrderBy:
-		return &algebra.OrderBy{Conds: o.Conds, Input: reorderBGPs(o.Input, est)}
-	case *algebra.Slice:
-		return &algebra.Slice{Offset: o.Offset, Limit: o.Limit, Input: reorderBGPs(o.Input, est)}
-	default:
-		return op
+	o, ok := op.(*algebra.BGP)
+	if !ok {
+		return withChildren(op, func(in algebra.Op) algebra.Op { return reorderBGPs(in, est) })
 	}
+	if pats := ReorderPatterns(o.Patterns, est); !slices.Equal(pats, o.Patterns) {
+		return &algebra.BGP{Patterns: pats}
+	}
+	return op
 }
 
 // ReorderPatterns orders the triple patterns of a BGP greedily: start with

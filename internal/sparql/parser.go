@@ -2,6 +2,8 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
 	"adhocshare/internal/rdf"
@@ -9,15 +11,12 @@ import (
 
 // Parse parses a complete SPARQL query string into its AST.
 func Parse(query string) (*Query, error) {
-	p, err := newParser(query)
+	toks, err := tokenize(query)
 	if err != nil {
 		return nil, err
 	}
-	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
+	p := parser{toks: toks}
+	return p.parseQuery()
 }
 
 // parser is a single-pass recursive-descent parser with one token of
@@ -28,9 +27,11 @@ type parser struct {
 	q    *Query
 }
 
-func newParser(in string) (*parser, error) {
+// tokenize lexes the whole query before any of it is parsed, so a lexical
+// error is reported ahead of a grammatical one.
+func tokenize(in string) ([]token, error) {
 	lx := newLexer(in)
-	var toks []token
+	toks := make([]token, 0, len(in)/tokenBytes+4)
 	for {
 		t, err := lx.next()
 		if err != nil {
@@ -41,16 +42,14 @@ func newParser(in string) (*parser, error) {
 			break
 		}
 	}
-	return &parser{toks: toks}, nil
+	return toks, nil
 }
 
+// tokenBytes is the query text per token tokenize sizes its token slice
+// for. Typical queries spend more: IRIs are long and tokens are spaced.
+const tokenBytes = 6
+
 func (p *parser) cur() token { return p.toks[p.pos] }
-func (p *parser) peek() token { // one token ahead of cur
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
 
 func (p *parser) advance() token {
 	t := p.toks[p.pos]
@@ -837,31 +836,37 @@ func (p *parser) parseSolutionModifier() error {
 	for {
 		switch {
 		case p.keyword("LIMIT"):
-			p.advance()
-			n, err := p.expect(tokNumber)
+			v, err := p.parseCount("LIMIT")
 			if err != nil {
 				return err
-			}
-			var v int
-			if _, err := fmt.Sscanf(n.text, "%d", &v); err != nil || v < 0 {
-				return p.errf("invalid LIMIT %q", n.text)
 			}
 			p.q.Limit = v
 		case p.keyword("OFFSET"):
-			p.advance()
-			n, err := p.expect(tokNumber)
+			v, err := p.parseCount("OFFSET")
 			if err != nil {
 				return err
-			}
-			var v int
-			if _, err := fmt.Sscanf(n.text, "%d", &v); err != nil || v < 0 {
-				return p.errf("invalid OFFSET %q", n.text)
 			}
 			p.q.Offset = v
 		default:
 			return nil
 		}
 	}
+}
+
+// parseCount parses the INTEGER after a LIMIT or OFFSET keyword. A number
+// token carries no sign, so Atoi accepts exactly the INTEGER form and
+// rejects a decimal or double.
+func (p *parser) parseCount(clause string) (int, error) {
+	p.advance()
+	n, err := p.expect(tokNumber)
+	if err != nil {
+		return 0, err
+	}
+	v, err := strconv.Atoi(n.text)
+	if err != nil {
+		return 0, p.errf("invalid %s %q", clause, n.text)
+	}
+	return v, nil
 }
 
 func (p *parser) parseOrderCondition() (OrderCond, bool, error) {
@@ -922,12 +927,9 @@ func validate(q *Query) error {
 		}
 	}
 	if q.Form == FormSelect && !q.Star && q.Where != nil {
-		inScope := map[string]bool{}
-		for _, v := range q.Where.Vars() {
-			inScope[v] = true
-		}
+		inScope := q.Where.Vars()
 		for _, v := range q.SelectVars {
-			if !inScope[v] {
+			if !slices.Contains(inScope, v) {
 				return &SyntaxError{Line: 1, Col: 1,
 					Msg: fmt.Sprintf("projected variable ?%s does not occur in the WHERE clause", v)}
 			}

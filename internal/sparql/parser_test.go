@@ -400,12 +400,41 @@ func TestParseErrors(t *testing.T) {
 		"select no vars":     `SELECT WHERE { ?x ?p ?o . }`,
 		"lone ampersand":     `SELECT ?x WHERE { ?x ?p ?o . FILTER(?x & ?x) }`,
 		"empty var":          `SELECT ? WHERE { ?x ?p ?o . }`,
+		// a \u escape is exactly 4 hex digits, \U exactly 8, naming a
+		// Unicode scalar value
+		"short unicode escape": `SELECT ?x WHERE { ?x ?p "a\u12zzb" . }`,
+		"surrogate escape":     `SELECT ?x WHERE { ?x ?p "\uD800" . }`,
+		"escape past U+10FFFF": `SELECT ?x WHERE { ?x ?p "\U00110000" . }`,
+		// LIMIT and OFFSET take an INTEGER only
+		"decimal limit":  `SELECT ?x WHERE { ?x ?p ?o . } LIMIT 1.5`,
+		"double limit":   `SELECT ?x WHERE { ?x ?p ?o . } LIMIT 2e3`,
+		"decimal offset": `SELECT ?x WHERE { ?x ?p ?o . } OFFSET 1.5`,
+		"double offset":  `SELECT ?x WHERE { ?x ?p ?o . } OFFSET 2e3`,
 	}
 	for name, src := range bad {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("%s: expected parse error for %q", name, src)
 		} else if _, ok := err.(*SyntaxError); !ok {
 			t.Errorf("%s: error type %T, want *SyntaxError", name, err)
+		}
+	}
+}
+
+func TestParseUnicodeEscapes(t *testing.T) {
+	for src, want := range map[string]string{
+		`"\u00e9"`:       "\u00e9",
+		`"\u00E9x"`:      "\u00e9x",
+		`"a\U0001F600"`:  "a\U0001F600",
+		`"\U0010FFFF"`:   "\U0010FFFF",
+		`"\uD7FF\uE000"`: "\uD7FF\uE000",
+	} {
+		q, err := Parse(`SELECT ?x WHERE { ?x ?p ` + src + ` . }`)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		if got := q.Where.(*BGP).Patterns[0].O.Value; got != want {
+			t.Errorf("%s: literal %q, want %q", src, got, want)
 		}
 	}
 }
