@@ -14,11 +14,11 @@ import (
 // look like, and what counts as a write through an lvalue. Each fact has
 // exactly one implementation here; the rules are consumers.
 
-// fabricCall is one Network.Call/Send/Transfer site, or a retried
+// fabricCall is one Network.Call/Send/Transfer/Forward site, or a retried
 // Network.CallRetry/TransferRetry site, which is a Call or a Transfer
 // re-sent on loss.
 type fabricCall struct {
-	kind       string // "Call", "Send" or "Transfer"
+	kind       string // "Call", "Send", "Transfer" or "Forward"
 	retried    bool   // CallRetry or TransferRetry
 	value      string // method wire string ("" when not constant)
 	literal    bool   // method passed as a raw string literal
@@ -28,16 +28,24 @@ type fabricCall struct {
 	respAssert types.Type // type the caller asserts the response to (rpc-protocol fills it in)
 }
 
-// errPos indexes the error among the call's results: Call returns
-// (Payload, VTime, error), Send and Transfer (VTime, error).
+// responds reports whether the call hands its caller the receiver's
+// response: a Call, or a Forward, which returns what its route answered.
+func (fc *fabricCall) responds() bool { return fc.kind == "Call" || fc.kind == "Forward" }
+
+// resent reports whether the call's method is re-delivered after a loss: a
+// CallRetry, or a Forward, whose route its origin re-sends whole.
+func (fc *fabricCall) resent() bool { return fc.retried && fc.kind == "Call" || fc.kind == "Forward" }
+
+// errPos indexes the error among the call's results: Call and Forward
+// return (Payload, VTime, error), Send and Transfer (VTime, error).
 func (fc *fabricCall) errPos() int {
-	if fc.kind == "Call" {
+	if fc.responds() {
 		return 2
 	}
 	return 1
 }
 
-// fabricCallAt recognizes a Network.Call/Send/Transfer/CallRetry/
+// fabricCallAt recognizes a Network.Call/Send/Transfer/Forward/CallRetry/
 // TransferRetry call expression.
 func (prog *Program) fabricCallAt(p *Package, call *ast.CallExpr) *fabricCall {
 	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
@@ -45,7 +53,7 @@ func (prog *Program) fabricCallAt(p *Package, call *ast.CallExpr) *fabricCall {
 		return nil
 	}
 	kind, retried := strings.CutSuffix(sel.Sel.Name, "Retry")
-	if kind != "Call" && kind != "Transfer" && (kind != "Send" || retried) {
+	if kind != "Call" && kind != "Transfer" && (kind != "Send" && kind != "Forward" || retried) {
 		return nil
 	}
 	if !prog.isSimnetType(p.Info.Types[sel.X].Type, "Network") || len(call.Args) < 4 {

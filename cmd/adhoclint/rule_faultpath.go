@@ -30,7 +30,8 @@ import (
 //     aborts the whole operation (abort-all) or the survivors' results are
 //     kept (collect-partial, with the repair story as the reason);
 //   - a method sent with Network.CallRetry is re-delivered after lost
-//     replies, so its handler must be read-only — or deduplicate
+//     replies, and so is a method sent with Network.Forward, whose route
+//     its origin re-sends whole; its handler must be read-only — or deduplicate
 //     re-deliveries and carry //adhoclint:faultpath(idempotent, reason) on
 //     its Method* constant. (CallRetry departs each attempt at the previous
 //     one's end itself, so a retry cannot drop FailTimeout from the
@@ -485,8 +486,10 @@ func (c *faultpathChecker) checkParallelSites(p *Package, fn *ast.FuncDecl) {
 	})
 }
 
-// recordRetrySites records every CallRetry of a constant method for the
-// idempotence cross-check. (A retried Transfer runs no handler.)
+// recordRetrySites records every CallRetry or Forward of a constant method
+// for the idempotence cross-check: a Forward's route is re-sent whole by its
+// origin after a loss, re-running every handler on it. (A retried Transfer
+// runs no handler.)
 func (c *faultpathChecker) recordRetrySites(p *Package, fn *ast.FuncDecl) {
 	encl, _ := p.Info.Defs[fn.Name].(*types.Func)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -494,7 +497,7 @@ func (c *faultpathChecker) recordRetrySites(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		if fc := c.prog.fabricCallAt(p, call); fc != nil && fc.retried && fc.kind == "Call" && fc.value != "" {
+		if fc := c.prog.fabricCallAt(p, call); fc != nil && fc.resent() && fc.value != "" {
 			c.retried[fc.value] = append(c.retried[fc.value], &retrySite{pkg: p, pos: call.Pos(), encl: encl})
 		}
 		return true

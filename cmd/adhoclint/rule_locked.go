@@ -14,6 +14,7 @@ var blockingCalls = map[string]string{
 	"Call":          "simnet RPC",
 	"CallRetry":     "simnet RPC",
 	"Send":          "simnet one-way message",
+	"Forward":       "simnet routed leg",
 	"Transfer":      "simnet data transfer",
 	"TransferRetry": "simnet data transfer",
 	"Sleep":         "wall-clock sleep",

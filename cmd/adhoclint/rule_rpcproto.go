@@ -18,11 +18,11 @@ import (
 //   - the `switch method` dispatch inside every HandleCall implementation,
 //     with the request type each case asserts and the response type it
 //     returns;
-//   - every Network.Call / Send / Transfer site, with the static type of
-//     the payload argument and (for Call) the type the caller asserts the
-//     response to.
+//   - every Network.Call / Send / Transfer / Forward site, with the static
+//     type of the payload argument and (for Call and Forward) the type the
+//     caller asserts the response to.
 //
-// It reports constants invoked over Call/Send with no dispatch case
+// It reports constants invoked over Call/Send/Forward with no dispatch case
 // anywhere (Transfer runs no handler, so Transfer-only methods are
 // exempt), dispatch cases whose wire string matches no known constant,
 // fabric calls whose payload type disagrees with what the handler asserts,
@@ -210,7 +210,7 @@ func (prog *Program) fabricCallsIn(p *Package, fn *ast.FuncDecl) []*fabricCall {
 				return true
 			}
 			out = append(out, fc)
-			if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name != "_" && fc.kind == "Call" {
+			if id, ok := n.Lhs[0].(*ast.Ident); ok && id.Name != "_" && fc.responds() {
 				if obj := defOrUse(p.Info, id); obj != nil {
 					respVars[obj] = fc
 				}

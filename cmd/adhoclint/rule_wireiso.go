@@ -349,10 +349,10 @@ func (f *wireFn) collectFacts() {
 func (f *wireFn) recordAssign(asg *ast.AssignStmt) {
 	info := f.pkg.Info
 	// Multi-value forms: resp, done, err := net.Call(...) — the response
-	// variable of a fabric Call is wire-derived.
+	// variable of a fabric Call or Forward is wire-derived.
 	if len(asg.Rhs) == 1 && len(asg.Lhs) > 1 {
 		if call, ok := asg.Rhs[0].(*ast.CallExpr); ok {
-			if fc := f.c.prog.fabricCallAt(f.pkg, call); fc != nil && fc.kind == "Call" {
+			if fc := f.c.prog.fabricCallAt(f.pkg, call); fc != nil && fc.responds() {
 				if id, ok := asg.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 					if obj := defOrUse(info, id); obj != nil {
 						f.wire[obj] = true

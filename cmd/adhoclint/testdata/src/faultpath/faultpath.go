@@ -218,3 +218,31 @@ func (t *Meter) Charge(to simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
 	_, done, err := t.net.Call(t.addr, to, MethodGet, Msg{}, at) // want "caller-visible state is mutated at line 217"
 	return done, err
 }
+
+// MethodTally is sent with Forward: a route's origin re-sends it whole
+// after a loss, re-running every handler on it.
+const MethodTally = "fp.tally" // want "is retried from"
+
+// Relay is one hop of a route.
+type Relay struct {
+	net  *simnet.Network
+	addr simnet.Addr
+	//adhoclint:racefree(one route at a time reaches a relay in this fixture)
+	hits int
+}
+
+// HandleCall counts every tally it receives, re-deliveries included.
+func (r *Relay) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
+	switch method {
+	case MethodTally:
+		r.hits++
+		return Msg{}, at, nil
+	}
+	return nil, at, nil
+}
+
+// Route forwards a tally to the route's end, which answers origin.
+func (r *Relay) Route(to, origin simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
+	_, done, err := r.net.Forward(r.addr, to, MethodTally, Msg{}, origin, at)
+	return done, err
+}

@@ -83,3 +83,11 @@ func (n *Node) Poke(to simnet.Addr, at simnet.VTime) {
 		return
 	}
 }
+
+// RouteWrongReq forwards the wrong request type along a route that ends at
+// the node itself.
+func (n *Node) RouteWrongReq(to simnet.Addr, at simnet.VTime) {
+	if _, _, err := n.net.Forward(n.addr, to, MethodGet, PutReq{}, n.addr, at); err != nil { // want "sends rpcproto.PutReq but its handler asserts rpcproto.GetReq"
+		return
+	}
+}

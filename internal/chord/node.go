@@ -229,14 +229,12 @@ func (n *Node) handleFindSuccessorPayload(at simnet.VTime, req simnet.Payload) (
 // failure fallback along progressively closer fingers and the successor
 // list.
 func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simnet.VTime, error) {
-	succ := n.Successor()
-	if succ.Addr == n.addr || betweenRightIncl(req.Target, n.id, succ.ID) {
-		return FindResp{Node: succ, Hops: req.Hops}, at, nil
+	next, owned := n.NextHop(req.Target)
+	if owned {
+		return FindResp{Node: next, Hops: req.Hops}, at, nil
 	}
 	now := at
-	n.mu.RLock()
-	cands := []Ref{n.nextHopLocked(req.Target)} // one routing decision; the rest once it fails
-	n.mu.RUnlock()
+	cands := []Ref{next} // one routing decision; the rest once it fails
 	for ci := 0; ci < len(cands) && !cands[ci].IsZero(); ci++ {
 		next := cands[ci]
 		// Each forwarding hop derives a child trace context from the request
@@ -251,25 +249,31 @@ func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simn
 			return resp.(FindResp), done, nil
 		}
 		// Failed next hop: remember the time wasted and try the next
-		// candidate (the successor list / farther fingers). Only evict the
-		// candidate when it is actually unreachable — a lossy link says
-		// nothing about the node's liveness, and evicting live fingers
-		// would degrade routing for every later lookup.
+		// candidate (the successor list / farther fingers).
 		now = done
-		if flt := n.net.FlightRecorder(); flt != nil {
-			flt.Emit(flight.Event{Node: string(n.addr), Kind: flight.KindRetry,
-				VT: int64(now), End: int64(now), Peer: string(next.Addr),
-				Method: MethodFindSuccessor, Query: req.TC.Query})
-		}
 		if ci == 0 {
-			// Read before the eviction below: the list this hop headed.
-			cands = n.routeCandidates(req.Target)
+			// Read before HopFailed's eviction: the list this hop headed.
+			cands = n.RouteCandidates(req.Target)
 		}
-		if !simnet.IsLost(err) {
-			n.evict(next.Addr, now)
-		}
+		n.HopFailed(next.Addr, MethodFindSuccessor, req.TC.Query, err, now)
 	}
 	return FindResp{}, now, fmt.Errorf("%w: target %v from %v", ErrLookupFailed, req.Target, n.id)
+}
+
+// HopFailed is what a hop does when its forward to next failed with err at
+// `at`, before it tries its next candidate: it flight-records a retry and
+// evicts next from the routing tables — unless the message was merely lost,
+// since a lossy link says nothing about the node's liveness, and evicting
+// live fingers would degrade routing for every later lookup.
+func (n *Node) HopFailed(next simnet.Addr, method string, query uint64, err error, at simnet.VTime) {
+	if flt := n.net.FlightRecorder(); flt != nil {
+		flt.Emit(flight.Event{Node: string(n.addr), Kind: flight.KindRetry,
+			VT: int64(at), End: int64(at), Peer: string(next),
+			Method: method, Query: query})
+	}
+	if !simnet.IsLost(err) {
+		n.evict(next, at)
+	}
 }
 
 // handleFindSuccessorBatch resolves many targets in one recursive routing
@@ -283,7 +287,7 @@ func (n *Node) handleFindSuccessor(at simnet.VTime, req FindReq) (FindResp, simn
 func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (BatchFindResp, simnet.VTime, error) {
 	nodes := make([]Ref, len(req.Targets))
 	hops := req.Hops
-	order, groups, err := n.routeBatch(req.Targets, nodes)
+	order, groups, err := n.RouteBatch(req.Targets, nodes)
 	if err != nil {
 		return BatchFindResp{}, at, err
 	}
@@ -313,14 +317,7 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 			// resolve the group's targets one by one (after the fan-out,
 			// so no branch routes on a half-repaired table), starting
 			// from the failed branch's timeout.
-			if flt := n.net.FlightRecorder(); flt != nil {
-				flt.Emit(flight.Event{Node: string(n.addr), Kind: flight.KindRetry,
-					VT: int64(r.Done), End: int64(r.Done), Peer: string(order[g]),
-					Method: MethodFindSuccessorBatch, Query: req.TC.Query})
-			}
-			if !simnet.IsLost(r.Err) {
-				n.evict(order[g], r.Done)
-			}
+			n.HopFailed(order[g], MethodFindSuccessorBatch, req.TC.Query, r.Err, r.Done)
 			now := r.Done
 			for _, i := range idxs {
 				// Fallback sequence numbers start past the group indexes so
@@ -350,18 +347,18 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 	return BatchFindResp{Nodes: nodes, Hops: hops}, simnet.MaxTime(at, done), nil
 }
 
-// routeBatch is the routing decision for every target of a batch, taken
+// RouteBatch is the routing decision for every target of a batch, taken
 // under one read lock: a target the successor owns is answered in nodes,
-// any other is grouped by its next hop. Group order follows first
+// any other is grouped by its next hop (NextHop). Group order follows first
 // occurrence in the (caller-sorted) targets. Only the groups allocate.
-func (n *Node) routeBatch(targets []ID, nodes []Ref) (order []simnet.Addr, groups map[simnet.Addr][]int, err error) {
+func (n *Node) RouteBatch(targets []ID, nodes []Ref) (order []simnet.Addr, groups map[simnet.Addr][]int, err error) {
 	groups = map[simnet.Addr][]int{}
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	succ := n.successorLocked()
 	for i, raw := range targets {
 		target := raw.truncate(n.cfg.Bits)
-		if succ.Addr == n.addr || betweenRightIncl(target, n.id, succ.ID) {
+		if n.ownedLocked(succ, target) {
 			nodes[i] = succ
 			continue
 		}
@@ -377,12 +374,32 @@ func (n *Node) routeBatch(targets []ID, nodes []Ref) (order []simnet.Addr, group
 	return order, groups, nil
 }
 
-// routeCandidates lists possible next hops for the target in preference
-// order: the closest preceding finger first, then successor-list entries.
-// Only a failed hop needs more than its head (nextHopLocked), so
-// duplicates are dropped by scanning the result — a node has about
-// log2(ring size) distinct fingers — instead of through a set.
-func (n *Node) routeCandidates(target ID) []Ref {
+// NextHop is the routing decision of one hop toward target, the one
+// handleFindSuccessor forwards on. With owned set, next is the successor,
+// which owns target; otherwise next is the head of RouteCandidates(target),
+// zero when there is none.
+func (n *Node) NextHop(target ID) (next Ref, owned bool) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	if succ := n.successorLocked(); n.ownedLocked(succ, target) {
+		return succ, true
+	}
+	return n.nextHopLocked(target), false
+}
+
+// ownedLocked reports whether succ, the successor of a caller holding mu,
+// owns target: it lies in (n, succ], or the node is alone on its ring.
+func (n *Node) ownedLocked(succ Ref, target ID) bool {
+	return succ.Addr == n.addr || betweenRightIncl(target, n.id, succ.ID)
+}
+
+// RouteCandidates lists possible next hops for the target in preference
+// order, the eager fallback order of a hop whose first forward failed: the
+// closest preceding finger first, then successor-list entries. Only a
+// failed hop needs more than its head (nextHopLocked), so duplicates are
+// dropped by scanning the result — a node has about log2(ring size)
+// distinct fingers — instead of through a set.
+func (n *Node) RouteCandidates(target ID) []Ref {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	out := make([]Ref, 0, 8)
@@ -406,7 +423,7 @@ func (n *Node) routeCandidates(target ID) []Ref {
 	return out
 }
 
-// nextHopLocked is routeCandidates(target)[0], zero when there is none,
+// nextHopLocked is RouteCandidates(target)[0], zero when there is none,
 // without building the list, for a caller holding mu.
 func (n *Node) nextHopLocked(target ID) Ref {
 	for i := len(n.fingers) - 1; i >= 0; i-- {
@@ -422,7 +439,7 @@ func (n *Node) nextHopLocked(target ID) Ref {
 	return Ref{}
 }
 
-// candidate is the test routeCandidates and nextHopLocked share: r is set,
+// candidate is the test RouteCandidates and nextHopLocked share: r is set,
 // is not this node and, if a finger, lies in (n.id, target).
 func (n *Node) candidate(r Ref, finger bool, target ID) bool {
 	return (!finger || between(r.ID, n.id, target)) && !r.IsZero() && r.Addr != n.addr

@@ -90,16 +90,16 @@ func TestNextHopIsHeadOfRouteCandidates(t *testing.T) {
 		for _, n := range nodes {
 			for _, target := range targets {
 				var want Ref
-				if cands := n.routeCandidates(target); len(cands) > 0 {
+				if cands := n.RouteCandidates(target); len(cands) > 0 {
 					want = cands[0]
 				}
 				if got := n.nextHop(target); got != want {
-					t.Fatalf("bits %d, %d nodes, %v → %v: nextHop = %v, routeCandidates[0] = %v",
+					t.Fatalf("bits %d, %d nodes, %v → %v: nextHop = %v, RouteCandidates[0] = %v",
 						bits, size, n.ID(), target, got, want)
 				}
 			}
 			answered := make([]Ref, len(targets))
-			_, groups, err := n.routeBatch(targets, answered)
+			_, groups, err := n.RouteBatch(targets, answered)
 			if err != nil {
 				continue // some target has no candidate left; nextHop agreed above
 			}
@@ -126,7 +126,7 @@ func routedTarget(t *testing.T, nodes []*Node, bits uint) (*Node, ID, []Ref) {
 		if betweenRightIncl(target, n.ID(), succ.ID) {
 			continue
 		}
-		if cands := n.routeCandidates(target); len(cands) >= 3 {
+		if cands := n.RouteCandidates(target); len(cands) >= 3 {
 			return n, target, cands
 		}
 	}
@@ -208,7 +208,7 @@ func TestFailedHopFallsBackInEagerOrder(t *testing.T) {
 	}
 }
 
-// groupSink makes the reference groups below escape as routeBatch's do.
+// groupSink makes the reference groups below escape as RouteBatch's do.
 var groupSink struct {
 	order  []simnet.Addr
 	groups map[simnet.Addr][]int
@@ -227,9 +227,9 @@ func TestRouteBatchAllocatesOnlyItsGroups(t *testing.T) {
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
 	answered := make([]Ref, len(targets))
-	order, groups, err := n.routeBatch(targets, answered)
+	order, groups, err := n.RouteBatch(targets, answered)
 	if err != nil || len(order) < 2 {
-		t.Fatalf("routeBatch: %d groups, %v; want several groups", len(order), err)
+		t.Fatalf("RouteBatch: %d groups, %v; want several groups", len(order), err)
 	}
 	hops := make([]simnet.Addr, len(targets)) // "" = answered by the successor
 	for next, idxs := range groups {
@@ -252,7 +252,7 @@ func TestRouteBatchAllocatesOnlyItsGroups(t *testing.T) {
 		groupSink.order, groupSink.groups = order, groups
 	})
 	routing := testing.AllocsPerRun(50, func() {
-		if _, _, err := n.routeBatch(targets, answered); err != nil {
+		if _, _, err := n.RouteBatch(targets, answered); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -179,5 +180,39 @@ func TestBareDescribeStagesAndSolutions(t *testing.T) {
 	}
 	if vs := mon.CheckAll(); len(vs) != 0 {
 		t.Errorf("monitors: %v", vs)
+	}
+}
+
+// TestRoutedReadStagesAndIndexBytes: a routed read's forwards are the
+// resolve stage and its owners' replies the lookup stage, so the stage
+// profile still splits the index layer; every one of its legs is index
+// traffic (Stats.IndexBytes), and no chord.* leg is left in a query.
+func TestRoutedReadStagesAndIndexBytes(t *testing.T) {
+	sys, now := buildSystem(t, 6, paperData())
+	rec := trace.NewBuffer()
+	sys.Net().SetRecorder(rec)
+	_, stats, _, err := NewEngine(sys, DefaultOptions()).Query("D1", paperQueries["fig4-full"], now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stages := map[string]int{}
+	var bytes int64
+	for _, sp := range rec.Spans() {
+		if sp.Name == overlay.MethodRoutedRead {
+			stages[StageOf(sp)]++
+			bytes += int64(sp.Bytes)
+		}
+	}
+	if stages[StageResolve] == 0 || stages[StageLookup] == 0 || len(stages) != 2 {
+		t.Errorf("routed-read spans by stage %v, want forwards under %s and replies under %s", stages, StageResolve, StageLookup)
+	}
+	read := stats.PerMethod[overlay.MethodRoutedRead]
+	if read.Bytes != bytes || stats.IndexBytes() != bytes {
+		t.Errorf("IndexBytes %d, routed-read traffic %d B, its spans %d B; want all equal", stats.IndexBytes(), read.Bytes, bytes)
+	}
+	for m := range stats.PerMethod {
+		if strings.HasPrefix(m, "chord.") {
+			t.Errorf("the query sent %s", m)
+		}
 	}
 }

@@ -24,7 +24,7 @@ type Engine struct {
 	sys   *overlay.System
 	opts  Options
 	cache *lookupCache
-	// hot is the lookup entry point: the paper's resolve-then-read path on
+	// hot is the lookup entry point: one routed read per planning round on
 	// a static system, the replica-preferring adaptive path when
 	// overlay.Config.Adaptive is on (it learns hot-replica advertisements
 	// per engine, mirroring the per-initiator lookup cache).
@@ -254,23 +254,7 @@ func (e *Engine) Run(initiator simnet.Addr, q *sparql.Query, at simnet.VTime) (*
 	if err != nil {
 		return nil, Stats{}, done, err
 	}
-	ctx.countLookup(e.batchForwards(initiator, traffic), false)
 	return out, ctx.stats(traffic, len(out.Solutions), at, done), done, nil
-}
-
-// batchForwards is the number of ring forwards the query's batched key
-// resolution made — a query forms at most one batch, in its planning round,
-// as a DESCRIBE's resources resolve one at a time — read off the query's
-// find_successor_batch traffic: a call is a request and a reply leg, and the
-// initiator's own call to its ring entry point is not a forward (an index
-// node is its own entry point and makes none). A route prefix several keys
-// share is one forward; a forward re-sent after a loss counts again.
-func (e *Engine) batchForwards(initiator simnet.Addr, traffic simnet.QueryTraffic) int {
-	calls := int(traffic.PerMethod[chord.MethodFindSuccessorBatch].Messages / 2)
-	if _, own := e.sys.Index(initiator); calls > 0 && !own {
-		calls--
-	}
-	return calls
 }
 
 // firstSolutionSettles reports whether one solution of the plan's basic

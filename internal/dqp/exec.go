@@ -452,10 +452,11 @@ func (p patternPlan) targetAddrs() []simnet.Addr {
 // responsible index node (level one), read the location-table row (level
 // two) — and keeps the rows in ctx for every BGP of the query. A key the
 // lookup cache holds under a live index node is ready at once; the others
-// go to the lookup client together (overlay.LookupClient.LookupBatch): a
-// lone key is one find_successor and one index.lookup, several are one
-// find_successor_batch and one index.lookup per owner. A key's row is ready
-// when its read is in; the round's cost is part of the query cost.
+// go to the lookup client together (overlay.LookupClient.LookupBatch) as
+// one index.routed_read: the ring routes it from the initiator's entry
+// point, splitting it by next hop, and each owner answers the initiator
+// directly, once for all of its keys. A key's row is ready when its
+// owner's reply is in; the round's cost is part of the query cost.
 func (e *Engine) planKeys(ctx *qctx, keys []chord.ID, at simnet.VTime) (simnet.VTime, error) {
 	if !slices.ContainsFunc(keys, ctx.unplanned) {
 		return at, nil
@@ -503,9 +504,9 @@ func (e *Engine) planKeys(ctx *qctx, keys []chord.ID, at simnet.VTime) (simnet.V
 	return done, nil
 }
 
-// lookupFailure types a failed planning round: a step still lost after its
-// retries is a partial failure naming the step's method and, for a read,
-// the index node asked.
+// lookupFailure types a failed planning round: a routed read still lost
+// after its re-sends is a partial failure naming the read's method and, if
+// the error names one, the owner.
 func lookupFailure(err error) error {
 	var le *overlay.LookupError
 	if !errors.As(err, &le) || !simnet.IsLost(le.Err) {

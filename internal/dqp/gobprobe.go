@@ -25,8 +25,8 @@ func init() {
 	for _, v := range []any{
 		simnet.Bytes(0), chainPayload{}, dispatchPayload{}, rowsPayload{}, eval.Table{},
 
-		overlay.PutBatchReq{}, overlay.LookupReq{},
-		overlay.LookupResp{}, overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
+		overlay.PutBatchReq{}, overlay.RoutedReadReq{},
+		overlay.RoutedReadResp{}, overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
 		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.SolutionsResp{},
 		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},
 

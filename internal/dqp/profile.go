@@ -11,12 +11,13 @@ import (
 	"io"
 	"strings"
 
+	"adhocshare/internal/overlay"
 	"adhocshare/internal/trace"
 )
 
 // Stage names, in pipeline order.
 const (
-	StageResolve  = "resolve"  // chord.* successor-resolution traffic
+	StageResolve  = "resolve"  // chord.* traffic and a routed read's forwards
 	StageLookup   = "lookup"   // index.* location-table reads (incl. hot replicas)
 	StageSubquery = "subquery" // dqp.dispatch + store.* sub-query evaluation
 	StageTransfer = "transfer" // dqp.ship / dqp.result data movement
@@ -33,6 +34,12 @@ func StageOf(s trace.Span) string {
 	switch {
 	case s.Kind == trace.KindOp:
 		return ""
+	case s.Name == overlay.MethodRoutedRead:
+		// The forwards route the read; the owner's reply is the read.
+		if s.IsResponse() {
+			return StageLookup
+		}
+		return StageResolve
 	case strings.HasPrefix(s.Name, "chord."):
 		return StageResolve
 	case strings.HasPrefix(s.Name, "index."):

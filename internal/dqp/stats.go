@@ -20,12 +20,13 @@ type Stats struct {
 	PerMethod map[string]simnet.MethodStats
 	// ResponseTime is the virtual end-to-end latency.
 	ResponseTime time.Duration
-	// LookupHops is the number of Chord forwards the query's index
-	// resolution made: a key resolved on its own counts its FindSuccessor
-	// hops, and the query's batched resolution (one find_successor_batch
-	// for several keys) the forwards the ring actually made for it, a route
-	// prefix several keys share counted once. Keys served by the lookup
-	// cache or a hot replica count none.
+	// LookupHops is the number of Chord forwards the query's routed reads
+	// made, as the owners' replies report them: a key read on its own
+	// counts its FindSuccessor hops, and a read of several keys the
+	// forwards the ring made for it, a route prefix several keys share
+	// counted once. The hand-on from the owner's predecessor is not a hop,
+	// and a read re-sent after a loss counts only the route that answered.
+	// Keys served by the lookup cache or a hot replica count none.
 	LookupHops int
 	// Subqueries counts sub-query executions at storage nodes.
 	Subqueries int

@@ -16,7 +16,7 @@ func TestStatsAccessors(t *testing.T) {
 		Bytes:    1000,
 		PerMethod: map[string]simnet.MethodStats{
 			"chord.find":        {Messages: 3, Bytes: 90},
-			"index.lookup":      {Messages: 2, Bytes: 60},
+			"index.routed_read": {Messages: 2, Bytes: 60},
 			"index.drop_node":   {Messages: 1, Bytes: 25},
 			"store.match":       {Messages: 2, Bytes: 400},
 			"dqp.result":        {Messages: 1, Bytes: 200},

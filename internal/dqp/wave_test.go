@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"adhocshare/internal/chord"
+	"adhocshare/internal/flight"
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
@@ -90,7 +90,7 @@ func TestWaveSendsOneMatchPerTarget(t *testing.T) {
 		t.Errorf("%d store.match legs, want a request and a reply for each of %d targets", len(legs), len(targets))
 	}
 	for m := range methods {
-		if m != overlay.MethodMatch && m != overlay.MethodLookup && m != chord.MethodFindSuccessorBatch {
+		if m != overlay.MethodMatch && m != overlay.MethodRoutedRead {
 			t.Errorf("the wave sent %s", m)
 		}
 	}
@@ -137,10 +137,11 @@ SELECT ?x ?y ?z WHERE { ?x foaf:name ?name . ?x foaf:knows ?z . ?x ns:knowsNothi
 // is a PartialFailureError naming its step instead of a short answer. With
 // planning served from the lookup cache only the wave's store.match legs
 // meet the loss, and the error names the target; without the cache the
-// query's first step, the planning round's one find_successor_batch for its
-// several keys, meets it first. A crashed index node that owned one of those
-// keys is routed around by the batch's per-target fallback (find_successor
-// from the hop that found it dead), and the answer is still the oracle's.
+// query's first step, the planning round's one routed read of its several
+// keys, meets it first. A crashed index node that owned one of those keys is
+// routed around — by a hop's fallback along its candidates, or by the owner's
+// predecessor handing the read to the replica holder — and the answer is
+// still the oracle's.
 func TestWaveLossyLinkIsTypedPartialFailure(t *testing.T) {
 	q := paperQueries["fig6-conjunction"]
 	t.Run("match", func(t *testing.T) {
@@ -170,8 +171,8 @@ func TestWaveLossyLinkIsTypedPartialFailure(t *testing.T) {
 		if !errors.As(err, &pf) {
 			t.Fatalf("err = %v, want a PartialFailureError", err)
 		}
-		if pf.Method != chord.MethodFindSuccessorBatch || len(pf.Missing) != 0 {
-			t.Errorf("partial failure %v: want %s, no site named", pf, chord.MethodFindSuccessorBatch)
+		if pf.Method != overlay.MethodRoutedRead || len(pf.Missing) != 0 {
+			t.Errorf("partial failure %v: want %s, no site named", pf, overlay.MethodRoutedRead)
 		}
 	})
 	t.Run("crashed-owner", func(t *testing.T) {
@@ -196,15 +197,21 @@ func TestWaveLossyLinkIsTypedPartialFailure(t *testing.T) {
 		}
 		sys.FailNode(victim)
 		now = sys.StabilizeRound(now)
-		res, stats, _, err := NewEngine(sys, DefaultOptions()).Query("D1", q, now)
+		rec := trace.NewBuffer()
+		sys.Net().SetRecorder(rec)
+		res, _, _, err := NewEngine(sys, DefaultOptions()).Query("D1", q, now)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want := oracle(t, paperData(), q); !sameMultiset(res.Solutions, want) {
 			t.Errorf("with %s crashed: %v, the oracle %v", victim, res.Solutions, want)
 		}
-		if stats.PerMethod[chord.MethodFindSuccessorBatch].Messages == 0 || stats.PerMethod[chord.MethodFindSuccessor].Messages == 0 {
-			t.Errorf("traffic %v: want the batch and its per-target fallback", stats.PerMethod)
+		routedAround := false
+		for _, sp := range rec.Spans() {
+			routedAround = routedAround || sp.Name == overlay.MethodRoutedRead && sp.To == victim && sp.Note == flight.KindUnreachable
+		}
+		if !routedAround {
+			t.Errorf("no routed read met %s down: the fixture no longer routes around a crashed owner", victim)
 		}
 	})
 }

@@ -69,14 +69,17 @@ func methodSamples() []methodSample {
 			Entries:  []overlay.KeyFreq{{Key: 4, Freq: 2}},
 			Absolute: true,
 		}, ack},
-		{overlay.MethodLookup, overlay.LookupReq{Keys: []chord.ID{4}, Epoch: 3},
-			overlay.PostingsResp{Postings: []overlay.Posting{{Node: "n2", Freq: 5}},
-				Replicas: []simnet.Addr{"n3", "n4"}, Epoch: 3}},
-		{overlay.MethodLookup, overlay.LookupReq{Keys: []chord.ID{4, 7}, Epoch: 3},
-			overlay.LookupResp{Rows: []overlay.PostingsResp{
+		// A routed read: a hop's forward of two keys, the hand-on to their
+		// owner, and the owner's reply to the origin.
+		{overlay.MethodRoutedRead, overlay.RoutedReadReq{Keys: []chord.ID{4, 7}, Origin: "s1", Epoch: 3, Hops: 2},
+			overlay.RoutedReadResp{Keys: []chord.ID{4, 7}, Rows: []overlay.PostingsResp{
 				{Postings: []overlay.Posting{{Node: "n2", Freq: 5}}, Replicas: []simnet.Addr{"n3", "n4"}, Epoch: 3},
 				{Postings: []overlay.Posting{{Node: "n5", Freq: 1}}},
-			}}},
+			}, Hops: 2, Owner: "n2"}},
+		{overlay.MethodRoutedRead, overlay.RoutedReadReq{Keys: []chord.ID{4}, Origin: "s1", Hops: 1, Owned: true},
+			overlay.RoutedReadResp{Keys: []chord.ID{4}, Rows: []overlay.PostingsResp{
+				{Postings: []overlay.Posting{{Node: "n2", Freq: 5}}},
+			}, Hops: 1, Owner: "n2"}},
 		// Adaptive hot-key replication: the epoch-stamped coherence push
 		// and the replica fast-path read.
 		{overlay.MethodHotReplica, overlay.HotReplicaReq{

@@ -393,7 +393,7 @@ func e9WaveTraffic(t *testing.T, tab *Table) {
 			t.Errorf("%s: store.match %d msgs / %d B, want 18 / 89174", scope, r.Messages, r.Bytes)
 		}
 	}
-	if want := []string{"chord.find_successor_batch", "index.lookup", "store.match"}; !slices.Equal(methods, want) {
+	if want := []string{"index.routed_read", "store.match"}; !slices.Equal(methods, want) {
 		t.Errorf("%s: methods %v, want %v", scope, methods, want)
 	}
 	if msgs >= 36 {

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"adhocshare/internal/dqp"
+	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
@@ -182,6 +183,58 @@ func TestE9HigherLossStillTyped(t *testing.T) {
 	again := runE9Sweep(t, p, d, want)
 	if first != again {
 		t.Errorf("same-seed sweeps differ:\n--- first ---\n%s--- again ---\n%s", first, again)
+	}
+}
+
+// TestE9LookupHopsIgnoreLoss: Stats.LookupHops counts routing decisions —
+// the forwards of the reads that answered, as their owners report them —
+// not re-sends. At 1% and 5% loss with no crashes, every E9 query that
+// completes reports the hops of its fault-free run. Each deployment runs
+// the configurations one after another, so each query's legs draw their
+// own fates; the seeds advance until each loss rate has re-sent a read.
+func TestE9LookupHopsIgnoreLoss(t *testing.T) {
+	q := workload.QueryFig4("Smith")
+	rates := []float64{0.01, 0.05}
+	resent := map[float64]int{}
+	for seed := int64(1); seed <= 16 && (resent[rates[0]] == 0 || resent[rates[1]] == 0); seed++ {
+		d := e9Dataset(Params{Seed: seed})
+		clean, err := buildDeployment(Params{Seed: seed}, 8, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lossy := map[float64]*deployment{}
+		for _, rate := range rates {
+			if lossy[rate], err = buildDeployment(Params{Seed: seed, FaultRate: rate}, 8, d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, opts := range e9Configs() {
+			label := fmt.Sprintf("seed %d, %v/%v/push=%v", seed, opts.Strategy, opts.Conjunction, opts.PushFilters)
+			_, want, err := clean.runQuery(opts, "D00", q)
+			if err != nil {
+				t.Fatalf("%s, fault-free: %v", label, err)
+			}
+			for _, rate := range rates {
+				_, got, err := lossy[rate].runQuery(opts, "D00", q)
+				if err != nil {
+					if !dqp.IsPartialFailure(err) {
+						t.Errorf("%s, loss %v: untyped failure %v", label, rate, err)
+					}
+					continue
+				}
+				if got.LookupHops != want.LookupHops {
+					t.Errorf("%s, loss %v: %d lookup hops, %d fault-free", label, rate, got.LookupHops, want.LookupHops)
+				}
+				if got.PerMethod[overlay.MethodRoutedRead].Messages > want.PerMethod[overlay.MethodRoutedRead].Messages {
+					resent[rate]++
+				}
+			}
+		}
+	}
+	for _, rate := range rates {
+		if resent[rate] == 0 {
+			t.Errorf("loss %v: no query re-sent a routed read in 16 seeds", rate)
+		}
 	}
 }
 

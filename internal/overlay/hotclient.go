@@ -3,18 +3,20 @@ package overlay
 // Workload-adaptive hot-key replication (initiator side).
 //
 // LookupClient is the one lookup entry point for query engines. On a
-// static system (Config.Adaptive off) it sends exactly the paper's
-// resolve-then-lookup message sequence with a zero epoch, byte-identical
-// to the pre-adaptive wire format. On an adaptive system it stamps each
-// lookup with the current stabilization epoch, remembers the replica
-// advertisements coming back in PostingsResp, and serves later lookups of
-// the same key from the nearest live replica holder — rotating among
-// equally-near holders so the hot load spreads instead of moving the
-// hotspot one ring position over. Any miss, error, or epoch change drops
-// the hint and falls back to the home successor.
+// static system (Config.Adaptive off) a lookup is one routed read with a
+// zero epoch: it is routed from the initiator's ring entry point to the
+// key's home successor, which answers the initiator directly (routed.go).
+// On an adaptive system it stamps each read with the current stabilization
+// epoch, remembers the replica advertisements coming back in PostingsResp,
+// and serves later lookups of the same key from the nearest live replica
+// holder — rotating among equally-near holders so the hot load spreads
+// instead of moving the hotspot one ring position over. Any miss, error,
+// or epoch change drops the hint and falls back to the home successor.
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 
 	"adhocshare/internal/chord"
@@ -58,9 +60,11 @@ type LookupRow struct {
 	// have read; join-site planning keys off it either way, so plans are
 	// identical with and without replica hits.
 	Index simnet.Addr
-	// Hops is the FindSuccessor hop count of a key resolved on its own (0
-	// on a replica hit, which skips resolution entirely, and for a key
-	// resolved in a batch, whose forwards are shared with the others).
+	// Hops is the ring forwards of the key's route that no other row of
+	// the same read counts: for a key read on its own its FindSuccessor hop
+	// count; in a read of several keys each route prefix they share is
+	// counted once, on one row. It is 0 on a replica hit, which is not
+	// routed.
 	Hops int
 	// ReplicaHit reports that a hot replica served the row.
 	ReplicaHit bool
@@ -68,10 +72,10 @@ type LookupRow struct {
 	Done simnet.VTime
 }
 
-// LookupError reports the step of a lookup that failed: the ring
-// resolution (Method chord.find_successor, or chord.find_successor_batch
-// for a batch) or the row read (Method index.lookup, Owner the index node
-// asked). Err is the step's own error.
+// LookupError reports a lookup that failed: a routed read (Method
+// index.routed_read; Owner names a key's owner found down when no replica
+// holder stood in for it) or a replica read. Err is the failure's own
+// error.
 type LookupError struct {
 	Method string
 	Owner  simnet.Addr
@@ -173,10 +177,10 @@ func (c *LookupClient) storeHint(key chord.ID, home simnet.Addr, replicas []simn
 }
 
 // Lookup reads the location-table row for key on behalf of `from`: the
-// one-key case of LookupBatch. resolveTC and readTC attribute the
-// FindSuccessor walk and the lookup read; on an adaptive system the replica
-// fast path derives its span from readTC. On a failed read the row names
-// the owner asked; the error is the failed step's own.
+// one-key case of LookupBatch. The routed read travels under resolveTC; on
+// an adaptive system the replica fast path derives its span from readTC.
+// On a failed read the row names the owner found down, if any; the error
+// is the read's own.
 func (c *LookupClient) Lookup(from simnet.Addr, key chord.ID, resolveTC, readTC trace.TraceContext, at simnet.VTime) (LookupRow, simnet.VTime, error) {
 	var row [1]LookupRow
 	done, err := c.lookupOne(from, []chord.ID{key}, c.epoch(), resolveTC, readTC, row[:], at)
@@ -189,42 +193,39 @@ func (c *LookupClient) Lookup(from simnet.Addr, key chord.ID, resolveTC, readTC 
 
 // LookupBatch reads the rows of several distinct keys on behalf of `from`
 // in one planning round, rows[i] being keys[i]'s. A key with a live replica
-// hint is read on its own, as Lookup reads it, and so is a key that is the
-// only one left. The others are resolved together with one
-// find_successor_batch from the caller's ring entry point — the ring walks a
-// route prefix they share once — and read with one index.lookup per owner,
-// carrying every key that owner holds; the reads leave together once the
-// owners are known. Key i read on its own derives its spans from
-// tc.Child(2i) and tc.Child(2i+1); the batch resolves under tc.Child(2n),
-// n = len(keys), and owner j reads under tc.Child(2n+1+j). An error is a
-// *LookupError naming the failed step.
+// hint is read on its own, as Lookup reads it. The others go out together
+// as one routed read from the caller's ring entry point: the ring walks a
+// route prefix they share once, and each owner answers once for all of its
+// keys. Key i read on its own derives its spans from tc.Child(2i) and
+// tc.Child(2i+1); the routed read of the others travels under tc.Child(2n),
+// n = len(keys). An error is a *LookupError.
 //
 //adhoclint:faultpath(benign, the branches fill only the round's own result slots, dropped when it fails)
 func (c *LookupClient) LookupBatch(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) ([]LookupRow, simnet.VTime, error) {
 	epoch := c.epoch()
 	rows := make([]LookupRow, len(keys))
-	if len(keys) == 1 {
-		done, err := c.lookupOne(from, keys, epoch, tc.Child(0), tc.Child(1), rows, at)
-		return rows, done, err
-	}
-	hinted := make([]bool, len(keys))
-	nHome := 0
-	for i, key := range keys {
-		hinted[i] = epoch != 0 && c.hasHint(key, epoch)
-		if !hinted[i] {
-			nHome++
+	routedTC := tc.Child(uint64(2 * len(keys)))
+	var alone []int
+	if epoch != 0 {
+		for i, key := range keys {
+			if c.hasHint(key, epoch) {
+				alone = append(alone, i)
+			}
 		}
 	}
-	var alone, batch []int
-	for i := range keys {
-		if hinted[i] || nHome == 1 {
-			alone = append(alone, i)
-		} else {
-			batch = append(batch, i)
+	if len(alone) == 0 {
+		done, err := c.routedRead(from, keys, epoch, routedTC, rows, at)
+		return rows, done, err
+	}
+	var home []chord.ID
+	var homeAt []int // positions in keys of home
+	for i, key := range keys {
+		if !slices.Contains(alone, i) {
+			home, homeAt = append(home, key), append(homeAt, i)
 		}
 	}
 	branches := len(alone)
-	if len(batch) > 0 {
+	if len(home) > 0 {
 		branches++
 	}
 	//adhoclint:faultpath(abort-all, a key without its row leaves a pattern without its target set; the first failed branch fails the whole lookup)
@@ -234,7 +235,11 @@ func (c *LookupClient) LookupBatch(from simnet.Addr, keys []chord.ID, tc trace.T
 			done, err := c.lookupOne(from, keys[i:i+1], epoch, tc.Child(uint64(2*i)), tc.Child(uint64(2*i+1)), rows[i:i+1], at)
 			return struct{}{}, done, err
 		}
-		done, err := c.lookupBatch(from, keys, batch, epoch, tc, rows, at)
+		out := make([]LookupRow, len(home))
+		done, err := c.routedRead(from, home, epoch, routedTC, out, at)
+		for j, i := range homeAt {
+			rows[i] = out[j]
+		}
 		return struct{}{}, done, err
 	})
 	done = simnet.MaxTime(at, done)
@@ -257,8 +262,7 @@ func (c *LookupClient) epoch() uint64 {
 
 // lookupOne reads key[0]'s row into out[0]: from a hot replica when the
 // client holds a hint for it, else — or after a replica miss, from the
-// elapsed time — the paper's resolve-then-read sequence through the home
-// successor.
+// elapsed time — with a routed read to the home successor.
 //
 //adhoclint:faultpath(benign, out is the caller's result slot, dropped when the lookup fails)
 func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64, resolveTC, readTC trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
@@ -284,86 +288,96 @@ func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64,
 			c.dropHint(key[0])
 		}
 	}
-	owner, hops, done, err := c.sys.ResolveKeyTraced(from, key[0], resolveTC, now)
-	if err != nil {
-		return done, &LookupError{Method: chord.MethodFindSuccessor, Err: err}
-	}
-	done, err = c.read(from, owner, key, epoch, readTC, out, done)
-	out[0].Hops = hops
-	return done, err
+	return c.routedRead(from, key, epoch, resolveTC, out, now)
 }
 
-// lookupBatch resolves keys[idx] with one find_successor_batch and reads
-// them into rows[idx] with one index.lookup per owner, owners in the order
-// the keys first name them, all reads leaving when the resolution is in;
-// the spans are LookupBatch's.
-func (c *LookupClient) lookupBatch(from simnet.Addr, keys []chord.ID, idx []int, epoch uint64, tc trace.TraceContext, rows []LookupRow, at simnet.VTime) (simnet.VTime, error) {
-	base := uint64(2 * len(keys))
-	targets := make([]chord.ID, len(idx))
-	for j, i := range idx {
-		targets[j] = keys[i]
+// routedAttempts is the routed read's send budget: the first send plus
+// four re-sends. A resolve-then-read lookup of h hops sent 2·(h+1) + 2
+// legs, each with three attempts of its own, so a loss went unrecovered
+// with probability about (2h+4)·p³. A routed read re-sends its whole route
+// of h + 3 legs, which fails k times running with probability about
+// ((h+3)·p)^k. At p = 1% the mean route of point_lookup's ring (h = 2.4:
+// 5.4 legs against 8.8) is no worse from k = 4 on, but a route of h ≥ 3
+// hops needs k = 5 (h = 3: 7.8e-7 against 1.0e-5), and k = 5 holds up to
+// h = 8 hops.
+const routedAttempts = 5
+
+// routedRead reads the rows of keys into out, out[i] being keys[i]'s, with
+// one routed read from `from`'s ring entry point under tc (routed.go). The
+// origin hears nothing of a read that fails on its way — no leg is
+// acknowledged — so a failed attempt costs it FailTimeout from its
+// departure, never less than the time the route took; a lost leg, or a
+// lost reply, is answered by re-sending the whole read, up to
+// routedAttempts times.
+func (c *LookupClient) routedRead(from simnet.Addr, keys []chord.ID, epoch uint64, tc trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
+	entry := c.sys.entryFor(from)
+	if entry == "" {
+		return at, &LookupError{Method: MethodRoutedRead, Err: fmt.Errorf("overlay: node %s has no ring entry point", from)}
 	}
-	owners, done, err := c.sys.ResolveKeys(from, targets, tc.Child(base), at)
-	if err != nil {
-		return done, &LookupError{Method: chord.MethodFindSuccessorBatch, Err: err}
-	}
-	var order []simnet.Addr
-	held := map[simnet.Addr][]int{} // owner → positions in keys
-	for j, ref := range owners {
-		if _, ok := held[ref.Addr]; !ok {
-			order = append(order, ref.Addr)
+	net := c.sys.Net()
+	req := RoutedReadReq{Keys: keys, Origin: from, Epoch: epoch, TC: tc}
+	var err error
+	for attempt := 0; attempt < routedAttempts; attempt++ {
+		var (
+			resp simnet.Payload
+			done simnet.VTime
+		)
+		resp, done, err = net.Forward(from, entry, MethodRoutedRead, req, "", at)
+		if err == nil {
+			return done, c.keepReplies(keys, epoch, resp, done, out)
 		}
-		held[ref.Addr] = append(held[ref.Addr], idx[j])
-	}
-	//adhoclint:faultpath(abort-all, an owner's keys without their rows leave patterns without target sets; the first failed read fails the whole lookup)
-	results, readDone := simnet.Parallel(len(order), 0, func(o int) (struct{}, simnet.VTime, error) {
-		is := held[order[o]]
-		ks := make([]chord.ID, len(is))
-		for k, i := range is {
-			ks[k] = keys[i]
+		at = simnet.MaxTime(at.Add(net.Config().FailTimeout), done)
+		if !simnet.IsLost(err) {
+			break
 		}
-		out := make([]LookupRow, len(is))
-		done, err := c.read(from, order[o], ks, epoch, tc.Child(base+1+uint64(o)), out, done)
-		for k, i := range is {
-			rows[i] = out[k]
-		}
-		return struct{}{}, done, err
-	})
-	for _, r := range results {
-		if r.Err != nil {
-			return simnet.MaxTime(done, readDone), r.Err
+		if attempt == routedAttempts-1 {
+			err = fmt.Errorf("%w (after %d attempts)", err, routedAttempts)
 		}
 	}
-	return simnet.MaxTime(done, readDone), nil
+	var le *LookupError
+	if errors.As(err, &le) {
+		return at, le
+	}
+	return at, &LookupError{Method: MethodRoutedRead, Err: err}
 }
 
-// read asks owner for the rows of keys with one index.lookup, writes them
-// to out and records the replica advertisements that come back.
-func (c *LookupClient) read(from, owner simnet.Addr, keys []chord.ID, epoch uint64, tc trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
-	req := LookupReq{Keys: keys, Epoch: epoch, TC: tc}
-	resp, done, err := c.sys.Net().CallRetry(from, owner, MethodLookup, req, at)
-	if err != nil {
-		return done, &LookupError{Method: MethodLookup, Owner: owner, Err: err}
-	}
-	keep := func(k int, pr PostingsResp) {
-		if epoch != 0 && pr.Epoch == epoch && len(pr.Replicas) > 0 {
-			c.storeHint(keys[k], owner, pr.Replicas, epoch)
-		}
-		out[k] = LookupRow{Postings: append([]Posting(nil), pr.Postings...), Index: owner, Done: done}
-	}
-	switch r := resp.(type) {
-	case PostingsResp:
-		if len(keys) == 1 {
-			keep(0, r)
-			return done, nil
-		}
-	case LookupResp:
-		if len(r.Rows) == len(keys) {
-			for k, pr := range r.Rows {
-				keep(k, pr)
+// keepReplies writes the owners' replies to a routed read of keys into out
+// — resp is one reply that arrived at `at`, or several with their own
+// arrival times — and records the replica advertisements they carry. A
+// reply's rows are the caller's from here on: they were read for it.
+func (c *LookupClient) keepReplies(keys []chord.ID, epoch uint64, resp simnet.Payload, at simnet.VTime, out []LookupRow) error {
+	filled := 0
+	keep := func(r *RoutedReadResp, at simnet.VTime) error {
+		filled += len(r.Keys)
+		for j, key := range r.Keys {
+			i := slices.Index(keys, key)
+			if i < 0 || j >= len(r.Rows) {
+				return &LookupError{Method: MethodRoutedRead, Owner: r.Owner, Err: errBadLookupResp}
 			}
-			return done, nil
+			pr := r.Rows[j]
+			if epoch != 0 && pr.Epoch == epoch && len(pr.Replicas) > 0 {
+				c.storeHint(key, r.Owner, pr.Replicas, epoch)
+			}
+			out[i] = LookupRow{Postings: pr.Postings, Index: r.Owner, Done: at}
+			if j == 0 {
+				out[i].Hops = r.Hops
+			}
+		}
+		return nil
+	}
+	var err error
+	switch r := resp.(type) {
+	case *RoutedReadResp:
+		err = keep(r, at)
+	case *readReplies:
+		for k, rep := range r.replies {
+			if err = keep(rep, r.arrived[k]); err != nil {
+				break
+			}
 		}
 	}
-	return done, &LookupError{Method: MethodLookup, Owner: owner, Err: errBadLookupResp}
+	if err == nil && filled != len(keys) {
+		err = &LookupError{Method: MethodRoutedRead, Err: errBadLookupResp}
+	}
+	return err
 }

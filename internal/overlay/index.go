@@ -7,7 +7,6 @@ import (
 
 	"adhocshare/internal/chord"
 	"adhocshare/internal/simnet"
-	"adhocshare/internal/trace"
 )
 
 // IndexNode is a ring member willing to host index entries for others
@@ -107,20 +106,18 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		resp, now, err := n.replicate(at, rows)
 		n.refreshHot(keys, r.TC, now)
 		return resp, now, err
-	case MethodLookup:
-		r, ok := req.(LookupReq)
+	case MethodRoutedRead:
+		r, ok := req.(RoutedReadReq)
 		if !ok {
-			return nil, at, fmt.Errorf("overlay: lookup payload %T", req)
+			return nil, at, fmt.Errorf("overlay: routed_read payload %T", req)
 		}
-		// One key is answered with its row, several with a row per key.
+		if r.Owned {
+			return n.answerRead(r, at), at, nil
+		}
 		if len(r.Keys) == 1 {
-			return n.lookupRow(r, 0, r.TC, at), at, nil
+			return n.routeKey(at, r)
 		}
-		resp := LookupResp{Rows: make([]PostingsResp, len(r.Keys))}
-		for k := range r.Keys {
-			resp.Rows[k] = n.lookupRow(r, k, r.TC.Child(uint64(k+1)), at)
-		}
-		return resp, at, nil
+		return n.routeKeys(at, r)
 	case MethodHotReplica:
 		r, ok := req.(HotReplicaReq)
 		if !ok {
@@ -181,17 +178,6 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 	default:
 		return nil, at, fmt.Errorf("overlay: index node %s: unknown method %s", n.addr, method)
 	}
-}
-
-// lookupRow reads the row of r's k-th key; an adaptive request (non-zero
-// epoch) also counts the lookup and may advertise hot replicas, their
-// pushes traced under tc.
-func (n *IndexNode) lookupRow(r LookupReq, k int, tc trace.TraceContext, at simnet.VTime) PostingsResp {
-	resp := PostingsResp{Postings: n.Table.Get(r.Keys[k])}
-	if h := n.hotRef(); h != nil && r.Epoch != 0 {
-		resp.Replicas, resp.Epoch = n.adaptiveTail(h, r.Keys[k], resp.Postings, r.Epoch, tc, at)
-	}
-	return resp
 }
 
 // seenSeq records seq as applied for publisher node and reports whether it

@@ -19,10 +19,10 @@ import (
 const (
 	//adhoclint:faultpath(idempotent, re-deliveries are suppressed by the per-publisher shipment sequence number, so relative frequency deltas apply exactly once)
 	MethodPutBatch = "index.put_batch"
-	//adhoclint:faultpath(idempotent, the read is side-effect-free and the adaptive tail only bumps an advisory decayed counter and re-pushes absolute hot-replica rows, so re-execution converges to the same state)
-	MethodLookup   = "index.lookup"
-	MethodTransfer = "index.transfer"
-	MethodHandover = "index.handover"
+	//adhoclint:faultpath(idempotent, routing is a read plus the eviction of dead next hops, the owner's read is side-effect-free and its adaptive tail only bumps an advisory decayed counter and re-pushes absolute hot-replica rows, so a re-sent read converges to the same state)
+	MethodRoutedRead = "index.routed_read"
+	MethodTransfer   = "index.transfer"
+	MethodHandover   = "index.handover"
 	//adhoclint:faultpath(idempotent, dropping an already-dropped node's postings is a no-op; propagation re-sends converge the replicas to the same state)
 	MethodDropNode = "index.drop_node"
 	//adhoclint:faultpath(idempotent, replica sync replaces whole rows absolutely)
@@ -75,24 +75,30 @@ func (r PutBatchReq) SizeBytes() int {
 	return len(r.Node) + 12*len(r.Entries) + boolWidth(r.Absolute) + seqWidth(r.Seq) + r.TC.SizeBytes()
 }
 
-// LookupReq reads the location-table rows of one or more keys held by the
-// receiving index node. Epoch, when non-zero, is the initiator's
-// stabilization epoch and opts the request into the adaptive hot-key
-// machinery: the home node counts each key's lookup and may advertise
-// epoch-stamped replicas in its row. Static initiators send zero and a
-// one-key request is byte-identical to the pre-adaptive wire format.
+// RoutedReadReq is a routed read of the location-table rows of one or more
+// keys: it travels from the origin's ring entry point one hop at a time,
+// each hop splitting it by next hop, until the predecessor of the keys'
+// owner hands it on with Owned set; the owner then answers Origin directly
+// with a RoutedReadResp. Hops counts the forwards of the route that no
+// other sub-read of the same read counts yet, and the owner's reply carries
+// it back. Epoch, when non-zero, is the origin's stabilization epoch and
+// opts the read into the adaptive hot-key machinery: the owner counts each
+// key's lookup and may advertise epoch-stamped replicas in its row.
 //
-//adhoclint:wireimmutable Keys is built per request by its sender and never written afterwards
-type LookupReq struct {
-	Keys  []chord.ID
-	Epoch uint64
-	TC    trace.TraceContext
+//adhoclint:wireimmutable Keys is built per read by its origin, or per sub-read by the hop that split it, and never written afterwards
+type RoutedReadReq struct {
+	Keys   []chord.ID
+	Origin simnet.Addr
+	Epoch  uint64
+	Hops   int32 // with Owned, one word: each hop allocates a request
+	Owned  bool
+	TC     trace.TraceContext
 }
 
-// SizeBytes implements simnet.Payload. Every key is charged what a request
-// of its own would cost: batching saves messages, never bytes.
-func (r LookupReq) SizeBytes() int {
-	n := r.TC.SizeBytes()
+// SizeBytes implements simnet.Payload. Every key is charged what a read of
+// its own would cost: batching saves messages, never bytes.
+func (r RoutedReadReq) SizeBytes() int {
+	n := len(r.Origin) + intWidth(int(r.Hops)) + boolWidth(r.Owned) + r.TC.SizeBytes()
 	for _, k := range r.Keys {
 		n += k.SizeBytes()
 		if r.Epoch != 0 {
@@ -103,20 +109,28 @@ func (r LookupReq) SizeBytes() int {
 }
 
 // TraceCtx implements trace.Carrier.
-func (r LookupReq) TraceCtx() trace.TraceContext { return r.TC }
+func (r RoutedReadReq) TraceCtx() trace.TraceContext { return r.TC }
 
-// LookupResp answers a LookupReq of several keys: Rows[i] is the row of
-// Keys[i]. A one-key request is answered with the row, a PostingsResp.
-type LookupResp struct {
-	Rows []PostingsResp
+// RoutedReadResp is an owner's reply to a routed read, sent straight to
+// the origin: Rows[i] is the row of Keys[i], and Hops the forwards of the
+// route this reply counts (a route prefix several owners' keys share is
+// counted by one of their replies). Owner is the replying node.
+//
+//adhoclint:wireimmutable Keys and Rows are built per reply by its owner and never written after it answers
+type RoutedReadResp struct {
+	Keys  []chord.ID
+	Rows  []PostingsResp
+	Hops  int
+	Owner simnet.Addr
 }
 
-// SizeBytes implements simnet.Payload: each row is charged as the reply to
-// a request of its own key would be.
-func (r LookupResp) SizeBytes() int {
-	n := 0
-	for _, row := range r.Rows {
-		n += row.SizeBytes()
+// SizeBytes implements simnet.Payload: each row is charged with its key.
+//
+//adhoclint:ignore payload-size Owner is the reply's sender, whose address travels in the leg's header as every sender's does
+func (r RoutedReadResp) SizeBytes() int {
+	n := intWidth(r.Hops)
+	for i, row := range r.Rows {
+		n += r.Keys[i].SizeBytes() + row.SizeBytes()
 	}
 	return n
 }

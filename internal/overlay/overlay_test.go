@@ -278,15 +278,11 @@ func TestMultipleStorageNodesShareKeys(t *testing.T) {
 	}
 	pat := rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: ex("carol")}
 	key, _, _ := PatternKey(pat, s.Config().Bits)
-	owner, _, now, err := s.ResolveKey("D1", key, now)
+	read, _, err := NewLookupClient(s).Lookup("D1", key, trace.TraceContext{}, trace.TraceContext{}, now)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _, err := s.Net().Call("D1", owner, MethodLookup, LookupReq{Keys: []chord.ID{key}}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := resp.(PostingsResp).Postings
+	row := read.Postings
 	if len(row) != 3 {
 		t.Errorf("⟨knows,carol⟩ row has %d postings, want 3: %v", len(row), row)
 	}
@@ -693,9 +689,9 @@ func TestPayloadSizes(t *testing.T) {
 	// every message type reports a positive wire size
 	payloads := []simnet.Payload{
 		PutBatchReq{Node: "D1", Entries: []KeyFreq{{Key: 1, Freq: 1}}},
-		LookupReq{Keys: []chord.ID{9}},
+		RoutedReadReq{Keys: []chord.ID{9}},
 		PostingsResp{Postings: []Posting{{Node: "D1", Freq: 3}}},
-		LookupResp{Rows: []PostingsResp{{Postings: []Posting{{Node: "D1", Freq: 3}}}, {}}},
+		RoutedReadResp{Keys: []chord.ID{9, 4}, Rows: []PostingsResp{{Postings: []Posting{{Node: "D1", Freq: 3}}}, {}}},
 		TransferReq{From: 1, To: 2},
 		TableRows{Rows: map[chord.ID][]Posting{1: {{Node: "D1", Freq: 1}}}},
 		DropNodeReq{Node: "D1"},

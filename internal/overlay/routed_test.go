@@ -1,0 +1,432 @@
+package overlay
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"adhocshare/internal/chord"
+	"adhocshare/internal/flight"
+	"adhocshare/internal/rdf"
+	"adhocshare/internal/simnet"
+	"adhocshare/internal/trace"
+)
+
+// randomSystem builds a converged deployment on one of the random rings
+// chord's route_test.go checks routing on: size index nodes with distinct
+// identifiers on a bits-wide circle, three storage nodes, each publishing
+// a few triples of a small vocabulary. It returns the storage nodes and
+// the index keys of what they published.
+func randomSystem(t *testing.T, rng *rand.Rand, bits uint, size, replication int) (*System, []simnet.Addr, []chord.ID, simnet.VTime) {
+	t.Helper()
+	s := NewSystem(Config{Bits: bits, Replication: replication,
+		Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
+	now := simnet.VTime(0)
+	seen := map[chord.ID]bool{}
+	for i := 0; len(seen) < size; i++ {
+		addr := simnet.Addr(fmt.Sprintf("idx-%03d", i))
+		id := chord.HashID(string(addr), bits)
+		if seen[id] {
+			continue
+		}
+		seen[id] = true
+		_, done, err := s.AddIndexNodeWithID(addr, id, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	var storage []simnet.Addr
+	var keys []chord.ID
+	for i := 0; i < 3; i++ {
+		addr := simnet.Addr(fmt.Sprintf("st-%d", i))
+		_, done, err := s.AddStorageNode(addr, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var triples []rdf.Triple
+		for j := 0; j < 4; j++ {
+			tr := rdf.Triple{S: ex(fmt.Sprintf("p%d", rng.Intn(6))), P: fp([]string{"knows", "name", "mbox"}[rng.Intn(3)]), O: ex(fmt.Sprintf("o%d", rng.Intn(6)))}
+			triples = append(triples, tr)
+			for _, k := range TripleKeys(tr, bits) {
+				if !slices.Contains(keys, k) {
+					keys = append(keys, k)
+				}
+			}
+		}
+		if now, err = s.Publish(addr, triples, done); err != nil {
+			t.Fatal(err)
+		}
+		storage = append(storage, addr)
+	}
+	return s, storage, keys, now
+}
+
+// legsSince is the number of message legs the fabric carried since before.
+func legsSince(s *System, before simnet.Snapshot) int64 {
+	return s.Net().Metrics().Messages - before.Messages
+}
+
+// refRead is the resolve-then-read lookup the routed read replaced, kept
+// as the reference model: FindSuccessor from the initiator's ring entry
+// point (System.ResolveKey), then the owner's location-table row, which
+// the index.lookup call that followed returned in two legs — none when
+// the owner was the initiator itself.
+func refRead(t *testing.T, s *System, from simnet.Addr, key chord.ID, at simnet.VTime) (row []Posting, owner simnet.Addr, hops int, legs int64) {
+	t.Helper()
+	before := s.Net().Metrics()
+	owner, hops, _, err := s.ResolveKey(from, key, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs = legsSince(s, before)
+	if owner != from {
+		legs += 2
+	}
+	idx, _ := s.Index(owner)
+	return idx.Table.Get(key), owner, hops, legs
+}
+
+// refBatch is the reference model of a read of several keys: one
+// find_successor_batch from the initiator's ring entry point, then one
+// two-leg read per owner other than the initiator. forwards is the ring's
+// forward count the engine read off the batch's traffic.
+func refBatch(t *testing.T, s *System, from simnet.Addr, keys []chord.ID, at simnet.VTime) (owners []simnet.Addr, forwards int, legs int64) {
+	t.Helper()
+	before := s.Net().Metrics()
+	refs, _, err := s.ResolveKeys(from, keys, trace.TraceContext{}, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traffic := s.Net().Metrics().Sub(before)
+	legs = traffic.Messages
+	forwards = int(traffic.PerMethod[chord.MethodFindSuccessorBatch].Messages / 2)
+	if _, own := s.Index(from); !own {
+		forwards--
+	}
+	for _, r := range refs {
+		owners = append(owners, r.Addr)
+		if r.Addr != from && slices.Index(owners, r.Addr) == len(owners)-1 {
+			legs += 2
+		}
+	}
+	return owners, forwards, legs
+}
+
+// TestRoutedLookupMatchesResolveThenRead is the routed read's differential:
+// on random rings (Bits 8–24, 2–64 index nodes), from storage and index
+// initiators, every key's routed read returns the row, owner and hop count
+// the resolve-then-read reference finds, at exactly hops + 3 legs — one
+// fewer from an index node, which is its own entry point, and one fewer
+// again when it owns the key. A read of several keys returns every key's
+// row and owner, counts the forwards the reference's batch made, and never
+// costs more legs than the reference.
+func TestRoutedLookupMatchesResolveThenRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 8; trial++ {
+		bits := uint(8 + rng.Intn(17))
+		size := 2 + rng.Intn(63)
+		if trial == 0 {
+			bits, size = 24, 64
+		}
+		s, storage, keys, now := randomSystem(t, rng, bits, size, 1+rng.Intn(2))
+		for i := 0; i < 8; i++ {
+			keys = append(keys, chord.HashID(fmt.Sprint(rng.Int63()), bits))
+		}
+		index := s.IndexNodes()
+		client := NewLookupClient(s)
+		for _, from := range []simnet.Addr{storage[rng.Intn(len(storage))], index[rng.Intn(len(index))].Addr()} {
+			_, fromIndex := s.Index(from)
+			for _, key := range keys {
+				want, owner, hops, _ := refRead(t, s, from, key, now)
+				before := s.Net().Metrics()
+				got, _, err := client.Lookup(from, key, trace.TraceContext{}, trace.TraceContext{}, now)
+				if err != nil {
+					t.Fatalf("bits %d, %d nodes, %s → %v: %v", bits, size, from, key, err)
+				}
+				legs := legsSince(s, before)
+				if !slices.Equal(got.Postings, want) || got.Index != owner || got.Hops != hops {
+					t.Fatalf("bits %d, %d nodes, %s → %v: row %v at %s after %d hops, the reference %v at %s after %d",
+						bits, size, from, key, got.Postings, got.Index, got.Hops, want, owner, hops)
+				}
+				wantLegs := int64(hops + 3)
+				if fromIndex {
+					wantLegs--
+				}
+				if owner == from {
+					wantLegs--
+				}
+				if legs != wantLegs {
+					t.Fatalf("bits %d, %d nodes, %s → %v: %d legs for %d hops, want %d", bits, size, from, key, legs, hops, wantLegs)
+				}
+			}
+			for round := 0; round < 4; round++ {
+				batch := slices.Clone(keys)
+				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				batch = batch[:2+rng.Intn(len(batch)-1)]
+				owners, forwards, refLegs := refBatch(t, s, from, batch, now)
+				before := s.Net().Metrics()
+				rows, _, err := client.LookupBatch(from, batch, trace.TraceContext{}, now)
+				if err != nil {
+					t.Fatalf("bits %d, %d nodes, %s, %d keys: %v", bits, size, from, len(batch), err)
+				}
+				legs := legsSince(s, before)
+				hops := 0
+				for i, key := range batch {
+					idx, _ := s.Index(owners[i])
+					if want := idx.Table.Get(key); !slices.Equal(rows[i].Postings, want) || rows[i].Index != owners[i] {
+						t.Fatalf("bits %d, %d nodes, %s, key %v of %d: row %v at %s, the reference %v at %s",
+							bits, size, from, key, len(batch), rows[i].Postings, rows[i].Index, want, owners[i])
+					}
+					hops += rows[i].Hops
+				}
+				if hops != forwards || legs > refLegs {
+					t.Fatalf("bits %d, %d nodes, %s, %d keys: %d forwards in %d legs, the reference %d in %d",
+						bits, size, from, len(batch), hops, legs, forwards, refLegs)
+				}
+			}
+		}
+	}
+}
+
+// crashedOwnerFixture publishes alice's triples from D1 on eight index
+// nodes and crashes, without letting the ring heal, the owner of one of
+// their keys that is not D1's ring entry point. It returns the key, the
+// row it held and the dead owner.
+func crashedOwnerFixture(t *testing.T, replication int) (*System, chord.ID, []Posting, simnet.Addr, simnet.VTime) {
+	t.Helper()
+	s := NewSystem(Config{Bits: 16, Replication: replication,
+		Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
+	now := simnet.VTime(0)
+	for i := 0; i < 8; i++ {
+		_, done, err := s.AddIndexNode(simnet.Addr(fmt.Sprintf("idx-%02d", i)), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	st, now, err := s.AddStorageNode("D1", now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = s.Publish("D1", aliceTriples(), now); err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range aliceTriples() {
+		for _, key := range TripleKeys(tr, s.Config().Bits) {
+			owner, _, _, err := s.ResolveKey("D1", key, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			idx, _ := s.Index(owner)
+			if row := idx.Table.Get(key); owner != st.AttachedTo() && len(row) > 0 {
+				s.FailNode(owner)
+				return s, key, row, owner, now
+			}
+		}
+	}
+	t.Fatal("every key of the fixture is owned by D1's entry point")
+	return nil, 0, nil, "", 0
+}
+
+// TestRoutedReadOwnerCrashServedByReplica: with Replication 2 the owner's
+// predecessor, finding the owner down, hands the read to the successor
+// that holds its replica rows, and the row is the one the owner held.
+func TestRoutedReadOwnerCrashServedByReplica(t *testing.T) {
+	s, key, want, dead, now := crashedOwnerFixture(t, 2)
+	row, _, err := NewLookupClient(s).Lookup("D1", key, trace.TraceContext{}, trace.TraceContext{}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(row.Postings, want) || row.Index == dead {
+		t.Errorf("with %s crashed: row %v from %s, want %v from a replica holder", dead, row.Postings, row.Index, want)
+	}
+}
+
+// TestRoutedReadOwnerCrashIsTypedError: with Replication 1 no other node
+// holds the row, so the read fails with a *LookupError naming the dead
+// owner — never with an empty row from the node after it.
+func TestRoutedReadOwnerCrashIsTypedError(t *testing.T) {
+	s, key, _, dead, now := crashedOwnerFixture(t, 1)
+	client := NewLookupClient(s)
+	row, _, err := client.Lookup("D1", key, trace.TraceContext{}, trace.TraceContext{}, now)
+	if !errors.Is(err, simnet.ErrUnreachable) || row.Index != dead || len(row.Postings) > 0 {
+		t.Errorf("Lookup: row %v at %s, error %v; want %s named unreachable", row.Postings, row.Index, err, dead)
+	}
+	_, _, err = client.LookupBatch("D1", []chord.ID{key, key + 1}, trace.TraceContext{}, now)
+	var le *LookupError
+	if !errors.As(err, &le) || le.Owner != dead || le.Method != MethodRoutedRead {
+		t.Errorf("LookupBatch: error %v, want a *LookupError naming %s", err, dead)
+	}
+}
+
+// TestRoutedReadLossResendsWholeRead: no leg of a routed read is
+// acknowledged, so a lost forward or a lost reply costs the origin its
+// FailTimeout from departure, after which it re-sends the whole read; the
+// re-sent read returns the same row, at FailTimeout plus the loss-free
+// read's time. A read every attempt of which is lost fails with a
+// *LookupError after routedAttempts deadlines. The loss seeds are found by
+// search, so the cases are independent of where the draws fall.
+func TestRoutedReadLossResendsWholeRead(t *testing.T) {
+	s, now := newTestSystem(t, 8)
+	if _, done, err := s.AddStorageNode("D1", now); err != nil {
+		t.Fatal(err)
+	} else if now, err = s.Publish("D1", aliceTriples(), done); err != nil {
+		t.Fatal(err)
+	}
+	key := TripleKeys(aliceTriples()[0], s.Config().Bits)[KeyS]
+	client := NewLookupClient(s)
+	clean, cleanDone, err := client.Lookup("D1", key, trace.TraceContext{}, trace.TraceContext{}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft := s.Net().Config().FailTimeout
+	rec := trace.NewBuffer()
+	s.Net().SetRecorder(rec)
+	found := map[string]bool{}
+	for seed := int64(1); seed < 4000 && len(found) < 3; seed++ {
+		rec.Reset()
+		s.Net().SetFaults(&simnet.FaultPlan{Seed: seed, LossRate: 0.3})
+		row, done, err := client.Lookup("D1", key, trace.Root(1), trace.TraceContext{}, now)
+		var lost []trace.Span
+		for _, sp := range rec.Spans() {
+			if sp.Name == MethodRoutedRead && sp.Note == flight.KindLost {
+				lost = append(lost, sp)
+			}
+		}
+		switch {
+		case err != nil:
+			var le *LookupError
+			if !simnet.IsLost(err) || len(lost) != routedAttempts {
+				t.Fatalf("seed %d: %v after %d lost legs, want a loss after %d", seed, err, len(lost), routedAttempts)
+			}
+			if want := now.Add(routedAttempts * ft); done != want || errors.As(err, &le) {
+				t.Fatalf("seed %d: failed at %v (error %T), want %v unwrapped from its *LookupError", seed, done, err, want)
+			}
+			if _, _, err := client.LookupBatch("D1", []chord.ID{key}, trace.Root(1), now); !errors.As(err, &le) || le.Method != MethodRoutedRead {
+				t.Fatalf("seed %d: LookupBatch error %v, want a *LookupError", seed, err)
+			}
+			found["exhausted"] = true
+		case len(lost) == 1:
+			kind := "forward"
+			if lost[0].IsResponse() {
+				kind = "reply"
+			}
+			found[kind] = true
+			if !slices.Equal(row.Postings, clean.Postings) || row.Index != clean.Index || row.Hops != clean.Hops {
+				t.Fatalf("seed %d, lost %s: row %+v, the loss-free read %+v", seed, kind, row, clean)
+			}
+			if want := cleanDone.Add(ft); done != want {
+				t.Fatalf("seed %d, lost %s: answered at %v, want %v (FailTimeout, then the loss-free read)", seed, kind, done, want)
+			}
+		}
+	}
+	for _, kind := range []string{"forward", "reply", "exhausted"} {
+		if !found[kind] {
+			t.Errorf("no seed loses a %s alone; the search covers too few", kind)
+		}
+	}
+}
+
+// routeThrough finds, on a converged deployment, a key whose route from
+// entry crosses an intermediate hop: neither entry, nor the owner, nor its
+// predecessor. It returns the key and that hop.
+func routeThrough(t *testing.T, s *System, entry simnet.Addr, rng *rand.Rand) (chord.ID, simnet.Addr) {
+	t.Helper()
+	for tries := 0; tries < 1000; tries++ {
+		key := chord.HashID(fmt.Sprint(rng.Int63()), s.Config().Bits)
+		var path []simnet.Addr
+		at := entry
+		for {
+			idx, _ := s.Index(at)
+			next, owned := idx.Chord.NextHop(key)
+			if owned {
+				break
+			}
+			path = append(path, next.Addr)
+			at = next.Addr
+		}
+		if len(path) >= 2 {
+			return key, path[0]
+		}
+	}
+	t.Fatal("no key routes through an intermediate hop")
+	return 0, ""
+}
+
+// TestRoutedHopFallsBackAsFindSuccessor: a hop whose next hop is down falls
+// back along the eager candidate order and evicts exactly what
+// find_successor's hop does. Two identical deployments lose the same
+// intermediate hop; one resolves the key, the other reads it routed, and
+// they find the same owner after the same hops, retry and evict the same
+// peers from the same nodes, and are left with the same successor lists.
+func TestRoutedHopFallsBackAsFindSuccessor(t *testing.T) {
+	build := func() (*System, simnet.VTime, *flight.Recorder) {
+		s, now := newTestSystem(t, 24)
+		flt := flight.NewRecorder(0)
+		s.Net().SetFlightRecorder(flt)
+		return s, now, flt
+	}
+	ref, now, refFlt := build()
+	routed, _, routedFlt := build()
+	entry := ref.IndexNodes()[0].Addr()
+	key, victim := routeThrough(t, ref, entry, rand.New(rand.NewSource(5)))
+	ref.FailNode(victim)
+	routed.FailNode(victim)
+
+	owner, hops, _, err := ref.ResolveKey(entry, key, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, _, err := NewLookupClient(routed).Lookup(entry, key, trace.TraceContext{}, trace.TraceContext{}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.Index != owner || row.Hops != hops {
+		t.Errorf("routed read found %s after %d hops, find_successor %s after %d", row.Index, row.Hops, owner, hops)
+	}
+	type step struct{ node, kind, peer string }
+	steps := func(flt *flight.Recorder) []step {
+		var out []step
+		for _, ev := range flt.Events() {
+			if ev.Kind == flight.KindRetry || ev.Kind == flight.KindEvict {
+				out = append(out, step{ev.Node, ev.Kind, ev.Peer})
+			}
+		}
+		return out
+	}
+	want, got := steps(refFlt), steps(routedFlt)
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("routed read's retries and evictions %v, find_successor's %v", got, want)
+	}
+	for i, n := range ref.IndexNodes() {
+		m := routed.IndexNodes()[i]
+		if !slices.Equal(n.Chord.SuccessorList(), m.Chord.SuccessorList()) {
+			t.Errorf("%s: successor list %v after the routed read, %v after find_successor", n.Addr(), m.Chord.SuccessorList(), n.Chord.SuccessorList())
+		}
+	}
+}
+
+// TestRoutedLookupAllocs holds a point lookup to its allocation budget: a
+// one-key LookupBatch from a storage node on a 32-node ring, averaged over
+// the keys of the fixture. The resolve-then-read path it replaced took 11
+// on the same fixture.
+func TestRoutedLookupAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s, storage, keys, now := randomSystem(t, rng, 32, 32, 2)
+	client := NewLookupClient(s)
+	k := 0
+	allocs := testing.AllocsPerRun(len(keys)*8, func() {
+		if _, _, err := client.LookupBatch(storage[0], keys[k%len(keys):k%len(keys)+1], trace.TraceContext{}, now); err != nil {
+			t.Fatal(err)
+		}
+		k++
+	})
+	t.Logf("a one-key LookupBatch allocates %.1f times", allocs)
+	if allocs > 8 {
+		t.Errorf("a one-key LookupBatch allocates %.1f times, want at most 8", allocs)
+	}
+}

@@ -115,7 +115,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Message directions used as keys of Snapshot.PerDirection. A Call is two
-// accounted messages (request + response); Send and Transfer are one each.
+// accounted messages (request + response); Send and Transfer are one each;
+// a Forward is one one-way leg, plus a response leg when it ends a route.
 const (
 	DirRequest  = "req"
 	DirResponse = "resp"
@@ -436,6 +437,49 @@ func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTi
 	}
 	_, done, err := h.HandleCall(arrive, method, req)
 	return done, err
+}
+
+// Forward is one leg of a routed request: req travels from `from` to `to`
+// as a one-way message, the receiver's handler runs on arrival, and no
+// reply leg comes back to `from`. With replyTo empty the receiver is a
+// further hop: its handler's result and completion time are returned as
+// they are, the time being when the route's answer reached its origin. With
+// replyTo set the receiver ends the route: its result travels to replyTo as
+// one response leg, whose arrival is the returned time (no leg when replyTo
+// is the receiver itself). A handler error is returned as is, with no reply.
+//
+// No leg of a route is acknowledged, so a lost one stops the route where it
+// left: Forward returns ErrMessageLost or ErrReplyLost at the lost leg's
+// departure, and only the origin's own deadline charges the loss. A
+// receiver found down is reported as Call reports it, after FailTimeout,
+// so a hop can fall back to another; a hop to itself is free.
+func (n *Network) Forward(from, to Addr, method string, req Payload, replyTo Addr, at VTime) (Payload, VTime, error) {
+	h, down, err := n.lookup(to)
+	if err != nil {
+		return nil, at, err
+	}
+	hk, tc := n.hooks.Load(), trace.CtxOf(req)
+	arrive := at
+	if from != to {
+		arrive, err = n.transmit(hk, leg{from: from, to: to, method: method, dir: DirOneWay,
+			size: payloadSize(req), start: at, tc: tc}, down)
+		if IsLost(err) {
+			return nil, at, err
+		}
+		if err != nil {
+			return nil, arrive, err
+		}
+	}
+	resp, done, err := h.HandleCall(arrive, method, req)
+	if err != nil || replyTo == "" || replyTo == to {
+		return resp, done, err
+	}
+	back, err := n.transmit(hk, leg{from: to, to: replyTo, method: method, dir: DirResponse,
+		size: payloadSize(resp), start: done, tc: tc.Child(trace.ResponseSeq)}, false)
+	if err != nil {
+		return nil, done, err
+	}
+	return resp, back, nil
 }
 
 // Transfer models pure one-way data movement: the payload is accounted and

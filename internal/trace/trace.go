@@ -108,6 +108,12 @@ type Span struct {
 	Note string
 }
 
+// IsResponse reports whether the span is the response leg of a message:
+// its identifier derives from its parent's under ResponseSeq.
+func (s Span) IsResponse() bool {
+	return s.Kind == KindMessage && s.ID == mix(s.Parent, ResponseSeq)
+}
+
 // Duration returns the span's virtual extent in nanoseconds.
 func (s Span) Duration() int64 { return s.End - s.Start }
 
