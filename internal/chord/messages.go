@@ -94,10 +94,14 @@ func (r BatchFindReq) SizeBytes() int {
 func (r BatchFindReq) TraceCtx() trace.TraceContext { return r.TC }
 
 // BatchFindResp carries the found successors, Nodes[i] owning Targets[i]
-// of the request, and the deepest forwarding chain any target needed.
+// of the request, the owner arcs the answering nodes vouch for, and the
+// deepest forwarding chain any target needed.
 type BatchFindResp struct {
 	Nodes []Ref
-	Hops  int
+	// Arcs holds the arc of every node that answered targets for its own
+	// successor, one per such node; the per-target fallback teaches none.
+	Arcs []Arc
+	Hops int
 }
 
 // SizeBytes implements simnet.Payload.
@@ -106,8 +110,27 @@ func (r BatchFindResp) SizeBytes() int {
 	for _, ref := range r.Nodes {
 		n += ref.SizeBytes()
 	}
+	for _, a := range r.Arcs {
+		n += a.SizeBytes()
+	}
 	return n
 }
+
+// Arc is the key range a node answers for with its successor: Owner owns
+// every key in (Start, Owner.ID], Start being the answering node's ID. On
+// a ring of one, Start equals Owner.ID and the arc is the whole circle.
+type Arc struct {
+	Start ID
+	Owner Ref
+}
+
+// SizeBytes implements simnet.Payload: the arc start only.
+//
+//adhoclint:ignore payload-size Owner is one of the reply's Nodes, counted there
+func (a Arc) SizeBytes() int { return a.Start.SizeBytes() }
+
+// Contains reports whether the arc's owner owns key.
+func (a Arc) Contains(key ID) bool { return betweenRightIncl(key, a.Start, a.Owner.ID) }
 
 // RefList carries a successor list.
 type RefList struct {

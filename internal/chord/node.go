@@ -283,7 +283,9 @@ func (n *Node) HopFailed(next simnet.Addr, method string, query uint64, err erro
 // traversed once per group instead of once per key, and the virtual
 // completion time is the critical path over the groups. A group whose next
 // hop is unreachable falls back to per-target routing, which retries along
-// farther fingers and the successor list.
+// farther fingers and the successor list. A node that answers targets
+// itself adds its arc, (own ID, successor], so the caller learns the
+// owner's whole range; the sub-batches' arcs ride back with theirs.
 func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (BatchFindResp, simnet.VTime, error) {
 	nodes := make([]Ref, len(req.Targets))
 	hops := req.Hops
@@ -291,8 +293,16 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 	if err != nil {
 		return BatchFindResp{}, at, err
 	}
+	var own []Arc
+	for _, r := range nodes {
+		if !r.IsZero() {
+			// Every target answered here names this node's successor.
+			own = []Arc{{Start: n.id, Owner: r}}
+			break
+		}
+	}
 	if len(order) == 0 {
-		return BatchFindResp{Nodes: nodes, Hops: hops}, at, nil
+		return BatchFindResp{Nodes: nodes, Arcs: own, Hops: hops}, at, nil
 	}
 	//adhoclint:faultpath(collect-partial, a failed group falls back to serial per-target re-routing below; no group's targets are silently dropped)
 	results, done := simnet.Parallel(len(order), 0, func(g int) (BatchFindResp, simnet.VTime, error) {
@@ -309,6 +319,11 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 		}
 		return resp.(BatchFindResp), gdone, nil
 	})
+	nArcs := len(own)
+	for _, r := range results {
+		nArcs += len(r.Value.Arcs)
+	}
+	arcs := append(make([]Arc, 0, nArcs), own...)
 	for g, r := range results {
 		idxs := groups[order[g]]
 		if r.Err != nil {
@@ -340,11 +355,12 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 		for j, i := range idxs {
 			nodes[i] = r.Value.Nodes[j]
 		}
+		arcs = append(arcs, r.Value.Arcs...)
 		if r.Value.Hops > hops {
 			hops = r.Value.Hops
 		}
 	}
-	return BatchFindResp{Nodes: nodes, Hops: hops}, simnet.MaxTime(at, done), nil
+	return BatchFindResp{Nodes: nodes, Arcs: arcs, Hops: hops}, simnet.MaxTime(at, done), nil
 }
 
 // RouteBatch is the routing decision for every target of a batch, taken

@@ -113,7 +113,7 @@ func methodSamples() []methodSample {
 		{chord.MethodFindSuccessor, chord.FindReq{Target: 5, Hops: 1},
 			chord.FindResp{Node: ref, Hops: 2}},
 		{chord.MethodFindSuccessorBatch, chord.BatchFindReq{Targets: []chord.ID{5, 9}, Hops: 1},
-			chord.BatchFindResp{Nodes: []chord.Ref{ref, {ID: 51, Addr: "c3"}}, Hops: 3}},
+			chord.BatchFindResp{Nodes: []chord.Ref{ref, {ID: 51, Addr: "c3"}}, Arcs: []chord.Arc{{Start: 48, Owner: ref}}, Hops: 3}},
 		{chord.MethodGetPredecessor, ack, ref},
 		{chord.MethodGetSuccList, ack, chord.RefList{Refs: []chord.Ref{ref}}},
 		{chord.MethodNotify, ref, ack},

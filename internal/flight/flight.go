@@ -53,7 +53,7 @@ const (
 	KindFail    = "node.fail"
 	KindRecover = "node.recover"
 
-	// KindEpochBump is a stabilization-epoch advance (owner caches and hot
+	// KindEpochBump is a stabilization-epoch advance (owner arcs and hot
 	// replicas invalidated).
 	KindEpochBump = "epoch.bump"
 

@@ -44,7 +44,7 @@ func metaVocab() []rdf.Triple {
 
 // metaOp is one randomly drawn index mutation.
 type metaOp struct {
-	kind     int // 0 publish, 1 publish into named graph, 2 retract, 3 republish
+	kind     int // 0 publish, 1 publish into named graph, 2 retract, 3 republish, 4 converge
 	provider simnet.Addr
 	graph    string
 	triples  []rdf.Triple
@@ -91,8 +91,10 @@ func applyMetaOps(t *testing.T, s *System, ops []metaOp, at simnet.VTime) simnet
 			done, err = s.PublishGraph(op.provider, op.graph, op.triples, now)
 		case 2:
 			done, err = s.Retract(op.provider, op.triples, now)
-		default:
+		case 3:
 			done, err = s.Republish(op.provider, now)
+		default:
+			done = s.Converge(now)
 		}
 		if err != nil {
 			t.Fatalf("op %+v: %v", op, err)
@@ -176,16 +178,16 @@ func assertFreqsPositive(t *testing.T, s *System, label string) {
 // location tables; (2) the tables equal those of a from-scratch rebuild
 // that publishes only the providers' final graphs; (3) every surviving
 // posting frequency is positive — and the parallel pipeline never costs
-// more traffic than the serial one.
+// more traffic than the serial one. One more input repeats one provider's
+// edits within an epoch: on the parallel pipeline, an edit whose keys all
+// lie in owner arcs learned earlier in the epoch resolves nothing, and the
+// first edit after Converge resolves again.
 func TestMetamorphicIndexRebuild(t *testing.T) {
 	pool := metaVocab()
 	providers := []simnet.Addr{"P0", "P1", "P2"}
 	graphs := []string{"urn:g1", "urn:g2"}
 
-	trial := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ops := drawMetaOps(rng, providers, graphs, pool)
-
+	check := func(label string, ops []metaOp) bool {
 		serialSys, now := newMetaSystem(t, true, providers)
 		applyMetaOps(t, serialSys, ops, now)
 		parSys, now := newMetaSystem(t, false, providers)
@@ -193,18 +195,18 @@ func TestMetamorphicIndexRebuild(t *testing.T) {
 
 		serialState, parState := indexState(serialSys), indexState(parSys)
 		if serialState != parState {
-			t.Errorf("seed %d: serial and parallel pipelines diverged\nserial:\n%s\nparallel:\n%s",
-				seed, serialState, parState)
+			t.Errorf("%s: serial and parallel pipelines diverged\nserial:\n%s\nparallel:\n%s",
+				label, serialState, parState)
 			return false
 		}
-		assertFreqsPositive(t, serialSys, fmt.Sprintf("seed %d serial", seed))
-		assertFreqsPositive(t, parSys, fmt.Sprintf("seed %d parallel", seed))
+		assertFreqsPositive(t, serialSys, label+" serial")
+		assertFreqsPositive(t, parSys, label+" parallel")
 
 		serialTraffic := serialSys.Net().Metrics()
 		parTraffic := parSys.Net().Metrics()
 		if parTraffic.Messages > serialTraffic.Messages || parTraffic.Bytes > serialTraffic.Bytes {
-			t.Errorf("seed %d: parallel pipeline cost more traffic than serial: %d/%d msgs, %d/%d bytes",
-				seed, parTraffic.Messages, serialTraffic.Messages, parTraffic.Bytes, serialTraffic.Bytes)
+			t.Errorf("%s: parallel pipeline cost more traffic than serial: %d/%d msgs, %d/%d bytes",
+				label, parTraffic.Messages, serialTraffic.Messages, parTraffic.Bytes, serialTraffic.Bytes)
 			return false
 		}
 
@@ -213,28 +215,78 @@ func TestMetamorphicIndexRebuild(t *testing.T) {
 		for _, st := range parSys.StorageNodes() {
 			done, err := rebuildSys.Publish(st.Addr(), st.Graph.Triples(), now)
 			if err != nil {
-				t.Fatalf("seed %d: rebuild publish: %v", seed, err)
+				t.Fatalf("%s: rebuild publish: %v", label, err)
 			}
 			now = done
 			for _, name := range st.GraphNames() {
 				done, err = rebuildSys.PublishGraph(st.Addr(), name, st.NamedGraph(name).Triples(), now)
 				if err != nil {
-					t.Fatalf("seed %d: rebuild publish graph: %v", seed, err)
+					t.Fatalf("%s: rebuild publish graph: %v", label, err)
 				}
 				now = done
 			}
 		}
 		if rebuildState := indexState(rebuildSys); rebuildState != parState {
-			t.Errorf("seed %d: interleaved ops diverged from from-scratch rebuild\nops:\n%s\nrebuild:\n%s",
-				seed, parState, rebuildState)
+			t.Errorf("%s: interleaved ops diverged from from-scratch rebuild\nops:\n%s\nrebuild:\n%s",
+				label, parState, rebuildState)
 			return false
 		}
 		return true
 	}
 
+	trial := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		return check(fmt.Sprintf("seed %d", seed), drawMetaOps(rng, providers, graphs, pool))
+	}
 	cfg := &quick.Config{MaxCount: 10, Rand: rand.New(rand.NewSource(41))}
 	if err := quick.Check(trial, cfg); err != nil {
 		t.Fatal(err)
+	}
+
+	// The repeat input: P0 publishes, retracts and publishes new triples in
+	// one epoch, then edits once more after Converge.
+	repeat := []metaOp{
+		{kind: 0, provider: "P0", triples: pool[:6]},
+		{kind: 2, provider: "P0", triples: pool[:3]},
+		{kind: 0, provider: "P0", triples: pool[6:12]},
+		{kind: 4},
+		{kind: 0, provider: "P0", triples: pool[12:18]},
+	}
+	if !check("repeat edits", repeat) {
+		return
+	}
+	s, now := newMetaSystem(t, false, providers)
+	node, _ := s.Storage("P0")
+	epoch := s.Epoch()
+	for i, op := range repeat {
+		inArcs := op.kind != 4
+		for _, tr := range op.triples {
+			for _, key := range TripleKeys(tr, s.Config().Bits) {
+				if _, ok := node.ownerArc(s.Epoch(), key); !ok {
+					inArcs = false
+				}
+			}
+		}
+		before := s.Net().Metrics()
+		now = applyMetaOps(t, s, []metaOp{op}, now)
+		resolves := s.Net().Metrics().Sub(before).PerMethod[chord.MethodFindSuccessorBatch].Messages
+		switch {
+		case op.kind == 4:
+			if s.Epoch() == epoch {
+				t.Fatalf("repeat edit %d: Converge left the epoch at %d", i, epoch)
+			}
+		case i == 1 || i == 2:
+			if !inArcs {
+				t.Fatalf("repeat edit %d: a key lies outside the arcs the first edit learned", i)
+			}
+			if resolves != 0 {
+				t.Errorf("repeat edit %d: %d find_successor_batch messages with every key in a learned arc, want 0", i, resolves)
+			}
+		default:
+			if inArcs || resolves == 0 {
+				t.Errorf("repeat edit %d: in arcs %v, %d find_successor_batch messages; the first edit of an epoch must resolve", i, inArcs, resolves)
+			}
+		}
 	}
 }
 

@@ -97,7 +97,7 @@ func refRead(t *testing.T, s *System, from simnet.Addr, key chord.ID, at simnet.
 func refBatch(t *testing.T, s *System, from simnet.Addr, keys []chord.ID, at simnet.VTime) (owners []simnet.Addr, forwards int, legs int64) {
 	t.Helper()
 	before := s.Net().Metrics()
-	refs, _, err := s.ResolveKeys(from, keys, trace.TraceContext{}, at)
+	found, _, err := s.ResolveKeys(from, keys, trace.TraceContext{}, at)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func refBatch(t *testing.T, s *System, from simnet.Addr, keys []chord.ID, at sim
 	if _, own := s.Index(from); !own {
 		forwards--
 	}
-	for _, r := range refs {
+	for _, r := range found.Nodes {
 		owners = append(owners, r.Addr)
 		if r.Addr != from && slices.Index(owners, r.Addr) == len(owners)-1 {
 			legs += 2

@@ -34,11 +34,12 @@ type StorageNode struct {
 	attached simnet.Addr           // the index node this storage node hangs off
 	named    map[string]*rdf.Graph // named graphs by IRI
 	views    map[string]*rdf.Graph // memoized dataset merges, reset on writes
-	// ownerCache memoizes key → successor owner learned while publishing —
-	// the storage-side sibling of the dqp initiator cache (E14). Entries
-	// are valid only for ownerEpoch; see System.Epoch for the rule.
-	ownerCache map[chord.ID]simnet.Addr
-	ownerEpoch uint64
+	// arcs are the owner arcs this node's publications learned from batch
+	// resolves, newest last — the storage-side sibling of the dqp
+	// initiator cache (E14). They are valid only for arcEpoch; see
+	// System.Epoch for the rule.
+	arcs     []chord.Arc
+	arcEpoch uint64
 }
 
 // NewStorageNode creates a storage node and registers it on the network.
@@ -67,8 +68,8 @@ func (s *StorageNode) AttachedTo() simnet.Addr {
 
 // rehome re-attaches the storage node to next once its attachment point is
 // no longer alive — in the ad-hoc setting a storage node simply attaches to
-// another ring member (Sect. III-A) — and drops the owner cache, which
-// reflects the dead node's view of the ring. It returns the node's entry
+// another ring member (Sect. III-A) — and drops the owner arcs, which
+// reflect the dead node's view of the ring. It returns the node's entry
 // point: the attachment another client already re-homed it to, else next
 // ("" when there is no live ring member, the attachment left as it was).
 //
@@ -81,7 +82,7 @@ func (s *StorageNode) rehome(next simnet.Addr) simnet.Addr {
 	}
 	if next != "" {
 		s.attached = next
-		s.ownerCache = nil
+		s.arcs = nil
 	}
 	return next
 }
@@ -114,41 +115,44 @@ func (s *StorageNode) GraphNames() []string {
 	return out
 }
 
-// CachedOwner returns the successor owner cached for the key, provided it
-// was learned in the given stabilization epoch; older entries are treated
-// as absent (ownership may have moved).
-func (s *StorageNode) CachedOwner(epoch uint64, key chord.ID) (simnet.Addr, bool) {
+// ownerArc returns the newest owner arc learned in the given stabilization
+// epoch that contains key; arcs of an older epoch are treated as absent
+// (ownership may have moved).
+func (s *StorageNode) ownerArc(epoch uint64, key chord.ID) (chord.Arc, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ownerEpoch != epoch || s.ownerCache == nil {
-		return "", false
+	if s.arcEpoch != epoch {
+		return chord.Arc{}, false
 	}
-	a, ok := s.ownerCache[key]
-	return a, ok
+	for i := len(s.arcs) - 1; i >= 0; i-- {
+		if s.arcs[i].Contains(key) {
+			return s.arcs[i], true
+		}
+	}
+	return chord.Arc{}, false
 }
 
-// RememberOwners records key → owner mappings learned in the given epoch,
-// discarding anything cached under an older epoch first.
-func (s *StorageNode) RememberOwners(epoch uint64, owners map[chord.ID]simnet.Addr) {
+// learnArcs records owner arcs learned in the given epoch, discarding those
+// of an older epoch first. ownerArc reads the newest first, so an arc an
+// eviction widened wins over its older copy.
+func (s *StorageNode) learnArcs(epoch uint64, arcs []chord.Arc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.ownerEpoch != epoch || s.ownerCache == nil {
-		s.ownerCache = make(map[chord.ID]simnet.Addr, len(owners))
-		s.ownerEpoch = epoch
+	if s.arcEpoch != epoch {
+		s.arcs = s.arcs[:0]
+		s.arcEpoch = epoch
 	}
-	for k, a := range owners {
-		s.ownerCache[k] = a
-	}
+	s.arcs = append(s.arcs, arcs...)
 }
 
-// DropOwnerCache clears the successor-owner cache; the overlay calls it
-// before re-resolving the keys of owners that died.
+// dropArcs forgets the owner arcs; the overlay calls it before
+// re-resolving the keys of owners that died.
 //
-//adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves a cold cache the next lookup refills)
-func (s *StorageNode) DropOwnerCache() {
+//adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves no arcs, and the next resolve relearns them)
+func (s *StorageNode) dropArcs() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ownerCache = nil
+	s.arcs = nil
 }
 
 // InvalidateViews drops memoized dataset merges; the overlay calls it

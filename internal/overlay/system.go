@@ -63,7 +63,7 @@ type System struct {
 	storage map[simnet.Addr]*StorageNode
 	// epoch is the stabilization epoch: it advances whenever ring
 	// maintenance or membership changes may have moved key ownership, and
-	// bounds the validity of the storage nodes' successor-owner caches.
+	// bounds the validity of the storage nodes' owner arcs.
 	epoch uint64
 	// traceSeq allocates deterministic trace identifiers: operations issued
 	// in the same order get the same IDs, so seeded runs trace identically.
@@ -397,51 +397,49 @@ func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq 
 	return now, nil
 }
 
-// installPostingsParallel is the batched pipeline: owners for all keys
-// not already in the storage node's successor-owner cache are resolved by
-// one batched FindSuccessor (the ring fans the batch out along shared
-// route prefixes), then every per-owner PutBatch ships in parallel. The
-// virtual completion time is the critical path — resolution, then the max
-// over the owner shipments — per the DESIGN §5 rule; batches whose keys
-// were all cache hits ship immediately at `at`.
+// installPostingsParallel is the batched pipeline. A key in an owner arc
+// the storage node learned this epoch goes straight to that owner, if it
+// is alive; the other keys are resolved by one batched FindSuccessor (the
+// ring fans the batch out along shared route prefixes), whose reply
+// teaches their owners' arcs. Then every per-owner PutBatch ships in
+// parallel. The virtual completion time is the critical path — resolution,
+// then the max over the owner shipments — per the DESIGN §5 rule; an
+// owner known by its arc ships at `at`.
 func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
 	epoch := s.Epoch()
-	owners := make(map[chord.ID]simnet.Addr, len(keys))
-	viaRing := make(map[chord.ID]bool, len(keys))
+	owners := make([]simnet.Addr, len(keys))
 	unresolved := make([]chord.ID, 0, len(keys))
-	for _, key := range keys {
-		if a, ok := node.CachedOwner(epoch, key); ok && s.net.Alive(a) {
-			owners[key] = a
+	for i, key := range keys {
+		if arc, ok := node.ownerArc(epoch, key); ok && s.net.Alive(arc.Owner.Addr) {
+			owners[i] = arc.Owner.Addr
 			continue
 		}
 		unresolved = append(unresolved, key)
 	}
+	starts := map[simnet.Addr]simnet.VTime{}
 	resolveDone := at
 	if len(unresolved) > 0 {
 		found, done, err := s.ResolveKeys(node.addr, unresolved, tc.Child(0), at)
 		if err != nil {
 			return done, fmt.Errorf("overlay: resolve %d keys: %w", len(unresolved), err)
 		}
-		learned := make(map[chord.ID]simnet.Addr, len(unresolved))
-		for i, key := range unresolved {
-			owner := found[i].Addr
-			owners[key] = owner
-			viaRing[key] = true
-			learned[key] = owner
-		}
-		node.RememberOwners(epoch, learned)
+		node.learnArcs(epoch, found.Arcs)
 		resolveDone = done
+		j := 0
+		for i, a := range owners {
+			if a == "" {
+				owners[i] = found.Nodes[j].Addr
+				starts[owners[i]] = done
+				j++
+			}
+		}
 	}
 	batches := map[simnet.Addr][]KeyFreq{}
-	starts := map[simnet.Addr]simnet.VTime{}
-	for _, key := range keys {
-		owner := owners[key]
+	for i, key := range keys {
+		owner := owners[i]
 		batches[owner] = append(batches[owner], KeyFreq{Key: key, Freq: freq[key]})
 		if _, ok := starts[owner]; !ok {
 			starts[owner] = at
-		}
-		if viaRing[key] {
-			starts[owner] = resolveDone
 		}
 	}
 	ownerList := sortedOwners(batches)
@@ -480,7 +478,7 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 // one batched FindSuccessor and re-shipped serially to whoever owns the
 // keys now. tcBase offsets the trace children past the main round's.
 func (s *System) reshipPostings(node *StorageNode, batches map[simnet.Addr][]KeyFreq, stale []simnet.Addr, tcBase uint64, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
-	node.DropOwnerCache()
+	node.dropArcs()
 	total := 0
 	for _, owner := range stale {
 		total += len(batches[owner])
@@ -493,13 +491,13 @@ func (s *System) reshipPostings(node *StorageNode, batches map[simnet.Addr][]Key
 	for i, e := range entries {
 		targets[i] = e.Key
 	}
-	owners, now, err := s.ResolveKeys(node.addr, targets, tc.Child(tcBase), at)
+	found, now, err := s.ResolveKeys(node.addr, targets, tc.Child(tcBase), at)
 	if err != nil {
 		return now, fmt.Errorf("overlay: re-resolve %d keys: %w", len(targets), err)
 	}
 	regrouped := map[simnet.Addr][]KeyFreq{}
 	for i, e := range entries {
-		owner := owners[i].Addr
+		owner := found.Nodes[i].Addr
 		regrouped[owner] = append(regrouped[owner], e)
 	}
 	for oi, owner := range sortedOwners(regrouped) {
@@ -548,22 +546,23 @@ func (s *System) ResolveKeyTraced(from simnet.Addr, key chord.ID, tc trace.Trace
 
 // ResolveKeys routes several keys to their responsible index nodes with one
 // find_successor_batch sent from `from` to its ring entry point, tc being
-// the batch request's context; owners[i] owns keys[i]. The ring forwards
+// the batch request's context; found.Nodes[i] owns keys[i], and found.Arcs
+// are the owner arcs the answering nodes vouched for. The ring forwards
 // one sub-batch per next hop, so a route prefix the keys share is walked
 // once, and a next hop that is down falls back to routing its keys one by
 // one. keys goes on the wire as it is: the caller must not write it
 // afterwards.
-func (s *System) ResolveKeys(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) (owners []chord.Ref, done simnet.VTime, err error) {
+func (s *System) ResolveKeys(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) (chord.BatchFindResp, simnet.VTime, error) {
 	entry := s.entryFor(from)
 	if entry == "" {
-		return nil, at, fmt.Errorf("overlay: node %s has no ring entry point", from)
+		return chord.BatchFindResp{}, at, fmt.Errorf("overlay: node %s has no ring entry point", from)
 	}
 	resp, done, err := s.net.CallRetry(from, entry, chord.MethodFindSuccessorBatch,
 		chord.BatchFindReq{Targets: keys, TC: tc}, at)
 	if err != nil {
-		return nil, done, err
+		return chord.BatchFindResp{}, done, err
 	}
-	return resp.(chord.BatchFindResp).Nodes, done, nil
+	return resp.(chord.BatchFindResp), done, nil
 }
 
 // entryFor returns the ring entry point for a node address: itself for an
@@ -648,10 +647,9 @@ func (s *System) Index(addr simnet.Addr) (*IndexNode, bool) {
 	return n, ok
 }
 
-// Epoch returns the current stabilization epoch. Successor-owner cache
-// entries are valid only within the epoch they were learned in: any
-// maintenance or membership event that can move key ownership bumps the
-// epoch (DESIGN §5).
+// Epoch returns the current stabilization epoch. Owner arcs are valid
+// only within the epoch they were learned in: any maintenance or
+// membership event that can move key ownership bumps the epoch (DESIGN §5).
 func (s *System) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -706,7 +704,7 @@ func (s *System) chordNodes() []*chord.Node {
 
 // FailNode crashes a node (index or storage) without warning. Ownership of
 // the failed node's keys moves de facto (routing evicts it), so the
-// stabilization epoch advances and owner caches re-resolve.
+// stabilization epoch advances and owner arcs are relearned.
 func (s *System) FailNode(addr simnet.Addr) {
 	s.net.Fail(addr)
 	if flt := s.net.FlightRecorder(); flt != nil {
