@@ -27,6 +27,7 @@ func init() {
 
 		overlay.PutBatchReq{}, overlay.RoutedReadReq{},
 		overlay.RoutedReadResp{}, overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
+		overlay.ReplicaDelta{}, overlay.StaleKeys{},
 		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.SolutionsResp{},
 		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},
 

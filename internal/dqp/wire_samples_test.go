@@ -93,7 +93,16 @@ func methodSamples() []methodSample {
 		{overlay.MethodTransfer, overlay.TransferReq{From: 1, To: 9}, rows},
 		{overlay.MethodHandover, rows, ack},
 		{overlay.MethodDropNode, overlay.DropNodeReq{Node: "n4", Propagate: true}, ack},
-		{overlay.MethodReplica, rows, ack},
+		// Replica sync: a delta whose digests all agree is acked with one
+		// byte, one that finds stale rows lists their keys, and the
+		// primary ships those rows whole.
+		{overlay.MethodReplica, overlay.ReplicaDelta{Node: "n3", Entries: []overlay.DeltaEntry{
+			{Key: 7, Freq: 2, Digest: 0x9e3779b9}, {Key: 4, Freq: 0, Digest: 0x811c9dc5},
+		}}, ack},
+		{overlay.MethodReplica, overlay.ReplicaDelta{Node: "n3", Entries: []overlay.DeltaEntry{
+			{Key: 7, Freq: 2, Digest: 0x9e3779b9},
+		}}, overlay.StaleKeys{Keys: []chord.ID{7}}},
+		{overlay.MethodReplicaRepair, rows, ack},
 
 		// Overlay storage-node methods.
 		{overlay.MethodMatch, matchReq, overlay.MatchResp{Tables: []eval.Table{matches}}},

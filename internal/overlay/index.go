@@ -78,9 +78,25 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 	}
 	switch method {
 	case MethodReplica:
-		r, ok := req.(TableRows)
+		r, ok := req.(ReplicaDelta)
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: replicate payload %T", req)
+		}
+		var stale []chord.ID
+		for _, e := range r.Entries {
+			n.Table.Set(e.Key, r.Node, e.Freq)
+			if _, digest := n.Table.PostingDigest(e.Key, r.Node); digest != e.Digest {
+				stale = append(stale, e.Key)
+			}
+		}
+		if stale == nil {
+			return simnet.Bytes(1), at, nil
+		}
+		return StaleKeys{Keys: stale}, at, nil
+	case MethodReplicaRepair:
+		r, ok := req.(TableRows)
+		if !ok {
+			return nil, at, fmt.Errorf("overlay: replica_repair payload %T", req)
 		}
 		n.Table.Replace(r.Rows)
 		return simnet.Bytes(1), at, nil
@@ -92,18 +108,19 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		if r.Seq != 0 && n.seenSeq(r.Node, r.Seq) {
 			return simnet.Bytes(1), at, nil
 		}
-		rows := make(map[chord.ID][]Posting, len(r.Entries))
-		keys := make([]chord.ID, 0, len(r.Entries))
-		for _, e := range r.Entries {
+		delta := ReplicaDelta{Node: r.Node, Entries: make([]DeltaEntry, len(r.Entries))}
+		keys := make([]chord.ID, len(r.Entries))
+		for i, e := range r.Entries {
 			if r.Absolute {
 				n.Table.Set(e.Key, r.Node, e.Freq)
 			} else {
 				n.Table.Add(e.Key, r.Node, e.Freq)
 			}
-			rows[e.Key] = n.Table.Get(e.Key)
-			keys = append(keys, e.Key)
+			freq, digest := n.Table.PostingDigest(e.Key, r.Node)
+			delta.Entries[i] = DeltaEntry{Key: e.Key, Freq: freq, Digest: digest}
+			keys[i] = e.Key
 		}
-		resp, now, err := n.replicate(at, rows)
+		resp, now, err := n.replicate(at, delta)
 		n.refreshHot(keys, r.TC, now)
 		return resp, now, err
 	case MethodRoutedRead:
@@ -137,8 +154,13 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: transfer payload %T", req)
 		}
-		rows := n.Table.ExtractRange(r.From, r.To)
-		return TableRows{Rows: rows}, at, nil
+		// Under replication the successor stays the joiner's first replica
+		// holder, so it keeps its copy of the range; at Replication 1 the
+		// rows move.
+		if n.replication > 1 {
+			return TableRows{Rows: n.Table.CopyRange(r.From, r.To)}, at, nil
+		}
+		return TableRows{Rows: n.Table.ExtractRange(r.From, r.To)}, at, nil
 	case MethodHandover:
 		r, ok := req.(TableRows)
 		if !ok {
@@ -192,12 +214,13 @@ func (n *IndexNode) seenSeq(node simnet.Addr, seq uint64) bool {
 	return false
 }
 
-// replicate pushes updated rows to the next replication−1 live successors
+// replicate syncs a put_batch to the next replication−1 live successors
 // so the ring survives index-node failures (Sect. III-D's replication
 // policy). Replication is synchronous and best-effort: a replica that stays
-// unreachable after retries is skipped — its rows converge on the next
-// update — so the primary's ack never blocks on a dead successor.
-func (n *IndexNode) replicate(at simnet.VTime, rows map[chord.ID][]Posting) (simnet.Payload, simnet.VTime, error) {
+// unreachable after retries is skipped — the digest of its rows' next
+// delta exposes what it missed — so the primary's ack never blocks on a
+// dead successor.
+func (n *IndexNode) replicate(at simnet.VTime, delta ReplicaDelta) (simnet.Payload, simnet.VTime, error) {
 	now := at
 	if n.replication > 1 {
 		sent := 0
@@ -208,7 +231,7 @@ func (n *IndexNode) replicate(at simnet.VTime, rows map[chord.ID][]Posting) (sim
 			if succ.Addr == n.addr {
 				continue
 			}
-			_, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodReplica, TableRows{Rows: rows}, now)
+			done, err := n.syncReplica(succ.Addr, delta, now)
 			now = done
 			if err == nil {
 				sent++
@@ -216,6 +239,23 @@ func (n *IndexNode) replicate(at simnet.VTime, rows map[chord.ID][]Posting) (sim
 		}
 	}
 	return simnet.Bytes(1), now, nil
+}
+
+// syncReplica sends a delta to one replica holder and, for the rows whose
+// digest the holder reports stale, ships this node's whole rows in one
+// index.replica_repair.
+func (n *IndexNode) syncReplica(to simnet.Addr, delta ReplicaDelta, at simnet.VTime) (simnet.VTime, error) {
+	resp, now, err := n.net.CallRetry(n.addr, to, MethodReplica, delta, at)
+	stale, ok := resp.(StaleKeys)
+	if err != nil || !ok {
+		return now, err
+	}
+	rows := make(map[chord.ID][]Posting, len(stale.Keys))
+	for _, key := range stale.Keys {
+		rows[key] = n.Table.Get(key)
+	}
+	_, now, err = n.net.CallRetry(n.addr, to, MethodReplicaRepair, TableRows{Rows: rows}, now)
+	return now, err
 }
 
 // JoinTransfer pulls the location-table rows the node is now responsible

@@ -14,8 +14,10 @@ import (
 // Methods retried after lost messages declare why re-executing their
 // handler is safe (the adhoclint faultpath idempotence cross-check);
 // read-only handlers are proven side-effect-free by the analysis itself.
-// index.transfer is deliberately NOT retried: its handler extracts rows
-// destructively, so a reply-loss retry would observe an empty interval.
+// index.transfer is deliberately NOT retried: at Replication 1 its handler
+// extracts rows destructively, so a reply-loss retry would observe an empty
+// interval (at Replication ≥ 2 the successor keeps a copy as the joiner's
+// replica).
 const (
 	//adhoclint:faultpath(idempotent, re-deliveries are suppressed by the per-publisher shipment sequence number, so relative frequency deltas apply exactly once)
 	MethodPutBatch = "index.put_batch"
@@ -25,8 +27,10 @@ const (
 	MethodHandover   = "index.handover"
 	//adhoclint:faultpath(idempotent, dropping an already-dropped node's postings is a no-op; propagation re-sends converge the replicas to the same state)
 	MethodDropNode = "index.drop_node"
-	//adhoclint:faultpath(idempotent, replica sync replaces whole rows absolutely)
+	//adhoclint:faultpath(idempotent, a delta sets each posting to the primary's absolute frequency and only reads digests back, so a re-run reaches the same rows and lists the same stale keys)
 	MethodReplica = "index.replicate"
+	//adhoclint:faultpath(idempotent, repair replaces the listed rows whole with the primary's copies, so re-delivery converges to the same rows)
+	MethodReplicaRepair = "index.replica_repair"
 	//adhoclint:faultpath(idempotent, hot-replica installs replace the key's replica row absolutely and are epoch-stamped, so re-delivery converges to the same copy)
 	MethodHotReplica = "index.hot_replica"
 	//adhoclint:faultpath(idempotent, the read is side-effect-free except for deleting an epoch-stale replica entry, and re-deleting is a no-op)
@@ -229,8 +233,40 @@ type TransferReq struct {
 // SizeBytes implements simnet.Payload.
 func (r TransferReq) SizeBytes() int { return r.From.SizeBytes() + r.To.SizeBytes() }
 
+// ReplicaDelta is a put_batch's replica sync: for every key the batch
+// touched, the publisher Node's absolute frequency in the primary's row
+// after the batch (0 = removed) and the digest of the whole row. Absolute
+// values make re-delivery idempotent; the digest lets the replica notice
+// rows it missed an earlier update of.
+type ReplicaDelta struct {
+	Node    simnet.Addr
+	Entries []DeltaEntry
+}
+
+// DeltaEntry is one key of a ReplicaDelta.
+type DeltaEntry struct {
+	Key    chord.ID
+	Freq   int
+	Digest uint32
+}
+
+// SizeBytes implements simnet.Payload: each entry is a key, a frequency and
+// a 4-byte digest.
+func (r ReplicaDelta) SizeBytes() int { return len(r.Node) + 16*len(r.Entries) }
+
+// StaleKeys is a replica's reply to a ReplicaDelta whose digests disagree
+// with its own rows: the primary ships those rows whole in an
+// index.replica_repair. A delta that leaves every row agreeing is acked
+// with one byte instead.
+type StaleKeys struct {
+	Keys []chord.ID
+}
+
+// SizeBytes implements simnet.Payload.
+func (r StaleKeys) SizeBytes() int { return 4 + 8*len(r.Keys) }
+
 // TableRows carries location-table content (transfer, handover, replica
-// sync).
+// repair).
 type TableRows struct {
 	Rows map[chord.ID][]Posting
 }

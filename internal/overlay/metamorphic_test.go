@@ -174,10 +174,11 @@ func assertFreqsPositive(t *testing.T, s *System, label string) {
 // TestMetamorphicIndexRebuild drives random interleavings of Publish,
 // PublishGraph, Retract and Republish (testing/quick over seeded trials)
 // through the serial and the parallel publication pipelines, and checks
-// three metamorphic invariants: (1) both pipelines leave bit-identical
+// four metamorphic invariants: (1) both pipelines leave bit-identical
 // location tables; (2) the tables equal those of a from-scratch rebuild
 // that publishes only the providers' final graphs; (3) every surviving
-// posting frequency is positive — and the parallel pipeline never costs
+// posting frequency is positive; (4) every replica row equals its
+// primary's — and the parallel pipeline never costs
 // more traffic than the serial one. One more input repeats one provider's
 // edits within an epoch: on the parallel pipeline, an edit whose keys all
 // lie in owner arcs learned earlier in the epoch resolves nothing, and the
@@ -201,6 +202,10 @@ func TestMetamorphicIndexRebuild(t *testing.T) {
 		}
 		assertFreqsPositive(t, serialSys, label+" serial")
 		assertFreqsPositive(t, parSys, label+" parallel")
+		if diffs := replicaDiffs(parSys, nil); diffs != nil {
+			t.Errorf("%s: replica rows differ from their primaries: %v", label, diffs)
+			return false
+		}
 
 		serialTraffic := serialSys.Net().Metrics()
 		parTraffic := parSys.Net().Metrics()

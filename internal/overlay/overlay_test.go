@@ -140,6 +140,42 @@ func TestLocationTableExtractRange(t *testing.T) {
 	if len(got) != 2 {
 		t.Errorf("wraparound extracted %d rows, want 2", len(got))
 	}
+	// CopyRange returns the same rows and keeps them: (4,10] → 5
+	got = lt2.CopyRange(4, 10)
+	if len(got) != 1 || lt2.Len() != 1 {
+		t.Errorf("copied %d rows leaving %d, want 1 and 1", len(got), lt2.Len())
+	}
+	got[5][0].Freq = 7
+	if lt2.Get(5)[0].Freq != 1 {
+		t.Error("a copied row aliases the table's row")
+	}
+}
+
+func TestRowDigest(t *testing.T) {
+	lt := NewLocationTable()
+	_, empty := lt.PostingDigest(3, "D1")
+	lt.Add(3, "D1", 2)
+	lt.Add(3, "D2", 1)
+	freq, d := lt.PostingDigest(3, "D1")
+	if freq != 2 {
+		t.Errorf("D1's frequency = %d, want 2", freq)
+	}
+	// Same postings written in another order: same digest.
+	other := NewLocationTable()
+	other.Set(3, "D2", 1)
+	other.Set(3, "D1", 2)
+	if _, od := other.PostingDigest(3, "D9"); od != d {
+		t.Errorf("digest depends on write order: %x vs %x", od, d)
+	}
+	other.Set(3, "D2", 2)
+	if _, od := other.PostingDigest(3, "D1"); od == d {
+		t.Error("a changed frequency kept the digest")
+	}
+	lt.Set(3, "D1", 0)
+	lt.Set(3, "D2", 0)
+	if freq, d := lt.PostingDigest(3, "D1"); freq != 0 || d != empty {
+		t.Errorf("removed row reads freq %d digest %x, want 0 and the empty row's %x", freq, d, empty)
+	}
 }
 
 func TestPublishInstallsSixKeysPerTriple(t *testing.T) {
@@ -516,6 +552,9 @@ func TestReplicationFactorHonored(t *testing.T) {
 	if got := s.TotalPostings(); got != want {
 		t.Errorf("total postings = %d, want %d (R=2 × %d keys)", got, want, len(primaryKeys))
 	}
+	for _, d := range replicaDiffs(s, nil) {
+		t.Error(d)
+	}
 }
 
 func TestConcurrentPublishAndLookup(t *testing.T) {
@@ -694,6 +733,8 @@ func TestPayloadSizes(t *testing.T) {
 		RoutedReadResp{Keys: []chord.ID{9, 4}, Rows: []PostingsResp{{Postings: []Posting{{Node: "D1", Freq: 3}}}, {}}},
 		TransferReq{From: 1, To: 2},
 		TableRows{Rows: map[chord.ID][]Posting{1: {{Node: "D1", Freq: 1}}}},
+		ReplicaDelta{Node: "D1", Entries: []DeltaEntry{{Key: 1, Freq: 1, Digest: 7}}},
+		StaleKeys{Keys: []chord.ID{1}},
 		DropNodeReq{Node: "D1"},
 		MatchReq{Units: []MatchUnit{{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}}}},
 		MatchResp{Tables: []eval.Table{{}}},

@@ -88,6 +88,37 @@ func (t *LocationTable) Get(key chord.ID) []Posting {
 	return slices.Clone(t.rows[key])
 }
 
+// PostingDigest reads, under one lock, node's frequency in key's row (0
+// when it has no posting there) and the row's digest.
+func (t *LocationTable) PostingDigest(key chord.ID, node simnet.Addr) (int, uint32) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	row := t.rows[key]
+	freq := 0
+	if i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode); found {
+		freq = row[i].Freq
+	}
+	return freq, rowDigest(row)
+}
+
+// rowDigest is a 32-bit FNV-1a hash over a row's postings in their stored
+// (sorted) order: two tables agree on a row exactly when, barring a
+// collision, their digests do. An absent row hashes like an empty one.
+func rowDigest(row []Posting) uint32 {
+	h := uint32(2166136261)
+	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
+	for _, p := range row {
+		for i := 0; i < len(p.Node); i++ {
+			mix(p.Node[i])
+		}
+		mix(0)
+		for shift := 0; shift < 32; shift += 8 {
+			mix(byte(p.Freq >> shift))
+		}
+	}
+	return h
+}
+
 // DropNode removes every posting that references the given storage node —
 // the timeout-driven cleanup of Sect. III-D. It returns the number of rows
 // touched.
@@ -126,6 +157,18 @@ func (t *LocationTable) Postings() int {
 // interval (from, to] — the slice an index-node join transfers from its
 // successor (Sect. III-C).
 func (t *LocationTable) ExtractRange(from, to chord.ID) map[chord.ID][]Posting {
+	return t.takeRange(from, to, true)
+}
+
+// CopyRange returns copies of the rows whose keys fall in (from, to] and
+// keeps them: under replication the joiner's successor stays the first
+// holder of the joiner's replica rows.
+func (t *LocationTable) CopyRange(from, to chord.ID) map[chord.ID][]Posting {
+	return t.takeRange(from, to, false)
+}
+
+// takeRange copies the rows in (from, to], deleting them when remove is set.
+func (t *LocationTable) takeRange(from, to chord.ID, remove bool) map[chord.ID][]Posting {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := map[chord.ID][]Posting{}
@@ -136,7 +179,9 @@ func (t *LocationTable) ExtractRange(from, to chord.ID) map[chord.ID][]Posting {
 			// the table handed out, and the extracted rows travel over the
 			// wire to another node.
 			out[key] = append([]Posting(nil), row...)
-			delete(t.rows, key)
+			if remove {
+				delete(t.rows, key)
+			}
 		}
 	}
 	return out
@@ -164,8 +209,8 @@ func (t *LocationTable) Merge(rows map[chord.ID][]Posting) {
 }
 
 // Replace overwrites whole rows with the primary's authoritative content.
-// An empty (or nil) row deletes the key. Used for replica synchronization
-// and graceful-leave handover, which must be idempotent (the receiver may
+// An empty (or nil) row deletes the key. Used for replica repair and
+// graceful-leave handover, which must be idempotent (the receiver may
 // already hold a copy of the row) and must propagate retractions. Each
 // row is stored as a sorted copy, whatever order the sender used.
 func (t *LocationTable) Replace(rows map[chord.ID][]Posting) {
