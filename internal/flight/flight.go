@@ -53,8 +53,9 @@ const (
 	KindFail    = "node.fail"
 	KindRecover = "node.recover"
 
-	// KindEpochBump is a stabilization-epoch advance (owner arcs and hot
-	// replicas invalidated).
+	// KindEpochBump is a stabilization-epoch advance: hot replicas are
+	// invalidated, and the owner arcs its note names (one arc or
+	// everything).
 	KindEpochBump = "epoch.bump"
 
 	// KindHotPush, KindHotRead and KindHotInval are the hot-replica

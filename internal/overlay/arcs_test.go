@@ -1,11 +1,15 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"adhocshare/internal/chord"
+	"adhocshare/internal/flight"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
 )
@@ -18,7 +22,10 @@ import (
 // by the index node System.ResolveKey finds from that provider. The keys
 // checked are the published ones, both ends of every arc and a random
 // sample; the wrap-around arc (start past the owner) and the one-node
-// ring's whole-circle arc must each answer some of them.
+// ring's whole-circle arc must each answer some of them. Every trial ends
+// on a forced crash, stabilize rounds, recovery, publish and join: the arcs
+// learned while the ring routes around the recovered node must not
+// survive the join that converges it.
 func TestOwnerArcsAgreeWithRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	hits, wrapHits, wholeHits := 0, 0, 0
@@ -125,6 +132,52 @@ func TestOwnerArcsAgreeWithRing(t *testing.T) {
 			}
 			check(what)
 		}
+
+		// The forced step: a crash, three stabilize rounds and a recovery
+		// leave the ring routing around the recovered node, a provider
+		// learns arcs that give that node's keys to its successor, and a
+		// join elsewhere converges the ring, handing the keys back. The
+		// join's bump must not carry those arcs over.
+		p := storage[0]
+		var triples []rdf.Triple
+		var fresh []chord.ID
+		for j := 0; j < 3; j++ {
+			tr := rdf.Triple{S: ex(fmt.Sprintf("q%d", rng.Intn(9))), P: fp("knows"), O: ex(fmt.Sprintf("r%d", rng.Intn(9)))}
+			triples = append(triples, tr)
+			k := TripleKeys(tr, bits)
+			fresh = append(fresh, k[:]...)
+		}
+		keys = append(keys, fresh...)
+		node, _ := s.Storage(p)
+		var victim simnet.Addr
+		for _, key := range fresh {
+			owner, _, _, err := s.ResolveKey(p, key, now)
+			if err == nil && owner != node.AttachedTo() && len(liveIndex(s)) > 1 {
+				victim = owner
+				break
+			}
+		}
+		if victim == "" {
+			continue
+		}
+		s.FailNode(victim)
+		check("forced crash of " + string(victim))
+		for i := 0; i < 3; i++ {
+			now = s.StabilizeRound(now)
+			check("stabilize round after the forced crash")
+		}
+		s.RecoverNode(victim)
+		check("forced recovery of " + string(victim))
+		var err error
+		if now, err = s.Publish(p, triples, now); err != nil {
+			t.Logf("bits %d, %d nodes: publish after the forced recovery: %v", bits, size, err)
+		}
+		check("publish after the forced recovery")
+		addr := simnet.Addr(fmt.Sprintf("idx-join-%d", joined))
+		if _, now, err = s.AddIndexNode(addr, now); err != nil {
+			t.Logf("bits %d, %d nodes: join of %s: %v", bits, size, addr, err)
+		}
+		check("join of " + string(addr) + " after the forced recovery")
 	}
 	if hits == 0 || wrapHits == 0 || wholeHits == 0 {
 		t.Fatalf("arcs answered %d keys, %d by a wrap-around arc and %d by a whole-circle arc; want each > 0", hits, wrapHits, wholeHits)
@@ -142,4 +195,282 @@ func liveIndex(s *System) []simnet.Addr {
 		}
 	}
 	return out
+}
+
+// batchTap wraps an index node's handler and records the targets of every
+// find_successor_batch it receives. Greedy routing never brings a batch
+// back to the node it entered the ring at, so on a provider's entry point
+// it sees exactly the provider's own resolves.
+type batchTap struct {
+	node    *IndexNode
+	batches [][]chord.ID
+}
+
+func (b *batchTap) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
+	if r, ok := req.(chord.BatchFindReq); ok && method == chord.MethodFindSuccessorBatch {
+		b.batches = append(b.batches, slices.Clone(r.Targets))
+	}
+	return b.node.HandleCall(at, method, req)
+}
+
+// TestArcsSurviveOneMove checks which keys a provider resolves again after
+// each kind of epoch bump. On an 8-node ring the provider P publishes 30
+// triples, learning every owner's arc; after a membership event it
+// retracts half of them, and the targets of its first find_successor_batch
+// are compared with the keys of that edit the event moved: after a
+// graceful join of J exactly those inside the arc J split, after a
+// graceful leave of L exactly those L owned, and every key after a crash,
+// or after a recovery followed by a join with no Converge in between (the
+// join's Converge also hands the recovered node its keys back). Each case
+// ends with the coverage monitor clean, every arc P holds agreeing with
+// System.ResolveKey, and the epoch.bump flight event naming what moved.
+func TestArcsSurviveOneMove(t *testing.T) {
+	triples := replicaTriples(30)
+	edit := triples[:15]
+	cases := []struct {
+		name string
+		// recovery marks the case that publishes half the triples before
+		// its events and half between them, on a ring routing around a
+		// recovered node; the postings written then miss that node, which
+		// Republish repairs (Sect. III-D) before the coverage check.
+		recovery bool
+		// event runs the membership events after P's publication, given
+		// the edit's keys, and returns the arc whose keys the edit must
+		// resolve again (the zero arc: every key) and the last epoch.bump
+		// note.
+		event func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime)
+	}{
+		{"graceful join", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+			// J splits the arc holding most of the edit's keys at their
+			// median.
+			split := busiestArc(t, s, keys)
+			var inside []chord.ID
+			for _, k := range keys {
+				if split.Contains(k) {
+					inside = append(inside, k)
+				}
+			}
+			slices.SortFunc(inside, func(a, b chord.ID) int { return cmp.Compare(a-split.Start, b-split.Start) })
+			_, now, err := s.AddIndexNodeWithID("idx-join", inside[len(inside)/2], now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return split, "converge (join idx-join: 1 arc) -> epoch " + fmt.Sprint(s.Epoch()), now
+		}},
+		{"graceful leave", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+			gone := busiestArc(t, s, keys)
+			now, err := s.RemoveIndexGraceful(gone.Owner.Addr, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gone, "converge (leave " + string(gone.Owner.Addr) + ": 1 arc) -> epoch " + fmt.Sprint(s.Epoch()), now
+		}},
+		{"crash", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+			victim := busiestArc(t, s, keys).Owner.Addr
+			s.FailNode(victim)
+			return chord.Arc{}, "fail " + string(victim) + " (everything) -> epoch " + fmt.Sprint(s.Epoch()), now
+		}},
+		{"recovery then join", true, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+			victim := busiestArc(t, s, keys).Owner.Addr
+			s.FailNode(victim)
+			for i := 0; i < 3; i++ {
+				now = s.StabilizeRound(now)
+			}
+			s.RecoverNode(victim)
+			// P relearns its arcs on the ring that still routes around the
+			// recovered node.
+			now, err := s.Publish("P", triples[15:], now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, now, err = s.AddIndexNode("idx-join", now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return chord.Arc{}, "converge (join idx-join: everything) -> epoch " + fmt.Sprint(s.Epoch()), now
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, now := newTestSystem(t, 8)
+			mon := Arm(s, 1<<10)
+			if _, done, err := s.AddStorageNode("P", now); err != nil {
+				t.Fatal(err)
+			} else {
+				now = done
+			}
+			published := triples
+			if tc.recovery {
+				published = triples[:15]
+			}
+			now, err := s.Publish("P", published, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			keys := distinctKeys(edit, s.Config().Bits)
+			moved, note, now := tc.event(t, s, keys, now)
+			bumps := mon.Recorder().LastN("system", 1)
+			if len(bumps) != 1 || bumps[0].Kind != flight.KindEpochBump || bumps[0].Note != note {
+				t.Errorf("last system event %v, want an %s noted %q", bumps, flight.KindEpochBump, note)
+			}
+
+			var want []chord.ID
+			for _, k := range keys {
+				if moved.Owner.IsZero() || moved.Contains(k) {
+					want = append(want, k)
+				}
+			}
+			slices.Sort(want)
+			p, _ := s.Storage("P")
+			entry, _ := s.Index(p.AttachedTo())
+			tap := &batchTap{node: entry}
+			s.Net().Register(entry.Addr(), tap)
+			if now, err = s.Retract("P", edit, now); err != nil {
+				t.Fatal(err)
+			}
+			s.Net().Register(entry.Addr(), simnet.HandlerFunc(entry.HandleCall))
+			if len(tap.batches) == 0 || !slices.Equal(tap.batches[0], want) {
+				var got []chord.ID
+				if len(tap.batches) > 0 {
+					got = tap.batches[0]
+				}
+				t.Errorf("edit resolved %d keys %v, want the %d keys %v", len(got), got, len(want), want)
+			}
+			if len(want) == 0 || len(want) == len(keys) && !moved.Owner.IsZero() {
+				t.Errorf("the moved arc holds %d of the edit's keys; the case must tell one arc from all", len(want))
+			}
+			t.Logf("the edit resolved %d of its %d keys", len(want), len(keys))
+			for _, d := range arcDisagreements(s, "P", distinctKeys(triples, s.Config().Bits), now) {
+				t.Error(d)
+			}
+			if tc.recovery {
+				if now, err = s.Republish("P", now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if vs := mon.CheckCoverage(); len(vs) != 0 {
+				t.Errorf("coverage: %v", vs)
+			}
+		})
+	}
+}
+
+// busiestArc is the ring arc, (predecessor, node], that holds the most of
+// keys, skipping the arc of provider P's attachment point.
+func busiestArc(t *testing.T, s *System, keys []chord.ID) chord.Arc {
+	t.Helper()
+	p, _ := s.Storage("P")
+	live := s.IndexNodes()
+	var best chord.Arc
+	most := 0
+	for i, n := range live {
+		arc := chord.Arc{Start: live[(i+len(live)-1)%len(live)].ID(), Owner: n.Chord.Ref()}
+		count := 0
+		for _, k := range keys {
+			if arc.Contains(k) {
+				count++
+			}
+		}
+		if count > most && n.Addr() != p.AttachedTo() {
+			best, most = arc, count
+		}
+	}
+	if most < 2 {
+		t.Fatalf("no arc holds two of %d keys", len(keys))
+	}
+	return best
+}
+
+// arcDisagreements lists every probe key that provider p's arcs answer in
+// the current epoch, with a live owner, for another node than the one
+// System.ResolveKey finds from p. The probes are keys plus both ends of
+// every arc.
+func arcDisagreements(s *System, p simnet.Addr, keys []chord.ID, now simnet.VTime) []string {
+	node, _ := s.Storage(p)
+	probes := slices.Clone(keys)
+	for _, a := range node.arcs {
+		probes = append(probes, a.Start, a.Start+1, a.Owner.ID)
+	}
+	var out []string
+	for _, key := range probes {
+		arc, ok := node.ownerArc(s.Epoch(), key)
+		if !ok || !s.Net().Alive(arc.Owner.Addr) {
+			continue
+		}
+		if want, _, _, err := s.ResolveKey(p, key, now); err == nil && want != arc.Owner.Addr {
+			out = append(out, fmt.Sprintf("%s's arc (%v, %v] gives %v to %s, the ring to %s", p, arc.Start, arc.Owner.ID, key, arc.Owner.Addr, want))
+		}
+	}
+	return out
+}
+
+// TestArcsConcurrentWithMembership runs a graceful join and leave while
+// four providers publish from their own goroutines. Run under -race: a
+// bump re-stamps each provider's arcs under that provider's lock, taken
+// after the system's is released. An edit may fail when its owner leaves
+// under it; afterwards every provider republishes, and the coverage
+// monitor and every provider's arcs must agree with the ring.
+func TestArcsConcurrentWithMembership(t *testing.T) {
+	s, now := newTestSystem(t, 6)
+	providers := []simnet.Addr{"C0", "C1", "C2", "C3"}
+	batch := func(p simnet.Addr, j int) []rdf.Triple {
+		return []rdf.Triple{
+			{S: ex(fmt.Sprintf("%s-s%d", p, j)), P: fp("knows"), O: ex("hub")},
+			{S: ex(fmt.Sprintf("%s-s%d", p, j)), P: fp("name"), O: rdf.NewLiteral(fmt.Sprintf("n%d", j))},
+		}
+	}
+	for _, p := range providers {
+		_, done, err := s.AddStorageNode(p, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now, err = s.Publish(p, batch(p, 0), done); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, p := range providers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 1; j <= 5; j++ {
+				// A shipment to an owner that leaves under it fails the
+				// edit, which un-adds its triples; Republish below covers
+				// whatever the graph holds.
+				if _, err := s.Publish(p, batch(p, j), now); err != nil {
+					t.Logf("%s: %v", p, err)
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, done, err := s.AddIndexNode("idx-join", now)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := s.RemoveIndexGraceful("idx-join", done); err != nil {
+			t.Error(err)
+		}
+	}()
+	wg.Wait()
+
+	mon := Arm(s, 1<<10)
+	for _, p := range providers {
+		var err error
+		if now, err = s.Republish(p, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if vs := mon.CheckCoverage(); len(vs) != 0 {
+		t.Errorf("coverage: %v", vs)
+	}
+	for _, p := range providers {
+		node, _ := s.Storage(p)
+		for _, d := range arcDisagreements(s, p, distinctKeys(node.Graph.Triples(), s.Config().Bits), now) {
+			t.Error(d)
+		}
+	}
 }

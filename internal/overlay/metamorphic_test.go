@@ -44,11 +44,14 @@ func metaVocab() []rdf.Triple {
 
 // metaOp is one randomly drawn index mutation.
 type metaOp struct {
-	kind     int // 0 publish, 1 publish into named graph, 2 retract, 3 republish, 4 converge
+	kind     int // 0 publish, 1 publish into named graph, 2 retract, 3 republish, 4 converge, 5 join of metaJoiner, 6 its graceful leave
 	provider simnet.Addr
 	graph    string
 	triples  []rdf.Triple
 }
+
+// metaJoiner is the index node a membership round adds and removes.
+const metaJoiner = simnet.Addr("idx-3")
 
 func newMetaSystem(t *testing.T, serialPublish bool, providers []simnet.Addr) (*System, simnet.VTime) {
 	t.Helper()
@@ -93,6 +96,10 @@ func applyMetaOps(t *testing.T, s *System, ops []metaOp, at simnet.VTime) simnet
 			done, err = s.Retract(op.provider, op.triples, now)
 		case 3:
 			done, err = s.Republish(op.provider, now)
+		case 5:
+			_, done, err = s.AddIndexNode(metaJoiner, now)
+		case 6:
+			done, err = s.RemoveIndexGraceful(metaJoiner, now)
 		default:
 			done = s.Converge(now)
 		}
@@ -182,7 +189,9 @@ func assertFreqsPositive(t *testing.T, s *System, label string) {
 // more traffic than the serial one. One more input repeats one provider's
 // edits within an epoch: on the parallel pipeline, an edit whose keys all
 // lie in owner arcs learned earlier in the epoch resolves nothing, and the
-// first edit after Converge resolves again.
+// first edit after Converge resolves again. A last input has an index node
+// join and leave between one provider's edits: the three index states
+// still agree, and arcs outlive each event.
 func TestMetamorphicIndexRebuild(t *testing.T) {
 	pool := metaVocab()
 	providers := []simnet.Addr{"P0", "P1", "P2"}
@@ -291,6 +300,45 @@ func TestMetamorphicIndexRebuild(t *testing.T) {
 			if inArcs || resolves == 0 {
 				t.Errorf("repeat edit %d: in arcs %v, %d find_successor_batch messages; the first edit of an epoch must resolve", i, inArcs, resolves)
 			}
+		}
+	}
+
+	// The membership round: idx-3 joins and leaves between P0's edits.
+	// Each moves one owner arc, so the first edit after it (ops 3 and 6)
+	// finds keys in arcs P0 learned before it, and the edit repeated
+	// right after (ops 4 and 7) resolves nothing.
+	round := []metaOp{
+		{kind: 0, provider: "P0", triples: pool[:12]},
+		{kind: 0, provider: "P1", triples: pool[12:24]},
+		{kind: 5},
+		{kind: 0, provider: "P0", triples: pool[12:18]},
+		{kind: 2, provider: "P0", triples: pool[12:18]},
+		{kind: 6},
+		{kind: 2, provider: "P0", triples: pool[:6]},
+		{kind: 0, provider: "P0", triples: pool[:6]},
+	}
+	if !check("membership round", round) {
+		return
+	}
+	s, now = newMetaSystem(t, false, providers)
+	node, _ = s.Storage("P0")
+	for i, op := range round {
+		held := 0
+		for _, tr := range op.triples {
+			for _, key := range TripleKeys(tr, s.Config().Bits) {
+				if _, ok := node.ownerArc(s.Epoch(), key); ok {
+					held++
+				}
+			}
+		}
+		before := s.Net().Metrics()
+		now = applyMetaOps(t, s, []metaOp{op}, now)
+		resolves := s.Net().Metrics().Sub(before).PerMethod[chord.MethodFindSuccessorBatch].Messages
+		switch {
+		case (i == 3 || i == 6) && held == 0:
+			t.Errorf("membership round op %d: no key in an arc carried over the membership event", i)
+		case (i == 4 || i == 7) && resolves != 0:
+			t.Errorf("membership round op %d: %d find_successor_batch messages for a repeated edit, want 0", i, resolves)
 		}
 	}
 }

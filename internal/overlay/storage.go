@@ -36,8 +36,9 @@ type StorageNode struct {
 	views    map[string]*rdf.Graph // memoized dataset merges, reset on writes
 	// arcs are the owner arcs this node's publications learned from batch
 	// resolves, newest last — the storage-side sibling of the dqp
-	// initiator cache (E14). They are valid only for arcEpoch; see
-	// System.Epoch for the rule.
+	// initiator cache (E14). They are valid only for arcEpoch, which a
+	// graceful join or leave on a converged ring advances past the arcs
+	// it did not move (keepArcs); see System.Epoch for the rule.
 	arcs     []chord.Arc
 	arcEpoch uint64
 }
@@ -143,6 +144,25 @@ func (s *StorageNode) learnArcs(epoch uint64, arcs []chord.Arc) {
 		s.arcEpoch = epoch
 	}
 	s.arcs = append(s.arcs, arcs...)
+}
+
+// keepArcs carries the arcs of the epoch before epoch into it, except
+// those a graceful join or leave of mover moved: any arc that contains the
+// mover's ID or names it as owner. Arcs of an older epoch stay dead.
+func (s *StorageNode) keepArcs(epoch uint64, mover chord.Ref) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.arcEpoch+1 != epoch {
+		return
+	}
+	kept := s.arcs[:0]
+	for _, a := range s.arcs {
+		if !a.Contains(mover.ID) && a.Owner.Addr != mover.Addr {
+			kept = append(kept, a)
+		}
+	}
+	s.arcs = kept
+	s.arcEpoch = epoch
 }
 
 // dropArcs forgets the owner arcs; the overlay calls it before

@@ -65,6 +65,10 @@ type System struct {
 	// maintenance or membership changes may have moved key ownership, and
 	// bounds the validity of the storage nodes' owner arcs.
 	epoch uint64
+	// converged is set by Converge and cleared by FailNode, RecoverNode and
+	// a join abandoned after its ring join: while it holds, a graceful join
+	// or leave moves one owner arc (see bumpEpoch).
+	converged bool
 	// traceSeq allocates deterministic trace identifiers: operations issued
 	// in the same order get the same IDs, so seeded runs trace identically.
 	traceSeq uint64
@@ -178,7 +182,7 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 		s.evictIndexNode(addr)
 		return nil, now, err
 	}
-	now = s.Converge(now)
+	now = s.converge(now, "join", n.Chord.Ref())
 	// Pull the location-table slice this node is now responsible for
 	// (Sect. III-C).
 	done, err = n.JoinTransfer(now)
@@ -196,6 +200,7 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 func (s *System) evictIndexNode(addr simnet.Addr) {
 	s.mu.Lock()
 	delete(s.index, addr)
+	s.converged = false // ring pointers may still name the node
 	s.mu.Unlock()
 	s.net.Deregister(addr)
 }
@@ -398,13 +403,14 @@ func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq 
 }
 
 // installPostingsParallel is the batched pipeline. A key in an owner arc
-// the storage node learned this epoch goes straight to that owner, if it
-// is alive; the other keys are resolved by one batched FindSuccessor (the
-// ring fans the batch out along shared route prefixes), whose reply
-// teaches their owners' arcs. Then every per-owner PutBatch ships in
-// parallel. The virtual completion time is the critical path — resolution,
-// then the max over the owner shipments — per the DESIGN §5 rule; an
-// owner known by its arc ships at `at`.
+// the storage node holds for this epoch — learned in it, or carried into
+// it past a graceful join or leave that did not move it — goes straight to
+// that owner, if it is alive; the other keys are resolved by one batched
+// FindSuccessor (the ring fans the batch out along shared route prefixes),
+// whose reply teaches their owners' arcs. Then every per-owner PutBatch
+// ships in parallel. The virtual completion time is the critical path —
+// resolution, then the max over the owner shipments — per the DESIGN §5
+// rule; an owner known by its arc ships at `at`.
 func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
 	epoch := s.Epoch()
 	owners := make([]simnet.Addr, len(keys))
@@ -647,9 +653,10 @@ func (s *System) Index(addr simnet.Addr) (*IndexNode, bool) {
 	return n, ok
 }
 
-// Epoch returns the current stabilization epoch. Owner arcs are valid
-// only within the epoch they were learned in: any maintenance or
-// membership event that can move key ownership bumps the epoch (DESIGN §5).
+// Epoch returns the current stabilization epoch. Any maintenance or
+// membership event that can move key ownership bumps it; an owner arc
+// outlives a bump only if the bump's event provably left it in place: a
+// graceful join or leave on a converged ring (bumpEpoch, DESIGN §5).
 func (s *System) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -658,24 +665,60 @@ func (s *System) Epoch() uint64 {
 
 // bumpEpoch advances the stabilization epoch and flight-records the bump
 // at the virtual time of the maintenance event that caused it (operator
-// actions such as FailNode happen outside virtual time and pass 0).
-func (s *System) bumpEpoch(at simnet.VTime, cause string) {
+// actions such as FailNode happen outside virtual time and pass 0). mover
+// is the index node whose graceful join or leave caused the bump, zero for
+// any other cause. On a converged ring such an event moves one owner arc
+// (Sect. III-C/D): the arc containing the mover's ID, or the arc it owned.
+// Every storage node then drops the arcs that contain the mover's ID or
+// name it as owner and carries the rest into the new epoch; after any
+// other bump no arc survives.
+func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref) {
 	s.mu.Lock()
 	s.epoch++
 	epoch := s.epoch
+	oneArc := s.converged && !mover.IsZero()
 	s.mu.Unlock()
+	if oneArc {
+		for _, n := range s.StorageNodes() {
+			n.keepArcs(epoch, mover)
+		}
+	}
 	if flt := s.net.FlightRecorder(); flt != nil {
+		moved := "everything"
+		if oneArc {
+			moved = "1 arc"
+		}
+		note := cause + " (" + moved + ")"
+		if !mover.IsZero() {
+			// a graceful join or leave bumps at the Converge that follows it
+			note = "converge (" + cause + " " + string(mover.Addr) + ": " + moved + ")"
+		}
 		flt.Emit(flight.Event{Node: "system", Kind: flight.KindEpochBump,
 			VT: int64(at), End: int64(at),
-			Note: cause + " -> epoch " + strconv.FormatUint(epoch, 10)})
+			Note: note + " -> epoch " + strconv.FormatUint(epoch, 10)})
 	}
+}
+
+// setConverged records whether the ring has converged since the last
+// crash, recovery or abandoned join.
+func (s *System) setConverged(converged bool) {
+	s.mu.Lock()
+	s.converged = converged
+	s.mu.Unlock()
 }
 
 // Converge runs Chord stabilization on the index ring until pointers are
 // consistent and finger tables are fresh.
 func (s *System) Converge(at simnet.VTime) simnet.VTime {
+	return s.converge(at, "converge", chord.Ref{})
+}
+
+// converge is Converge after the graceful join or leave (cause) of mover,
+// or, with mover zero, on its own.
+func (s *System) converge(at simnet.VTime, cause string, mover chord.Ref) simnet.VTime {
 	done := chord.Converge(s.chordNodes(), at)
-	s.bumpEpoch(done, "converge")
+	s.bumpEpoch(done, cause, mover)
+	s.setConverged(true)
 	return done
 }
 
@@ -683,7 +726,7 @@ func (s *System) Converge(at simnet.VTime) simnet.VTime {
 // nodes.
 func (s *System) StabilizeRound(at simnet.VTime) simnet.VTime {
 	done := chord.StabilizeRound(s.chordNodes(), at)
-	s.bumpEpoch(done, "stabilize")
+	s.bumpEpoch(done, "stabilize", chord.Ref{})
 	return done
 }
 
@@ -703,24 +746,28 @@ func (s *System) chordNodes() []*chord.Node {
 }
 
 // FailNode crashes a node (index or storage) without warning. Ownership of
-// the failed node's keys moves de facto (routing evicts it), so the
-// stabilization epoch advances and owner arcs are relearned.
+// the failed node's keys moves de facto (routing evicts it) and the ring is
+// no longer converged, so the stabilization epoch advances and every owner
+// arc is relearned.
 func (s *System) FailNode(addr simnet.Addr) {
 	s.net.Fail(addr)
 	if flt := s.net.FlightRecorder(); flt != nil {
 		flt.Emit(flight.Event{Node: string(addr), Kind: flight.KindFail, Note: "operator"})
 	}
-	s.bumpEpoch(0, "fail "+string(addr))
+	s.setConverged(false)
+	s.bumpEpoch(0, "fail "+string(addr), chord.Ref{})
 }
 
-// RecoverNode brings a crashed node back (and, because the node reclaims
-// its key range, advances the stabilization epoch).
+// RecoverNode brings a crashed node back. The node reclaims its key range
+// once the ring converges, so the stabilization epoch advances, every
+// owner arc is relearned and the ring counts as unconverged until then.
 func (s *System) RecoverNode(addr simnet.Addr) {
 	s.net.Recover(addr)
 	if flt := s.net.FlightRecorder(); flt != nil {
 		flt.Emit(flight.Event{Node: string(addr), Kind: flight.KindRecover, Note: "operator"})
 	}
-	s.bumpEpoch(0, "recover "+string(addr))
+	s.setConverged(false)
+	s.bumpEpoch(0, "recover "+string(addr), chord.Ref{})
 }
 
 // RemoveIndexGraceful performs a clean index-node departure: location
@@ -746,7 +793,7 @@ func (s *System) RemoveIndexGraceful(addr simnet.Addr, at simnet.VTime) (simnet.
 		s.mu.Unlock()
 		return now, err
 	}
-	return s.Converge(now), nil
+	return s.converge(now, "leave", n.Chord.Ref()), nil
 }
 
 // DropStorageEverywhere removes a failed storage node's postings from all
