@@ -25,12 +25,14 @@ const (
 	MethodSetPredecessor = "chord.set_predecessor"
 	//adhoclint:faultpath(idempotent, absolute pointer assignment; the handler strips an existing occurrence before prepending)
 	MethodSetSuccessor = "chord.set_successor"
+	//adhoclint:faultpath(idempotent, absolute assignment of one finger, decided by the finger's start alone)
+	MethodUpdateFinger = "chord.update_finger"
 )
 
 // SizeBytes returns the fixed 8-byte wire width of a ring identifier.
 func (ID) SizeBytes() int { return 8 }
 
-// hopWidth is the wire width of a hop counter.
+// hopWidth is the wire width of a hop counter or a finger index.
 func hopWidth(int) int { return 4 }
 
 // Ref identifies a ring member: its identifier and network address.
@@ -131,6 +133,20 @@ func (a Arc) SizeBytes() int { return a.Start.SizeBytes() }
 
 // Contains reports whether the arc's owner owns key.
 func (a Arc) Contains(key ID) bool { return betweenRightIncl(key, a.Start, a.Owner.ID) }
+
+// FingerReq tells a node that the keys of the arc (From, To] moved to
+// Owner: its finger K now names Owner if the finger's start lies there.
+// The reply is the node's successor.
+type FingerReq struct {
+	From, To ID
+	Owner    Ref
+	K        int
+}
+
+// SizeBytes implements simnet.Payload.
+func (r FingerReq) SizeBytes() int {
+	return r.From.SizeBytes() + r.To.SizeBytes() + r.Owner.SizeBytes() + hopWidth(r.K)
+}
 
 // RefList carries a successor list.
 type RefList struct {

@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -91,6 +92,14 @@ func (n *Node) SuccessorList() []Ref {
 	return append([]Ref(nil), n.succ...)
 }
 
+// Fingers returns a copy of the finger table, entry k the node that
+// fingers[k] names for successor(ID + 2^k).
+func (n *Node) Fingers() []Ref {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return append([]Ref(nil), n.fingers...)
+}
+
 // Predecessor returns the current predecessor (zero when unknown).
 func (n *Node) Predecessor() Ref {
 	n.mu.RLock()
@@ -175,6 +184,12 @@ func (n *Node) HandleCall(at simnet.VTime, method string, req simnet.Payload) (s
 		return simnet.Bytes(1), at, nil
 	case MethodPing:
 		return simnet.Bytes(1), at, nil
+	case MethodUpdateFinger:
+		fr, ok := req.(FingerReq)
+		if !ok {
+			return nil, at, fmt.Errorf("chord: update_finger payload %T", req)
+		}
+		return n.updateFinger(fr), at, nil
 	case MethodSetPredecessor:
 		r, _ := req.(Ref)
 		n.mu.Lock()
@@ -507,8 +522,19 @@ func (n *Node) notify(cand Ref) {
 // Stabilize runs one round of the Chord stabilization protocol and refreshes
 // the successor list. It returns the virtual completion time.
 func (n *Node) Stabilize(at simnet.VTime) simnet.VTime {
+	done, _ := n.stabilize(at) //adhoclint:ignore discarded-error periodic maintenance; the next round redoes whatever this one missed
+	return done
+}
+
+// stabilize is Stabilize, also returning the first failed call's error: a
+// failure never stops the round, but a repair that relies on the round's
+// outcome must know it fell short.
+//
+//adhoclint:faultpath(benign, ring maintenance; every pointer it writes is re-derived by the next stabilization, so a round a failure cut short is finished by the next)
+func (n *Node) stabilize(at simnet.VTime) (simnet.VTime, error) {
 	succ := n.Successor()
 	now := at
+	var first error
 	if succ.Addr == n.addr {
 		// Pointing at ourselves (ring creator or sole survivor): a joiner
 		// that notified us appears as our predecessor — adopt it as the
@@ -525,6 +551,7 @@ func (n *Node) Stabilize(at simnet.VTime) simnet.VTime {
 		resp, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodGetPredecessor, simnet.Bytes(1), now)
 		now = done
 		if err != nil {
+			first = err
 			if !simnet.IsLost(err) {
 				n.evict(succ.Addr, now)
 				succ = n.Successor()
@@ -541,43 +568,53 @@ func (n *Node) Stabilize(at simnet.VTime) simnet.VTime {
 		// lost reply converges to the same state (idempotent).
 		_, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodNotify, n.Ref(), now)
 		now = done
-		if err != nil && !simnet.IsLost(err) {
-			n.evict(succ.Addr, now)
-		}
-	}
-	// Refresh the successor list from the (possibly new) successor.
-	succ = n.Successor()
-	if succ.Addr != n.addr {
-		resp, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodGetSuccList, simnet.Bytes(1), now)
-		now = done
-		if err == nil {
-			list := resp.(RefList).Refs
-			merged := append([]Ref{succ}, trimRefs(list, n.cfg.SuccListSize-1)...)
-			var dedup []Ref
-			seen := map[simnet.Addr]bool{}
-			for _, r := range merged {
-				if r.Addr != n.addr && !seen[r.Addr] {
-					seen[r.Addr] = true
-					dedup = append(dedup, r)
-				}
+		if err != nil {
+			first = cmp.Or(first, err)
+			if !simnet.IsLost(err) {
+				n.evict(succ.Addr, now)
 			}
-			n.mu.Lock()
-			n.succ = trimRefs(dedup, n.cfg.SuccListSize)
-			n.mu.Unlock()
-		} else if !simnet.IsLost(err) {
-			n.evict(succ.Addr, now)
 		}
-	} else {
-		// Sole survivor: close the ring on self.
-		n.mu.Lock()
-		n.succ = []Ref{n.Ref()}
-		n.mu.Unlock()
 	}
+	now, err := n.refreshSuccList(now)
+	first = cmp.Or(first, err)
 	if flt := n.net.FlightRecorder(); flt != nil {
 		flt.Emit(flight.Event{Node: string(n.addr), Kind: flight.KindStabilize,
 			VT: int64(at), End: int64(now)})
 	}
-	return now
+	return now, first
+}
+
+// refreshSuccList re-reads the successor list from the (possibly new)
+// successor: the successor, then its list, without this node, duplicates
+// or nodes the failure detector reports down, up to r entries. A node
+// pointing at itself is the sole survivor and closes the ring on self.
+func (n *Node) refreshSuccList(at simnet.VTime) (simnet.VTime, error) {
+	if succ := n.Successor(); succ.Addr != n.addr {
+		resp, done, err := n.net.CallRetry(n.addr, succ.Addr, MethodGetSuccList, simnet.Bytes(1), at)
+		if err != nil {
+			if !simnet.IsLost(err) {
+				n.evict(succ.Addr, done)
+			}
+			return done, err
+		}
+		merged := append([]Ref{succ}, trimRefs(resp.(RefList).Refs, n.cfg.SuccListSize-1)...)
+		var dedup []Ref
+		seen := map[simnet.Addr]bool{}
+		for _, r := range merged {
+			if r.Addr != n.addr && !seen[r.Addr] && n.net.Alive(r.Addr) {
+				seen[r.Addr] = true
+				dedup = append(dedup, r)
+			}
+		}
+		n.mu.Lock()
+		n.succ = trimRefs(dedup, n.cfg.SuccListSize)
+		n.mu.Unlock()
+		return done, nil
+	}
+	n.mu.Lock()
+	n.succ = []Ref{n.Ref()}
+	n.mu.Unlock()
+	return at, nil
 }
 
 // FixFingers refreshes one finger per call, cycling through the table; this
@@ -614,6 +651,36 @@ func (n *Node) FixAllFingers(at simnet.VTime) simnet.VTime {
 		n.mu.Unlock()
 	}
 	return now
+}
+
+// buildFingers sets the whole finger table from one batch resolve of the
+// fingers' starts, which shares their routes; a failed resolve leaves the
+// table as it was.
+func (n *Node) buildFingers(at simnet.VTime) (simnet.VTime, error) {
+	starts := make([]ID, n.cfg.Bits)
+	for k := range starts {
+		starts[k] = n.id.add(uint(k), n.cfg.Bits)
+	}
+	resp, done, err := n.handleFindSuccessorBatch(at, BatchFindReq{Targets: starts})
+	if err != nil {
+		return done, err
+	}
+	n.mu.Lock()
+	copy(n.fingers, resp.Nodes)
+	n.mu.Unlock()
+	return done, nil
+}
+
+// updateFinger points finger K at Owner if the finger's start, ID + 2^K,
+// lies in the moved arc (From, To], and returns the node's successor so
+// the caller can walk on to the next node whose finger K may lie there.
+func (n *Node) updateFinger(req FingerReq) Ref {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if k := uint(req.K); k < n.cfg.Bits && betweenRightIncl(n.id.add(k, n.cfg.Bits), req.From, req.To) {
+		n.fingers[k] = req.Owner
+	}
+	return n.successorLocked()
 }
 
 // CheckPredecessor clears the predecessor if it no longer answers pings.

@@ -255,7 +255,7 @@ func TestArcsSurviveOneMove(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return split, "converge (join idx-join: 1 arc) -> epoch " + fmt.Sprint(s.Epoch()), now
+			return split, "converge (join idx-join: " + wantRepair(s, inside[len(inside)/2]) + ") -> epoch " + fmt.Sprint(s.Epoch()), now
 		}},
 		{"graceful leave", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
 			gone := busiestArc(t, s, keys)
@@ -263,7 +263,7 @@ func TestArcsSurviveOneMove(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return gone, "converge (leave " + string(gone.Owner.Addr) + ": 1 arc) -> epoch " + fmt.Sprint(s.Epoch()), now
+			return gone, "converge (leave " + string(gone.Owner.Addr) + ": " + wantRepair(s, gone.Owner.ID) + ") -> epoch " + fmt.Sprint(s.Epoch()), now
 		}},
 		{"crash", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
 			victim := busiestArc(t, s, keys).Owner.Addr

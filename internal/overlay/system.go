@@ -65,9 +65,11 @@ type System struct {
 	// maintenance or membership changes may have moved key ownership, and
 	// bounds the validity of the storage nodes' owner arcs.
 	epoch uint64
-	// converged is set by Converge and cleared by FailNode, RecoverNode and
-	// a join abandoned after its ring join: while it holds, a graceful join
-	// or leave moves one owner arc (see bumpEpoch).
+	// converged is set by Converge and cleared by FailNode, RecoverNode, a
+	// join abandoned after its ring join and a failed repair: while it
+	// holds, the ring is the ideal ring, and a graceful join or leave
+	// repairs only the pointers it moved and moves one owner arc (see
+	// converge and bumpEpoch).
 	converged bool
 	// traceSeq allocates deterministic trace identifiers: operations issued
 	// in the same order get the same IDs, so seeded runs trace identically.
@@ -152,9 +154,12 @@ func (s *System) AddIndexNode(addr simnet.Addr, at simnet.VTime) (*IndexNode, si
 }
 
 // AddIndexNodeWithID creates an index node with an explicit identifier
-// (used to reconstruct the paper's Fig. 1 topology). The node is entered
-// into the deployment before the ring join so concurrent reads see it; a
-// failed join removes and deregisters it again before the error surfaces.
+// (used to reconstruct the paper's Fig. 1 topology), joins it to the ring,
+// brings the ring back to its ideal state (converge: on a converged ring
+// only the pointers the join moved) and pulls the node's slice of the
+// location table. The node is entered into the deployment before the ring
+// join so concurrent reads see it; a failed join removes and deregisters
+// it again before the error surfaces.
 //
 //adhoclint:faultpath(compensated, a failed join deletes the node from the deployment and deregisters its handler, restoring the pre-call state)
 func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTime) (*IndexNode, simnet.VTime, error) {
@@ -182,7 +187,7 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 		s.evictIndexNode(addr)
 		return nil, now, err
 	}
-	now = s.converge(now, "join", n.Chord.Ref())
+	now = s.converge(now, "join", n.Chord)
 	// Pull the location-table slice this node is now responsible for
 	// (Sect. III-C).
 	done, err = n.JoinTransfer(now)
@@ -667,30 +672,30 @@ func (s *System) Epoch() uint64 {
 // at the virtual time of the maintenance event that caused it (operator
 // actions such as FailNode happen outside virtual time and pass 0). mover
 // is the index node whose graceful join or leave caused the bump, zero for
-// any other cause. On a converged ring such an event moves one owner arc
-// (Sect. III-C/D): the arc containing the mover's ID, or the arc it owned.
-// Every storage node then drops the arcs that contain the mover's ID or
-// name it as owner and carries the rest into the new epoch; after any
-// other bump no arc survives.
-func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref) {
+// any other cause; repair is what the event's repair touched, nil when the
+// ring was converged fully or not at all. A repaired event moved one owner
+// arc (Sect. III-C/D): the arc containing the mover's ID, or the arc it
+// owned. Every storage node then drops the arcs that contain the mover's
+// ID or name it as owner and carries the rest into the new epoch; after
+// any other bump no arc survives.
+func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref, repair *chord.Repair) {
 	s.mu.Lock()
 	s.epoch++
 	epoch := s.epoch
-	oneArc := s.converged && !mover.IsZero()
 	s.mu.Unlock()
-	if oneArc {
+	if repair != nil {
 		for _, n := range s.StorageNodes() {
 			n.keepArcs(epoch, mover)
 		}
 	}
 	if flt := s.net.FlightRecorder(); flt != nil {
 		moved := "everything"
-		if oneArc {
-			moved = "1 arc"
+		if repair != nil {
+			moved = "1 arc, " + strconv.Itoa(repair.Lists) + " lists, " + strconv.Itoa(repair.Fingers) + " fingers"
 		}
 		note := cause + " (" + moved + ")"
 		if !mover.IsZero() {
-			// a graceful join or leave bumps at the Converge that follows it
+			// a graceful join or leave bumps once the ring is converged again
 			note = "converge (" + cause + " " + string(mover.Addr) + ": " + moved + ")"
 		}
 		flt.Emit(flight.Event{Node: "system", Kind: flight.KindEpochBump,
@@ -700,25 +705,50 @@ func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref) {
 }
 
 // setConverged records whether the ring has converged since the last
-// crash, recovery or abandoned join.
+// crash, recovery, abandoned join or failed repair.
 func (s *System) setConverged(converged bool) {
 	s.mu.Lock()
 	s.converged = converged
 	s.mu.Unlock()
 }
 
-// Converge runs Chord stabilization on the index ring until pointers are
-// consistent and finger tables are fresh.
+// Converge runs Chord stabilization on the index ring until it is the ideal
+// ring: predecessors, successor lists and finger tables all exact.
 func (s *System) Converge(at simnet.VTime) simnet.VTime {
-	return s.converge(at, "converge", chord.Ref{})
+	return s.converge(at, "converge", nil)
 }
 
-// converge is Converge after the graceful join or leave (cause) of mover,
-// or, with mover zero, on its own.
-func (s *System) converge(at simnet.VTime, cause string, mover chord.Ref) simnet.VTime {
-	done := chord.Converge(s.chordNodes(), at)
-	s.bumpEpoch(done, cause, mover)
-	s.setConverged(true)
+// converge brings the ring back to its ideal state after the graceful join
+// or leave (cause) of mover, or, with mover nil, on its own, and bumps the
+// epoch. On a converged ring a graceful event repairs only the pointers it
+// moved (chord.RepairJoin, chord.RepairLeave, DESIGN §5); a repair leg that
+// fails leaves the ring unconverged, so the next event converges fully.
+// Anything else runs the full chord.Converge.
+func (s *System) converge(at simnet.VTime, cause string, mover *chord.Node) simnet.VTime {
+	var ref chord.Ref
+	if mover != nil {
+		ref = mover.Ref()
+	}
+	s.mu.RLock()
+	repairable := s.converged && mover != nil
+	s.mu.RUnlock()
+	if !repairable {
+		done := chord.Converge(s.chordNodes(), at)
+		s.bumpEpoch(done, cause, ref, nil)
+		s.setConverged(true)
+		return done
+	}
+	repair := chord.RepairJoin
+	if cause == "leave" {
+		repair = chord.RepairLeave
+	}
+	moved, done, err := repair(s.chordNodes(), mover, at)
+	kept := &moved
+	if err != nil {
+		s.setConverged(false)
+		kept = nil
+	}
+	s.bumpEpoch(done, cause, ref, kept)
 	return done
 }
 
@@ -726,7 +756,7 @@ func (s *System) converge(at simnet.VTime, cause string, mover chord.Ref) simnet
 // nodes.
 func (s *System) StabilizeRound(at simnet.VTime) simnet.VTime {
 	done := chord.StabilizeRound(s.chordNodes(), at)
-	s.bumpEpoch(done, "stabilize", chord.Ref{})
+	s.bumpEpoch(done, "stabilize", chord.Ref{}, nil)
 	return done
 }
 
@@ -755,7 +785,7 @@ func (s *System) FailNode(addr simnet.Addr) {
 		flt.Emit(flight.Event{Node: string(addr), Kind: flight.KindFail, Note: "operator"})
 	}
 	s.setConverged(false)
-	s.bumpEpoch(0, "fail "+string(addr), chord.Ref{})
+	s.bumpEpoch(0, "fail "+string(addr), chord.Ref{}, nil)
 }
 
 // RecoverNode brings a crashed node back. The node reclaims its key range
@@ -767,13 +797,15 @@ func (s *System) RecoverNode(addr simnet.Addr) {
 		flt.Emit(flight.Event{Node: string(addr), Kind: flight.KindRecover, Note: "operator"})
 	}
 	s.setConverged(false)
-	s.bumpEpoch(0, "recover "+string(addr), chord.Ref{})
+	s.bumpEpoch(0, "recover "+string(addr), chord.Ref{}, nil)
 }
 
 // RemoveIndexGraceful performs a clean index-node departure: location
 // table handed to the successor, ring pointers rewired, node deregistered
-// (Sect. III-D). The node leaves the deployment map before the handoff so
-// no new traffic routes to it; a failed handoff reinstates it.
+// (Sect. III-D), and the ring brought back to its ideal state (converge:
+// on a converged ring only the pointers the leave moved). The node leaves
+// the deployment map before the handoff so no new traffic routes to it; a
+// failed handoff reinstates it.
 //
 //adhoclint:faultpath(compensated, a failed departure handoff reinstates the node in the deployment, so it keeps serving its key range)
 func (s *System) RemoveIndexGraceful(addr simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
@@ -793,7 +825,7 @@ func (s *System) RemoveIndexGraceful(addr simnet.Addr, at simnet.VTime) (simnet.
 		s.mu.Unlock()
 		return now, err
 	}
-	return s.converge(now, "leave", n.Chord.Ref()), nil
+	return s.converge(now, "leave", n.Chord), nil
 }
 
 // DropStorageEverywhere removes a failed storage node's postings from all
