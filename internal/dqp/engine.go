@@ -24,10 +24,11 @@ type Engine struct {
 	sys   *overlay.System
 	opts  Options
 	cache *lookupCache
-	// hot is the lookup entry point: one routed read per planning round on
-	// a static system, the replica-preferring adaptive path when
-	// overlay.Config.Adaptive is on (it learns hot-replica advertisements
-	// per engine, mirroring the per-initiator lookup cache).
+	// hot is the lookup entry point: per planning round on a static
+	// system one direct read per owner whose arc the initiator holds and
+	// one routed read of the other keys, the replica-preferring adaptive
+	// path when overlay.Config.Adaptive is on (it learns hot-replica
+	// advertisements per engine, mirroring the per-initiator lookup cache).
 	hot *overlay.LookupClient
 }
 

@@ -452,11 +452,12 @@ func (p patternPlan) targetAddrs() []simnet.Addr {
 // responsible index node (level one), read the location-table row (level
 // two) — and keeps the rows in ctx for every BGP of the query. A key the
 // lookup cache holds under a live index node is ready at once; the others
-// go to the lookup client together (overlay.LookupClient.LookupBatch) as
-// one index.routed_read: the ring routes it from the initiator's entry
-// point, splitting it by next hop, and each owner answers the initiator
-// directly, once for all of its keys. A key's row is ready when its
-// owner's reply is in; the round's cost is part of the query cost.
+// go to the lookup client together (overlay.LookupClient.LookupBatch): the
+// keys inside owner arcs the initiator holds as one direct index.routed_read
+// per owner, the rest as one index.routed_read that the ring routes from
+// the initiator's entry point, splitting it by next hop. Each owner answers
+// the initiator directly, once for all of its keys. A key's row is ready
+// when its owner's reply is in; the round's cost is part of the query cost.
 func (e *Engine) planKeys(ctx *qctx, keys []chord.ID, at simnet.VTime) (simnet.VTime, error) {
 	if !slices.ContainsFunc(keys, ctx.unplanned) {
 		return at, nil

@@ -26,7 +26,8 @@ type Stats struct {
 	// forwards the ring made for it, a route prefix several keys share
 	// counted once. The hand-on from the owner's predecessor is not a hop,
 	// and a read re-sent after a loss counts only the route that answered.
-	// Keys served by the lookup cache or a hot replica count none.
+	// Keys read straight from an owner whose arc the initiator holds, or
+	// served by the lookup cache or a hot replica, count none.
 	LookupHops int
 	// Subqueries counts sub-query executions at storage nodes.
 	Subqueries int

@@ -1,14 +1,18 @@
 package experiments
 
 import (
+	"fmt"
+
 	"adhocshare/internal/dqp"
 	"adhocshare/internal/workload"
 )
 
 // E14LookupCache measures the initiator-side lookup cache (extension): a
-// node repeatedly querying the same patterns skips Chord routing and
-// location-table reads after warm-up, and the cache invalidates correctly
-// under storage churn.
+// node repeatedly querying the same patterns skips the location-table
+// reads after warm-up, and the cache invalidates correctly under storage
+// churn. Uncached, the provider already reads each row in one direct call
+// to the owner whose arc it learned publishing, so the cache saves that
+// call, not Chord hops.
 func E14LookupCache(p Params) (*Table, error) {
 	t := &Table{
 		ID:      "E14",
@@ -19,6 +23,7 @@ func E14LookupCache(p Params) (*Table, error) {
 		Persons: 200, Providers: 10, AvgKnows: 4, ZipfS: 1.3, Seed: p.seed(13),
 	})
 	q := workload.QueryPrimitive(d.PopularPerson)
+	var cold, warm dqp.Stats // run 1 without the cache, run 2 with it
 	for _, cached := range []bool{false, true} {
 		dep, err := buildDeployment(p, 8, d)
 		if err != nil {
@@ -35,6 +40,12 @@ func E14LookupCache(p Params) (*Table, error) {
 			}
 			t.AddRow(run, cached, stats.LookupHops, kb(stats.IndexBytes()),
 				kb(stats.Bytes), ms(stats.ResponseTime), stats.StaleDrops)
+			switch {
+			case !cached && run == 1:
+				cold = stats
+			case cached && run == 2:
+				warm = stats
+			}
 		}
 		// churn under a warm cache: fail a provider and query twice
 		if cached {
@@ -51,7 +62,8 @@ func E14LookupCache(p Params) (*Table, error) {
 		}
 	}
 	t.Notes = append(t.Notes,
-		"with the cache, runs 2+ route zero Chord hops and ship zero index bytes",
+		fmt.Sprintf("without the cache a run reads its rows in %d hops (a provider reads a row straight from an owner whose arc it learned publishing); with it, runs 2+ send no index message: index %s -> %s KiB, %s -> %s ms",
+			cold.LookupHops, kb(cold.IndexBytes()), kb(warm.IndexBytes()), ms(cold.ResponseTime), ms(warm.ResponseTime)),
 		"run 4 (after a provider crash) observes the timeout once and invalidates; run 5 is clean — the cache follows the Sect. III-D stale-entry rule")
 	return t, nil
 }

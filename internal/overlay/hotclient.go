@@ -3,15 +3,18 @@ package overlay
 // Workload-adaptive hot-key replication (initiator side).
 //
 // LookupClient is the one lookup entry point for query engines. On a
-// static system (Config.Adaptive off) a lookup is one routed read with a
-// zero epoch: it is routed from the initiator's ring entry point to the
-// key's home successor, which answers the initiator directly (routed.go).
-// On an adaptive system it stamps each read with the current stabilization
-// epoch, remembers the replica advertisements coming back in PostingsResp,
-// and serves later lookups of the same key from the nearest live replica
-// holder — rotating among equally-near holders so the hot load spreads
-// instead of moving the hotspot one ring position over. Any miss, error,
-// or epoch change drops the hint and falls back to the home successor.
+// static system (Config.Adaptive off) a lookup reads the key's row from its
+// home successor with a zero epoch: in one call straight to it when the
+// initiator is a provider that holds the key's owner arc this epoch — the
+// arcs its publications learn — and otherwise as one routed read from the
+// initiator's ring entry point, which the home successor answers directly
+// (routed.go). On an adaptive system it stamps each read with the current
+// stabilization epoch, remembers the replica advertisements coming back in
+// PostingsResp, and serves later lookups of the same key from the nearest
+// live replica holder — rotating among equally-near holders so the hot
+// load spreads instead of moving the hotspot one ring position over. Any
+// miss, error, or epoch change drops the hint and falls back to the home
+// successor.
 
 import (
 	"errors"
@@ -63,8 +66,8 @@ type LookupRow struct {
 	// Hops is the ring forwards of the key's route that no other row of
 	// the same read counts: for a key read on its own its FindSuccessor hop
 	// count; in a read of several keys each route prefix they share is
-	// counted once, on one row. It is 0 on a replica hit, which is not
-	// routed.
+	// counted once, on one row. It is 0 on a direct read and on a replica
+	// hit, which are not routed.
 	Hops int
 	// ReplicaHit reports that a hot replica served the row.
 	ReplicaHit bool
@@ -140,8 +143,11 @@ func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64)
 }
 
 // hasHint reports whether the client holds an advertisement for key that
-// is valid under epoch.
+// is valid under epoch; a static read (epoch 0) holds none.
 func (c *LookupClient) hasHint(key chord.ID, epoch uint64) bool {
+	if epoch == 0 {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	h, ok := c.hints[key]
@@ -177,10 +183,10 @@ func (c *LookupClient) storeHint(key chord.ID, home simnet.Addr, replicas []simn
 }
 
 // Lookup reads the location-table row for key on behalf of `from`: the
-// one-key case of LookupBatch. The routed read travels under resolveTC; on
-// an adaptive system the replica fast path derives its span from readTC.
-// On a failed read the row names the owner found down, if any; the error
-// is the read's own.
+// one-key case of LookupBatch. The read from the home successor travels
+// under resolveTC; on an adaptive system the replica fast path derives its
+// span from readTC. On a failed read the row names the owner found down,
+// if any; the error is the read's own.
 func (c *LookupClient) Lookup(from simnet.Addr, key chord.ID, resolveTC, readTC trace.TraceContext, at simnet.VTime) (LookupRow, simnet.VTime, error) {
 	var row [1]LookupRow
 	done, err := c.lookupOne(from, []chord.ID{key}, c.epoch(), resolveTC, readTC, row[:], at)
@@ -193,51 +199,62 @@ func (c *LookupClient) Lookup(from simnet.Addr, key chord.ID, resolveTC, readTC 
 
 // LookupBatch reads the rows of several distinct keys on behalf of `from`
 // in one planning round, rows[i] being keys[i]'s. A key with a live replica
-// hint is read on its own, as Lookup reads it. The others go out together
-// as one routed read from the caller's ring entry point: the ring walks a
+// hint is read on its own, as Lookup reads it. The others are read from
+// their home successors: the keys inside owner arcs a provider `from`
+// holds this epoch with one direct read per owner, and the rest together
+// as one routed read from the caller's ring entry point — the ring walks a
 // route prefix they share once, and each owner answers once for all of its
-// keys. Key i read on its own derives its spans from tc.Child(2i) and
-// tc.Child(2i+1); the routed read of the others travels under tc.Child(2n),
-// n = len(keys). An error is a *LookupError.
+// keys. All branches leave at once. Key i read on its own derives its
+// spans from tc.Child(2i) and tc.Child(2i+1); the reads from home
+// successors travel under tc.Child(2n), tc.Child(2n+1), ..., n =
+// len(keys), in the order of their first keys. An error is a *LookupError.
 //
 //adhoclint:faultpath(benign, the branches fill only the round's own result slots, dropped when it fails)
 func (c *LookupClient) LookupBatch(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) ([]LookupRow, simnet.VTime, error) {
 	epoch := c.epoch()
 	rows := make([]LookupRow, len(keys))
-	routedTC := tc.Child(uint64(2 * len(keys)))
-	var alone []int
-	if epoch != 0 {
-		for i, key := range keys {
-			if c.hasHint(key, epoch) {
-				alone = append(alone, i)
-			}
-		}
-	}
-	if len(alone) == 0 {
-		done, err := c.routedRead(from, keys, epoch, routedTC, rows, at)
+	homeTC := uint64(2 * len(keys))
+	if len(keys) == 1 && !c.hasHint(keys[0], epoch) {
+		done, err := c.read(from, c.arcOwner(from, keys[0]), keys, epoch, tc.Child(homeTC), rows, at)
 		return rows, done, err
 	}
-	var home []chord.ID
-	var homeAt []int // positions in keys of home
+	var (
+		alone []int
+		homes []simnet.Addr // the home reads in the order of their first keys: an owner, "" for the routed read
+	)
+	groups := make([][]int, 0, len(keys)) // groups[g]: the positions in keys that homes[g] reads
 	for i, key := range keys {
-		if !slices.Contains(alone, i) {
-			home, homeAt = append(home, key), append(homeAt, i)
+		if c.hasHint(key, epoch) {
+			alone = append(alone, i)
+			continue
 		}
+		owner := c.arcOwner(from, key)
+		g := slices.Index(homes, owner)
+		if g < 0 {
+			g = len(homes)
+			homes, groups = append(homes, owner), append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
 	}
-	branches := len(alone)
-	if len(home) > 0 {
-		branches++
+	if len(alone) == 0 && len(homes) == 1 {
+		done, err := c.read(from, homes[0], keys, epoch, tc.Child(homeTC), rows, at)
+		return rows, done, err
 	}
 	//adhoclint:faultpath(abort-all, a key without its row leaves a pattern without its target set; the first failed branch fails the whole lookup)
-	results, done := simnet.Parallel(branches, 0, func(b int) (struct{}, simnet.VTime, error) {
+	results, done := simnet.Parallel(len(alone)+len(homes), 0, func(b int) (struct{}, simnet.VTime, error) {
 		if b < len(alone) {
 			i := alone[b]
 			done, err := c.lookupOne(from, keys[i:i+1], epoch, tc.Child(uint64(2*i)), tc.Child(uint64(2*i+1)), rows[i:i+1], at)
 			return struct{}{}, done, err
 		}
-		out := make([]LookupRow, len(home))
-		done, err := c.routedRead(from, home, epoch, routedTC, out, at)
-		for j, i := range homeAt {
+		g := b - len(alone)
+		sub := make([]chord.ID, len(groups[g]))
+		for j, i := range groups[g] {
+			sub[j] = keys[i]
+		}
+		out := make([]LookupRow, len(sub))
+		done, err := c.read(from, homes[g], sub, epoch, tc.Child(homeTC+uint64(g)), out, at)
+		for j, i := range groups[g] {
 			rows[i] = out[j]
 		}
 		return struct{}{}, done, err
@@ -260,9 +277,19 @@ func (c *LookupClient) epoch() uint64 {
 	return 0
 }
 
+// arcOwner returns the live owner of key by an arc the provider `from`
+// holds this epoch (StorageNode.liveOwner), and "" when `from` is no
+// provider or holds no such arc.
+func (c *LookupClient) arcOwner(from simnet.Addr, key chord.ID) simnet.Addr {
+	if st, ok := c.sys.Storage(from); ok {
+		return st.liveOwner(c.sys.Epoch(), key)
+	}
+	return ""
+}
+
 // lookupOne reads key[0]'s row into out[0]: from a hot replica when the
 // client holds a hint for it, else — or after a replica miss, from the
-// elapsed time — with a routed read to the home successor.
+// elapsed time — from the home successor.
 //
 //adhoclint:faultpath(benign, out is the caller's result slot, dropped when the lookup fails)
 func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64, resolveTC, readTC trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
@@ -288,43 +315,55 @@ func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64,
 			c.dropHint(key[0])
 		}
 	}
-	return c.routedRead(from, key, epoch, resolveTC, out, now)
+	return c.read(from, c.arcOwner(from, key[0]), key, epoch, resolveTC, out, now)
 }
 
-// routedAttempts is the routed read's send budget: the first send plus
-// four re-sends. A resolve-then-read lookup of h hops sent 2·(h+1) + 2
-// legs, each with three attempts of its own, so a loss went unrecovered
-// with probability about (2h+4)·p³. A routed read re-sends its whole route
-// of h + 3 legs, which fails k times running with probability about
+// routedAttempts is a read's send budget: the first send plus four
+// re-sends. A resolve-then-read lookup of h hops sent 2·(h+1) + 2 legs,
+// each with three attempts of its own, so a loss went unrecovered with
+// probability about (2h+4)·p³. A routed read re-sends its whole route of
+// h + 3 legs, which fails k times running with probability about
 // ((h+3)·p)^k. At p = 1% the mean route of point_lookup's ring (h = 2.4:
 // 5.4 legs against 8.8) is no worse from k = 4 on, but a route of h ≥ 3
 // hops needs k = 5 (h = 3: 7.8e-7 against 1.0e-5), and k = 5 holds up to
-// h = 8 hops.
+// h = 8 hops. A direct read is 2 legs, (2p)^5 = 3.2e-9.
 const routedAttempts = 5
 
-// routedRead reads the rows of keys into out, out[i] being keys[i]'s, with
-// one routed read from `from`'s ring entry point under tc (routed.go). The
-// origin hears nothing of a read that fails on its way — no leg is
-// acknowledged — so a failed attempt costs it FailTimeout from its
-// departure, never less than the time the route took; a lost leg, or a
-// lost reply, is answered by re-sending the whole read, up to
-// routedAttempts times.
-func (c *LookupClient) routedRead(from simnet.Addr, keys []chord.ID, epoch uint64, tc trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
-	entry := c.sys.entryFor(from)
-	if entry == "" {
-		return at, &LookupError{Method: MethodRoutedRead, Err: fmt.Errorf("overlay: node %s has no ring entry point", from)}
+// read reads the rows of keys into out, out[i] being keys[i]'s, under tc.
+// With owner set — the keys lie inside an arc of owner's the caller holds
+// this epoch — it is a direct read: owner's hand-on message (Owned) goes
+// straight to owner, which answers as a routed read's owner does, in 2
+// legs and 0 hops. Otherwise it is one routed read from `from`'s ring
+// entry point (routed.go). The origin hears nothing of a read that fails
+// on its way — no leg is acknowledged — so a failed attempt costs it
+// FailTimeout from its departure, never less than the time the read took;
+// a lost leg, or a lost reply, is answered by re-sending the whole read
+// the same way, up to routedAttempts times. An owner a direct read finds
+// unreachable — a crash the epoch has not seen — has its keys read routed
+// from then on, so a replica holder may stand in: that read pays two
+// FailTimeouts, this one and the one the owner's predecessor waits.
+func (c *LookupClient) read(from, owner simnet.Addr, keys []chord.ID, epoch uint64, tc trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
+	to, replyTo := owner, from
+	if owner == "" {
+		to, replyTo = c.sys.entryFor(from), ""
+		if to == "" {
+			return at, &LookupError{Method: MethodRoutedRead, Err: fmt.Errorf("overlay: node %s has no ring entry point", from)}
+		}
 	}
 	net := c.sys.Net()
-	req := RoutedReadReq{Keys: keys, Origin: from, Epoch: epoch, TC: tc}
+	req := RoutedReadReq{Keys: keys, Origin: from, Epoch: epoch, Owned: owner != "", TC: tc}
 	var err error
 	for attempt := 0; attempt < routedAttempts; attempt++ {
 		var (
 			resp simnet.Payload
 			done simnet.VTime
 		)
-		resp, done, err = net.Forward(from, entry, MethodRoutedRead, req, "", at)
+		resp, done, err = net.Forward(from, to, MethodRoutedRead, req, replyTo, at)
 		if err == nil {
 			return done, c.keepReplies(keys, epoch, resp, done, out)
+		}
+		if !simnet.IsLost(err) && owner != "" {
+			return c.read(from, "", keys, epoch, tc, out, done)
 		}
 		at = simnet.MaxTime(at.Add(net.Config().FailTimeout), done)
 		if !simnet.IsLost(err) {

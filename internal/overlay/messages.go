@@ -82,10 +82,11 @@ func (r PutBatchReq) SizeBytes() int {
 // RoutedReadReq is a routed read of the location-table rows of one or more
 // keys: it travels from the origin's ring entry point one hop at a time,
 // each hop splitting it by next hop, until the predecessor of the keys'
-// owner hands it on with Owned set; the owner then answers Origin directly
-// with a RoutedReadResp. Hops counts the forwards of the route that no
-// other sub-read of the same read counts yet, and the owner's reply carries
-// it back. Epoch, when non-zero, is the origin's stabilization epoch and
+// owner hands it on with Owned set — or, when the origin holds the keys'
+// owner arc, the origin sends it to the owner with Owned set itself; the
+// owner then answers Origin directly with a RoutedReadResp. Hops counts
+// the forwards of the route that no other sub-read of the same read counts
+// yet, and the owner's reply carries it back. Epoch, when non-zero, is the origin's stabilization epoch and
 // opts the read into the adaptive hot-key machinery: the owner counts each
 // key's lookup and may advertise epoch-stamped replicas in its row.
 //

@@ -1,14 +1,16 @@
 package overlay
 
 // The index-node side of a routed read (MethodRoutedRead): a query-time
-// lookup travels from the origin's ring entry point one hop at a time, the
-// hops taking the routing decisions chord.find_successor takes, and the
-// predecessor of the keys' owner hands it on to the owner, which reads its
-// location-table rows and answers the origin directly. No leg is
-// acknowledged and nothing retraces the route: a read of one key costs
-// hops + 3 legs from a storage node — the leg to the entry point, the
-// forwards, the hand-on and the reply — where resolving the owner first and
-// then reading from it cost 2·(hops + 1) + 2.
+// lookup of keys outside the owner arcs its initiator holds travels from the
+// origin's ring entry point one hop at a time, the hops taking the routing
+// decisions chord.find_successor takes, and the predecessor of the keys'
+// owner hands it on to the owner, which reads its location-table rows and
+// answers the origin directly. No leg is acknowledged and nothing retraces
+// the route: a read of one key costs hops + 3 legs from a storage node —
+// the leg to the entry point, the forwards, the hand-on and the reply —
+// where resolving the owner first and then reading from it cost
+// 2·(hops + 1) + 2. A provider that holds the key's arc sends the hand-on
+// itself, straight to the owner: 2 legs (LookupClient.read).
 
 import (
 	"errors"

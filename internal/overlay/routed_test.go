@@ -118,7 +118,9 @@ func refBatch(t *testing.T, s *System, from simnet.Addr, keys []chord.ID, at sim
 
 // TestRoutedLookupMatchesResolveThenRead is the routed read's differential:
 // on random rings (Bits 8–24, 2–64 index nodes), from storage and index
-// initiators, every key's routed read returns the row, owner and hop count
+// initiators that hold no owner arcs (a provider that holds one reads
+// directly, TestDirectReadMatchesRouted), every key's routed read returns
+// the row, owner and hop count
 // the resolve-then-read reference finds, at exactly hops + 3 legs — one
 // fewer from an index node, which is its own entry point, and one fewer
 // again when it owns the key. A read of several keys returns every key's
@@ -140,6 +142,9 @@ func TestRoutedLookupMatchesResolveThenRead(t *testing.T) {
 		client := NewLookupClient(s)
 		for _, from := range []simnet.Addr{storage[rng.Intn(len(storage))], index[rng.Intn(len(index))].Addr()} {
 			_, fromIndex := s.Index(from)
+			if st, ok := s.Storage(from); ok {
+				st.dropArcs()
+			}
 			for _, key := range keys {
 				want, owner, hops, _ := refRead(t, s, from, key, now)
 				before := s.Net().Metrics()
@@ -263,8 +268,9 @@ func TestRoutedReadOwnerCrashIsTypedError(t *testing.T) {
 	}
 }
 
-// TestRoutedReadLossResendsWholeRead: no leg of a routed read is
-// acknowledged, so a lost forward or a lost reply costs the origin its
+// TestRoutedReadLossResendsWholeRead: no leg of a routed read — here from
+// a provider that holds no owner arcs — is acknowledged, so a lost forward
+// or a lost reply costs the origin its
 // FailTimeout from departure, after which it re-sends the whole read; the
 // re-sent read returns the same row, at FailTimeout plus the loss-free
 // read's time. A read every attempt of which is lost fails with a
@@ -277,6 +283,8 @@ func TestRoutedReadLossResendsWholeRead(t *testing.T) {
 	} else if now, err = s.Publish("D1", aliceTriples(), done); err != nil {
 		t.Fatal(err)
 	}
+	d1, _ := s.Storage("D1")
+	d1.dropArcs()
 	key := TripleKeys(aliceTriples()[0], s.Config().Bits)[KeyS]
 	client := NewLookupClient(s)
 	clean, cleanDone, err := client.Lookup("D1", key, trace.TraceContext{}, trace.TraceContext{}, now)
@@ -410,23 +418,302 @@ func TestRoutedHopFallsBackAsFindSuccessor(t *testing.T) {
 	}
 }
 
-// TestRoutedLookupAllocs holds a point lookup to its allocation budget: a
-// one-key LookupBatch from a storage node on a 32-node ring, averaged over
-// the keys of the fixture. The resolve-then-read path it replaced took 11
-// on the same fixture.
-func TestRoutedLookupAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	s, storage, keys, now := randomSystem(t, rng, 32, 32, 2)
+// oneKeyAllocs is the allocations of a one-key LookupBatch from `from`,
+// averaged over keys.
+func oneKeyAllocs(t *testing.T, s *System, from simnet.Addr, keys []chord.ID, now simnet.VTime) float64 {
+	t.Helper()
 	client := NewLookupClient(s)
 	k := 0
-	allocs := testing.AllocsPerRun(len(keys)*8, func() {
-		if _, _, err := client.LookupBatch(storage[0], keys[k%len(keys):k%len(keys)+1], trace.TraceContext{}, now); err != nil {
+	return testing.AllocsPerRun(len(keys)*8, func() {
+		if _, _, err := client.LookupBatch(from, keys[k%len(keys):k%len(keys)+1], trace.TraceContext{}, now); err != nil {
 			t.Fatal(err)
 		}
 		k++
 	})
-	t.Logf("a one-key LookupBatch allocates %.1f times", allocs)
+}
+
+// TestRoutedLookupAllocs holds a routed point lookup to its allocation
+// budget: a one-key LookupBatch from a provider that holds no owner arcs
+// on a 32-node ring, averaged over the keys of the fixture. The
+// resolve-then-read path it replaced took 11 on the same fixture.
+func TestRoutedLookupAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s, storage, keys, now := randomSystem(t, rng, 32, 32, 2)
+	st, _ := s.Storage(storage[0])
+	st.dropArcs()
+	allocs := oneKeyAllocs(t, s, storage[0], keys, now)
+	t.Logf("a routed one-key LookupBatch allocates %.1f times", allocs)
 	if allocs > 8 {
-		t.Errorf("a one-key LookupBatch allocates %.1f times, want at most 8", allocs)
+		t.Errorf("a routed one-key LookupBatch allocates %.1f times, want at most 8", allocs)
 	}
+}
+
+// TestDirectLookupAllocs holds a direct point lookup to its allocation
+// budget: a one-key LookupBatch on TestRoutedLookupAllocs's fixture, from a
+// provider that holds the arcs of the keys it reads.
+func TestDirectLookupAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	s, storage, keys, now := randomSystem(t, rng, 32, 32, 2)
+	st, _ := s.Storage(storage[0])
+	held := slices.DeleteFunc(keys, func(k chord.ID) bool {
+		_, ok := st.ownerArc(s.Epoch(), k)
+		return !ok
+	})
+	if len(held) == 0 {
+		t.Fatal("the provider holds the arc of no key")
+	}
+	allocs := oneKeyAllocs(t, s, storage[0], held, now)
+	t.Logf("a direct one-key LookupBatch allocates %.1f times", allocs)
+	if allocs > 4 {
+		t.Errorf("a direct one-key LookupBatch allocates %.1f times, want at most 4", allocs)
+	}
+}
+
+// TestDirectReadMatchesRouted is the direct read's differential. On random
+// rings (Bits 4–24, 1–64 index nodes, Replication 1–3) providers publish
+// and retract while index nodes join and leave gracefully, and crash and
+// recover, a provider then republishing. After every step, every key a
+// provider holds the owner arc of is read from it directly — 0 hops, 2
+// legs, from the arc's owner — and every key's row and owner read from it
+// equal a routed read's from a reader that holds no arcs. A batch of keys
+// from a provider goes out as one direct read per owner it holds an arc
+// of plus one routed read of the rest. On a fresh deployment an owner
+// crashed for a FaultPlan window yields its replica holder's row or a
+// typed *LookupError, after two FailTimeouts; a lost leg of a direct read
+// is re-sent to the owner, and the read still takes 0 hops.
+func TestDirectReadMatchesRouted(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	direct, mixed, replicaServed, typed, resent := 0, 0, 0, 0, 0
+	for trial := 0; trial < 12; trial++ {
+		bits := uint(4 + rng.Intn(21))
+		size := min(1+rng.Intn(64), 1<<bits/2)
+		if trial == 0 {
+			bits, size = 24, 64
+		}
+		s, storage, keys, now := randomSystem(t, rng, bits, size, 1+rng.Intn(3))
+		mask := chord.ID(1)<<bits - 1
+		addKeys := func(ks ...chord.ID) { // a batch reads distinct keys
+			for _, k := range ks {
+				if !slices.Contains(keys, k) {
+					keys = append(keys, k)
+				}
+			}
+		}
+		for i := 0; i < 8; i++ {
+			addKeys(chord.ID(rng.Uint64()) & mask)
+		}
+		_, now, err := s.AddStorageNode("reader", now) // publishes nothing, so holds no arcs
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := NewLookupClient(s)
+		rec := trace.NewBuffer()
+		s.Net().SetRecorder(rec)
+		ft := s.Net().Config().FailTimeout
+		fail := func(step, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("bits %d, %d nodes, R %d, after %s: %s", bits, size, s.Config().Replication, step, fmt.Sprintf(format, args...))
+		}
+
+		check := func(step string) map[chord.ID]LookupRow {
+			t.Helper()
+			want := map[chord.ID]LookupRow{}
+			for _, key := range keys {
+				row, _, err := client.Lookup("reader", key, trace.TraceContext{}, trace.TraceContext{}, now)
+				if err != nil {
+					fail(step, "routed read of %v: %v", key, err)
+				}
+				want[key] = row
+			}
+			for _, p := range storage {
+				for _, key := range keys {
+					owner := client.arcOwner(p, key)
+					before := s.Net().Metrics()
+					got, _, err := client.Lookup(p, key, trace.TraceContext{}, trace.TraceContext{}, now)
+					if err != nil {
+						fail(step, "%s reads %v: %v", p, key, err)
+					}
+					legs := legsSince(s, before)
+					if owner != "" {
+						if got.Hops != 0 || legs != 2 || got.Index != owner {
+							fail(step, "%s reads %v inside %s's arc in %d hops, %d legs, from %s; want 0 hops, 2 legs", p, key, owner, got.Hops, legs, got.Index)
+						}
+						direct++
+					}
+					if w := want[key]; !slices.Equal(got.Postings, w.Postings) || got.Index != w.Index {
+						fail(step, "%s reads %v (arc owner %q) as %v from %s, the routed read %v from %s", p, key, owner, got.Postings, got.Index, w.Postings, w.Index)
+					}
+				}
+
+				batch := slices.Clone(keys)
+				rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
+				batch = batch[:1+rng.Intn(len(batch))]
+				var owners []simnet.Addr
+				unheld := false
+				for _, key := range batch {
+					if o := client.arcOwner(p, key); o == "" {
+						unheld = true
+					} else if !slices.Contains(owners, o) {
+						owners = append(owners, o)
+					}
+				}
+				rec.Reset()
+				rows, _, err := client.LookupBatch(p, batch, trace.Root(1), now)
+				if err != nil {
+					fail(step, "%s reads %d keys: %v", p, len(batch), err)
+				}
+				for i, key := range batch {
+					if w := want[key]; !slices.Equal(rows[i].Postings, w.Postings) || rows[i].Index != w.Index {
+						fail(step, "%s's batch reads %v as %v from %s, the routed read %v from %s", p, key, rows[i].Postings, rows[i].Index, w.Postings, w.Index)
+					}
+					if o := client.arcOwner(p, key); o != "" && rows[i].Hops != 0 {
+						fail(step, "%s's batch reads %v inside %s's arc in %d hops", p, key, o, rows[i].Hops)
+					}
+				}
+				var sent []simnet.Addr // the batch's first legs
+				for _, sp := range rec.Spans() {
+					if sp.Name == MethodRoutedRead && sp.From == string(p) {
+						sent = append(sent, simnet.Addr(sp.To))
+					}
+				}
+				wantSent := len(owners)
+				if unheld {
+					wantSent++
+				}
+				if len(sent) != wantSent || slices.ContainsFunc(owners, func(o simnet.Addr) bool { return !slices.Contains(sent, o) }) {
+					fail(step, "%s's batch of %d keys left as reads to %v; want one to each of %v and %d routed", p, len(batch), sent, owners, wantSent-len(owners))
+				}
+				if len(owners) > 0 && unheld {
+					mixed++
+				}
+			}
+			return want
+		}
+
+		want := check("set-up")
+
+		// A crash window over the owner of a key a provider holds the arc of.
+		p := storage[rng.Intn(len(storage))]
+		for _, key := range keys {
+			owner := client.arcOwner(p, key)
+			if owner == "" || len(liveIndex(s)) < 2 {
+				continue
+			}
+			s.Net().SetFaults(&simnet.FaultPlan{Crashes: []simnet.CrashWindow{{Node: owner, From: now}}})
+			rows, done, err := client.LookupBatch(p, []chord.ID{key}, trace.TraceContext{}, now)
+			s.Net().SetFaults(nil)
+			var le *LookupError
+			switch {
+			case err == nil:
+				if rows[0].Index == owner || !slices.Equal(rows[0].Postings, want[key].Postings) {
+					fail("set-up", "with %s crashed %s reads %v as %v from %s; want %v from a replica holder", owner, p, key, rows[0].Postings, rows[0].Index, want[key].Postings)
+				}
+				replicaServed++
+			case errors.As(err, &le):
+				typed++
+			default:
+				fail("set-up", "with %s crashed %s reads %v: untyped error %v", owner, p, key, err)
+			}
+			if done < now.Add(2*ft) {
+				fail("set-up", "with %s crashed %s's read of %v ended at %v, before two FailTimeouts", owner, p, key, done)
+			}
+			break
+		}
+
+		// A lost leg of a direct read: re-sent to the owner, 0 hops.
+		for _, key := range keys {
+			owner := client.arcOwner(p, key)
+			if owner == "" {
+				continue
+			}
+			clean, cleanDone, err := client.Lookup(p, key, trace.TraceContext{}, trace.TraceContext{}, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed < 200; seed++ {
+				rec.Reset()
+				s.Net().SetFaults(&simnet.FaultPlan{Seed: seed, LossRate: 0.3})
+				row, done, err := client.Lookup(p, key, trace.Root(1), trace.TraceContext{}, now)
+				s.Net().SetFaults(nil)
+				lost := 0
+				for _, sp := range rec.Spans() {
+					if sp.Name != MethodRoutedRead {
+						continue
+					}
+					if sp.Note == flight.KindLost {
+						lost++
+					}
+					if sp.From == string(p) && sp.To != string(owner) {
+						fail("set-up", "%s's direct read of %v under loss left for %s, not its owner %s", p, key, sp.To, owner)
+					}
+				}
+				if err != nil || lost != 1 {
+					continue
+				}
+				if row.Hops != 0 || !slices.Equal(row.Postings, clean.Postings) || row.Index != owner || done != cleanDone.Add(ft) {
+					fail("set-up", "%s's direct read of %v after one lost leg: %+v at %v; want %+v at %v", p, key, row, done, clean, cleanDone.Add(ft))
+				}
+				resent++
+				break
+			}
+			break
+		}
+
+		joined := 0
+		for step := 0; step < 12; step++ {
+			var what string
+			live := liveIndex(s)
+			switch op := rng.Intn(6); {
+			case op <= 1:
+				p := storage[rng.Intn(len(storage))]
+				if op == 0 {
+					var triples []rdf.Triple
+					for j := 0; j < 1+rng.Intn(4); j++ {
+						tr := rdf.Triple{S: ex(fmt.Sprintf("p%d", rng.Intn(9))), P: fp([]string{"knows", "name", "mbox", "likes"}[rng.Intn(4)]), O: ex(fmt.Sprintf("o%d", rng.Intn(9)))}
+						triples = append(triples, tr)
+						k := TripleKeys(tr, bits)
+						addKeys(k[:]...)
+					}
+					what = "publish at " + string(p)
+					now, err = s.Publish(p, triples, now)
+				} else {
+					node, _ := s.Storage(p)
+					what = "retract at " + string(p)
+					now, err = s.Retract(p, node.Graph.Triples()[:min(2, node.Graph.Size())], now)
+				}
+			case op == 2:
+				addr := simnet.Addr(fmt.Sprintf("idx-join-%d", joined))
+				joined++
+				id := chord.HashID(string(addr), bits)
+				if slices.ContainsFunc(s.IndexNodes(), func(n *IndexNode) bool { return n.ID() == id }) {
+					continue // the ring has no room for a second node at one identifier
+				}
+				what = "join of " + string(addr)
+				_, now, err = s.AddIndexNodeWithID(addr, id, now)
+			case op == 3 && len(live) > 1:
+				addr := live[rng.Intn(len(live))]
+				what = "graceful leave of " + string(addr)
+				now, err = s.RemoveIndexGraceful(addr, now)
+			case op == 4 && len(live) > 1:
+				addr := live[rng.Intn(len(live))]
+				p := storage[rng.Intn(len(storage))]
+				what = "crash and recovery of " + string(addr) + ", then republish at " + string(p)
+				s.FailNode(addr)
+				s.RecoverNode(addr)
+				now, err = s.Republish(p, now)
+			default:
+				continue
+			}
+			if err != nil {
+				t.Logf("bits %d, %d nodes: %s: %v", bits, size, what, err)
+			}
+			check(what)
+		}
+	}
+	if direct == 0 || mixed == 0 || replicaServed == 0 || typed == 0 || resent == 0 {
+		t.Fatalf("%d direct reads, %d mixed batches, %d replica-served and %d typed crash reads, %d re-sent direct reads; want each > 0",
+			direct, mixed, replicaServed, typed, resent)
+	}
+	t.Logf("%d direct reads, %d mixed batches, %d replica-served and %d typed crash reads, %d re-sent direct reads",
+		direct, mixed, replicaServed, typed, resent)
 }

@@ -36,9 +36,11 @@ type StorageNode struct {
 	views    map[string]*rdf.Graph // memoized dataset merges, reset on writes
 	// arcs are the owner arcs this node's publications learned from batch
 	// resolves, newest last — the storage-side sibling of the dqp
-	// initiator cache (E14). They are valid only for arcEpoch, which a
-	// graceful join or leave on a converged ring advances past the arcs
-	// it did not move (keepArcs); see System.Epoch for the rule.
+	// initiator cache (E14). Its publications ship to the owners they
+	// name, and the lookups it initiates read from them (LookupClient).
+	// They are valid only for arcEpoch, which a graceful join or leave on a
+	// converged ring advances past the arcs it did not move (keepArcs); see
+	// System.Epoch for the rule.
 	arcs     []chord.Arc
 	arcEpoch uint64
 }
@@ -131,6 +133,16 @@ func (s *StorageNode) ownerArc(epoch uint64, key chord.ID) (chord.Arc, bool) {
 		}
 	}
 	return chord.Arc{}, false
+}
+
+// liveOwner returns the owner of key by an arc learned in epoch, if that
+// owner is alive, and "" otherwise: the one rule by which publication
+// ships a key straight to its owner and a lookup reads it from there.
+func (s *StorageNode) liveOwner(epoch uint64, key chord.ID) simnet.Addr {
+	if arc, ok := s.ownerArc(epoch, key); ok && s.net.Alive(arc.Owner.Addr) {
+		return arc.Owner.Addr
+	}
+	return ""
 }
 
 // learnArcs records owner arcs learned in the given epoch, discarding those

@@ -421,8 +421,7 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 	owners := make([]simnet.Addr, len(keys))
 	unresolved := make([]chord.ID, 0, len(keys))
 	for i, key := range keys {
-		if arc, ok := node.ownerArc(epoch, key); ok && s.net.Alive(arc.Owner.Addr) {
-			owners[i] = arc.Owner.Addr
+		if owners[i] = node.liveOwner(epoch, key); owners[i] != "" {
 			continue
 		}
 		unresolved = append(unresolved, key)
