@@ -93,16 +93,17 @@ func methodSamples() []methodSample {
 		{overlay.MethodTransfer, overlay.TransferReq{From: 1, To: 9}, rows},
 		{overlay.MethodHandover, rows, ack},
 		{overlay.MethodDropNode, overlay.DropNodeReq{Node: "n4", Propagate: true}, ack},
-		// Replica sync: a delta whose digests all agree is acked with one
-		// byte, one that finds stale rows lists their keys, and the
-		// primary ships those rows whole.
-		{overlay.MethodReplica, overlay.ReplicaDelta{Node: "n3", Entries: []overlay.DeltaEntry{
+		// Write chain: a delta travels one link down the owner's chain, or
+		// reaches its tail (no holders left), and comes back as the tail's
+		// one-byte acknowledgement; a holder whose digests disagree pulls
+		// the stale rows whole from the link before it.
+		{overlay.MethodReplica, overlay.ReplicaDelta{Node: "n3", From: "n2", Entries: []overlay.DeltaEntry{
 			{Key: 7, Freq: 2, Digest: 0x9e3779b9}, {Key: 4, Freq: 0, Digest: 0x811c9dc5},
-		}}, ack},
-		{overlay.MethodReplica, overlay.ReplicaDelta{Node: "n3", Entries: []overlay.DeltaEntry{
+		}, Left: 1, TC: trace.TraceContext{Query: 7, Span: 11, Parent: 1}}, ack},
+		{overlay.MethodReplica, overlay.ReplicaDelta{Node: "n3", From: "n4", Entries: []overlay.DeltaEntry{
 			{Key: 7, Freq: 2, Digest: 0x9e3779b9},
-		}}, overlay.StaleKeys{Keys: []chord.ID{7}}},
-		{overlay.MethodReplicaRepair, rows, ack},
+		}}, ack},
+		{overlay.MethodReplicaRepair, overlay.StaleKeys{Keys: []chord.ID{7}}, rows},
 
 		// Overlay storage-node methods.
 		{overlay.MethodMatch, matchReq, overlay.MatchResp{Tables: []eval.Table{matches}}},

@@ -474,3 +474,133 @@ func TestArcsConcurrentWithMembership(t *testing.T) {
 		}
 	}
 }
+
+// TestMaintenanceThatMovesNothingKeepsArcs holds the rule that a Converge or
+// StabilizeRound keeps every owner arc only if it moved no live member's
+// predecessor. On a converged ring each round keeps all of D1's arcs into
+// the new epoch, and D1's next edit sends no find_successor_batch. A
+// Converge after FailNode, and after the node's RecoverNode, moves keys: the
+// arcs drop, the next edit resolves, and every arc learned since answers as
+// the ring does. So does a StabilizeRound during a crash window, which
+// evicts the crashed member.
+func TestMaintenanceThatMovesNothingKeepsArcs(t *testing.T) {
+	triples := replicaTriples(24)
+	s, now := chainSystem(t, 6, 2)
+	node, _ := s.Storage("D1")
+	held := func() int {
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		if node.arcEpoch != s.Epoch() {
+			return 0
+		}
+		return len(node.arcs)
+	}
+	// edit applies one edit of D1's and returns its find_successor_batch
+	// messages.
+	edit := func(label string, apply func() (simnet.VTime, error)) int64 {
+		t.Helper()
+		before := s.Net().Metrics()
+		done, err := apply()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		now = done
+		return s.Net().Metrics().Sub(before).PerMethod[chord.MethodFindSuccessorBatch].Messages
+	}
+	publish := func(tr []rdf.Triple) func() (simnet.VTime, error) {
+		return func() (simnet.VTime, error) { return s.Publish("D1", tr, now) }
+	}
+	retract := func(tr []rdf.Triple) func() (simnet.VTime, error) {
+		return func() (simnet.VTime, error) { return s.Retract("D1", tr, now) }
+	}
+	// agree checks every key D1 published against the arc it holds for it.
+	agree := func(label string) {
+		t.Helper()
+		for _, k := range distinctKeys(triples, s.Config().Bits) {
+			arc, ok := node.ownerArc(s.Epoch(), k)
+			if !ok {
+				continue
+			}
+			owner, _, _, err := s.ResolveKey("D1", k, now)
+			if err == nil && owner != arc.Owner.Addr {
+				t.Errorf("%s: D1's arc (%v, %v] gives %v to %s, the ring to %s", label, arc.Start, arc.Owner.ID, k, arc.Owner.Addr, owner)
+			}
+		}
+	}
+	// victim is an index node other than D1's entry point.
+	victim := func(skip int) simnet.Addr {
+		for _, n := range s.IndexNodes() {
+			if n.Addr() != node.AttachedTo() && s.Net().Alive(n.Addr()) {
+				if skip == 0 {
+					return n.Addr()
+				}
+				skip--
+			}
+		}
+		t.Fatal("no index node to crash")
+		return ""
+	}
+
+	if edit("first publication", publish(triples[:8])) == 0 {
+		t.Fatal("the first publication resolved nothing")
+	}
+	learned := held()
+	for _, round := range []struct {
+		name string
+		run  func(simnet.VTime) simnet.VTime
+	}{{"Converge", s.Converge}, {"StabilizeRound", s.StabilizeRound}} {
+		epoch := s.Epoch()
+		now = round.run(now)
+		if s.Epoch() == epoch {
+			t.Fatalf("%s left the epoch at %d", round.name, epoch)
+		}
+		if got := held(); got != learned {
+			t.Errorf("%s on a converged ring: D1 holds %d arcs in the new epoch, want all %d", round.name, got, learned)
+		}
+		if n := edit("edit after "+round.name, retract(triples[:2])); n != 0 {
+			t.Errorf("edit after %s on a converged ring: %d find_successor_batch messages, want 0", round.name, n)
+		}
+		edit("re-publication", publish(triples[:2]))
+	}
+
+	// moved checks a round that moved keys: no arc survives it, and the
+	// next edit resolves.
+	moved := func(label string, tr []rdf.Triple) {
+		t.Helper()
+		if got := held(); got != 0 {
+			t.Errorf("%s: D1 holds %d arcs in the new epoch, want none", label, got)
+		}
+		agree(label)
+		if n := edit("edit after "+label, publish(tr)); n == 0 {
+			t.Errorf("edit after %s resolved nothing", label)
+		}
+		agree("edit after " + label)
+	}
+	// learn has D1 hold arcs of the current epoch before a round that moves
+	// keys. The first edit after a crash may find the dead owner and fall
+	// back, which drops every arc; the next one learns them.
+	learn := func(label string, tr []rdf.Triple) {
+		t.Helper()
+		for i := 0; i < len(tr) && held() == 0; i += 2 {
+			edit(label, publish(tr[i:i+2]))
+		}
+		if held() == 0 {
+			t.Fatalf("%s: D1 learned no arcs", label)
+		}
+	}
+	crashed := victim(0)
+	s.FailNode(crashed)
+	learn("edits around the crash", triples[8:12])
+	now = s.Converge(now)
+	moved("Converge after FailNode", triples[12:14])
+	s.RecoverNode(crashed)
+	learn("edits before the recovery converges", triples[14:18])
+	now = s.Converge(now)
+	moved("Converge after RecoverNode", triples[18:20])
+
+	windowed := victim(1)
+	s.Net().SetFaults(&simnet.FaultPlan{Crashes: []simnet.CrashWindow{{Node: windowed, From: now}}})
+	learn("edit before the round", triples[20:22])
+	now = s.StabilizeRound(now)
+	moved("StabilizeRound evicting "+string(windowed), triples[22:24])
+}

@@ -22,9 +22,9 @@ type IndexNode struct {
 	replication int
 
 	// seqMu guards lastSeq: the highest PutBatchReq.Seq applied per
-	// publisher. A batch re-delivered after a lost reply carries the same
-	// sequence and is acknowledged without re-applying, which is what makes
-	// put_batch safe to retry even for relative (incrementing) frequencies.
+	// publisher. A batch re-sent after a lost leg carries the same sequence
+	// and is not applied again, only its delta re-sent down the chain, which
+	// makes put_batch safe to retry even for relative frequencies.
 	seqMu   sync.Mutex
 	lastSeq map[simnet.Addr]uint64
 
@@ -89,40 +89,50 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 				stale = append(stale, e.Key)
 			}
 		}
-		if stale == nil {
-			return simnet.Bytes(1), at, nil
+		now := at
+		if stale != nil {
+			// A failed pull is left to the next delta's digests.
+			resp, done, err := n.net.CallRetry(n.addr, r.From, MethodReplicaRepair, StaleKeys{Keys: stale}, at)
+			if rows, ok := resp.(TableRows); ok && err == nil {
+				n.Table.Replace(rows.Rows)
+			}
+			now = done
 		}
-		return StaleKeys{Keys: stale}, at, nil
+		return n.replicate(now, r)
 	case MethodReplicaRepair:
-		r, ok := req.(TableRows)
+		r, ok := req.(StaleKeys)
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: replica_repair payload %T", req)
 		}
-		n.Table.Replace(r.Rows)
-		return simnet.Bytes(1), at, nil
+		rows := make(map[chord.ID][]Posting, len(r.Keys))
+		for _, key := range r.Keys {
+			rows[key] = n.Table.Get(key)
+		}
+		return TableRows{Rows: rows}, at, nil
 	case MethodPutBatch:
 		r, ok := req.(PutBatchReq)
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: put_batch payload %T", req)
 		}
-		if r.Seq != 0 && n.seenSeq(r.Node, r.Seq) {
-			return simnet.Bytes(1), at, nil
-		}
-		delta := ReplicaDelta{Node: r.Node, Entries: make([]DeltaEntry, len(r.Entries))}
+		apply := r.Seq == 0 || !n.seenSeq(r.Node, r.Seq)
+		delta := ReplicaDelta{Node: r.Node, Entries: make([]DeltaEntry, len(r.Entries)), Left: n.replication - 1, TC: r.TC}
 		keys := make([]chord.ID, len(r.Entries))
 		for i, e := range r.Entries {
-			if r.Absolute {
+			switch {
+			case !apply:
+			case r.Absolute:
 				n.Table.Set(e.Key, r.Node, e.Freq)
-			} else {
+			default:
 				n.Table.Add(e.Key, r.Node, e.Freq)
 			}
 			freq, digest := n.Table.PostingDigest(e.Key, r.Node)
 			delta.Entries[i] = DeltaEntry{Key: e.Key, Freq: freq, Digest: digest}
 			keys[i] = e.Key
 		}
-		resp, now, err := n.replicate(at, delta)
-		n.refreshHot(keys, r.TC, now)
-		return resp, now, err
+		if apply {
+			n.refreshHot(keys, r.TC, at)
+		}
+		return n.replicate(at, delta)
 	case MethodRoutedRead:
 		r, ok := req.(RoutedReadReq)
 		if !ok {
@@ -203,7 +213,8 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 }
 
 // seenSeq records seq as applied for publisher node and reports whether it
-// had already been applied (a retried shipment whose reply was lost).
+// had already been applied (a shipment re-sent after a leg of its write
+// chain was lost).
 func (n *IndexNode) seenSeq(node simnet.Addr, seq uint64) bool {
 	n.seqMu.Lock()
 	defer n.seqMu.Unlock()
@@ -214,48 +225,34 @@ func (n *IndexNode) seenSeq(node simnet.Addr, seq uint64) bool {
 	return false
 }
 
-// replicate syncs a put_batch to the next replication−1 live successors
-// so the ring survives index-node failures (Sect. III-D's replication
-// policy). Replication is synchronous and best-effort: a replica that stays
-// unreachable after retries is skipped — the digest of its rows' next
-// delta exposes what it missed — so the primary's ack never blocks on a
-// dead successor.
+// replicate is one link of a put_batch's write chain (Sect. III-D's
+// replication, acknowledged from the tail as in chain replication): with
+// delta.Left holders still to write, it forwards delta to the first live
+// successor short of the keys' owner; else it acknowledges the publisher,
+// returning when the ack arrived. A successor found down is skipped (its
+// rows' next digests expose what it missed); a lost leg is returned as it
+// is, for the publisher to re-send.
 func (n *IndexNode) replicate(at simnet.VTime, delta ReplicaDelta) (simnet.Payload, simnet.VTime, error) {
 	now := at
-	if n.replication > 1 {
-		sent := 0
-		for _, succ := range n.Chord.SuccessorList() {
-			if sent >= n.replication-1 {
-				break
-			}
-			if succ.Addr == n.addr {
-				continue
-			}
-			done, err := n.syncReplica(succ.Addr, delta, now)
-			now = done
-			if err == nil {
-				sent++
-			}
+	var succs []chord.Ref // none at the chain's tail
+	if delta.Left > 0 && len(delta.Entries) > 0 {
+		succs = n.Chord.SuccessorList()
+	}
+	for i, succ := range succs {
+		// An arc from here to succ that holds a key has wrapped round to
+		// its owner: the chain has run out of holders.
+		if (chord.Arc{Start: n.ID(), Owner: succ}).Contains(delta.Entries[0].Key) {
+			break
 		}
+		next := ReplicaDelta{Node: delta.Node, From: n.addr, Entries: delta.Entries, Left: delta.Left - 1, TC: delta.TC.Child(uint64(i))}
+		resp, done, err := n.net.Forward(n.addr, succ.Addr, MethodReplica, next, "", now)
+		if err == nil || simnet.IsLost(err) {
+			return resp, done, err
+		}
+		now = done
 	}
-	return simnet.Bytes(1), now, nil
-}
-
-// syncReplica sends a delta to one replica holder and, for the rows whose
-// digest the holder reports stale, ships this node's whole rows in one
-// index.replica_repair.
-func (n *IndexNode) syncReplica(to simnet.Addr, delta ReplicaDelta, at simnet.VTime) (simnet.VTime, error) {
-	resp, now, err := n.net.CallRetry(n.addr, to, MethodReplica, delta, at)
-	stale, ok := resp.(StaleKeys)
-	if err != nil || !ok {
-		return now, err
-	}
-	rows := make(map[chord.ID][]Posting, len(stale.Keys))
-	for _, key := range stale.Keys {
-		rows[key] = n.Table.Get(key)
-	}
-	_, now, err = n.net.CallRetry(n.addr, to, MethodReplicaRepair, TableRows{Rows: rows}, now)
-	return now, err
+	done, err := n.net.Reply(n.addr, delta.Node, MethodPutBatch, simnet.Bytes(1), delta.TC, now)
+	return simnet.Bytes(1), done, err
 }
 
 // JoinTransfer pulls the location-table rows the node is now responsible

@@ -19,7 +19,7 @@ import (
 // interval (at Replication ≥ 2 the successor keeps a copy as the joiner's
 // replica).
 const (
-	//adhoclint:faultpath(idempotent, re-deliveries are suppressed by the per-publisher shipment sequence number, so relative frequency deltas apply exactly once)
+	//adhoclint:faultpath(idempotent, re-deliveries are not applied again thanks to the per-publisher shipment sequence number, so relative frequency deltas apply exactly once, and re-forward the owner's absolute delta down the write chain)
 	MethodPutBatch = "index.put_batch"
 	//adhoclint:faultpath(idempotent, routing is a read plus the eviction of dead next hops, the owner's read is side-effect-free and its adaptive tail only bumps an advisory decayed counter and re-pushes absolute hot-replica rows, so a re-sent read converges to the same state)
 	MethodRoutedRead = "index.routed_read"
@@ -27,9 +27,11 @@ const (
 	MethodHandover   = "index.handover"
 	//adhoclint:faultpath(idempotent, dropping an already-dropped node's postings is a no-op; propagation re-sends converge the replicas to the same state)
 	MethodDropNode = "index.drop_node"
-	//adhoclint:faultpath(idempotent, a delta sets each posting to the primary's absolute frequency and only reads digests back, so a re-run reaches the same rows and lists the same stale keys)
+	// MethodReplica carries a ReplicaDelta one link down a write chain.
+	//adhoclint:faultpath(idempotent, a delta sets each posting to the primary's absolute frequency and pulls rows whole, so a re-run reaches the same rows)
 	MethodReplica = "index.replicate"
-	//adhoclint:faultpath(idempotent, repair replaces the listed rows whole with the primary's copies, so re-delivery converges to the same rows)
+	// MethodReplicaRepair pulls the rows a delta found stale (StaleKeys)
+	// from the link before in the chain, answered whole (TableRows).
 	MethodReplicaRepair = "index.replica_repair"
 	//adhoclint:faultpath(idempotent, hot-replica installs replace the key's replica row absolutely and are epoch-stamped, so re-delivery converges to the same copy)
 	MethodHotReplica = "index.hot_replica"
@@ -234,15 +236,27 @@ type TransferReq struct {
 // SizeBytes implements simnet.Payload.
 func (r TransferReq) SizeBytes() int { return r.From.SizeBytes() + r.To.SizeBytes() }
 
-// ReplicaDelta is a put_batch's replica sync: for every key the batch
-// touched, the publisher Node's absolute frequency in the primary's row
-// after the batch (0 = removed) and the digest of the whole row. Absolute
-// values make re-delivery idempotent; the digest lets the replica notice
-// rows it missed an earlier update of.
+// ReplicaDelta is a put_batch's write down the owner's chain of replica
+// holders: for every key the batch touched, the publisher Node's absolute
+// frequency in the owner's row after the batch (0 = removed) and the digest
+// of the whole row. Absolute values make re-delivery idempotent; a holder
+// whose digest differs pulls the row from From, the link before it. Left
+// counts the holders to write after the receiver (after the owner, in its
+// own copy); the last acknowledges Node, traced as the response of TC, the
+// context of the leg that brought the write.
 type ReplicaDelta struct {
 	Node    simnet.Addr
+	From    simnet.Addr
 	Entries []DeltaEntry
+	Left    int
+	TC      trace.TraceContext
 }
+
+// TraceCtx implements trace.Carrier.
+func (r ReplicaDelta) TraceCtx() trace.TraceContext { return r.TC }
+
+// holdersWidth is the wire width of a count of replica holders: one byte.
+func holdersWidth(int) int { return 1 }
 
 // DeltaEntry is one key of a ReplicaDelta.
 type DeltaEntry struct {
@@ -253,12 +267,15 @@ type DeltaEntry struct {
 
 // SizeBytes implements simnet.Payload: each entry is a key, a frequency and
 // a 4-byte digest.
-func (r ReplicaDelta) SizeBytes() int { return len(r.Node) + 16*len(r.Entries) }
+//
+//adhoclint:ignore payload-size From is the leg's sender, whose address travels in the leg's header as every sender's does
+func (r ReplicaDelta) SizeBytes() int {
+	return len(r.Node) + holdersWidth(r.Left) + 16*len(r.Entries) + r.TC.SizeBytes()
+}
 
-// StaleKeys is a replica's reply to a ReplicaDelta whose digests disagree
-// with its own rows: the primary ships those rows whole in an
-// index.replica_repair. A delta that leaves every row agreeing is acked
-// with one byte instead.
+// StaleKeys is a replica holder's index.replica_repair request: the keys
+// whose digests in a ReplicaDelta disagree with its own rows. The link
+// before it in the write chain answers with those rows whole, as TableRows.
 type StaleKeys struct {
 	Keys []chord.ID
 }

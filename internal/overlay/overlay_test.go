@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -714,6 +716,39 @@ func TestStorageNodeUnknownMethod(t *testing.T) {
 	}
 	if _, _, err := s.Net().Call("D1", "idx-00", "bogus.method", simnet.Bytes(1), now); err == nil {
 		t.Error("unknown index method accepted")
+	}
+}
+
+// TestDuplicateRingIDRefused joins an index node under an identifier a
+// ring member already has, on a Bits 4 circle: the join is refused with
+// ErrDuplicateID, and the deployment, the registered handlers, the epoch and
+// every ring pointer stay as they were.
+func TestDuplicateRingIDRefused(t *testing.T) {
+	s := NewSystem(Config{Bits: 4, Replication: 2, Net: simnet.Config{BaseLatency: time.Millisecond}})
+	now := simnet.VTime(0)
+	for i, id := range []chord.ID{1, 4, 9, 14} {
+		_, done, err := s.AddIndexNodeWithID(simnet.Addr(fmt.Sprintf("idx-%d", i)), id, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	state := func() string {
+		var sb strings.Builder
+		for _, n := range s.IndexNodes() {
+			fmt.Fprintf(&sb, "%s %v pred %v succs %v fingers %v\n",
+				n.Addr(), n.ID(), n.Chord.Predecessor(), n.Chord.SuccessorList(), n.Chord.Fingers())
+		}
+		fmt.Fprintf(&sb, "registered %v, epoch %d", s.Net().Nodes(), s.Epoch())
+		return sb.String()
+	}
+	before := state()
+	n, done, err := s.AddIndexNodeWithID("idx-dup", 9, now)
+	if !errors.Is(err, ErrDuplicateID) || n != nil || done != now {
+		t.Fatalf("join under a taken identifier: node %v, done %v, err %v; want ErrDuplicateID at %v", n, done, err, now)
+	}
+	if after := state(); after != before {
+		t.Errorf("a refused join changed the deployment\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 
 // randomSystem builds a converged deployment on one of the random rings
 // chord's route_test.go checks routing on: size index nodes with distinct
-// identifiers on a bits-wide circle, three storage nodes, each publishing
+// identifiers on a bits-wide circle (an address whose hash another node
+// already has is refused, ErrDuplicateID), three storage nodes, each publishing
 // a few triples of a small vocabulary. It returns the storage nodes and
 // the index keys of what they published.
 func randomSystem(t *testing.T, rng *rand.Rand, bits uint, size, replication int) (*System, []simnet.Addr, []chord.ID, simnet.VTime) {
@@ -25,19 +26,16 @@ func randomSystem(t *testing.T, rng *rand.Rand, bits uint, size, replication int
 	s := NewSystem(Config{Bits: bits, Replication: replication,
 		Net: simnet.Config{BaseLatency: time.Millisecond, Bandwidth: 1 << 20}})
 	now := simnet.VTime(0)
-	seen := map[chord.ID]bool{}
-	for i := 0; len(seen) < size; i++ {
-		addr := simnet.Addr(fmt.Sprintf("idx-%03d", i))
-		id := chord.HashID(string(addr), bits)
-		if seen[id] {
+	for i, joined := 0, 0; joined < size; i++ {
+		_, done, err := s.AddIndexNode(simnet.Addr(fmt.Sprintf("idx-%03d", i)), now)
+		if errors.Is(err, ErrDuplicateID) {
 			continue
 		}
-		seen[id] = true
-		_, done, err := s.AddIndexNodeWithID(addr, id, now)
 		if err != nil {
 			t.Fatal(err)
 		}
 		now = done
+		joined++
 	}
 	var storage []simnet.Addr
 	var keys []chord.ID

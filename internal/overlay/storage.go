@@ -148,6 +148,8 @@ func (s *StorageNode) liveOwner(epoch uint64, key chord.ID) simnet.Addr {
 // learnArcs records owner arcs learned in the given epoch, discarding those
 // of an older epoch first. ownerArc reads the newest first, so an arc an
 // eviction widened wins over its older copy.
+//
+//adhoclint:faultpath(benign, cache fill; an arc a resolve vouched for stays true whatever becomes of the shipment after it, and the epoch bounds its life)
 func (s *StorageNode) learnArcs(epoch uint64, arcs []chord.Arc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -160,7 +162,8 @@ func (s *StorageNode) learnArcs(epoch uint64, arcs []chord.Arc) {
 
 // keepArcs carries the arcs of the epoch before epoch into it, except
 // those a graceful join or leave of mover moved: any arc that contains the
-// mover's ID or names it as owner. Arcs of an older epoch stay dead.
+// mover's ID or names it as owner. A zero mover — a round that moved
+// nothing — carries every arc. Arcs of an older epoch stay dead.
 func (s *StorageNode) keepArcs(epoch uint64, mover chord.Ref) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -169,7 +172,7 @@ func (s *StorageNode) keepArcs(epoch uint64, mover chord.Ref) {
 	}
 	kept := s.arcs[:0]
 	for _, a := range s.arcs {
-		if !a.Contains(mover.ID) && a.Owner.Addr != mover.Addr {
+		if mover.IsZero() || !a.Contains(mover.ID) && a.Owner.Addr != mover.Addr {
 			kept = append(kept, a)
 		}
 	}

@@ -153,13 +153,18 @@ func (s *System) AddIndexNode(addr simnet.Addr, at simnet.VTime) (*IndexNode, si
 	return s.AddIndexNodeWithID(addr, chord.HashID(string(addr), s.cfg.Bits), at)
 }
 
+// ErrDuplicateID refuses an index node a ring identifier a deployed one
+// has: the ring would route a key to two owners.
+var ErrDuplicateID = errors.New("overlay: ring identifier already taken")
+
 // AddIndexNodeWithID creates an index node with an explicit identifier
 // (used to reconstruct the paper's Fig. 1 topology), joins it to the ring,
 // brings the ring back to its ideal state (converge: on a converged ring
 // only the pointers the join moved) and pulls the node's slice of the
-// location table. The node is entered into the deployment before the ring
-// join so concurrent reads see it; a failed join removes and deregisters
-// it again before the error surfaces.
+// location table. An identifier a deployed index node has is refused with
+// ErrDuplicateID before anything changes. The node is entered into the
+// deployment before the ring join so concurrent reads see it; a failed join
+// removes and deregisters it again before the error surfaces.
 //
 //adhoclint:faultpath(compensated, a failed join deletes the node from the deployment and deregisters its handler, restoring the pre-call state)
 func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTime) (*IndexNode, simnet.VTime, error) {
@@ -167,6 +172,12 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 	if _, dup := s.index[addr]; dup {
 		s.mu.Unlock()
 		return nil, at, fmt.Errorf("overlay: index node %s already exists", addr)
+	}
+	for _, other := range s.index {
+		if other.ID() == id {
+			s.mu.Unlock()
+			return nil, at, fmt.Errorf("%w: %v is %s's", ErrDuplicateID, id, other.Addr())
+		}
 	}
 	bootstrap := s.liveIndexLocked()
 	n := NewIndexNode(s.net, addr, id, chord.Config{Bits: s.cfg.Bits}, s.cfg.Replication)
@@ -396,9 +407,8 @@ func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq 
 	for oi, owner := range sortedOwners(batches) {
 		// Trace children for shipments start past the key indexes so resolve
 		// and ship spans never collide.
-		_, done, err := s.net.CallRetry(node.addr, owner, MethodPutBatch,
-			PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
-				Seq: s.nextPubSeq(), TC: tc.Child(uint64(len(keys) + oi))}, now)
+		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
+			Seq: s.nextPubSeq(), TC: tc.Child(uint64(len(keys) + oi))}, now)
 		now = done
 		if err != nil {
 			return now, fmt.Errorf("overlay: install postings at %s: %w", owner, err)
@@ -459,9 +469,9 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 		// it; the trace child is the branch index (seq 0 is the batch
 		// resolve above).
 		owner := ownerList[i]
-		return s.net.CallRetry(node.addr, owner, MethodPutBatch,
-			PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
-				Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}, starts[owner])
+		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
+			Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}, starts[owner])
+		return nil, done, err
 	})
 	done = simnet.MaxTime(at, resolveDone, done)
 	// Owners that died between resolution and shipment get one fallback
@@ -511,15 +521,39 @@ func (s *System) reshipPostings(node *StorageNode, batches map[simnet.Addr][]Key
 		regrouped[owner] = append(regrouped[owner], e)
 	}
 	for oi, owner := range sortedOwners(regrouped) {
-		_, done, err := s.net.CallRetry(node.addr, owner, MethodPutBatch,
-			PutBatchReq{Node: node.addr, Entries: regrouped[owner], Absolute: absolute,
-				Seq: s.nextPubSeq(), TC: tc.Child(tcBase + 1 + uint64(oi))}, now)
+		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: regrouped[owner], Absolute: absolute,
+			Seq: s.nextPubSeq(), TC: tc.Child(tcBase + 1 + uint64(oi))}, now)
 		now = done
 		if err != nil {
 			return now, fmt.Errorf("overlay: install postings at %s: %w", owner, err)
 		}
 	}
 	return now, nil
+}
+
+// writeAttempts is a put_batch's send budget. A loss on any of a write
+// chain's R + 1 legs costs the whole send, so k sends fail with probability
+// about ((R+1)·p)^k: k = 5 stays under the (2p)³ of the publisher-owner call
+// it replaced up to R = 3 at p ≤ 5% (3.2e-4 against 1.0e-3; k = 3: 8.0e-3).
+const writeAttempts = 5
+
+// shipBatch sends req to owner, which writes it down its write chain
+// (IndexNode.replicate), and returns when the chain's last link acknowledged
+// it: R + 1 legs at Replication R. A lost leg costs the publisher FailTimeout
+// from its departure and a re-send under the same Seq, up to writeAttempts
+// sends in all. An owner found down returns ErrUnreachable.
+//
+//adhoclint:faultpath(idempotent, the owner applies a Seq once and re-forwards its absolute delta on every re-delivery, so a re-sent batch reaches the same rows)
+func (s *System) shipBatch(owner simnet.Addr, req PutBatchReq, at simnet.VTime) (simnet.VTime, error) {
+	var err error
+	for attempt := 0; attempt < writeAttempts; attempt++ {
+		var done simnet.VTime
+		if _, done, err = s.net.Forward(req.Node, owner, MethodPutBatch, req, "", at); !simnet.IsLost(err) {
+			return done, err
+		}
+		at = simnet.MaxTime(at.Add(s.net.Config().FailTimeout), done)
+	}
+	return at, fmt.Errorf("%w (after %d attempts)", err, writeAttempts)
 }
 
 func sortedOwners(batches map[simnet.Addr][]KeyFreq) []simnet.Addr {
@@ -657,10 +691,11 @@ func (s *System) Index(addr simnet.Addr) (*IndexNode, bool) {
 	return n, ok
 }
 
-// Epoch returns the current stabilization epoch. Any maintenance or
-// membership event that can move key ownership bumps it; an owner arc
-// outlives a bump only if the bump's event provably left it in place: a
-// graceful join or leave on a converged ring (bumpEpoch, DESIGN §5).
+// Epoch returns the current stabilization epoch. Every maintenance round
+// and membership event bumps it; an owner arc outlives a bump only if the
+// bump's event provably left it in place: a graceful join or leave on a
+// converged ring moves one arc, and a Converge or StabilizeRound that moved
+// no live member's predecessor moves none (bumpEpoch, DESIGN §5).
 func (s *System) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -671,12 +706,13 @@ func (s *System) Epoch() uint64 {
 // at the virtual time of the maintenance event that caused it (operator
 // actions such as FailNode happen outside virtual time and pass 0). mover
 // is the index node whose graceful join or leave caused the bump, zero for
-// any other cause; repair is what the event's repair touched, nil when the
-// ring was converged fully or not at all. A repaired event moved one owner
-// arc (Sect. III-C/D): the arc containing the mover's ID, or the arc it
-// owned. Every storage node then drops the arcs that contain the mover's
-// ID or name it as owner and carries the rest into the new epoch; after
-// any other bump no arc survives.
+// any other cause; repair is what the event's repair touched — empty for a
+// round that moved nothing — and nil when the event may have moved any key.
+// A repaired event moved one owner arc (Sect. III-C/D): the arc containing
+// the mover's ID, or the arc it owned. Every storage node then drops the
+// arcs that contain the mover's ID or name it as owner and carries the rest
+// into the new epoch; a round that moved nothing carries every arc, and
+// after any other bump no arc survives.
 func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref, repair *chord.Repair) {
 	s.mu.Lock()
 	s.epoch++
@@ -689,7 +725,10 @@ func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref, repai
 	}
 	if flt := s.net.FlightRecorder(); flt != nil {
 		moved := "everything"
-		if repair != nil {
+		switch {
+		case repair != nil && mover.IsZero():
+			moved = "nothing"
+		case repair != nil:
 			moved = "1 arc, " + strconv.Itoa(repair.Lists) + " lists, " + strconv.Itoa(repair.Fingers) + " fingers"
 		}
 		note := cause + " (" + moved + ")"
@@ -712,7 +751,8 @@ func (s *System) setConverged(converged bool) {
 }
 
 // Converge runs Chord stabilization on the index ring until it is the ideal
-// ring: predecessors, successor lists and finger tables all exact.
+// ring: predecessors, successor lists and finger tables all exact. It bumps
+// the epoch, keeping every owner arc if no live member's predecessor moved.
 func (s *System) Converge(at simnet.VTime) simnet.VTime {
 	return s.converge(at, "converge", nil)
 }
@@ -722,7 +762,8 @@ func (s *System) Converge(at simnet.VTime) simnet.VTime {
 // epoch. On a converged ring a graceful event repairs only the pointers it
 // moved (chord.RepairJoin, chord.RepairLeave, DESIGN §5); a repair leg that
 // fails leaves the ring unconverged, so the next event converges fully.
-// Anything else runs the full chord.Converge.
+// Anything else runs the full chord.Converge, which keeps every arc only
+// when it ran on its own and moved no predecessor.
 func (s *System) converge(at simnet.VTime, cause string, mover *chord.Node) simnet.VTime {
 	var ref chord.Ref
 	if mover != nil {
@@ -732,8 +773,7 @@ func (s *System) converge(at simnet.VTime, cause string, mover *chord.Node) simn
 	repairable := s.converged && mover != nil
 	s.mu.RUnlock()
 	if !repairable {
-		done := chord.Converge(s.chordNodes(), at)
-		s.bumpEpoch(done, cause, ref, nil)
+		done := s.maintain(at, cause, ref, chord.Converge)
 		s.setConverged(true)
 		return done
 	}
@@ -752,11 +792,37 @@ func (s *System) converge(at simnet.VTime, cause string, mover *chord.Node) simn
 }
 
 // StabilizeRound runs one periodic maintenance round on all live index
-// nodes.
+// nodes; it bumps the epoch, keeping every arc if no predecessor moved.
 func (s *System) StabilizeRound(at simnet.VTime) simnet.VTime {
-	done := chord.StabilizeRound(s.chordNodes(), at)
-	s.bumpEpoch(done, "stabilize", chord.Ref{}, nil)
+	return s.maintain(at, "stabilize", chord.Ref{}, chord.StabilizeRound)
+}
+
+// maintain runs round on the ring and bumps the epoch for cause and mover.
+// A round of its own that left every live member's predecessor in place
+// moved no key, so every owner arc carries over.
+func (s *System) maintain(at simnet.VTime, cause string, mover chord.Ref, round func([]*chord.Node, simnet.VTime) simnet.VTime) simnet.VTime {
+	nodes := s.chordNodes()
+	before := s.predecessors(nodes)
+	done := round(nodes, at)
+	var kept *chord.Repair
+	if mover.IsZero() && before != nil && slices.Equal(before, s.predecessors(nodes)) {
+		kept = &chord.Repair{} // nothing moved
+	}
+	s.bumpEpoch(done, cause, mover, kept)
 	return done
+}
+
+// predecessors snapshots every ring member's predecessor, in the order of
+// nodes, or returns nil when a live member has none: a member's predecessor
+// bounds the keys it owns, and a round leaves a member that is down as it is.
+func (s *System) predecessors(nodes []*chord.Node) []chord.Ref {
+	out := make([]chord.Ref, len(nodes))
+	for i, n := range nodes {
+		if out[i] = n.Predecessor(); out[i].IsZero() && s.net.Alive(n.Addr()) {
+			return nil
+		}
+	}
+	return out
 }
 
 func (s *System) chordNodes() []*chord.Node {

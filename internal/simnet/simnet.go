@@ -443,10 +443,11 @@ func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTi
 // as a one-way message, the receiver's handler runs on arrival, and no
 // reply leg comes back to `from`. With replyTo empty the receiver is a
 // further hop: its handler's result and completion time are returned as
-// they are, the time being when the route's answer reached its origin. With
+// they are, the time being when the route's answer reached its origin — a
+// handler that ends the route itself sends that answer with Reply. With
 // replyTo set the receiver ends the route: its result travels to replyTo as
-// one response leg, whose arrival is the returned time (no leg when replyTo
-// is the receiver itself). A handler error is returned as is, with no reply.
+// one Reply leg, whose arrival is the returned time (no leg when replyTo is
+// the receiver itself). A handler error is returned as is, with no reply.
 //
 // No leg of a route is acknowledged, so a lost one stops the route where it
 // left: Forward returns ErrMessageLost or ErrReplyLost at the lost leg's
@@ -471,15 +472,31 @@ func (n *Network) Forward(from, to Addr, method string, req Payload, replyTo Add
 		}
 	}
 	resp, done, err := h.HandleCall(arrive, method, req)
-	if err != nil || replyTo == "" || replyTo == to {
+	if err != nil || replyTo == "" {
 		return resp, done, err
 	}
-	back, err := n.transmit(hk, leg{from: to, to: replyTo, method: method, dir: DirResponse,
-		size: payloadSize(resp), start: done, tc: tc.Child(trace.ResponseSeq)}, false)
+	back, err := n.Reply(to, replyTo, method, resp, tc, done)
 	if err != nil {
-		return nil, done, err
+		return nil, back, err
 	}
 	return resp, back, nil
+}
+
+// Reply is the response leg that ends a route: resp travels from `from` to
+// the route's origin `to`, traced as the response of the request whose
+// context is tc, and the returned time is its arrival. A lost reply returns
+// ErrReplyLost at its departure, as every lost leg of a route does; a reply
+// to itself is free.
+func (n *Network) Reply(from, to Addr, method string, resp Payload, tc trace.TraceContext, at VTime) (VTime, error) {
+	if from == to {
+		return at, nil
+	}
+	back, err := n.transmit(n.hooks.Load(), leg{from: from, to: to, method: method, dir: DirResponse,
+		size: payloadSize(resp), start: at, tc: tc.Child(trace.ResponseSeq)}, false)
+	if err != nil {
+		return at, err
+	}
+	return back, nil
 }
 
 // Transfer models pure one-way data movement: the payload is accounted and
