@@ -8,8 +8,8 @@ import (
 )
 
 // A directive is one //adhoclint:name(args) rest comment. Every rule that
-// reads directives — ignore, wireimmutable, racefree, faultpath,
-// hotexempt — reads them from the one index built here.
+// reads directives — ignore, wireimmutable, faultpath, hotexempt — reads
+// them from the one index built here.
 type directive struct {
 	name string // "ignore", "faultpath", ...
 	args string // parenthesized argument text, "" when absent

@@ -30,7 +30,7 @@ type rule struct {
 
 // rules lists every rule in reporting order.
 var rules = []rule{
-	{"guarded-field", "fields declared after a struct's `mu` must only be touched while that mu is held", checkGuardedFields},
+	{"guarded-field", "a struct's mutex guards the fields declared after it (a write needs Lock); no method writes a node type's fields before its first mutex; …Locked methods run under the receiver's lock", checkGuardedFields},
 	{"lock-blocking", "no blocking operation (channel op, simnet fabric call, sleep, wait) while a mutex is held, directly or through calls", checkLockBlocking},
 	{"lock-order", "mutex acquisition order must be cycle-free across the program; no re-acquisition of a held mutex", checkLockOrder},
 	{"rpc-protocol", "Method* constants, HandleCall dispatch switches and Network.Call/Send/Transfer sites must agree on methods and payload types", checkRPCProtocol},
@@ -40,7 +40,6 @@ var rules = []rule{
 	{"wireiso", "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable", checkWireIsolation},
 	{"alloc", "no avoidable per-message heap allocation (fmt.Sprintf, string accumulation, unsized container growth, interface boxing, closures in loops) in functions reachable from HandleCall dispatch or fabric calls; cold helpers carry //adhoclint:hotexempt", checkAlloc},
 	{"faultpath", "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent", checkFaultPath},
-	{"racefree", "concurrently-invocable node entry points (HandleCall handlers and exported methods of the same node type) must not conflict on a node field without a common mutex class; exempt with //adhoclint:racefree(reason)", checkRaceFree},
 }
 
 // lint runs every enabled rule (nil = all) over the program and returns

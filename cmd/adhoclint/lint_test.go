@@ -105,6 +105,60 @@ func TestGuardedFieldRule(t *testing.T) {
 	checkFixture(t, "guarded", "adhocshare/fixture/guarded", only("guarded-field"))
 }
 
+// Regression for the rule's one finding on the real tree: a node that
+// installed its adaptive-state pointer with a plain store while HandleCall
+// read it — overlay.IndexNode.hot before hotMu — must be flagged at the
+// store, and only there.
+func TestGuardedFieldCatchesLatePointerInstall(t *testing.T) {
+	var got []Diagnostic
+	for _, d := range lintFixture(t, "guarded", "adhocshare/fixture/guarded", only("guarded-field")) {
+		if filepath.Base(d.Pos.Filename) == "hotinstall.go" {
+			got = append(got, d)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("want exactly one finding in hotinstall.go, got %d: %v", len(got), got)
+	}
+	if want := "n.hot is set at construction (node type AdaptiveNode, declared before any mutex) but written in EnableAdaptive"; got[0].Msg != want {
+		t.Errorf("finding = %q, want %q", got[0].Msg, want)
+	}
+}
+
+// The data races the retired racefree rule proved absent — an unguarded
+// write against a handler read, a write reached through a helper, a write
+// under the wrong mutex, a late pointer install on a node type — live in
+// node.go and hotinstall.go of the guarded fixture; guarded-field alone
+// must still flag every one of them, and nothing else there.
+func TestRaceFreeRule(t *testing.T) {
+	prog := loadFixtureProgram(t, "guarded", "adhocshare/fixture/guarded")
+	inScope := func(file string) bool {
+		base := filepath.Base(file)
+		return base == "node.go" || base == "hotinstall.go"
+	}
+	wants := map[string][]string{}
+	for key, frags := range collectWants(prog.Pkgs[0]) {
+		if inScope(strings.SplitN(key, ":", 2)[0]) {
+			wants[key] = frags
+		}
+	}
+	var diags []Diagnostic
+	for _, d := range lint(prog, only("guarded-field")) {
+		if inScope(d.Pos.Filename) {
+			diags = append(diags, d)
+		}
+	}
+	for _, frag := range []string{"n.count is guarded by n.statMu", "accessed in bump", "n.gauge is guarded by n.aMu", "written in EnableAdaptive"} {
+		found := false
+		for _, d := range diags {
+			found = found || strings.Contains(d.Msg, frag)
+		}
+		if !found {
+			t.Errorf("no guarded-field finding containing %q", frag)
+		}
+	}
+	matchWants(t, wants, diags)
+}
+
 // The locked fixture deliberately breaks the guarded-field convention
 // (channel fields sit after mu but are used unlocked once released), so
 // only the lock-blocking rule runs over it.

@@ -21,26 +21,24 @@ type muRegion struct {
 	start, end token.Pos
 	write      bool      // opened by Lock (vs RLock)
 	class      lockClass // "" for locals and in files without type information
-	// conv marks a mutex named "mu", the project's locking convention: the
-	// guarded-field, lock-blocking and lock-order rules reason about these
-	// only. typed marks an expression of type sync.Mutex/RWMutex whatever
-	// its name — what the racefree rule counts as a lock. Test files carry
-	// no type information, so there only conv is ever set.
-	conv, typed bool
+	// conv marks a mutex named "mu": the lock-blocking and lock-order rules
+	// reason about these only. The guarded-field rule matches any region
+	// by its owner.
+	conv bool
 }
 
 func (r muRegion) contains(p token.Pos) bool { return r.start <= p && p <= r.end }
 
 // muEvent is one Lock/Unlock call found in a body.
 type muEvent struct {
-	pos         token.Pos
-	owner       string
-	lock        bool // Lock or RLock (vs Unlock or RUnlock)
-	write       bool // Lock or Unlock (vs RLock or RUnlock)
-	deferred    bool
-	block       ast.Node // innermost enclosing block-like node
-	class       lockClass
-	conv, typed bool
+	pos      token.Pos
+	owner    string
+	lock     bool // Lock or RLock (vs Unlock or RUnlock)
+	write    bool // Lock or Unlock (vs RLock or RUnlock)
+	deferred bool
+	block    ast.Node // innermost enclosing block-like node
+	class    lockClass
+	conv     bool
 }
 
 // exprChain renders a selector chain of plain identifiers ("s", "n.table").
@@ -58,9 +56,9 @@ func exprChain(expr ast.Expr) (string, bool) {
 	return "", false
 }
 
-// muEvents collects every Lock/RLock/Unlock/RUnlock call on a mutex in
-// the function body — convention-named or mutex-typed — with the
-// enclosing block-like node and defer context of each.
+// muEvents collects every Lock/RLock/Unlock/RUnlock call on a selector
+// chain in the function body, with the enclosing block-like node and defer
+// context of each.
 func muEvents(p *Package, fn *ast.FuncDecl) []*muEvent {
 	var events []*muEvent
 	var stack []ast.Node
@@ -94,11 +92,7 @@ func muEvents(p *Package, fn *ast.FuncDecl) []*muEvent {
 			conv:  owner == "mu" || strings.HasSuffix(owner, ".mu"),
 		}
 		if p.Info != nil {
-			e.typed = isMutexType(p.Info.Types[sel.X].Type)
 			e.class = mutexClass(p.Info, sel.X)
-		}
-		if !e.conv && !e.typed {
-			return true
 		}
 		for i := len(stack) - 2; i >= 0; i-- {
 			if d, isDefer := stack[i].(*ast.DeferStmt); isDefer && d.Call == call {
@@ -115,12 +109,6 @@ func muEvents(p *Package, fn *ast.FuncDecl) []*muEvent {
 		return true
 	})
 	return events
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly
-// behind a pointer).
-func isMutexType(t types.Type) bool {
-	return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
 }
 
 // mutexClass classifies the mutex denoted by a Lock receiver expression.
@@ -187,7 +175,7 @@ func (prog *Program) LockFacts(p *Package, fn *ast.FuncDecl) *lockFacts {
 			end = e.block.End()
 		}
 		lf.regions = append(lf.regions, muRegion{
-			owner: e.owner, start: e.pos, end: end, write: e.write, class: e.class, conv: e.conv, typed: e.typed,
+			owner: e.owner, start: e.pos, end: end, write: e.write, class: e.class, conv: e.conv,
 		})
 	}
 	if prog.locks == nil {
@@ -197,13 +185,23 @@ func (prog *Program) LockFacts(p *Package, fn *ast.FuncDecl) *lockFacts {
 	return lf
 }
 
-// convHeld returns the first convention-named region containing pos,
-// optionally restricted to one owner.
-func (lf *lockFacts) convHeld(pos token.Pos, owner string) (muRegion, bool) {
+// convHeld returns the first convention-named region containing pos.
+func (lf *lockFacts) convHeld(pos token.Pos) (muRegion, bool) {
 	for _, r := range lf.regions {
-		if r.conv && (owner == "" || r.owner == owner) && r.contains(pos) {
+		if r.conv && r.contains(pos) {
 			return r, true
 		}
 	}
 	return muRegion{}, false
+}
+
+// holds reports whether a region of the named owner contains pos — opened
+// by Lock when write is set.
+func (lf *lockFacts) holds(pos token.Pos, owner string, write bool) bool {
+	for _, r := range lf.regions {
+		if r.owner == owner && (r.write || !write) && r.contains(pos) {
+			return true
+		}
+	}
+	return false
 }

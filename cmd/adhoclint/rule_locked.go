@@ -60,7 +60,7 @@ func checkLockBlocking(prog *Program) []Diagnostic {
 				if what == "" {
 					return true
 				}
-				r, held := locks.convHeld(n.Pos(), "")
+				r, held := locks.convHeld(n.Pos())
 				if held {
 					diags = append(diags, diagAt(p, n.Pos(), fmt.Sprintf("%s while %s is held in %s", what, r.owner, fn.Name.Name)))
 				}

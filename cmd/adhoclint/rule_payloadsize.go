@@ -74,3 +74,17 @@ func plural(items []string) string {
 	}
 	return "s"
 }
+
+// receiverNamed resolves a method's receiver to its named type.
+func receiverNamed(obj *types.Func) *types.Named {
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return nil
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}

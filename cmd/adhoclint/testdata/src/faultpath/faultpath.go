@@ -227,7 +227,7 @@ const MethodTally = "fp.tally" // want "is retried from"
 type Relay struct {
 	net  *simnet.Network
 	addr simnet.Addr
-	//adhoclint:racefree(one route at a time reaches a relay in this fixture)
+	// hits counts every tally; its write carries the exemption.
 	hits int
 }
 
@@ -235,7 +235,7 @@ type Relay struct {
 func (r *Relay) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
 	switch method {
 	case MethodTally:
-		r.hits++
+		r.hits++ //adhoclint:ignore guarded-field(one route at a time reaches a relay in this fixture)
 		return Msg{}, at, nil
 	}
 	return nil, at, nil
