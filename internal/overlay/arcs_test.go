@@ -22,13 +22,17 @@ import (
 // by the index node System.ResolveKey finds from that provider. The keys
 // checked are the published ones, both ends of every arc and a random
 // sample; the wrap-around arc (start past the owner) and the one-node
-// ring's whole-circle arc must each answer some of them. Every trial ends
-// on a forced crash, stabilize rounds, recovery, publish and join: the arcs
-// learned while the ring routes around the recovered node must not
-// survive the join that converges it.
+// ring's whole-circle arc must each answer some of them, and so must the
+// arcs a graceful join split or a graceful leave re-owned. Each trial then
+// converges the ring and runs 20 join/leave cycles of one node, after
+// which every provider holds as many arcs as before the cycle: a join adds
+// one arc and a leave takes it away again. Every trial ends on a forced
+// crash, stabilize rounds, recovery, publish and join: the arcs learned
+// while the ring routes around the recovered node must not survive the
+// join that converges it.
 func TestOwnerArcsAgreeWithRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	hits, wrapHits, wholeHits := 0, 0, 0
+	hits, wrapHits, wholeHits, movedHits := 0, 0, 0, 0
 	for trial := 0; trial < 8; trial++ {
 		bits := uint(8 + rng.Intn(17))
 		size := 2 + rng.Intn(63)
@@ -42,6 +46,17 @@ func TestOwnerArcsAgreeWithRing(t *testing.T) {
 		mask := chord.ID(1)<<bits - 1
 		joined := 0
 		var failed []simnet.Addr
+		// before holds each provider's arcs before a graceful join or
+		// leave, nil before any other step: an arc not in it was split or
+		// re-owned by the event.
+		var before map[simnet.Addr][]chord.Arc
+		snapshot := func() {
+			before = map[simnet.Addr][]chord.Arc{}
+			for _, p := range storage {
+				node, _ := s.Storage(p)
+				before[p] = slices.Clone(node.arcs)
+			}
+		}
 
 		check := func(step string) {
 			t.Helper()
@@ -69,6 +84,9 @@ func TestOwnerArcsAgreeWithRing(t *testing.T) {
 							bits, size, step, p, arc.Start, arc.Owner.ID, key, arc.Owner.Addr, want)
 					}
 					hits++
+					if before != nil && !slices.Contains(before[p], arc) {
+						movedHits++
+					}
 					switch {
 					case arc.Start == arc.Owner.ID:
 						wholeHits++
@@ -83,6 +101,7 @@ func TestOwnerArcsAgreeWithRing(t *testing.T) {
 		for step := 0; step < 14; step++ {
 			var err error
 			var what string
+			before = nil
 			live := liveIndex(s)
 			switch op := rng.Intn(7); {
 			case op <= 1:
@@ -106,10 +125,12 @@ func TestOwnerArcsAgreeWithRing(t *testing.T) {
 				addr := simnet.Addr(fmt.Sprintf("idx-join-%d", joined))
 				joined++
 				what = "join of " + string(addr)
+				snapshot()
 				_, now, err = s.AddIndexNode(addr, now)
 			case op == 3 && len(live) > 1:
 				addr := live[rng.Intn(len(live))]
 				what = "graceful leave of " + string(addr)
+				snapshot()
 				now, err = s.RemoveIndexGraceful(addr, now)
 			case op == 4 && len(live) > 1:
 				addr := live[rng.Intn(len(live))]
@@ -132,6 +153,45 @@ func TestOwnerArcsAgreeWithRing(t *testing.T) {
 			}
 			check(what)
 		}
+
+		// The cycles: on a converged ring, with every provider's arcs
+		// relearned, one node joins at the first published key that is
+		// no member's ID and leaves again, 20 times.
+		now = s.Converge(now)
+		check("converge before the cycles")
+		held := map[simnet.Addr]int{}
+		for _, p := range storage {
+			var err error
+			if now, err = s.Republish(p, now); err != nil {
+				t.Fatalf("bits %d, %d nodes: republish at %s: %v", bits, size, p, err)
+			}
+			node, _ := s.Storage(p)
+			held[p] = len(node.arcs)
+		}
+		var ids []chord.ID
+		for _, n := range s.IndexNodes() {
+			ids = append(ids, n.ID())
+		}
+		at := slices.IndexFunc(keys, func(k chord.ID) bool { return !slices.Contains(ids, k) })
+		for cycle := 0; cycle < 20; cycle++ {
+			snapshot()
+			_, done, err := s.AddIndexNodeWithID("idx-cycle", keys[at], now)
+			if err != nil {
+				t.Fatalf("bits %d, %d nodes: cycle %d: join: %v", bits, size, cycle, err)
+			}
+			check("cycle join")
+			snapshot()
+			if now, err = s.RemoveIndexGraceful("idx-cycle", done); err != nil {
+				t.Fatalf("bits %d, %d nodes: cycle %d: leave: %v", bits, size, cycle, err)
+			}
+			check("cycle leave")
+			for _, p := range storage {
+				if node, _ := s.Storage(p); len(node.arcs) != held[p] {
+					t.Fatalf("bits %d, %d nodes: after cycle %d %s holds %d arcs, %d before", bits, size, cycle, p, len(node.arcs), held[p])
+				}
+			}
+		}
+		before = nil
 
 		// The forced step: a crash, three stabilize rounds and a recovery
 		// leave the ring routing around the recovered node, a provider
@@ -179,10 +239,11 @@ func TestOwnerArcsAgreeWithRing(t *testing.T) {
 		}
 		check("join of " + string(addr) + " after the forced recovery")
 	}
-	if hits == 0 || wrapHits == 0 || wholeHits == 0 {
-		t.Fatalf("arcs answered %d keys, %d by a wrap-around arc and %d by a whole-circle arc; want each > 0", hits, wrapHits, wholeHits)
+	if hits == 0 || wrapHits == 0 || wholeHits == 0 || movedHits == 0 {
+		t.Fatalf("arcs answered %d keys, %d by a wrap-around arc, %d by a whole-circle arc and %d by an arc a graceful event split or re-owned; want each > 0",
+			hits, wrapHits, wholeHits, movedHits)
 	}
-	t.Logf("%d arc answers checked, %d wrap-around, %d whole-circle", hits, wrapHits, wholeHits)
+	t.Logf("%d arc answers checked, %d wrap-around, %d whole-circle, %d split or re-owned", hits, wrapHits, wholeHits, movedHits)
 }
 
 // liveIndex lists the addresses of the deployment's live index nodes in
@@ -198,17 +259,25 @@ func liveIndex(s *System) []simnet.Addr {
 }
 
 // batchTap wraps an index node's handler and records the targets of every
-// find_successor_batch it receives. Greedy routing never brings a batch
-// back to the node it entered the ring at, so on a provider's entry point
-// it sees exactly the provider's own resolves.
+// find_successor_batch it receives and the keys of every put_batch. Greedy
+// routing never brings a batch back to the node it entered the ring at, so
+// on a provider's entry point it sees exactly the provider's own resolves.
 type batchTap struct {
 	node    *IndexNode
 	batches [][]chord.ID
+	puts    []chord.ID
 }
 
 func (b *batchTap) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
-	if r, ok := req.(chord.BatchFindReq); ok && method == chord.MethodFindSuccessorBatch {
-		b.batches = append(b.batches, slices.Clone(r.Targets))
+	switch r := req.(type) {
+	case chord.BatchFindReq:
+		if method == chord.MethodFindSuccessorBatch {
+			b.batches = append(b.batches, slices.Clone(r.Targets))
+		}
+	case PutBatchReq:
+		for _, e := range r.Entries {
+			b.puts = append(b.puts, e.Key)
+		}
 	}
 	return b.node.HandleCall(at, method, req)
 }
@@ -217,16 +286,26 @@ func (b *batchTap) HandleCall(at simnet.VTime, method string, req simnet.Payload
 // each kind of epoch bump. On an 8-node ring the provider P publishes 30
 // triples, learning every owner's arc; after a membership event it
 // retracts half of them, and the targets of its first find_successor_batch
-// are compared with the keys of that edit the event moved: after a
-// graceful join of J exactly those inside the arc J split, after a
-// graceful leave of L exactly those L owned, and every key after a crash,
-// or after a recovery followed by a join with no Converge in between (the
-// join's Converge also hands the recovered node its keys back). Each case
-// ends with the coverage monitor clean, every arc P holds agreeing with
-// System.ResolveKey, and the epoch.bump flight event naming what moved.
+// are compared with the keys of that edit the event moved. A graceful join
+// of J splits the arc it lands in and a graceful leave of L merges L's arc
+// into its successor's, so the edit resolves no key: its put_batch
+// reaches J, or L's successor, with every key of the moved arc. When P
+// does not hold the successor's arc — P never published a key there — a
+// leave drops L's arc, and the edit resolves exactly L's keys. A crash,
+// or a recovery followed by a join with no Converge in between (the join's
+// Converge also hands the recovered node its keys back), moves every key.
+// Each case ends with the coverage monitor clean, every arc P holds
+// agreeing with System.ResolveKey, and the epoch.bump flight event naming
+// what moved.
 func TestArcsSurviveOneMove(t *testing.T) {
 	triples := replicaTriples(30)
 	edit := triples[:15]
+	// resolve is what an edit after the event resolves again.
+	const (
+		none  = iota // nothing: the moved arc's keys ship to its new owner
+		moved        // the keys of the moved arc
+		every        // every key
+	)
 	cases := []struct {
 		name string
 		// recovery marks the case that publishes half the triples before
@@ -234,13 +313,16 @@ func TestArcsSurviveOneMove(t *testing.T) {
 		// recovered node; the postings written then miss that node, which
 		// Republish repairs (Sect. III-D) before the coverage check.
 		recovery bool
+		resolve  int
+		// setup runs before P's publication.
+		setup func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) simnet.VTime
 		// event runs the membership events after P's publication, given
-		// the edit's keys, and returns the arc whose keys the edit must
-		// resolve again (the zero arc: every key) and the last epoch.bump
-		// note.
+		// the edit's keys, and returns the arc the event moved, named by
+		// its new owner (the zero arc when it moved every key), and the
+		// last epoch.bump note.
 		event func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime)
 	}{
-		{"graceful join", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+		{"graceful join", false, none, nil, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
 			// J splits the arc holding most of the edit's keys at their
 			// median.
 			split := busiestArc(t, s, keys)
@@ -251,26 +333,39 @@ func TestArcsSurviveOneMove(t *testing.T) {
 				}
 			}
 			slices.SortFunc(inside, func(a, b chord.ID) int { return cmp.Compare(a-split.Start, b-split.Start) })
-			_, now, err := s.AddIndexNodeWithID("idx-join", inside[len(inside)/2], now)
+			j, now, err := s.AddIndexNodeWithID("idx-join", inside[len(inside)/2], now)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return split, "converge (join idx-join: " + wantRepair(s, inside[len(inside)/2]) + ") -> epoch " + fmt.Sprint(s.Epoch()), now
+			return chord.Arc{Start: split.Start, Owner: j.Chord.Ref()},
+				"converge (join idx-join: " + wantRepair(s, j.ID()) + ") -> epoch " + fmt.Sprint(s.Epoch()), now
 		}},
-		{"graceful leave", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
-			gone := busiestArc(t, s, keys)
-			now, err := s.RemoveIndexGraceful(gone.Owner.Addr, now)
+		{"graceful leave", false, none, nil, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+			return leaveBusiest(t, s, keys, now)
+		}},
+		{"graceful leave, successor's arc not held", false, moved, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) simnet.VTime {
+			// A node one past the leaver takes an arc that holds none of
+			// P's keys, so no resolve ever teaches P that arc.
+			gap := busiestArc(t, s, keys).Owner.ID + 1
+			for _, k := range distinctKeys(triples, s.Config().Bits) {
+				if k == gap {
+					t.Fatalf("key %v lies in the gap arc", k)
+				}
+			}
+			_, now, err := s.AddIndexNodeWithID("idx-gap", gap, now)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return gone, "converge (leave " + string(gone.Owner.Addr) + ": " + wantRepair(s, gone.Owner.ID) + ") -> epoch " + fmt.Sprint(s.Epoch()), now
+			return now
+		}, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+			return leaveBusiest(t, s, keys, now)
 		}},
-		{"crash", false, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+		{"crash", false, every, nil, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
 			victim := busiestArc(t, s, keys).Owner.Addr
 			s.FailNode(victim)
 			return chord.Arc{}, "fail " + string(victim) + " (everything) -> epoch " + fmt.Sprint(s.Epoch()), now
 		}},
-		{"recovery then join", true, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+		{"recovery then join", true, every, nil, func(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
 			victim := busiestArc(t, s, keys).Owner.Addr
 			s.FailNode(victim)
 			for i := 0; i < 3; i++ {
@@ -299,6 +394,10 @@ func TestArcsSurviveOneMove(t *testing.T) {
 			} else {
 				now = done
 			}
+			keys := distinctKeys(edit, s.Config().Bits)
+			if tc.setup != nil {
+				now = tc.setup(t, s, keys, now)
+			}
 			published := triples
 			if tc.recovery {
 				published = triples[:15]
@@ -307,39 +406,54 @@ func TestArcsSurviveOneMove(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := distinctKeys(edit, s.Config().Bits)
-			moved, note, now := tc.event(t, s, keys, now)
+			arc, note, now := tc.event(t, s, keys, now)
 			bumps := mon.Recorder().LastN("system", 1)
 			if len(bumps) != 1 || bumps[0].Kind != flight.KindEpochBump || bumps[0].Note != note {
 				t.Errorf("last system event %v, want an %s noted %q", bumps, flight.KindEpochBump, note)
 			}
 
-			var want []chord.ID
+			var inArc, want []chord.ID
 			for _, k := range keys {
-				if moved.Owner.IsZero() || moved.Contains(k) {
-					want = append(want, k)
+				if arc.Owner.IsZero() || arc.Contains(k) {
+					inArc = append(inArc, k)
 				}
 			}
-			slices.Sort(want)
+			slices.Sort(inArc)
+			if tc.resolve != none {
+				want = inArc
+			}
+			if len(inArc) == 0 || len(inArc) == len(keys) && !arc.Owner.IsZero() {
+				t.Errorf("the moved arc holds %d of the edit's keys; the case must tell one arc from all", len(inArc))
+			}
 			p, _ := s.Storage("P")
-			entry, _ := s.Index(p.AttachedTo())
-			tap := &batchTap{node: entry}
-			s.Net().Register(entry.Addr(), tap)
+			taps := map[simnet.Addr]*batchTap{}
+			for _, a := range []simnet.Addr{p.AttachedTo(), arc.Owner.Addr} {
+				if idx, ok := s.Index(a); ok && taps[a] == nil {
+					taps[a] = &batchTap{node: idx}
+					s.Net().Register(a, taps[a])
+				}
+			}
 			if now, err = s.Retract("P", edit, now); err != nil {
 				t.Fatal(err)
 			}
-			s.Net().Register(entry.Addr(), simnet.HandlerFunc(entry.HandleCall))
-			if len(tap.batches) == 0 || !slices.Equal(tap.batches[0], want) {
-				var got []chord.ID
-				if len(tap.batches) > 0 {
-					got = tap.batches[0]
-				}
+			for a, tap := range taps {
+				s.Net().Register(a, simnet.HandlerFunc(tap.node.HandleCall))
+			}
+			var got []chord.ID
+			if entry := taps[p.AttachedTo()]; len(entry.batches) > 0 {
+				got = entry.batches[0]
+			}
+			if !slices.Equal(got, want) {
 				t.Errorf("edit resolved %d keys %v, want the %d keys %v", len(got), got, len(want), want)
 			}
-			if len(want) == 0 || len(want) == len(keys) && !moved.Owner.IsZero() {
-				t.Errorf("the moved arc holds %d of the edit's keys; the case must tell one arc from all", len(want))
+			if tc.resolve == none {
+				for _, k := range inArc {
+					if !slices.Contains(taps[arc.Owner.Addr].puts, k) {
+						t.Errorf("key %v of the moved arc did not ship to its new owner %s", k, arc.Owner.Addr)
+					}
+				}
 			}
-			t.Logf("the edit resolved %d of its %d keys", len(want), len(keys))
+			t.Logf("the edit resolved %d of its %d keys; the moved arc holds %d", len(got), len(keys), len(inArc))
 			for _, d := range arcDisagreements(s, "P", distinctKeys(triples, s.Config().Bits), now) {
 				t.Error(d)
 			}
@@ -353,6 +467,21 @@ func TestArcsSurviveOneMove(t *testing.T) {
 			}
 		})
 	}
+}
+
+// leaveBusiest has the owner of busiestArc leave gracefully and returns its
+// arc, named by the successor that takes it, and the epoch.bump note.
+func leaveBusiest(t *testing.T, s *System, keys []chord.ID, now simnet.VTime) (chord.Arc, string, simnet.VTime) {
+	t.Helper()
+	gone := busiestArc(t, s, keys)
+	idx, _ := s.Index(gone.Owner.Addr)
+	succ := idx.Chord.Successor()
+	now, err := s.RemoveIndexGraceful(gone.Owner.Addr, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chord.Arc{Start: gone.Start, Owner: succ},
+		"converge (leave " + string(gone.Owner.Addr) + ": " + wantRepair(s, gone.Owner.ID) + ") -> epoch " + fmt.Sprint(s.Epoch()), now
 }
 
 // busiestArc is the ring arc, (predecessor, node], that holds the most of
@@ -477,14 +606,15 @@ func TestArcsConcurrentWithMembership(t *testing.T) {
 
 // TestMaintenanceThatMovesNothingKeepsArcs holds the rule that a Converge or
 // StabilizeRound keeps every owner arc only if it moved no live member's
-// predecessor. On a converged ring each round keeps all of D1's arcs into
-// the new epoch, and D1's next edit sends no find_successor_batch. A
-// Converge after FailNode, and after the node's RecoverNode, moves keys: the
-// arcs drop, the next edit resolves, and every arc learned since answers as
-// the ring does. So does a StabilizeRound during a crash window, which
-// evicts the crashed member.
+// predecessor or successor. On a converged ring each round keeps all of
+// D1's arcs into the new epoch, and D1's next edit sends no
+// find_successor_batch. A Converge after FailNode, and after the node's
+// RecoverNode, moves keys: the arcs drop, the next edit resolves, and every
+// arc learned since answers as the ring does. So does a Converge after a
+// recovery's first StabilizeRound, which moves only a successor, and a
+// StabilizeRound during a crash window, which evicts the crashed member.
 func TestMaintenanceThatMovesNothingKeepsArcs(t *testing.T) {
-	triples := replicaTriples(24)
+	triples := replicaTriples(30)
 	s, now := chainSystem(t, 6, 2)
 	node, _ := s.Storage("D1")
 	held := func() int {
@@ -597,6 +727,31 @@ func TestMaintenanceThatMovesNothingKeepsArcs(t *testing.T) {
 	learn("edits before the recovery converges", triples[14:18])
 	now = s.Converge(now)
 	moved("Converge after RecoverNode", triples[18:20])
+
+	// A recovered node whose predecessor stabilizes before it in a round
+	// is back halfway after that round: its successor names it as
+	// predecessor, its predecessor still names that successor, and the
+	// arcs D1 learns then give its keys to the successor. The Converge
+	// after moves only the predecessor's successor.
+	var late simnet.Addr
+	nodes := s.IndexNodes()
+	for i, n := range nodes {
+		pred := nodes[(i+len(nodes)-1)%len(nodes)]
+		if n.Addr() != node.AttachedTo() && pred.Addr() < n.Addr() {
+			late = n.Addr()
+			break
+		}
+	}
+	if late == "" {
+		t.Fatal("no index node stabilizes after its predecessor")
+	}
+	s.FailNode(late)
+	now = s.Converge(now)
+	s.RecoverNode(late)
+	now = s.StabilizeRound(now)
+	learn("edits after the recovery's first round", triples[24:28])
+	now = s.Converge(now)
+	moved("Converge after a recovery's first round", triples[28:30])
 
 	windowed := victim(1)
 	s.Net().SetFaults(&simnet.FaultPlan{Crashes: []simnet.CrashWindow{{Node: windowed, From: now}}})

@@ -458,3 +458,114 @@ func TestWriteLostOnEveryAttemptFails(t *testing.T) {
 		}
 	}
 }
+
+// transferHook wraps an index node's handler and runs edit before the node
+// serves its first index.transfer: the edit lands in the join window, when
+// the ring already routes the joiner's keys to it and the joiner has not
+// yet pulled their rows.
+type transferHook struct {
+	next  simnet.Handler
+	edit  func(at simnet.VTime) (simnet.VTime, error)
+	err   error
+	fired bool
+}
+
+func (h *transferHook) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
+	if method == MethodTransfer && !h.fired {
+		h.fired = true
+		at, h.err = h.edit(at)
+	}
+	return h.next.HandleCall(at, method, req)
+}
+
+// TestEditDuringJoinTransferCountsOnce publishes in the join window of a
+// node J: a hook on J's successor runs D2's publication just before the
+// successor serves J's index.transfer. At Replication 1 the successor
+// hands J the rows it held, at 2 and 3 it sends a copy and keeps its own as
+// J's first replica holder — a copy that already holds the edit, which J's
+// write chain replicated to it. Either way J must count every posting
+// once: the coverage monitor is clean, and every owner's row and its
+// replica holders' copies equal a rebuild from the providers' graphs. The
+// same holds when the edit's replicate leg to the successor is lost and
+// the publisher re-sends the batch.
+func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
+	triples := replicaTriples(40)
+	edit := triples[20:]
+	for _, tc := range []struct {
+		replication int
+		lost        bool
+	}{{1, false}, {2, false}, {2, true}, {3, false}, {3, true}} {
+		name := fmt.Sprintf("R%d", tc.replication)
+		if tc.lost {
+			name += " lost replicate leg"
+		}
+		t.Run(name, func(t *testing.T) {
+			s, now := chainSystem(t, 4, tc.replication)
+			mon := Arm(s, 1<<10)
+			now, err := s.Publish("D1", triples[:20], now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// J takes the arc, up to one of the edit's keys, that holds
+			// the most of them.
+			keys := distinctKeys(edit, s.Config().Bits)
+			var ids []chord.ID
+			for _, n := range s.IndexNodes() {
+				ids = append(ids, n.ID())
+			}
+			var joinID chord.ID
+			var succ *IndexNode
+			most := 0
+			for _, k := range keys {
+				i, taken := slices.BinarySearch(ids, k)
+				if taken {
+					continue
+				}
+				arc := chord.Arc{Start: ids[(i+len(ids)-1)%len(ids)], Owner: chord.Ref{ID: k}}
+				count := 0
+				for _, key := range keys {
+					if arc.Contains(key) {
+						count++
+					}
+				}
+				if count > most {
+					joinID, most = k, count
+					succ = s.IndexNodes()[i%len(ids)]
+				}
+			}
+			if most < 2 {
+				t.Fatalf("no arc holds two of the edit's %d keys", len(keys))
+			}
+
+			var next simnet.Handler = simnet.HandlerFunc(succ.HandleCall)
+			var drop *legDrop
+			if tc.lost {
+				drop = &legDrop{node: succ, seqs: new([]uint64), match: func(method string, req simnet.Payload) bool {
+					d, ok := req.(ReplicaDelta)
+					return method == MethodReplica && ok && d.From == "idx-join"
+				}}
+				next = drop
+			}
+			hook := &transferHook{next: next, edit: func(at simnet.VTime) (simnet.VTime, error) {
+				return s.Publish("D2", edit, at)
+			}}
+			s.Net().Register(succ.Addr(), hook)
+			_, now, err = s.AddIndexNodeWithID("idx-join", joinID, now)
+			s.Net().Register(succ.Addr(), simnet.HandlerFunc(succ.HandleCall))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !hook.fired || hook.err != nil {
+				t.Fatalf("edit in the join window: ran %v, error %v", hook.fired, hook.err)
+			}
+			if tc.lost && !drop.dropped {
+				t.Fatal("no replicate leg from idx-join lost")
+			}
+			if vs := mon.CheckCoverage(); len(vs) != 0 {
+				t.Errorf("coverage: %d violations, first %v", len(vs), vs[0])
+			}
+			checkRebuilt(t, s, name, keys, now)
+			t.Logf("%d of the edit's %d keys landed at idx-join", most, len(keys))
+		})
+	}
+}

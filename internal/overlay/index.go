@@ -275,7 +275,16 @@ func (n *IndexNode) JoinTransfer(at simnet.VTime) (simnet.VTime, error) {
 	if err != nil {
 		return done, fmt.Errorf("overlay: join transfer: %w", err)
 	}
-	n.Table.Merge(resp.(TableRows).Rows)
+	// The ring routes the slice here before the rows arrive. Under
+	// replication an edit that landed in between reached the successor
+	// down this node's write chain, so the copy already holds it: install
+	// the copy, never sum. At Replication 1 the rows moved, and such an
+	// edit is only here.
+	if rows := resp.(TableRows).Rows; n.replication > 1 {
+		n.Table.Replace(rows)
+	} else {
+		n.Table.Merge(rows)
+	}
 	return done, nil
 }
 

@@ -38,9 +38,9 @@ type StorageNode struct {
 	// resolves, newest last — the storage-side sibling of the dqp
 	// initiator cache (E14). Its publications ship to the owners they
 	// name, and the lookups it initiates read from them (LookupClient).
-	// They are valid only for arcEpoch, which a graceful join or leave on a
-	// converged ring advances past the arcs it did not move (keepArcs); see
-	// System.Epoch for the rule.
+	// They are valid only for arcEpoch. A graceful join or leave on a
+	// converged ring carries them into the next epoch, splitting or merging
+	// the one arc it moved (keepArcs); see System.Epoch for the rule.
 	arcs     []chord.Arc
 	arcEpoch uint64
 }
@@ -160,24 +160,48 @@ func (s *StorageNode) learnArcs(epoch uint64, arcs []chord.Arc) {
 	s.arcs = append(s.arcs, arcs...)
 }
 
-// keepArcs carries the arcs of the epoch before epoch into it, except
-// those a graceful join or leave of mover moved: any arc that contains the
-// mover's ID or names it as owner. A zero mover — a round that moved
-// nothing — carries every arc. Arcs of an older epoch stay dead.
-func (s *StorageNode) keepArcs(epoch uint64, mover chord.Ref) {
+// keepArcs carries the arcs of the epoch before epoch into it, moving the
+// one arc a graceful join or leave of mover moved (Sect. III-C/D): a join
+// of M splits the held arc (s, O] that contains M's ID into (s, M]→M and
+// (M, O]→O; a leave of M drops M's arc (s, M] and widens a held (M, O]
+// to (s, O]→O. So a join adds one arc and a leave removes one, and the
+// rewrite needs nothing but the mover's Ref the epoch notice carries. A
+// zero mover — a round that moved nothing — carries every arc. Arcs of an
+// older epoch stay dead.
+func (s *StorageNode) keepArcs(epoch uint64, mover chord.Ref, join bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.arcEpoch+1 != epoch {
 		return
 	}
-	kept := s.arcs[:0]
-	for _, a := range s.arcs {
-		if mover.IsZero() || !a.Contains(mover.ID) && a.Owner.Addr != mover.Addr {
-			kept = append(kept, a)
-		}
-	}
-	s.arcs = kept
 	s.arcEpoch = epoch
+	switch {
+	case mover.IsZero():
+	case join:
+		for i, n := 0, len(s.arcs); i < n; i++ {
+			if a := s.arcs[i]; a.Contains(mover.ID) {
+				s.arcs[i].Owner = mover
+				s.arcs = append(s.arcs, chord.Arc{Start: mover.ID, Owner: a.Owner})
+			}
+		}
+	default:
+		start, held := chord.ID(0), false
+		kept := s.arcs[:0]
+		for _, a := range s.arcs {
+			switch {
+			case a.Owner.Addr == mover.Addr:
+				start, held = a.Start, true
+			case !a.Contains(mover.ID):
+				kept = append(kept, a)
+			}
+		}
+		for i := range kept {
+			if held && kept[i].Start == mover.ID {
+				kept[i].Start = start // (M, O] becomes (s, O]
+			}
+		}
+		s.arcs = kept
+	}
 }
 
 // dropArcs forgets the owner arcs; the overlay calls it before

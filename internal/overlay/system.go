@@ -692,10 +692,11 @@ func (s *System) Index(addr simnet.Addr) (*IndexNode, bool) {
 }
 
 // Epoch returns the current stabilization epoch. Every maintenance round
-// and membership event bumps it; an owner arc outlives a bump only if the
-// bump's event provably left it in place: a graceful join or leave on a
-// converged ring moves one arc, and a Converge or StabilizeRound that moved
-// no live member's predecessor moves none (bumpEpoch, DESIGN §5).
+// and membership event bumps it; the owner arcs outlive a bump only if the
+// bump's event provably moved no more than the providers can rewrite: a
+// graceful join or leave on a converged ring moves one arc, which each
+// provider splits or merges, and a Converge or StabilizeRound that moved no
+// live member's predecessor or successor moves none (bumpEpoch, DESIGN §5).
 func (s *System) Epoch() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -708,11 +709,12 @@ func (s *System) Epoch() uint64 {
 // is the index node whose graceful join or leave caused the bump, zero for
 // any other cause; repair is what the event's repair touched — empty for a
 // round that moved nothing — and nil when the event may have moved any key.
-// A repaired event moved one owner arc (Sect. III-C/D): the arc containing
-// the mover's ID, or the arc it owned. Every storage node then drops the
-// arcs that contain the mover's ID or name it as owner and carries the rest
-// into the new epoch; a round that moved nothing carries every arc, and
-// after any other bump no arc survives.
+// A repaired event moved one owner arc (Sect. III-C/D): a join takes the
+// part of the arc containing the mover's ID up to it, a leave hands the
+// mover's arc to its successor. Every storage node then carries its arcs
+// into the new epoch with that arc split or merged (keepArcs); a round that
+// moved nothing carries every arc, and after any other bump no arc
+// survives.
 func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref, repair *chord.Repair) {
 	s.mu.Lock()
 	s.epoch++
@@ -720,7 +722,7 @@ func (s *System) bumpEpoch(at simnet.VTime, cause string, mover chord.Ref, repai
 	s.mu.Unlock()
 	if repair != nil {
 		for _, n := range s.StorageNodes() {
-			n.keepArcs(epoch, mover)
+			n.keepArcs(epoch, mover, cause == "join")
 		}
 	}
 	if flt := s.net.FlightRecorder(); flt != nil {
@@ -752,7 +754,8 @@ func (s *System) setConverged(converged bool) {
 
 // Converge runs Chord stabilization on the index ring until it is the ideal
 // ring: predecessors, successor lists and finger tables all exact. It bumps
-// the epoch, keeping every owner arc if no live member's predecessor moved.
+// the epoch, keeping every owner arc if no live member's predecessor or
+// successor moved.
 func (s *System) Converge(at simnet.VTime) simnet.VTime {
 	return s.converge(at, "converge", nil)
 }
@@ -763,7 +766,7 @@ func (s *System) Converge(at simnet.VTime) simnet.VTime {
 // moved (chord.RepairJoin, chord.RepairLeave, DESIGN §5); a repair leg that
 // fails leaves the ring unconverged, so the next event converges fully.
 // Anything else runs the full chord.Converge, which keeps every arc only
-// when it ran on its own and moved no predecessor.
+// when it ran on its own and moved no predecessor or successor.
 func (s *System) converge(at simnet.VTime, cause string, mover *chord.Node) simnet.VTime {
 	var ref chord.Ref
 	if mover != nil {
@@ -792,35 +795,40 @@ func (s *System) converge(at simnet.VTime, cause string, mover *chord.Node) simn
 }
 
 // StabilizeRound runs one periodic maintenance round on all live index
-// nodes; it bumps the epoch, keeping every arc if no predecessor moved.
+// nodes; it bumps the epoch, keeping every arc if no ring pointer moved.
 func (s *System) StabilizeRound(at simnet.VTime) simnet.VTime {
 	return s.maintain(at, "stabilize", chord.Ref{}, chord.StabilizeRound)
 }
 
 // maintain runs round on the ring and bumps the epoch for cause and mover.
-// A round of its own that left every live member's predecessor in place
-// moved no key, so every owner arc carries over.
+// A round of its own that left every live member's predecessor and
+// successor in place moved no key, so every owner arc carries over.
 func (s *System) maintain(at simnet.VTime, cause string, mover chord.Ref, round func([]*chord.Node, simnet.VTime) simnet.VTime) simnet.VTime {
 	nodes := s.chordNodes()
-	before := s.predecessors(nodes)
+	before := s.neighbours(nodes)
 	done := round(nodes, at)
 	var kept *chord.Repair
-	if mover.IsZero() && before != nil && slices.Equal(before, s.predecessors(nodes)) {
+	if mover.IsZero() && before != nil && slices.Equal(before, s.neighbours(nodes)) {
 		kept = &chord.Repair{} // nothing moved
 	}
 	s.bumpEpoch(done, cause, mover, kept)
 	return done
 }
 
-// predecessors snapshots every ring member's predecessor, in the order of
-// nodes, or returns nil when a live member has none: a member's predecessor
-// bounds the keys it owns, and a round leaves a member that is down as it is.
-func (s *System) predecessors(nodes []*chord.Node) []chord.Ref {
-	out := make([]chord.Ref, len(nodes))
-	for i, n := range nodes {
-		if out[i] = n.Predecessor(); out[i].IsZero() && s.net.Alive(n.Addr()) {
+// neighbours snapshots every ring member's predecessor and successor, in
+// the order of nodes, or returns nil when a live member has no
+// predecessor. A member's predecessor bounds the keys it owns and its
+// successor is the owner its arc names; while a recovered member rejoins,
+// either can move without the other. A round leaves a member that is down
+// as it is.
+func (s *System) neighbours(nodes []*chord.Node) []chord.Ref {
+	out := make([]chord.Ref, 0, 2*len(nodes))
+	for _, n := range nodes {
+		pred := n.Predecessor()
+		if pred.IsZero() && s.net.Alive(n.Addr()) {
 			return nil
 		}
+		out = append(out, pred, n.Successor())
 	}
 	return out
 }
