@@ -69,17 +69,19 @@ func rebuiltRows(s *System) map[chord.ID][]Posting {
 	return rows
 }
 
-// checkRebuilt holds the row of every published key, at the owner
-// ResolveKey finds from D1, to the rebuild's, and every live replica
+// checkRebuilt holds the row of every published key and of every key of
+// written, at the owner ResolveKey finds from D1, to the rebuild's (an
+// absent row for a key nothing shares any more), and every live replica
 // holder's copy of the rows of written to its owner's.
 func checkRebuilt(t *testing.T, s *System, label string, written []chord.ID, at simnet.VTime) {
 	t.Helper()
 	want := rebuiltRows(s)
-	keys := make([]chord.ID, 0, len(want))
+	keys := slices.Clone(written)
 	for k := range want {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
+	keys = slices.Compact(keys)
 	for _, k := range keys {
 		owner, _, _, err := s.ResolveKey("D1", k, at)
 		if err != nil {
@@ -487,17 +489,23 @@ func (h *transferHook) HandleCall(at simnet.VTime, method string, req simnet.Pay
 // once: the coverage monitor is clean, and every owner's row and its
 // replica holders' copies equal a rebuild from the providers' graphs. The
 // same holds when the edit's replicate leg to the successor is lost and
-// the publisher re-sends the batch.
+// the publisher re-sends the batch, and at Replication 1 when the edit
+// retracts what D2 published before the join: J holds no posting to
+// decrement yet, and the moved rows must not bring D2's postings back.
 func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
 	triples := replicaTriples(40)
 	edit := triples[20:]
 	for _, tc := range []struct {
 		replication int
 		lost        bool
-	}{{1, false}, {2, false}, {2, true}, {3, false}, {3, true}} {
+		retract     bool
+	}{{1, false, false}, {1, false, true}, {2, false, false}, {2, true, false}, {3, false, false}, {3, true, false}} {
 		name := fmt.Sprintf("R%d", tc.replication)
 		if tc.lost {
 			name += " lost replicate leg"
+		}
+		if tc.retract {
+			name += " retract"
 		}
 		t.Run(name, func(t *testing.T) {
 			s, now := chainSystem(t, 4, tc.replication)
@@ -505,6 +513,11 @@ func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
 			now, err := s.Publish("D1", triples[:20], now)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.retract {
+				if now, err = s.Publish("D2", edit, now); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// J takes the arc, up to one of the edit's keys, that holds
 			// the most of them.
@@ -547,6 +560,9 @@ func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
 				next = drop
 			}
 			hook := &transferHook{next: next, edit: func(at simnet.VTime) (simnet.VTime, error) {
+				if tc.retract {
+					return s.Retract("D2", edit, at)
+				}
 				return s.Publish("D2", edit, at)
 			}}
 			s.Net().Register(succ.Addr(), hook)

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -28,6 +29,16 @@ type IndexNode struct {
 	seqMu   sync.Mutex
 	lastSeq map[simnet.Addr]uint64
 
+	// joinMu guards joining and held. At Replication 1 a joiner's rows move
+	// to it from its successor, so from the ring join until JoinTransfer
+	// has merged them the joiner holds every put_batch write routed to it
+	// and then applies them, in arrival order, over the moved rows: a
+	// retraction applied first would find no posting and be dropped, and
+	// the moved row would bring the posting back.
+	joinMu  sync.Mutex
+	joining bool
+	held    []heldWrite
+
 	// hotMu guards hot: EnableAdaptive installs the detector with a plain
 	// pointer store, and a handler may already be serving another
 	// client's lookup on another goroutine. Readers take the pointer
@@ -36,6 +47,44 @@ type IndexNode struct {
 	// hot is the workload-adaptive hot-key state (nil unless
 	// EnableAdaptive ran; see hot.go).
 	hot *hotState
+}
+
+// heldWrite is a put_batch write a joiner holds until its JoinTransfer.
+type heldWrite struct {
+	node    simnet.Addr
+	entries []DeltaEntry
+	w       BatchWrite
+}
+
+// awaitTransfer makes a node about to join a ring at Replication 1 hold its
+// put_batch writes until JoinTransfer.
+func (n *IndexNode) awaitTransfer() {
+	n.joinMu.Lock()
+	defer n.joinMu.Unlock()
+	n.joining = n.replication == 1
+}
+
+// holdJoinWrite keeps a copy of node's write for endJoin while the node
+// awaits its JoinTransfer, and reports whether it did.
+func (n *IndexNode) holdJoinWrite(node simnet.Addr, entries []DeltaEntry, w BatchWrite) bool {
+	n.joinMu.Lock()
+	defer n.joinMu.Unlock()
+	if n.joining {
+		n.held = append(n.held, heldWrite{node: node, entries: slices.Clone(entries), w: w})
+	}
+	return n.joining
+}
+
+// endJoin merges the rows a join at Replication 1 moved here, then applies
+// the writes held since the join.
+func (n *IndexNode) endJoin(rows map[chord.ID][]Posting) {
+	n.joinMu.Lock()
+	defer n.joinMu.Unlock()
+	n.Table.Merge(rows)
+	for _, h := range n.held {
+		n.Table.WriteBatch(h.node, h.entries, h.w)
+	}
+	n.joining, n.held = false, nil
 }
 
 // hotRef snapshots the adaptive-state pointer (nil = detector off).
@@ -82,13 +131,7 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: replicate payload %T", req)
 		}
-		var stale []chord.ID
-		for _, e := range r.Entries {
-			n.Table.Set(e.Key, r.Node, e.Freq)
-			if _, digest := n.Table.PostingDigest(e.Key, r.Node); digest != e.Digest {
-				stale = append(stale, e.Key)
-			}
-		}
+		stale := n.Table.ApplyDelta(r.Node, r.Entries)
 		now := at
 		if stale != nil {
 			// A failed pull is left to the next delta's digests.
@@ -104,32 +147,34 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: replica_repair payload %T", req)
 		}
-		rows := make(map[chord.ID][]Posting, len(r.Keys))
-		for _, key := range r.Keys {
-			rows[key] = n.Table.Get(key)
-		}
-		return TableRows{Rows: rows}, at, nil
+		return TableRows{Rows: n.Table.Rows(r.Keys)}, at, nil
 	case MethodPutBatch:
 		r, ok := req.(PutBatchReq)
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: put_batch payload %T", req)
 		}
 		apply := r.Seq == 0 || !n.seenSeq(r.Node, r.Seq)
-		delta := ReplicaDelta{Node: r.Node, Entries: make([]DeltaEntry, len(r.Entries)), Left: n.replication - 1, TC: r.TC}
-		keys := make([]chord.ID, len(r.Entries))
-		for i, e := range r.Entries {
-			switch {
-			case !apply:
-			case r.Absolute:
-				n.Table.Set(e.Key, r.Node, e.Freq)
-			default:
-				n.Table.Add(e.Key, r.Node, e.Freq)
-			}
-			freq, digest := n.Table.PostingDigest(e.Key, r.Node)
-			delta.Entries[i] = DeltaEntry{Key: e.Key, Freq: freq, Digest: digest}
-			keys[i] = e.Key
+		w := BatchRead
+		switch {
+		case !apply:
+		case r.Absolute:
+			w = BatchSet
+		default:
+			w = BatchAdd
 		}
-		if apply {
+		delta := ReplicaDelta{Node: r.Node, Entries: make([]DeltaEntry, len(r.Entries)), Left: n.replication - 1, TC: r.TC}
+		for i, e := range r.Entries {
+			delta.Entries[i] = DeltaEntry{Key: e.Key, Freq: e.Freq}
+		}
+		if w != BatchRead && n.holdJoinWrite(r.Node, delta.Entries, w) {
+			w = BatchRead
+		}
+		n.Table.WriteBatch(r.Node, delta.Entries, w)
+		if apply && n.hotRef() != nil {
+			keys := make([]chord.ID, len(r.Entries))
+			for i, e := range r.Entries {
+				keys[i] = e.Key
+			}
 			n.refreshHot(keys, r.TC, at)
 		}
 		return n.replicate(at, delta)
@@ -234,11 +279,18 @@ func (n *IndexNode) seenSeq(node simnet.Addr, seq uint64) bool {
 // is, for the publisher to re-send.
 func (n *IndexNode) replicate(at simnet.VTime, delta ReplicaDelta) (simnet.Payload, simnet.VTime, error) {
 	now := at
-	var succs []chord.Ref // none at the chain's tail
-	if delta.Left > 0 && len(delta.Entries) > 0 {
-		succs = n.Chord.SuccessorList()
-	}
-	for i, succ := range succs {
+	succ := n.Chord.Successor()
+	var succs []chord.Ref // copied only once succ is found down
+	for i := 0; delta.Left > 0 && len(delta.Entries) > 0; i++ {
+		if i > 0 {
+			if succs == nil {
+				succs = n.Chord.SuccessorList()
+			}
+			if i >= len(succs) {
+				break
+			}
+			succ = succs[i]
+		}
 		// An arc from here to succ that holds a key has wrapped round to
 		// its owner: the chain has run out of holders.
 		if (chord.Arc{Start: n.ID(), Owner: succ}).Contains(delta.Entries[0].Key) {
@@ -260,30 +312,32 @@ func (n *IndexNode) replicate(at simnet.VTime, delta ReplicaDelta) (simnet.Paylo
 // the ring has stabilized around the new node.
 func (n *IndexNode) JoinTransfer(at simnet.VTime) (simnet.VTime, error) {
 	succ := n.Chord.Successor()
-	if succ.Addr == n.addr {
-		return at, nil
-	}
-	pred := n.Chord.Predecessor()
-	from := pred.ID
-	if pred.IsZero() {
-		// Without a predecessor yet, claim everything up to our own id
-		// that the successor does not own.
-		from = succ.ID
-	}
-	resp, done, err := n.net.Call(n.addr, succ.Addr, MethodTransfer,
-		TransferReq{From: from, To: n.ID()}, at)
-	if err != nil {
-		return done, fmt.Errorf("overlay: join transfer: %w", err)
+	var rows map[chord.ID][]Posting // none when the node is alone
+	done := at
+	if succ.Addr != n.addr {
+		pred := n.Chord.Predecessor()
+		from := pred.ID
+		if pred.IsZero() {
+			// Without a predecessor yet, claim everything up to our own id
+			// that the successor does not own.
+			from = succ.ID
+		}
+		resp, end, err := n.net.Call(n.addr, succ.Addr, MethodTransfer,
+			TransferReq{From: from, To: n.ID()}, at)
+		if err != nil {
+			return end, fmt.Errorf("overlay: join transfer: %w", err)
+		}
+		rows, done = resp.(TableRows).Rows, end
 	}
 	// The ring routes the slice here before the rows arrive. Under
 	// replication an edit that landed in between reached the successor
 	// down this node's write chain, so the copy already holds it: install
 	// the copy, never sum. At Replication 1 the rows moved, and such an
-	// edit is only here.
-	if rows := resp.(TableRows).Rows; n.replication > 1 {
+	// edit is held here until they arrive.
+	if n.replication > 1 {
 		n.Table.Replace(rows)
 	} else {
-		n.Table.Merge(rows)
+		n.endJoin(rows)
 	}
 	return done, nil
 }

@@ -153,29 +153,44 @@ func TestLocationTableExtractRange(t *testing.T) {
 	}
 }
 
+// postingDigest reads node's frequency in key's row and the row's digest
+// the way put_batch does, through a batch that writes nothing.
+func postingDigest(lt *LocationTable, key chord.ID, node simnet.Addr) (int, uint32) {
+	e := []DeltaEntry{{Key: key}}
+	lt.WriteBatch(node, e, BatchRead)
+	return e[0].Freq, e[0].Digest
+}
+
 func TestRowDigest(t *testing.T) {
 	lt := NewLocationTable()
-	_, empty := lt.PostingDigest(3, "D1")
+	_, empty := postingDigest(lt, 3, "D1")
 	lt.Add(3, "D1", 2)
+	_, single := postingDigest(lt, 3, "D1")
 	lt.Add(3, "D2", 1)
-	freq, d := lt.PostingDigest(3, "D1")
+	freq, d := postingDigest(lt, 3, "D1")
 	if freq != 2 {
 		t.Errorf("D1's frequency = %d, want 2", freq)
+	}
+	if single == empty || single == d {
+		t.Errorf("one-posting row digest %x collides with the empty row's %x or the two-posting row's %x", single, empty, d)
 	}
 	// Same postings written in another order: same digest.
 	other := NewLocationTable()
 	other.Set(3, "D2", 1)
 	other.Set(3, "D1", 2)
-	if _, od := other.PostingDigest(3, "D9"); od != d {
+	if _, od := postingDigest(other, 3, "D9"); od != d {
 		t.Errorf("digest depends on write order: %x vs %x", od, d)
 	}
 	other.Set(3, "D2", 2)
-	if _, od := other.PostingDigest(3, "D1"); od == d {
+	if _, od := postingDigest(other, 3, "D1"); od == d {
 		t.Error("a changed frequency kept the digest")
 	}
-	lt.Set(3, "D1", 0)
 	lt.Set(3, "D2", 0)
-	if freq, d := lt.PostingDigest(3, "D1"); freq != 0 || d != empty {
+	if _, sd := postingDigest(lt, 3, "D1"); sd != single {
+		t.Errorf("row shrunk to one posting digests %x, want %x as written once", sd, single)
+	}
+	lt.Set(3, "D1", 0)
+	if freq, d := postingDigest(lt, 3, "D1"); freq != 0 || d != empty {
 		t.Errorf("removed row reads freq %d digest %x, want 0 and the empty row's %x", freq, d, empty)
 	}
 }

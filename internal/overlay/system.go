@@ -192,6 +192,7 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 		n.Chord.Create()
 		return n, now, nil
 	}
+	n.awaitTransfer()
 	done, err := n.Chord.Join(bootstrap, now)
 	now = done
 	if err != nil {
@@ -394,7 +395,7 @@ func (s *System) installPostingsMode(node *StorageNode, freq map[chord.ID]int, a
 // owner, each waiting for the previous — the ingest critical path grows
 // linearly with key count.
 func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
-	batches := map[simnet.Addr][]KeyFreq{}
+	owners := make([]simnet.Addr, len(keys))
 	now := at
 	for ki, key := range keys {
 		owner, _, done, err := s.ResolveKeyTraced(node.addr, key, tc.Child(uint64(ki)), now)
@@ -402,12 +403,13 @@ func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq 
 		if err != nil {
 			return now, fmt.Errorf("overlay: resolve key %v: %w", key, err)
 		}
-		batches[owner] = append(batches[owner], KeyFreq{Key: key, Freq: freq[key]})
+		owners[ki] = owner
 	}
-	for oi, owner := range sortedOwners(batches) {
+	ownerList, batches := ownerBatches(owners, func(i int) KeyFreq { return KeyFreq{Key: keys[i], Freq: freq[keys[i]]} })
+	for oi, owner := range ownerList {
 		// Trace children for shipments start past the key indexes so resolve
 		// and ship spans never collide.
-		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
+		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[oi], Absolute: absolute,
 			Seq: s.nextPubSeq(), TC: tc.Child(uint64(len(keys) + oi))}, now)
 		now = done
 		if err != nil {
@@ -429,55 +431,55 @@ func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq 
 func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
 	epoch := s.Epoch()
 	owners := make([]simnet.Addr, len(keys))
-	unresolved := make([]chord.ID, 0, len(keys))
+	missing := 0
 	for i, key := range keys {
-		if owners[i] = node.liveOwner(epoch, key); owners[i] != "" {
-			continue
+		if owners[i] = node.liveOwner(epoch, key); owners[i] == "" {
+			missing++
 		}
-		unresolved = append(unresolved, key)
 	}
-	starts := map[simnet.Addr]simnet.VTime{}
+	var resolved []chord.Ref // the owners the resolve named, one per unowned key
 	resolveDone := at
-	if len(unresolved) > 0 {
+	if missing > 0 {
+		unresolved := make([]chord.ID, 0, missing)
+		for i, a := range owners {
+			if a == "" {
+				unresolved = append(unresolved, keys[i])
+			}
+		}
 		found, done, err := s.ResolveKeys(node.addr, unresolved, tc.Child(0), at)
 		if err != nil {
 			return done, fmt.Errorf("overlay: resolve %d keys: %w", len(unresolved), err)
 		}
 		node.learnArcs(epoch, found.Arcs)
-		resolveDone = done
+		resolved, resolveDone = found.Nodes, done
 		j := 0
 		for i, a := range owners {
 			if a == "" {
-				owners[i] = found.Nodes[j].Addr
-				starts[owners[i]] = done
+				owners[i] = resolved[j].Addr
 				j++
 			}
 		}
 	}
-	batches := map[simnet.Addr][]KeyFreq{}
-	for i, key := range keys {
-		owner := owners[i]
-		batches[owner] = append(batches[owner], KeyFreq{Key: key, Freq: freq[key]})
-		if _, ok := starts[owner]; !ok {
-			starts[owner] = at
-		}
-	}
-	ownerList := sortedOwners(batches)
+	ownerList, batches := ownerBatches(owners, func(i int) KeyFreq { return KeyFreq{Key: keys[i], Freq: freq[keys[i]]} })
 	//adhoclint:faultpath(abort-all, every owner shipment must land; unreachable owners get one successor-fallback round below and any remaining failure aborts the publication, which the callers compensate)
 	results, done := simnet.Parallel(len(ownerList), 0, func(i int) (simnet.Payload, simnet.VTime, error) {
 		// Branches run in sorted-owner order, so sequence numbers follow
 		// it; the trace child is the branch index (seq 0 is the batch
-		// resolve above).
-		owner := ownerList[i]
-		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[owner], Absolute: absolute,
-			Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}, starts[owner])
+		// resolve above). A batch to an owner the resolve named leaves
+		// when the resolve is done.
+		owner, start := ownerList[i], at
+		if slices.ContainsFunc(resolved, func(r chord.Ref) bool { return r.Addr == owner }) {
+			start = resolveDone
+		}
+		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[i], Absolute: absolute,
+			Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}, start)
 		return nil, done, err
 	})
 	done = simnet.MaxTime(at, resolveDone, done)
 	// Owners that died between resolution and shipment get one fallback
 	// round: the ring has promoted their successors, so re-resolve the
 	// affected keys and re-ship. Any other failure aborts the publication.
-	stale := make([]simnet.Addr, 0, len(ownerList))
+	stale := 0
 	for i, r := range results {
 		if r.Err == nil {
 			continue
@@ -485,28 +487,27 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 		if !errors.Is(r.Err, simnet.ErrUnreachable) {
 			return done, fmt.Errorf("overlay: install postings at %s: %w", ownerList[i], r.Err)
 		}
-		stale = append(stale, ownerList[i])
+		stale += len(batches[i])
 	}
-	if len(stale) == 0 {
+	if stale == 0 {
 		return done, nil
 	}
-	return s.reshipPostings(node, batches, stale, uint64(len(ownerList)+1), absolute, tc, done)
+	entries := make([]KeyFreq, 0, stale)
+	for i, r := range results {
+		if r.Err != nil {
+			entries = append(entries, batches[i]...)
+		}
+	}
+	return s.reshipPostings(node, entries, uint64(len(ownerList)+1), absolute, tc, done)
 }
 
 // reshipPostings is installPostingsParallel's successor-fallback round: the
-// batches addressed to stale (now unreachable) owners are re-resolved with
-// one batched FindSuccessor and re-shipped serially to whoever owns the
-// keys now. tcBase offsets the trace children past the main round's.
-func (s *System) reshipPostings(node *StorageNode, batches map[simnet.Addr][]KeyFreq, stale []simnet.Addr, tcBase uint64, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
+// entries of the batches addressed to now unreachable owners are
+// re-resolved with one batched FindSuccessor and re-shipped serially to
+// whoever owns the keys now. tcBase offsets the trace children past the
+// main round's.
+func (s *System) reshipPostings(node *StorageNode, entries []KeyFreq, tcBase uint64, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
 	node.dropArcs()
-	total := 0
-	for _, owner := range stale {
-		total += len(batches[owner])
-	}
-	entries := make([]KeyFreq, 0, total)
-	for _, owner := range stale {
-		entries = append(entries, batches[owner]...)
-	}
 	targets := make([]chord.ID, len(entries))
 	for i, e := range entries {
 		targets[i] = e.Key
@@ -515,13 +516,13 @@ func (s *System) reshipPostings(node *StorageNode, batches map[simnet.Addr][]Key
 	if err != nil {
 		return now, fmt.Errorf("overlay: re-resolve %d keys: %w", len(targets), err)
 	}
-	regrouped := map[simnet.Addr][]KeyFreq{}
-	for i, e := range entries {
-		owner := found.Nodes[i].Addr
-		regrouped[owner] = append(regrouped[owner], e)
+	owners := make([]simnet.Addr, len(entries))
+	for i := range entries {
+		owners[i] = found.Nodes[i].Addr
 	}
-	for oi, owner := range sortedOwners(regrouped) {
-		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: regrouped[owner], Absolute: absolute,
+	ownerList, batches := ownerBatches(owners, func(i int) KeyFreq { return entries[i] })
+	for oi, owner := range ownerList {
+		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[oi], Absolute: absolute,
 			Seq: s.nextPubSeq(), TC: tc.Child(tcBase + 1 + uint64(oi))}, now)
 		now = done
 		if err != nil {
@@ -556,13 +557,55 @@ func (s *System) shipBatch(owner simnet.Addr, req PutBatchReq, at simnet.VTime) 
 	return at, fmt.Errorf("%w (after %d attempts)", err, writeAttempts)
 }
 
-func sortedOwners(batches map[simnet.Addr][]KeyFreq) []simnet.Addr {
-	owners := make([]simnet.Addr, 0, len(batches))
-	for a := range batches {
-		owners = append(owners, a)
+// ownerBatches lays entry(0), entry(1), … out by owner — entry i is
+// owners[i]'s — in one backing slice. It returns the owners, sorted, and
+// their batches: sub-slices of the backing, each in entry order. An edit's
+// keys are sorted, so its owners come in runs, and the work is per run.
+func ownerBatches(owners []simnet.Addr, entry func(i int) KeyFreq) ([]simnet.Addr, [][]KeyFreq) {
+	runs := 0
+	for i := range owners {
+		if i == 0 || owners[i] != owners[i-1] {
+			runs++
+		}
 	}
-	sort.Slice(owners, func(i, j int) bool { return owners[i] < owners[j] })
-	return owners
+	list := make([]simnet.Addr, 0, runs)
+	for i, owner := range owners {
+		if i == 0 || owner != owners[i-1] {
+			list = append(list, owner)
+		}
+	}
+	slices.Sort(list)
+	list = slices.Compact(list)
+	sizes := make([]int, len(list))
+	forRuns(owners, list, func(j, n int) { sizes[j] += n })
+	backing := make([]KeyFreq, len(owners))
+	batches := make([][]KeyFreq, len(list))
+	off := 0
+	for j, n := range sizes {
+		batches[j] = backing[off : off : off+n]
+		off += n
+	}
+	i := 0
+	forRuns(owners, list, func(j, n int) {
+		for end := i + n; i < end; i++ {
+			batches[j] = append(batches[j], entry(i))
+		}
+	})
+	return list, batches
+}
+
+// forRuns calls run(j, n) for each run of n equal owners in turn, j the
+// owner's index in the sorted list.
+func forRuns(owners, list []simnet.Addr, run func(j, n int)) {
+	for i := 0; i < len(owners); {
+		n := 1
+		for i+n < len(owners) && owners[i+n] == owners[i] {
+			n++
+		}
+		j, _ := slices.BinarySearch(list, owners[i])
+		run(j, n)
+		i += n
+	}
 }
 
 // ResolveKey routes a key to its responsible index node starting from any

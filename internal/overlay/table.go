@@ -21,37 +21,112 @@ type Posting struct {
 func (p Posting) SizeBytes() int { return len(p.Node) + intWidth(p.Freq) }
 
 // LocationTable is the per-index-node key → postings map of Fig. 2 /
-// Table I. Every row is kept sorted by Node on write, so reads copy rows
-// without sorting. It is safe for concurrent use.
+// Table I. A row of one posting — almost every row: a key is usually
+// shared by one provider — lives in its map slot (one), so emptying and
+// refilling it allocates nothing; a row of two or more lives in rows as a
+// slice kept sorted by Node on write, so reads copy rows without sorting.
+// A key is in at most one of the two maps. It is safe for concurrent use.
 type LocationTable struct {
 	mu   sync.RWMutex
+	one  map[chord.ID]Posting
 	rows map[chord.ID][]Posting
 }
 
 // NewLocationTable returns an empty table.
 func NewLocationTable() *LocationTable {
-	return &LocationTable{rows: map[chord.ID][]Posting{}}
+	return &LocationTable{one: map[chord.ID]Posting{}, rows: map[chord.ID][]Posting{}}
 }
 
 // Add increments the frequency of (key, node) by delta, creating the
 // posting as needed. A posting whose frequency drops to zero or below is
 // removed.
 func (t *LocationTable) Add(key chord.ID, node simnet.Addr, delta int) {
-	t.update(key, node, delta, true)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.updateLocked(key, node, delta, true)
 }
 
 // Set makes the frequency of (key, node) exactly freq (removing the
 // posting when freq ≤ 0) — the idempotent form of Add.
 func (t *LocationTable) Set(key chord.ID, node simnet.Addr, freq int) {
-	t.update(key, node, freq, false)
-}
-
-// update is Add when add is set, else Set. A new posting is inserted
-// where the row's order puts it.
-func (t *LocationTable) update(key chord.ID, node simnet.Addr, v int, add bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row := t.rows[key]
+	t.updateLocked(key, node, freq, false)
+}
+
+// BatchWrite is how WriteBatch applies an entry's Freq.
+type BatchWrite uint8
+
+const (
+	// BatchRead writes nothing: a re-delivered batch is only read back.
+	BatchRead BatchWrite = iota
+	// BatchSet makes Freq the node's frequency in the row.
+	BatchSet
+	// BatchAdd adds Freq to the node's frequency in the row.
+	BatchAdd
+)
+
+// WriteBatch writes a batch of node's postings in one locked pass: entry
+// i's Freq is applied to node's posting in row entries[i].Key as w says,
+// and the entry is then rewritten to node's frequency in that row (0 when
+// it has no posting there) and the row's digest — the entries of the
+// write's ReplicaDelta.
+func (t *LocationTable) WriteBatch(node simnet.Addr, entries []DeltaEntry, w BatchWrite) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i, e := range entries {
+		if w != BatchRead {
+			t.updateLocked(e.Key, node, e.Freq, w == BatchAdd)
+		}
+		entries[i].Freq, entries[i].Digest = t.postingDigestLocked(e.Key, node)
+	}
+}
+
+// ApplyDelta makes each entry's Freq node's frequency in row entry.Key, in
+// one locked pass — a replica holder applying a ReplicaDelta — and returns
+// the keys whose row digest then differs from the entry's.
+func (t *LocationTable) ApplyDelta(node simnet.Addr, entries []DeltaEntry) []chord.ID {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var stale []chord.ID
+	for _, e := range entries {
+		t.updateLocked(e.Key, node, e.Freq, false)
+		if _, digest := t.postingDigestLocked(e.Key, node); digest != e.Digest {
+			stale = append(stale, e.Key)
+		}
+	}
+	return stale
+}
+
+// updateLocked is Add when add is set, else Set. A new posting is inserted
+// where the row's order puts it; a row moves between one and rows as it
+// crosses two postings.
+func (t *LocationTable) updateLocked(key chord.ID, node simnet.Addr, v int, add bool) {
+	if p, ok := t.one[key]; ok {
+		switch {
+		case p.Node == node && add:
+			v += p.Freq
+		case p.Node != node && v > 0:
+			delete(t.one, key)
+			t.rows[key] = sortedPair(p, Posting{Node: node, Freq: v})
+			return
+		case p.Node != node:
+			return
+		}
+		if v > 0 {
+			t.one[key] = Posting{Node: node, Freq: v}
+		} else {
+			delete(t.one, key)
+		}
+		return
+	}
+	row, ok := t.rows[key]
+	if !ok {
+		if v > 0 {
+			t.one[key] = Posting{Node: node, Freq: v}
+		}
+		return
+	}
 	i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode)
 	if found && add {
 		v += row[i].Freq
@@ -66,11 +141,20 @@ func (t *LocationTable) update(key chord.ID, node simnet.Addr, v int, add bool) 
 	}
 }
 
-// removeLocked deletes row[i], and the row once it is empty, keeping the
-// rest of the row in order.
+// sortedPair is the two-posting row of a and b, in order.
+func sortedPair(a, b Posting) []Posting {
+	if byNode(a, b) > 0 {
+		a, b = b, a
+	}
+	return []Posting{a, b}
+}
+
+// removeLocked deletes row[i] from a row of rows, keeping the rest in
+// order; a row left with one posting moves to one.
 func (t *LocationTable) removeLocked(key chord.ID, row []Posting, i int) {
-	if len(row) == 1 {
+	if len(row) == 2 {
 		delete(t.rows, key)
+		t.one[key] = row[1-i]
 	} else {
 		t.rows[key] = slices.Delete(row, i, i+1)
 	}
@@ -85,15 +169,36 @@ func byNode(a, b Posting) int { return strings.Compare(string(a.Node), string(b.
 func (t *LocationTable) Get(key chord.ID) []Posting {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	return t.rowLocked(key)
+}
+
+// Rows returns copies of the rows of keys, read under one lock; a key
+// without postings maps to nil.
+func (t *LocationTable) Rows(keys []chord.ID) map[chord.ID][]Posting {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	out := make(map[chord.ID][]Posting, len(keys))
+	for _, key := range keys {
+		out[key] = t.rowLocked(key)
+	}
+	return out
+}
+
+// rowLocked is a copy of key's row, nil when it has no postings.
+func (t *LocationTable) rowLocked(key chord.ID) []Posting {
+	if p, ok := t.one[key]; ok {
+		return []Posting{p}
+	}
 	return slices.Clone(t.rows[key])
 }
 
-// PostingDigest reads, under one lock, node's frequency in key's row (0
-// when it has no posting there) and the row's digest.
-func (t *LocationTable) PostingDigest(key chord.ID, node simnet.Addr) (int, uint32) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+// postingDigestLocked reads node's frequency in key's row (0 when it has no
+// posting there) and the row's digest.
+func (t *LocationTable) postingDigestLocked(key chord.ID, node simnet.Addr) (int, uint32) {
 	row := t.rows[key]
+	if p, ok := t.one[key]; ok {
+		row = []Posting{p}
+	}
 	freq := 0
 	if i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode); found {
 		freq = row[i].Freq
@@ -126,6 +231,12 @@ func (t *LocationTable) DropNode(node simnet.Addr) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	touched := 0
+	for key, p := range t.one {
+		if p.Node == node {
+			touched++
+			delete(t.one, key)
+		}
+	}
 	for key, row := range t.rows {
 		if i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode); found {
 			touched++
@@ -139,14 +250,14 @@ func (t *LocationTable) DropNode(node simnet.Addr) int {
 func (t *LocationTable) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return len(t.one) + len(t.rows)
 }
 
 // Postings returns the total number of postings across all rows.
 func (t *LocationTable) Postings() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	n := 0
+	n := len(t.one)
 	for _, row := range t.rows {
 		n += len(row)
 	}
@@ -168,17 +279,24 @@ func (t *LocationTable) CopyRange(from, to chord.ID) map[chord.ID][]Posting {
 }
 
 // takeRange copies the rows in (from, to], deleting them when remove is set.
+// Every returned row is a fresh slice: the rows travel over the wire to
+// another node, and a row of rows shares its backing array with nothing
+// the table keeps.
 func (t *LocationTable) takeRange(from, to chord.ID, remove bool) map[chord.ID][]Posting {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := map[chord.ID][]Posting{}
+	for key, p := range t.one {
+		if ringRightIncl(key, from, to) {
+			out[key] = []Posting{p}
+			if remove {
+				delete(t.one, key)
+			}
+		}
+	}
 	for key, row := range t.rows {
 		if ringRightIncl(key, from, to) {
-			// Copy the row: delete(t.rows, key) drops the map entry but the
-			// slice's backing array stays shared with any posting iterators
-			// the table handed out, and the extracted rows travel over the
-			// wire to another node.
-			out[key] = append([]Posting(nil), row...)
+			out[key] = slices.Clone(row)
 			if remove {
 				delete(t.rows, key)
 			}
@@ -191,19 +309,24 @@ func (t *LocationTable) takeRange(from, to chord.ID, remove bool) map[chord.ID][
 func (t *LocationTable) Snapshot() map[chord.ID][]Posting {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make(map[chord.ID][]Posting, len(t.rows))
+	out := make(map[chord.ID][]Posting, len(t.one)+len(t.rows))
+	for key, p := range t.one {
+		out[key] = []Posting{p}
+	}
 	for key, row := range t.rows {
-		out[key] = append([]Posting(nil), row...)
+		out[key] = slices.Clone(row)
 	}
 	return out
 }
 
-// Merge installs the given rows, summing frequencies with existing
-// postings.
+// Merge installs the given rows under one lock, summing frequencies with
+// existing postings.
 func (t *LocationTable) Merge(rows map[chord.ID][]Posting) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for key, row := range rows {
 		for _, p := range row {
-			t.Add(key, p.Node, p.Freq)
+			t.updateLocked(key, p.Node, p.Freq, true)
 		}
 	}
 }
@@ -217,13 +340,17 @@ func (t *LocationTable) Replace(rows map[chord.ID][]Posting) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for key, row := range rows {
-		if len(row) == 0 {
-			delete(t.rows, key)
-			continue
+		delete(t.one, key)
+		delete(t.rows, key)
+		switch len(row) {
+		case 0:
+		case 1:
+			t.one[key] = row[0]
+		default:
+			row = slices.Clone(row)
+			slices.SortFunc(row, byNode)
+			t.rows[key] = row
 		}
-		row = slices.Clone(row)
-		slices.SortFunc(row, byNode)
-		t.rows[key] = row
 	}
 }
 

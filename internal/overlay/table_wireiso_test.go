@@ -19,9 +19,14 @@ func TestExtractRangeDoesNotAliasInternalRows(t *testing.T) {
 	tbl.Add(key, "n1", 2)
 	tbl.Add(key, "n2", 5)
 
-	// White-box: hold the internal row slice, as a long-lived iterator or
-	// an in-flight reader would.
+	// White-box: hold the internal slice of the two-posting row — a row of
+	// two or more postings is the only kind with a backing array; a
+	// one-posting row lives by value in its slot of tbl.one — as a
+	// long-lived iterator or an in-flight reader would.
 	internal := tbl.rows[key]
+	if _, single := tbl.one[key]; single || len(internal) != 2 {
+		t.Fatalf("a two-posting row is not a slice of rows: one %v, rows %v", tbl.one, tbl.rows)
+	}
 
 	rows := tbl.ExtractRange(key-1, key)
 	got, ok := rows[key]
