@@ -1,27 +1,17 @@
 package main
 
 import (
-	"go/ast"
 	"go/token"
-	"sort"
 	"strings"
 )
 
-// A directive is one //adhoclint:name(args) rest comment. Every rule that
-// reads directives — ignore, wireimmutable, faultpath, hotexempt — reads
-// them from the one index built here.
+// A directive is one //adhoclint:name rest comment. Every rule that reads
+// directives — ignore, wireimmutable, hotexempt — reads them from the one
+// index built here.
 type directive struct {
-	name string // "ignore", "faultpath", ...
-	args string // parenthesized argument text, "" when absent
-	rest string // free text after the name and arguments
-	pkg  *Package
-	pos  token.Pos
-	test bool // sits in a _test.go file
-	used bool // some declaration or call site looked it up
+	name string // "ignore", "wireimmutable" or "hotexempt"
+	rest string // free text after the name
 }
-
-// bare reports whether the directive carries neither arguments nor text.
-func (d *directive) bare() bool { return d.args == "" && d.rest == "" }
 
 // lineKey identifies one source line.
 type lineKey struct {
@@ -43,17 +33,16 @@ func (prog *Program) Directives() *directiveIndex {
 	}
 	ix := &directiveIndex{byLine: map[lineKey]*directive{}}
 	for _, p := range prog.allPackages() {
-		for i, f := range p.AllFiles() {
+		for _, f := range p.AllFiles() {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text, ok := strings.CutPrefix(strings.TrimSpace(strings.TrimPrefix(c.Text, "//")), "adhoclint:")
 					if !ok {
 						continue
 					}
-					d := &directive{pkg: p, pos: c.Pos(), test: i >= len(p.Files)}
-					d.name, d.args, d.rest = scanNameArgs(text)
+					name, rest := scanNameArgs(text)
 					pos := p.Fset.Position(c.Pos())
-					ix.byLine[lineKey{pos.Filename, pos.Line}] = d
+					ix.byLine[lineKey{pos.Filename, pos.Line}] = &directive{name: name, rest: rest}
 				}
 			}
 		}
@@ -62,18 +51,19 @@ func (prog *Program) Directives() *directiveIndex {
 	return ix
 }
 
-// scanNameArgs splits "name(args) rest": an identifier, an optional
-// balanced parenthesized argument text (which may itself contain commas
-// and parentheses), and the trimmed remainder. It is the one parser behind
-// the directive grammar and the rule list of an ignore directive.
-func scanNameArgs(s string) (name, args, rest string) {
+// scanNameArgs splits "name(args) rest" into an identifier and the trimmed
+// remainder, skipping an optional balanced parenthesized argument text
+// (which may itself contain commas and parentheses). It is the one parser
+// behind the directive grammar and the rule list of an ignore directive,
+// whose entries carry their reasons as arguments: "wireiso(reason), alloc".
+func scanNameArgs(s string) (name, rest string) {
 	i := 0
 	for i < len(s) && isDirectiveIdentChar(s[i]) {
 		i++
 	}
 	name, s = s[:i], strings.TrimLeft(s[i:], " \t")
 	if !strings.HasPrefix(s, "(") {
-		return name, "", strings.TrimSpace(s)
+		return name, strings.TrimSpace(s)
 	}
 	depth, end := 0, len(s)
 	for j := 0; j < len(s); j++ {
@@ -88,11 +78,10 @@ func scanNameArgs(s string) (name, args, rest string) {
 			}
 		}
 	}
-	args = strings.TrimSpace(s[1:end])
 	if end < len(s) {
 		rest = strings.TrimSpace(s[end+1:])
 	}
-	return name, args, rest
+	return name, rest
 }
 
 func isDirectiveIdentChar(c byte) bool {
@@ -100,15 +89,13 @@ func isDirectiveIdentChar(c byte) bool {
 		c >= '0' && c <= '9' || c == '-' || c == '_'
 }
 
-// onLine returns the directive of the given name on one source line,
-// marking it used.
+// onLine returns the directive of the given name on one source line.
 func (ix *directiveIndex) onLine(p *Package, pos token.Pos, off int, name string) *directive {
 	position := p.Fset.Position(pos)
 	d := ix.byLine[lineKey{position.Filename, position.Line + off}]
 	if d == nil || d.name != name {
 		return nil
 	}
-	d.used = true
 	return d
 }
 
@@ -119,33 +106,6 @@ func (ix *directiveIndex) at(p *Package, pos token.Pos, name string) *directive 
 		return d
 	}
 	return ix.onLine(p, pos, -1, name)
-}
-
-// inDoc returns the first directive of the given name inside a doc
-// comment.
-func (ix *directiveIndex) inDoc(p *Package, doc *ast.CommentGroup, name string) *directive {
-	if doc == nil {
-		return nil
-	}
-	for _, c := range doc.List {
-		if d := ix.onLine(p, c.Pos(), 0, name); d != nil {
-			return d
-		}
-	}
-	return nil
-}
-
-// named returns the production-file directives of one name, sorted by
-// position — the input of the per-rule hygiene checks.
-func (ix *directiveIndex) named(name string) []*directive {
-	var out []*directive
-	for _, d := range ix.byLine {
-		if d.name == name && !d.test {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
-	return out
 }
 
 // applyIgnores drops diagnostics suppressed by an "//adhoclint:ignore
@@ -186,7 +146,7 @@ func (ix *directiveIndex) ignored(d Diagnostic, off int) bool {
 func ignoreRules(rest string) []string {
 	var rules []string
 	for {
-		name, _, tail := scanNameArgs(rest)
+		name, tail := scanNameArgs(rest)
 		if !isRuleName(name) {
 			return rules
 		}

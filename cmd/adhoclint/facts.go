@@ -10,40 +10,21 @@ import (
 
 // This file holds the shared facts about the simulated fabric that several
 // rules read: what a fabric call is, which functions transitively perform
-// one, which functions are RPC handlers and what their dispatch switches
-// look like, and what counts as a write through an lvalue. Each fact has
-// exactly one implementation here; the rules are consumers.
+// one, which functions are RPC handlers, and what counts as a write
+// through an lvalue. Each fact has exactly one implementation here; the
+// rules are consumers.
 
 // fabricCall is one Network.Call/Send/Transfer/Forward site, or a retried
 // Network.CallRetry/TransferRetry site, which is a Call or a Transfer
 // re-sent on loss.
 type fabricCall struct {
-	kind       string // "Call", "Send", "Transfer" or "Forward"
-	retried    bool   // CallRetry or TransferRetry
-	value      string // method wire string ("" when not constant)
-	literal    bool   // method passed as a raw string literal
-	pkg        *Package
-	pos        token.Pos
-	reqType    types.Type // static payload type, nil when opaque/interface
-	respAssert types.Type // type the caller asserts the response to (rpc-protocol fills it in)
+	kind  string // "Call", "Send", "Transfer" or "Forward"
+	value string // method wire string ("" when not constant)
 }
 
 // responds reports whether the call hands its caller the receiver's
 // response: a Call, or a Forward, which returns what its route answered.
 func (fc *fabricCall) responds() bool { return fc.kind == "Call" || fc.kind == "Forward" }
-
-// resent reports whether the call's method is re-delivered after a loss: a
-// CallRetry, or a Forward, whose route its origin re-sends whole.
-func (fc *fabricCall) resent() bool { return fc.retried && fc.kind == "Call" || fc.kind == "Forward" }
-
-// errPos indexes the error among the call's results: Call and Forward
-// return (Payload, VTime, error), Send and Transfer (VTime, error).
-func (fc *fabricCall) errPos() int {
-	if fc.responds() {
-		return 2
-	}
-	return 1
-}
 
 // fabricCallAt recognizes a Network.Call/Send/Transfer/Forward/CallRetry/
 // TransferRetry call expression.
@@ -59,18 +40,9 @@ func (prog *Program) fabricCallAt(p *Package, call *ast.CallExpr) *fabricCall {
 	if !prog.isSimnetType(p.Info.Types[sel.X].Type, "Network") || len(call.Args) < 4 {
 		return nil
 	}
-	fc := &fabricCall{kind: kind, retried: retried, pkg: p, pos: call.Pos()}
-	methodArg := call.Args[2]
-	if tv := p.Info.Types[methodArg]; tv.Value != nil && tv.Value.Kind() == constant.String {
+	fc := &fabricCall{kind: kind}
+	if tv := p.Info.Types[call.Args[2]]; tv.Value != nil && tv.Value.Kind() == constant.String {
 		fc.value = constant.StringVal(tv.Value)
-	}
-	if _, isLit := unparen(methodArg).(*ast.BasicLit); isLit {
-		fc.literal = true
-	}
-	if t := p.Info.Types[call.Args[3]].Type; t != nil {
-		if _, isIface := t.Underlying().(*types.Interface); !isIface {
-			fc.reqType = t
-		}
 	}
 	return fc
 }
@@ -102,6 +74,11 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 		named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == name
 }
 
+// typeDisplay renders a type compactly ("overlay.PutReq").
+func typeDisplay(t types.Type) string {
+	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
+}
+
 func (prog *Program) implementsPayload(t types.Type) bool {
 	return prog.payload != nil &&
 		(types.Implements(t, prog.payload) || types.Implements(types.NewPointer(t), prog.payload))
@@ -116,21 +93,16 @@ type fabricReach struct {
 	via     map[*types.Func]*types.Func
 }
 
-// FabricReach returns (building on first use) the fabric-reach closure.
-// With hotExempt set, functions carrying //adhoclint:hotexempt neither
-// carry nor propagate the mark — the alloc rule's hot set; the faultpath
-// rule wants the plain closure. Callees in the two observability leaves
-// never propagate: observation is fabric-neutral by contract
-// (observability_knowledge.go).
-func (prog *Program) FabricReach(hotExempt bool) *fabricReach {
-	slot := 0
-	var exempt map[*types.Func]bool
-	if hotExempt {
-		slot, exempt = 1, prog.HotExempt()
+// FabricReach returns (building on first use) the fabric-reach closure
+// behind the alloc rule's hot set. Functions carrying
+// //adhoclint:hotexempt neither carry nor propagate the mark, and callees
+// in the two observability leaves never propagate: observation is
+// fabric-neutral by contract (observability_knowledge.go).
+func (prog *Program) FabricReach() *fabricReach {
+	if prog.reach != nil {
+		return prog.reach
 	}
-	if prog.reach[slot] != nil {
-		return prog.reach[slot]
-	}
+	exempt := prog.HotExempt()
 	r := &fabricReach{
 		touches: map[*types.Func]bool{},
 		direct:  map[*types.Func]*fabricCall{},
@@ -163,7 +135,7 @@ func (prog *Program) FabricReach(hotExempt bool) *fabricReach {
 			}
 		}
 	}
-	prog.reach[slot] = r
+	prog.reach = r
 	return r
 }
 
@@ -181,128 +153,24 @@ func (prog *Program) HotExempt() map[*types.Func]bool {
 	return prog.hotExempt
 }
 
-// handler is one HandleCall declaration of a loaded package with the
-// cases of its `switch method` dispatch.
+// handler is one HandleCall declaration of a loaded package.
 type handler struct {
 	node   *funcNode
-	shaped bool           // has the simnet Handler result shape
-	req    types.Object   // the request parameter, nil unless (at, method, req)
-	cases  []dispatchCase // in source order
-}
-
-// dispatchCase is one `case MethodX, MethodY:` clause of a dispatch
-// switch.
-type dispatchCase struct {
-	clause   *ast.CaseClause
-	values   []caseValue
-	reqTypes []types.Type // types asserted from the request parameter
-	respType types.Type   // sole concrete response type, nil when opaque
-}
-
-// caseValue is one constant wire string of a dispatch clause.
-type caseValue struct {
-	value string
-	pos   token.Pos
+	shaped bool // has the simnet Handler result shape
 }
 
 // Handlers returns (building on first use) every HandleCall declaration
 // of the loaded packages, in declaration order.
 func (prog *Program) Handlers() []*handler {
-	if prog.handlers != nil {
-		return prog.handlers
-	}
-	prog.handlers = []*handler{}
-	for _, n := range prog.Funcs().sorted {
-		if n.decl.Name.Name != "HandleCall" {
-			continue
-		}
-		h := &handler{node: n, shaped: prog.handlerShape(n.pkg, n.decl, false)}
-		prog.handlers = append(prog.handlers, h)
-		// Handler shape: (at VTime, method string, req Payload).
-		var params []*ast.Ident
-		for _, field := range n.decl.Type.Params.List {
-			params = append(params, field.Names...)
-		}
-		if len(params) != 3 {
-			continue
-		}
-		info := n.pkg.Info
-		method := info.Defs[params[1]]
-		h.req = info.Defs[params[2]]
-		if method == nil {
-			continue
-		}
-		ast.Inspect(n.decl.Body, func(m ast.Node) bool {
-			sw, ok := m.(*ast.SwitchStmt)
-			if !ok {
-				return true
+	if prog.handlers == nil {
+		prog.handlers = []*handler{}
+		for _, n := range prog.Funcs().sorted {
+			if n.decl.Name.Name == "HandleCall" {
+				prog.handlers = append(prog.handlers, &handler{node: n, shaped: prog.handlerShape(n.pkg, n.decl, false)})
 			}
-			if tag, ok := sw.Tag.(*ast.Ident); !ok || info.Uses[tag] != method {
-				return true
-			}
-			for _, stmt := range sw.Body.List {
-				cc, ok := stmt.(*ast.CaseClause)
-				if !ok || cc.List == nil {
-					continue
-				}
-				dc := dispatchCase{clause: cc}
-				for _, expr := range cc.List {
-					if tv := info.Types[expr]; tv.Value != nil && tv.Value.Kind() == constant.String {
-						dc.values = append(dc.values, caseValue{constant.StringVal(tv.Value), expr.Pos()})
-					}
-				}
-				dc.reqTypes, dc.respType = caseBodyFacts(n.pkg, cc.Body, h.req)
-				h.cases = append(h.cases, dc)
-			}
-			return true
-		})
+		}
 	}
 	return prog.handlers
-}
-
-// caseBodyFacts extracts the request assertions and the response type of
-// one dispatch-case body. The response type is the sole concrete type of
-// the first return value across the case's three-value returns; a case
-// that delegates (single-expression return) or returns interface-typed
-// values is opaque (nil).
-func caseBodyFacts(p *Package, body []ast.Stmt, reqObj types.Object) (reqTypes []types.Type, respType types.Type) {
-	var respTypes []types.Type
-	opaque := false
-	for _, stmt := range body {
-		ast.Inspect(stmt, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.TypeAssertExpr:
-				if id, ok := unparen(n.X).(*ast.Ident); ok && reqObj != nil && p.Info.Uses[id] == reqObj {
-					if t := p.Info.Types[n.Type].Type; t != nil {
-						reqTypes = append(reqTypes, t)
-					}
-				}
-			case *ast.ReturnStmt:
-				if len(n.Results) != 3 {
-					if len(n.Results) > 0 {
-						opaque = true // delegation: `return n.other(...)`
-					}
-					return true
-				}
-				tv := p.Info.Types[n.Results[0]]
-				if tv.Type == nil || tv.IsNil() {
-					return true
-				}
-				if _, isIface := tv.Type.Underlying().(*types.Interface); isIface {
-					opaque = true
-					return true
-				}
-				if !containsIdentical(respTypes, tv.Type) {
-					respTypes = append(respTypes, tv.Type)
-				}
-			}
-			return true
-		})
-	}
-	if opaque || len(respTypes) != 1 {
-		return reqTypes, nil
-	}
-	return reqTypes, respTypes[0]
 }
 
 // handlerShape reports whether fn has the simnet Handler result shape —

@@ -33,13 +33,11 @@ var rules = []rule{
 	{"guarded-field", "a struct's mutex guards the fields declared after it (a write needs Lock); no method writes a node type's fields before its first mutex; …Locked methods run under the receiver's lock", checkGuardedFields},
 	{"lock-blocking", "no blocking operation (channel op, simnet fabric call, sleep, wait) while a mutex is held, directly or through calls", checkLockBlocking},
 	{"lock-order", "mutex acquisition order must be cycle-free across the program; no re-acquisition of a held mutex", checkLockOrder},
-	{"rpc-protocol", "Method* constants, HandleCall dispatch switches and Network.Call/Send/Transfer sites must agree on methods and payload types", checkRPCProtocol},
 	{"payload-size", "every SizeBytes method must account for every field of its receiver struct (or carry an explaining ignore directive)", checkPayloadSizes},
 	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code, and no `go` statement in internal/ or cmd/ non-test code", checkDeterminism},
 	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
 	{"wireiso", "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable", checkWireIsolation},
 	{"alloc", "no avoidable per-message heap allocation (fmt.Sprintf, string accumulation, unsized container growth, interface boxing, closures in loops) in functions reachable from HandleCall dispatch or fabric calls; cold helpers carry //adhoclint:hotexempt", checkAlloc},
-	{"faultpath", "every fabric interaction must declare its failure disposition: discarded errors need faultpath(fire-and-forget), Parallel fan-outs declare abort-all or collect-partial, mutate-then-send paths declare compensated, retried handlers deduplicate and declare idempotent", checkFaultPath},
 }
 
 // lint runs every enabled rule (nil = all) over the program and returns
@@ -99,8 +97,7 @@ func internalPackage(p *Package) bool {
 }
 
 // cmdPackage reports whether the package lives under the module's cmd/
-// tree — included in the determinism rule's `go` check and the faultpath
-// scope.
+// tree — included in the determinism rule's `go` check.
 func cmdPackage(p *Package, modPath string) bool {
 	return strings.HasPrefix(p.ImportPath, modPath+"/cmd/")
 }

@@ -236,10 +236,6 @@ func TestLockOrderCycleWitness(t *testing.T) {
 	}
 }
 
-func TestRPCProtocolRule(t *testing.T) {
-	checkFixture(t, "rpcproto", "adhocshare/fixture/rpcproto", only("rpc-protocol"))
-}
-
 func TestPayloadSizeRule(t *testing.T) {
 	checkFixture(t, "payloadsize", "adhocshare/fixture/payloadsize", only("payload-size"))
 }
@@ -364,46 +360,6 @@ func diagDump(diags []Diagnostic) string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-func TestFaultPathRule(t *testing.T) {
-	checkFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", only("faultpath"))
-}
-
-// The faultpath rule covers internal/ and cmd/ packages only; the same
-// fixture loaded outside both trees must stay silent.
-func TestFaultPathSkipsOutOfScope(t *testing.T) {
-	if diags := lintFixture(t, "faultpath", "adhocshare/fixture/faultpath", only("faultpath")); len(diags) != 0 {
-		t.Errorf("out-of-scope package should be exempt, got %d diagnostics:\n%s", len(diags), diagDump(diags))
-	}
-}
-
-// Faultpath findings carry witnesses: the mutate-before-send finding names
-// the call chain carrying the mutation, and the retried-handler finding
-// names the enclosing function of its CallRetry site.
-func TestFaultPathWitnessChains(t *testing.T) {
-	diags := lintFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", only("faultpath"))
-	cases := []struct{ finding, witness string }{
-		{"via faultpath.(*Node).registerVia", "faultpath.(*Node).registerVia → faultpath.(*Node).register"},
-		{`MethodPut ("fp.put") is retried from`, "faultpath.(*Node).StoreAll"},
-	}
-	for _, c := range cases {
-		var found *Diagnostic
-		for _, d := range diags {
-			if strings.Contains(d.Msg, c.finding) {
-				d := d
-				found = &d
-				break
-			}
-		}
-		if found == nil {
-			t.Errorf("no diagnostic containing %q; got:\n%s", c.finding, diagDump(diags))
-			continue
-		}
-		if !strings.Contains(found.Msg, c.witness) {
-			t.Errorf("diagnostic %q lacks witness %q:\n%s", c.finding, c.witness, found.Msg)
-		}
-	}
 }
 
 // The -list output is pinned by a golden file so rule renames/additions

@@ -10,8 +10,8 @@ import "go/types"
 //
 //   - Observation is fabric-neutral: trace.Recorder.Record and
 //     flight.Recorder.Emit observe a leg but never move modeled bytes or
-//     VTime, so the fabric-reach closure behind the faultpath rule stops
-//     at the two packages.
+//     VTime, so the fabric-reach closure behind the alloc rule's hot set
+//     stops at the two packages.
 //   - Observation is hot-path-safe: span buffers and event rings are
 //     preallocated at arm time and spans and events are all-value-type, so
 //     the alloc rule treats callees in the two packages as reachability

@@ -20,18 +20,16 @@ type Program struct {
 
 	// The fact layer: each field is built on first use by the accessor of
 	// the same name and shared by every rule that reads it.
-	loaded       []*Package
-	analyzed     map[*Package]bool
-	payload      *types.Interface // simnet.Payload; nil when internal/simnet is never imported
-	funcs        *funcIndex
-	reach        [2]*fabricReach // [0]: no exemptions, [1]: hotexempt barriers
-	hotExempt    map[*types.Func]bool
-	handlers     []*handler
-	methodConsts []*methodConst
-	fabricCalls  []*fabricCall
-	directives   *directiveIndex
-	locks        map[*ast.FuncDecl]*lockFacts
-	lockFinds    *lockFindings
+	loaded     []*Package
+	analyzed   map[*Package]bool
+	payload    *types.Interface // simnet.Payload; nil when internal/simnet is never imported
+	funcs      *funcIndex
+	reach      *fabricReach
+	hotExempt  map[*types.Func]bool
+	handlers   []*handler
+	directives *directiveIndex
+	locks      map[*ast.FuncDecl]*lockFacts
+	lockFinds  *lockFindings
 }
 
 // newProgram assembles a program over the analyzed packages. The loader

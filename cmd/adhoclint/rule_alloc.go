@@ -46,7 +46,7 @@ func checkAlloc(prog *Program) []Diagnostic {
 	a := &allocChecker{
 		prog:        prog,
 		exempt:      prog.HotExempt(),
-		fabric:      prog.FabricReach(true),
+		fabric:      prog.FabricReach(),
 		reachParent: map[*types.Func]*types.Func{},
 		reached:     map[*types.Func]bool{},
 		witnesses:   map[*types.Func]string{},

@@ -198,8 +198,8 @@ func sampleDiags() []Diagnostic {
 			Rule: "wireiso", Msg: "response of overlay.(*IndexNode).HandleCall sends overlay.RangeResp.Rows, which may alias mutable node state; deep-copy on send"},
 		{Pos: token.Position{Filename: "internal/rdfpeers/range.go", Line: 77, Column: 2},
 			Rule: "wireiso", Msg: "payload of Transfer is sorted in place after send"},
-		{Pos: token.Position{Filename: "internal/overlay/system.go", Line: 512, Column: 2},
-			Rule: "faultpath", Msg: "simnet.Parallel fan-out must declare its failure semantics: annotate //adhoclint:faultpath(abort-all) or //adhoclint:faultpath(collect-partial, reason)"},
+		{Pos: token.Position{Filename: "internal/overlay/storage.go", Line: 285, Column: 4},
+			Rule: "alloc", Msg: "fmt.Sprintf allocates a formatted string per message; use strconv, concatenation or an appended buffer (hot path: HandleCall dispatch entry point)"},
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -233,6 +234,30 @@ func TestGracefulLeave(t *testing.T) {
 	want := nodes[4].ID()
 	if got.ID != want {
 		t.Errorf("lookup(%v) = %v, want successor %v", leaver.ID(), got.ID, want)
+	}
+}
+
+// TestHandlersRejectWrongPayload sends every dispatch case that reads a
+// request a payload of the wrong type: each must fail with its typed
+// payload error and leave the node's pointers as they were, rather than
+// act on a zero request.
+func TestHandlersRejectWrongPayload(t *testing.T) {
+	net := testNet()
+	n := buildN(t, net, 4, 8)[1]
+	pointers := func() string {
+		return fmt.Sprint(n.Predecessor(), n.SuccessorList(), n.Fingers())
+	}
+	before := pointers()
+	for _, method := range []string{MethodFindSuccessor, MethodFindSuccessorBatch, MethodNotify,
+		MethodUpdateFinger, MethodSetPredecessor, MethodSetSuccessor} {
+		_, _, err := n.HandleCall(0, method, simnet.Bytes(1))
+		want := "chord: " + strings.TrimPrefix(method, "chord.") + " payload simnet.Bytes"
+		if err == nil || err.Error() != want {
+			t.Errorf("%s with a simnet.Bytes request: error %v, want %q", method, err, want)
+		}
+	}
+	if after := pointers(); after != before {
+		t.Errorf("pointers changed by rejected requests:\n%s\nwant\n%s", after, before)
 	}
 }
 

@@ -7,25 +7,30 @@ import (
 
 // RPC method names. The "chord." prefix lets experiments separate DHT
 // maintenance and routing traffic from query traffic in simnet metrics.
-// Methods retried after lost messages declare why re-executing their
-// handler is safe (the adhoclint faultpath idempotence cross-check);
-// read-only handlers (get_predecessor, get_successor_list, ping) are
-// proven side-effect-free by the analysis itself.
+// Methods retried after lost messages say why re-executing their handler
+// is safe; read-only handlers (get_predecessor, get_successor_list, ping)
+// say nothing. TestE9AllConfigsUnderLoss runs the ring's retried calls
+// under 1% loss against the centralized oracle.
 const (
-	//adhoclint:faultpath(idempotent, forwarding is a read plus routing-table eviction; evicting the same dead address twice converges to the same tables)
+	// Forwarding is a read plus routing-table eviction; evicting the same
+	// dead address twice converges to the same tables.
 	MethodFindSuccessor = "chord.find_successor"
-	//adhoclint:faultpath(idempotent, same forwarding-plus-eviction argument as find_successor, applied per sub-batch)
+	// Same forwarding-plus-eviction argument as find_successor, applied
+	// per sub-batch.
 	MethodFindSuccessorBatch = "chord.find_successor_batch"
 	MethodGetPredecessor     = "chord.get_predecessor"
 	MethodGetSuccList        = "chord.get_successor_list"
-	//adhoclint:faultpath(idempotent, absolute predecessor-candidate update; re-notifying with the same ref is a no-op)
+	// Absolute predecessor-candidate update; re-notifying with the same
+	// ref is a no-op.
 	MethodNotify = "chord.notify"
 	MethodPing   = "chord.ping"
-	//adhoclint:faultpath(idempotent, absolute pointer assignment)
+	// Absolute pointer assignment.
 	MethodSetPredecessor = "chord.set_predecessor"
-	//adhoclint:faultpath(idempotent, absolute pointer assignment; the handler strips an existing occurrence before prepending)
+	// Absolute pointer assignment; the handler strips an existing
+	// occurrence before prepending.
 	MethodSetSuccessor = "chord.set_successor"
-	//adhoclint:faultpath(idempotent, absolute assignment of one finger, decided by the finger's start alone)
+	// Absolute assignment of one finger, decided by the finger's start
+	// alone.
 	MethodUpdateFinger = "chord.update_finger"
 )
 

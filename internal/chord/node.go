@@ -191,13 +191,19 @@ func (n *Node) HandleCall(at simnet.VTime, method string, req simnet.Payload) (s
 		}
 		return n.updateFinger(fr), at, nil
 	case MethodSetPredecessor:
-		r, _ := req.(Ref)
+		r, ok := req.(Ref)
+		if !ok {
+			return nil, at, fmt.Errorf("chord: set_predecessor payload %T", req)
+		}
 		n.mu.Lock()
 		n.pred = r
 		n.mu.Unlock()
 		return simnet.Bytes(1), at, nil
 	case MethodSetSuccessor:
-		r, _ := req.(Ref)
+		r, ok := req.(Ref)
+		if !ok {
+			return nil, at, fmt.Errorf("chord: set_successor payload %T", req)
+		}
 		n.mu.Lock()
 		if !r.IsZero() {
 			// Strip any existing occurrence before prepending so that
@@ -319,7 +325,8 @@ func (n *Node) handleFindSuccessorBatch(at simnet.VTime, req BatchFindReq) (Batc
 	if len(order) == 0 {
 		return BatchFindResp{Nodes: nodes, Arcs: own, Hops: hops}, at, nil
 	}
-	//adhoclint:faultpath(collect-partial, a failed group falls back to serial per-target re-routing below; no group's targets are silently dropped)
+	// A failed group falls back to serial per-target re-routing below, so
+	// no group's targets are silently dropped.
 	results, done := simnet.Parallel(len(order), 0, func(g int) (BatchFindResp, simnet.VTime, error) {
 		next := order[g]
 		idxs := groups[next]
@@ -530,7 +537,8 @@ func (n *Node) Stabilize(at simnet.VTime) simnet.VTime {
 // failure never stops the round, but a repair that relies on the round's
 // outcome must know it fell short.
 //
-//adhoclint:faultpath(benign, ring maintenance; every pointer it writes is re-derived by the next stabilization, so a round a failure cut short is finished by the next)
+// Every pointer a round writes is re-derived by the next stabilization, so a
+// round a failure cut short is finished by the next.
 func (n *Node) stabilize(at simnet.VTime) (simnet.VTime, error) {
 	succ := n.Successor()
 	now := at

@@ -139,7 +139,8 @@ type Repair struct {
 // leg does not stop the repair; the first failure's error says the ring
 // may not be ideal.
 //
-//adhoclint:faultpath(benign, deterministic repair; after a failed leg the overlay counts the ring unconverged, and the next membership event's full Converge rewrites every pointer)
+// After a failed leg the overlay counts the ring unconverged, and the next
+// membership event's full Converge rewrites every pointer.
 func RepairJoin(nodes []*Node, j *Node, at simnet.VTime) (Repair, simnet.VTime, error) {
 	byAddr := addrIndex(nodes)
 	s := byAddr[j.Successor().Addr]
@@ -171,8 +172,6 @@ func RepairJoin(nodes []*Node, j *Node, at simnet.VTime) (Repair, simnet.VTime, 
 // their lists, P first, and every finger that named l — its start in
 // (P, l] — is re-pointed at S (updateFingers, driven from S). nodes are
 // the remaining members. Failures are reported as RepairJoin reports them.
-//
-//adhoclint:faultpath(benign, deterministic repair, as RepairJoin's)
 func RepairLeave(nodes []*Node, l *Node, at simnet.VTime) (Repair, simnet.VTime, error) {
 	byAddr := addrIndex(nodes)
 	p, s := byAddr[l.Predecessor().Addr], byAddr[l.Successor().Addr]
@@ -224,7 +223,8 @@ func refreshBefore(byAddr map[simnet.Addr]*Node, from, stop *Node, count int, at
 // (its own update is a free self-call). It returns the number of fingers
 // set.
 //
-//adhoclint:faultpath(benign, deterministic repair, as RepairJoin's; the resolve's eviction of a departed node only clears fingers this fan-out re-points)
+// The resolve's eviction of a departed node only clears fingers this fan-out
+// re-points.
 func updateFingers(driver *Node, moved FingerReq, limit int, at simnet.VTime) (int, simnet.VTime, error) {
 	bits := driver.cfg.Bits
 	firsts := make([]ID, bits)
@@ -235,7 +235,9 @@ func updateFingers(driver *Node, moved FingerReq, limit int, at simnet.VTime) (i
 	if err != nil {
 		return 0, start, err
 	}
-	//adhoclint:faultpath(collect-partial, a failed branch leaves its finger index stale on the nodes it did not reach; the error reaches the caller, which then counts the ring as unconverged so the next membership event runs the full Converge)
+	// A failed branch leaves its finger index stale on the nodes it did
+	// not reach; the error reaches the caller, which then counts the ring
+	// as unconverged, so the next membership event runs the full Converge.
 	results, done := simnet.Parallel(int(bits), 0, func(k int) (int, simnet.VTime, error) {
 		req := moved
 		req.K = k

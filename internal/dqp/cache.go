@@ -44,7 +44,8 @@ func (c *lookupCache) get(key chord.ID) (cachedRow, bool) {
 	return row, ok
 }
 
-//adhoclint:faultpath(benign, lookup-cache fill; entries are advisory and revalidated against node liveness on use)
+// put caches a key's row. Entries are advisory and revalidated against node
+// liveness on use.
 func (c *lookupCache) put(key chord.ID, row cachedRow) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -62,8 +63,6 @@ func (c *lookupCache) put(key chord.ID, row cachedRow) {
 // dropNode removes a storage node from every cached row (stale-node
 // invalidation); rows that become empty are removed so the next query
 // re-resolves them.
-//
-//adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves fewer advisory entries to revalidate)
 func (c *lookupCache) dropNode(node simnet.Addr) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

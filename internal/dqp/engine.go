@@ -96,8 +96,6 @@ type qctx struct {
 }
 
 // stage flight-records one query stage transition at the initiator.
-//
-//adhoclint:faultpath(benign, observation only; the stage events of a failed query are the record of that failure)
 func (c *qctx) stage(name string, start, end simnet.VTime) {
 	if c.flt == nil {
 		return
@@ -115,31 +113,23 @@ func (c *qctx) stage(name string, start, end simnet.VTime) {
 // nextTC derives the next serial child context of a parent span. Inside
 // simnet.Parallel branches derive from the branch index instead: calling
 // nextTC there would renumber every later span and move the trace goldens.
-//
-//adhoclint:faultpath(benign, trace-span counter; a span identifier wasted by a failed operation is unobservable)
 func (c *qctx) nextTC(parent trace.TraceContext) trace.TraceContext {
 	c.seq++
 	return parent.Child(c.seq)
 }
 
 // countSubquery records one answered sub-query against a provider.
-//
-//adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countSubquery(target simnet.Addr) {
 	c.subq++
 	c.targets[target] = true
 }
 
 // countDrop records one stale-posting cleanup triggered by this query.
-//
-//adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countDrop() {
 	c.drops++
 }
 
 // countLookup records one location-table lookup's routing cost.
-//
-//adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countLookup(hops int, hit bool) {
 	c.hops += hops
 	if hit {
@@ -168,16 +158,12 @@ func (c *qctx) row(key chord.ID) resolvedRow {
 }
 
 // keepRow records a key's planned row for the rest of the query.
-//
-//adhoclint:faultpath(benign, query-scoped planning state; discarded with the context when the query fails)
 func (c *qctx) keepRow(row resolvedRow) {
 	c.rows = append(c.rows, row)
 }
 
 // keepWave records the results of the BGPs the query's wave ran, results[i]
 // being calls[i]'s.
-//
-//adhoclint:faultpath(benign, query-scoped results; discarded with the context when the query fails)
 func (c *qctx) keepWave(calls []bgpCall, results []bgpResult) {
 	c.waved = make(map[*algebra.BGP]bgpResult, len(calls))
 	for i, call := range calls {
@@ -188,8 +174,6 @@ func (c *qctx) keepWave(calls []bgpCall, results []bgpResult) {
 // dropPostings removes node from every planned row index holds: a stale
 // provider the query found dead and told index about is not asked again by
 // a later BGP of the query, as a fresh lookup there would not list it.
-//
-//adhoclint:faultpath(benign, query-scoped planning state; discarded with the context when the query fails)
 func (c *qctx) dropPostings(index, node simnet.Addr) {
 	for i, row := range c.rows {
 		if row.index == index {
@@ -199,8 +183,6 @@ func (c *qctx) dropPostings(index, node simnet.Addr) {
 }
 
 // countReplicaHit records one lookup served by a hot-key replica holder.
-//
-//adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countReplicaHit() {
 	c.replicaHits++
 }

@@ -777,8 +777,6 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 // the first match settles it, so the targets are asked one after another,
 // each when the one before answered empty. out[i] receives bgps[i]'s result,
 // complete when the last reply carrying one of its units is in.
-//
-//adhoclint:faultpath(benign, out holds the caller's result slots, dropped when the wave fails)
 func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.VTime) (simnet.VTime, error) {
 	// plans is every pattern of the wave, BGP after BGP, and pats[i] is
 	// plans[i]'s BGP, unit, op span, replies by posting and when the last of
@@ -1324,7 +1322,9 @@ func (e *Engine) dropStale(ctx *qctx, plan patternPlan, node, observer simnet.Ad
 		return
 	}
 	ctx.dropPostings(plan.index, node)
-	//adhoclint:faultpath(fire-and-forget, the timeout cleanup notification is accounted traffic but never extends the query's critical path; a lost notification is repaired by the next observer or by DropStorageEverywhere)
+	// The timeout cleanup notification is accounted traffic but never
+	// extends the query's critical path; a lost notification is repaired
+	// by the next observer or by DropStorageEverywhere.
 	e.sys.Net().Send(observer, plan.index, overlay.MethodDropNode,
 		overlay.DropNodeReq{Node: node, Propagate: true, TC: tc}, at)
 }
@@ -1365,8 +1365,6 @@ func (e planEstimator) EstimatePattern(p rdf.Triple) int {
 // shippableFilter selects the not-yet-shipped conjuncts whose variables
 // are covered by bound and combines them into one expression; selected
 // conjuncts are marked shipped.
-//
-//adhoclint:faultpath(benign, marks query-scoped scratch; an error discards the whole query context)
 func shippableFilter(conjuncts []sparql.Expression, shipped []bool, bound map[string]bool) sparql.Expression {
 	var out sparql.Expression
 	for i, c := range conjuncts {

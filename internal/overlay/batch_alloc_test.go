@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"adhocshare/internal/chord"
+	"adhocshare/internal/rdf"
+	"adhocshare/internal/sparql/eval"
 	"adhocshare/internal/trace"
 )
 
@@ -78,4 +80,39 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 			t.Errorf("an edit of 128 keys allocates %.1f, %.1f and %.1f objects over 2, 4 and 8 owners: want a fixed count per owner", two, four, eight)
 		}
 	})
+}
+
+// TestMatchAllocatesPerUnit pins store.match's allocations to its units.
+// Over an empty match, a match of k identical units allocates the reply's
+// table slice plus six objects per unit — the unit's variables, its
+// scoped graph and its reply table — so nothing in the handler is paid
+// per unit beyond the unit's own evaluation.
+func TestMatchAllocatesPerUnit(t *testing.T) {
+	const perUnit = 6
+	s, now := newTestSystem(t, 3)
+	_, now, err := s.AddStorageNode("D1", now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = s.Publish("D1", aliceTriples(), now); err != nil {
+		t.Fatal(err)
+	}
+	node, _ := s.Storage("D1")
+	allocs := func(k int) float64 {
+		req := MatchReq{Units: make([]MatchUnit, k)}
+		for i := range req.Units {
+			req.Units[i] = MatchUnit{Pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")}, Keys: eval.Table{N: 1}}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, _, err := node.HandleCall(now, MethodMatch, req); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	empty := allocs(0)
+	for _, k := range []int{1, 2, 8} {
+		if got, want := allocs(k)-empty, float64(1+perUnit*k); got != want {
+			t.Errorf("a match of %d units allocates %.1f objects over an empty one, want %.0f (the table slice and %d per unit)", k, got, want, perUnit)
+		}
+	}
 }

@@ -91,7 +91,8 @@ func (n *IndexNode) EnableAdaptive() {
 // noteLookup bumps the key's decayed counter at virtual time `at` and
 // reports whether the key is (still) past the hot threshold.
 //
-//adhoclint:faultpath(benign, advisory popularity counter; an extra bump from a retried lookup only hastens an already-converging promotion)
+// An extra bump from a retried lookup only hastens an already-converging
+// promotion.
 func (h *hotState) noteLookup(key chord.ID, at simnet.VTime) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -140,7 +141,9 @@ func (n *IndexNode) adaptiveTail(h *hotState, key chord.ID, postings []Posting, 
 	ps := append([]Posting(nil), postings...)
 	flt := n.net.FlightRecorder()
 	for i, to := range targets {
-		//adhoclint:faultpath(fire-and-forget, hot-replica pushes are advisory: a lost push leaves a holder that misses and the initiator falls back to the home successor)
+		// Hot-replica pushes are advisory: a lost push leaves a holder
+		// that misses and the initiator falls back to the home
+		// successor.
 		n.net.Send(n.addr, to, MethodHotReplica,
 			HotReplicaReq{Key: key, Home: n.addr, Epoch: epoch, Postings: ps, TC: tc.Child(uint64(i + 1))}, at)
 		if flt != nil {
@@ -215,7 +218,10 @@ func (n *IndexNode) refreshHot(keys []chord.ID, tc trace.TraceContext, at simnet
 		ps := n.Table.Get(p.key)
 		for _, to := range p.entry.replicas {
 			seq++
-			//adhoclint:faultpath(fire-and-forget, coherence re-pushes are absolute and epoch-stamped; a lost one can at worst leave a same-epoch stale copy, the documented fault-window trade shared with the lookup cache)
+			// Coherence re-pushes are absolute and epoch-stamped;
+			// a lost one can at worst leave a same-epoch stale
+			// copy, the documented fault-window trade shared with
+			// the lookup cache.
 			n.net.Send(n.addr, to, MethodHotReplica,
 				HotReplicaReq{Key: p.key, Home: n.addr, Epoch: p.entry.epoch, Postings: ps, TC: tc.Child(1000 + seq)}, at)
 			if flt != nil {

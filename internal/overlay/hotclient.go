@@ -102,7 +102,8 @@ func (e *LookupError) Unwrap() error { return e.Err }
 // from the initiator (address as the deterministic tiebreak), and the
 // minimal-factor group is rotated by a per-hint counter.
 //
-//adhoclint:faultpath(benign, hint-cache bookkeeping; a rotation bump or dropped hint from a failed attempt only changes which replica is tried next, never correctness)
+// A rotation bump or a dropped hint from a failed attempt only changes which
+// replica is tried next, never correctness.
 func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64) (simnet.Addr, simnet.Addr, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -156,8 +157,6 @@ func (c *LookupClient) hasHint(key chord.ID, epoch uint64) bool {
 
 // dropHint forgets a key's advertisement (after a miss, error, or epoch
 // change).
-//
-//adhoclint:faultpath(benign, deleting a hint only forces the next lookup through the home successor)
 func (c *LookupClient) dropHint(key chord.ID) {
 	c.mu.Lock()
 	delete(c.hints, key)
@@ -168,7 +167,7 @@ func (c *LookupClient) dropHint(key chord.ID) {
 // first, then the advertised replicas, deduplicated — so a fallback pick
 // is always available and the slice never aliases the response payload.
 //
-//adhoclint:faultpath(benign, hint caching; hints are advisory and epoch-checked before use)
+// Hints are advisory and epoch-checked before use.
 func (c *LookupClient) storeHint(key chord.ID, home simnet.Addr, replicas []simnet.Addr, epoch uint64) {
 	cands := make([]simnet.Addr, 0, len(replicas)+1)
 	cands = append(cands, home)
@@ -208,8 +207,6 @@ func (c *LookupClient) Lookup(from simnet.Addr, key chord.ID, resolveTC, readTC 
 // spans from tc.Child(2i) and tc.Child(2i+1); the reads from home
 // successors travel under tc.Child(2n), tc.Child(2n+1), ..., n =
 // len(keys), in the order of their first keys. An error is a *LookupError.
-//
-//adhoclint:faultpath(benign, the branches fill only the round's own result slots, dropped when it fails)
 func (c *LookupClient) LookupBatch(from simnet.Addr, keys []chord.ID, tc trace.TraceContext, at simnet.VTime) ([]LookupRow, simnet.VTime, error) {
 	epoch := c.epoch()
 	rows := make([]LookupRow, len(keys))
@@ -240,7 +237,8 @@ func (c *LookupClient) LookupBatch(from simnet.Addr, keys []chord.ID, tc trace.T
 		done, err := c.read(from, homes[0], keys, epoch, tc.Child(homeTC), rows, at)
 		return rows, done, err
 	}
-	//adhoclint:faultpath(abort-all, a key without its row leaves a pattern without its target set; the first failed branch fails the whole lookup)
+	// A key without its row leaves a pattern without its target set, so
+	// the first failed branch fails the whole lookup.
 	results, done := simnet.Parallel(len(alone)+len(homes), 0, func(b int) (struct{}, simnet.VTime, error) {
 		if b < len(alone) {
 			i := alone[b]
@@ -290,8 +288,6 @@ func (c *LookupClient) arcOwner(from simnet.Addr, key chord.ID) simnet.Addr {
 // lookupOne reads key[0]'s row into out[0]: from a hot replica when the
 // client holds a hint for it, else — or after a replica miss, from the
 // elapsed time — from the home successor.
-//
-//adhoclint:faultpath(benign, out is the caller's result slot, dropped when the lookup fails)
 func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64, resolveTC, readTC trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
 	now := at
 	if epoch != 0 {

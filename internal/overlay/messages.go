@@ -11,31 +11,43 @@ import (
 
 // RPC method names. The "index." prefix marks two-level-index traffic, the
 // "store." prefix marks sub-query execution traffic at storage nodes.
-// Methods retried after lost messages declare why re-executing their
-// handler is safe (the adhoclint faultpath idempotence cross-check);
-// read-only handlers are proven side-effect-free by the analysis itself.
+// Methods re-sent after lost messages say why re-executing their handler
+// is safe; read-only handlers say nothing. TestWriteChainAcknowledgesFromTail
+// loses each leg of a write chain, the acknowledgement included, and holds
+// the rows to a rebuild; TestRoutedReadLossResendsWholeRead re-sends a
+// routed read after a lost forward or reply.
 // index.transfer is deliberately NOT retried: at Replication 1 its handler
 // extracts rows destructively, so a reply-loss retry would observe an empty
 // interval (at Replication ≥ 2 the successor keeps a copy as the joiner's
 // replica).
 const (
-	//adhoclint:faultpath(idempotent, re-deliveries are not applied again thanks to the per-publisher shipment sequence number, so relative frequency deltas apply exactly once, and re-forward the owner's absolute delta down the write chain)
+	// Re-deliveries are not applied again thanks to the per-publisher
+	// shipment sequence number, so relative frequency deltas apply exactly
+	// once, and re-forward the owner's absolute delta down the write
+	// chain.
 	MethodPutBatch = "index.put_batch"
-	//adhoclint:faultpath(idempotent, routing is a read plus the eviction of dead next hops, the owner's read is side-effect-free and its adaptive tail only bumps an advisory decayed counter and re-pushes absolute hot-replica rows, so a re-sent read converges to the same state)
+	// Routing is a read plus the eviction of dead next hops, the owner's
+	// read is side-effect-free and its adaptive tail only bumps an
+	// advisory decayed counter and re-pushes absolute hot-replica rows, so
+	// a re-sent read converges to the same state.
 	MethodRoutedRead = "index.routed_read"
 	MethodTransfer   = "index.transfer"
 	MethodHandover   = "index.handover"
-	//adhoclint:faultpath(idempotent, dropping an already-dropped node's postings is a no-op; propagation re-sends converge the replicas to the same state)
+	// Dropping an already-dropped node's postings is a no-op; propagation
+	// re-sends converge the replicas to the same state.
 	MethodDropNode = "index.drop_node"
 	// MethodReplica carries a ReplicaDelta one link down a write chain.
-	//adhoclint:faultpath(idempotent, a delta sets each posting to the primary's absolute frequency and pulls rows whole, so a re-run reaches the same rows)
+	// A delta sets each posting to the primary's absolute frequency and
+	// pulls rows whole, so a re-run reaches the same rows.
 	MethodReplica = "index.replicate"
 	// MethodReplicaRepair pulls the rows a delta found stale (StaleKeys)
 	// from the link before in the chain, answered whole (TableRows).
 	MethodReplicaRepair = "index.replica_repair"
-	//adhoclint:faultpath(idempotent, hot-replica installs replace the key's replica row absolutely and are epoch-stamped, so re-delivery converges to the same copy)
+	// Hot-replica installs replace the key's replica row absolutely and
+	// are epoch-stamped, so re-delivery converges to the same copy.
 	MethodHotReplica = "index.hot_replica"
-	//adhoclint:faultpath(idempotent, the read is side-effect-free except for deleting an epoch-stale replica entry, and re-deleting is a no-op)
+	// The read is side-effect-free except for deleting an epoch-stale
+	// replica entry, and re-deleting is a no-op.
 	MethodHotLookup = "index.hot_lookup"
 
 	MethodMatch    = "store.match"

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -419,13 +420,63 @@ func randomIDs(rng *rand.Rand, bits uint, size int) []chord.ID {
 	return ids
 }
 
-// TestFailedRepairConvergesFullyNext checks the two ways a graceful event
-// can leave the ring unconverged: a join whose table transfer is lost
-// (the joiner is evicted again) and a repair whose finger update is lost.
-// Either event's epoch.bump drops every arc, the ring counts as
-// unconverged, and the next graceful event converges fully — its note
-// says everything — to the ideal ring, with the ring and coverage
-// monitors clean.
+// TestLostHandoverKeepsLeaverServing loses a graceful leave's handover at
+// the leaver's successor, at replication 1, where the leaver's rows live
+// nowhere else. The leave must fail with the loss and change nothing: the
+// leaver stays in the deployment and on the ring with its rows, so every
+// posting is still where the coverage monitor looks for it. A second
+// leave, with the loss gone, hands every row over.
+func TestLostHandoverKeepsLeaverServing(t *testing.T) {
+	s, now := chainSystem(t, 5, 1)
+	now, err := s.Publish("D1", aliceTriples(), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := Arm(s, 1<<10)
+	var leaver *IndexNode
+	for _, n := range s.IndexNodes() {
+		if leaver == nil || n.Table.Postings() > leaver.Table.Postings() {
+			leaver = n
+		}
+	}
+	rows := leaver.Table.Postings()
+	succ, _ := s.Index(leaver.Chord.Successor().Addr)
+	s.Net().Register(succ.Addr(), dropMethod{node: succ, method: MethodHandover})
+	now, err = s.RemoveIndexGraceful(leaver.Addr(), now)
+	s.Net().Register(succ.Addr(), simnet.HandlerFunc(succ.HandleCall))
+	if !errors.Is(err, simnet.ErrMessageLost) {
+		t.Fatalf("leave with its handover lost: error %v, want a lost message", err)
+	}
+	if n, ok := s.Index(leaver.Addr()); !ok || n != leaver {
+		t.Error("the leaver is no longer in the deployment")
+	}
+	if !s.Net().Alive(leaver.Addr()) {
+		t.Error("the leaver is no longer registered on the fabric")
+	}
+	if got := leaver.Table.Postings(); got != rows {
+		t.Errorf("the leaver holds %d postings, want its %d", got, rows)
+	}
+	if vs := append(mon.CheckRing(), mon.CheckCoverage()...); len(vs) != 0 {
+		t.Errorf("after the lost handover: %v", vs)
+	}
+	if now, err = s.RemoveIndexGraceful(leaver.Addr(), now); err != nil {
+		t.Fatalf("leave after the loss: %v", err)
+	}
+	if _, ok := s.Index(leaver.Addr()); ok {
+		t.Error("the leaver is still in the deployment after its leave")
+	}
+	if vs := append(mon.CheckRing(), mon.CheckCoverage()...); len(vs) != 0 {
+		t.Errorf("after the leave: %v", vs)
+	}
+}
+
+// TestFailedRepairConvergesFullyNext checks the ways a graceful event can
+// leave the ring unconverged: a join whose ring join or table transfer is
+// lost — the joiner is evicted again, out of the deployment and off the
+// fabric — and a repair whose finger update is lost. Each event's
+// epoch.bump drops every arc, the ring counts as unconverged, and the next
+// graceful event converges fully — its note says everything — to the
+// ideal ring, with the ring and coverage monitors clean.
 func TestFailedRepairConvergesFullyNext(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -433,6 +484,7 @@ func TestFailedRepairConvergesFullyNext(t *testing.T) {
 		// ok reports whether the event itself succeeds.
 		ok bool
 	}{
+		{"ring join lost", chord.MethodFindSuccessor, false},
 		{"transfer lost", MethodTransfer, false},
 		{"finger update lost", chord.MethodUpdateFinger, true},
 	}
@@ -444,11 +496,15 @@ func TestFailedRepairConvergesFullyNext(t *testing.T) {
 			ids, addrs := rp.live()
 			// The joiner lands between ids[2] and ids[3]: ids[3] serves its
 			// table transfer, and ids[2], its predecessor, takes a finger
-			// update (its first finger starts in the joiner's arc).
+			// update (its first finger starts in the joiner's arc). The
+			// ring join asks the lowest address, idx-000.
 			j := ids[2] + (ids[3]-ids[2])/2
 			s := addrs[3]
-			if tc.method == chord.MethodUpdateFinger {
+			switch tc.method {
+			case chord.MethodUpdateFinger:
 				s = addrs[2]
+			case chord.MethodFindSuccessor:
+				s = "idx-000"
 			}
 			node, _ := rp.s.Index(s)
 			rp.s.Net().Register(s, dropMethod{node: node, method: tc.method})
@@ -457,6 +513,9 @@ func TestFailedRepairConvergesFullyNext(t *testing.T) {
 			rp.s.Net().Register(s, simnet.HandlerFunc(node.HandleCall))
 			if (err == nil) != tc.ok {
 				t.Fatalf("join with %s lost: error %v", tc.method, err)
+			}
+			if _, ok := rp.s.Index("idx-lossy"); ok != tc.ok || rp.s.Net().Alive("idx-lossy") != tc.ok {
+				t.Fatalf("after the join with %s lost, the joiner is in the deployment: %v, registered: %v", tc.method, ok, rp.s.Net().Alive("idx-lossy"))
 			}
 			if rp.s.converged {
 				t.Fatal("the ring counts as converged after a failed repair")

@@ -70,8 +70,6 @@ func (n *IndexNode) routeKey(at simnet.VTime, r RoutedReadReq) (simnet.Payload, 
 // is walked once. The forwards the read has not counted yet go with its
 // first branch. A branch whose next hop is down falls back, after the
 // fan-out and from the branch's timeout, to routing its keys one by one.
-//
-//adhoclint:faultpath(benign, the branches fill only the read's own result, dropped when it fails)
 func (n *IndexNode) routeKeys(at simnet.VTime, r RoutedReadReq) (simnet.Payload, simnet.VTime, error) {
 	owners := make([]chord.Ref, len(r.Keys))
 	order, groups, err := n.Chord.RouteBatch(r.Keys, owners)
@@ -107,7 +105,9 @@ func (n *IndexNode) routeKeys(at simnet.VTime, r RoutedReadReq) (simnet.Payload,
 		}
 		subs[b] = sub
 	}
-	//adhoclint:faultpath(abort-all, a key without its row leaves a pattern without its target set; a branch lost or failed further down fails the whole read, which its origin re-sends)
+	// A key without its row leaves a pattern without its target set, so a
+	// branch lost or failed further down fails the whole read, which its
+	// origin re-sends.
 	results, done := simnet.Parallel(len(subs), 0, func(b int) (simnet.Payload, simnet.VTime, error) {
 		if b < first {
 			return n.deliverRead(at, subs[b], owner)

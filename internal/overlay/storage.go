@@ -76,7 +76,8 @@ func (s *StorageNode) AttachedTo() simnet.Addr {
 // point: the attachment another client already re-homed it to, else next
 // ("" when there is no live ring member, the attachment left as it was).
 //
-//adhoclint:faultpath(benign, deterministic re-homing repair; re-running converges to the same attachment and a failed caller leaves the node validly re-homed)
+// Re-homing is deterministic: re-running it converges to the same attachment,
+// and a caller that fails afterwards leaves the node validly re-homed.
 func (s *StorageNode) rehome(next simnet.Addr) simnet.Addr {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -92,8 +93,6 @@ func (s *StorageNode) rehome(next simnet.Addr) simnet.Addr {
 
 // NamedGraph returns (creating on demand) the provider's named graph for
 // the given IRI and invalidates memoized dataset views.
-//
-//adhoclint:faultpath(benign, creates an empty graph on demand and resets memoized views; re-running yields identical state)
 func (s *StorageNode) NamedGraph(iri string) *rdf.Graph {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -149,7 +148,8 @@ func (s *StorageNode) liveOwner(epoch uint64, key chord.ID) simnet.Addr {
 // of an older epoch first. ownerArc reads the newest first, so an arc an
 // eviction widened wins over its older copy.
 //
-//adhoclint:faultpath(benign, cache fill; an arc a resolve vouched for stays true whatever becomes of the shipment after it, and the epoch bounds its life)
+// An arc a resolve vouched for stays true whatever becomes of the shipment
+// after it, and the epoch bounds its life.
 func (s *StorageNode) learnArcs(epoch uint64, arcs []chord.Arc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -206,8 +206,6 @@ func (s *StorageNode) keepArcs(epoch uint64, mover chord.Ref, join bool) {
 
 // dropArcs forgets the owner arcs; the overlay calls it before
 // re-resolving the keys of owners that died.
-//
-//adhoclint:faultpath(benign, cache invalidation; a failure afterwards leaves no arcs, and the next resolve relearns them)
 func (s *StorageNode) dropArcs() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,8 +235,6 @@ func (s *StorageNode) TotalTriples() int {
 // provider: with no FROM graphs (nil), the union of everything the
 // provider shares (the paper's Sect. IV-A default); otherwise the merge of
 // the listed named graphs. Merged views are memoized until the next write.
-//
-//adhoclint:faultpath(benign, memoized view fill; recomputation writes the same merged graph)
 func (s *StorageNode) datasetGraph(dataset []string) *rdf.Graph {
 	s.mu.Lock()
 	if len(dataset) == 0 && len(s.named) == 0 {

@@ -101,8 +101,6 @@ func (s *System) Net() *simnet.Network { return s.net }
 // NextTraceID allocates the identifier of a new trace (a query or a system
 // operation). IDs come from a per-deployment counter, not a clock, so a
 // seeded run always numbers its traces identically.
-//
-//adhoclint:faultpath(benign, monotone trace-ID allocator; an identifier wasted by a failed operation is unobservable)
 func (s *System) NextTraceID() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -135,7 +133,8 @@ func (s *System) traceOp(name string, node simnet.Addr) (trace.TraceContext, fun
 
 // nextPubSeq allocates one PutBatch shipment sequence number.
 //
-//adhoclint:faultpath(benign, sequence allocator; PutBatch dedup needs only monotonicity, so numbers wasted by failed shipments are harmless)
+// PutBatch dedup needs only monotone sequence numbers, so a number wasted by a
+// failed shipment is harmless.
 func (s *System) nextPubSeq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -165,8 +164,6 @@ var ErrDuplicateID = errors.New("overlay: ring identifier already taken")
 // ErrDuplicateID before anything changes. The node is entered into the
 // deployment before the ring join so concurrent reads see it; a failed join
 // removes and deregisters it again before the error surfaces.
-//
-//adhoclint:faultpath(compensated, a failed join deletes the node from the deployment and deregisters its handler, restoring the pre-call state)
 func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTime) (*IndexNode, simnet.VTime, error) {
 	s.mu.Lock()
 	if _, dup := s.index[addr]; dup {
@@ -247,7 +244,9 @@ func (s *System) AddStorageNode(addr simnet.Addr, at simnet.VTime) (*StorageNode
 // batching all keys that land on the same index node into one message.
 // It returns the virtual completion time.
 //
-//adhoclint:faultpath(compensated, a failed installation un-adds the new triples so graph and index stay consistent; postings already installed elsewhere are over-approximating hints that local matching filters and Republish repairs)
+// A failed installation un-adds the new triples so graph and index stay
+// consistent; postings already installed elsewhere are over-approximating
+// hints that local matching filters and Republish repairs.
 func (s *System) Publish(storage simnet.Addr, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
 	node, err := s.storageNode(storage)
 	if err != nil {
@@ -261,7 +260,8 @@ func (s *System) Publish(storage simnet.Addr, triples []rdf.Triple, at simnet.VT
 // distinguish graphs: lookups over-approximate and the FROM restriction is
 // applied at the provider during local matching.
 //
-//adhoclint:faultpath(compensated, a failed installation un-adds the new triples from the named graph; leftover remote postings are over-approximating hints)
+// A failed installation un-adds the new triples from the named graph; leftover
+// remote postings are over-approximating hints.
 func (s *System) PublishGraph(storage simnet.Addr, graphIRI string, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
 	node, err := s.storageNode(storage)
 	if err != nil {
@@ -273,7 +273,8 @@ func (s *System) PublishGraph(storage simnet.Addr, graphIRI string, triples []rd
 // Retract removes triples from the storage node and decrements the index
 // frequencies.
 //
-//adhoclint:faultpath(compensated, a failed decrement re-adds the removed triples; Republish repairs any owner whose decrement had already applied)
+// A failed decrement re-adds the removed triples; Republish repairs any owner
+// whose decrement had already applied.
 func (s *System) Retract(storage simnet.Addr, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
 	node, err := s.storageNode(storage)
 	if err != nil {
@@ -297,7 +298,8 @@ func (s *System) storageNode(addr simnet.Addr) (*StorageNode, error) {
 // frequency deltas of the triples that changed g — a triple already
 // present, or already absent, is not re-indexed — as the op span named op.
 //
-//adhoclint:faultpath(compensated, a failed installation applies the inverse edit to every triple that changed the graph)
+// A failed installation applies the inverse edit to every triple that changed
+// the graph.
 func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op string, triples []rdf.Triple, at simnet.VTime) (simnet.VTime, error) {
 	delta := 1
 	if remove {
@@ -461,7 +463,9 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 		}
 	}
 	ownerList, batches := ownerBatches(owners, func(i int) KeyFreq { return KeyFreq{Key: keys[i], Freq: freq[keys[i]]} })
-	//adhoclint:faultpath(abort-all, every owner shipment must land; unreachable owners get one successor-fallback round below and any remaining failure aborts the publication, which the callers compensate)
+	// Every owner shipment must land: unreachable owners get one
+	// successor-fallback round below, and any remaining failure aborts the
+	// publication, which the callers compensate.
 	results, done := simnet.Parallel(len(ownerList), 0, func(i int) (simnet.Payload, simnet.VTime, error) {
 		// Branches run in sorted-owner order, so sequence numbers follow
 		// it; the trace child is the branch index (seq 0 is the batch
@@ -544,7 +548,8 @@ const writeAttempts = 5
 // from its departure and a re-send under the same Seq, up to writeAttempts
 // sends in all. An owner found down returns ErrUnreachable.
 //
-//adhoclint:faultpath(idempotent, the owner applies a Seq once and re-forwards its absolute delta on every re-delivery, so a re-sent batch reaches the same rows)
+// A re-sent batch is safe: the owner applies a Seq once and re-forwards its
+// absolute delta on every re-delivery, so the batch reaches the same rows.
 func (s *System) shipBatch(owner simnet.Addr, req PutBatchReq, at simnet.VTime) (simnet.VTime, error) {
 	var err error
 	for attempt := 0; attempt < writeAttempts; attempt++ {
@@ -922,8 +927,6 @@ func (s *System) RecoverNode(addr simnet.Addr) {
 // on a converged ring only the pointers the leave moved). The node leaves
 // the deployment map before the handoff so no new traffic routes to it; a
 // failed handoff reinstates it.
-//
-//adhoclint:faultpath(compensated, a failed departure handoff reinstates the node in the deployment, so it keeps serving its key range)
 func (s *System) RemoveIndexGraceful(addr simnet.Addr, at simnet.VTime) (simnet.VTime, error) {
 	s.mu.Lock()
 	n, ok := s.index[addr]
@@ -962,8 +965,9 @@ func (s *System) DropStorageEverywhere(addr simnet.Addr, at simnet.VTime) simnet
 			targets = append(targets, n.Addr())
 		}
 	}
-	// Best-effort: an index node that became unreachable cleans up lazily.
-	//adhoclint:faultpath(collect-partial, drop notifications are cleanup hints; an index node the broadcast misses drops the postings lazily on its own query timeout or on republish)
+	// Best-effort: drop notifications are cleanup hints; an index node the
+	// broadcast misses drops the postings lazily on its own query timeout
+	// or on republish.
 	_, done := simnet.Parallel(len(targets), 0, func(i int) (simnet.Payload, simnet.VTime, error) {
 		return s.net.CallRetry(origin, targets[i], MethodDropNode, DropNodeReq{Node: addr}, at)
 	})

@@ -27,7 +27,8 @@ import (
 
 // RPC method names ("rdfpeers." prefix for traffic attribution).
 const (
-	//adhoclint:faultpath(idempotent, triples live in a set-semantics graph; re-adding the same triple is a no-op)
+	// A re-delivered store is harmless: triples live in a set-semantics
+	// graph, so re-adding the same triple is a no-op.
 	MethodStore     = "rdfpeers.store"
 	MethodMatch     = "rdfpeers.match"
 	MethodIntersect = "rdfpeers.intersect"
@@ -192,8 +193,6 @@ type System struct {
 
 // traceOp opens a trace for one RDFPeers operation when a recorder is
 // attached to the network; see overlay.System.traceOp.
-//
-//adhoclint:faultpath(benign, trace-ID allocator; an identifier wasted by a failed operation is unobservable)
 func (s *System) traceOp(name string, node simnet.Addr) (trace.TraceContext, func(start, end simnet.VTime)) {
 	rec := s.net.Recorder()
 	if rec == nil {
@@ -232,8 +231,6 @@ func (s *System) Net() *simnet.Network { return s.net }
 
 // AddNode joins a ring member. The node is registered and entered into the
 // membership before the ring join; a failed join removes both again.
-//
-//adhoclint:faultpath(compensated, a failed join deletes the node from the membership and deregisters its handler, restoring the pre-call state)
 func (s *System) AddNode(addr simnet.Addr, at simnet.VTime) (*Node, simnet.VTime, error) {
 	if _, dup := s.nodes[addr]; dup {
 		return nil, at, fmt.Errorf("rdfpeers: node %s exists", addr)

@@ -1,6 +1,7 @@
 package rdfpeers
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -181,6 +182,39 @@ func TestDuplicateNode(t *testing.T) {
 	s, now := newRing(t, 2)
 	if _, _, err := s.AddNode("rp-00", now); err == nil {
 		t.Error("expected duplicate node error")
+	}
+}
+
+// TestFailedJoinLeavesMembershipIntact loses every leg of a ring join:
+// the join fails with the loss, and the joiner is neither a member nor
+// registered on the fabric, so the ring serves stores and queries as
+// before and the same address joins once the loss is gone.
+func TestFailedJoinLeavesMembershipIntact(t *testing.T) {
+	s, now := newRing(t, 4)
+	s.net.SetFaults(&simnet.FaultPlan{LossRate: 1})
+	_, now, err := s.AddNode("rp-joiner", now)
+	s.net.SetFaults(nil)
+	if !errors.Is(err, simnet.ErrMessageLost) {
+		t.Fatalf("join with every leg lost: error %v, want a lost message", err)
+	}
+	if _, ok := s.nodes["rp-joiner"]; ok || len(s.nodes) != 4 {
+		t.Errorf("membership after the failed join has %d nodes, joiner kept: %v", len(s.nodes), ok)
+	}
+	if s.net.Alive("rp-joiner") {
+		t.Error("the failed joiner is still registered on the fabric")
+	}
+	if now, err = s.StoreAll("rp-00", sampleTriples(), now); err != nil {
+		t.Fatal(err)
+	}
+	sols, now, err := s.QueryPattern("rp-01", rdf.Triple{S: rdf.NewVar("s"), P: fp("knows"), O: ex("bob")}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sols) != 3 {
+		t.Errorf("query after the failed join returned %d rows, want 3", len(sols))
+	}
+	if _, _, err := s.AddNode("rp-joiner", now); err != nil {
+		t.Errorf("rejoin after the loss: %v", err)
 	}
 }
 

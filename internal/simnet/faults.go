@@ -9,8 +9,8 @@ import (
 // handler side effects: a lost request means the handler never ran (safe
 // to retry against any handler), while a lost reply means the handler
 // completed and only the acknowledgement vanished (retrying re-executes
-// the handler, so the handler must be idempotent — see the adhoclint
-// faultpath rule's idempotence cross-check).
+// the handler, so the handler must be idempotent, as
+// TestRetryRerunsHandlerAfterLostReply shows).
 var (
 	// ErrMessageLost indicates the request (or one-way) leg was dropped in
 	// transit: the destination handler never ran.
@@ -143,7 +143,7 @@ const retryAttempts = 3
 // they need a fallback target or a caller decision, not a re-send.
 //
 // A lost reply means the handler already ran, so a method retried here must
-// be idempotent — the adhoclint faultpath rule cross-checks every site.
+// be idempotent; its Method* constant says why its handler is.
 func (n *Network) CallRetry(from, to Addr, method string, req Payload, at VTime) (Payload, VTime, error) {
 	var (
 		resp Payload

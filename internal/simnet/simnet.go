@@ -560,7 +560,8 @@ const (
 // acknowledgement: its sender pays only the wire delay, and the loss
 // error is advisory.
 //
-//adhoclint:faultpath(benign, a leg put on the wire stays charged and observed whether or not the operation it belongs to completes)
+// A leg put on the wire stays charged and observed whether or not the
+// operation it belongs to completes.
 func (n *Network) transmit(hk *hooks, l leg, down bool) (_ VTime, err error) {
 	forward, wire := l.dir != DirResponse, l.size
 	if l.note == noteErrorReply {
