@@ -17,8 +17,6 @@ type callSite struct {
 	// receivers. The lock-order rule compares it against the held mutex's
 	// owner to recognize same-object recursive acquisition.
 	recv string
-	// fabric is set when the call is a Network.Call/Send/Transfer.
-	fabric *fabricCall
 }
 
 // funcNode is one production function declaration of a loaded package,
@@ -81,7 +79,6 @@ func (prog *Program) collectCalls(p *Package, fn *ast.FuncDecl) []callSite {
 			callee: callee,
 			call:   call,
 			recv:   recv,
-			fabric: prog.fabricCallAt(p, call),
 		})
 		return true
 	})

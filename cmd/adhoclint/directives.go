@@ -6,10 +6,10 @@ import (
 )
 
 // A directive is one //adhoclint:name rest comment. Every rule that reads
-// directives — ignore, wireimmutable, hotexempt — reads them from the one
-// index built here.
+// directives — ignore, wireimmutable — reads them from the one index built
+// here.
 type directive struct {
-	name string // "ignore", "wireimmutable" or "hotexempt"
+	name string // "ignore" or "wireimmutable"
 	rest string // free text after the name
 }
 
@@ -55,7 +55,7 @@ func (prog *Program) Directives() *directiveIndex {
 // remainder, skipping an optional balanced parenthesized argument text
 // (which may itself contain commas and parentheses). It is the one parser
 // behind the directive grammar and the rule list of an ignore directive,
-// whose entries carry their reasons as arguments: "wireiso(reason), alloc".
+// whose entries carry their reasons as arguments: "wireiso(reason), payload-size".
 func scanNameArgs(s string) (name, rest string) {
 	i := 0
 	for i < len(s) && isDirectiveIdentChar(s[i]) {
@@ -140,7 +140,7 @@ func (ix *directiveIndex) ignored(d Diagnostic, off int) bool {
 
 // ignoreRules parses the rule list of an ignore directive: a
 // comma-separated sequence of rule names, each optionally followed by a
-// parenthesized reason — "wireiso(rows copied by caller), alloc". Free
+// parenthesized reason — "wireiso(rows copied by caller), payload-size". Free
 // text that is not a rule name ends the list; a directive whose list
 // comes out empty suppresses every rule on its line.
 func ignoreRules(rest string) []string {

@@ -9,10 +9,9 @@ import (
 )
 
 // This file holds the shared facts about the simulated fabric that several
-// rules read: what a fabric call is, which functions transitively perform
-// one, which functions are RPC handlers, and what counts as a write
-// through an lvalue. Each fact has exactly one implementation here; the
-// rules are consumers.
+// rules read: what a fabric call is, what the handler result shape is, and
+// what counts as a write through an lvalue. Each fact has exactly one
+// implementation here; the rules are consumers.
 
 // fabricCall is one Network.Call/Send/Transfer/Forward site, or a retried
 // Network.CallRetry/TransferRetry site, which is a Call or a Transfer
@@ -47,13 +46,6 @@ func (prog *Program) fabricCallAt(p *Package, call *ast.CallExpr) *fabricCall {
 	return fc
 }
 
-// isSimnetFunc reports whether callee is the named package-level function
-// of internal/simnet (Parallel).
-func (prog *Program) isSimnetFunc(callee *types.Func, name string) bool {
-	return callee != nil && callee.Name() == name &&
-		callee.Pkg() != nil && callee.Pkg().Path() == prog.simnetPath
-}
-
 // isSimnetType reports whether t (possibly behind a pointer) is the named
 // type of internal/simnet.
 func (prog *Program) isSimnetType(t types.Type, name string) bool {
@@ -82,95 +74,6 @@ func typeDisplay(t types.Type) string {
 func (prog *Program) implementsPayload(t types.Type) bool {
 	return prog.payload != nil &&
 		(types.Implements(t, prog.payload) || types.Implements(types.NewPointer(t), prog.payload))
-}
-
-// fabricReach is the closure of "performs a fabric call" over static
-// calls, with one witness step per function: its first direct fabric call,
-// or the callee through which the mark arrived.
-type fabricReach struct {
-	touches map[*types.Func]bool
-	direct  map[*types.Func]*fabricCall
-	via     map[*types.Func]*types.Func
-}
-
-// FabricReach returns (building on first use) the fabric-reach closure
-// behind the alloc rule's hot set. Functions carrying
-// //adhoclint:hotexempt neither carry nor propagate the mark, and callees
-// in the two observability leaves never propagate: observation is
-// fabric-neutral by contract (observability_knowledge.go).
-func (prog *Program) FabricReach() *fabricReach {
-	if prog.reach != nil {
-		return prog.reach
-	}
-	exempt := prog.HotExempt()
-	r := &fabricReach{
-		touches: map[*types.Func]bool{},
-		direct:  map[*types.Func]*fabricCall{},
-		via:     map[*types.Func]*types.Func{},
-	}
-	funcs := prog.Funcs().sorted
-	for _, n := range funcs {
-		if exempt[n.obj] {
-			continue
-		}
-		for _, c := range n.calls {
-			if c.fabric != nil {
-				r.touches[n.obj], r.direct[n.obj] = true, c.fabric
-				break
-			}
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, n := range funcs {
-			if r.touches[n.obj] || exempt[n.obj] {
-				continue
-			}
-			for _, c := range n.calls {
-				if r.touches[c.callee] && !exempt[c.callee] && !observabilityNeutral(c.callee, prog.modPath) {
-					r.touches[n.obj], r.via[n.obj] = true, c.callee
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	prog.reach = r
-	return r
-}
-
-// HotExempt returns the functions declared deliberately cold with an
-// //adhoclint:hotexempt directive on (or directly above) the declaration.
-func (prog *Program) HotExempt() map[*types.Func]bool {
-	if prog.hotExempt == nil {
-		prog.hotExempt = map[*types.Func]bool{}
-		for _, n := range prog.Funcs().sorted {
-			if prog.Directives().at(n.pkg, n.decl.Pos(), "hotexempt") != nil {
-				prog.hotExempt[n.obj] = true
-			}
-		}
-	}
-	return prog.hotExempt
-}
-
-// handler is one HandleCall declaration of a loaded package.
-type handler struct {
-	node   *funcNode
-	shaped bool // has the simnet Handler result shape
-}
-
-// Handlers returns (building on first use) every HandleCall declaration
-// of the loaded packages, in declaration order.
-func (prog *Program) Handlers() []*handler {
-	if prog.handlers == nil {
-		prog.handlers = []*handler{}
-		for _, n := range prog.Funcs().sorted {
-			if n.decl.Name.Name == "HandleCall" {
-				prog.handlers = append(prog.handlers, &handler{node: n, shaped: prog.handlerShape(n.pkg, n.decl, false)})
-			}
-		}
-	}
-	return prog.handlers
 }
 
 // handlerShape reports whether fn has the simnet Handler result shape —

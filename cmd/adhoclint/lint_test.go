@@ -299,60 +299,6 @@ func TestAllRulesCleanOnRealTree(t *testing.T) {
 	}
 }
 
-func TestAllocRule(t *testing.T) {
-	checkFixture(t, "alloc", "adhocshare/internal/fixture/alloc", only("alloc"))
-}
-
-// The alloc rule loaded under a non-internal path must be silent.
-func TestAllocRuleSkipsNonInternal(t *testing.T) {
-	if diags := lintFixture(t, "alloc", "adhocshare/fixture/alloc", only("alloc")); len(diags) != 0 {
-		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
-	}
-}
-
-// Every alloc finding names why its function is hot: a chain from the
-// HandleCall entry point, or the fabric call the function reaches.
-func TestAllocWitnessChains(t *testing.T) {
-	diags := lintFixture(t, "alloc", "adhocshare/internal/fixture/alloc", only("alloc"))
-	byFrag := func(frag string) *Diagnostic {
-		for _, d := range diags {
-			if strings.Contains(d.Msg, frag) {
-				d := d
-				return &d
-			}
-		}
-		return nil
-	}
-	cases := []struct{ finding, witness string }{
-		// Handler-reached: BFS chain back to the dispatch entry point.
-		{"labels grows by append", "reached from alloc.(*Node).HandleCall → alloc.(*Node).echo"},
-		{"map counts", "reached from alloc.(*Node).HandleCall → alloc.(*Node).countNames"},
-		// Direct fabric caller: the finding names the call it performs.
-		{`performs fabric Call of "al.echo"`, "fmt.Sprintf"},
-	}
-	for _, c := range cases {
-		d := byFrag(c.finding)
-		if d == nil {
-			t.Errorf("no diagnostic containing %q", c.finding)
-			continue
-		}
-		if !strings.Contains(d.Msg, c.witness) {
-			t.Errorf("diagnostic %q lacks witness %q:\n%s", c.finding, c.witness, d.Msg)
-		}
-	}
-	// The indirect fabric toucher reports its downward chain.
-	var probeAll *Diagnostic
-	for _, d := range diags {
-		if strings.Contains(d.Msg, `reaches fabric Call of "al.echo" via alloc.(*Node).ProbeAll → alloc.(*Node).Probe`) {
-			d := d
-			probeAll = &d
-		}
-	}
-	if probeAll == nil {
-		t.Errorf("no diagnostic with a downward fabric witness chain for ProbeAll; got:\n%s", diagDump(diags))
-	}
-}
-
 func diagDump(diags []Diagnostic) string {
 	var sb strings.Builder
 	for _, d := range diags {

@@ -1,7 +1,6 @@
 // Command adhoclint is the project's static-analysis suite. It enforces
-// the concurrency, protocol, determinism, wire-isolation, timing,
-// allocation and fault-disposition conventions of the overlay/DQP
-// core (documented in DESIGN.md §7); `adhoclint -list` prints the rules
+// the locking, determinism, error, payload-size and wire-isolation
+// conventions of the overlay/DQP core (documented in DESIGN.md §7); `adhoclint -list` prints the rules
 // with their one-line descriptions, straight from the rule table in
 // lint.go.
 //

@@ -8,14 +8,6 @@ import "go/types"
 // of the modeled protocol. The whole-program rules know their contract
 // explicitly instead of deriving it:
 //
-//   - Observation is fabric-neutral: trace.Recorder.Record and
-//     flight.Recorder.Emit observe a leg but never move modeled bytes or
-//     VTime, so the fabric-reach closure behind the alloc rule's hot set
-//     stops at the two packages.
-//   - Observation is hot-path-safe: span buffers and event rings are
-//     preallocated at arm time and spans and events are all-value-type, so
-//     the alloc rule treats callees in the two packages as reachability
-//     barriers instead of flagging the ring bookkeeping inside them.
 //   - trace.TraceContext is zero-width wire metadata: its SizeBytes
 //     returns 0 by contract so attributing a query can never change modeled
 //     bytes, transfer delays or VTimes. The payload-size rule therefore
@@ -31,9 +23,8 @@ import "go/types"
 //     case for it, and the fixture pins that events in payload positions
 //     stay accepted.
 
-// tracePath and flightPath are the import paths of the two leaves.
-func tracePath(modPath string) string  { return modPath + "/internal/trace" }
-func flightPath(modPath string) string { return modPath + "/internal/flight" }
+// tracePath is the import path of the tracing leaf.
+func tracePath(modPath string) string { return modPath + "/internal/trace" }
 
 // isTraceContext reports whether t is the module's trace.TraceContext,
 // possibly behind a pointer.
@@ -42,15 +33,4 @@ func isTraceContext(t types.Type, modPath string) bool {
 		t = ptr.Elem()
 	}
 	return isNamedType(t, tracePath(modPath), "TraceContext")
-}
-
-// observabilityNeutral reports whether fn is declared in one of the two
-// observability leaf packages, whose functions are fabric-neutral and
-// hot-path-safe by the contracts above.
-func observabilityNeutral(fn *types.Func, modPath string) bool {
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	path := fn.Pkg().Path()
-	return path == tracePath(modPath) || path == flightPath(modPath)
 }

@@ -24,9 +24,6 @@ type Program struct {
 	analyzed   map[*Package]bool
 	payload    *types.Interface // simnet.Payload; nil when internal/simnet is never imported
 	funcs      *funcIndex
-	reach      *fabricReach
-	hotExempt  map[*types.Func]bool
-	handlers   []*handler
 	directives *directiveIndex
 	locks      map[*ast.FuncDecl]*lockFacts
 	lockFinds  *lockFindings

@@ -199,7 +199,7 @@ func sampleDiags() []Diagnostic {
 		{Pos: token.Position{Filename: "internal/rdfpeers/range.go", Line: 77, Column: 2},
 			Rule: "wireiso", Msg: "payload of Transfer is sorted in place after send"},
 		{Pos: token.Position{Filename: "internal/overlay/storage.go", Line: 285, Column: 4},
-			Rule: "alloc", Msg: "fmt.Sprintf allocates a formatted string per message; use strconv, concatenation or an appended buffer (hot path: HandleCall dispatch entry point)"},
+			Rule: "determinism", Msg: "time.Now in internal package overlay: use the simnet virtual clock (simnet.VTime / simnet.Clock) so runs stay reproducible"},
 	}
 }
 

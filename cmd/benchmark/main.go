@@ -12,8 +12,7 @@
 //	benchmark -run E16 -adaptive   # hot-key replication on (E16 compares both modes itself)
 //
 // With -cpuprofile or -memprofile the run writes pprof profiles of the
-// harness itself — the data behind the hot-path work in the adhoclint
-// alloc rule:
+// harness itself, to find where a handler's allocations go:
 //
 //	benchmark -run E9 -cpuprofile cpu.out -memprofile mem.out
 //	go tool pprof cpu.out

@@ -1,10 +1,13 @@
 package overlay
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"adhocshare/internal/chord"
 	"adhocshare/internal/rdf"
+	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql/eval"
 	"adhocshare/internal/trace"
 )
@@ -83,12 +86,12 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 }
 
 // TestMatchAllocatesPerUnit pins store.match's allocations to its units.
-// Over an empty match, a match of k identical units allocates the reply's
-// table slice plus six objects per unit — the unit's variables, its
-// scoped graph and its reply table — so nothing in the handler is paid
-// per unit beyond the unit's own evaluation.
+// An empty match allocates two objects. Over it, a match of k identical
+// units allocates the reply's table slice plus six objects per unit — the
+// unit's variables, its scoped graph and its reply table — so nothing in
+// the handler is paid per unit beyond the unit's own evaluation.
 func TestMatchAllocatesPerUnit(t *testing.T) {
-	const perUnit = 6
+	const base, perUnit = 2, 6
 	s, now := newTestSystem(t, 3)
 	_, now, err := s.AddStorageNode("D1", now)
 	if err != nil {
@@ -110,9 +113,153 @@ func TestMatchAllocatesPerUnit(t *testing.T) {
 		})
 	}
 	empty := allocs(0)
+	if empty != base {
+		t.Errorf("an empty match allocates %.1f objects, want %d", empty, base)
+	}
 	for _, k := range []int{1, 2, 8} {
 		if got, want := allocs(k)-empty, float64(1+perUnit*k); got != want {
 			t.Errorf("a match of %d units allocates %.1f objects over an empty one, want %.0f (the table slice and %d per unit)", k, got, want, perUnit)
 		}
+	}
+}
+
+// rpc is one request to a handler.
+type rpc struct {
+	method string
+	req    simnet.Payload
+}
+
+// TestIndexHandlerAllocs pins the allocations of every method
+// IndexNode.HandleCall dispatches — replicate, replica_repair, put_batch,
+// routed_read, hot_replica, hot_lookup, transfer, handover and drop_node
+// — and of StorageNode.HandleCall's store.chain (store.match is
+// TestMatchAllocatesPerUnit's). Each row runs valid requests on a
+// 4-node ring at Replication 2 that D1 and D2 have published to, a method
+// that changes state followed by its undo. A method whose work is per key
+// or per posting is run at two sizes and pinned at both: put_batch and
+// replicate at the same count, whatever their entries.
+func TestIndexHandlerAllocs(t *testing.T) {
+	s, now := chainSystem(t, 4, 2)
+	triples := replicaTriples(100)
+	var err error
+	if now, err = s.Publish("D1", triples[:50], now); err != nil {
+		t.Fatal(err)
+	}
+	if now, err = s.Publish("D2", triples[50:], now); err != nil {
+		t.Fatal(err)
+	}
+	nodes := s.IndexNodes()
+	owner, holder, hot := nodes[1], nodes[2], nodes[3]
+	hot.EnableAdaptive()
+	// held is every key of owner's own arc it holds a row for, in key
+	// order; keys(k) is the first k.
+	var held []chord.ID
+	for key := range owner.Table.Snapshot() {
+		if (chord.Arc{Start: nodes[0].ID(), Owner: owner.Chord.Ref()}).Contains(key) {
+			held = append(held, key)
+		}
+	}
+	slices.Sort(held)
+	keys := func(k int) []chord.ID {
+		if k > len(held) {
+			t.Fatalf("owner holds %d rows, want %d", len(held), k)
+		}
+		return held[:k]
+	}
+	postings := func(k int) []Posting {
+		ps := make([]Posting, k)
+		for i := range ps {
+			ps[i] = Posting{Node: simnet.Addr(fmt.Sprintf("D%02d", i)), Freq: 1}
+		}
+		return ps
+	}
+	heldRows := owner.Table.Rows(held)
+	hot.storeHotReplica(HotReplicaReq{Key: held[0], Home: owner.Addr(), Epoch: 1, Postings: postings(1)})
+	for _, row := range []struct {
+		at     simnet.Handler
+		units  []int     // request sizes; nil: one request without units
+		allocs []float64 // the exact count at each size
+		calls  func(k int) []rpc
+	}{
+		{holder, []int{8, 64}, []float64{0, 0}, func(k int) []rpc {
+			set := ReplicaDelta{Node: "D1", From: owner.Addr(), Entries: make([]DeltaEntry, k)}
+			unset := ReplicaDelta{Node: "D1", From: owner.Addr(), Entries: make([]DeltaEntry, k)}
+			for i, key := range arcKeys(owner, k) {
+				set.Entries[i] = DeltaEntry{Key: key, Freq: 1, Digest: rowDigest([]Posting{{Node: "D1", Freq: 1}})}
+				unset.Entries[i] = DeltaEntry{Key: key, Digest: rowDigest(nil)}
+			}
+			return []rpc{{MethodReplica, set}, {MethodReplica, unset}}
+		}},
+		{owner, []int{1, 8}, []float64{3, 10}, func(k int) []rpc {
+			return []rpc{{MethodReplicaRepair, StaleKeys{Keys: keys(k)}}}
+		}},
+		{owner, []int{8, 64}, []float64{4, 4}, func(k int) []rpc {
+			add := PutBatchReq{Node: "D1", Entries: make([]KeyFreq, k)}
+			sub := PutBatchReq{Node: "D1", Entries: make([]KeyFreq, k)}
+			for i, key := range arcKeys(owner, k) {
+				add.Entries[i], sub.Entries[i] = KeyFreq{Key: key, Freq: 1}, KeyFreq{Key: key, Freq: -1}
+			}
+			return []rpc{{MethodPutBatch, add}, {MethodPutBatch, sub}}
+		}},
+		{holder, nil, []float64{4}, func(int) []rpc {
+			return []rpc{{MethodRoutedRead, RoutedReadReq{Keys: keys(1), Origin: "D1"}}}
+		}},
+		{holder, []int{2, 16}, []float64{27, 47}, func(k int) []rpc {
+			return []rpc{{MethodRoutedRead, RoutedReadReq{Keys: keys(k), Origin: "D1"}}}
+		}},
+		{hot, []int{1, 8}, []float64{1, 1}, func(k int) []rpc {
+			return []rpc{{MethodHotReplica, HotReplicaReq{Key: held[0], Home: owner.Addr(), Epoch: 1, Postings: postings(k)}}}
+		}},
+		{hot, nil, []float64{2}, func(int) []rpc {
+			return []rpc{{MethodHotLookup, HotLookupReq{Key: held[0], Epoch: 1}}}
+		}},
+		{owner, []int{1, 8}, []float64{3, 10}, func(k int) []rpc {
+			return []rpc{{MethodTransfer, TransferReq{From: held[0] - 1, To: held[k-1]}}}
+		}},
+		{holder, []int{1, 8}, []float64{1, 8}, func(k int) []rpc {
+			// D99 joins each row, and the rows as they were replace it.
+			rows, undo := map[chord.ID][]Posting{}, map[chord.ID][]Posting{}
+			for _, key := range keys(k) {
+				rows[key] = append(slices.Clone(heldRows[key]), Posting{Node: "D99", Freq: 1})
+				undo[key] = heldRows[key]
+			}
+			return []rpc{{MethodHandover, TableRows{Rows: rows}}, {MethodHandover, TableRows{Rows: undo}}}
+		}},
+		{owner, nil, []float64{1}, func(int) []rpc {
+			// The undo hands D2's rows back over.
+			rows := map[chord.ID][]Posting{}
+			for key, row := range owner.Table.Snapshot() {
+				if slices.ContainsFunc(row, func(p Posting) bool { return p.Node == "D2" }) {
+					rows[key] = row
+				}
+			}
+			return []rpc{{MethodDropNode, DropNodeReq{Node: "D2"}}, {MethodHandover, TableRows{Rows: rows}}}
+		}},
+	} {
+		sizes := row.units
+		if sizes == nil {
+			sizes = []int{0}
+		}
+		for i, k := range sizes {
+			calls := row.calls(k)
+			got := testing.AllocsPerRun(50, func() {
+				for _, c := range calls {
+					if _, _, err := row.at.HandleCall(now, c.method, c.req); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if got != row.allocs[i] {
+				t.Errorf("%s of %d units allocates %.1f objects, want %.0f", calls[0].method, k, got, row.allocs[i])
+			}
+		}
+	}
+	d1, _ := s.Storage("D1")
+	if got := testing.AllocsPerRun(50, func() {
+		if _, _, err := d1.HandleCall(now, MethodChainHop, simnet.Bytes(1)); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("%s allocates %.1f objects, want 0", MethodChainHop, got)
 	}
 }

@@ -462,22 +462,32 @@ func TestWriteLostOnEveryAttemptFails(t *testing.T) {
 }
 
 // transferHook wraps an index node's handler and runs edit before the node
-// serves its first index.transfer: the edit lands in the join window, when
-// the ring already routes the joiner's keys to it and the joiner has not
-// yet pulled their rows.
+// serves its first index.transfer, or with afterTransfer once it has served
+// it: the edit lands in the join window, when the ring already routes the
+// joiner's keys to it and the joiner has not yet pulled, or not yet
+// merged, their rows.
 type transferHook struct {
-	next  simnet.Handler
-	edit  func(at simnet.VTime) (simnet.VTime, error)
-	err   error
-	fired bool
+	next          simnet.Handler
+	edit          func(at simnet.VTime) (simnet.VTime, error)
+	afterTransfer bool
+	err           error
+	fired         bool
 }
 
 func (h *transferHook) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
-	if method == MethodTransfer && !h.fired {
-		h.fired = true
-		at, h.err = h.edit(at)
+	if method != MethodTransfer || h.fired {
+		return h.next.HandleCall(at, method, req)
 	}
-	return h.next.HandleCall(at, method, req)
+	h.fired = true
+	if !h.afterTransfer {
+		at, h.err = h.edit(at)
+		return h.next.HandleCall(at, method, req)
+	}
+	resp, done, err := h.next.HandleCall(at, method, req)
+	if err == nil {
+		done, h.err = h.edit(done)
+	}
+	return resp, done, err
 }
 
 // TestEditDuringJoinTransferCountsOnce publishes in the join window of a
@@ -491,7 +501,9 @@ func (h *transferHook) HandleCall(at simnet.VTime, method string, req simnet.Pay
 // same holds when the edit's replicate leg to the successor is lost and
 // the publisher re-sends the batch, and at Replication 1 when the edit
 // retracts what D2 published before the join: J holds no posting to
-// decrement yet, and the moved rows must not bring D2's postings back.
+// decrement yet, and the moved rows must not bring D2's postings back. Nor
+// may they when D2 is dropped everywhere after the successor sent them and
+// before J merged them (Sect. III-D's cleanup of a failed provider).
 func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
 	triples := replicaTriples(40)
 	edit := triples[20:]
@@ -499,13 +511,17 @@ func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
 		replication int
 		lost        bool
 		retract     bool
-	}{{1, false, false}, {1, false, true}, {2, false, false}, {2, true, false}, {3, false, false}, {3, true, false}} {
+		drop        bool
+	}{{1, false, false, false}, {1, false, true, false}, {1, false, false, true}, {2, false, false, false}, {2, true, false, false}, {3, false, false, false}, {3, true, false, false}} {
 		name := fmt.Sprintf("R%d", tc.replication)
 		if tc.lost {
 			name += " lost replicate leg"
 		}
 		if tc.retract {
 			name += " retract"
+		}
+		if tc.drop {
+			name += " drop"
 		}
 		t.Run(name, func(t *testing.T) {
 			s, now := chainSystem(t, 4, tc.replication)
@@ -514,7 +530,7 @@ func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.retract {
+			if tc.retract || tc.drop {
 				if now, err = s.Publish("D2", edit, now); err != nil {
 					t.Fatal(err)
 				}
@@ -559,9 +575,12 @@ func TestEditDuringJoinTransferCountsOnce(t *testing.T) {
 				}}
 				next = drop
 			}
-			hook := &transferHook{next: next, edit: func(at simnet.VTime) (simnet.VTime, error) {
-				if tc.retract {
+			hook := &transferHook{next: next, afterTransfer: tc.drop, edit: func(at simnet.VTime) (simnet.VTime, error) {
+				switch {
+				case tc.retract:
 					return s.Retract("D2", edit, at)
+				case tc.drop:
+					return s.DropStorageEverywhere("D2", at), nil
 				}
 				return s.Publish("D2", edit, at)
 			}}

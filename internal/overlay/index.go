@@ -31,9 +31,9 @@ type IndexNode struct {
 
 	// joinMu guards joining and held. At Replication 1 a joiner's rows move
 	// to it from its successor, so from the ring join until JoinTransfer
-	// has merged them the joiner holds every put_batch write routed to it
-	// and then applies them, in arrival order, over the moved rows: a
-	// retraction applied first would find no posting and be dropped, and
+	// has merged them the joiner holds every put_batch write and drop_node
+	// routed to it and then applies them, in arrival order, over the moved
+	// rows: a retraction or drop applied first would find no posting, and
 	// the moved row would bring the posting back.
 	joinMu  sync.Mutex
 	joining bool
@@ -49,15 +49,17 @@ type IndexNode struct {
 	hot *hotState
 }
 
-// heldWrite is a put_batch write a joiner holds until its JoinTransfer.
+// heldWrite is a put_batch write, or with drop set a drop_node, that a
+// joiner holds until its JoinTransfer.
 type heldWrite struct {
 	node    simnet.Addr
 	entries []DeltaEntry
 	w       BatchWrite
+	drop    bool
 }
 
 // awaitTransfer makes a node about to join a ring at Replication 1 hold its
-// put_batch writes until JoinTransfer.
+// put_batch writes and drop_nodes until JoinTransfer.
 func (n *IndexNode) awaitTransfer() {
 	n.joinMu.Lock()
 	defer n.joinMu.Unlock()
@@ -75,14 +77,29 @@ func (n *IndexNode) holdJoinWrite(node simnet.Addr, entries []DeltaEntry, w Batc
 	return n.joining
 }
 
+// dropNode drops node's postings. A node awaiting its JoinTransfer also
+// holds the drop for endJoin: the rows moving to it may still carry them.
+func (n *IndexNode) dropNode(node simnet.Addr) {
+	n.joinMu.Lock()
+	defer n.joinMu.Unlock()
+	n.Table.DropNode(node)
+	if n.joining {
+		n.held = append(n.held, heldWrite{node: node, drop: true})
+	}
+}
+
 // endJoin merges the rows a join at Replication 1 moved here, then applies
-// the writes held since the join.
+// the writes and drops held since the join, in arrival order.
 func (n *IndexNode) endJoin(rows map[chord.ID][]Posting) {
 	n.joinMu.Lock()
 	defer n.joinMu.Unlock()
 	n.Table.Merge(rows)
 	for _, h := range n.held {
-		n.Table.WriteBatch(h.node, h.entries, h.w)
+		if h.drop {
+			n.Table.DropNode(h.node)
+		} else {
+			n.Table.WriteBatch(h.node, h.entries, h.w)
+		}
 	}
 	n.joining, n.held = false, nil
 }
@@ -231,7 +248,7 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: drop_node payload %T", req)
 		}
-		n.Table.DropNode(r.Node)
+		n.dropNode(r.Node)
 		n.refreshHot(nil, r.TC, at)
 		now := at
 		if r.Propagate && n.replication > 1 {

@@ -7,7 +7,6 @@
 package rdf
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -318,26 +317,15 @@ func NumericValue(t Term) (float64, bool) {
 	}
 }
 
-// parseFloat is a small strconv.ParseFloat wrapper that rejects empty and
-// obviously non-numeric strings quickly.
+// parseFloat parses an xsd numeric lexical form, rejecting empty and
+// non-numeric strings (and the "Inf", "0x1p3" or "1_000" forms
+// strconv.ParseFloat would take) before parsing.
 func parseFloat(s string) (float64, bool) {
-	if s == "" {
-		return 0, false
-	}
-	c := s[0]
-	if c != '+' && c != '-' && c != '.' && (c < '0' || c > '9') {
-		return 0, false
-	}
-	var v float64
-	_, err := fmt.Sscanf(s, "%g", &v)
-	if err != nil {
-		return 0, false
-	}
-	// Reject trailing garbage such as "12abc" which Sscanf tolerates.
 	if !isNumericLexical(s) {
 		return 0, false
 	}
-	return v, true
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil
 }
 
 func isNumericLexical(s string) bool {

@@ -242,10 +242,13 @@ func (s *System) AddNode(addr simnet.Addr, at simnet.VTime) (*Node, simnet.VTime
 		addr:  addr,
 	}
 	s.net.Register(addr, simnet.HandlerFunc(n.HandleCall))
+	// The smallest member address bootstraps the join, so one build
+	// sequence routes the same messages every run.
 	var bootstrap simnet.Addr
 	for a := range s.nodes {
-		bootstrap = a
-		break
+		if bootstrap == "" || a < bootstrap {
+			bootstrap = a
+		}
 	}
 	s.nodes[addr] = n
 	now := at

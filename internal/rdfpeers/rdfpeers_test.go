@@ -185,6 +185,24 @@ func TestDuplicateNode(t *testing.T) {
 	}
 }
 
+// TestSameBuildSameCost builds one ring twice over: the join bootstrap is
+// a fixed member, not one drawn by map iteration, so every build ends at
+// one virtual time after one message count.
+func TestSameBuildSameCost(t *testing.T) {
+	type cost struct {
+		done     simnet.VTime
+		messages int64
+	}
+	outcomes := map[cost]bool{}
+	for i := 0; i < 20; i++ {
+		s, done := newRing(t, 8)
+		outcomes[cost{done, s.Net().Metrics().Messages}] = true
+	}
+	if len(outcomes) != 1 {
+		t.Errorf("20 identical builds of an 8-node ring end in %d distinct (VTime, messages) pairs: %v", len(outcomes), outcomes)
+	}
+}
+
 // TestFailedJoinLeavesMembershipIntact loses every leg of a ring join:
 // the join fails with the loss, and the joiner is neither a member nor
 // registered on the fabric, so the ring serves stores and queries as

@@ -20,8 +20,6 @@ var errExpr = errors.New("expression error")
 // exprErrf builds one expression error. Errors are the cold failure path
 // of FILTER evaluation (the constraint just fails for that solution), so
 // the formatting cost here is off the per-message budget by design.
-//
-//adhoclint:hotexempt error construction is the cold path of FILTER semantics
 func exprErrf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", errExpr, fmt.Sprintf(format, args...))
 }
