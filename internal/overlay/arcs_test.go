@@ -274,7 +274,7 @@ func (b *batchTap) HandleCall(at simnet.VTime, method string, req simnet.Payload
 		if method == chord.MethodFindSuccessorBatch {
 			b.batches = append(b.batches, slices.Clone(r.Targets))
 		}
-	case PutBatchReq:
+	case *PutBatchReq:
 		for _, e := range r.Entries {
 			b.puts = append(b.puts, e.Key)
 		}
@@ -447,6 +447,9 @@ func TestArcsSurviveOneMove(t *testing.T) {
 				t.Errorf("edit resolved %d keys %v, want the %d keys %v", len(got), got, len(want), want)
 			}
 			if tc.resolve == none {
+				if len(taps[arc.Owner.Addr].puts) == 0 {
+					t.Fatalf("no put_batch reached the moved arc's new owner %s", arc.Owner.Addr)
+				}
 				for _, k := range inArc {
 					if !slices.Contains(taps[arc.Owner.Addr].puts, k) {
 						t.Errorf("key %v of the moved arc did not ship to its new owner %s", k, arc.Owner.Addr)

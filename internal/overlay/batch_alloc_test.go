@@ -26,9 +26,12 @@ func arcKeys(owner *IndexNode, n int) []chord.ID {
 // batches. An owner applies and digests a put_batch in one pass over its
 // table and forwards the delta to its replica, so a batch of 64 entries
 // allocates as many objects as one of 8. A provider lays an edit's keys
-// out by owner in one backing slice, so each owner it ships to adds the
-// same count — the request it sends — whatever the keys per owner.
+// out by owner in one backing slice and cuts the edit's requests from
+// another, so each owner it ships to adds providerPerOwner objects — the
+// owner's delta, its forward down the chain and the fabric's legs —
+// whatever the keys per owner.
 func TestPutBatchAllocatesPerBatch(t *testing.T) {
+	const providerPerOwner = 4
 	t.Run("owner", func(t *testing.T) {
 		s, now := chainSystem(t, 4, 2)
 		owner := s.IndexNodes()[1]
@@ -37,13 +40,13 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 			for i, key := range arcKeys(owner, n) {
 				entries[i] = KeyFreq{Key: key, Freq: 1}
 			}
-			add := PutBatchReq{Node: "D1", Entries: entries}
-			sub := PutBatchReq{Node: "D1", Entries: make([]KeyFreq, n)}
+			add := &PutBatchReq{Node: "D1", Entries: entries}
+			sub := &PutBatchReq{Node: "D1", Entries: make([]KeyFreq, n)}
 			for i, e := range entries {
 				sub.Entries[i] = KeyFreq{Key: e.Key, Freq: -1}
 			}
 			return testing.AllocsPerRun(50, func() {
-				for _, req := range []PutBatchReq{add, sub} {
+				for _, req := range []*PutBatchReq{add, sub} {
 					if _, _, err := owner.HandleCall(now, MethodPutBatch, req); err != nil {
 						t.Fatal(err)
 					}
@@ -60,16 +63,17 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 		allocs := func(owners, perOwner int) float64 {
 			s, now := chainSystem(t, 8, 2)
 			node, _ := s.Storage("D1")
-			add, sub := map[chord.ID]int{}, map[chord.ID]int{}
+			var add, sub []KeyFreq
 			for _, owner := range s.IndexNodes()[:owners] {
 				for _, key := range arcKeys(owner, perOwner) {
-					add[key], sub[key] = 1, -1
+					add, sub = append(add, KeyFreq{Key: key, Freq: 1}), append(sub, KeyFreq{Key: key, Freq: -1})
 				}
 			}
+			add, sub = sumKeyFreqs(add), sumKeyFreqs(sub)
 			return testing.AllocsPerRun(20, func() {
-				for _, freq := range []map[chord.ID]int{add, sub} {
+				for _, entries := range [][]KeyFreq{add, sub} {
 					var err error
-					if now, err = s.installPostings(node, freq, trace.TraceContext{}, now); err != nil {
+					if now, err = s.installPostingsMode(node, entries, false, trace.TraceContext{}, now); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -79,8 +83,8 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 			t.Errorf("an edit to 4 owners allocates %.1f objects with 8 keys each, %.1f with 64: want the same", small, large)
 		}
 		two, four, eight := allocs(2, 64), allocs(4, 32), allocs(8, 16)
-		if perOwner := (four - two) / 2; (eight-four)/4 != perOwner {
-			t.Errorf("an edit of 128 keys allocates %.1f, %.1f and %.1f objects over 2, 4 and 8 owners: want a fixed count per owner", two, four, eight)
+		if (four-two)/2 != providerPerOwner || (eight-four)/4 != providerPerOwner {
+			t.Errorf("an edit of 128 keys allocates %.1f, %.1f and %.1f objects over 2, 4 and 8 owners: want %d more per owner", two, four, eight, providerPerOwner)
 		}
 	})
 }
@@ -132,8 +136,8 @@ type rpc struct {
 // TestIndexHandlerAllocs pins the allocations of every method
 // IndexNode.HandleCall dispatches — replicate, replica_repair, put_batch,
 // routed_read, hot_replica, hot_lookup, transfer, handover and drop_node
-// — and of StorageNode.HandleCall's store.chain (store.match is
-// TestMatchAllocatesPerUnit's). Each row runs valid requests on a
+// (StorageNode.HandleCall's store.match is TestMatchAllocatesPerUnit's).
+// Each row runs valid requests on a
 // 4-node ring at Replication 2 that D1 and D2 have published to, a method
 // that changes state followed by its undo. A method whose work is per key
 // or per posting is run at two sizes and pinned at both: put_batch and
@@ -194,8 +198,8 @@ func TestIndexHandlerAllocs(t *testing.T) {
 			return []rpc{{MethodReplicaRepair, StaleKeys{Keys: keys(k)}}}
 		}},
 		{owner, []int{8, 64}, []float64{4, 4}, func(k int) []rpc {
-			add := PutBatchReq{Node: "D1", Entries: make([]KeyFreq, k)}
-			sub := PutBatchReq{Node: "D1", Entries: make([]KeyFreq, k)}
+			add := &PutBatchReq{Node: "D1", Entries: make([]KeyFreq, k)}
+			sub := &PutBatchReq{Node: "D1", Entries: make([]KeyFreq, k)}
 			for i, key := range arcKeys(owner, k) {
 				add.Entries[i], sub.Entries[i] = KeyFreq{Key: key, Freq: 1}, KeyFreq{Key: key, Freq: -1}
 			}
@@ -253,13 +257,5 @@ func TestIndexHandlerAllocs(t *testing.T) {
 				t.Errorf("%s of %d units allocates %.1f objects, want %.0f", calls[0].method, k, got, row.allocs[i])
 			}
 		}
-	}
-	d1, _ := s.Storage("D1")
-	if got := testing.AllocsPerRun(50, func() {
-		if _, _, err := d1.HandleCall(now, MethodChainHop, simnet.Bytes(1)); err != nil {
-			t.Fatal(err)
-		}
-	}); got != 0 {
-		t.Errorf("%s allocates %.1f objects, want 0", MethodChainHop, got)
 	}
 }

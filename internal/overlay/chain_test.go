@@ -138,7 +138,7 @@ type legDrop struct {
 }
 
 func (l *legDrop) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
-	if r, ok := req.(PutBatchReq); ok {
+	if r, ok := req.(*PutBatchReq); ok {
 		*l.seqs = append(*l.seqs, r.Seq)
 	}
 	if l.dropped && !l.every || l.match == nil || !l.match(method, req) {
@@ -349,6 +349,9 @@ func TestWriteChainAcknowledgesFromTail(t *testing.T) {
 				if !target.dropped {
 					t.Fatalf("no leg lost at %s", chain[pos.at])
 				}
+				if len(seqs) == 0 {
+					t.Fatal("no put_batch reached an index node")
+				}
 				resent := 0
 				for i, seq := range seqs {
 					if slices.Contains(seqs[:i], seq) {
@@ -429,6 +432,9 @@ func TestWriteLostOnEveryAttemptFails(t *testing.T) {
 	}
 	if !target.dropped {
 		t.Fatalf("no replicate leg from %s lost at %s", owner, holder.Addr())
+	}
+	if len(seqs) == 0 {
+		t.Fatal("no put_batch reached an index node")
 	}
 	sent := map[uint64]int{}
 	for _, seq := range seqs {

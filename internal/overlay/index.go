@@ -166,8 +166,10 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 		}
 		return TableRows{Rows: n.Table.Rows(r.Keys)}, at, nil
 	case MethodPutBatch:
-		r, ok := req.(PutBatchReq)
-		if !ok {
+		// The request is the publisher's: a lost leg re-sends the same
+		// pointer under the same Seq, so the handler never writes through it.
+		r, ok := req.(*PutBatchReq)
+		if !ok || r == nil {
 			return nil, at, fmt.Errorf("overlay: put_batch payload %T", req)
 		}
 		apply := r.Seq == 0 || !n.seenSeq(r.Node, r.Seq)

@@ -1,8 +1,11 @@
 package overlay
 
 import (
+	"cmp"
 	"crypto/sha1"
 	"encoding/binary"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,6 +93,36 @@ func TestKeyMemoMatchesTripleKeys(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSumKeyFreqsMatchesMap holds the sort-and-sum of an edit's key deltas
+// to a map[chord.ID]int model on seeded random edits: a few keys repeated
+// often, with deltas of either sign. The result is the model's sums in
+// ascending key order, a prefix of the input slice, with no zero-delta key
+// dropped.
+func TestSumKeyFreqsMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		kfs := make([]KeyFreq, rng.Intn(40))
+		model := map[chord.ID]int{}
+		for i := range kfs {
+			kfs[i] = KeyFreq{Key: chord.ID(rng.Intn(12)), Freq: rng.Intn(5) - 2}
+			model[kfs[i].Key] += kfs[i].Freq
+		}
+		in := slices.Clone(kfs)
+		got := sumKeyFreqs(kfs)
+		if len(got) > 0 && &got[0] != &kfs[0] {
+			t.Fatal("sumKeyFreqs did not sum in place")
+		}
+		want := make([]KeyFreq, 0, len(model))
+		for key, freq := range model {
+			want = append(want, KeyFreq{Key: key, Freq: freq})
+		}
+		slices.SortFunc(want, func(a, b KeyFreq) int { return cmp.Compare(a.Key, b.Key) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("sumKeyFreqs(%v) = %v, want %v", in, got, want)
 		}
 	}
 }

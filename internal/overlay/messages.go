@@ -50,7 +50,9 @@ const (
 	// replica entry, and re-deleting is a no-op.
 	MethodHotLookup = "index.hot_lookup"
 
-	MethodMatch    = "store.match"
+	MethodMatch = "store.match"
+	// MethodChainHop names a forwarding chain's data leg, a transfer: no
+	// handler runs on its arrival.
 	MethodChainHop = "store.chain"
 )
 
@@ -64,6 +66,7 @@ func boolWidth(bool) int { return 1 }
 // message — publication batches all keys routed to the same index node.
 // With Absolute set, each entry's Freq replaces the stored frequency
 // instead of incrementing it (idempotent re-publication after recovery).
+// It travels as a *PutBatchReq that stays the publisher's (shipBatch).
 type PutBatchReq struct {
 	Node     simnet.Addr
 	Entries  []KeyFreq

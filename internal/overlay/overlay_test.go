@@ -777,7 +777,7 @@ func TestAddStorageWithoutIndexFails(t *testing.T) {
 func TestPayloadSizes(t *testing.T) {
 	// every message type reports a positive wire size
 	payloads := []simnet.Payload{
-		PutBatchReq{Node: "D1", Entries: []KeyFreq{{Key: 1, Freq: 1}}},
+		&PutBatchReq{Node: "D1", Entries: []KeyFreq{{Key: 1, Freq: 1}}},
 		RoutedReadReq{Keys: []chord.ID{9}},
 		PostingsResp{Postings: []Posting{{Node: "D1", Freq: 3}}},
 		RoutedReadResp{Keys: []chord.ID{9, 4}, Rows: []PostingsResp{{Postings: []Posting{{Node: "D1", Freq: 3}}}, {}}},
@@ -794,6 +794,41 @@ func TestPayloadSizes(t *testing.T) {
 		if p.SizeBytes() <= 0 {
 			t.Errorf("%T has non-positive size", p)
 		}
+	}
+}
+
+// TestIndexHandlersRejectWrongPayload sends each index method a request of
+// the wrong type — every method a simnet.Bytes, put_batch also a
+// PutBatchReq value and a nil *PutBatchReq, since it takes its request by
+// pointer — and wants the handler's typed payload error with the location
+// table untouched.
+func TestIndexHandlersRejectWrongPayload(t *testing.T) {
+	s, now := newTestSystem(t, 3)
+	if _, _, err := s.AddStorageNode("D1", now); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Publish("D1", aliceTriples(), now); err != nil {
+		t.Fatal(err)
+	}
+	n := s.IndexNodes()[0]
+	before := fmt.Sprint(n.Table.Snapshot())
+	rows := []rpc{
+		{MethodPutBatch, PutBatchReq{Node: "D1", Entries: []KeyFreq{{Key: n.ID(), Freq: 1}}}},
+		{MethodPutBatch, (*PutBatchReq)(nil)},
+	}
+	for _, method := range []string{MethodPutBatch, MethodRoutedRead, MethodTransfer, MethodHandover,
+		MethodDropNode, MethodReplica, MethodReplicaRepair, MethodHotReplica, MethodHotLookup} {
+		rows = append(rows, rpc{method, simnet.Bytes(1)})
+	}
+	for _, r := range rows {
+		_, _, err := n.HandleCall(0, r.method, r.req)
+		want := fmt.Sprintf("overlay: %s payload %T", strings.TrimPrefix(r.method, "index."), r.req)
+		if err == nil || err.Error() != want {
+			t.Errorf("%s with a %T request: error %v, want %q", r.method, r.req, err, want)
+		}
+	}
+	if after := fmt.Sprint(n.Table.Snapshot()); after != before {
+		t.Errorf("location table changed by rejected requests:\n%s\nwant\n%s", after, before)
 	}
 }
 

@@ -282,10 +282,6 @@ func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payl
 			out.Tables[i] = s.MatchKeys(u.Pattern, u.Filter, u.Keys, r.Dataset, r.FromNamed, u.Graph)
 		}
 		return out, at, nil
-	case MethodChainHop:
-		// Pure data arrival in a forwarding chain; the local evaluation is
-		// performed via MatchKeys by the chain driver. Acknowledge only.
-		return simnet.Bytes(1), at, nil
 	default:
 		return nil, at, fmt.Errorf("overlay: storage node %s: unknown method %s", s.addr, method)
 	}

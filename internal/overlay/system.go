@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -305,7 +306,7 @@ func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op str
 	if remove {
 		delta = -1
 	}
-	freq := map[chord.ID]int{}
+	kfs := make([]KeyFreq, 0, int(numKeyKinds)*len(triples))
 	changed := make([]rdf.Triple, 0, len(triples))
 	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}}
 	for _, t := range triples {
@@ -314,12 +315,12 @@ func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op str
 		}
 		changed = append(changed, t)
 		for _, key := range keys.tripleKeys(t) {
-			freq[key] += delta
+			kfs = append(kfs, KeyFreq{Key: key, Freq: delta})
 		}
 	}
 	node.InvalidateViews()
 	tc, finish := s.traceOp(op, node.addr)
-	done, err := s.installPostings(node, freq, tc, at)
+	done, err := s.installPostingsMode(node, sumKeyFreqs(kfs), false, tc, at)
 	if finish != nil {
 		finish(at, done)
 	}
@@ -349,12 +350,14 @@ func (s *System) Republish(storage simnet.Addr, at simnet.VTime) (simnet.VTime, 
 	if err != nil {
 		return at, err
 	}
-	freq := map[chord.ID]int{}
+	var kfs []KeyFreq
 	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}}
 	count := func(g *rdf.Graph) {
-		for _, t := range g.Triples() {
+		ts := g.Triples()
+		kfs = slices.Grow(kfs, int(numKeyKinds)*len(ts))
+		for _, t := range ts {
 			for _, key := range keys.tripleKeys(t) {
-				freq[key]++
+				kfs = append(kfs, KeyFreq{Key: key, Freq: 1})
 			}
 		}
 	}
@@ -363,56 +366,64 @@ func (s *System) Republish(storage simnet.Addr, at simnet.VTime) (simnet.VTime, 
 		count(node.NamedGraph(name))
 	}
 	tc, finish := s.traceOp("overlay.republish", storage)
-	done, err := s.installPostingsMode(node, freq, true, tc, at)
+	done, err := s.installPostingsMode(node, sumKeyFreqs(kfs), true, tc, at)
 	if finish != nil {
 		finish(at, done)
 	}
 	return done, err
 }
 
-// installPostings resolves the responsible index node for every key (via
-// the storage node's attachment point) and ships one batch per index node.
-func (s *System) installPostings(node *StorageNode, freq map[chord.ID]int, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
-	return s.installPostingsMode(node, freq, false, tc, at)
+// sumKeyFreqs sorts an edit's key deltas by key and sums each run of equal
+// keys into its first entry, in place. It returns the summed prefix of
+// kfs: one entry per distinct key, in ascending key order.
+func sumKeyFreqs(kfs []KeyFreq) []KeyFreq {
+	slices.SortFunc(kfs, func(a, b KeyFreq) int { return cmp.Compare(a.Key, b.Key) })
+	out := kfs[:0]
+	for _, kf := range kfs {
+		if n := len(out); n > 0 && out[n-1].Key == kf.Key {
+			out[n-1].Freq += kf.Freq
+		} else {
+			out = append(out, kf)
+		}
+	}
+	return out
 }
 
-func (s *System) installPostingsMode(node *StorageNode, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
-	if len(freq) == 0 {
+// installPostingsMode resolves the responsible index node for every key of
+// entries — one per distinct key, in ascending key order (sumKeyFreqs) —
+// via the storage node's attachment point, and ships one batch per index
+// node.
+func (s *System) installPostingsMode(node *StorageNode, entries []KeyFreq, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
+	if len(entries) == 0 {
 		return at, nil
 	}
-	// Deterministic iteration order.
-	keys := make([]chord.ID, 0, len(freq))
-	for k := range freq {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	if s.cfg.SerialPublish {
-		return s.installPostingsSerial(node, keys, freq, absolute, tc, at)
+		return s.installPostingsSerial(node, entries, absolute, tc, at)
 	}
-	return s.installPostingsParallel(node, keys, freq, absolute, tc, at)
+	return s.installPostingsParallel(node, entries, absolute, tc, at)
 }
 
 // installPostingsSerial is the paper's serial pipeline, E2's comparison arm:
 // keys resolved one blocking FindSuccessor at a time, then one PutBatch per
 // owner, each waiting for the previous — the ingest critical path grows
 // linearly with key count.
-func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
-	owners := make([]simnet.Addr, len(keys))
+func (s *System) installPostingsSerial(node *StorageNode, entries []KeyFreq, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
+	owners := make([]simnet.Addr, len(entries))
 	now := at
-	for ki, key := range keys {
-		owner, _, done, err := s.ResolveKeyTraced(node.addr, key, tc.Child(uint64(ki)), now)
+	for ki, e := range entries {
+		owner, _, done, err := s.ResolveKeyTraced(node.addr, e.Key, tc.Child(uint64(ki)), now)
 		now = done
 		if err != nil {
-			return now, fmt.Errorf("overlay: resolve key %v: %w", key, err)
+			return now, fmt.Errorf("overlay: resolve key %v: %w", e.Key, err)
 		}
 		owners[ki] = owner
 	}
-	ownerList, batches := ownerBatches(owners, func(i int) KeyFreq { return KeyFreq{Key: keys[i], Freq: freq[keys[i]]} })
+	ownerList, batches := ownerBatches(owners, entries)
 	for oi, owner := range ownerList {
 		// Trace children for shipments start past the key indexes so resolve
 		// and ship spans never collide.
-		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[oi], Absolute: absolute,
-			Seq: s.nextPubSeq(), TC: tc.Child(uint64(len(keys) + oi))}, now)
+		done, err := s.shipBatch(owner, &PutBatchReq{Node: node.addr, Entries: batches[oi], Absolute: absolute,
+			Seq: s.nextPubSeq(), TC: tc.Child(uint64(len(entries) + oi))}, now)
 		now = done
 		if err != nil {
 			return now, fmt.Errorf("overlay: install postings at %s: %w", owner, err)
@@ -429,13 +440,14 @@ func (s *System) installPostingsSerial(node *StorageNode, keys []chord.ID, freq 
 // whose reply teaches their owners' arcs. Then every per-owner PutBatch
 // ships in parallel. The virtual completion time is the critical path —
 // resolution, then the max over the owner shipments — per the DESIGN §5
-// rule; an owner known by its arc ships at `at`.
-func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, freq map[chord.ID]int, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
+// rule; an owner known by its arc ships at `at`. The edit's requests share
+// one backing array and go out by pointer (DESIGN §5).
+func (s *System) installPostingsParallel(node *StorageNode, entries []KeyFreq, absolute bool, tc trace.TraceContext, at simnet.VTime) (simnet.VTime, error) {
 	epoch := s.Epoch()
-	owners := make([]simnet.Addr, len(keys))
+	owners := make([]simnet.Addr, len(entries))
 	missing := 0
-	for i, key := range keys {
-		if owners[i] = node.liveOwner(epoch, key); owners[i] == "" {
+	for i, e := range entries {
+		if owners[i] = node.liveOwner(epoch, e.Key); owners[i] == "" {
 			missing++
 		}
 	}
@@ -445,7 +457,7 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 		unresolved := make([]chord.ID, 0, missing)
 		for i, a := range owners {
 			if a == "" {
-				unresolved = append(unresolved, keys[i])
+				unresolved = append(unresolved, entries[i].Key)
 			}
 		}
 		found, done, err := s.ResolveKeys(node.addr, unresolved, tc.Child(0), at)
@@ -462,7 +474,8 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 			}
 		}
 	}
-	ownerList, batches := ownerBatches(owners, func(i int) KeyFreq { return KeyFreq{Key: keys[i], Freq: freq[keys[i]]} })
+	ownerList, batches := ownerBatches(owners, entries)
+	reqs := make([]PutBatchReq, len(ownerList))
 	// Every owner shipment must land: unreachable owners get one
 	// successor-fallback round below, and any remaining failure aborts the
 	// publication, which the callers compensate.
@@ -475,8 +488,9 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 		if slices.ContainsFunc(resolved, func(r chord.Ref) bool { return r.Addr == owner }) {
 			start = resolveDone
 		}
-		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[i], Absolute: absolute,
-			Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}, start)
+		reqs[i] = PutBatchReq{Node: node.addr, Entries: batches[i], Absolute: absolute,
+			Seq: s.nextPubSeq(), TC: tc.Child(uint64(i + 1))}
+		done, err := s.shipBatch(owner, &reqs[i], start)
 		return nil, done, err
 	})
 	done = simnet.MaxTime(at, resolveDone, done)
@@ -496,13 +510,13 @@ func (s *System) installPostingsParallel(node *StorageNode, keys []chord.ID, fre
 	if stale == 0 {
 		return done, nil
 	}
-	entries := make([]KeyFreq, 0, stale)
+	lost := make([]KeyFreq, 0, stale)
 	for i, r := range results {
 		if r.Err != nil {
-			entries = append(entries, batches[i]...)
+			lost = append(lost, batches[i]...)
 		}
 	}
-	return s.reshipPostings(node, entries, uint64(len(ownerList)+1), absolute, tc, done)
+	return s.reshipPostings(node, lost, uint64(len(ownerList)+1), absolute, tc, done)
 }
 
 // reshipPostings is installPostingsParallel's successor-fallback round: the
@@ -524,9 +538,9 @@ func (s *System) reshipPostings(node *StorageNode, entries []KeyFreq, tcBase uin
 	for i := range entries {
 		owners[i] = found.Nodes[i].Addr
 	}
-	ownerList, batches := ownerBatches(owners, func(i int) KeyFreq { return entries[i] })
+	ownerList, batches := ownerBatches(owners, entries)
 	for oi, owner := range ownerList {
-		done, err := s.shipBatch(owner, PutBatchReq{Node: node.addr, Entries: batches[oi], Absolute: absolute,
+		done, err := s.shipBatch(owner, &PutBatchReq{Node: node.addr, Entries: batches[oi], Absolute: absolute,
 			Seq: s.nextPubSeq(), TC: tc.Child(tcBase + 1 + uint64(oi))}, now)
 		now = done
 		if err != nil {
@@ -550,7 +564,8 @@ const writeAttempts = 5
 //
 // A re-sent batch is safe: the owner applies a Seq once and re-forwards its
 // absolute delta on every re-delivery, so the batch reaches the same rows.
-func (s *System) shipBatch(owner simnet.Addr, req PutBatchReq, at simnet.VTime) (simnet.VTime, error) {
+// Every send passes the same req, which no handler writes through.
+func (s *System) shipBatch(owner simnet.Addr, req *PutBatchReq, at simnet.VTime) (simnet.VTime, error) {
 	var err error
 	for attempt := 0; attempt < writeAttempts; attempt++ {
 		var done simnet.VTime
@@ -562,11 +577,11 @@ func (s *System) shipBatch(owner simnet.Addr, req PutBatchReq, at simnet.VTime) 
 	return at, fmt.Errorf("%w (after %d attempts)", err, writeAttempts)
 }
 
-// ownerBatches lays entry(0), entry(1), … out by owner — entry i is
-// owners[i]'s — in one backing slice. It returns the owners, sorted, and
-// their batches: sub-slices of the backing, each in entry order. An edit's
-// keys are sorted, so its owners come in runs, and the work is per run.
-func ownerBatches(owners []simnet.Addr, entry func(i int) KeyFreq) ([]simnet.Addr, [][]KeyFreq) {
+// ownerBatches lays entries out by owner — entries[i] is owners[i]'s — in
+// one backing slice. It returns the owners, sorted, and their batches:
+// sub-slices of the backing, each in entry order. An edit's keys are
+// sorted, so its owners come in runs, and the work is per run.
+func ownerBatches(owners []simnet.Addr, entries []KeyFreq) ([]simnet.Addr, [][]KeyFreq) {
 	runs := 0
 	for i := range owners {
 		if i == 0 || owners[i] != owners[i-1] {
@@ -593,7 +608,7 @@ func ownerBatches(owners []simnet.Addr, entry func(i int) KeyFreq) ([]simnet.Add
 	i := 0
 	forRuns(owners, list, func(j, n int) {
 		for end := i + n; i < end; i++ {
-			batches[j] = append(batches[j], entry(i))
+			batches[j] = append(batches[j], entries[i])
 		}
 	})
 	return list, batches

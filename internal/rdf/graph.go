@@ -131,13 +131,12 @@ func (g *Graph) Remove(t Triple) bool {
 	}
 	k := [3]uint32{s, uint32(run[0] >> 32), uint32(run[0])}
 	for ix := range g.lists {
+		// A list keeps its backing array when its last entry goes, so a
+		// term re-added under the same or a re-used ID refills it without
+		// allocating; an array stays bounded by the largest size it held.
 		l := &g.lists[ix][k[ix]]
-		if len(*l) == 1 {
-			*l = nil // drop the backing array with the last entry
-		} else {
-			i, _ := slices.BinarySearch(*l, mkEntry(k[rot[ix+1]], k[rot[ix+2]]))
-			*l = slices.Delete(*l, i, i+1)
-		}
+		i, _ := slices.BinarySearch(*l, mkEntry(k[rot[ix+1]], k[rot[ix+2]]))
+		*l = slices.Delete(*l, i, i+1)
 		if g.refs[k[ix]]--; g.refs[k[ix]] == 0 {
 			delete(g.ids, g.terms[k[ix]])
 			g.terms[k[ix]] = Term{}

@@ -365,19 +365,69 @@ func checkModel(t *testing.T, g *Graph, ref map[Triple]bool) {
 // TestGraphAgainstReferenceModel drives seeded random add / remove
 // sequences — the small pool makes duplicate adds and removals of absent
 // triples as common as effective ones — and checks the whole read API
-// against the reference after every step.
+// against the reference after every step. One step in ten is a churn:
+// every stored triple naming one pool term is removed, which drains the
+// term's lists and releases its ID, and then re-added in reverse order, so
+// re-interned terms take released IDs whose lists kept their arrays.
 func TestGraphAgainstReferenceModel(t *testing.T) {
 	k := len(modelPool)
+	refilled := 0
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g, ref := NewGraph(), map[Triple]bool{}
 		for step := 0; step < 150; step++ {
+			if rng.Intn(10) == 0 {
+				refilled += modelChurn(t, g, ref, modelPool[rng.Intn(k)])
+				continue
+			}
 			// Removals dominate every third stretch so the graph also drains.
 			remove := rng.Intn(3) < 1+step/50%2
 			modelStep(t, g, ref, modelTriple(rng.Intn(k*k*k)), remove)
 			checkModel(t, g, ref)
 		}
 	}
+	if refilled == 0 {
+		t.Error("no churn refilled a drained list under a re-used ID")
+	}
+}
+
+// modelChurn removes every stored triple naming x and re-adds them in
+// reverse order, checking the model after each step. It returns how many
+// lists that were drained, under an ID released by the removals, the
+// re-adds refilled.
+func modelChurn(t *testing.T, g *Graph, ref map[Triple]bool, x Term) int {
+	t.Helper()
+	k := len(modelPool)
+	var named []Triple
+	for n := 0; n < k*k*k; n++ {
+		if tr := modelTriple(n); ref[tr] && (tr.S == x || tr.P == x || tr.O == x) {
+			named = append(named, tr)
+		}
+	}
+	free := len(g.free)
+	for _, tr := range named {
+		modelStep(t, g, ref, tr, true)
+		checkModel(t, g, ref)
+	}
+	var drained [][2]int // (order, ID) of each emptied list with an array
+	for _, id := range g.free[free:] {
+		for ix := range g.lists {
+			if l := g.lists[ix][id]; len(l) == 0 && cap(l) > 0 {
+				drained = append(drained, [2]int{ix, int(id)})
+			}
+		}
+	}
+	for i := len(named) - 1; i >= 0; i-- {
+		modelStep(t, g, ref, named[i], false)
+		checkModel(t, g, ref)
+	}
+	refilled := 0
+	for _, d := range drained {
+		if len(g.lists[d[0]][d[1]]) > 0 {
+			refilled++
+		}
+	}
+	return refilled
 }
 
 // orderEdits is a seeded add/remove sequence over a pool large enough that
@@ -454,7 +504,7 @@ func TestGraphDictionaryDrains(t *testing.T) {
 		t.Errorf("drained dictionary holds %d terms and %d of %d IDs are free", len(g.ids), len(g.free), slots)
 	}
 	for id, term := range g.terms {
-		if !term.IsZero() || g.refs[id] != 0 || g.lists[spo][id] != nil || g.lists[pos][id] != nil || g.lists[osp][id] != nil {
+		if !term.IsZero() || g.refs[id] != 0 || len(g.lists[spo][id]) != 0 || len(g.lists[pos][id]) != 0 || len(g.lists[osp][id]) != 0 {
 			t.Fatalf("released ID %d still holds %v, %d refs or a list", id, term, g.refs[id])
 		}
 	}
@@ -502,5 +552,31 @@ func TestGraphHeapPerTriple(t *testing.T) {
 	t.Logf("%d triples, %.1f heap bytes per triple", len(ts), perTriple)
 	if perTriple > 400 {
 		t.Errorf("graph holds %.1f heap bytes per triple, want <= 400", perTriple)
+	}
+}
+
+// TestGraphChurnAllocatesNothing is the graph's allocation budget: once a
+// batch of 100 triples has been added, removed and re-added, removing and
+// re-adding it again allocates nothing — a drained list keeps its array
+// and a re-interned term takes a released ID with its lists.
+func TestGraphChurnAllocatesNothing(t *testing.T) {
+	var ts []Triple
+	for i := 0; i < 100; i++ {
+		ts = append(ts, Triple{iri(fmt.Sprintf("s%d", i%20)), iri(fmt.Sprintf("p%d", i%4)), NewInteger(int64(i))})
+	}
+	g := NewGraph()
+	churn := func() {
+		for _, tr := range ts {
+			g.Remove(tr)
+		}
+		g.AddAll(ts)
+	}
+	g.AddAll(ts)
+	churn()
+	if allocs := testing.AllocsPerRun(20, churn); allocs != 0 {
+		t.Errorf("removing and re-adding %d triples allocates %.1f objects, want 0", len(ts), allocs)
+	}
+	if g.Size() != len(ts) {
+		t.Fatalf("graph holds %d triples after churn, want %d", g.Size(), len(ts))
 	}
 }

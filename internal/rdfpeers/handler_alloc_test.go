@@ -34,7 +34,7 @@ func TestRDFPeersHandlerAllocs(t *testing.T) {
 		req    func(k int) simnet.Payload
 		undo   func()
 	}{
-		{MethodStore, nil, []float64{1}, func(int) simnet.Payload { return StoreReq{Triple: added} },
+		{MethodStore, nil, []float64{0}, func(int) simnet.Payload { return StoreReq{Triple: added} },
 			func() { n.Store.Remove(added) }},
 		{MethodMatch, []int{1, 8}, []float64{6, 23}, func(k int) simnet.Payload {
 			return MatchReq{Pattern: rdf.Triple{S: rdf.NewVar("s"), P: fp("knows"), O: ex(fmt.Sprint("k", k))}}
