@@ -41,9 +41,9 @@ type funcIndex struct {
 }
 
 // Funcs returns (building on first use) the function index. Rules that
-// reason about what a package's own code does — the lock rules and the
-// wireiso obligations — restrict themselves to analyzed nodes; the
-// reachability facts follow calls into dependencies too.
+// reason about what a package's own code does — the lock rules — restrict
+// themselves to analyzed nodes; the reachability facts follow calls into
+// dependencies too.
 func (prog *Program) Funcs() *funcIndex {
 	if prog.funcs != nil {
 		return prog.funcs

@@ -1,15 +1,14 @@
 package main
 
 import (
-	"go/token"
+	"slices"
 	"strings"
 )
 
-// A directive is one //adhoclint:name rest comment. Every rule that reads
-// directives — ignore, wireimmutable — reads them from the one index built
-// here.
+// A directive is one //adhoclint:name rest comment; ignore is the one
+// name the linter reads, from the one index built here.
 type directive struct {
-	name string // "ignore" or "wireimmutable"
+	name string // "ignore"
 	rest string // free text after the name
 }
 
@@ -55,7 +54,7 @@ func (prog *Program) Directives() *directiveIndex {
 // remainder, skipping an optional balanced parenthesized argument text
 // (which may itself contain commas and parentheses). It is the one parser
 // behind the directive grammar and the rule list of an ignore directive,
-// whose entries carry their reasons as arguments: "wireiso(reason), payload-size".
+// whose entries carry their reasons as arguments: "guarded-field(reason), payload-size".
 func scanNameArgs(s string) (name, rest string) {
 	i := 0
 	for i < len(s) && isDirectiveIdentChar(s[i]) {
@@ -89,28 +88,10 @@ func isDirectiveIdentChar(c byte) bool {
 		c >= '0' && c <= '9' || c == '-' || c == '_'
 }
 
-// onLine returns the directive of the given name on one source line.
-func (ix *directiveIndex) onLine(p *Package, pos token.Pos, off int, name string) *directive {
-	position := p.Fset.Position(pos)
-	d := ix.byLine[lineKey{position.Filename, position.Line + off}]
-	if d == nil || d.name != name {
-		return nil
-	}
-	return d
-}
-
-// at returns the directive of the given name attached to a position — on
-// the same line or the line directly above.
-func (ix *directiveIndex) at(p *Package, pos token.Pos, name string) *directive {
-	if d := ix.onLine(p, pos, 0, name); d != nil {
-		return d
-	}
-	return ix.onLine(p, pos, -1, name)
-}
-
 // applyIgnores drops diagnostics suppressed by an "//adhoclint:ignore
-// [rule,...] reason" comment on the same line or the line directly above.
-// A directive with no rule list suppresses every rule on that line.
+// rule,... reason" comment on the same line or the line directly above.
+// Only the rules it names are suppressed: a directive naming none, or only
+// a rule that no longer exists, suppresses nothing.
 func (ix *directiveIndex) applyIgnores(diags []Diagnostic) []Diagnostic {
 	var kept []Diagnostic
 	for _, d := range diags {
@@ -126,23 +107,13 @@ func (ix *directiveIndex) ignored(d Diagnostic, off int) bool {
 	if !ok || dir.name != "ignore" {
 		return false
 	}
-	rules := ignoreRules(dir.rest)
-	if len(rules) == 0 {
-		return true
-	}
-	for _, r := range rules {
-		if r == d.Rule {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(ignoreRules(dir.rest), d.Rule)
 }
 
 // ignoreRules parses the rule list of an ignore directive: a
 // comma-separated sequence of rule names, each optionally followed by a
-// parenthesized reason — "wireiso(rows copied by caller), payload-size". Free
-// text that is not a rule name ends the list; a directive whose list
-// comes out empty suppresses every rule on its line.
+// parenthesized reason — "guarded-field(set before serving), payload-size".
+// Free text that is not a rule name ends the list.
 func ignoreRules(rest string) []string {
 	var rules []string
 	for {

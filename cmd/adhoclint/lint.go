@@ -36,7 +36,6 @@ var rules = []rule{
 	{"payload-size", "every SizeBytes method must account for every field of its receiver struct (or carry an explaining ignore directive)", checkPayloadSizes},
 	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code, and no `go` statement in internal/ or cmd/ non-test code", checkDeterminism},
 	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
-	{"wireiso", "RPC payloads must own their memory: values sent over simnet (Call/Send/Transfer requests, handler responses) must be fresh, deep-copied, wire-derived or documented //adhoclint:wireimmutable", checkWireIsolation},
 }
 
 // lint runs every enabled rule (nil = all) over the program and returns

@@ -240,47 +240,6 @@ func TestPayloadSizeRule(t *testing.T) {
 	checkFixture(t, "payloadsize", "adhocshare/fixture/payloadsize", only("payload-size"))
 }
 
-func TestWireIsoRule(t *testing.T) {
-	checkFixture(t, "wireiso", "adhocshare/fixture/wireiso", only("wireiso"))
-}
-
-// Wire-isolation diagnostics must carry a witness flow chain naming the
-// payload field, the aliased owner, and — for interprocedural findings —
-// the helper the argument flows through.
-func TestWireIsoWitnessChain(t *testing.T) {
-	diags := lintFixture(t, "wireiso", "adhocshare/fixture/wireiso", only("wireiso"))
-	var alias, oblig *Diagnostic
-	for _, d := range diags {
-		d := d
-		switch {
-		case strings.Contains(d.Msg, "response of"):
-			alias = &d
-		case strings.Contains(d.Msg, "flows to the wire"):
-			oblig = &d
-		}
-	}
-	if alias == nil {
-		t.Fatal("no aliased-response diagnostic reported")
-	}
-	for _, frag := range []string{
-		"response of wireiso.(*Node).HandleCall",
-		"wireiso.RowsResp.Rows",
-		"n.rows aliases mutable state of *wireiso.Node (field rows)",
-	} {
-		if !strings.Contains(alias.Msg, frag) {
-			t.Errorf("aliased-response diagnostic missing %q:\n%s", frag, alias.Msg)
-		}
-	}
-	if oblig == nil {
-		t.Fatal("no caller-obligation diagnostic reported")
-	}
-	for _, frag := range []string{"n.rows", "wireiso.(*Node).ship"} {
-		if !strings.Contains(oblig.Msg, frag) {
-			t.Errorf("obligation diagnostic missing %q:\n%s", frag, oblig.Msg)
-		}
-	}
-}
-
 // Every rule of the table must be clean on the production tree: each
 // convention the linter enforces either holds or carries a reasoned
 // directive (the dynamic corroborators — the -race matrix, the invariant

@@ -190,13 +190,3 @@ func (l *loader) load(dir, importPath string) (*loaded, error) {
 	}
 	return got, nil
 }
-
-// typesFor returns the checked types of a previously loaded import path
-// (nil when the package was never reached or failed to check). Whole-program
-// rules use it to reach reference packages such as internal/simnet.
-func (l *loader) typesFor(importPath string) *types.Package {
-	if got, ok := l.cache[importPath]; ok {
-		return got.typ
-	}
-	return nil
-}

@@ -2,27 +2,24 @@ package main
 
 import (
 	"go/ast"
-	"go/types"
 	"sort"
 )
 
 // Program is the whole-program view every rule analyzes: the packages
 // selected on the command line, loaded and type-checked against one shared
 // FileSet, plus one lazily built, cached layer of facts about them (see
-// facts.go, callgraph.go, regions.go and directives.go). Packages that
+// callgraph.go, regions.go and directives.go). Packages that
 // were pulled in only as dependencies contribute type information and
 // facts but are not themselves reported on.
 type Program struct {
-	Pkgs       []*Package
-	loader     *loader
-	modPath    string
-	simnetPath string
+	Pkgs    []*Package
+	loader  *loader
+	modPath string
 
 	// The fact layer: each field is built on first use by the accessor of
 	// the same name and shared by every rule that reads it.
 	loaded     []*Package
 	analyzed   map[*Package]bool
-	payload    *types.Interface // simnet.Payload; nil when internal/simnet is never imported
 	funcs      *funcIndex
 	directives *directiveIndex
 	locks      map[*ast.FuncDecl]*lockFacts
@@ -33,13 +30,7 @@ type Program struct {
 // must be the one that loaded them (its cache resolves cross-package
 // types).
 func newProgram(l *loader, pkgs []*Package) *Program {
-	prog := &Program{Pkgs: pkgs, loader: l, modPath: l.modPath, simnetPath: l.modPath + "/internal/simnet"}
-	if simnet := l.typesFor(prog.simnetPath); simnet != nil {
-		if obj := simnet.Scope().Lookup("Payload"); obj != nil {
-			prog.payload, _ = obj.Type().Underlying().(*types.Interface)
-		}
-	}
-	return prog
+	return &Program{Pkgs: pkgs, loader: l, modPath: l.modPath}
 }
 
 // allPackages returns every package the loader has parsed, sorted by

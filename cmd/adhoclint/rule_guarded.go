@@ -123,10 +123,7 @@ func checkGuardedMethod(prog *Program, p *Package, fn *ast.FuncDecl, recv string
 	trusted := strings.HasSuffix(name, "Locked")
 	locks := prog.LockFacts(p, fn)
 	writes := map[*ast.SelectorExpr]bool{}
-	eachWrite(fn.Body, func(lhs ast.Expr, kind writeKind, _ ast.Node, _ ast.Expr) {
-		if kind == writeAddr {
-			return
-		}
+	eachWrite(fn.Body, func(lhs ast.Expr) {
 		for {
 			switch x := lhs.(type) {
 			case *ast.ParenExpr:
@@ -200,4 +197,25 @@ func checkGuardedMethod(prog *Program, p *Package, fn *ast.FuncDecl, recv string
 		return true
 	})
 	return diags
+}
+
+// eachWrite visits every written lvalue of the subtree (function literals
+// included) in source order: assignment targets, x++/x-- operands and the
+// first argument of delete.
+func eachWrite(root ast.Node, visit func(lhs ast.Expr)) {
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				visit(lhs)
+			}
+		case *ast.IncDecStmt:
+			visit(n.X)
+		case *ast.CallExpr:
+			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
+				visit(n.Args[0])
+			}
+		}
+		return true
+	})
 }

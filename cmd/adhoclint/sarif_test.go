@@ -195,9 +195,9 @@ func sampleDiags() []Diagnostic {
 		{Pos: token.Position{Filename: "internal/chord/node.go", Line: 120, Column: 2},
 			Rule: "lock-order", Msg: "lock-order cycle (potential deadlock): a → b → a"},
 		{Pos: token.Position{Filename: "internal/overlay/table.go", Line: 131, Column: 3},
-			Rule: "wireiso", Msg: "response of overlay.(*IndexNode).HandleCall sends overlay.RangeResp.Rows, which may alias mutable node state; deep-copy on send"},
+			Rule: "guarded-field", Msg: "t.rows is guarded by t.mu (declared after it) but accessed in rowLocked without holding the lock"},
 		{Pos: token.Position{Filename: "internal/rdfpeers/range.go", Line: 77, Column: 2},
-			Rule: "wireiso", Msg: "payload of Transfer is sorted in place after send"},
+			Rule: "discarded-error", Msg: "error discarded with _ =: handle it or document why it is safe to drop"},
 		{Pos: token.Position{Filename: "internal/overlay/storage.go", Line: 285, Column: 4},
 			Rule: "determinism", Msg: "time.Now in internal package overlay: use the simnet virtual clock (simnet.VTime / simnet.Clock) so runs stay reproducible"},
 	}

@@ -29,3 +29,10 @@ func BadGlobalRand() int {
 func BadShuffle(xs []int) {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want "global math/rand.Shuffle"
 }
+
+// BadSleepStaleIgnore: an ignore naming no rule the linter has — here the
+// retired wireiso — suppresses nothing.
+func BadSleepStaleIgnore() {
+	//adhoclint:ignore wireiso a retired rule's name is not a rule
+	time.Sleep(time.Millisecond) // want "time.Sleep in internal package"
+}

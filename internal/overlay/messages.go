@@ -105,9 +105,9 @@ func (r PutBatchReq) SizeBytes() int {
 // the forwards of the route that no other sub-read of the same read counts
 // yet, and the owner's reply carries it back. Epoch, when non-zero, is the origin's stabilization epoch and
 // opts the read into the adaptive hot-key machinery: the owner counts each
-// key's lookup and may advertise epoch-stamped replicas in its row.
-//
-//adhoclint:wireimmutable Keys is built per read by its origin, or per sub-read by the hop that split it, and never written afterwards
+// key's lookup and may advertise epoch-stamped replicas in its row. Keys
+// is built per read by its origin, or per sub-read by the hop that split
+// it, and never written afterwards.
 type RoutedReadReq struct {
 	Keys   []chord.ID
 	Origin simnet.Addr
@@ -136,9 +136,8 @@ func (r RoutedReadReq) TraceCtx() trace.TraceContext { return r.TC }
 // RoutedReadResp is an owner's reply to a routed read, sent straight to
 // the origin: Rows[i] is the row of Keys[i], and Hops the forwards of the
 // route this reply counts (a route prefix several owners' keys share is
-// counted by one of their replies). Owner is the replying node.
-//
-//adhoclint:wireimmutable Keys and Rows are built per reply by its owner and never written after it answers
+// counted by one of their replies). Owner is the replying node. Keys and
+// Rows are built per reply by its owner and never written after it answers.
 type RoutedReadResp struct {
 	Keys  []chord.ID
 	Rows  []PostingsResp

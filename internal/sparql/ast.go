@@ -227,8 +227,6 @@ func dedupVars(gen func(emit func(string))) []string {
 //
 // Expression trees are immutable after parsing: evaluation only reads
 // them, so a pushed-down FILTER can ship between nodes without copying.
-//
-//adhoclint:wireimmutable expression trees are read-only after parse
 type Expression interface {
 	fmt.Stringer
 	// Vars returns the variables referenced by the expression.

@@ -22,9 +22,8 @@ import (
 // Bindings are immutable after construction by convention: every algebra
 // operation (Merge, Project, extend, ...) builds a fresh mapping via
 // Clone or make, so sharing a Binding across nodes or solution sets is
-// safe. Mutate only freshly cloned bindings.
-//
-//adhoclint:wireimmutable every producer clones before writing
+// safe. Mutate only freshly cloned bindings: every producer clones before
+// writing.
 type Binding map[string]rdf.Term
 
 // NewBinding returns an empty solution mapping.
@@ -163,8 +162,6 @@ func (b Binding) String() string {
 // the elements are never overwritten; Dedup is append-only — it writes
 // only past the prefixes it has handed out), so partial solution sets can
 // ship between nodes without deep-copying.
-//
-//adhoclint:wireimmutable algebra ops return fresh slices, elements never overwritten
 type Solutions []Binding
 
 // SizeBytes estimates the wire size of the multiset.

@@ -185,5 +185,5 @@ func (d *Dedup) Add(s Solutions) {
 // Solutions returns the sequence so far. The result shares its backing
 // array with the accumulator and with every earlier result — Add only ever
 // appends past them — so a prefix already handed to the fabric stays
-// immutable, which the wireiso rule relies on.
+// immutable.
 func (d *Dedup) Solutions() Solutions { return d.rows[:len(d.rows):len(d.rows)] }

@@ -18,8 +18,8 @@ import (
 //
 // SizeBytes charges exactly what Solutions.SizeBytes charges for the same
 // rows, so a unit or whole-row key costs what the seeds it replaces cost.
-//
-//adhoclint:wireimmutable built once — by KeyTable, a table operator, Matches.Table or a storage node's keyed match — never written afterwards
+// A table is built once — by KeyTable, a table operator, Matches.Table or a
+// storage node's keyed match — and never written afterwards.
 type Table struct {
 	Vars  []string
 	Terms []rdf.Term
@@ -159,9 +159,8 @@ func unbound(row []rdf.Term, cols []int) bool {
 // distinct rows over one schema, in arrival order, each aliasing the reply
 // table that carried it. TermBytes is the running sum of the rows' term
 // sizes, so SizeBytes does not walk them; like Table it charges what
-// Solutions.SizeBytes charges for the same rows.
-//
-//adhoclint:wireimmutable append-only: Matches writes only past the prefixes it has handed out
+// Solutions.SizeBytes charges for the same rows. It is append-only:
+// Matches writes only past the prefixes it has handed out.
 type MatchSet struct {
 	Vars      []string
 	Rows      [][]rdf.Term
