@@ -1,0 +1,121 @@
+package dqp
+
+import (
+	"sort"
+	"testing"
+
+	"adhocshare/internal/overlay"
+	"adhocshare/internal/rdf"
+	"adhocshare/internal/simnet"
+	"adhocshare/internal/sparql/eval"
+	"adhocshare/internal/sparql/eval/evaltest"
+	"adhocshare/internal/workload"
+)
+
+// dictProbe holds every table a query puts on the wire to the reference
+// encoder (evaltest): the keys and replies of each store.match a wrapped
+// storage node handles, and the tables of each payload the engine
+// transfers. A table must carry its dictionary, counted right, and be
+// charged what the encoder writes.
+type dictProbe struct {
+	t    *testing.T
+	seen map[string]int // tables checked, by payload type
+}
+
+// wrap puts the probe on every storage node's handler and on the engine's
+// transfers until the test ends.
+func (p *dictProbe) wrap(sys *overlay.System) {
+	for _, n := range sys.StorageNodes() {
+		sys.Net().Register(n.Addr(), simnet.HandlerFunc(func(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
+			p.payload(req)
+			resp, done, err := n.HandleCall(at, method, req)
+			if err == nil {
+				p.payload(resp)
+			}
+			return resp, done, err
+		}))
+	}
+	transferred = func(_ string, payload simnet.Payload) { p.payload(payload) }
+	p.t.Cleanup(func() { transferred = nil })
+}
+
+func (p *dictProbe) payload(payload simnet.Payload) {
+	switch x := payload.(type) {
+	case overlay.MatchReq:
+		for _, u := range x.Units {
+			p.table("MatchReq", u.Keys)
+		}
+	case overlay.MatchResp:
+		for _, t := range x.Tables {
+			p.table("MatchResp", t)
+		}
+	case dispatchPayload:
+		p.payload(x.Sub)
+		p.table("dispatchPayload", x.Rows)
+	case rowsPayload:
+		p.table("rowsPayload", x.Rows)
+	case chainPayload:
+		p.table("chainPayload", x.Keys)
+		if err := evaltest.CheckMatchSet(x.Acc); err != nil {
+			p.t.Errorf("chainPayload match set %v", err)
+		}
+	}
+}
+
+func (p *dictProbe) table(kind string, t eval.Table) {
+	p.seen[kind]++
+	if err := evaltest.CheckTable(t); err != nil {
+		p.t.Errorf("%s table over %v, %d rows: %v", kind, t.Vars, t.N, err)
+	}
+}
+
+// TestDictProbeQueries runs the paper's queries and join_mix's five classes
+// under the E9 matrix, the default and baseline options and the other join
+// sites, from a provider and from an index node, with every table on the
+// wire under the probe; each of the five payload types that carry tables
+// must have been seen.
+func TestDictProbeQueries(t *testing.T) {
+	configs := append(e9Configs(), DefaultOptions(), BaselineOptions(),
+		Options{JoinSite: JoinSiteQoS, PushFilters: true},
+		Options{Strategy: StrategyChain, JoinSite: JoinSiteThirdSite, PushFilters: true},
+		Options{Strategy: StrategyFreqChain, Conjunction: ConjParallelJoin, JoinSite: JoinSiteQuerySite, CacheLookups: true})
+	d := workload.Generate(workload.Config{Persons: 120, Providers: 6, AvgKnows: 4, ZipfS: 1.3,
+		KnowsNothingFraction: 0.3, Seed: 3})
+	classes := []string{workload.QueryConjunction(), workload.QueryOptional("Smith"),
+		workload.QueryUnion(d.PopularPerson), workload.QueryFilter("Smith"), workload.QueryFig4("Smith")}
+	var names, paper []string
+	for name := range paperQueries {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		paper = append(paper, paperQueries[name])
+	}
+	p := &dictProbe{t: t, seen: map[string]int{}}
+	for _, c := range []struct {
+		data    map[string][]rdf.Triple
+		queries []string
+	}{{paperData(), paper}, {d.ByProvider, classes}} {
+		sys, now := buildSystem(t, 4, c.data)
+		p.wrap(sys)
+		for _, query := range c.queries {
+			for i, opts := range configs {
+				from := sys.StorageNodes()[i%len(sys.StorageNodes())].Addr()
+				if i%2 == 1 {
+					from = sys.IndexNodes()[0].Addr()
+				}
+				_, _, done, err := NewEngine(sys, opts).Query(from, query, now)
+				if err != nil {
+					t.Fatalf("%+v: %v", opts, err)
+				}
+				now = done
+			}
+		}
+	}
+	t.Logf("tables checked: %v", p.seen)
+	for _, kind := range []string{"MatchReq", "MatchResp", "dispatchPayload", "rowsPayload", "chainPayload"} {
+		if p.seen[kind] == 0 {
+			t.Errorf("no %s was seen", kind)
+		}
+	}
+}

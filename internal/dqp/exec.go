@@ -51,7 +51,11 @@ type operand struct {
 	bytes, rows int
 }
 
-func (s flatSet) operand() operand {
+// operand is s as the join-site policies read it. Only a policy weighing
+// bytes asks, and it counts s's rows in place: an operand that then leaves
+// its site is not counted twice.
+func (s *flatSet) operand() operand {
+	s.rows = s.rows.Counted()
 	return operand{site: s.site, bytes: s.rows.SizeBytes(), rows: s.rows.N}
 }
 
@@ -283,7 +287,7 @@ func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op binaryOp) (f
 	site := l.site
 	if l.site != r.site {
 		r = r.flat()
-		site = e.pickJoinSite(ctx, l.operand(), r.operand(), func() bool {
+		site = e.pickJoinSite(ctx, &l, &r, func() bool {
 			return slices.ContainsFunc(l.rows.Vars, func(v string) bool { return l.rows.Binds(v) && r.rows.Binds(v) })
 		})
 	}
@@ -304,28 +308,28 @@ func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op binaryOp) (f
 // pickJoinSite implements the join-site selection strategies of Sect. II
 // for operands on different sites. shared reports whether the operands bind
 // a common variable; only the QoS policy's result estimate asks.
-func (e *Engine) pickJoinSite(ctx *qctx, l, r operand, shared func() bool) simnet.Addr {
+func (e *Engine) pickJoinSite(ctx *qctx, ls, rs *flatSet, shared func() bool) simnet.Addr {
 	switch e.opts.JoinSite {
 	case JoinSiteQuerySite:
 		return ctx.initiator
 	case JoinSiteQoS:
-		return e.pickQoSSite(ctx, l, r, shared())
+		return e.pickQoSSite(ctx, ls.operand(), rs.operand(), shared())
 	case JoinSiteThirdSite:
 		// The paper's third-site strategy consults QoS monitors; with
 		// uniform simulated links we pick the first live index node that
 		// is neither operand site (deterministic).
 		for _, n := range e.sys.IndexNodes() {
 			a := n.Addr()
-			if a != l.site && a != r.site && e.sys.Net().Alive(a) {
+			if a != ls.site && a != rs.site && e.sys.Net().Alive(a) {
 				return a
 			}
 		}
 		return ctx.initiator
 	default: // JoinSiteMoveSmall
-		if l.bytes <= r.bytes {
-			return r.site
+		if ls.operand().bytes <= rs.operand().bytes {
+			return rs.site
 		}
-		return l.site
+		return ls.site
 	}
 }
 
@@ -395,6 +399,7 @@ func (e *Engine) ship(ctx *qctx, s flatSet, dest simnet.Addr, method string, at 
 		return s, at, nil
 	}
 	s = s.flat()
+	s.rows = s.rows.Counted()
 	done, err := e.transferRetry(s.site, dest, method, rowsPayload{Rows: s.rows, TC: ctx.nextTC(ctx.tc)}, at)
 	if err != nil {
 		return flatSet{}, done, err
@@ -403,10 +408,18 @@ func (e *Engine) ship(ctx *qctx, s flatSet, dest simnet.Addr, method string, at 
 	return s, done, nil
 }
 
+// transferred, when a test sets it, is shown every payload the engine
+// transfers before the fabric charges it: a transfer runs no handler, so
+// no handler wrap sees it.
+var transferred func(method string, payload simnet.Payload)
+
 // transferRetry is a retried Transfer whose loss past the retry budget
 // surfaces as a partial-failure error (other errors pass through for the
 // caller to classify).
 func (e *Engine) transferRetry(from, to simnet.Addr, method string, payload simnet.Payload, at simnet.VTime) (simnet.VTime, error) {
+	if transferred != nil {
+		transferred(method, payload)
+	}
 	done, err := e.sys.Net().TransferRetry(from, to, method, payload, at)
 	if err != nil && simnet.IsLost(err) {
 		err = &PartialFailureError{Method: method, Missing: []simnet.Addr{to}, Err: err}
@@ -1136,7 +1149,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	base := overlay.MatchReq{Units: keyed, Dataset: ctx.dataset, FromNamed: ctx.fromNamed}
 	now := at
 	if seeds.site != assembly {
-		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows}
+		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows.Counted()}
 		dispatch.Sub.TC = patTC.Child(0)
 		done, err := e.transferRetry(seeds.site, assembly, methodDispatch, dispatch, now)
 		if err != nil {
@@ -1232,7 +1245,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, ke
 			Pattern:   plan.pattern,
 			Filter:    filter,
 			Keys:      sent,
-			Acc:       acc.Set(),
+			Acc:       acc.Counted(),
 			Seq:       addrsOf(seq[i+1:]),
 			Dataset:   ctx.dataset,
 			Graph:     scope,

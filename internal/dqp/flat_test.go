@@ -93,7 +93,7 @@ func TestQueryBuildsMappingsOnlyForItsResult(t *testing.T) {
 // TestChainHopChargesItsMatchRequest: a chain hop carries the sub-query a
 // store.match request carries, GRAPH scope and FROM NAMED graphs included,
 // so with nothing accumulated and nowhere left to go it costs that request
-// plus the empty set's 4-byte header.
+// plus the empty set's 5-byte header (row count and cell width).
 func TestChainHopChargesItsMatchRequest(t *testing.T) {
 	var sample methodSample
 	for _, s := range methodSamples() {
@@ -110,8 +110,8 @@ func TestChainHopChargesItsMatchRequest(t *testing.T) {
 			req.Units, req.FromNamed = []overlay.MatchUnit{u}, fromNamed
 			hop := chainPayload{Pattern: u.Pattern, Filter: u.Filter, Keys: u.Keys,
 				Dataset: req.Dataset, Graph: u.Graph, FromNamed: req.FromNamed, TC: req.TC}
-			if got, want := hop.SizeBytes(), req.SizeBytes()+4; got != want {
-				t.Errorf("GRAPH %v, FROM NAMED %v: hop charged %d B, its match request %d B + 4", graph, fromNamed, got, want-4)
+			if got, want := hop.SizeBytes(), req.SizeBytes()+5; got != want {
+				t.Errorf("GRAPH %v, FROM NAMED %v: hop charged %d B, its match request %d B + 5", graph, fromNamed, got, want-5)
 			}
 		}
 	}

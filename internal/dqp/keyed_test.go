@@ -12,6 +12,7 @@ import (
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
 	"adhocshare/internal/sparql/eval"
+	"adhocshare/internal/sparql/eval/evaltest"
 )
 
 // The keyed sub-query against its reference. A case is a dataset spread
@@ -155,13 +156,20 @@ func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Ta
 			t.Fatalf("%v: provider %d is listed with %d matches, unit key %v", c, i, plan.postings[i].Freq, unit.has(i))
 		}
 	}
+	if err := evaltest.CheckTable(keys); err != nil {
+		t.Fatalf("%v: the keys %v", c, err)
+	}
 	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
 	for i, n := range nodes {
 		sent := keys
 		if unit.has(i) {
 			sent = eval.Table{N: 1}
 		}
-		acc.Add(n.MatchKeys(c.pat, c.filter, sent, nil, nil, c.scope))
+		reply := n.MatchKeys(c.pat, c.filter, sent, nil, nil, c.scope)
+		if err := evaltest.CheckTable(reply); err != nil {
+			t.Fatalf("%v: provider %d's reply %v", c, i, err)
+		}
+		acc.Add(reply)
 	}
 	return solutionsOf(patternMatches{acc: acc, seeds: seeds, rowsKeys: rowsKeys}.result())
 }
@@ -310,7 +318,7 @@ func TestUnitKeyedAtTheThreshold(t *testing.T) {
 	plan := patternPlan{pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")}}
 	keys := eval.KeyTable(flat(seeds), []string{"x"})
 	cost, row := keys.SizeBytes(), keys.RowEstimate(plan.pattern.Vars())
-	if want := 2 + len("x") + len("y") + 2*ex("person00").SizeBytes(); row != want {
+	if want := 2*1 + 2*ex("person00").SizeBytes(); row != want { // per cell a 1-byte index and the term
 		t.Fatalf("a reply row over ?x ?y is estimated at %d B, want %d", row, want)
 	}
 	even := cost / row // the most matches the keys do not pay for

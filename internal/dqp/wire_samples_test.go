@@ -112,7 +112,7 @@ func methodSamples() []methodSample {
 			Pattern:   pattern,
 			Filter:    filter,
 			Keys:      keys,
-			Acc:       eval.MatchSet{Vars: matches.Vars, Rows: [][]rdf.Term{matches.Row(0)}, TermBytes: 21},
+			Acc:       eval.MatchSet{Vars: matches.Vars, Rows: [][]rdf.Term{matches.Row(0)}, Dict: eval.Dict{Len: 2, Bytes: 13}},
 			Seq:       []simnet.Addr{"n5", "n6"},
 			Dataset:   []string{"urn:g1"},
 			Graph:     rdf.NewIRI("urn:g1"),

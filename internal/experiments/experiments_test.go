@@ -389,8 +389,8 @@ func e9WaveTraffic(t *testing.T, tab *Table) {
 		}
 		methods = append(methods, r.Method)
 		msgs += r.Messages
-		if r.Method == "store.match" && (r.Messages != 18 || r.Bytes != 89174) {
-			t.Errorf("%s: store.match %d msgs / %d B, want 18 / 89174", scope, r.Messages, r.Bytes)
+		if r.Method == "store.match" && (r.Messages != 18 || r.Bytes != 37988) {
+			t.Errorf("%s: store.match %d msgs / %d B, want 18 / 37988", scope, r.Messages, r.Bytes)
 		}
 	}
 	if want := []string{"index.routed_read", "store.match"}; !slices.Equal(methods, want) {

@@ -43,6 +43,13 @@ type StorageNode struct {
 	// the one arc it moved (keepArcs); see System.Epoch for the rule.
 	arcs     []chord.Arc
 	arcEpoch uint64
+
+	// seen is MatchKeys' scratch for counting a reply's dictionary from its
+	// graph's term IDs: seen[id] == stamp once the reply holds the term.
+	// Held under countMu for the whole match.
+	countMu sync.Mutex
+	seen    []uint32
+	stamp   uint32
 }
 
 // NewStorageNode creates a storage node and registers it on the network.
@@ -347,7 +354,10 @@ func (s *StorageNode) scopedGraphs(dataset, fromNamed []string, graph rdf.Term) 
 // pattern does not mention. keys bind a subset of those variables; rows
 // come graph by graph, key by key, in the graph's match order. filter, when
 // non-nil, may mention only variables of the reply and is applied before
-// the rows are returned (the pushed-down FILTER of Sect. IV-G).
+// the rows are returned (the pushed-down FILTER of Sect. IV-G). The table
+// carries its dictionary: over one graph counted from the graph's term IDs
+// as the rows are emitted, allocation-free; over several, or with a graph
+// name column, whose terms no one ID space holds, counted afterwards.
 func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys eval.Table, dataset, fromNamed []string, graph rdf.Term) eval.Table {
 	out := eval.Table{Vars: pat.Vars()}
 	pos := [3]*rdf.Term{&pat.S, &pat.P, &pat.O}
@@ -399,34 +409,29 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 		return b, true
 	}
 
-	// Size the reply before filling it: a count is a binary search, a
-	// reply grown by append is copied a dozen times over.
-	n := 0
-	for _, sg := range graphs {
-		for k := 0; k < keys.N; k++ {
-			if b, ok := bind(sg, k); ok {
-				n += sg.g.CountMatch(b)
-			}
+	s.countMu.Lock()
+	defer s.countMu.Unlock()
+	byID := len(graphs) == 1 && !slices.Contains(from, -1)
+	if byID {
+		if s.stamp++; s.stamp == 0 { // wrapped: no stale stamp may match
+			clear(s.seen)
+			s.stamp = 1
 		}
 	}
-	if n == 0 {
-		return out
-	}
-	out.Terms = make([]rdf.Term, 0, n*len(out.Vars))
-
 	var (
 		bound   rdf.Triple
+		repeats bool // bound leaves a variable in two positions
 		name    rdf.Term
 		scratch eval.Binding // one mapping reused for every filtered row
 	)
-	if filter != nil {
-		scratch = make(eval.Binding, len(out.Vars))
-	}
-	collect := func(t rdf.Triple) bool {
+	collect := func(t rdf.Triple, ids [3]uint32) bool {
 		// a variable left in two positions must match one term
-		if bound.S.IsVar() && (bound.S == bound.P && t.S != t.P || bound.S == bound.O && t.S != t.O) ||
-			bound.P.IsVar() && bound.P == bound.O && t.P != t.O {
+		if repeats && (bound.S.IsVar() && (bound.S == bound.P && t.S != t.P || bound.S == bound.O && t.S != t.O) ||
+			bound.P.IsVar() && bound.P == bound.O && t.P != t.O) {
 			return true
+		}
+		if filter != nil && scratch == nil {
+			scratch = make(eval.Binding, len(out.Vars))
 		}
 		mark := len(out.Terms)
 		for c, i := range from {
@@ -449,16 +454,44 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 			return true
 		}
 		out.N++
+		if byID {
+			for c, i := range from {
+				if id := ids[i]; s.seen[id] != s.stamp {
+					s.seen[id] = s.stamp
+					out.Dict.Len++
+					out.Dict.Bytes += out.Terms[mark+c].SizeBytes()
+				}
+			}
+		}
 		return true
 	}
 	for _, sg := range graphs {
 		name = sg.name
-		for k := 0; k < keys.N; k++ {
-			var ok bool
-			if bound, ok = bind(sg, k); ok {
-				sg.g.ForEachMatch(bound, collect)
+		sg.g.Read(func(r rdf.Reader) {
+			if n := r.IDs(); byID && n > len(s.seen) {
+				s.seen = make([]uint32, n) // no stamp in it is current
 			}
-		}
+			// Size the reply before filling it: a count is a binary search,
+			// a reply grown by append is copied a dozen times over.
+			n := 0
+			for k := 0; k < keys.N; k++ {
+				if b, ok := bind(sg, k); ok {
+					n += r.Count(&b)
+				}
+			}
+			out.Terms = slices.Grow(out.Terms, n*len(out.Vars))
+			for k := 0; k < keys.N && n > 0; k++ {
+				var ok bool
+				if bound, ok = bind(sg, k); ok {
+					repeats = bound.S.IsVar() && (bound.S == bound.P || bound.S == bound.O) ||
+						bound.P.IsVar() && bound.P == bound.O
+					r.Each(&bound, collect)
+				}
+			}
+		})
+	}
+	if !byID {
+		out = out.Counted()
 	}
 	return out
 }

@@ -18,7 +18,9 @@ import (
 // the most recently released ID is reused first). Match order is therefore
 // a function of the graph's edit history alone: two graphs built by the
 // same sequence of Add and Remove calls stream identical sequences. IDs
-// never leave the graph — no payload, size, key or message carries one.
+// never leave the node that owns the graph — no payload, key or message
+// carries one; a Reader shows them to the owner, which counts a reply's
+// distinct terms by them.
 //
 // Storage nodes in the overlay each own one Graph — the paper's premise is
 // that providers keep and serve their own data locally (Sect. III).
@@ -166,7 +168,7 @@ func (g *Graph) Triples() []Triple {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	out := make([]Triple, 0, g.size)
-	g.forEachLocked(&Triple{}, func(t Triple) bool {
+	g.forEachLocked(&Triple{}, func(t Triple, _ [3]uint32) bool {
 		out = append(out, t)
 		return true
 	})
@@ -190,12 +192,7 @@ func (g *Graph) Match(pat Triple) []Triple {
 func (g *Graph) CountMatch(pat Triple) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	m := pat.Mask()
-	if m == 0 {
-		return g.size
-	}
-	_, _, run := g.runLocked(&pat, m)
-	return len(run)
+	return g.matchLocked(&pat).n
 }
 
 // ForEachMatch streams matches to fn under the graph's read lock; fn
@@ -207,20 +204,69 @@ func (g *Graph) CountMatch(pat Triple) int {
 func (g *Graph) ForEachMatch(pat Triple, fn func(Triple) bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	g.forEachLocked(&pat, fn)
+	g.forEachLocked(&pat, func(t Triple, _ [3]uint32) bool { return fn(t) })
 }
 
-func (g *Graph) forEachLocked(pat *Triple, fn func(Triple) bool) {
-	if m := pat.Mask(); m != 0 {
-		ix, first, run := g.runLocked(pat, m)
-		g.emitLocked(ix, first, run, fn)
-		return
+func (g *Graph) forEachLocked(pat *Triple, fn func(Triple, [3]uint32) bool) {
+	g.eachLocked(g.matchLocked(pat), fn)
+}
+
+// Reader is a graph held under its read lock, for a caller that counts
+// the matches of many patterns and then streams them under one lock. A
+// Reader is valid only inside the function Read hands it to.
+type Reader struct{ g *Graph }
+
+// Read calls fn with a Reader of g, holding g's read lock throughout.
+func (g *Graph) Read(fn func(Reader)) {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	fn(Reader{g})
+}
+
+// IDs is one past the largest ID the graph has handed out: every ID Each
+// shows is below it.
+func (r Reader) IDs() int { return r.g.idsLocked() }
+
+// Count is CountMatch (pat is a pointer only to spare a Triple's copy).
+func (r Reader) Count(pat *Triple) int { return r.g.matchLocked(pat).n }
+
+// Each streams pat's matches to fn in ForEachMatch's order, each with the
+// IDs of its subject, predicate and object, and reports whether fn asked
+// for all of them. Equal IDs are equal terms while the graph holds them.
+func (r Reader) Each(pat *Triple, fn func(Triple, [3]uint32) bool) bool {
+	return r.g.eachLocked(r.g.matchLocked(pat), fn)
+}
+
+func (g *Graph) idsLocked() int { return len(g.terms) }
+
+// matchRun is a pattern's matches: a run of one list in scan order ix, or
+// every triple when ix is -1; n is their number.
+type matchRun struct {
+	ix      int
+	first   uint32
+	entries []entry
+	n       int
+}
+
+func (g *Graph) matchLocked(pat *Triple) matchRun {
+	m := pat.Mask()
+	if m == 0 {
+		return matchRun{ix: -1, n: g.size}
 	}
-	for s, run := range g.lists[spo] {
-		if !g.emitLocked(spo, uint32(s), run, fn) {
-			return
+	ix, first, entries := g.runLocked(pat, m)
+	return matchRun{ix: ix, first: first, entries: entries, n: len(entries)}
+}
+
+func (g *Graph) eachLocked(r matchRun, fn func(Triple, [3]uint32) bool) bool {
+	if r.ix >= 0 {
+		return g.emitLocked(r.ix, r.first, r.entries, fn)
+	}
+	for s, l := range g.lists[spo] {
+		if !g.emitLocked(spo, uint32(s), l, fn) {
+			return false
 		}
 	}
+	return true
 }
 
 // scanOrder is the index order that answers each bound mask: the one whose
@@ -271,17 +317,19 @@ func (g *Graph) runLocked(pat *Triple, m BoundMask) (ix int, first uint32, run [
 
 // emitLocked hands fn the triples of one run of lists[ix][first] and
 // reports whether fn asked for more.
-func (g *Graph) emitLocked(ix int, first uint32, run []entry, fn func(Triple) bool) bool {
+func (g *Graph) emitLocked(ix int, first uint32, run []entry, fn func(Triple, [3]uint32) bool) bool {
 	if len(run) == 0 {
 		return true
 	}
 	var t Triple
+	var id [3]uint32
 	k := [3]*Term{&t.S, &t.P, &t.O}
-	y, z := k[rot[ix+1]], k[rot[ix+2]]
-	*k[ix] = g.terms[first]
+	y, z := rot[ix+1], rot[ix+2]
+	*k[ix], id[ix] = g.terms[first], first
 	for _, e := range run {
-		*y, *z = g.terms[e>>32], g.terms[uint32(e)]
-		if !fn(t) {
+		id[y], id[z] = uint32(e>>32), uint32(e)
+		*k[y], *k[z] = g.terms[id[y]], g.terms[id[z]]
+		if !fn(t, id) {
 			return false
 		}
 	}

@@ -108,16 +108,6 @@ func (b Binding) Key() string {
 	return sb.String()
 }
 
-// SizeBytes estimates the wire size of the mapping for the network cost
-// model: variable names plus term encodings.
-func (b Binding) SizeBytes() int {
-	n := 2
-	for k, v := range b {
-		n += len(k) + v.SizeBytes()
-	}
-	return n
-}
-
 // Project returns a mapping restricted to the given variables: the
 // receiver itself when it binds nothing else (mappings are immutable, so
 // sharing one is safe), a fresh mapping otherwise.
@@ -164,13 +154,21 @@ func (b Binding) String() string {
 // ship between nodes without deep-copying.
 type Solutions []Binding
 
-// SizeBytes estimates the wire size of the multiset.
+// SizeBytes estimates the wire size of the multiset: the one table rule's
+// charge (Dict) for the mappings laid out as a table over the variables
+// they bind, one cell per mapping and variable.
 func (s Solutions) SizeBytes() int {
-	n := 4
+	var vars []string
+	var terms []rdf.Term
 	for _, b := range s {
-		n += b.SizeBytes()
+		for v, t := range b {
+			if !slices.Contains(vars, v) {
+				vars = append(vars, v)
+			}
+			terms = append(terms, t)
+		}
 	}
-	return n
+	return tableBytes(vars, len(s), func(i, c int) rdf.Term { return s[i][vars[c]] }, dictOf(terms))
 }
 
 // Join computes Ω1 ⋈ Ω2: the merge of every compatible pair, in nested-loop

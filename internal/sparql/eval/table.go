@@ -16,14 +16,23 @@ import (
 // reply to its result, and only the result's rows become Bindings. A table
 // without variables still has rows: the unit key is "no variables, one row".
 //
-// SizeBytes charges exactly what Solutions.SizeBytes charges for the same
-// rows, so a unit or whole-row key costs what the seeds it replaces cost.
-// A table is built once — by KeyTable, a table operator, Matches.Table or a
-// storage node's keyed match — and never written afterwards.
+// A table travels dictionary-encoded (Dict, DESIGN §5): the names of the
+// variables its rows bind, once; each distinct bound term, once; and a 1-,
+// 2- or 4-byte index per cell. SizeBytes charges exactly what
+// Solutions.SizeBytes charges for the same rows, so a unit or whole-row key
+// costs what the seeds it replaces cost. Dict is counted once — by a
+// storage node's keyed match from its graph's term IDs, by KeyTable, and by
+// Counted where a table leaves its site — and carried from there: an
+// operator whose result holds exactly its input's terms (Distinct, Reduced,
+// Order) passes the input's on, the others leave theirs to be counted
+// where the table is sized. A table is built once — by KeyTable, a table
+// operator, Matches.Table or a storage node's keyed match — and never
+// written afterwards.
 type Table struct {
 	Vars  []string
 	Terms []rdf.Term
 	N     int
+	Dict  Dict
 }
 
 // Row returns the terms of row i, aliasing the table.
@@ -32,20 +41,25 @@ func (t Table) Row(i int) []rdf.Term {
 	return t.Terms[i*w : (i+1)*w : (i+1)*w]
 }
 
-// SizeBytes is the wire size of the rows: a store.match reply carries one
-// Table per unit it answers, each charged this. A row costs its header and,
-// per bound cell, the variable's name and the term — an unbound one nothing.
+// SizeBytes is the wire size of the table under the one table rule: a
+// store.match reply carries one Table per unit it answers, each charged
+// this. A table that carries no Dict is counted here.
 func (t Table) SizeBytes() int {
-	n, c := 4+2*t.N, 0
-	for _, term := range t.Terms {
-		if !term.IsZero() {
-			n += len(t.Vars[c]) + term.SizeBytes()
-		}
-		if c++; c == len(t.Vars) {
-			c = 0
-		}
+	d := t.Dict
+	if d.Len == 0 {
+		d = dictOf(t.Terms)
 	}
-	return n
+	return tableBytes(t.Vars, t.N, func(i, c int) rdf.Term { return t.Terms[i*len(t.Vars)+c] }, d)
+}
+
+// Counted returns t carrying its dictionary, counted unless it carries one:
+// what a table is made before it leaves its site, so that every charge of
+// it on the way is arithmetic.
+func (t Table) Counted() Table {
+	if t.Dict.Len == 0 {
+		t.Dict = dictOf(t.Terms)
+	}
+	return t
 }
 
 // Binds reports whether some row binds v.
@@ -59,25 +73,15 @@ func (t Table) Binds(v string) bool {
 	return false
 }
 
-// rowOverhead is what one row costs beyond its terms: the row header and
-// the variable names, which Binding.SizeBytes charges per row.
-func rowOverhead(vars []string) int {
-	n := 2
-	for _, v := range vars {
-		n += len(v)
-	}
-	return n
-}
-
-// RowEstimate is the wire size of one row over vars whose terms are as
-// large as t's are on average — what a reply row to the keys t is expected
-// to cost. t must have terms.
+// RowEstimate is the wire size one reply row over vars is expected to
+// cost when it is charged as t is: per cell, what a cell of t costs under
+// the table rule — its index and its share of t's dictionary. A reply to
+// the keys t repeats its terms as t does; charged with every term distinct
+// instead, a row looks as large as a mapping's and keys whose terms repeat
+// look cheap beside it. t must have terms.
 func (t Table) RowEstimate(vars []string) int {
-	terms := 0
-	for _, term := range t.Terms {
-		terms += term.SizeBytes()
-	}
-	return rowOverhead(vars) + len(vars)*terms/len(t.Terms)
+	d := t.Counted().Dict
+	return len(vars) * (len(t.Terms)*d.Width() + d.Bytes) / len(t.Terms)
 }
 
 // KeyTable returns the distinct projection of seeds onto vars, a subset of
@@ -87,6 +91,13 @@ func KeyTable(seeds Table, vars []string) Table {
 	if len(vars) == 0 {
 		return Table{N: 1}
 	}
+	keys := distinctRows(seeds, vars)
+	keys.Dict = dictOf(keys.Terms) // keys are sized before they are sent
+	return keys
+}
+
+// distinctRows is KeyTable's projection, its dictionary not counted.
+func distinctRows(seeds Table, vars []string) Table {
 	cols := make([]int, len(vars))
 	for k, v := range vars {
 		cols[k] = slices.Index(seeds.Vars, v)
@@ -157,19 +168,24 @@ func unbound(row []rdf.Term, cols []int) bool {
 
 // MatchSet is the wire form of the matches accumulated for one pattern:
 // distinct rows over one schema, in arrival order, each aliasing the reply
-// table that carried it. TermBytes is the running sum of the rows' term
-// sizes, so SizeBytes does not walk them; like Table it charges what
-// Solutions.SizeBytes charges for the same rows. It is append-only:
-// Matches writes only past the prefixes it has handed out.
+// table that carried it. Dict is the rows' dictionary when Matches.Counted
+// counted it, and like Table it charges what Solutions.SizeBytes charges
+// for the same rows. It is append-only: Matches writes only past the
+// prefixes it has handed out.
 type MatchSet struct {
-	Vars      []string
-	Rows      [][]rdf.Term
-	TermBytes int
+	Vars []string
+	Rows [][]rdf.Term
+	Dict Dict
 }
 
-// SizeBytes is the wire size of the set.
+// SizeBytes is the wire size of the set under the one table rule; a set
+// that carries no Dict is counted here.
 func (s MatchSet) SizeBytes() int {
-	return 4 + len(s.Rows)*rowOverhead(s.Vars) + s.TermBytes
+	d := s.Dict
+	if d.Len == 0 {
+		d = dictOf(s.Table().Terms)
+	}
+	return tableBytes(s.Vars, len(s.Rows), func(i, c int) rdf.Term { return s.Rows[i][c] }, d)
 }
 
 // Matches accumulates the reply tables of one pattern's targets into a
@@ -191,15 +207,15 @@ func (s MatchSet) SizeBytes() int {
 // through the one join kernel, and its Filter copies only the rows it keeps —
 // each the sequence and the size of the same operator over Table().
 type Matches struct {
-	vars      []string     // the replies' schema
-	rows      [][]rdf.Term // distinct rows in arrival order
-	termBytes int
-	sizeHint  int
-	keys      []string         // the variables the keys bound, a subset of vars
-	cols      []int            // their columns in vars; every column when keys is empty
-	head      map[uint64]int32 // key hash → last row added with it (1-based)
-	next      []int32          // row → previous row with the same hash
-	loose     []int32          // rows leaving a key column unbound, in arrival order
+	vars     []string     // the replies' schema
+	rows     [][]rdf.Term // distinct rows in arrival order
+	counted  *countedRows // what Counted has counted; nil before its first call
+	sizeHint int
+	keys     []string         // the variables the keys bound, a subset of vars
+	cols     []int            // their columns in vars; every column when keys is empty
+	head     map[uint64]int32 // key hash → last row added with it (1-based)
+	next     []int32          // row → previous row with the same hash
+	loose    []int32          // rows leaving a key column unbound, in arrival order
 }
 
 // NewMatches returns an empty accumulator for the replies of a pattern whose
@@ -219,7 +235,32 @@ func (m *Matches) Len() int { return len(m.rows) }
 // as Table returns. Add only appends past what was returned earlier, so a
 // set already handed to the fabric stays as it was.
 func (m *Matches) Set() MatchSet {
-	return MatchSet{Vars: m.vars, Rows: m.rows[:len(m.rows):len(m.rows)], TermBytes: m.termBytes}
+	return MatchSet{Vars: m.vars, Rows: m.rows[:len(m.rows):len(m.rows)]}
+}
+
+// Counted returns Set carrying its dictionary: the count so far goes on
+// over the rows added since, so a set handed out at every hop of a chain
+// counts each row once.
+func (m *Matches) Counted() MatchSet {
+	if m.counted == nil {
+		m.counted = &countedRows{}
+	}
+	c := m.counted
+	from := len(c.flat)
+	for _, row := range m.rows[from/max(len(m.vars), 1):] {
+		c.flat = append(c.flat, row...)
+	}
+	c.dict.count(c.flat, from)
+	s := m.Set()
+	s.Dict = c.dict.Dict
+	return s
+}
+
+// countedRows is the rows Matches.Counted has counted, laid end to end,
+// and their dictionary.
+type countedRows struct {
+	flat []rdf.Term
+	dict dictCounter
 }
 
 // Add appends the rows of t that are not yet held.
@@ -243,12 +284,7 @@ func (m *Matches) Add(t Table) {
 	}
 }
 
-func (m *Matches) push(row []rdf.Term) {
-	m.rows = append(m.rows, row)
-	for _, term := range row {
-		m.termBytes += term.SizeBytes()
-	}
-}
+func (m *Matches) push(row []rdf.Term) { m.rows = append(m.rows, row) }
 
 // index builds the hash index over the rows held so far, leaving room for
 // extra more.
@@ -309,7 +345,7 @@ func (s MatchSet) Table() Table {
 	for _, row := range s.Rows {
 		terms = append(terms, row...)
 	}
-	return Table{Vars: s.Vars, Terms: terms, N: len(s.Rows)}
+	return Table{Vars: s.Vars, Terms: terms, N: len(s.Rows), Dict: s.Dict}
 }
 
 // row is Table.Row over s, for the operators that read rows through one.

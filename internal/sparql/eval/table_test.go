@@ -58,8 +58,8 @@ func rowsOf(t Table) Solutions {
 // they replace cost, byte for byte — every unit-seed number in the
 // repository rests on it.
 func TestTableChargesLikeSolutions(t *testing.T) {
-	if got := (Table{N: 1}).SizeBytes(); got != 6 || got != (Solutions{NewBinding()}).SizeBytes() {
-		t.Errorf("unit key costs %d bytes, want 6", got)
+	if got := (Table{N: 1}).SizeBytes(); got != 5 || got != (Solutions{NewBinding()}).SizeBytes() {
+		t.Errorf("unit key costs %d bytes, want 5", got)
 	}
 	if got := (Table{}).SizeBytes(); got != Solutions(nil).SizeBytes() {
 		t.Errorf("empty table costs %d bytes, want %d", got, Solutions(nil).SizeBytes())

@@ -9,7 +9,9 @@ import (
 
 // The operators the distributed engine applies above a basic graph pattern.
 // Each returns, over the same rows written as mappings, its Solutions
-// counterpart's sequence; a result may share the input's terms.
+// counterpart's sequence; a result may share the input's terms. One whose
+// result holds exactly its input's terms passes the input's Dict on; the
+// others' results carry none until counted.
 
 // UnionTables returns a ∪ b: a's rows, then b's, over a's variables followed
 // by b's others; a row leaves the other side's variables unbound.
@@ -111,12 +113,14 @@ func (t Table) Distinct() Table {
 	if t.N == 0 {
 		return t
 	}
-	return KeyTable(t, t.Vars)
+	out := distinctRows(t, t.Vars)
+	out.Dict = t.Dict
+	return out
 }
 
 // Reduced removes adjacent duplicate rows.
 func (t Table) Reduced() Table {
-	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms))}
+	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms)), Dict: t.Dict}
 	for i := 0; i < t.N; i++ {
 		if i > 0 && slices.Equal(t.Row(i), t.Row(i-1)) {
 			continue
@@ -131,7 +135,7 @@ func (t Table) Reduced() Table {
 // each row's keys evaluated once.
 func (t Table) Order(conds []sparql.OrderCond) Table {
 	as := scratchRow(t.Vars)
-	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms)), N: t.N}
+	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms)), N: t.N, Dict: t.Dict}
 	for _, i := range orderRows(conds, t.N, func(i int) Binding { return as(t.Row(i)) }) {
 		out.Terms = append(out.Terms, t.Row(i)...)
 	}
@@ -143,6 +147,9 @@ func (t Table) Slice(offset, limit int) Table {
 	from, to := min(max(offset, 0), t.N), t.N
 	if limit >= 0 {
 		to = min(from+limit, t.N)
+	}
+	if from == 0 && to == t.N {
+		return t
 	}
 	w := len(t.Vars)
 	return Table{Vars: t.Vars, Terms: t.Terms[from*w : to*w : to*w], N: to - from}
