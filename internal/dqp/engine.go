@@ -321,7 +321,7 @@ func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VT
 		return nil, done, err
 	}
 
-	out := &Result{Solutions: solutionsOf(res)}
+	out := &Result{Solutions: res.rows.Solutions()}
 	switch q.Form {
 	case sparql.FormSelect:
 		out.Vars = op.Vars()
@@ -329,10 +329,10 @@ func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VT
 		out.IsAsk = true
 		out.Ask = len(out.Solutions) > 0
 	case sparql.FormConstruct:
-		out.Triples = eval.Construct(q.Template, res.flat().rows)
+		out.Triples = eval.Construct(q.Template, res.rows)
 	case sparql.FormDescribe:
 		var ts []rdf.Triple
-		ts, done, err = e.describe(ctx, q, res.flat().rows, done)
+		ts, done, err = e.describe(ctx, q, res.rows, done)
 		if err != nil {
 			return nil, done, err
 		}
@@ -369,15 +369,15 @@ func (e *Engine) describe(ctx *qctx, q *sparql.Query, rows eval.Table, at simnet
 		}
 		if c := slices.Index(rows.Vars, t.Value); c >= 0 {
 			for i := 0; i < rows.N; i++ {
-				if v := rows.Row(i)[c]; !v.IsZero() {
+				if v := rows.Term(i, c); !v.IsZero() {
 					resources[v] = true
 				}
 			}
 		}
 	}
-	if q.Star {
-		for _, v := range rows.Terms {
-			if v.Kind == rdf.KindIRI {
+	for i := 0; q.Star && i < rows.N; i++ {
+		for c := range rows.Vars {
+			if v := rows.Term(i, c); v.Kind == rdf.KindIRI {
 				resources[v] = true
 			}
 		}
@@ -402,10 +402,10 @@ func (e *Engine) describe(ctx *qctx, q *sparql.Query, rows eval.Table, at simnet
 		if err != nil {
 			return nil, now, err
 		}
-		props := res.flat().rows
+		props := res.rows
 		p, o := slices.Index(props.Vars, "p"), slices.Index(props.Vars, "o")
 		for i := 0; i < props.N; i++ {
-			t := rdf.Triple{S: r, P: props.Row(i)[p], O: props.Row(i)[o]}
+			t := rdf.Triple{S: r, P: props.Term(i, p), O: props.Term(i, o)}
 			if t.IsConcrete() && !seen[t] {
 				seen[t] = true
 				out = append(out, t)

@@ -19,30 +19,11 @@ import (
 
 // flatSet is a solution table together with the node it currently resides
 // on — the unit of data the executor moves between sites. A one-pattern
-// BGP's result leaves its rows where its accumulator holds them (matches)
-// until an operator needs them as one table, so a point query's matches
-// become result mappings with no copy in between, and the right operand of
-// a join, left join or union at their site is read where it lies.
+// BGP's result is its accumulator's table where it lies, so a point query's
+// matches become result mappings with no copy in between.
 type flatSet struct {
-	rows    eval.Table
-	matches eval.MatchSet
-	site    simnet.Addr
-}
-
-// flat returns s with its rows in one table.
-func (s flatSet) flat() flatSet {
-	if s.matches.Rows != nil {
-		s.rows, s.matches = s.matches.Table(), eval.MatchSet{}
-	}
-	return s
-}
-
-// vars is the schema of s's rows.
-func (s flatSet) vars() []string {
-	if s.matches.Rows != nil {
-		return s.matches.Vars
-	}
-	return s.rows.Vars
+	rows eval.Table
+	site simnet.Addr
 }
 
 // operand is one side of a binary merge as the join-site policies read it.
@@ -51,11 +32,8 @@ type operand struct {
 	bytes, rows int
 }
 
-// operand is s as the join-site policies read it. Only a policy weighing
-// bytes asks, and it counts s's rows in place: an operand that then leaves
-// its site is not counted twice.
-func (s *flatSet) operand() operand {
-	s.rows = s.rows.Counted()
+// operand is s as the join-site policies read it.
+func (s flatSet) operand() operand {
 	return operand{site: s.site, bytes: s.rows.SizeBytes(), rows: s.rows.N}
 }
 
@@ -82,17 +60,15 @@ func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simne
 		// where its input's solutions reside.
 		return e.execUnary(ctx, o.Input, false, at, func(t eval.Table) eval.Table { return t.Filter(o.Expr) })
 	case *algebra.Join:
-		return e.execMerge(ctx, o.Left, o.Right, at, joinOp)
+		return e.execMerge(ctx, o.Left, o.Right, at, eval.JoinTables)
 	case *algebra.LeftJoin:
 		// OPTIONAL: the move-small placement of Sect. IV-E — but the left
 		// operand is the semantic anchor, so the merge is not symmetric;
 		// merge keeps operand order.
-		return e.execMerge(ctx, o.Left, o.Right, at, binaryOp{
-			tables:  func(a, b eval.Table) eval.Table { return eval.LeftJoinTables(a, b, o.Expr) },
-			matches: func(b eval.MatchSet, a eval.Table) eval.Table { return b.LeftJoin(a, o.Expr) },
-		})
+		return e.execMerge(ctx, o.Left, o.Right, at,
+			func(a, b eval.Table) eval.Table { return eval.LeftJoinTables(a, b, o.Expr) })
 	case *algebra.Union:
-		return e.execMerge(ctx, o.Left, o.Right, at, binaryOp{tables: eval.UnionTables, matches: eval.MatchSet.Union})
+		return e.execMerge(ctx, o.Left, o.Right, at, eval.UnionTables)
 	case *algebra.Project:
 		in, done, err := e.exec(ctx, o.Input, at)
 		if err != nil {
@@ -100,8 +76,7 @@ func (e *Engine) exec(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simne
 		}
 		// Keeping every column is the identity: a one-pattern BGP's matches
 		// stay where they are.
-		if slices.ContainsFunc(in.vars(), func(v string) bool { return !slices.Contains(o.Names, v) }) {
-			in = in.flat()
+		if slices.ContainsFunc(in.rows.Vars, func(v string) bool { return !slices.Contains(o.Names, v) }) {
 			in.rows = in.rows.Project(o.Names)
 		}
 		return in, done, nil
@@ -249,24 +224,14 @@ func (e *Engine) execUnary(ctx *qctx, input algebra.Op, home bool, at simnet.VTi
 	if err != nil {
 		return flatSet{}, done, err
 	}
-	in = in.flat()
 	in.rows = f(in.rows)
 	return in, done, nil
 }
 
-// binaryOp is an operator merge applies: over two tables, and over a table
-// and a one-pattern BGP's matches read where they lie, with the same result.
-type binaryOp struct {
-	tables  func(a, b eval.Table) eval.Table
-	matches func(b eval.MatchSet, a eval.Table) eval.Table
-}
-
-var joinOp = binaryOp{tables: eval.JoinTables, matches: eval.MatchSet.Join}
-
 // execMerge evaluates two operands starting at the same virtual time — the
 // branches proceed in parallel on disjoint nodes, so each completes at its
 // own time and the merge starts at the later one — and merges them.
-func (e *Engine) execMerge(ctx *qctx, left, right algebra.Op, at simnet.VTime, op binaryOp) (flatSet, simnet.VTime, error) {
+func (e *Engine) execMerge(ctx *qctx, left, right algebra.Op, at simnet.VTime, op func(a, b eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
 	l, lDone, err := e.exec(ctx, left, at)
 	if err != nil {
 		return flatSet{}, lDone, err
@@ -275,19 +240,17 @@ func (e *Engine) execMerge(ctx *qctx, left, right algebra.Op, at simnet.VTime, o
 	if err != nil {
 		return flatSet{}, rDone, err
 	}
-	return e.merge(ctx, l.flat(), r, simnet.MaxTime(lDone, rDone), op)
+	return e.merge(ctx, l, r, simnet.MaxTime(lDone, rDone), op)
 }
 
 // merge brings both operands to one site per the join-site policy and
 // applies op there — a join, a left join or a union above a BGP, a join of
 // two partial results inside one. Operand order is preserved (op may be
-// asymmetric, e.g. a left join). l is one table; r may be a one-pattern
-// BGP's matches, which op reads in place when they are already at the site.
-func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op binaryOp) (flatSet, simnet.VTime, error) {
+// asymmetric, e.g. a left join).
+func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op func(a, b eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
 	site := l.site
 	if l.site != r.site {
-		r = r.flat()
-		site = e.pickJoinSite(ctx, &l, &r, func() bool {
+		site = e.pickJoinSite(ctx, l, r, func() bool {
 			return slices.ContainsFunc(l.rows.Vars, func(v string) bool { return l.rows.Binds(v) && r.rows.Binds(v) })
 		})
 	}
@@ -299,16 +262,13 @@ func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op binaryOp) (f
 	if err != nil {
 		return flatSet{}, now, err
 	}
-	if r.matches.Rows != nil {
-		return flatSet{rows: op.matches(r.matches, l.rows), site: site}, now, nil
-	}
-	return flatSet{rows: op.tables(l.rows, r.rows), site: site}, now, nil
+	return flatSet{rows: op(l.rows, r.rows), site: site}, now, nil
 }
 
 // pickJoinSite implements the join-site selection strategies of Sect. II
 // for operands on different sites. shared reports whether the operands bind
 // a common variable; only the QoS policy's result estimate asks.
-func (e *Engine) pickJoinSite(ctx *qctx, ls, rs *flatSet, shared func() bool) simnet.Addr {
+func (e *Engine) pickJoinSite(ctx *qctx, ls, rs flatSet, shared func() bool) simnet.Addr {
 	switch e.opts.JoinSite {
 	case JoinSiteQuerySite:
 		return ctx.initiator
@@ -398,8 +358,6 @@ func (e *Engine) ship(ctx *qctx, s flatSet, dest simnet.Addr, method string, at 
 		s.site = dest
 		return s, at, nil
 	}
-	s = s.flat()
-	s.rows = s.rows.Counted()
 	done, err := e.transferRetry(s.site, dest, method, rowsPayload{Rows: s.rows, TC: ctx.nextTC(ctx.tc)}, at)
 	if err != nil {
 		return flatSet{}, done, err
@@ -655,45 +613,11 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	return out, now, nil
 }
 
-// matchResult is a one-pattern BGP's result at site: its matches in place,
-// or under a filter a table of those that pass it — every conjunct not
-// shipped with the pattern included — copied from where they lie.
+// matchResult is a one-pattern BGP's result at site: its matches where
+// they lie, or under a filter a table of those that pass it — every
+// conjunct not shipped with the pattern included.
 func matchResult(acc *eval.Matches, filter sparql.Expression, site simnet.Addr) flatSet {
-	if filter != nil {
-		return flatSet{rows: acc.Set().Filter(filter), site: site}
-	}
-	return flatSet{matches: acc.Set(), site: site}
-}
-
-// solutionsOf is where a query's result rows become mappings, and the one
-// place in dqp that builds them: runPlan calls it once, on the rows it
-// returns. A mapping binds its row's bound cells only; a one-pattern BGP's
-// matches are read in place.
-func solutionsOf(s flatSet) eval.Solutions {
-	vars, n := s.rows.Vars, s.rows.N
-	if s.matches.Rows != nil {
-		vars, n = s.matches.Vars, len(s.matches.Rows)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make(eval.Solutions, n)
-	for i := range out {
-		var row []rdf.Term
-		if s.matches.Rows != nil {
-			row = s.matches.Rows[i]
-		} else {
-			row = s.rows.Row(i)
-		}
-		b := make(eval.Binding, len(vars))
-		for c, v := range vars {
-			if !row[c].IsZero() {
-				b[v] = row[c]
-			}
-		}
-		out[i] = b
-	}
-	return out
+	return flatSet{rows: acc.Table().Filter(filter), site: site}
 }
 
 // varSet is the set of variables a pattern mentions.
@@ -769,7 +693,7 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 	cur, now := results[0], times[0]
 	for i := 1; i < len(plans); i++ {
 		var err error
-		cur, now, err = e.merge(ctx, cur, results[i], simnet.MaxTime(now, times[i]), joinOp)
+		cur, now, err = e.merge(ctx, cur, results[i], simnet.MaxTime(now, times[i]), eval.JoinTables)
 		if err != nil {
 			return flatSet{}, now, err
 		}
@@ -910,7 +834,7 @@ func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.
 			case k == 0:
 				rows = acc.Table()
 			default:
-				rows = acc.Set().Join(rows)
+				rows = eval.JoinTables(rows, acc.Table())
 			}
 		}
 		if len(w.plans) > 1 {
@@ -1149,7 +1073,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	base := overlay.MatchReq{Units: keyed, Dataset: ctx.dataset, FromNamed: ctx.fromNamed}
 	now := at
 	if seeds.site != assembly {
-		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows.Counted()}
+		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows}
 		dispatch.Sub.TC = patTC.Child(0)
 		done, err := e.transferRetry(seeds.site, assembly, methodDispatch, dispatch, now)
 		if err != nil {
@@ -1245,7 +1169,7 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, ke
 			Pattern:   plan.pattern,
 			Filter:    filter,
 			Keys:      sent,
-			Acc:       acc.Counted(),
+			Acc:       acc.Table(),
 			Seq:       addrsOf(seq[i+1:]),
 			Dataset:   ctx.dataset,
 			Graph:     scope,

@@ -12,7 +12,6 @@ import (
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
 	"adhocshare/internal/sparql/eval"
-	"adhocshare/internal/sparql/eval/evaltest"
 )
 
 // The keyed sub-query against its reference. A case is a dataset spread
@@ -156,7 +155,7 @@ func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Ta
 			t.Fatalf("%v: provider %d is listed with %d matches, unit key %v", c, i, plan.postings[i].Freq, unit.has(i))
 		}
 	}
-	if err := evaltest.CheckTable(keys); err != nil {
+	if err := checkTable(keys); err != nil {
 		t.Fatalf("%v: the keys %v", c, err)
 	}
 	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
@@ -166,28 +165,28 @@ func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Ta
 			sent = eval.Table{N: 1}
 		}
 		reply := n.MatchKeys(c.pat, c.filter, sent, nil, nil, c.scope)
-		if err := evaltest.CheckTable(reply); err != nil {
+		if err := checkTable(reply); err != nil {
 			t.Fatalf("%v: provider %d's reply %v", c, i, err)
 		}
 		acc.Add(reply)
 	}
-	return solutionsOf(patternMatches{acc: acc, seeds: seeds, rowsKeys: rowsKeys}.result())
+	return patternMatches{acc: acc, seeds: seeds, rowsKeys: rowsKeys}.result().rows.Solutions()
 }
 
 // flat lays mappings binding the same variables out as a table.
 func flat(rows eval.Solutions) eval.Table {
-	var t eval.Table
+	var vars []string
 	for v := range rows[0] {
-		t.Vars = append(t.Vars, v)
+		vars = append(vars, v)
 	}
-	sort.Strings(t.Vars)
+	sort.Strings(vars)
+	var cells []rdf.Term
 	for _, b := range rows {
-		for _, v := range t.Vars {
-			t.Terms = append(t.Terms, b[v])
+		for _, v := range vars {
+			cells = append(cells, b[v])
 		}
 	}
-	t.N = len(rows)
-	return t
+	return eval.TableOf(vars, cells)
 }
 
 func sortedKeys(s eval.Solutions) []string {

@@ -51,7 +51,7 @@ type chainPayload struct {
 	Pattern rdf.Triple
 	Filter  sparql.Expression
 	Keys    eval.Table
-	Acc     eval.MatchSet
+	Acc     eval.Table
 	Seq     []simnet.Addr
 	Dataset []string
 	// Graph and FromNamed are overlay.MatchReq's: the GRAPH scope and the

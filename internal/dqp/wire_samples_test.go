@@ -40,9 +40,8 @@ func methodSamples() []methodSample {
 	rows := overlay.TableRows{Rows: map[chord.ID][]overlay.Posting{
 		7: {{Node: "n3", Freq: 2}},
 	}}
-	keys := eval.Table{Vars: []string{"s"}, Terms: []rdf.Term{rdf.NewIRI("urn:s")}, N: 1}
-	matches := eval.Table{Vars: []string{"s", "o"},
-		Terms: []rdf.Term{rdf.NewIRI("urn:s"), rdf.NewLangLiteral("hi", "en")}, N: 1}
+	keys := eval.TableOf([]string{"s"}, []rdf.Term{rdf.NewIRI("urn:s")})
+	matches := eval.TableOf([]string{"s", "o"}, []rdf.Term{rdf.NewIRI("urn:s"), rdf.NewLangLiteral("hi", "en")})
 	matchReq := overlay.MatchReq{
 		Units:     []overlay.MatchUnit{{Pattern: pattern, Filter: filter, Keys: keys, Graph: rdf.NewIRI("urn:g1")}},
 		Dataset:   []string{"urn:g1"},
@@ -58,7 +57,7 @@ func methodSamples() []methodSample {
 		{Pattern: rdf.NewTriple(rdf.NewVar("o"), rdf.NewIRI("urn:p"), rdf.NewVar("t")), Keys: eval.Table{N: 1}, Graph: rdf.NewVar("g")},
 	}
 	waveResp := overlay.MatchResp{Tables: []eval.Table{matches,
-		{Vars: []string{"s"}, Terms: []rdf.Term{rdf.NewIRI("urn:s")}, N: 1}, {Vars: []string{"o", "t"}}}}
+		eval.TableOf([]string{"s"}, []rdf.Term{rdf.NewIRI("urn:s")}), {Vars: []string{"o", "t"}}}}
 	ref := chord.Ref{ID: 42, Addr: "c2"}
 	ack := simnet.Bytes(1)
 
@@ -112,7 +111,7 @@ func methodSamples() []methodSample {
 			Pattern:   pattern,
 			Filter:    filter,
 			Keys:      keys,
-			Acc:       eval.MatchSet{Vars: matches.Vars, Rows: [][]rdf.Term{matches.Row(0)}, Dict: eval.Dict{Len: 2, Bytes: 13}},
+			Acc:       matches,
 			Seq:       []simnet.Addr{"n5", "n6"},
 			Dataset:   []string{"urn:g1"},
 			Graph:     rdf.NewIRI("urn:g1"),
@@ -136,8 +135,8 @@ func methodSamples() []methodSample {
 		// unbound in some rows.
 		{methodDispatch, dispatchPayload{Sub: matchReq, Rows: matches}, ack},
 		{methodShip, rowsPayload{Rows: matches}, ack},
-		{methodResult, rowsPayload{Rows: eval.Table{Vars: []string{"s", "o"},
-			Terms: []rdf.Term{rdf.NewIRI("urn:s"), {}, rdf.NewIRI("urn:t"), rdf.NewLiteral("o")}, N: 2}}, ack},
+		{methodResult, rowsPayload{Rows: eval.TableOf([]string{"s", "o"},
+			[]rdf.Term{rdf.NewIRI("urn:s"), {}, rdf.NewIRI("urn:t"), rdf.NewLiteral("o")})}, ack},
 
 		// RDFPeers baseline.
 		{rdfpeers.MethodStore, rdfpeers.StoreReq{Triple: triple}, ack},

@@ -91,11 +91,12 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 
 // TestMatchAllocatesPerUnit pins store.match's allocations to its units.
 // An empty match allocates two objects. Over it, a match of k identical
-// units allocates the reply's table slice plus six objects per unit — the
-// unit's variables, its scoped graph and its reply table — so nothing in
-// the handler is paid per unit beyond the unit's own evaluation.
+// units allocates the reply's table slice plus four objects per unit — the
+// unit's variables, its scoped graph, and its reply table's cells and
+// dictionary — so nothing in the handler is paid per unit beyond the
+// unit's own evaluation.
 func TestMatchAllocatesPerUnit(t *testing.T) {
-	const base, perUnit = 2, 6
+	const base, perUnit = 2, 4
 	s, now := newTestSystem(t, 3)
 	_, now, err := s.AddStorageNode("D1", now)
 	if err != nil {

@@ -13,6 +13,8 @@
 package overlay
 
 import (
+	"sync"
+
 	"adhocshare/internal/chord"
 	"adhocshare/internal/rdf"
 )
@@ -84,6 +86,27 @@ func TripleKeys(t rdf.Triple, bits uint) [numKeyKinds]chord.ID {
 type keyMemo struct {
 	bits  uint
 	unary map[unaryTerm]chord.ID
+}
+
+// unaryMaps holds the maps of finished edits' memos, cleared. A cleared
+// map keeps the room it grew, so an edit reuses it in place of growing a
+// new map term by term; concurrent edits each take their own. A map past
+// maxPooledTerms — a bulk publication's — is left to the collector: every
+// later edit would pay its size to clear it.
+var unaryMaps = sync.Pool{New: func() any { return map[unaryTerm]chord.ID{} }}
+
+const maxPooledTerms = 1 << 10
+
+// newKeyMemo takes a memo for one edit; release returns it.
+func newKeyMemo(bits uint) keyMemo {
+	return keyMemo{bits, unaryMaps.Get().(map[unaryTerm]chord.ID)}
+}
+
+func (m keyMemo) release() {
+	if len(m.unary) <= maxPooledTerms {
+		clear(m.unary)
+		unaryMaps.Put(m.unary)
+	}
 }
 
 type unaryTerm struct {

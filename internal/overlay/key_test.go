@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"adhocshare/internal/chord"
@@ -95,6 +96,34 @@ func TestKeyMemoMatchesTripleKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKeyMemoPoolConcurrent: memos taken from the pool by concurrent
+// edits, each over triples of its own, read the keys TripleKeys derives and
+// come cleared, however often a released map is taken again. The race step
+// runs it.
+func TestKeyMemoPoolConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for edit := 0; edit < 50; edit++ {
+				memo := newKeyMemo(24)
+				if len(memo.unary) != 0 {
+					t.Errorf("a memo taken from the pool holds %d keys", len(memo.unary))
+				}
+				for i := 0; i < 10; i++ {
+					tr := rdf.Triple{S: keyTerms[(g+i)%len(keyTerms)], P: keyTerms[edit%len(keyTerms)], O: keyTerms[i]}
+					if got, want := memo.tripleKeys(tr), TripleKeys(tr, 24); got != want {
+						t.Errorf("memo keys of %v = %v, TripleKeys %v", tr, got, want)
+					}
+				}
+				memo.release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestSumKeyFreqsMatchesMap holds the sort-and-sum of an edit's key deltas

@@ -44,12 +44,12 @@ type StorageNode struct {
 	arcs     []chord.Arc
 	arcEpoch uint64
 
-	// seen is MatchKeys' scratch for counting a reply's dictionary from its
-	// graph's term IDs: seen[id] == stamp once the reply holds the term.
-	// Held under countMu for the whole match.
-	countMu sync.Mutex
-	seen    []uint32
-	stamp   uint32
+	// pos is MatchKeys' scratch for building a reply's dictionary from its
+	// graph's term IDs: pos[id] is the term's position in the reply's
+	// dictionary, 0 while the reply does not hold it. Every entry is zero
+	// between matches. Held under matchMu for the whole match.
+	matchMu sync.Mutex
+	pos     []uint32
 }
 
 // NewStorageNode creates a storage node and registers it on the network.
@@ -354,17 +354,19 @@ func (s *StorageNode) scopedGraphs(dataset, fromNamed []string, graph rdf.Term) 
 // pattern does not mention. keys bind a subset of those variables; rows
 // come graph by graph, key by key, in the graph's match order. filter, when
 // non-nil, may mention only variables of the reply and is applied before
-// the rows are returned (the pushed-down FILTER of Sect. IV-G). The table
-// carries its dictionary: over one graph counted from the graph's term IDs
-// as the rows are emitted, allocation-free; over several, or with a graph
-// name column, whose terms no one ID space holds, counted afterwards.
+// the rows are returned (the pushed-down FILTER of Sect. IV-G). The reply's
+// dictionary holds the terms its rows use: over one graph built from the
+// graph's term IDs as the rows are emitted, then copied out of the graph;
+// over several, or with a graph name column, whose terms no one ID space
+// holds, built by value (eval.TableOf).
 func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys eval.Table, dataset, fromNamed []string, graph rdf.Term) eval.Table {
 	out := eval.Table{Vars: pat.Vars()}
 	pos := [3]*rdf.Term{&pat.S, &pat.P, &pat.O}
-	// from[c] is the triple position column c is read from, -1 for a GRAPH
-	// variable outside the pattern; sub[i] is the key column substituted
-	// into position i, -1 for none.
-	var from []int
+	// from[c] is the triple position column c is read from, 3 for a GRAPH
+	// variable outside the pattern, whose column holds the graph's name;
+	// sub[i] is the key column substituted into position i, -1 for none.
+	var fromCols [4]int
+	from := fromCols[:0]
 	for _, v := range out.Vars {
 		for i, p := range pos {
 			if p.IsVar() && p.Value == v {
@@ -378,7 +380,7 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 		gKey = slices.Index(keys.Vars, graph.Value)
 		if !slices.Contains(out.Vars, graph.Value) {
 			out.Vars = append(out.Vars, graph.Value)
-			from = append(from, -1)
+			from = append(from, 3)
 		}
 	}
 	sub := [3]int{-1, -1, -1}
@@ -393,15 +395,14 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 	// the pattern mentions, into the pattern; false when the key names
 	// another graph.
 	bind := func(sg scopedGraph, k int) (rdf.Triple, bool) {
-		key := keys.Row(k)
-		if gKey >= 0 && key[gKey] != sg.name {
+		if gKey >= 0 && keys.Term(k, gKey) != sg.name {
 			return rdf.Triple{}, false
 		}
 		b := pat
 		for i, p := range [3]*rdf.Term{&b.S, &b.P, &b.O} {
 			switch {
 			case sub[i] >= 0:
-				*p = key[sub[i]]
+				*p = keys.Term(k, sub[i])
 			case graph.IsVar() && p.IsVar() && p.Value == graph.Value:
 				*p = sg.name
 			}
@@ -409,58 +410,47 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 		return b, true
 	}
 
-	s.countMu.Lock()
-	defer s.countMu.Unlock()
-	byID := len(graphs) == 1 && !slices.Contains(from, -1)
-	if byID {
-		if s.stamp++; s.stamp == 0 { // wrapped: no stale stamp may match
-			clear(s.seen)
-			s.stamp = 1
-		}
-	}
+	s.matchMu.Lock()
+	defer s.matchMu.Unlock()
+	byID := len(graphs) == 1 && !slices.Contains(from, 3)
 	var (
 		bound   rdf.Triple
 		repeats bool // bound leaves a variable in two positions
 		name    rdf.Term
 		scratch eval.Binding // one mapping reused for every filtered row
+		terms   []rdf.Term   // the rows' terms, row-major, unless byID
+		held    uint32       // the terms the reply holds, byID
 	)
-	collect := func(t rdf.Triple, ids [3]uint32) bool {
+	term := func(t *rdf.Triple, i int) rdf.Term { return [...]rdf.Term{t.S, t.P, t.O, name}[i] }
+	collect := func(t rdf.Triple, tid [3]uint32) bool {
 		// a variable left in two positions must match one term
 		if repeats && (bound.S.IsVar() && (bound.S == bound.P && t.S != t.P || bound.S == bound.O && t.S != t.O) ||
 			bound.P.IsVar() && bound.P == bound.O && t.P != t.O) {
 			return true
 		}
-		if filter != nil && scratch == nil {
-			scratch = make(eval.Binding, len(out.Vars))
-		}
-		mark := len(out.Terms)
-		for c, i := range from {
-			term := name
-			switch i {
-			case 0:
-				term = t.S
-			case 1:
-				term = t.P
-			case 2:
-				term = t.O
+		if filter != nil {
+			if scratch == nil {
+				scratch = make(eval.Binding, len(out.Vars))
 			}
-			out.Terms = append(out.Terms, term)
-			if filter != nil {
-				scratch[out.Vars[c]] = term
+			for c, i := range from {
+				scratch[out.Vars[c]] = term(&t, i)
 			}
-		}
-		if filter != nil && !eval.Satisfies(filter, scratch) {
-			out.Terms = out.Terms[:mark]
-			return true
+			if !eval.Satisfies(filter, scratch) {
+				return true
+			}
 		}
 		out.N++
-		if byID {
-			for c, i := range from {
-				if id := ids[i]; s.seen[id] != s.stamp {
-					s.seen[id] = s.stamp
-					out.Dict.Len++
-					out.Dict.Bytes += out.Terms[mark+c].SizeBytes()
-				}
+		for _, i := range from {
+			if !byID {
+				terms = append(terms, term(&t, i))
+				continue
+			}
+			if id := tid[i]; s.pos[id] == 0 {
+				held++
+				s.pos[id] = held
+				out.Cells = append(out.Cells, firstUse|id)
+			} else {
+				out.Cells = append(out.Cells, s.pos[id])
 			}
 		}
 		return true
@@ -468,8 +458,8 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 	for _, sg := range graphs {
 		name = sg.name
 		sg.g.Read(func(r rdf.Reader) {
-			if n := r.IDs(); byID && n > len(s.seen) {
-				s.seen = make([]uint32, n) // no stamp in it is current
+			if n := r.IDs(); byID && n > len(s.pos) {
+				s.pos = make([]uint32, n) // zero, as every entry is between matches
 			}
 			// Size the reply before filling it: a count is a binary search,
 			// a reply grown by append is copied a dozen times over.
@@ -479,7 +469,11 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 					n += r.Count(&b)
 				}
 			}
-			out.Terms = slices.Grow(out.Terms, n*len(out.Vars))
+			if byID {
+				out.Cells = slices.Grow(out.Cells, n*len(out.Vars))
+			} else {
+				terms = slices.Grow(terms, n*len(out.Vars))
+			}
 			for k := 0; k < keys.N && n > 0; k++ {
 				var ok bool
 				if bound, ok = bind(sg, k); ok {
@@ -488,13 +482,32 @@ func (s *StorageNode) MatchKeys(pat rdf.Triple, filter sparql.Expression, keys e
 					r.Each(&bound, collect)
 				}
 			}
+			if byID { // copy the dictionary out of the graph, and zero pos
+				out.Dict = make([]rdf.Term, held)
+				for c, k := range out.Cells {
+					if id := k &^ firstUse; k&firstUse != 0 {
+						out.Cells[c] = s.pos[id]
+						out.Dict[s.pos[id]-1] = r.Term(id)
+						s.pos[id] = 0
+					}
+				}
+			}
 		})
 	}
 	if !byID {
-		out = out.Counted()
+		n := out.N
+		out = eval.TableOf(out.Vars, terms)
+		out.N = n
 	}
 	return out
 }
+
+// firstUse marks the cell of a term's first use in a reply MatchKeys is
+// building from graph IDs: such a cell holds the term's ID until the reply
+// is complete, so that the pass completing it finds each ID to copy out
+// and to zero once, in dictionary order, with no list of its own. A
+// graph's IDs stay below it: 2^31 terms would be 80 GiB of them.
+const firstUse = 1 << 31
 
 // graphsForGraphPatterns lists the named graphs GRAPH may range over at
 // this provider, per the W3C dataset rules adapted to the ad-hoc default.

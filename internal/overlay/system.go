@@ -308,7 +308,7 @@ func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op str
 	}
 	kfs := make([]KeyFreq, 0, int(numKeyKinds)*len(triples))
 	changed := make([]rdf.Triple, 0, len(triples))
-	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}}
+	keys := newKeyMemo(s.cfg.Bits)
 	for _, t := range triples {
 		if !editGraph(g, t, remove) {
 			continue
@@ -318,6 +318,7 @@ func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op str
 			kfs = append(kfs, KeyFreq{Key: key, Freq: delta})
 		}
 	}
+	keys.release()
 	node.InvalidateViews()
 	tc, finish := s.traceOp(op, node.addr)
 	done, err := s.installPostingsMode(node, sumKeyFreqs(kfs), false, tc, at)
@@ -351,7 +352,7 @@ func (s *System) Republish(storage simnet.Addr, at simnet.VTime) (simnet.VTime, 
 		return at, err
 	}
 	var kfs []KeyFreq
-	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}}
+	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}} // a whole graph's: too large to pool
 	count := func(g *rdf.Graph) {
 		ts := g.Triples()
 		kfs = slices.Grow(kfs, int(numKeyKinds)*len(ts))

@@ -19,8 +19,8 @@ import (
 // a function of the graph's edit history alone: two graphs built by the
 // same sequence of Add and Remove calls stream identical sequences. IDs
 // never leave the node that owns the graph — no payload, key or message
-// carries one; a Reader shows them to the owner, which counts a reply's
-// distinct terms by them.
+// carries one; a Reader shows them to the owner, which builds a reply's
+// dictionary by them.
 //
 // Storage nodes in the overlay each own one Graph — the paper's premise is
 // that providers keep and serve their own data locally (Sect. III).
@@ -237,7 +237,12 @@ func (r Reader) Each(pat *Triple, fn func(Triple, [3]uint32) bool) bool {
 	return r.g.eachLocked(r.g.matchLocked(pat), fn)
 }
 
+// Term is the term under an ID Each showed.
+func (r Reader) Term(id uint32) Term { return r.g.termLocked(id) }
+
 func (g *Graph) idsLocked() int { return len(g.terms) }
+
+func (g *Graph) termLocked(id uint32) Term { return g.terms[id] }
 
 // matchRun is a pattern's matches: a run of one list in scan order ix, or
 // every triple when ix is -1; n is their number.

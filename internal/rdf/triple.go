@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -30,11 +31,19 @@ func (t Triple) IsConcrete() bool {
 // Vars returns the distinct variable names occurring in the pattern, in
 // subject, predicate, object order.
 func (t Triple) Vars() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, term := range []Term{t.S, t.P, t.O} {
-		if term.IsVar() && !seen[term.Value] {
-			seen[term.Value] = true
+	terms := [3]Term{t.S, t.P, t.O}
+	n := 0
+	for _, term := range terms {
+		if term.IsVar() {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for _, term := range terms {
+		if term.IsVar() && !slices.Contains(out, term.Value) {
 			out = append(out, term.Value)
 		}
 	}

@@ -155,20 +155,26 @@ func (b Binding) String() string {
 type Solutions []Binding
 
 // SizeBytes estimates the wire size of the multiset: the one table rule's
-// charge (Dict) for the mappings laid out as a table over the variables
+// charge (dict.go) for the mappings laid out as a table over the variables
 // they bind, one cell per mapping and variable.
 func (s Solutions) SizeBytes() int {
+	var u usage
 	var vars []string
-	var terms []rdf.Term
+	var d dictIndex
 	for _, b := range s {
 		for v, t := range b {
 			if !slices.Contains(vars, v) {
 				vars = append(vars, v)
+				u.cols++
+				u.names += len(v)
 			}
-			terms = append(terms, t)
+			if p := d.add(t); int(p) > u.distinct {
+				u.distinct++
+				u.bytes += t.SizeBytes()
+			}
 		}
 	}
-	return tableBytes(vars, len(s), func(i, c int) rdf.Term { return s[i][vars[c]] }, dictOf(terms))
+	return u.size(len(s))
 }
 
 // Join computes Ω1 ⋈ Ω2: the merge of every compatible pair, in nested-loop

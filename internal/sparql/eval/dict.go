@@ -2,119 +2,181 @@ package eval
 
 import "adhocshare/internal/rdf"
 
-// Dict is a table's dictionary as the wire carries it: Len distinct bound
-// terms, Bytes their sizes summed. The one table rule (DESIGN §5) charges a
-// table of N rows
+// The one table rule (DESIGN §5) charges a table of N rows
 //
 //	4 (row count) + 1 (cell width) + the names of the variables some row binds
-//	+ Bytes + N × (those variables) × Width()
+//	+ each distinct bound term once (its SizeBytes)
+//	+ N × (those variables) × the cell width
 //
 // that is, one index per cell of the columns that travel, unbound cells
 // included: index 0 stands for an unbound cell, index i for the
 // dictionary's i-th term. A column no row binds does not travel, so a
-// table costs what the same rows cost as mappings (Solutions.SizeBytes). A
-// table carries its Dict from where it was counted; the zero Dict is also
-// what a table nobody counted carries, and SizeBytes counts one then.
-type Dict struct {
-	Len, Bytes int
-}
+// table costs what the same rows cost as mappings (Solutions.SizeBytes).
+// The host form is the wire form (Table): the charge is read off the
+// cells and the dictionary, counting the entries some cell uses.
 
-// Width is the cell index width: the fewest of 1, 2 or 4 bytes that hold
-// Len+1 values.
-func (d Dict) Width() int {
+// cellWidth is the cell index width: the fewest of 1, 2 or 4 bytes that
+// hold distinct+1 values.
+func cellWidth(distinct int) int {
 	switch {
-	case d.Len < 1<<8:
+	case distinct < 1<<8:
 		return 1
-	case d.Len < 1<<16:
+	case distinct < 1<<16:
 		return 2
 	default:
 		return 4
 	}
 }
 
-// tableBytes is the rule's charge for n rows over vars, cell(i, c) reading
-// row i's cell in column c, with dictionary d. A column counts as soon as
-// one row binds it, so a bound table costs one look per column.
-func tableBytes(vars []string, n int, cell func(i, c int) rdf.Term, d Dict) int {
-	size := 5 + d.Bytes
-	for c, v := range vars {
-		for i := 0; i < n; i++ {
-			if !cell(i, c).IsZero() {
-				size += len(v) + n*d.Width()
-				break
-			}
-		}
-	}
-	return size
+// usage is what the rule reads off a table: the columns some row binds and
+// their names' lengths, the dictionary entries some cell uses and their
+// bytes.
+type usage struct {
+	cols, names, distinct, bytes int
 }
 
-// dictCounter counts the distinct bound terms of a row-major run of cells:
-// an open-addressed set of positions + 1 (0 is a free slot), probed from
-// the term's hash, at most half full, that grows by doubling. It reads the
-// cells where they lie and keeps no copy of a term.
-type dictCounter struct {
-	Dict
+// usageOf reads the usage of cells laid out over vars, indexing dict. A
+// bit per entry marks the entries counted; up to 512 of them on the stack.
+func usageOf(vars []string, cells []uint32, dict []rdf.Term) (u usage) {
+	var small [8]uint64
+	seen := small[:]
+	if n := len(dict)/64 + 1; n > len(seen) {
+		seen = make([]uint64, n)
+	}
+	w := len(vars)
+	for c, v := range vars {
+		bound := false
+		for i := c; i < len(cells); i += w {
+			k := cells[i]
+			if k == 0 {
+				continue
+			}
+			bound = true
+			if bit := uint64(1) << (k % 64); seen[k/64]&bit == 0 {
+				seen[k/64] |= bit
+				u.distinct++
+				u.bytes += dict[k-1].SizeBytes()
+			}
+		}
+		if bound {
+			u.cols++
+			u.names += len(v)
+		}
+	}
+	return u
+}
+
+// size is the charge of n rows of the usage u.
+func (u usage) size(n int) int { return 5 + u.names + u.bytes + n*u.cols*cellWidth(u.distinct) }
+
+// terms reads a cell's term out of a dictionary — or out of the index space
+// a join's cells take before they are compacted: first's positions, then
+// second's after them.
+type terms struct{ first, second []rdf.Term }
+
+func (d terms) of(k uint32) rdf.Term {
+	switch {
+	case k == 0:
+		return rdf.Term{}
+	case int(k) <= len(d.first):
+		return d.first[k-1]
+	}
+	return d.second[int(k)-len(d.first)-1]
+}
+
+// dictIndex locates terms in a dictionary by value: an open-addressed set
+// of 1-based positions in terms (0 is a free slot), probed from the term's
+// hash, at most half full, built on the first lookup and doubled as it
+// fills. It never holds a term twice.
+type dictIndex struct {
+	terms []rdf.Term
 	slots []uint32
 }
 
-// count adds cells[from:] to the count of cells[:from].
-func (c *dictCounter) count(cells []rdf.Term, from int) {
-	for p := from; p < len(cells); p++ {
-		t := &cells[p]
-		if t.IsZero() {
-			continue
-		}
-		if 2*(c.Len+1) > len(c.slots) {
-			c.grow(cells, len(cells)-p)
-		}
-		mask := uint64(len(c.slots) - 1)
-		for i := termHash(t) & mask; ; i = (i + 1) & mask {
-			if q := c.slots[i]; q == 0 {
-				c.slots[i] = uint32(p + 1)
-				c.Len++
-				c.Bytes += t.SizeBytes()
-				break
-			} else if cells[q-1] == *t {
-				break
-			}
+// find returns t's position, 0 when the dictionary lacks it.
+func (d *dictIndex) find(t rdf.Term) uint32 {
+	if len(d.terms) == 0 {
+		return 0
+	}
+	if d.slots == nil {
+		d.grow()
+	}
+	mask := uint64(len(d.slots) - 1)
+	for i := termHash(&t) & mask; ; i = (i + 1) & mask {
+		switch q := d.slots[i]; {
+		case q == 0:
+			return 0
+		case d.terms[q-1] == t:
+			return q
 		}
 	}
 }
 
-// grow doubles the set. A first set has room for half of the more cells
-// yet to count to be distinct, and no fewer than 16 slots: a shipped table's
-// terms repeat, and doubling from nothing would rehash each term a dozen
-// times.
-func (c *dictCounter) grow(cells []rdf.Term, more int) {
-	old := c.slots
-	n := 2 * len(old)
-	if old == nil {
-		for n = 16; n < more; n *= 2 {
-		}
+// add returns t's position, appending t first when the dictionary lacks
+// it.
+func (d *dictIndex) add(t rdf.Term) uint32 {
+	if p := d.find(t); p != 0 {
+		return p
 	}
-	c.slots = make([]uint32, n)
-	mask := uint64(n - 1)
-	for _, q := range old {
-		if q == 0 {
-			continue
-		}
-		i := termHash(&cells[q-1]) & mask
-		for c.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		c.slots[i] = q
+	if 2*(len(d.terms)+1) > len(d.slots) {
+		d.grow()
+	}
+	d.terms = append(d.terms, t)
+	p := uint32(len(d.terms))
+	d.place(p)
+	return p
+}
+
+// grow doubles the set, or makes a first one with room for its terms: no
+// fewer than 16 slots, so that a dictionary built term by term is not
+// rehashed a dozen times.
+func (d *dictIndex) grow() {
+	n := max(16, 2*len(d.slots))
+	for n < 4*len(d.terms) {
+		n *= 2
+	}
+	d.slots = make([]uint32, n)
+	for p := range d.terms {
+		d.place(uint32(p + 1))
 	}
 }
 
-// termHash places a term in a dictCounter: the row hash's fold of its
-// value, under hashMask like every lookup (hash.go). Terms differing in the
-// kind or the suffix alone share a probe sequence, and equality tells them
+func (d *dictIndex) place(p uint32) {
+	mask := uint64(len(d.slots) - 1)
+	i := termHash(&d.terms[p-1]) & mask
+	for d.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	d.slots[i] = p
+}
+
+// termHash places a term in a dictIndex: the row hash's fold of its value,
+// under hashMask like every lookup (hash.go). Terms differing in the kind
+// or the suffix alone share a probe sequence, and equality tells them
 // apart.
 func termHash(t *rdf.Term) uint64 { return hashString(hashInit, t.Value) & hashMask }
 
-// dictOf counts the dictionary of cells.
-func dictOf(cells []rdf.Term) Dict {
-	var c dictCounter
-	c.count(cells, 0)
-	return c.Dict
+// compact rewrites cells, indices into the n positions d reads, into
+// indices into a dictionary of the terms they use, in order of first use,
+// and returns that dictionary.
+func compact(cells []uint32, n int, d terms) []rdf.Term {
+	to := make([]uint32, n+1)
+	k := uint32(0)
+	for i, u := range cells {
+		if u == 0 {
+			continue
+		}
+		if to[u] == 0 {
+			k++
+			to[u] = k
+		}
+		cells[i] = to[u]
+	}
+	dict := make([]rdf.Term, k)
+	for u, p := range to {
+		if p != 0 {
+			dict[p-1] = d.of(uint32(u))
+		}
+	}
+	return dict
 }

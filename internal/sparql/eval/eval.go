@@ -359,9 +359,9 @@ func orderRows(conds []sparql.OrderCond, n int, row func(int) Binding) []int {
 func Construct(template []rdf.Triple, t Table) []rdf.Triple {
 	seen := map[rdf.Triple]bool{}
 	var out []rdf.Triple
-	as := scratchRow(t.Vars)
+	as := scratchRow(t.Vars, t.terms())
 	for i := 0; i < t.N; i++ {
-		b := as(t.Row(i))
+		b := as(t.row(i))
 		for _, pat := range template {
 			tr := Substitute(pat, b)
 			if !tr.IsConcrete() || seen[tr] {

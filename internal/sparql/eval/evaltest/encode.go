@@ -1,9 +1,12 @@
-// Package evaltest is the reference encoder of the one table rule
-// (eval.Dict, DESIGN §5), imported by tests only. It writes the bytes the
-// rule charges a table, a match set or a solution multiset — the row count,
-// the cell width, the names of the variables some row binds, each distinct
-// bound term once, an index per cell — counting the dictionary with a map
-// of its own, so that a test can hold SizeBytes and a carried Dict to it.
+// Package evaltest is the reference encoder of the one table rule (DESIGN
+// §5), imported by tests only. It writes the bytes the rule charges a table
+// or a solution multiset — the row count, the cell width, the names of the
+// variables some row binds, each distinct bound term once, an index per
+// cell — so that a test can hold SizeBytes to it. It reads a table through
+// a cell accessor only and counts the dictionary by value with a map of its
+// own: the table's own dictionary is never read, so a term held twice in
+// it, or a stale one, shows as a mismatch. It imports no eval, so eval's
+// own tests can use it.
 package evaltest
 
 import (
@@ -13,31 +16,34 @@ import (
 	"sort"
 
 	"adhocshare/internal/rdf"
-	"adhocshare/internal/sparql/eval"
 )
 
-// Encoding is what the encoder wrote, and the dictionary it wrote.
+// Encoding is what the encoder wrote: the bytes, the distinct terms it
+// wrote once each, and the cell index width.
 type Encoding struct {
-	Bytes []byte
-	Dict  eval.Dict
-	Width int // the cell index width
+	Bytes    []byte
+	Distinct int
+	Width    int
 }
 
-// Table encodes t's rows.
-func Table(t eval.Table) Encoding {
-	rows := make([][]rdf.Term, t.N)
+// Cell reads the term of row i in column c, the zero Term when the cell is
+// unbound, as eval.Table.Term does.
+type Cell func(i, c int) rdf.Term
+
+// Encode encodes n rows over vars, read cell by cell.
+func Encode(vars []string, n int, cell Cell) Encoding {
+	rows := make([][]rdf.Term, n)
 	for i := range rows {
-		rows[i] = t.Row(i)
+		for c := range vars {
+			rows[i] = append(rows[i], cell(i, c))
+		}
 	}
-	return encode(t.Vars, rows)
+	return encode(vars, rows)
 }
-
-// MatchSet encodes s's rows.
-func MatchSet(s eval.MatchSet) Encoding { return encode(s.Vars, s.Rows) }
 
 // Solutions encodes the mappings as a table over the variables they bind,
 // in sorted order, a mapping leaving one of them unbound in its cell.
-func Solutions(s eval.Solutions) Encoding {
+func Solutions[B ~map[string]rdf.Term](s []B) Encoding {
 	var vars []string
 	for _, b := range s {
 		for v := range b {
@@ -73,7 +79,7 @@ func encode(vars []string, rows [][]rdf.Term) Encoding {
 			}
 		}
 	}
-	e := Encoding{Dict: eval.Dict{Len: len(dict)}, Width: 4}
+	e := Encoding{Distinct: len(dict), Width: 4}
 	switch {
 	case len(dict)+1 <= 1<<8:
 		e.Width = 1
@@ -86,7 +92,6 @@ func encode(vars []string, rows [][]rdf.Term) Encoding {
 		e.Bytes = append(e.Bytes, vars[c]...)
 	}
 	for _, t := range dict {
-		at := len(e.Bytes)
 		var tagged byte
 		if t.Tagged {
 			tagged = 1
@@ -94,7 +99,6 @@ func encode(vars []string, rows [][]rdf.Term) Encoding {
 		e.Bytes = append(e.Bytes, byte(t.Kind), tagged) // the 2-byte kind tag
 		e.Bytes = append(e.Bytes, t.Value...)
 		e.Bytes = append(e.Bytes, t.Suffix...)
-		e.Dict.Bytes += len(e.Bytes) - at
 	}
 	for _, row := range rows {
 		for _, c := range cols {
@@ -112,24 +116,11 @@ func encode(vars []string, rows [][]rdf.Term) Encoding {
 	return e
 }
 
-// CheckTable reports how t's carried dictionary or its charge departs from
-// the encoder's; nil when both agree with it. A table with bound terms that
-// carries no Dict was not counted.
-func CheckTable(t eval.Table) error {
-	return check(t.Dict, t.SizeBytes(), Table(t))
-}
-
-// CheckMatchSet is CheckTable for a match set.
-func CheckMatchSet(s eval.MatchSet) error {
-	return check(s.Dict, s.SizeBytes(), MatchSet(s))
-}
-
-func check(carried eval.Dict, size int, e Encoding) error {
-	switch {
-	case carried != e.Dict:
-		return fmt.Errorf("carries %+v, the encoder's dictionary is %+v", carried, e.Dict)
-	case size != len(e.Bytes):
-		return fmt.Errorf("charged %d B, encoded in %d", size, len(e.Bytes))
+// Check reports how size, a table's charge, departs from what the encoder
+// writes for its n rows over vars; nil when they agree.
+func Check(vars []string, n int, cell Cell, size int) error {
+	if e := Encode(vars, n, cell); size != len(e.Bytes) {
+		return fmt.Errorf("charged %d B, encoded in %d with %d distinct terms", size, len(e.Bytes), e.Distinct)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package evaltest
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"adhocshare/internal/rdf"
@@ -32,16 +31,21 @@ func pool(n int) []rdf.Term {
 // draw lays out n rows over vars from terms, a cell unbound one time in
 // four when holes is set; column dead, when in range, is never bound.
 func draw(r *rand.Rand, vars []string, n int, terms []rdf.Term, holes bool, dead int) eval.Table {
-	t := eval.Table{Vars: vars, N: n}
+	var cells []rdf.Term
 	for i := 0; i < n*len(vars); i++ {
 		var term rdf.Term
 		if c := i % len(vars); c != dead && !(holes && r.Intn(4) == 0) {
 			term = terms[r.Intn(len(terms))]
 		}
-		t.Terms = append(t.Terms, term)
+		cells = append(cells, term)
 	}
+	t := eval.TableOf(vars, cells)
+	t.N = n
 	return t
 }
+
+// checkTable holds a table's charge to the encoder.
+func checkTable(t eval.Table) error { return Check(t.Vars, t.N, t.Term, t.SizeBytes()) }
 
 // mappings writes t's rows as mappings, an unbound cell a variable left out.
 func mappings(t eval.Table) eval.Solutions {
@@ -49,7 +53,7 @@ func mappings(t eval.Table) eval.Solutions {
 	for i := range out {
 		out[i] = eval.Binding{}
 		for c, v := range t.Vars {
-			if term := t.Row(i)[c]; !term.IsZero() {
+			if term := t.Term(i, c); !term.IsZero() {
 				out[i][v] = term
 			}
 		}
@@ -57,17 +61,14 @@ func mappings(t eval.Table) eval.Solutions {
 	return out
 }
 
-// agree holds every form of t's rows to the encoder: t as drawn (SizeBytes
-// counts it), t counted, the rows as mappings, and the rows a Matches holds
-// after t and then more — set as handed out, counted, and copied out.
+// agree holds every form of t's rows to the encoder: t as drawn, the rows
+// as mappings, and the rows a Matches holds after t and then more, which
+// it remaps into t's dictionary.
 func agree(t *testing.T, what string, tab, more eval.Table) {
 	t.Helper()
-	e := Table(tab)
+	e := Encode(tab.Vars, tab.N, tab.Term)
 	if got := tab.SizeBytes(); got != len(e.Bytes) {
-		t.Fatalf("%s: an uncounted table is charged %d B, encoded in %d", what, got, len(e.Bytes))
-	}
-	if counted := tab.Counted(); check(counted.Dict, counted.SizeBytes(), e) != nil {
-		t.Fatalf("%s: the counted table %v", what, check(counted.Dict, counted.SizeBytes(), e))
+		t.Fatalf("%s: the table is charged %d B, encoded in %d", what, got, len(e.Bytes))
 	}
 	sols := mappings(tab)
 	if got, enc := sols.SizeBytes(), len(Solutions(sols).Bytes); got != enc || got != len(e.Bytes) {
@@ -76,16 +77,8 @@ func agree(t *testing.T, what string, tab, more eval.Table) {
 	m := eval.NewMatches(eval.Table{}, 0)
 	for _, add := range []eval.Table{tab, more} {
 		m.Add(add)
-		e := MatchSet(m.Set())
-		if got := m.Set().SizeBytes(); got != len(e.Bytes) {
-			t.Fatalf("%s: an uncounted match set is charged %d B, encoded in %d", what, got, len(e.Bytes))
-		}
-		set := m.Counted()
-		if err := check(set.Dict, set.SizeBytes(), e); err != nil {
-			t.Fatalf("%s: the counted match set %v", what, err)
-		}
-		if flat := set.Table(); check(flat.Dict, flat.SizeBytes(), e) != nil {
-			t.Fatalf("%s: the match set's table %v", what, check(flat.Dict, flat.SizeBytes(), e))
+		if err := checkTable(m.Table()); err != nil {
+			t.Fatalf("%s: the accumulated rows %v", what, err)
 		}
 	}
 }
@@ -93,11 +86,11 @@ func agree(t *testing.T, what string, tab, more eval.Table) {
 // TestEncoderAgreesWithSizeBytes: over generated tables — unbound cells,
 // terms repeated within and across rows, a column no row binds, no rows,
 // the unit key — the encoder's length is what SizeBytes charges, for a
-// Table, a MatchSet and the same rows as Solutions, and the Dict a count
-// carries is the encoder's dictionary.
+// Table, for the rows a Matches accumulates and for the same rows as
+// Solutions.
 func TestEncoderAgreesWithSizeBytes(t *testing.T) {
 	for _, tab := range []eval.Table{{}, {N: 1}, {N: 3}, {Vars: []string{"x", "y"}}} {
-		if got := len(Table(tab).Bytes); got != 5 || tab.SizeBytes() != 5 {
+		if got := len(Encode(tab.Vars, tab.N, tab.Term).Bytes); got != 5 || tab.SizeBytes() != 5 {
 			t.Errorf("%+v: encoded in %d B, charged %d; a table without a column that travels is its 5-byte header", tab, got, tab.SizeBytes())
 		}
 	}
@@ -125,66 +118,53 @@ func TestEncoderWidthBoundaries(t *testing.T) {
 		terms := pool(c.distinct)
 		// every term in the first column, the second repeating them, and
 		// one unbound cell
-		tab := eval.Table{Vars: []string{"x", "y"}, N: c.distinct}
+		var cells []rdf.Term
 		for i, term := range terms {
-			tab.Terms = append(tab.Terms, term, terms[i/2])
+			cells = append(cells, term, terms[i/2])
 		}
-		tab.Terms[1] = rdf.Term{}
-		e := Table(tab)
-		if e.Width != c.width || e.Dict.Width() != c.width || e.Dict.Len != c.distinct {
-			t.Errorf("%d distinct terms: encoded with %d-byte cells and %d terms, Dict.Width says %d, want %d", c.distinct, e.Width, e.Dict.Len, e.Dict.Width(), c.width)
+		cells[1] = rdf.Term{}
+		tab := eval.TableOf([]string{"x", "y"}, cells)
+		e := Encode(tab.Vars, tab.N, tab.Term)
+		if e.Width != c.width || e.Distinct != c.distinct {
+			t.Errorf("%d distinct terms: encoded with %d-byte cells and %d terms, want %d-byte cells", c.distinct, e.Width, e.Distinct, c.width)
 		}
 		agree(t, fmt.Sprintf("%d distinct terms", c.distinct), tab, eval.Table{})
 	}
 }
 
-// TestOperatorsCarryTheEncodersDict: KeyTable always carries its keys'
-// dictionary; an operator whose result holds its input's terms passes a
-// counted input's on; every other result carries none or the right one.
+// TestOperatorsCarryTheEncodersDict: every operator's result is charged
+// what the encoder writes for its rows — KeyTable's and the unary
+// operators', which keep their input's dictionary and with it entries no
+// cell uses, and the binary operators', which remap one operand's
+// dictionary into the other's.
 func TestOperatorsCarryTheEncodersDict(t *testing.T) {
 	vars := []string{"x", "y", "z"}
 	for seed := int64(0); seed < 100; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		terms := pool(1 + r.Intn(25))
-		a := draw(r, vars, r.Intn(25), terms, seed%2 == 1, -1).Counted()
+		a := draw(r, vars, r.Intn(25), terms, seed%2 == 1, -1)
 		b := draw(r, []string{"y", "w"}, r.Intn(25), terms, false, -1)
 		what := fmt.Sprintf("seed %d", seed)
 		for _, keys := range [][]string{{"x"}, {"z", "x"}, vars} {
-			if err := CheckTable(eval.KeyTable(a, keys)); err != nil {
+			if err := checkTable(eval.KeyTable(a, keys)); err != nil {
 				t.Errorf("%s: KeyTable onto %v %v", what, keys, err)
-			}
-			if err := CheckTable(eval.KeyTable(draw(r, vars, 10, terms, true, -1), keys)); err != nil {
-				t.Errorf("%s: KeyTable of uncounted seeds onto %v %v", what, keys, err)
 			}
 		}
 		order := []sparql.OrderCond{{Expr: &sparql.ExprVar{Name: "y"}}}
-		carried := map[string]eval.Table{
+		bound := &sparql.ExprCall{Name: "BOUND", Args: []sparql.Expression{&sparql.ExprVar{Name: "z"}}}
+		for op, out := range map[string]eval.Table{
 			"Distinct": a.Distinct(), "Reduced": a.Reduced(), "Order": a.Order(order),
 			"Slice(0, -1)": a.Slice(0, -1), "Filter(nil)": a.Filter(nil),
-		}
-		for op, out := range carried {
-			if err := CheckTable(out); err != nil {
-				t.Errorf("%s: %s of a counted table %v", what, op, err)
-			}
-		}
-		bound := &sparql.ExprCall{Name: "BOUND", Args: []sparql.Expression{&sparql.ExprVar{Name: "z"}}}
-		others := map[string]eval.Table{
 			"JoinTables": eval.JoinTables(a, b), "LeftJoinTables": eval.LeftJoinTables(a, b, nil),
 			"UnionTables": eval.UnionTables(a, b), "Project": a.Project([]string{"y", "x"}),
 			"Filter": a.Filter(bound), "Slice(1, 3)": a.Slice(1, 3),
-		}
-		for op, out := range others {
-			if out.Dict != (eval.Dict{}) {
-				if err := CheckTable(out); err != nil {
-					t.Errorf("%s: %s %v", what, op, err)
-				}
-			}
-			if err := CheckTable(out.Counted()); err != nil {
-				t.Errorf("%s: %s, counted, %v", what, op, err)
+		} {
+			if err := checkTable(out); err != nil {
+				t.Errorf("%s: %s %v", what, op, err)
 			}
 		}
 	}
-	if keys := slices.Clone(eval.KeyTable(eval.Table{N: 1}, nil).Terms); len(keys) != 0 {
-		t.Errorf("the unit key holds cells %v", keys)
+	if keys := eval.KeyTable(eval.Table{N: 1}, nil); len(keys.Cells) != 0 || keys.N != 1 {
+		t.Errorf("the unit key is %+v", keys)
 	}
 }

@@ -45,6 +45,16 @@ func hashTerm(h uint64, t rdf.Term) uint64 {
 	return hashString(hashString(hashString(mix(h, uint64(t.Kind)), t.Value), t.Lang()), t.Datatype())
 }
 
+// hashCols folds the cells of row's columns cols, in order: how a table's
+// rows are located, their terms being dictionary positions (Table).
+func hashCols(row []uint32, cols []int) uint64 {
+	h := hashInit
+	for _, c := range cols {
+		h = mix(h, uint64(row[c]))
+	}
+	return h & hashMask
+}
+
 // rowHash hashes a whole mapping. The (variable, term) pairs are folded by
 // addition, so map iteration order does not matter and nothing is sorted.
 func rowHash(b Binding) uint64 {

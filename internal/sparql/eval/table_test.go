@@ -8,6 +8,7 @@ import (
 
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/sparql"
+	"adhocshare/internal/sparql/eval/evaltest"
 )
 
 // fullRows draws n mappings binding every one of vars.
@@ -26,13 +27,26 @@ func fullRows(r *rand.Rand, n int, vars ...string) Solutions {
 // tableOf lays rows out flat over vars; a variable a mapping leaves unbound
 // is an unbound cell.
 func tableOf(rows Solutions, vars ...string) Table {
-	t := Table{Vars: vars, N: len(rows)}
+	var cells []rdf.Term
 	for _, b := range rows {
 		for _, v := range vars {
-			t.Terms = append(t.Terms, b[v])
+			cells = append(cells, b[v])
 		}
 	}
+	t := TableOf(vars, cells)
+	t.N = len(rows)
 	return t
+}
+
+// cellsOf reads a table's cells as terms, row-major.
+func cellsOf(t Table) []rdf.Term {
+	var out []rdf.Term
+	for i := 0; i < t.N; i++ {
+		for c := range t.Vars {
+			out = append(out, t.Term(i, c))
+		}
+	}
+	return out
 }
 
 // rowsOf writes a table's rows as mappings, the form the reference
@@ -45,11 +59,92 @@ func rowsOf(t Table) Solutions {
 	for i := range out {
 		b := NewBinding()
 		for c, v := range t.Vars {
-			if term := t.Row(i)[c]; !term.IsZero() {
+			if term := t.Term(i, c); !term.IsZero() {
 				b[v] = term
 			}
 		}
 		out[i] = b
+	}
+	return out
+}
+
+// encoded holds a table's charge to the reference encoder, which reads it
+// through Term only.
+func encoded(t *testing.T, what string, tab Table) {
+	t.Helper()
+	if err := evaltest.Check(tab.Vars, tab.N, tab.Term, tab.SizeBytes()); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+}
+
+// dictLayout is a way to lay a table's dictionary out, its rows unchanged
+// but for asTwins: as TableOf does, in order of first use; reversed, so
+// that a term sits at another position than in an operand laid out in
+// order; padded before and after with entries no cell uses, among them
+// terms the other operand uses; or with every term replaced by its twin,
+// which no other operand holds — disjoint dictionaries.
+type dictLayout int
+
+const (
+	inOrder dictLayout = iota
+	reversed
+	padded
+	asTwins
+	dictLayouts
+)
+
+// twinTerms are hashTerms' twins, position for position: the same kinds,
+// other values.
+var twinTerms = func() []rdf.Term {
+	out := make([]rdf.Term, len(hashTerms))
+	for i, t := range hashTerms {
+		t.Value += "'"
+		out[i] = t
+	}
+	return out
+}()
+
+// padTerms pad a dictionary: hashTerms and twinTerms a table does not use
+// itself, and two of no table.
+var padTerms = append(append([]rdf.Term{rdf.NewIRI("pad"), rdf.NewLiteral("pad")}, hashTerms...), twinTerms...)
+
+// relaid returns t under layout l.
+func relaid(t Table, l dictLayout) Table {
+	out := t
+	switch l {
+	case reversed:
+		out.Dict = slices.Clone(t.Dict)
+		slices.Reverse(out.Dict)
+		out.Cells = make([]uint32, len(t.Cells))
+		for i, k := range t.Cells {
+			if k != 0 {
+				out.Cells[i] = uint32(len(t.Dict)) + 1 - k
+			}
+		}
+	case padded:
+		var before, after []rdf.Term
+		for i, p := range padTerms {
+			if slices.Contains(t.Dict, p) {
+				continue
+			}
+			if i%2 == 0 {
+				before = append(before, p)
+			} else {
+				after = append(after, p)
+			}
+		}
+		out.Dict = append(append(before, t.Dict...), after...)
+		out.Cells = make([]uint32, len(t.Cells))
+		for i, k := range t.Cells {
+			if k != 0 {
+				out.Cells[i] = k + uint32(len(before))
+			}
+		}
+	case asTwins:
+		out.Dict = make([]rdf.Term, len(t.Dict))
+		for i, term := range t.Dict {
+			out.Dict[i] = twinTerms[slices.Index(hashTerms, term)]
+		}
 	}
 	return out
 }
@@ -64,8 +159,8 @@ func TestTableChargesLikeSolutions(t *testing.T) {
 	if got := (Table{}).SizeBytes(); got != Solutions(nil).SizeBytes() {
 		t.Errorf("empty table costs %d bytes, want %d", got, Solutions(nil).SizeBytes())
 	}
-	if got := NewMatches(Table{}, 0).Set().SizeBytes(); got != Solutions(nil).SizeBytes() {
-		t.Errorf("empty match set costs %d bytes, want %d", got, Solutions(nil).SizeBytes())
+	if got := NewMatches(Table{}, 0).Table().SizeBytes(); got != Solutions(nil).SizeBytes() {
+		t.Errorf("an empty accumulator costs %d bytes, want %d", got, Solutions(nil).SizeBytes())
 	}
 	schemas := [][]string{{}, {"x"}, {"person", "n"}, {"a", "bb", "ccc", "dddd"}}
 	for seed := int64(0); seed < 50; seed++ {
@@ -79,8 +174,8 @@ func TestTableChargesLikeSolutions(t *testing.T) {
 		m := NewMatches(Table{}, 0)
 		m.Add(tab)
 		m.Add(tab) // the second copy is dropped, and indexes the first
-		if got, want := m.Set().SizeBytes(), rows.SizeBytes(); got != want {
-			t.Fatalf("seed %d: match set over %v costs %d bytes, the same rows as Solutions %d", seed, vars, got, want)
+		if got, want := m.Table().SizeBytes(), rows.SizeBytes(); got != want {
+			t.Fatalf("seed %d: the accumulated rows over %v cost %d bytes, the same rows as Solutions %d", seed, vars, got, want)
 		}
 	}
 }
@@ -98,8 +193,8 @@ func TestKeyTableIsTheDistinctProjection(t *testing.T) {
 				}
 				for i, b := range want {
 					for c, v := range vars {
-						if keys.Row(i)[c] != b[v] {
-							t.Fatalf("seed %d: key %d over %v is %v, want %v", seed, i, vars, keys.Row(i), b)
+						if keys.Term(i, c) != b[v] {
+							t.Fatalf("seed %d: key %d over %v is %v, want %v", seed, i, vars, rowsOf(keys)[i], b)
 						}
 					}
 				}
@@ -135,27 +230,22 @@ func TestMatchesJoinEqualsJoinOfDistinct(t *testing.T) {
 				seedRows := tableOf(seeds, sh.seedVars...)
 				m := NewMatches(KeyTable(seedRows, sh.keyVars), r.Intn(3)*8)
 				var all, shipped Solutions
+				var earlier Table
 				for k := r.Intn(5); k >= 0; k-- {
 					reply := Distinct(fullRows(r, r.Intn(8), sh.replyVars...))
 					m.Add(tableOf(reply, sh.replyVars...))
 					all = Union(all, reply)
-					now := m.Set()
-					if cap(now.Rows) != len(now.Rows) {
-						t.Fatalf("Set() leaves %d slots a receiver's append could write into", cap(now.Rows)-len(now.Rows))
+					now := m.Table()
+					if cap(now.Cells) != len(now.Cells) || cap(now.Dict) != len(now.Dict) {
+						t.Fatalf("Table() leaves slots a receiver's append could write into")
 					}
-					for i, b := range shipped {
-						for c, v := range now.Vars {
-							if now.Rows[i][c] != b[v] {
-								t.Fatalf("%s: row %d of a set handed out earlier changed", sh.name, i)
-							}
-						}
-					}
-					shipped = rowsOf(m.Table())
+					sameSequence(t, sh.name+" a table handed out earlier", rowsOf(earlier), shipped)
+					earlier, shipped = now, rowsOf(now)
 				}
 				distinct := Distinct(all)
-				if m.Len() != len(distinct) || m.Set().SizeBytes() != distinct.SizeBytes() {
+				if m.Len() != len(distinct) || m.Table().SizeBytes() != distinct.SizeBytes() {
 					t.Fatalf("%s: holds %d rows / %d bytes, want %d / %d", sh.name,
-						m.Len(), m.Set().SizeBytes(), len(distinct), distinct.SizeBytes())
+						m.Len(), m.Table().SizeBytes(), len(distinct), distinct.SizeBytes())
 				}
 				sameSequence(t, sh.name+" Table", rowsOf(m.Table()), distinct)
 				if !sh.repliesAreTheirOwn {
@@ -217,25 +307,12 @@ func TestProjectSharesRowsItKeepsWhole(t *testing.T) {
 // empty result keeps its schema, so the schema is compared whatever N is.
 func sameTable(t *testing.T, what string, got, want Table) {
 	t.Helper()
-	if !slices.Equal(got.Vars, want.Vars) || got.N != want.N || !slices.Equal(got.Terms, want.Terms) {
-		t.Fatalf("%s: %d rows over %v\n %v\nwant %d over %v\n %v", what, got.N, got.Vars, got.Terms, want.N, want.Vars, want.Terms)
+	if !slices.Equal(got.Vars, want.Vars) || got.N != want.N || !slices.Equal(cellsOf(got), cellsOf(want)) {
+		t.Fatalf("%s: %d rows over %v\n %v\nwant %d over %v\n %v", what, got.N, got.Vars, cellsOf(got), want.N, want.Vars, cellsOf(want))
 	}
 	if got.SizeBytes() != want.SizeBytes() {
 		t.Fatalf("%s: costs %d bytes, want %d", what, got.SizeBytes(), want.SizeBytes())
 	}
-}
-
-// heldAsOneReply is an accumulator holding t's rows as they come, the way it
-// holds a first reply. One without rows has no schema either, so its set
-// copies out as Table{} and is read in place as one.
-func heldAsOneReply(t *testing.T, tab Table) *Matches {
-	t.Helper()
-	m := NewMatches(Table{}, 0)
-	m.Add(tab)
-	if tab.N == 0 && (m.Set().Vars != nil || m.Table().N != 0 || m.Table().Vars != nil) {
-		t.Fatalf("a match set of no rows is %+v and copies out as %+v, want no schema and Table{}", m.Set(), m.Table())
-	}
-	return m
 }
 
 // flatOp is the operator a flatShape applies.
@@ -285,10 +362,13 @@ var flatShapes = []flatShape{
 		cond: &sparql.ExprCmp{Op: sparql.CmpNeq, Left: &sparql.ExprVar{Name: "x"}, Right: &sparql.ExprVar{Name: "y"}}},
 }
 
-// decodeFlatJoin reads a shape and the two tables' rows off fuzz input;
-// exhausted input reads as zeros. Terms come from hashTerms, so rows repeat
-// and one term can sit under two variables; where the shape allows it, one
-// more index reads as an unbound cell.
+// decodeFlatJoin reads a shape, the two tables' rows and the layout of
+// their dictionaries off fuzz input; exhausted input reads as zeros. Terms
+// come from hashTerms, so rows repeat and one term can sit under two
+// variables; where the shape allows it, one more index reads as an unbound
+// cell. The layout byte comes last, so that an input written before it
+// existed reads as both dictionaries in order of first use: a's is laid
+// out in order, or padded when b's is reversed; b's is laid out so.
 func decodeFlatJoin(data []byte) (sh flatShape, a, b Table) {
 	next := func() int {
 		if len(data) == 0 {
@@ -304,12 +384,14 @@ func decodeFlatJoin(data []byte) (sh flatShape, a, b Table) {
 		cells++
 	}
 	fill := func(vars []string, n int) Table {
-		t := Table{Vars: vars, N: n, Terms: make([]rdf.Term, n*len(vars))}
-		for i := range t.Terms {
+		terms := make([]rdf.Term, n*len(vars))
+		for i := range terms {
 			if k := next() % cells; k < len(hashTerms) {
-				t.Terms[i] = hashTerms[k]
+				terms[i] = hashTerms[k]
 			}
 		}
+		t := TableOf(vars, terms)
+		t.N = n
 		return t
 	}
 	an := 1 // the unit table has one row
@@ -317,49 +399,49 @@ func decodeFlatJoin(data []byte) (sh flatShape, a, b Table) {
 		an = next() % 8
 	}
 	a = fill(sh.a, an)
-	return sh, a, fill(sh.b, next()%10)
+	b = fill(sh.b, next()%10)
+	l := dictLayout(next()) % dictLayouts
+	if l == reversed {
+		a = relaid(a, padded)
+	}
+	return sh, a, relaid(b, l)
 }
 
 // checkFlatJoin holds the Table operator of a shape to its Solutions
 // counterpart and to the nested-loop reference on the same rows written as
-// mappings, row for row, and its result's SizeBytes to theirs. With b's rows
-// held by an accumulator, the operator reading them where they lie must
-// return the table the operator over their copy returns. A join of bound
-// rows also holds Matches.Join(a) over b's rows added in two replies —
-// across which the accumulator de-duplicates — against the join with
-// Distinct(b), and the in-place join over those rows against the join with
-// their copy.
+// mappings, row for row, and its result's SizeBytes to theirs and to the
+// reference encoder's. A join of bound rows also holds Matches.Join(a) over
+// b's rows added in two replies — across which the accumulator
+// de-duplicates, remapping the second into the first's dictionary —
+// against the join with Distinct(b), and JoinTables over the accumulated
+// table against it.
 func checkFlatJoin(t *testing.T, sh flatShape, a, b Table) {
 	t.Helper()
 	as, bs := rowsOf(a), rowsOf(b)
-	held := heldAsOneReply(t, b)
 	var got Table
 	var want Solutions
 	switch sh.op {
 	case flatJoin:
 		got, want = JoinTables(a, b), refJoin(as, bs)
 		sameSequence(t, "Join", Join(as, bs), want)
-		sameTable(t, "MatchSet.Join", held.Set().Join(a), JoinTables(a, held.Table()))
 	case flatLeftJoin:
 		got, want = LeftJoinTables(a, b, sh.cond), refLeftJoin(as, bs)
 		if sh.cond != nil {
 			want = refLeftJoinFilter(as, bs, sh.cond)
 		}
 		sameSequence(t, "LeftJoinFilter", LeftJoinFilter(as, bs, sh.cond), want)
-		sameTable(t, "MatchSet.LeftJoin", held.Set().LeftJoin(a, sh.cond), LeftJoinTables(a, held.Table(), sh.cond))
 	case flatUnion:
 		got, want = UnionTables(a, b), Union(as, bs)
-		sameTable(t, "MatchSet.Union", held.Set().Union(a), UnionTables(a, held.Table()))
 	case flatFilter:
 		got, want = b.Filter(sh.cond), FilterSolutions(bs, sh.cond)
-		sameTable(t, "MatchSet.Filter", held.Set().Filter(sh.cond), held.Table().Filter(sh.cond))
 	}
 	sameSequence(t, "table operator", rowsOf(got), want)
 	if got.SizeBytes() != want.SizeBytes() {
 		t.Fatalf("the table costs %d bytes, the same rows as Solutions %d", got.SizeBytes(), want.SizeBytes())
 	}
-	if got.N > 0 && len(got.Terms) != got.N*len(got.Vars) {
-		t.Fatalf("%d terms for %d rows over %v", len(got.Terms), got.N, got.Vars)
+	encoded(t, "the table operator's result", got)
+	if len(got.Cells) != got.N*len(got.Vars) {
+		t.Fatalf("%d cells for %d rows over %v", len(got.Cells), got.N, got.Vars)
 	}
 	for i, v := range got.Vars {
 		if slices.Contains(got.Vars[i+1:], v) {
@@ -379,17 +461,19 @@ func checkFlatJoin(t *testing.T, sh flatShape, a, b Table) {
 	m := NewMatches(Table{Vars: shared}, 0)
 	half := b.N / 2
 	m.Add(tableOf(refDistinct(bs[:half]), b.Vars...))
-	m.Add(tableOf(refDistinct(bs[half:]), b.Vars...))
+	m.Add(relaid(tableOf(refDistinct(bs[half:]), b.Vars...), reversed))
 	sameSequence(t, "Matches.Join", rowsOf(m.Join(a)), refJoin(as, refDistinct(bs)))
-	sameTable(t, "MatchSet.Join over two replies", m.Set().Join(a), JoinTables(a, m.Table()))
+	encoded(t, "Matches.Join", m.Join(a))
+	sameTable(t, "JoinTables over two replies", JoinTables(a, m.Table()), m.Join(a))
 }
 
 // FuzzFlatJoin: the binary Table operators return their Solutions
-// counterparts' sequences, and so do their in-place forms over a MatchSet.
-// The corpus under testdata/fuzz/FuzzFlatJoin holds one input per shape of
-// flatShapes, one whose b is a single row eight times over (JoinTables keeps
-// every copy), and one whose b comes as two replies the accumulator merges,
-// so the in-place join reads rows out of two tables.
+// counterparts' sequences, whatever the layout of their operands'
+// dictionaries. The corpus under testdata/fuzz/FuzzFlatJoin holds one input
+// per shape of flatShapes, one whose b is a single row eight times over
+// (JoinTables keeps every copy), one whose b comes as two replies the
+// accumulator merges, and one per dictionary layout: a term at other
+// positions in a and b, disjoint dictionaries, and entries no cell uses.
 func FuzzFlatJoin(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -434,10 +518,10 @@ func refOrder(s Solutions, conds []sparql.OrderCond) Solutions {
 // TestTableOperatorsMatchSolutionOperators: every operator the engine
 // applies above a BGP returns, over tables with unbound cells, the sequence
 // its Solutions counterpart returns over the same rows written as mappings,
-// and a table that costs what those mappings cost. The in-place forms over
-// a MatchSet — the join, left join and union with it as the right operand,
-// and the filter copying only the rows it keeps — return the table their
-// Table operator returns over its copy.
+// and a table that costs what those mappings cost and what the reference
+// encoder writes — whatever the layout of its operands' dictionaries: in
+// order of first use, a term at other positions in the two operands,
+// disjoint dictionaries, entries no cell uses.
 func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
 	x, y, z := &sparql.ExprVar{Name: "x"}, &sparql.ExprVar{Name: "y"}, &sparql.ExprVar{Name: "z"}
 	bound := func(v *sparql.ExprVar) sparql.Expression {
@@ -466,10 +550,12 @@ func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
 		if got.SizeBytes() != want.SizeBytes() {
 			t.Fatalf("%s: the table costs %d bytes, the same rows as Solutions %d", what, got.SizeBytes(), want.SizeBytes())
 		}
+		encoded(t, what, got)
 	}
 	eachHashMode(t, func(t *testing.T) {
-		for seed := int64(0); seed < 40; seed++ {
+		for seed := int64(0); seed < 80; seed++ {
 			r := rand.New(rand.NewSource(seed))
+			l := dictLayout(seed) % dictLayouts
 			var rows Solutions // some rows twice in a row, for Distinct and Reduced
 			for _, b := range randomRows(r, r.Intn(14), "x", "y", "z") {
 				rows = append(rows, b)
@@ -477,11 +563,10 @@ func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
 					rows = append(rows, b)
 				}
 			}
-			tab := tableOf(rows, "x", "y", "z")
-			held := heldAsOneReply(t, tab)
+			tab := relaid(tableOf(rows, "x", "y", "z"), l)
+			rows = rowsOf(tab)
 			for _, f := range filters {
 				check(t, "Filter "+f.String(), tab.Filter(f), FilterSolutions(rows, f))
-				sameTable(t, "MatchSet.Filter "+f.String(), held.Set().Filter(f), held.Table().Filter(f))
 			}
 			check(t, "Project", tab.Project([]string{"z", "x", "w"}), Project(rows, []string{"z", "x", "w"}))
 			check(t, "Distinct", tab.Distinct(), Distinct(rows))
@@ -492,22 +577,29 @@ func TestTableOperatorsMatchSolutionOperators(t *testing.T) {
 			}
 			offset, limit := r.Intn(len(rows)+2)-1, r.Intn(len(rows)+2)-1
 			check(t, "Slice", tab.Slice(offset, limit), Slice(rows, offset, limit))
+			for _, keys := range [][]string{{"x"}, {"z", "y"}} {
+				want := refDistinct(Project(rows, keys))
+				check(t, "KeyTable", KeyTable(tab, keys), want)
+			}
 			for _, sh := range shapes {
-				a, b := randomRows(r, r.Intn(10), sh[0]...), randomRows(r, r.Intn(10), sh[1]...)
-				at, bt := tableOf(a, sh[0]...), tableOf(b, sh[1]...)
+				at := tableOf(randomRows(r, r.Intn(10), sh[0]...), sh[0]...)
+				bt := relaid(tableOf(randomRows(r, r.Intn(10), sh[1]...), sh[1]...), l)
+				if l == reversed {
+					at = relaid(at, padded)
+				}
+				a, b := rowsOf(at), rowsOf(bt)
 				check(t, "JoinTables", JoinTables(at, bt), Join(a, b))
 				check(t, "LeftJoinTables", LeftJoinTables(at, bt, nil), LeftJoinFilter(a, b, nil))
 				for _, f := range filters {
 					check(t, "LeftJoinTables "+f.String(), LeftJoinTables(at, bt, f), LeftJoinFilter(a, b, f))
 				}
 				check(t, "UnionTables", UnionTables(at, bt), Union(a, b))
-				// The right operand where an accumulator holds it.
-				held := heldAsOneReply(t, bt).Set()
-				sameTable(t, "MatchSet.Join", held.Join(at), JoinTables(at, held.Table()))
-				for _, f := range append(filters, nil) {
-					sameTable(t, "MatchSet.LeftJoin", held.LeftJoin(at, f), LeftJoinTables(at, held.Table(), f))
-				}
-				sameTable(t, "MatchSet.Union", held.Union(at), UnionTables(at, held.Table()))
+				check(t, "UnionTables, b first", UnionTables(bt, at), Union(b, a))
+				// Operators over operators' results: their dictionaries are
+				// the remapped and compacted ones.
+				j := JoinTables(at, bt)
+				check(t, "Distinct of a join", j.Distinct(), Distinct(Join(a, b)))
+				check(t, "join of a union", JoinTables(UnionTables(at, bt), bt), Join(Union(a, b), b))
 			}
 		}
 	})

@@ -3,88 +3,71 @@ package eval
 import (
 	"slices"
 
-	"adhocshare/internal/rdf"
 	"adhocshare/internal/sparql"
 )
 
 // The operators the distributed engine applies above a basic graph pattern.
 // Each returns, over the same rows written as mappings, its Solutions
-// counterpart's sequence; a result may share the input's terms. One whose
-// result holds exactly its input's terms passes the input's Dict on; the
-// others' results carry none until counted.
+// counterpart's sequence; a unary operator's result shares its input's
+// dictionary, and may share its cells.
 
 // UnionTables returns a ∪ b: a's rows, then b's, over a's variables followed
-// by b's others; a row leaves the other side's variables unbound.
-func UnionTables(a, b Table) Table { return union(a, b.Vars, b.N, b.Row) }
-
-// Union returns UnionTables(a, s.Table()) without the copy.
-func (s MatchSet) Union(a Table) Table { return union(a, s.Vars, len(s.Rows), s.row) }
-
-// union returns a ∪ b, b being the bn rows over bVars that bRow(i) reads.
-func union(a Table, bVars []string, bn int, bRow func(int) []rdf.Term) Table {
+// by b's others; a row leaves the other side's variables unbound. b's
+// dictionary is remapped into a's, whose terms keep their positions.
+func UnionTables(a, b Table) Table {
 	all := slices.Clip(a.Vars)
-	for _, v := range bVars {
+	for _, v := range b.Vars {
 		if !slices.Contains(all, v) {
 			all = append(all, v)
 		}
 	}
+	d := dictIndex{terms: slices.Clip(a.Dict)}
+	rb := make([]uint32, len(b.Dict)+1)
+	for k, t := range b.Dict {
+		rb[k+1] = d.add(t)
+	}
 	w := len(all)
-	out := Table{Vars: all, Terms: make([]rdf.Term, (a.N+bn)*w), N: a.N + bn}
-	place := func(from int, vars []string, n int, row func(int) []rdf.Term) {
-		for c, v := range vars {
-			k := slices.Index(all, v)
-			for i := 0; i < n; i++ {
-				out.Terms[(from+i)*w+k] = row(i)[c]
+	out := Table{Vars: all, Dict: d.terms, Cells: make([]uint32, (a.N+b.N)*w), N: a.N + b.N}
+	place := func(from int, t Table, r []uint32) { // r nil: t's cells as they are
+		for c, v := range t.Vars {
+			col := slices.Index(all, v)
+			for i := 0; i < t.N; i++ {
+				k := t.row(i)[c]
+				if r != nil {
+					k = r[k]
+				}
+				out.Cells[(from+i)*w+col] = k
 			}
 		}
 	}
-	place(0, a.Vars, a.N, a.Row)
-	place(a.N, bVars, bn, bRow)
+	place(0, a, nil)
+	place(a.N, b, rb)
 	return out
 }
 
 // Filter keeps the rows that satisfy expr: t itself when every row does.
 func (t Table) Filter(expr sparql.Expression) Table {
-	if keep := rowFilter(t.Vars, expr); keep != nil {
-		if out, all := kept(t.Vars, t.N, t.Row, keep); !all {
-			return out
-		}
+	keep := rowFilter(t.Vars, t.terms(), expr)
+	if keep == nil {
+		return t
 	}
-	return t
-}
-
-// Filter returns s.Table().Filter(expr), copying only the rows that
-// satisfy expr.
-func (s MatchSet) Filter(expr sparql.Expression) Table {
-	if keep := rowFilter(s.Vars, expr); keep != nil {
-		if out, all := kept(s.Vars, len(s.Rows), s.row, keep); !all {
-			return out
-		}
-	}
-	return s.Table()
-}
-
-// kept copies the rows among n that satisfy keep, row(i) reading row i, into
-// one table over vars sized before it is filled; all reports that every row
-// does, and then nothing is copied.
-func kept(vars []string, n int, row func(int) []rdf.Term, keep func([]rdf.Term) bool) (out Table, all bool) {
-	pass := make([]bool, n)
+	pass := make([]bool, t.N)
 	k := 0
 	for i := range pass {
-		if pass[i] = keep(row(i)); pass[i] {
+		if pass[i] = keep(t.row(i)); pass[i] {
 			k++
 		}
 	}
-	if k == n {
-		return Table{}, true
+	if k == t.N {
+		return t
 	}
-	out = Table{Vars: vars, Terms: make([]rdf.Term, 0, k*len(vars)), N: k}
+	out := Table{Vars: t.Vars, Dict: t.Dict, Cells: make([]uint32, 0, k*len(t.Vars)), N: k}
 	for i, ok := range pass {
 		if ok {
-			out.Terms = append(out.Terms, row(i)...)
+			out.Cells = append(out.Cells, t.row(i)...)
 		}
 	}
-	return out, false
+	return out
 }
 
 // Project restricts every row to the columns of vars.
@@ -95,14 +78,14 @@ func (t Table) Project(vars []string) Table {
 			cols = append(cols, c)
 		}
 	}
-	out := Table{Vars: make([]string, len(cols)), Terms: make([]rdf.Term, 0, t.N*len(cols)), N: t.N}
+	out := Table{Vars: make([]string, len(cols)), Dict: t.Dict, Cells: make([]uint32, 0, t.N*len(cols)), N: t.N}
 	for k, c := range cols {
 		out.Vars[k] = t.Vars[c]
 	}
 	for i := 0; i < t.N; i++ {
-		row := t.Row(i)
+		row := t.row(i)
 		for _, c := range cols {
-			out.Terms = append(out.Terms, row[c])
+			out.Cells = append(out.Cells, row[c])
 		}
 	}
 	return out
@@ -113,31 +96,29 @@ func (t Table) Distinct() Table {
 	if t.N == 0 {
 		return t
 	}
-	out := distinctRows(t, t.Vars)
-	out.Dict = t.Dict
-	return out
+	return distinctRows(t, t.Vars)
 }
 
 // Reduced removes adjacent duplicate rows.
 func (t Table) Reduced() Table {
-	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms)), Dict: t.Dict}
+	out := Table{Vars: t.Vars, Dict: t.Dict, Cells: make([]uint32, 0, len(t.Cells))}
 	for i := 0; i < t.N; i++ {
-		if i > 0 && slices.Equal(t.Row(i), t.Row(i-1)) {
+		if i > 0 && slices.Equal(t.row(i), t.row(i-1)) {
 			continue
 		}
-		out.Terms = append(out.Terms, t.Row(i)...)
+		out.Cells = append(out.Cells, t.row(i)...)
 		out.N++
 	}
 	return out
 }
 
 // Order sorts the rows by the ORDER BY conditions as Order sorts mappings,
-// each row's keys evaluated once.
+// each row's keys evaluated once, through the dictionary.
 func (t Table) Order(conds []sparql.OrderCond) Table {
-	as := scratchRow(t.Vars)
-	out := Table{Vars: t.Vars, Terms: make([]rdf.Term, 0, len(t.Terms)), N: t.N, Dict: t.Dict}
-	for _, i := range orderRows(conds, t.N, func(i int) Binding { return as(t.Row(i)) }) {
-		out.Terms = append(out.Terms, t.Row(i)...)
+	as := scratchRow(t.Vars, t.terms())
+	out := Table{Vars: t.Vars, Dict: t.Dict, Cells: make([]uint32, 0, len(t.Cells)), N: t.N}
+	for _, i := range orderRows(conds, t.N, func(i int) Binding { return as(t.row(i)) }) {
+		out.Cells = append(out.Cells, t.row(i)...)
 	}
 	return out
 }
@@ -152,31 +133,53 @@ func (t Table) Slice(offset, limit int) Table {
 		return t
 	}
 	w := len(t.Vars)
-	return Table{Vars: t.Vars, Terms: t.Terms[from*w : to*w : to*w], N: to - from}
+	return Table{Vars: t.Vars, Dict: t.Dict, Cells: t.Cells[from*w : to*w : to*w], N: to - from}
 }
 
-// rowFilter returns the test of expr on a row over vars; nil when expr is.
-func rowFilter(vars []string, expr sparql.Expression) func([]rdf.Term) bool {
+// rowFilter returns the test of expr on a row of cells over vars that d
+// reads; nil when expr is.
+func rowFilter(vars []string, d terms, expr sparql.Expression) func([]uint32) bool {
 	if expr == nil {
 		return nil
 	}
-	as := scratchRow(vars)
-	return func(row []rdf.Term) bool { return Satisfies(expr, as(row)) }
+	as := scratchRow(vars, d)
+	return func(row []uint32) bool { return Satisfies(expr, as(row)) }
 }
 
-// scratchRow returns a function writing a row over vars into one reused
-// mapping, which it returns: an unbound cell leaves its variable absent,
-// never present as the zero term, or bound() would call it bound.
-func scratchRow(vars []string) func([]rdf.Term) Binding {
+// scratchRow returns a function writing a row of cells over vars, whose
+// terms d reads, into one reused mapping, which it returns: an unbound cell
+// leaves its variable absent, never present as the zero term, or bound()
+// would call it bound.
+func scratchRow(vars []string, d terms) func([]uint32) Binding {
 	b := make(Binding, len(vars))
-	return func(row []rdf.Term) Binding {
+	return func(row []uint32) Binding {
 		for c, v := range vars {
-			if row[c].IsZero() {
+			if row[c] == 0 {
 				delete(b, v)
 			} else {
-				b[v] = row[c]
+				b[v] = d.of(row[c])
 			}
 		}
 		return b
 	}
+}
+
+// Solutions returns t's rows as mappings, each binding its row's bound
+// cells.
+func (t Table) Solutions() Solutions {
+	if t.N == 0 {
+		return nil
+	}
+	out := make(Solutions, t.N)
+	for i := range out {
+		row := t.row(i)
+		b := make(Binding, len(t.Vars))
+		for c, v := range t.Vars {
+			if row[c] != 0 {
+				b[v] = t.Dict[row[c]-1]
+			}
+		}
+		out[i] = b
+	}
+	return out
 }
