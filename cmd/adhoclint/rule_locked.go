@@ -11,14 +11,13 @@ import (
 // while a mutex is held serializes the whole structure behind one network
 // round-trip — the deadlock/latency hazard this rule exists to catch.
 var blockingCalls = map[string]string{
-	"Call":          "simnet RPC",
-	"CallRetry":     "simnet RPC",
-	"Send":          "simnet one-way message",
-	"Forward":       "simnet routed leg",
-	"Transfer":      "simnet data transfer",
-	"TransferRetry": "simnet data transfer",
-	"Sleep":         "wall-clock sleep",
-	"Wait":          "blocking wait",
+	"Call":         "simnet RPC",
+	"CallRetry":    "simnet RPC",
+	"Send":         "simnet one-way message",
+	"Forward":      "simnet routed leg",
+	"ForwardRetry": "simnet routed leg",
+	"Sleep":        "wall-clock sleep",
+	"Wait":         "blocking wait",
 }
 
 // blockingOp describes the potentially blocking operation a node performs

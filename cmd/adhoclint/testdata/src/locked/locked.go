@@ -1,14 +1,14 @@
 // Package locked is the lock-blocking rule fixture: no channel operations
-// or fabric calls (Call/Send/Transfer) while a mutex is held.
+// or fabric calls (Call/Send/Forward) while a mutex is held.
 package locked
 
 import "sync"
 
 type fabric struct{}
 
-func (fabric) Call(x int) int      { return x }
-func (fabric) CallRetry(x int) int { return x }
-func (fabric) Transfer(x int) int  { return x }
+func (fabric) Call(x int) int         { return x }
+func (fabric) CallRetry(x int) int    { return x }
+func (fabric) ForwardRetry(x int) int { return x }
 
 type node struct {
 	mu  sync.Mutex
@@ -49,10 +49,10 @@ func (n *node) BadCallRetry(v int) {
 	n.net.CallRetry(v) // want "simnet RPC"
 }
 
-func (n *node) BadTransfer(v int) {
+func (n *node) BadForwardRetry(v int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.net.Transfer(v) // want "simnet data transfer"
+	n.net.ForwardRetry(v) // want "simnet routed leg"
 }
 
 func (n *node) BadSelect() {

@@ -12,7 +12,8 @@ import (
 // TestAliasProbeQueries runs the paper's queries under the E9 matrix and
 // the other join sites, from a provider and from an index node, every
 // node's handler under the alias probe (testutil.AliasProbe): the
-// store.match replies carry eval.Tables that the initiator joins in place,
+// store.match replies and chain hops carry eval.Tables that the initiator
+// joins in place, the data legs carry the rows the receiver goes on with,
 // and no delivered payload may share memory with a node or change after
 // delivery.
 func TestAliasProbeQueries(t *testing.T) {
@@ -41,5 +42,6 @@ func TestAliasProbeQueries(t *testing.T) {
 			now = done
 		}
 	}
-	p.Check(t, overlay.MethodMatch, overlay.MethodRoutedRead)
+	p.Check(t, overlay.MethodMatch, overlay.MethodRoutedRead, overlay.MethodChainHop,
+		overlay.MethodDispatch, overlay.MethodShip, overlay.MethodResult)
 }

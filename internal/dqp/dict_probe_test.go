@@ -13,30 +13,36 @@ import (
 )
 
 // dictProbe holds every table a query puts on the wire to the reference
-// encoder (evaltest): the keys and replies of each store.match a wrapped
-// storage node handles, and the tables of each payload the engine
-// transfers. A table must be charged what the encoder writes for its rows,
-// which it reads cell by cell, whatever the table's own dictionary holds.
+// encoder (evaltest): the tables of each payload a wrapped node's handler
+// is delivered, and of each store.match reply. A table must be charged
+// what the encoder writes for its rows, which it reads cell by cell,
+// whatever the table's own dictionary holds.
 type dictProbe struct {
 	t    *testing.T
 	seen map[string]int // tables checked, by payload type
 }
 
-// wrap puts the probe on every storage node's handler and on the engine's
-// transfers until the test ends.
+// wrap puts the probe on every node's handler. Of the replies only
+// store.match's travel: a data leg's handler hands back what it was
+// delivered, and a chain hop's table travels in the next hop's Acc.
 func (p *dictProbe) wrap(sys *overlay.System) {
-	for _, n := range sys.StorageNodes() {
-		sys.Net().Register(n.Addr(), simnet.HandlerFunc(func(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
-			p.payload(req)
-			resp, done, err := n.HandleCall(at, method, req)
-			if err == nil {
-				p.payload(resp)
-			}
-			return resp, done, err
-		}))
+	for _, n := range sys.IndexNodes() {
+		p.wrapNode(sys.Net(), n.Addr(), n)
 	}
-	transferred = func(_ string, payload simnet.Payload) { p.payload(payload) }
-	p.t.Cleanup(func() { transferred = nil })
+	for _, n := range sys.StorageNodes() {
+		p.wrapNode(sys.Net(), n.Addr(), n)
+	}
+}
+
+func (p *dictProbe) wrapNode(net *simnet.Network, addr simnet.Addr, h simnet.Handler) {
+	net.Register(addr, simnet.HandlerFunc(func(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
+		p.payload(req)
+		resp, done, err := h.HandleCall(at, method, req)
+		if err == nil && method == overlay.MethodMatch {
+			p.payload(resp)
+		}
+		return resp, done, err
+	}))
 }
 
 func (p *dictProbe) payload(payload simnet.Payload) {
@@ -49,14 +55,16 @@ func (p *dictProbe) payload(payload simnet.Payload) {
 		for _, t := range x.Tables {
 			p.table("MatchResp", t)
 		}
+	case overlay.ChainReq:
+		for _, u := range x.Sub.Units {
+			p.table("ChainReq", u.Keys)
+		}
+		p.table("ChainReq", x.Acc)
 	case dispatchPayload:
 		p.payload(x.Sub)
 		p.table("dispatchPayload", x.Rows)
 	case rowsPayload:
 		p.table("rowsPayload", x.Rows)
-	case chainPayload:
-		p.table("chainPayload", x.Keys)
-		p.table("chainPayload", x.Acc)
 	}
 }
 
@@ -114,7 +122,7 @@ func TestDictProbeQueries(t *testing.T) {
 		}
 	}
 	t.Logf("tables checked: %v", p.seen)
-	for _, kind := range []string{"MatchReq", "MatchResp", "dispatchPayload", "rowsPayload", "chainPayload"} {
+	for _, kind := range []string{"MatchReq", "MatchResp", "dispatchPayload", "rowsPayload", "ChainReq"} {
 		if p.seen[kind] == 0 {
 			t.Errorf("no %s was seen", kind)
 		}

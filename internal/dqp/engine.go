@@ -315,7 +315,7 @@ func (e *Engine) runPlan(ctx *qctx, q *sparql.Query, op algebra.Op, at simnet.VT
 	// home first (Fig. 3 "Post-Processing"). Only there do the rows become
 	// mappings, once.
 	shipped := done
-	res, done, err = e.ship(ctx, res, ctx.initiator, methodResult, done)
+	res, done, err = e.ship(ctx, res, ctx.initiator, overlay.MethodResult, done)
 	ctx.stage("ship-result", shipped, done)
 	if err != nil {
 		return nil, done, err
@@ -397,7 +397,7 @@ func (e *Engine) describe(ctx *qctx, q *sparql.Query, rows eval.Table, at simnet
 		if err != nil {
 			return nil, now, err
 		}
-		res, done, err = e.ship(ctx, res, ctx.initiator, methodResult, now)
+		res, done, err = e.ship(ctx, res, ctx.initiator, overlay.MethodResult, now)
 		now = done
 		if err != nil {
 			return nil, now, err

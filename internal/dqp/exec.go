@@ -219,7 +219,7 @@ func (e *Engine) waveAll(ctx *qctx, calls []bgpCall, at simnet.VTime) (simnet.VT
 func (e *Engine) execUnary(ctx *qctx, input algebra.Op, home bool, at simnet.VTime, f func(eval.Table) eval.Table) (flatSet, simnet.VTime, error) {
 	in, done, err := e.exec(ctx, input, at)
 	if err == nil && home {
-		in, done, err = e.ship(ctx, in, ctx.initiator, methodShip, done)
+		in, done, err = e.ship(ctx, in, ctx.initiator, overlay.MethodShip, done)
 	}
 	if err != nil {
 		return flatSet{}, done, err
@@ -254,11 +254,11 @@ func (e *Engine) merge(ctx *qctx, l, r flatSet, at simnet.VTime, op func(a, b ev
 			return slices.ContainsFunc(l.rows.Vars, func(v string) bool { return l.rows.Binds(v) && r.rows.Binds(v) })
 		})
 	}
-	l, now, err := e.ship(ctx, l, site, methodShip, at)
+	l, now, err := e.ship(ctx, l, site, overlay.MethodShip, at)
 	if err != nil {
 		return flatSet{}, now, err
 	}
-	r, now, err = e.ship(ctx, r, site, methodShip, now)
+	r, now, err = e.ship(ctx, r, site, overlay.MethodShip, now)
 	if err != nil {
 		return flatSet{}, now, err
 	}
@@ -348,41 +348,34 @@ func (e *Engine) pickQoSSite(ctx *qctx, l, r operand, shared bool) simnet.Addr {
 	return best
 }
 
-// ship moves a solution table to the destination site as one transfer
-// message, charged what the same rows cost as mappings. Shipping to the
-// current site is free. A transfer that stays lost after retries strands
-// the intermediate result, so it surfaces as a partial-failure error instead
-// of an incomplete answer.
+// ship moves a solution table to the destination site as one one-way
+// message, charged what the same rows cost as mappings, and goes on with
+// the rows the destination took over. Shipping to the current site is
+// free. A leg that stays lost after retries strands the intermediate
+// result, so it surfaces as a partial-failure error instead of an
+// incomplete answer.
 func (e *Engine) ship(ctx *qctx, s flatSet, dest simnet.Addr, method string, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	if s.site == dest || s.site == "" {
 		s.site = dest
 		return s, at, nil
 	}
-	done, err := e.transferRetry(s.site, dest, method, rowsPayload{Rows: s.rows, TC: ctx.nextTC(ctx.tc)}, at)
+	got, done, err := e.forward(s.site, dest, method, rowsPayload{Rows: s.rows, TC: ctx.nextTC(ctx.tc)}, at)
 	if err != nil {
 		return flatSet{}, done, err
 	}
-	s.site = dest
-	return s, done, nil
+	return flatSet{rows: got.(rowsPayload).Rows, site: dest}, done, nil
 }
 
-// transferred, when a test sets it, is shown every payload the engine
-// transfers before the fabric charges it: a transfer runs no handler, so
-// no handler wrap sees it.
-var transferred func(method string, payload simnet.Payload)
-
-// transferRetry is a retried Transfer whose loss past the retry budget
-// surfaces as a partial-failure error (other errors pass through for the
-// caller to classify).
-func (e *Engine) transferRetry(from, to simnet.Addr, method string, payload simnet.Payload, at simnet.VTime) (simnet.VTime, error) {
-	if transferred != nil {
-		transferred(method, payload)
-	}
-	done, err := e.sys.Net().TransferRetry(from, to, method, payload, at)
+// forward sends payload one way to a node whose handler takes it over, and
+// returns what that handler returned; a loss past the retry budget surfaces
+// as a partial-failure error (other errors pass through for the caller to
+// classify).
+func (e *Engine) forward(from, to simnet.Addr, method string, payload simnet.Payload, at simnet.VTime) (simnet.Payload, simnet.VTime, error) {
+	got, done, err := e.sys.Net().ForwardRetry(from, to, method, payload, at)
 	if err != nil && simnet.IsLost(err) {
 		err = &PartialFailureError{Method: method, Missing: []simnet.Addr{to}, Err: err}
 	}
-	return done, err
+	return got, done, err
 }
 
 // patternPlan is the plan-time resolution of one triple pattern: its index
@@ -973,7 +966,7 @@ func projectKeys(plan patternPlan, scope rdf.Term, seeds eval.Table, chain bool)
 		vars = append(vars, scope.Value)
 	}
 	keys = eval.KeyTable(seeds, vars)
-	unit = unitKeyed(keys, plan, chain)
+	unit = unitKeyed(keys, plan, scope, chain)
 	return keys, unit, len(vars) == len(seeds.Vars) && !slices.Contains(unit, true)
 }
 
@@ -990,7 +983,8 @@ func (m unitMask) has(i int) bool { return i < len(m) && m[i] }
 //	keys.SizeBytes() < Freq × estimated reply row
 //
 // Freq being the Table I count of triples the target matches under the unit
-// key and the row estimate the pattern's variables bound to terms as large
+// key and the row estimate the reply's columns — the pattern's variables,
+// and a GRAPH variable scope it does not mention — bound to terms as large
 // as the keys' are on average. The test is conservative — it holds the
 // certain cost of the keys against the most they can save, as if they
 // excluded every row — and it decides bytes only: whatever a target was
@@ -1000,12 +994,16 @@ func (m unitMask) has(i int) bool { return i < len(m) && m[i] }
 // pattern, the plan's postings being the hop sequence: what len(seq) copies
 // of the keys cost against what the unit-key accumulation costs, each
 // target's rows once per hop after it.
-func unitKeyed(keys eval.Table, plan patternPlan, chain bool) unitMask {
+func unitKeyed(keys eval.Table, plan patternPlan, scope rdf.Term, chain bool) unitMask {
 	if len(keys.Vars) == 0 {
 		return nil // nothing to replace: the keys are the unit key
 	}
 	unit := make(unitMask, len(plan.postings))
-	cost, row := keys.SizeBytes(), keys.RowEstimate(plan.pattern.Vars())
+	cols := plan.pattern.Vars()
+	if scope.IsVar() && !slices.Contains(cols, scope.Value) {
+		cols = append(cols, scope.Value)
+	}
+	cost, row := keys.SizeBytes(), keys.RowEstimate(cols)
 	if !chain {
 		for i, p := range plan.postings {
 			unit[i] = cost >= p.Freq*row
@@ -1075,11 +1073,11 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	if seeds.site != assembly {
 		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows}
 		dispatch.Sub.TC = patTC.Child(0)
-		done, err := e.transferRetry(seeds.site, assembly, methodDispatch, dispatch, now)
+		got, done, err := e.forward(seeds.site, assembly, overlay.MethodDispatch, dispatch, now)
 		if err != nil {
 			return patternMatches{}, done, err
 		}
-		now = done
+		seeds.rows, now = got.(dispatchPayload).Rows, done
 	}
 	unitKey := keyed
 	if unit != nil {
@@ -1148,64 +1146,48 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, ke
 	// derives its own from it, so a traced chain renders as a linked list
 	// (vs. the basic strategy's star).
 	linkTC := patTC
+	sub := overlay.MatchReq{Units: []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: sent, Graph: scope}},
+		Dataset: ctx.dataset, FromNamed: ctx.fromNamed}
 	if plan.index != "" && prev != plan.index {
-		dispatchTC := patTC.Child(0)
-		done, err := e.transferRetry(prev, plan.index, methodDispatch,
-			overlay.MatchReq{Units: []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: sent, Graph: scope}},
-				Dataset: ctx.dataset, FromNamed: ctx.fromNamed, TC: dispatchTC}, now)
+		sub.TC = patTC.Child(0)
+		got, done, err := e.forward(prev, plan.index, overlay.MethodDispatch, sub, now)
 		if err != nil {
 			return patternMatches{}, done, err
 		}
-		now = done
-		prev = plan.index
-		linkTC = dispatchTC
+		sub, now, prev, linkTC = got.(overlay.MatchReq), done, plan.index, sub.TC
 	}
 
 	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
 	reached := prev
 	for i, target := range seq {
-		hopTC := linkTC.Child(uint64(i + 1))
-		payload := chainPayload{
-			Pattern:   plan.pattern,
-			Filter:    filter,
-			Keys:      sent,
-			Acc:       acc.Table(),
-			Seq:       addrsOf(seq[i+1:]),
-			Dataset:   ctx.dataset,
-			Graph:     scope,
-			FromNamed: ctx.fromNamed,
-			TC:        hopTC,
-		}
-		done, err := e.transferRetry(prev, target.Node, overlay.MethodChainHop, payload, now)
+		hop := overlay.ChainReq{Sub: sub, Acc: acc.Table(), Seq: addrsOf(seq[i+1:])}
+		hop.Sub.TC = linkTC.Child(uint64(i + 1))
+		got, done, err := e.forward(prev, target.Node, overlay.MethodChainHop, hop, now)
 		now = done
 		if err != nil {
 			if errors.Is(err, simnet.ErrUnreachable) {
-				e.dropStale(ctx, plan, target.Node, prev, hopTC.Child(1), now)
+				e.dropStale(ctx, plan, target.Node, prev, hop.Sub.TC.Child(1), now)
 				continue // forward from the same node to the next target
 			}
 			// A hop still lost after retries already surfaced as a typed
 			// partial failure; any other error aborts the chain outright.
 			return patternMatches{}, now, err
 		}
-		st, ok := e.sys.Storage(target.Node)
-		if !ok {
-			continue
-		}
 		ctx.countSubquery(target.Node)
 		// In-network aggregation with set-union semantics: merging at each
 		// hop removes matches duplicated across providers before they
 		// travel further (the dedup counterpart of execPatternBasic).
-		acc.Add(st.MatchKeys(payload.Pattern, payload.Filter, payload.Keys, payload.Dataset, payload.FromNamed, payload.Graph))
+		acc.Add(got.(eval.Table))
 		prev = target.Node
 		reached = target.Node
-		linkTC = hopTC
+		linkTC = hop.Sub.TC
 		if plan.stopOnFirst && acc.Len() > 0 {
 			break
 		}
 	}
 	if !rowsKeys && acc.Len() > 0 {
 		var err error
-		if seeds, now, err = e.ship(ctx, seeds, reached, methodShip, now); err != nil {
+		if seeds, now, err = e.ship(ctx, seeds, reached, overlay.MethodShip, now); err != nil {
 			return patternMatches{}, now, err
 		}
 	}

@@ -97,7 +97,7 @@ func TestQueryBuildsMappingsOnlyForItsResult(t *testing.T) {
 func TestChainHopChargesItsMatchRequest(t *testing.T) {
 	var sample methodSample
 	for _, s := range methodSamples() {
-		if s.method == methodDispatch {
+		if s.method == overlay.MethodDispatch {
 			sample = s
 		}
 	}
@@ -108,8 +108,7 @@ func TestChainHopChargesItsMatchRequest(t *testing.T) {
 			u := req.Units[0]
 			u.Graph = graph
 			req.Units, req.FromNamed = []overlay.MatchUnit{u}, fromNamed
-			hop := chainPayload{Pattern: u.Pattern, Filter: u.Filter, Keys: u.Keys,
-				Dataset: req.Dataset, Graph: u.Graph, FromNamed: req.FromNamed, TC: req.TC}
+			hop := overlay.ChainReq{Sub: req}
 			if got, want := hop.SizeBytes(), req.SizeBytes()+5; got != want {
 				t.Errorf("GRAPH %v, FROM NAMED %v: hop charged %d B, its match request %d B + 5", graph, fromNamed, got, want-5)
 			}

@@ -23,12 +23,12 @@ import (
 // item 1) deletes it together with those rows.
 func init() {
 	for _, v := range []any{
-		simnet.Bytes(0), chainPayload{}, dispatchPayload{}, rowsPayload{}, eval.Table{},
+		simnet.Bytes(0), dispatchPayload{}, rowsPayload{}, eval.Table{},
 
 		overlay.PutBatchReq{}, overlay.RoutedReadReq{},
 		overlay.RoutedReadResp{}, overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
 		overlay.ReplicaDelta{}, overlay.StaleKeys{},
-		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.SolutionsResp{},
+		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.ChainReq{}, overlay.SolutionsResp{},
 		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},
 
 		chord.Ref{}, chord.FindReq{}, chord.FindResp{},
@@ -38,8 +38,8 @@ func init() {
 		rdfpeers.IntersectReq{}, rdfpeers.TermsResp{}, rdfpeers.RangeReq{},
 		rdfpeers.RangeResp{}, rdfpeers.TriplesPayload{},
 
-		// MatchUnit and chainPayload carry a pushed-down FILTER as a
-		// sparql.Expression interface value.
+		// MatchUnit carries a pushed-down FILTER as a sparql.Expression
+		// interface value.
 		&sparql.ExprVar{}, &sparql.ExprTerm{}, &sparql.ExprOr{},
 		&sparql.ExprAnd{}, &sparql.ExprNot{}, &sparql.ExprNeg{},
 		&sparql.ExprCmp{}, &sparql.ExprArith{}, &sparql.ExprCall{},

@@ -322,7 +322,7 @@ func TestUnitKeyedAtTheThreshold(t *testing.T) {
 	}
 	even := cost / row // the most matches the keys do not pay for
 	plan.postings = []overlay.Posting{{Node: "D0", Freq: even}, {Node: "D1", Freq: even + 1}, {Node: "D2", Freq: 0}}
-	if unit := unitKeyed(keys, plan, false); !slices.Equal(unit, unitMask{true, false, true}) {
+	if unit := unitKeyed(keys, plan, rdf.Term{}, false); !slices.Equal(unit, unitMask{true, false, true}) {
 		t.Errorf("keys of %d B, rows of %d B, frequencies %d, %d and 0: unit key sent %v", cost, row, even, even+1, unit)
 	}
 	if _, unit, rowsKeys := projectKeys(plan, rdf.Term{}, flat(seeds), false); rowsKeys || !slices.Equal(unit, unitMask{true, false, true}) {
@@ -342,11 +342,11 @@ func TestUnitKeyedAtTheThreshold(t *testing.T) {
 		for i, f := range c.freqs {
 			plan.postings[i].Freq = f
 		}
-		if unit := unitKeyed(keys, plan, true); !slices.Equal(unit, unitMask{c.unit, c.unit, c.unit}) {
+		if unit := unitKeyed(keys, plan, rdf.Term{}, true); !slices.Equal(unit, unitMask{c.unit, c.unit, c.unit}) {
 			t.Errorf("chain over frequencies %v, keys of %d B, rows of %d B: unit key sent %v, want %v", c.freqs, cost, row, unit, c.unit)
 		}
 	}
-	if unit := unitKeyed(eval.Table{N: 1}, plan, false); slices.Contains(unit, true) {
+	if unit := unitKeyed(eval.Table{N: 1}, plan, rdf.Term{}, false); slices.Contains(unit, true) {
 		t.Errorf("the unit key has nothing to be replaced by, yet: %v", unit)
 	}
 }
@@ -411,7 +411,8 @@ func decodeKeyedCase(data []byte) keyedCase {
 // scope, filter, the triples with their holders, then the unit-key mask.
 // The corpus under testdata/fuzz/FuzzKeyedMatch puts a split mask on the
 // assemblies that differ: seeds that are their own keys, a GRAPH-variable
-// key column, ?x p ?x, rows held by several providers.
+// key column, ?x p ?x, rows held by several providers; ground_pattern_graph_key
+// is a ground pattern under GRAPH ?g whose reply is the graph-name column.
 func FuzzKeyedMatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 1, 2, 2, 3, 4, 0, 0, 6, 0, 1, 2, 3, 0, 1, 3, 3, 5, 1, 2, 3, 1, 1, 2, 0, 4, 7, 2})

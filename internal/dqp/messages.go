@@ -2,23 +2,14 @@ package dqp
 
 import (
 	"adhocshare/internal/overlay"
-	"adhocshare/internal/rdf"
-	"adhocshare/internal/simnet"
-	"adhocshare/internal/sparql"
 	"adhocshare/internal/sparql/eval"
 	"adhocshare/internal/trace"
 )
 
-// RPC / transfer method names used by the distributed executor. They are
-// distinct from overlay methods so experiments can attribute traffic:
-// "dqp.dispatch" is sub-query shipping to an index node, "dqp.ship" is
-// intermediate-result movement between sites, "dqp.result" is the final
-// return to the initiator.
-const (
-	methodDispatch = "dqp.dispatch"
-	methodShip     = "dqp.ship"
-	methodResult   = "dqp.result"
-)
+// The engine's own payloads. They travel on the data legs overlay names
+// (MethodDispatch, MethodShip, MethodResult), each a one-way forward whose
+// receiver takes ownership of the value: the engine goes on from what was
+// delivered, never from the value it sent.
 
 // dispatchPayload hands a pattern's sub-query to the index node that fans
 // it out and assembles the replies (basic strategy), together with the
@@ -37,55 +28,6 @@ func (d dispatchPayload) SizeBytes() int {
 	n := d.Sub.SizeBytes() + d.Rows.SizeBytes()
 	for _, u := range d.Sub.Units {
 		n -= u.Keys.SizeBytes()
-	}
-	return n
-}
-
-// chainPayload is the message forwarded along a chain of target storage
-// nodes: the sub-query (pattern plus pushed filter and the dataset scope a
-// store.match request carries), the keys it is asked for, the distinct
-// matches accumulated so far, and the remaining target sequence (Sect. IV-C
-// optimization: "information on a sequence of target nodes that the query
-// should be forwarded through"). Each hop is evaluated from these fields.
-type chainPayload struct {
-	Pattern rdf.Triple
-	Filter  sparql.Expression
-	Keys    eval.Table
-	Acc     eval.Table
-	Seq     []simnet.Addr
-	Dataset []string
-	// Graph and FromNamed are overlay.MatchReq's: the GRAPH scope and the
-	// FROM NAMED graphs available to it.
-	Graph     rdf.Term
-	FromNamed []string
-	// TC carries trace causality: each hop derives the next hop's context
-	// from its own, so a traced chain renders as a linked list of message
-	// spans (the Fig. 5 chained flow).
-	TC trace.TraceContext
-}
-
-// TraceCtx implements trace.Carrier.
-func (c chainPayload) TraceCtx() trace.TraceContext { return c.TC }
-
-// SizeBytes implements simnet.Payload.
-func (c chainPayload) SizeBytes() int {
-	n := 8 + c.TC.SizeBytes() + c.Pattern.SizeBytes()
-	if c.Filter != nil {
-		n += len(c.Filter.String())
-	}
-	n += c.Keys.SizeBytes()
-	n += c.Acc.SizeBytes()
-	for _, a := range c.Seq {
-		n += len(a)
-	}
-	for _, g := range c.Dataset {
-		n += len(g)
-	}
-	if !c.Graph.IsZero() {
-		n += c.Graph.SizeBytes()
-	}
-	for _, g := range c.FromNamed {
-		n += len(g)
 	}
 	return n
 }

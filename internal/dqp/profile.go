@@ -44,9 +44,9 @@ func StageOf(s trace.Span) string {
 		return StageResolve
 	case strings.HasPrefix(s.Name, "index."):
 		return StageLookup
-	case s.Name == methodDispatch || strings.HasPrefix(s.Name, "store."):
+	case s.Name == overlay.MethodDispatch || strings.HasPrefix(s.Name, "store."):
 		return StageSubquery
-	case s.Name == methodShip || s.Name == methodResult:
+	case s.Name == overlay.MethodShip || s.Name == overlay.MethodResult:
 		return StageTransfer
 	default:
 		return StageOther

@@ -18,10 +18,9 @@ type methodSample struct {
 	req, resp simnet.Payload
 }
 
-// methodSamples covers every Method* constant of the four RPC
-// vocabularies (overlay, chord, dqp, rdfpeers). Transfer-only methods and
-// fire-and-forget handlers ack with simnet.Bytes, which must round-trip
-// like any payload.
+// methodSamples covers every Method* constant of the three RPC
+// vocabularies (overlay, chord, rdfpeers). Fire-and-forget handlers ack
+// with simnet.Bytes, which must round-trip like any payload.
 func methodSamples() []methodSample {
 	triple := rdf.NewTriple(
 		rdf.NewIRI("urn:s"),
@@ -58,6 +57,8 @@ func methodSamples() []methodSample {
 	}
 	waveResp := overlay.MatchResp{Tables: []eval.Table{matches,
 		eval.TableOf([]string{"s"}, []rdf.Term{rdf.NewIRI("urn:s")}), {Vars: []string{"o", "t"}}}}
+	result := rowsPayload{Rows: eval.TableOf([]string{"s", "o"},
+		[]rdf.Term{rdf.NewIRI("urn:s"), {}, rdf.NewIRI("urn:t"), rdf.NewLiteral("o")})}
 	ref := chord.Ref{ID: 42, Addr: "c2"}
 	ack := simnet.Bytes(1)
 
@@ -107,16 +108,7 @@ func methodSamples() []methodSample {
 		// Overlay storage-node methods.
 		{overlay.MethodMatch, matchReq, overlay.MatchResp{Tables: []eval.Table{matches}}},
 		{overlay.MethodMatch, waveReq, waveResp},
-		{overlay.MethodChainHop, chainPayload{
-			Pattern:   pattern,
-			Filter:    filter,
-			Keys:      keys,
-			Acc:       matches,
-			Seq:       []simnet.Addr{"n5", "n6"},
-			Dataset:   []string{"urn:g1"},
-			Graph:     rdf.NewIRI("urn:g1"),
-			FromNamed: []string{"urn:g2"},
-		}, ack},
+		{overlay.MethodChainHop, overlay.ChainReq{Sub: matchReq, Acc: matches, Seq: []simnet.Addr{"n5", "n6"}}, matches},
 
 		// Chord ring maintenance.
 		{chord.MethodFindSuccessor, chord.FindReq{Target: 5, Hops: 1},
@@ -130,13 +122,12 @@ func methodSamples() []methodSample {
 		{chord.MethodSetPredecessor, ref, ack},
 		{chord.MethodSetSuccessor, ref, ack},
 
-		// DQP transfers (all transfer-only; the receiver acks the bytes).
-		// dqp.ship and dqp.result carry a Table, its OPTIONAL variables
-		// unbound in some rows.
-		{methodDispatch, dispatchPayload{Sub: matchReq, Rows: matches}, ack},
-		{methodShip, rowsPayload{Rows: matches}, ack},
-		{methodResult, rowsPayload{Rows: eval.TableOf([]string{"s", "o"},
-			[]rdf.Term{rdf.NewIRI("urn:s"), {}, rdf.NewIRI("urn:t"), rdf.NewLiteral("o")})}, ack},
+		// DQP data legs: the receiver takes over what was delivered and
+		// hands it back. dqp.ship and dqp.result carry a Table, its
+		// OPTIONAL variables unbound in some rows.
+		{overlay.MethodDispatch, dispatchPayload{Sub: matchReq, Rows: matches}, dispatchPayload{Sub: matchReq, Rows: matches}},
+		{overlay.MethodShip, rowsPayload{Rows: matches}, rowsPayload{Rows: matches}},
+		{overlay.MethodResult, result, result},
 
 		// RDFPeers baseline.
 		{rdfpeers.MethodStore, rdfpeers.StoreReq{Triple: triple}, ack},
@@ -148,9 +139,11 @@ func methodSamples() []methodSample {
 		}, rdfpeers.TermsResp{Terms: []rdf.Term{rdf.NewIRI("urn:s")}}},
 		{rdfpeers.MethodRange, rdfpeers.RangeReq{Predicate: rdf.NewIRI("urn:p"), Lo: 1, Hi: 9},
 			rdfpeers.RangeResp{Triples: []rdf.Triple{triple}}},
-		// Result transfers ship either candidate terms (MAQ) or triples
-		// (range queries) back to the initiator.
+		// Results travel back to the initiator as candidate terms (MAQ) or
+		// triples (range queries), which it takes over and hands back.
 		{rdfpeers.MethodResult, rdfpeers.TermsResp{Terms: []rdf.Term{rdf.NewIRI("urn:s")}},
+			rdfpeers.TermsResp{Terms: []rdf.Term{rdf.NewIRI("urn:s")}}},
+		{rdfpeers.MethodResult, rdfpeers.TriplesPayload{Triples: []rdf.Triple{triple}},
 			rdfpeers.TriplesPayload{Triples: []rdf.Triple{triple}}},
 	}
 }

@@ -94,8 +94,14 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 // units allocates the reply's table slice plus four objects per unit — the
 // unit's variables, its scoped graph, and its reply table's cells and
 // dictionary — so nothing in the handler is paid per unit beyond the
-// unit's own evaluation.
+// unit's own evaluation. A store.chain hop evaluates one unit the same way.
+//
+// Under -race the count is not the program's: instrumentation moves a
+// unit's values to the heap, so the test runs without it only.
 func TestMatchAllocatesPerUnit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
 	const base, perUnit = 2, 4
 	s, now := newTestSystem(t, 3)
 	_, now, err := s.AddStorageNode("D1", now)
@@ -126,6 +132,16 @@ func TestMatchAllocatesPerUnit(t *testing.T) {
 			t.Errorf("a match of %d units allocates %.1f objects over an empty one, want %.0f (the table slice and %d per unit)", k, got, want, perUnit)
 		}
 	}
+	// A chain hop is a one-unit match answered with its table alone.
+	hop := ChainReq{Sub: MatchReq{Units: []MatchUnit{{Pattern: rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("y")}, Keys: eval.Table{N: 1}}}}}
+	got := testing.AllocsPerRun(50, func() {
+		if _, _, err := node.HandleCall(now, MethodChainHop, hop); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := empty + perUnit; got != want {
+		t.Errorf("a chain hop allocates %.1f objects, want %.0f (a one-unit match less the table slice)", got, want)
+	}
 }
 
 // rpc is one request to a handler.
@@ -136,8 +152,10 @@ type rpc struct {
 
 // TestIndexHandlerAllocs pins the allocations of every method
 // IndexNode.HandleCall dispatches — replicate, replica_repair, put_batch,
-// routed_read, hot_replica, hot_lookup, transfer, handover and drop_node
-// (StorageNode.HandleCall's store.match is TestMatchAllocatesPerUnit's).
+// routed_read, hot_replica, hot_lookup, transfer, handover, drop_node and
+// the query engine's data legs, which a storage node takes over too
+// (StorageNode.HandleCall's store.match and store.chain are
+// TestMatchAllocatesPerUnit's).
 // Each row runs valid requests on a
 // 4-node ring at Replication 2 that D1 and D2 have published to, a method
 // that changes state followed by its undo. A method whose work is per key
@@ -179,6 +197,12 @@ func TestIndexHandlerAllocs(t *testing.T) {
 		return ps
 	}
 	heldRows := owner.Table.Rows(held)
+	storage, _ := s.Storage("D1")
+	dataLegs := func(int) []rpc {
+		// Taking over what was delivered costs nothing.
+		leg := simnet.Payload(StaleKeys{Keys: held})
+		return []rpc{{MethodDispatch, leg}, {MethodShip, leg}, {MethodResult, leg}}
+	}
 	hot.storeHotReplica(HotReplicaReq{Key: held[0], Home: owner.Addr(), Epoch: 1, Postings: postings(1)})
 	for _, row := range []struct {
 		at     simnet.Handler
@@ -240,6 +264,8 @@ func TestIndexHandlerAllocs(t *testing.T) {
 			}
 			return []rpc{{MethodDropNode, DropNodeReq{Node: "D2"}}, {MethodHandover, TableRows{Rows: rows}}}
 		}},
+		{owner, nil, []float64{0}, dataLegs},
+		{storage, nil, []float64{0}, dataLegs},
 	} {
 		sizes := row.units
 		if sizes == nil {

@@ -271,6 +271,8 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 			}
 		}
 		return simnet.Bytes(1), now, nil
+	case MethodDispatch, MethodShip, MethodResult:
+		return req, at, nil // delivered: the node holds it from here on
 	default:
 		return nil, at, fmt.Errorf("overlay: index node %s: unknown method %s", n.addr, method)
 	}

@@ -51,9 +51,22 @@ const (
 	MethodHotLookup = "index.hot_lookup"
 
 	MethodMatch = "store.match"
-	// MethodChainHop names a forwarding chain's data leg, a transfer: no
-	// handler runs on its arrival.
+	// MethodChainHop is one hop of a chained sub-query (Sect. IV-C): a
+	// ChainReq forwarded to the next target, which matches its one unit
+	// and hands its table back for the accumulated matches.
 	MethodChainHop = "store.chain"
+)
+
+// Query-engine data legs, one-way forwards whose receiver takes ownership
+// of what was delivered. They are distinct from the methods above so
+// experiments can attribute traffic: "dqp.dispatch" is sub-query shipping
+// to an index node, "dqp.ship" intermediate-result movement between sites,
+// "dqp.result" the final return to the initiator. A re-sent leg is taken
+// over again, which changes nothing.
+const (
+	MethodDispatch = "dqp.dispatch"
+	MethodShip     = "dqp.ship"
+	MethodResult   = "dqp.result"
 )
 
 // intWidth is the wire width of an int field (frequency, count).
@@ -400,6 +413,31 @@ func (u MatchUnit) SizeBytes() int {
 	}
 	if !u.Graph.IsZero() {
 		n += u.Graph.SizeBytes()
+	}
+	return n
+}
+
+// ChainReq is a chain hop: the sub-query of one unit, the distinct matches
+// accumulated so far and the targets it is still to be forwarded through
+// (Sect. IV-C: "information on a sequence of target nodes that the query
+// should be forwarded through"). The receiving node answers the unit's
+// matches as an eval.Table; the sender adds them to the accumulation.
+type ChainReq struct {
+	Sub MatchReq
+	Acc eval.Table
+	Seq []simnet.Addr
+}
+
+// TraceCtx implements trace.Carrier: each hop's sub-query carries the hop's
+// own context, derived from the previous hop's, so a traced chain renders
+// as a linked list of message spans (the Fig. 5 chained flow).
+func (r ChainReq) TraceCtx() trace.TraceContext { return r.Sub.TC }
+
+// SizeBytes implements simnet.Payload.
+func (r ChainReq) SizeBytes() int {
+	n := r.Sub.SizeBytes() + r.Acc.SizeBytes()
+	for _, a := range r.Seq {
+		n += len(a)
 	}
 	return n
 }

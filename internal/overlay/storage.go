@@ -276,7 +276,8 @@ func (s *StorageNode) datasetGraph(dataset []string) *rdf.Graph {
 	return merged
 }
 
-// HandleCall serves storage-node sub-query methods.
+// HandleCall serves storage-node sub-query methods and takes over the query
+// engine's data legs.
 func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
 	switch method {
 	case MethodMatch:
@@ -289,6 +290,15 @@ func (s *StorageNode) HandleCall(at simnet.VTime, method string, req simnet.Payl
 			out.Tables[i] = s.MatchKeys(u.Pattern, u.Filter, u.Keys, r.Dataset, r.FromNamed, u.Graph)
 		}
 		return out, at, nil
+	case MethodChainHop:
+		r, ok := req.(ChainReq)
+		if !ok || len(r.Sub.Units) != 1 {
+			return nil, at, fmt.Errorf("overlay: chain hop payload %T of %d units", req, len(r.Sub.Units))
+		}
+		u := r.Sub.Units[0]
+		return s.MatchKeys(u.Pattern, u.Filter, u.Keys, r.Sub.Dataset, r.Sub.FromNamed, u.Graph), at, nil
+	case MethodDispatch, MethodShip, MethodResult:
+		return req, at, nil // delivered: the node holds it from here on
 	default:
 		return nil, at, fmt.Errorf("overlay: storage node %s: unknown method %s", s.addr, method)
 	}

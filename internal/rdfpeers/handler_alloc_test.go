@@ -9,10 +9,11 @@ import (
 )
 
 // TestRDFPeersHandlerAllocs pins the allocations of every RDFPeers method
-// Node.HandleCall dispatches: store, match, range and intersect, the last
-// with and without candidates. Each row runs one valid request at a ring
-// member whose store holds 64 subjects with a numeric age and, for k = 1
-// and 8, k subjects that know ex:kk. A store is followed by its undo, the
+// Node.HandleCall dispatches: store, match, range, intersect, the last
+// with and without candidates, and the result an initiator takes over.
+// Each row runs one valid request at a ring member whose store holds 64
+// subjects with a numeric age and, for k = 1 and 8, k subjects that know
+// ex:kk. A store is followed by its undo, the
 // triple's removal. A method whose reply grows per matching triple or per
 // candidate is run at two sizes and pinned at both.
 func TestRDFPeersHandlerAllocs(t *testing.T) {
@@ -51,6 +52,9 @@ func TestRDFPeersHandlerAllocs(t *testing.T) {
 		}, nil},
 		{MethodIntersect, nil, []float64{8}, func(int) simnet.Payload {
 			return IntersectReq{Pattern: rdf.Triple{S: rdf.NewVar("s"), P: fp("knows"), O: ex("k8")}}
+		}, nil},
+		{MethodResult, nil, []float64{0}, func(int) simnet.Payload {
+			return TermsResp{Terms: []rdf.Term{ex("s0")}}
 		}, nil},
 	} {
 		sizes := row.units

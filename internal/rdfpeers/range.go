@@ -100,16 +100,14 @@ func (s *System) QueryRange(from simnet.Addr, p rdf.Term, lo, hi float64, at sim
 		}
 		prev = cur
 	}
-	// Sort before the transfer: the payload ships the same backing array
-	// the caller receives, so a post-send sort would mutate bytes already
-	// on the wire (the transfer cost itself is order-independent).
+	// Sorted before the send: the initiator takes over out's backing array.
 	rdf.SortTriples(out)
 	// results travel back to the initiator
-	done, err := s.net.TransferRetry(prev, from, MethodResult, TriplesPayload{Triples: out}, now)
+	got, done, err := s.net.ForwardRetry(prev, from, MethodResult, TriplesPayload{Triples: out}, now)
 	if err != nil {
 		return nil, visited, done, err
 	}
-	return out, visited, done, nil
+	return got.(TriplesPayload).Triples, visited, done, nil
 }
 
 // arcOwners lists the nodes whose key span intersects the (non-wrapping)

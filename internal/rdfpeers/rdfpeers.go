@@ -32,8 +32,9 @@ const (
 	MethodStore     = "rdfpeers.store"
 	MethodMatch     = "rdfpeers.match"
 	MethodIntersect = "rdfpeers.intersect"
-	// MethodResult labels the transfer shipping final results back to the
-	// query initiator; it is transfer-only and dispatched by no handler.
+	// MethodResult ships final results back to the query initiator, one
+	// way: the initiator takes over what was delivered, and a re-sent leg
+	// is taken over again.
 	MethodResult = "rdfpeers.result"
 )
 
@@ -143,6 +144,8 @@ func (n *Node) HandleCall(at simnet.VTime, method string, req simnet.Payload) (s
 			return nil, at, fmt.Errorf("rdfpeers: intersect payload %T", req)
 		}
 		return TermsResp{Terms: n.intersect(r)}, at, nil
+	case MethodResult:
+		return req, at, nil // delivered: the initiator holds it from here on
 	default:
 		return nil, at, fmt.Errorf("rdfpeers: unknown method %s", method)
 	}
@@ -459,12 +462,12 @@ func (s *System) QueryConjunctive(from simnet.Addr, subjectVar string, patterns 
 		linkTC = hopTC
 	}
 	// ship the final candidates back to the initiator
-	done, err := s.net.TransferRetry(prev, from, MethodResult, TermsResp{Terms: candidates}, now)
+	got, done, err := s.net.ForwardRetry(prev, from, MethodResult, TermsResp{Terms: candidates}, now)
 	if err != nil {
 		return nil, done, err
 	}
 	if finishOp != nil {
 		finishOp(at, done)
 	}
-	return candidates, done, nil
+	return got.(TermsResp).Terms, done, nil
 }

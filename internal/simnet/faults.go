@@ -60,8 +60,7 @@ type FaultPlan struct {
 	// patterns at the same rate.
 	Seed int64
 	// LossRate is the per-leg drop probability in [0, 1). Every request,
-	// response, one-way and transfer leg between distinct nodes draws
-	// independently.
+	// response and one-way leg between distinct nodes draws independently.
 	LossRate float64
 	// Crashes lists scheduled crash windows, applied on top of message
 	// loss. Experiments derive these from the master RNG.
@@ -125,7 +124,7 @@ func hashString(s string) uint64 {
 }
 
 // SetFaults installs (or, with nil, removes) a fault-injection plan. The
-// plan applies to every subsequent Call/Send/Transfer; installing it does
+// plan applies to every subsequent Call/Send/Forward; installing it does
 // not disturb metrics or membership.
 func (n *Network) SetFaults(plan *FaultPlan) { n.setHooks(func(h *hooks) { h.faults = plan }) }
 
@@ -157,15 +156,23 @@ func (n *Network) CallRetry(from, to Addr, method string, req Payload, at VTime)
 	return resp, at, retryExhausted(err)
 }
 
-// TransferRetry is Transfer re-sent on loss under CallRetry's policy.
-func (n *Network) TransferRetry(from, to Addr, method string, payload Payload, at VTime) (VTime, error) {
-	var err error
+// ForwardRetry is a one-way data leg — Forward with no replyTo — re-sent
+// on loss under CallRetry's budget. No leg of a route is acknowledged, so
+// the sender learns of a loss only when FailTimeout has passed since the
+// departure; the re-send departs then. The receiver's handler takes
+// ownership of the delivered payload, and its result is returned.
+func (n *Network) ForwardRetry(from, to Addr, method string, req Payload, at VTime) (Payload, VTime, error) {
+	var (
+		resp Payload
+		err  error
+	)
 	for i := 0; i < retryAttempts; i++ {
-		if at, err = n.Transfer(from, to, method, payload, at); err == nil || !IsLost(err) {
-			return at, err
+		if resp, at, err = n.Forward(from, to, method, req, "", at); err == nil || !IsLost(err) {
+			return resp, at, err
 		}
+		at = at.Add(n.cfg.FailTimeout)
 	}
-	return at, retryExhausted(err)
+	return resp, at, retryExhausted(err)
 }
 
 // retryExhausted wraps the last loss of a spent retry budget.

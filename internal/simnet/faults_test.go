@@ -186,8 +186,11 @@ func TestRetryExhaustionAndNonLossErrors(t *testing.T) {
 	if _, done, err := n.CallRetry("a", "d", "m", Bytes(10), 0); !errors.Is(err, ErrUnreachable) || done != VTime(10*time.Millisecond) {
 		t.Errorf("unreachable retried in place: done=%v err=%v", done, err)
 	}
-	if done, err := n.TransferRetry("a", "d", "m", Bytes(10), 0); !errors.Is(err, ErrUnreachable) || done != VTime(10*time.Millisecond) {
-		t.Errorf("unreachable transfer retried in place: done=%v err=%v", done, err)
+	if _, done, err := n.ForwardRetry("a", "d", "m", Bytes(10), 0); !errors.Is(err, ErrUnreachable) || done != VTime(10*time.Millisecond) {
+		t.Errorf("unreachable one-way leg retried in place: done=%v err=%v", done, err)
+	}
+	if _, done, err := n.ForwardRetry("a", "ghost", "m", Bytes(10), 0); !errors.Is(err, ErrUnknownNode) || done != 0 {
+		t.Errorf("unknown node: done=%v err=%v", done, err)
 	}
 	if e.calls != 0 {
 		t.Errorf("failed node's handler ran %d times", e.calls)
@@ -195,7 +198,7 @@ func TestRetryExhaustionAndNonLossErrors(t *testing.T) {
 }
 
 // TestRetryAttemptsChain: under total loss every attempt departs at the end
-// of the one before, so a retried call or transfer ends where three plain
+// of the one before, so a retried call or one-way leg ends where three plain
 // ones chained by hand end, with the third one's error wrapped.
 func TestRetryAttemptsChain(t *testing.T) {
 	n := newTestNet()
@@ -216,16 +219,19 @@ func TestRetryAttemptsChain(t *testing.T) {
 		t.Errorf("CallRetry = (%v, %v), want (%v, %v (after 3 attempts))", done, rerr, at, err)
 	}
 
-	at = start
-	for i := 0; i < 3; i++ {
-		at, err = n.Transfer("a", "b", "m", Bytes(10), at)
+	// A lost one-way leg is acknowledged by nothing: its sender re-sends
+	// once FailTimeout has passed since the departure, so three attempts
+	// end where the three calls did.
+	var forwardErr error
+	for i, at := 0, start; i < 3; i, at = i+1, at.Add(n.Config().FailTimeout) {
+		_, _, forwardErr = n.Forward("a", "b", "m", Bytes(10), "", at)
 	}
-	done, rerr = n.TransferRetry("a", "b", "m", Bytes(10), start)
-	if done != at || rerr == nil || rerr.Error() != err.Error()+" (after 3 attempts)" {
-		t.Errorf("TransferRetry = (%v, %v), want (%v, %v (after 3 attempts))", done, rerr, at, err)
+	_, done, rerr = n.ForwardRetry("a", "b", "m", Bytes(10), start)
+	if done != at || rerr == nil || rerr.Error() != forwardErr.Error()+" (after 3 attempts)" {
+		t.Errorf("ForwardRetry = (%v, %v), want (%v, %v (after 3 attempts))", done, rerr, at, forwardErr)
 	}
 	if !errors.Is(rerr, ErrMessageLost) {
-		t.Errorf("TransferRetry err = %v, want wrapped ErrMessageLost", rerr)
+		t.Errorf("ForwardRetry err = %v, want wrapped ErrMessageLost", rerr)
 	}
 }
 

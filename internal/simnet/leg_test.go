@@ -81,8 +81,9 @@ var legOps = []legOp{
 	{"Send", DirOneWay, func(n *Network, to Addr, p Payload, at VTime) (VTime, error) {
 		return n.Send("a", to, legMethod, p, at)
 	}},
-	{"Transfer", DirTransfer, func(n *Network, to Addr, p Payload, at VTime) (VTime, error) {
-		return n.Transfer("a", to, legMethod, p, at)
+	{"Forward", DirOneWay, func(n *Network, to Addr, p Payload, at VTime) (VTime, error) {
+		_, done, err := n.Forward("a", to, legMethod, p, "", at)
+		return done, err
 	}},
 }
 
@@ -119,8 +120,7 @@ type legCase struct {
 }
 
 // buildLegCase derives the expectations of one (operation, scenario) cell;
-// ok is false for cells that do not exist (a Transfer runs no handler, only
-// a Call has a reply).
+// ok is false for cells that do not exist (only a Call has a reply).
 func buildLegCase(t *testing.T, op legOp, sc legScenario) (c legCase, ok bool) {
 	isCall := op.dir == DirRequest
 	c = legCase{to: "b", at: VTime(3 * time.Millisecond)}
@@ -134,10 +134,6 @@ func buildLegCase(t *testing.T, op legOp, sc legScenario) (c legCase, ok bool) {
 	case legRequestLost:
 		c.plan = &FaultPlan{Seed: 1, LossRate: 0.3}
 		c.at = legFate(t, c.plan, op.dir, true, false)
-	case legHandlerError:
-		if op.dir == DirTransfer {
-			return c, false
-		}
 	case legFailedNode:
 		c.failB = true
 	case legInFlightCrash:
@@ -166,12 +162,13 @@ func buildLegCase(t *testing.T, op legOp, sc legScenario) (c legCase, ok bool) {
 			flight.KindUnreachable, "unreachable", "in-flight crash", timeout, ErrUnreachable
 	}
 	c.legs, c.done = []wantLeg{fwd}, fwd.end
+	if sc == legRequestLost && op.name == "Forward" {
+		c.done = c.at // a route's lost leg stops it where it left
+	}
 	if fwd.kind != flight.KindDeliver {
 		return c, true
 	}
-	if op.dir != DirTransfer {
-		c.handlerN = 1
-	}
+	c.handlerN = 1
 	if sc == legHandlerError {
 		c.err = errLegHandler
 	}
@@ -374,7 +371,7 @@ func TestDisabledTracingAllocatesNothing(t *testing.T) {
 
 // TestDisabledFlightAllocatesNothing is the flight twin: once every hook
 // has been attached and detached again — the snapshot holds three nils —
-// Call, Send and Transfer of a context-carrying payload, charged to a
+// Call, Send and Forward of a context-carrying payload, charged to a
 // tracked query, allocate nothing.
 func TestDisabledFlightAllocatesNothing(t *testing.T) {
 	n := newTestNet()

@@ -115,13 +115,12 @@ func (c Config) withDefaults() Config {
 }
 
 // Message directions used as keys of Snapshot.PerDirection. A Call is two
-// accounted messages (request + response); Send and Transfer are one each;
-// a Forward is one one-way leg, plus a response leg when it ends a route.
+// accounted messages (request + response); a Send is one; a Forward is one
+// one-way leg, plus a response leg when it ends a route.
 const (
 	DirRequest  = "req"
 	DirResponse = "resp"
 	DirOneWay   = "send"
-	DirTransfer = "transfer"
 )
 
 // Network is the simulated network fabric. It is safe for concurrent use.
@@ -200,7 +199,7 @@ type Snapshot struct {
 	// PerMethod breaks traffic down by RPC method name.
 	PerMethod map[string]MethodStats
 	// PerDirection further splits each method's traffic by message
-	// direction (DirRequest, DirResponse, DirOneWay, DirTransfer):
+	// direction (DirRequest, DirResponse, DirOneWay):
 	// direction → method → stats. The per-method totals equal the sum
 	// over directions.
 	PerDirection map[string]map[string]MethodStats
@@ -499,22 +498,6 @@ func (n *Network) Reply(from, to Addr, method string, resp Payload, tc trace.Tra
 	return back, nil
 }
 
-// Transfer models pure one-way data movement: the payload is accounted and
-// the arrival time at the destination is returned, but no handler runs —
-// the caller is responsible for the effect at the destination. This is the
-// primitive behind chained sub-query forwarding, where a node processes
-// locally and forwards onward without a return transfer. Transfers to
-// failed nodes are accounted (the data was sent) and report ErrUnreachable
-// after the failure timeout; transfers to unknown nodes fail immediately.
-func (n *Network) Transfer(from, to Addr, method string, payload Payload, at VTime) (VTime, error) {
-	_, down, err := n.lookup(to)
-	if err != nil || from == to {
-		return at, err
-	}
-	return n.transmit(n.hooks.Load(), leg{from: from, to: to, method: method, dir: DirTransfer,
-		size: payloadSize(payload), start: at, tc: trace.CtxOf(payload)}, down)
-}
-
 func payloadSize(p Payload) int {
 	if p == nil {
 		return 0
@@ -524,13 +507,15 @@ func payloadSize(p Payload) int {
 
 // leg is one message leg: a payload put on the wire between two distinct
 // registered nodes, and the only event the fabric produces. A Call is a
-// request and a response leg, a Send or a Transfer one leg; the counters,
+// request and a response leg, a Send or a Forward one leg (a Forward that
+// ends a route adds its Reply's); every delivered leg runs its receiver's
+// handler, except a response leg, which returns to its caller. The counters,
 // the per-query accumulators, the span recorder and the flight recorder
 // are all sinks of the one stream transmit emits.
 type leg struct {
 	from, to   Addr
 	method     string
-	dir        string // DirRequest, DirResponse, DirOneWay or DirTransfer
+	dir        string // DirRequest, DirResponse or DirOneWay
 	size       int    // accounted payload bytes
 	start, end VTime  // departure; arrival, or when the sender gives up
 	// outcome is the leg's fate as a flight kind (KindDeliver, KindLost,
@@ -553,7 +538,7 @@ const (
 // transmit puts one leg on the wire and returns when it ends: the one
 // place a leg meets its fate, is charged and is observed. l arrives with
 // coordinates and start set; down reports a destination marked failed.
-// Forward legs (request, one-way, transfer) find a failed or crashed
+// Forward legs (request, one-way) find a failed or crashed
 // destination unreachable, at departure or on arrival; response legs
 // return to a caller that is still there. An unanswered leg costs its
 // sender FailTimeout — except a lost one-way message, which carries no
@@ -691,7 +676,7 @@ func (n *Network) Metrics() Snapshot {
 		Messages:     m.messages,
 		Bytes:        m.bytes,
 		PerMethod:    make(map[string]MethodStats, len(m.cells)),
-		PerDirection: make(map[string]map[string]MethodStats, 4),
+		PerDirection: make(map[string]map[string]MethodStats, 3),
 	}
 	for k, c := range m.cells {
 		pm := out.PerMethod[k.method]

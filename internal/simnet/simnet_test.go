@@ -257,18 +257,18 @@ func TestSnapshotSubPerDirection(t *testing.T) {
 	n.Register("a", &echoNode{})
 	n.Register("b", &echoNode{respSize: 1})
 	n.Call("a", "b", "m", Bytes(2), 0)
+	n.Send("a", "b", "s", Bytes(4), 0)
 	before := n.Metrics()
 	n.Call("a", "b", "m", Bytes(3), 0)
-	n.Send("a", "b", "s", Bytes(4), 0)
 	delta := n.Metrics().Sub(before)
 	if got := delta.PerDirection[DirRequest]["m"]; got.Messages != 1 || got.Bytes != 3 {
 		t.Errorf("req delta = %+v", got)
 	}
-	if got := delta.PerDirection[DirOneWay]["s"]; got.Messages != 1 || got.Bytes != 4 {
-		t.Errorf("send delta = %+v", got)
+	if got := delta.PerDirection[DirResponse]["m"]; got.Messages != 1 || got.Bytes != 1 {
+		t.Errorf("resp delta = %+v", got)
 	}
 	// Unchanged cells are omitted, not emitted as zeros.
-	if _, ok := delta.PerDirection[DirTransfer]; ok {
+	if _, ok := delta.PerDirection[DirOneWay]; ok {
 		t.Error("delta contains a direction with no traffic")
 	}
 }
