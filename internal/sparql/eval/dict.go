@@ -151,10 +151,15 @@ func (d *dictIndex) place(p uint32) {
 }
 
 // termHash places a term in a dictIndex: the row hash's fold of its value,
-// under hashMask like every lookup (hash.go). Terms differing in the kind
-// or the suffix alone share a probe sequence, and equality tells them
-// apart.
-func termHash(t *rdf.Term) uint64 { return hashString(hashInit, t.Value) & hashMask }
+// finalized, under hashMask like every lookup (hash.go). The fold's low
+// bits, which pick the slot, never see the high bytes of its last word —
+// where IRIs minted from one prefix differ — so its high half is folded
+// into them. Terms differing in the kind or the suffix alone share a probe
+// sequence, and equality tells them apart.
+func termHash(t *rdf.Term) uint64 {
+	h := hashString(hashInit, t.Value)
+	return (h ^ h>>32) & hashMask
+}
 
 // compact rewrites cells, indices into the n positions d reads, into
 // indices into a dictionary of the terms they use, in order of first use,

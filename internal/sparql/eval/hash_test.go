@@ -1,7 +1,9 @@
 package eval
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"adhocshare/internal/rdf"
@@ -248,4 +250,103 @@ func TestExtendDecidesBeforeAllocating(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("an inconsistent match allocates %.0f times, want 0", n)
 	}
+}
+
+// probes counts the slots a lookup of t walks in d: through t's slot, or
+// up to the free slot that ends a miss.
+func probes(d *dictIndex, t rdf.Term) (n int, found bool) {
+	mask := uint64(len(d.slots) - 1)
+	for i := termHash(&t) & mask; ; i = (i + 1) & mask {
+		n++
+		switch q := d.slots[i]; {
+		case q == 0:
+			return n, false
+		case d.terms[q-1] == t:
+			return n, true
+		}
+	}
+}
+
+// TestTermHashSpreadsWorkloadTerms: a dictIndex at most half full walks
+// about 1.5 slots per lookup when the hash spreads its terms. Without
+// termHash's finalizer, person IRIs walk about 9 slots per find.
+func TestTermHashSpreadsWorkloadTerms(t *testing.T) {
+	// The shapes of the terms the workload generator mints, written out
+	// (internal/workload is above eval), plus IRIs of every length mod 8
+	// that differ in their last characters; term(i) is a shape's i-th.
+	type shape struct {
+		name string
+		term func(i int) rdf.Term
+	}
+	first := []string{"Alice", "Bob", "Carol", "Mallory", "Yolanda"}
+	shapes := []shape{
+		{"person IRI", func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://example.org/people/p%04d", i)) }},
+		{"mbox IRI", func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("mailto:p%04d@example.org", i)) }},
+		{"name literal", func(i int) rdf.Term {
+			return rdf.NewLiteral(fmt.Sprintf("%s Smith%d", first[i%len(first)], i/len(first)))
+		}},
+	}
+	for r := range 8 {
+		prefix := "http://example.org/" + strings.Repeat("x", r) + "/n"
+		shapes = append(shapes, shape{fmt.Sprintf("IRI of length %d mod 8", (len(prefix)+4)%8),
+			func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%s%04d", prefix, i)) }})
+	}
+
+	const n = 5000
+	for _, sh := range shapes {
+		var d dictIndex
+		for i := range n {
+			d.add(sh.term(i))
+		}
+		hits, misses := 0, 0
+		for i := range n {
+			p, ok := probes(&d, sh.term(i))
+			if !ok {
+				t.Fatalf("%s: term %d not found", sh.name, i)
+			}
+			hits += p
+			if p, ok = probes(&d, sh.term(n+i)); ok {
+				t.Fatalf("%s: term %d found, never added", sh.name, n+i)
+			}
+			misses += p
+		}
+		hit, miss := float64(hits)/n, float64(misses)/n
+		t.Logf("%-22s %d slots: %.2f probes per find, %.2f per miss", sh.name, len(d.slots), hit, miss)
+		if hit > 2.0 || miss > 3.0 {
+			t.Errorf("%s: %.2f probes per find and %.2f per miss, want at most 2.0 and 3.0", sh.name, hit, miss)
+		}
+	}
+
+	// hashCols, the fold of a row's dictionary positions, needs no
+	// finalizer: consecutive positions fill most of a table's buckets.
+	for _, rows := range []int{1000, 8000} {
+		for _, width := range []int{1, 2} {
+			used := map[uint64]bool{}
+			nb := buckets(rows)
+			for i := range rows {
+				row := []uint32{uint32(i + 1)}
+				if width == 2 {
+					row = []uint32{uint32(i%50 + 1), uint32(i/50 + 1)}
+				}
+				used[hashCols(row, []int{0, 1}[:width])&uint64(nb-1)] = true
+			}
+			share := float64(len(used)) / float64(nb)
+			t.Logf("hashCols, %d %d-column rows: %.0f%% of %d buckets used", rows, width, 100*share, nb)
+			if share < 0.55 {
+				t.Errorf("hashCols: %d %d-column rows use %.0f%% of %d buckets, want at least 55%%", rows, width, 100*share, nb)
+			}
+		}
+	}
+
+	t.Run("colliding", func(t *testing.T) {
+		hashMask = 0
+		defer func() { hashMask = ^uint64(0) }()
+		for _, sh := range shapes {
+			for i := range 100 {
+				if term := sh.term(i); termHash(&term) != 0 {
+					t.Fatalf("%s: termHash(%v) = %#x under a zero hashMask, want 0", sh.name, term, termHash(&term))
+				}
+			}
+		}
+	})
 }
