@@ -50,9 +50,9 @@ experiments:
 
 # The tracked size metric, ROADMAP aim 2: production Go (non-test,
 # non-testdata; bench/ is its own module and not counted), the same without
-# the packages only tests import (internal/testutil, the reference encoder
-# internal/sparql/eval/evaltest), of which cmd/adhoclint, and tests.
-TESTONLY := -not -path './internal/testutil/*' -not -path './internal/sparql/eval/evaltest/*'
+# the package only tests import (internal/testutil: the alias probe and the
+# wire's reference encoder), of which cmd/adhoclint, and tests.
+TESTONLY := -not -path './internal/testutil/*'
 loc:
 	@echo "production Go:          $$(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "  without test-only:    $$(find . -name '*.go' -not -name '*_test.go' -not -path '*/testdata/*' -not -path './bench/*' $(TESTONLY) | xargs cat | wc -l)"

@@ -33,7 +33,6 @@ var rules = []rule{
 	{"guarded-field", "a struct's mutex guards the fields declared after it (a write needs Lock); no method writes a node type's fields before its first mutex; …Locked methods run under the receiver's lock", checkGuardedFields},
 	{"lock-blocking", "no blocking operation (channel op, simnet fabric call, sleep, wait) while a mutex is held, directly or through calls", checkLockBlocking},
 	{"lock-order", "mutex acquisition order must be cycle-free across the program; no re-acquisition of a held mutex", checkLockOrder},
-	{"payload-size", "every SizeBytes method must account for every field of its receiver struct (or carry an explaining ignore directive)", checkPayloadSizes},
 	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code, and no `go` statement in internal/ or cmd/ non-test code", checkDeterminism},
 	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
 }

@@ -236,10 +236,6 @@ func TestLockOrderCycleWitness(t *testing.T) {
 	}
 }
 
-func TestPayloadSizeRule(t *testing.T) {
-	checkFixture(t, "payloadsize", "adhocshare/fixture/payloadsize", only("payload-size"))
-}
-
 // Every rule of the table must be clean on the production tree: each
 // convention the linter enforces either holds or carries a reasoned
 // directive (the dynamic corroborators — the -race matrix, the invariant

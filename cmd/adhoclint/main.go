@@ -1,8 +1,7 @@
 // Command adhoclint is the project's static-analysis suite. It enforces
-// the locking, determinism, error, payload-size and wire-isolation
-// conventions of the overlay/DQP core (documented in DESIGN.md §7); `adhoclint -list` prints the rules
-// with their one-line descriptions, straight from the rule table in
-// lint.go.
+// the locking, determinism and error conventions of the overlay/DQP core
+// (documented in DESIGN.md §7); `adhoclint -list` prints the rules with
+// their one-line descriptions, straight from the rule table in lint.go.
 //
 // Usage:
 //

@@ -15,7 +15,7 @@ type lockClass string
 
 // muRegion is a span of a function body during which a mutex is held.
 // Owner is the source rendering of the mutex expression ("s.mu", "c.mu",
-// "n.hotMu", ...).
+// "n.seqMu", ...).
 type muRegion struct {
 	owner      string
 	start, end token.Pos

@@ -191,7 +191,7 @@ func validateSARIF(t *testing.T, data []byte) []string {
 func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		{Pos: token.Position{Filename: "internal/overlay/messages.go", Line: 36, Column: 1},
-			Rule: "payload-size", Msg: "SizeBytes of PutReq does not account for field Freq"},
+			Rule: "lock-blocking", Msg: "call to overlay.(*IndexNode).replicate may block (simnet RPC (.Forward) at index.go:40) while n.joinMu is held in endJoin"},
 		{Pos: token.Position{Filename: "internal/chord/node.go", Line: 120, Column: 2},
 			Rule: "lock-order", Msg: "lock-order cycle (potential deadlock): a → b → a"},
 		{Pos: token.Position{Filename: "internal/overlay/table.go", Line: 131, Column: 3},

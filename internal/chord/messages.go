@@ -132,8 +132,6 @@ type Arc struct {
 }
 
 // SizeBytes implements simnet.Payload: the arc start only.
-//
-//adhoclint:ignore payload-size Owner is one of the reply's Nodes, counted there
 func (a Arc) SizeBytes() int { return a.Start.SizeBytes() }
 
 // Contains reports whether the arc's owner owns key.

@@ -1,30 +1,29 @@
 package dqp
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
-	"adhocshare/internal/sparql/eval"
-	"adhocshare/internal/sparql/eval/evaltest"
+	"adhocshare/internal/testutil"
 	"adhocshare/internal/workload"
 )
 
-// dictProbe holds every table a query puts on the wire to the reference
-// encoder (evaltest): the tables of each payload a wrapped node's handler
-// is delivered, and of each store.match reply. A table must be charged
-// what the encoder writes for its rows, which it reads cell by cell,
-// whatever the table's own dictionary holds.
+// dictProbe holds every payload a query puts on the wire to the reference
+// encoder (testutil.CheckWire): each request a wrapped node's handler is
+// delivered, and each reply. A table must be charged what the encoder
+// writes for its rows, which it reads cell by cell, whatever the table's
+// own dictionary holds.
 type dictProbe struct {
 	t    *testing.T
-	seen map[string]int // tables checked, by payload type
+	seen map[string]int // payloads checked, by type
 }
 
-// wrap puts the probe on every node's handler. Of the replies only
-// store.match's travel: a data leg's handler hands back what it was
-// delivered, and a chain hop's table travels in the next hop's Acc.
+// wrap puts the probe on every node's handler.
 func (p *dictProbe) wrap(sys *overlay.System) {
 	for _, n := range sys.IndexNodes() {
 		p.wrapNode(sys.Net(), n.Addr(), n)
@@ -38,7 +37,7 @@ func (p *dictProbe) wrapNode(net *simnet.Network, addr simnet.Addr, h simnet.Han
 	net.Register(addr, simnet.HandlerFunc(func(at simnet.VTime, method string, req simnet.Payload) (simnet.Payload, simnet.VTime, error) {
 		p.payload(req)
 		resp, done, err := h.HandleCall(at, method, req)
-		if err == nil && method == overlay.MethodMatch {
+		if err == nil && resp != nil {
 			p.payload(resp)
 		}
 		return resp, done, err
@@ -46,41 +45,16 @@ func (p *dictProbe) wrapNode(net *simnet.Network, addr simnet.Addr, h simnet.Han
 }
 
 func (p *dictProbe) payload(payload simnet.Payload) {
-	switch x := payload.(type) {
-	case overlay.MatchReq:
-		for _, u := range x.Units {
-			p.table("MatchReq", u.Keys)
-		}
-	case overlay.MatchResp:
-		for _, t := range x.Tables {
-			p.table("MatchResp", t)
-		}
-	case overlay.ChainReq:
-		for _, u := range x.Sub.Units {
-			p.table("ChainReq", u.Keys)
-		}
-		p.table("ChainReq", x.Acc)
-	case dispatchPayload:
-		p.payload(x.Sub)
-		p.table("dispatchPayload", x.Rows)
-	case rowsPayload:
-		p.table("rowsPayload", x.Rows)
-	}
-}
-
-func (p *dictProbe) table(kind string, t eval.Table) {
+	kind := strings.TrimPrefix(fmt.Sprintf("%T", payload), "dqp.")
 	p.seen[kind]++
-	if err := checkTable(t); err != nil {
-		p.t.Errorf("%s table over %v, %d rows: %v", kind, t.Vars, t.N, err)
+	if err := testutil.CheckWire(payload); err != nil {
+		p.t.Errorf("%s: %v", kind, err)
 	}
 }
-
-// checkTable holds a table's charge to the reference encoder.
-func checkTable(t eval.Table) error { return evaltest.Check(t.Vars, t.N, t.Term, t.SizeBytes()) }
 
 // TestDictProbeQueries runs the paper's queries and join_mix's five classes
 // under the E9 matrix, the default and baseline options and the other join
-// sites, from a provider and from an index node, with every table on the
+// sites, from a provider and from an index node, with every payload on the
 // wire under the probe; each of the five payload types that carry tables
 // must have been seen.
 func TestDictProbeQueries(t *testing.T) {
@@ -121,8 +95,8 @@ func TestDictProbeQueries(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("tables checked: %v", p.seen)
-	for _, kind := range []string{"MatchReq", "MatchResp", "dispatchPayload", "rowsPayload", "ChainReq"} {
+	t.Logf("payloads checked: %v", p.seen)
+	for _, kind := range []string{"overlay.MatchReq", "overlay.MatchResp", "dispatchPayload", "rowsPayload", "overlay.ChainReq"} {
 		if p.seen[kind] == 0 {
 			t.Errorf("no %s was seen", kind)
 		}

@@ -32,7 +32,7 @@ func init() {
 		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},
 
 		chord.Ref{}, chord.FindReq{}, chord.FindResp{},
-		chord.BatchFindReq{}, chord.BatchFindResp{}, chord.RefList{},
+		chord.BatchFindReq{}, chord.BatchFindResp{}, chord.RefList{}, chord.FingerReq{},
 
 		rdfpeers.StoreReq{}, rdfpeers.MatchReq{}, rdfpeers.SolutionsResp{},
 		rdfpeers.IntersectReq{}, rdfpeers.TermsResp{}, rdfpeers.RangeReq{},

@@ -12,6 +12,7 @@ import (
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
 	"adhocshare/internal/sparql/eval"
+	"adhocshare/internal/testutil"
 )
 
 // The keyed sub-query against its reference. A case is a dataset spread
@@ -155,7 +156,7 @@ func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Ta
 			t.Fatalf("%v: provider %d is listed with %d matches, unit key %v", c, i, plan.postings[i].Freq, unit.has(i))
 		}
 	}
-	if err := checkTable(keys); err != nil {
+	if err := testutil.CheckWire(keys); err != nil {
 		t.Fatalf("%v: the keys %v", c, err)
 	}
 	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
@@ -165,7 +166,7 @@ func (c keyedCase) run(t *testing.T, nodes []*overlay.StorageNode, seeds eval.Ta
 			sent = eval.Table{N: 1}
 		}
 		reply := n.MatchKeys(c.pat, c.filter, sent, nil, nil, c.scope)
-		if err := checkTable(reply); err != nil {
+		if err := testutil.CheckWire(reply); err != nil {
 			t.Fatalf("%v: provider %d's reply %v", c, i, err)
 		}
 		acc.Add(reply)

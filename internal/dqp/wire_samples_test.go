@@ -1,6 +1,9 @@
 package dqp
 
 import (
+	"reflect"
+	"testing"
+
 	"adhocshare/internal/chord"
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/rdf"
@@ -8,11 +11,13 @@ import (
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
 	"adhocshare/internal/sparql/eval"
+	"adhocshare/internal/testutil"
 	"adhocshare/internal/trace"
 )
 
 // methodSample is one wire method with representative non-empty request
-// and response payloads, the table TestMethodPayloadsRoundTrip walks.
+// and response payloads, the table TestMethodPayloadsRoundTrip and
+// TestEveryPayloadMatchesReferenceEncoder walk.
 type methodSample struct {
 	method    string
 	req, resp simnet.Payload
@@ -121,6 +126,7 @@ func methodSamples() []methodSample {
 		{chord.MethodPing, ack, ack},
 		{chord.MethodSetPredecessor, ref, ack},
 		{chord.MethodSetSuccessor, ref, ack},
+		{chord.MethodUpdateFinger, chord.FingerReq{From: 1, To: 9, Owner: ref, K: 3}, ref},
 
 		// DQP data legs: the receiver takes over what was delivered and
 		// hands it back. dqp.ship and dqp.result carry a Table, its
@@ -145,5 +151,90 @@ func methodSamples() []methodSample {
 			rdfpeers.TermsResp{Terms: []rdf.Term{rdf.NewIRI("urn:s")}}},
 		{rdfpeers.MethodResult, rdfpeers.TriplesPayload{Triples: []rdf.Triple{triple}},
 			rdfpeers.TriplesPayload{Triples: []rdf.Triple{triple}}},
+	}
+}
+
+// filled returns a value of type t with every field set non-zero, by
+// reflection: strings "x", numbers 3, booleans true, one element in every
+// slice and map. A table, a solution multiset and an expression, whose
+// parts must agree, are taken from leaves.
+func filled(t reflect.Type, leaves map[reflect.Type]any) reflect.Value {
+	if leaf, ok := leaves[t]; ok {
+		return reflect.ValueOf(leaf)
+	}
+	v := reflect.New(t).Elem()
+	switch t.Kind() {
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Uint8, reflect.Uint32, reflect.Uint64:
+		v.SetUint(3)
+	case reflect.Int, reflect.Int32:
+		v.SetInt(3)
+	case reflect.Float64:
+		v.SetFloat(3)
+	case reflect.Pointer:
+		v.Set(filled(t.Elem(), leaves).Addr())
+	case reflect.Slice:
+		v.Set(reflect.Append(v, filled(t.Elem(), leaves)))
+	case reflect.Map:
+		v.Set(reflect.MakeMap(t))
+		v.SetMapIndex(filled(t.Key(), leaves), filled(t.Elem(), leaves))
+	case reflect.Struct:
+		for i := range t.NumField() {
+			v.Field(i).Set(filled(t.Field(i).Type, leaves))
+		}
+	default:
+		panic("filled: no rule for a " + t.String())
+	}
+	return v
+}
+
+// TestEveryPayloadMatchesReferenceEncoder: every methodSamples payload, a
+// value of each of their types with every field set non-zero, a put_batch
+// request by pointer as shipBatch sends it, an empty overlay.SolutionsResp
+// and the replies a routed read split at its first hop hands back are each
+// charged what the reference encoder (testutil.Encode) writes for them;
+// and every entry of the encoder's shape table is used, so a stale one
+// cannot linger.
+func TestEveryPayloadMatchesReferenceEncoder(t *testing.T) {
+	leaves := map[reflect.Type]any{
+		reflect.TypeFor[eval.Table]():        eval.TableOf([]string{"s", "o"}, []rdf.Term{rdf.NewIRI("urn:s"), {}, rdf.NewIRI("urn:s"), rdf.NewLiteral("o")}),
+		reflect.TypeFor[eval.Solutions]():    eval.Solutions{{"s": rdf.NewIRI("urn:s")}, {"s": rdf.NewIRI("urn:t"), "o": rdf.NewLiteral("o")}},
+		reflect.TypeFor[sparql.Expression](): &sparql.ExprCall{Name: "BOUND", Args: []sparql.Expression{&sparql.ExprVar{Name: "o"}}},
+	}
+	payloads := []simnet.Payload{
+		&overlay.PutBatchReq{Node: "D1", Entries: []overlay.KeyFreq{{Key: 1, Freq: 1}}, Seq: 2},
+		overlay.SolutionsResp{},
+	}
+	for _, c := range methodSamples() {
+		payloads = append(payloads, c.req, c.resp)
+	}
+	types := map[reflect.Type]bool{}
+	for _, p := range payloads {
+		if ty := reflect.TypeOf(p); !types[ty] {
+			types[ty] = true
+			payloads = append(payloads, filled(ty, leaves).Interface().(simnet.Payload))
+		}
+	}
+	sys, now := buildSystem(t, 4, paperData())
+	var keys []chord.ID
+	for i := range 32 {
+		keys = append(keys, chord.ID(i)<<11)
+	}
+	read := overlay.RoutedReadReq{Keys: keys, Origin: sys.StorageNodes()[0].Addr(), Epoch: 3}
+	split, _, err := sys.IndexNodes()[0].HandleCall(now, overlay.MethodRoutedRead, read)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(payloads, read, split) {
+		if err := testutil.CheckWire(p); err != nil {
+			t.Error(err)
+		}
+	}
+	t.Logf("%d payloads of %d types", len(payloads)+2, len(types)+1)
+	if unused := testutil.UnusedShapes(); len(unused) > 0 {
+		t.Errorf("shape-table entries no payload used: %v", unused)
 	}
 }

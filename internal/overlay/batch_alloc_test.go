@@ -173,7 +173,7 @@ func TestIndexHandlerAllocs(t *testing.T) {
 	}
 	nodes := s.IndexNodes()
 	owner, holder, hot := nodes[1], nodes[2], nodes[3]
-	hot.EnableAdaptive()
+	hot.hot = newHotState() // before it serves an adaptive read
 	// held is every key of owner's own arc it holds a row for, in key
 	// order; keys(k) is the first k.
 	var held []chord.ID

@@ -75,17 +75,13 @@ type hotState struct {
 	held     map[chord.ID]heldReplica
 }
 
-// EnableAdaptive turns on the node's hot-key detector. Call before the
-// node serves traffic; System does so when Config.Adaptive is set.
-func (n *IndexNode) EnableAdaptive() {
-	st := &hotState{
+// newHotState is an adaptive index node's detector, empty.
+func newHotState() *hotState {
+	return &hotState{
 		counters: make(map[chord.ID]hotCounter),
 		entries:  make(map[chord.ID]hotEntry),
 		held:     make(map[chord.ID]heldReplica),
 	}
-	n.hotMu.Lock()
-	n.hot = st
-	n.hotMu.Unlock()
 }
 
 // noteLookup bumps the key's decayed counter at virtual time `at` and
@@ -183,7 +179,7 @@ func (n *IndexNode) hotTargets() []simnet.Addr {
 // without a hot entry are skipped. Iteration is over a sorted copy so
 // same-seed runs push in the same order.
 func (n *IndexNode) refreshHot(keys []chord.ID, tc trace.TraceContext, at simnet.VTime) {
-	h := n.hotRef()
+	h := n.hot
 	if h == nil {
 		return
 	}
@@ -237,7 +233,7 @@ func (n *IndexNode) refreshHot(keys []chord.ID, tc trace.TraceContext, at simnet
 // the key wholesale (idempotent under re-delivery). The slice is copied
 // so the stored row never aliases the wire payload.
 func (n *IndexNode) storeHotReplica(r HotReplicaReq) {
-	h := n.hotRef()
+	h := n.hot
 	if h == nil {
 		return
 	}
@@ -253,7 +249,7 @@ func (n *IndexNode) storeHotReplica(r HotReplicaReq) {
 // has advertised the key at that epoch. The returned row never aliases
 // internal state. `at` timestamps the flight events of the read/discard.
 func (n *IndexNode) readHotReplica(key chord.ID, epoch uint64, at simnet.VTime) ([]Posting, bool) {
-	h := n.hotRef()
+	h := n.hot
 	if h == nil {
 		return nil, false
 	}
@@ -301,7 +297,7 @@ type HeldHot struct {
 // HeldHotReplicas snapshots the node's held hot copies, sorted by key
 // (empty when the node is not adaptive).
 func (n *IndexNode) HeldHotReplicas() []HeldHot {
-	h := n.hotRef()
+	h := n.hot
 	if h == nil {
 		return nil
 	}
@@ -318,7 +314,7 @@ func (n *IndexNode) HeldHotReplicas() []HeldHot {
 // HotAdvertisedEpoch reports the epoch under which the home node last
 // advertised the key as hot (ok=false when the key has no hot entry).
 func (n *IndexNode) HotAdvertisedEpoch(key chord.ID) (uint64, bool) {
-	h := n.hotRef()
+	h := n.hot
 	if h == nil {
 		return 0, false
 	}

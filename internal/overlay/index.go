@@ -21,6 +21,10 @@ type IndexNode struct {
 	net         *simnet.Network
 	addr        simnet.Addr
 	replication int
+	// hot is the workload-adaptive hot-key state (nil = detector off; see
+	// hot.go), installed at construction: its own fields are guarded by
+	// its leaf mu.
+	hot *hotState
 
 	// seqMu guards lastSeq: the highest PutBatchReq.Seq applied per
 	// publisher. A batch re-sent after a lost leg carries the same sequence
@@ -38,15 +42,6 @@ type IndexNode struct {
 	joinMu  sync.Mutex
 	joining bool
 	held    []heldWrite
-
-	// hotMu guards hot: EnableAdaptive installs the detector with a plain
-	// pointer store, and a handler may already be serving another
-	// client's lookup on another goroutine. Readers take the pointer
-	// through hotRef; hotState's own fields are guarded by its leaf mu.
-	hotMu sync.Mutex
-	// hot is the workload-adaptive hot-key state (nil unless
-	// EnableAdaptive ran; see hot.go).
-	hot *hotState
 }
 
 // heldWrite is a put_batch write, or with drop set a drop_node, that a
@@ -104,17 +99,10 @@ func (n *IndexNode) endJoin(rows map[chord.ID][]Posting) {
 	n.joining, n.held = false, nil
 }
 
-// hotRef snapshots the adaptive-state pointer (nil = detector off).
-func (n *IndexNode) hotRef() *hotState {
-	n.hotMu.Lock()
-	defer n.hotMu.Unlock()
-	return n.hot
-}
-
 // NewIndexNode creates an index node with the given ring identifier and
 // registers it on the network. replication is the number of copies of each
-// posting (1 = primary only).
-func NewIndexNode(net *simnet.Network, addr simnet.Addr, id chord.ID, cfg chord.Config, replication int) *IndexNode {
+// posting (1 = primary only); adaptive turns on the hot-key detector.
+func NewIndexNode(net *simnet.Network, addr simnet.Addr, id chord.ID, cfg chord.Config, replication int, adaptive bool) *IndexNode {
 	if replication < 1 {
 		replication = 1
 	}
@@ -125,6 +113,9 @@ func NewIndexNode(net *simnet.Network, addr simnet.Addr, id chord.ID, cfg chord.
 		addr:        addr,
 		replication: replication,
 		lastSeq:     make(map[simnet.Addr]uint64),
+	}
+	if adaptive {
+		n.hot = newHotState()
 	}
 	net.Register(addr, simnet.HandlerFunc(n.HandleCall))
 	return n
@@ -189,7 +180,7 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 			w = BatchRead
 		}
 		n.Table.WriteBatch(r.Node, delta.Entries, w)
-		if apply && n.hotRef() != nil {
+		if apply && n.hot != nil {
 			keys := make([]chord.ID, len(r.Entries))
 			for i, e := range r.Entries {
 				keys[i] = e.Key

@@ -159,8 +159,6 @@ type RoutedReadResp struct {
 }
 
 // SizeBytes implements simnet.Payload: each row is charged with its key.
-//
-//adhoclint:ignore payload-size Owner is the reply's sender, whose address travels in the leg's header as every sender's does
 func (r RoutedReadResp) SizeBytes() int {
 	n := intWidth(r.Hops)
 	for i, row := range r.Rows {
@@ -294,8 +292,6 @@ type DeltaEntry struct {
 
 // SizeBytes implements simnet.Payload: each entry is a key, a frequency and
 // a 4-byte digest.
-//
-//adhoclint:ignore payload-size From is the leg's sender, whose address travels in the leg's header as every sender's does
 func (r ReplicaDelta) SizeBytes() int {
 	return len(r.Node) + holdersWidth(r.Left) + 16*len(r.Entries) + r.TC.SizeBytes()
 }

@@ -774,29 +774,6 @@ func TestAddStorageWithoutIndexFails(t *testing.T) {
 	}
 }
 
-func TestPayloadSizes(t *testing.T) {
-	// every message type reports a positive wire size
-	payloads := []simnet.Payload{
-		&PutBatchReq{Node: "D1", Entries: []KeyFreq{{Key: 1, Freq: 1}}},
-		RoutedReadReq{Keys: []chord.ID{9}},
-		PostingsResp{Postings: []Posting{{Node: "D1", Freq: 3}}},
-		RoutedReadResp{Keys: []chord.ID{9, 4}, Rows: []PostingsResp{{Postings: []Posting{{Node: "D1", Freq: 3}}}, {}}},
-		TransferReq{From: 1, To: 2},
-		TableRows{Rows: map[chord.ID][]Posting{1: {{Node: "D1", Freq: 1}}}},
-		ReplicaDelta{Node: "D1", Entries: []DeltaEntry{{Key: 1, Freq: 1, Digest: 7}}},
-		StaleKeys{Keys: []chord.ID{1}},
-		DropNodeReq{Node: "D1"},
-		MatchReq{Units: []MatchUnit{{Pattern: rdf.Triple{S: ex("a"), P: fp("p"), O: ex("b")}}}},
-		MatchResp{Tables: []eval.Table{{}}},
-		SolutionsResp{},
-	}
-	for _, p := range payloads {
-		if p.SizeBytes() <= 0 {
-			t.Errorf("%T has non-positive size", p)
-		}
-	}
-}
-
 // TestIndexHandlersRejectWrongPayload sends each index method a request of
 // the wrong type — every method a simnet.Bytes, put_batch also a
 // PutBatchReq value and a nil *PutBatchReq, since it takes its request by

@@ -180,7 +180,7 @@ func (n *IndexNode) deliverRead(at simnet.VTime, r RoutedReadReq, owner chord.Re
 // read's context.
 func (n *IndexNode) answerRead(r RoutedReadReq, at simnet.VTime) *RoutedReadResp {
 	resp := newReadResp(r, n.addr)
-	h := n.hotRef()
+	h := n.hot
 	for k, key := range r.Keys {
 		row := PostingsResp{Postings: n.Table.Get(key)}
 		if h != nil && r.Epoch != 0 {
@@ -218,8 +218,6 @@ type readReplies struct {
 }
 
 // SizeBytes implements simnet.Payload: what the replies carried.
-//
-//adhoclint:ignore payload-size arrived is the simulation's bookkeeping of when each reply landed, never sent
 func (r *readReplies) SizeBytes() int {
 	n := 0
 	for _, rep := range r.replies {

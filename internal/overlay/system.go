@@ -178,10 +178,7 @@ func (s *System) AddIndexNodeWithID(addr simnet.Addr, id chord.ID, at simnet.VTi
 		}
 	}
 	bootstrap := s.liveIndexLocked()
-	n := NewIndexNode(s.net, addr, id, chord.Config{Bits: s.cfg.Bits}, s.cfg.Replication)
-	if s.cfg.Adaptive {
-		n.EnableAdaptive()
-	}
+	n := NewIndexNode(s.net, addr, id, chord.Config{Bits: s.cfg.Bits}, s.cfg.Replication, s.cfg.Adaptive)
 	s.index[addr] = n
 	s.mu.Unlock()
 

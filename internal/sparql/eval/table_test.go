@@ -8,7 +8,7 @@ import (
 
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/sparql"
-	"adhocshare/internal/sparql/eval/evaltest"
+	"adhocshare/internal/testutil"
 )
 
 // fullRows draws n mappings binding every one of vars.
@@ -72,7 +72,7 @@ func rowsOf(t Table) Solutions {
 // through Term only.
 func encoded(t *testing.T, what string, tab Table) {
 	t.Helper()
-	if err := evaltest.Check(tab.Vars, tab.N, tab.Term, tab.SizeBytes()); err != nil {
+	if err := testutil.CheckWire(tab); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 }

@@ -201,7 +201,8 @@ func digest(v reflect.Value, seen map[seenKey]bool) uint64 {
 // delivery the request shares no memory with any probed node; (b) once the
 // handler returns, its reply shares none with the node that answered, and
 // that node keeps nothing of the request; (c) when Findings runs, no
-// delivered payload has changed since its delivery.
+// delivered payload has changed since its delivery, and each is charged
+// what the reference encoder writes for it (CheckWire).
 type AliasProbe struct {
 	stop     []reflect.Type
 	nodes    map[string]any
@@ -265,6 +266,11 @@ func (p *AliasProbe) Findings(methods ...string) []string {
 	for _, d := range p.sent {
 		if Digest(d.v) != d.digest {
 			found[d.what+" changed after delivery"]++
+		}
+		if s, ok := d.v.(interface{ SizeBytes() int }); ok {
+			if err := CheckWire(s); err != nil {
+				found[d.what+" "+err.Error()]++
+			}
 		}
 	}
 	var out []string

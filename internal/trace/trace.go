@@ -36,7 +36,7 @@ type TraceContext struct {
 	Parent uint64
 }
 
-// SizeBytes implements the simnet payload-size contract with zero: trace
+// SizeBytes implements the simnet.Payload contract with zero: trace
 // metadata travels out of band of the modeled cost, so enabling tracing
 // never changes message bytes, VTimes or routing decisions.
 func (TraceContext) SizeBytes() int { return 0 }
