@@ -13,7 +13,6 @@ import (
 var blockingCalls = map[string]string{
 	"Call":         "simnet RPC",
 	"CallRetry":    "simnet RPC",
-	"Send":         "simnet one-way message",
 	"Forward":      "simnet routed leg",
 	"ForwardRetry": "simnet routed leg",
 	"Sleep":        "wall-clock sleep",

@@ -1,5 +1,5 @@
 // Package locked is the lock-blocking rule fixture: no channel operations
-// or fabric calls (Call/Send/Forward) while a mutex is held.
+// or fabric calls (Call/Forward) while a mutex is held.
 package locked
 
 import "sync"

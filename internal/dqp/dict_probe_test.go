@@ -52,11 +52,39 @@ func (p *dictProbe) payload(payload simnet.Payload) {
 	}
 }
 
-// TestDictProbeQueries runs the paper's queries and join_mix's five classes
-// under the E9 matrix, the default and baseline options and the other join
-// sites, from a provider and from an index node, with every payload on the
-// wire under the probe; each of the five payload types that carry tables
-// must have been seen.
+// scopedGraph is a named graph the probe scenarios publish, and
+// scopedQueries a FROM and a FROM NAMED query over it: their match requests
+// carry a dataset scope, which every unit is charged.
+const scopedGraph = "http://example.org/graphs/work"
+
+var scopedQueries = []string{
+	`PREFIX foaf: <http://xmlns.com/foaf/0.1/>
+SELECT ?x ?y FROM <` + scopedGraph + `> WHERE { ?x foaf:knows ?y . ?y foaf:name ?n . }`,
+	`PREFIX foaf: <http://xmlns.com/foaf/0.1/>
+SELECT ?g ?x ?y FROM NAMED <` + scopedGraph + `> WHERE { GRAPH ?g { ?x foaf:knows ?y . } }`,
+}
+
+// publishScoped publishes scopedGraph on D1 and D3.
+func publishScoped(t *testing.T, sys *overlay.System, now simnet.VTime) simnet.VTime {
+	t.Helper()
+	for i, d := range []simnet.Addr{"D1", "D3"} {
+		var err error
+		now, err = sys.PublishGraph(d, scopedGraph, []rdf.Triple{
+			{S: ex(fmt.Sprintf("worker%d", i)), P: fp("knows"), O: ex("carol")},
+			{S: ex("carol"), P: fp("name"), O: rdf.NewLiteral("Carol Jones")},
+		}, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return now
+}
+
+// TestDictProbeQueries runs the paper's queries, a FROM and a FROM NAMED
+// query and join_mix's five classes under the E9 matrix, the default and
+// baseline options and the other join sites, from a provider and from an
+// index node, with every payload on the wire under the probe; each of the
+// five payload types that carry tables must have been seen.
 func TestDictProbeQueries(t *testing.T) {
 	configs := append(e9Configs(), DefaultOptions(), BaselineOptions(),
 		Options{JoinSite: JoinSiteQoS, PushFilters: true},
@@ -77,9 +105,13 @@ func TestDictProbeQueries(t *testing.T) {
 	p := &dictProbe{t: t, seen: map[string]int{}}
 	for _, c := range []struct {
 		data    map[string][]rdf.Triple
+		scoped  bool
 		queries []string
-	}{{paperData(), paper}, {d.ByProvider, classes}} {
+	}{{paperData(), true, append(paper, scopedQueries...)}, {d.ByProvider, false, classes}} {
 		sys, now := buildSystem(t, 4, c.data)
+		if c.scoped {
+			now = publishScoped(t, sys, now)
+		}
 		p.wrap(sys)
 		for _, query := range c.queries {
 			for i, opts := range configs {

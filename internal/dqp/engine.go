@@ -27,7 +27,7 @@ type Engine struct {
 	// hot is the lookup entry point: per planning round on a static
 	// system one direct read per owner whose arc the initiator holds and
 	// one routed read of the other keys, the replica-preferring adaptive
-	// path when overlay.Config.Adaptive is on (it learns hot-replica
+	// path when overlay.Config.Adaptive is on (it learns hot keys' holder
 	// advertisements per engine, mirroring the per-initiator lookup cache).
 	hot *overlay.LookupClient
 }

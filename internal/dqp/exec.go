@@ -403,14 +403,6 @@ func (p patternPlan) totalFreq() int {
 	return n
 }
 
-func (p patternPlan) targetAddrs() []simnet.Addr {
-	out := make([]simnet.Addr, len(p.postings))
-	for i, q := range p.postings {
-		out[i] = q.Node
-	}
-	return out
-}
-
 // planKeys resolves the keys ctx holds no row for yet, in one planning
 // round from the initiator through the two-level index — route to the
 // responsible index node (level one), read the location-table row (level
@@ -1244,8 +1236,8 @@ func (e *Engine) dropStale(ctx *qctx, plan patternPlan, node, observer simnet.Ad
 	// The timeout cleanup notification is accounted traffic but never
 	// extends the query's critical path; a lost notification is repaired
 	// by the next observer or by DropStorageEverywhere.
-	e.sys.Net().Send(observer, plan.index, overlay.MethodDropNode,
-		overlay.DropNodeReq{Node: node, Propagate: true, TC: tc}, at)
+	e.sys.Net().Forward(observer, plan.index, overlay.MethodDropNode,
+		overlay.DropNodeReq{Node: node, Propagate: true, TC: tc}, "", at)
 }
 
 // reorderPlans orders patterns by the location-table frequency statistics:

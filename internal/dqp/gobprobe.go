@@ -29,7 +29,7 @@ func init() {
 		overlay.RoutedReadResp{}, overlay.PostingsResp{}, overlay.TransferReq{}, overlay.TableRows{},
 		overlay.ReplicaDelta{}, overlay.StaleKeys{},
 		overlay.DropNodeReq{}, overlay.MatchReq{}, overlay.MatchResp{}, overlay.ChainReq{}, overlay.SolutionsResp{},
-		overlay.HotReplicaReq{}, overlay.HotLookupReq{}, overlay.HotPostingsResp{},
+		overlay.HotLookupReq{}, overlay.HotPostingsResp{},
 
 		chord.Ref{}, chord.FindReq{}, chord.FindResp{},
 		chord.BatchFindReq{}, chord.BatchFindResp{}, chord.RefList{}, chord.FingerReq{},

@@ -18,7 +18,7 @@ import (
 // Stage names, in pipeline order.
 const (
 	StageResolve  = "resolve"  // chord.* traffic and a routed read's forwards
-	StageLookup   = "lookup"   // index.* location-table reads (incl. hot replicas)
+	StageLookup   = "lookup"   // index.* location-table reads (incl. hot reads)
 	StageSubquery = "subquery" // dqp.dispatch + store.* sub-query evaluation
 	StageTransfer = "transfer" // dqp.ship / dqp.result data movement
 	StageOther    = "other"

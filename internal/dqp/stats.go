@@ -27,7 +27,7 @@ type Stats struct {
 	// counted once. The hand-on from the owner's predecessor is not a hop,
 	// and a read re-sent after a loss counts only the route that answered.
 	// Keys read straight from an owner whose arc the initiator holds, or
-	// served by the lookup cache or a hot replica, count none.
+	// served by the lookup cache or a hot read, count none.
 	LookupHops int
 	// Subqueries counts sub-query executions at storage nodes.
 	Subqueries int
@@ -41,8 +41,9 @@ type Stats struct {
 	// CacheHits counts index lookups answered from the initiator's
 	// memoized location-table rows without touching the ring.
 	CacheHits int
-	// ReplicaHits counts index lookups served by a hot-key replica holder
-	// instead of the key's home successor (Adaptive deployments only).
+	// ReplicaHits counts index lookups served by a hot read — one call to
+	// the nearest of the key's home and its replica holders — instead of
+	// the home successor's read (Adaptive deployments only).
 	ReplicaHits int
 	// Solutions is the number of rows in the final result.
 	Solutions int

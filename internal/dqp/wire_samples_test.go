@@ -85,16 +85,12 @@ func methodSamples() []methodSample {
 			overlay.RoutedReadResp{Keys: []chord.ID{4}, Rows: []overlay.PostingsResp{
 				{Postings: []overlay.Posting{{Node: "n2", Freq: 5}}},
 			}, Hops: 1, Owner: "n2"}},
-		// Adaptive hot-key replication: the epoch-stamped coherence push
-		// and the replica fast-path read.
-		{overlay.MethodHotReplica, overlay.HotReplicaReq{
-			Key: 4, Home: "n2", Epoch: 3,
-			Postings: []overlay.Posting{{Node: "n2", Freq: 5}},
-			TC:       trace.TraceContext{Query: 7, Span: 9, Parent: 1},
-		}, ack},
-		{overlay.MethodHotLookup, overlay.HotLookupReq{Key: 4, Epoch: 3,
+		// An adaptive hot read, checked against the digest of the owner's
+		// row: a hit, and a miss where the node's row has another digest.
+		{overlay.MethodHotLookup, overlay.HotLookupReq{Key: 4, Digest: 0x9e3779b9,
 			TC: trace.TraceContext{Query: 7, Span: 10, Parent: 1}},
 			overlay.HotPostingsResp{Hit: true, Postings: []overlay.Posting{{Node: "n2", Freq: 5}}}},
+		{overlay.MethodHotLookup, overlay.HotLookupReq{Key: 4, Digest: 0x7f4a7c15}, overlay.HotPostingsResp{}},
 		{overlay.MethodTransfer, overlay.TransferReq{From: 1, To: 9}, rows},
 		{overlay.MethodHandover, rows, ack},
 		{overlay.MethodDropNode, overlay.DropNodeReq{Node: "n4", Propagate: true}, ack},

@@ -1,11 +1,12 @@
 package experiments
 
 // E16: the Zipf-skewed query storm behind the workload-adaptive hot-key
-// replication extension (DESIGN.md §9). A population of initiators fires
-// a skewed stream of primitive queries whose index keys concentrate on a
+// reads extension (DESIGN.md §9). A population of initiators fires a
+// skewed stream of primitive queries whose index keys concentrate on a
 // few popular patterns; with the static two-level index every lookup of a
 // hot key lands on its single Chord home successor, while the adaptive
-// index replicates the hot rows to ring successors and spreads the load.
+// index spreads the reads of hot rows over the replica copies its write
+// chains already keep.
 // The experiment measures exactly the two claims the issue's acceptance
 // criteria pin: the busiest index node's share of index-tier traffic, and
 // the steady-state tail of the query critical path.
@@ -30,7 +31,7 @@ const (
 	// e16Queries is the length of the measured storm. Before it, every
 	// target of the hot pool is queried e16WarmupPasses times: the
 	// warm-up drives each key past the detector threshold and lets the
-	// initiator learn the replica advertisements, so the measured storm
+	// initiator learn the holder advertisements, so the measured storm
 	// is the steady state the adaptive path is for. Warm-up runs in both
 	// modes (identically, modulo the adaptive machinery itself) and is
 	// excluded from every measured figure.
@@ -69,7 +70,7 @@ type ZipfStormSummary struct {
 	// times (virtual ms) over the measured (post-warm-up) queries.
 	MeanMs float64
 	TailMs float64
-	// ReplicaHits counts lookups served by hot-key replica holders.
+	// ReplicaHits counts lookups served by hot reads.
 	ReplicaHits int
 	// PerMethod is the storm's per-method traffic breakdown.
 	PerMethod map[string]simnet.MethodStats
@@ -91,7 +92,7 @@ func E16ZipfStormSummary(p Params, adaptive bool) (ZipfStormSummary, error) {
 		return ZipfStormSummary{}, err
 	}
 	// One engine per run models one querying node re-using its learned
-	// replica hints, the same reuse E14 grants the lookup cache.
+	// hot-read hints, the same reuse E14 grants the lookup cache.
 	e := dqp.NewEngine(dep.sys, dqp.Options{Strategy: dqp.StrategyFreqChain})
 	pool := d.Persons[:e16Pool]
 	for pass := 0; pass < e16WarmupPasses; pass++ {
@@ -204,6 +205,6 @@ func E16ZipfStorm(p Params) (*Table, error) {
 			static.HotShare, adaptive.HotShare, adaptive.ReplicaHits),
 		fmt.Sprintf("steady-state tail %.2f ms -> %.2f ms (%d warm-up passes over the %d-key pool pay promotion and are excluded)",
 			static.TailMs, adaptive.TailMs, e16WarmupPasses, e16Pool),
-		"replicas are epoch-stamped: any stabilization/churn bumps the epoch and every copy is invalidated at once")
+		"a hot read serves only a row whose digest matches the owner's last reply; any stabilization/churn bumps the epoch and every hint lapses at once")
 	return t, nil
 }

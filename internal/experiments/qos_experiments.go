@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"adhocshare/internal/dqp"
-	"adhocshare/internal/simnet"
 	"adhocshare/internal/workload"
 )
 
@@ -79,17 +78,4 @@ SELECT ?x ?y WHERE {
 		"for the cross-product query on slow provider links, qos foresees the result's trip home and merges at the healthy initiator, beating move-small (which merges at a slow provider and ships the huge result from there)",
 		"this experiment is the extension the paper points at via Ye et al.: link quality folded into global query optimization")
 	return t, nil
-}
-
-// slowProviders is a helper for tests: degrade the first k storage nodes.
-func slowProviders(dep *deployment, k int, factor float64) []simnet.Addr {
-	var out []simnet.Addr
-	for i, st := range dep.sys.StorageNodes() {
-		if i >= k {
-			break
-		}
-		dep.sys.Net().SetLinkFactor(st.Addr(), factor)
-		out = append(out, st.Addr())
-	}
-	return out
 }

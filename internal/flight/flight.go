@@ -1,7 +1,7 @@
 // Package flight is the always-on flight recorder of the simulated
 // deployment: a bounded, per-node ring of typed, VTime-stamped events
-// (message deliveries and losses, ring maintenance, epoch bumps,
-// hot-replica coherence traffic, query stage transitions) that the
+// (message deliveries and losses, ring maintenance, epoch bumps, query
+// stage transitions) that the
 // invariant monitors consume and incident reports are built from.
 //
 // Like the trace package it is a leaf with a strictly observational
@@ -53,17 +53,10 @@ const (
 	KindFail    = "node.fail"
 	KindRecover = "node.recover"
 
-	// KindEpochBump is a stabilization-epoch advance: hot replicas are
-	// invalidated, and the owner arcs its note names (one arc or
+	// KindEpochBump is a stabilization-epoch advance: hot-read hints
+	// lapse, and so do the owner arcs its note names (one arc or
 	// everything).
 	KindEpochBump = "epoch.bump"
-
-	// KindHotPush, KindHotRead and KindHotInval are the hot-replica
-	// lifecycle: a copy pushed to a holder, a replica read served, a stale
-	// copy discarded on epoch mismatch.
-	KindHotPush  = "hot.push"
-	KindHotRead  = "hot.read"
-	KindHotInval = "hot.invalidate"
 
 	// KindStage is a distributed-query stage transition at the initiator;
 	// KindPartial marks a query that completed with typed partial failure.

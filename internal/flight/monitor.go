@@ -7,14 +7,13 @@ import (
 
 // Monitor names, used as the Monitor field of typed violations. The
 // event-stream monitors (vtime-monotonic, traffic-conservation) live
-// here; the topology probes (ring-consistency, coverage, replica-epoch)
-// live next to the overlay state they inspect and use the same names.
+// here; the topology probes (ring-consistency, coverage) live next to
+// the overlay state they inspect and use the same names.
 const (
 	MonitorMonotonic    = "vtime-monotonic"
 	MonitorConservation = "traffic-conservation"
 	MonitorRing         = "ring-consistency"
 	MonitorCoverage     = "coverage"
-	MonitorReplicaEpoch = "replica-epoch"
 )
 
 // Violation is one typed invariant breach.

@@ -75,7 +75,7 @@ func TestAliasProbeOverlay(t *testing.T) {
 		case cfg.SerialPublish:
 			methods = append(methods, chord.MethodFindSuccessor)
 		case cfg.Adaptive:
-			methods = append(methods, MethodHotReplica, MethodHotLookup)
+			methods = append(methods, MethodHotLookup)
 		}
 		p.Check(t, methods...)
 	}

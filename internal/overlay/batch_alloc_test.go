@@ -152,7 +152,7 @@ type rpc struct {
 
 // TestIndexHandlerAllocs pins the allocations of every method
 // IndexNode.HandleCall dispatches — replicate, replica_repair, put_batch,
-// routed_read, hot_replica, hot_lookup, transfer, handover, drop_node and
+// routed_read, hot_lookup, transfer, handover, drop_node and
 // the query engine's data legs, which a storage node takes over too
 // (StorageNode.HandleCall's store.match and store.chain are
 // TestMatchAllocatesPerUnit's).
@@ -172,8 +172,7 @@ func TestIndexHandlerAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := s.IndexNodes()
-	owner, holder, hot := nodes[1], nodes[2], nodes[3]
-	hot.hot = newHotState() // before it serves an adaptive read
+	owner, holder, other := nodes[1], nodes[2], nodes[3]
 	// held is every key of owner's own arc it holds a row for, in key
 	// order; keys(k) is the first k.
 	var held []chord.ID
@@ -203,7 +202,6 @@ func TestIndexHandlerAllocs(t *testing.T) {
 		leg := simnet.Payload(StaleKeys{Keys: held})
 		return []rpc{{MethodDispatch, leg}, {MethodShip, leg}, {MethodResult, leg}}
 	}
-	hot.storeHotReplica(HotReplicaReq{Key: held[0], Home: owner.Addr(), Epoch: 1, Postings: postings(1)})
 	for _, row := range []struct {
 		at     simnet.Handler
 		units  []int     // request sizes; nil: one request without units
@@ -236,11 +234,11 @@ func TestIndexHandlerAllocs(t *testing.T) {
 		{holder, []int{2, 16}, []float64{27, 47}, func(k int) []rpc {
 			return []rpc{{MethodRoutedRead, RoutedReadReq{Keys: keys(k), Origin: "D1"}}}
 		}},
-		{hot, []int{1, 8}, []float64{1, 1}, func(k int) []rpc {
-			return []rpc{{MethodHotReplica, HotReplicaReq{Key: held[0], Home: owner.Addr(), Epoch: 1, Postings: postings(k)}}}
-		}},
-		{hot, nil, []float64{2}, func(int) []rpc {
-			return []rpc{{MethodHotLookup, HotLookupReq{Key: held[0], Epoch: 1}}}
+		{other, []int{1, 8}, []float64{2, 2}, func(k int) []rpc {
+			// A hit on a row of k postings, which the node holds for the
+			// test alone.
+			other.Table.Replace(map[chord.ID][]Posting{held[0]: postings(k)})
+			return []rpc{{MethodHotLookup, HotLookupReq{Key: held[0], Digest: rowDigest(postings(k))}}}
 		}},
 		{owner, []int{1, 8}, []float64{3, 10}, func(k int) []rpc {
 			return []rpc{{MethodTransfer, TransferReq{From: held[0] - 1, To: held[k-1]}}}

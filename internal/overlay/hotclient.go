@@ -1,6 +1,6 @@
 package overlay
 
-// Workload-adaptive hot-key replication (initiator side).
+// Workload-adaptive hot-key reads (initiator side).
 //
 // LookupClient is the one lookup entry point for query engines. On a
 // static system (Config.Adaptive off) a lookup reads the key's row from its
@@ -9,12 +9,13 @@ package overlay
 // arcs its publications learn — and otherwise as one routed read from the
 // initiator's ring entry point, which the home successor answers directly
 // (routed.go). On an adaptive system it stamps each read with the current
-// stabilization epoch, remembers the replica advertisements coming back in
-// PostingsResp, and serves later lookups of the same key from the nearest
-// live replica holder — rotating among equally-near holders so the hot
-// load spreads instead of moving the hotspot one ring position over. Any
-// miss, error, or epoch change drops the hint and falls back to the home
-// successor.
+// stabilization epoch, remembers the holders a hot key's row comes back
+// advertised with, with the digest of that row, and reads the key next
+// time from the nearest live one of its home and those holders — rotating
+// among equally-near ones so the hot load spreads instead of moving the
+// hotspot one ring position over. A holder serves only a row with the
+// remembered digest, one the owner itself returned. Any miss, error, or
+// epoch change drops the hint and falls back to the home successor.
 
 import (
 	"errors"
@@ -32,16 +33,19 @@ import (
 var errBadLookupResp = errors.New("overlay: lookup returned unexpected payload type")
 
 // replicaHint is one learned advertisement: where a hot key can be read
-// while the initiator's epoch still equals epoch.
+// while the initiator's epoch still equals epoch, and the rowDigest of the
+// row the owner returned with it.
 type replicaHint struct {
 	home       simnet.Addr
 	candidates []simnet.Addr
 	epoch      uint64
+	digest     uint32
 	rot        int
 }
 
 // LookupClient performs location-table lookups for one query initiator
-// side, learning and using hot-key replicas when the system is adaptive.
+// side, learning and reading hot keys' replica holders when the system is
+// adaptive.
 type LookupClient struct {
 	sys *System
 
@@ -69,7 +73,7 @@ type LookupRow struct {
 	// counted once, on one row. It is 0 on a direct read and on a replica
 	// hit, which are not routed.
 	Hops int
-	// ReplicaHit reports that a hot replica served the row.
+	// ReplicaHit reports that a hot read served the row.
 	ReplicaHit bool
 	// Done is when the row reached the caller.
 	Done simnet.VTime
@@ -97,19 +101,20 @@ func (e *LookupError) Error() string {
 // loss sentinels.
 func (e *LookupError) Unwrap() error { return e.Err }
 
-// pickReplica returns the next replica target for the key under the given
-// epoch: candidates are filtered to live nodes, ordered by path factor
-// from the initiator (address as the deterministic tiebreak), and the
-// minimal-factor group is rotated by a per-hint counter.
+// pickReplica returns the next hot-read target for the key under the
+// given epoch, the key's home and the hint's digest: candidates are
+// filtered to live nodes, ordered by path factor from the initiator
+// (address as the deterministic tiebreak), and the minimal-factor group is
+// rotated by a per-hint counter.
 //
 // A rotation bump or a dropped hint from a failed attempt only changes which
-// replica is tried next, never correctness.
-func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64) (simnet.Addr, simnet.Addr, bool) {
+// candidate is tried next, never correctness.
+func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64) (target, home simnet.Addr, digest uint32, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h, ok := c.hints[key]
-	if !ok || h.epoch != epoch {
-		return "", "", false
+	h := c.hintLocked(key, epoch)
+	if h == nil {
+		return "", "", 0, false
 	}
 	// Two passes over the (tiny) candidate list: find the minimal path
 	// factor among live holders, then gather that group in advertisement
@@ -127,7 +132,7 @@ func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64)
 		alive++
 	}
 	if alive == 0 {
-		return "", "", false
+		return "", "", 0, false
 	}
 	group := make([]simnet.Addr, 0, alive)
 	for _, cand := range h.candidates {
@@ -136,11 +141,11 @@ func (c *LookupClient) pickReplica(from simnet.Addr, key chord.ID, epoch uint64)
 		}
 	}
 	if len(group) == 0 {
-		return "", "", false
+		return "", "", 0, false
 	}
 	pick := group[h.rot%len(group)]
 	h.rot++
-	return pick, h.home, true
+	return pick, h.home, h.digest, true
 }
 
 // hasHint reports whether the client holds an advertisement for key that
@@ -151,8 +156,17 @@ func (c *LookupClient) hasHint(key chord.ID, epoch uint64) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	h, ok := c.hints[key]
-	return ok && h.epoch == epoch
+	return c.hintLocked(key, epoch) != nil
+}
+
+// hintLocked is the client's advertisement for key if it is valid under
+// epoch — learned in it: every epoch bump lapses every hint — and nil
+// otherwise. The caller holds c.mu.
+func (c *LookupClient) hintLocked(key chord.ID, epoch uint64) *replicaHint {
+	if h := c.hints[key]; h != nil && h.epoch == epoch {
+		return h
+	}
+	return nil
 }
 
 // dropHint forgets a key's advertisement (after a miss, error, or epoch
@@ -163,12 +177,13 @@ func (c *LookupClient) dropHint(key chord.ID) {
 	c.mu.Unlock()
 }
 
-// storeHint records a fresh advertisement. The candidate list is home
-// first, then the advertised replicas, deduplicated — so a fallback pick
-// is always available and the slice never aliases the response payload.
+// storeHint records a fresh advertisement and the digest of the row it
+// came with. The candidate list is home first, then the advertised
+// holders, deduplicated — so a fallback pick is always available and the
+// slice never aliases the response payload.
 //
 // Hints are advisory and epoch-checked before use.
-func (c *LookupClient) storeHint(key chord.ID, home simnet.Addr, replicas []simnet.Addr, epoch uint64) {
+func (c *LookupClient) storeHint(key chord.ID, home simnet.Addr, replicas []simnet.Addr, epoch uint64, digest uint32) {
 	cands := make([]simnet.Addr, 0, len(replicas)+1)
 	cands = append(cands, home)
 	for _, r := range replicas {
@@ -177,13 +192,13 @@ func (c *LookupClient) storeHint(key chord.ID, home simnet.Addr, replicas []simn
 		}
 	}
 	c.mu.Lock()
-	c.hints[key] = &replicaHint{home: home, candidates: cands, epoch: epoch}
+	c.hints[key] = &replicaHint{home: home, candidates: cands, epoch: epoch, digest: digest}
 	c.mu.Unlock()
 }
 
 // Lookup reads the location-table row for key on behalf of `from`: the
 // one-key case of LookupBatch. The read from the home successor travels
-// under resolveTC; on an adaptive system the replica fast path derives its
+// under resolveTC; on an adaptive system a hot read derives its
 // span from readTC. On a failed read the row names the owner found down,
 // if any; the error is the read's own.
 func (c *LookupClient) Lookup(from simnet.Addr, key chord.ID, resolveTC, readTC trace.TraceContext, at simnet.VTime) (LookupRow, simnet.VTime, error) {
@@ -285,15 +300,15 @@ func (c *LookupClient) arcOwner(from simnet.Addr, key chord.ID) simnet.Addr {
 	return ""
 }
 
-// lookupOne reads key[0]'s row into out[0]: from a hot replica when the
-// client holds a hint for it, else — or after a replica miss, from the
-// elapsed time — from the home successor.
+// lookupOne reads key[0]'s row into out[0]: by a hot read when the client
+// holds a hint for it, else — or after a miss, from the elapsed time —
+// from the home successor.
 func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64, resolveTC, readTC trace.TraceContext, out []LookupRow, at simnet.VTime) (simnet.VTime, error) {
 	now := at
 	if epoch != 0 {
-		if target, home, ok := c.pickReplica(from, key[0], epoch); ok {
+		if target, home, digest, ok := c.pickReplica(from, key[0], epoch); ok {
 			resp, done, err := c.sys.Net().CallRetry(from, target, MethodHotLookup,
-				HotLookupReq{Key: key[0], Epoch: epoch, TC: readTC.Child(1)}, now)
+				HotLookupReq{Key: key[0], Digest: digest, TC: readTC.Child(1)}, now)
 			now = done
 			if err == nil {
 				if hr, ok := resp.(HotPostingsResp); ok && hr.Hit {
@@ -306,8 +321,8 @@ func (c *LookupClient) lookupOne(from simnet.Addr, key []chord.ID, epoch uint64,
 					return now, nil
 				}
 			}
-			// Miss, stale epoch, or unreachable holder: forget the hint
-			// and pay the home-successor path from the elapsed time.
+			// Miss or unreachable holder: forget the hint and pay the
+			// home-successor path from the elapsed time.
 			c.dropHint(key[0])
 		}
 	}
@@ -378,8 +393,9 @@ func (c *LookupClient) read(from, owner simnet.Addr, keys []chord.ID, epoch uint
 
 // keepReplies writes the owners' replies to a routed read of keys into out
 // — resp is one reply that arrived at `at`, or several with their own
-// arrival times — and records the replica advertisements they carry. A
-// reply's rows are the caller's from here on: they were read for it.
+// arrival times — and records the hot-key advertisements they carry, each
+// with its row's digest. A reply's rows are the caller's from here on:
+// they were read for it.
 func (c *LookupClient) keepReplies(keys []chord.ID, epoch uint64, resp simnet.Payload, at simnet.VTime, out []LookupRow) error {
 	filled := 0
 	keep := func(r *RoutedReadResp, at simnet.VTime) error {
@@ -391,7 +407,7 @@ func (c *LookupClient) keepReplies(keys []chord.ID, epoch uint64, resp simnet.Pa
 			}
 			pr := r.Rows[j]
 			if epoch != 0 && pr.Epoch == epoch && len(pr.Replicas) > 0 {
-				c.storeHint(key, r.Owner, pr.Replicas, epoch)
+				c.storeHint(key, r.Owner, pr.Replicas, epoch, rowDigest(pr.Postings))
 			}
 			out[i] = LookupRow{Postings: pr.Postings, Index: r.Owner, Done: at}
 			if j == 0 {

@@ -180,13 +180,6 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 			w = BatchRead
 		}
 		n.Table.WriteBatch(r.Node, delta.Entries, w)
-		if apply && n.hot != nil {
-			keys := make([]chord.ID, len(r.Entries))
-			for i, e := range r.Entries {
-				keys[i] = e.Key
-			}
-			n.refreshHot(keys, r.TC, at)
-		}
 		return n.replicate(at, delta)
 	case MethodRoutedRead:
 		r, ok := req.(RoutedReadReq)
@@ -200,20 +193,18 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 			return n.routeKey(at, r)
 		}
 		return n.routeKeys(at, r)
-	case MethodHotReplica:
-		r, ok := req.(HotReplicaReq)
-		if !ok {
-			return nil, at, fmt.Errorf("overlay: hot_replica payload %T", req)
-		}
-		n.storeHotReplica(r)
-		return simnet.Bytes(1), at, nil
 	case MethodHotLookup:
 		r, ok := req.(HotLookupReq)
 		if !ok {
 			return nil, at, fmt.Errorf("overlay: hot_lookup payload %T", req)
 		}
-		ps, hit := n.readHotReplica(r.Key, r.Epoch, at)
-		return HotPostingsResp{Hit: hit, Postings: ps}, at, nil
+		// Any holder of the key's row answers, the owner included, but
+		// only with the row the reader last had from the owner.
+		row := n.Table.Get(r.Key)
+		if rowDigest(row) != r.Digest {
+			return HotPostingsResp{}, at, nil
+		}
+		return HotPostingsResp{Hit: true, Postings: row}, at, nil
 	case MethodTransfer:
 		r, ok := req.(TransferReq)
 		if !ok {
@@ -242,7 +233,6 @@ func (n *IndexNode) HandleCall(at simnet.VTime, method string, req simnet.Payloa
 			return nil, at, fmt.Errorf("overlay: drop_node payload %T", req)
 		}
 		n.dropNode(r.Node)
-		n.refreshHot(nil, r.TC, at)
 		now := at
 		if r.Propagate && n.replication > 1 {
 			sent := 0
@@ -285,27 +275,16 @@ func (n *IndexNode) seenSeq(node simnet.Addr, seq uint64) bool {
 // replicate is one link of a put_batch's write chain (Sect. III-D's
 // replication, acknowledged from the tail as in chain replication): with
 // delta.Left holders still to write, it forwards delta to the first live
-// successor short of the keys' owner; else it acknowledges the publisher,
+// link after this one (chainLink); else it acknowledges the publisher,
 // returning when the ack arrived. A successor found down is skipped (its
 // rows' next digests expose what it missed); a lost leg is returned as it
 // is, for the publisher to re-send.
 func (n *IndexNode) replicate(at simnet.VTime, delta ReplicaDelta) (simnet.Payload, simnet.VTime, error) {
 	now := at
-	succ := n.Chord.Successor()
-	var succs []chord.Ref // copied only once succ is found down
+	var list []chord.Ref
 	for i := 0; delta.Left > 0 && len(delta.Entries) > 0; i++ {
-		if i > 0 {
-			if succs == nil {
-				succs = n.Chord.SuccessorList()
-			}
-			if i >= len(succs) {
-				break
-			}
-			succ = succs[i]
-		}
-		// An arc from here to succ that holds a key has wrapped round to
-		// its owner: the chain has run out of holders.
-		if (chord.Arc{Start: n.ID(), Owner: succ}).Contains(delta.Entries[0].Key) {
+		succ, ok := n.chainLink(delta.Entries[0].Key, i, &list)
+		if !ok {
 			break
 		}
 		next := ReplicaDelta{Node: delta.Node, From: n.addr, Entries: delta.Entries, Left: delta.Left - 1, TC: delta.TC.Child(uint64(i))}
@@ -317,6 +296,29 @@ func (n *IndexNode) replicate(at simnet.VTime, delta ReplicaDelta) (simnet.Paylo
 	}
 	done, err := n.net.Reply(n.addr, delta.Node, MethodPutBatch, simnet.Bytes(1), delta.TC, now)
 	return simnet.Bytes(1), done, err
+}
+
+// chainLink is the i-th candidate for the link after this node in a write
+// chain of key: its successor first, then the rest of its successor list,
+// which *list caches — copied only once a candidate past the first is
+// asked for. ok is false once the list runs out, or where an arc from here
+// to the candidate holds key: the chain has wrapped round to the key's
+// owner. replicate() and adaptiveTail walk the same candidates, so the
+// holders a hot key is advertised with are the ones its writes reach.
+func (n *IndexNode) chainLink(key chord.ID, i int, list *[]chord.Ref) (chord.Ref, bool) {
+	var succ chord.Ref
+	if i == 0 {
+		succ = n.Chord.Successor()
+	} else {
+		if *list == nil {
+			*list = n.Chord.SuccessorList()
+		}
+		if i >= len(*list) {
+			return chord.Ref{}, false
+		}
+		succ = (*list)[i]
+	}
+	return succ, !(chord.Arc{Start: n.ID(), Owner: succ}).Contains(key)
 }
 
 // JoinTransfer pulls the location-table rows the node is now responsible

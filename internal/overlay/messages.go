@@ -28,8 +28,8 @@ const (
 	MethodPutBatch = "index.put_batch"
 	// Routing is a read plus the eviction of dead next hops, the owner's
 	// read is side-effect-free and its adaptive tail only bumps an
-	// advisory decayed counter and re-pushes absolute hot-replica rows, so
-	// a re-sent read converges to the same state.
+	// advisory decayed counter, so a re-sent read converges to the same
+	// state.
 	MethodRoutedRead = "index.routed_read"
 	MethodTransfer   = "index.transfer"
 	MethodHandover   = "index.handover"
@@ -43,11 +43,8 @@ const (
 	// MethodReplicaRepair pulls the rows a delta found stale (StaleKeys)
 	// from the link before in the chain, answered whole (TableRows).
 	MethodReplicaRepair = "index.replica_repair"
-	// Hot-replica installs replace the key's replica row absolutely and
-	// are epoch-stamped, so re-delivery converges to the same copy.
-	MethodHotReplica = "index.hot_replica"
-	// The read is side-effect-free except for deleting an epoch-stale
-	// replica entry, and re-deleting is a no-op.
+	// MethodHotLookup reads a hot key's row from the owner or a holder of
+	// its replica rows (HotLookupReq).
 	MethodHotLookup = "index.hot_lookup"
 
 	MethodMatch = "store.match"
@@ -118,7 +115,7 @@ func (r PutBatchReq) SizeBytes() int {
 // the forwards of the route that no other sub-read of the same read counts
 // yet, and the owner's reply carries it back. Epoch, when non-zero, is the origin's stabilization epoch and
 // opts the read into the adaptive hot-key machinery: the owner counts each
-// key's lookup and may advertise epoch-stamped replicas in its row. Keys
+// key's lookup and may advertise a hot key's replica holders in its row. Keys
 // is built per read by its origin, or per sub-read by the hop that split
 // it, and never written afterwards.
 type RoutedReadReq struct {
@@ -168,9 +165,9 @@ func (r RoutedReadResp) SizeBytes() int {
 }
 
 // PostingsResp carries a location-table row. Replicas/Epoch are the
-// adaptive hot-key advertisement: the addresses holding an epoch-stamped
-// copy of the row, valid only while the initiator's epoch equals Epoch.
-// Both stay zero on the static path, costing no wire bytes.
+// adaptive hot-key advertisement: the holders of the row's replica copies
+// its owner's write chain writes, valid only while the initiator's epoch
+// equals Epoch. Both stay zero on the static path, costing no wire bytes.
 type PostingsResp struct {
 	Postings []Posting
 	Replicas []simnet.Addr
@@ -192,51 +189,26 @@ func (r PostingsResp) SizeBytes() int {
 	return n
 }
 
-// HotReplicaReq pushes an absolute, epoch-stamped copy of a hot key's
-// location-table row from its home successor to a ring-successor replica
-// holder. Installs replace the previous copy wholesale, so re-delivery and
-// re-execution converge; pushes are advisory fire-and-forget — a lost push
-// merely leaves a replica that answers "miss" and the initiator falls back
-// to the home successor.
-type HotReplicaReq struct {
-	Key      chord.ID
-	Home     simnet.Addr
-	Epoch    uint64
-	Postings []Posting
-	TC       trace.TraceContext
-}
-
-// SizeBytes implements simnet.Payload.
-func (r HotReplicaReq) SizeBytes() int {
-	n := r.Key.SizeBytes() + len(r.Home) + seqWidth(r.Epoch) + 4 + r.TC.SizeBytes()
-	for _, p := range r.Postings {
-		n += p.SizeBytes()
-	}
-	return n
-}
-
-// TraceCtx implements trace.Carrier.
-func (r HotReplicaReq) TraceCtx() trace.TraceContext { return r.TC }
-
-// HotLookupReq reads a hot key's replica row, valid only if the holder's
-// stored copy carries exactly the requested epoch.
+// HotLookupReq reads a hot key's row from a node that holds it. Digest
+// is the rowDigest of the row the reader last had from the key's owner:
+// the node answers only when its own row has that digest.
 type HotLookupReq struct {
-	Key   chord.ID
-	Epoch uint64
-	TC    trace.TraceContext
+	Key    chord.ID
+	Digest uint32
+	TC     trace.TraceContext
 }
 
-// SizeBytes implements simnet.Payload.
+// SizeBytes implements simnet.Payload: a key and a 4-byte digest.
 func (r HotLookupReq) SizeBytes() int {
-	return r.Key.SizeBytes() + seqWidth(r.Epoch) + r.TC.SizeBytes()
+	return r.Key.SizeBytes() + 4 + r.TC.SizeBytes()
 }
 
 // TraceCtx implements trace.Carrier.
 func (r HotLookupReq) TraceCtx() trace.TraceContext { return r.TC }
 
-// HotPostingsResp answers a replica read. Hit=false means the holder has
-// no copy for the requested epoch (never pushed, or epoch-stale and now
-// discarded) and the initiator must fall back to the home successor.
+// HotPostingsResp answers a hot read. Hit=false means the node's row
+// differs from the reader's (it missed a write, or the owner's row moved
+// on since the reader's copy), and the reader must read the owner.
 type HotPostingsResp struct {
 	Hit      bool
 	Postings []Posting

@@ -2,8 +2,8 @@ package overlay
 
 // Live invariant monitors. The flight recorder (internal/flight) captures
 // the event stream; the probes here inspect overlay state directly —
-// ring pointer agreement, location-table coverage against published
-// ground truth, hot-replica epoch coherence — and the event-stream checks
+// ring pointer agreement and location-table coverage against published
+// ground truth — and the event-stream checks
 // (per-node VTime monotonicity, traffic conservation) are delegated to
 // the recorder. All checks are read-only and deterministic: violations
 // come out sorted, so same-seed runs report identical findings.
@@ -182,39 +182,6 @@ func responsibleNode(nodes []*IndexNode, key chord.ID) *IndexNode {
 	return nodes[0]
 }
 
-// CheckReplicaEpochs verifies hot-replica coherence: no held copy is
-// stamped ahead of the deployment epoch, and none is ahead of its home
-// row's advertised epoch.
-func (m *Monitors) CheckReplicaEpochs() []flight.Violation {
-	epoch := m.sys.Epoch()
-	var out []flight.Violation
-	for _, holder := range m.sys.IndexNodes() {
-		for _, held := range holder.HeldHotReplicas() {
-			if held.Epoch > epoch {
-				out = append(out, flight.Violation{
-					Monitor: flight.MonitorReplicaEpoch,
-					Nodes:   []string{string(holder.Addr())},
-					Detail:  fmt.Sprintf("held replica of key %v at epoch %d ahead of deployment epoch %d", held.Key, held.Epoch, epoch),
-				})
-				continue
-			}
-			home, ok := m.sys.Index(held.Home)
-			if !ok {
-				continue
-			}
-			if homeEpoch, advertised := home.HotAdvertisedEpoch(held.Key); advertised && held.Epoch > homeEpoch {
-				out = append(out, flight.Violation{
-					Monitor: flight.MonitorReplicaEpoch,
-					Nodes:   sortedNodes(string(holder.Addr()), string(held.Home)),
-					Detail:  fmt.Sprintf("held replica of key %v at epoch %d ahead of home %s row epoch %d", held.Key, held.Epoch, held.Home, homeEpoch),
-				})
-			}
-		}
-	}
-	flight.SortViolations(out)
-	return out
-}
-
 // CheckEvents runs the event-stream monitors: per-node VTime monotonicity
 // and traffic conservation (every accounted message leg since arming is a
 // delivery, a recorded loss, or an unreachable mark).
@@ -232,7 +199,6 @@ func (m *Monitors) CheckAll() []flight.Violation {
 	out = append(out, m.CheckEvents()...)
 	out = append(out, m.CheckRing()...)
 	out = append(out, m.CheckCoverage()...)
-	out = append(out, m.CheckReplicaEpochs()...)
 	flight.SortViolations(out)
 	return out
 }

@@ -794,7 +794,7 @@ func TestIndexHandlersRejectWrongPayload(t *testing.T) {
 		{MethodPutBatch, (*PutBatchReq)(nil)},
 	}
 	for _, method := range []string{MethodPutBatch, MethodRoutedRead, MethodTransfer, MethodHandover,
-		MethodDropNode, MethodReplica, MethodReplicaRepair, MethodHotReplica, MethodHotLookup} {
+		MethodDropNode, MethodReplica, MethodReplicaRepair, MethodHotLookup} {
 		rows = append(rows, rpc{method, simnet.Bytes(1)})
 	}
 	for _, r := range rows {

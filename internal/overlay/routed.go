@@ -176,19 +176,15 @@ func (n *IndexNode) deliverRead(at simnet.VTime, r RoutedReadReq, owner chord.Re
 
 // answerRead is the owner's end of a routed read: the rows of r's keys for
 // its origin. An adaptive read (non-zero epoch) also counts each key's
-// lookup and may advertise hot replicas, their pushes traced under the
-// read's context.
+// lookup and may advertise the holders of a hot key's replica rows.
 func (n *IndexNode) answerRead(r RoutedReadReq, at simnet.VTime) *RoutedReadResp {
 	resp := newReadResp(r, n.addr)
-	h := n.hot
 	for k, key := range r.Keys {
 		row := PostingsResp{Postings: n.Table.Get(key)}
-		if h != nil && r.Epoch != 0 {
-			tc := r.TC
-			if len(r.Keys) > 1 {
-				tc = r.TC.Child(uint64(k + 1))
+		if n.hot != nil && r.Epoch != 0 {
+			if row.Replicas = n.adaptiveTail(key, at); row.Replicas != nil {
+				row.Epoch = r.Epoch
 			}
-			row.Replicas, row.Epoch = n.adaptiveTail(h, key, row.Postings, r.Epoch, tc, at)
 		}
 		resp.Rows[k] = row
 	}

@@ -29,13 +29,13 @@ type Config struct {
 	// ships the per-owner batches in parallel; the serial path is retained
 	// as the differential baseline for tests and the E2 comparison.
 	SerialPublish bool
-	// Adaptive enables workload-adaptive hot-key replication (default
-	// off): index nodes count lookups per key with a decayed threshold and
-	// push epoch-stamped copies of hot rows to ring successors, which
-	// adaptive initiators (LookupClient) then read in place of the home
-	// successor. The static path stays byte-identical with the knob off.
-	// The detector's threshold, half-life and replica count are the
-	// constants of hot.go.
+	// Adaptive enables workload-adaptive hot-key reads (default off):
+	// index nodes count lookups per key with a decayed threshold and
+	// advertise the holders of a hot key's replica rows, which adaptive
+	// initiators (LookupClient) then read in place of the home successor,
+	// digest-checked against the owner's last reply. The static path stays
+	// byte-identical with the knob off. The detector's threshold and
+	// half-life are the constants of hot.go.
 	Adaptive bool
 	// Net is the simulated network cost model.
 	Net simnet.Config

@@ -124,7 +124,7 @@ func hashString(s string) uint64 {
 }
 
 // SetFaults installs (or, with nil, removes) a fault-injection plan. The
-// plan applies to every subsequent Call/Send/Forward; installing it does
+// plan applies to every subsequent Call/Forward; installing it does
 // not disturb metrics or membership.
 func (n *Network) SetFaults(plan *FaultPlan) { n.setHooks(func(h *hooks) { h.faults = plan }) }
 

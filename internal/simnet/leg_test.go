@@ -78,9 +78,6 @@ var legOps = []legOp{
 		_, done, err := n.Call("a", to, legMethod, p, at)
 		return done, err
 	}},
-	{"Send", DirOneWay, func(n *Network, to Addr, p Payload, at VTime) (VTime, error) {
-		return n.Send("a", to, legMethod, p, at)
-	}},
 	{"Forward", DirOneWay, func(n *Network, to Addr, p Payload, at VTime) (VTime, error) {
 		_, done, err := n.Forward("a", to, legMethod, p, "", at)
 		return done, err
@@ -371,7 +368,7 @@ func TestDisabledTracingAllocatesNothing(t *testing.T) {
 
 // TestDisabledFlightAllocatesNothing is the flight twin: once every hook
 // has been attached and detached again — the snapshot holds three nils —
-// Call, Send and Forward of a context-carrying payload, charged to a
+// Call and Forward of a context-carrying payload, charged to a
 // tracked query, allocate nothing.
 func TestDisabledFlightAllocatesNothing(t *testing.T) {
 	n := newTestNet()

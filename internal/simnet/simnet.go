@@ -115,8 +115,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Message directions used as keys of Snapshot.PerDirection. A Call is two
-// accounted messages (request + response); a Send is one; a Forward is one
-// one-way leg, plus a response leg when it ends a route.
+// accounted messages (request + response); a Forward is one one-way leg,
+// plus a response leg when it ends a route.
 const (
 	DirRequest  = "req"
 	DirResponse = "resp"
@@ -416,28 +416,6 @@ func (n *Network) Call(from, to Addr, method string, req Payload, at VTime) (Pay
 	return resp, back, nil
 }
 
-// Send performs a one-way simulated message: it is accounted once and the
-// returned time is the arrival time at the destination. The destination
-// handler is invoked with the method and payload; its response payload is
-// discarded.
-func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTime, error) {
-	h, down, err := n.lookup(to)
-	if err != nil {
-		return at, err
-	}
-	if from == to {
-		_, done, err := h.HandleCall(at, method, req)
-		return done, err
-	}
-	arrive, err := n.transmit(n.hooks.Load(), leg{from: from, to: to, method: method, dir: DirOneWay,
-		size: payloadSize(req), start: at, tc: trace.CtxOf(req)}, down)
-	if err != nil {
-		return arrive, err
-	}
-	_, done, err := h.HandleCall(arrive, method, req)
-	return done, err
-}
-
 // Forward is one leg of a routed request: req travels from `from` to `to`
 // as a one-way message, the receiver's handler runs on arrival, and no
 // reply leg comes back to `from`. With replyTo empty the receiver is a
@@ -507,8 +485,8 @@ func payloadSize(p Payload) int {
 
 // leg is one message leg: a payload put on the wire between two distinct
 // registered nodes, and the only event the fabric produces. A Call is a
-// request and a response leg, a Send or a Forward one leg (a Forward that
-// ends a route adds its Reply's); every delivered leg runs its receiver's
+// request and a response leg, a Forward one leg (a Forward that ends a
+// route adds its Reply's); every delivered leg runs its receiver's
 // handler, except a response leg, which returns to its caller. The counters,
 // the per-query accumulators, the span recorder and the flight recorder
 // are all sinks of the one stream transmit emits.

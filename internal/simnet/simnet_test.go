@@ -205,7 +205,7 @@ func TestSendOneWay(t *testing.T) {
 	n := newTestNet()
 	e := &echoNode{}
 	n.Register("b", e)
-	arrive, err := n.Send("a", "b", "notify", Bytes(1000), 0)
+	_, arrive, err := n.Forward("a", "b", "notify", Bytes(1000), "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSnapshotSubPerDirection(t *testing.T) {
 	n.Register("a", &echoNode{})
 	n.Register("b", &echoNode{respSize: 1})
 	n.Call("a", "b", "m", Bytes(2), 0)
-	n.Send("a", "b", "s", Bytes(4), 0)
+	n.Forward("a", "b", "s", Bytes(4), "", 0)
 	before := n.Metrics()
 	n.Call("a", "b", "m", Bytes(3), 0)
 	delta := n.Metrics().Sub(before)

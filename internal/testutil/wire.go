@@ -48,7 +48,6 @@ const (
 // shapes is the shape table, by "package.Type.Field".
 var shapes = map[string]shape{
 	"overlay.PostingsResp.Postings":    counted,
-	"overlay.HotReplicaReq.Postings":   counted,
 	"overlay.HotPostingsResp.Postings": counted,
 	"overlay.StaleKeys.Keys":           counted,
 	"overlay.TableRows.Rows":           counted,
