@@ -63,13 +63,11 @@ func TestPutBatchAllocatesPerBatch(t *testing.T) {
 		allocs := func(owners, perOwner int) float64 {
 			s, now := chainSystem(t, 8, 2)
 			node, _ := s.Storage("D1")
-			var add, sub []KeyFreq
+			var ids []chord.ID
 			for _, owner := range s.IndexNodes()[:owners] {
-				for _, key := range arcKeys(owner, perOwner) {
-					add, sub = append(add, KeyFreq{Key: key, Freq: 1}), append(sub, KeyFreq{Key: key, Freq: -1})
-				}
+				ids = append(ids, arcKeys(owner, perOwner)...)
 			}
-			add, sub = sumKeyFreqs(add), sumKeyFreqs(sub)
+			add, sub := sumKeyFreqs(slices.Clone(ids), 1), sumKeyFreqs(ids, -1)
 			return testing.AllocsPerRun(20, func() {
 				for _, entries := range [][]KeyFreq{add, sub} {
 					var err error

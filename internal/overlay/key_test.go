@@ -126,32 +126,70 @@ func TestKeyMemoPoolConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSumKeyFreqsMatchesMap holds the sort-and-sum of an edit's key deltas
-// to a map[chord.ID]int model on seeded random edits: a few keys repeated
-// often, with deltas of either sign. The result is the model's sums in
-// ascending key order, a prefix of the input slice, with no zero-delta key
-// dropped.
+// TestSumKeyFreqsMatchesMap holds the sort-and-count of an edit's keys to
+// a map[chord.ID]int model on seeded random edits: a few keys repeated
+// often, under a publication's delta (+1), a retraction's (−1) and
+// Republish's absolute counts (1 with the absolute flag). The result is
+// the model's sums in ascending key order, one entry per distinct key.
 func TestSumKeyFreqsMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		kfs := make([]KeyFreq, rng.Intn(40))
+	for trial := 0; trial < 300; trial++ {
+		ids := make([]chord.ID, rng.Intn(40))
+		delta := []int{1, -1}[trial%2]
 		model := map[chord.ID]int{}
-		for i := range kfs {
-			kfs[i] = KeyFreq{Key: chord.ID(rng.Intn(12)), Freq: rng.Intn(5) - 2}
-			model[kfs[i].Key] += kfs[i].Freq
+		for i := range ids {
+			ids[i] = chord.ID(rng.Intn(12))
+			model[ids[i]] += delta
 		}
-		in := slices.Clone(kfs)
-		got := sumKeyFreqs(kfs)
-		if len(got) > 0 && &got[0] != &kfs[0] {
-			t.Fatal("sumKeyFreqs did not sum in place")
-		}
+		in := slices.Clone(ids)
+		got := sumKeyFreqs(ids, delta)
 		want := make([]KeyFreq, 0, len(model))
 		for key, freq := range model {
 			want = append(want, KeyFreq{Key: key, Freq: freq})
 		}
 		slices.SortFunc(want, func(a, b KeyFreq) int { return cmp.Compare(a.Key, b.Key) })
 		if !slices.Equal(got, want) {
-			t.Fatalf("sumKeyFreqs(%v) = %v, want %v", in, got, want)
+			t.Fatalf("sumKeyFreqs(%v, %d) = %v, want %v", in, delta, got, want)
 		}
+	}
+	// Republish counts every key of a graph once per triple naming it,
+	// and installs the counts as absolute frequencies.
+	s, now := newTestSystem(t, 3)
+	_, now, err := s.AddStorageNode("D1", now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if now, err = s.Publish("D1", aliceTriples(), now); err != nil {
+		t.Fatal(err)
+	}
+	model := map[chord.ID]int{}
+	node, _ := s.Storage("D1")
+	for _, tr := range node.Graph.Triples() {
+		for _, key := range TripleKeys(tr, s.cfg.Bits) {
+			model[key]++
+		}
+	}
+	for key := range model {
+		for _, n := range s.IndexNodes() {
+			n.Table.Set(key, "D1", 0)
+		}
+	}
+	if now, err = s.Republish("D1", now); err != nil {
+		t.Fatal(err)
+	}
+	repeated := false
+	for key, freq := range model {
+		repeated = repeated || freq > 1
+		addr, _, _, err := s.ResolveKey("D1", key, now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owner, _ := s.Index(addr)
+		if got, _ := postingDigest(owner.Table, key, "D1"); got != freq {
+			t.Errorf("after Republish key %v reads frequency %d at its owner, want %d", key, got, freq)
+		}
+	}
+	if !repeated {
+		t.Error("no key of the graph is named by two triples: nothing was summed")
 	}
 }

@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -303,7 +302,8 @@ func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op str
 	if remove {
 		delta = -1
 	}
-	kfs := make([]KeyFreq, 0, int(numKeyKinds)*len(triples))
+	var stack [int(numKeyKinds) * editOnStack]chord.ID
+	ids := stack[:0]
 	changed := make([]rdf.Triple, 0, len(triples))
 	keys := newKeyMemo(s.cfg.Bits)
 	for _, t := range triples {
@@ -311,14 +311,13 @@ func (s *System) editShared(node *StorageNode, g *rdf.Graph, remove bool, op str
 			continue
 		}
 		changed = append(changed, t)
-		for _, key := range keys.tripleKeys(t) {
-			kfs = append(kfs, KeyFreq{Key: key, Freq: delta})
-		}
+		tk := keys.tripleKeys(t)
+		ids = append(ids, tk[:]...)
 	}
 	keys.release()
 	node.InvalidateViews()
 	tc, finish := s.traceOp(op, node.addr)
-	done, err := s.installPostingsMode(node, sumKeyFreqs(kfs), false, tc, at)
+	done, err := s.installPostingsMode(node, sumKeyFreqs(ids, delta), false, tc, at)
 	if finish != nil {
 		finish(at, done)
 	}
@@ -348,15 +347,14 @@ func (s *System) Republish(storage simnet.Addr, at simnet.VTime) (simnet.VTime, 
 	if err != nil {
 		return at, err
 	}
-	var kfs []KeyFreq
+	var ids []chord.ID
 	keys := keyMemo{s.cfg.Bits, map[unaryTerm]chord.ID{}} // a whole graph's: too large to pool
 	count := func(g *rdf.Graph) {
 		ts := g.Triples()
-		kfs = slices.Grow(kfs, int(numKeyKinds)*len(ts))
+		ids = slices.Grow(ids, int(numKeyKinds)*len(ts))
 		for _, t := range ts {
-			for _, key := range keys.tripleKeys(t) {
-				kfs = append(kfs, KeyFreq{Key: key, Freq: 1})
-			}
+			tk := keys.tripleKeys(t)
+			ids = append(ids, tk[:]...)
 		}
 	}
 	count(node.Graph)
@@ -364,24 +362,37 @@ func (s *System) Republish(storage simnet.Addr, at simnet.VTime) (simnet.VTime, 
 		count(node.NamedGraph(name))
 	}
 	tc, finish := s.traceOp("overlay.republish", storage)
-	done, err := s.installPostingsMode(node, sumKeyFreqs(kfs), true, tc, at)
+	done, err := s.installPostingsMode(node, sumKeyFreqs(ids, 1), true, tc, at)
 	if finish != nil {
 		finish(at, done)
 	}
 	return done, err
 }
 
-// sumKeyFreqs sorts an edit's key deltas by key and sums each run of equal
-// keys into its first entry, in place. It returns the summed prefix of
-// kfs: one entry per distinct key, in ascending key order.
-func sumKeyFreqs(kfs []KeyFreq) []KeyFreq {
-	slices.SortFunc(kfs, func(a, b KeyFreq) int { return cmp.Compare(a.Key, b.Key) })
-	out := kfs[:0]
-	for _, kf := range kfs {
-		if n := len(out); n > 0 && out[n-1].Key == kf.Key {
-			out[n-1].Freq += kf.Freq
+// editOnStack is the largest edit, in triples, whose keys editShared
+// collects in a stack buffer (6 KiB); a larger edit's keys spill to the
+// heap, one allocation more.
+const editOnStack = 128
+
+// sumKeyFreqs sorts an edit's keys and returns one entry per distinct key,
+// in ascending key order, whose Freq is the key's count times delta. Every
+// key of an edit moves by the same delta — +1 for a publication, −1 for a
+// retraction, 1 for Republish's absolute counts — so the bare keys are
+// sorted, and the entries are built from their runs.
+func sumKeyFreqs(ids []chord.ID, delta int) []KeyFreq {
+	slices.Sort(ids)
+	runs := 0
+	for i := range ids {
+		if i == 0 || ids[i] != ids[i-1] {
+			runs++
+		}
+	}
+	out := make([]KeyFreq, 0, runs)
+	for i, key := range ids {
+		if n := len(out); n > 0 && key == ids[i-1] {
+			out[n-1].Freq += delta
 		} else {
-			out = append(out, kf)
+			out = append(out, KeyFreq{Key: key, Freq: delta})
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -24,17 +25,27 @@ func (p Posting) SizeBytes() int { return len(p.Node) + intWidth(p.Freq) }
 // Table I. A row of one posting — almost every row: a key is usually
 // shared by one provider — lives in its map slot (one), so emptying and
 // refilling it allocates nothing; a row of two or more lives in rows as a
-// slice kept sorted by Node on write, so reads copy rows without sorting.
-// A key is in at most one of the two maps. It is safe for concurrent use.
+// slice kept sorted by Node on write, so reads copy rows without sorting,
+// next to its digest, which every write keeps current, so no write
+// re-hashes a row. A key is in at most one of the two maps, and a write
+// probes each at most once. It is safe for concurrent use.
 type LocationTable struct {
 	mu   sync.RWMutex
 	one  map[chord.ID]Posting
-	rows map[chord.ID][]Posting
+	rows map[chord.ID]postingRow
+}
+
+// postingRow is a row of two or more postings, ascending by Node, and its
+// rowDigest: the sum of their postingHashes, which every write moves by the
+// hashes of the postings it changes.
+type postingRow struct {
+	ps  []Posting
+	sum uint32
 }
 
 // NewLocationTable returns an empty table.
 func NewLocationTable() *LocationTable {
-	return &LocationTable{one: map[chord.ID]Posting{}, rows: map[chord.ID][]Posting{}}
+	return &LocationTable{one: map[chord.ID]Posting{}, rows: map[chord.ID]postingRow{}}
 }
 
 // Add increments the frequency of (key, node) by delta, creating the
@@ -75,10 +86,11 @@ func (t *LocationTable) WriteBatch(node simnet.Addr, entries []DeltaEntry, w Bat
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, e := range entries {
-		if w != BatchRead {
-			t.updateLocked(e.Key, node, e.Freq, w == BatchAdd)
+		if w == BatchRead {
+			entries[i].Freq, entries[i].Digest = t.readLocked(e.Key, node)
+		} else {
+			entries[i].Freq, entries[i].Digest = t.updateLocked(e.Key, node, e.Freq, w == BatchAdd)
 		}
-		entries[i].Freq, entries[i].Digest = t.postingDigestLocked(e.Key, node)
 	}
 }
 
@@ -90,55 +102,84 @@ func (t *LocationTable) ApplyDelta(node simnet.Addr, entries []DeltaEntry) []cho
 	defer t.mu.Unlock()
 	var stale []chord.ID
 	for _, e := range entries {
-		t.updateLocked(e.Key, node, e.Freq, false)
-		if _, digest := t.postingDigestLocked(e.Key, node); digest != e.Digest {
+		if _, digest := t.updateLocked(e.Key, node, e.Freq, false); digest != e.Digest {
 			stale = append(stale, e.Key)
 		}
 	}
 	return stale
 }
 
-// updateLocked is Add when add is set, else Set. A new posting is inserted
-// where the row's order puts it; a row moves between one and rows as it
-// crosses two postings.
-func (t *LocationTable) updateLocked(key chord.ID, node simnet.Addr, v int, add bool) {
+// updateLocked is Add when add is set, else Set, and returns node's
+// frequency in key's row and the row's digest as the write left them. A
+// new posting is inserted where the row's order puts it; a row moves
+// between one and rows as it crosses two postings.
+func (t *LocationTable) updateLocked(key chord.ID, node simnet.Addr, v int, add bool) (int, uint32) {
 	if p, ok := t.one[key]; ok {
 		switch {
 		case p.Node == node && add:
 			v += p.Freq
 		case p.Node != node && v > 0:
+			q := Posting{Node: node, Freq: v}
 			delete(t.one, key)
-			t.rows[key] = sortedPair(p, Posting{Node: node, Freq: v})
-			return
+			r := postingRow{ps: sortedPair(p, q), sum: postingHash(p) + postingHash(q)}
+			t.rows[key] = r
+			return v, r.sum
 		case p.Node != node:
-			return
+			return 0, postingHash(p)
 		}
-		if v > 0 {
-			t.one[key] = Posting{Node: node, Freq: v}
-		} else {
+		if v <= 0 {
 			delete(t.one, key)
+			return 0, 0
 		}
-		return
+		p.Freq = v
+		t.one[key] = p
+		return v, postingHash(p)
 	}
-	row, ok := t.rows[key]
+	r, ok := t.rows[key]
 	if !ok {
-		if v > 0 {
-			t.one[key] = Posting{Node: node, Freq: v}
+		if v <= 0 {
+			return 0, 0
 		}
-		return
+		p := Posting{Node: node, Freq: v}
+		t.one[key] = p
+		return v, postingHash(p)
 	}
-	i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode)
-	if found && add {
-		v += row[i].Freq
+	i, found := slices.BinarySearchFunc(r.ps, Posting{Node: node}, byNode)
+	if found {
+		if add {
+			v += r.ps[i].Freq
+		}
+		if v <= 0 {
+			return 0, t.removeLocked(key, r, i)
+		}
+		r.sum -= postingHash(r.ps[i])
+		r.ps[i].Freq = v
+	} else {
+		if v <= 0 {
+			return 0, r.sum
+		}
+		r.ps = slices.Insert(r.ps, i, Posting{Node: node, Freq: v})
 	}
-	switch {
-	case v > 0 && found:
-		row[i].Freq = v
-	case v > 0:
-		t.rows[key] = slices.Insert(row, i, Posting{Node: node, Freq: v})
-	case found:
-		t.removeLocked(key, row, i)
+	r.sum += postingHash(r.ps[i])
+	t.rows[key] = r
+	return v, r.sum
+}
+
+// readLocked is node's frequency in key's row (0 when it has no posting
+// there) and the row's digest.
+func (t *LocationTable) readLocked(key chord.ID, node simnet.Addr) (int, uint32) {
+	if p, ok := t.one[key]; ok {
+		if p.Node != node {
+			return 0, postingHash(p)
+		}
+		return p.Freq, postingHash(p)
 	}
+	r := t.rows[key]
+	i, found := slices.BinarySearchFunc(r.ps, Posting{Node: node}, byNode)
+	if !found {
+		return 0, r.sum
+	}
+	return r.ps[i].Freq, r.sum
 }
 
 // sortedPair is the two-posting row of a and b, in order.
@@ -149,15 +190,19 @@ func sortedPair(a, b Posting) []Posting {
 	return []Posting{a, b}
 }
 
-// removeLocked deletes row[i] from a row of rows, keeping the rest in
-// order; a row left with one posting moves to one.
-func (t *LocationTable) removeLocked(key chord.ID, row []Posting, i int) {
-	if len(row) == 2 {
+// removeLocked deletes r.ps[i] from key's row of rows, keeping the rest in
+// order, and returns the row's digest without it; a row left with one
+// posting moves to one.
+func (t *LocationTable) removeLocked(key chord.ID, r postingRow, i int) uint32 {
+	r.sum -= postingHash(r.ps[i])
+	if len(r.ps) == 2 {
 		delete(t.rows, key)
-		t.one[key] = row[1-i]
+		t.one[key] = r.ps[1-i]
 	} else {
-		t.rows[key] = slices.Delete(row, i, i+1)
+		r.ps = slices.Delete(r.ps, i, i+1)
+		t.rows[key] = r
 	}
+	return r.sum
 }
 
 // byNode orders a row's postings by storage-node address.
@@ -189,39 +234,41 @@ func (t *LocationTable) rowLocked(key chord.ID) []Posting {
 	if p, ok := t.one[key]; ok {
 		return []Posting{p}
 	}
-	return slices.Clone(t.rows[key])
+	return slices.Clone(t.rows[key].ps)
 }
 
-// postingDigestLocked reads node's frequency in key's row (0 when it has no
-// posting there) and the row's digest.
-func (t *LocationTable) postingDigestLocked(key chord.ID, node simnet.Addr) (int, uint32) {
-	row := t.rows[key]
-	if p, ok := t.one[key]; ok {
-		row = []Posting{p}
-	}
-	freq := 0
-	if i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode); found {
-		freq = row[i].Freq
-	}
-	return freq, rowDigest(row)
-}
-
-// rowDigest is a 32-bit FNV-1a hash over a row's postings in their stored
-// (sorted) order: two tables agree on a row exactly when, barring a
-// collision, their digests do. An absent row hashes like an empty one.
+// rowDigest is a row's 32-bit digest, the sum of its postings'
+// postingHashes: two tables agree on a row exactly when, barring a
+// collision, their digests do. A sum does not depend on the order the
+// postings are summed in, so a write moves a kept digest by the hashes of
+// the postings it changes, and an absent row digests like an empty one, 0.
+// The tables keep their rows' digests this way; rowDigest is the
+// from-scratch definition they are held to.
 func rowDigest(row []Posting) uint32 {
-	h := uint32(2166136261)
-	mix := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
+	var sum uint32
 	for _, p := range row {
-		for i := 0; i < len(p.Node); i++ {
-			mix(p.Node[i])
-		}
-		mix(0)
-		for shift := 0; shift < 32; shift += 8 {
-			mix(byte(p.Freq >> shift))
-		}
+		sum += postingHash(p)
 	}
-	return h
+	return sum
+}
+
+// postingHash folds a posting's node address, eight bytes at a time, and
+// then its frequency through a multiply-rotate round (eval's row hash),
+// and keeps both halves of the result.
+func postingHash(p Posting) uint32 {
+	const mulA, mulB = 0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F
+	mix := func(h, w uint64) uint64 { return bits.RotateLeft64(h^(w*mulB), 31) * mulA }
+	h, s := uint64(0x27D4EB2F165667C5), p.Node
+	for ; len(s) >= 8; s = s[8:] {
+		h = mix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
+	w := uint64(len(s)) << 56
+	for i := 0; i < len(s); i++ {
+		w |= uint64(s[i]) << (8 * i)
+	}
+	h = mix(mix(h, w), uint64(p.Freq))
+	return uint32(h>>32) ^ uint32(h)
 }
 
 // DropNode removes every posting that references the given storage node —
@@ -237,10 +284,10 @@ func (t *LocationTable) DropNode(node simnet.Addr) int {
 			delete(t.one, key)
 		}
 	}
-	for key, row := range t.rows {
-		if i, found := slices.BinarySearchFunc(row, Posting{Node: node}, byNode); found {
+	for key, r := range t.rows {
+		if i, found := slices.BinarySearchFunc(r.ps, Posting{Node: node}, byNode); found {
 			touched++
-			t.removeLocked(key, row, i)
+			t.removeLocked(key, r, i)
 		}
 	}
 	return touched
@@ -258,8 +305,8 @@ func (t *LocationTable) Postings() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	n := len(t.one)
-	for _, row := range t.rows {
-		n += len(row)
+	for _, r := range t.rows {
+		n += len(r.ps)
 	}
 	return n
 }
@@ -294,9 +341,9 @@ func (t *LocationTable) takeRange(from, to chord.ID, remove bool) map[chord.ID][
 			}
 		}
 	}
-	for key, row := range t.rows {
+	for key, r := range t.rows {
 		if ringRightIncl(key, from, to) {
-			out[key] = slices.Clone(row)
+			out[key] = slices.Clone(r.ps)
 			if remove {
 				delete(t.rows, key)
 			}
@@ -313,8 +360,8 @@ func (t *LocationTable) Snapshot() map[chord.ID][]Posting {
 	for key, p := range t.one {
 		out[key] = []Posting{p}
 	}
-	for key, row := range t.rows {
-		out[key] = slices.Clone(row)
+	for key, r := range t.rows {
+		out[key] = slices.Clone(r.ps)
 	}
 	return out
 }
@@ -349,7 +396,7 @@ func (t *LocationTable) Replace(rows map[chord.ID][]Posting) {
 		default:
 			row = slices.Clone(row)
 			slices.SortFunc(row, byNode)
-			t.rows[key] = row
+			t.rows[key] = postingRow{ps: row, sum: rowDigest(row)}
 		}
 	}
 }

@@ -72,24 +72,25 @@ func randomRows(rng *rand.Rand, keys int, empty bool) map[chord.ID][]Posting {
 }
 
 // checkAgainstModel holds the table's layout — no key in both maps, every
-// row of rows at least two postings strictly ascending by Node — and every
-// row, read through Get, equal to the model's sorted row.
+// row of rows at least two postings strictly ascending by Node — every
+// row, read through Get, equal to the model's sorted row, and every row's
+// digest, as a write reads it back, the rowDigest of the model's row.
 func checkAgainstModel(t *testing.T, tbl *LocationTable, m tableModel, keys int, op string) {
 	t.Helper()
 	tbl.mu.RLock()
-	for key, row := range tbl.rows {
+	for key, r := range tbl.rows {
 		if _, dup := tbl.one[key]; dup {
 			tbl.mu.RUnlock()
 			t.Fatalf("after %s: key %v is in both maps", op, key)
 		}
-		if len(row) < 2 {
+		if len(r.ps) < 2 {
 			tbl.mu.RUnlock()
-			t.Fatalf("after %s: row %v of rows holds %d postings", op, key, len(row))
+			t.Fatalf("after %s: row %v of rows holds %d postings", op, key, len(r.ps))
 		}
-		for i := 1; i < len(row); i++ {
-			if row[i-1].Node >= row[i].Node {
+		for i := 1; i < len(r.ps); i++ {
+			if r.ps[i-1].Node >= r.ps[i].Node {
 				tbl.mu.RUnlock()
-				t.Fatalf("after %s: row %v not strictly ascending: %v", op, key, row)
+				t.Fatalf("after %s: row %v not strictly ascending: %v", op, key, r.ps)
 			}
 		}
 	}
@@ -98,6 +99,9 @@ func checkAgainstModel(t *testing.T, tbl *LocationTable, m tableModel, keys int,
 		key := chord.ID(k)
 		if got, want := tbl.Get(key), m.row(key); !reflect.DeepEqual(got, want) {
 			t.Fatalf("after %s: Get(%v) = %v, model %v", op, key, got, want)
+		}
+		if _, got := postingDigest(tbl, key, ""); got != rowDigest(m.row(key)) {
+			t.Fatalf("after %s: row %v keeps digest %x, model's row %v digests %x", op, key, got, m.row(key), rowDigest(m.row(key)))
 		}
 	}
 }

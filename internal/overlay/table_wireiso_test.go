@@ -23,7 +23,7 @@ func TestExtractRangeDoesNotAliasInternalRows(t *testing.T) {
 	// two or more postings is the only kind with a backing array; a
 	// one-posting row lives by value in its slot of tbl.one — as a
 	// long-lived iterator or an in-flight reader would.
-	internal := tbl.rows[key]
+	internal := tbl.rows[key].ps
 	if _, single := tbl.one[key]; single || len(internal) != 2 {
 		t.Fatalf("a two-posting row is not a slice of rows: one %v, rows %v", tbl.one, tbl.rows)
 	}

@@ -103,8 +103,8 @@ func FuzzGraphOps(f *testing.F) {
 		for tr := range ref {
 			modelStep(t, g, ref, tr, true)
 		}
-		if len(g.ids) != 0 || len(g.free) != len(g.terms) {
-			t.Fatalf("drained graph interns %d terms, %d of %d IDs free", len(g.ids), len(g.free), len(g.terms))
+		if free := freeIDs(g); len(g.ids) != 0 || len(free) != len(g.terms) {
+			t.Fatalf("drained graph interns %d terms, %d of %d IDs free", len(g.ids), len(free), len(g.terms))
 		}
 	})
 }

@@ -14,8 +14,9 @@ import (
 //
 // Order contract: matches stream in ascending ID order of the scanned list,
 // and IDs are handed out in first-use order (subject, predicate, object of
-// each added triple; an ID whose last triple was removed is released and
-// the most recently released ID is reused first). Match order is therefore
+// each added triple; an ID whose last triple was removed is released, and
+// a new term takes the most recently released ID that is free for its
+// position — see internLocked — before any other). Match order is therefore
 // a function of the graph's edit history alone: two graphs built by the
 // same sequence of Add and Remove calls stream identical sequences. IDs
 // never leave the node that owns the graph — no payload, key or message
@@ -29,7 +30,7 @@ type Graph struct {
 	ids   map[Term]uint32
 	terms []Term       // by ID; the zero Term at a released ID
 	refs  []uint32     // by ID: how many triple positions name the term
-	free  []uint32     // released IDs
+	free  [3][]uint32  // released IDs, by the index order of their largest list
 	lists [3][][]entry // by index order, then by the ID in its first position
 	size  int
 }
@@ -83,7 +84,7 @@ func (g *Graph) addLocked(t Triple) bool {
 		return false
 	}
 	// A stored triple's terms all have IDs, so a duplicate interns nothing.
-	k := [3]uint32{g.internLocked(t.S), g.internLocked(t.P), g.internLocked(t.O)}
+	k := [3]uint32{g.internLocked(t.S, spo), g.internLocked(t.P, pos), g.internLocked(t.O, osp)}
 	for ix := range g.lists {
 		l, e := &g.lists[ix][k[ix]], mkEntry(k[rot[ix+1]], k[rot[ix+2]])
 		i, dup := slices.BinarySearch(*l, e)
@@ -97,26 +98,50 @@ func (g *Graph) addLocked(t Triple) bool {
 	return true
 }
 
-// internLocked returns t's ID, giving a term the graph does not hold the
-// most recently released ID or, when none is free, the next unused one.
-func (g *Graph) internLocked(t Term) uint32 {
+// internLocked returns t's ID, giving a term the graph does not hold a
+// released ID or, when none is free, the next unused one. A released ID
+// keeps its lists' arrays, and a term's first entries go to the list of
+// its position in the triple (ix, its index order), so the term takes the
+// most recently released ID whose largest array is of that order: a
+// subject the array of a released subject's (p,o) pairs, not the
+// one-entry array a released literal object had. Only when no such ID is
+// free does it take one of another order, (ix+1)%3 before (ix+2)%3.
+func (g *Graph) internLocked(t Term, ix int) uint32 {
 	if id, ok := g.ids[t]; ok {
 		return id
 	}
-	var id uint32
-	if n := len(g.free); n > 0 {
-		id, g.free = g.free[n-1], g.free[:n-1]
-		g.terms[id] = t
-	} else {
-		id = uint32(len(g.terms))
-		g.terms = append(g.terms, t)
-		g.refs = append(g.refs, 0)
-		for ix := range g.lists {
-			g.lists[ix] = append(g.lists[ix], nil)
+	for j := range g.free {
+		if f := &g.free[(ix+j)%3]; len(*f) > 0 {
+			id := (*f)[len(*f)-1]
+			*f = (*f)[:len(*f)-1]
+			g.terms[id] = t
+			g.ids[t] = id
+			return id
 		}
+	}
+	id := uint32(len(g.terms))
+	g.terms = append(g.terms, t)
+	g.refs = append(g.refs, 0)
+	for o := range g.lists {
+		g.lists[o] = append(g.lists[o], nil)
 	}
 	g.ids[t] = id
 	return id
+}
+
+// releaseLocked takes the term under id, whose last triple went, out of
+// the dictionary, and frees id onto the list of the index order of its
+// largest array (the first such order on a tie).
+func (g *Graph) releaseLocked(id uint32) {
+	delete(g.ids, g.terms[id])
+	g.terms[id] = Term{}
+	largest := spo
+	for ix := range g.lists {
+		if cap(g.lists[ix][id]) > cap(g.lists[largest][id]) {
+			largest = ix
+		}
+	}
+	g.free[largest] = append(g.free[largest], id)
 }
 
 // Remove deletes a triple, reporting whether it was present. A term whose
@@ -140,9 +165,7 @@ func (g *Graph) Remove(t Triple) bool {
 		i, _ := slices.BinarySearch(*l, mkEntry(k[rot[ix+1]], k[rot[ix+2]]))
 		*l = slices.Delete(*l, i, i+1)
 		if g.refs[k[ix]]--; g.refs[k[ix]] == 0 {
-			delete(g.ids, g.terms[k[ix]])
-			g.terms[k[ix]] = Term{}
-			g.free = append(g.free, k[ix])
+			g.releaseLocked(k[ix])
 		}
 	}
 	g.size--
