@@ -166,8 +166,9 @@ func (e *Engine) bgpCalls(op algebra.Op, out []bgpCall) []bgpCall {
 // execQuery evaluates a query's plan. Every BGP exec reaches starts at the
 // query's start time, so the BGPs of a query with several are all planned
 // in one round first (planKeys), and under basic/parallel-join they leave
-// together as one wave (waveAll); exec then finds their results where the
-// wave left them, at the initiator. A query with one BGP is planned by it.
+// together as one round, the wave (waveAll); exec then finds their results
+// where the wave left them, at the initiator. A query with one BGP is
+// planned by it.
 func (e *Engine) execQuery(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	var buf [4]bgpCall
 	if calls := e.bgpCalls(op, buf[:0]); len(calls) > 1 {
@@ -192,8 +193,9 @@ func (e *Engine) execQuery(ctx *qctx, op algebra.Op, at simnet.VTime) (flatSet, 
 	return e.exec(ctx, op, at)
 }
 
-// waveAll runs the BGPs of calls as one wave from the initiator once all of
-// them are planned (execWave) and leaves their results in ctx.waved.
+// waveAll runs the BGPs of calls as the wave, one round from the initiator,
+// once all of them are planned (execWave) and leaves their results in
+// ctx.waved.
 func (e *Engine) waveAll(ctx *qctx, calls []bgpCall, at simnet.VTime) (simnet.VTime, error) {
 	bgps := make([]bgpPlan, len(calls))
 	start := at
@@ -571,22 +573,11 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 		}
 		return res[0].set, simnet.MaxTime(now, res[0].done), nil
 	}
-	plans, conjuncts := b.plans, b.conjuncts
-	if len(plans) == 1 {
-		// One pattern — every primitive query, the inner side of most
-		// OPTIONALs and UNIONs — is the bypass: its matches are the result.
-		push := shippableFilter(conjuncts, make([]bool, len(conjuncts)), varSet(plans[0].pattern))
-		m, done, err := e.execPattern(ctx, plans[0], ctx.unitSeed(), push, scope, "", now)
-		if err != nil {
-			return flatSet{}, done, err
-		}
-		return matchResult(m.acc, filter, m.site), done, nil
-	}
 	var out flatSet
 	if e.opts.Conjunction == ConjParallelJoin {
-		out, now, err = e.execParallelJoin(ctx, plans, conjuncts, scope, now)
+		out, now, err = e.execParallelJoin(ctx, b, now)
 	} else {
-		out, now, err = e.execPipeline(ctx, plans, conjuncts, scope, now)
+		out, now, err = e.execPipeline(ctx, b, now)
 	}
 	if err != nil {
 		return flatSet{}, now, err
@@ -596,13 +587,6 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	// here, so the whole filter applies — idempotent for the shipped ones.
 	out.rows = out.rows.Filter(filter)
 	return out, now, nil
-}
-
-// matchResult is a one-pattern BGP's result at site: its matches where
-// they lie, or under a filter a table of those that pass it — every
-// conjunct not shipped with the pattern included.
-func matchResult(acc *eval.Matches, filter sparql.Expression, site simnet.Addr) flatSet {
-	return flatSet{rows: acc.Table().Filter(filter), site: site}
 }
 
 // varSet is the set of variables a pattern mentions.
@@ -618,22 +602,34 @@ func varSet(pat rdf.Triple) map[string]bool {
 // processing as a distributed semi-join: each pattern is asked only for
 // the distinct values the accumulated solutions give the variables it
 // shares with them, and its matches are joined with the full solutions at
-// the site that assembles them (execPattern). A filter conjunct ships with
-// the first pattern that covers it alone; one that also needs a variable of
-// an earlier pattern applies after that join.
-func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
+// the site that assembles them — under the basic strategy a round of its
+// own (pipelineRound), under the chains the chain's last node
+// (execPattern). A filter conjunct ships with the first pattern that covers
+// it alone; one that also needs a variable of an earlier pattern applies
+// after that join.
+func (e *Engine) execPipeline(ctx *qctx, b bgpPlan, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	cur := ctx.unitSeed()
 	now := at
 	bound := map[string]bool{}
-	shipped := make([]bool, len(conjuncts))
-	for i := range plans {
-		own := varSet(plans[i].pattern)
+	shipped := make([]bool, len(b.conjuncts))
+	for i := range b.plans {
+		plan := &b.plans[i]
+		own := varSet(plan.pattern)
 		for v := range own {
 			bound[v] = true
 		}
-		push := shippableFilter(conjuncts, shipped, own)
-		after := shippableFilter(conjuncts, shipped, bound)
-		m, done, err := e.execPattern(ctx, plans[i], cur, push, scope, "", now)
+		push := shippableFilter(b.conjuncts, shipped, own)
+		after := shippableFilter(b.conjuncts, shipped, bound)
+		var (
+			m    patternMatches
+			done simnet.VTime
+			err  error
+		)
+		if e.opts.Strategy == StrategyBasic {
+			m, done, err = e.pipelineRound(ctx, plan, cur, push, b.scope, now)
+		} else {
+			m, done, err = e.execPattern(ctx, *plan, cur, push, b.scope, "", now)
+		}
 		if err != nil {
 			return flatSet{}, done, err
 		}
@@ -650,25 +646,26 @@ func (e *Engine) execPipeline(ctx *qctx, plans []patternPlan, conjuncts []sparql
 }
 
 // execParallelJoin runs the optimized conjunction of Sect. IV-D under the
-// chain strategies (basic runs it as execWave): every pattern is evaluated
-// over its own target set in parallel from the unit seed, chains are ordered
-// to end at a storage node shared with the neighbouring pattern when one
-// exists, and the per-pattern results are joined left to right at assembly
-// sites.
-func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sparql.Expression, scope rdf.Term, at simnet.VTime) (flatSet, simnet.VTime, error) {
+// chain strategies (basic runs it as one round, execWave): every pattern is
+// evaluated over its own target set in parallel from the unit seed, chains
+// are ordered to end at a storage node shared with the neighbouring pattern
+// when one exists, and the per-pattern results are joined left to right at
+// assembly sites.
+func (e *Engine) execParallelJoin(ctx *qctx, b bgpPlan, at simnet.VTime) (flatSet, simnet.VTime, error) {
+	plans := b.plans
 	results := make([]flatSet, len(plans))
 	times := make([]simnet.VTime, len(plans))
-	shipped := make([]bool, len(conjuncts))
+	shipped := make([]bool, len(b.conjuncts))
 	for i := range plans {
 		// Per-pattern filters: conjuncts covered by this pattern alone.
-		f := shippableFilter(conjuncts, shipped, varSet(plans[i].pattern))
+		f := shippableFilter(b.conjuncts, shipped, varSet(plans[i].pattern))
 		// Prefer ending this pattern's chain at a node shared with the
 		// previous pattern's target set, so the join needs no shipping.
 		prefer := simnet.Addr("")
 		if i > 0 {
 			prefer = sharedTarget(plans[i-1], plans[i])
 		}
-		m, done, err := e.execPattern(ctx, plans[i], ctx.unitSeed(), f, scope, prefer, at)
+		m, done, err := e.execPattern(ctx, plans[i], ctx.unitSeed(), f, b.scope, prefer, at)
 		if err != nil {
 			return flatSet{}, done, err
 		}
@@ -686,179 +683,257 @@ func (e *Engine) execParallelJoin(ctx *qctx, plans []patternPlan, conjuncts []sp
 	return cur, now, nil
 }
 
-// execWave runs the parallel-join conjunction under the basic strategy as
-// one wave from the initiator, which holds every pattern's location-table
-// row once planning is done, for one BGP or for all the BGPs of a query
-// (waveAll). Every pattern leaves at once from the unit seed with the filter
-// conjuncts it covers alone; each target is sent one store.match carrying a
-// unit for every pattern, of every BGP, that lists it and answers with one
-// table per unit; each BGP's pattern results are joined left to right where
-// the replies land, at the initiator (Sect. IV-C basic fan-out, Sect. IV-D
-// parallel evaluation). A BGP with a pattern no provider lists is empty and
-// sends nothing. ASK over one pattern is the one exception to "at once":
-// the first match settles it, so the targets are asked one after another,
-// each when the one before answered empty. out[i] receives bgps[i]'s result,
-// complete when the last reply carrying one of its units is in.
+// unlisted reports that no provider lists the pattern: a BGP holding it is
+// empty, and no round sends it.
+func unlisted(p patternPlan) bool { return len(p.postings) == 0 }
+
+// execWave runs the parallel-join conjunction under the basic strategy, for
+// one BGP or for all the BGPs of a query (waveAll), as one round at the
+// initiator, which holds every pattern's location-table row once planning
+// is done: every pattern is sent the unit key with the filter conjuncts it
+// covers alone, and each BGP's pattern results are joined left to right
+// where the replies land (Sect. IV-D parallel evaluation). A BGP with a
+// pattern no provider lists is empty and sends nothing. out[i] receives
+// bgps[i]'s result, complete when the last reply carrying one of its units
+// is in.
 func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.VTime) (simnet.VTime, error) {
-	// plans is every pattern of the wave, BGP after BGP, and pats[i] is
-	// plans[i]'s BGP, unit, op span, replies by posting and when the last of
-	// them was in. A BGP with a pattern no provider lists is left out.
-	type wavePattern struct {
-		bgp     int
-		unit    overlay.MatchUnit
-		tc      trace.TraceContext
-		replies []eval.Table
-		end     simnet.VTime
-	}
-	unlisted := func(p patternPlan) bool { return len(p.postings) == 0 }
-	plans := bgps[0].plans
-	if len(bgps) > 1 || slices.ContainsFunc(plans, unlisted) {
-		plans = nil
-		for _, w := range bgps {
-			if !slices.ContainsFunc(w.plans, unlisted) {
-				plans = append(plans, w.plans...)
-			}
-		}
-	}
-	if len(plans) == 0 {
-		for b := range bgps {
-			out[b] = bgpResult{set: flatSet{site: ctx.initiator}, done: at}
-		}
-		return at, nil
-	}
-	pats := make([]wavePattern, 0, len(plans))
 	n := 0
 	for b, w := range bgps {
 		out[b] = bgpResult{set: flatSet{site: ctx.initiator}, done: at}
+		if !slices.ContainsFunc(w.plans, unlisted) {
+			n += len(w.plans)
+		}
+	}
+	if n == 0 {
+		return at, nil
+	}
+	var buf [1]roundPattern
+	pats := buf[:0]
+	if n > 1 {
+		pats = make([]roundPattern, 0, n)
+	}
+	for _, w := range bgps {
 		if slices.ContainsFunc(w.plans, unlisted) {
 			continue
 		}
 		shipped := make([]bool, len(w.conjuncts))
-		for _, p := range w.plans {
-			pats = append(pats, wavePattern{bgp: b,
-				unit: overlay.MatchUnit{Pattern: p.pattern, Keys: eval.Table{N: 1}, Graph: w.scope,
-					Filter: shippableFilter(w.conjuncts, shipped, varSet(p.pattern))},
-				tc: ctx.nextTC(ctx.tc), replies: make([]eval.Table, len(p.postings)), end: at,
-			})
-			n += len(p.postings)
+		for k := range w.plans {
+			p := &w.plans[k]
+			pats = append(pats, roundPattern{plan: p, unit: overlay.MatchUnit{Pattern: p.pattern, Keys: eval.Table{N: 1},
+				Graph: w.scope, Filter: shippableFilter(w.conjuncts, shipped, varSet(p.pattern))}})
 		}
 	}
-	targets := waveTargets(plans)
-	// The requests' units, target after target, filled before any is sent.
-	units := make([]overlay.MatchUnit, 0, n)
-	for _, t := range targets {
-		for _, u := range t.units {
-			units = append(units, pats[u.plan].unit)
-		}
+	_, done, err := e.execRound(ctx, pats, ctx.unitSeed(), ctx.initiator, at)
+	if err != nil {
+		return done, err
 	}
-	sequential := len(plans) == 1 && plans[0].stopOnFirst
-	start, done := at, at
-	for _, t := range targets {
-		sent := units[:len(t.units):len(t.units)]
-		units = units[len(t.units):]
-		// The request is a message span of its first unit's pattern, as a
-		// one-pattern fan-out's requests are; sequence 0 is left unused.
+	// Conjuncts referring to variables of several patterns were never
+	// shipped; the whole filter applies, idempotent for the shipped ones.
+	for b, w := range bgps {
+		if slices.ContainsFunc(w.plans, unlisted) {
+			continue
+		}
+		var rows eval.Table
+		for k, p := range pats[:len(w.plans)] {
+			out[b].done = simnet.MaxTime(out[b].done, p.end)
+			acc := eval.NewMatches(p.unit.Keys, p.plan.totalFreq())
+			for _, t := range p.replies {
+				acc.Add(t)
+			}
+			if k == 0 {
+				rows = acc.Table()
+			} else {
+				rows = eval.JoinTables(rows, acc.Table())
+			}
+		}
+		out[b].set.rows = rows.Filter(w.filter)
+		pats = pats[len(w.plans):]
+	}
+	return done, nil
+}
+
+// pipelineRound runs a pattern of the basic pipeline as a round of its
+// own, assembled at the pattern's index node, or where the seeds are when
+// the pattern floods: each target is sent the keys projected from the
+// seeds, or the unit key where unitKeyed says so, and the union of the
+// replies joins the seeds there. Keys go out only where they pay and only
+// the pattern's own matches come in: the fewest bytes of any pipeline.
+func (e *Engine) pipelineRound(ctx *qctx, plan *patternPlan, seeds flatSet, filter sparql.Expression, scope rdf.Term, at simnet.VTime) (patternMatches, simnet.VTime, error) {
+	if unlisted(*plan) {
+		return patternMatches{acc: eval.NewMatches(eval.Table{}, 0), rowsKeys: true, site: seeds.site}, at, nil
+	}
+	keys, mask, rowsKeys := projectKeys(*plan, scope, seeds.rows, false)
+	assembly := plan.index
+	if assembly == "" {
+		assembly = seeds.site
+	}
+	pats := [1]roundPattern{{plan: plan, mask: mask,
+		unit: overlay.MatchUnit{Pattern: plan.pattern, Filter: filter, Keys: keys, Graph: scope}}}
+	rows, done, err := e.execRound(ctx, pats[:], seeds, assembly, at)
+	if err != nil {
+		return patternMatches{}, done, err
+	}
+	acc := eval.NewMatches(keys, matchBound(*plan, keys, mask))
+	for _, t := range pats[0].replies {
+		acc.Add(t)
+	}
+	return patternMatches{acc: acc, seeds: rows, rowsKeys: rowsKeys, site: assembly}, done, nil
+}
+
+// roundPattern is one pattern of a round: its plan, the unit its targets
+// are asked for and which of them get the unit key in place of the unit's
+// keys. The round fills in its op span, its replies by posting — unioned
+// in that order, they give the rows of a round of its own — and when the
+// last of them was in.
+type roundPattern struct {
+	plan    *patternPlan
+	unit    overlay.MatchUnit
+	mask    unitMask
+	tc      trace.TraceContext
+	replies []eval.Table
+	end     simnet.VTime
+}
+
+// execRound runs a round, the one way the basic strategy evaluates
+// patterns (Sect. IV-C basic fan-out). Every pattern, each with a posting,
+// leaves assembly at once: each target is sent one store.match with a unit
+// for every pattern listing it and answers there with a table per unit.
+// Seeds, the partial solutions the keys were projected from, lying
+// elsewhere go to assembly first with the sub-query, one dqp.dispatch leg;
+// execRound returns them as assembly holds them. ASK over one pattern is
+// the one exception to "at once": the first match settles it, so the
+// targets are asked one after another, each when the one before answered
+// empty.
+func (e *Engine) execRound(ctx *qctx, pats []roundPattern, seeds flatSet, assembly simnet.Addr, at simnet.VTime) (eval.Table, simnet.VTime, error) {
+	n := 0
+	for i := range pats {
+		pats[i].tc = ctx.nextTC(ctx.tc)
+		n += len(pats[i].plan.postings)
+	}
+	start := at
+	if seeds.site != assembly {
+		sub := overlay.MatchReq{Units: make([]overlay.MatchUnit, len(pats)), Dataset: ctx.dataset, FromNamed: ctx.fromNamed,
+			TC: pats[0].tc.Child(0)}
+		for i, p := range pats {
+			sub.Units[i] = p.unit
+		}
+		got, done, err := e.forward(seeds.site, assembly, overlay.MethodDispatch, dispatchPayload{Sub: sub, Rows: seeds.rows}, at)
+		if err != nil {
+			return eval.Table{}, done, err
+		}
+		seeds.rows, start = got.(dispatchPayload).Rows, done
+	}
+	replies := make([]eval.Table, n)
+	for i := range pats {
+		k := len(pats[i].plan.postings)
+		pats[i].replies, replies = replies[:k:k], replies[k:]
+		pats[i].end = start
+	}
+	sequential := len(pats) == 1 && pats[0].plan.stopOnFirst
+	now, done := start, start
+	for _, t := range roundTargets(pats, n) {
+		// The request is a message span of its first unit's pattern;
+		// sequence 0 is the dispatch's.
 		first := t.units[0]
-		req := overlay.MatchReq{Units: sent, Dataset: ctx.dataset, FromNamed: ctx.fromNamed,
-			TC: pats[first.plan].tc.Child(uint64(first.posting + 1))}
-		resp, end, err := e.sys.Net().CallRetry(ctx.initiator, t.node, overlay.MethodMatch, req, start)
+		req := overlay.MatchReq{Units: t.sent, Dataset: ctx.dataset, FromNamed: ctx.fromNamed,
+			TC: pats[first.pat].tc.Child(uint64(first.posting + 1))}
+		resp, end, err := e.sys.Net().CallRetry(assembly, t.node, overlay.MethodMatch, req, now)
 		done = simnet.MaxTime(done, end)
 		for _, u := range t.units {
-			pats[u.plan].end = simnet.MaxTime(pats[u.plan].end, end)
+			pats[u.pat].end = simnet.MaxTime(pats[u.pat].end, end)
 		}
 		if sequential {
-			start = end
+			now = end
 		}
 		if err != nil {
 			if simnet.IsLost(err) {
 				// The target is alive but the link stayed lossy past the
 				// retry budget: dropping its contribution would silently
 				// truncate the result, so the query fails explicitly.
-				return end, &PartialFailureError{
+				return eval.Table{}, end, &PartialFailureError{
 					Method: overlay.MethodMatch, Missing: []simnet.Addr{t.node}, Err: err}
 			}
 			// Unreachable target: its triples left the dataset; every
 			// pattern listing it drops the stale posting, and the answer is
 			// over the remaining providers.
 			for k, u := range t.units {
-				e.dropStale(ctx, plans[u.plan], t.node, ctx.initiator, req.TC.Child(uint64(k+1)), end)
+				e.dropStale(ctx, *pats[u.pat].plan, t.node, assembly, req.TC.Child(uint64(k+1)), end)
 			}
 			continue
 		}
 		tables := resp.(overlay.MatchResp).Tables
 		for k, u := range t.units {
 			ctx.countSubquery(t.node)
-			pats[u.plan].replies[u.posting] = tables[k]
+			pats[u.pat].replies[u.posting] = tables[k]
 		}
 		if sequential && tables[0].N > 0 {
 			break // existence settled: the remaining targets are not asked
 		}
 	}
-	// Each pattern's replies are accumulated in its postings order, so its
-	// rows come in the order a fan-out of its own would give them; a BGP's
-	// pattern results are joined left to right, each later pattern's matches
-	// where its accumulator holds them.
-	for i := 0; i < len(pats); {
-		b := pats[i].bgp
-		w := bgps[b]
-		var rows eval.Table
-		for k := range w.plans {
-			p := &pats[i+k]
-			acc := eval.NewMatches(p.unit.Keys, plans[i+k].totalFreq())
-			for _, t := range p.replies {
-				acc.Add(t)
-			}
-			if ctx.rec != nil {
-				ctx.opSpan(p.tc, "dqp.pattern", string(ctx.initiator),
-					e.opts.Strategy.String()+" "+plans[i+k].pattern.String(), at, p.end)
-			}
-			out[b].done = simnet.MaxTime(out[b].done, p.end)
-			switch {
-			case len(w.plans) == 1:
-				out[b].set = matchResult(acc, w.filter, ctx.initiator)
-			case k == 0:
-				rows = acc.Table()
-			default:
-				rows = eval.JoinTables(rows, acc.Table())
-			}
+	if ctx.rec != nil {
+		for _, p := range pats {
+			ctx.opSpan(p.tc, "dqp.pattern", string(ctx.initiator),
+				e.opts.Strategy.String()+" "+p.plan.pattern.String()+keysNote(p.unit.Keys, p.mask), at, p.end)
 		}
-		if len(w.plans) > 1 {
-			// Conjuncts referring to variables of several patterns were never
-			// shipped; the whole filter applies, idempotent for the shipped
-			// ones.
-			out[b].set = flatSet{rows: rows.Filter(w.filter), site: ctx.initiator}
-		}
-		i += len(w.plans)
 	}
-	return done, nil
+	return seeds.rows, done, nil
 }
 
-// waveUnit is one (pattern, target) pair of a wave: the plan and the
-// target's position in the plan's postings.
-type waveUnit struct{ plan, posting int }
+// roundUnit is one (pattern, target) pair of a round: the pattern and the
+// target's position in its postings.
+type roundUnit struct{ pat, posting int }
 
-// waveTarget is one store.match of a wave: a target and the units it is
-// asked for, in plan order.
-type waveTarget struct {
+// roundTarget is one store.match of a round: a target, its units in
+// pattern order and what each sends it, the pattern's unit or, where the
+// pattern's mask marks the target, its unit-key form.
+type roundTarget struct {
 	node  simnet.Addr
-	units []waveUnit
+	units []roundUnit
+	sent  []overlay.MatchUnit
 }
 
-// waveTargets groups the plans' postings by target, targets in the order
-// the plans first list them.
-func waveTargets(plans []patternPlan) []waveTarget {
-	out := make([]waveTarget, 0, len(plans[0].postings))
-	at := make(map[simnet.Addr]int, len(plans[0].postings))
-	for i, p := range plans {
-		for fi, q := range p.postings {
+// roundTargets groups the patterns' n postings by target, targets in the
+// order the patterns first list them. One pattern needs no grouping: its
+// postings are the targets, and they share its unit's two forms.
+func roundTargets(pats []roundPattern, n int) []roundTarget {
+	first := pats[0].plan.postings
+	out := make([]roundTarget, 0, len(first))
+	if len(pats) == 1 {
+		units := make([]roundUnit, len(first))
+		forms := []overlay.MatchUnit{pats[0].unit, pats[0].unit}
+		forms[1].Keys = eval.Table{N: 1}
+		for i, q := range first {
+			units[i].posting = i
+			k := 0
+			if pats[0].mask.has(i) {
+				k = 1
+			}
+			out = append(out, roundTarget{node: q.Node, units: units[i : i+1 : i+1], sent: forms[k : k+1 : k+1]})
+		}
+		return out
+	}
+	at := make(map[simnet.Addr]int, len(first))
+	for i, p := range pats {
+		for fi, q := range p.plan.postings {
 			k, ok := at[q.Node]
 			if !ok {
 				k = len(out)
 				at[q.Node] = k
-				out = append(out, waveTarget{node: q.Node})
+				out = append(out, roundTarget{node: q.Node})
 			}
-			out[k].units = append(out[k].units, waveUnit{plan: i, posting: fi})
+			out[k].units = append(out[k].units, roundUnit{pat: i, posting: fi})
 		}
+	}
+	sent := make([]overlay.MatchUnit, 0, n)
+	for k, t := range out {
+		for _, u := range t.units {
+			unit := pats[u.pat].unit
+			if pats[u.pat].mask.has(u.posting) {
+				unit.Keys = eval.Table{N: 1}
+			}
+			sent = append(sent, unit)
+		}
+		out[k].sent, sent = sent[:len(t.units):len(t.units)], sent[len(t.units):]
 	}
 	return out
 }
@@ -884,60 +959,118 @@ func sharedTarget(a, b patternPlan) simnet.Addr {
 	return best
 }
 
-// execPattern evaluates one triple pattern over its target storage nodes
-// according to the per-pattern strategy and accumulates the matches where
-// they can be joined with seeds, the partial solutions so far. What a target
-// is asked for is keys, the distinct projection of the seeds onto the
-// variables the pattern (or a GRAPH variable) shares with them; what comes
-// back binds the pattern's variables only. Three cases follow from the
-// seeds, none from a setting: the unit seed gives the unit key and the
-// replies are the result; seeds sharing no variable with the pattern give
-// the unit key too and the result is the cross product; seeds binding only
-// variables the pattern mentions are their own keys, so the replies are the
-// extended rows and no join runs. A fourth follows from the location table:
-// a target whose keys would outweigh the rows they can spare it from
-// returning is sent the unit key in their place (unitKeyed), and the join
-// with the seeds does the excluding. preferEnd forces a chain to end at the
-// given target when present (overlap-aware assembly).
+// execPattern evaluates one triple pattern under a chain strategy and
+// accumulates the matches where they can be joined with seeds, the partial
+// solutions so far. What a target is asked for is keys, the distinct
+// projection of the seeds onto the variables the pattern (or a GRAPH
+// variable) shares with them; what comes back binds the pattern's variables
+// only. Three cases follow from the seeds, none from a setting: the unit
+// seed gives the unit key and the replies are the result; seeds sharing no
+// variable with the pattern give the unit key too and the result is the
+// cross product; seeds binding only variables the pattern mentions are
+// their own keys, so the replies are the extended rows and no join runs. A
+// fourth follows from the location table: when the keys would outweigh the
+// rows they can spare the chain from carrying, every hop is sent the unit
+// key in their place (unitKeyed), and the join with the seeds does the
+// excluding.
+//
+// The sub-query, its keys and the matches accumulated so far forward
+// through the targets in hop order (orderTargets; preferEnd, when a target,
+// goes last for overlap-aware assembly); each node adds its local matches
+// and passes the set on; the final node keeps it and becomes the new site.
+// When the replies are not the result already, the partial solutions travel
+// once, from where they are to that final node, and are joined with the
+// matches there.
 func (e *Engine) execPattern(ctx *qctx, plan patternPlan, seeds flatSet, filter sparql.Expression, scope rdf.Term, preferEnd simnet.Addr, at simnet.VTime) (patternMatches, simnet.VTime, error) {
-	if len(plan.postings) == 0 || seeds.rows.N == 0 {
+	if unlisted(plan) {
 		return patternMatches{acc: eval.NewMatches(eval.Table{}, 0), rowsKeys: true, site: seeds.site}, at, nil
 	}
-	chain := e.opts.Strategy != StrategyBasic
-	if chain {
-		plan.postings = orderTargets(plan.postings, preferEnd, e.opts.Strategy == StrategyFreqChain)
-	}
-	keys, unit, rowsKeys := projectKeys(plan, scope, seeds.rows, chain)
-	// Every pattern execution is one op span; the strategy implementations
-	// hang their message spans off patTC, so the three strategies render as
-	// the three Fig. 5 flow shapes (star, chain, frequency-ordered chain).
+	seq := orderTargets(plan.postings, preferEnd, e.opts.Strategy == StrategyFreqChain)
+	plan.postings = seq
+	keys, unit, rowsKeys := projectKeys(plan, scope, seeds.rows, true)
+	// Every pattern execution is one op span; the hops hang their message
+	// spans off patTC, so a chain renders as the Fig. 5 chain shapes.
 	patTC := ctx.nextTC(ctx.tc)
-	var (
-		out  patternMatches
-		done simnet.VTime
-		err  error
-	)
-	if chain {
-		out, done, err = e.execPatternChain(ctx, plan, seeds, keys, unit, rowsKeys, filter, scope, patTC, at)
-	} else {
-		out, done, err = e.execPatternBasic(ctx, plan, seeds, keys, unit, rowsKeys, filter, scope, patTC, at)
+	sent := keys
+	if unit.has(0) {
+		sent = eval.Table{N: 1}
 	}
-	if err == nil && ctx.rec != nil {
-		// the label says how many of the targets unitKeyed sent the keys to
-		sentKeys := ""
-		if len(keys.Vars) > 0 {
-			n := 0
-			for _, u := range unit {
-				if !u {
-					n++
-				}
-			}
-			sentKeys = " keys " + strconv.Itoa(n) + "/" + strconv.Itoa(len(unit))
+
+	// The sub-query first travels to the index node, which knows the
+	// sequence and forwards to its head (Sect. IV-C: "forwards the query
+	// ... to the node at the top of the sequence list").
+	now := at
+	prev := seeds.site
+	// linkTC is the context of the previous hop's message: every hop
+	// derives its own from it, so a traced chain renders as a linked list
+	// (vs. a round's star).
+	linkTC := patTC
+	sub := overlay.MatchReq{Units: []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: sent, Graph: scope}},
+		Dataset: ctx.dataset, FromNamed: ctx.fromNamed}
+	if plan.index != "" && prev != plan.index {
+		sub.TC = patTC.Child(0)
+		got, done, err := e.forward(prev, plan.index, overlay.MethodDispatch, sub, now)
+		if err != nil {
+			return patternMatches{}, done, err
 		}
-		ctx.opSpan(patTC, "dqp.pattern", string(ctx.initiator),
-			e.opts.Strategy.String()+" "+plan.pattern.String()+sentKeys, at, done)
+		sub, now, prev, linkTC = got.(overlay.MatchReq), done, plan.index, sub.TC
 	}
-	return out, done, err
+
+	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
+	reached := prev
+	for i, target := range seq {
+		hop := overlay.ChainReq{Sub: sub, Acc: acc.Table(), Seq: addrsOf(seq[i+1:])}
+		hop.Sub.TC = linkTC.Child(uint64(i + 1))
+		got, done, err := e.forward(prev, target.Node, overlay.MethodChainHop, hop, now)
+		now = done
+		if err != nil {
+			if errors.Is(err, simnet.ErrUnreachable) {
+				e.dropStale(ctx, plan, target.Node, prev, hop.Sub.TC.Child(1), now)
+				continue // forward from the same node to the next target
+			}
+			// A hop still lost after retries already surfaced as a typed
+			// partial failure; any other error aborts the chain outright.
+			return patternMatches{}, now, err
+		}
+		ctx.countSubquery(target.Node)
+		// In-network aggregation with set-union semantics: merging at each
+		// hop removes matches duplicated across providers before they
+		// travel further (a round unions its replies at its assembly site).
+		acc.Add(got.(eval.Table))
+		prev = target.Node
+		reached = target.Node
+		linkTC = hop.Sub.TC
+		if plan.stopOnFirst && acc.Len() > 0 {
+			break
+		}
+	}
+	if !rowsKeys && acc.Len() > 0 {
+		var err error
+		if seeds, now, err = e.ship(ctx, seeds, reached, overlay.MethodShip, now); err != nil {
+			return patternMatches{}, now, err
+		}
+	}
+	if ctx.rec != nil {
+		ctx.opSpan(patTC, "dqp.pattern", string(ctx.initiator),
+			e.opts.Strategy.String()+" "+plan.pattern.String()+keysNote(keys, unit), at, now)
+	}
+	return patternMatches{acc: acc, seeds: seeds.rows, rowsKeys: rowsKeys, site: reached}, now, nil
+}
+
+// keysNote is the dqp.pattern label's account of the keys: how many of the
+// targets were sent them in place of the unit key (unitKeyed), empty when
+// the keys are the unit key.
+func keysNote(keys eval.Table, unit unitMask) string {
+	if len(keys.Vars) == 0 {
+		return ""
+	}
+	n := 0
+	for _, u := range unit {
+		if !u {
+			n++
+		}
+	}
+	return " keys " + strconv.Itoa(n) + "/" + strconv.Itoa(len(unit))
 }
 
 // projectKeys returns what a pattern's targets are asked for: keys, the
@@ -1045,145 +1178,6 @@ func (p patternMatches) result() flatSet {
 		return flatSet{rows: p.acc.Table(), site: p.site}
 	}
 	return flatSet{rows: p.acc.Join(p.seeds), site: p.site}
-}
-
-// execPatternBasic, the pipeline's basic step: the sub-query ships with the
-// partial solutions to the pattern's index node, which projects the keys,
-// fans them out to every target in parallel — the unit key to the targets
-// unitKeyed names — and joins the union of the replies with the rows it was
-// handed (Sect. IV-C basic). High parallelism and every reply travels back,
-// but keys go out only where they pay and only the pattern's own matches
-// come in: low response time and the fewest bytes of any pipeline.
-func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds flatSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (patternMatches, simnet.VTime, error) {
-	assembly := plan.index
-	if assembly == "" { // flooding: assemble at the seeds' current site
-		assembly = seeds.site
-	}
-	keyed := []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: keys, Graph: scope}}
-	base := overlay.MatchReq{Units: keyed, Dataset: ctx.dataset, FromNamed: ctx.fromNamed}
-	now := at
-	if seeds.site != assembly {
-		dispatch := dispatchPayload{Sub: base, Rows: seeds.rows}
-		dispatch.Sub.TC = patTC.Child(0)
-		got, done, err := e.forward(seeds.site, assembly, overlay.MethodDispatch, dispatch, now)
-		if err != nil {
-			return patternMatches{}, done, err
-		}
-		seeds.rows, now = got.(dispatchPayload).Rows, done
-	}
-	unitKey := keyed
-	if unit != nil {
-		unitKey = []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: eval.Table{N: 1}, Graph: scope}}
-	}
-	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
-	finish := now
-	for fi, p := range plan.postings {
-		// Star topology: every fan-out request is a fresh copy of the
-		// sub-query and a sibling child of the pattern span (sequence 0 is
-		// the dispatch above).
-		req := base
-		req.TC = patTC.Child(uint64(fi + 1))
-		if unit.has(fi) {
-			req.Units = unitKey
-		}
-		resp, done, err := e.sys.Net().CallRetry(assembly, p.Node, overlay.MethodMatch, req, now)
-		finish = simnet.MaxTime(finish, done)
-		if plan.stopOnFirst {
-			// ASK over one pattern asks one target at a time, each when the
-			// one before answered empty: fewer messages, sequential latency
-			now = done
-		}
-		if err != nil {
-			if simnet.IsLost(err) {
-				// The target is alive but the link stayed lossy past the
-				// retry budget: dropping its contribution would silently
-				// truncate the result, so the query fails explicitly.
-				return patternMatches{}, done, &PartialFailureError{
-					Method: overlay.MethodMatch, Missing: []simnet.Addr{p.Node}, Err: err}
-			}
-			// Unreachable target: its triples left the dataset; drop the
-			// stale postings and answer over the remaining providers.
-			e.dropStale(ctx, plan, p.Node, assembly, req.TC.Child(1), done)
-			continue
-		}
-		ctx.countSubquery(p.Node)
-		acc.Add(resp.(overlay.MatchResp).Tables[0])
-		if plan.stopOnFirst && acc.Len() > 0 {
-			break // existence settled: the remaining targets are not asked
-		}
-	}
-	return patternMatches{acc: acc, seeds: seeds.rows, rowsKeys: rowsKeys, site: assembly}, finish, nil
-}
-
-// execPatternChain: the sub-query, its keys and the matches accumulated so
-// far forward through the plan's postings, which execPattern has put in hop
-// order; each node adds its local matches and passes the set on; the final
-// node keeps it and becomes the new site. The keys ride every hop, so
-// unitKeyed replaces them for all targets or none. When the replies are not
-// the result already, the partial solutions travel once, from where they
-// are to that final node, and are joined with the matches there.
-func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds flatSet, keys eval.Table, unit unitMask, rowsKeys bool, filter sparql.Expression, scope rdf.Term, patTC trace.TraceContext, at simnet.VTime) (patternMatches, simnet.VTime, error) {
-	seq := plan.postings
-	sent := keys
-	if unit.has(0) {
-		sent = eval.Table{N: 1}
-	}
-
-	// The sub-query first travels to the index node, which knows the
-	// sequence and forwards to its head (Sect. IV-C: "forwards the query
-	// ... to the node at the top of the sequence list").
-	now := at
-	prev := seeds.site
-	// linkTC is the context of the previous hop's message: every hop
-	// derives its own from it, so a traced chain renders as a linked list
-	// (vs. the basic strategy's star).
-	linkTC := patTC
-	sub := overlay.MatchReq{Units: []overlay.MatchUnit{{Pattern: plan.pattern, Filter: filter, Keys: sent, Graph: scope}},
-		Dataset: ctx.dataset, FromNamed: ctx.fromNamed}
-	if plan.index != "" && prev != plan.index {
-		sub.TC = patTC.Child(0)
-		got, done, err := e.forward(prev, plan.index, overlay.MethodDispatch, sub, now)
-		if err != nil {
-			return patternMatches{}, done, err
-		}
-		sub, now, prev, linkTC = got.(overlay.MatchReq), done, plan.index, sub.TC
-	}
-
-	acc := eval.NewMatches(keys, matchBound(plan, keys, unit))
-	reached := prev
-	for i, target := range seq {
-		hop := overlay.ChainReq{Sub: sub, Acc: acc.Table(), Seq: addrsOf(seq[i+1:])}
-		hop.Sub.TC = linkTC.Child(uint64(i + 1))
-		got, done, err := e.forward(prev, target.Node, overlay.MethodChainHop, hop, now)
-		now = done
-		if err != nil {
-			if errors.Is(err, simnet.ErrUnreachable) {
-				e.dropStale(ctx, plan, target.Node, prev, hop.Sub.TC.Child(1), now)
-				continue // forward from the same node to the next target
-			}
-			// A hop still lost after retries already surfaced as a typed
-			// partial failure; any other error aborts the chain outright.
-			return patternMatches{}, now, err
-		}
-		ctx.countSubquery(target.Node)
-		// In-network aggregation with set-union semantics: merging at each
-		// hop removes matches duplicated across providers before they
-		// travel further (the dedup counterpart of execPatternBasic).
-		acc.Add(got.(eval.Table))
-		prev = target.Node
-		reached = target.Node
-		linkTC = hop.Sub.TC
-		if plan.stopOnFirst && acc.Len() > 0 {
-			break
-		}
-	}
-	if !rowsKeys && acc.Len() > 0 {
-		var err error
-		if seeds, now, err = e.ship(ctx, seeds, reached, overlay.MethodShip, now); err != nil {
-			return patternMatches{}, now, err
-		}
-	}
-	return patternMatches{acc: acc, seeds: seeds.rows, rowsKeys: rowsKeys, site: reached}, now, nil
 }
 
 // orderTargets produces the chain sequence: address order (deterministic)

@@ -9,9 +9,10 @@
 //
 //   - Strategy selects how one triple pattern's target storage nodes are
 //     processed: Basic (parallel fan-out, Sect. IV-C "basic query
-//     processing" — under the pipeline from the pattern's index node, which
-//     unions the replies; under parallel-join from the initiator, every
-//     pattern of a query in one wave of one request per provider), Chain
+//     processing", run in rounds of one request per provider — under the
+//     pipeline one round per pattern from its index node, which unions the
+//     replies; under parallel-join one round of every pattern of a query
+//     from the initiator, the wave), Chain
 //     (the query and accumulated solutions forwarded through the target
 //     list — in-network aggregation, first optimization), and FreqChain
 //     (targets visited in increasing location-table frequency order with
@@ -43,15 +44,15 @@ type Strategy int
 // Per-pattern strategies.
 const (
 	// StrategyBasic fans the sub-query out to all target storage nodes in
-	// parallel: lowest response time, and every reply travels back. Under
-	// the pipeline the fan-out and the union of the replies happen at the
-	// pattern's index node, and the requests carry keys, not rows, target by
-	// target only where the keys are smaller than the rows they can spare
-	// (unitKeyed), so reordered it ships the fewest bytes (EXPERIMENTS.md
-	// E9). Under parallel-join the patterns of a query's BGPs leave the
-	// initiator in one wave, one request per provider for all the patterns
-	// listing it, and each BGP's are joined there: the fewest messages
-	// (EXPERIMENTS.md finding 6).
+	// parallel, in rounds of one request per provider for all the round's
+	// patterns listing it: lowest response time, and every reply travels
+	// back. Under the pipeline each pattern is a round at its index node,
+	// where the replies are unioned, and the requests carry keys, not rows,
+	// target by target only where the keys are smaller than the rows they
+	// can spare (unitKeyed), so reordered it ships the fewest bytes
+	// (EXPERIMENTS.md E9). Under parallel-join the patterns of a query's
+	// BGPs are one round from the initiator, the wave, and each BGP's are
+	// joined there: the fewest messages (EXPERIMENTS.md finding 6).
 	StrategyBasic Strategy = iota
 	// StrategyChain forwards the sub-query along the target list, each node
 	// merging its local matches into the accumulated set: in-network
@@ -100,7 +101,9 @@ const (
 	// partial solutions onto the variables it shares with them — at the
 	// targets where that projection is smaller than the rows it can spare,
 	// for everything it matches at the others — and its matches are joined
-	// with the full solutions at the assembly site.
+	// with the full solutions at the assembly site. Under the basic
+	// strategy each pattern is a round of its own, and the pipeline stops
+	// at the first empty result.
 	ConjPipeline Conjunction = iota
 	// ConjParallelJoin evaluates each pattern over its own target set
 	// independently (in parallel) and joins at an assembly site: for the

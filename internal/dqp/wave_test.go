@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -96,71 +97,100 @@ func TestWaveSendsOneMatchPerTarget(t *testing.T) {
 	}
 }
 
-// TestWaveOverCrashedTarget: a provider that crashed is unreachable to the
-// wave. The answer is the oracle's over the other providers, every pattern
-// that lists the dead one drops its stale posting, and the next query finds
-// none left.
+// TestWaveOverCrashedTarget: a provider that crashed is unreachable to a
+// round, whether it is the default's wave or one of the baseline pipeline's
+// rounds, reordered or not. The answer is the oracle's over the other
+// providers, every pattern that lists the dead one drops its stale posting,
+// and the next query finds none left.
 func TestWaveOverCrashedTarget(t *testing.T) {
 	const q = `PREFIX foaf: <http://xmlns.com/foaf/0.1/> PREFIX ns: <http://example.org/ns#>
 SELECT ?x ?y ?z WHERE { ?x foaf:name ?name . ?x foaf:knows ?z . ?x ns:knowsNothingAbout ?y . ?y foaf:knows ?z . }`
 	data := paperData()
-	sys, now := buildSystem(t, 5, data)
-	sys.FailNode("D2")
 	live := map[string][]rdf.Triple{}
 	for name, ts := range data {
 		if name != "D2" {
 			live[name] = ts
 		}
 	}
-	e := NewEngine(sys, DefaultOptions())
-	res, stats, done, err := e.Query("D1", q, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameMultiset(res.Solutions, oracle(t, live, q)) {
-		t.Errorf("over a crashed provider: %v, the oracle over the live ones %v", res.Solutions, oracle(t, live, q))
-	}
-	// D2 holds a name and a knows triple: three of the four patterns list it
-	if stats.StaleDrops != 3 {
-		t.Errorf("%d stale drops, want one for each of the 3 patterns listing D2", stats.StaleDrops)
-	}
-	_, again, _, err := e.Query("D1", q, done)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.StaleDrops != 0 {
-		t.Errorf("the next query still found D2 listed (%d drops)", again.StaleDrops)
+	reordered := BaselineOptions()
+	reordered.ReorderJoins = true
+	for _, form := range []struct {
+		name string
+		opts Options
+	}{{"default", DefaultOptions()}, {"baseline", BaselineOptions()}, {"baseline-reordered", reordered}} {
+		t.Run(form.name, func(t *testing.T) {
+			sys, now := buildSystem(t, 5, data)
+			sys.FailNode("D2")
+			e := NewEngine(sys, form.opts)
+			res, stats, done, err := e.Query("D1", q, now)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameMultiset(res.Solutions, oracle(t, live, q)) {
+				t.Errorf("over a crashed provider: %v, the oracle over the live ones %v", res.Solutions, oracle(t, live, q))
+			}
+			// D2 holds a name and a knows triple: three of the four patterns list it
+			if stats.StaleDrops != 3 {
+				t.Errorf("%d stale drops, want one for each of the 3 patterns listing D2", stats.StaleDrops)
+			}
+			_, again, _, err := e.Query("D1", q, done)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if again.StaleDrops != 0 {
+				t.Errorf("the next query still found D2 listed (%d drops)", again.StaleDrops)
+			}
+		})
 	}
 }
 
 // TestWaveLossyLinkIsTypedPartialFailure: a leg still lost after the retries
 // is a PartialFailureError naming its step instead of a short answer. With
-// planning served from the lookup cache only the wave's store.match legs
-// meet the loss, and the error names the target; without the cache the
-// query's first step, the planning round's one routed read of its several
-// keys, meets it first. A crashed index node that owned one of those keys is
-// routed around — by a hop's fallback along its candidates, or by the owner's
-// predecessor handing the read to the replica holder — and the answer is
-// still the oracle's.
+// planning served from the lookup cache the round's legs meet the loss
+// first: under the default the wave's store.match, and the error names the
+// target; under the baseline the first round's dqp.dispatch, and the error
+// names the first pattern's index node. Without the cache the query's first
+// step, the planning round's one routed read of its several keys, meets it
+// first. A crashed index node that owned one of those keys is routed around
+// — by a hop's fallback along its candidates, or by the owner's predecessor
+// handing the read to the replica holder — and the answer is still the
+// oracle's.
 func TestWaveLossyLinkIsTypedPartialFailure(t *testing.T) {
 	q := paperQueries["fig6-conjunction"]
 	t.Run("match", func(t *testing.T) {
-		sys, now := buildSystem(t, 5, paperData())
-		opts := DefaultOptions()
-		opts.CacheLookups = true
-		e := NewEngine(sys, opts)
-		_, _, now, err := e.Query("D1", q, now)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys.Net().SetFaults(&simnet.FaultPlan{Seed: 1, LossRate: 0.999})
-		_, _, _, err = e.Query("D1", q, now)
-		var pf *PartialFailureError
-		if !errors.As(err, &pf) {
-			t.Fatalf("err = %v, want a PartialFailureError", err)
-		}
-		if pf.Method != overlay.MethodMatch || len(pf.Missing) != 1 || pf.Missing[0] == "D1" {
-			t.Errorf("partial failure %v: want store.match missing one provider other than the initiator", pf)
+		for _, form := range []struct {
+			name string
+			opts Options
+		}{{"default", DefaultOptions()}, {"baseline", BaselineOptions()}} {
+			t.Run(form.name, func(t *testing.T) {
+				sys, now := buildSystem(t, 5, paperData())
+				opts := form.opts
+				opts.CacheLookups = true
+				e := NewEngine(sys, opts)
+				_, _, now, err := e.Query("D1", q, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// the baseline's first round is the query's first pattern's
+				key, _, _ := overlay.PatternKey(rdf.Triple{S: rdf.NewVar("x"), P: fp("knows"), O: rdf.NewVar("z")}, sys.Config().Bits)
+				index, _, now, err := sys.ResolveKey("D1", key, now)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Net().SetFaults(&simnet.FaultPlan{Seed: 1, LossRate: 0.999})
+				_, _, _, err = e.Query("D1", q, now)
+				var pf *PartialFailureError
+				if !errors.As(err, &pf) {
+					t.Fatalf("err = %v, want a PartialFailureError", err)
+				}
+				if form.opts.Conjunction == ConjPipeline {
+					if pf.Method != overlay.MethodDispatch || len(pf.Missing) != 1 || pf.Missing[0] != index {
+						t.Errorf("partial failure %v: want %s missing the first pattern's index node %s", pf, overlay.MethodDispatch, index)
+					}
+				} else if pf.Method != overlay.MethodMatch || len(pf.Missing) != 1 || pf.Missing[0] == "D1" {
+					t.Errorf("partial failure %v: want store.match missing one provider other than the initiator", pf)
+				}
+			})
 		}
 	})
 	t.Run("batch", func(t *testing.T) {
@@ -256,26 +286,36 @@ func TestAskEarlyExitIsSequential(t *testing.T) {
 	}
 }
 
-// TestQueryWaveIsItsBGPsAlone: under basic/parallel-join a query's BGPs
-// leave the initiator as one wave. Over randomQuery's queries (OPTIONAL,
-// UNION, group joins, filters) the wave's store.match bytes are the sum of
-// what each BGP sends when run alone from the same initiator, its messages
-// are one request and one reply per distinct remote target of those runs,
-// and the answer is the oracle's.
+// TestQueryWaveIsItsBGPsAlone: a basic query runs as rounds. Under
+// basic/parallel-join its BGPs leave the initiator as one round, the wave:
+// over randomQuery's queries (OPTIONAL, UNION, group joins, filters) the
+// wave's store.match bytes are the sum of what each BGP sends when run alone
+// from the same initiator, its messages are one request and one reply per
+// distinct remote target of those runs, and the answer is the oracle's.
+// Under the baseline's pipeline every pattern is a round of its own,
+// assembled at its index node: the answer is the oracle's, and every
+// store.match request leaves that node (checkQueryWave).
 func TestQueryWaveIsItsBGPsAlone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("randomized property test")
 	}
-	for seed := int64(0); seed < 8; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		data := randomDataset(rng)
-		sys, now := buildSystem(t, 3+rng.Intn(4), data)
-		for i := 0; i < 12; i++ {
-			query := randomQuery(rng)
-			opts := DefaultOptions()
-			opts.PushFilters, opts.ReorderJoins = rng.Intn(2) == 0, rng.Intn(2) == 0
-			now = checkQueryWave(t, NewEngine(sys, opts), "P0", query, oracle(t, data, query), now)
-		}
+	for _, form := range []struct {
+		name string
+		opts Options
+	}{{"default", DefaultOptions()}, {"baseline", BaselineOptions()}} {
+		t.Run(form.name, func(t *testing.T) {
+			for seed := int64(0); seed < 8; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				data := randomDataset(rng)
+				sys, now := buildSystem(t, 3+rng.Intn(4), data)
+				for i := 0; i < 12; i++ {
+					query := randomQuery(rng)
+					opts := form.opts
+					opts.PushFilters, opts.ReorderJoins = rng.Intn(2) == 0, rng.Intn(2) == 0
+					now = checkQueryWave(t, NewEngine(sys, opts), "P0", query, oracle(t, data, query), now)
+				}
+			}
+		})
 	}
 }
 
@@ -308,11 +348,16 @@ SELECT * WHERE { { GRAPH <%s> { ?x foaf:knows ?y . } } UNION { GRAPH <%s> { ?x f
 	checkQueryWave(t, NewEngine(sys, DefaultOptions()), "D3", query, want, now)
 }
 
-// checkQueryWave runs query from initiator, and each of its BGPs alone, and
-// checks the wave against the runs alone and the answer against want.
+// checkQueryWave runs query from initiator and checks the answer against
+// want and the rounds against the query's BGPs: under parallel-join the
+// wave against each BGP run alone, under the pipeline where each round's
+// requests leave (checkRoundSites).
 func checkQueryWave(t *testing.T, e *Engine, initiator simnet.Addr, query string, want eval.Solutions, now simnet.VTime) simnet.VTime {
 	t.Helper()
+	rec := trace.NewBuffer()
+	e.sys.Net().SetRecorder(rec)
 	res, stats, now, err := e.Query(initiator, query, now)
+	e.sys.Net().SetRecorder(nil)
 	if err != nil {
 		t.Fatalf("%s: %v", query, err)
 	}
@@ -328,6 +373,9 @@ func checkQueryWave(t *testing.T, e *Engine, initiator simnet.Addr, query string
 		t.Fatal(err)
 	}
 	op = optimize.Optimize(op, optimize.Options{PushFilters: e.opts.PushFilters})
+	if e.opts.Conjunction == ConjPipeline {
+		return checkRoundSites(t, e, initiator, query, op, rec.Spans(), now)
+	}
 	var bytes int64
 	targets := map[string]bool{}
 	for _, bgp := range bgpOps(e, op, nil) {
@@ -354,6 +402,52 @@ func checkQueryWave(t *testing.T, e *Engine, initiator simnet.Addr, query string
 	}
 	if got.Messages != int64(2*len(targets)) {
 		t.Errorf("%s: %d store.match messages, want a request and a reply for each of %d remote targets", query, got.Messages, len(targets))
+	}
+	return now
+}
+
+// checkRoundSites checks where a basic pipeline's rounds ran: every
+// store.match request in spans hangs off its pattern's dqp.pattern span and
+// leaves that pattern's index node, the owner of its key; the requests of a
+// pattern that floods leave the seeds' site, the initiator or another
+// pattern's index node. So the initiator sends none unless it is that site.
+func checkRoundSites(t *testing.T, e *Engine, initiator simnet.Addr, query string, op algebra.Op, spans []trace.Span, now simnet.VTime) simnet.VTime {
+	t.Helper()
+	owners := map[string]simnet.Addr{} // by dqp.pattern label; "" when the pattern floods
+	sites := map[simnet.Addr]bool{initiator: true}
+	for _, bgp := range bgpOps(e, op, nil) {
+		c, _ := e.asBGP(bgp)
+		for _, pat := range c.bgp.Patterns {
+			owner := simnet.Addr("")
+			if key, _, ok := overlay.PatternKey(pat, e.sys.Config().Bits); ok {
+				var err error
+				if owner, _, now, err = e.sys.ResolveKey(initiator, key, now); err != nil {
+					t.Fatal(err)
+				}
+				sites[owner] = true
+			}
+			owners[StrategyBasic.String()+" "+pat.String()] = owner
+		}
+	}
+	labels := map[uint64]string{}
+	for _, s := range spans {
+		if s.Kind == trace.KindOp && s.Name == "dqp.pattern" {
+			labels[s.ID], _, _ = strings.Cut(s.Note, " keys ")
+		}
+	}
+	for _, s := range spans {
+		if s.Kind != trace.KindMessage || s.Name != overlay.MethodMatch || s.IsResponse() {
+			continue
+		}
+		owner, ok := owners[labels[s.Parent]]
+		switch {
+		case !ok:
+			t.Errorf("%s: a store.match %s → %s hangs off no pattern round", query, s.From, s.To)
+		case owner != "" && simnet.Addr(s.From) != owner:
+			t.Errorf("%s: %q's request to %s left %s, not its index node %s", query, labels[s.Parent], s.To, s.From, owner)
+		case owner == "" && !sites[simnet.Addr(s.From)]:
+			t.Errorf("%s: flooding %q's request to %s left %s, no seeds' site", query, labels[s.Parent], s.To, s.From)
+		}
 	}
 	return now
 }
