@@ -589,15 +589,6 @@ func (e *Engine) execBGP(ctx *qctx, patterns []rdf.Triple, filter sparql.Express
 	return out, now, nil
 }
 
-// varSet is the set of variables a pattern mentions.
-func varSet(pat rdf.Triple) map[string]bool {
-	vars := map[string]bool{}
-	for _, v := range pat.Vars() {
-		vars[v] = true
-	}
-	return vars
-}
-
 // execPipeline runs the sequential conjunction of Sect. IV-D basic
 // processing as a distributed semi-join: each pattern is asked only for
 // the distinct values the accumulated solutions give the variables it
@@ -610,15 +601,18 @@ func varSet(pat rdf.Triple) map[string]bool {
 func (e *Engine) execPipeline(ctx *qctx, b bgpPlan, at simnet.VTime) (flatSet, simnet.VTime, error) {
 	cur := ctx.unitSeed()
 	now := at
-	bound := map[string]bool{}
+	var own [3]string
+	bound := make([]string, 0, 3*len(b.plans))
 	shipped := make([]bool, len(b.conjuncts))
 	for i := range b.plans {
 		plan := &b.plans[i]
-		own := varSet(plan.pattern)
-		for v := range own {
-			bound[v] = true
+		vars := plan.pattern.AppendVars(own[:0])
+		for _, v := range vars {
+			if !slices.Contains(bound, v) {
+				bound = append(bound, v)
+			}
 		}
-		push := shippableFilter(b.conjuncts, shipped, own)
+		push := shippableFilter(b.conjuncts, shipped, vars)
 		after := shippableFilter(b.conjuncts, shipped, bound)
 		var (
 			m    patternMatches
@@ -658,7 +652,8 @@ func (e *Engine) execParallelJoin(ctx *qctx, b bgpPlan, at simnet.VTime) (flatSe
 	shipped := make([]bool, len(b.conjuncts))
 	for i := range plans {
 		// Per-pattern filters: conjuncts covered by this pattern alone.
-		f := shippableFilter(b.conjuncts, shipped, varSet(plans[i].pattern))
+		var own [3]string
+		f := shippableFilter(b.conjuncts, shipped, plans[i].pattern.AppendVars(own[:0]))
 		// Prefer ending this pattern's chain at a node shared with the
 		// previous pattern's target set, so the join needs no shipping.
 		prefer := simnet.Addr("")
@@ -719,16 +714,21 @@ func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.
 		shipped := make([]bool, len(w.conjuncts))
 		for k := range w.plans {
 			p := &w.plans[k]
+			var own [3]string
 			pats = append(pats, roundPattern{plan: p, unit: overlay.MatchUnit{Pattern: p.pattern, Keys: eval.Table{N: 1},
-				Graph: w.scope, Filter: shippableFilter(w.conjuncts, shipped, varSet(p.pattern))}})
+				Graph: w.scope, Filter: shippableFilter(w.conjuncts, shipped, p.pattern.AppendVars(own[:0]))}})
 		}
 	}
 	_, done, err := e.execRound(ctx, pats, ctx.unitSeed(), ctx.initiator, at)
 	if err != nil {
 		return done, err
 	}
-	// Conjuncts referring to variables of several patterns were never
-	// shipped; the whole filter applies, idempotent for the shipped ones.
+	// Each pattern's replies are merged once, into an accumulator keyed on
+	// the columns they share with the rows of the patterns before it: the
+	// join's index. Once the rows are empty, later patterns' replies are
+	// not merged. Conjuncts referring to variables of several patterns were
+	// never shipped; the whole filter applies, idempotent for the shipped
+	// ones.
 	for b, w := range bgps {
 		if slices.ContainsFunc(w.plans, unlisted) {
 			continue
@@ -736,14 +736,14 @@ func (e *Engine) execWave(ctx *qctx, bgps []bgpPlan, out []bgpResult, at simnet.
 		var rows eval.Table
 		for k, p := range pats[:len(w.plans)] {
 			out[b].done = simnet.MaxTime(out[b].done, p.end)
-			acc := eval.NewMatches(p.unit.Keys, p.plan.totalFreq())
-			for _, t := range p.replies {
-				acc.Add(t)
-			}
 			if k == 0 {
+				acc := eval.NewMatches(p.unit.Keys, 0)
+				acc.AddAll(p.replies)
 				rows = acc.Table()
-			} else {
-				rows = eval.JoinTables(rows, acc.Table())
+			} else if rows.N > 0 {
+				acc := eval.NewMatches(rows, 0)
+				acc.AddAll(p.replies)
+				rows = acc.Join(rows)
 			}
 		}
 		out[b].set.rows = rows.Filter(w.filter)
@@ -773,10 +773,8 @@ func (e *Engine) pipelineRound(ctx *qctx, plan *patternPlan, seeds flatSet, filt
 	if err != nil {
 		return patternMatches{}, done, err
 	}
-	acc := eval.NewMatches(keys, matchBound(*plan, keys, mask))
-	for _, t := range pats[0].replies {
-		acc.Add(t)
-	}
+	acc := eval.NewMatches(keys, 0)
+	acc.AddAll(pats[0].replies)
 	return patternMatches{acc: acc, seeds: rows, rowsKeys: rowsKeys, site: assembly}, done, nil
 }
 
@@ -811,12 +809,15 @@ func (e *Engine) execRound(ctx *qctx, pats []roundPattern, seeds flatSet, assemb
 		n += len(pats[i].plan.postings)
 	}
 	start := at
+	targets, units := roundTargets(pats, n)
 	if seeds.site != assembly {
-		sub := overlay.MatchReq{Units: make([]overlay.MatchUnit, len(pats)), Dataset: ctx.dataset, FromNamed: ctx.fromNamed,
-			TC: pats[0].tc.Child(0)}
-		for i, p := range pats {
-			sub.Units[i] = p.unit
+		if units == nil {
+			units = make([]overlay.MatchUnit, len(pats))
+			for i, p := range pats {
+				units[i] = p.unit
+			}
 		}
+		sub := overlay.MatchReq{Units: units, Dataset: ctx.dataset, FromNamed: ctx.fromNamed, TC: pats[0].tc.Child(0)}
 		got, done, err := e.forward(seeds.site, assembly, overlay.MethodDispatch, dispatchPayload{Sub: sub, Rows: seeds.rows}, at)
 		if err != nil {
 			return eval.Table{}, done, err
@@ -831,7 +832,7 @@ func (e *Engine) execRound(ctx *qctx, pats []roundPattern, seeds flatSet, assemb
 	}
 	sequential := len(pats) == 1 && pats[0].plan.stopOnFirst
 	now, done := start, start
-	for _, t := range roundTargets(pats, n) {
+	for _, t := range targets {
 		// The request is a message span of its first unit's pattern;
 		// sequence 0 is the dispatch's.
 		first := t.units[0]
@@ -894,8 +895,10 @@ type roundTarget struct {
 
 // roundTargets groups the patterns' n postings by target, targets in the
 // order the patterns first list them. One pattern needs no grouping: its
-// postings are the targets, and they share its unit's two forms.
-func roundTargets(pats []roundPattern, n int) []roundTarget {
+// postings are the targets, and they share its unit's two forms; the
+// first, the pattern's unit, is returned too, for a dispatch to carry.
+// Several patterns return none.
+func roundTargets(pats []roundPattern, n int) ([]roundTarget, []overlay.MatchUnit) {
 	first := pats[0].plan.postings
 	out := make([]roundTarget, 0, len(first))
 	if len(pats) == 1 {
@@ -910,7 +913,7 @@ func roundTargets(pats []roundPattern, n int) []roundTarget {
 			}
 			out = append(out, roundTarget{node: q.Node, units: units[i : i+1 : i+1], sent: forms[k : k+1 : k+1]})
 		}
-		return out
+		return out, forms[:1:1]
 	}
 	at := make(map[simnet.Addr]int, len(first))
 	for i, p := range pats {
@@ -935,7 +938,7 @@ func roundTargets(pats []roundPattern, n int) []roundTarget {
 		}
 		out[k].sent, sent = sent[:len(t.units):len(t.units)], sent[len(t.units):]
 	}
-	return out
+	return out, nil
 }
 
 // sharedTarget returns a storage node present in both plans' target sets
@@ -1081,8 +1084,9 @@ func keysNote(keys eval.Table, unit unitMask) string {
 // every target is sent the keys. A target sent the unit key returns rows no
 // seed agrees with as well, and only the join drops those.
 func projectKeys(plan patternPlan, scope rdf.Term, seeds eval.Table, chain bool) (keys eval.Table, unit unitMask, rowsKeys bool) {
+	var own [3]string
 	var vars []string
-	for _, v := range plan.pattern.Vars() {
+	for _, v := range plan.pattern.AppendVars(own[:0]) {
 		if slices.Contains(seeds.Vars, v) {
 			vars = append(vars, v)
 		}
@@ -1124,7 +1128,8 @@ func unitKeyed(keys eval.Table, plan patternPlan, scope rdf.Term, chain bool) un
 		return nil // nothing to replace: the keys are the unit key
 	}
 	unit := make(unitMask, len(plan.postings))
-	cols := plan.pattern.Vars()
+	var own [4]string
+	cols := plan.pattern.AppendVars(own[:0])
 	if scope.IsVar() && !slices.Contains(cols, scope.Value) {
 		cols = append(cols, scope.Value)
 	}
@@ -1268,9 +1273,9 @@ func (e planEstimator) EstimatePattern(p rdf.Triple) int {
 }
 
 // shippableFilter selects the not-yet-shipped conjuncts whose variables
-// are covered by bound and combines them into one expression; selected
+// are all among bound and combines them into one expression; selected
 // conjuncts are marked shipped.
-func shippableFilter(conjuncts []sparql.Expression, shipped []bool, bound map[string]bool) sparql.Expression {
+func shippableFilter(conjuncts []sparql.Expression, shipped []bool, bound []string) sparql.Expression {
 	var out sparql.Expression
 	for i, c := range conjuncts {
 		if shipped[i] {
@@ -1278,7 +1283,7 @@ func shippableFilter(conjuncts []sparql.Expression, shipped []bool, bound map[st
 		}
 		ok := true
 		for _, v := range c.Vars() {
-			if !bound[v] {
+			if !slices.Contains(bound, v) {
 				ok = false
 				break
 			}

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -195,6 +196,31 @@ func TestTripleVars(t *testing.T) {
 	tr2 := Triple{NewVar("a"), NewVar("b"), NewVar("c")}
 	if got := tr2.Vars(); len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
 		t.Errorf("Vars() = %v, want [a b c]", got)
+	}
+}
+
+// TestTripleAppendVars: AppendVars appends what Vars returns, and into a
+// caller's array of three it allocates nothing.
+func TestTripleAppendVars(t *testing.T) {
+	for _, tr := range []Triple{
+		{NewVar("x"), NewIRI("p"), NewVar("x")},
+		{NewVar("a"), NewVar("b"), NewVar("c")},
+		{NewIRI("s"), NewVar("b"), NewVar("b")},
+		{NewIRI("s"), NewIRI("p"), NewLiteral("o")},
+	} {
+		var buf [3]string
+		if got, want := tr.AppendVars(buf[:0]), tr.Vars(); !slices.Equal(got, want) {
+			t.Errorf("%v: AppendVars = %v, Vars = %v", tr, got, want)
+		}
+		if got := tr.AppendVars([]string{"z"}); !slices.Equal(got[1:], tr.Vars()) || got[0] != "z" {
+			t.Errorf("%v: AppendVars after z = %v", tr, got)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			var buf [3]string
+			_ = tr.AppendVars(buf[:0])
+		}); n != 0 {
+			t.Errorf("%v: AppendVars into an array allocates %.0f times, want 0", tr, n)
+		}
 	}
 }
 

@@ -29,25 +29,26 @@ func (t Triple) IsConcrete() bool {
 }
 
 // Vars returns the distinct variable names occurring in the pattern, in
-// subject, predicate, object order.
+// subject, predicate, object order, in a slice of their own.
 func (t Triple) Vars() []string {
-	terms := [3]Term{t.S, t.P, t.O}
-	n := 0
-	for _, term := range terms {
-		if term.IsVar() {
-			n++
+	var buf [3]string
+	if vars := t.AppendVars(buf[:0]); len(vars) > 0 {
+		return slices.Clone(vars)
+	}
+	return nil
+}
+
+// AppendVars appends Vars' names to vars and returns the extended slice.
+// Into a caller's array of three, it allocates nothing: the form for
+// callers that only read the names.
+func (t Triple) AppendVars(vars []string) []string {
+	from := len(vars)
+	for _, term := range [3]Term{t.S, t.P, t.O} {
+		if term.IsVar() && !slices.Contains(vars[from:], term.Value) {
+			vars = append(vars, term.Value)
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	for _, term := range terms {
-		if term.IsVar() && !slices.Contains(out, term.Value) {
-			out = append(out, term.Value)
-		}
-	}
-	return out
+	return vars
 }
 
 // BoundMask describes which positions of a triple pattern are concrete.

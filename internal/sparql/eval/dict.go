@@ -1,6 +1,10 @@
 package eval
 
-import "adhocshare/internal/rdf"
+import (
+	"slices"
+
+	"adhocshare/internal/rdf"
+)
 
 // The one table rule (DESIGN §5) charges a table of N rows
 //
@@ -113,18 +117,47 @@ func (d *dictIndex) find(t rdf.Term) uint32 {
 }
 
 // add returns t's position, appending t first when the dictionary lacks
-// it.
+// it. One probe serves both: a miss goes into the free slot the probe ended
+// on, or, when the set must grow first, is placed in the grown one.
 func (d *dictIndex) add(t rdf.Term) uint32 {
-	if p := d.find(t); p != 0 {
-		return p
+	if d.slots == nil {
+		d.grow()
 	}
-	if 2*(len(d.terms)+1) > len(d.slots) {
+	mask := uint64(len(d.slots) - 1)
+	i := termHash(&t) & mask
+	for ; d.slots[i] != 0; i = (i + 1) & mask {
+		if q := d.slots[i]; d.terms[q-1] == t {
+			return q
+		}
+	}
+	p := uint32(len(d.terms) + 1)
+	grow := 2*int(p) > len(d.slots)
+	if grow {
 		d.grow()
 	}
 	d.terms = append(d.terms, t)
-	p := uint32(len(d.terms))
-	d.place(p)
+	if grow {
+		d.place(p)
+	} else {
+		d.slots[i] = p
+	}
 	return p
+}
+
+// reserve makes room for n more terms: their storage, and a set that holds
+// them all at most half full, each allocated once.
+func (d *dictIndex) reserve(n int) {
+	d.terms = slices.Grow(d.terms, n)
+	size := max(16, len(d.slots))
+	for size < 2*(len(d.terms)+n) {
+		size *= 2
+	}
+	if size > len(d.slots) {
+		d.slots = make([]uint32, size)
+		for p := range d.terms {
+			d.place(uint32(p + 1))
+		}
+	}
 }
 
 // grow doubles the set, or makes a first one with room for its terms: no

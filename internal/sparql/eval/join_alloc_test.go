@@ -57,3 +57,59 @@ func TestJoinAllocatesPerCall(t *testing.T) {
 		}
 	}
 }
+
+// waveReplies draws k non-empty replies over (?x ?y), as k providers of one
+// pattern answer the unit key: 20 rows each, every provider's ?y its own,
+// every ?x shared by the providers after the first, each dictionary its
+// rows' terms.
+func waveReplies(k int) []Table {
+	replies := make([]Table, k)
+	for i := range replies {
+		var cells []rdf.Term
+		for j := 0; j < 20; j++ {
+			cells = append(cells, rdf.NewIRI(fmt.Sprint("x", j+min(i, 1)*10)), rdf.NewLiteral(fmt.Sprint("y", i, ".", j)))
+		}
+		replies[i] = TableOf([]string{"x", "y"}, cells)
+	}
+	return replies
+}
+
+// TestWaveMergeAllocatesPerPattern pins the wave's merge to the pattern:
+// merging k non-empty replies into an accumulator — the first pattern's,
+// keyed on no column, and a later one's, keyed on the rows it joins, then
+// joined with them — allocates as many objects for 2 replies as for 8 and
+// 32, the dictionary, the cells and the index each sized once, and no more
+// than the counts below. Under -race, instrumentation moves a few values to
+// the heap, so the counts are held to one another only.
+func TestWaveMergeAllocatesPerPattern(t *testing.T) {
+	seeds, _ := joinSides(40)
+	cases := []struct {
+		name  string
+		max   float64
+		merge func(replies []Table) Table
+	}{
+		{"first pattern", 7, func(replies []Table) Table {
+			m := NewMatches(Table{N: 1}, 0)
+			m.AddAll(replies)
+			return m.Table()
+		}},
+		{"later pattern", 16, func(replies []Table) Table {
+			m := NewMatches(seeds, 0)
+			m.AddAll(replies)
+			return m.Join(seeds)
+		}},
+	}
+	for _, c := range cases {
+		var counts []float64
+		for _, k := range []int{2, 8, 32} {
+			replies := waveReplies(k)
+			if got := c.merge(replies); got.N == 0 {
+				t.Fatalf("%s over %d replies: no rows", c.name, k)
+			}
+			counts = append(counts, testing.AllocsPerRun(20, func() { c.merge(replies) }))
+		}
+		if counts[0] != counts[1] || counts[1] != counts[2] || counts[2] > c.max && !raceEnabled {
+			t.Errorf("%s allocates %v objects merging 2, 8 and 32 replies, want one count of at most %.0f", c.name, counts, c.max)
+		}
+	}
+}

@@ -192,7 +192,9 @@ func unbound(row []uint32, cols []int) bool {
 // they are added, one lookup per distinct term. One hash index serves the
 // de-duplication and the join; it is keyed on the key columns, on the whole
 // row when there are none, and is not built before a second non-empty reply
-// or a join needs it. A reply binds every cell; only a table JoinTables or
+// or a join needs it. Keyed on the columns the replies share with the rows
+// they join, the accumulator is the join's index: Join probes it as it
+// stands. A reply binds every cell; only a table JoinTables or
 // LeftJoinTables indexes can leave a key column unbound, and such a row is
 // kept off the chains, in loose, the way joinIndex keeps one.
 type Matches struct {
@@ -202,19 +204,20 @@ type Matches struct {
 	n        int
 	sizeHint int
 	remap    []uint32 // Add's scratch: a reply's positions in dict, 0 until looked up
-	keys     []string // the variables the keys bound, a subset of vars
-	cols     []int    // their columns in vars; every column when keys is empty
+	keys     []string // the join variables: a column of vars is a key column when keys names it
+	cols     []int    // the key columns; every column when there are none
 	head     []int32  // key hash → last row added in its bucket (1-based)
 	next     []int32  // row → previous row in its bucket
 	loose    []int32  // rows leaving a key column unbound, in arrival order
 }
 
 // NewMatches returns an empty accumulator for the replies of a pattern whose
-// join columns are the variables of keys — whether a target was sent those
-// keys or the unit key in their place, its reply joins and de-duplicates on
-// the same columns. sizeHint is the number of rows to make room for when
-// the caller knows a bound (the location table's frequencies give one for
-// the unit key), zero otherwise.
+// join columns are those of its variables that keys has — whether a target
+// was sent those keys or the unit key in their place, its reply joins and
+// de-duplicates on the same columns. keys may be the very rows the replies
+// will join, whose schema names every variable the two share. sizeHint is the number of rows to make room for when the caller
+// knows a bound (the location table's frequencies give one for the unit
+// key), zero otherwise.
 func NewMatches(keys Table, sizeHint int) *Matches {
 	return &Matches{keys: keys.Vars, sizeHint: sizeHint}
 }
@@ -244,7 +247,7 @@ func (m *Matches) Add(t Table) {
 		return
 	}
 	if m.head == nil {
-		m.index(t.N)
+		m.index(max(m.sizeHint, m.n+t.N))
 	}
 	m.remap = slices.Grow(m.remap[:0], len(t.Dict)+1)[:len(t.Dict)+1]
 	clear(m.remap)
@@ -260,16 +263,61 @@ func (m *Matches) Add(t Table) {
 	}
 }
 
-// index builds the hash index over the rows held so far, leaving room for
-// extra more.
-func (m *Matches) index(extra int) {
+// AddAll adds the replies' rows as Add would, one reply after another:
+// the same schema, dictionary order, cells and count. A lone non-empty
+// reply is held as it comes. Past the first, the dictionary, the cells and
+// the index are allocated once, sized for every reply's terms and rows — a
+// bound, duplicates included, that makes sizeHint moot — so none of them
+// grows, or is copied again, as the replies are added.
+func (m *Matches) AddAll(replies []Table) {
+	for len(replies) > 0 && m.n == 0 {
+		m.Add(replies[0])
+		replies = replies[1:]
+	}
+	terms, rows, widest := 0, 0, 0
+	for _, t := range replies {
+		if t.N > 0 {
+			terms, rows, widest = terms+len(t.Dict), rows+t.N, max(widest, len(t.Dict))
+		}
+	}
+	if rows == 0 {
+		return
+	}
+	if m.head == nil {
+		m.index(m.n + rows)
+	}
+	m.dict.reserve(terms)
+	m.remap = slices.Grow(m.remap[:0], widest+1)
+	for _, t := range replies {
+		m.Add(t)
+	}
+}
+
+// keyed reports whether some column is a key column.
+func (m *Matches) keyed() bool {
+	for _, v := range m.vars {
+		if slices.Contains(m.keys, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// index builds the hash index over the rows held so far, with room for
+// room rows in all.
+func (m *Matches) index(room int) {
+	m.cols = make([]int, 0, len(m.vars))
 	for c, v := range m.vars {
-		if len(m.keys) == 0 || slices.Contains(m.keys, v) {
+		if slices.Contains(m.keys, v) {
 			m.cols = append(m.cols, c)
 		}
 	}
-	room := max(m.sizeHint, m.n+extra)
-	if extra > 0 {
+	if len(m.cols) == 0 {
+		for c := range m.vars {
+			m.cols = append(m.cols, c)
+		}
+	}
+	if room > m.n {
 		m.cells = slices.Grow(m.cells, (room-m.n)*len(m.vars))
 	}
 	m.next = make([]int32, m.n, room)
@@ -316,8 +364,8 @@ func (m *Matches) insert(from int) {
 
 // Join extends every seed row by the rows whose key columns it agrees with
 // — every row when no variable is shared — seeds in their order, a seed's
-// rows in arrival order. The key variables must be exactly those the seeds
-// and the rows share. The result's schema is the seeds' variables followed
+// rows in arrival order. Every variable the seeds and the rows share must
+// be a key variable. The result's schema is the seeds' variables followed
 // by the rows' others, and its cells are copied into one arena sized before
 // it is filled.
 func (m *Matches) Join(seeds Table) Table { return m.join(seeds, nil, false) }
@@ -339,13 +387,7 @@ func LeftJoinTables(a, b Table, expr sparql.Expression) Table {
 // over indexes b's rows on the variables they share with a — JoinTables'
 // choice of key variables — where they lie.
 func over(a, b Table) *Matches {
-	m := &Matches{vars: b.Vars, dict: dictIndex{terms: slices.Clip(b.Dict)}, cells: b.Cells, n: b.N}
-	for _, v := range b.Vars {
-		if slices.Contains(a.Vars, v) {
-			m.keys = append(m.keys, v)
-		}
-	}
-	return m
+	return &Matches{vars: b.Vars, dict: dictIndex{terms: slices.Clip(b.Dict)}, cells: b.Cells, n: b.N, keys: a.Vars}
 }
 
 // into remaps a dictionary into m's: position k of dict goes to its term's
@@ -445,9 +487,9 @@ func (m *Matches) join(seeds Table, expr sparql.Expression, left bool) Table {
 // the seeds' cells are read through ra.
 func (m *Matches) hits(seeds Table, ra []uint32) (hits []int32, ends, probe []int) {
 	var cols []int // no key columns: every row matches every seed
-	if len(m.keys) > 0 {
+	if m.keyed() {
 		if m.head == nil {
-			m.index(0)
+			m.index(m.n)
 		}
 		cols = m.cols
 	}

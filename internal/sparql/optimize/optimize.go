@@ -317,7 +317,8 @@ func ReorderPatterns(patterns []rdf.Triple, est CardinalityEstimator) []rdf.Trip
 	})
 	out := []rdf.Triple{remaining[0].pat}
 	bound := map[string]bool{}
-	for _, v := range remaining[0].pat.Vars() {
+	var own [3]string
+	for _, v := range remaining[0].pat.AppendVars(own[:0]) {
 		bound[v] = true
 	}
 	remaining = remaining[1:]
@@ -336,7 +337,7 @@ func ReorderPatterns(patterns []rdf.Triple, est CardinalityEstimator) []rdf.Trip
 		}
 		chosen := remaining[best]
 		out = append(out, chosen.pat)
-		for _, v := range chosen.pat.Vars() {
+		for _, v := range chosen.pat.AppendVars(own[:0]) {
 			bound[v] = true
 		}
 		remaining = append(remaining[:best], remaining[best+1:]...)
@@ -345,7 +346,8 @@ func ReorderPatterns(patterns []rdf.Triple, est CardinalityEstimator) []rdf.Trip
 }
 
 func sharesVar(p rdf.Triple, bound map[string]bool) bool {
-	for _, v := range p.Vars() {
+	var own [3]string
+	for _, v := range p.AppendVars(own[:0]) {
 		if bound[v] {
 			return true
 		}
