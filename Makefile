@@ -24,8 +24,9 @@ lint:
 test:
 	$(GO) test ./...
 
+# -tags lockcheck arms the lock validator (internal/lockcheck, DESIGN.md §7).
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -tags lockcheck ./...
 
 # The root micro-benchmarks, one iteration each (seconds); the repository's
 # benchmark is bench/run.sh.

@@ -246,6 +246,10 @@ func TestPublishToGraphFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The snapshot counts a named graph's triples with the default graphs'.
+	if snap := sys.Snapshot(); snap.TotalTriples != 8 {
+		t.Errorf("triples = %d, want the demo's 7 and the named graph's 1", snap.TotalTriples)
+	}
 	res, _, err := sys.Query("graphs-node", `PREFIX foaf: <http://xmlns.com/foaf/0.1/>
 SELECT ?x FROM <`+g+`> WHERE { ?x foaf:knows ?y . }`)
 	if err != nil {

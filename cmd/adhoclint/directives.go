@@ -54,7 +54,7 @@ func (prog *Program) Directives() *directiveIndex {
 // remainder, skipping an optional balanced parenthesized argument text
 // (which may itself contain commas and parentheses). It is the one parser
 // behind the directive grammar and the rule list of an ignore directive,
-// whose entries carry their reasons as arguments: "guarded-field(reason), lock-order".
+// whose entries carry their reasons as arguments: "guarded-field(reason), determinism".
 func scanNameArgs(s string) (name, rest string) {
 	i := 0
 	for i < len(s) && isDirectiveIdentChar(s[i]) {
@@ -112,7 +112,7 @@ func (ix *directiveIndex) ignored(d Diagnostic, off int) bool {
 
 // ignoreRules parses the rule list of an ignore directive: a
 // comma-separated sequence of rule names, each optionally followed by a
-// parenthesized reason — "guarded-field(set before serving), lock-order".
+// parenthesized reason — "guarded-field(set before serving), determinism".
 // Free text that is not a rule name ends the list.
 func ignoreRules(rest string) []string {
 	var rules []string

@@ -31,8 +31,6 @@ type rule struct {
 // rules lists every rule in reporting order.
 var rules = []rule{
 	{"guarded-field", "a struct's mutex guards the fields declared after it (a write needs Lock); no method writes a node type's fields before its first mutex; …Locked methods run under the receiver's lock", checkGuardedFields},
-	{"lock-blocking", "no blocking operation (channel op, simnet fabric call, sleep, wait) while a mutex is held, directly or through calls", checkLockBlocking},
-	{"lock-order", "mutex acquisition order must be cycle-free across the program; no re-acquisition of a held mutex", checkLockOrder},
 	{"determinism", "no wall-clock (time.Now, time.Sleep, ...) or global math/rand in internal/ non-test code, and no `go` statement in internal/ or cmd/ non-test code", checkDeterminism},
 	{"discarded-error", "no `_ =` discards of error values outside tests", checkDiscardedErrors},
 }

@@ -159,13 +159,6 @@ func TestRaceFreeRule(t *testing.T) {
 	matchWants(t, wants, diags)
 }
 
-// The locked fixture deliberately breaks the guarded-field convention
-// (channel fields sit after mu but are used unlocked once released), so
-// only the lock-blocking rule runs over it.
-func TestLockBlockingRule(t *testing.T) {
-	checkFixture(t, "locked", "adhocshare/fixture/locked", only("lock-blocking"))
-}
-
 func TestDeterminismRule(t *testing.T) {
 	checkFixture(t, "determinism", "adhocshare/internal/fixture/determinism", only("determinism"))
 }
@@ -208,32 +201,19 @@ func TestCleanFixtureAllRules(t *testing.T) {
 	}
 }
 
-func TestLockOrderRule(t *testing.T) {
-	checkFixture(t, "lockorder", "adhocshare/fixture/lockorder", only("lock-order", "lock-blocking"))
-}
-
-// The lock-order cycle diagnostic must carry witness call chains for both
-// edges, including the transitive one through touchA.
-func TestLockOrderCycleWitness(t *testing.T) {
-	var cycle *Diagnostic
-	for _, d := range lintFixture(t, "lockorder", "adhocshare/fixture/lockorder", only("lock-order")) {
-		if strings.Contains(d.Msg, "lock-order cycle") {
-			d := d
-			cycle = &d
-		}
+// The loader keeps the files the default build compiles: the constrained
+// fixture declares Mutex once per build tag, and its unguarded write is
+// flagged through the alias the untagged file declares.
+func TestLoaderHonoursBuildConstraints(t *testing.T) {
+	prog := loadFixtureProgram(t, "constrained", "adhocshare/fixture/constrained")
+	var names []string
+	for _, f := range prog.Pkgs[0].AllFiles() {
+		names = append(names, filepath.Base(prog.Pkgs[0].Fset.Position(f.Pos()).Filename))
 	}
-	if cycle == nil {
-		t.Fatal("no lock-order cycle diagnostic reported")
+	if got := strings.Join(names, " "); got != "mutex.go use.go" {
+		t.Errorf("loaded files %q, want the untagged pair", got)
 	}
-	for _, frag := range []string{
-		"lockorder.A.mu → lockorder.B.mu → lockorder.A.mu",
-		"(*A).Bump locks lockorder.B.mu while holding lockorder.A.mu",
-		"calls lockorder.(*B).touchA, which locks lockorder.A.mu",
-	} {
-		if !strings.Contains(cycle.Msg, frag) {
-			t.Errorf("cycle diagnostic missing %q:\n%s", frag, cycle.Msg)
-		}
-	}
+	matchWants(t, collectWants(prog.Pkgs[0]), lint(prog, only("guarded-field")))
 }
 
 // Every rule of the table must be clean on the production tree: each

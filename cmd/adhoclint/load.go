@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -13,10 +14,11 @@ import (
 	"strings"
 )
 
-// Package is one analyzed package: parsed syntax for every file plus type
-// information for the non-test files. Test files are carried along so the
-// purely syntactic rules (guarded-field, lock-blocking) cover them too;
-// the type-dependent rules only look at production files.
+// Package is one analyzed package: parsed syntax for every file the default
+// build compiles (build constraints and _GOOS/_GOARCH suffixes applied, as
+// `go build` does) plus type information for the non-test files. Test
+// files are carried along so guarded-field covers them too; the
+// type-dependent rules only look at production files.
 type Package struct {
 	ImportPath string
 	Dir        string
@@ -154,6 +156,9 @@ func (l *loader) load(dir, importPath string) (*loaded, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		if match, merr := build.Default.MatchFile(dir, name); merr != nil || !match {
 			continue
 		}
 		f, perr := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -3,15 +3,7 @@ package main
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
-	"strings"
 )
-
-// lockClass identifies a mutex by declaration site rather than instance:
-// "«pkgpath».«Type».«field»" for a struct field reached through a typed
-// owner, "«pkgpath».«name»" for a package-level mutex. Function-local
-// mutexes have no class and contribute no interprocedural facts.
-type lockClass string
 
 // muRegion is a span of a function body during which a mutex is held.
 // Owner is the source rendering of the mutex expression ("s.mu", "c.mu",
@@ -19,12 +11,7 @@ type lockClass string
 type muRegion struct {
 	owner      string
 	start, end token.Pos
-	write      bool      // opened by Lock (vs RLock)
-	class      lockClass // "" for locals and in files without type information
-	// conv marks a mutex named "mu": the lock-blocking and lock-order rules
-	// reason about these only. The guarded-field rule matches any region
-	// by its owner.
-	conv bool
+	write      bool // opened by Lock (vs RLock)
 }
 
 func (r muRegion) contains(p token.Pos) bool { return r.start <= p && p <= r.end }
@@ -37,8 +24,6 @@ type muEvent struct {
 	write    bool // Lock or Unlock (vs RLock or RUnlock)
 	deferred bool
 	block    ast.Node // innermost enclosing block-like node
-	class    lockClass
-	conv     bool
 }
 
 // exprChain renders a selector chain of plain identifiers ("s", "n.table").
@@ -59,7 +44,7 @@ func exprChain(expr ast.Expr) (string, bool) {
 // muEvents collects every Lock/RLock/Unlock/RUnlock call on a selector
 // chain in the function body, with the enclosing block-like node and defer
 // context of each.
-func muEvents(p *Package, fn *ast.FuncDecl) []*muEvent {
+func muEvents(fn *ast.FuncDecl) []*muEvent {
 	var events []*muEvent
 	var stack []ast.Node
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -89,10 +74,6 @@ func muEvents(p *Package, fn *ast.FuncDecl) []*muEvent {
 			owner: owner,
 			lock:  name == "Lock" || name == "RLock",
 			write: name == "Lock" || name == "Unlock",
-			conv:  owner == "mu" || strings.HasSuffix(owner, ".mu"),
-		}
-		if p.Info != nil {
-			e.class = mutexClass(p.Info, sel.X)
 		}
 		for i := len(stack) - 2; i >= 0; i-- {
 			if d, isDefer := stack[i].(*ast.DeferStmt); isDefer && d.Call == call {
@@ -111,25 +92,6 @@ func muEvents(p *Package, fn *ast.FuncDecl) []*muEvent {
 	return events
 }
 
-// mutexClass classifies the mutex denoted by a Lock receiver expression.
-func mutexClass(info *types.Info, muExpr ast.Expr) lockClass {
-	switch e := muExpr.(type) {
-	case *ast.Ident: // package-level or local
-		if v, ok := info.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-			return lockClass(v.Pkg().Path() + "." + v.Name())
-		}
-	case *ast.SelectorExpr: // "«base».«field»": classify by the base's type
-		t := info.Types[e.X].Type
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			return lockClass(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name)
-		}
-	}
-	return ""
-}
-
 // lockFacts are the lock events and held-lock spans of one function body.
 type lockFacts struct {
 	events  []*muEvent
@@ -145,12 +107,12 @@ type lockFacts struct {
 // to the end of the function; with neither (early-return unlocks inside
 // nested branches only), the region runs to the end of the Lock's own
 // block — erring on the side of "still locked", which keeps the
-// guarded-field rule permissive and the blocking rule conservative.
-func (prog *Program) LockFacts(p *Package, fn *ast.FuncDecl) *lockFacts {
+// guarded-field rule permissive.
+func (prog *Program) LockFacts(fn *ast.FuncDecl) *lockFacts {
 	if lf, ok := prog.locks[fn]; ok {
 		return lf
 	}
-	lf := &lockFacts{events: muEvents(p, fn)}
+	lf := &lockFacts{events: muEvents(fn)}
 	for _, e := range lf.events {
 		if !e.lock || e.deferred {
 			continue
@@ -175,7 +137,7 @@ func (prog *Program) LockFacts(p *Package, fn *ast.FuncDecl) *lockFacts {
 			end = e.block.End()
 		}
 		lf.regions = append(lf.regions, muRegion{
-			owner: e.owner, start: e.pos, end: end, write: e.write, class: e.class, conv: e.conv,
+			owner: e.owner, start: e.pos, end: end, write: e.write,
 		})
 	}
 	if prog.locks == nil {
@@ -183,16 +145,6 @@ func (prog *Program) LockFacts(p *Package, fn *ast.FuncDecl) *lockFacts {
 	}
 	prog.locks[fn] = lf
 	return lf
-}
-
-// convHeld returns the first convention-named region containing pos.
-func (lf *lockFacts) convHeld(pos token.Pos) (muRegion, bool) {
-	for _, r := range lf.regions {
-		if r.conv && r.contains(pos) {
-			return r, true
-		}
-	}
-	return muRegion{}, false
 }
 
 // holds reports whether a region of the named owner contains pos — opened

@@ -38,7 +38,7 @@ func checkDeterminism(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range prog.Pkgs {
 		internal := internalPackage(p)
-		if !internal && !cmdPackage(p, prog.modPath) {
+		if !internal && !cmdPackage(p, prog.loader.modPath) {
 			continue
 		}
 		for _, f := range p.Files {

@@ -53,7 +53,7 @@ func checkDiscardedErrors(prog *Program) []Diagnostic {
 
 // isBlank reports whether the expression is the blank identifier.
 func isBlank(e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
+	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "_"
 }
 

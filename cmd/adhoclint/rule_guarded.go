@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -11,7 +12,7 @@ import (
 // handlers and its exported methods concurrently, and every field it keeps
 // is either guarded or frozen:
 //
-//  1. every sync.Mutex/RWMutex field guards the fields declared after it, up
+//  1. every sync.Mutex/RWMutex field (or an alias of one) guards the fields declared after it, up
 //     to the next mutex field; a method touches them only while holding it;
 //  2. a write (assignment, ++/--, delete) needs the guard held by Lock, not
 //     RLock;
@@ -36,9 +37,10 @@ type guardedStruct struct {
 	node    bool              // has a HandleCall method: before is frozen
 }
 
-// collectGuardedStructs indexes every struct type of one file group;
-// node types (clause 3) are marked only when nodes is set.
-func collectGuardedStructs(files []*ast.File, nodes bool) map[string]*guardedStruct {
+// collectGuardedStructs indexes every struct type of one file group, typed
+// by info when it is set; node types (clause 3) are marked only when nodes
+// is set.
+func collectGuardedStructs(files []*ast.File, info *types.Info, nodes bool) map[string]*guardedStruct {
 	out := map[string]*guardedStruct{}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -52,7 +54,7 @@ func collectGuardedStructs(files []*ast.File, nodes bool) map[string]*guardedStr
 			}
 			gs := &guardedStruct{guard: map[string]string{}, before: map[string]bool{}, types: map[string]string{}}
 			for _, field := range st.Fields.List {
-				if isSyncMutexType(field.Type) && len(field.Names) > 0 {
+				if isMutexType(info, field.Type) && len(field.Names) > 0 {
 					for _, name := range field.Names {
 						gs.mutexes = append(gs.mutexes, name.Name)
 					}
@@ -87,16 +89,24 @@ func collectGuardedStructs(files []*ast.File, nodes bool) map[string]*guardedStr
 	return out
 }
 
-func isSyncMutexType(t ast.Expr) bool {
-	sel, ok := t.(*ast.SelectorExpr)
-	if !ok {
-		return false
+// isMutexType reports whether a field's type is sync.Mutex or
+// sync.RWMutex, through any alias: lockcheck's types are aliases of them in
+// the build the linter loads. Test files carry no type information (info
+// is nil); there the spelled sync selector decides.
+func isMutexType(info *types.Info, t ast.Expr) bool {
+	var pkg, name string
+	if info != nil {
+		named, ok := types.Unalias(info.TypeOf(t)).(*types.Named)
+		if !ok || named.Obj().Pkg() == nil {
+			return false
+		}
+		pkg, name = named.Obj().Pkg().Path(), named.Obj().Name()
+	} else if sel, ok := t.(*ast.SelectorExpr); ok {
+		if id, ok := sel.X.(*ast.Ident); ok {
+			pkg, name = id.Name, sel.Sel.Name
+		}
 	}
-	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != "sync" {
-		return false
-	}
-	return sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex"
+	return pkg == "sync" && (name == "Mutex" || name == "RWMutex")
 }
 
 // checkGuardedFields enforces the convention over every method of every
@@ -105,7 +115,11 @@ func checkGuardedFields(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range prog.Pkgs {
 		for i, group := range [][]*ast.File{p.Files, p.TestFiles} {
-			structs := collectGuardedStructs(group, i == 0)
+			info := p.Info
+			if i > 0 {
+				info = nil
+			}
+			structs := collectGuardedStructs(group, info, i == 0)
 			eachFuncDecl(group, func(fn *ast.FuncDecl) {
 				if gs, recv := structs[recvTypeName(fn)], recvName(fn); gs != nil && recv != "" {
 					diags = append(diags, checkGuardedMethod(prog, p, fn, recv, gs, structs)...)
@@ -121,7 +135,7 @@ func checkGuardedMethod(prog *Program, p *Package, fn *ast.FuncDecl, recv string
 	var diags []Diagnostic
 	name := fn.Name.Name
 	trusted := strings.HasSuffix(name, "Locked")
-	locks := prog.LockFacts(p, fn)
+	locks := prog.LockFacts(fn)
 	writes := map[*ast.SelectorExpr]bool{}
 	eachWrite(fn.Body, func(lhs ast.Expr) {
 		for {
@@ -212,7 +226,7 @@ func eachWrite(root ast.Node, visit func(lhs ast.Expr)) {
 		case *ast.IncDecStmt:
 			visit(n.X)
 		case *ast.CallExpr:
-			if id, ok := unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "delete" && len(n.Args) > 0 {
 				visit(n.Args[0])
 			}
 		}

@@ -191,9 +191,9 @@ func validateSARIF(t *testing.T, data []byte) []string {
 func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		{Pos: token.Position{Filename: "internal/overlay/messages.go", Line: 36, Column: 1},
-			Rule: "lock-blocking", Msg: "call to overlay.(*IndexNode).replicate may block (simnet RPC (.Forward) at index.go:40) while n.joinMu is held in endJoin"},
+			Rule: "guarded-field", Msg: "n.held is set at construction (node type IndexNode, declared before any mutex) but written in endJoin"},
 		{Pos: token.Position{Filename: "internal/chord/node.go", Line: 120, Column: 2},
-			Rule: "lock-order", Msg: "lock-order cycle (potential deadlock): a → b → a"},
+			Rule: "determinism", Msg: "go statement in stabilize: production code runs on its caller's goroutine — fan out with simnet.Parallel; only tests start goroutines"},
 		{Pos: token.Position{Filename: "internal/overlay/table.go", Line: 131, Column: 3},
 			Rule: "guarded-field", Msg: "t.rows is guarded by t.mu (declared after it) but accessed in rowLocked without holding the lock"},
 		{Pos: token.Position{Filename: "internal/rdfpeers/range.go", Line: 77, Column: 2},

@@ -4,9 +4,9 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"sync"
 
 	"adhocshare/internal/flight"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/simnet"
 )
 
@@ -39,7 +39,7 @@ type Node struct {
 	addr simnet.Addr
 	net  *simnet.Network
 
-	mu      sync.RWMutex
+	mu      lockcheck.RWMutex
 	succ    []Ref // successor list, succ[0] is the immediate successor
 	pred    Ref
 	fingers []Ref // fingers[k] ≈ successor(id + 2^k)

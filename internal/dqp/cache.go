@@ -1,9 +1,8 @@
 package dqp
 
 import (
-	"sync"
-
 	"adhocshare/internal/chord"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/overlay"
 	"adhocshare/internal/simnet"
 )
@@ -19,7 +18,7 @@ import (
 // published after caching); queries then miss those providers until the
 // entry ages out, which is the usual trade of ad-hoc caching.
 type lookupCache struct {
-	mu    sync.Mutex
+	mu    lockcheck.Mutex
 	max   int
 	order []chord.ID
 	rows  map[chord.ID]cachedRow

@@ -168,15 +168,16 @@ func conjObjects(d *workload.Dataset) (rdf.Term, rdf.Term, error) {
 		}
 		return rdf.Compare(a2, o2) < 0
 	}
-	g.ForEachMatch(rdf.Triple{S: rdf.NewVar("s"), P: kna, O: rdf.NewVar("o")}, func(t rdf.Triple) bool {
+	// Each subject's knows are looked up after the match, not inside a
+	// callback that holds the graph's read lock.
+	for _, t := range g.Match(rdf.Triple{S: rdf.NewVar("s"), P: kna, O: rdf.NewVar("o")}) {
 		for _, k := range g.Match(rdf.Triple{S: t.S, P: knows, O: rdf.NewVar("o")}) {
 			if !found || better(k.O, t.O) {
 				o1, o2 = k.O, t.O
 				found = true
 			}
 		}
-		return true
-	})
+	}
 	if !found {
 		return rdf.Term{}, rdf.Term{}, fmt.Errorf("experiments: no subject with both predicates")
 	}

@@ -24,9 +24,9 @@ package flight
 
 import (
 	"sort"
-	"sync"
 
 	"adhocshare/internal/boundedlog"
+	"adhocshare/internal/lockcheck"
 )
 
 // Event kinds. Message-leg kinds (Deliver, Lost, Unreachable) pair one to
@@ -135,7 +135,7 @@ type Recorder struct {
 	// so it is readable without the lock.
 	size int
 
-	mu     sync.Mutex
+	mu     lockcheck.Mutex
 	rings  map[string]*boundedlog.Log[Event] // one bounded event log per node
 	counts map[string]int64
 	total  int64

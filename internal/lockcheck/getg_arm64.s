@@ -1,0 +1,7 @@
+//go:build lockcheck
+
+#include "textflag.h"
+TEXT ·getg(SB), NOSPLIT, $0-8
+	MOVD g, R0
+	MOVD R0, ret+0(FP)
+	RET

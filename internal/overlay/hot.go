@@ -17,10 +17,10 @@ package overlay
 // coherent.
 
 import (
-	"sync"
 	"time"
 
 	"adhocshare/internal/chord"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/simnet"
 )
 
@@ -42,7 +42,7 @@ type hotCounter struct {
 // hotState is the per-node hot-key detector. mu is a leaf lock guarding
 // counters.
 type hotState struct {
-	mu       sync.Mutex
+	mu       lockcheck.Mutex
 	counters map[chord.ID]hotCounter
 }
 

@@ -21,9 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"adhocshare/internal/chord"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/trace"
 )
@@ -50,7 +50,7 @@ type LookupClient struct {
 	sys *System
 
 	// mu guards hints, the per-key advertisement cache.
-	mu    sync.Mutex
+	mu    lockcheck.Mutex
 	hints map[chord.ID]*replicaHint
 }
 

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"adhocshare/internal/chord"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/simnet"
 )
 
@@ -30,7 +30,7 @@ type IndexNode struct {
 	// publisher. A batch re-sent after a lost leg carries the same sequence
 	// and is not applied again, only its delta re-sent down the chain, which
 	// makes put_batch safe to retry even for relative frequencies.
-	seqMu   sync.Mutex
+	seqMu   lockcheck.Mutex
 	lastSeq map[simnet.Addr]uint64
 
 	// joinMu guards joining and held. At Replication 1 a joiner's rows move
@@ -39,7 +39,7 @@ type IndexNode struct {
 	// routed to it and then applies them, in arrival order, over the moved
 	// rows: a retraction or drop applied first would find no posting, and
 	// the moved row would bring the posting back.
-	joinMu  sync.Mutex
+	joinMu  lockcheck.Mutex
 	joining bool
 	held    []heldWrite
 }

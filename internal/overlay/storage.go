@@ -5,9 +5,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"adhocshare/internal/chord"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/sparql"
@@ -30,7 +30,7 @@ type StorageNode struct {
 	net  *simnet.Network
 	addr simnet.Addr
 
-	mu       sync.Mutex
+	mu       lockcheck.Mutex
 	attached simnet.Addr           // the index node this storage node hangs off
 	named    map[string]*rdf.Graph // named graphs by IRI
 	views    map[string]*rdf.Graph // memoized dataset merges, reset on writes
@@ -48,7 +48,7 @@ type StorageNode struct {
 	// graph's term IDs: pos[id] is the term's position in the reply's
 	// dictionary, 0 while the reply does not hold it. Every entry is zero
 	// between matches. Held under matchMu for the whole match.
-	matchMu sync.Mutex
+	matchMu lockcheck.Mutex
 	pos     []uint32
 }
 

@@ -6,10 +6,10 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 
 	"adhocshare/internal/chord"
 	"adhocshare/internal/flight"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/simnet"
 	"adhocshare/internal/trace"
@@ -58,7 +58,7 @@ type System struct {
 	cfg Config
 	net *simnet.Network
 
-	mu      sync.RWMutex
+	mu      lockcheck.RWMutex
 	index   map[simnet.Addr]*IndexNode
 	storage map[simnet.Addr]*StorageNode
 	// epoch is the stabilization epoch: it advances whenever ring

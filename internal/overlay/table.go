@@ -4,9 +4,9 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync"
 
 	"adhocshare/internal/chord"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/simnet"
 )
 
@@ -30,7 +30,7 @@ func (p Posting) SizeBytes() int { return len(p.Node) + intWidth(p.Freq) }
 // re-hashes a row. A key is in at most one of the two maps, and a write
 // probes each at most once. It is safe for concurrent use.
 type LocationTable struct {
-	mu   sync.RWMutex
+	mu   lockcheck.RWMutex
 	one  map[chord.ID]Posting
 	rows map[chord.ID]postingRow
 }

@@ -2,7 +2,8 @@ package rdf
 
 import (
 	"slices"
-	"sync"
+
+	"adhocshare/internal/lockcheck"
 )
 
 // Graph is an in-memory RDF triple store. Every term is interned once in a
@@ -26,7 +27,7 @@ import (
 // Storage nodes in the overlay each own one Graph — the paper's premise is
 // that providers keep and serve their own data locally (Sect. III).
 type Graph struct {
-	mu    sync.RWMutex
+	mu    lockcheck.RWMutex
 	ids   map[Term]uint32
 	terms []Term       // by ID; the zero Term at a released ID
 	refs  []uint32     // by ID: how many triple positions name the term

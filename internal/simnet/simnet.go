@@ -18,11 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"adhocshare/internal/flight"
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/trace"
 )
 
@@ -135,7 +135,7 @@ type Network struct {
 	// metrics it sits outside mu.
 	hooks atomic.Pointer[hooks]
 
-	mu     sync.RWMutex
+	mu     lockcheck.RWMutex
 	nodes  map[Addr]Handler
 	failed map[Addr]bool
 	// linkFactor scales a node's link cost (latency and transfer time);
@@ -149,7 +149,7 @@ type Network struct {
 type cell struct{ dir, method string }
 
 type metrics struct {
-	mu       sync.Mutex
+	mu       lockcheck.Mutex
 	messages int64
 	bytes    int64
 	// cells holds one counter per (direction, method); Metrics folds them
@@ -526,6 +526,7 @@ const (
 // A leg put on the wire stays charged and observed whether or not the
 // operation it belongs to completes.
 func (n *Network) transmit(hk *hooks, l leg, down bool) (_ VTime, err error) {
+	lockcheck.AssertNoneHeld()
 	forward, wire := l.dir != DirResponse, l.size
 	if l.note == noteErrorReply {
 		wire = errorReplyWire

@@ -6,8 +6,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 
+	"adhocshare/internal/lockcheck"
 	"adhocshare/internal/rdf"
 	"adhocshare/internal/sparql"
 )
@@ -392,7 +392,7 @@ func evalRegex(x *sparql.ExprCall, b Binding) (Value, error) {
 // regexCache memoizes compiled patterns; FILTER regex is evaluated once per
 // candidate solution, so caching matters for large multisets.
 var regexCache = struct {
-	sync.RWMutex
+	lockcheck.RWMutex
 	m map[string]*regexp.Regexp
 }{m: map[string]*regexp.Regexp{}}
 

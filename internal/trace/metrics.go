@@ -4,7 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
+
+	"adhocshare/internal/lockcheck"
 )
 
 // LatencyBuckets are the upper bounds (virtual nanoseconds, inclusive) of
@@ -68,7 +69,7 @@ func (s MetricsSnapshot) Get(node, method string) (MetricsEntry, bool) {
 // histograms from message spans. It implements Recorder, so it can be
 // attached to the fabric directly or combined with a Buffer via Tee.
 type Registry struct {
-	mu    sync.Mutex
+	mu    lockcheck.Mutex
 	cells map[[2]string]*MetricsEntry
 }
 

@@ -17,9 +17,9 @@ package trace
 
 import (
 	"sort"
-	"sync"
 
 	"adhocshare/internal/boundedlog"
+	"adhocshare/internal/lockcheck"
 )
 
 // TraceContext identifies one span within one query (or system operation)
@@ -139,7 +139,7 @@ type Recorder interface {
 // retained contents of a seeded run are byte-identical under any
 // interleaving of the client goroutines.
 type Buffer struct {
-	mu  sync.Mutex
+	mu  lockcheck.Mutex
 	log *boundedlog.Log[Span] // unbounded until SetLimit
 }
 
